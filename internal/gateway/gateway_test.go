@@ -43,6 +43,7 @@ const testPackage = `classes:
 // fixture is a served gateway plus helpers.
 type fixture struct {
 	t      *testing.T
+	p      *core.Platform
 	srv    *httptest.Server
 	client *http.Client
 }
@@ -87,7 +88,7 @@ func newFixtureCfg(t *testing.T, cfg core.Config) *fixture {
 	}))
 	srv := httptest.NewServer(New(p))
 	t.Cleanup(srv.Close)
-	return &fixture{t: t, srv: srv, client: srv.Client()}
+	return &fixture{t: t, p: p, srv: srv, client: srv.Client()}
 }
 
 // do issues a request and returns status + decoded JSON body.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/core"
+	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/trigger"
 )
 
@@ -329,4 +330,73 @@ func TestTriggersListIncludesStats(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestChainHandlerCannotScribbleOnTheLog: the chain sink submits the
+// very bytes the event log holds (an event is encoded once), so the
+// handler must be working on a copy — one that overwrites its payload
+// must not change what a replay from the log returns.
+func TestChainHandlerCannotScribbleOnTheLog(t *testing.T) {
+	f := newFixture(t)
+	scribbled := make(chan string, 1)
+	f.p.Images().Register("img/scribble", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
+		before := string(task.Payload)
+		for i := range task.Payload {
+			task.Payload[i] = 'X'
+		}
+		scribbled <- before
+		return invoker.Result{Output: json.RawMessage(`"done"`)}, nil
+	}))
+	pkg := `classes:
+  - name: Note
+    keySpecs:
+      - name: text
+        kind: string
+        default: ""
+    functions:
+      - name: set
+        image: img/set
+      - name: scribble
+        image: img/scribble
+`
+	if status, body := f.do(http.MethodPost, "/api/packages", "application/yaml", []byte(pkg)); status != http.StatusCreated {
+		t.Fatalf("deploy status = %d body=%v", status, body)
+	}
+	sub, _ := json.Marshal(map[string]string{"class": "Note", "type": "stateChanged", "targetFunction": "scribble"})
+	if status, body := f.do(http.MethodPut, "/api/triggers/scribble-on-write", "application/json", sub); status != http.StatusCreated {
+		t.Fatalf("put status = %d body=%v", status, body)
+	}
+	id := f.createObject("alias-1")
+	f.invokeSet(id, `"v"`)
+	var handed string
+	select {
+	case handed = <-scribbled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("chained handler never ran")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.srv.URL+"/api/objects/"+id+"/events?fromOffset=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := f.client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body := bufio.NewScanner(resp.Body)
+	for body.Scan() {
+		if data, ok := strings.CutPrefix(body.Text(), "data: "); ok {
+			if data != handed {
+				t.Fatalf("replayed entry differs from what the handler was handed:\n%s\n%s", data, handed)
+			}
+			var ev trigger.Event
+			if err := json.Unmarshal([]byte(data), &ev); err != nil || ev.Offset != 1 || ev.Object != id {
+				t.Fatalf("replayed entry = %+v (%v)", ev, err)
+			}
+			return
+		}
+	}
+	t.Fatalf("no replayed frame: %v", body.Err())
 }

@@ -215,6 +215,20 @@ type traceData struct {
 	invocations []string
 }
 
+// join takes one more reference on the trace, reporting false when
+// the accumulator can no longer take it: the trace finalized, or —
+// the caller having looked td up before finalize recycled it — the
+// pool has already handed it to another trace.
+func (td *traceData) join(id TraceID) bool {
+	td.mu.Lock()
+	defer td.mu.Unlock()
+	if td.done || td.id != id {
+		return false
+	}
+	td.open++
+	return true
+}
+
 var dataPool = sync.Pool{New: func() any { return &traceData{} }}
 
 var spanPool = sync.Pool{New: func() any { return &Span{} }}
@@ -289,18 +303,18 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 		// The trace is already live here: a second ingress of the same
 		// trace (forwarded hop) joins it rather than forking it.
 		t.mu.Unlock()
-		td.mu.Lock()
-		if !td.done {
-			td.open++
-			td.mu.Unlock()
+		if td.join(tid) {
 			return t.getSpan(td, parent, name)
 		}
-		td.mu.Unlock()
 		// Lost the race against finalize; fall through to a fresh trace.
 		tid = t.newTraceID()
 		t.mu.Lock()
 	}
 	td := dataPool.Get().(*traceData)
+	// Reset under td.mu: a late Attach that looked this accumulator up
+	// while it still belonged to its previous trace may be about to
+	// inspect it (join tells the two incarnations apart by id).
+	td.mu.Lock()
 	td.tr = t
 	td.id = tid
 	td.start = t.now()
@@ -312,6 +326,7 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 	td.rootName = ""
 	td.rootDur = 0
 	td.invocations = td.invocations[:0]
+	td.mu.Unlock()
 	t.active[tid] = td
 	t.mu.Unlock()
 	sp := t.getSpan(td, parent, name)
@@ -337,14 +352,8 @@ func (t *Tracer) Attach(traceparent, name string) *Span {
 	td := t.active[p.traceID]
 	view := t.byID[p.traceID]
 	t.mu.Unlock()
-	if td != nil {
-		td.mu.Lock()
-		if !td.done {
-			td.open++
-			td.mu.Unlock()
-			return t.getSpan(td, p.spanID, name)
-		}
-		td.mu.Unlock()
+	if td != nil && td.join(p.traceID) {
+		return t.getSpan(td, p.spanID, name)
 	}
 	if view == nil {
 		return nil
@@ -467,7 +476,10 @@ func (s *Span) End() {
 		return
 	}
 	td := s.td
-	s.dur = td.tr.now().Sub(s.start)
+	// The span holds a reference, so td.tr is stable here; after the
+	// unlock below a racing Attach+End may finalize and recycle td.
+	tr := td.tr
+	s.dur = tr.now().Sub(s.start)
 	td.mu.Lock()
 	if s.errMsg != "" {
 		td.errored = true
@@ -480,7 +492,7 @@ func (s *Span) End() {
 	fin := td.open == 0
 	td.mu.Unlock()
 	if fin {
-		td.tr.finalize(td)
+		tr.finalize(td)
 	}
 }
 
@@ -535,11 +547,12 @@ func (l Link) Release() {
 	}
 	td := l.td
 	td.mu.Lock()
+	tr := td.tr
 	td.open--
 	fin := td.open == 0 && !td.done
 	td.mu.Unlock()
 	if fin {
-		td.tr.finalize(td)
+		tr.finalize(td)
 	}
 }
 
@@ -548,9 +561,10 @@ func (l Link) Release() {
 // the done flag is settled under td.mu before anything is torn down.
 func (t *Tracer) finalize(td *traceData) {
 	td.mu.Lock()
-	if td.open != 0 || td.done {
+	if td.open != 0 || td.done || td.tr != t {
 		// An Attach/Link revived the trace between the zero-crossing
-		// and here; its eventual End re-finalizes.
+		// and here; its eventual End re-finalizes (and may already have
+		// recycled td, even into another tracer's hands).
 		td.mu.Unlock()
 		return
 	}
@@ -621,6 +635,7 @@ func (t *Tracer) finalize(td *traceData) {
 
 // release recycles a finalized trace's spans and accumulator.
 func (t *Tracer) release(td *traceData) {
+	td.mu.Lock()
 	for i, s := range td.spans {
 		td.spans[i] = nil
 		releaseSpan(s)
@@ -628,6 +643,7 @@ func (t *Tracer) release(td *traceData) {
 	td.spans = td.spans[:0]
 	td.invocations = td.invocations[:0]
 	td.tr = nil
+	td.mu.Unlock()
 	dataPool.Put(td)
 }
 

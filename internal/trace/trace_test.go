@@ -397,3 +397,46 @@ func TestUnsampledPathSteadyStateAllocations(t *testing.T) {
 		t.Fatalf("unsampled trace path allocates %v per op", n)
 	}
 }
+
+// A traceData goes back to the pool when its trace finalizes, and the
+// bus attaches to traces that are finishing (Event.Trace outlives the
+// invocation). An Attach that looked the accumulator up just before
+// finalize recycled it must neither race Root's re-initialisation nor
+// land its span on the trace that reuses the accumulator. Run under
+// -race.
+func TestLateAttachVsPooledReuse(t *testing.T) {
+	tr, _ := newTestTracer(-1) // nothing is kept: every trace recycles
+	rounds := 20000
+	if testing.Short() {
+		rounds = 2000
+	}
+	tps := make(chan string)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(tps)
+		for i := 0; i < rounds; i++ {
+			root := tr.Root("invoke", "")
+			tps <- root.Traceparent()
+			root.End()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for tp := range tps {
+			sp := tr.Attach(tp, "trigger.dispatch")
+			if sp == nil {
+				continue
+			}
+			if got := sp.TraceIDString(); got != tp[3:35] {
+				t.Errorf("span attached to trace %s, asked for %s", got, tp[3:35])
+			}
+			sp.End()
+		}
+	}()
+	wg.Wait()
+	if st := tr.Stats(); st.Started != int64(rounds) {
+		t.Fatalf("started %d traces, want %d", st.Started, rounds)
+	}
+}

@@ -27,6 +27,29 @@
 // the stored cursors, giving at-least-once delivery. Live streams stay
 // best-effort; the gateway heals their gaps by replaying the log.
 //
+// # Delivery path
+//
+// An event is encoded once: the bytes Publish marshals for the log
+// entry are the bytes a webhook POSTs and a method sink submits, so
+// they are immutable from then on (see AsyncInvoker). The decoded
+// event rides along only while in flight — shard queue, then a small
+// per-consumer hand-off — and never lives in the log. A consumer whose
+// cursor equals the offset of the event dispatch just handed it is
+// caught up and delivers that event as is; any other consumer
+// (recovery, a retried failure, a backlog deeper than the hand-off,
+// non-matching entries in between, compaction) is behind and reads,
+// decodes and matches log entries until the offsets meet again. The
+// choice is made by comparing offsets, never by a setting. A run that
+// ends on a retriable failure (webhook retry budget spent, async queue
+// full) leaves the cursor in place and is re-armed after a doubling,
+// jittered delay that starts at WebhookBackoff and is capped, so a
+// recovered endpoint catches up without a new event or a restart and a
+// dead one is probed at a bounded cadence (its backlog shows as
+// CursorLag). Unless Config.HTTPClient overrides it, webhooks go out
+// on a client that keeps one idle connection per delivery worker and
+// endpoint and drains response bodies, so steady-state deliveries do
+// not dial.
+//
 // Sink delivery runs on a bounded worker pool, never inline in the
 // shard dispatch loop, so one stalled webhook endpoint (backoff sleeps
 // of up to retries × timeout) cannot delay stream delivery or method
@@ -54,6 +77,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -248,6 +272,9 @@ func (p OverflowPolicy) Valid() bool {
 
 // AsyncInvoker submits one chained invocation (the platform passes its
 // InvokeAsync path; the indirection keeps this package core-free).
+// payload is the event JSON and is shared with the event log: an
+// implementation must copy it before handing it to code that may write
+// to it (the platform's async queue copies on Submit).
 type AsyncInvoker func(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (string, error)
 
 // Config sizes a Bus.
@@ -275,8 +302,9 @@ type Config struct {
 	// DeliveryWorkers sizes the sink delivery pool (webhook POSTs and
 	// cursor-consumer runs). Defaults to 4.
 	DeliveryWorkers int
-	// HTTPClient delivers webhooks; defaults to a client with
-	// WebhookTimeout.
+	// HTTPClient delivers webhooks. When nil the bus owns a client
+	// whose transport keeps DeliveryWorkers idle connections per
+	// endpoint, so steady-state deliveries reuse connections.
 	HTTPClient *http.Client
 	// WebhookMaxRetries re-POSTs a failed webhook delivery up to this
 	// many additional times before dropping it. Defaults to 3;
@@ -341,9 +369,6 @@ func (c Config) withDefaults() Config {
 	if c.WebhookTimeout <= 0 {
 		c.WebhookTimeout = 5 * time.Second
 	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: c.WebhookTimeout}
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
@@ -353,9 +378,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// inflight is one published event on its way to the sinks: the decoded
+// form plus the bytes Publish marshalled for its log entry (nil without
+// a log, or when the append failed). It lives on a shard queue and in
+// consumer hand-offs only — never in the log — and raw is shared with
+// the log entry, so no sink may write to it.
+type inflight struct {
+	ev  Event
+	raw json.RawMessage
+}
+
 // busShard is one dispatch partition.
 type busShard struct {
-	ch chan Event
+	ch chan *inflight
 }
 
 // Stream is one live per-object event tail (the gateway's SSE feed).
@@ -398,11 +433,32 @@ func (s *Stream) Close() {
 // delivery queue is therefore bounded by the number of distinct
 // (subscription, object) pairs, not by event volume.
 type consumerState struct {
+	key    consumerKey
 	sub    Subscription
-	object string
 	queued bool
 	rerun  bool
+	// handoff holds, oldest first, the in-flight events dispatch matched
+	// for this consumer and the consumer has not reached yet. A full
+	// hand-off, or a stalled consumer's, records nothing: the consumer
+	// finds the event in the log.
+	handoff  [handoffCap]*inflight
+	nHandoff int
+	// stall is the current re-arm delay; zero while deliveries succeed.
+	stall time.Duration
 }
+
+// consumerKey identifies a consumer: subscription identity and object.
+type consumerKey struct{ sub, object string }
+
+const (
+	// handoffCap bounds the decoded events one consumer keeps alive.
+	handoffCap = 4
+	// rearmCapFactor caps the re-arm delay, in WebhookBackoffs.
+	rearmCapFactor = 1 << 10
+	// webhookDrainLimit bounds how much of a response body is read to
+	// get the connection back into the pool.
+	webhookDrainLimit = 4 << 10
+)
 
 // delItem is one unit of delivery-pool work: a consumer run (st set)
 // or a one-shot direct job (legacy webhook delivery when the bus has
@@ -440,16 +496,22 @@ type Bus struct {
 	streamMu sync.Mutex
 	streams  map[string]map[*Stream]struct{}
 
-	// The delivery pool. delCond (on delMu) is broadcast on every
-	// enqueue and every completed run; workers and Drain both wait on
-	// it against their own predicates.
+	// The delivery pool, guarded by delMu. delCond wakes one worker per
+	// enqueued item; quiet is broadcast whenever Drain's predicate may
+	// have turned true (a run completed, the last accepted event was
+	// dispatched). delWg counts the workers and the re-arm sleepers,
+	// which stop closes.
 	delMu     sync.Mutex
 	delCond   *sync.Cond
+	quiet     *sync.Cond
 	delQueue  []delItem
-	delState  map[string]*consumerState
+	delState  map[consumerKey]*consumerState
 	delBusy   int
 	delClosed bool
 	delWg     sync.WaitGroup
+	stop      chan struct{}
+	// transport is set when the bus owns its webhook client.
+	transport *http.Transport
 
 	subStatsMu sync.Mutex
 	subStats   map[string]*subCounters
@@ -464,7 +526,7 @@ type Bus struct {
 	// can be mid-send and closing the shard channels is race-free.
 	pubMu   sync.RWMutex
 	closed  bool
-	pending sync.WaitGroup // accepted-but-undispatched events
+	pending atomic.Int64   // accepted-but-undispatched events
 	wg      sync.WaitGroup // dispatcher goroutines
 }
 
@@ -482,14 +544,25 @@ func New(cfg Config) (*Bus, error) {
 		subs:      make(map[string]Subscription),
 		classSubs: make(map[string][]Subscription),
 		streams:   make(map[string]map[*Stream]struct{}),
-		delState:  make(map[string]*consumerState),
+		delState:  make(map[consumerKey]*consumerState),
 		subStats:  make(map[string]*subCounters),
 		rnd:       rand.New(rand.NewSource(cfg.JitterSeed)),
+		stop:      make(chan struct{}),
+	}
+	if cfg.HTTPClient == nil {
+		// DefaultTransport keeps two idle connections per host; with
+		// more workers than that, every other delivery would dial.
+		// Each attempt is bounded by its request context alone (see
+		// postWebhook), so the client carries no Timeout of its own.
+		b.transport = http.DefaultTransport.(*http.Transport).Clone()
+		b.transport.MaxIdleConnsPerHost = cfg.DeliveryWorkers
+		b.cfg.HTTPClient = &http.Client{Transport: b.transport}
 	}
 	b.killCtx, b.killCancel = context.WithCancel(context.Background())
 	b.delCond = sync.NewCond(&b.delMu)
+	b.quiet = sync.NewCond(&b.delMu)
 	for i := range b.shards {
-		b.shards[i] = &busShard{ch: make(chan Event, cfg.Buffer)}
+		b.shards[i] = &busShard{ch: make(chan *inflight, cfg.Buffer)}
 		b.wg.Add(1)
 		go b.dispatchLoop(b.shards[i])
 	}
@@ -620,7 +693,7 @@ func (b *Bus) recoverSub(sub Subscription) {
 		return
 	}
 	for object := range b.cfg.Log.CursorsFor(sub.ID) {
-		b.notify(sub, object, 0)
+		b.notify(sub, object, nil)
 	}
 }
 
@@ -685,9 +758,10 @@ func (b *Bus) Stream(object string, buf int) *Stream {
 // overflow policy. Publishing on a closed bus discards the event.
 func (b *Bus) Publish(ev Event) {
 	m := b.cfg.Metrics
-	ev.Seq = b.seq.Add(1)
-	if ev.Time.IsZero() {
-		ev.Time = b.cfg.Clock.Now()
+	it := &inflight{ev: ev}
+	it.ev.Seq = b.seq.Add(1)
+	if it.ev.Time.IsZero() {
+		it.ev.Time = b.cfg.Clock.Now()
 	}
 	m.Counter("trigger.emitted").Inc()
 	b.pubMu.RLock()
@@ -702,19 +776,25 @@ func (b *Bus) Publish(ev Event) {
 		// never be lost to a crash. A failed append degrades to the
 		// fire-and-forget path (Offset zero) rather than losing the
 		// dispatch too.
-		asp := b.cfg.Tracer.Attach(ev.Trace, "eventlog.append")
-		_, err := b.cfg.Log.Append(b.killCtx, ev.Object, func(off int64) (json.RawMessage, error) {
-			ev.Offset = off
-			return json.Marshal(ev)
-		})
+		asp := b.cfg.Tracer.Attach(it.ev.Trace, "eventlog.append")
+		_, err := b.cfg.Log.Append(b.killCtx, it.ev.Object, it.encode)
 		if err != nil {
-			ev.Offset = 0
+			it.ev.Offset, it.raw = 0, nil
 			m.Counter("trigger.log_failed").Inc()
 			asp.Error(err)
 		}
 		asp.End()
 	}
-	b.enqueue(ev)
+	b.enqueue(it)
+}
+
+// encode stamps the offset the log assigned and marshals the event —
+// the one encoding: the log stores these bytes and the sinks send them.
+func (it *inflight) encode(off int64) (json.RawMessage, error) {
+	it.ev.Offset = off
+	raw, err := json.Marshal(&it.ev)
+	it.raw = raw
+	return raw, err
 }
 
 // PublishBatch routes a group of events emitted by one object's
@@ -731,10 +811,12 @@ func (b *Bus) PublishBatch(evs []Event) {
 		return
 	}
 	m := b.cfg.Metrics
+	its := make([]inflight, len(evs))
 	for i := range evs {
-		evs[i].Seq = b.seq.Add(1)
-		if evs[i].Time.IsZero() {
-			evs[i].Time = b.cfg.Clock.Now()
+		its[i].ev = evs[i]
+		its[i].ev.Seq = b.seq.Add(1)
+		if its[i].ev.Time.IsZero() {
+			its[i].ev.Time = b.cfg.Clock.Now()
 		}
 	}
 	m.Counter("trigger.emitted").Add(int64(len(evs)))
@@ -748,20 +830,19 @@ func (b *Bus) PublishBatch(evs []Event) {
 		asp := b.cfg.Tracer.Attach(batchTrace(evs), "eventlog.append")
 		asp.SetInt("events", len(evs))
 		_, err := b.cfg.Log.AppendBatch(b.killCtx, evs[0].Object, len(evs), func(i int, off int64) (json.RawMessage, error) {
-			evs[i].Offset = off
-			return json.Marshal(evs[i])
+			return its[i].encode(off)
 		})
 		if err != nil {
-			for i := range evs {
-				evs[i].Offset = 0
+			for i := range its {
+				its[i].ev.Offset, its[i].raw = 0, nil
 			}
 			m.Counter("trigger.log_failed").Inc()
 			asp.Error(err)
 		}
 		asp.End()
 	}
-	for _, ev := range evs {
-		b.enqueue(ev)
+	for i := range its {
+		b.enqueue(&its[i])
 	}
 }
 
@@ -778,21 +859,30 @@ func batchTrace(evs []Event) string {
 
 // enqueue sends one stamped event to its shard under the overflow
 // policy. Callers hold pubMu's read side with closed already checked.
-func (b *Bus) enqueue(ev Event) {
-	sh := b.shardFor(ev.Object)
+func (b *Bus) enqueue(it *inflight) {
+	sh := b.shardFor(it.ev.Object)
 	b.pending.Add(1)
 	if b.cfg.Overflow == OverflowBlock {
 		// Backpressure: wait for shard space. The dispatchers keep
 		// draining (Close cannot pass pubMu while we hold the read
 		// side), so the send always completes.
-		sh.ch <- ev
+		sh.ch <- it
 		return
 	}
 	select {
-	case sh.ch <- ev:
+	case sh.ch <- it:
 	default:
-		b.pending.Done()
+		b.dispatched()
 		b.cfg.Metrics.Counter("trigger.dropped").Inc()
+	}
+}
+
+// dispatched retires one accepted event, waking Drain on the last.
+func (b *Bus) dispatched() {
+	if b.pending.Add(-1) == 0 {
+		b.delMu.Lock()
+		b.quiet.Broadcast()
+		b.delMu.Unlock()
 	}
 }
 
@@ -803,11 +893,11 @@ func (b *Bus) enqueue(ev Event) {
 func (b *Bus) dispatchLoop(sh *busShard) {
 	defer b.wg.Done()
 	var matched []Subscription
-	for ev := range sh.ch {
+	for it := range sh.ch {
 		if !b.killed.Load() {
-			matched = b.dispatch(ev, matched[:0])
+			matched = b.dispatch(it, matched[:0])
 		}
-		b.pending.Done()
+		b.dispatched()
 	}
 }
 
@@ -853,7 +943,8 @@ func (b *Bus) NeedsEvents(class string) bool {
 // here — webhook POSTs and consumer runs execute on the delivery pool,
 // so a slow endpoint cannot stall this shard's queue (the head-of-line
 // defect the pool exists to fix).
-func (b *Bus) dispatch(ev Event, matched []Subscription) []Subscription {
+func (b *Bus) dispatch(it *inflight, matched []Subscription) []Subscription {
+	ev := it.ev
 	dsp := b.cfg.Tracer.Attach(ev.Trace, "trigger.dispatch")
 	b.subMu.RLock()
 	for _, sub := range b.subs {
@@ -871,16 +962,17 @@ func (b *Bus) dispatch(ev Event, matched []Subscription) []Subscription {
 	b.subMu.RUnlock()
 	for _, sub := range matched {
 		if b.cfg.Log != nil && sub.ID != "" && ev.Offset > 0 {
-			// Durable path: the subscription's cursor consumer picks
-			// the event up from the log.
-			b.notify(sub, ev.Object, ev.Offset)
+			// Durable path: the subscription's cursor consumer takes
+			// the event — from the hand-off when it is caught up, from
+			// the log when it is behind.
+			b.notify(sub, ev.Object, it)
 			continue
 		}
 		if sub.Webhook != "" {
-			b.enqueueDirect(sub, ev)
+			b.enqueueDirect(sub, it)
 			continue
 		}
-		b.deliverMethodCounted(sub, ev)
+		b.count(b.subCountersFor(sub.ID), b.deliverMethod(sub, ev, it.raw) == methodDelivered)
 	}
 	b.deliverStreams(ev)
 	dsp.SetInt("matched", len(matched))
@@ -890,28 +982,25 @@ func (b *Bus) dispatch(ev Event, matched []Subscription) []Subscription {
 }
 
 // notify schedules (or re-arms) the cursor consumer of one
-// (subscription, object) pair. offset is the just-appended event's
-// offset, used to seed the initial cursor — a consumer starts at its
-// first matching event, not at the log floor, so subscribing does not
-// replay history; zero means "resume from the stored cursor"
-// (recovery).
-func (b *Bus) notify(sub Subscription, object string, offset int64) {
+// (subscription, object) pair and hands it the in-flight event dispatch
+// just matched. The event's offset also seeds the initial cursor — a
+// consumer starts at its first matching event, not at the log floor,
+// so subscribing does not replay history; a nil event means "resume
+// from the stored cursor" (recovery).
+func (b *Bus) notify(sub Subscription, object string, it *inflight) {
 	if _, ok := b.cfg.Log.Cursor(sub.ID, object); !ok {
-		if offset <= 0 {
+		if it == nil {
 			return
 		}
 		// First contact: persist the cursor write-through so a crash
 		// after this point redelivers the event instead of forgetting
 		// the consumer ever existed.
-		if err := b.cfg.Log.SetCursor(b.killCtx, sub.ID, object, offset); err != nil {
-			b.cfg.Metrics.Counter("trigger.dropped").Inc()
-			if c := b.subCountersFor(sub.ID); c != nil {
-				c.dropped.Add(1)
-			}
+		if err := b.cfg.Log.SetCursor(b.killCtx, sub.ID, object, it.ev.Offset); err != nil {
+			b.count(b.subCountersFor(sub.ID), false)
 			return
 		}
 	}
-	key := sub.ID + "\x00" + object
+	key := consumerKey{sub.ID, object}
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
 	if b.delClosed {
@@ -919,23 +1008,42 @@ func (b *Bus) notify(sub Subscription, object string, offset int64) {
 	}
 	st, ok := b.delState[key]
 	if !ok {
-		st = &consumerState{object: object}
+		st = &consumerState{key: key}
 		b.delState[key] = st
 	}
 	st.sub = sub // refresh: a redeploy may have changed the sink
+	if it != nil && st.stall == 0 && st.nHandoff < handoffCap {
+		st.handoff[st.nHandoff] = it
+		st.nHandoff++
+	}
 	if st.queued {
 		st.rerun = true
 		return
 	}
 	st.queued = true
 	b.delQueue = append(b.delQueue, delItem{st: st})
-	b.delCond.Broadcast()
+	b.delCond.Signal()
+}
+
+// count records one finished delivery: delivered, or terminally lost.
+func (b *Bus) count(c *subCounters, delivered bool) {
+	if delivered {
+		b.cfg.Metrics.Counter("trigger.delivered").Inc()
+		if c != nil {
+			c.delivered.Add(1)
+		}
+		return
+	}
+	b.cfg.Metrics.Counter("trigger.dropped").Inc()
+	if c != nil {
+		c.dropped.Add(1)
+	}
 }
 
 // enqueueDirect schedules a one-shot webhook delivery (log-less mode
 // only). The pool is fed by the bounded shard queues, so the FIFO here
 // stays shallow.
-func (b *Bus) enqueueDirect(sub Subscription, ev Event) {
+func (b *Bus) enqueueDirect(sub Subscription, it *inflight) {
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
 	if b.delClosed {
@@ -944,19 +1052,9 @@ func (b *Bus) enqueueDirect(sub Subscription, ev Event) {
 	}
 	b.delQueue = append(b.delQueue, delItem{run: func() {
 		c := b.subCountersFor(sub.ID)
-		if b.deliverWebhook(sub.Webhook, ev, c) {
-			b.cfg.Metrics.Counter("trigger.delivered").Inc()
-			if c != nil {
-				c.delivered.Add(1)
-			}
-		} else {
-			b.cfg.Metrics.Counter("trigger.dropped").Inc()
-			if c != nil {
-				c.dropped.Add(1)
-			}
-		}
+		b.count(c, b.deliverWebhook(sub.Webhook, it.ev, it.raw, c))
 	}})
-	b.delCond.Broadcast()
+	b.delCond.Signal()
 }
 
 // deliveryWorker executes pool items until Close (after the queue
@@ -976,43 +1074,112 @@ func (b *Bus) deliveryWorker() {
 		b.delQueue = b.delQueue[1:]
 		b.delBusy++
 		b.delMu.Unlock()
+		stalled := false
 		if item.st != nil {
-			b.runConsumer(item.st)
+			stalled = b.runConsumer(item.st)
 		} else if !b.killed.Load() {
 			item.run()
 		}
 		b.delMu.Lock()
 		b.delBusy--
-		if item.st != nil {
-			if item.st.rerun && !b.killed.Load() {
-				item.st.rerun = false
-				b.delQueue = append(b.delQueue, delItem{st: item.st})
-			} else {
-				item.st.queued = false
+		if st := item.st; st != nil {
+			if !stalled {
+				st.stall = 0
+			}
+			switch {
+			case b.killed.Load() || (stalled && b.delClosed):
+				st.queued = false
+			case stalled:
+				// Re-arm. The consumer stays queued meanwhile, so a
+				// dead endpoint is retried at the re-arm cadence, not
+				// per event; and it will resume from the log, so it
+				// holds no in-flight events while it waits.
+				st.stall = min(max(2*st.stall, b.cfg.WebhookBackoff), rearmCapFactor*b.cfg.WebhookBackoff)
+				clear(st.handoff[:])
+				st.nHandoff = 0
+				b.delWg.Add(1)
+				go b.rearm(st, b.jittered(st.stall))
+			case st.rerun:
+				st.rerun = false
+				b.delQueue = append(b.delQueue, delItem{st: st})
+				b.delCond.Signal()
+			default:
+				st.queued = false
 			}
 		}
-		b.delCond.Broadcast()
+		b.quiet.Broadcast()
 		b.delMu.Unlock()
 	}
 }
 
-// runConsumer advances one (subscription, object) cursor through the
-// log, delivering every matching event in offset order. The cursor
-// only moves past an event on success or a terminal failure; a
-// retriable failure (webhook budget exhausted, async queue full)
-// leaves it in place, so the delivery is re-attempted on the next
-// notify and — because the cursor is durable — after a restart.
-func (b *Bus) runConsumer(st *consumerState) {
-	b.delMu.Lock()
-	sub, object := st.sub, st.object
-	b.delMu.Unlock()
-	log, m := b.cfg.Log, b.cfg.Metrics
-	c := b.subCountersFor(sub.ID)
-	cursor, ok := log.Cursor(sub.ID, object)
-	if !ok {
+// rearm puts a stalled consumer back on the pool after d, unless the
+// bus stops first.
+func (b *Bus) rearm(st *consumerState, d time.Duration) {
+	defer b.delWg.Done()
+	select {
+	case <-b.cfg.Clock.After(d):
+	case <-b.stop:
 		return
 	}
+	b.delMu.Lock()
+	defer b.delMu.Unlock()
+	if b.delClosed {
+		return
+	}
+	st.rerun = false
+	b.delQueue = append(b.delQueue, delItem{st: st})
+	b.delCond.Signal()
+}
+
+// take advances a consumer's hand-off to cursor: events below it were
+// already delivered from the log and are dropped; the event at it, if
+// present, is the caught-up case and is returned for direct delivery.
+// It also returns the subscription as last refreshed, so a redeployed
+// sink applies to events queued before the redeploy.
+func (b *Bus) take(st *consumerState, cursor int64) (Subscription, *inflight) {
+	b.delMu.Lock()
+	defer b.delMu.Unlock()
+	var it *inflight
+	drop := 0
+	for drop < st.nHandoff && st.handoff[drop].ev.Offset < cursor {
+		drop++
+	}
+	if drop < st.nHandoff && st.handoff[drop].ev.Offset == cursor {
+		it = st.handoff[drop]
+		drop++
+	}
+	n := copy(st.handoff[:], st.handoff[drop:st.nHandoff])
+	clear(st.handoff[n:st.nHandoff])
+	st.nHandoff = n
+	return st.sub, it
+}
+
+// runConsumer advances one (subscription, object) cursor, delivering
+// every matching event in offset order: from the hand-off while the
+// consumer is caught up, from the log while it is behind (see the
+// package doc). The cursor only moves past an event on success or a
+// terminal failure; a retriable failure leaves it in place and reports
+// the run stalled, so the delivery is re-attempted by the re-arm and —
+// because the cursor is durable — after a restart.
+func (b *Bus) runConsumer(st *consumerState) (stalled bool) {
+	log, id, object := b.cfg.Log, st.key.sub, st.key.object
+	c := b.subCountersFor(id)
+	cursor, ok := log.Cursor(id, object)
+	if !ok {
+		return false
+	}
 	for !b.killed.Load() {
+		sub, it := b.take(st, cursor)
+		if it != nil {
+			if !b.deliverDurable(sub, it.ev, it.raw, c) {
+				return true
+			}
+			cursor++
+			if err := log.SetCursor(b.killCtx, id, object, cursor); err != nil {
+				return false
+			}
+			continue
+		}
 		entries, err := log.Read(b.killCtx, object, cursor, 64)
 		if errors.Is(err, eventlog.ErrOffsetCompacted) {
 			// Retention overtook the consumer: the evicted entries are
@@ -1020,75 +1187,63 @@ func (b *Bus) runConsumer(st *consumerState) {
 			// floor.
 			floor, _, berr := log.Bounds(b.killCtx, object)
 			if berr != nil || floor <= cursor {
-				return
+				return false
 			}
-			m.Counter("trigger.dropped").Add(floor - cursor)
+			b.cfg.Metrics.Counter("trigger.dropped").Add(floor - cursor)
 			if c != nil {
 				c.dropped.Add(floor - cursor)
 			}
 			cursor = floor
-			if err := log.SetCursor(b.killCtx, sub.ID, object, cursor); err != nil {
-				return
+			if err := log.SetCursor(b.killCtx, id, object, cursor); err != nil {
+				return false
 			}
 			continue
 		}
 		if err != nil || len(entries) == 0 {
-			return
+			return false
 		}
 		for _, e := range entries {
 			if b.killed.Load() {
-				return
+				return false
 			}
 			var ev Event
-			advance := true
-			if uerr := json.Unmarshal(e.Payload, &ev); uerr == nil && sub.matches(ev) {
-				var delivered bool
-				delivered, advance = b.deliverDurable(sub, ev, c)
-				if delivered {
-					m.Counter("trigger.delivered").Inc()
-					if c != nil {
-						c.delivered.Add(1)
-					}
-				} else if advance {
-					m.Counter("trigger.dropped").Inc()
-					if c != nil {
-						c.dropped.Add(1)
-					}
-				}
-			}
-			if !advance {
-				return
+			if json.Unmarshal(e.Payload, &ev) == nil && !b.deliverDurable(sub, ev, e.Payload, c) {
+				return true
 			}
 			cursor = e.Offset + 1
-			if err := log.SetCursor(b.killCtx, sub.ID, object, cursor); err != nil {
-				return
+			if err := log.SetCursor(b.killCtx, id, object, cursor); err != nil {
+				return false
 			}
 		}
 	}
+	return false
 }
 
-// deliverDurable attempts one event's delivery for a cursor consumer,
-// returning whether it succeeded and whether the cursor may advance
-// (false only for retriable failures).
-func (b *Bus) deliverDurable(sub Subscription, ev Event, c *subCounters) (delivered, advance bool) {
+// deliverDurable delivers one event for a cursor consumer if the
+// subscription wants it, counts the outcome, and reports whether the
+// cursor may advance (false only for retriable failures). raw is the
+// event's log entry.
+func (b *Bus) deliverDurable(sub Subscription, ev Event, raw json.RawMessage, c *subCounters) (advance bool) {
+	if !sub.matches(ev) {
+		return true
+	}
 	if sub.Webhook != "" {
-		if b.deliverWebhook(sub.Webhook, ev, c) {
-			return true, true
+		// With the retry budget spent the event is not lost: the cursor
+		// stays put and the re-arm (or a restart) retries. A permanently
+		// failing endpoint therefore stalls this consumer — visible as
+		// growing CursorLag in Stats.
+		if !b.deliverWebhook(sub.Webhook, ev, raw, c) {
+			return false
 		}
-		// The retry budget is spent but the event is not lost: the
-		// cursor stays put and the next notify (or restart) retries.
-		// A permanently failing endpoint therefore stalls this
-		// consumer — visible as growing CursorLag in Stats.
-		return false, false
+		b.count(c, true)
+		return true
 	}
-	switch b.deliverMethod(sub, ev) {
-	case methodDelivered:
-		return true, true
-	case methodRetry:
-		return false, false
-	default:
-		return false, true
+	outcome := b.deliverMethod(sub, ev, raw)
+	if outcome == methodRetry {
+		return false
 	}
+	b.count(c, outcome == methodDelivered)
+	return true
 }
 
 // methodOutcome classifies one object-method delivery attempt.
@@ -1106,7 +1261,7 @@ const (
 
 // deliverMethod routes an event to its object-method sink through the
 // async queue, enforcing the chain depth limit.
-func (b *Bus) deliverMethod(sub Subscription, ev Event) methodOutcome {
+func (b *Bus) deliverMethod(sub Subscription, ev Event, raw json.RawMessage) methodOutcome {
 	m := b.cfg.Metrics
 	if ev.Depth >= b.cfg.MaxChainDepth {
 		// The chain has used its depth budget: terminate instead of
@@ -1122,7 +1277,7 @@ func (b *Bus) deliverMethod(sub Subscription, ev Event) methodOutcome {
 	if target == "" {
 		target = ev.Object
 	}
-	payload, err := json.Marshal(ev)
+	payload, err := encoded(ev, raw)
 	if err != nil {
 		return methodDropped
 	}
@@ -1139,32 +1294,24 @@ func (b *Bus) deliverMethod(sub Subscription, ev Event) methodOutcome {
 	return methodDelivered
 }
 
-// deliverMethodCounted is the log-less dispatch path: one attempt,
-// failures counted dropped.
-func (b *Bus) deliverMethodCounted(sub Subscription, ev Event) {
-	m := b.cfg.Metrics
-	c := b.subCountersFor(sub.ID)
-	if b.deliverMethod(sub, ev) == methodDelivered {
-		m.Counter("trigger.delivered").Inc()
-		if c != nil {
-			c.delivered.Add(1)
-		}
-		return
+// encoded returns the event JSON: the bytes already marshalled for the
+// log when there are any, a fresh encoding otherwise (log-less bus,
+// failed append).
+func encoded(ev Event, raw json.RawMessage) (json.RawMessage, error) {
+	if raw != nil {
+		return raw, nil
 	}
-	m.Counter("trigger.dropped").Inc()
-	if c != nil {
-		c.dropped.Add(1)
-	}
+	return json.Marshal(&ev)
 }
 
 // deliverWebhook POSTs the event, retrying failures with doubling
 // backoff up to WebhookMaxRetries, and reports success. It runs on the
 // delivery pool, never a dispatch loop.
-func (b *Bus) deliverWebhook(url string, ev Event, c *subCounters) bool {
+func (b *Bus) deliverWebhook(url string, ev Event, raw json.RawMessage, c *subCounters) bool {
 	m := b.cfg.Metrics
 	wsp := b.cfg.Tracer.Attach(ev.Trace, "webhook.delivery")
 	wsp.SetAttr("url", url)
-	payload, err := json.Marshal(ev)
+	payload, err := encoded(ev, raw)
 	if err != nil {
 		wsp.Error(err)
 		wsp.End()
@@ -1185,7 +1332,7 @@ func (b *Bus) deliverWebhook(url string, ev Event, c *subCounters) bool {
 				c.retried.Add(1)
 			}
 		}
-		if b.postWebhook(url, ev, payload) {
+		if b.postWebhook(url, ev.Type, payload) {
 			wsp.SetInt("attempts", attempt+1)
 			wsp.End()
 			return true
@@ -1199,8 +1346,9 @@ func (b *Bus) deliverWebhook(url string, ev Event, c *subCounters) bool {
 	}
 }
 
-// postWebhook performs one delivery attempt.
-func (b *Bus) postWebhook(url string, ev Event, payload []byte) bool {
+// postWebhook performs one delivery attempt, bounded by WebhookTimeout
+// through the request context (which Kill also cancels).
+func (b *Bus) postWebhook(url string, typ EventType, payload []byte) bool {
 	ctx, cancel := context.WithTimeout(b.killCtx, b.cfg.WebhookTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
@@ -1208,11 +1356,14 @@ func (b *Bus) postWebhook(url string, ev Event, payload []byte) bool {
 		return false
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Oprc-Event", string(ev.Type))
+	req.Header.Set("X-Oprc-Event", string(typ))
 	resp, err := b.cfg.HTTPClient.Do(req)
 	if err != nil {
 		return false
 	}
+	// An undrained body costs the connection; an endless one must not
+	// cost the worker. A failed drain only forfeits the reuse.
+	_, _ = io.CopyN(io.Discard, resp.Body, webhookDrainLimit)
 	resp.Body.Close()
 	return resp.StatusCode >= 200 && resp.StatusCode < 300
 }
@@ -1240,15 +1391,14 @@ func (b *Bus) deliverStreams(ev Event) {
 // calls this from its Close so terminal-record webhooks drain before
 // the platform tears down.
 func (b *Bus) Drain() {
-	b.pending.Wait()
 	b.delMu.Lock()
-	for (len(b.delQueue) > 0 || b.delBusy > 0) && !b.killed.Load() {
-		b.delCond.Wait()
+	defer b.delMu.Unlock()
+	// One predicate under one lock: an event is retired from pending
+	// only after dispatch queued its deliveries, so nothing is in
+	// between when all three read zero.
+	for (b.pending.Load() > 0 || len(b.delQueue) > 0 || b.delBusy > 0) && !b.killed.Load() {
+		b.quiet.Wait()
 	}
-	b.delMu.Unlock()
-	// Pool runs may have published follow-on events (method sinks
-	// chain); cover the dispatch of anything they enqueued.
-	b.pending.Wait()
 }
 
 // SubscriptionStats is one subscription's delivery counters.
@@ -1375,15 +1525,21 @@ func (b *Bus) shutdown(kill bool) {
 	}
 	b.wg.Wait()
 	// Dispatchers are gone — nothing enqueues pool work anymore. Let
-	// the workers finish the backlog (or abandon it on kill) and exit.
+	// the workers finish the backlog (or abandon it on kill) and exit;
+	// stalled consumers waiting for a re-arm are left to the cursors.
 	b.delMu.Lock()
 	b.delClosed = true
 	if kill {
 		b.delQueue = nil
 	}
+	close(b.stop)
 	b.delCond.Broadcast()
+	b.quiet.Broadcast()
 	b.delMu.Unlock()
 	b.delWg.Wait()
+	if b.transport != nil {
+		b.transport.CloseIdleConnections()
+	}
 	b.streamMu.Lock()
 	for _, set := range b.streams {
 		for s := range set {

@@ -152,8 +152,11 @@
 //     cursor that only advances after the sink acknowledged the
 //     event. A webhook that exhausts its retry budget is NOT dropped:
 //     the cursor stays put (visible as a growing cursorLag in
-//     `GET /api/triggers` / `ocli triggers`) and delivery resumes on
-//     the next event or after a restart. A restarted platform given
+//     `GET /api/triggers` / `ocli triggers`) and the consumer is
+//     re-armed after a doubling, jittered, capped delay starting at
+//     Config.WebhookRetryBackoff — a recovered endpoint catches up
+//     with no new event and no restart, a dead one is probed at that
+//     bounded cadence. A restarted platform given
 //     the same Config.Backing recovers named subscriptions and — once
 //     the package is redeployed — class triggers, and redelivers
 //     everything their cursors never acknowledged; duplicates are
@@ -166,6 +169,15 @@
 //     per-object-ordered sequence. Resuming below the retained floor
 //     fails with ErrOffsetCompacted (HTTP 410 Gone,
 //     "offset_compacted").
+//
+// In steady state an event is encoded once and connected once: the
+// JSON marshalled for the log entry is what a webhook receives and
+// what a chained method gets as its payload (byte for byte what a
+// replay returns), and a consumer that is caught up takes the event
+// straight from dispatch; only one that is behind — recovery, a
+// failed delivery being retried, a backlog — reads and decodes the
+// log. Webhooks go out over kept-alive connections, one per delivery
+// worker and endpoint (Config.TriggerDeliveryWorkers).
 //
 // Retention is bounded per object (Config.EventLogMaxPerObject,
 // default 1024 entries) and by age (Config.EventLogRetention), swept
