@@ -1118,10 +1118,14 @@ func (p *Platform) HomeRegion(objectID string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return homeRegion(rt), nil
+}
+
+func homeRegion(rt *runtime.ClassRuntime) string {
 	if j := rt.Class().Constraint.Jurisdiction; j != "" {
-		return j, nil
+		return j
 	}
-	return cluster.DefaultRegion, nil
+	return cluster.DefaultRegion
 }
 
 // InvokeFrom executes a method or dataflow on an object on behalf of a
@@ -1133,26 +1137,33 @@ func (p *Platform) InvokeFrom(ctx context.Context, clientRegion, objectID, membe
 	if clientRegion == "" {
 		clientRegion = cluster.DefaultRegion
 	}
-	home, err := p.HomeRegion(objectID)
+	// One directory lookup (one Platform.mu acquisition) serves both the
+	// region check and the invocation.
+	rt, _, err := p.objectRuntime(objectID)
 	if err != nil {
 		return nil, err
 	}
-	if home != clientRegion && p.cfg.InterRegionLatency > 0 {
+	if homeRegion(rt) != clientRegion && p.cfg.InterRegionLatency > 0 {
 		// Round trip: request in, response out.
 		if err := p.cfg.Clock.Sleep(ctx, 2*p.cfg.InterRegionLatency); err != nil {
 			return nil, err
 		}
 	}
-	return p.Invoke(ctx, objectID, member, payload, args)
+	return p.invokeOn(ctx, rt, objectID, member, payload, args)
 }
 
 // Invoke executes a method or dataflow on an object. Dataflow results
 // return the designated output step's output.
-func (p *Platform) Invoke(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (out json.RawMessage, err error) {
+func (p *Platform) Invoke(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, error) {
 	rt, _, err := p.objectRuntime(objectID)
 	if err != nil {
 		return nil, err
 	}
+	return p.invokeOn(ctx, rt, objectID, member, payload, args)
+}
+
+// invokeOn is Invoke with the object's runtime already resolved.
+func (p *Platform) invokeOn(ctx context.Context, rt *runtime.ClassRuntime, objectID, member string, payload json.RawMessage, args map[string]string) (out json.RawMessage, err error) {
 	if p.tracer != nil && trace.FromContext(ctx) == nil {
 		// Library callers (benches, embedded use) get a root span here;
 		// gateway and async-drain callers arrive with one already.

@@ -1,8 +1,15 @@
 package gateway
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // TestMalformedBodies asserts 400s for unparsable or invalid request
@@ -99,5 +106,77 @@ func TestMethodNotAllowedOnEveryRoute(t *testing.T) {
 				t.Fatalf("%s %s: status = %d, want 405", tc.method, tc.path, status)
 			}
 		})
+	}
+}
+
+// TestBodyLimitAndReadErrors drives every route that reads a whole
+// body with one over maxBodyBytes — declared by Content-Length (never
+// read) or chunked (discovered by the reader) — and with one that fails
+// mid-read: too large is 413 payload_too_large, unreadable stays 400.
+func TestBodyLimitAndReadErrors(t *testing.T) {
+	f := newFixture(t)
+	f.deploy()
+	f.createObject("b1")
+	gw := New(f.p) // served directly: no client racing a closed upload
+	oversized := bytes.Repeat([]byte{' '}, maxBodyBytes+1)
+	routes := []struct{ name, method, path string }{
+		{"deploy", http.MethodPost, "/api/packages"},
+		{"invoke", http.MethodPost, "/api/objects/b1/invoke/set"},
+		{"invoke-async", http.MethodPost, "/api/objects/b1/invoke-async/set"},
+		{"invoke-batch", http.MethodPost, "/api/invoke-batch"},
+		{"put-state", http.MethodPut, "/api/objects/b1/state/text"},
+	}
+	// cutOff delivers the first bytes of a body, then fails.
+	cutOff := func() io.Reader {
+		return io.MultiReader(strings.NewReader(`"0123`), iotest.ErrReader(errors.New("connection reset")))
+	}
+	bodies := []struct {
+		name   string
+		body   func() io.Reader
+		length int64 // Content-Length; -1 = chunked
+		status int
+		code   string
+	}{
+		{"declared-too-large", func() io.Reader { return iotest.ErrReader(errors.New("body must not be read")) }, maxBodyBytes + 1, http.StatusRequestEntityTooLarge, "payload_too_large"},
+		{"chunked-too-large", func() io.Reader { return bytes.NewReader(oversized) }, -1, http.StatusRequestEntityTooLarge, "payload_too_large"},
+		{"declared-unreadable", cutOff, 12, http.StatusBadRequest, ""},
+		{"chunked-unreadable", cutOff, -1, http.StatusBadRequest, ""},
+	}
+	for _, rt := range routes {
+		for _, b := range bodies {
+			t.Run(rt.name+"/"+b.name, func(t *testing.T) {
+				req := httptest.NewRequest(rt.method, rt.path, b.body())
+				req.ContentLength = b.length
+				rec := httptest.NewRecorder()
+				gw.ServeHTTP(rec, req)
+				var body errorBody
+				if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+					t.Fatalf("body %q: %v", rec.Body, err)
+				}
+				if rec.Code != b.status || body.Code != b.code || body.Error == "" {
+					t.Fatalf("status = %d, body = %+v; want %d with code %q", rec.Code, body, b.status, b.code)
+				}
+			})
+		}
+	}
+}
+
+// TestBodySizesRoundTrip sends payloads around the pre-size cap through
+// the real server: the buffer sized from Content-Length (and grown past
+// maxBodyPresize as bytes arrive) must hand the handler every byte.
+func TestBodySizesRoundTrip(t *testing.T) {
+	f := newFixture(t)
+	f.deploy()
+	f.createObject("b2")
+	for _, size := range []int{2, 3, maxBodyPresize - 1, maxBodyPresize, maxBodyPresize + 1, 5*maxBodyPresize + 7} {
+		payload := []byte(`"` + strings.Repeat("p", size-2) + `"`)
+		status, body := f.do(http.MethodPost, "/api/objects/b2/invoke/set", "application/json", payload)
+		if status != http.StatusOK || !bytes.Equal(body["output"], payload) {
+			t.Fatalf("%d-byte payload: status = %d, echoed %d bytes", size, status, len(body["output"]))
+		}
+	}
+	// No body at all is an empty payload, not an error.
+	if status, body := f.do(http.MethodPost, "/api/objects/b2/invoke/shout", "", nil); status != http.StatusOK {
+		t.Fatalf("empty payload: status = %d %v", status, body)
 	}
 }

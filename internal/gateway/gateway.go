@@ -3,6 +3,29 @@
 // with objects"). The CLI (cmd/ocli) and external clients speak this
 // API; gRPC is substituted by the same JSON framing over HTTP per the
 // stdlib-only constraint.
+//
+// # Request path
+//
+// Every request passes ServeHTTP's wrapper, the one http.ServeMux
+// routing table and a handler; what they allocate on a warm invoke is
+// budgeted (TestWarmInvokeAllocationBudget). What is reused is scoped
+// to the request:
+//
+//   - The statusRecorder around the ResponseWriter is pooled. A request
+//     owns one until mux.ServeHTTP has returned — for an SSE stream or
+//     a long poll, until that ends — so a handler must not keep its
+//     ResponseWriter past its own return. It also carries the accepted
+//     async invocation ID to the log line; the trace span is the only
+//     context value, added (with the one request copy) when tracing.
+//   - Response staging buffers (bufPool) are pooled for one write; one
+//     grown past maxPooledBuf is dropped.
+//   - Request bodies are NOT pooled: an invoke payload crosses into the
+//     handler (Task.Payload), which may retain it. readBody pre-sizes
+//     from Content-Length up to maxBodyPresize and refuses a body over
+//     maxBodyBytes with 413 "payload_too_large".
+//   - writeRawEnvelope writes {"output":…} and {"value":…} byte for
+//     byte as encoding/json would (a golden table and FuzzRawEnvelope
+//     hold it to that) without its reflective encoder.
 package gateway
 
 import (
@@ -49,13 +72,19 @@ func New(p *core.Platform) *Gateway {
 // tracing is on — the trace ID plus any accepted async invocation ID.
 func (g *Gateway) SetLogger(l *slog.Logger) { g.logger = l }
 
-// statusRecorder captures the response status for the request span and
-// log line. It forwards Flush so SSE streaming keeps working through
-// the wrapper, and exposes Unwrap for http.ResponseController.
+// statusRecorder captures, for the request span and log line, the
+// response status and — on the invoke-async route — the accepted
+// invocation ID. It forwards Flush so SSE streaming keeps working
+// through the wrapper, and exposes Unwrap for http.ResponseController.
+// Recorders are pooled; the package doc says how long a request owns
+// one.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
+	status     int
+	invocation string
 }
+
+var recorderPool = sync.Pool{New: func() any { return new(statusRecorder) }}
 
 func (s *statusRecorder) WriteHeader(code int) {
 	if s.status == 0 {
@@ -79,12 +108,6 @@ func (s *statusRecorder) Flush() {
 
 func (s *statusRecorder) Unwrap() http.ResponseWriter { return s.ResponseWriter }
 
-// invocationNote lets the async-invoke handler surface the accepted
-// invocation ID to the request logger wrapped around the mux.
-type invocationNote struct{ id string }
-
-type invNoteKey struct{}
-
 // ServeHTTP implements http.Handler. While the platform is in
 // degraded mode (backing-store breaker not closed) every response
 // carries X-Oparaca-Degraded so clients can tell a cache-served read
@@ -93,7 +116,9 @@ type invNoteKey struct{}
 // With tracing enabled each request runs under a "gateway" root span:
 // an inbound W3C traceparent header continues the caller's trace, and
 // the response carries the traceparent the request executed under so
-// clients can fetch the trace afterwards.
+// clients can fetch the trace afterwards. The span is the request's
+// only context value, so only a traced request pays for a context and
+// a request copy; a logged-only one pays for neither.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if g.platform.Degraded() {
 		w.Header().Set("X-Oparaca-Degraded", "true")
@@ -104,60 +129,68 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	sw := &statusRecorder{ResponseWriter: w}
-	ctx := r.Context()
-	var sp *trace.Span
+	var (
+		sp      *trace.Span
+		traceID string
+	)
+	req := r
 	if tr != nil {
-		sp = tr.Root("gateway", r.Header.Get("traceparent"))
+		// The key is spelled canonically: Get allocates to canonicalize
+		// any other spelling.
+		sp = tr.Root("gateway", r.Header.Get("Traceparent"))
 		sp.SetAttr("method", r.Method)
 		sp.SetAttr("path", r.URL.Path)
 		if tp := sp.Traceparent(); tp != "" {
 			w.Header().Set("Traceparent", tp)
+			traceID = tp[3:35] // the hex trace ID, rendered once
 		}
-		ctx = trace.ContextWith(ctx, sp)
+		req = r.WithContext(trace.ContextWith(r.Context(), sp))
 	}
-	var note *invocationNote
-	if g.logger != nil {
-		note = &invocationNote{}
-		ctx = context.WithValue(ctx, invNoteKey{}, note)
-	}
-	g.mux.ServeHTTP(sw, r.WithContext(ctx))
-	status := sw.status
+	rec := recorderPool.Get().(*statusRecorder)
+	rec.ResponseWriter = w
+	g.mux.ServeHTTP(rec, req)
+	status, invocation := rec.status, rec.invocation
+	*rec = statusRecorder{}
+	recorderPool.Put(rec)
 	if status == 0 {
 		status = http.StatusOK
 	}
-	var traceID string
 	if sp != nil {
-		traceID = sp.TraceIDString()
 		sp.SetInt("status", status)
 		if status >= http.StatusInternalServerError {
 			sp.Error(fmt.Errorf("HTTP %d", status))
 		}
 		sp.End()
 	}
-	if g.logger != nil {
-		lvl := slog.LevelInfo
-		switch {
-		case status >= http.StatusInternalServerError:
-			lvl = slog.LevelError
-		case status >= http.StatusBadRequest:
-			lvl = slog.LevelWarn
-		}
-		attrs := make([]any, 0, 12)
-		attrs = append(attrs,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", status,
-			"duration", time.Since(start),
-		)
-		if traceID != "" {
-			attrs = append(attrs, "trace", traceID)
-		}
-		if note.id != "" {
-			attrs = append(attrs, "invocation", note.id)
-		}
-		g.logger.Log(r.Context(), lvl, "request", attrs...)
+	if g.logger == nil {
+		return
 	}
+	lvl := slog.LevelInfo
+	switch {
+	case status >= http.StatusInternalServerError:
+		lvl = slog.LevelError
+	case status >= http.StatusBadRequest:
+		lvl = slog.LevelWarn
+	}
+	if !g.logger.Enabled(r.Context(), lvl) {
+		return
+	}
+	attrs := [6]slog.Attr{
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", status),
+		slog.Duration("duration", time.Since(start)),
+	}
+	n := 4
+	if traceID != "" {
+		attrs[n] = slog.String("trace", traceID)
+		n++
+	}
+	if invocation != "" {
+		attrs[n] = slog.String("invocation", invocation)
+		n++
+	}
+	g.logger.LogAttrs(r.Context(), lvl, "request", attrs[:n]...)
 }
 
 func (g *Gateway) routes() {
@@ -198,8 +231,8 @@ type errorBody struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// bufPool recycles response-encoding buffers so writeJSON does not
-// allocate a fresh encoder and staging buffer per request.
+// bufPool recycles response-encoding buffers so writeJSON and
+// writeRawEnvelope do not allocate a staging buffer per request.
 var bufPool = sync.Pool{
 	New: func() any { return new(bytes.Buffer) },
 }
@@ -209,18 +242,27 @@ var bufPool = sync.Pool{
 // buffer for the rest of the process lifetime.
 const maxPooledBuf = 64 << 10
 
+// getBuf takes an empty staging buffer from bufPool; putBuf returns it
+// unless it grew past maxPooledBuf.
+func getBuf() *bytes.Buffer {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		bufPool.Put(buf)
+	}
+}
+
 // writeJSON writes v as JSON with the given status. The value is
 // encoded into a pooled buffer before the header goes out, so an
 // encode failure produces a clean 500 error envelope instead of a
 // success status line glued to a broken body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledBuf {
-			bufPool.Put(buf)
-		}
-	}()
+	buf := getBuf()
+	defer putBuf(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		buf.Reset()
 		_ = json.NewEncoder(buf).Encode(errorBody{Error: "encoding response: " + err.Error()})
@@ -229,6 +271,58 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
+}
+
+// writeRawEnvelope answers 200 with {"<key>":<raw>}, the bytes
+// writeJSON produces for map[string]json.RawMessage{key: raw}, without
+// the map or the reflective encoder. raw gets what encoding/json
+// applies to a RawMessage: compaction, then HTML escaping (skipped when
+// a scan finds nothing to escape); empty raw is sent as null. key must
+// need no JSON escaping. Invalid raw takes the writeJSON path, whose
+// encoder rejects it and answers the 500 envelope.
+func writeRawEnvelope(w http.ResponseWriter, key string, raw json.RawMessage) {
+	if len(raw) == 0 {
+		raw = json.RawMessage("null")
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.WriteString(`{"`)
+	buf.WriteString(key)
+	buf.WriteString(`":`)
+	var err error
+	if needsHTMLEscape(raw) {
+		compact := getBuf()
+		if err = json.Compact(compact, raw); err == nil {
+			json.HTMLEscape(buf, compact.Bytes())
+		}
+		putBuf(compact)
+	} else {
+		err = json.Compact(buf, raw)
+	}
+	if err != nil {
+		writeJSON(w, http.StatusOK, map[string]json.RawMessage{key: raw})
+		return
+	}
+	buf.WriteString("}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes())
+}
+
+// needsHTMLEscape reports whether b holds a byte sequence that
+// json.HTMLEscape rewrites: <, >, & or U+2028/U+2029.
+func needsHTMLEscape(b []byte) bool {
+	for i, c := range b {
+		switch c {
+		case '<', '>', '&':
+			return true
+		case 0xE2:
+			if i+2 < len(b) && b[i+1] == 0x80 && b[i+2]&^1 == 0xA8 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // writeError maps platform errors onto HTTP statuses.
@@ -566,13 +660,15 @@ func (g *Gateway) handleGetClass(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "unreadable body"})
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	ct := r.Header.Get("Content-Type")
-	var pkg *model.Package
+	var (
+		pkg *model.Package
+		err error
+	)
 	if strings.Contains(ct, "json") {
 		pkg, err = model.ParseJSON(body)
 	} else {
@@ -641,6 +737,55 @@ func (g *Gateway) handleDeleteObject(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// Request bodies are capped at maxBodyBytes. The read buffer is
+// pre-sized from Content-Length only up to maxBodyPresize and grows as
+// bytes arrive, so a declared-but-unsent large body reserves nothing.
+const (
+	maxBodyBytes   = 8 << 20
+	maxBodyPresize = 64 << 10
+)
+
+// readBody reads the whole request body into a fresh allocation the
+// caller owns (an invoke payload crosses the handler boundary, so it
+// is never pooled). It writes the error response itself and reports
+// ok=false: 413 payload_too_large for a body over maxBodyBytes —
+// declared or discovered — and 400 for one that cannot be read.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	n := r.ContentLength
+	var err error
+	switch {
+	case n > maxBodyBytes:
+		err = &http.MaxBytesError{Limit: maxBodyBytes}
+	case n < 0:
+		// Chunked: the length is unknown until the limit trips.
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	default:
+		body = make([]byte, 0, min(n, maxBodyPresize))
+		for int64(len(body)) < n && err == nil {
+			if len(body) == cap(body) {
+				body = append(body, 0)[:len(body)]
+			}
+			var m int
+			m, err = r.Body.Read(body[len(body):min(int64(cap(body)), n)])
+			body = body[:len(body)+m]
+		}
+		if err == io.EOF {
+			err = nil // a short body surfaces as unexpected EOF, not EOF
+		}
+	}
+	if err == nil {
+		return body, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+			Error: fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit), Code: "payload_too_large"})
+		return nil, false
+	}
+	writeJSON(w, http.StatusBadRequest, errorBody{Error: "unreadable body"})
+	return nil, false
+}
+
 // readInvokeRequest extracts the JSON payload, query-string args, and
 // the optional ?timeoutMs= deadline override shared by the sync and
 // async invoke handlers. timeoutMs is consumed here — it shapes the
@@ -648,16 +793,19 @@ func (g *Gateway) handleDeleteObject(w http.ResponseWriter, r *http.Request) {
 // arg. It writes the error response itself and reports ok=false on
 // bad input.
 func readInvokeRequest(w http.ResponseWriter, r *http.Request) (payload []byte, args map[string]string, timeout time.Duration, ok bool) {
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "unreadable body"})
+	payload, ok = readBody(w, r)
+	if !ok {
 		return nil, nil, 0, false
 	}
 	if len(payload) > 0 && !json.Valid(payload) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "payload must be JSON"})
 		return nil, nil, 0, false
 	}
-	for k, vs := range r.URL.Query() {
+	if r.URL.RawQuery == "" {
+		return payload, nil, 0, true
+	}
+	query := r.URL.Query()
+	for k, vs := range query {
 		if len(vs) == 0 || k == "timeoutMs" {
 			continue
 		}
@@ -666,7 +814,7 @@ func readInvokeRequest(w http.ResponseWriter, r *http.Request) (payload []byte, 
 		}
 		args[k] = vs[0]
 	}
-	if raw := r.URL.Query().Get("timeoutMs"); raw != "" {
+	if raw := query.Get("timeoutMs"); raw != "" {
 		ms, err := strconv.Atoi(raw)
 		if err != nil || ms < 0 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad timeoutMs %q: want a non-negative integer", raw)})
@@ -726,7 +874,7 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if served != "" {
 		w.Header().Set("X-Oparaca-Node", served)
 	}
-	writeJSON(w, http.StatusOK, map[string]json.RawMessage{"output": orNull(out)})
+	writeRawEnvelope(w, "output", out)
 }
 
 func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request) {
@@ -749,8 +897,8 @@ func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if note, ok := r.Context().Value(invNoteKey{}).(*invocationNote); ok {
-		note.id = invID
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.invocation = invID // for the request's log line
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"invocation": invID, "status": string(asyncq.StatusPending)})
 }
@@ -767,9 +915,8 @@ type batchEntry struct {
 }
 
 func (g *Gateway) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "unreadable body"})
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var req batchRequest
@@ -845,27 +992,21 @@ func (g *Gateway) handleGetInvocation(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// orNull substitutes JSON null for empty outputs so the envelope stays
-// valid JSON.
-func orNull(v json.RawMessage) json.RawMessage {
-	if len(v) == 0 {
-		return json.RawMessage("null")
-	}
-	return v
-}
-
 func (g *Gateway) handleGetState(w http.ResponseWriter, r *http.Request) {
 	v, err := g.platform.GetState(r.Context(), r.PathValue("id"), r.PathValue("key"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]json.RawMessage{"value": orNull(v)})
+	writeRawEnvelope(w, "value", v)
 }
 
 func (g *Gateway) handlePutState(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil || len(body) == 0 || !json.Valid(body) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	if len(body) == 0 || !json.Valid(body) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "body must be a JSON value"})
 		return
 	}

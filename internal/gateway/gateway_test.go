@@ -57,6 +57,22 @@ func newFixture(t *testing.T) *fixture {
 // defaults.
 func newFixtureCfg(t *testing.T, cfg core.Config) *fixture {
 	t.Helper()
+	p := newTestPlatform(t, cfg)
+	return serveFixture(t, p, New(p))
+}
+
+// serveFixture puts gw, a gateway over p, behind a test server.
+func serveFixture(t *testing.T, p *core.Platform, gw *Gateway) *fixture {
+	t.Helper()
+	srv := httptest.NewServer(gw)
+	t.Cleanup(srv.Close)
+	return &fixture{t: t, p: p, srv: srv, client: srv.Client()}
+}
+
+// newTestPlatform boots a platform with the test defaults and the
+// img/set and img/shout handlers that testPackage names.
+func newTestPlatform(t *testing.T, cfg core.Config) *core.Platform {
+	t.Helper()
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
 	}
@@ -86,9 +102,7 @@ func newFixtureCfg(t *testing.T, cfg core.Config) *fixture {
 		out, _ := json.Marshal(strings.ToUpper(s))
 		return invoker.Result{Output: out}, nil
 	}))
-	srv := httptest.NewServer(New(p))
-	t.Cleanup(srv.Close)
-	return &fixture{t: t, p: p, srv: srv, client: srv.Client()}
+	return p
 }
 
 // do issues a request and returns status + decoded JSON body.

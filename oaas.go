@@ -278,6 +278,26 @@
 // adaptive mode's escalation is unchanged by either scope: an object
 // whose aborts run hot still degrades to the serializing barrier.
 //
+// The REST gateway's own share of a request is budgeted the same way
+// (internal/gateway: TestWarmInvokeAllocationBudget,
+// BenchmarkGatewayInvoke). Per request it reuses a pooled response
+// recorder — owned by the request until its handler has returned, which
+// for an SSE stream or a long poll is when that ends — and pooled
+// response staging buffers; tracing adds the span as the one context
+// value, and the log line is built from typed slog attributes only
+// when the logger is enabled at the record's level. The
+// {"output":…} / {"value":…} envelopes are assembled around the
+// handler's bytes without encoding/json's reflective encoder, and are
+// byte-identical to what it would write (compacted, HTML-escaped,
+// newline-terminated; output that is not valid JSON still answers a
+// clean 500) — a golden table and a fuzz target hold the two together.
+// The ownership rule above extends to the wire: a request body is read
+// into a fresh, never-recycled allocation, so the payload a Handler
+// receives (Task.Payload) is its own. Bodies are capped at 8 MiB; one
+// over the cap, whether declared by Content-Length or discovered while
+// reading a chunked upload, is refused with HTTP 413 and code
+// "payload_too_large" (an unreadable body stays a 400).
+//
 // For production profiling, the oparaca daemon mounts net/http/pprof
 // behind the opt-in `-pprof addr` flag on a separate listener (off by
 // default; keep it on localhost or behind a firewall — heap and
