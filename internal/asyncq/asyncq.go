@@ -12,10 +12,22 @@
 //
 // Lifecycle of one invocation:
 //
-//	Submit -> record {status: pending}   (persisted, queued)
-//	worker -> record {status: running}   (dequeued)
-//	handler ok  -> {status: completed, result}
-//	handler err -> {status: failed, error}
+//	Submit -> record {status: pending, payload, args}  (persisted, queued)
+//	worker -> running since <pull start>                (in memory only)
+//	handler ok  -> record {status: completed, result}   (persisted)
+//	handler err -> record {status: failed, error}       (persisted)
+//
+// Two transitions are durable: the pending record, written before the
+// task is visible to a worker, and the terminal record. "Running" is
+// not a table write: the pull that dequeues a task notes its start time
+// in the queue's in-memory index of live invocations, and Get overlays
+// status running + started on the pending record of an invocation
+// executing in this process. A reader of the backing store, or a
+// successor process, sees a predecessor's in-flight work as pending —
+// and RecoverStranded re-runs it from the payload and args that record
+// carries. Each durable transition is encoded once, by appendRecord;
+// records it does not render (args, strings needing escapes) take
+// json.Marshal.
 //
 // Backpressure is explicit: Submit returns ErrQueueFull once the
 // target shard is at capacity. A panicking handler marks its record
@@ -31,9 +43,10 @@
 //
 // Workers drain in batches: each pull takes up to Config.DrainBatch
 // tasks from the shard (blocking for the first, non-blocking for the
-// rest), writes the running and terminal record transitions for the
-// whole pull in one batched memtable.PutMany each, and groups the
-// pull's tasks by target object. When Config.InvokeBatch is set,
+// rest), marks the pull's tasks running under one lock acquisition,
+// writes the terminal record transitions for the whole pull in one
+// batched memtable.PutMany, and groups the pull's tasks by target
+// object. When Config.InvokeBatch is set,
 // same-object groups of two or more dispatch through it in one call —
 // the runtime's group-commit path — so N coalesced invocations on a
 // hot object cost one concurrency window and one simulated DB round
@@ -83,6 +96,10 @@ var (
 	// class past its Config.ClassQuotas cap while the queue itself
 	// still has room.
 	ErrClassQuotaExceeded = errors.New("asyncq: class quota exceeded")
+	// ErrInvalidPayload is returned for a submission whose non-empty
+	// payload is not a JSON value: it could neither be stored in the
+	// invocation record nor re-run from it.
+	ErrInvalidPayload = errors.New("asyncq: payload is not valid JSON")
 )
 
 // Status is an invocation's lifecycle phase.
@@ -105,7 +122,9 @@ func (s Status) Terminal() bool {
 	return s == StatusCompleted || s == StatusFailed || s == StatusExpired
 }
 
-// Record is the durable state of one asynchronous invocation.
+// Record is the state of one asynchronous invocation as Get and Wait
+// report it: the durable document, with StatusRunning and Started
+// overlaid while the invocation executes in this process.
 type Record struct {
 	// ID identifies the invocation (returned by Submit).
 	ID string `json:"id"`
@@ -297,6 +316,7 @@ func (c Config) withDefaults() Config {
 
 // task is one queued invocation.
 type task struct {
+	key     string // record table key; id is its suffix
 	id      string
 	object  string
 	member  string
@@ -336,17 +356,19 @@ type Queue struct {
 	shards  []chan task
 
 	mu      sync.Mutex
-	waiters map[string]chan struct{}
+	waiters map[string]*waiter
 	closed  bool
 	// classPending counts queued (accepted, not yet dequeued) tasks per
 	// class, the ClassQuotas accounting. Guarded by mu.
 	classPending map[string]int
 	// tracked holds the IDs of every invocation currently queued or
-	// executing in this process. RecoverStranded consults it so it only
-	// adopts records orphaned by another (dead) process — replaying a
-	// task that is still live here would double-execute it. Guarded by
-	// mu.
-	tracked map[string]struct{}
+	// executing in this process, mapped to the start time of the pull
+	// that dequeued it (zero while queued) — the whole of the "running"
+	// state, which Get overlays on the durable pending record.
+	// RecoverStranded consults it so it only adopts records orphaned by
+	// another (dead) process — replaying a task that is still live here
+	// would double-execute it. Guarded by mu.
+	tracked map[string]time.Time
 
 	// terminal is the GC's eviction index: records that reached a
 	// terminal status, in roughly finish order, with the instant each
@@ -368,8 +390,19 @@ type expiringRecord struct {
 	expires time.Time
 }
 
+// waiter is shared by every Wait blocked on one invocation ID. The
+// transition that closes done stores the terminal record first, so a
+// woken waiter returns it without re-reading the table.
+type waiter struct {
+	done chan struct{}
+	rec  Record
+}
+
+// recordPrefix namespaces invocation records in the record table.
+const recordPrefix = "invocations/"
+
 // recordKey is the memtable key for one invocation ID.
-func recordKey(id string) string { return "invocations/" + id }
+func recordKey(id string) string { return recordPrefix + id }
 
 // New builds a queue and starts its worker pool.
 func New(cfg Config) (*Queue, error) {
@@ -399,9 +432,9 @@ func New(cfg Config) (*Queue, error) {
 		cfg:          cfg,
 		records:      records,
 		shards:       make([]chan task, cfg.Shards),
-		waiters:      make(map[string]chan struct{}),
+		waiters:      make(map[string]*waiter),
 		classPending: make(map[string]int),
-		tracked:      make(map[string]struct{}),
+		tracked:      make(map[string]time.Time),
 	}
 	perShard := (cfg.Capacity + cfg.Shards - 1) / cfg.Shards
 	for i := range q.shards {
@@ -432,26 +465,38 @@ func (q *Queue) shardFor(invocationID string) chan task {
 	return q.shards[h.Sum32()%uint32(len(q.shards))]
 }
 
-// newInvocationID returns a 12-byte hex identifier.
-func newInvocationID() string {
+// newRecordKey returns the record key of a fresh invocation and its ID
+// ("inv-" + 12 random bytes in hex) — one string: the ID is the key's
+// suffix, so a task carries both for the price of one.
+func newRecordKey() (key, id string) {
 	var b [12]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic("asyncq: crypto/rand unavailable: " + err.Error())
 	}
-	return "inv-" + hex.EncodeToString(b[:])
+	buf := make([]byte, 0, len(recordPrefix)+len("inv-")+2*len(b))
+	buf = append(buf, recordPrefix+"inv-"...)
+	key = string(hex.AppendEncode(buf, b[:]))
+	return key, key[len(recordPrefix):]
 }
 
 // Submit enqueues one invocation and returns its ID. The context is
 // retained: cancelling it fails the invocation if it is still queued
 // and propagates into the handler once running. Submit returns
-// ErrQueueFull when the queue is at capacity and ErrClosed after
-// Close.
+// ErrQueueFull when the queue is at capacity, ErrClosed after Close,
+// and ErrInvalidPayload for a non-empty payload that is not JSON.
 func (q *Queue) Submit(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
+	// The payload is stored inside the pending record and re-run from it
+	// after a crash; bytes that are not a JSON value can do neither.
+	if len(payload) > 0 && !json.Valid(payload) {
+		return "", fmt.Errorf("%w: object %s member %s", ErrInvalidPayload, objectID, member)
+	}
+	key, id := newRecordKey()
 	t := task{
-		id:      newInvocationID(),
+		key:     key,
+		id:      id,
 		object:  objectID,
 		member:  member,
 		payload: append(json.RawMessage(nil), payload...),
@@ -482,11 +527,7 @@ func (q *Queue) Submit(ctx context.Context, objectID, member string, payload jso
 	// visible to a worker: a fast worker would otherwise write the
 	// terminal record first and have it clobbered by a late pending
 	// write (leaving pollers stuck at "pending" forever).
-	q.putRecord(Record{
-		ID: t.id, Object: objectID, Member: member,
-		Status: StatusPending, Enqueued: t.queued,
-		Payload: t.payload, Args: t.args,
-	})
+	q.putPending(t)
 	m := q.cfg.Metrics
 	m.Gauge("queue.depth").Add(1)
 	// The closed check, quota reservation and shard send share the lock
@@ -496,7 +537,7 @@ func (q *Queue) Submit(ctx context.Context, objectID, member string, payload jso
 	if q.closed {
 		q.mu.Unlock()
 		m.Gauge("queue.depth").Add(-1)
-		_ = q.records.Delete(context.Background(), recordKey(t.id))
+		_ = q.records.Delete(context.Background(), t.key)
 		t.dropTrace(ErrClosed)
 		return "", ErrClosed
 	}
@@ -504,7 +545,7 @@ func (q *Queue) Submit(ctx context.Context, objectID, member string, payload jso
 		q.mu.Unlock()
 		m.Gauge("queue.depth").Add(-1)
 		m.Counter("queue.quota_rejected").Inc()
-		_ = q.records.Delete(context.Background(), recordKey(t.id))
+		_ = q.records.Delete(context.Background(), t.key)
 		err := fmt.Errorf("%w: class %s at quota %d", ErrClassQuotaExceeded, t.class, quota)
 		t.dropTrace(err)
 		return "", err
@@ -515,7 +556,7 @@ func (q *Queue) Submit(ctx context.Context, objectID, member string, payload jso
 		q.mu.Unlock()
 		m.Gauge("queue.depth").Add(-1)
 		m.Counter("queue.rejected").Inc()
-		_ = q.records.Delete(context.Background(), recordKey(t.id))
+		_ = q.records.Delete(context.Background(), t.key)
 		err := fmt.Errorf("%w: object %s", ErrQueueFull, objectID)
 		t.dropTrace(err)
 		return "", err
@@ -523,7 +564,7 @@ func (q *Queue) Submit(ctx context.Context, objectID, member string, payload jso
 	if t.class != "" {
 		q.classPending[t.class]++
 	}
-	q.tracked[t.id] = struct{}{}
+	q.tracked[t.id] = time.Time{}
 	m.Counter("queue.enqueued").Inc()
 	q.mu.Unlock()
 	return t.id, nil
@@ -535,76 +576,97 @@ type BatchResult struct {
 	Err error
 }
 
-// encodeRecord marshals a record, degrading an unencodable one to a
-// terminal failure rather than leaving the invocation parked in a
-// non-terminal state forever. Only Result (a handler-supplied
-// RawMessage) can be unencodable.
+// encodeRecord renders a record's stored document: appendRecord when
+// it can, json.Marshal otherwise. A record json.Marshal rejects — a
+// Payload or Result that is not JSON, a timestamp RFC 3339 cannot
+// express — degrades to a terminal failure rather than leaving the
+// invocation parked in a non-terminal state forever; the degraded
+// record holds only strings and in-range times, so the document is
+// never empty.
 func encodeRecord(rec Record) (Record, json.RawMessage) {
+	if raw, ok := appendRecord(nil, &rec); ok {
+		return rec, raw
+	}
 	raw, err := json.Marshal(rec)
 	if err != nil {
-		rec.Result = nil
+		rec.Payload, rec.Args, rec.Result = nil, nil, nil
 		rec.Status = StatusFailed
-		rec.Error = "asyncq: unencodable result: " + err.Error()
+		rec.Error = "asyncq: unencodable record: " + err.Error()
+		for _, ts := range []*time.Time{&rec.Enqueued, &rec.Started, &rec.Finished} {
+			if !jsonTime(*ts) {
+				*ts = time.Time{}
+			}
+		}
 		raw, _ = json.Marshal(rec)
 	}
 	return rec, raw
 }
 
-// putRecord persists a record transition and wakes terminal waiters.
-func (q *Queue) putRecord(rec Record) {
-	rec, raw := encodeRecord(rec)
-	// Record writes must outlive the submitter's context: a cancelled
-	// invocation still gets its terminal "failed" record.
-	_ = q.records.Put(context.Background(), recordKey(rec.ID), raw)
-	if rec.Status.Terminal() {
-		q.noteTerminal(rec.ID)
-	}
+// putPending persists a task's pending record — the document a
+// successor re-runs the task from.
+func (q *Queue) putPending(t task) {
+	_, raw := encodeRecord(Record{
+		ID: t.id, Object: t.object, Member: t.member,
+		Status: StatusPending, Enqueued: t.queued,
+		Payload: t.payload, Args: t.args,
+	})
+	// Record writes must outlive the submitter's context.
+	_ = q.records.Put(context.Background(), t.key, raw)
 }
 
-// putRecords persists a whole drain pull's record transitions in one
-// batched table write — the per-pull consolidation that replaces one
-// putRecord (and one shard-lock window) per task — then runs the
-// terminal bookkeeping for every record that went terminal.
-func (q *Queue) putRecords(recs []Record) {
-	if len(recs) == 0 {
+// terminalHook is one invocation's terminal transition: the record, its
+// table key, and the submission args for the OnTerminal callback.
+type terminalHook struct {
+	key  string
+	rec  Record
+	args map[string]string
+}
+
+// finish publishes a drain pull's terminal transitions: one batched
+// table write, then — under one q.mu acquisition — each blocked Wait
+// handed its record and each ID untracked, then the eviction index,
+// then the OnTerminal hook, which so observes the terminal state when
+// it polls. Record writes outlive the submitter's context.
+func (q *Queue) finish(hooks []terminalHook) {
+	switch len(hooks) {
+	case 0:
 		return
-	}
-	if len(recs) == 1 {
-		q.putRecord(recs[0])
-		return
-	}
-	entries := make(map[string]json.RawMessage, len(recs))
-	terminal := make([]string, 0, len(recs))
-	for _, rec := range recs {
-		rec, raw := encodeRecord(rec)
-		entries[recordKey(rec.ID)] = raw
-		if rec.Status.Terminal() {
-			terminal = append(terminal, rec.ID)
+	case 1:
+		h := &hooks[0]
+		var raw json.RawMessage
+		h.rec, raw = encodeRecord(h.rec)
+		_ = q.records.Put(context.Background(), h.key, raw)
+	default:
+		entries := make(map[string]json.RawMessage, len(hooks))
+		for i := range hooks {
+			h := &hooks[i]
+			h.rec, entries[h.key] = encodeRecord(h.rec)
 		}
+		_ = q.records.PutMany(context.Background(), entries)
 	}
-	_ = q.records.PutMany(context.Background(), entries)
-	for _, id := range terminal {
-		q.noteTerminal(id)
-	}
-}
-
-// noteTerminal wakes waiters on a now-terminal invocation and, when a
-// TTL is configured, registers the record for eviction.
-func (q *Queue) noteTerminal(id string) {
 	q.mu.Lock()
-	if ch, ok := q.waiters[id]; ok {
-		close(ch)
-		delete(q.waiters, id)
+	for i := range hooks {
+		id := hooks[i].rec.ID
+		if w, ok := q.waiters[id]; ok {
+			w.rec = hooks[i].rec
+			close(w.done)
+			delete(q.waiters, id)
+		}
+		delete(q.tracked, id)
 	}
-	delete(q.tracked, id)
 	q.mu.Unlock()
 	if q.cfg.RecordTTL > 0 {
+		expires := q.cfg.Clock.Now().Add(q.cfg.RecordTTL)
 		q.terminalMu.Lock()
-		q.terminal = append(q.terminal, expiringRecord{
-			id:      id,
-			expires: q.cfg.Clock.Now().Add(q.cfg.RecordTTL),
-		})
+		for i := range hooks {
+			q.terminal = append(q.terminal, expiringRecord{id: hooks[i].rec.ID, expires: expires})
+		}
 		q.terminalMu.Unlock()
+	}
+	if q.cfg.OnTerminal != nil {
+		for i := range hooks {
+			q.cfg.OnTerminal(hooks[i].rec, hooks[i].args)
+		}
 	}
 }
 
@@ -653,7 +715,9 @@ func (q *Queue) evictExpired() {
 	}
 }
 
-// Get returns the record for an invocation ID.
+// Get returns the record for an invocation ID. An invocation executing
+// in this process reads running, with the start of the pull that
+// dequeued it, though its stored document still says pending.
 func (q *Queue) Get(ctx context.Context, id string) (Record, error) {
 	raw, err := q.records.Get(ctx, recordKey(id))
 	if err != nil {
@@ -666,6 +730,14 @@ func (q *Queue) Get(ctx context.Context, id string) (Record, error) {
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return Record{}, fmt.Errorf("asyncq: corrupt record %q: %w", id, err)
 	}
+	if rec.Status == StatusPending {
+		q.mu.Lock()
+		started := q.tracked[id]
+		q.mu.Unlock()
+		if !started.IsZero() {
+			rec.Status, rec.Started = StatusRunning, started
+		}
+	}
 	return rec, nil
 }
 
@@ -673,32 +745,46 @@ func (q *Queue) Get(ctx context.Context, id string) (Record, error) {
 // done, then returns the record.
 func (q *Queue) Wait(ctx context.Context, id string) (Record, error) {
 	q.mu.Lock()
-	ch, ok := q.waiters[id]
+	_, live := q.tracked[id]
+	q.mu.Unlock()
+	if !live {
+		// The common long-poll: the invocation went terminal before the
+		// poll arrived (or the ID is unknown). Answer from the record,
+		// without a waiter entry or its channel.
+		if rec, err := q.Get(ctx, id); err != nil || rec.Status.Terminal() {
+			return rec, err
+		}
+	}
+	q.mu.Lock()
+	w, ok := q.waiters[id]
 	if !ok {
-		ch = make(chan struct{})
-		q.waiters[id] = ch
+		w = &waiter{done: make(chan struct{})}
+		q.waiters[id] = w
 	}
 	q.mu.Unlock()
 	// Check after registering so a transition between Get and wait
 	// cannot be missed.
 	rec, err := q.Get(ctx, id)
 	if err != nil || rec.Status.Terminal() {
-		// The terminal wake will never come (it already happened, or
-		// the id is unknown): retire the waiter entry so the map does
-		// not grow without bound. Closing the channel releases any
-		// concurrent waiter that registered before the transition; it
-		// re-checks the record and observes the same terminal state.
+		// The terminal wake will never come (it already happened, or the
+		// record is gone): retire the waiter entry so the map does not
+		// grow without bound. Closing the channel releases any Wait that
+		// shares it — with the record, or to re-read when there is none.
 		q.mu.Lock()
-		if cur, live := q.waiters[id]; live && cur == ch {
-			close(ch)
+		if q.waiters[id] == w {
+			w.rec = rec
+			close(w.done)
 			delete(q.waiters, id)
 		}
 		q.mu.Unlock()
 		return rec, err
 	}
 	select {
-	case <-ch:
-		return q.Get(ctx, id)
+	case <-w.done:
+		if w.rec.ID == "" {
+			return q.Get(ctx, id)
+		}
+		return w.rec, nil
 	case <-ctx.Done():
 		return Record{}, ctx.Err()
 	}
@@ -741,17 +827,20 @@ func (q *Queue) worker(shard chan task) {
 	}
 }
 
+// errStaleQueued fails a task still queued past its submission deadline.
+var errStaleQueued = errors.New("asyncq: submission deadline elapsed while queued")
+
 // outcome is one drained task's execution result.
 type outcome struct {
 	out json.RawMessage
 	err error
 }
 
-// runBatch executes one drain pull: it writes the pull's running (and
-// cancelled-while-queued failed) record transitions in one batched
-// table write, groups runnable tasks by target object for coalesced
-// dispatch, then writes every terminal record in a second batched
-// write. Handler panics are recovered into failed records so the
+// runBatch executes one drain pull: it publishes the terminal records
+// of tasks cancelled or expired while queued, marks the rest running
+// (in memory — see the package doc), groups them by target object for
+// coalesced dispatch, then writes every terminal record in one batched
+// table write. Handler panics are recovered into failed records so the
 // worker survives.
 //
 // Terminal publication is per pull, not per task: a task's record (and
@@ -767,66 +856,56 @@ func (q *Queue) runBatch(batch []task) {
 		m.Counter("queue.batched_drains").Inc()
 	}
 	started := q.cfg.Clock.Now()
-	recs := make([]Record, 0, len(batch))
 	runnable := make([]task, 0, len(batch))
 	var cancelled []terminalHook
 	for _, t := range batch {
 		m.Histogram("queue.wait").Observe(q.cfg.Clock.Since(t.queued))
-		rec := Record{
-			ID: t.id, Object: t.object, Member: t.member,
-			Status: StatusRunning, Enqueued: t.queued, Started: started,
-			// Running records keep the submission so a crash mid-run
-			// leaves enough in the backing store to re-execute.
-			Payload: t.payload, Args: t.args,
+		err := t.ctx.Err()
+		if err == nil && !t.deadline.IsZero() && !started.Before(t.deadline) {
+			// Stale queued work: the submission deadline elapsed while
+			// the task waited. Nobody is waiting for the result anymore,
+			// so dropping it beats executing it.
+			err = errStaleQueued
+		}
+		if err == nil {
+			t.span.End() // the wait is over; drain spans take it from here
+			runnable = append(runnable, t)
+			continue
 		}
 		// A submission cancelled or expired while queued goes terminal
 		// without invoking; its terminal metrics mirror every other exit
 		// path (a zero execution-time sample keeps queue.exec's count
 		// equal to the terminal-record total).
-		if err := t.ctx.Err(); err != nil {
-			rec.Finished = started
-			rec.Payload, rec.Args = nil, nil
-			if errors.Is(err, context.DeadlineExceeded) {
-				rec.Status, rec.Error = StatusExpired, err.Error()
-				m.Counter("queue.expired").Inc()
-			} else {
-				rec.Status, rec.Error = StatusFailed, err.Error()
-				m.Counter("queue.failed").Inc()
-			}
-			m.Histogram("queue.exec").Observe(0)
-			recs = append(recs, rec)
-			cancelled = append(cancelled, terminalHook{rec: rec, args: t.args})
-			t.dropTrace(err)
-			continue
+		rec := Record{
+			ID: t.id, Object: t.object, Member: t.member,
+			Status: StatusFailed, Error: err.Error(),
+			Enqueued: t.queued, Started: started, Finished: started,
 		}
-		if !t.deadline.IsZero() && !started.Before(t.deadline) {
-			// Stale queued work: the submission deadline elapsed while
-			// the task waited. Nobody is waiting for the result anymore,
-			// so dropping it beats executing it.
-			rec.Status, rec.Finished = StatusExpired, started
-			rec.Payload, rec.Args = nil, nil
-			rec.Error = "asyncq: submission deadline elapsed while queued"
-			m.Histogram("queue.exec").Observe(0)
+		if err == errStaleQueued || errors.Is(err, context.DeadlineExceeded) {
+			rec.Status = StatusExpired
 			m.Counter("queue.expired").Inc()
-			recs = append(recs, rec)
-			cancelled = append(cancelled, terminalHook{rec: rec, args: t.args})
-			t.dropTrace(errors.New(rec.Error))
-			continue
+		} else {
+			m.Counter("queue.failed").Inc()
 		}
-		t.span.End() // the wait is over; drain spans take it from here
-		recs = append(recs, rec)
-		runnable = append(runnable, t)
+		m.Histogram("queue.exec").Observe(0)
+		cancelled = append(cancelled, terminalHook{key: t.key, rec: rec, args: t.args})
+		t.dropTrace(err)
 	}
-	q.putRecords(recs)
-	q.notifyTerminal(cancelled)
+	q.finish(cancelled)
 	if len(runnable) == 0 {
 		return
 	}
+	// Running from here on, as far as Get is concerned; the durable
+	// record stays pending (see the package doc).
+	q.mu.Lock()
+	for _, t := range runnable {
+		q.tracked[t.id] = started
+	}
+	q.mu.Unlock()
 	m.Gauge("queue.inflight").Add(int64(len(runnable)))
 	outcomes := q.executeGroups(runnable)
 	m.Gauge("queue.inflight").Add(-int64(len(runnable)))
 	finished := q.cfg.Clock.Now()
-	term := make([]Record, 0, len(runnable))
 	hooks := make([]terminalHook, 0, len(runnable))
 	for i, t := range runnable {
 		out, err := outcomes[i].out, outcomes[i].err
@@ -870,27 +949,19 @@ func (q *Queue) runBatch(batch []task) {
 			rec.Status, rec.Result = StatusCompleted, out
 			m.Counter("queue.completed").Inc()
 		}
-		term = append(term, rec)
-		hooks = append(hooks, terminalHook{rec: rec, args: t.args})
+		hooks = append(hooks, terminalHook{key: t.key, rec: rec, args: t.args})
 		t.link.Release() // terminal: the trace's queue hop is over
 	}
-	q.putRecords(term)
-	q.notifyTerminal(hooks)
+	q.finish(hooks)
 }
 
-// requeue sends a live task back to its shard, restoring the pending
-// record first (record before send, same as Submit, so a fast worker
-// cannot have its terminal write clobbered). It reports false when the
-// queue is closing or the shard is full — the caller then falls back
-// to the terminal path. Safe against Close: the closed check and the
-// send share q.mu, and shutdown closes the shards only after setting
-// closed under the same lock.
+// requeue sends a live task back to its shard and clears its running
+// mark, so it reads pending again; the stored record never stopped
+// saying so. It reports false when the queue is closing or the shard is
+// full — the caller then falls back to the terminal path. Safe against
+// Close: the closed check and the send share q.mu, and shutdown closes
+// the shards only after setting closed under the same lock.
 func (q *Queue) requeue(t task) bool {
-	q.putRecord(Record{
-		ID: t.id, Object: t.object, Member: t.member,
-		Status: StatusPending, Enqueued: t.queued,
-		Payload: t.payload, Args: t.args,
-	})
 	m := q.cfg.Metrics
 	q.mu.Lock()
 	if q.closed {
@@ -906,7 +977,7 @@ func (q *Queue) requeue(t task) bool {
 	if t.class != "" {
 		q.classPending[t.class]++
 	}
-	q.tracked[t.id] = struct{}{}
+	q.tracked[t.id] = time.Time{}
 	m.Gauge("queue.depth").Add(1)
 	m.Counter("queue.requeued").Inc()
 	q.mu.Unlock()
@@ -924,14 +995,14 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 	if q.cfg.Backing == nil {
 		return 0, nil
 	}
-	keys, err := q.cfg.Backing.List(ctx, "invocations/")
+	keys, err := q.cfg.Backing.List(ctx, recordPrefix)
 	if err != nil {
 		return 0, err
 	}
 	adopted := 0
 	now := q.cfg.Clock.Now()
 	for _, key := range keys {
-		id := key[len("invocations/"):]
+		id := key[len(recordPrefix):]
 		// Tracked check BEFORE the record read: a worker untracks only
 		// after persisting the terminal record, so an untracked ID
 		// whose record still reads non-terminal is genuinely stranded
@@ -956,6 +1027,7 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 			continue
 		}
 		t := task{
+			key:      key,
 			id:       rec.ID,
 			object:   rec.Object,
 			member:   rec.Member,
@@ -992,32 +1064,13 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 		if t.class != "" {
 			q.classPending[t.class]++
 		}
-		q.tracked[t.id] = struct{}{}
+		q.tracked[t.id] = time.Time{}
 		m.Gauge("queue.depth").Add(1)
 		m.Counter("queue.recovered").Inc()
 		q.mu.Unlock()
 		adopted++
 	}
 	return adopted, nil
-}
-
-// terminalHook pairs a terminal record with its submission args for
-// the OnTerminal callback.
-type terminalHook struct {
-	rec  Record
-	args map[string]string
-}
-
-// notifyTerminal runs the terminal-record hook after the records are
-// persisted (and Wait waiters woken), so a hook observer polling the
-// record sees the terminal state.
-func (q *Queue) notifyTerminal(hooks []terminalHook) {
-	if q.cfg.OnTerminal == nil {
-		return
-	}
-	for _, h := range hooks {
-		q.cfg.OnTerminal(h.rec, h.args)
-	}
 }
 
 // releaseQuota returns the pull's tasks to their classes' quotas.
@@ -1136,7 +1189,7 @@ func failAll(calls []Call, err error) []CallResult {
 // invokeWithRetries drives the retry policy: a failed invocation is
 // re-run up to MaxRetries additional times, waiting RetryBackoff
 // (doubled per attempt) between runs, before the failure becomes
-// terminal. Retries run inline on the worker — the record stays
+// terminal. Retries run inline on the worker — the invocation stays
 // "running" across attempts — and stop immediately once the
 // submitter's context is cancelled. Each re-run is counted in the
 // queue.retries metric (Stats().Retried).

@@ -1,0 +1,199 @@
+package asyncq
+
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+	"time"
+)
+
+// decodeBoth runs rec through both encoders and reads each document back
+// the way Get does. stored reports whether appendRecord took the record
+// (false: it deferred to json.Marshal).
+func decodeBoth(t testing.TB, rec Record) (viaAppend, viaMarshal Record, doc []byte, stored bool) {
+	t.Helper()
+	doc, stored = appendRecord(nil, &rec)
+	want, err := json.Marshal(rec)
+	if err != nil {
+		if stored {
+			t.Fatalf("appendRecord rendered a record json.Marshal rejects (%v): %s", err, doc)
+		}
+		t.Skipf("json.Marshal rejects the record: %v", err)
+	}
+	if err := json.Unmarshal(want, &viaMarshal); err != nil {
+		t.Fatalf("json.Marshal output does not decode: %v", err)
+	}
+	if !stored {
+		return viaMarshal, viaMarshal, want, false
+	}
+	if !json.Valid(doc) {
+		t.Fatalf("appendRecord wrote invalid JSON: %s", doc)
+	}
+	if err := json.Unmarshal(doc, &viaAppend); err != nil {
+		t.Fatalf("appendRecord output does not decode: %v\n%s", err, doc)
+	}
+	return viaAppend, viaMarshal, doc, true
+}
+
+// assertSameRecord compares two decoded records field for field. The raw
+// JSON fields are compared as the gateway serves them — re-marshalled,
+// which compacts and HTML-escapes — since appendRecord stores payload
+// and result bytes as submitted.
+func assertSameRecord(t testing.TB, got, want Record) {
+	t.Helper()
+	if got.ID != want.ID || got.Object != want.Object || got.Member != want.Member ||
+		got.Status != want.Status || got.Error != want.Error {
+		t.Fatalf("string fields differ:\n got %+v\nwant %+v", got, want)
+	}
+	if len(got.Args) != len(want.Args) {
+		t.Fatalf("args differ: got %v want %v", got.Args, want.Args)
+	}
+	for k, v := range want.Args {
+		if got.Args[k] != v {
+			t.Fatalf("args[%q] = %q, want %q", k, got.Args[k], v)
+		}
+	}
+	for _, ts := range [][2]time.Time{{got.Enqueued, want.Enqueued}, {got.Started, want.Started}, {got.Finished, want.Finished}} {
+		if !ts[0].Equal(ts[1]) || ts[0].Format(time.RFC3339Nano) != ts[1].Format(time.RFC3339Nano) {
+			t.Fatalf("timestamp differs: got %v want %v", ts[0], ts[1])
+		}
+	}
+	for _, raw := range [][2]json.RawMessage{{got.Payload, want.Payload}, {got.Result, want.Result}} {
+		if (raw[0] == nil) != (raw[1] == nil) {
+			t.Fatalf("raw field presence differs: got %q want %q", raw[0], raw[1])
+		}
+		g, _ := json.Marshal(raw[0])
+		w, _ := json.Marshal(raw[1])
+		if string(g) != string(w) {
+			t.Fatalf("raw field differs: got %s want %s", g, w)
+		}
+	}
+}
+
+// TestAppendRecordGolden holds appendRecord to the document shape
+// encoding/json reads back into the same Record, across every status and
+// the field values that make the encoders diverge.
+func TestAppendRecordGolden(t *testing.T) {
+	base := time.Date(2026, 9, 28, 10, 30, 0, 0, time.UTC)
+	offset := time.FixedZone("", 5*3600+30*60)
+	cases := []struct {
+		name   string
+		rec    Record
+		stored bool   // appendRecord renders it itself
+		doc    string // its exact document, when stored
+	}{
+		{name: "plain pending", stored: true,
+			rec: Record{ID: "inv-01", Object: "obj-1", Member: "bump", Status: StatusPending, Payload: json.RawMessage(`{"n":1}`), Enqueued: base},
+			doc: `{"id":"inv-01","object":"obj-1","member":"bump","status":"pending","payload":{"n":1},"enqueued":"2026-09-28T10:30:00Z"}`},
+		{name: "running", stored: true,
+			rec: Record{ID: "inv-02", Object: "o", Member: "m", Status: StatusRunning, Payload: json.RawMessage(`1`), Enqueued: base, Started: base.Add(time.Millisecond)},
+			doc: `{"id":"inv-02","object":"o","member":"m","status":"running","payload":1,"enqueued":"2026-09-28T10:30:00Z","started":"2026-09-28T10:30:00.001Z"}`},
+		{name: "completed", stored: true,
+			rec: Record{ID: "inv-03", Object: "o", Member: "m", Status: StatusCompleted, Result: json.RawMessage(`"ok"`), Enqueued: base, Started: base.Add(time.Second), Finished: base.Add(2 * time.Second)},
+			doc: `{"id":"inv-03","object":"o","member":"m","status":"completed","result":"ok","enqueued":"2026-09-28T10:30:00Z","started":"2026-09-28T10:30:01Z","finished":"2026-09-28T10:30:02Z"}`},
+		{name: "failed", stored: true,
+			rec: Record{ID: "inv-04", Object: "o", Member: "m", Status: StatusFailed, Error: "boom: no such key", Enqueued: base, Started: base, Finished: base},
+			doc: `{"id":"inv-04","object":"o","member":"m","status":"failed","error":"boom: no such key","enqueued":"2026-09-28T10:30:00Z","started":"2026-09-28T10:30:00Z","finished":"2026-09-28T10:30:00Z"}`},
+		{name: "expired", stored: true,
+			rec: Record{ID: "inv-05", Object: "o", Member: "m", Status: StatusExpired, Error: "context deadline exceeded", Enqueued: base, Started: base, Finished: base},
+			doc: `{"id":"inv-05","object":"o","member":"m","status":"expired","error":"context deadline exceeded","enqueued":"2026-09-28T10:30:00Z","started":"2026-09-28T10:30:00Z","finished":"2026-09-28T10:30:00Z"}`},
+		{name: "zero started and finished omitted, zero enqueued kept", stored: true,
+			rec: Record{ID: "inv-06", Object: "o", Member: "m", Status: StatusPending},
+			doc: `{"id":"inv-06","object":"o","member":"m","status":"pending","enqueued":"0001-01-01T00:00:00Z"}`},
+		{name: "sub-second and zone offset", stored: true,
+			rec: Record{ID: "inv-07", Object: "o", Member: "m", Status: StatusCompleted, Enqueued: base.Add(123456789).In(offset), Started: base.Add(1500 * time.Microsecond).In(offset), Finished: base.Add(time.Minute).In(offset)},
+			doc: `{"id":"inv-07","object":"o","member":"m","status":"completed","enqueued":"2026-09-28T16:00:00.123456789+05:30","started":"2026-09-28T16:00:00.0015+05:30","finished":"2026-09-28T16:01:00+05:30"}`},
+		{name: "payload whitespace kept as submitted", stored: true,
+			rec: Record{ID: "inv-08", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(" { \"a\" : [ 1 , 2 ] ,\n\t\"b\" : \"<x>\" } "), Enqueued: base},
+			doc: "{\"id\":\"inv-08\",\"object\":\"o\",\"member\":\"m\",\"status\":\"pending\",\"payload\": { \"a\" : [ 1 , 2 ] ,\n\t\"b\" : \"<x>\" } ,\"enqueued\":\"2026-09-28T10:30:00Z\"}"},
+		{name: "null result kept, empty result omitted", stored: true,
+			rec: Record{ID: "inv-09", Object: "o", Member: "m", Status: StatusCompleted, Result: json.RawMessage(`null`), Payload: json.RawMessage{}, Enqueued: base},
+			doc: `{"id":"inv-09","object":"o","member":"m","status":"completed","result":null,"enqueued":"2026-09-28T10:30:00Z"}`},
+		{name: "args set", rec: Record{ID: "inv-10", Object: "o", Member: "m", Status: StatusPending, Args: map[string]string{"w": "120", "q": `"`}, Enqueued: base}},
+		{name: "object id with quote", rec: Record{ID: "inv-11", Object: `ob"j`, Member: "m", Status: StatusPending, Enqueued: base}},
+		{name: "object id with backslash", rec: Record{ID: "inv-12", Object: `ob\j`, Member: "m", Status: StatusPending, Enqueued: base}},
+		{name: "object id with angle bracket", rec: Record{ID: "inv-13", Object: `<obj>&`, Member: "m", Status: StatusPending, Enqueued: base}},
+		{name: "object id non-ASCII", rec: Record{ID: "inv-14", Object: "objet-é ", Member: "m", Status: StatusPending, Enqueued: base}},
+		{name: "error with control bytes", rec: Record{ID: "inv-15", Object: "o", Member: "m", Status: StatusFailed, Error: "line1\nline2\x00\xff", Enqueued: base}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want, doc, stored := decodeBoth(t, tc.rec)
+			if stored != tc.stored {
+				t.Fatalf("appendRecord rendered = %v, want %v", stored, tc.stored)
+			}
+			if stored && string(doc) != tc.doc {
+				t.Fatalf("document drifted\n got: %s\nwant: %s", doc, tc.doc)
+			}
+			assertSameRecord(t, got, want)
+			// Whatever path encodeRecord takes, it stores a document that
+			// decodes to the record it reports.
+			rec, raw := encodeRecord(tc.rec)
+			var back Record
+			if err := json.Unmarshal(raw, &back); err != nil {
+				t.Fatalf("stored document does not decode: %v", err)
+			}
+			assertSameRecord(t, back, want)
+			if rec.Status != tc.rec.Status {
+				t.Fatalf("encodeRecord degraded an encodable record to %s", rec.Status)
+			}
+		})
+	}
+}
+
+// TestEncodeRecordNeverStoresAnEmptyDocument feeds encodeRecord what
+// its json.Marshal fallback rejects — a timestamp RFC 3339 cannot
+// express, raw bytes that are not JSON on a record with args (Submit
+// and runBatch keep those away from appendRecord, which copies raw
+// fields unchecked) — and expects a decodable terminal failure each
+// time, never zero bytes.
+func TestEncodeRecordNeverStoresAnEmptyDocument(t *testing.T) {
+	base := time.Date(2026, 9, 28, 10, 30, 0, 0, time.UTC)
+	for name, rec := range map[string]Record{
+		"bad payload":  {ID: "inv-1", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Args: map[string]string{"k": "v"}, Enqueued: base},
+		"bad result":   {ID: "inv-2", Object: `o"`, Member: "m", Status: StatusCompleted, Result: json.RawMessage(`nope`), Enqueued: base},
+		"year 10000":   {ID: "inv-3", Object: "o", Member: "m", Status: StatusCompleted, Enqueued: base, Finished: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
+		"both at once": {ID: "inv-4", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Enqueued: time.Date(-5, 1, 1, 0, 0, 0, 0, time.UTC)},
+	} {
+		got, raw := encodeRecord(rec)
+		var back Record
+		if len(raw) == 0 || json.Unmarshal(raw, &back) != nil {
+			t.Fatalf("%s: stored document %q is empty or undecodable", name, raw)
+		}
+		if got.Status != StatusFailed || back.Status != StatusFailed || back.ID != rec.ID ||
+			!strings.Contains(back.Error, "unencodable") || back.Payload != nil || back.Result != nil {
+			t.Fatalf("%s: degraded record = %+v (stored %s)", name, got, raw)
+		}
+	}
+}
+
+// FuzzRecordEncoding checks the two encoders against each other for
+// arbitrary field values: whenever appendRecord renders a record its
+// output is valid JSON and decodes to what json.Marshal's would.
+func FuzzRecordEncoding(f *testing.F) {
+	f.Add("inv-0a1b", "obj-1", "bump", "completed", `{"n":1}`, `"ok"`, "", "", int64(1_790_000_000_123_456_789), int64(1500), int64(2500), 0)
+	f.Add("inv-1", `o"b\j<`, "m", "failed", ``, ``, "boom\n", "w=1", int64(0), int64(0), int64(0), 19800)
+	f.Add("", "é", "", "pending", ` [ 1 , 2 ] `, `null`, "x", "", int64(-6_000_000_000_000_000_000), int64(-1), int64(1), -43200)
+	f.Fuzz(func(t *testing.T, id, object, member, status, payload, result, errMsg, arg string, enqueued, startedAfter, finishedAfter int64, zoneSeconds int) {
+		if (payload != "" && !json.Valid([]byte(payload))) || (result != "" && !json.Valid([]byte(result))) {
+			t.Skip() // Submit and runBatch admit only JSON
+		}
+		zone := time.FixedZone("", zoneSeconds%(30*3600))
+		at := func(ns int64) time.Time {
+			if ns == 0 {
+				return time.Time{}
+			}
+			return time.Unix(0, enqueued).Add(time.Duration(ns)).In(zone)
+		}
+		rec := Record{
+			ID: id, Object: object, Member: member, Status: Status(status), Error: errMsg,
+			Payload: json.RawMessage(payload), Result: json.RawMessage(result),
+			Enqueued: time.Unix(0, enqueued).In(zone), Started: at(startedAfter), Finished: at(finishedAfter),
+		}
+		if arg != "" {
+			rec.Args = map[string]string{"k": arg}
+		}
+		got, want, _, _ := decodeBoth(t, rec)
+		assertSameRecord(t, got, want)
+	})
+}

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"github.com/hpcclab/oparaca-go/internal/asyncq"
 )
 
 // TestMalformedBodies asserts 400s for unparsable or invalid request
@@ -178,5 +181,21 @@ func TestBodySizesRoundTrip(t *testing.T) {
 	// No body at all is an empty payload, not an error.
 	if status, body := f.do(http.MethodPost, "/api/objects/b2/invoke/shout", "", nil); status != http.StatusOK {
 		t.Fatalf("empty payload: status = %d %v", status, body)
+	}
+}
+
+// TestInvalidPayloadMapsTo400: the HTTP routes validate bodies before
+// submitting, so the queue's own refusal of a non-JSON payload is only
+// reachable through the Go API — but if it ever surfaces here it is the
+// caller's error, not a 500.
+func TestInvalidPayloadMapsTo400(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeError(rec, fmt.Errorf("submit: %w", asyncq.ErrInvalidPayload))
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusBadRequest || body.Code != "invalid_payload" {
+		t.Fatalf("status %d code %q, want 400 invalid_payload", rec.Code, body.Code)
 	}
 }

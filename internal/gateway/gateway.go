@@ -347,6 +347,11 @@ func writeError(w http.ResponseWriter, err error) {
 		errors.Is(err, model.ErrInheritanceCycle),
 		errors.Is(err, model.ErrClassNotFound):
 		status = http.StatusBadRequest
+	case errors.Is(err, asyncq.ErrInvalidPayload):
+		// The HTTP routes validate bodies before submitting; this is the
+		// queue's own refusal, for callers that reach it another way.
+		status = http.StatusBadRequest
+		code = "invalid_payload"
 	case errors.Is(err, core.ErrOffsetCompacted):
 		status = http.StatusGone
 		code = "offset_compacted"

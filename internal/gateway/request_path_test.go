@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/core"
+	"github.com/hpcclab/oparaca-go/internal/israce"
 )
 
 // TestWarmInvokeAllocationBudget pins what a warm readonly invocation
@@ -21,7 +22,7 @@ import (
 // on, four with it off). The wrapper, body read and envelope this
 // guards cost 33 and 16 allocations before they were rebuilt.
 func TestWarmInvokeAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	for _, tc := range []struct {

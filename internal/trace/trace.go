@@ -11,7 +11,11 @@
 // disables everything at the cost of a nil check, spans and trace
 // accumulators are pooled, and a trace that the tail-based sampler
 // drops returns every transient to its pool without materializing
-// anything. Only kept traces allocate (their immutable TraceView).
+// anything. A kept trace allocates only what the ring has to hold: one
+// slice of span values and one of the attributes actually set, whatever
+// the span count. The TraceView the API serves (hex IDs, attribute maps)
+// is rendered when somebody reads the trace, outside the tracer lock —
+// Root takes that lock on every request.
 //
 // Sampling is tail-based: the keep decision is made when the last span
 // (or cross-goroutine link) of a trace finishes, so it can see the
@@ -35,13 +39,14 @@
 // the gateway accepts and emits the header, Event.Trace carries it into
 // the trigger/event-log plane, and Tracer.Attach re-joins a trace from
 // the bare header — attaching to the live trace when it is still open,
-// or appending a late span to the kept view when the trace already
+// or appending a late span to the kept trace when it already
 // finalized (late spans after a sampled-out drop are lost by design).
 package trace
 
 import (
 	"context"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -105,10 +110,10 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	active map[TraceID]*traceData
-	ring   []*TraceView // circular, capacity entries
+	ring   []*keptTrace // circular, capacity entries
 	next   int
-	byID   map[TraceID]*TraceView
-	byInv  map[string]*TraceView
+	byID   map[TraceID]*keptTrace
+	byInv  map[string]*keptTrace
 	// recent holds the latest root durations; every recomputeEvery
 	// finalizations the slowest-percentile keep threshold is refreshed
 	// from it.
@@ -148,9 +153,9 @@ func New(cfg Config) *Tracer {
 		sampleRate: cfg.SampleRate,
 		capacity:   cfg.Capacity,
 		active:     make(map[TraceID]*traceData),
-		ring:       make([]*TraceView, cfg.Capacity),
-		byID:       make(map[TraceID]*TraceView),
-		byInv:      make(map[string]*TraceView),
+		ring:       make([]*keptTrace, cfg.Capacity),
+		byID:       make(map[TraceID]*keptTrace),
+		byInv:      make(map[string]*keptTrace),
 		recent:     make([]time.Duration, 0, recentWindow),
 	}
 	t.rng.Store(cfg.Seed)
@@ -238,7 +243,7 @@ var spanPool = sync.Pool{New: func() any { return &Span{} }}
 // goroutine at a time; End must be called exactly once.
 type Span struct {
 	td     *traceData
-	view   *TraceView // late-attach target when td is nil
+	kept   *keptTrace // late-attach target when td is nil
 	tr     *Tracer    // set for late spans only
 	id     SpanID
 	parent SpanID
@@ -254,7 +259,7 @@ type Span struct {
 func (t *Tracer) getSpan(td *traceData, parent SpanID, name string) *Span {
 	s := spanPool.Get().(*Span)
 	s.td = td
-	s.view = nil
+	s.kept = nil
 	s.tr = nil
 	s.id = t.newSpanID()
 	s.parent = parent
@@ -269,7 +274,7 @@ func (t *Tracer) getSpan(td *traceData, parent SpanID, name string) *Span {
 
 func releaseSpan(s *Span) {
 	s.td = nil
-	s.view = nil
+	s.kept = nil
 	s.tr = nil
 	s.name = ""
 	s.errMsg = ""
@@ -338,7 +343,7 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 // Attach re-joins a trace from a bare traceparent (Event.Trace — the
 // publish/delivery planes have no context). An active trace gets a
 // normal child span; a finalized-and-kept trace gets a late span
-// appended to its stored view on End; anything else (unknown, or
+// appended to its stored spans on End; anything else (unknown, or
 // sampled out) returns nil.
 func (t *Tracer) Attach(traceparent, name string) *Span {
 	if t == nil || traceparent == "" {
@@ -350,16 +355,16 @@ func (t *Tracer) Attach(traceparent, name string) *Span {
 	}
 	t.mu.Lock()
 	td := t.active[p.traceID]
-	view := t.byID[p.traceID]
+	kept := t.byID[p.traceID]
 	t.mu.Unlock()
 	if td != nil && td.join(p.traceID) {
 		return t.getSpan(td, p.spanID, name)
 	}
-	if view == nil {
+	if kept == nil {
 		return nil
 	}
 	s := t.getSpan(nil, p.spanID, name)
-	s.view = view
+	s.kept = kept
 	s.tr = t
 	return s
 }
@@ -370,9 +375,9 @@ func (s *Span) Child(name string) *Span {
 		return nil
 	}
 	if s.td == nil {
-		// Children of a late span stay on the same stored view.
+		// Children of a late span stay on the same kept trace.
 		c := s.tr.getSpan(nil, s.id, name)
-		c.view = s.view
+		c.kept = s.kept
 		c.tr = s.tr
 		return c
 	}
@@ -436,8 +441,8 @@ func (s *Span) TraceIDString() string {
 	if s.td != nil {
 		return s.td.id.String()
 	}
-	if s.view != nil {
-		return s.view.ID
+	if s.kept != nil {
+		return s.kept.id.String()
 	}
 	return ""
 }
@@ -464,9 +469,9 @@ func (s *Span) Traceparent() string {
 }
 
 // End finishes the span. The last End (or Link.Release) of a trace
-// triggers finalization: the tail-based keep decision, then either the
-// immutable TraceView landing in the ring or every transient returning
-// to its pool. The span must not be used after End.
+// triggers finalization: the tail-based keep decision, then the
+// trace's span values landing in the ring (if kept) and every transient
+// returning to its pool. The span must not be used after End.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -496,14 +501,13 @@ func (s *Span) End() {
 	}
 }
 
-// endLate appends a finished late span to its stored view.
+// endLate appends a finished late span to its kept trace, after the
+// start-ordered block finalize stored.
 func (s *Span) endLate() {
 	s.dur = s.tr.now().Sub(s.start)
-	sv := s.toView()
 	tr := s.tr
-	view := s.view
 	tr.mu.Lock()
-	view.Spans = append(view.Spans, sv)
+	s.kept.add(s)
 	tr.mu.Unlock()
 	releaseSpan(s)
 }
@@ -613,21 +617,21 @@ func (t *Tracer) finalize(td *traceData) {
 		return
 	}
 	t.kept.Add(1)
-	view := buildView(td, reason)
+	kt := keep(td, reason)
 	t.mu.Lock()
 	if old := t.ring[t.next]; old != nil {
-		delete(t.byID, old.tid)
-		for _, inv := range old.Invocations {
+		delete(t.byID, old.id)
+		for _, inv := range old.invocations {
 			if t.byInv[inv] == old {
 				delete(t.byInv, inv)
 			}
 		}
 	}
-	t.ring[t.next] = view
+	t.ring[t.next] = kt
 	t.next = (t.next + 1) % len(t.ring)
-	t.byID[td.id] = view
-	for _, inv := range view.Invocations {
-		t.byInv[inv] = view
+	t.byID[td.id] = kt
+	for _, inv := range kt.invocations {
+		t.byInv[inv] = kt
 	}
 	t.mu.Unlock()
 	t.release(td)
@@ -647,6 +651,66 @@ func (t *Tracer) release(td *traceData) {
 	dataPool.Put(td)
 }
 
+// keptSpan is one finished span of a kept trace, held by value: nothing
+// in the ring points at a pooled *Span.
+type keptSpan struct {
+	id, parent SpanID
+	name       string
+	start      time.Time
+	dur        time.Duration
+	errMsg     string
+	// attrs[attr0:attr0+nattrs] of the owning keptTrace are this span's.
+	attr0, nattrs int32
+}
+
+// keptTrace is one kept trace as the ring stores it. Late spans append
+// to spans and attrs under Tracer.mu and nothing else changes after
+// keep, so a reader may walk a copy of the struct taken under that lock
+// outside it.
+type keptTrace struct {
+	id          TraceID
+	root        string
+	start       time.Time
+	dur         time.Duration
+	reason      string
+	invocations []string
+	spans       []keptSpan // start-ordered as of keep; late spans follow
+	attrs       []Attr
+}
+
+// add appends one finished span's values. The caller owns kt (keep) or
+// holds Tracer.mu (endLate).
+func (kt *keptTrace) add(s *Span) {
+	kt.spans = append(kt.spans, keptSpan{
+		id: s.id, parent: s.parent, name: s.name, start: s.start, dur: s.dur, errMsg: s.errMsg,
+		attr0: int32(len(kt.attrs)), nattrs: int32(s.nattrs),
+	})
+	kt.attrs = append(kt.attrs, s.attrs[:s.nattrs]...)
+}
+
+// keep copies a finalized trace's spans out of their pooled structs.
+func keep(td *traceData, reason string) *keptTrace {
+	kt := &keptTrace{id: td.id, root: td.rootName, start: td.start, dur: td.rootDur, reason: reason}
+	if len(td.invocations) > 0 {
+		kt.invocations = append([]string(nil), td.invocations...)
+	}
+	// Spans park in end order; store them in start order so the view
+	// reads as a timeline.
+	slices.SortStableFunc(td.spans, func(a, b *Span) int { return a.start.Compare(b.start) })
+	nattrs := 0
+	for _, s := range td.spans {
+		nattrs += s.nattrs
+	}
+	kt.spans = make([]keptSpan, 0, len(td.spans))
+	if nattrs > 0 {
+		kt.attrs = make([]Attr, 0, nattrs)
+	}
+	for _, s := range td.spans {
+		kt.add(s)
+	}
+	return kt
+}
+
 // SpanView is one finished span of a kept trace.
 type SpanView struct {
 	ID       string         `json:"id"`
@@ -658,9 +722,8 @@ type SpanView struct {
 	Attrs    map[string]any `json:"attrs,omitempty"`
 }
 
-// TraceView is one kept trace: the immutable record served by the API.
+// TraceView is one kept trace as the API serves it, rendered per read.
 type TraceView struct {
-	tid         TraceID
 	ID          string        `json:"id"`
 	Root        string        `json:"root"`
 	Start       time.Time     `json:"start"`
@@ -670,58 +733,41 @@ type TraceView struct {
 	Spans       []SpanView    `json:"spans"`
 }
 
-func (s *Span) toView() SpanView {
-	sv := SpanView{
-		ID:       s.id.String(),
-		Name:     s.name,
-		Start:    s.start,
-		Duration: s.dur,
-		Error:    s.errMsg,
+// view renders a snapshot of a kept trace. Called outside Tracer.mu.
+func (kt keptTrace) view() TraceView {
+	v := TraceView{
+		ID:          kt.id.String(),
+		Root:        kt.root,
+		Start:       kt.start,
+		Duration:    kt.dur,
+		Reason:      kt.reason,
+		Invocations: kt.invocations,
+		Spans:       make([]SpanView, len(kt.spans)),
 	}
-	if s.parent != (SpanID{}) {
-		sv.Parent = s.parent.String()
-	}
-	if s.nattrs > 0 {
-		sv.Attrs = make(map[string]any, s.nattrs)
-		for _, a := range s.attrs[:s.nattrs] {
-			if a.IsInt {
-				sv.Attrs[a.Key] = a.Int
-			} else {
-				sv.Attrs[a.Key] = a.Str
+	for i, s := range kt.spans {
+		sv := SpanView{
+			ID:       s.id.String(),
+			Name:     s.name,
+			Start:    s.start,
+			Duration: s.dur,
+			Error:    s.errMsg,
+		}
+		if s.parent != (SpanID{}) {
+			sv.Parent = s.parent.String()
+		}
+		if s.nattrs > 0 {
+			sv.Attrs = make(map[string]any, s.nattrs)
+			for _, a := range kt.attrs[s.attr0 : s.attr0+s.nattrs] {
+				if a.IsInt {
+					sv.Attrs[a.Key] = a.Int
+				} else {
+					sv.Attrs[a.Key] = a.Str
+				}
 			}
 		}
+		v.Spans[i] = sv
 	}
-	return sv
-}
-
-func buildView(td *traceData, reason string) *TraceView {
-	v := &TraceView{
-		tid:      td.id,
-		ID:       td.id.String(),
-		Root:     td.rootName,
-		Start:    td.start,
-		Duration: td.rootDur,
-		Reason:   reason,
-	}
-	if len(td.invocations) > 0 {
-		v.Invocations = append([]string(nil), td.invocations...)
-	}
-	v.Spans = make([]SpanView, len(td.spans))
-	for i, s := range td.spans {
-		v.Spans[i] = s.toView()
-	}
-	// Spans park in end order; serve them in start order so the view
-	// reads as a timeline.
-	sort.SliceStable(v.Spans, func(i, j int) bool { return v.Spans[i].Start.Before(v.Spans[j].Start) })
 	return v
-}
-
-// cloneView snapshots a stored view (late spans may still append).
-// Caller holds t.mu.
-func cloneView(v *TraceView) TraceView {
-	out := *v
-	out.Spans = append([]SpanView(nil), v.Spans...)
-	return out
 }
 
 // Traces returns up to limit kept traces, newest first (limit <= 0
@@ -731,18 +777,22 @@ func (t *Tracer) Traces(limit int) []TraceView {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceView, 0, len(t.byID))
+	snaps := make([]keptTrace, 0, len(t.byID))
 	for i := 0; i < len(t.ring); i++ {
 		idx := (t.next - 1 - i + 2*len(t.ring)) % len(t.ring)
-		v := t.ring[idx]
-		if v == nil {
+		kt := t.ring[idx]
+		if kt == nil {
 			continue
 		}
-		out = append(out, cloneView(v))
-		if limit > 0 && len(out) >= limit {
+		snaps = append(snaps, *kt)
+		if limit > 0 && len(snaps) >= limit {
 			break
 		}
+	}
+	t.mu.Unlock()
+	out := make([]TraceView, len(snaps))
+	for i, kt := range snaps {
+		out[i] = kt.view()
 	}
 	return out
 }
@@ -758,13 +808,7 @@ func (t *Tracer) TraceByID(id string) (TraceView, bool) {
 	}
 	var tid TraceID
 	copy(tid[:], raw)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.byID[tid]
-	if v == nil {
-		return TraceView{}, false
-	}
-	return cloneView(v), true
+	return t.serve(func() *keptTrace { return t.byID[tid] })
 }
 
 // ByInvocation returns the kept trace that touched an asynchronous
@@ -773,13 +817,21 @@ func (t *Tracer) ByInvocation(inv string) (TraceView, bool) {
 	if t == nil {
 		return TraceView{}, false
 	}
+	return t.serve(func() *keptTrace { return t.byInv[inv] })
+}
+
+// serve renders the kept trace find returns (under the tracer lock)
+// from a snapshot, outside that lock.
+func (t *Tracer) serve(find func() *keptTrace) (TraceView, bool) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.byInv[inv]
-	if v == nil {
+	kt := find()
+	if kt == nil {
+		t.mu.Unlock()
 		return TraceView{}, false
 	}
-	return cloneView(v), true
+	snap := *kt
+	t.mu.Unlock()
+	return snap.view(), true
 }
 
 // Stats is a tracer snapshot.

@@ -39,7 +39,9 @@
 // platform queues the task on a bounded, sharded queue, a worker pool
 // drains it through the same invocation path, and a durable record
 // (pending → running → completed/failed, with result, error, and
-// timings) is poll-able by ID:
+// timings) is poll-able by ID — pending and terminal are what the
+// backing store holds; running is reported, with its start time, by the
+// process executing the invocation:
 //
 //	id, err := obj.InvokeAsync(ctx, "greet", nil, nil)
 //	rec, err := p.WaitInvocation(ctx, id) // or poll p.Invocation(ctx, id)
@@ -48,8 +50,9 @@
 //	}
 //
 // Submission returns ErrQueueFull once the queue is at capacity
-// (backpressure), and Close drains every accepted invocation before
-// shutting down. The REST gateway exposes the same path via
+// (backpressure) and refuses a payload that is not JSON (HTTP 400
+// "invalid_payload"; the REST routes validate bodies first), and Close
+// drains every accepted invocation before shutting down. The REST gateway exposes the same path via
 // POST .../invoke-async/{fn}, POST /api/invoke-batch, and
 // GET /api/invocations/{id}. Completed and failed invocation records
 // can be garbage-collected after a TTL (Config.AsyncRecordTTL) so the
@@ -298,6 +301,24 @@
 // reading a chunked upload, is refused with HTTP 413 and code
 // "payload_too_large" (an unreadable body stays a 400).
 //
+// The asynchronous path materialises on read, not on write. An
+// invocation costs two record writes, pending and terminal, each
+// encoded once by an append encoder whose documents encoding/json
+// reads back unchanged (internal/asyncq: a golden table and
+// FuzzRecordEncoding hold the two together; TestSubmitDrainAllocationBudget
+// and BenchmarkSubmitDrain price the queue's own share). "Running" is
+// an in-memory mark the dequeuing worker sets and `GET
+// /api/invocations/{id}` overlays — a successor process sees such work
+// as pending and re-runs it, as it always did for any non-terminal
+// record. A long poll that finds its record terminal registers nothing;
+// one that blocks is handed the record by the transition that wakes it.
+// A kept trace is stored as two slices of span and attribute values —
+// a constant handful of allocations for 3 spans or 160 — and rendered
+// into the served JSON (hex ids, attribute maps) when `GET /api/traces…`
+// reads it, outside the tracer's lock (internal/trace:
+// TestFinalizeKeptAllocationBudget, BenchmarkFinalizeKept,
+// BenchmarkTraceByID for what the read now pays).
+//
 // For production profiling, the oparaca daemon mounts net/http/pprof
 // behind the opt-in `-pprof addr` flag on a separate listener (off by
 // default; keep it on localhost or behind a firewall — heap and
@@ -350,6 +371,7 @@
 //	ErrBackingUnavailable  503  "backing_unavailable" breaker open, Retry-After set
 //	ErrQueueFull           429  "queue_full"          async backpressure
 //	ErrClassQuotaExceeded  429  "class_quota_exceeded"
+//	(async submit)         400  "invalid_payload"     payload is not JSON
 //	(async record)              status "expired"      dropped or cut off by deadline
 //
 // Config.Chaos injects seeded, probabilistic backing-store faults
