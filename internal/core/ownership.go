@@ -77,7 +77,7 @@ func (p *Platform) admitCtx(ctx context.Context, objectID string) (context.Conte
 	return context.WithValue(ctx, ownerStampKey{}, ownerStamp{owner: owner, epoch: epoch}), nil
 }
 
-// fence is the runtime.Infra hook consulted at every commit exit. A
+// fence is the runtime.Infra hook consulted at the commit exit. A
 // commit whose admission stamp is stale — the epoch moved and the
 // object's owner changed — is rejected with ErrOwnershipMoved before
 // anything is persisted, so a paused ex-owner cannot double-commit

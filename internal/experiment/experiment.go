@@ -1,6 +1,6 @@
 // Package experiment implements the harness that regenerates the
 // paper's evaluation (§V, Figure 3) and the design-choice ablations
-// documented in DESIGN.md.
+// A1–A6 listed in cmd/oprc-bench's command doc.
 //
 // The scalability experiment scales worker VMs from 3 to 12 and
 // measures the throughput of a JSON-randomization application under

@@ -3,16 +3,11 @@ package runtime
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"maps"
-	"sync"
 
 	"github.com/hpcclab/oparaca-go/internal/invoker"
-	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/model"
-	"github.com/hpcclab/oparaca-go/internal/trace"
-	"github.com/hpcclab/oparaca-go/internal/trigger"
 )
 
 // BatchCall is one method call of an InvokeBatch group. All calls of a
@@ -51,18 +46,15 @@ type writerCall struct {
 // InvokeBatch executes a group of method calls on one object in a
 // single concurrency window — the group-commit path the async queue's
 // batched drain dispatches coalesced same-object invocations through.
-// Instead of paying one load→invoke→merge window (and one simulated DB
-// round trip) per call, the group pays one:
-//
-//   - locked mode takes the object's stripe once, loads state once,
-//     runs the handlers sequentially against the evolving in-memory
-//     view, and persists the merged delta in one batched table write.
-//   - occ/adaptive snapshots versioned state once, applies the handlers
-//     sequentially against the evolving view, and commits the merged
-//     delta through a single validated PutManyIfVersion; a version
-//     mismatch re-runs the whole group (handlers are pure functions, so
-//     re-execution is safe), escalating to the object's exclusive
-//     barrier after maxOCCAttempts exactly like the per-call path.
+// Instead of paying one load→run→commit window (and one simulated DB
+// round trip) per call, the group pays one: its state-mutating calls
+// form one writeWindow that runWindow (window.go) drives exactly like a
+// single call's — same regime selection, same retry and escalation,
+// same commit exit. The window loads state once, runs the handlers
+// sequentially against the evolving in-memory view (applyGroup) and
+// commits the merged delta in one memtable.PutManyIfVersion; a version
+// mismatch re-runs the whole group (handlers are pure functions, so
+// re-execution is safe).
 //
 // Calls annotated readonly bypass the window entirely and serve from
 // the lock-free fast path. Per-call results stay independent: an
@@ -77,7 +69,7 @@ func (rt *ClassRuntime) InvokeBatch(ctx context.Context, objectID string, calls 
 		return results
 	}
 	start := rt.infra.Clock.Now()
-	var writers []writerCall
+	writers := make([]writerCall, 0, len(calls))
 	for i, c := range calls {
 		fn, ok := rt.class.Function(c.Function)
 		if !ok {
@@ -94,7 +86,20 @@ func (rt *ClassRuntime) InvokeBatch(ctx context.Context, objectID string, calls 
 		writers = append(writers, writerCall{idx: i, fn: fn, call: c})
 	}
 	if len(writers) > 0 {
-		rt.runWriterGroup(ctx, objectID, writers, results)
+		w := writeWindow{objectID: objectID, group: writers, results: results, callKeys: make([][]string, len(writers))}
+		if err := rt.runWindow(ctx, &w); err != nil {
+			// Window-level failure (state load, expiry, fence, commit
+			// I/O, persistent contention): nothing was committed, so
+			// every call that thought it succeeded fails with it. Calls
+			// that already carry their own deterministic error (handler
+			// failure, panic, rogue delta) keep it — the window's error
+			// explains nothing about them.
+			for _, c := range writers {
+				if results[c.idx].Err == nil {
+					results[c.idx] = BatchCallResult{Err: err}
+				}
+			}
+		}
 	}
 	// Per-call instrumentation: every group member counts as one
 	// invocation; its effective latency is the group window (the calls
@@ -135,20 +140,6 @@ func (rt *ClassRuntime) callTimeoutCtx(batch context.Context, c BatchCall, fn mo
 	return ctx, func() {}
 }
 
-// groupCtxAbort reports the group-level error for an expired or
-// cancelled batch context (nil while the context is live). Expiry maps
-// to the runtime deadline sentinel; an expired group never commits.
-func (rt *ClassRuntime) groupCtxAbort(ctx context.Context, objectID string) error {
-	err := ctx.Err()
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("runtime: batch on %s/%s: %w", rt.class.Name, objectID, ErrDeadlineExceeded)
-	}
-	return err
-}
-
 // invokeReadonlySafe is invokeReadonly with panic isolation: a
 // panicking handler fails its own call instead of unwinding the group.
 func (rt *ClassRuntime) invokeReadonlySafe(ctx context.Context, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string) (out json.RawMessage, err error) {
@@ -169,74 +160,39 @@ func (rt *ClassRuntime) recoverCall(fn model.FunctionDef, err *error) {
 	}
 }
 
-// runWriterGroup executes the state-mutating calls of a group under the
-// class's concurrency mode, mirroring invokeFn's mode selection.
-func (rt *ClassRuntime) runWriterGroup(ctx context.Context, objectID string, group []writerCall, results []BatchCallResult) {
-	if len(rt.stateSpecs) == 0 || rt.concMode == model.ConcurrencyLocked {
-		rt.batchLockedPlain(ctx, objectID, group, results)
-		return
-	}
-	stripe := rt.delGuard.Index(objectID)
-	guard := rt.delGuard.At(stripe)
-	tr := &rt.contention[stripe]
-	var err error
-	if rt.concMode == model.ConcurrencyAdaptive && tr.useLocked() {
-		rt.reg.Counter("occ.fallbacks").Inc()
-		err = rt.batchBarrier(ctx, guard, objectID, group, results, tr)
-	} else {
-		err = rt.batchOCC(ctx, guard, objectID, group, results, tr)
-		if err != nil && errors.Is(err, memtable.ErrVersionMismatch) {
-			rt.reg.Counter("occ.fallbacks").Inc()
-			err = rt.batchBarrier(ctx, guard, objectID, group, results, tr)
-		}
-	}
-	if err != nil {
-		// Group-level failure (state load, commit I/O, or persistent
-		// contention): nothing was committed, so every call that
-		// thought it succeeded fails with it. Calls that already carry
-		// their own deterministic error (handler failure, panic, rogue
-		// delta) keep it — the group error explains nothing about them.
-		for _, w := range group {
-			if results[w.idx].Err == nil {
-				results[w.idx] = BatchCallResult{Err: err}
-			}
-		}
-	}
-}
-
-// applyGroup runs the group's handlers sequentially against the
-// evolving state view, filling per-call results and returning the
-// merged delta (JSON null marks a delete). The view mutates as each
-// successful call lands: call i+1 observes call i's writes. A failing,
-// panicking, or rogue-delta call contributes nothing to the view or
-// the merged delta. Each attempt overwrites every writer call's result
-// (and its callKeys entry), so optimistic re-runs start clean.
-// callKeys, indexed like group, receives each successful call's sorted
-// delta key names for the commit's event emission (nil for failures).
-func (rt *ClassRuntime) applyGroup(ctx context.Context, objectID string, group []writerCall, state map[string]json.RawMessage, results []BatchCallResult, callKeys [][]string) map[string]json.RawMessage {
-	merged := make(map[string]json.RawMessage)
-	for gi, w := range group {
-		callKeys[gi] = nil
+// applyGroup is a group window's body: it runs the group's handlers
+// sequentially against the evolving state view, fills the per-call
+// results and returns the merged delta (JSON null marks a delete) with
+// the number of calls it carries. The view mutates as each successful
+// call lands: call i+1 observes call i's writes. A failing, panicking,
+// or rogue-delta call contributes nothing to the view or the merged
+// delta. Each attempt overwrites every writer call's result (and its
+// callKeys entry), so optimistic re-runs start clean. callKeys receives
+// each successful call's sorted delta key names for the window's event
+// emission (nil for failures).
+func (rt *ClassRuntime) applyGroup(ctx context.Context, w *writeWindow, state map[string]json.RawMessage) (merged map[string]json.RawMessage, ok int) {
+	merged = make(map[string]json.RawMessage)
+	for gi, c := range w.group {
+		w.callKeys[gi] = nil
 		// Handlers may mutate their Task.State; a shallow clone keeps
 		// the shared evolving view out of their reach.
-		callCtx, cancel := rt.callTimeoutCtx(ctx, w.call, w.fn)
-		res, err := rt.runTaskSafe(callCtx, objectID, w.fn, w.call.Payload, w.call.Args, maps.Clone(state))
+		callCtx, cancel := rt.callTimeoutCtx(ctx, c.call, c.fn)
+		res, err := rt.runTaskSafe(callCtx, w.objectID, c.fn, c.call.Payload, c.call.Args, maps.Clone(state))
 		if err == nil && callCtx.Err() != nil {
 			// The call's deadline expired after its handler returned:
 			// its delta must not ride the group commit, and only this
 			// entry fails.
-			err = rt.ctxAbort(callCtx, w.fn)
+			err = rt.ctxAbort(callCtx, c.fn)
 		}
 		cancel()
+		if err == nil {
+			err = rt.validateDelta(c.fn, res.State)
+		}
 		if err != nil {
-			results[w.idx] = BatchCallResult{Err: err}
+			w.results[c.idx] = BatchCallResult{Err: err}
 			continue
 		}
-		if err := rt.validateDelta(w.fn, res.State); err != nil {
-			results[w.idx] = BatchCallResult{Err: err}
-			continue
-		}
-		callKeys[gi] = deltaKeys(res.State)
+		w.callKeys[gi] = deltaKeys(res.State)
 		for k, v := range res.State {
 			merged[k] = v
 			spec, _ := rt.class.Key(k)
@@ -257,9 +213,10 @@ func (rt *ClassRuntime) applyGroup(ctx context.Context, objectID string, group [
 			}
 			state[k] = v
 		}
-		results[w.idx] = BatchCallResult{Output: res.Output}
+		w.results[c.idx] = BatchCallResult{Output: res.Output}
+		ok++
 	}
-	return merged
+	return merged, ok
 }
 
 // validateDelta rejects a handler delta touching undeclared keys; a
@@ -272,267 +229,4 @@ func (rt *ClassRuntime) validateDelta(fn model.FunctionDef, delta map[string]jso
 		}
 	}
 	return nil
-}
-
-// batchLockedPlain is the pessimistic group window: one stripe take,
-// one state load, sequential handlers, one merged batched write.
-// Stateless classes land here too with a no-op lock and an empty view.
-func (rt *ClassRuntime) batchLockedPlain(ctx context.Context, objectID string, group []writerCall, results []BatchCallResult) {
-	defer rt.lockObject(objectID)()
-	state, err := rt.loadState(ctx, objectID)
-	if err != nil {
-		for _, w := range group {
-			results[w.idx] = BatchCallResult{Err: err}
-		}
-		return
-	}
-	callKeys := make([][]string, len(group))
-	merged := rt.applyGroup(ctx, objectID, group, state, results, callKeys)
-	if err := rt.groupCtxAbort(ctx, objectID); err != nil {
-		// An expired group never commits its merged delta.
-		for _, w := range group {
-			if results[w.idx].Err == nil {
-				results[w.idx] = BatchCallResult{Err: err}
-			}
-		}
-		return
-	}
-	var puts map[string]json.RawMessage
-	var dels []string
-	keys := rt.keysFor(objectID)
-	for k, v := range merged {
-		key, ok := keys.byName[k]
-		if !ok {
-			key = rt.stateKey(objectID, k)
-		}
-		if isNull(v) {
-			dels = append(dels, key)
-			continue
-		}
-		if puts == nil {
-			puts = make(map[string]json.RawMessage, len(merged))
-		}
-		puts[key] = v
-	}
-	err = nil
-	if len(puts) > 0 || len(dels) > 0 {
-		csp := trace.FromContext(ctx).Child("commit")
-		csp.SetInt("calls", len(group))
-		if rt.infra.Fence != nil {
-			// Epoch fence: the whole merged group is one commit, so moved
-			// ownership fails every call in it (they all requeue).
-			err = rt.infra.Fence(ctx, objectID)
-		}
-		if err == nil && len(puts) > 0 {
-			err = rt.table.PutMany(ctx, puts)
-		}
-		for _, key := range dels {
-			if err != nil {
-				break
-			}
-			err = rt.table.Delete(ctx, key)
-		}
-		csp.Error(err)
-		csp.End()
-	}
-	if err != nil {
-		// The merged commit failed: every call that thought it
-		// succeeded did not actually persist.
-		for _, w := range group {
-			if results[w.idx].Err == nil {
-				results[w.idx] = BatchCallResult{Err: err}
-			}
-		}
-		return
-	}
-	rt.emitGroupCommits(ctx, objectID, group, results, callKeys)
-}
-
-// emitGroupCommits publishes one StateChanged event per call the
-// merged commit carried — the group-commit path's realization of
-// one-event-per-committed-write-invocation. Calls that failed inside
-// the group emit nothing, and neither do committed calls with an empty
-// delta (no state changed). When the platform wires EventsBatch, the
-// whole group publishes in one call so the durable event log appends
-// it in one backing write (the commit itself was one write; its
-// events should not cost n).
-func (rt *ClassRuntime) emitGroupCommits(ctx context.Context, objectID string, group []writerCall, results []BatchCallResult, callKeys [][]string) {
-	if !rt.eventsNeeded() {
-		return
-	}
-	if rt.infra.EventsBatch == nil {
-		for gi, w := range group {
-			if results[w.idx].Err != nil {
-				continue
-			}
-			rt.emitCommitKeys(callContext(ctx, w.call), objectID, w.fn, callKeys[gi], w.call.Args)
-		}
-		return
-	}
-	evs := make([]trigger.Event, 0, len(group))
-	for gi, w := range group {
-		if results[w.idx].Err != nil || len(callKeys[gi]) == 0 {
-			continue
-		}
-		evs = append(evs, trigger.Event{
-			Type:     trigger.StateChanged,
-			Class:    rt.class.Name,
-			Object:   objectID,
-			Function: w.fn.Name,
-			Keys:     callKeys[gi],
-			Depth:    trigger.DepthOf(w.call.Args),
-			Trace:    trace.FromContext(callContext(ctx, w.call)).Traceparent(),
-		})
-	}
-	if len(evs) > 0 {
-		rt.infra.EventsBatch(evs)
-	}
-}
-
-// batchAttempt runs one optimistic group pass: one versioned snapshot,
-// sequential handlers on the evolving view, one validated merged
-// commit (an all-calls-failed pass has nothing to commit). The pooled
-// scratch backing the snapshot and commit ops lives exactly as long as
-// the attempt; handlers only ever see per-call clones of the evolving
-// view (applyGroup), never the scratch.
-func (rt *ClassRuntime) batchAttempt(ctx context.Context, objectID string, group []writerCall, results []BatchCallResult, callKeys [][]string) error {
-	sc := getScratch()
-	defer sc.release()
-	snap, err := rt.loadStateVersioned(ctx, objectID, sc)
-	if err != nil {
-		return err
-	}
-	merged := rt.applyGroup(ctx, objectID, group, snap.state, results, callKeys)
-	if err := rt.groupCtxAbort(ctx, objectID); err != nil {
-		return err
-	}
-	if len(merged) == 0 {
-		return nil
-	}
-	// Read-set validation plus the merged writes, exactly like the
-	// per-call buildCommit: by default decisions every handler in the
-	// group made against unwritten keys cannot commit against changed
-	// state; under model.OCCValidateKeys only the written keys are
-	// checked.
-	ops := snap.sc.ops
-	clear(ops)
-	if !rt.occKeysOnly {
-		for _, key := range snap.keys.keys {
-			ops[key] = memtable.CASOp{Expect: snap.sc.got[key].Version}
-		}
-	}
-	for k, v := range merged {
-		key, inSnap := snap.keys.byName[k]
-		var op memtable.CASOp
-		if inSnap {
-			op = memtable.CASOp{Expect: snap.sc.got[key].Version}
-		} else {
-			key = rt.stateKey(objectID, k)
-			op = memtable.CASOp{Expect: memtable.AnyVersion}
-		}
-		op.Write = true
-		if !isNull(v) {
-			op.Value = v
-		}
-		ops[key] = op
-	}
-	// Epoch fence before the group CAS; a fence error is not
-	// ErrVersionMismatch, so the group retry loop propagates it and the
-	// whole group fails over to the new owner.
-	csp := trace.FromContext(ctx).Child("commit")
-	csp.SetInt("calls", len(group))
-	if rt.infra.Fence != nil {
-		if err := rt.infra.Fence(ctx, objectID); err != nil {
-			csp.Error(err)
-			csp.End()
-			return err
-		}
-	}
-	err = rt.table.PutManyIfVersion(ctx, ops)
-	if err != nil && !errors.Is(err, memtable.ErrVersionMismatch) {
-		csp.Error(err)
-	} else if errors.Is(err, memtable.ErrVersionMismatch) {
-		csp.SetAttr("abort", "version_mismatch")
-	}
-	csp.End()
-	return err
-}
-
-// countGroupCommits books one occ.commit per call that landed in the
-// merged commit, keeping Stats().Concurrency.Commits equal to the
-// number of committed write invocations whether they went through the
-// per-call or the group-commit path.
-func (rt *ClassRuntime) countGroupCommits(group []writerCall, results []BatchCallResult) {
-	var ok int64
-	for _, w := range group {
-		if results[w.idx].Err == nil {
-			ok++
-		}
-	}
-	rt.reg.Counter("occ.commits").Add(ok)
-}
-
-// batchOCC drives the bounded lock-free retry loop for a group,
-// holding the object's delete guard shared. A version mismatch re-runs
-// the whole group against a fresh snapshot; exhaustion returns the
-// last mismatch for escalation to the barrier.
-func (rt *ClassRuntime) batchOCC(ctx context.Context, guard *sync.RWMutex, objectID string, group []writerCall, results []BatchCallResult, tr *contentionTracker) error {
-	guard.RLock()
-	defer guard.RUnlock()
-	return rt.batchRetryLoop(ctx, objectID, group, results, tr, maxOCCAttempts)
-}
-
-// batchBarrier runs the group holding the delete guard exclusive, the
-// same escalation the per-call path uses: pending writer acquisition
-// drains the lock-free racers, the commit stays version-validated, and
-// the bounded loop is a livelock backstop.
-func (rt *ClassRuntime) batchBarrier(ctx context.Context, guard *sync.RWMutex, objectID string, group []writerCall, results []BatchCallResult, tr *contentionTracker) error {
-	guard.Lock()
-	defer guard.Unlock()
-	err := rt.batchRetryLoop(ctx, objectID, group, results, tr, maxLockedCASAttempts)
-	if err != nil && errors.Is(err, memtable.ErrVersionMismatch) {
-		// Under the barrier there is no further escalation: exhaustion
-		// is terminal.
-		return fmt.Errorf("runtime: batch of %d on %s.%s: commit contention persisted through %d serialized attempts: %w",
-			len(group), rt.class.Name, objectID, maxLockedCASAttempts, err)
-	}
-	return err
-}
-
-// batchRetryLoop is the shared bounded retry: re-run the whole group
-// against a fresh snapshot on each version mismatch, with the same
-// abort/retry/commit accounting as the per-call loops. Events emit
-// only on the successful pass — aborted passes publish nothing.
-func (rt *ClassRuntime) batchRetryLoop(ctx context.Context, objectID string, group []writerCall, results []BatchCallResult, tr *contentionTracker, attempts int) error {
-	var lastErr error
-	callKeys := make([][]string, len(group))
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err := rt.groupCtxAbort(ctx, objectID); err != nil {
-			return err
-		}
-		if attempt > 0 {
-			rt.reg.Counter("occ.retries").Inc()
-		}
-		asp := trace.FromContext(ctx).Child("occ.attempt")
-		asp.SetInt("attempt", attempt)
-		err := rt.batchAttempt(trace.ContextWith(ctx, asp), objectID, group, results, callKeys)
-		if err == nil {
-			asp.End()
-			tr.record(false)
-			rt.countGroupCommits(group, results)
-			rt.emitGroupCommits(ctx, objectID, group, results, callKeys)
-			return nil
-		}
-		if !errors.Is(err, memtable.ErrVersionMismatch) {
-			asp.Error(err)
-			asp.End()
-			return err
-		}
-		asp.SetAttr("abort", "version_mismatch")
-		asp.End()
-		tr.record(true)
-		rt.reg.Counter("occ.aborts").Inc()
-		lastErr = err
-	}
-	return lastErr
 }

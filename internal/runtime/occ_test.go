@@ -10,11 +10,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/model"
+	"github.com/hpcclab/oparaca-go/internal/trace"
 )
 
 // occCounterYAML declares a counter class with a readonly peek method
@@ -299,6 +301,81 @@ func TestAdaptiveFallsBackAndRecovers(t *testing.T) {
 	}
 	if tr.useLocked() {
 		t.Fatal("object never returned to lock-free commits after contention subsided")
+	}
+}
+
+// TestVersionMismatchAbortTrace loses one commit race on purpose (the
+// handler's first run overwrites the key behind the window's back) and
+// checks how the abort is traced, for a single call and for a group:
+// the aborted pass stamps abort=version_mismatch on both its commit and
+// its occ.attempt span and records no span error — contention alone
+// must not force a trace to be kept — and the retry commits cleanly.
+func TestVersionMismatchAbortTrace(t *testing.T) {
+	infra := testInfra(t)
+	var rt *ClassRuntime
+	var race atomic.Bool
+	reg := invoker.NewRegistry()
+	reg.Register("img/incr", invoker.HandlerFunc(func(ctx context.Context, task invoker.Task) (invoker.Result, error) {
+		var n float64
+		_ = json.Unmarshal(task.State["value"], &n)
+		if race.CompareAndSwap(true, false) {
+			if err := rt.PutState(ctx, task.Object, "value", json.RawMessage(`100`)); err != nil {
+				return invoker.Result{}, err
+			}
+		}
+		out, _ := json.Marshal(n + 1)
+		return invoker.Result{Output: out, State: map[string]json.RawMessage{"value": out}}, nil
+	}))
+	infra.Transport = invoker.NewLocal(reg)
+	rt, err := New(infra, resolvedClass(t, fmt.Sprintf(occCounterYAML, model.ConcurrencyOCC), "OCounter"), stdTemplate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	shapes := map[string]func(ctx context.Context, id string){
+		"single": func(ctx context.Context, id string) {
+			if out, err := rt.Invoke(ctx, id, "incr", nil, nil); err != nil || string(out) != "101" {
+				t.Errorf("invoke = %s (%v), want 101 from the retry", out, err)
+			}
+		},
+		"group": func(ctx context.Context, id string) {
+			res := rt.InvokeBatch(ctx, id, []BatchCall{{Function: "incr"}, {Function: "incr"}})
+			if res[0].Err != nil || res[1].Err != nil || string(res[1].Output) != "102" {
+				t.Errorf("batch = %+v, want 101 and 102 from the retry", res)
+			}
+		},
+	}
+	for name, run := range shapes {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			// Unforced and unsampled, only an errored span keeps a trace.
+			tr := trace.New(trace.Config{SampleRate: -1})
+			root := tr.Root("test", "")
+			race.Store(true)
+			run(trace.ContextWith(ctx, root), name+"-unforced")
+			root.End()
+			if kept := tr.Stats().Kept; kept != 0 {
+				t.Errorf("a version-mismatch abort alone kept the trace (%d kept)", kept)
+			}
+
+			race.Store(true)
+			spans := traced(ctx, func(ctx context.Context) { run(ctx, name) })
+			for _, stage := range []string{"occ.attempt", "commit"} {
+				got := spansNamed(spans, stage)
+				if len(got) != 2 {
+					t.Fatalf("%s spans = %d, want the aborted pass and the retry", stage, len(got))
+				}
+				if got[0].Attrs["abort"] != "version_mismatch" || got[0].Error != "" {
+					t.Errorf("aborted %s span = %+v, want abort=version_mismatch and no error", stage, got[0])
+				}
+				if _, aborted := got[1].Attrs["abort"]; aborted || got[1].Error != "" {
+					t.Errorf("retried %s span = %+v, want a clean commit", stage, got[1])
+				}
+			}
+			if cs := rt.ConcurrencyStats(); cs.Aborts == 0 || cs.Fallbacks != 0 {
+				t.Errorf("stats = %+v, want aborts and no fallback", cs)
+			}
+		})
 	}
 }
 

@@ -76,9 +76,9 @@ func (rt *ClassRuntime) keysFor(objectID string) *objectKeys {
 // nothing here is ever reachable from a handler (see the file comment
 // for the boundary contract).
 type invokeScratch struct {
-	// got receives the versioned table read (OCC paths).
+	// got receives the versioned table read (write windows).
 	got map[string]memtable.VersionedValue
-	// raw receives the unversioned table read (locked/readonly paths).
+	// raw receives the unversioned table read (the readonly path).
 	raw map[string]json.RawMessage
 	// ops accumulates the commit's CAS operations. The memtable clones
 	// written values and retains neither the map nor its CASOp

@@ -82,16 +82,16 @@ type Infra struct {
 	// apply).
 	DefaultInvokeTimeout time.Duration
 	// Events receives one trigger.StateChanged event per committed
-	// write invocation with a non-empty state delta on a stateful class
-	// — emitted by every commit path (locked window, OCC/adaptive CAS
-	// commit, InvokeBatch group commit) after the commit lands, never
-	// on abort, for readonly calls, or for committed calls that wrote
+	// write invocation with a non-empty state delta on a stateful class.
+	// The write window emits it after its commit landed, whatever the
+	// regime and whether the call ran alone or in a group — never on
+	// abort, for readonly calls, or for committed calls that wrote
 	// nothing (no state changed, so there is nothing to react to). nil
 	// disables emission.
 	Events func(trigger.Event)
 	// EventsNeeded, when set, reports whether any event consumer — a
 	// durable event log, a matching subscription, or a live stream —
-	// currently exists for the class. Commit paths consult it before
+	// currently exists for the class. The write window consults it before
 	// constructing an event so a bus nobody listens to costs the warm
 	// path nothing. nil means events are always needed.
 	EventsNeeded func(class string) bool
@@ -114,8 +114,9 @@ type Infra struct {
 	// during an outage are surfaced as degraded reads. nil means never
 	// degraded.
 	Degraded func() bool
-	// Fence, when set, is consulted at every commit exit (locked, OCC,
-	// adaptive, and group-commit) immediately before the state delta is
+	// Fence, when set, is consulted by the commit exit — the one place a
+	// delta reaches the state table, in every regime and for single
+	// calls and groups alike — immediately before the delta is
 	// persisted. A non-nil return aborts the commit without writing
 	// anything — the cluster ownership layer uses it to reject commits
 	// admitted under an ownership epoch that has since moved, so a
@@ -176,23 +177,18 @@ type ClassRuntime struct {
 	// touching disjoint keys of one wide object stop aborting each
 	// other, at the cost of admitting write skew on unwritten reads.
 	occKeysOnly bool
-	// objLocks serializes the load→invoke→merge window of concurrent
-	// invocations on one object in the locked mode and in OCC/adaptive
-	// fallbacks (see invokeFn). Striped: two distinct objects contend
-	// only on a stripe collision (1/objLockStripes per pair), trading
-	// a bounded chance of transient false sharing for constant memory.
-	objLocks *striped.Mutexes
-	// delGuard keeps administrative state operations serialized with
-	// lock-free invocations: optimistic invocations hold their
-	// object's stripe shared across the whole snapshot→run→commit
-	// window (so they still interleave with each other), while
-	// DeleteObjectState/InitObjectState take it exclusive — a delete
-	// therefore waits out every in-flight invocation and no commit
-	// retry can resurrect a deleted object. Lock order where both are
-	// taken: delGuard before objLocks.
+	// delGuard is the per-object window guard, striped by object ID: two
+	// distinct objects contend only on a stripe collision
+	// (1/guardStripes per pair), trading a bounded chance of transient
+	// false sharing for constant memory. A write window holds its
+	// object's stripe from load to commit on the side its regime names
+	// (see window.go): shared windows interleave with each other,
+	// exclusive ones queue. DeleteObjectState/InitObjectState take it
+	// exclusive, so a delete waits out every in-flight window and no
+	// commit retry can resurrect a deleted object.
 	delGuard *striped.RWMutexes
 	// contention tracks CAS abort pressure per object (striped like
-	// objLocks; a collision merely shares an EWMA, which only skews
+	// delGuard; a collision merely shares an EWMA, which only skews
 	// the adaptive heuristic, never correctness).
 	contention []contentionTracker
 	// taskSeq generates invocation task IDs; seeded from the clock at
@@ -225,19 +221,19 @@ type refsEntry struct {
 // resets the whole cache; entries are cheap to regenerate.
 const maxPresignCacheObjects = 8192
 
-// objLockStripes sizes the per-object lock table. 1024 stripes is 8KiB
+// guardStripes sizes the per-object guard table. 1024 stripes is 24KiB
 // per class runtime and keeps the per-pair collision probability at
 // ~0.1%, so false serialization between distinct hot objects is rare
 // and transient.
-const objLockStripes = 1024
+const guardStripes = 1024
 
 // Optimistic-concurrency tuning.
 const (
 	// maxOCCAttempts bounds the lock-free retry loop; past it the
-	// invocation finishes under the object's stripe lock so progress
-	// never depends on winning a CAS race.
+	// invocation finishes behind the object's exclusive barrier so
+	// progress never depends on winning a CAS race.
 	maxOCCAttempts = 4
-	// maxLockedCASAttempts bounds the under-lock retry loop. Aborts
+	// maxLockedCASAttempts bounds the under-barrier retry loop. Aborts
 	// there come only from lock-free stragglers or direct PutState
 	// writes, each of which implies another commit succeeded, so the
 	// cap is a livelock backstop rather than an expected path.
@@ -246,17 +242,17 @@ const (
 	contentionAlpha = 0.125
 	// lockFallbackRate / occResumeRate are the adaptive hysteresis
 	// thresholds: above the first the object's invocations take the
-	// striped lock, below the second they return to lock-free OCC.
+	// barrier, below the second they return to lock-free OCC.
 	lockFallbackRate = 0.5
 	occResumeRate    = 0.15
 )
 
 // contentionTracker is a per-stripe abort-rate EWMA plus the sticky
-// locked/optimistic decision it drives. All fields are atomics: the
+// barrier/optimistic decision it drives. All fields are atomics: the
 // tracker sits on the hot path of every invocation in adaptive mode.
 type contentionTracker struct {
 	ewma   atomic.Uint64 // math.Float64bits of the abort-rate EWMA
-	locked atomic.Bool   // currently degraded to the striped lock
+	locked atomic.Bool   // currently degraded to the barrier
 }
 
 // record folds one commit-attempt outcome (abort or success) into the
@@ -276,8 +272,8 @@ func (c *contentionTracker) record(abort bool) {
 	}
 }
 
-// useLocked decides, with hysteresis, whether the next invocation on
-// this stripe should run under the lock.
+// useLocked decides, with hysteresis, whether the next window on this
+// stripe should run behind the barrier.
 func (c *contentionTracker) useLocked() bool {
 	rate := math.Float64frombits(c.ewma.Load())
 	if c.locked.Load() {
@@ -346,7 +342,7 @@ func New(infra Infra, class *model.Class, tmpl Template) (*ClassRuntime, error) 
 		return nil, fmt.Errorf("runtime: creating engine: %w", err)
 	}
 
-	delGuard := striped.NewRW(objLockStripes)
+	delGuard := striped.NewRW(guardStripes)
 	rt := &ClassRuntime{
 		class:      class,
 		tmpl:       tmpl,
@@ -354,7 +350,6 @@ func New(infra Infra, class *model.Class, tmpl Template) (*ClassRuntime, error) 
 		engine:     engine,
 		table:      table,
 		plans:      make(map[string]*dataflow.Plan, len(class.Dataflows)),
-		objLocks:   striped.New(objLockStripes),
 		delGuard:   delGuard,
 		contention: make([]contentionTracker, delGuard.Len()),
 		refsCache:  make(map[string]refsEntry),
@@ -459,8 +454,8 @@ type ConcurrencyStats struct {
 	// tracks invocations, not CAS operations. Aborts counts commit
 	// passes rejected on a version mismatch; Retries counts
 	// re-load+re-run passes after an abort; Fallbacks counts
-	// invocations (or groups) that ran under the stripe lock because
-	// of retry exhaustion or an adaptive degradation.
+	// invocations (or groups) that ran behind the exclusive barrier
+	// because of retry exhaustion or an adaptive degradation.
 	Commits   int64 `json:"commits"`
 	Aborts    int64 `json:"aborts"`
 	Retries   int64 `json:"retries"`
@@ -514,28 +509,15 @@ func (rt *ClassRuntime) fileKey(objectID, key string) string {
 	return objectID + "/" + key
 }
 
-// lockObject serializes state mutations for one object when the class
-// is stateful. The returned func releases the stripe; for stateless
-// classes it is a no-op.
-func (rt *ClassRuntime) lockObject(objectID string) func() {
-	if len(rt.stateSpecs) == 0 {
-		return func() {}
-	}
-	mu := rt.objLocks.For(objectID)
-	mu.Lock()
-	return mu.Unlock
-}
-
 // InitObjectState writes the class's default values for a new object.
-// It holds the object's delete guard exclusive so concurrent
-// optimistic invocations cannot interleave with initialization.
+// It holds the object's delete guard exclusive so no write window
+// can interleave with initialization.
 func (rt *ClassRuntime) InitObjectState(ctx context.Context, objectID string) error {
 	if len(rt.stateSpecs) > 0 {
 		guard := rt.delGuard.For(objectID)
 		guard.Lock()
 		defer guard.Unlock()
 	}
-	defer rt.lockObject(objectID)()
 	for _, k := range rt.class.Keys {
 		if k.Kind == model.KindFile || len(k.Default) == 0 {
 			continue
@@ -547,17 +529,16 @@ func (rt *ClassRuntime) InitObjectState(ctx context.Context, objectID string) er
 	return nil
 }
 
-// DeleteObjectState removes all of an object's state. It takes the
-// object's delete guard exclusive and its lock stripe, so neither a
-// locked invocation's merge nor an optimistic invocation's commit
-// retry can resurrect state for a deleted object.
+// DeleteObjectState removes all of an object's state. It holds the
+// object's delete guard exclusive, so it waits out every in-flight
+// write window and no commit retry can resurrect state for a deleted
+// object.
 func (rt *ClassRuntime) DeleteObjectState(ctx context.Context, objectID string) error {
 	if len(rt.stateSpecs) > 0 {
 		guard := rt.delGuard.For(objectID)
 		guard.Lock()
 		defer guard.Unlock()
 	}
-	defer rt.lockObject(objectID)()
 	rt.refsMu.Lock()
 	delete(rt.refsCache, objectID)
 	rt.refsMu.Unlock()
@@ -763,67 +744,21 @@ func (rt *ClassRuntime) Invoke(ctx context.Context, objectID, function string, p
 	return out, nil
 }
 
-// invokeFn is the uninstrumented invocation path. How the
-// load→invoke→merge window is protected against concurrent invocations
-// on the same object depends on the class's concurrency mode:
-//
-//   - locked: the whole window runs under the object's striped lock
-//     (the PR-2 pessimistic baseline) — hot-object invocations queue.
-//   - occ: the handler runs lock-free on a version-stamped snapshot
-//     and the delta commits through a validated compare-and-swap
-//     (memtable.PutManyIfVersion); on ErrVersionMismatch the
-//     invocation re-loads and re-runs (the pure-function contract
-//     makes re-execution safe), escalating to the exclusive
-//     delete-guard barrier after maxOCCAttempts so progress never
-//     depends on winning the race.
-//   - adaptive (default): per-object abort-rate EWMA picks between
-//     the two — lock-free while commits land, the serializing barrier
-//     while the object is pathologically write-hot, back to lock-free
-//     when aborts subside. Every non-locked commit is
-//     version-validated, so mixing the regimes on one object cannot
-//     lose updates.
-//
-// Functions annotated readonly skip locking and the merge/commit
-// entirely and serve concurrently straight from the state table, in
-// every mode. Stateless classes keep the PR-2 behaviour (no lock, no
-// versioning — there is no state to race on), so parallel dataflow
-// fan-out steps stay concurrent.
-//
-// Because lock-free invocations hold only the read side of their
-// delete-guard stripe, the PR-2 rule that a handler must never
-// synchronously invoke another stateful object of the same class is
-// relaxed under occ: a nested invocation on a colliding stripe shares
-// the read side and proceeds, where the old exclusive stripe
-// deadlocked unconditionally. It can still deadlock if an exclusive
-// acquisition (object delete/init, or a barrier fallback) wedges
-// between the two read holds of one goroutine, so dataflows/async
-// remain the guaranteed-safe composition; under locked mode the
-// original constraint stands.
+// invokeFn is the uninstrumented invocation path. A function annotated
+// readonly skips the guard and the commit entirely and serves
+// concurrently straight from the state table, in every concurrency
+// mode. Any other call is a one-call writeWindow: runWindow (window.go)
+// picks the regime that protects its load→run→commit window from the
+// class's concurrency mode, and commit is its only way to the table.
 func (rt *ClassRuntime) invokeFn(ctx context.Context, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string) (json.RawMessage, error) {
 	if fn.Readonly {
 		return rt.invokeReadonly(ctx, objectID, fn, payload, args)
 	}
-	if len(rt.stateSpecs) == 0 || rt.concMode == model.ConcurrencyLocked {
-		return rt.invokeLockedPlain(ctx, objectID, fn, payload, args)
+	w := writeWindow{objectID: objectID, fn: fn, payload: payload, args: args}
+	if err := rt.runWindow(ctx, &w); err != nil {
+		return nil, err
 	}
-	// One hash resolves the object's stripe for both the delete guard
-	// and its contention tracker, keeping the two aligned.
-	stripe := rt.delGuard.Index(objectID)
-	guard := rt.delGuard.At(stripe)
-	tr := &rt.contention[stripe]
-	if rt.concMode == model.ConcurrencyAdaptive && tr.useLocked() {
-		rt.reg.Counter("occ.fallbacks").Inc()
-		return rt.invokeBarrier(ctx, guard, objectID, fn, payload, args, tr)
-	}
-	out, err := rt.invokeOCC(ctx, guard, objectID, fn, payload, args, tr)
-	if err != nil && errors.Is(err, memtable.ErrVersionMismatch) {
-		// The bounded lock-free loop kept losing the commit race;
-		// finish behind the barrier, which drains and excludes the
-		// racers, so progress never depends on winning a CAS.
-		rt.reg.Counter("occ.fallbacks").Inc()
-		return rt.invokeBarrier(ctx, guard, objectID, fn, payload, args, tr)
-	}
-	return out, err
+	return w.out, nil
 }
 
 // contentionFor returns the contention tracker of an object's stripe
@@ -843,40 +778,6 @@ func (rt *ClassRuntime) eventsNeeded() bool {
 		return false
 	}
 	return rt.infra.EventsNeeded == nil || rt.infra.EventsNeeded(rt.class.Name)
-}
-
-// emitCommit publishes the StateChanged event of one committed write
-// invocation: called once per committed call by every commit path,
-// after its persistence step succeeded. Keys carries the sorted key
-// names of the call's delta (deletes included), Depth the
-// trigger-chain depth of the invocation so chained reactions can be
-// cycle-limited. Committed calls whose delta is empty emit nothing —
-// no state changed, so there is no mutation to react to — and neither
-// do stateless classes.
-func (rt *ClassRuntime) emitCommit(ctx context.Context, objectID string, fn model.FunctionDef, delta map[string]json.RawMessage, args map[string]string) {
-	if len(delta) == 0 || !rt.eventsNeeded() {
-		return
-	}
-	rt.emitCommitKeys(ctx, objectID, fn, deltaKeys(delta), args)
-}
-
-// emitCommitKeys is emitCommit for callers that already hold the
-// delta's sorted key names (the group-commit path). The event carries
-// the committing invocation's traceparent so the trigger plane
-// (dispatch, webhook delivery) re-joins the trace.
-func (rt *ClassRuntime) emitCommitKeys(ctx context.Context, objectID string, fn model.FunctionDef, keys []string, args map[string]string) {
-	if len(keys) == 0 || rt.infra.Events == nil || !rt.eventsNeeded() {
-		return
-	}
-	rt.infra.Events(trigger.Event{
-		Type:     trigger.StateChanged,
-		Class:    rt.class.Name,
-		Object:   objectID,
-		Function: fn.Name,
-		Keys:     keys,
-		Depth:    trigger.DepthOf(args),
-		Trace:    trace.FromContext(ctx).Traceparent(),
-	})
 }
 
 // deltaKeys returns a delta's key names, sorted (nil for an empty
@@ -989,82 +890,6 @@ func (rt *ClassRuntime) invokeReadonly(ctx context.Context, objectID string, fn 
 	return res.Output, nil
 }
 
-// invokeLockedPlain is the pessimistic path: the striped lock covers
-// the whole window and the delta merges unconditionally (no version
-// validation — under the lock, and with no lock-free writers in this
-// mode, there is nothing to validate against). Stateless classes also
-// land here with a no-op lock.
-func (rt *ClassRuntime) invokeLockedPlain(ctx context.Context, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string) (json.RawMessage, error) {
-	defer rt.lockObject(objectID)()
-	state, err := rt.loadState(ctx, objectID)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rt.runTask(ctx, objectID, fn, payload, args, state)
-	if err != nil {
-		return nil, err
-	}
-	// An invocation whose context expired while the handler ran must
-	// never commit: the caller has been (or is being) failed with the
-	// deadline error, so a late commit would be a lost-response write.
-	if ctx.Err() != nil {
-		return nil, rt.ctxAbort(ctx, fn)
-	}
-	// Persist the state delta: validate every key first so a rogue
-	// delta persists nothing, then write all updates in one batched
-	// table operation and apply deletions (JSON null values).
-	if err := rt.validateDelta(fn, res.State); err != nil {
-		return nil, err
-	}
-	var puts map[string]json.RawMessage
-	var dels []string
-	keys := rt.keysFor(objectID)
-	for k, v := range res.State {
-		key, ok := keys.byName[k]
-		if !ok {
-			key = rt.stateKey(objectID, k)
-		}
-		if isNull(v) {
-			dels = append(dels, key)
-			continue
-		}
-		if puts == nil {
-			puts = make(map[string]json.RawMessage, len(res.State))
-		}
-		puts[key] = v
-	}
-	if len(puts) > 0 || len(dels) > 0 {
-		csp := trace.FromContext(ctx).Child("commit")
-		// Epoch fence: a commit admitted under moved ownership must not
-		// land even though we hold the local object lock — the lock
-		// means nothing to the new owner.
-		if rt.infra.Fence != nil {
-			if err := rt.infra.Fence(ctx, objectID); err != nil {
-				csp.Error(err)
-				csp.End()
-				return nil, err
-			}
-		}
-		if len(puts) > 0 {
-			if err := rt.table.PutMany(ctx, puts); err != nil {
-				csp.Error(err)
-				csp.End()
-				return nil, err
-			}
-		}
-		for _, key := range dels {
-			if err := rt.table.Delete(ctx, key); err != nil {
-				csp.Error(err)
-				csp.End()
-				return nil, err
-			}
-		}
-		csp.End()
-	}
-	rt.emitCommit(ctx, objectID, fn, res.State, args)
-	return res.Output, nil
-}
-
 // stateSnapshot is one version-stamped view of an object's structured
 // state. state maps key names to values (class defaults resolved) and
 // is handler-facing, so it is allocated fresh per attempt — never
@@ -1081,16 +906,19 @@ type stateSnapshot struct {
 // loadStateVersioned gathers the object's structured state with the
 // version of every key (including absent ones, whose version anchors a
 // creating CAS), in one batched table read into the attempt's pooled
-// scratch.
+// scratch (fresh from the pool, so sc.got starts empty).
 func (rt *ClassRuntime) loadStateVersioned(ctx context.Context, objectID string, sc *invokeScratch) (_ stateSnapshot, err error) {
+	keys := rt.keysFor(objectID)
+	state := make(map[string]json.RawMessage, len(rt.stateSpecs))
+	if len(rt.stateSpecs) == 0 {
+		// A stateless class has nothing to read, and traces no load.
+		return stateSnapshot{state: state, keys: keys, sc: sc}, nil
+	}
 	sp := trace.FromContext(ctx).Child("load")
 	defer func() { sp.Error(err); sp.End() }()
-	keys := rt.keysFor(objectID)
-	clear(sc.got) // retry attempts reuse the scratch
 	if err := rt.table.GetManyVersionedInto(ctx, keys.keys, sc.got); err != nil {
 		return stateSnapshot{}, fmt.Errorf("runtime: loading state %s: %w", objectID, err)
 	}
-	state := make(map[string]json.RawMessage, len(rt.stateSpecs))
 	for i, k := range rt.stateSpecs {
 		if vv := sc.got[keys.keys[i]]; vv.Value != nil {
 			state[k.Name] = vv.Value
@@ -1099,194 +927,6 @@ func (rt *ClassRuntime) loadStateVersioned(ctx context.Context, objectID string,
 		}
 	}
 	return stateSnapshot{state: state, keys: keys, sc: sc}, nil
-}
-
-// buildCommit turns a handler's state delta into a version-validated
-// commit: write ops for delta keys (JSON null deletes) and — in the
-// default full-read-set mode — check-only ops for every other state
-// key read by the handler, so decisions based on unwritten keys cannot
-// commit against changed state (write skew). Under
-// model.OCCValidateKeys only the written keys are validated: writers
-// on disjoint keys of one object no longer abort each other, and the
-// class has opted into write skew on its unwritten reads. Undeclared
-// keys reject the whole delta; an empty delta returns no ops (nothing
-// to commit). The returned map is the attempt's pooled scratch — valid
-// until the snapshot's scratch is released.
-func (rt *ClassRuntime) buildCommit(objectID string, fn model.FunctionDef, snap stateSnapshot, delta map[string]json.RawMessage) (map[string]memtable.CASOp, error) {
-	if len(delta) == 0 {
-		return nil, nil
-	}
-	if err := rt.validateDelta(fn, delta); err != nil {
-		return nil, err
-	}
-	ops := snap.sc.ops
-	clear(ops)
-	if !rt.occKeysOnly {
-		for _, key := range snap.keys.keys {
-			ops[key] = memtable.CASOp{Expect: snap.sc.got[key].Version}
-		}
-	}
-	for k, v := range delta {
-		key, inSnap := snap.keys.byName[k]
-		var op memtable.CASOp
-		if inSnap {
-			op = memtable.CASOp{Expect: snap.sc.got[key].Version}
-		} else {
-			// A declared key outside the structured snapshot (a file
-			// key written as state): keep the pre-OCC unconditional
-			// write semantics.
-			key = rt.stateKey(objectID, k)
-			op = memtable.CASOp{Expect: memtable.AnyVersion}
-		}
-		op.Write = true
-		if !isNull(v) {
-			op.Value = v
-		}
-		ops[key] = op
-	}
-	return ops, nil
-}
-
-// occAttempt runs one optimistic pass: snapshot, lock-free handler
-// execution, validated commit. It returns memtable.ErrVersionMismatch
-// when a concurrent commit invalidated the snapshot. The pooled
-// scratch backing the snapshot and commit ops lives exactly as long as
-// the attempt (the deferred release covers every exit, panic unwind
-// included); only the never-pooled state map reaches the handler.
-//
-// Each pass runs under an "occ.attempt" span (the load/handler/commit
-// spans nest inside it). A version-mismatch abort is normal protocol
-// flow — it is recorded as a span attribute, not an error, so pure
-// contention alone never forces a trace to be kept; fence rejections
-// and real failures do surface as span errors.
-func (rt *ClassRuntime) occAttempt(ctx context.Context, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string, attempt int) (_ json.RawMessage, err error) {
-	if asp := trace.FromContext(ctx).Child("occ.attempt"); asp != nil {
-		asp.SetInt("attempt", attempt)
-		ctx = trace.ContextWith(ctx, asp)
-		defer func() {
-			if errors.Is(err, memtable.ErrVersionMismatch) {
-				asp.SetAttr("abort", "version_mismatch")
-			} else {
-				asp.Error(err)
-			}
-			asp.End()
-		}()
-	}
-	sc := getScratch()
-	defer sc.release()
-	snap, err := rt.loadStateVersioned(ctx, objectID, sc)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rt.runTask(ctx, objectID, fn, payload, args, snap.state)
-	if err != nil {
-		return nil, err
-	}
-	// Expired invocations never commit (see invokeLockedPlain).
-	if ctx.Err() != nil {
-		return nil, rt.ctxAbort(ctx, fn)
-	}
-	ops, err := rt.buildCommit(objectID, fn, snap, res.State)
-	if err != nil {
-		return nil, err
-	}
-	if len(ops) > 0 {
-		csp := trace.FromContext(ctx).Child("commit")
-		// Epoch fence before the CAS: ownership that moved since
-		// admission fails the attempt outright (the fence error is not
-		// ErrVersionMismatch, so the OCC retry loop propagates it
-		// instead of re-running against state this node no longer owns).
-		if rt.infra.Fence != nil {
-			if err := rt.infra.Fence(ctx, objectID); err != nil {
-				csp.Error(err)
-				csp.End()
-				return nil, err
-			}
-		}
-		if err := rt.table.PutManyIfVersion(ctx, ops); err != nil {
-			if !errors.Is(err, memtable.ErrVersionMismatch) {
-				csp.Error(err)
-			}
-			csp.End()
-			return nil, err
-		}
-		csp.End()
-	}
-	// The validated commit landed (or there was nothing to commit):
-	// this is the one success exit of the optimistic retry loops, so
-	// the call's event is emitted exactly once — aborted passes return
-	// through the ErrVersionMismatch path above and emit nothing.
-	rt.emitCommit(ctx, objectID, fn, res.State, args)
-	return res.Output, nil
-}
-
-// invokeOCC drives the bounded lock-free retry loop while holding the
-// object's delete guard shared: concurrent invocations interleave
-// freely, but an exclusive holder (object delete/init, or a barrier
-// invocation) still waits out every in-flight window. Exhaustion
-// returns the last ErrVersionMismatch; invokeFn escalates it to the
-// barrier.
-func (rt *ClassRuntime) invokeOCC(ctx context.Context, guard *sync.RWMutex, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string, tr *contentionTracker) (json.RawMessage, error) {
-	guard.RLock()
-	defer guard.RUnlock()
-	var lastErr error
-	for attempt := 0; attempt < maxOCCAttempts; attempt++ {
-		if ctx.Err() != nil {
-			return nil, rt.ctxAbort(ctx, fn)
-		}
-		if attempt > 0 {
-			rt.reg.Counter("occ.retries").Inc()
-		}
-		out, err := rt.occAttempt(ctx, objectID, fn, payload, args, attempt)
-		if err == nil {
-			tr.record(false)
-			rt.reg.Counter("occ.commits").Inc()
-			return out, nil
-		}
-		if !errors.Is(err, memtable.ErrVersionMismatch) {
-			return nil, err
-		}
-		tr.record(true)
-		rt.reg.Counter("occ.aborts").Inc()
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// invokeBarrier runs the invocation holding the object's delete guard
-// exclusive: pending writer acquisition drains the lock-free racers
-// and blocks new ones, so the window is effectively serialized and a
-// commit attempt can only be aborted by guard-free writers (direct
-// PutState). The commit still goes through the version check — only a
-// validated commit keeps exactness across regime mixes — and each
-// under-barrier abort implies another commit landed, so the bounded
-// loop is a livelock backstop, not an expected path.
-func (rt *ClassRuntime) invokeBarrier(ctx context.Context, guard *sync.RWMutex, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string, tr *contentionTracker) (json.RawMessage, error) {
-	guard.Lock()
-	defer guard.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < maxLockedCASAttempts; attempt++ {
-		if ctx.Err() != nil {
-			return nil, rt.ctxAbort(ctx, fn)
-		}
-		if attempt > 0 {
-			rt.reg.Counter("occ.retries").Inc()
-		}
-		out, err := rt.occAttempt(ctx, objectID, fn, payload, args, attempt)
-		if err == nil {
-			tr.record(false)
-			rt.reg.Counter("occ.commits").Inc()
-			return out, nil
-		}
-		if !errors.Is(err, memtable.ErrVersionMismatch) {
-			return nil, err
-		}
-		tr.record(true)
-		rt.reg.Counter("occ.aborts").Inc()
-		lastErr = err
-	}
-	return nil, fmt.Errorf("runtime: %s.%s on %s: commit contention persisted through %d serialized attempts: %w",
-		rt.class.Name, fn.Name, objectID, maxLockedCASAttempts, lastErr)
 }
 
 // isNull reports whether v is empty or the JSON literal null. It works

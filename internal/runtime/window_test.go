@@ -1,0 +1,457 @@
+package runtime
+
+// Tests for the one write window: what its commit exit guarantees in
+// every regime and for both shapes (a single call, a coalesced group),
+// the all-or-nothing delta under the locked regime, and the write
+// path's allocation budget.
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/hpcclab/oparaca-go/internal/invoker"
+	"github.com/hpcclab/oparaca-go/internal/israce"
+	"github.com/hpcclab/oparaca-go/internal/memtable"
+	"github.com/hpcclab/oparaca-go/internal/model"
+	"github.com/hpcclab/oparaca-go/internal/trace"
+	"github.com/hpcclab/oparaca-go/internal/trigger"
+)
+
+// windowYAML declares the conformance class: two keys of the given
+// kind and one function per commit-exit behaviour.
+const windowYAML = `classes:
+  - name: W
+    concurrencyMode: %s
+    keySpecs:
+      - name: j
+        kind: %s
+      - name: k
+        kind: %s
+    functions:
+      - name: put
+        image: img/w-put
+      - name: noop
+        image: img/w-noop
+      - name: rogue
+        image: img/w-rogue
+      - name: expire
+        image: img/w-expire
+      - name: fail
+        image: img/fail
+`
+
+// flipCtx is a context whose Err turns into DeadlineExceeded when a
+// handler calls expire. It has no Deadline and a nil Done channel, so
+// runTask takes its watchdog-free path and the handler's result is
+// guaranteed to reach the commit exit — the one place left to stop it.
+type flipCtx struct {
+	context.Context
+	expired atomic.Bool
+}
+
+func (c *flipCtx) Err() error {
+	if c.expired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// windowFixture is one regime's runtime plus the probes the
+// conformance checks read: the fence (armed to fail, counted), the
+// emitted events and the context the expire handler flips.
+type windowFixture struct {
+	rt         *ClassRuntime
+	rec        eventRecorder
+	fenceErr   atomic.Pointer[error]
+	fenceCalls atomic.Int64
+	flip       atomic.Pointer[flipCtx]
+}
+
+var errWindowFence = errors.New("fence: ownership epoch moved")
+
+func newWindowFixture(t *testing.T, mode model.ConcurrencyMode, kind string) *windowFixture {
+	t.Helper()
+	f := &windowFixture{}
+	infra := testInfra(t)
+	store := newObjectStore(t)
+	infra.Objects, infra.ObjectsBaseURL = store.store, store.url
+	infra.Events = f.rec.emit
+	infra.Fence = func(context.Context, string) error {
+		f.fenceCalls.Add(1)
+		if err := f.fenceErr.Load(); err != nil {
+			return *err
+		}
+		return nil
+	}
+	reg := invoker.NewRegistry()
+	both := func() map[string]json.RawMessage {
+		return map[string]json.RawMessage{"k": json.RawMessage(`1`), "j": json.RawMessage(`2`)}
+	}
+	reg.Register("img/w-put", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		return invoker.Result{State: both()}, nil
+	}))
+	reg.Register("img/w-noop", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		return invoker.Result{Output: json.RawMessage(`"ok"`)}, nil
+	}))
+	reg.Register("img/w-rogue", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		delta := both()
+		delta["undeclared"] = json.RawMessage(`3`)
+		return invoker.Result{State: delta}, nil
+	}))
+	reg.Register("img/w-expire", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		f.flip.Load().expired.Store(true)
+		return invoker.Result{State: both()}, nil
+	}))
+	reg.Register("img/fail", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		return invoker.Result{}, errors.New("deliberate")
+	}))
+	infra.Transport = invoker.NewLocal(reg)
+	rt, err := New(infra, resolvedClass(t, fmt.Sprintf(windowYAML, mode, kind, kind), "W"), stdTemplate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	f.rt = rt
+	return f
+}
+
+// persisted reports whether either key of the object reached the
+// state table.
+func (f *windowFixture) persisted(t *testing.T, id string) bool {
+	t.Helper()
+	for _, k := range []string{"j", "k"} {
+		_, err := f.rt.Table().Get(context.Background(), f.rt.stateKey(id, k))
+		if err == nil {
+			return true
+		}
+		if !errors.Is(err, memtable.ErrNotFound) {
+			t.Fatalf("reading %s/%s: %v", id, k, err)
+		}
+	}
+	return false
+}
+
+const windowTraceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+
+// traced runs fn under a forced trace and returns its finished spans.
+func traced(ctx context.Context, fn func(context.Context)) []trace.SpanView {
+	tr := trace.New(trace.Config{})
+	root := tr.Root("test", "00-"+windowTraceID+"-00f067aa0ba902b7-01")
+	fn(trace.ContextWith(ctx, root))
+	root.End()
+	view, _ := tr.TraceByID(windowTraceID)
+	return view.Spans
+}
+
+// spansNamed filters spans by name, keeping their order.
+func spansNamed(spans []trace.SpanView, name string) []trace.SpanView {
+	var out []trace.SpanView
+	for _, sp := range spans {
+		if sp.Name == name {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// TestCommitExitConformance checks, for every regime and both window
+// shapes, the five things the commit exit owns: an expired context
+// commits nothing, a fence rejection persists and emits nothing and is
+// the commit span's error, an undeclared key rejects the delta whole,
+// a committed non-empty delta emits exactly one event per call, and an
+// empty delta never reaches the fence or opens a commit span.
+func TestCommitExitConformance(t *testing.T) {
+	regimes := []struct {
+		name  string
+		mode  model.ConcurrencyMode
+		kind  string // key kind: file keys make the class stateless
+		force bool   // degrade the object to the adaptive barrier first
+		check func(t *testing.T, cs ConcurrencyStats)
+	}{
+		{"locked", model.ConcurrencyLocked, "json", false, func(t *testing.T, cs ConcurrencyStats) {
+			if cs.Commits != 0 || cs.Aborts != 0 || cs.Retries != 0 || cs.Fallbacks != 0 {
+				t.Errorf("locked regime touched the occ counters: %+v", cs)
+			}
+		}},
+		{"occ", model.ConcurrencyOCC, "json", false, func(t *testing.T, cs ConcurrencyStats) {
+			if cs.Commits == 0 || cs.Fallbacks != 0 {
+				t.Errorf("occ regime: %+v, want commits and no fallbacks", cs)
+			}
+		}},
+		{"barrier", model.ConcurrencyAdaptive, "json", true, func(t *testing.T, cs ConcurrencyStats) {
+			if cs.Commits == 0 || cs.Fallbacks == 0 {
+				t.Errorf("barrier regime: %+v, want commits behind fallbacks", cs)
+			}
+		}},
+		{"stateless", model.ConcurrencyOCC, "file", false, func(t *testing.T, cs ConcurrencyStats) {
+			if cs.Commits != 0 || cs.Fallbacks != 0 {
+				t.Errorf("stateless class touched the occ counters: %+v", cs)
+			}
+		}},
+	}
+	// A shape runs member fn on the object and returns the outcome of
+	// every fn call it made: alone, or as the first and last member of
+	// a three-call group whose middle member always fails. Group
+	// members carry their own live context, as the async drain's do, so
+	// only the window's context can stop the merged commit.
+	shapes := []struct {
+		name  string
+		calls int
+		run   func(t *testing.T, ctx context.Context, rt *ClassRuntime, id, fn string, args map[string]string) []error
+	}{
+		{"single", 1, func(_ *testing.T, ctx context.Context, rt *ClassRuntime, id, fn string, args map[string]string) []error {
+			_, err := rt.Invoke(ctx, id, fn, nil, args)
+			return []error{err}
+		}},
+		{"group", 2, func(t *testing.T, ctx context.Context, rt *ClassRuntime, id, fn string, args map[string]string) []error {
+			member := BatchCall{Function: fn, Args: args, Ctx: context.Background()}
+			res := rt.InvokeBatch(ctx, id, []BatchCall{member, {Function: "fail"}, member})
+			if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "deliberate") {
+				t.Errorf("failing member: err = %v, want its own error", res[1].Err)
+			}
+			return []error{res[0].Err, res[2].Err}
+		}},
+	}
+	for _, rg := range regimes {
+		for _, sh := range shapes {
+			t.Run(rg.name+"/"+sh.name, func(t *testing.T) {
+				f := newWindowFixture(t, rg.mode, rg.kind)
+				// A class with no structured state traces no load and
+				// emits no event.
+				wantLoads, wantEvents := 1, sh.calls
+				if rg.kind == "file" {
+					wantLoads, wantEvents = 0, 0
+				}
+				// Every check runs on its own object. prepare degrades
+				// it to the barrier when the regime asks for that.
+				prepare := func(id string) string {
+					if rg.force {
+						tr := f.rt.contentionFor(id)
+						tr.ewma.Store(math.Float64bits(1))
+						tr.locked.Store(true)
+					}
+					f.fenceCalls.Store(0)
+					return id
+				}
+				ctx := context.Background()
+
+				id := prepare("expired")
+				flip := &flipCtx{Context: ctx}
+				f.flip.Store(flip)
+				for _, err := range sh.run(t, flip, f.rt, id, "expire", nil) {
+					if !errors.Is(err, ErrDeadlineExceeded) {
+						t.Errorf("expired: err = %v, want ErrDeadlineExceeded", err)
+					}
+				}
+				if f.persisted(t, id) || f.fenceCalls.Load() != 0 {
+					t.Errorf("expired: delta persisted or reached the fence (%d calls)", f.fenceCalls.Load())
+				}
+
+				id = prepare("fenced")
+				f.fenceErr.Store(&errWindowFence)
+				commits := spansNamed(traced(ctx, func(ctx context.Context) {
+					for _, err := range sh.run(t, ctx, f.rt, id, "put", nil) {
+						if !errors.Is(err, errWindowFence) {
+							t.Errorf("fenced: err = %v, want the fence's error", err)
+						}
+					}
+				}), "commit")
+				f.fenceErr.Store(nil)
+				if f.persisted(t, id) || len(f.rec.snapshot()) != 0 {
+					t.Errorf("fenced: delta persisted or emitted %d events", len(f.rec.snapshot()))
+				}
+				if len(commits) != 1 || commits[0].Error != errWindowFence.Error() {
+					t.Errorf("fenced: commit spans = %+v, want one carrying the fence's error", commits)
+				}
+
+				id = prepare("rogue")
+				commits = spansNamed(traced(ctx, func(ctx context.Context) {
+					for _, err := range sh.run(t, ctx, f.rt, id, "rogue", nil) {
+						if err == nil || !strings.Contains(err.Error(), `W.rogue wrote undeclared key "undeclared"`) {
+							t.Errorf("rogue: err = %v, want the undeclared-key rejection", err)
+						}
+					}
+				}), "commit")
+				if f.persisted(t, id) || len(commits) != 0 || f.fenceCalls.Load() != 0 {
+					t.Errorf("rogue: declared part of the delta persisted, or a commit was attempted (%+v)", commits)
+				}
+
+				id = prepare("empty")
+				commits = spansNamed(traced(ctx, func(ctx context.Context) {
+					for _, err := range sh.run(t, ctx, f.rt, id, "noop", nil) {
+						if err != nil {
+							t.Errorf("empty: %v", err)
+						}
+					}
+				}), "commit")
+				if len(commits) != 0 || f.fenceCalls.Load() != 0 || len(f.rec.snapshot()) != 0 {
+					t.Errorf("empty delta: %d commit spans, %d fence calls, %d events; want none",
+						len(commits), f.fenceCalls.Load(), len(f.rec.snapshot()))
+				}
+
+				id = prepare("committed")
+				args := map[string]string{trigger.ArgDepth: "2"}
+				spans := traced(ctx, func(ctx context.Context) {
+					for _, err := range sh.run(t, ctx, f.rt, id, "put", args) {
+						if err != nil {
+							t.Errorf("committed: %v", err)
+						}
+					}
+				})
+				commits = spansNamed(spans, "commit")
+				if loads := len(spansNamed(spans, "load")); loads != wantLoads {
+					t.Errorf("committed: %d load spans, want %d for the one window", loads, wantLoads)
+				}
+				if !f.persisted(t, id) || f.fenceCalls.Load() != 1 {
+					t.Errorf("committed: not persisted, or %d fence calls for one commit", f.fenceCalls.Load())
+				}
+				if len(commits) != 1 || commits[0].Error != "" {
+					t.Fatalf("committed: commit spans = %+v, want one clean span", commits)
+				}
+				if calls, grouped := commits[0].Attrs["calls"]; grouped != (sh.calls > 1) || (grouped && calls != int64(3)) {
+					t.Errorf("committed: commit span attrs = %v", commits[0].Attrs)
+				}
+				events := f.rec.snapshot()
+				if len(events) != wantEvents {
+					t.Fatalf("committed: %d events, want %d", len(events), wantEvents)
+				}
+				for _, ev := range events {
+					if ev.Type != trigger.StateChanged || ev.Class != "W" || ev.Object != id || ev.Function != "put" ||
+						strings.Join(ev.Keys, ",") != "j,k" || ev.Depth != 2 {
+						t.Errorf("committed: malformed event %+v", ev)
+					}
+				}
+				rg.check(t, f.rt.ConcurrencyStats())
+			})
+		}
+	}
+}
+
+// TestLockedCommitIsAtomic: a locked-mode delta with a write and a
+// delete lands whole or not at all. The backing delete is made to fail;
+// the table's flush interval keeps the flusher from taking the injected
+// failure first.
+func TestLockedCommitIsAtomic(t *testing.T) {
+	infra := testInfra(t)
+	reg := invoker.NewRegistry()
+	reg.Register("img/swap", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		return invoker.Result{State: map[string]json.RawMessage{"a": json.RawMessage(`9`), "b": json.RawMessage(`null`)}}, nil
+	}))
+	infra.Transport = invoker.NewLocal(reg)
+	tmpl := stdTemplate()
+	tmpl.FlushInterval = time.Hour
+	rt, err := New(infra, resolvedClass(t, `classes:
+  - name: Pair
+    concurrencyMode: locked
+    keySpecs:
+      - name: a
+      - name: b
+    functions:
+      - name: swap
+        image: img/swap
+`, "Pair"), tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ctx := context.Background()
+	for k, v := range map[string]string{"a": "1", "b": "2"} {
+		if err := rt.PutState(ctx, "o", k, json.RawMessage(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("backing store down")
+	unchanged := func(when string) {
+		t.Helper()
+		for k, want := range map[string]string{"a": "1", "b": "2"} {
+			if v, err := rt.GetState(ctx, "o", k); err != nil || string(v) != want {
+				t.Fatalf("%s: %s = %s (%v), want %s: the failed delta landed in part", when, k, v, err, want)
+			}
+		}
+	}
+	infra.Backing.InjectWriteFailures(1, boom)
+	if _, err := rt.Invoke(ctx, "o", "swap", nil, nil); !errors.Is(err, boom) {
+		t.Fatalf("single call: err = %v, want the backing failure", err)
+	}
+	unchanged("single call")
+	infra.Backing.InjectWriteFailures(1, boom)
+	for i, res := range rt.InvokeBatch(ctx, "o", []BatchCall{{Function: "swap"}, {Function: "swap"}, {Function: "swap"}}) {
+		if !errors.Is(res.Err, boom) {
+			t.Fatalf("group call %d: err = %v, want the backing failure", i, res.Err)
+		}
+	}
+	unchanged("group")
+}
+
+// Write-path allocation ceilings, taken at the commit before the four
+// load→run→commit copies were folded into one window (handler and
+// engine allocations included). occ, adaptive and the group are held
+// at that count; locked measures 11 since it commits through the same
+// exit (16 was its PutMany-then-Delete write).
+const (
+	writeAllocsOCC      = 11
+	writeAllocsAdaptive = 11
+	writeAllocsLocked   = 16
+	writeAllocsGroup16  = 173
+)
+
+// TestWriteInvokeAllocationBudget pins what one warm write invocation
+// allocates between Invoke's entry and return — memory-only table,
+// tracing off, no fence, no event sink — per concurrency mode, and
+// what a 16-call same-object group does.
+func TestWriteInvokeAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tmpl := stdTemplate()
+	tmpl.TableMode = memtable.ModeMemoryOnly
+	ctx := context.Background()
+	warm := func(t *testing.T, mode model.ConcurrencyMode) *ClassRuntime {
+		t.Helper()
+		rt, err := New(testInfra(t), resolvedClass(t, fmt.Sprintf(occCounterYAML, mode), "OCounter"), tmpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		for i := 0; i < 32; i++ {
+			if _, err := rt.Invoke(ctx, "o", "incr", nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rt
+	}
+	for _, tc := range []struct {
+		mode    model.ConcurrencyMode
+		ceiling float64
+	}{
+		{model.ConcurrencyOCC, writeAllocsOCC},
+		{model.ConcurrencyAdaptive, writeAllocsAdaptive},
+		{model.ConcurrencyLocked, writeAllocsLocked},
+	} {
+		t.Run(string(tc.mode), func(t *testing.T) {
+			rt := warm(t, tc.mode)
+			n := testing.AllocsPerRun(500, func() { _, _ = rt.Invoke(ctx, "o", "incr", nil, nil) })
+			if n > tc.ceiling {
+				t.Fatalf("write invoke allocates %.1f per call, budget %.0f", n, tc.ceiling)
+			}
+		})
+	}
+	t.Run("adaptive/group16", func(t *testing.T) {
+		rt := warm(t, model.ConcurrencyAdaptive)
+		calls := make([]BatchCall, 16)
+		for i := range calls {
+			calls[i] = BatchCall{Function: "incr"}
+		}
+		n := testing.AllocsPerRun(200, func() { rt.InvokeBatch(ctx, "o", calls) })
+		if n > writeAllocsGroup16 {
+			t.Fatalf("16-call group allocates %.1f, budget %d", n, writeAllocsGroup16)
+		}
+	})
+}

@@ -18,14 +18,14 @@ func TestNewRoundsUpToPowerOfTwo(t *testing.T) {
 		{256, 256},
 	}
 	for _, c := range cases {
-		if got := New(c.in).Len(); got != c.want {
-			t.Errorf("New(%d).Len() = %d, want %d", c.in, got, c.want)
+		if got := NewRW(c.in).Len(); got != c.want {
+			t.Errorf("NewRW(%d).Len() = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
 
 func TestForIsStableAndInRange(t *testing.T) {
-	m := New(64)
+	m := NewRW(64)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("obj-%04d", i)
 		if m.For(key) != m.For(key) {
@@ -35,8 +35,8 @@ func TestForIsStableAndInRange(t *testing.T) {
 }
 
 func TestDistinctKeysSpreadAcrossStripes(t *testing.T) {
-	m := New(64)
-	seen := make(map[*sync.Mutex]bool)
+	m := NewRW(64)
+	seen := make(map[*sync.RWMutex]bool)
 	for i := 0; i < 1024; i++ {
 		seen[m.For(fmt.Sprintf("obj-%04d", i))] = true
 	}
@@ -48,7 +48,7 @@ func TestDistinctKeysSpreadAcrossStripes(t *testing.T) {
 }
 
 func TestMutualExclusionPerKey(t *testing.T) {
-	m := New(8)
+	m := NewRW(8)
 	const (
 		goroutines = 8
 		iterations = 1000

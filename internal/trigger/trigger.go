@@ -98,8 +98,8 @@ type EventType string
 // Platform event types.
 const (
 	// StateChanged is emitted once per committed write invocation with
-	// a non-empty state delta by every runtime commit path (locked
-	// window, OCC/adaptive CAS commit, InvokeBatch group commit).
+	// a non-empty state delta by the runtime's write window, in every
+	// concurrency mode and for single calls and InvokeBatch groups alike.
 	// Aborted and readonly calls emit nothing, and neither do committed
 	// calls that wrote no keys — no state changed.
 	StateChanged EventType = "stateChanged"

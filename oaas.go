@@ -71,13 +71,14 @@
 // call observes its predecessors' deltas, exactly as if they had run
 // back-to-back), and the merged delta commits in one simulated DB
 // round trip — version-validated under occ/adaptive, under a single
-// stripe take when locked — so N coalesced invocations on a hot object
-// cost one concurrency window instead of N. Semantics stay per-call: a
-// failing or panicking handler (or a delta touching undeclared keys)
-// fails only its own invocation record, its delta is excluded from the
-// merged commit, and `readonly` calls bypass the window entirely on
-// the lock-free fast path. Dataflow members fall back to individual
-// invocation. Stats().Async.BatchedDrains counts multi-task pulls and
+// exclusive stripe hold when locked — so N coalesced invocations on a
+// hot object cost one concurrency window instead of N. Semantics stay
+// per-call: a failing or panicking handler (or a delta touching
+// undeclared keys) fails only its own invocation record, its delta is
+// excluded from the merged commit, and `readonly` calls bypass the
+// window entirely on the lock-free fast path. Dataflow members fall
+// back to individual invocation.
+// Stats().Async.BatchedDrains counts multi-task pulls and
 // Stats().Async.Coalesced counts invocations that shared a group
 // window; Platform.InvokeBatch exposes the same group-commit path
 // synchronously.
@@ -95,9 +96,9 @@
 //
 // Objects are reactive: every committed state mutation emits a
 // StateChanged event — exactly one per committed write invocation
-// with a non-empty state delta, from all three commit regimes (the
-// locked window, the OCC/adaptive CAS commit, and the InvokeBatch
-// group commit); aborted and readonly calls emit none, and neither
+// with a non-empty state delta, in every concurrency mode and whether
+// the call committed alone or in an InvokeBatch group (there is one
+// commit exit); aborted and readonly calls emit none, and neither
 // does a write invocation whose handler returned no delta: nothing
 // changed, so there is nothing to react to (and the warm no-op path
 // stays event-free, see "Performance & tuning") — and terminal
@@ -194,13 +195,22 @@
 //
 // How concurrent invocations on one object are handled is selectable
 // per class (`concurrencyMode:` in YAML) or platform-wide
-// (Config.ConcurrencyMode):
+// (Config.ConcurrencyMode). Every mode runs the same window — load,
+// run, commit through one exit that enforces the deadline and the
+// ownership fence — whether the window carries one call or a coalesced
+// group; a mode only chooses how the window is guarded and whether its
+// commit is version-validated:
 //
 //   - "locked" serializes each object's whole
 //     load-state → execute → merge-delta window under a striped
 //     per-object lock: read-modify-write methods (counters, account
-//     balances) never lose updates, but every invocation on a hot
-//     object runs exclusively, including pure reads.
+//     balances) never lose updates, but every write invocation on a
+//     hot object runs exclusively. The delta merges unconditionally
+//     (no version check, no retry) and all-or-nothing: a delta that
+//     writes some keys and deletes others lands whole or, if the
+//     backing store fails, not at all. On a write-through table the
+//     commit holds the table's shard locks across the backing write,
+//     as every "occ"/"adaptive" class does.
 //   - "occ" (optimistic concurrency control) runs handlers lock-free
 //     on version-stamped state snapshots and commits each delta
 //     through a validated compare-and-swap: a concurrent commit makes
