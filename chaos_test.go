@@ -12,6 +12,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -367,6 +369,9 @@ func TestOwnershipCrashRecovery(t *testing.T) {
 }
 
 func chaosSoak(t *testing.T, seed int64) {
+	// Declared first so it outlives the platform's closing drain.
+	sink := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer sink.Close()
 	// Inject the backing store so the fault schedule can be flipped
 	// mid-run (soak faults -> total blackout -> recovery).
 	backing := kvstore.Open(kvstore.Config{})
@@ -399,6 +404,14 @@ func chaosSoak(t *testing.T, seed int64) {
 	registerChaosImages(p)
 	ctx := context.Background()
 	if _, err := p.DeployYAML(ctx, []byte(chaosYAML)); err != nil {
+		t.Fatal(err)
+	}
+	// A consumer, so the counters' commits are events at all (the log
+	// assertions below would be vacuous without one). Registered on the
+	// bus directly: the fault plan must not get a say in it.
+	if err := p.TriggerBus().Subscribe("observer", TriggerSubscription{
+		Class: "CCounter", Type: EventStateChanged, Webhook: sink.URL,
+	}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -29,6 +29,8 @@
 //	unsubscribe <name>                 remove a trigger subscription
 //	tail <id> [-n max] [-t 30s] [-from N]  stream an object's events (SSE);
 //	                                   -from replays stored history from offset N
+//	                                   (offsets count events logged since the
+//	                                   object was first observed)
 //	traces [-n max]                    list kept invocation traces (newest first)
 //	trace <trace-id|invocation-id>     show one kept trace (by trace ID, or by
 //	                                   the async invocation ID it carried)
@@ -339,12 +341,15 @@ func (c *client) subscribe(args []string) error {
 // printing one JSON event per line until -n events arrived, the -t
 // timeout elapsed, or the server closed the stream. With -from N the
 // gateway first replays retained event-log history starting at
-// offset N, then continues live.
+// offset N, then continues live. An object's log begins with the first
+// event someone could read (a subscription on its class, an open
+// tail): offsets count logged events from 1, and -from 1 on an object
+// nobody has observed replays nothing and goes straight to live.
 func (c *client) tail(args []string) error {
 	fs := flag.NewFlagSet("tail", flag.ContinueOnError)
 	max := fs.Int("n", 0, "stop after this many events (0 = until timeout)")
 	timeout := fs.Duration("t", 30*time.Second, "stream duration")
-	from := fs.Int64("from", 0, "replay stored events from this offset (0 = live only)")
+	from := fs.Int64("from", 0, "replay stored events from this offset, then continue live (0 = live only; offsets count events logged since the object was first observed)")
 	if len(args) < 1 {
 		return fmt.Errorf("usage: tail <object-id> [-n max] [-t 30s] [-from offset]")
 	}

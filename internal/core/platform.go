@@ -220,13 +220,6 @@ type Config struct {
 	// loops, so a stalled endpoint cannot block dispatch). Defaults
 	// to 4.
 	TriggerDeliveryWorkers int
-	// EventLogMemoryOnly keeps the durable event log in memory: replay
-	// within the process still works (offsets, fromOffset resumption)
-	// but nothing survives a restart and — crucially for the paper's
-	// write-accounting experiments — event appends cost no document
-	// store writes. The experiment harness sets it so measured DB
-	// write ops reflect the paper's systems, not the event plumbing.
-	EventLogMemoryOnly bool
 	// EventLogRetention evicts an object's log entries this long after
 	// their append (on the background sweep). Zero keeps entries until
 	// EventLogMaxPerObject evicts them.
@@ -445,14 +438,11 @@ func New(cfg Config) (*Platform, error) {
 	}
 	// The durable event log: every published event is appended (one
 	// write-through batch per publication) before dispatch, and sink
-	// delivery cursors persist beside it, so committed events and
-	// delivery progress survive process death.
-	elogBacking := p.backing
-	if cfg.EventLogMemoryOnly {
-		elogBacking = nil
-	}
+	// delivery cursors persist beside it, so published events and
+	// delivery progress survive process death. What gets published is
+	// decided per object by trigger.Bus.NeedsEvents.
 	p.elog, err = eventlog.New(eventlog.Config{
-		Backing:      elogBacking,
+		Backing:      p.backing,
 		RetentionTTL: cfg.EventLogRetention,
 		MaxPerObject: cfg.EventLogMaxPerObject,
 		GCInterval:   cfg.EventLogGCInterval,
@@ -681,10 +671,15 @@ func (p *Platform) handleUpload(ev objectstore.UploadEvent) {
 func (p *Platform) TriggersFired() int64 { return p.triggersFired.Load() }
 
 // onAsyncTerminal publishes the terminal event of an asynchronous
-// invocation (wired as the queue's OnTerminal hook). The submission
+// invocation (wired as the queue's OnTerminal hook) when someone can
+// read it — the same predicate the commit exit asks. The submission
 // args carry the trigger-chain depth, so reactions to completions stay
 // cycle-limited like state-change chains.
 func (p *Platform) onAsyncTerminal(rec asyncq.Record, args map[string]string) {
+	class := p.classOf(rec.Object)
+	if !p.bus.NeedsEvents(class, rec.Object) {
+		return
+	}
 	typ := trigger.InvocationCompleted
 	if rec.Status == asyncq.StatusFailed || rec.Status == asyncq.StatusExpired {
 		// An expired invocation never ran to commit; reactions treat it
@@ -693,7 +688,7 @@ func (p *Platform) onAsyncTerminal(rec asyncq.Record, args map[string]string) {
 	}
 	p.bus.Publish(trigger.Event{
 		Type:       typ,
-		Class:      p.classOf(rec.Object),
+		Class:      class,
 		Object:     rec.Object,
 		Function:   rec.Member,
 		Invocation: rec.ID,

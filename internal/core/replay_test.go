@@ -233,6 +233,7 @@ func TestEventLogRetentionTruncation(t *testing.T) {
 	if _, err := p.DeployYAML(ctx, []byte(chainYAML("locked"))); err != nil {
 		t.Fatal(err)
 	}
+	observe(t, p, "observer", "Doc", newOffsetSink(t))
 	doc, err := p.CreateObject(ctx, "Doc", "doc-1")
 	if err != nil {
 		t.Fatal(err)

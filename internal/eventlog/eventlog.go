@@ -474,6 +474,17 @@ func (l *Log) Bounds(ctx context.Context, object string) (first, next int64, err
 	return ol.floor(), ol.next, nil
 }
 
+// Begun reports whether an object's log has ever recorded an entry
+// (next > 1). The answer is durable — it comes from the persisted
+// bounds document, so it survives restart, retention emptying the log
+// and Kill — and it never turns false again short of Drop. An object
+// whose log is not in memory yet pays the same one-time recovery probe
+// a first Append would.
+func (l *Log) Begun(ctx context.Context, object string) (bool, error) {
+	_, next, err := l.Bounds(ctx, object)
+	return next > 1, err
+}
+
 // Cursor returns a consumer's stored position (ok=false when the
 // consumer has never registered).
 func (l *Log) Cursor(sub, object string) (int64, bool) {

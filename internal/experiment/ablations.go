@@ -73,9 +73,6 @@ func SetupCustomPlatform(ctx context.Context, tmpl runtime.Template, workers int
 		ColdStart:        10 * time.Millisecond,
 		Templates:        []runtime.Template{tmpl},
 		ServeObjectStore: &noServe,
-		// Keep the paper's DB write accounting: the experiment rows
-		// measure the modeled systems' writes, not event-log plumbing.
-		EventLogMemoryOnly: true,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -153,9 +150,6 @@ func RunColdStartAblation(ctx context.Context, rounds int, coldStart time.Durati
 		ColdStart:        coldStart,
 		Templates:        []runtime.Template{tmpl},
 		ServeObjectStore: &noServe,
-		// Keep the paper's DB write accounting: the experiment rows
-		// measure the modeled systems' writes, not event-log plumbing.
-		EventLogMemoryOnly: true,
 	})
 	if err != nil {
 		return ColdStartRow{}, err
@@ -281,9 +275,6 @@ func RunDataflowAblation(ctx context.Context, width int, stepTime time.Duration,
 		Workers:          2,
 		Templates:        []runtime.Template{tmpl},
 		ServeObjectStore: &noServe,
-		// Keep the paper's DB write accounting: the experiment rows
-		// measure the modeled systems' writes, not event-log plumbing.
-		EventLogMemoryOnly: true,
 	})
 	if err != nil {
 		return nil, err
@@ -361,9 +352,6 @@ func RunLocalityAblation(ctx context.Context, objects int, dbReadLatency time.Du
 		DBReadLatency:    dbReadLatency,
 		Templates:        []runtime.Template{tmpl},
 		ServeObjectStore: &noServe,
-		// Keep the paper's DB write accounting: the experiment rows
-		// measure the modeled systems' writes, not event-log plumbing.
-		EventLogMemoryOnly: true,
 	})
 	if err != nil {
 		return LocalityRow{}, err

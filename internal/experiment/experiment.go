@@ -228,9 +228,6 @@ func SetupPlatform(ctx context.Context, system System, workers int, p Params) (*
 		ColdStart:        10 * time.Millisecond,
 		Templates:        []runtime.Template{p.template(system, workers)},
 		ServeObjectStore: &noServe,
-		// Keep the paper's DB write accounting: the experiment rows
-		// measure the modeled systems' writes, not event-log plumbing.
-		EventLogMemoryOnly: true,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -53,9 +53,6 @@ func RunMultiRegionAblation(ctx context.Context, interRegion time.Duration, samp
 		ColdStart:          time.Millisecond,
 		IdleTimeout:        time.Minute,
 		ServeObjectStore:   &noServe,
-		// Keep the paper's DB write accounting: the experiment rows
-		// measure the modeled systems' writes, not event-log plumbing.
-		EventLogMemoryOnly: true,
 	})
 	if err != nil {
 		return MultiRegionRow{}, err

@@ -1093,7 +1093,10 @@ func (g *Gateway) handleDeleteTrigger(w http.ResponseWriter, r *http.Request) {
 // live deliveries are deduplicated by offset, and any gap between a
 // live event's offset and the last delivered one is healed by
 // re-reading the log, so a resuming client observes a gap-free,
-// per-object-ordered sequence. Without fromOffset the stream is
+// per-object-ordered sequence. Offsets count logged events, and an
+// object's log begins with the first event someone could read (this
+// stream included), so fromOffset=1 on an object nobody has observed
+// replays nothing and goes live. Without fromOffset the stream is
 // live-only and a consumer that falls behind its buffer loses events
 // (counted in Stats().Triggers.Dropped) rather than stalling bus
 // dispatch.

@@ -207,6 +207,7 @@ func (f *fixture) invokeSet(id, val string) {
 func TestObjectEventsFromOffsetReplay(t *testing.T) {
 	f := newFixture(t)
 	f.deploy()
+	f.observeNotes()
 	id := f.createObject("resume-1")
 	for i := 0; i < 3; i++ {
 		f.invokeSet(id, fmt.Sprintf(`"v%d"`, i))
@@ -252,18 +253,48 @@ func TestObjectEventsFromOffsetReplay(t *testing.T) {
 	}
 }
 
+// observeNotes subscribes a webhook sink to Note state changes. An
+// object's event log begins only once someone can read its events, so
+// tests about logged history declare a consumer first.
+func (f *fixture) observeNotes() {
+	f.t.Helper()
+	sink := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	f.t.Cleanup(sink.Close)
+	sub, _ := json.Marshal(map[string]string{"class": "Note", "type": "stateChanged", "webhook": sink.URL})
+	if status, body := f.do(http.MethodPut, "/api/triggers/observer", "application/json", sub); status != http.StatusCreated {
+		f.t.Fatalf("subscribe status = %d body=%v", status, body)
+	}
+}
+
 // TestObjectEventsFromOffsetErrors maps a compacted resume offset to
 // 410 Gone (code offset_compacted) and a malformed one to 400.
 func TestObjectEventsFromOffsetErrors(t *testing.T) {
 	f := newFixtureCfg(t, core.Config{EventLogMaxPerObject: 2})
 	f.deploy()
+	f.observeNotes()
 	id := f.createObject("gone-1")
 	for i := 0; i < 5; i++ {
 		f.invokeSet(id, fmt.Sprintf(`"v%d"`, i))
 	}
-	status, body := f.do(http.MethodGet, "/api/objects/"+id+"/events?fromOffset=1", "", nil)
-	if status != http.StatusGone {
-		t.Fatalf("compacted resume status = %d body=%v", status, body)
+	// The probe is bounded: anything but an immediate 410 would be an
+	// SSE stream that never ends, and must fail the test, not hang it.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet,
+		f.srv.URL+"/api/objects/"+id+"/events?fromOffset=1", nil)
+	resp, err := f.client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusGone {
+		resp.Body.Close()
+		t.Fatalf("compacted resume status = %d", resp.StatusCode)
+	}
+	var body map[string]json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var code string
 	_ = json.Unmarshal(body["code"], &code)
@@ -271,11 +302,9 @@ func TestObjectEventsFromOffsetErrors(t *testing.T) {
 		t.Fatalf("error code = %q body=%v", code, body)
 	}
 	// Resuming at the retained floor still works.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet,
+	req, _ = http.NewRequestWithContext(ctx, http.MethodGet,
 		f.srv.URL+"/api/objects/"+id+"/events?fromOffset=4", nil)
-	resp, err := f.client.Do(req)
+	resp, err = f.client.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

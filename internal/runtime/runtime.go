@@ -89,12 +89,14 @@ type Infra struct {
 	// nothing (no state changed, so there is nothing to react to). nil
 	// disables emission.
 	Events func(trigger.Event)
-	// EventsNeeded, when set, reports whether any event consumer — a
-	// durable event log, a matching subscription, or a live stream —
-	// currently exists for the class. The write window consults it before
-	// constructing an event so a bus nobody listens to costs the warm
-	// path nothing. nil means events are always needed.
-	EventsNeeded func(class string) bool
+	// EventsNeeded, when set, reports whether an event of class on the
+	// object could be read by anyone: a subscription on the class, a live
+	// stream on the object, or an event log the object has already begun
+	// (trigger.Bus.NeedsEvents). The write window consults it after the
+	// commit landed and before constructing an event, so a commit nobody
+	// can observe costs the warm path nothing. nil means events are
+	// always needed.
+	EventsNeeded func(class, objectID string) bool
 	// EventsBatch, when set, receives the StateChanged events of one
 	// group-committed invocation batch as a single publication (all
 	// events share the object): the bus appends them to the durable
@@ -767,17 +769,17 @@ func (rt *ClassRuntime) contentionFor(objectID string) *contentionTracker {
 	return &rt.contention[rt.delGuard.Index(objectID)]
 }
 
-// eventsNeeded reports whether a committed delta on this class should
-// be turned into a StateChanged event at all: an event sink must be
-// wired, the class must be stateful, and — when the platform exposes
-// consumer interest — someone (durable log, subscription, stream) must
-// actually be listening. Checked before any event or key-slice
+// eventsNeeded reports whether a committed delta on one of this class's
+// objects should be turned into a StateChanged event at all: an event
+// sink must be wired, the class must be stateful, and — when the
+// platform exposes consumer interest — someone must be able to read it
+// (Infra.EventsNeeded). Checked before any event or key-slice
 // allocation so an unobserved commit costs nothing.
-func (rt *ClassRuntime) eventsNeeded() bool {
+func (rt *ClassRuntime) eventsNeeded(objectID string) bool {
 	if (rt.infra.Events == nil && rt.infra.EventsBatch == nil) || len(rt.stateSpecs) == 0 {
 		return false
 	}
-	return rt.infra.EventsNeeded == nil || rt.infra.EventsNeeded(rt.class.Name)
+	return rt.infra.EventsNeeded == nil || rt.infra.EventsNeeded(rt.class.Name, objectID)
 }
 
 // deltaKeys returns a delta's key names, sorted (nil for an empty

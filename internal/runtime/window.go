@@ -320,7 +320,7 @@ func (rt *ClassRuntime) windowAbort(ctx context.Context, w *writeWindow) error {
 // one backing write like the commit itself; each carries its own call's
 // depth and traceparent.
 func (rt *ClassRuntime) emit(ctx context.Context, w *writeWindow, delta map[string]json.RawMessage) {
-	if len(delta) == 0 || !rt.eventsNeeded() {
+	if len(delta) == 0 || !rt.eventsNeeded(w.objectID) {
 		return
 	}
 	if w.group == nil {

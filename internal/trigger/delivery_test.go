@@ -333,6 +333,9 @@ func TestBehindConsumerCompactionOvertakesCursor(t *testing.T) {
 	for i := 1; i < n; i++ {
 		b.Publish(stateChanged("a-1", "k"))
 	}
+	// The hand-off fills at dispatch, not at Publish: released any
+	// earlier, the consumer would find it short and skip to the floor.
+	waitFor(t, "the queued events to be dispatched", func() bool { return b.pending.Load() == 0 })
 	close(h.gate)
 	b.Drain()
 	// Offset 1 was in flight at the endpoint, 2..1+handoffCap in the

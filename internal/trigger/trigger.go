@@ -18,14 +18,29 @@
 //
 // With Config.Log set, Publish writes every event through the
 // per-object append-only event log BEFORE dispatch, stamping the
-// assigned Offset into the event. Webhook and object-method sinks then
-// become cursor-based log consumers: each (subscription, object) pair
-// owns a durable cursor that only advances past an event once its
-// delivery succeeded (or terminally failed, e.g. the chain-depth
-// limit). A crash loses in-flight deliveries but not the events — on
-// restart, re-registering a subscription resumes its consumers from
-// the stored cursors, giving at-least-once delivery. Live streams stay
-// best-effort; the gateway heals their gaps by replaying the log.
+// assigned Offset into the event. What reaches Publish is decided by
+// NeedsEvents, which both producers ask first: an object's log begins
+// with the first event produced while someone could read it — a
+// subscription names its class, or a stream is open on the object — and
+// a log that has begun never stops: every later event of that object is
+// appended, subscribed or not, in this process and its successors (the
+// log's persisted bounds are the memory). So offsets number logged
+// events gap-free from 1, an Unsubscribed cursor finds its interim
+// backlog on re-Subscribe, and a reader resuming with fromOffset loses
+// nothing after the first event it could have seen. Commits on an
+// object nobody ever observed are not events: its log is empty, and
+// reading it from offset 1 returns nothing rather than an error
+// (ErrOffsetCompacted keeps its one meaning, below the retained
+// floor). Stats().Emitted counts events, not commits.
+//
+// Webhook and object-method sinks become cursor-based log consumers:
+// each (subscription, object) pair owns a durable cursor that only
+// advances past an event once its delivery succeeded (or terminally
+// failed, e.g. the chain-depth limit). A crash loses in-flight
+// deliveries but not the events — on restart, re-registering a
+// subscription resumes its consumers from the stored cursors, giving
+// at-least-once delivery. Live streams stay best-effort; the gateway
+// heals their gaps by replaying the log.
 //
 // # Delivery path
 //
@@ -422,6 +437,7 @@ func (s *Stream) Close() {
 			if len(set) == 0 {
 				delete(b.streams, s.object)
 			}
+			b.streamed.Store(int64(len(b.streams)))
 		}
 		close(s.ch)
 	})
@@ -489,12 +505,21 @@ type Bus struct {
 
 	// subs holds named subscriptions; classSubs the YAML-declared sets,
 	// replaced wholesale on class redeploy. Both guarded by subMu.
-	subMu     sync.RWMutex
-	subs      map[string]Subscription
-	classSubs map[string][]Subscription
+	// subscribed is the set of class names some subscription of either
+	// kind names: an immutable map rebuilt and swapped under subMu by
+	// every change to the two, so NeedsEvents reads it with one atomic
+	// load and no lock.
+	subMu      sync.RWMutex
+	subs       map[string]Subscription
+	classSubs  map[string][]Subscription
+	subscribed atomic.Pointer[map[string]struct{}]
 
+	// streamed mirrors len(streams) — the objects with a live stream —
+	// and is stored under streamMu, so NeedsEvents skips the lock while
+	// nobody tails.
 	streamMu sync.Mutex
 	streams  map[string]map[*Stream]struct{}
+	streamed atomic.Int64
 
 	// The delivery pool, guarded by delMu. delCond wakes one worker per
 	// enqueued item; quiet is broadcast whenever Drain's predicate may
@@ -549,6 +574,7 @@ func New(cfg Config) (*Bus, error) {
 		rnd:       rand.New(rand.NewSource(cfg.JitterSeed)),
 		stop:      make(chan struct{}),
 	}
+	b.subscribed.Store(&map[string]struct{}{})
 	if cfg.HTTPClient == nil {
 		// DefaultTransport keeps two idle connections per host; with
 		// more workers than that, every other delivery would dial.
@@ -625,6 +651,7 @@ func (b *Bus) Subscribe(name string, sub Subscription) error {
 	}
 	b.subMu.Lock()
 	b.subs[name] = sub
+	b.publishSubscribed()
 	b.subMu.Unlock()
 	b.recoverSub(sub)
 	return nil
@@ -638,6 +665,7 @@ func (b *Bus) Unsubscribe(name string) bool {
 	b.subMu.Lock()
 	_, ok := b.subs[name]
 	delete(b.subs, name)
+	b.publishSubscribed()
 	b.subMu.Unlock()
 	return ok
 }
@@ -679,6 +707,7 @@ func (b *Bus) SetClassTriggers(class string, subs []Subscription) {
 	} else {
 		b.classSubs[class] = kept
 	}
+	b.publishSubscribed()
 	b.subMu.Unlock()
 	for _, s := range kept {
 		b.recoverSub(s)
@@ -748,6 +777,7 @@ func (b *Bus) Stream(object string, buf int) *Stream {
 		b.streams[object] = set
 	}
 	set[s] = struct{}{}
+	b.streamed.Store(int64(len(b.streams)))
 	b.streamMu.Unlock()
 	return s
 }
@@ -901,40 +931,57 @@ func (b *Bus) dispatchLoop(sh *busShard) {
 	}
 }
 
-// NeedsEvents reports whether publishing an event for class would
-// reach any consumer: the durable log records every event regardless
-// of subscriptions (replay and late subscribers depend on it), so a
-// logged bus always needs events; a fire-and-forget bus needs them
-// only while a live stream is open or some subscription filters on the
-// class. The runtime consults this before constructing commit events,
-// so the answer may be stale by one subscribe/unsubscribe — a skipped
-// event for a subscriber racing its registration is within the
-// fire-and-forget contract this path already has.
-func (b *Bus) NeedsEvents(class string) bool {
-	if b.cfg.Log != nil {
-		return true
-	}
-	b.streamMu.Lock()
-	open := len(b.streams)
-	b.streamMu.Unlock()
-	if open > 0 {
-		return true
-	}
-	b.subMu.RLock()
-	defer b.subMu.RUnlock()
+// publishSubscribed rebuilds the subscribed-class set from subs and
+// classSubs and swaps it in. Callers hold subMu's write side, so the
+// set a Subscribe or SetClassTriggers publishes is visible to
+// NeedsEvents before that call returns.
+func (b *Bus) publishSubscribed() {
+	set := make(map[string]struct{}, len(b.subs)+len(b.classSubs))
 	for _, sub := range b.subs {
-		if sub.Class == class {
-			return true
-		}
+		set[sub.Class] = struct{}{}
 	}
 	for _, subs := range b.classSubs {
 		for _, sub := range subs {
-			if sub.Class == class {
-				return true
-			}
+			set[sub.Class] = struct{}{}
 		}
 	}
-	return false
+	b.subscribed.Store(&set)
+}
+
+// NeedsEvents reports whether an event of class on object could be read
+// by anyone, now or later. It is true iff
+//
+//   - a named or class-declared subscription names the class, or
+//   - a live stream is open on that object, or
+//   - the object's durable log has ever recorded an entry (see the
+//     package doc: a log that has begun never stops),
+//
+// and nothing else. Both producers — the runtime's commit exit
+// (Infra.EventsNeeded) and the platform's terminal-record hook — ask
+// it before constructing an event, so a commit nobody can observe
+// costs no event, no encoding and no log write. Subscribe,
+// SetClassTriggers and Stream make it true before they return, so an
+// event produced after any of them returned is never skipped. A log
+// that cannot answer (breaker open, backing fault) counts as begun:
+// Publish then degrades to its fire-and-forget arm rather than this
+// predicate guessing false. It does not allocate.
+func (b *Bus) NeedsEvents(class, object string) bool {
+	if _, ok := (*b.subscribed.Load())[class]; ok {
+		return true
+	}
+	if b.streamed.Load() > 0 {
+		b.streamMu.Lock()
+		_, open := b.streams[object]
+		b.streamMu.Unlock()
+		if open {
+			return true
+		}
+	}
+	if b.cfg.Log == nil {
+		return false
+	}
+	begun, err := b.cfg.Log.Begun(b.killCtx, object)
+	return begun || err != nil
 }
 
 // dispatch fans one event out to every matching subscription and
@@ -1419,7 +1466,8 @@ type SubscriptionStats struct {
 
 // Stats is a point-in-time bus snapshot.
 type Stats struct {
-	// Emitted counts published events (before any routing decision).
+	// Emitted counts published events (before any routing decision):
+	// events someone could read (see NeedsEvents), not commits.
 	Emitted int64 `json:"emitted"`
 	// Delivered counts successful sink deliveries (method submissions,
 	// webhook 2xx responses, stream sends) — one event fanning to N
@@ -1547,5 +1595,6 @@ func (b *Bus) shutdown(kill bool) {
 		}
 	}
 	b.streams = make(map[string]map[*Stream]struct{})
+	b.streamed.Store(0)
 	b.streamMu.Unlock()
 }

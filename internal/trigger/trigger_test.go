@@ -511,15 +511,14 @@ func TestShardForNoAllocs(t *testing.T) {
 	}
 }
 
-// TestNeedsEvents pins the publish-gate the runtime consults before
-// constructing events at all (Infra.EventsNeeded): a bus with a
-// durable log always needs them (the log is a standing consumer —
-// replay must work with zero subscribers), otherwise only classes
-// with a matching subscription, any open stream making the answer a
-// global yes.
+// TestNeedsEvents pins the gate both producers consult before
+// constructing an event (Infra.EventsNeeded, the terminal-record
+// hook), on a bus without a log: a subscription makes its class need
+// events, a live stream makes its object need them, and nothing else
+// does.
 func TestNeedsEvents(t *testing.T) {
 	b := newBus(t, Config{})
-	if b.NeedsEvents("Order") {
+	if b.NeedsEvents("Order", "o-1") {
 		t.Fatal("fresh bus with no log/subs/streams claims to need events")
 	}
 	// A named subscription gates by class.
@@ -528,40 +527,51 @@ func TestNeedsEvents(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !b.NeedsEvents("Order") {
+	if !b.NeedsEvents("Order", "o-1") {
 		t.Fatal("subscribed class not needed")
 	}
-	if b.NeedsEvents("Other") {
+	if b.NeedsEvents("Other", "x-1") {
 		t.Fatal("unsubscribed class needed")
 	}
 	b.Unsubscribe("s1")
-	if b.NeedsEvents("Order") {
+	if b.NeedsEvents("Order", "o-1") {
 		t.Fatal("unsubscribe did not clear the need")
 	}
 	// Class triggers (YAML-declared) gate the same way.
 	b.SetClassTriggers("Photo", []Subscription{{
 		Class: "Photo", Type: StateChanged, TargetFunction: "makeThumbnail",
 	}})
-	if !b.NeedsEvents("Photo") || b.NeedsEvents("Order") {
+	if !b.NeedsEvents("Photo", "p-1") || b.NeedsEvents("Order", "o-1") {
 		t.Fatal("class triggers not reflected per class")
 	}
 	b.SetClassTriggers("Photo", nil)
-	// An open stream is object-scoped at delivery but class-blind at
-	// the gate: any live stream means every class publishes.
-	st := b.Stream("obj-1", 4)
-	if !b.NeedsEvents("Order") {
+	if b.NeedsEvents("Photo", "p-1") {
+		t.Fatal("removing the class triggers did not clear the need")
+	}
+	// A stream is object-scoped at the gate as it is at delivery.
+	st, other := b.Stream("o-1", 4), b.Stream("o-1", 4)
+	if !b.NeedsEvents("Order", "o-1") {
 		t.Fatal("open stream ignored")
 	}
+	if b.NeedsEvents("Order", "o-2") {
+		t.Fatal("a stream on one object makes another publish")
+	}
 	st.Close()
+	st.Close() // idempotent: the second call must not count for `other`
+	if !b.NeedsEvents("Order", "o-1") {
+		t.Fatal("closing one of two streams cleared the need")
+	}
+	other.Close()
 	// Stream teardown is synchronous on Close.
-	if b.NeedsEvents("Order") {
-		t.Fatal("closed stream still forces publishing")
+	if b.NeedsEvents("Order", "o-1") || b.streamed.Load() != 0 {
+		t.Fatal("closed streams still force publishing")
 	}
 }
 
-// TestNeedsEventsWithDurableLog: a durable log makes every class need
-// events regardless of subscriptions — replay and cursor redelivery
-// depend on the log seeing commits that had no live consumer.
+// TestNeedsEventsWithDurableLog: a log alone needs nothing; an
+// object's log that has recorded one entry needs every later event of
+// that object — and only of that object — for good, across process
+// death.
 func TestNeedsEventsWithDurableLog(t *testing.T) {
 	st := kvstore.Open(kvstore.Config{})
 	t.Cleanup(func() { st.Close() })
@@ -569,9 +579,32 @@ func TestNeedsEventsWithDurableLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	b := newBus(t, Config{Log: l})
-	if !b.NeedsEvents("Anything") {
-		t.Fatal("bus with durable log must always need events")
+	b, err := New(Config{Log: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.NeedsEvents("Order", "o-1") {
+		t.Fatal("an object nobody has observed needs events")
+	}
+	b.Publish(Event{Type: StateChanged, Class: "Order", Object: "o-1", Keys: []string{"k"}})
+	if !b.NeedsEvents("Order", "o-1") {
+		t.Fatal("a begun log stopped")
+	}
+	if b.NeedsEvents("Order", "o-2") {
+		t.Fatal("one object's log made another of its class need events")
+	}
+	b.Kill()
+	l.Kill()
+	l2, err := eventlog.New(eventlog.Config{Backing: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l2.Close() })
+	b2 := newBus(t, Config{Log: l2})
+	if !b2.NeedsEvents("Order", "o-1") {
+		t.Fatal("a begun log did not survive the restart")
+	}
+	if b2.NeedsEvents("Order", "o-2") {
+		t.Fatal("the successor needs events for an object never observed")
 	}
 }

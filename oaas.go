@@ -102,8 +102,13 @@
 // does a write invocation whose handler returned no delta: nothing
 // changed, so there is nothing to react to (and the warm no-op path
 // stays event-free, see "Performance & tuning") — and terminal
-// asynchronous invocations emit InvocationCompleted/InvocationFailed. A sharded, bounded event bus
-// routes them to three kinds of sinks:
+// asynchronous invocations emit InvocationCompleted/InvocationFailed.
+// An event exists only if someone can read it: a commit or terminal
+// record on an object whose class has no subscription, which has no
+// live stream open and whose event log never began (see "Event
+// durability & replay") is not an event at all — nothing is built,
+// counted or stored for it. A sharded, bounded event bus routes the
+// rest to three kinds of sinks:
 //
 //   - another object's method, submitted through the async queue
 //     (data-triggered function chaining);
@@ -137,19 +142,31 @@
 // sharded by object (per-object event order is preserved) and bounded:
 // Config.TriggerOverflow selects dropping (default, counted) or
 // blocking the commit path when a shard is full. Delivery counters —
-// emitted, delivered, dropped (overflow, cycle terminations),
-// retried — surface in Stats().Triggers, and Close drains accepted
+// emitted (events someone could read, not commits), delivered, dropped
+// (overflow, cycle terminations), retried — surface in
+// Stats().Triggers, and Close drains accepted
 // events (pending webhook deliveries included) before tearing the
 // platform down.
 //
 // # Event durability & replay
 //
-// Events are durable: the bus writes every committed StateChanged and
-// terminal invocation event through a per-object append-only log
+// Events are durable: the bus writes every StateChanged and terminal
+// invocation event through a per-object append-only log
 // (internal/eventlog) before dispatch, assigning each a 1-based
-// monotone per-object offset (Event.Offset). The log and the
-// per-subscription delivery cursors persist in the platform's backing
-// store, so delivery survives process death with at-least-once
+// monotone per-object offset (Event.Offset). An object's log begins
+// with the first event someone could read — produced while a named or
+// class-declared subscription names its class, or a stream is open on
+// the object — and from then on records every event of that object,
+// for good: through Unsubscribe (the interim backlog is there when the
+// name is subscribed again), with no stream open (a resuming reader
+// loses nothing after the first event it could have seen), across
+// restarts. Offsets therefore number logged events, gap-free from 1;
+// commits made before anyone looked are not among them, and an object
+// nobody ever observed costs no log write at all. Subscribing, a class
+// deploy with triggers and opening a stream each take effect before
+// they return: no commit that lands afterwards is missed. The log and
+// the per-subscription delivery cursors persist in the platform's
+// backing store, so delivery survives process death with at-least-once
 // semantics:
 //
 //   - Webhook and object-method sinks consume the log behind a stored
@@ -172,7 +189,9 @@
 //     gap-healed by offset — the client observes a gap-free,
 //     per-object-ordered sequence. Resuming below the retained floor
 //     fails with ErrOffsetCompacted (HTTP 410 Gone,
-//     "offset_compacted").
+//     "offset_compacted") — the only meaning of 410 here: on an object
+//     whose log never began, `fromOffset=1` answers 200 with an empty
+//     backlog, and the stream it opens makes the next commit offset 1.
 //
 // In steady state an event is encoded once and connected once: the
 // JSON marshalled for the log entry is what a webhook receives and
@@ -186,10 +205,7 @@
 // Retention is bounded per object (Config.EventLogMaxPerObject,
 // default 1024 entries) and by age (Config.EventLogRetention), swept
 // on the async GC cadence; per-subscription delivered/retried/dropped
-// counters ride the same stats surfaces. Config.EventLogMemoryOnly
-// keeps the full event machinery in process memory only — the
-// experiment harness uses it so the paper's DB write accounting stays
-// untouched by event-log plumbing.
+// counters ride the same stats surfaces.
 //
 // # Concurrency modes
 //
@@ -275,7 +291,7 @@
 // the snapshot with BENCH_SNAPSHOT=1 (see bench_test.go) whenever a
 // deliberate change moves the numbers. As reference points: a warm
 // spread-object no-op invoke runs at ~5 allocs/op and a contended
-// hot-object read-modify-write at ~31.
+// hot-object read-modify-write nobody observes at ~21.
 //
 // Two tuning levers matter for write-hot objects. First,
 // `occValidate: keys` (ClassDef.OCCValidate / OCCValidateKeys)
@@ -290,6 +306,17 @@
 // `readset` wherever a write depends on what was read. Second, the
 // adaptive mode's escalation is unchanged by either scope: an object
 // whose aborts run hot still degrades to the serializing barrier.
+//
+// A commit pays for an event only when someone can read it. Both
+// producers ask one allocation-free predicate (internal/trigger:
+// Bus.NeedsEvents — an atomic load and a map lookup for subscriptions,
+// a counter for streams, the object's log bounds last) before building
+// anything, so a write to an object nobody observes issues no event,
+// no encoding and no event-log write: its only backing-store traffic is
+// the write-behind flush of its state. Observation is priced per
+// object and is permanent — once an object's log has begun, each of
+// its commits costs one append (one write-through batch) — so
+// subscribe to the classes you react to rather than to everything.
 //
 // The REST gateway's own share of a request is budgeted the same way
 // (internal/gateway: TestWarmInvokeAllocationBudget,
