@@ -890,12 +890,11 @@ func BenchmarkInvokeHotPath(b *testing.B) {
 		b.ReportMetric(ops, "ops/s")
 		b.ReportMetric(apo, "allocs/op")
 		recordInvokeBench("invoke/spread-warm", ops)
-		// The whole-process counter charges RunParallel's goroutine spawns
-		// (and other fixed per-run setup) to this measurement. That fixed
-		// cost is invisible at -benchtime=2s but adds ~14 allocs/op at the
-		// CI smoke run's -benchtime=200x. The snapshot key is therefore
-		// baselined from a 200x run so CI compares like with like; after a
-		// 2s BENCH_SNAPSHOT refresh, re-take this one key at 200x.
+		// The "#allocs" snapshot keys are taken at -benchtime=200x, as the
+		// CI smoke run takes them. This one reads the same at 200x and at
+		// 2s: RunParallel's goroutine spawns are a fixed handful, under one
+		// allocation per op even over 200, and a call on an object's first
+		// touch costs what any other does (nothing is cached per object).
 		recordInvokeBench("invoke/spread-warm#allocs", apo)
 	})
 	hotObject := func(name string, conc ConcurrencyMode) {
@@ -1072,9 +1071,8 @@ func BenchmarkInvokeTraced(b *testing.B) {
 			b.ReportMetric(ops, "ops/s")
 			b.ReportMetric(apo, "allocs/op")
 			recordInvokeBench("invoketraced/"+bc.name, ops)
-			// Like invoke/spread-warm#allocs, baseline these keys from a
-			// -benchtime=200x run so CI's smoke pass compares like with
-			// like (RunParallel's fixed setup cost is visible at 200x).
+			// Like invoke/spread-warm#allocs, baselined from a
+			// -benchtime=200x run, as CI's smoke pass takes them.
 			recordInvokeBench("invoketraced/"+bc.name+"#allocs", apo)
 		})
 	}
@@ -1220,10 +1218,8 @@ func BenchmarkInvokeRouted(b *testing.B) {
 			b.ReportMetric(ops, "ops/s")
 			b.ReportMetric(apo, "allocs/op")
 			recordInvokeBench("invokerouted/"+name, ops)
-			// Like invoke/spread-warm#allocs, the snapshot key is
-			// baselined from a -benchtime=200x run so the CI smoke run
-			// compares like with like (the whole-process counter charges
-			// RunParallel's fixed setup to the measurement).
+			// Like invoke/spread-warm#allocs, baselined from a
+			// -benchtime=200x run, as CI's smoke pass takes them.
 			recordInvokeBench("invokerouted/"+name+"#allocs", apo)
 		})
 	}

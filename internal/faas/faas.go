@@ -415,20 +415,30 @@ func (e *Engine) Invoke(ctx context.Context, name string, task invoker.Task) (in
 }
 
 // acquireSlot pops a live pod slot, discarding slots from evicted pods.
+// A free slot is taken without asking for ctx.Done(): a cancelCtx makes
+// its channel on the first Done call, and net/http hands every request
+// one, so a warm invocation that never waits must not pay for it.
 func (e *Engine) acquireSlot(ctx context.Context, fn *function) (podSlot, error) {
 	for {
+		var slot podSlot
 		select {
-		case slot := <-fn.slots:
-			fn.mu.Lock()
-			_, alive := fn.livePods[slot.podID]
-			fn.mu.Unlock()
-			if alive {
-				return slot, nil
-			}
-		case <-ctx.Done():
-			return podSlot{}, ctx.Err()
+		case slot = <-fn.slots:
 		case <-e.stop:
 			return podSlot{}, ErrEngineClosed
+		default:
+			select {
+			case slot = <-fn.slots:
+			case <-ctx.Done():
+				return podSlot{}, ctx.Err()
+			case <-e.stop:
+				return podSlot{}, ErrEngineClosed
+			}
+		}
+		fn.mu.Lock()
+		_, alive := fn.livePods[slot.podID]
+		fn.mu.Unlock()
+		if alive {
+			return slot, nil
 		}
 	}
 }

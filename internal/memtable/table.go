@@ -254,14 +254,15 @@ func (t *Table) shardIndexFor(key string) int {
 // almost always this small.
 const smallBatch = 32
 
-// forEachShardGroup calls fn once per distinct owning shard with the
-// positions (indices into keys) that shard owns, holding the shard's
-// lock for the duration of the call. Small batches group with no heap
-// allocation; wider ones fall back to a position map.
-func (t *Table) forEachShardGroup(keys []string, fn func(sh *shard, positions []int)) {
+// forEachShardGroup visits every position (index into keys) grouped by
+// owning shard: each distinct shard's lock is taken once and held while
+// fn runs for the positions that shard owns. fn gets one position at a
+// time, not a slice of them, so small batches group with no heap
+// allocation (a slice handed to fn would escape); wider ones fall back
+// to a position map.
+func (t *Table) forEachShardGroup(keys []string, fn func(sh *shard, i int)) {
 	if len(keys) <= smallBatch {
 		var idx [smallBatch]int
-		var pos [smallBatch]int
 		for i, k := range keys {
 			idx[i] = t.shardIndexFor(k)
 		}
@@ -270,16 +271,14 @@ func (t *Table) forEachShardGroup(keys []string, fn func(sh *shard, positions []
 			if done&(1<<i) != 0 {
 				continue
 			}
-			group := pos[:0]
+			sh := t.shards[idx[i]]
+			sh.mu.Lock()
 			for j := i; j < len(keys); j++ {
 				if done&(1<<j) == 0 && idx[j] == idx[i] {
 					done |= 1 << j
-					group = append(group, j)
+					fn(sh, j)
 				}
 			}
-			sh := t.shards[idx[i]]
-			sh.mu.Lock()
-			fn(sh, group)
 			sh.mu.Unlock()
 		}
 		return
@@ -292,7 +291,9 @@ func (t *Table) forEachShardGroup(keys []string, fn func(sh *shard, positions []
 	for shardIdx, positions := range groups {
 		sh := t.shards[shardIdx]
 		sh.mu.Lock()
-		fn(sh, positions)
+		for _, i := range positions {
+			fn(sh, i)
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -411,22 +412,20 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 	}
 	var missing []string
 	var hits, misses int64
-	t.forEachShardGroup(keys, func(sh *shard, positions []int) {
-		for _, i := range positions {
-			k := keys[i]
-			if v, ok := sh.data[k]; ok {
-				out[k] = v
-				hits++
-				continue
-			}
-			if _, tombstoned := sh.vers[k]; tombstoned {
-				// Deleted: authoritatively absent, no read-through.
-				hits++
-				continue
-			}
-			missing = append(missing, k)
-			misses++
+	t.forEachShardGroup(keys, func(sh *shard, i int) {
+		k := keys[i]
+		if v, ok := sh.data[k]; ok {
+			out[k] = v
+			hits++
+			return
 		}
+		if _, tombstoned := sh.vers[k]; tombstoned {
+			// Deleted: authoritatively absent, no read-through.
+			hits++
+			return
+		}
+		missing = append(missing, k)
+		misses++
 	})
 	t.noteReads(hits, misses)
 	if len(missing) == 0 || t.cfg.Mode == ModeMemoryOnly {
@@ -446,21 +445,19 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 	// Cache the read-through results, again one lock per shard. A
 	// writer may have raced the batch read: its (newer) entry wins,
 	// and a racing Delete's tombstone keeps the key absent.
-	t.forEachShardGroup(found, func(sh *shard, positions []int) {
-		for _, i := range positions {
-			k := found[i]
-			if v, ok := sh.data[k]; ok {
-				out[k] = v
-				continue
-			}
-			if _, tombstoned := sh.vers[k]; tombstoned {
-				continue
-			}
-			v := docs[k].Value
-			sh.data[k] = v
-			sh.vers[k] = docs[k].Version
+	t.forEachShardGroup(found, func(sh *shard, i int) {
+		k := found[i]
+		if v, ok := sh.data[k]; ok {
 			out[k] = v
+			return
 		}
+		if _, tombstoned := sh.vers[k]; tombstoned {
+			return
+		}
+		v := docs[k].Value
+		sh.data[k] = v
+		sh.vers[k] = docs[k].Version
+		out[k] = v
 	})
 	return nil
 }
@@ -508,23 +505,21 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 	}
 	var missing []string
 	var hits, misses int64
-	t.forEachShardGroup(keys, func(sh *shard, positions []int) {
-		for _, i := range positions {
-			k := keys[i]
-			if v, ok := sh.data[k]; ok {
-				out[k] = VersionedValue{Value: v, Version: sh.vers[k]}
-				hits++
-				continue
-			}
-			if ver, ok := sh.vers[k]; ok {
-				// Deletion tombstone: authoritatively absent.
-				out[k] = VersionedValue{Version: ver}
-				hits++
-				continue
-			}
-			missing = append(missing, k)
-			misses++
+	t.forEachShardGroup(keys, func(sh *shard, i int) {
+		k := keys[i]
+		if v, ok := sh.data[k]; ok {
+			out[k] = VersionedValue{Value: v, Version: sh.vers[k]}
+			hits++
+			return
 		}
+		if ver, ok := sh.vers[k]; ok {
+			// Deletion tombstone: authoritatively absent.
+			out[k] = VersionedValue{Version: ver}
+			hits++
+			return
+		}
+		missing = append(missing, k)
+		misses++
 	})
 	t.noteReads(hits, misses)
 	if len(missing) == 0 {
@@ -554,22 +549,20 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 	// Cache the read-through results with their backing versions. A
 	// writer (or deleter) may have raced the batch read; its newer
 	// table state wins over the fetched document.
-	t.forEachShardGroup(found, func(sh *shard, positions []int) {
-		for _, i := range positions {
-			k := found[i]
-			if v, ok := sh.data[k]; ok {
-				out[k] = VersionedValue{Value: v, Version: sh.vers[k]}
-				continue
-			}
-			if ver, ok := sh.vers[k]; ok {
-				out[k] = VersionedValue{Version: ver}
-				continue
-			}
-			v := docs[k].Value
-			sh.data[k] = v
-			sh.vers[k] = docs[k].Version
-			out[k] = VersionedValue{Value: v, Version: docs[k].Version}
+	t.forEachShardGroup(found, func(sh *shard, i int) {
+		k := found[i]
+		if v, ok := sh.data[k]; ok {
+			out[k] = VersionedValue{Value: v, Version: sh.vers[k]}
+			return
 		}
+		if ver, ok := sh.vers[k]; ok {
+			out[k] = VersionedValue{Version: ver}
+			return
+		}
+		v := docs[k].Value
+		sh.data[k] = v
+		sh.vers[k] = docs[k].Version
+		out[k] = VersionedValue{Value: v, Version: docs[k].Version}
 	})
 	return nil
 }
@@ -597,19 +590,17 @@ func (t *Table) PutMany(ctx context.Context, entries map[string]json.RawMessage)
 		}
 	}
 	wake := false
-	t.forEachShardGroup(keys, func(sh *shard, positions []int) {
-		for _, i := range positions {
-			k := keys[i]
-			sh.data[k] = copied[k]
-			sh.vers[k]++
-			delete(sh.deleted, k) // a write supersedes a pending tombstone
-			delete(sh.tombs, k)
-			if t.cfg.Mode == ModeWriteBehind {
-				sh.dirty[k] = true
+	t.forEachShardGroup(keys, func(sh *shard, i int) {
+		k := keys[i]
+		sh.data[k] = copied[k]
+		sh.vers[k]++
+		delete(sh.deleted, k) // a write supersedes a pending tombstone
+		delete(sh.tombs, k)
+		if t.cfg.Mode == ModeWriteBehind {
+			sh.dirty[k] = true
+			if len(sh.dirty) >= t.cfg.FlushBatchSize {
+				wake = true
 			}
-		}
-		if t.cfg.Mode == ModeWriteBehind && len(sh.dirty) >= t.cfg.FlushBatchSize {
-			wake = true
 		}
 	})
 	if wake {

@@ -9,8 +9,8 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 )
 
-// This file holds the warm-path allocation machinery: precomputed
-// per-object key slices and pooled per-invoke transients.
+// This file holds the warm-path allocation machinery: per-window table
+// keys and pooled per-invoke transients.
 //
 // The pooling contract is strict about what may cross the handler
 // boundary. Handlers receive Task.State and return a delta map; either
@@ -19,63 +19,48 @@ import (
 // is ever pooled or reused — the state map is allocated fresh per
 // attempt and the delta map stays owned by the handler (the table
 // clones delta values at commit, see memtable.PutManyIfVersion).
-// Only invocation-internal transients are pooled: the versioned
-// read-set map, the raw load map, and the CAS op map, none of which a
-// handler can observe. runtime's pool-aliasing race tests
-// (pool_test.go) pin this boundary.
+// Only invocation-internal transients are pooled: the table-key
+// buffer and slice, the versioned read-set map, the raw load map, and
+// the CAS op map, none of which a handler can observe. runtime's
+// pool-aliasing race tests (pool_test.go) pin this boundary.
 
-// maxKeyCacheObjects bounds the per-object key cache. Hitting the
-// bound resets the whole cache (entries are cheap to regenerate); the
-// bound matches the presign cache's sizing rationale.
-const maxKeyCacheObjects = 8192
-
-// objectKeys is one object's precomputed table keys: the state-table
-// key of every structured key (aligned with ClassRuntime.stateSpecs)
-// plus a by-name index covering every declared key. Both are immutable
-// after construction — keys derive only from the class and object
-// names — so lookups are lock-free and never invalidated.
-type objectKeys struct {
-	// keys[i] is the table key of stateSpecs[i].
-	keys []string
-	// byName maps a structured key name to its table key. Membership
-	// doubles as the "in the versioned snapshot" test, so file keys are
-	// deliberately absent (a file key written as state takes the
-	// unconditional-write fallback path).
-	byName map[string]string
+// keysFor builds the table key of every structured key of one object
+// (aligned with ClassRuntime.stateSpecs) in the window's scratch. The
+// keys are assembled in sc.keyBuf, converted once to a fresh immutable
+// string, and returned as substrings of it in sc.keys — one allocation
+// however many keys the class declares. The result is valid until sc is
+// released. The conversion must stay a copy: the state table retains key
+// strings past the window (first put of a key, read-through fills), so
+// they may never alias the reused buffer.
+func (rt *ClassRuntime) keysFor(objectID string, sc *invokeScratch) []string {
+	buf := sc.keyBuf[:0]
+	for _, k := range rt.stateSpecs {
+		buf = append(buf, rt.statePrefix...)
+		buf = append(buf, objectID...)
+		buf = append(buf, '/')
+		buf = append(buf, k.Name...)
+	}
+	sc.keyBuf = buf
+	all := string(buf)
+	keys := sc.keys[:0]
+	for _, k := range rt.stateSpecs {
+		n := len(rt.statePrefix) + len(objectID) + 1 + len(k.Name)
+		keys = append(keys, all[:n])
+		all = all[n:]
+	}
+	sc.keys = keys
+	return keys
 }
 
-// keysFor returns the object's precomputed table keys, building and
-// caching them on first use.
-func (rt *ClassRuntime) keysFor(objectID string) *objectKeys {
-	if v, ok := rt.keyCache.Load(objectID); ok {
-		return v.(*objectKeys)
-	}
-	ok2 := &objectKeys{
-		keys:   make([]string, len(rt.stateSpecs)),
-		byName: make(map[string]string, len(rt.stateSpecs)),
-	}
-	for i, k := range rt.stateSpecs {
-		ok2.keys[i] = rt.stateKey(objectID, k.Name)
-		ok2.byName[k.Name] = ok2.keys[i]
-	}
-	// The size bound is approximate under concurrent fills (the
-	// counter can overshoot by in-flight builders); a wholesale reset
-	// only costs regeneration, never correctness.
-	if rt.keyCacheLen.Add(1) > maxKeyCacheObjects {
-		rt.keyCache.Clear()
-		rt.keyCacheLen.Store(1)
-	}
-	if prev, loaded := rt.keyCache.LoadOrStore(objectID, ok2); loaded {
-		return prev.(*objectKeys)
-	}
-	return ok2
-}
-
-// invokeScratch pools the invocation-internal maps of one
+// invokeScratch pools the invocation-internal transients of one
 // load→invoke→commit attempt. Every field stays inside the runtime:
 // nothing here is ever reachable from a handler (see the file comment
 // for the boundary contract).
 type invokeScratch struct {
+	// keyBuf is where keysFor assembles the object's table keys, keys
+	// the slice it returns; both keep their capacity across windows.
+	keyBuf []byte
+	keys   []string
 	// got receives the versioned table read (write windows).
 	got map[string]memtable.VersionedValue
 	// raw receives the unversioned table read (the readonly path).
@@ -103,6 +88,7 @@ func getScratch() *invokeScratch {
 
 // release clears the scratch and returns it to the pool.
 func (sc *invokeScratch) release() {
+	clear(sc.keys)
 	clear(sc.got)
 	clear(sc.raw)
 	clear(sc.ops)

@@ -427,23 +427,191 @@ func TestOCCValidateYAMLRejectsUnknownScope(t *testing.T) {
 	}
 }
 
-// TestKeyCacheResetBound fills the per-class composed-key cache past
-// its bound and checks it resets wholesale instead of growing without
-// limit (the cache trades recomputation for a hard memory ceiling).
-func TestKeyCacheResetBound(t *testing.T) {
-	rt := newRuntime(t, counterYAML, "Counter")
-	for i := 0; i < maxKeyCacheObjects+10; i++ {
-		rt.keysFor(fmt.Sprintf("obj-%d", i))
+// TestKeysForMatchesStateKey: the table keys a window builds in its
+// scratch equal stateKey(object, name) in stateSpecs order, and the
+// class-level name index agrees with them — for classes with zero, one
+// and many structured keys, with a file key beside them (file keys stay
+// out of the index) and across objects served by one scratch, whose
+// earlier keys must survive the buffer's reuse.
+func TestKeysForMatchesStateKey(t *testing.T) {
+	cases := []struct {
+		name       string
+		structured []string
+		file       string
+	}{
+		{name: "zero"},
+		{name: "one", structured: []string{"value"}},
+		{name: "many", structured: []string{"a", "bb", "c_c", "dddd", "e"}},
+		{name: "file-only", file: "blob"},
+		{name: "file-beside", structured: []string{"value", "note"}, file: "blob"},
 	}
-	if n := rt.keyCacheLen.Load(); n > maxKeyCacheObjects {
-		t.Fatalf("keyCacheLen = %d after overflow, want <= %d (wholesale reset)", n, maxKeyCacheObjects)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var yaml strings.Builder
+			yaml.WriteString("classes:\n  - name: K\n")
+			if len(tc.structured) > 0 || tc.file != "" {
+				yaml.WriteString("    keySpecs:\n")
+			}
+			if tc.file != "" {
+				// class.Keys is sorted by name and "blob" sorts first, so an
+				// index taken over class.Keys instead of stateSpecs is off
+				// by one.
+				fmt.Fprintf(&yaml, "      - name: %s\n        kind: file\n", tc.file)
+			}
+			for _, k := range tc.structured {
+				fmt.Fprintf(&yaml, "      - name: %s\n", k)
+			}
+			yaml.WriteString("    functions:\n      - name: get\n        image: img/get\n")
+			rt := newRuntime(t, yaml.String(), "K")
+
+			sc := getScratch()
+			defer sc.release()
+			type built struct {
+				object string
+				keys   []string
+			}
+			var earlier []built
+			for _, obj := range []string{"o", "a-much-longer-object-id", "", "o2"} {
+				keys := rt.keysFor(obj, sc)
+				if len(keys) != len(tc.structured) {
+					t.Fatalf("keysFor(%q) built %d keys, want %d", obj, len(keys), len(tc.structured))
+				}
+				// The slice is the scratch's; the strings are not.
+				earlier = append(earlier, built{obj, append([]string(nil), keys...)})
+			}
+			for _, b := range earlier {
+				for i, spec := range rt.stateSpecs {
+					if want := rt.stateKey(b.object, spec.Name); b.keys[i] != want {
+						t.Fatalf("object %q key %d = %q, want %q", b.object, i, b.keys[i], want)
+					}
+				}
+			}
+			if len(rt.keyIndex) != len(tc.structured) {
+				t.Fatalf("keyIndex = %v, want exactly the structured keys %v", rt.keyIndex, tc.structured)
+			}
+			for _, name := range tc.structured {
+				if i, ok := rt.keyIndex[name]; !ok || rt.stateSpecs[i].Name != name {
+					t.Fatalf("keyIndex[%q] = %d, %v; stateSpecs %v", name, i, ok, rt.stateSpecs)
+				}
+			}
+		})
 	}
-	// Entries computed after the reset are still correct.
-	keys := rt.keysFor("obj-after")
-	if len(keys.keys) != 1 || keys.keys[0] != rt.stateKey("obj-after", "value") {
-		t.Fatalf("post-reset keys = %v", keys.keys)
+}
+
+// TestFileKeyWrittenAsStateCommitsUnconditionally: a file key is not in
+// the versioned snapshot, so a handler that writes one as state takes
+// commit's unconditional-write arm. The handler bumps that table key's
+// version between load and commit; a commit that expected a version for
+// it would abort and retry.
+func TestFileKeyWrittenAsStateCommitsUnconditionally(t *testing.T) {
+	const mixedYAML = `classes:
+  - name: Mixed
+    concurrencyMode: occ
+    keySpecs:
+      - name: value
+        kind: number
+        default: 0
+      - name: blob
+        kind: file
+    functions:
+      - name: stamp
+        image: img/stamp
+`
+	infra := testInfra(t)
+	infra.Objects = newObjectStore(t).store
+	var rt *ClassRuntime
+	reg := invoker.NewRegistry()
+	reg.Register("img/stamp", invoker.HandlerFunc(func(ctx context.Context, task invoker.Task) (invoker.Result, error) {
+		if err := rt.table.Put(ctx, rt.stateKey(task.Object, "blob"), json.RawMessage(`"raced"`)); err != nil {
+			return invoker.Result{}, err
+		}
+		return invoker.Result{State: map[string]json.RawMessage{
+			"value": json.RawMessage(`1`), "blob": json.RawMessage(`"meta"`),
+		}}, nil
+	}))
+	infra.Transport = invoker.NewLocal(reg)
+	rt, err := New(infra, resolvedClass(t, mixedYAML, "Mixed"), stdTemplate())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := keys.byName["value"]; !ok {
-		t.Fatalf("post-reset byName missing structured key: %v", keys.byName)
+	t.Cleanup(rt.Close)
+	ctx := context.Background()
+	if _, err := rt.Invoke(ctx, "o", "stamp", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cs := rt.ConcurrencyStats(); cs.Commits != 1 || cs.Aborts != 0 {
+		t.Fatalf("commits/aborts = %d/%d, want 1/0 (the file key was validated)", cs.Commits, cs.Aborts)
+	}
+	if v, err := rt.table.Get(ctx, rt.stateKey("o", "blob")); err != nil || string(v) != `"meta"` {
+		t.Fatalf("blob state = %s, %v; want \"meta\"", v, err)
+	}
+	if v, err := rt.GetState(ctx, "o", "value"); err != nil || string(v) != "1" {
+		t.Fatalf("value = %s, %v; want 1", v, err)
+	}
+}
+
+// TestTableRetainedKeysSurviveScratchReuse: the state table keeps the
+// key strings it is first handed — the first put of a fresh object's
+// key (data, versions, the write-behind dirty set) and a read-through
+// fill — long after the window that built them. Window A and window B
+// here run on one scratch, as two windows served by the same pooled
+// scratch do, so B's keys overwrite A's in the key buffer; every key
+// the table retained from A must still read, version and flush as A's.
+func TestTableRetainedKeysSurviveScratchReuse(t *testing.T) {
+	infra := testInfra(t)
+	rt, err := New(infra, resolvedClass(t, counterYAML, "Counter"), stdTemplate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ctx := context.Background()
+	incr, _ := rt.class.Function("incr")
+	// "cold" lives only in the backing store: loading it is a
+	// read-through fill under window A's key.
+	if err := infra.Backing.BatchPut(ctx, map[string]json.RawMessage{
+		"state/Counter/cold/value": json.RawMessage(`41`),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sc := getScratch()
+	defer sc.release()
+	window := func(objectID string, write json.RawMessage) {
+		t.Helper()
+		snap, err := rt.loadStateVersioned(ctx, objectID, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if write != nil {
+			w := writeWindow{objectID: objectID, fn: incr}
+			if err := rt.commit(ctx, &w, snap, map[string]json.RawMessage{"value": write}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// What release clears between two windows; the scratch itself
+		// stays out of the pool so no parallel test can take it.
+		clear(sc.got)
+		clear(sc.ops)
+	}
+	window("fresh", json.RawMessage(`7`)) // A: first put of a fresh object
+	window("cold", nil)                   // A': read-through fill
+	window("zz-another-object-with-a-longer-id", json.RawMessage(`9`))
+
+	for objectID, want := range map[string]string{"fresh": "7", "cold": "41"} {
+		if v, err := rt.GetState(ctx, objectID, "value"); err != nil || string(v) != want {
+			t.Fatalf("%s after scratch reuse = %s, %v; want %s", objectID, v, err, want)
+		}
+	}
+	got, err := rt.table.GetManyVersioned(ctx, []string{rt.stateKey("fresh", "value"), rt.stateKey("cold", "value")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, vv := range got {
+		if vv.Version == 0 {
+			t.Fatalf("table lost the version of retained key %q", k)
+		}
+	}
+	rt.Flush(ctx)
+	if doc, err := infra.Backing.Get(ctx, "state/Counter/fresh/value"); err != nil || string(doc.Value) != "7" {
+		t.Fatalf("flushed fresh = %s, %v; want 7 (dirty-set key corrupted)", doc.Value, err)
 	}
 }

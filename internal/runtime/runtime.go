@@ -167,10 +167,14 @@ type ClassRuntime struct {
 	// Infra.PprofLabels is on, precomputed so the hot path never
 	// rebuilds it. Read-only after New.
 	pprofLabels map[string]pprof.LabelSet
-	// keyCache memoizes per-object table-key slices (see pool.go);
-	// keyCacheLen approximates its size for the wholesale-reset bound.
-	keyCache    sync.Map
-	keyCacheLen atomic.Int64
+	// statePrefix is "state/<class>/", the head of every state-table key
+	// of the class; keyIndex maps a structured key name to its index in
+	// stateSpecs. Membership in keyIndex doubles as the "in the versioned
+	// snapshot" test, so file keys are deliberately absent (a file key
+	// written as state takes commit's unconditional-write arm). Read-only
+	// after New.
+	statePrefix string
+	keyIndex    map[string]int
 	// concMode is the resolved concurrency mode for this class (class
 	// declaration > platform default > adaptive).
 	concMode model.ConcurrencyMode
@@ -358,8 +362,11 @@ func New(infra Infra, class *model.Class, tmpl Template) (*ClassRuntime, error) 
 		reg:        metrics.NewRegistry(),
 		meter:      metrics.NewMeter(10*time.Second, 10, infra.Clock.Now),
 	}
+	rt.statePrefix = "state/" + class.Name + "/"
+	rt.keyIndex = make(map[string]int, len(class.Keys))
 	for _, k := range class.Keys {
 		if k.Kind != model.KindFile {
+			rt.keyIndex[k.Name] = len(rt.stateSpecs)
 			rt.stateSpecs = append(rt.stateSpecs, k)
 		}
 	}
@@ -503,7 +510,7 @@ func (rt *ClassRuntime) fnKeyFor(fn string) string {
 
 // stateKey is the table key for one object's state attribute.
 func (rt *ClassRuntime) stateKey(objectID, key string) string {
-	return "state/" + rt.class.Name + "/" + objectID + "/" + key
+	return rt.statePrefix + objectID + "/" + key
 }
 
 // fileKey is the object-store key for one object's file attribute.
@@ -617,14 +624,14 @@ func (rt *ClassRuntime) loadState(ctx context.Context, objectID string) (_ map[s
 	}
 	sp := trace.FromContext(ctx).Child("load")
 	defer func() { sp.Error(err); sp.End() }()
-	keys := rt.keysFor(objectID)
 	sc := getScratch()
 	defer sc.release()
-	if err := rt.table.GetManyInto(ctx, keys.keys, sc.raw); err != nil {
+	keys := rt.keysFor(objectID, sc)
+	if err := rt.table.GetManyInto(ctx, keys, sc.raw); err != nil {
 		return nil, fmt.Errorf("runtime: loading state %s: %w", objectID, err)
 	}
 	for i, k := range rt.stateSpecs {
-		if v, ok := sc.raw[keys.keys[i]]; ok {
+		if v, ok := sc.raw[keys[i]]; ok {
 			state[k.Name] = v
 		} else if len(k.Default) > 0 {
 			state[k.Name] = k.Default
@@ -895,13 +902,14 @@ func (rt *ClassRuntime) invokeReadonly(ctx context.Context, objectID string, fn 
 // stateSnapshot is one version-stamped view of an object's structured
 // state. state maps key names to values (class defaults resolved) and
 // is handler-facing, so it is allocated fresh per attempt — never
-// pooled. keys and sc are invocation-internal: keys is the object's
-// precomputed table-key bundle and sc.got holds the versioned read
-// set (every snapshot key present; absent keys carry the version a
-// creating CAS expects). The owning attempt releases sc.
+// pooled. keys and sc are invocation-internal: keys are the object's
+// table keys (keysFor: aligned with stateSpecs, backed by sc) and
+// sc.got holds the versioned read set (every snapshot key present;
+// absent keys carry the version a creating CAS expects). The owning
+// attempt releases sc, which ends the snapshot.
 type stateSnapshot struct {
 	state map[string]json.RawMessage
-	keys  *objectKeys
+	keys  []string
 	sc    *invokeScratch
 }
 
@@ -910,7 +918,7 @@ type stateSnapshot struct {
 // creating CAS), in one batched table read into the attempt's pooled
 // scratch (fresh from the pool, so sc.got starts empty).
 func (rt *ClassRuntime) loadStateVersioned(ctx context.Context, objectID string, sc *invokeScratch) (_ stateSnapshot, err error) {
-	keys := rt.keysFor(objectID)
+	keys := rt.keysFor(objectID, sc)
 	state := make(map[string]json.RawMessage, len(rt.stateSpecs))
 	if len(rt.stateSpecs) == 0 {
 		// A stateless class has nothing to read, and traces no load.
@@ -918,11 +926,11 @@ func (rt *ClassRuntime) loadStateVersioned(ctx context.Context, objectID string,
 	}
 	sp := trace.FromContext(ctx).Child("load")
 	defer func() { sp.Error(err); sp.End() }()
-	if err := rt.table.GetManyVersionedInto(ctx, keys.keys, sc.got); err != nil {
+	if err := rt.table.GetManyVersionedInto(ctx, keys, sc.got); err != nil {
 		return stateSnapshot{}, fmt.Errorf("runtime: loading state %s: %w", objectID, err)
 	}
 	for i, k := range rt.stateSpecs {
-		if vv := sc.got[keys.keys[i]]; vv.Value != nil {
+		if vv := sc.got[keys[i]]; vv.Value != nil {
 			state[k.Name] = vv.Value
 		} else if len(k.Default) > 0 {
 			state[k.Name] = k.Default

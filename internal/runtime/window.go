@@ -260,19 +260,22 @@ func (rt *ClassRuntime) commit(ctx context.Context, w *writeWindow, snap stateSn
 	ops := snap.sc.ops
 	clear(ops)
 	if validated && !rt.occKeysOnly {
-		for _, key := range snap.keys.keys {
+		for _, key := range snap.keys {
 			ops[key] = memtable.CASOp{Expect: snap.sc.got[key].Version}
 		}
 	}
 	for k, v := range delta {
 		op := memtable.CASOp{Expect: memtable.AnyVersion, Write: true}
-		key, inSnap := snap.keys.byName[k]
-		if !inSnap {
+		var key string
+		if i, inSnap := rt.keyIndex[k]; !inSnap {
 			// A declared key outside the structured snapshot (a file
 			// key written as state) is written unconditionally.
 			key = rt.stateKey(w.objectID, k)
-		} else if validated {
-			op.Expect = snap.sc.got[key].Version
+		} else {
+			key = snap.keys[i]
+			if validated {
+				op.Expect = snap.sc.got[key].Version
+			}
 		}
 		if !isNull(v) {
 			op.Value = v
