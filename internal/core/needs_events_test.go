@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -184,8 +185,10 @@ func TestEventLogIsStickyPerObject(t *testing.T) {
 	if next := nextOffset(t, p2, "a"); next != 4 {
 		t.Fatalf("a's next offset after restart = %d, want 4", next)
 	}
-	// b's first commit in this life pays the recovery probe that finds
-	// its log empty; the answer is kept, so the second pays nothing.
+	// b's first commit in this life reads its state through (the kill
+	// lost it, so there is nothing to cache until the commit lands); its
+	// log costs no read at all — no bounds document, so the successor
+	// knew at open that it never began.
 	bump(t, p2, "b")
 	reads := shared.Stats().ReadOps
 	bump(t, p2, "b")
@@ -197,6 +200,162 @@ func TestEventLogIsStickyPerObject(t *testing.T) {
 	}
 	if keys, _ := shared.List(ctx, "evmeta/"); len(keys) != 1 || keys[0] != "evmeta/a" {
 		t.Errorf("bounds documents = %v, want only a's", keys)
+	}
+}
+
+// TestRecoveredUnobservedObjectCommitsWithoutStoreRead: a successor on
+// the same store learns at open which objects' logs have begun, so a
+// recovered object nobody ever observed commits without a bounds probe
+// (one store read per object before, when only objects created in this
+// process were spared it) — while an object that did log before
+// the restart is still begun, keeps its offsets and redelivers from its
+// stored cursor.
+func TestRecoveredUnobservedObjectCommitsWithoutStoreRead(t *testing.T) {
+	for name, end := range map[string]func(*Platform){"close": (*Platform).Close, "kill": (*Platform).Kill} {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			shared := kvstore.Open(kvstore.Config{})
+			defer shared.Close()
+			sink := newOffsetSink(t)
+			cfg := Config{Backing: shared, WebhookRetryBackoff: time.Millisecond}
+			p1 := newEventPlatform(t, cfg)
+			newTallies(t, p1, "seen")
+			observe(t, p1, "hook", "Tally", sink)
+			bump(t, p1, "seen")
+			bump(t, p1, "seen")
+			waitUntil(t, "delivery of seen's first two events", func() bool { return len(sink.offsets()) == 2 })
+			p1.UnsubscribeTrigger("hook")
+			bump(t, p1, "seen") // logged (a begun log never stops), not delivered
+			quiet := make([]string, 64)
+			for i := range quiet {
+				quiet[i] = fmt.Sprintf("quiet-%02d", i)
+				if _, err := p1.CreateObject(ctx, "Tally", quiet[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p1.Flush(ctx)
+			end(p1)
+
+			p2 := newEventPlatform(t, cfg)
+			if _, err := p2.DeployYAML(ctx, []byte(chainYAML("occ"))); err != nil {
+				t.Fatal(err)
+			}
+			if got := p2.EventLog().Stats().Objects; got != 1 {
+				t.Errorf("successor holds %d event logs, want 1 (seen's)", got)
+			}
+			for _, id := range quiet {
+				tallyCount(t, p2, id) // read the state through, as any first access would
+			}
+			// Stats().ReadOps does not count a Get that finds nothing, which
+			// is what the probe was; a plan that fails every read counts
+			// attempts instead.
+			shared.SetFaultPlan(kvstore.FaultPlan{Seed: 1, ReadErrorRate: 1})
+			for _, id := range quiet {
+				if n := bump(t, p2, id); n != 1 {
+					t.Fatalf("%s bumped to %d, want 1", id, n)
+				}
+			}
+			shared.SetFaultPlan(kvstore.FaultPlan{})
+			if got := shared.FaultsServed(); got != 0 {
+				t.Errorf("%d recovered, unobserved objects tried %d store reads to commit, want 0", len(quiet), got)
+			}
+			if got := p2.EventLog().Stats(); got.Objects != 1 || got.Appended != 0 {
+				t.Errorf("after unobserved commits the log holds %d objects and appended %d, want 1 and 0", got.Objects, got.Appended)
+			}
+
+			if begun, err := p2.EventLog().Begun(ctx, "seen"); err != nil || !begun {
+				t.Fatalf("Begun(seen) after restart = %v, %v", begun, err)
+			}
+			bump(t, p2, "seen")
+			if next := nextOffset(t, p2, "seen"); next != 5 {
+				t.Fatalf("seen's next offset after restart = %d, want 5", next)
+			}
+			observe(t, p2, "hook", "Tally", sink)
+			// From the stored cursor: 3 after a close; after a kill, which
+			// loses the write-behind advances, as far back as 1 again.
+			waitUntil(t, "redelivery from the stored cursor", func() bool {
+				got := sink.offsets()
+				return got[len(got)-1] == 4
+			})
+			if got := sink.offsets(); got[len(got)-2] != 3 {
+				t.Fatalf("delivered offsets %v, want them to end 3 4", got)
+			}
+		})
+	}
+}
+
+// TestDeletingUnobservedObjectsLeavesTheLogAlone: an object that never
+// logged an event has no log to drop — deleting it costs the store its
+// state-key and directory deletes and nothing else (before, a listing
+// of evlog/<id>/ and a delete of evmeta/<id> on top) — while deleting
+// one that did log still clears it, so a recreation starts at offset 1.
+func TestDeletingUnobservedObjectsLeavesTheLogAlone(t *testing.T) {
+	ctx := context.Background()
+	p := newEventPlatform(t, Config{})
+	ids := make([]string, 100)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("quiet-%03d", i)
+	}
+	newTallies(t, p, append(ids, "seen")...)
+	for _, id := range ids {
+		bump(t, p, id)
+	}
+	p.Flush(ctx)
+	before := p.Backing().Stats()
+	// A plan that fails every read counts read attempts (a listing is in
+	// no Stats counter).
+	p.Backing().SetFaultPlan(kvstore.FaultPlan{Seed: 1, ReadErrorRate: 1})
+	for _, id := range ids {
+		if err := p.DeleteObject(ctx, id); err != nil {
+			t.Fatalf("delete %s: %v", id, err)
+		}
+	}
+	p.Backing().SetFaultPlan(kvstore.FaultPlan{})
+	if got := p.Backing().FaultsServed(); got != 0 {
+		t.Errorf("deleting %d unobserved objects tried %d store reads, want 0", len(ids), got)
+	}
+	after := p.Backing().Stats()
+	// One state key (n) and one objects/<id> document each.
+	if got, want := after.DeleteOps-before.DeleteOps, int64(2*len(ids)); got != want {
+		t.Errorf("deleting %d unobserved objects cost %d store deletes, want %d", len(ids), got, want)
+	}
+	before.DeleteOps = after.DeleteOps
+	if after != before {
+		t.Errorf("deleting unobserved objects moved other store counters: %+v -> %+v", before, after)
+	}
+
+	st, err := p.StreamEvents("seen", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bump(t, p, "seen")
+	bump(t, p, "seen")
+	st.Close()
+	if next := nextOffset(t, p, "seen"); next != 3 {
+		t.Fatalf("seen's next offset = %d, want 3", next)
+	}
+	if err := p.DeleteObject(ctx, "seen"); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []string{"evlog/seen/", "evmeta/seen"} {
+		if keys, err := p.Backing().List(ctx, prefix); err != nil || len(keys) != 0 {
+			t.Errorf("after the delete the store holds %v (err %v)", keys, err)
+		}
+	}
+	if _, err := p.CreateObject(ctx, "Tally", "seen"); err != nil {
+		t.Fatal(err)
+	}
+	if next := nextOffset(t, p, "seen"); next != 1 {
+		t.Fatalf("recreated object's next offset = %d, want 1", next)
+	}
+	st, err = p.StreamEvents("seen", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	bump(t, p, "seen")
+	if next := nextOffset(t, p, "seen"); next != 2 {
+		t.Fatalf("recreated object's log did not restart: next offset = %d, want 2", next)
 	}
 }
 

@@ -314,8 +314,16 @@ type RegionSpec struct {
 	VMResources cluster.Resources
 }
 
-// objectRecord is the directory entry for one object.
+// objectRecord is the directory entry for one object, resident whether
+// or not the object is ever invoked: 16 pointer-free bytes. class
+// indexes Platform.classNames, created is unix nanoseconds.
 type objectRecord struct {
+	class   uint32
+	created int64
+}
+
+// objectDoc is the persisted form of an objectRecord (objects/<id>).
+type objectDoc struct {
 	Class   string    `json:"class"`
 	Created time.Time `json:"created"`
 }
@@ -350,7 +358,10 @@ type Platform struct {
 	classes  map[string]*model.Class
 	runtimes map[string]*runtime.ClassRuntime
 	dir      map[string]objectRecord
-	closed   bool
+	// classNames interns directory records' classes; classIDs inverts it.
+	classNames []string
+	classIDs   map[string]uint32
+	closed     bool
 
 	triggersFired atomic.Int64
 }
@@ -421,6 +432,7 @@ func New(cfg Config) (*Platform, error) {
 		classes:     make(map[string]*model.Class),
 		runtimes:    make(map[string]*runtime.ClassRuntime),
 		dir:         make(map[string]objectRecord),
+		classIDs:    make(map[string]uint32),
 	}
 	closeBacking := func() {
 		if p.ownsBacking {
@@ -590,11 +602,11 @@ func (p *Platform) recover(ctx context.Context) error {
 			if !ok {
 				continue
 			}
-			var rec objectRecord
+			var rec objectDoc
 			if json.Unmarshal(doc.Value, &rec) != nil || rec.Class == "" {
 				continue
 			}
-			p.dir[strings.TrimPrefix(k, "objects/")] = rec
+			p.dir[strings.TrimPrefix(k, "objects/")] = p.recordLocked(rec.Class, rec.Created)
 		}
 		p.mu.Unlock()
 	}
@@ -1014,14 +1026,9 @@ func (p *Platform) CreateObject(ctx context.Context, class, id string) (string, 
 		p.mu.Unlock()
 		return "", fmt.Errorf("%w: %q", ErrObjectExists, id)
 	}
-	rec := objectRecord{Class: class, Created: p.cfg.Clock.Now()}
-	p.dir[id] = rec
+	rec := objectDoc{Class: class, Created: p.cfg.Clock.Now()}
+	p.dir[id] = p.recordLocked(class, rec.Created)
 	p.mu.Unlock()
-	// A brand-new object (the directory check above rules out a
-	// recovered incarnation) provably has an empty event log; telling
-	// the log now spares its first append the backing-store recovery
-	// probe.
-	p.elog.NoteCreated(id)
 	if err := rt.InitObjectState(ctx, id); err != nil {
 		p.mu.Lock()
 		delete(p.dir, id)
@@ -1037,6 +1044,17 @@ func (p *Platform) CreateObject(ctx context.Context, class, id string) (string, 
 		return "", fmt.Errorf("core: persisting object record: %w", err)
 	}
 	return id, nil
+}
+
+// recordLocked builds a directory record. Callers hold p.mu.
+func (p *Platform) recordLocked(class string, created time.Time) objectRecord {
+	id, ok := p.classIDs[class]
+	if !ok {
+		id = uint32(len(p.classNames))
+		p.classNames = append(p.classNames, class)
+		p.classIDs[class] = id
+	}
+	return objectRecord{class: id, created: created.UnixNano()}
 }
 
 // DeleteObject removes an object and all its state.
@@ -1065,7 +1083,7 @@ func (p *Platform) ObjectClass(id string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrObjectNotFound, id)
 	}
-	return rec.Class, nil
+	return p.classNames[rec.class], nil
 }
 
 // ListObjects returns object IDs (optionally filtered by class),
@@ -1077,7 +1095,7 @@ func (p *Platform) ListObjects(class string) []string {
 	var out []string
 	for id, rec := range p.dir {
 		if class != "" {
-			c, ok := p.classes[rec.Class]
+			c, ok := p.classes[p.classNames[rec.class]]
 			if !ok || !c.IsSubclassOf(class) {
 				continue
 			}
@@ -1099,11 +1117,12 @@ func (p *Platform) objectRuntime(id string) (*runtime.ClassRuntime, string, erro
 	if !ok {
 		return nil, "", fmt.Errorf("%w: %q", ErrObjectNotFound, id)
 	}
-	rt, ok := p.runtimes[rec.Class]
+	class := p.classNames[rec.class]
+	rt, ok := p.runtimes[class]
 	if !ok {
-		return nil, "", fmt.Errorf("%w: %q (object %q orphaned)", ErrClassNotFound, rec.Class, id)
+		return nil, "", fmt.Errorf("%w: %q (object %q orphaned)", ErrClassNotFound, class, id)
 	}
-	return rt, rec.Class, nil
+	return rt, class, nil
 }
 
 // HomeRegion returns the data center an object's class runtime lives

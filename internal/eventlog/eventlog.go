@@ -120,6 +120,8 @@ type objectLog struct {
 	// by the background sweep (eviction itself must not pay a
 	// per-entry delete on the append path).
 	garbage []string
+	// dropped marks a log that Drop emptied and unlinked from Log.objs.
+	dropped bool
 }
 
 // floor is the oldest retained offset (== next when empty). Callers
@@ -189,6 +191,18 @@ func New(cfg Config) (*Log, error) {
 		gcStop:  make(chan struct{}),
 		gcDone:  make(chan struct{}),
 	}
+	// Every begun log has a persisted bounds document; registering them
+	// (unloaded) here lets absence from objs mean "never begun".
+	if cfg.Backing != nil {
+		keys, err := cfg.Backing.List(context.Background(), "evmeta/")
+		if err != nil {
+			curs.Close()
+			return nil, fmt.Errorf("eventlog: listing begun logs: %w", err)
+		}
+		for _, k := range keys {
+			l.objs[strings.TrimPrefix(k, "evmeta/")] = &objectLog{next: 1}
+		}
+	}
 	go l.gcLoop()
 	return l, nil
 }
@@ -219,19 +233,28 @@ func entryKey(object string, off int64) string {
 func metaKey(object string) string        { return "evmeta/" + object }
 func cursorKey(sub, object string) string { return "evcursor/" + sub + "/" + object }
 
-// object returns (creating if needed) the in-memory log of one object.
-func (l *Log) object(object string) *objectLog {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	ol, ok := l.objs[object]
-	if !ok {
-		ol = &objectLog{next: 1}
-		l.objs[object] = ol
+// lockForAppend returns one object's log with its lock held, creating
+// it loaded and empty: New registered every object with persisted
+// bounds and Drop deletes them, so there is nothing to recover.
+func (l *Log) lockForAppend(object string) *objectLog {
+	for {
+		l.mu.Lock()
+		ol, ok := l.objs[object]
+		if !ok {
+			ol = &objectLog{next: 1, loaded: true}
+			l.objs[object] = ol
+		}
+		l.mu.Unlock()
+		ol.mu.Lock()
+		if !ol.dropped {
+			return ol
+		}
+		ol.mu.Unlock() // unlinked by Drop while we waited; take its successor
 	}
-	return ol
 }
 
-// peek returns an object's log only if it is already in memory.
+// peek returns an object's log, or nil when it never began: readers
+// then answer [1, 1) with no entry, per-object lock or store read.
 func (l *Log) peek(object string) *objectLog {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -242,10 +265,6 @@ func (l *Log) peek(object string) *objectLog {
 // the backing store. Callers hold ol.mu.
 func (l *Log) load(ctx context.Context, object string, ol *objectLog) error {
 	if ol.loaded {
-		return nil
-	}
-	if l.cfg.Backing == nil {
-		ol.loaded = true
 		return nil
 	}
 	doc, err := l.cfg.Backing.Get(ctx, metaKey(object))
@@ -307,44 +326,39 @@ func (l *Log) load(ctx context.Context, object string, ol *objectLog) error {
 	return nil
 }
 
-// NoteCreated marks a just-created object's log as loaded and empty.
-// The creator has verified no prior incarnation of the object exists,
-// so the first append can skip the backing-store recovery probe (a
-// meta read plus a key listing) that lazy loading would otherwise pay
-// — a measurable cost when many fresh objects publish their first
-// event under simulated DB read latency. Must not be called for
-// recovered objects: their logs have to load from backing.
-func (l *Log) NoteCreated(object string) {
-	ol := l.object(object)
-	ol.mu.Lock()
-	ol.loaded = true
-	ol.mu.Unlock()
-}
-
 // Drop discards an object's log when the object itself is deleted:
 // in-memory state is removed and persisted entries and bounds are
 // deleted from the backing store, so a later object reusing the ID
 // starts a fresh log at offset 1 instead of resurrecting the old one.
 // Stored cursors pointing at the dropped log are left in place — they
 // read as zero lag against an empty log and are rewritten on the
-// consumer's next delivery.
+// consumer's next delivery. A log that never began has nothing in
+// memory or in the store, and dropping it touches neither.
 func (l *Log) Drop(ctx context.Context, object string) error {
+	ol := l.peek(object)
+	if ol == nil {
+		return nil
+	}
+	// Under the object's lock, so a racing append lands wholly before
+	// the drop (and is deleted) or after it, in a fresh log. The entry
+	// leaves objs only once its bounds are gone: a failed drop retries.
+	ol.mu.Lock()
+	defer ol.mu.Unlock()
+	if l.cfg.Backing != nil {
+		keys, err := l.cfg.Backing.List(ctx, "evlog/"+object+"/")
+		if err != nil {
+			return fmt.Errorf("eventlog: listing %s entries: %w", object, err)
+		}
+		for _, k := range append(keys, metaKey(object)) {
+			if err := l.cfg.Backing.Delete(ctx, k); err != nil && !errors.Is(err, kvstore.ErrNotFound) {
+				return fmt.Errorf("eventlog: dropping %s: %w", object, err)
+			}
+		}
+	}
+	ol.entries, ol.garbage, ol.next, ol.loaded, ol.dropped = nil, nil, 1, true, true
 	l.mu.Lock()
 	delete(l.objs, object)
 	l.mu.Unlock()
-	if l.cfg.Backing == nil {
-		return nil
-	}
-	keys, err := l.cfg.Backing.List(ctx, "evlog/"+object+"/")
-	if err != nil {
-		return fmt.Errorf("eventlog: listing %s entries: %w", object, err)
-	}
-	keys = append(keys, metaKey(object))
-	for _, k := range keys {
-		if err := l.cfg.Backing.Delete(ctx, k); err != nil && !errors.Is(err, kvstore.ErrNotFound) {
-			return fmt.Errorf("eventlog: dropping %s: %w", object, err)
-		}
-	}
 	return nil
 }
 
@@ -368,8 +382,7 @@ func (l *Log) AppendBatch(ctx context.Context, object string, n int, build func(
 	if n <= 0 {
 		return 0, nil
 	}
-	ol := l.object(object)
-	ol.mu.Lock()
+	ol := l.lockForAppend(object)
 	defer ol.mu.Unlock()
 	if err := l.load(ctx, object, ol); err != nil {
 		return 0, err
@@ -436,7 +449,10 @@ func (l *Log) Read(ctx context.Context, object string, from int64, max int) ([]E
 	if from <= 0 {
 		from = 1
 	}
-	ol := l.object(object)
+	ol := l.peek(object)
+	if ol == nil {
+		return nil, nil
+	}
 	ol.mu.Lock()
 	defer ol.mu.Unlock()
 	if err := l.load(ctx, object, ol); err != nil {
@@ -465,7 +481,10 @@ func (l *Log) Read(ctx context.Context, object string, from int64, max int) ([]E
 // Bounds returns an object's retained floor and next-append offset
 // (replayable entries are [first, next)).
 func (l *Log) Bounds(ctx context.Context, object string) (first, next int64, err error) {
-	ol := l.object(object)
+	ol := l.peek(object)
+	if ol == nil {
+		return 1, 1, nil
+	}
 	ol.mu.Lock()
 	defer ol.mu.Unlock()
 	if err := l.load(ctx, object, ol); err != nil {
@@ -478,8 +497,8 @@ func (l *Log) Bounds(ctx context.Context, object string) (first, next int64, err
 // (next > 1). The answer is durable — it comes from the persisted
 // bounds document, so it survives restart, retention emptying the log
 // and Kill — and it never turns false again short of Drop. An object
-// whose log is not in memory yet pays the same one-time recovery probe
-// a first Append would.
+// whose log never began costs one map lookup; one that began before a
+// restart loads its retained entries on the first call.
 func (l *Log) Begun(ctx context.Context, object string) (bool, error) {
 	_, next, err := l.Bounds(ctx, object)
 	return next > 1, err
@@ -687,7 +706,7 @@ type Stats struct {
 	Replayed int64 `json:"replayed"`
 	// Compacted counts entries evicted by the TTL sweep.
 	Compacted int64 `json:"compacted"`
-	// Objects counts per-object logs held in memory.
+	// Objects counts objects whose log has begun, loaded or not.
 	Objects int `json:"objects"`
 }
 

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/heaptest"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
@@ -191,6 +194,43 @@ func TestLogSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestReloadedEntriesKeepTheirAppendTime: a reloaded entry's Time is the
+// store document's Updated, which the store keeps as nanoseconds; it
+// must still equal the append instant, so retention ages a recovered
+// entry exactly as it would have aged the original.
+func TestReloadedEntriesKeepTheirAppendTime(t *testing.T) {
+	clk := vclock.NewManual(time.Unix(1_700_000_000, 987_654_321))
+	st := kvstore.Open(kvstore.Config{Clock: clk})
+	t.Cleanup(st.Close)
+	cfg := Config{Backing: st, RetentionTTL: time.Minute, GCInterval: time.Hour, Clock: clk}
+	ctx := context.Background()
+	l1 := testLog(t, cfg)
+	appendN(t, l1, "obj", 1)
+	clk.Advance(40 * time.Second)
+	appendN(t, l1, "obj", 1)
+	want, err := l1.Read(ctx, "obj", 1, 0)
+	if err != nil || len(want) != 2 {
+		t.Fatalf("read = %v, %v", want, err)
+	}
+	l1.Kill()
+
+	l2 := testLog(t, cfg)
+	got, err := l2.Read(ctx, "obj", 1, 0)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("read after restart = %v, %v", got, err)
+	}
+	for i := range got {
+		if !got[i].Time.Equal(want[i].Time) {
+			t.Errorf("entry %d reloaded with time %v, appended at %v", i+1, got[i].Time, want[i].Time)
+		}
+	}
+	clk.Advance(30 * time.Second) // the first entry is 70 s old, the second 30 s
+	l2.Compact(ctx)
+	if first, next, err := l2.Bounds(ctx, "obj"); err != nil || first != 2 || next != 3 {
+		t.Fatalf("bounds after the sweep = [%d,%d), %v, want [2,3)", first, next, err)
+	}
+}
+
 func TestKillLosesOnlyWriteBehindCursorAdvances(t *testing.T) {
 	st := testStore(t)
 	l1 := testLog(t, Config{Backing: st, CursorFlushInterval: time.Hour})
@@ -235,25 +275,138 @@ func TestCursorLag(t *testing.T) {
 	}
 }
 
-func TestNoteCreatedSkipsRecoveryProbe(t *testing.T) {
+// TestIdleObjectHoldsNoLog: asking after an object whose log never
+// began — what every unobserved commit does through NeedsEvents —
+// leaves nothing behind: no entry, no resident bytes, no store read.
+func TestIdleObjectHoldsNoLog(t *testing.T) {
+	const n = 100_000
+	st := testStore(t)
+	l := testLog(t, Config{Backing: st})
+	ctx := context.Background()
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("obj-%06d", i)
+	}
+	// Every read of the store would fail, so none may be tried (a Get
+	// that finds nothing is in no Stats counter; a served fault is).
+	st.SetFaultPlan(kvstore.FaultPlan{Seed: 1, ReadErrorRate: 1})
+	per := heaptest.PerEntry(t, n, func() {
+		for _, id := range ids {
+			if begun, err := l.Begun(ctx, id); err != nil || begun {
+				t.Fatalf("Begun(%s) = %v, %v on a log never appended to", id, begun, err)
+			}
+			if first, next, err := l.Bounds(ctx, id); err != nil || first != 1 || next != 1 {
+				t.Fatalf("Bounds(%s) = [%d,%d), %v, want [1,1)", id, first, next, err)
+			}
+			if entries, err := l.Read(ctx, id, 1, 0); err != nil || len(entries) != 0 {
+				t.Fatalf("Read(%s) = %v, %v, want nothing", id, entries, err)
+			}
+		}
+	})
+	st.SetFaultPlan(kvstore.FaultPlan{})
+	if got := l.Stats().Objects; got != 0 {
+		t.Errorf("%d idle objects hold %d logs, want 0", n, got)
+	}
+	if got := st.FaultsServed(); got != 0 {
+		t.Errorf("asking after %d idle objects tried %d store reads, want 0", n, got)
+	}
+	// Measured 0 B/object (115.0 B before, one objectLog each); the
+	// ceiling leaves room for the heap's own noise over 100 000 objects.
+	if per > 1 {
+		t.Errorf("an idle object holds %.1f B of event log, want none", per)
+	}
+	runtime.KeepAlive(ids)
+	// The first append is what begins a log, at offset 1.
+	appendN(t, l, ids[0], 1)
+	if first, next, err := l.Bounds(ctx, ids[0]); err != nil || first != 1 || next != 2 {
+		t.Fatalf("bounds after the first append = [%d,%d), %v, want [1,2)", first, next, err)
+	}
+	if got := l.Stats().Objects; got != 1 {
+		t.Errorf("logs held after one object's first append = %d, want 1", got)
+	}
+}
+
+// TestBegunLogsAreKnownAtOpen: New registers every object with
+// persisted bounds, so a successor answers for a begun log from the
+// store and for any other object without touching it.
+func TestBegunLogsAreKnownAtOpen(t *testing.T) {
 	st := testStore(t)
 	ctx := context.Background()
-	// Plant stale bounds from a dead prior incarnation: a probe-free
-	// first append must ignore them and start the log at offset 1.
-	stale, _ := json.Marshal(objMeta{First: 3, Next: 7})
-	if _, err := st.Put(ctx, metaKey("obj"), stale); err != nil {
-		t.Fatal(err)
+	l1 := testLog(t, Config{Backing: st})
+	appendN(t, l1, "seen", 3)
+	l1.Kill()
+
+	l2 := testLog(t, Config{Backing: st})
+	if got := l2.Stats().Objects; got != 1 {
+		t.Fatalf("successor registered %d logs at open, want 1", got)
 	}
+	st.SetFaultPlan(kvstore.FaultPlan{Seed: 1, ReadErrorRate: 1}) // any read attempt fails
+	if begun, err := l2.Begun(ctx, "unseen"); err != nil || begun {
+		t.Fatalf("Begun(unseen) = %v, %v: an object with no persisted bounds needs no store read", begun, err)
+	}
+	st.SetFaultPlan(kvstore.FaultPlan{})
+	if begun, err := l2.Begun(ctx, "seen"); err != nil || !begun {
+		t.Fatalf("Begun(seen) = %v, %v after restart", begun, err)
+	}
+	if first, next, err := l2.Bounds(ctx, "seen"); err != nil || first != 1 || next != 4 {
+		t.Fatalf("bounds after restart = [%d,%d), %v, want [1,4)", first, next, err)
+	}
+}
+
+// TestDropOfIdleObjectTouchesNothing: an object that never logged has
+// nothing to drop, in memory or in the store.
+func TestDropOfIdleObjectTouchesNothing(t *testing.T) {
+	st := testStore(t)
 	l := testLog(t, Config{Backing: st})
-	l.NoteCreated("obj")
-	off, err := l.Append(ctx, "obj", func(off int64) (json.RawMessage, error) {
-		return json.RawMessage(`{}`), nil
-	})
-	if err != nil {
-		t.Fatalf("append: %v", err)
+	before := st.Stats()
+	if err := l.Drop(context.Background(), "idle"); err != nil {
+		t.Fatalf("drop: %v", err)
 	}
-	if off != 1 {
-		t.Fatalf("first append offset = %d, want 1 (stale meta consulted)", off)
+	if after := st.Stats(); after != before {
+		t.Fatalf("dropping an idle object moved the store counters: %+v -> %+v", before, after)
+	}
+}
+
+// TestAppendRacingDropLandsInOneLog: an append that was waiting on a
+// log while Drop emptied it must not write into the unlinked log. The
+// store's read latency keeps Drop inside its listing, holding the
+// object's lock, long enough for the append to queue up behind it.
+func TestAppendRacingDropLandsInOneLog(t *testing.T) {
+	st := kvstore.Open(kvstore.Config{ReadLatency: 200 * time.Microsecond})
+	t.Cleanup(st.Close)
+	l := testLog(t, Config{Backing: st})
+	ctx := context.Background()
+	for round := 0; round < 50; round++ {
+		appendN(t, l, "obj", 2)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if err := l.Drop(ctx, "obj"); err != nil {
+				t.Errorf("drop: %v", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if _, err := l.Append(ctx, "obj", func(int64) (json.RawMessage, error) {
+				return json.RawMessage(`{}`), nil
+			}); err != nil {
+				t.Errorf("append: %v", err)
+			}
+		}()
+		wg.Wait()
+		// Either order leaves memory and store agreeing on the bounds.
+		_, next, err := l.Bounds(ctx, "obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, metaErr := st.Get(ctx, metaKey("obj"))
+		if stored := metaErr == nil; stored != (next > 1) {
+			t.Fatalf("round %d: in-memory next = %d but bounds document stored = %v", round, next, stored)
+		}
+		if err := l.Drop(ctx, "obj"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

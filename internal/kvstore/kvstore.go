@@ -62,6 +62,19 @@ type Document struct {
 	Updated time.Time       `json:"updated"`
 }
 
+// record is a Document as stored: without its key (the map key) and
+// with Updated as unix nanoseconds, which keeps a map slot to 56 bytes.
+type record struct {
+	value   json.RawMessage
+	version int64
+	updated int64
+}
+
+// doc rebuilds the public Document of the record stored at key.
+func (r record) doc(key string) Document {
+	return Document{Key: key, Value: r.value, Version: r.version, Updated: time.Unix(0, r.updated)}
+}
+
 // Config tunes the store's simulated performance characteristics.
 type Config struct {
 	// WriteOpsPerSec caps admitted write operations per second
@@ -108,7 +121,7 @@ type Store struct {
 	writes *vclock.TokenBucket // nil when unlimited
 
 	mu     sync.RWMutex
-	docs   map[string]Document
+	docs   map[string]record
 	closed bool
 
 	statsMu     sync.Mutex
@@ -263,7 +276,7 @@ func (s *Store) recordOp(err error) {
 // Open creates a store with the given configuration.
 func Open(cfg Config) *Store {
 	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, docs: make(map[string]Document)}
+	s := &Store{cfg: cfg, docs: make(map[string]record)}
 	if cfg.WriteOpsPerSec > 0 {
 		s.writes = vclock.NewTokenBucket(cfg.Clock, cfg.WriteOpsPerSec, cfg.WriteBurst)
 	}
@@ -371,7 +384,7 @@ func (s *Store) get(ctx context.Context, key string) (Document, error) {
 	if s.closed {
 		return Document{}, ErrClosed
 	}
-	doc, ok := s.docs[key]
+	rec, ok := s.docs[key]
 	if !ok {
 		return Document{}, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
@@ -379,7 +392,7 @@ func (s *Store) get(ctx context.Context, key string) (Document, error) {
 	s.readOps++
 	s.docsRead++
 	s.statsMu.Unlock()
-	return doc, nil
+	return rec.doc(key), nil
 }
 
 // BatchGet returns the documents stored at keys as one consolidated
@@ -410,8 +423,8 @@ func (s *Store) batchGet(ctx context.Context, keys []string) (map[string]Documen
 	}
 	out := make(map[string]Document, len(keys))
 	for _, k := range keys {
-		if doc, ok := s.docs[k]; ok {
-			out[k] = doc
+		if rec, ok := s.docs[k]; ok {
+			out[k] = rec.doc(k)
 		}
 	}
 	s.statsMu.Lock()
@@ -441,25 +454,28 @@ func (s *Store) put(ctx context.Context, key string, value json.RawMessage) (Doc
 	if s.closed {
 		return Document{}, ErrClosed
 	}
-	doc := s.putLocked(key, value)
+	rec := s.putLocked(key, value)
+	s.noteWrite(1)
+	return rec.doc(key), nil
+}
+
+// noteWrite books one admitted write operation of n documents.
+func (s *Store) noteWrite(n int) {
 	s.statsMu.Lock()
 	s.writeOps++
-	s.docsWritten++
+	s.docsWritten += int64(n)
 	s.statsMu.Unlock()
-	return doc, nil
 }
 
 // putLocked inserts or updates a document. Caller holds mu.
-func (s *Store) putLocked(key string, value json.RawMessage) Document {
-	prev := s.docs[key]
-	doc := Document{
-		Key:     key,
-		Value:   append(json.RawMessage(nil), value...),
-		Version: prev.Version + 1,
-		Updated: s.cfg.Clock.Now(),
+func (s *Store) putLocked(key string, value json.RawMessage) record {
+	rec := record{
+		value:   append(json.RawMessage(nil), value...),
+		version: s.docs[key].version + 1,
+		updated: s.cfg.Clock.Now().UnixNano(),
 	}
-	s.docs[key] = doc
-	return doc
+	s.docs[key] = rec
+	return rec
 }
 
 // CompareAndPut stores value only if the current version equals
@@ -482,17 +498,13 @@ func (s *Store) compareAndPut(ctx context.Context, key string, value json.RawMes
 	if s.closed {
 		return Document{}, ErrClosed
 	}
-	cur := s.docs[key] // zero Document has Version 0
-	if cur.Version != expect {
+	if cur := s.docs[key].version; cur != expect { // an absent key is at version 0
 		return Document{}, fmt.Errorf("%w: key %q at version %d, expected %d",
-			ErrVersionMismatch, key, cur.Version, expect)
+			ErrVersionMismatch, key, cur, expect)
 	}
-	doc := s.putLocked(key, value)
-	s.statsMu.Lock()
-	s.writeOps++
-	s.docsWritten++
-	s.statsMu.Unlock()
-	return doc, nil
+	rec := s.putLocked(key, value)
+	s.noteWrite(1)
+	return rec.doc(key), nil
 }
 
 // BatchPut stores all entries as one consolidated write operation.
@@ -533,20 +545,14 @@ func (s *Store) batchPut(ctx context.Context, entries map[string]json.RawMessage
 		for _, k := range keys[:partial] {
 			s.putLocked(k, entries[k])
 		}
-		s.statsMu.Lock()
-		s.writeOps++
-		s.docsWritten += int64(partial)
-		s.statsMu.Unlock()
+		s.noteWrite(partial)
 		return fmt.Errorf("%w: batch torn after %d/%d documents",
 			ErrInjectedTransient, partial, len(entries))
 	}
 	for k, v := range entries {
 		s.putLocked(k, v)
 	}
-	s.statsMu.Lock()
-	s.writeOps++
-	s.docsWritten += int64(len(entries))
-	s.statsMu.Unlock()
+	s.noteWrite(len(entries))
 	return nil
 }
 
@@ -646,8 +652,8 @@ type snapshotFile struct {
 func (s *Store) Save(path string) error {
 	s.mu.RLock()
 	snap := snapshotFile{SavedAt: s.cfg.Clock.Now(), Docs: make([]Document, 0, len(s.docs))}
-	for _, d := range s.docs {
-		snap.Docs = append(snap.Docs, d)
+	for k, rec := range s.docs {
+		snap.Docs = append(snap.Docs, rec.doc(k))
 	}
 	s.mu.RUnlock()
 	sort.Slice(snap.Docs, func(i, j int) bool { return snap.Docs[i].Key < snap.Docs[j].Key })
@@ -677,9 +683,9 @@ func (s *Store) Load(path string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.docs = make(map[string]Document, len(snap.Docs))
+	s.docs = make(map[string]record, len(snap.Docs))
 	for _, d := range snap.Docs {
-		s.docs[d.Key] = d
+		s.docs[d.Key] = record{value: d.Value, version: d.Version, updated: d.Updated.UnixNano()}
 	}
 	return nil
 }

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/heaptest"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
@@ -486,5 +488,97 @@ func TestVersionMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPerDocumentResidentBudget pins what the store keeps per document
+// beyond the key's and the value's own bytes: the map slot. Every
+// object's state keys and directory entry are documents here, so this
+// is paid several times per idle object.
+func TestPerDocumentResidentBudget(t *testing.T) {
+	const n = 100_000
+	value := json.RawMessage(`"0123456789abcd"`) // 16 bytes: a size class of its own
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("state/C/obj-%06d/k", i)
+	}
+	var s *Store
+	per := heaptest.PerEntry(t, n, func() {
+		s = Open(Config{})
+		for _, k := range keys {
+			if _, err := s.Put(context.Background(), k, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) - float64(len(value))
+	defer s.Close()
+	runtime.KeepAlive(keys)
+	if s.Len() != n {
+		t.Fatalf("store holds %d documents, want %d", s.Len(), n)
+	}
+	t.Logf("%.1f B per document beyond key and value", per)
+	// Measured 84.0 B (a 56-byte slot at the map's fill after 100 000
+	// inserts; 125.9 B with the 88-byte slot that carried a Document);
+	// the ceiling is that plus 10 %.
+	if per > 92.4 {
+		t.Errorf("a document costs %.1f B beyond its key and value, budget 92.4", per)
+	}
+}
+
+// TestDocumentSurvivesSlimStorage: the store keeps a record without the
+// key and with the update instant as nanoseconds; every way a Document
+// comes back out — Put's return, Get, BatchGet, a snapshot saved and
+// loaded — carries the key, the version and an Updated equal to the
+// clock's reading at the write, on the real clock and on a manual one.
+func TestDocumentSurvivesSlimStorage(t *testing.T) {
+	manual := vclock.NewManual(time.Unix(1_700_000_000, 123_456_789))
+	for name, clock := range map[string]vclock.Clock{"real": vclock.NewReal(), "manual": manual} {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			s := Open(Config{Clock: clock})
+			defer s.Close()
+			lo := clock.Now()
+			if _, err := s.Put(ctx, "k", json.RawMessage(`1`)); err != nil {
+				t.Fatal(err)
+			}
+			manual.Advance(time.Second)
+			put, err := s.Put(ctx, "k", json.RawMessage(`2`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hi := clock.Now()
+			if put.Updated.Before(lo) || put.Updated.After(hi) {
+				t.Fatalf("Put's Updated = %v, outside the write's [%v, %v]", put.Updated, lo, hi)
+			}
+			if clock == manual && !put.Updated.Equal(hi) {
+				t.Fatalf("Put's Updated = %v, want the manual clock's %v", put.Updated, hi)
+			}
+			path := filepath.Join(t.TempDir(), "snap.json")
+			if err := s.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			s2 := Open(Config{Clock: clock})
+			defer s2.Close()
+			if err := s2.Load(path); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Get(ctx, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := s.BatchGet(ctx, []string{"k"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := s2.Get(ctx, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for from, d := range map[string]Document{"Get": got, "BatchGet": batch["k"], "Load": loaded} {
+				if d.Key != "k" || string(d.Value) != `2` || d.Version != 2 || !d.Updated.Equal(put.Updated) {
+					t.Errorf("%s returned %+v, want what Put returned: %+v", from, d, put)
+				}
+			}
+		})
 	}
 }

@@ -133,10 +133,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// entry is all the table keeps per key, in one map slot, so a read or
+// a validation hashes the key once. ver only grows — every committed
+// write (deletes too) bumps it, a read-through seeds it from the backing
+// document's — and is what PutManyIfVersion validates against. present
+// false is a deletion tombstone: reads treat the key as authoritatively
+// deleted, so a stale CAS cannot resurrect it. (An explicit flag: a live
+// key can hold a nil val, the clone of an empty value.)
+type entry struct {
+	val     json.RawMessage
+	ver     int64
+	present bool
+}
+
 // shard is one partition of the table.
 type shard struct {
 	mu    sync.Mutex
-	data  map[string]json.RawMessage
+	data  map[string]entry
 	dirty map[string]bool
 	// flushing counts, per key, how many in-flight flush batches
 	// contain it (the public Flush can overlap the background flusher,
@@ -148,20 +161,51 @@ type shard struct {
 	// store by an in-flight BatchPut, resurrecting the key.
 	flushing map[string]int
 	deleted  map[string]bool
-	// vers tracks a monotonically increasing version per key, the
-	// substrate of the optimistic-concurrency path: every committed
-	// write (including deletes) bumps the key's version, read-throughs
-	// seed it from the backing document's version, and
-	// PutManyIfVersion validates against it. A key present in vers but
-	// absent from data is a deletion tombstone — versioned reads treat
-	// it as authoritatively deleted so a stale CAS cannot resurrect it.
-	vers map[string]int64
 	// tombs records when each deletion tombstone was created, so the
 	// compactor can evict tombstones older than Config.TombstoneTTL.
 	// Only populated when a TTL is configured (entries then exist
-	// exactly for keys in vers but not in data, modulo a recreation
-	// racing a sweep, which the sweep reconciles).
+	// exactly for the tombstones in data, modulo a recreation racing a
+	// sweep, which the sweep reconciles).
 	tombs map[string]time.Time
+}
+
+// commit stores a live value for k, bumping its version and superseding
+// any pending tombstone, and marks it dirty for write-behind; it reports
+// whether the shard now holds an early flush's worth. Callers hold sh.mu.
+func (t *Table) commit(sh *shard, k string, v json.RawMessage) (wake bool) {
+	sh.data[k] = entry{val: v, ver: sh.data[k].ver + 1, present: true}
+	delete(sh.deleted, k)
+	delete(sh.tombs, k)
+	if t.cfg.Mode != ModeWriteBehind {
+		return false
+	}
+	sh.dirty[k] = true
+	return len(sh.dirty) >= t.cfg.FlushBatchSize
+}
+
+// remove replaces k with a tombstone whose version stays behind (and
+// advances) so a CAS holding a pre-delete version can never resurrect
+// the key. Callers hold sh.mu.
+func (t *Table) remove(sh *shard, k string) {
+	sh.data[k] = entry{ver: sh.data[k].ver + 1}
+	delete(sh.dirty, k)
+	if t.cfg.TombstoneTTL > 0 {
+		sh.tombs[k] = t.cfg.Clock.Now()
+	}
+	if sh.flushing[k] > 0 {
+		// In a flush batch already snapshotted: the in-flight BatchPut
+		// would re-create the key after the caller's backing delete, so
+		// the flusher re-deletes once the last containing batch lands.
+		sh.deleted[k] = true
+	}
+}
+
+// wakeFlusher asks for a flush ahead of the interval.
+func (t *Table) wakeFlusher() {
+	select {
+	case t.flushWake <- struct{}{}:
+	default:
+	}
 }
 
 // Table is the distributed in-memory hash table. It is safe for
@@ -208,11 +252,10 @@ func New(cfg Config) (*Table, error) {
 	t.shardIdx = make(map[string]int, cfg.Shards)
 	for i := range t.shards {
 		t.shards[i] = &shard{
-			data:     make(map[string]json.RawMessage),
+			data:     make(map[string]entry),
 			dirty:    make(map[string]bool),
 			flushing: make(map[string]int),
 			deleted:  make(map[string]bool),
-			vers:     make(map[string]int64),
 			tombs:    make(map[string]time.Time),
 		}
 		name := shardName(i)
@@ -334,21 +377,19 @@ func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
 	}
 	sh := t.shardFor(key)
 	sh.mu.Lock()
-	if v, ok := sh.data[key]; ok {
-		sh.mu.Unlock()
-		t.noteReads(1, 0)
-		return v, nil
-	}
-	if _, tombstoned := sh.vers[key]; tombstoned {
-		// Deletion tombstone: the key is authoritatively deleted.
-		// Reading through would resurrect a stale backing copy (the
-		// backing delete may still be in flight or retrying) and
-		// re-arm the key's version for optimistic commits.
-		sh.mu.Unlock()
-		t.noteReads(1, 0)
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
+	e, ok := sh.data[key]
 	sh.mu.Unlock()
+	if ok {
+		t.noteReads(1, 0)
+		if !e.present {
+			// Deletion tombstone: the key is authoritatively deleted.
+			// Reading through would resurrect a stale backing copy (the
+			// backing delete may still be in flight or retrying) and
+			// re-arm the key's version for optimistic commits.
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+		}
+		return e.val, nil
+	}
 	t.noteReads(0, 1)
 	if t.cfg.Mode == ModeMemoryOnly {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
@@ -361,19 +402,16 @@ func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
 		return nil, fmt.Errorf("memtable: read-through: %w", err)
 	}
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	// Another writer may have raced us; do not clobber a dirty entry,
 	// and honor a tombstone a racing Delete left behind.
-	if v, ok := sh.data[key]; ok {
-		sh.mu.Unlock()
-		return v, nil
+	if e, ok := sh.data[key]; ok {
+		if !e.present {
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+		}
+		return e.val, nil
 	}
-	if _, tombstoned := sh.vers[key]; tombstoned {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	sh.data[key] = doc.Value
-	sh.vers[key] = doc.Version
-	sh.mu.Unlock()
+	sh.data[key] = entry{val: doc.Value, ver: doc.Version, present: true}
 	return doc.Value, nil
 }
 
@@ -414,13 +452,11 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 	var hits, misses int64
 	t.forEachShardGroup(keys, func(sh *shard, i int) {
 		k := keys[i]
-		if v, ok := sh.data[k]; ok {
-			out[k] = v
-			hits++
-			return
-		}
-		if _, tombstoned := sh.vers[k]; tombstoned {
-			// Deleted: authoritatively absent, no read-through.
+		if e, ok := sh.data[k]; ok {
+			// A tombstone is authoritatively absent: no read-through.
+			if e.present {
+				out[k] = e.val
+			}
 			hits++
 			return
 		}
@@ -447,17 +483,14 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 	// and a racing Delete's tombstone keeps the key absent.
 	t.forEachShardGroup(found, func(sh *shard, i int) {
 		k := found[i]
-		if v, ok := sh.data[k]; ok {
-			out[k] = v
-			return
+		e, ok := sh.data[k]
+		if !ok {
+			e = entry{val: docs[k].Value, ver: docs[k].Version, present: true}
+			sh.data[k] = e
 		}
-		if _, tombstoned := sh.vers[k]; tombstoned {
-			return
+		if e.present {
+			out[k] = e.val
 		}
-		v := docs[k].Value
-		sh.data[k] = v
-		sh.vers[k] = docs[k].Version
-		out[k] = v
 	})
 	return nil
 }
@@ -507,14 +540,9 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 	var hits, misses int64
 	t.forEachShardGroup(keys, func(sh *shard, i int) {
 		k := keys[i]
-		if v, ok := sh.data[k]; ok {
-			out[k] = VersionedValue{Value: v, Version: sh.vers[k]}
-			hits++
-			return
-		}
-		if ver, ok := sh.vers[k]; ok {
-			// Deletion tombstone: authoritatively absent.
-			out[k] = VersionedValue{Version: ver}
+		if e, ok := sh.data[k]; ok {
+			// A tombstone (nil val) is authoritatively absent.
+			out[k] = VersionedValue{Value: e.val, Version: e.ver}
 			hits++
 			return
 		}
@@ -551,18 +579,12 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 	// table state wins over the fetched document.
 	t.forEachShardGroup(found, func(sh *shard, i int) {
 		k := found[i]
-		if v, ok := sh.data[k]; ok {
-			out[k] = VersionedValue{Value: v, Version: sh.vers[k]}
-			return
+		e, ok := sh.data[k]
+		if !ok {
+			e = entry{val: docs[k].Value, ver: docs[k].Version, present: true}
+			sh.data[k] = e
 		}
-		if ver, ok := sh.vers[k]; ok {
-			out[k] = VersionedValue{Version: ver}
-			return
-		}
-		v := docs[k].Value
-		sh.data[k] = v
-		sh.vers[k] = docs[k].Version
-		out[k] = VersionedValue{Value: v, Version: docs[k].Version}
+		out[k] = VersionedValue{Value: e.val, Version: e.ver}
 	})
 	return nil
 }
@@ -591,23 +613,12 @@ func (t *Table) PutMany(ctx context.Context, entries map[string]json.RawMessage)
 	}
 	wake := false
 	t.forEachShardGroup(keys, func(sh *shard, i int) {
-		k := keys[i]
-		sh.data[k] = copied[k]
-		sh.vers[k]++
-		delete(sh.deleted, k) // a write supersedes a pending tombstone
-		delete(sh.tombs, k)
-		if t.cfg.Mode == ModeWriteBehind {
-			sh.dirty[k] = true
-			if len(sh.dirty) >= t.cfg.FlushBatchSize {
-				wake = true
-			}
+		if t.commit(sh, keys[i], copied[keys[i]]) {
+			wake = true
 		}
 	})
 	if wake {
-		select {
-		case t.flushWake <- struct{}{}:
-		default:
-		}
+		t.wakeFlusher()
 	}
 	return nil
 }
@@ -620,46 +631,19 @@ func (t *Table) Put(ctx context.Context, key string, value json.RawMessage) erro
 		return ErrClosed
 	}
 	val := append(json.RawMessage(nil), value...)
-	switch t.cfg.Mode {
-	case ModeWriteThrough:
+	if t.cfg.Mode == ModeWriteThrough {
 		if _, err := t.cfg.Backing.Put(ctx, key, val); err != nil {
 			return fmt.Errorf("memtable: write-through: %w", err)
 		}
-		sh := t.shardFor(key)
-		sh.mu.Lock()
-		sh.data[key] = val
-		sh.vers[key]++
-		delete(sh.deleted, key)
-		delete(sh.tombs, key)
-		sh.mu.Unlock()
-		return nil
-	case ModeMemoryOnly:
-		sh := t.shardFor(key)
-		sh.mu.Lock()
-		sh.data[key] = val
-		sh.vers[key]++
-		delete(sh.tombs, key)
-		sh.mu.Unlock()
-		return nil
-	default: // ModeWriteBehind
-		sh := t.shardFor(key)
-		sh.mu.Lock()
-		sh.data[key] = val
-		sh.vers[key]++
-		sh.dirty[key] = true
-		// A write supersedes any pending tombstone for the key.
-		delete(sh.deleted, key)
-		delete(sh.tombs, key)
-		n := len(sh.dirty)
-		sh.mu.Unlock()
-		if n >= t.cfg.FlushBatchSize {
-			select {
-			case t.flushWake <- struct{}{}:
-			default:
-			}
-		}
-		return nil
 	}
+	sh := t.shardFor(key)
+	sh.mu.Lock()
+	wake := t.commit(sh, key, val)
+	sh.mu.Unlock()
+	if wake {
+		t.wakeFlusher()
+	}
+	return nil
 }
 
 // Delete removes key from memory and, in persistent modes, from the
@@ -670,21 +654,7 @@ func (t *Table) Delete(ctx context.Context, key string) error {
 	}
 	sh := t.shardFor(key)
 	sh.mu.Lock()
-	delete(sh.data, key)
-	delete(sh.dirty, key)
-	// The tombstone version stays behind (and advances) so a CAS
-	// holding a pre-delete version can never resurrect the key.
-	sh.vers[key]++
-	if t.cfg.TombstoneTTL > 0 {
-		sh.tombs[key] = t.cfg.Clock.Now()
-	}
-	if sh.flushing[key] > 0 {
-		// The key is in a flush batch already snapshotted: the
-		// in-flight BatchPut would re-create it in the backing store
-		// after our Delete below. Record it so the flusher re-deletes
-		// once the last containing batch lands.
-		sh.deleted[key] = true
-	}
+	t.remove(sh, key)
 	sh.mu.Unlock()
 	if t.cfg.Mode == ModeMemoryOnly {
 		return nil
@@ -770,7 +740,7 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 		if op.Expect == AnyVersion {
 			continue
 		}
-		if cur := t.shardFor(k).vers[k]; cur != op.Expect {
+		if cur := t.shardFor(k).data[k].ver; cur != op.Expect {
 			unlock()
 			return fmt.Errorf("%w: key %q at version %d, expected %d",
 				ErrVersionMismatch, k, cur, op.Expect)
@@ -824,38 +794,20 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 		}
 		sh := t.shardFor(k)
 		if op.Value == nil {
-			delete(sh.data, k)
-			delete(sh.dirty, k)
-			sh.vers[k]++
-			if t.cfg.TombstoneTTL > 0 {
-				sh.tombs[k] = t.cfg.Clock.Now()
-			}
-			if sh.flushing[k] > 0 {
-				sh.deleted[k] = true
-			}
+			t.remove(sh, k)
 			continue
 		}
 		v, cloned := puts[k]
 		if !cloned {
 			v = append(json.RawMessage(nil), op.Value...)
 		}
-		sh.data[k] = v
-		sh.vers[k]++
-		delete(sh.deleted, k)
-		delete(sh.tombs, k)
-		if t.cfg.Mode == ModeWriteBehind {
-			sh.dirty[k] = true
-			if len(sh.dirty) >= t.cfg.FlushBatchSize {
-				wake = true
-			}
+		if t.commit(sh, k, v) {
+			wake = true
 		}
 	}
 	unlock()
 	if wake {
-		select {
-		case t.flushWake <- struct{}{}:
-		default:
-		}
+		t.wakeFlusher()
 	}
 	return nil
 }
@@ -895,7 +847,7 @@ func (t *Table) flushAll(ctx context.Context) {
 		// value supersedes the delete.
 		var redelete []string
 		for k := range sh.deleted {
-			if _, live := sh.data[k]; live {
+			if sh.data[k].present {
 				delete(sh.deleted, k)
 				continue
 			}
@@ -910,7 +862,7 @@ func (t *Table) flushAll(ctx context.Context) {
 		}
 		batch := make(map[string]json.RawMessage, len(sh.dirty))
 		for k := range sh.dirty {
-			batch[k] = sh.data[k]
+			batch[k] = sh.data[k].val
 			sh.flushing[k]++
 		}
 		sh.dirty = make(map[string]bool)
@@ -935,7 +887,7 @@ func (t *Table) flushAll(ctx context.Context) {
 				// Mark the key dirty again so no update is lost; it
 				// will be retried on the next flush tick. Keys deleted
 				// while the failed batch was in flight stay deleted.
-				if _, live := sh.data[k]; live {
+				if sh.data[k].present {
 					sh.dirty[k] = true
 				}
 			}
@@ -946,7 +898,7 @@ func (t *Table) flushAll(ctx context.Context) {
 			// the tombstones back for the retry pass alongside it.
 			sh.mu.Lock()
 			for _, k := range redelete {
-				if _, live := sh.data[k]; !live {
+				if !sh.data[k].present {
 					sh.deleted[k] = true
 				}
 			}
@@ -958,7 +910,7 @@ func (t *Table) flushAll(ctx context.Context) {
 				// Keep the tombstone so the next pass retries, unless
 				// the key has been re-created meanwhile.
 				sh.mu.Lock()
-				if _, live := sh.data[k]; !live {
+				if !sh.data[k].present {
 					sh.deleted[k] = true
 				}
 				sh.mu.Unlock()
@@ -987,7 +939,7 @@ func (t *Table) compactLoop() {
 }
 
 // CompactTombstones evicts every deletion tombstone older than
-// Config.TombstoneTTL: the key's version entry (and its timestamp) is
+// Config.TombstoneTTL: the key's entry (and its timestamp) is
 // forgotten, returning the shard to its pre-key footprint. Tombstones
 // whose backing delete is still outstanding (mid-flush, or awaiting a
 // re-delete retry) are kept — evicting them would let a read-through
@@ -1004,17 +956,16 @@ func (t *Table) CompactTombstones() {
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 		for k, at := range sh.tombs {
-			if _, live := sh.data[k]; live {
+			if sh.data[k].present {
 				// Recreated since the deletion: the timestamp is stale
-				// bookkeeping, the version entry stays (it guards the
-				// live value).
+				// bookkeeping, the entry stays (it is the live value).
 				delete(sh.tombs, k)
 				continue
 			}
 			if at.After(cutoff) || sh.flushing[k] > 0 || sh.deleted[k] {
 				continue
 			}
-			delete(sh.vers, k)
+			delete(sh.data, k)
 			delete(sh.tombs, k)
 			evicted++
 		}
@@ -1058,12 +1009,17 @@ func (t *Table) DirtyCount() int {
 	return n
 }
 
-// Len returns the number of in-memory entries.
+// Len returns the number of live in-memory entries (tombstones are not
+// counted).
 func (t *Table) Len() int {
 	var n int
 	for _, sh := range t.shards {
 		sh.mu.Lock()
-		n += len(sh.data)
+		for _, e := range sh.data {
+			if e.present {
+				n++
+			}
+		}
 		sh.mu.Unlock()
 	}
 	return n

@@ -8,11 +8,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
 func newVersionedTable(t *testing.T, mode Mode) (*Table, *kvstore.Store) {
@@ -395,5 +397,112 @@ func TestCASDeleteOrderedWithRecreate(t *testing.T) {
 	}
 	if string(doc.Value) != "2" {
 		t.Fatalf("backing k = %s, want 2 (delete must not erase the recreate)", doc.Value)
+	}
+}
+
+// TestEntryStatesStayDistinct: one map slot now says whether a key is
+// live, deleted or unknown, and a live key can hold a nil value (the
+// clone of an empty one) — the three must read, validate and sweep
+// differently.
+func TestEntryStatesStayDistinct(t *testing.T) {
+	ctx := context.Background()
+	db := kvstore.Open(kvstore.Config{})
+	t.Cleanup(db.Close)
+	clock := vclock.NewManual(time.Unix(0, 0))
+	tbl, err := New(Config{Mode: ModeWriteBehind, Backing: db, FlushInterval: time.Hour,
+		TombstoneTTL: time.Minute, TombstoneGCInterval: time.Hour, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tbl.Close)
+	if err := tbl.Put(ctx, "empty", json.RawMessage{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.PutManyIfVersion(ctx, map[string]CASOp{"cas-empty": {Value: json.RawMessage{}, Write: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Put(ctx, "gone", json.RawMessage(`1`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Delete(ctx, "gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Put(ctx, "cas-gone", json.RawMessage(`1`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.PutManyIfVersion(ctx, map[string]CASOp{"cas-gone": {Expect: 1, Write: true}}); err != nil {
+		t.Fatal(err)
+	}
+	// A stale copy in the store is what a tombstone must keep hidden.
+	for _, k := range []string{"gone", "cas-gone"} {
+		if _, err := db.Put(ctx, k, json.RawMessage(`"stale"`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := []string{"empty", "cas-empty", "gone", "cas-gone", "never"}
+	states := func() map[string]VersionedValue {
+		t.Helper()
+		got := make(map[string]VersionedValue, len(keys))
+		if err := tbl.GetManyVersionedInto(ctx, keys, got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want := map[string]VersionedValue{
+		"empty": {Version: 1}, "cas-empty": {Version: 1}, // live, nil value
+		"gone": {Version: 2}, "cas-gone": {Version: 2}, // tombstones
+		"never": {},
+	}
+	if got := states(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("versioned read = %+v, want %+v", got, want)
+	}
+	// Only the live keys are in the table, and only they are returned by
+	// the unversioned reads (present, with a nil value).
+	if got := tbl.Len(); got != 2 {
+		t.Errorf("Len = %d, want 2 (tombstones are not entries)", got)
+	}
+	plain, err := tbl.GetMany(ctx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := plain["empty"]; !ok || len(plain) != 2 {
+		t.Errorf("GetMany = %v, want exactly the two live keys", plain)
+	}
+	for _, k := range keys {
+		_, err := tbl.Get(ctx, k)
+		if live := k == "empty" || k == "cas-empty"; live != (err == nil) || (!live && !errors.Is(err, ErrNotFound)) {
+			t.Errorf("Get(%s) error = %v", k, err)
+		}
+	}
+	// The flusher persists a live nil value; it never writes a tombstone.
+	tbl.Flush(ctx)
+	if _, err := db.Get(ctx, "empty"); err != nil {
+		t.Errorf("live empty value was not flushed: %v", err)
+	}
+	// Validation tells the three apart: a creating CAS (Expect 0) is
+	// right only for the never-written key.
+	for _, k := range keys {
+		err := tbl.PutManyIfVersion(ctx, map[string]CASOp{k: {Expect: 0, Value: json.RawMessage(`2`), Write: true}})
+		if k == "never" {
+			if err != nil {
+				t.Errorf("creating CAS on a never-written key: %v", err)
+			}
+		} else if !errors.Is(err, ErrVersionMismatch) {
+			t.Errorf("creating CAS on %s: err = %v, want ErrVersionMismatch", k, err)
+		}
+	}
+	// The sweep forgets expired tombstones and nothing else: the
+	// deleted keys become unknown (and read through to the store again),
+	// the live nil values stay at their versions.
+	clock.Advance(2 * time.Minute)
+	tbl.CompactTombstones()
+	if got := tbl.Stats().TombstonesEvicted; got != 2 {
+		t.Errorf("sweep evicted %d tombstones, want 2", got)
+	}
+	want["never"] = VersionedValue{Value: json.RawMessage(`2`), Version: 1}
+	want["gone"] = VersionedValue{Value: json.RawMessage(`"stale"`), Version: 1}
+	want["cas-gone"] = want["gone"]
+	if got := states(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("versioned read after the sweep = %+v, want %+v", got, want)
 	}
 }

@@ -318,6 +318,29 @@
 // its commits costs one append (one write-through batch) — so
 // subscribe to the classes you react to rather than to everything.
 //
+// Resident bytes per idle object. What the platform holds for an object
+// nobody is invoking is, per layer, one map slot sized to what the
+// object has — and for the event log, nothing: an object whose log
+// never began has no entry there (the log learns at open which objects
+// have persisted bounds, so absence means "never begun" and costs no
+// store read either). Bytes per entry beyond the key's and the value's
+// own, measured by the test named, before → after the slots were
+// slimmed (a Go map's cost per entry swings with its fill: 16 384 is
+// just past a doubling, 100 000 is not):
+//
+//	layer, per                    16 384 entries   100 000 entries  pinned by
+//	kvstore, per document         192.1 → 128.4    125.9 → 84.0     kvstore.TestPerDocumentResidentBudget
+//	memtable, per state key       118.4 → 102.2    131.0 → 112.2    memtable.TestPerKeyResidentBudget
+//	core directory, per object    133.8 → 80.1      89.3 → 52.5     core.TestPerObjectResidentBudget
+//	eventlog, per object          133.4 → 0        115.0 → 0        eventlog.TestIdleObjectHoldsNoLog
+//
+// An object is one directory entry, one memtable entry per state key it
+// has been read or written at, and one kvstore document per state key
+// plus one for the directory record; bench/'s two-key objects went from
+// ≈ 1.6 kB to ≈ 1.3 kB each, client included. What is left is mostly
+// the values themselves, which are held twice — the memtable's copy and
+// the clone the store makes of every document it is handed.
+//
 // The REST gateway's own share of a request is budgeted the same way
 // (internal/gateway: TestWarmInvokeAllocationBudget,
 // BenchmarkGatewayInvoke). Per request it reuses a pooled response
