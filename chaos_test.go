@@ -246,7 +246,7 @@ func chaosNodeKill(t *testing.T, seed int64) {
 	// succeed against the new owner set.
 	for i := range objects {
 		for n := 0; n < 5; n++ {
-			if _, _, err := p.InvokeRouted(ctx, objects[i], "incr", nil, nil); err != nil {
+			if _, _, err := p.InvokeRoutedFrom(ctx, "", "", objects[i], "incr", nil, nil); err != nil {
 				t.Fatalf("post-failover routed incr on %s: %v", objects[i], err)
 			}
 			successes[i].Add(1)

@@ -84,14 +84,14 @@ func main() {
 	home, _ := platform.HomeRegion(record.ID)
 	fmt.Printf("object %s lives in region %q (jurisdiction constraint)\n", record.ID, home)
 
-	if _, err := platform.InvokeFrom(ctx, "eu-west", record.ID, "update",
+	if _, _, err := platform.InvokeRoutedFrom(ctx, "eu-west", "", record.ID, "update",
 		json.RawMessage(`{"name":"A. Patient","bp":"120/80"}`), nil); err != nil {
 		log.Fatal(err)
 	}
 
 	// Warm the read function once (scale-from-zero cold start) so the
 	// comparison below isolates the network penalty.
-	if _, err := platform.InvokeFrom(ctx, "eu-west", record.ID, "read", nil, nil); err != nil {
+	if _, _, err := platform.InvokeRoutedFrom(ctx, "eu-west", "", record.ID, "read", nil, nil); err != nil {
 		log.Fatal(err)
 	}
 
@@ -99,7 +99,7 @@ func main() {
 	// round trip.
 	measure := func(clientRegion string) time.Duration {
 		start := time.Now()
-		if _, err := platform.InvokeFrom(ctx, clientRegion, record.ID, "read", nil, nil); err != nil {
+		if _, _, err := platform.InvokeRoutedFrom(ctx, clientRegion, "", record.ID, "read", nil, nil); err != nil {
 			log.Fatal(err)
 		}
 		return time.Since(start)

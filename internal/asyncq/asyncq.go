@@ -60,7 +60,8 @@
 // Config.ClassQuotas caps the number of queued (accepted but not yet
 // dequeued) invocations per class: an over-quota Submit is rejected
 // with ErrClassQuotaExceeded while other classes keep their share of
-// the queue. Quotas need Config.ClassOf to resolve an object's class.
+// the queue. The class is part of the Target a submission names; a
+// submission that names none is counted against no quota.
 package asyncq
 
 import (
@@ -76,6 +77,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/metrics"
@@ -154,29 +156,27 @@ type Record struct {
 // of a dependency on core.
 type Invoker func(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, error)
 
-// Call is one member of a coalesced same-object dispatch.
-type Call struct {
-	// Member is the method name.
-	Member string
-	// Payload and Args mirror the submission.
-	Payload json.RawMessage
-	Args    map[string]string
-	// Ctx is the submitter's context; the batch executor scopes this
-	// call's handler run to it.
-	Ctx context.Context
-}
-
-// CallResult is one coalesced call's outcome.
-type CallResult struct {
-	Output json.RawMessage
-	Err    error
-}
-
 // BatchInvoker executes a group of calls against one object in a
 // single concurrency window (the platform passes its group-commit
-// InvokeBatch path). It must return exactly one result per call;
-// results are independent — one failing call must not poison the rest.
-type BatchInvoker func(ctx context.Context, objectID string, calls []Call) []CallResult
+// path). Each call's Ctx is its submitter's context. It must return
+// exactly one result per call; results are independent — one failing
+// call must not poison the rest.
+type BatchInvoker func(ctx context.Context, objectID string, calls []call.Call) []call.Result
+
+// Target is what a submitter has resolved about the object and member
+// an invocation names, before the queue accepts it.
+type Target struct {
+	// Class is the object's class, the key of Config.ClassQuotas. ""
+	// bypasses every quota, by design: the queue takes its submitter's
+	// word and never looks a class up itself.
+	Class string
+	// Timeout is the declared invocation deadline, measured from
+	// submission: queued work that outlives it is dropped as expired
+	// instead of executed, and a running handler is cut off when it
+	// elapses. Zero declares none; a deadline on the submitter's
+	// context still applies (the earlier of the two wins).
+	Timeout time.Duration
+}
 
 // Request is one batch-submission entry.
 type Request struct {
@@ -231,20 +231,18 @@ type Config struct {
 	// ClassQuotas caps the queued (accepted but not yet dequeued)
 	// invocations per class name; over-quota submissions fail with
 	// ErrClassQuotaExceeded. Classes without an entry are unbounded
-	// (up to Capacity). Requires ClassOf.
+	// (up to Capacity), and so is a submission whose Target names no
+	// class. A quota covers submissions through the Target each Submit
+	// is passed; covering adopted records too is what requires the
+	// Target hook below.
 	ClassQuotas map[string]int
-	// ClassOf resolves an object ID to its class name for quota
-	// accounting. Objects resolving to "" bypass quotas.
-	ClassOf func(objectID string) string
-	// TimeoutFor resolves the declared invocation deadline for one
-	// submission (the platform passes its function/class/platform
-	// TimeoutMs resolution). The duration is measured from submission
-	// time: queued work that outlives it is dropped as expired instead
-	// of executed, and a running handler is cut off when it elapses.
-	// Zero (or a nil TimeoutFor) leaves the task without a declared
-	// deadline; a deadline on the submitter's context still applies
-	// (the earlier of the two wins).
-	TimeoutFor func(objectID, member string) time.Duration
+	// Target resolves the target of a record RecoverStranded adopts: a
+	// stored record names only an object and a member, and whoever
+	// resolved them at submission is gone. Submit is told its target by
+	// its caller and never asks. A target that no longer resolves
+	// returns the zero Target; the adopted invocation then fails on
+	// dispatch.
+	Target func(objectID, member string) Target
 	// Requeue, when set, classifies execution errors that mean the
 	// invocation should go back to the queue with the same ID instead
 	// of retrying inline or failing terminally — the cluster ownership
@@ -320,13 +318,13 @@ type task struct {
 	id      string
 	object  string
 	member  string
-	class   string // resolved at submit for quota accounting ("" = none)
+	class   string // the target's class, for quota accounting ("" = none)
 	payload json.RawMessage
 	args    map[string]string
 	ctx     context.Context // submitter's context; cancellation is observed
 	queued  time.Time
 	// deadline is the absolute submission deadline (zero = none): the
-	// earlier of queued+TimeoutFor and the submitter context's own
+	// earlier of queued+Target.Timeout and the submitter context's own
 	// deadline. Execution contexts are capped to it, and a task still
 	// queued past it is dropped as expired.
 	deadline time.Time
@@ -410,10 +408,11 @@ func New(cfg Config) (*Queue, error) {
 	if cfg.Invoke == nil {
 		return nil, errors.New("asyncq: Config.Invoke is required")
 	}
-	if len(cfg.ClassQuotas) > 0 && cfg.ClassOf == nil {
-		// Without a class resolver every task's class is "" and the
-		// quota check silently never fires; fail loudly instead.
-		return nil, errors.New("asyncq: Config.ClassQuotas requires Config.ClassOf")
+	if len(cfg.ClassQuotas) > 0 && cfg.Target == nil {
+		// Submissions name their own class; an adopted record has nobody
+		// to name its. Without the hook its class is "" and its quota
+		// silently never applies; fail loudly instead.
+		return nil, errors.New("asyncq: Config.ClassQuotas requires Config.Target, to class the records RecoverStranded adopts")
 	}
 	tblCfg := memtable.Config{
 		Mode:          memtable.ModeWriteBehind,
@@ -479,12 +478,27 @@ func newRecordKey() (key, id string) {
 	return key, key[len(recordPrefix):]
 }
 
-// Submit enqueues one invocation and returns its ID. The context is
+// aim books a task to its target: the class its quota is counted
+// against — only when there are quotas, so a queue without them keeps
+// no per-class count — and the declared deadline, from when it queued.
+func (q *Queue) aim(t *task, to Target) {
+	if len(q.cfg.ClassQuotas) > 0 {
+		t.class = to.Class
+	}
+	if to.Timeout > 0 {
+		t.deadline = t.queued.Add(to.Timeout)
+	}
+}
+
+// Submit enqueues one invocation of the target its caller resolved and
+// returns its ID. The queue does not check to: the zero Target declares
+// no deadline and counts against no class quota. The context is
 // retained: cancelling it fails the invocation if it is still queued
 // and propagates into the handler once running. Submit returns
-// ErrQueueFull when the queue is at capacity, ErrClosed after Close,
-// and ErrInvalidPayload for a non-empty payload that is not JSON.
-func (q *Queue) Submit(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (string, error) {
+// ErrQueueFull when the queue is at capacity, ErrClassQuotaExceeded
+// when the target's class is, ErrClosed after Close, and
+// ErrInvalidPayload for a non-empty payload that is not JSON.
+func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, payload json.RawMessage, args map[string]string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
@@ -504,16 +518,9 @@ func (q *Queue) Submit(ctx context.Context, objectID, member string, payload jso
 		ctx:     ctx,
 		queued:  q.cfg.Clock.Now(),
 	}
-	if q.cfg.TimeoutFor != nil {
-		if d := q.cfg.TimeoutFor(objectID, member); d > 0 {
-			t.deadline = t.queued.Add(d)
-		}
-	}
+	q.aim(&t, to)
 	if ctxDl, ok := ctx.Deadline(); ok && (t.deadline.IsZero() || ctxDl.Before(t.deadline)) {
 		t.deadline = ctxDl
-	}
-	if len(q.cfg.ClassQuotas) > 0 && q.cfg.ClassOf != nil {
-		t.class = q.cfg.ClassOf(objectID)
 	}
 	if sp := trace.FromContext(ctx); sp != nil {
 		// The queue hop outlives the submitter's request: a link keeps
@@ -1037,13 +1044,8 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 			queued:   now,
 			requeues: 0,
 		}
-		if q.cfg.TimeoutFor != nil {
-			if d := q.cfg.TimeoutFor(t.object, t.member); d > 0 {
-				t.deadline = now.Add(d)
-			}
-		}
-		if len(q.cfg.ClassQuotas) > 0 && q.cfg.ClassOf != nil {
-			t.class = q.cfg.ClassOf(t.object)
+		if q.cfg.Target != nil {
+			q.aim(&t, q.cfg.Target(t.object, t.member))
 		}
 		m := q.cfg.Metrics
 		q.mu.Lock()
@@ -1121,7 +1123,7 @@ func (q *Queue) executeGroups(tasks []task) []outcome {
 			continue
 		}
 		q.cfg.Metrics.Counter("queue.coalesced").Add(int64(len(idxs)))
-		calls := make([]Call, len(idxs))
+		calls := make([]call.Call, len(idxs))
 		dspans := make([]*trace.Span, len(idxs))
 		var cancels []context.CancelFunc
 		for j, i := range idxs {
@@ -1135,7 +1137,7 @@ func (q *Queue) executeGroups(tasks []task) []outcome {
 				cctx, cancel = context.WithDeadline(cctx, t.deadline)
 				cancels = append(cancels, cancel)
 			}
-			calls[j] = Call{Member: t.member, Payload: t.payload, Args: t.args, Ctx: cctx}
+			calls[j] = call.Call{Member: t.member, Payload: t.payload, Args: t.args, Ctx: cctx}
 		}
 		results := q.invokeBatch(object, calls)
 		for _, cancel := range cancels {
@@ -1163,7 +1165,7 @@ func (q *Queue) executeGroups(tasks []task) []outcome {
 // invokeBatch calls the batch invoker with panic isolation and a
 // result-shape guard: a misbehaving batch executor fails the whole
 // group's calls without killing the worker.
-func (q *Queue) invokeBatch(object string, calls []Call) (results []CallResult) {
+func (q *Queue) invokeBatch(object string, calls []call.Call) (results []call.Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			q.cfg.Metrics.Counter("queue.panics").Inc()
@@ -1178,8 +1180,8 @@ func (q *Queue) invokeBatch(object string, calls []Call) (results []CallResult) 
 }
 
 // failAll builds a uniform-failure result set.
-func failAll(calls []Call, err error) []CallResult {
-	out := make([]CallResult, len(calls))
+func failAll(calls []call.Call, err error) []call.Result {
+	out := make([]call.Result, len(calls))
 	for i := range out {
 		out[i].Err = err
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 )
 
@@ -42,7 +43,7 @@ func TestSubmitCompletesAndRecordsResult(t *testing.T) {
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 2})
 	ctx := context.Background()
-	id, err := q.Submit(ctx, "obj-1", "greet", json.RawMessage(`"hi"`), nil)
+	id, err := q.Submit(ctx, Target{}, "obj-1", "greet", json.RawMessage(`"hi"`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestFailedInvocationRecordsError(t *testing.T) {
 	q := newQueue(t, Config{Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		return nil, boom
 	}})
-	id, err := q.Submit(context.Background(), "o", "m", nil, nil)
+	id, err := q.Submit(context.Background(), Target{}, "o", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestWaitRetiresWaiterEntries(t *testing.T) {
 	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 2})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		id, err := q.Submit(ctx, fmt.Sprintf("o%d", i), "m", nil, nil)
+		id, err := q.Submit(ctx, Target{}, fmt.Sprintf("o%d", i), "m", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestInvalidHandlerOutputFailsRecord(t *testing.T) {
 	q := newQueue(t, Config{Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		return json.RawMessage("not-json"), nil
 	}})
-	id, err := q.Submit(context.Background(), "o", "m", nil, nil)
+	id, err := q.Submit(context.Background(), Target{}, "o", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestRecordsSurviveFlushCycles(t *testing.T) {
 		Backing:       db,
 		FlushInterval: time.Millisecond,
 	})
-	id, err := q.Submit(context.Background(), "o", "m", json.RawMessage(`42`), nil)
+	id, err := q.Submit(context.Background(), Target{}, "o", "m", json.RawMessage(`42`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestStatsCountersMatchSubmissions(t *testing.T) {
 	const n = 32
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		id, err := q.Submit(context.Background(), fmt.Sprintf("o%d", i), "m", nil, nil)
+		id, err := q.Submit(context.Background(), Target{}, fmt.Sprintf("o%d", i), "m", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func TestConcurrentSubmitAndWait(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			id, err := q.Submit(context.Background(), fmt.Sprintf("obj-%d", i%13), "m", nil, nil)
+			id, err := q.Submit(context.Background(), Target{}, fmt.Sprintf("obj-%d", i%13), "m", nil, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -259,7 +260,7 @@ func TestSubmitAfterCloseRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Close()
-	if _, err := q.Submit(context.Background(), "o", "m", nil, nil); !errors.Is(err, ErrClosed) {
+	if _, err := q.Submit(context.Background(), Target{}, "o", "m", nil, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	q.Close() // idempotent
@@ -289,7 +290,7 @@ func TestRecordGCEvictsTerminalRecords(t *testing.T) {
 	ctx := context.Background()
 	ids := make([]string, 5)
 	for i := range ids {
-		id, err := q.Submit(ctx, fmt.Sprintf("obj-%d", i), "m", nil, nil)
+		id, err := q.Submit(ctx, Target{}, fmt.Sprintf("obj-%d", i), "m", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +340,7 @@ func TestRecordGCSparesNonTerminalRecords(t *testing.T) {
 		GCInterval: 5 * time.Millisecond,
 	})
 	ctx := context.Background()
-	id, err := q.Submit(ctx, "obj", "slow", nil, nil)
+	id, err := q.Submit(ctx, Target{}, "obj", "slow", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestRecordGCEvictsFromBackingStore(t *testing.T) {
 		GCInterval:    5 * time.Millisecond,
 	})
 	ctx := context.Background()
-	id, err := q.Submit(ctx, "obj", "m", nil, nil)
+	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func TestNoGCWithoutTTL(t *testing.T) {
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 1})
 	ctx := context.Background()
-	id, err := q.Submit(ctx, "obj", "m", nil, nil)
+	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +450,7 @@ func TestRetryPolicyRecoversTransientFailure(t *testing.T) {
 		MaxRetries: 3, RetryBackoff: time.Millisecond,
 	})
 	ctx := context.Background()
-	id, err := q.Submit(ctx, "obj", "m", nil, nil)
+	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +483,7 @@ func TestRetryPolicyExhaustionFails(t *testing.T) {
 		MaxRetries: 2, RetryBackoff: time.Millisecond,
 	})
 	ctx := context.Background()
-	id, err := q.Submit(ctx, "obj", "m", nil, nil)
+	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +507,7 @@ func TestNoRetriesByDefault(t *testing.T) {
 	inv := &flakyInvoker{failures: 1}
 	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 1})
 	ctx := context.Background()
-	id, err := q.Submit(ctx, "obj", "m", nil, nil)
+	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,34 +548,35 @@ func blockingQueue(t *testing.T, cfg Config) (q *Queue, started, release chan st
 // invocations: the third submission fails with ErrClassQuotaExceeded,
 // and draining the backlog returns the quota.
 func TestClassQuotaRejectsAndReleases(t *testing.T) {
+	targetOf := func(objectID, _ string) Target {
+		if objectID == "free" {
+			return Target{Class: "Boundless"}
+		}
+		return Target{Class: "Capped"}
+	}
 	q, started, release := blockingQueue(t, Config{
 		Capacity:    16,
 		DrainBatch:  1, // quota releases at dequeue; per-task keeps it deterministic
 		ClassQuotas: map[string]int{"Capped": 2},
-		ClassOf: func(objectID string) string {
-			if objectID == "free" {
-				return "Boundless"
-			}
-			return "Capped"
-		},
+		Target:      targetOf,
 	})
 	ctx := context.Background()
 	// Occupy the single worker with an unquoted class so the capped
 	// submissions stay queued.
-	if _, err := q.Submit(ctx, "free", "m", nil, nil); err != nil {
+	if _, err := q.Submit(ctx, targetOf("free", "m"), "free", "m", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	for i := 0; i < 2; i++ {
-		if _, err := q.Submit(ctx, "capped", "m", nil, nil); err != nil {
+		if _, err := q.Submit(ctx, targetOf("capped", "m"), "capped", "m", nil, nil); err != nil {
 			t.Fatalf("submission %d within quota: %v", i, err)
 		}
 	}
-	if _, err := q.Submit(ctx, "capped", "m", nil, nil); !errors.Is(err, ErrClassQuotaExceeded) {
+	if _, err := q.Submit(ctx, targetOf("capped", "m"), "capped", "m", nil, nil); !errors.Is(err, ErrClassQuotaExceeded) {
 		t.Fatalf("over-quota err = %v, want ErrClassQuotaExceeded", err)
 	}
 	// Unquoted classes are unaffected by the capped class's limit.
-	if _, err := q.Submit(ctx, "free", "m", nil, nil); err != nil {
+	if _, err := q.Submit(ctx, targetOf("free", "m"), "free", "m", nil, nil); err != nil {
 		t.Fatalf("unquoted class rejected: %v", err)
 	}
 	if s := q.Stats(); s.QuotaRejected != 1 {
@@ -584,7 +586,7 @@ func TestClassQuotaRejectsAndReleases(t *testing.T) {
 	// Draining returns the quota: wait for the backlog, then resubmit.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := q.Submit(ctx, "capped", "m", nil, nil); err == nil {
+		if _, err := q.Submit(ctx, targetOf("capped", "m"), "capped", "m", nil, nil); err == nil {
 			break
 		} else if !errors.Is(err, ErrClassQuotaExceeded) {
 			t.Fatal(err)
@@ -608,10 +610,10 @@ func TestBatchedDrainCoalescesSameObject(t *testing.T) {
 	cfg := Config{
 		Capacity:   32,
 		DrainBatch: 8,
-		InvokeBatch: func(ctx context.Context, objectID string, calls []Call) []CallResult {
+		InvokeBatch: func(ctx context.Context, objectID string, calls []call.Call) []call.Result {
 			groups.Add(1)
 			grouped.Add(int64(len(calls)))
-			out := make([]CallResult, len(calls))
+			out := make([]call.Result, len(calls))
 			for i, c := range calls {
 				out[i].Output, out[i].Err = inv.invoke(c.Ctx, objectID, c.Member, c.Payload, c.Args)
 			}
@@ -620,13 +622,13 @@ func TestBatchedDrainCoalescesSameObject(t *testing.T) {
 	}
 	q, started, release := blockingQueue(t, cfg)
 	ctx := context.Background()
-	if _, err := q.Submit(ctx, "blocker", "m", nil, nil); err != nil {
+	if _, err := q.Submit(ctx, Target{}, "blocker", "m", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	ids := make([]string, 0, backlog)
 	for i := 0; i < backlog; i++ {
-		id, err := q.Submit(ctx, "hot", "m", nil, nil)
+		id, err := q.Submit(ctx, Target{}, "hot", "m", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -667,19 +669,19 @@ func TestBatchInvokerPanicFailsGroupOnly(t *testing.T) {
 	cfg := Config{
 		Capacity:   32,
 		DrainBatch: 8,
-		InvokeBatch: func(context.Context, string, []Call) []CallResult {
+		InvokeBatch: func(context.Context, string, []call.Call) []call.Result {
 			panic("broken batch executor")
 		},
 	}
 	q, started, release := blockingQueue(t, cfg)
 	ctx := context.Background()
-	if _, err := q.Submit(ctx, "blocker", "m", nil, nil); err != nil {
+	if _, err := q.Submit(ctx, Target{}, "blocker", "m", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	ids := make([]string, 0, 4)
 	for i := 0; i < 4; i++ {
-		id, err := q.Submit(ctx, "hot", "m", nil, nil)
+		id, err := q.Submit(ctx, Target{}, "hot", "m", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -709,7 +711,7 @@ func TestBatchInvokerPanicFailsGroupOnly(t *testing.T) {
 		t.Fatal("no group ever hit the panicking batch invoker")
 	}
 	// The worker survived: a fresh singleton completes.
-	id, err := q.Submit(ctx, "later", "m", nil, nil)
+	id, err := q.Submit(ctx, Target{}, "later", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,19 +726,19 @@ func TestBatchInvokerShapeMismatchFailsGroup(t *testing.T) {
 	cfg := Config{
 		Capacity:   32,
 		DrainBatch: 8,
-		InvokeBatch: func(context.Context, string, []Call) []CallResult {
-			return make([]CallResult, 1) // wrong shape for any group >= 2
+		InvokeBatch: func(context.Context, string, []call.Call) []call.Result {
+			return make([]call.Result, 1) // wrong shape for any group >= 2
 		},
 	}
 	q, started, release := blockingQueue(t, cfg)
 	ctx := context.Background()
-	if _, err := q.Submit(ctx, "blocker", "m", nil, nil); err != nil {
+	if _, err := q.Submit(ctx, Target{}, "blocker", "m", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	ids := make([]string, 0, 4)
 	for i := 0; i < 4; i++ {
-		id, err := q.Submit(ctx, "hot", "m", nil, nil)
+		id, err := q.Submit(ctx, Target{}, "hot", "m", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -765,12 +767,12 @@ func TestBatchInvokerShapeMismatchFailsGroup(t *testing.T) {
 func TestTerminalMetricsConsistentAcrossExitPaths(t *testing.T) {
 	q, started, release := blockingQueue(t, Config{Capacity: 16, DrainBatch: 1})
 	ctx := context.Background()
-	if _, err := q.Submit(ctx, "blocker", "m", nil, nil); err != nil {
+	if _, err := q.Submit(ctx, Target{}, "blocker", "m", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	cctx, cancel := context.WithCancel(ctx)
-	victimID, err := q.Submit(cctx, "victim", "m", nil, nil)
+	victimID, err := q.Submit(cctx, Target{}, "victim", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,7 +782,7 @@ func TestTerminalMetricsConsistentAcrossExitPaths(t *testing.T) {
 		t.Fatalf("victim record = %v %+v", err, rec)
 	}
 	// Drain fully so the blocker's terminal bookkeeping is done too.
-	id, err := q.Submit(ctx, "after", "m", nil, nil)
+	id, err := q.Submit(ctx, Target{}, "after", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -797,14 +799,15 @@ func TestTerminalMetricsConsistentAcrossExitPaths(t *testing.T) {
 	}
 }
 
-// TestNewRejectsQuotasWithoutClassOf: quotas with no class resolver
-// would silently never fire, so construction must fail.
+// TestNewRejectsQuotasWithoutClassOf: quotas with no resolver of an
+// adopted record's class would silently never apply to recovered work,
+// so construction must fail.
 func TestNewRejectsQuotasWithoutClassOf(t *testing.T) {
 	_, err := New(Config{
 		Invoke:      (&echoInvoker{}).invoke,
 		ClassQuotas: map[string]int{"C": 1},
 	})
-	if err == nil || !strings.Contains(err.Error(), "ClassOf") {
-		t.Fatalf("err = %v, want ClassOf requirement error", err)
+	if err == nil || !strings.Contains(err.Error(), "Config.Target") {
+		t.Fatalf("err = %v, want Config.Target requirement error", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/israce"
 )
 
@@ -34,8 +35,8 @@ func newDrainRig(tb testing.TB, drainBatch int) *drainRig {
 			}
 			return nil, nil
 		},
-		InvokeBatch: func(_ context.Context, _ string, calls []Call) []CallResult {
-			return make([]CallResult, len(calls))
+		InvokeBatch: func(_ context.Context, _ string, calls []call.Call) []call.Result {
+			return make([]call.Result, len(calls))
 		},
 		OnTerminal: func(Record, map[string]string) {
 			if r.remaining.Add(-1) == 0 {
@@ -56,12 +57,12 @@ var drainPayload = json.RawMessage(`{"n":1}`)
 func (r *drainRig) cycle(n int) {
 	ctx := context.Background()
 	r.remaining.Store(int64(n) + 1)
-	if _, err := r.q.Submit(ctx, "gate", "m", nil, nil); err != nil {
+	if _, err := r.q.Submit(ctx, Target{}, "gate", "m", nil, nil); err != nil {
 		r.tb.Fatal(err)
 	}
 	<-r.parked
 	for i := 0; i < n; i++ {
-		if _, err := r.q.Submit(ctx, "hot", "bump", drainPayload, nil); err != nil {
+		if _, err := r.q.Submit(ctx, Target{}, "hot", "bump", drainPayload, nil); err != nil {
 			r.tb.Fatal(err)
 		}
 	}

@@ -26,7 +26,7 @@ func TestHandlerPanicMarksFailedAndPoolSurvives(t *testing.T) {
 		return json.RawMessage(`"ok"`), nil
 	}})
 	ctx := context.Background()
-	bombID, err := q.Submit(ctx, "bomb", "m", nil, nil)
+	bombID, err := q.Submit(ctx, Target{}, "bomb", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestHandlerPanicMarksFailedAndPoolSurvives(t *testing.T) {
 		t.Fatalf("panic record = %+v", rec)
 	}
 	// The single worker must still be alive to run this one.
-	okID, err := q.Submit(ctx, "fine", "m", nil, nil)
+	okID, err := q.Submit(ctx, Target{}, "fine", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestQueueOverflowReturnsBackpressure(t *testing.T) {
 	// the queue pushes back.
 	var sawFull bool
 	for i := 0; i < 16 && !sawFull; i++ {
-		_, err := q.Submit(ctx, "obj", "m", nil, nil)
+		_, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrQueueFull):
@@ -106,7 +106,7 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 		return nil, nil
 	}})
 	ctx := context.Background()
-	if _, err := q.Submit(ctx, "blocker", "m", nil, nil); err != nil {
+	if _, err := q.Submit(ctx, Target{}, "blocker", "m", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Submit the victim only once the blocker is executing, so it can
@@ -114,7 +114,7 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 	// cancellation state at dequeue, before this cancel lands).
 	<-started
 	cctx, cancel := context.WithCancel(ctx)
-	victimID, err := q.Submit(cctx, "victim", "m", nil, nil)
+	victimID, err := q.Submit(cctx, Target{}, "victim", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestInFlightInvocationObservesCancellation(t *testing.T) {
 		return nil, ctx.Err()
 	}})
 	cctx, cancel := context.WithCancel(context.Background())
-	id, err := q.Submit(cctx, "o", "m", nil, nil)
+	id, err := q.Submit(cctx, Target{}, "o", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCloseDrainsAcceptedRecords(t *testing.T) {
 	ctx := context.Background()
 	ids := make([]string, 0, 32)
 	for i := 0; i < 32; i++ {
-		id, err := q.Submit(ctx, fmt.Sprintf("o%d", i), "m", nil, nil)
+		id, err := q.Submit(ctx, Target{}, fmt.Sprintf("o%d", i), "m", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestWaitHonorsContextDeadline(t *testing.T) {
 		return nil, nil
 	}})
 	defer close(release)
-	id, err := q.Submit(context.Background(), "o", "m", nil, nil)
+	id, err := q.Submit(context.Background(), Target{}, "o", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestWaitHonorsContextDeadline(t *testing.T) {
 func TestSubmitRejectsInvalidPayload(t *testing.T) {
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{Invoke: inv.invoke})
-	id, err := q.Submit(context.Background(), "o", "m", json.RawMessage(`{bad`), nil)
+	id, err := q.Submit(context.Background(), Target{}, "o", "m", json.RawMessage(`{bad`), nil)
 	if !errors.Is(err, ErrInvalidPayload) || id != "" {
 		t.Fatalf("Submit = %q, %v; want ErrInvalidPayload", id, err)
 	}
@@ -226,7 +226,7 @@ func TestSubmitRejectsInvalidPayload(t *testing.T) {
 		t.Fatalf("rejected submission left a trace: tracked=%d calls=%d stats=%+v", tracked, inv.calls.Load(), s)
 	}
 	// An empty payload still means "no payload".
-	if _, err := q.Submit(context.Background(), "o", "m", json.RawMessage{}, nil); err != nil {
+	if _, err := q.Submit(context.Background(), Target{}, "o", "m", json.RawMessage{}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -259,7 +259,7 @@ func TestRunningIsOverlaidNotStored(t *testing.T) {
 	unpark := sync.OnceFunc(func() { close(release) })
 	defer unpark() // a failed assertion must not leave Close waiting on the handler
 	ctx := context.Background()
-	id, err := q.Submit(ctx, "o", "m", json.RawMessage(`{"n":7}`), nil)
+	id, err := q.Submit(ctx, Target{}, "o", "m", json.RawMessage(`{"n":7}`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,12 +358,12 @@ func TestRequeueResetsRunningOverlay(t *testing.T) {
 		}
 		return rec
 	}
-	victim, err := q.Submit(ctx, "victim", "m", nil, nil)
+	victim, err := q.Submit(ctx, Target{}, "victim", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-gates["victim"][0].started
-	if _, err := q.Submit(ctx, "blocker", "m", nil, nil); err != nil {
+	if _, err := q.Submit(ctx, Target{}, "blocker", "m", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rec := status(victim); rec.Status != StatusRunning || rec.Started.IsZero() {
@@ -400,7 +400,7 @@ func TestWaitOnTerminalTakesNoWaiter(t *testing.T) {
 	}
 	q := newQueue(t, Config{Invoke: (&echoInvoker{}).invoke})
 	ctx := context.Background()
-	id, err := q.Submit(ctx, "o", "m", nil, nil)
+	id, err := q.Submit(ctx, Target{}, "o", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,23 +10,21 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/cluster"
-	"github.com/hpcclab/oparaca-go/internal/trace"
 )
 
 // ErrOwnershipDisabled is returned by ownership admin operations when
 // the platform was built without OwnershipLeaseTTL.
 var ErrOwnershipDisabled = errors.New("core: ownership layer disabled (set OwnershipLeaseTTL)")
 
-// ownerStampKey carries the admission stamp through an invocation's
-// context so the commit-time fence can compare it against the current
-// epoch.
+// ownerStampKey carries the admission stamp the gate (enter) issued
+// through an invocation's context so the commit-time fence can compare
+// it against the current epoch.
 type ownerStampKey struct{}
 
 type ownerStamp struct {
@@ -37,9 +35,6 @@ type ownerStamp struct {
 // ownership is the platform-side view of the membership layer.
 type ownership struct {
 	members *cluster.Membership
-	// forward is the one-way ingress→owner hop latency charged per
-	// forwarded invocation (round trip: 2×).
-	forward time.Duration
 	// retryAfter hints clients how long to back off when a routed
 	// invocation races a handoff.
 	retryAfter time.Duration
@@ -49,32 +44,6 @@ type ownership struct {
 	ownerLocal atomic.Int64
 	recovered  atomic.Int64
 	replays    atomic.Int64
-}
-
-// admitCtx stamps ctx with the object's current owner and epoch — the
-// ticket the commit fence validates. Invocations arriving with a stamp
-// (the routed path admitted them at ingress) pass through unchanged.
-// Admission itself never fast-fails on an open transition window: the
-// fence provides correctness, and internal dispatch (async drain,
-// trigger chains) admitted at the post-rebalance epoch commits safely.
-// Only the routing layer (InvokeRoutedFrom) turns the window into a
-// retryable fast-fail.
-func (p *Platform) admitCtx(ctx context.Context, objectID string) (context.Context, error) {
-	if p.own == nil {
-		return ctx, nil
-	}
-	if _, ok := ctx.Value(ownerStampKey{}).(ownerStamp); ok {
-		return ctx, nil
-	}
-	sp := trace.FromContext(ctx).Child("admission")
-	owner, epoch, ok := p.own.members.Admit(objectID)
-	if !ok {
-		sp.End()
-		return ctx, nil // no live members: ownership inert
-	}
-	sp.SetAttr("owner", owner)
-	sp.End()
-	return context.WithValue(ctx, ownerStampKey{}, ownerStamp{owner: owner, epoch: epoch}), nil
 }
 
 // fence is the runtime.Infra hook consulted at the commit exit. A
@@ -139,76 +108,6 @@ func (p *Platform) DrainNode(name string) error {
 		return ErrOwnershipDisabled
 	}
 	return p.own.members.Leave(name)
-}
-
-// InvokeRouted is InvokeRoutedFrom for a client in the default region
-// with no ingress affinity.
-func (p *Platform) InvokeRouted(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, string, error) {
-	return p.InvokeRoutedFrom(ctx, "", "", objectID, member, payload, args)
-}
-
-// InvokeRoutedFrom executes a method or dataflow on an object through
-// the ownership router: the request lands on ingress node via (empty
-// picks one round-robin, modelling a load balancer), and when that
-// node does not own the object the invocation is forwarded one hop to
-// the owner, charging 2×ForwardLatency for the round trip — the same
-// charge model InvokeFrom applies to inter-region clients. The node
-// that served the invocation is returned for response attribution.
-//
-// During a post-rebalance transition window, or when ownership moves
-// again while the forwarded request is in flight, the call fast-fails
-// with a retryable TransitionError (HTTP 503 + Retry-After at the
-// gateway) instead of chasing the handoff. With ownership disabled it
-// degrades to InvokeFrom.
-func (p *Platform) InvokeRoutedFrom(ctx context.Context, clientRegion, via, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, string, error) {
-	o := p.own
-	if o == nil {
-		out, err := p.InvokeFrom(ctx, clientRegion, objectID, member, payload, args)
-		return out, "", err
-	}
-	if err := o.members.CheckMoving(); err != nil {
-		return nil, "", err
-	}
-	owner, epoch, ok := o.members.Admit(objectID)
-	if !ok {
-		out, err := p.InvokeFrom(ctx, clientRegion, objectID, member, payload, args)
-		return out, "", err
-	}
-	ingress := via
-	if ingress == "" {
-		ingress = o.pickIngress()
-	}
-	if ingress == owner {
-		o.ownerLocal.Add(1)
-	} else {
-		fsp := trace.FromContext(ctx).Child("forward")
-		fsp.SetAttr("via", ingress)
-		fsp.SetAttr("owner", owner)
-		// One forwarding hop ingress→owner (and the response back).
-		if o.forward > 0 {
-			if err := p.cfg.Clock.Sleep(ctx, 2*o.forward); err != nil {
-				fsp.Error(err)
-				fsp.End()
-				return nil, "", err
-			}
-		}
-		// Re-admit at the owner: a single-hop guard. If ownership moved
-		// while the request was in flight, fail fast retryably rather
-		// than hop again and race the rebalance around the ring.
-		owner2, epoch2, ok2 := o.members.Admit(objectID)
-		if !ok2 || owner2 != owner {
-			terr := &cluster.TransitionError{RetryAfter: o.retryAfter}
-			fsp.Error(terr)
-			fsp.End()
-			return nil, "", terr
-		}
-		owner, epoch = owner2, epoch2
-		o.forwarded.Add(1)
-		fsp.End()
-	}
-	ctx = context.WithValue(ctx, ownerStampKey{}, ownerStamp{owner: owner, epoch: epoch})
-	out, err := p.InvokeFrom(ctx, clientRegion, objectID, member, payload, args)
-	return out, owner, err
 }
 
 // pickIngress round-robins over the live member set, modelling a
@@ -342,7 +241,7 @@ func newOwnership(p *Platform, cfg Config) (*ownership, error) {
 	if window <= 0 {
 		window = hb
 	}
-	o := &ownership{forward: cfg.ForwardLatency, retryAfter: window}
+	o := &ownership{retryAfter: window}
 	members, err := cluster.NewMembership(cluster.MembershipConfig{
 		Backing:          p.backing,
 		Clock:            cfg.Clock,

@@ -125,7 +125,7 @@ type Config struct {
 	Regions []RegionSpec
 	// InterRegionLatency is the one-way network latency charged to an
 	// invocation whose client region differs from the object's home
-	// region (see InvokeFrom). Defaults to 0.
+	// region (see InvokeRoutedFrom). Defaults to 0.
 	InterRegionLatency time.Duration
 	// OwnershipLeaseTTL enables the lease-based ownership layer when
 	// positive: every worker VM holds a kvstore-persisted lease renewed
@@ -145,8 +145,8 @@ type Config struct {
 	OwnershipTransitionWindow time.Duration
 	// ForwardLatency is the one-way latency charged per ingress→owner
 	// forwarding hop when a routed invocation lands on a node that
-	// does not own the object (round trip: 2×, mirroring
-	// InterRegionLatency's charge model). Zero charges nothing.
+	// does not own the object (round trip: 2×, as for
+	// InterRegionLatency). Zero charges nothing.
 	ForwardLatency time.Duration
 	// AsyncWorkers sizes the asynchronous invocation worker pool.
 	// Defaults to 4.
@@ -506,7 +506,7 @@ func New(cfg Config) (*Platform, error) {
 	}
 	p.queue, err = asyncq.New(asyncq.Config{
 		Invoke:       p.Invoke,
-		InvokeBatch:  p.invokeCoalesced,
+		InvokeBatch:  p.invokeGroup,
 		DrainBatch:   cfg.AsyncDrainBatch,
 		Workers:      cfg.AsyncWorkers,
 		Capacity:     cfg.AsyncQueueCapacity,
@@ -516,8 +516,7 @@ func New(cfg Config) (*Platform, error) {
 		MaxRetries:   cfg.AsyncMaxRetries,
 		RetryBackoff: cfg.AsyncRetryBackoff,
 		ClassQuotas:  cfg.AsyncClassQuotas,
-		ClassOf:      p.classOf,
-		TimeoutFor:   p.timeoutFor,
+		Target:       p.asyncTarget,
 		OnTerminal:   p.onAsyncTerminal,
 		Drain:        p.bus.Drain,
 		Backing:      p.backing,
@@ -688,7 +687,7 @@ func (p *Platform) TriggersFired() int64 { return p.triggersFired.Load() }
 // args carry the trigger-chain depth, so reactions to completions stay
 // cycle-limited like state-change chains.
 func (p *Platform) onAsyncTerminal(rec asyncq.Record, args map[string]string) {
-	class := p.classOf(rec.Object)
+	class, _ := p.ObjectClass(rec.Object) // "" once the object is deleted
 	if !p.bus.NeedsEvents(class, rec.Object) {
 		return
 	}
@@ -872,18 +871,6 @@ func (p *Platform) Tracer() *trace.Tracer { return p.tracer }
 // memtable cache where populated and writes fail fast.
 func (p *Platform) Degraded() bool {
 	return p.breaker.State() != resilience.StateClosed
-}
-
-// timeoutFor resolves the declared invocation deadline of one async
-// submission (the queue's TimeoutFor hook): function timeoutMs, then
-// class, then the platform default. Unknown objects resolve to zero —
-// they fail on dispatch anyway.
-func (p *Platform) timeoutFor(objectID, member string) time.Duration {
-	rt, _, err := p.objectRuntime(objectID)
-	if err != nil {
-		return 0
-	}
-	return rt.EffectiveTimeout(member)
 }
 
 // DeployPackage resolves and deploys every class in pkg, selecting a
@@ -1140,231 +1127,6 @@ func homeRegion(rt *runtime.ClassRuntime) string {
 		return j
 	}
 	return cluster.DefaultRegion
-}
-
-// InvokeFrom executes a method or dataflow on an object on behalf of a
-// client in clientRegion, charging the configured inter-region latency
-// when the object's home region differs (paper §VI: multi-datacenter
-// deployments unlock latency-aware placement). Empty clientRegion
-// means the default region.
-func (p *Platform) InvokeFrom(ctx context.Context, clientRegion, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, error) {
-	if clientRegion == "" {
-		clientRegion = cluster.DefaultRegion
-	}
-	// One directory lookup (one Platform.mu acquisition) serves both the
-	// region check and the invocation.
-	rt, _, err := p.objectRuntime(objectID)
-	if err != nil {
-		return nil, err
-	}
-	if homeRegion(rt) != clientRegion && p.cfg.InterRegionLatency > 0 {
-		// Round trip: request in, response out.
-		if err := p.cfg.Clock.Sleep(ctx, 2*p.cfg.InterRegionLatency); err != nil {
-			return nil, err
-		}
-	}
-	return p.invokeOn(ctx, rt, objectID, member, payload, args)
-}
-
-// Invoke executes a method or dataflow on an object. Dataflow results
-// return the designated output step's output.
-func (p *Platform) Invoke(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, error) {
-	rt, _, err := p.objectRuntime(objectID)
-	if err != nil {
-		return nil, err
-	}
-	return p.invokeOn(ctx, rt, objectID, member, payload, args)
-}
-
-// invokeOn is Invoke with the object's runtime already resolved.
-func (p *Platform) invokeOn(ctx context.Context, rt *runtime.ClassRuntime, objectID, member string, payload json.RawMessage, args map[string]string) (out json.RawMessage, err error) {
-	if p.tracer != nil && trace.FromContext(ctx) == nil {
-		// Library callers (benches, embedded use) get a root span here;
-		// gateway and async-drain callers arrive with one already.
-		sp := p.tracer.Root("invoke", "")
-		sp.SetAttr("object", objectID)
-		sp.SetAttr("fn", member)
-		ctx = trace.ContextWith(ctx, sp)
-		defer func() {
-			sp.Error(err)
-			sp.End()
-		}()
-	}
-	if ctx, err = p.admitCtx(ctx, objectID); err != nil {
-		return nil, err
-	}
-	class := rt.Class()
-	if _, ok := class.Function(member); ok {
-		return rt.Invoke(ctx, objectID, member, payload, args)
-	}
-	if _, ok := class.Dataflow(member); ok {
-		res, err := rt.InvokeDataflow(ctx, objectID, member, payload)
-		if err != nil {
-			return nil, err
-		}
-		return res.Output, nil
-	}
-	return nil, fmt.Errorf("%w: %s.%s", ErrMemberNotFound, class.Name, member)
-}
-
-// InvokeBatch executes a group of method calls on one object through
-// the runtime's group-commit window: one state load, sequential
-// handlers against the evolving view, one merged (version-validated
-// under occ/adaptive) commit — so N same-object calls cost one
-// concurrency window and one simulated DB round trip. Per-call results
-// are independent. Calls naming a dataflow fall back to individual
-// synchronous invocation; calls naming neither a function nor a
-// dataflow fail only their own entry. An unknown object fails the
-// whole batch.
-func (p *Platform) InvokeBatch(ctx context.Context, objectID string, calls []runtime.BatchCall) ([]runtime.BatchCallResult, error) {
-	rt, _, err := p.objectRuntime(objectID)
-	if err != nil {
-		return nil, err
-	}
-	if ctx, err = p.admitCtx(ctx, objectID); err != nil {
-		return nil, err
-	}
-	class := rt.Class()
-	results := make([]runtime.BatchCallResult, len(calls))
-	// Partition: function calls ride the group-commit window, dataflow
-	// members run individually (a dataflow is already a multi-step
-	// composition with its own persistence points).
-	grouped := make([]runtime.BatchCall, 0, len(calls))
-	positions := make([]int, 0, len(calls))
-	for i, c := range calls {
-		if _, ok := class.Function(c.Function); ok {
-			grouped = append(grouped, c)
-			positions = append(positions, i)
-			continue
-		}
-		if _, ok := class.Dataflow(c.Function); ok {
-			cctx := ctx
-			if c.Ctx != nil {
-				cctx = c.Ctx
-			}
-			res, err := rt.InvokeDataflow(cctx, objectID, c.Function, c.Payload)
-			results[i] = runtime.BatchCallResult{Output: res.Output, Err: err}
-			continue
-		}
-		results[i].Err = fmt.Errorf("%w: %s.%s", ErrMemberNotFound, class.Name, c.Function)
-	}
-	if len(grouped) > 0 {
-		for j, res := range rt.InvokeBatch(ctx, objectID, grouped) {
-			results[positions[j]] = res
-		}
-	}
-	return results, nil
-}
-
-// invokeCoalesced adapts InvokeBatch to the async queue's dispatch
-// hook (asyncq types keep that package free of a core dependency).
-func (p *Platform) invokeCoalesced(ctx context.Context, objectID string, calls []asyncq.Call) []asyncq.CallResult {
-	bcalls := make([]runtime.BatchCall, len(calls))
-	for i, c := range calls {
-		bcalls[i] = runtime.BatchCall{Function: c.Member, Payload: c.Payload, Args: c.Args, Ctx: c.Ctx}
-	}
-	out := make([]asyncq.CallResult, len(calls))
-	results, err := p.InvokeBatch(ctx, objectID, bcalls)
-	if err != nil {
-		for i := range out {
-			out[i].Err = err
-		}
-		return out
-	}
-	for i, r := range results {
-		out[i] = asyncq.CallResult{Output: r.Output, Err: r.Err}
-	}
-	return out
-}
-
-// classOf resolves an object's class for async quota accounting ("" for
-// unknown objects, which bypass quotas and fail later on dispatch).
-func (p *Platform) classOf(objectID string) string {
-	class, err := p.ObjectClass(objectID)
-	if err != nil {
-		return ""
-	}
-	return class
-}
-
-// checkInvokeTarget validates that an object exists and that member
-// names one of its functions or dataflows, without invoking anything.
-func (p *Platform) checkInvokeTarget(objectID, member string) error {
-	rt, _, err := p.objectRuntime(objectID)
-	if err != nil {
-		return err
-	}
-	class := rt.Class()
-	if _, ok := class.Function(member); ok {
-		return nil
-	}
-	if _, ok := class.Dataflow(member); ok {
-		return nil
-	}
-	return fmt.Errorf("%w: %s.%s", ErrMemberNotFound, class.Name, member)
-}
-
-// InvokeAsync enqueues a method or dataflow invocation and returns an
-// invocation ID immediately. The target is validated synchronously so
-// unknown objects/members fail fast; execution errors surface in the
-// polled record. Backpressure: ErrQueueFull once the queue is at
-// capacity.
-func (p *Platform) InvokeAsync(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (id string, err error) {
-	if err := p.checkInvokeTarget(objectID, member); err != nil {
-		return "", err
-	}
-	if p.tracer != nil && trace.FromContext(ctx) == nil {
-		// The submit span ends at acceptance; the queue's link keeps the
-		// trace open until the invocation goes terminal.
-		sp := p.tracer.Root("invoke.async", "")
-		sp.SetAttr("object", objectID)
-		sp.SetAttr("fn", member)
-		ctx = trace.ContextWith(ctx, sp)
-		defer func() {
-			sp.Error(err)
-			sp.End()
-		}()
-	}
-	return p.queue.Submit(ctx, objectID, member, payload, args)
-}
-
-// InvokeAsyncFrom enqueues an asynchronous invocation on behalf of a
-// client in clientRegion, charging the configured inter-region round
-// trip on submission when the object's home region differs — the async
-// mirror of InvokeFrom (the acceptance acknowledgement still has to
-// cross the inter-region link and return). Empty clientRegion means
-// the default region.
-func (p *Platform) InvokeAsyncFrom(ctx context.Context, clientRegion, objectID, member string, payload json.RawMessage, args map[string]string) (string, error) {
-	if clientRegion == "" {
-		clientRegion = cluster.DefaultRegion
-	}
-	home, err := p.HomeRegion(objectID)
-	if err != nil {
-		return "", err
-	}
-	if home != clientRegion && p.cfg.InterRegionLatency > 0 {
-		// Round trip: submission in, acceptance acknowledgement out.
-		if err := p.cfg.Clock.Sleep(ctx, 2*p.cfg.InterRegionLatency); err != nil {
-			return "", err
-		}
-	}
-	return p.InvokeAsync(ctx, objectID, member, payload, args)
-}
-
-// InvokeAsyncBatch enqueues every request in one call, returning one
-// ID-or-error result per entry in order. Entries with unknown targets
-// or a full shard are rejected individually; the rest proceed.
-func (p *Platform) InvokeAsyncBatch(ctx context.Context, reqs []asyncq.Request) []asyncq.BatchResult {
-	out := make([]asyncq.BatchResult, len(reqs))
-	for i, r := range reqs {
-		if err := p.checkInvokeTarget(r.Object, r.Member); err != nil {
-			out[i] = asyncq.BatchResult{Err: err}
-			continue
-		}
-		id, err := p.queue.Submit(ctx, r.Object, r.Member, r.Payload, r.Args)
-		out[i] = asyncq.BatchResult{ID: id, Err: err}
-	}
-	return out
 }
 
 // Invocation returns the durable record of an asynchronous invocation.

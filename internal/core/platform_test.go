@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/asyncq"
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
@@ -601,11 +602,11 @@ func TestCloseDrainsAsyncQueue(t *testing.T) {
 	}
 }
 
-// TestInvokeBatchMixedMembers drives Platform.InvokeBatch with a
-// function, a dataflow, and an unknown member in one group: the
-// function rides the group-commit window, the dataflow falls back to
-// individual invocation, and the unknown member fails only its own
-// entry.
+// TestInvokeBatchMixedMembers drives the coalesced-group dispatch
+// (invokeGroup) with a function, a dataflow, and an unknown member in
+// one group: the functions share the group's window, the dataflow runs
+// on its own, and the unknown member fails only its own entry
+// (TestMixedGroupCommitsItsFunctionsOnce counts the commits).
 func TestInvokeBatchMixedMembers(t *testing.T) {
 	p := newPlatform(t, nil)
 	pkg := `classes:
@@ -632,15 +633,12 @@ func TestInvokeBatchMixedMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := p.InvokeBatch(ctx, id, []runtime.BatchCall{
-		{Function: "resize", Args: map[string]string{"w": "64"}},
-		{Function: "flow"},
-		{Function: "nosuch"},
-		{Function: "convert"},
+	results := p.invokeGroup(ctx, id, []call.Call{
+		{Member: "resize", Args: map[string]string{"w": "64"}},
+		{Member: "flow"},
+		{Member: "nosuch"},
+		{Member: "convert"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if results[0].Err != nil || string(results[0].Output) != `"resized"` {
 		t.Fatalf("function call = %+v", results[0])
 	}
@@ -662,7 +660,7 @@ func TestInvokeBatchMixedMembers(t *testing.T) {
 		t.Fatalf("meta = %s, want width recorded", meta)
 	}
 	// An unknown object fails the whole batch.
-	if _, err := p.InvokeBatch(ctx, "ghost", []runtime.BatchCall{{Function: "resize"}}); !errors.Is(err, ErrObjectNotFound) {
-		t.Fatalf("unknown object err = %v, want ErrObjectNotFound", err)
+	if res := p.invokeGroup(ctx, "ghost", []call.Call{{Member: "resize"}}); !errors.Is(res[0].Err, ErrObjectNotFound) {
+		t.Fatalf("unknown object err = %v, want ErrObjectNotFound", res[0].Err)
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/cluster"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
+	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
 // euPackage declares a class pinned to the "eu" region and an
@@ -33,9 +35,10 @@ const euPackage = `classes:
         image: img/touch
 `
 
-func newRegionPlatform(t *testing.T, interRegion time.Duration) *Platform {
+func newRegionPlatform(t *testing.T, interRegion time.Duration, clock vclock.Clock) *Platform {
 	t.Helper()
 	p, err := New(Config{
+		Clock:              clock,
 		Workers:            2, // default region
 		Regions:            []RegionSpec{{Name: "eu", Workers: 2}},
 		InterRegionLatency: interRegion,
@@ -56,7 +59,7 @@ func newRegionPlatform(t *testing.T, interRegion time.Duration) *Platform {
 }
 
 func TestJurisdictionPinsPodsToRegion(t *testing.T) {
-	p := newRegionPlatform(t, 0)
+	p := newRegionPlatform(t, 0, nil)
 	ctx := context.Background()
 	id, err := p.CreateObject(ctx, "EuRecords", "")
 	if err != nil {
@@ -145,7 +148,7 @@ func TestJurisdictionWithoutRegionFails(t *testing.T) {
 }
 
 func TestHomeRegion(t *testing.T) {
-	p := newRegionPlatform(t, 0)
+	p := newRegionPlatform(t, 0, nil)
 	ctx := context.Background()
 	eu, _ := p.CreateObject(ctx, "EuRecords", "")
 	anywhere, _ := p.CreateObject(ctx, "Anywhere", "")
@@ -160,89 +163,151 @@ func TestHomeRegion(t *testing.T) {
 	}
 }
 
+// The region tests run on a hopClock (invoke_test.go): a hop's Sleep is
+// recorded and returns at once, so they assert the charge itself — how
+// many round trips of 2×InterRegionLatency — not how long a loaded
+// host took to serve them.
+
 func TestInvokeFromChargesCrossRegionLatency(t *testing.T) {
 	const rtt = 25 * time.Millisecond
-	p := newRegionPlatform(t, rtt)
+	clock := newHopClock(2 * rtt)
+	p := newRegionPlatform(t, rtt, clock)
 	ctx := context.Background()
 	id, err := p.CreateObject(ctx, "EuRecords", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up so we are not measuring cold start.
-	if _, err := p.InvokeFrom(ctx, "eu", id, "touch", nil, nil); err != nil {
+	if _, _, err := p.InvokeRoutedFrom(ctx, "eu", "", id, "touch", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-
-	start := time.Now()
-	if _, err := p.InvokeFrom(ctx, "eu", id, "touch", nil, nil); err != nil {
+	if n := clock.charged(2 * rtt); n != 0 {
+		t.Fatalf("same-region invoke charged %d inter-region round trips, want 0", n)
+	}
+	if _, _, err := p.InvokeRoutedFrom(ctx, "", "", id, "touch", nil, nil); err != nil { // default region client
 		t.Fatal(err)
 	}
-	local := time.Since(start)
-
-	start = time.Now()
-	if _, err := p.InvokeFrom(ctx, "", id, "touch", nil, nil); err != nil { // default region client
-		t.Fatal(err)
-	}
-	remote := time.Since(start)
-
-	if remote < 2*rtt {
-		t.Fatalf("cross-region invoke took %v, want >= %v", remote, 2*rtt)
-	}
-	if local > remote {
-		t.Fatalf("same-region invoke (%v) slower than cross-region (%v)", local, remote)
+	if n := clock.charged(2 * rtt); n != 1 {
+		t.Fatalf("cross-region invoke charged %d inter-region round trips, want 1", n)
 	}
 }
 
 func TestInvokeAsyncFromChargesCrossRegionLatency(t *testing.T) {
 	const rtt = 25 * time.Millisecond
-	p := newRegionPlatform(t, rtt)
+	clock := newHopClock(2 * rtt)
+	p := newRegionPlatform(t, rtt, clock)
 	ctx := context.Background()
 	id, err := p.CreateObject(ctx, "EuRecords", "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	submit := func(region, object string) (string, error) {
+		res := p.InvokeAsyncBatchFrom(ctx, region, []asyncq.Request{{Object: object, Member: "touch"}})[0]
+		return res.ID, res.Err
+	}
 	// Same-region submission: no penalty on the submit path.
-	start := time.Now()
-	invID, err := p.InvokeAsyncFrom(ctx, "eu", id, "touch", nil, nil)
+	invID, err := submit("eu", id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := time.Since(start)
 	if _, err := p.WaitInvocation(ctx, invID); err != nil {
 		t.Fatal(err)
 	}
-	if local >= 2*rtt {
-		t.Fatalf("same-region async submission charged a penalty: %v", local)
+	if n := clock.charged(2 * rtt); n != 0 {
+		t.Fatalf("same-region async submission charged %d round trips, want 0", n)
 	}
 	// Cross-region submission: the inter-region round trip is charged
-	// on submission itself, mirroring the synchronous InvokeFrom.
-	start = time.Now()
-	invID, err = p.InvokeAsyncFrom(ctx, "", id, "touch", nil, nil)
+	// on submission itself, mirroring the synchronous route.
+	invID, err = submit("", id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remote := time.Since(start); remote < 2*rtt {
-		t.Fatalf("cross-region async submission took %v, want >= %v", remote, 2*rtt)
+	if n := clock.charged(2 * rtt); n != 1 {
+		t.Fatalf("cross-region async submission charged %d round trips, want 1", n)
 	}
 	if rec, err := p.WaitInvocation(ctx, invID); err != nil || rec.Status != "completed" {
 		t.Fatalf("record = %+v, %v", rec, err)
 	}
-	if _, err := p.InvokeAsyncFrom(ctx, "eu", "ghost", "touch", nil, nil); !errors.Is(err, ErrObjectNotFound) {
+	if _, err := submit("eu", "ghost"); !errors.Is(err, ErrObjectNotFound) {
 		t.Fatalf("err = %v, want ErrObjectNotFound", err)
 	}
 }
 
+// TestInvokeBatchChargesCrossRegionOncePerRequest: a batch is one
+// message on the wire. It pays one inter-region round trip when at
+// least one resolvable entry is homed outside the client's region —
+// not one per entry — and none when every entry is local or no latency
+// is configured; an unknown target still fails only its own entry.
+func TestInvokeBatchChargesCrossRegionOncePerRequest(t *testing.T) {
+	const rtt = 25 * time.Millisecond
+	clock := newHopClock(2 * rtt)
+	p := newRegionPlatform(t, rtt, clock)
+	ctx := context.Background()
+	eu, _ := p.CreateObject(ctx, "EuRecords", "")
+	anywhere, _ := p.CreateObject(ctx, "Anywhere", "")
+	batch := func(objects ...string) []asyncq.Request {
+		reqs := make([]asyncq.Request, len(objects))
+		for i, o := range objects {
+			reqs[i] = asyncq.Request{Object: o, Member: "touch"}
+		}
+		return reqs
+	}
+	wait := func(results []asyncq.BatchResult, wantErr map[int]error) {
+		t.Helper()
+		for i, res := range results {
+			if want := wantErr[i]; want != nil {
+				if !errors.Is(res.Err, want) {
+					t.Fatalf("entry %d err = %v, want %v", i, res.Err, want)
+				}
+				continue
+			}
+			if res.Err != nil {
+				t.Fatalf("entry %d rejected: %v", i, res.Err)
+			}
+			if rec, err := p.WaitInvocation(ctx, res.ID); err != nil || rec.Status != "completed" {
+				t.Fatalf("entry %d record = %+v, %v", i, rec, err)
+			}
+		}
+	}
+	// Default-region client: the local entry and the ghost cost nothing,
+	// the three eu entries cost one round trip between them.
+	wait(p.InvokeAsyncBatchFrom(ctx, "", batch(anywhere, "ghost", eu, eu, eu)), map[int]error{1: ErrObjectNotFound})
+	if n := clock.charged(2 * rtt); n != 1 {
+		t.Fatalf("mixed batch charged %d round trips, want 1", n)
+	}
+	// Every resolvable entry local to the client: nothing.
+	wait(p.InvokeAsyncBatchFrom(ctx, "eu", batch(eu, "ghost", eu)), map[int]error{1: ErrObjectNotFound})
+	wait(p.InvokeAsyncBatchFrom(ctx, "", batch(anywhere, anywhere)), nil)
+	// An in-process batch has no client region to be far from.
+	wait(p.InvokeAsyncBatch(ctx, batch(eu, eu)), nil)
+	if n := clock.charged(2 * rtt); n != 1 {
+		t.Fatalf("local and in-process batches charged %d more round trips, want 0", n-1)
+	}
+	// No inter-region latency configured: nothing to charge.
+	flat := newRegionPlatform(t, 0, clock)
+	id, _ := flat.CreateObject(ctx, "EuRecords", "")
+	for _, res := range flat.InvokeAsyncBatchFrom(ctx, "", batch(id, id)) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if n := clock.charged(2 * rtt); n != 1 {
+		t.Fatalf("zero-latency platform charged %d round trips, want 0", n-1)
+	}
+}
+
 func TestInvokeFromSameRegionNoPenalty(t *testing.T) {
-	p := newRegionPlatform(t, 100*time.Millisecond)
+	const rtt = 100 * time.Millisecond
+	clock := newHopClock(2 * rtt)
+	p := newRegionPlatform(t, rtt, clock)
 	ctx := context.Background()
 	id, _ := p.CreateObject(ctx, "Anywhere", "")
-	p.InvokeFrom(ctx, "", id, "touch", nil, nil) // warm
-	start := time.Now()
-	if _, err := p.InvokeFrom(ctx, "", id, "touch", nil, nil); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, _, err := p.InvokeRoutedFrom(ctx, "", "", id, "touch", nil, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 80*time.Millisecond {
-		t.Fatalf("same-region invoke charged a penalty: %v", elapsed)
+	if n := clock.charged(2 * rtt); n != 0 {
+		t.Fatalf("same-region invokes charged %d inter-region round trips, want 0", n)
 	}
 }
 
@@ -256,7 +321,7 @@ func TestRegionSpecValidation(t *testing.T) {
 }
 
 func TestClusterRegionsListed(t *testing.T) {
-	p := newRegionPlatform(t, 0)
+	p := newRegionPlatform(t, 0, nil)
 	regions := p.Cluster().Regions()
 	if strings.Join(regions, ",") != "default,eu" {
 		t.Fatalf("regions = %v", regions)

@@ -75,18 +75,18 @@ func RunMultiRegionAblation(ctx context.Context, interRegion time.Duration, samp
 		}
 	}
 	// Warm up.
-	if _, err := plat.InvokeFrom(ctx, "eu", id, "randomize", nil, nil); err != nil {
+	if _, _, err := plat.InvokeRoutedFrom(ctx, "eu", "", id, "randomize", nil, nil); err != nil {
 		return MultiRegionRow{}, err
 	}
 	var local, remote metrics.Histogram
 	for i := 0; i < samples; i++ {
 		start := time.Now()
-		if _, err := plat.InvokeFrom(ctx, "eu", id, "randomize", nil, nil); err != nil {
+		if _, _, err := plat.InvokeRoutedFrom(ctx, "eu", "", id, "randomize", nil, nil); err != nil {
 			return MultiRegionRow{}, fmt.Errorf("local invoke: %w", err)
 		}
 		local.Observe(time.Since(start))
 		start = time.Now()
-		if _, err := plat.InvokeFrom(ctx, "default", id, "randomize", nil, nil); err != nil {
+		if _, _, err := plat.InvokeRoutedFrom(ctx, "default", "", id, "randomize", nil, nil); err != nil {
 			return MultiRegionRow{}, fmt.Errorf("remote invoke: %w", err)
 		}
 		remote.Observe(time.Since(start))

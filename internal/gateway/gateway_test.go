@@ -10,11 +10,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/core"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
+	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
 const testPackage = `classes:
@@ -508,6 +510,84 @@ func TestInvokeRegionHeaderChargesLatency(t *testing.T) {
 	}
 	if local >= remote {
 		t.Fatalf("same-region (%v) not faster than cross-region (%v)", local, remote)
+	}
+}
+
+// regionHopClock is the real clock, except that it counts the sleeps of
+// one duration — the inter-region round trip — and returns from them at
+// once.
+type regionHopClock struct {
+	vclock.Real
+	hop  time.Duration
+	hops atomic.Int64
+}
+
+func (c *regionHopClock) Sleep(ctx context.Context, d time.Duration) error {
+	if d != c.hop {
+		return c.Real.Sleep(ctx, d)
+	}
+	c.hops.Add(1)
+	return ctx.Err()
+}
+
+// TestInvokeBatchRegionHeaderChargesOnce: POST /api/invoke-batch honors
+// X-Client-Region like the single-invocation routes, and a batch is one
+// message: eight cross-region entries pay one inter-region round trip,
+// not eight and not none.
+func TestInvokeBatchRegionHeaderChargesOnce(t *testing.T) {
+	const oneWay = 30 * time.Millisecond
+	clock := &regionHopClock{hop: 2 * oneWay}
+	p, err := core.New(core.Config{
+		Workers:            1,
+		Regions:            []core.RegionSpec{{Name: "eu", Workers: 1}},
+		InterRegionLatency: oneWay,
+		ColdStart:          time.Millisecond,
+		Clock:              clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	p.Images().Register("img/echo", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
+		return invoker.Result{Output: task.Payload}, nil
+	}))
+	pkg := "classes:\n  - name: Eu\n    constraint:\n      jurisdiction: eu\n    functions:\n      - name: f\n        image: img/echo\n"
+	ctx := context.Background()
+	if _, err := p.DeployYAML(ctx, []byte(pkg)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.CreateObject(ctx, "Eu", "e1"); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(p))
+	t.Cleanup(srv.Close)
+	body := `{"invocations":[` + strings.Repeat(`{"object":"e1","member":"f"},`, 7) + `{"object":"ghost","member":"f"}]}`
+	post := func(region string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/api/invoke-batch", strings.NewReader(body))
+		if region != "" {
+			req.Header.Set("X-Client-Region", region)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct{ Accepted, Rejected int }
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("status = %d, decode err = %v", resp.StatusCode, err)
+		}
+		if out.Accepted != 7 || out.Rejected != 1 {
+			t.Fatalf("accepted %d rejected %d, want 7 and 1 (the unknown object alone)", out.Accepted, out.Rejected)
+		}
+	}
+	post("eu")
+	if n := clock.hops.Load(); n != 0 {
+		t.Fatalf("a batch from the objects' own region paid %d inter-region round trips, want 0", n)
+	}
+	post("") // a default-region client
+	if n := clock.hops.Load(); n != 1 {
+		t.Fatalf("a cross-region batch of 7 paid %d inter-region round trips, want 1", n)
 	}
 }
 

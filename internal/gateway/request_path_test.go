@@ -7,12 +7,14 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/core"
+	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/israce"
 )
 
@@ -226,5 +228,63 @@ func TestPooledRecorderKeepsRequestsApart(t *testing.T) {
 	// deploy + create + everything above, one record each.
 	if want := 2 + len(saw); len(h.recs) != want {
 		t.Errorf("%d log records for %d requests", len(h.recs), want)
+	}
+}
+
+// TestInvokeAsyncAllocationBudget pins what accepting one asynchronous
+// invocation may allocate between Gateway.ServeHTTP's entry and return:
+// the route, the platform's submit and the queue's pending record. The
+// queue's one worker is held inside a handler for the length of the
+// measurement, so nothing drains and the count is the submission's
+// alone.
+func TestInvokeAsyncAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p, err := core.New(core.Config{Workers: 2, AsyncWorkers: 1, AsyncQueueShards: 1, AsyncQueueCapacity: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	t.Cleanup(func() { close(release) }) // runs before p.Close, which drains
+	p.Images().Register("img/peek", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		<-release
+		return invoker.Result{}, nil
+	}))
+	gw := New(p)
+	for _, setup := range []struct{ path, body string }{
+		{"/api/packages", peekPackage},
+		{"/api/objects", `{"class":"Doc","id":"d1"}`},
+	} {
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, setup.path, strings.NewReader(setup.body)))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("POST %s: status = %d (%s)", setup.path, rec.Code, rec.Body)
+		}
+	}
+	w := &fakeWriter{header: make(http.Header)}
+	body := &replayBody{data: []byte(`"` + strings.Repeat("p", 62) + `"`)}
+	req := httptest.NewRequest(http.MethodPost, "/api/objects/d1/invoke-async/peek", nil)
+	req.Body, req.ContentLength = body, int64(len(body.data))
+	submit := func() {
+		w.reset()
+		body.off = 0
+		gw.ServeHTTP(w, req)
+		if w.status != http.StatusAccepted {
+			t.Fatalf("invoke-async: status = %d, body = %q", w.status, w.body.String())
+		}
+	}
+	submit()
+	<-held
+	// One of these is the batch of one's result slice; a map for the
+	// 202 body would be eight more.
+	const ceiling = 12
+	if n := testing.AllocsPerRun(500, submit); n > ceiling {
+		t.Fatalf("invoke-async allocates %.1f per request, budget %d", n, ceiling)
 	}
 }

@@ -6,41 +6,17 @@ import (
 	"fmt"
 	"maps"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/model"
 )
-
-// BatchCall is one method call of an InvokeBatch group. All calls of a
-// group target the same object.
-type BatchCall struct {
-	// Function is the method name (must be a declared function, not a
-	// dataflow).
-	Function string
-	// Payload is the request body.
-	Payload json.RawMessage
-	// Args are free-form invocation parameters.
-	Args map[string]string
-	// Ctx optionally scopes this call's handler execution (the async
-	// queue passes each submitter's context). The batch context is used
-	// when nil; state I/O always runs under the batch context so one
-	// cancelled submitter cannot abort the group's shared load/commit.
-	Ctx context.Context
-}
-
-// BatchCallResult is one call's outcome. Results are independent: a
-// failing or panicking handler poisons only its own entry, and under
-// optimistic concurrency its delta is excluded from the merged commit.
-type BatchCallResult struct {
-	Output json.RawMessage
-	Err    error
-}
 
 // writerCall pairs a resolved state-mutating call with its position in
 // the caller's slice.
 type writerCall struct {
 	idx  int
 	fn   model.FunctionDef
-	call BatchCall
+	call call.Call
 }
 
 // InvokeBatch executes a group of method calls on one object in a
@@ -63,24 +39,24 @@ type writerCall struct {
 // observe the deltas of earlier successful calls in the group (the
 // evolving view), matching the state they would have seen had the
 // calls run back-to-back.
-func (rt *ClassRuntime) InvokeBatch(ctx context.Context, objectID string, calls []BatchCall) []BatchCallResult {
-	results := make([]BatchCallResult, len(calls))
+func (rt *ClassRuntime) InvokeBatch(ctx context.Context, objectID string, calls []call.Call) []call.Result {
+	results := make([]call.Result, len(calls))
 	if len(calls) == 0 {
 		return results
 	}
 	start := rt.infra.Clock.Now()
 	writers := make([]writerCall, 0, len(calls))
 	for i, c := range calls {
-		fn, ok := rt.class.Function(c.Function)
+		fn, ok := rt.class.Function(c.Member)
 		if !ok {
-			results[i].Err = fmt.Errorf("%w: %s.%s", ErrFunctionUnknown, rt.class.Name, c.Function)
+			results[i].Err = fmt.Errorf("%w: %s.%s", ErrFunctionUnknown, rt.class.Name, c.Member)
 			continue
 		}
 		if fn.Readonly {
 			callCtx, cancel := rt.callTimeoutCtx(ctx, c, fn)
 			out, err := rt.invokeReadonlySafe(callCtx, objectID, fn, c.Payload, c.Args)
 			cancel()
-			results[i] = BatchCallResult{Output: out, Err: err}
+			results[i] = call.Result{Output: out, Err: err}
 			continue
 		}
 		writers = append(writers, writerCall{idx: i, fn: fn, call: c})
@@ -96,7 +72,7 @@ func (rt *ClassRuntime) InvokeBatch(ctx context.Context, objectID string, calls 
 			// explains nothing about them.
 			for _, c := range writers {
 				if results[c.idx].Err == nil {
-					results[c.idx] = BatchCallResult{Err: err}
+					results[c.idx] = call.Result{Err: err}
 				}
 			}
 		}
@@ -122,7 +98,7 @@ func (rt *ClassRuntime) InvokeBatch(ctx context.Context, objectID string, calls 
 }
 
 // callContext resolves a call's effective handler context.
-func callContext(batch context.Context, c BatchCall) context.Context {
+func callContext(batch context.Context, c call.Call) context.Context {
 	if c.Ctx != nil {
 		return c.Ctx
 	}
@@ -132,9 +108,9 @@ func callContext(batch context.Context, c BatchCall) context.Context {
 // callTimeoutCtx resolves a call's handler context and applies the
 // function's effective deadline to it (min-combining with any deadline
 // the context already carries). The cancel func must always be called.
-func (rt *ClassRuntime) callTimeoutCtx(batch context.Context, c BatchCall, fn model.FunctionDef) (context.Context, context.CancelFunc) {
+func (rt *ClassRuntime) callTimeoutCtx(batch context.Context, c call.Call, fn model.FunctionDef) (context.Context, context.CancelFunc) {
 	ctx := callContext(batch, c)
-	if d := rt.effectiveTimeout(fn); d > 0 {
+	if d := rt.EffectiveTimeout(fn); d > 0 {
 		return context.WithTimeout(ctx, d)
 	}
 	return ctx, func() {}
@@ -189,7 +165,7 @@ func (rt *ClassRuntime) applyGroup(ctx context.Context, w *writeWindow, state ma
 			err = rt.validateDelta(c.fn, res.State)
 		}
 		if err != nil {
-			w.results[c.idx] = BatchCallResult{Err: err}
+			w.results[c.idx] = call.Result{Err: err}
 			continue
 		}
 		w.callKeys[gi] = deltaKeys(res.State)
@@ -213,7 +189,7 @@ func (rt *ClassRuntime) applyGroup(ctx context.Context, w *writeWindow, state ma
 			}
 			state[k] = v
 		}
-		w.results[c.idx] = BatchCallResult{Output: res.Output}
+		w.results[c.idx] = call.Result{Output: res.Output}
 		ok++
 	}
 	return merged, ok

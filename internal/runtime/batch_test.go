@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/model"
 )
@@ -93,9 +94,9 @@ func TestInvokeBatchEvolvingView(t *testing.T) {
 				t.Fatal(err)
 			}
 			const n = 8
-			calls := make([]BatchCall, n)
+			calls := make([]call.Call, n)
 			for i := range calls {
-				calls[i] = BatchCall{Function: "incr"}
+				calls[i] = call.Call{Member: "incr"}
 			}
 			results := rt.InvokeBatch(ctx, "o", calls)
 			for i, res := range results {
@@ -124,14 +125,14 @@ func TestInvokeBatchFaultIsolation(t *testing.T) {
 			if err := rt.InitObjectState(ctx, "o"); err != nil {
 				t.Fatal(err)
 			}
-			calls := []BatchCall{
-				{Function: "incr"},
-				{Function: "boom"},
-				{Function: "incr"},
-				{Function: "kaboom"},
-				{Function: "rogue"},
-				{Function: "nosuch"},
-				{Function: "incr"},
+			calls := []call.Call{
+				{Member: "incr"},
+				{Member: "boom"},
+				{Member: "incr"},
+				{Member: "kaboom"},
+				{Member: "rogue"},
+				{Member: "nosuch"},
+				{Member: "incr"},
 			}
 			results := rt.InvokeBatch(ctx, "o", calls)
 			wantErr := map[int]string{
@@ -175,10 +176,10 @@ func TestInvokeBatchReadonlyBypass(t *testing.T) {
 	if _, err := rt.Invoke(ctx, "o", "incr", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	results := rt.InvokeBatch(ctx, "o", []BatchCall{
-		{Function: "peek"},
-		{Function: "incr"},
-		{Function: "incr"},
+	results := rt.InvokeBatch(ctx, "o", []call.Call{
+		{Member: "peek"},
+		{Member: "incr"},
+		{Member: "incr"},
 	})
 	for i, res := range results {
 		if res.Err != nil {
@@ -229,9 +230,9 @@ func TestInvokeBatchInterleavesWithSingles(t *testing.T) {
 			}()
 			go func() {
 				defer wg.Done()
-				calls := make([]BatchCall, batchSize)
+				calls := make([]call.Call, batchSize)
 				for i := range calls {
-					calls[i] = BatchCall{Function: "incr"}
+					calls[i] = call.Call{Member: "incr"}
 				}
 				for b := 0; b < batches; b++ {
 					for i, res := range rt.InvokeBatch(ctx, "o", calls) {
@@ -376,10 +377,10 @@ func TestInvokeBatchDeadlineFailsOnlyOwnEntry(t *testing.T) {
 			if err := rt.InitObjectState(ctx, "o"); err != nil {
 				t.Fatal(err)
 			}
-			results := rt.InvokeBatch(ctx, "o", []BatchCall{
-				{Function: "incr"},
-				{Function: "stuck"},
-				{Function: "incr"},
+			results := rt.InvokeBatch(ctx, "o", []call.Call{
+				{Member: "incr"},
+				{Member: "stuck"},
+				{Member: "incr"},
 			})
 			if err := results[1].Err; !errors.Is(err, ErrDeadlineExceeded) {
 				t.Fatalf("stuck entry err = %v, want ErrDeadlineExceeded", err)
@@ -438,11 +439,11 @@ func TestInvokeBatchDeleteRestoresDefault(t *testing.T) {
 	if err := rt.InitObjectState(ctx, "o"); err != nil {
 		t.Fatal(err)
 	}
-	results := rt.InvokeBatch(ctx, "o", []BatchCall{
-		{Function: "incr"}, // 1
-		{Function: "incr"}, // 2
-		{Function: "clear"},
-		{Function: "incr"}, // default 0 -> 1
+	results := rt.InvokeBatch(ctx, "o", []call.Call{
+		{Member: "incr"}, // 1
+		{Member: "incr"}, // 2
+		{Member: "clear"},
+		{Member: "incr"}, // default 0 -> 1
 	})
 	for i, res := range results {
 		if res.Err != nil {

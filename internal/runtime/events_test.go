@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/trigger"
 )
@@ -140,13 +141,13 @@ func TestCommitEventBatchPath(t *testing.T) {
 			if err := rt.InitObjectState(ctx, "c-1"); err != nil {
 				t.Fatal(err)
 			}
-			results := rt.InvokeBatch(ctx, "c-1", []BatchCall{
-				{Function: "incr"},
-				{Function: "fail"},
-				{Function: "incr"},
-				{Function: "rogue"},
-				{Function: "get"},
-				{Function: "incr"},
+			results := rt.InvokeBatch(ctx, "c-1", []call.Call{
+				{Member: "incr"},
+				{Member: "fail"},
+				{Member: "incr"},
+				{Member: "rogue"},
+				{Member: "get"},
+				{Member: "incr"},
 			})
 			wantErr := []bool{false, true, false, true, false, false}
 			for i, res := range results {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/trace"
@@ -339,7 +340,7 @@ func TestVersionMismatchAbortTrace(t *testing.T) {
 			}
 		},
 		"group": func(ctx context.Context, id string) {
-			res := rt.InvokeBatch(ctx, id, []BatchCall{{Function: "incr"}, {Function: "incr"}})
+			res := rt.InvokeBatch(ctx, id, []call.Call{{Member: "incr"}, {Member: "incr"}})
 			if res[0].Err != nil || res[1].Err != nil || string(res[1].Output) != "102" {
 				t.Errorf("batch = %+v, want 101 and 102 from the retry", res)
 			}

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/model"
 )
@@ -203,9 +204,9 @@ func TestBatchHandlerRetainedMapsNeverRecycled(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					calls := make([]BatchCall, perBatch)
+					calls := make([]call.Call, perBatch)
 					for i := range calls {
-						calls[i] = BatchCall{Function: "bump"}
+						calls[i] = call.Call{Member: "bump"}
 					}
 					for _, res := range rt.InvokeBatch(ctx, "o", calls) {
 						if res.Err != nil {

@@ -685,11 +685,12 @@ func (rt *ClassRuntime) buildRefs(objectID string) (map[string]string, error) {
 // have not yet returned (see ClassRuntime.leakedHandlers).
 func (rt *ClassRuntime) LeakedHandlers() int64 { return rt.leakedHandlers.Load() }
 
-// effectiveTimeout resolves one function's invocation deadline:
+// EffectiveTimeout resolves one function's invocation deadline:
 // function TimeoutMs beats the class default beats the platform
 // default. Zero means no declared deadline (the request context may
-// still carry one).
-func (rt *ClassRuntime) effectiveTimeout(fn model.FunctionDef) time.Duration {
+// still carry one). The zero FunctionDef — a dataflow has none of its
+// own — resolves to the class or platform default.
+func (rt *ClassRuntime) EffectiveTimeout(fn model.FunctionDef) time.Duration {
 	if fn.TimeoutMs > 0 {
 		return time.Duration(fn.TimeoutMs) * time.Millisecond
 	}
@@ -697,16 +698,6 @@ func (rt *ClassRuntime) effectiveTimeout(fn model.FunctionDef) time.Duration {
 		return time.Duration(rt.class.TimeoutMs) * time.Millisecond
 	}
 	return rt.infra.DefaultInvokeTimeout
-}
-
-// EffectiveTimeout resolves the declared invocation deadline for one
-// member name (zero when neither the function, the class nor the
-// platform declares one). Unknown members resolve to the class or
-// platform default — the asyncq deadline hook calls this before the
-// member is validated.
-func (rt *ClassRuntime) EffectiveTimeout(member string) time.Duration {
-	fn, _ := rt.class.Function(member)
-	return rt.effectiveTimeout(fn)
 }
 
 // deadlineError is the sentinel-wrapping error surfaced for one
@@ -736,7 +727,7 @@ func (rt *ClassRuntime) Invoke(ctx context.Context, objectID, function string, p
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrFunctionUnknown, rt.class.Name, function)
 	}
-	if d := rt.effectiveTimeout(fn); d > 0 {
+	if d := rt.EffectiveTimeout(fn); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/trace"
@@ -84,7 +85,7 @@ type writeWindow struct {
 	out     json.RawMessage
 
 	group    []writerCall
-	results  []BatchCallResult
+	results  []call.Result
 	callKeys [][]string
 }
 

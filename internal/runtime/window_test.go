@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/israce"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
@@ -211,8 +212,8 @@ func TestCommitExitConformance(t *testing.T) {
 			return []error{err}
 		}},
 		{"group", 2, func(t *testing.T, ctx context.Context, rt *ClassRuntime, id, fn string, args map[string]string) []error {
-			member := BatchCall{Function: fn, Args: args, Ctx: context.Background()}
-			res := rt.InvokeBatch(ctx, id, []BatchCall{member, {Function: "fail"}, member})
+			member := call.Call{Member: fn, Args: args, Ctx: context.Background()}
+			res := rt.InvokeBatch(ctx, id, []call.Call{member, {Member: "fail"}, member})
 			if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "deliberate") {
 				t.Errorf("failing member: err = %v, want its own error", res[1].Err)
 			}
@@ -382,7 +383,7 @@ func TestLockedCommitIsAtomic(t *testing.T) {
 	}
 	unchanged("single call")
 	infra.Backing.InjectWriteFailures(1, boom)
-	for i, res := range rt.InvokeBatch(ctx, "o", []BatchCall{{Function: "swap"}, {Function: "swap"}, {Function: "swap"}}) {
+	for i, res := range rt.InvokeBatch(ctx, "o", []call.Call{{Member: "swap"}, {Member: "swap"}, {Member: "swap"}}) {
 		if !errors.Is(res.Err, boom) {
 			t.Fatalf("group call %d: err = %v, want the backing failure", i, res.Err)
 		}
@@ -445,9 +446,9 @@ func TestWriteInvokeAllocationBudget(t *testing.T) {
 	}
 	t.Run("adaptive/group16", func(t *testing.T) {
 		rt := warm(t, model.ConcurrencyAdaptive)
-		calls := make([]BatchCall, 16)
+		calls := make([]call.Call, 16)
 		for i := range calls {
-			calls[i] = BatchCall{Function: "incr"}
+			calls[i] = call.Call{Member: "incr"}
 		}
 		n := testing.AllocsPerRun(200, func() { rt.InvokeBatch(ctx, "o", calls) })
 		if n > writeAllocsGroup16 {

@@ -59,6 +59,33 @@
 // record table stays bounded; evictions show up in
 // Stats().Async.Evicted.
 //
+// # Invoking an object
+//
+// There is one invoke pipeline and four ways into it; they differ only
+// in where the call came from. Platform.Invoke and Platform.InvokeAsync
+// (what Object.Invoke and Object.InvokeAsync call) are the in-process
+// entries: the caller is inside the platform — a library user, the
+// async queue draining a task, a data trigger firing its target — so
+// the call pays for no distance and is never refused because ownership
+// is moving; the commit fence keeps it correct. Platform.InvokeRoutedFrom
+// and Platform.InvokeAsyncBatchFrom are the front-door entries the REST
+// gateway uses, synchronous and asynchronous: the call comes from a
+// client in a region (the X-Client-Region header; empty is the default
+// region) and, for a synchronous call, lands on an ingress node
+// (X-Oparaca-Node; empty lets the router pick). A front-door call pays
+// 2×Config.InterRegionLatency when the object's home region — its
+// class's jurisdiction constraint — is not the client's, and a
+// synchronous one is routed by the ownership layer (see "Cluster
+// ownership & failover"). A single asynchronous submission is a batch
+// of one, and a batch is one message on the wire: it pays the
+// inter-region round trip once if any of its entries is homed outside
+// the client's region, not once per entry (Platform.InvokeAsyncBatch is
+// the same batch submitted from inside the process). Every entry
+// resolves its target once, up front — an unknown object or member
+// fails fast, before any charge or routing — and everything after that
+// (the deadline, the trace, the fence, the events) is the same code
+// whichever way the call came in.
+//
 // # Batched async execution
 //
 // The async workers drain in batches: each pull takes up to
@@ -76,12 +103,13 @@
 // per-call: a failing or panicking handler (or a delta touching
 // undeclared keys) fails only its own invocation record, its delta is
 // excluded from the merged commit, and `readonly` calls bypass the
-// window entirely on the lock-free fast path. Dataflow members fall
-// back to individual invocation.
+// window entirely on the lock-free fast path. Only functions share a
+// window: a dataflow among a pull's calls on an object is set aside and
+// runs as if it had drained alone, while the functions around it still
+// commit together.
 // Stats().Async.BatchedDrains counts multi-task pulls and
 // Stats().Async.Coalesced counts invocations that shared a group
-// window; Platform.InvokeBatch exposes the same group-commit path
-// synchronously.
+// window.
 //
 // Two queue-shaping controls ride along. Config.AsyncClassQuotas caps
 // the queued invocations per class — an over-quota submission fails
@@ -466,14 +494,22 @@
 // async task whose commit is fenced is requeued
 // (Stats().Cluster.Requeued) and re-dispatched, not failed.
 //
-// The gateway routes synchronous invocations through the ownership
-// layer: a request landing on a non-owner ingress node is forwarded
-// one hop to the owner (charging 2×Config.ForwardLatency, the same
-// round-trip charge model as inter-region calls; the serving node is
-// reported in the X-Oparaca-Node response header). During the brief
-// post-rebalance transition window routing fast-fails with HTTP 503,
-// code "ownership_moving", and a Retry-After header instead of racing
-// the handoff. GET /api/cluster (`ocli cluster`) reports live members
+// The gateway's synchronous invocations (Platform.InvokeRoutedFrom)
+// go through the ownership router, at the one gate every invocation
+// passes: a request landing on a non-owner ingress node is forwarded
+// one hop to the owner (charging 2×Config.ForwardLatency — the same
+// round-trip model, and the same code, as the inter-region charge; the
+// serving node is reported in the X-Oparaca-Node response header), and
+// if ownership moves again while it is in flight it is refused rather
+// than forwarded a second time. During the brief post-rebalance
+// transition window routing fast-fails with HTTP 503, code
+// "ownership_moving", and a Retry-After header instead of racing the
+// handoff — synchronous front-door calls only: asynchronous
+// submissions are accepted, and the platform's own dispatch (the async
+// drain, trigger targets, dataflow steps) is admitted at the current
+// epoch and proceeds, with the fence as its safety net. The target is
+// resolved before the gate, so a call on an unknown object inside the
+// window is a 404, not a 503. GET /api/cluster (`ocli cluster`) reports live members
 // with lease ages and per-node object counts, the epoch, and the
 // failover counters; GET /readyz additionally gates readiness on
 // membership convergence. With OwnershipLeaseTTL zero (the default)
