@@ -25,9 +25,12 @@
 // executing in this process. A reader of the backing store, or a
 // successor process, sees a predecessor's in-flight work as pending —
 // and RecoverStranded re-runs it from the payload and args that record
-// carries. Each durable transition is encoded once, by appendRecord;
-// records it does not render (args, strings needing escapes) take
-// json.Marshal.
+// carries. Each durable transition is encoded once, by appendRecord,
+// into a fresh buffer the record table and, through it, the backing
+// store keep as it is (nothing here reuses an encode buffer; Submit's
+// copy of the payload is the one defensive copy on the way in); records
+// it does not render (a string, args included, that needs escaping)
+// take json.Marshal.
 //
 // Backpressure is explicit: Submit returns ErrQueueFull once the
 // target shard is at capacity. A panicking handler marks its record

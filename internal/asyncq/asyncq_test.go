@@ -161,23 +161,7 @@ func TestRecordsSurviveFlushCycles(t *testing.T) {
 	}
 	// Give the write-behind flusher a few cycles, then verify the
 	// terminal record landed in the backing store too.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		doc, err := db.Get(context.Background(), "invocations/"+id)
-		if err == nil {
-			var persisted Record
-			if err := json.Unmarshal(doc.Value, &persisted); err != nil {
-				t.Fatal(err)
-			}
-			if persisted.Status == StatusCompleted {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("terminal record never flushed to backing store")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	awaitStored(t, db, id, StatusCompleted)
 	// Still poll-able after completion.
 	again, err := q.Get(context.Background(), id)
 	if err != nil || string(again.Result) != `42` {
@@ -530,6 +514,29 @@ func TestNoRetriesByDefault(t *testing.T) {
 
 // blockingQueue builds a single-worker, single-shard queue whose
 // handler parks on release; started signals the first execution.
+// awaitStored polls the backing store until the invocation's record is
+// there with the given status (the record table flushes write-behind)
+// and returns the stored document.
+func awaitStored(t *testing.T, db *kvstore.Store, id string, status Status) json.RawMessage {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if doc, err := db.Get(context.Background(), "invocations/"+id); err == nil {
+			var rec Record
+			if err := json.Unmarshal(doc.Value, &rec); err != nil {
+				t.Fatalf("stored record does not decode: %v\n%s", err, doc.Value)
+			}
+			if rec.Status == status {
+				return doc.Value
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s record reached the backing store", status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func blockingQueue(t *testing.T, cfg Config) (q *Queue, started, release chan struct{}) {
 	t.Helper()
 	started = make(chan struct{})
@@ -809,5 +816,64 @@ func TestNewRejectsQuotasWithoutClassOf(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "Config.Target") {
 		t.Fatalf("err = %v, want Config.Target requirement error", err)
+	}
+}
+
+// TestRecordDocumentsAreNeverRewrittenInPlace: every durable transition
+// is a freshly encoded document handed to the record table (which hands
+// it, unchanged, to the store), and Submit's copy of the payload is the
+// one defensive copy on the way in — so the caller may reuse its payload
+// buffer and args map at once, and the pending document a reader (or a
+// successor's recovery scan) holds keeps its bytes while the terminal one
+// replaces it. A goroutine reads the held pending document throughout, so
+// under -race a reused encode buffer is a reported race.
+func TestRecordDocumentsAreNeverRewrittenInPlace(t *testing.T) {
+	db := kvstore.Open(kvstore.Config{})
+	t.Cleanup(db.Close)
+	q, started, release := blockingQueue(t, Config{Backing: db, FlushInterval: time.Millisecond})
+	ctx := context.Background()
+	payload := []byte(`{"n":1}`)
+	args := map[string]string{"trigger": "stateChanged", "triggerDepth": "1"}
+	id, err := q.Submit(ctx, Target{}, "o", "m", payload, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(payload, `{"n":2}`) // the submitter reuses its buffer and its map
+	args["triggerDepth"] = "9"
+	<-started
+
+	pending := awaitStored(t, db, id, StatusPending)
+	want := string(pending)
+	var rec Record
+	if err := json.Unmarshal(pending, &rec); err != nil || string(rec.Payload) != `{"n":1}` || rec.Args["triggerDepth"] != "1" {
+		t.Fatalf("pending record = %s (%v), want the payload and args as submitted", pending, err)
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if string(pending) != want {
+				t.Errorf("the pending document changed under its reader: %s", pending)
+				return
+			}
+		}
+	}()
+	close(release)
+	if rec, err := q.Wait(ctx, id); err != nil || rec.Status != StatusCompleted {
+		t.Fatalf("wait: %v %+v", err, rec)
+	}
+	terminal := awaitStored(t, db, id, StatusCompleted)
+	close(stop)
+	readers.Wait()
+	if string(pending) != want || &terminal[0] == &pending[0] {
+		t.Fatalf("the terminal document reused the pending one's bytes: %s", pending)
 	}
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // recordOverhead bounds the bytes of a record document that are not
-// field contents: punctuation, field names, and three RFC 3339
-// timestamps at their widest (35 bytes each).
+// field contents: punctuation, field names (each arg counts its own
+// punctuation), and three RFC 3339 timestamps at their widest (35
+// bytes each).
 const recordOverhead = 240
 
 // appendRecord appends rec's stored document to dst, following the
@@ -15,18 +16,31 @@ const recordOverhead = 240
 // json.Unmarshal reads back the Record json.Marshal's output would
 // give. Payload and Result are copied as they are (Submit and runBatch
 // admit only valid JSON); timestamps go through AppendFormat, which is
-// Time.MarshalJSON minus the heap string. It reports false, leaving dst
-// alone, for a record it does not render trivially: args set, a string
-// that needs escaping, a timestamp encoding/json would reject. dst
-// grows once, to the document's size.
+// Time.MarshalJSON minus the heap string; args are written in the key
+// order encoding/json sorts a map into. It reports false, leaving dst
+// alone, for a record it does not render trivially: a string (an arg's
+// key or value included) that needs escaping, a timestamp encoding/json
+// would reject. dst grows once, to the document's size.
 func appendRecord(dst []byte, rec *Record) ([]byte, bool) {
-	if len(rec.Args) > 0 || !plain(rec.ID) || !plain(rec.Object) || !plain(rec.Member) ||
+	if !plain(rec.ID) || !plain(rec.Object) || !plain(rec.Member) ||
 		!plain(string(rec.Status)) || !plain(rec.Error) ||
 		!jsonTime(rec.Enqueued) || !jsonTime(rec.Started) || !jsonTime(rec.Finished) {
 		return dst, false
 	}
+	// A trigger-chained submission carries two args; the array keeps
+	// their sorted keys off the heap.
+	var keyBuf [4]string
+	keys, argBytes := keyBuf[:0], 0
+	for k, v := range rec.Args {
+		if !plain(k) || !plain(v) {
+			return dst, false
+		}
+		keys = append(keys, k)
+		argBytes += len(k) + len(v) + len(`"":"",`)
+	}
+	slices.Sort(keys)
 	dst = slices.Grow(dst, recordOverhead+len(rec.ID)+len(rec.Object)+len(rec.Member)+
-		len(rec.Status)+len(rec.Payload)+len(rec.Result)+len(rec.Error))
+		len(rec.Status)+len(rec.Payload)+argBytes+len(rec.Result)+len(rec.Error))
 	dst = append(dst, `{"id":"`...)
 	dst = append(dst, rec.ID...)
 	dst = append(dst, `","object":"`...)
@@ -39,6 +53,18 @@ func appendRecord(dst []byte, rec *Record) ([]byte, bool) {
 	if len(rec.Payload) > 0 {
 		dst = append(dst, `,"payload":`...)
 		dst = append(dst, rec.Payload...)
+	}
+	sep := `,"args":{"`
+	for _, k := range keys {
+		dst = append(dst, sep...)
+		dst = append(dst, k...)
+		dst = append(dst, `":"`...)
+		dst = append(dst, rec.Args[k]...)
+		dst = append(dst, '"')
+		sep = `,"`
+	}
+	if len(keys) > 0 {
+		dst = append(dst, '}')
 	}
 	if len(rec.Result) > 0 {
 		dst = append(dst, `,"result":`...)

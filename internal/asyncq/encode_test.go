@@ -109,7 +109,11 @@ func TestAppendRecordGolden(t *testing.T) {
 		{name: "null result kept, empty result omitted", stored: true,
 			rec: Record{ID: "inv-09", Object: "o", Member: "m", Status: StatusCompleted, Result: json.RawMessage(`null`), Payload: json.RawMessage{}, Enqueued: base},
 			doc: `{"id":"inv-09","object":"o","member":"m","status":"completed","result":null,"enqueued":"2026-09-28T10:30:00Z"}`},
-		{name: "args set", rec: Record{ID: "inv-10", Object: "o", Member: "m", Status: StatusPending, Args: map[string]string{"w": "120", "q": `"`}, Enqueued: base}},
+		{name: "args set", stored: true, // in encoding/json's key order, between payload and result
+			rec: Record{ID: "inv-10", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`1`), Result: json.RawMessage(`2`), Args: map[string]string{"triggerDepth": "2", "trigger": "stateChanged", "w": "120", "W": "", "": "empty key", "a b": "c/d"}, Enqueued: base},
+			doc: `{"id":"inv-10","object":"o","member":"m","status":"pending","payload":1,"args":{"":"empty key","W":"","a b":"c/d","trigger":"stateChanged","triggerDepth":"2","w":"120"},"result":2,"enqueued":"2026-09-28T10:30:00Z"}`},
+		{name: "args set, a value with a quote", rec: Record{ID: "inv-16", Object: "o", Member: "m", Status: StatusPending, Args: map[string]string{"w": "120", "q": `"`}, Enqueued: base}},
+		{name: "args set, a key non-ASCII", rec: Record{ID: "inv-17", Object: "o", Member: "m", Status: StatusPending, Args: map[string]string{"clé": "v"}, Enqueued: base}},
 		{name: "object id with quote", rec: Record{ID: "inv-11", Object: `ob"j`, Member: "m", Status: StatusPending, Enqueued: base}},
 		{name: "object id with backslash", rec: Record{ID: "inv-12", Object: `ob\j`, Member: "m", Status: StatusPending, Enqueued: base}},
 		{name: "object id with angle bracket", rec: Record{ID: "inv-13", Object: `<obj>&`, Member: "m", Status: StatusPending, Enqueued: base}},
@@ -143,14 +147,14 @@ func TestAppendRecordGolden(t *testing.T) {
 
 // TestEncodeRecordNeverStoresAnEmptyDocument feeds encodeRecord what
 // its json.Marshal fallback rejects — a timestamp RFC 3339 cannot
-// express, raw bytes that are not JSON on a record with args (Submit
-// and runBatch keep those away from appendRecord, which copies raw
-// fields unchecked) — and expects a decodable terminal failure each
-// time, never zero bytes.
+// express, raw bytes that are not JSON on a record whose args need
+// escaping (Submit and runBatch keep those away from appendRecord, which
+// copies raw fields unchecked) — and expects a decodable terminal
+// failure each time, never zero bytes.
 func TestEncodeRecordNeverStoresAnEmptyDocument(t *testing.T) {
 	base := time.Date(2026, 9, 28, 10, 30, 0, 0, time.UTC)
 	for name, rec := range map[string]Record{
-		"bad payload":  {ID: "inv-1", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Args: map[string]string{"k": "v"}, Enqueued: base},
+		"bad payload":  {ID: "inv-1", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Args: map[string]string{"k": "v", "q": `"`}, Enqueued: base},
 		"bad result":   {ID: "inv-2", Object: `o"`, Member: "m", Status: StatusCompleted, Result: json.RawMessage(`nope`), Enqueued: base},
 		"year 10000":   {ID: "inv-3", Object: "o", Member: "m", Status: StatusCompleted, Enqueued: base, Finished: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
 		"both at once": {ID: "inv-4", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Enqueued: time.Date(-5, 1, 1, 0, 0, 0, 0, time.UTC)},
@@ -174,6 +178,9 @@ func FuzzRecordEncoding(f *testing.F) {
 	f.Add("inv-0a1b", "obj-1", "bump", "completed", `{"n":1}`, `"ok"`, "", "", int64(1_790_000_000_123_456_789), int64(1500), int64(2500), 0)
 	f.Add("inv-1", `o"b\j<`, "m", "failed", ``, ``, "boom\n", "w=1", int64(0), int64(0), int64(0), 19800)
 	f.Add("", "é", "", "pending", ` [ 1 , 2 ] `, `null`, "x", "", int64(-6_000_000_000_000_000_000), int64(-1), int64(1), -43200)
+	f.Add("inv-2", "obj-2", "audit", "pending", `{"n":2}`, ``, "", "triggerDepth=2&trigger=stateChanged", int64(1_790_000_000_000_000_000), int64(0), int64(0), 0)
+	f.Add("inv-3", "o", "m", "pending", ``, ``, "", "w=120&=empty key&W=&a b=c/d&z=5&k", int64(1), int64(0), int64(0), 3600)
+	f.Add("inv-4", "o", "m", "failed", ``, ``, "boom", "ok=1&q=\"&clé=<v>", int64(1), int64(2), int64(3), 0)
 	f.Fuzz(func(t *testing.T, id, object, member, status, payload, result, errMsg, arg string, enqueued, startedAfter, finishedAfter int64, zoneSeconds int) {
 		if (payload != "" && !json.Valid([]byte(payload))) || (result != "" && !json.Valid([]byte(result))) {
 			t.Skip() // Submit and runBatch admit only JSON
@@ -190,8 +197,17 @@ func FuzzRecordEncoding(f *testing.F) {
 			Payload: json.RawMessage(payload), Result: json.RawMessage(result),
 			Enqueued: time.Unix(0, enqueued).In(zone), Started: at(startedAfter), Finished: at(finishedAfter),
 		}
+		// arg is a query string of args, so the fuzzer reaches several
+		// keys (and their order); a pair without '=' is the value of "k".
 		if arg != "" {
-			rec.Args = map[string]string{"k": arg}
+			rec.Args = map[string]string{}
+			for _, pair := range strings.Split(arg, "&") {
+				if k, v, ok := strings.Cut(pair, "="); ok {
+					rec.Args[k] = v
+				} else {
+					rec.Args["k"] = pair
+				}
+			}
 		}
 		got, want, _, _ := decodeBoth(t, rec)
 		assertSameRecord(t, got, want)

@@ -11,6 +11,10 @@ package cluster
 // commits admitted under an older epoch are fenced — rejected unless
 // the object's owner is provably unchanged — so a partitioned or
 // paused ex-owner can never double-commit against the new owner.
+//
+// The lease and epoch documents are json.Marshal output written once
+// and never touched again: the store keeps the slice it is handed
+// (kvstore's ownership rule).
 
 import (
 	"context"

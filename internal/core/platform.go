@@ -6,7 +6,9 @@
 // The platform owns the shared substrates — simulated cluster,
 // document store, object store (served over HTTP for presigned URL
 // access), function-image registry — and exposes the developer-facing
-// operations the Oparaca CLI and REST gateway build on.
+// operations the Oparaca CLI and REST gateway build on. Its own store
+// writes (objects/, triggersubs/) hand over json.Marshal output, which
+// the store keeps as is (kvstore's ownership rule).
 package core
 
 import (
@@ -315,14 +317,12 @@ type RegionSpec struct {
 }
 
 // objectRecord is the directory entry for one object, resident whether
-// or not the object is ever invoked: 16 pointer-free bytes. class
-// indexes Platform.classNames, created is unix nanoseconds.
-type objectRecord struct {
-	class   uint32
-	created int64
-}
+// or not the object is ever invoked: the class, as an index into
+// Platform.classNames (a 24-byte map slot with the id's header).
+type objectRecord struct{ class uint32 }
 
-// objectDoc is the persisted form of an objectRecord (objects/<id>).
+// objectDoc is the persisted form of an objectRecord (objects/<id>);
+// the creation time lives only here, nothing in memory reads it.
 type objectDoc struct {
 	Class   string    `json:"class"`
 	Created time.Time `json:"created"`
@@ -605,7 +605,7 @@ func (p *Platform) recover(ctx context.Context) error {
 			if json.Unmarshal(doc.Value, &rec) != nil || rec.Class == "" {
 				continue
 			}
-			p.dir[strings.TrimPrefix(k, "objects/")] = p.recordLocked(rec.Class, rec.Created)
+			p.dir[strings.TrimPrefix(k, "objects/")] = p.recordLocked(rec.Class)
 		}
 		p.mu.Unlock()
 	}
@@ -1014,7 +1014,7 @@ func (p *Platform) CreateObject(ctx context.Context, class, id string) (string, 
 		return "", fmt.Errorf("%w: %q", ErrObjectExists, id)
 	}
 	rec := objectDoc{Class: class, Created: p.cfg.Clock.Now()}
-	p.dir[id] = p.recordLocked(class, rec.Created)
+	p.dir[id] = p.recordLocked(class)
 	p.mu.Unlock()
 	if err := rt.InitObjectState(ctx, id); err != nil {
 		p.mu.Lock()
@@ -1034,14 +1034,14 @@ func (p *Platform) CreateObject(ctx context.Context, class, id string) (string, 
 }
 
 // recordLocked builds a directory record. Callers hold p.mu.
-func (p *Platform) recordLocked(class string, created time.Time) objectRecord {
+func (p *Platform) recordLocked(class string) objectRecord {
 	id, ok := p.classIDs[class]
 	if !ok {
 		id = uint32(len(p.classNames))
 		p.classNames = append(p.classNames, class)
 		p.classIDs[class] = id
 	}
-	return objectRecord{class: id, created: created.UnixNano()}
+	return objectRecord{class: id}
 }
 
 // DeleteObject removes an object and all its state.

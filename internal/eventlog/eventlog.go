@@ -19,6 +19,13 @@
 // RetentionTTL ages entries out on the background sweep, which rides
 // the platform's async GC cadence. Reading below the retained floor
 // fails with ErrOffsetCompacted (HTTP 410 at the gateway).
+//
+// Ownership: an appended payload is held once. The bytes build returns
+// become the retained Entry's Payload and, unchanged and uncopied, the
+// document handed to the backing store (kvstore keeps the slice it is
+// given), so build returns a buffer nobody writes to again — the bus
+// passes json.Marshal output — and readers treat Payload as read-only.
+// The bounds documents are json.Marshal output too.
 package eventlog
 
 import (
@@ -496,12 +503,18 @@ func (l *Log) Bounds(ctx context.Context, object string) (first, next int64, err
 // Begun reports whether an object's log has ever recorded an entry
 // (next > 1). The answer is durable — it comes from the persisted
 // bounds document, so it survives restart, retention emptying the log
-// and Kill — and it never turns false again short of Drop. An object
-// whose log never began costs one map lookup; one that began before a
-// restart loads its retained entries on the first call.
-func (l *Log) Begun(ctx context.Context, object string) (bool, error) {
-	_, next, err := l.Bounds(ctx, object)
-	return next > 1, err
+// and Kill — and it never turns false again short of Drop. It never
+// reads the store: a log that never began is absent, and one New
+// registered from its bounds document has begun whether or not its
+// entries are loaded yet, since only an append persists bounds.
+func (l *Log) Begun(_ context.Context, object string) (bool, error) {
+	ol := l.peek(object)
+	if ol == nil {
+		return false, nil
+	}
+	ol.mu.Lock()
+	defer ol.mu.Unlock()
+	return !ol.loaded || ol.next > 1, nil
 }
 
 // Cursor returns a consumer's stored position (ok=false when the

@@ -344,10 +344,15 @@ func TestBegunLogsAreKnownAtOpen(t *testing.T) {
 	if begun, err := l2.Begun(ctx, "unseen"); err != nil || begun {
 		t.Fatalf("Begun(unseen) = %v, %v: an object with no persisted bounds needs no store read", begun, err)
 	}
-	st.SetFaultPlan(kvstore.FaultPlan{})
+	// The registration is the proof: only an append persists bounds, so
+	// the answer needs neither the bounds document nor the entries.
 	if begun, err := l2.Begun(ctx, "seen"); err != nil || !begun {
-		t.Fatalf("Begun(seen) = %v, %v after restart", begun, err)
+		t.Fatalf("Begun(seen) = %v, %v after restart, with the log not loaded yet", begun, err)
 	}
+	if got := st.FaultsServed(); got != 0 {
+		t.Fatalf("Begun tried %d store reads, want 0", got)
+	}
+	st.SetFaultPlan(kvstore.FaultPlan{})
 	if first, next, err := l2.Bounds(ctx, "seen"); err != nil || first != 1 || next != 4 {
 		t.Fatalf("bounds after restart = [%d,%d), %v, want [1,4)", first, next, err)
 	}
@@ -441,5 +446,75 @@ func TestDropRemovesLogFromBacking(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Offset != 1 {
 		t.Fatalf("entries after drop+append = %+v, want one at offset 1", entries)
+	}
+}
+
+// TestAppendedPayloadIsHeldOnce: the bytes build returns are the
+// retained entry's payload and the stored document, one slice (the store
+// keeps what it is handed), and nothing — later appends, the size cap
+// evicting around them, a retention sweep — ever writes into them again.
+// A goroutine reads the first batch's payloads from all three places
+// throughout, so under -race a reused buffer is a reported race.
+func TestAppendedPayloadIsHeldOnce(t *testing.T) {
+	st := testStore(t)
+	l := testLog(t, Config{Backing: st, MaxPerObject: 4})
+	ctx := context.Background()
+	built := make([]json.RawMessage, 3)
+	first, err := l.AppendBatch(ctx, "obj", len(built), func(i int, off int64) (json.RawMessage, error) {
+		built[i] = json.RawMessage(fmt.Sprintf(`{"offset":%d,"batch":"first"}`, off))
+		return built[i], nil
+	})
+	if err != nil || first != 1 {
+		t.Fatalf("AppendBatch = %d, %v", first, err)
+	}
+	want := make([]string, len(built))
+	entries, err := l.Read(ctx, "obj", 1, 0)
+	if err != nil || len(entries) != len(built) {
+		t.Fatalf("Read = %v, %v", entries, err)
+	}
+	for i, e := range entries {
+		want[i] = string(built[i])
+		doc, err := st.Get(ctx, entryKey("obj", e.Offset))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &e.Payload[0] != &built[i][0] || &doc.Value[0] != &built[i][0] {
+			t.Fatalf("offset %d is held more than once: entry shares build's bytes %v, store does %v",
+				e.Offset, &e.Payload[0] == &built[i][0], &doc.Value[0] == &built[i][0])
+		}
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range built {
+				if string(built[i]) != want[i] || string(entries[i].Payload) != want[i] {
+					t.Errorf("payload %d changed after it was appended: %s", i, built[i])
+					return
+				}
+			}
+		}
+	}()
+	// Later appends push the first batch past the size cap; the sweep
+	// then deletes its documents.
+	appendN(t, l, "obj", 6)
+	l.Compact(ctx)
+	close(stop)
+	readers.Wait()
+	for i := range built {
+		if string(built[i]) != want[i] {
+			t.Fatalf("payload %d reads %s after eviction, want %s", i, built[i], want[i])
+		}
+	}
+	if floor, next, err := l.Bounds(ctx, "obj"); err != nil || floor != 6 || next != 10 {
+		t.Fatalf("bounds = [%d,%d), %v, want [6,10)", floor, next, err)
 	}
 }

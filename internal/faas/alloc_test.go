@@ -2,8 +2,11 @@ package faas
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"github.com/hpcclab/oparaca-go/internal/cluster"
+	"github.com/hpcclab/oparaca-go/internal/heaptest"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/israce"
 )
@@ -44,5 +47,34 @@ func TestFreeSlotInvokeAllocationBudget(t *testing.T) {
 	if both > bare+ctxOnly {
 		t.Fatalf("Invoke under a fresh WithCancel allocates %.0f, want %.0f (engine) + %.0f (context): it asked for ctx.Done() with a slot free",
 			both, bare, ctxOnly)
+	}
+}
+
+// TestIdleFunctionResidentBudget pins what a deployed function that is
+// never invoked keeps resident, at the shape the platform's default
+// template deploys (one warm replica, 64 requests a pod, room for 200
+// pods): its slot channel is made once at full scale, so the element
+// size is what an idle function pays 12 864 times.
+func TestIdleFunctionResidentBudget(t *testing.T) {
+	const n = 64
+	rig := newRig(t, ModeDeployment, 4, nil)
+	per := heaptest.PerEntry(t, n, func() {
+		for i := 0; i < n; i++ {
+			spec := FunctionSpec{Name: fmt.Sprintf("f%02d", i), Image: "img/echo", Concurrency: 64, MaxScale: 200, InitialScale: 1,
+				Resources: cluster.Resources{MilliCPU: 10, MemoryMB: 16}}
+			if err := rig.engine.Deploy(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if got := len(rig.engine.Functions()); got != n {
+		t.Fatalf("engine holds %d functions, want %d", got, n)
+	}
+	t.Logf("%.0f B per deployed, idle function", per)
+	// Measured 58 602 B (51 456 of them the channel, 4 bytes a slot);
+	// 419 168 B with a {podID, node string} per slot. The ceiling is the
+	// measurement plus 10 %.
+	if per > 64_500 {
+		t.Errorf("an idle function keeps %.0f B resident, budget 64500", per)
 	}
 }

@@ -189,21 +189,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// podSlot is one unit of per-pod concurrency, bound to a node for
-// compute accounting.
-type podSlot struct {
-	podID string
-	node  string
-}
+// pod is one live replica and the node its compute is charged to.
+type pod struct{ id, node string }
 
 // function is the runtime state of one deployed function.
 type function struct {
 	spec       FunctionSpec
 	deployment *cluster.Deployment
-	slots      chan podSlot
+	// slots holds a pod's index in pods once per free unit of its
+	// concurrency: 4 bytes a unit in a channel made once, at full scale.
+	slots chan uint32
 
-	mu       sync.Mutex
-	livePods map[string]string // podID -> node
+	mu      sync.Mutex
+	pods    map[uint32]pod // live pods by index; an evicted pod's slots miss
+	nextPod uint32         // the next announced pod's index; none is reused
 
 	inflight   atomic.Int64
 	lastActive atomic.Int64 // unix nanos
@@ -281,8 +280,8 @@ func (e *Engine) Deploy(spec FunctionSpec) error {
 	fn := &function{
 		spec:       spec,
 		deployment: dep,
-		slots:      make(chan podSlot, (spec.MaxScale+1)*spec.Concurrency),
-		livePods:   make(map[string]string),
+		slots:      make(chan uint32, (spec.MaxScale+1)*spec.Concurrency),
+		pods:       make(map[uint32]pod),
 	}
 	fn.lastActive.Store(e.cfg.Clock.Now().UnixNano())
 	e.functions[spec.Name] = fn
@@ -309,7 +308,7 @@ func (e *Engine) Remove(name string) error {
 	delete(e.functions, name)
 	e.mu.Unlock()
 	fn.mu.Lock()
-	fn.livePods = make(map[string]string)
+	clear(fn.pods)
 	fn.mu.Unlock()
 	return e.cfg.Cluster.DeleteDeployment(fn.deployment.Name())
 }
@@ -383,14 +382,14 @@ func (e *Engine) Invoke(ctx context.Context, name string, task invoker.Task) (in
 		}
 	}
 
-	slot, err := e.acquireSlot(ctx, fn)
+	slot, nodeName, err := e.acquireSlot(ctx, fn)
 	if err != nil {
 		return invoker.Result{}, err
 	}
 	defer e.releaseSlot(fn, slot)
 
 	// Charge the pod's node for the compute.
-	node, err := e.cfg.Cluster.Node(slot.node)
+	node, err := e.cfg.Cluster.Node(nodeName)
 	if err == nil {
 		cost := task.Cost
 		if cost <= 0 {
@@ -400,7 +399,7 @@ func (e *Engine) Invoke(ctx context.Context, name string, task invoker.Task) (in
 			if errors.Is(err, vclock.ErrBucketClosed) {
 				// Node was removed mid-flight; drop the slot and fail
 				// the request like a terminated pod would.
-				return invoker.Result{}, fmt.Errorf("faas: node %s terminated", slot.node)
+				return invoker.Result{}, fmt.Errorf("faas: node %s terminated", nodeName)
 			}
 			return invoker.Result{}, err
 		}
@@ -414,39 +413,39 @@ func (e *Engine) Invoke(ctx context.Context, name string, task invoker.Task) (in
 	return e.cfg.Transport.Offload(ctx, fn.spec.Image, task)
 }
 
-// acquireSlot pops a live pod slot, discarding slots from evicted pods.
-// A free slot is taken without asking for ctx.Done(): a cancelCtx makes
-// its channel on the first Done call, and net/http hands every request
-// one, so a warm invocation that never waits must not pay for it.
-func (e *Engine) acquireSlot(ctx context.Context, fn *function) (podSlot, error) {
+// acquireSlot pops a live pod's slot and names the pod's node,
+// discarding slots of evicted pods. A free slot is taken without asking
+// for ctx.Done(): a cancelCtx makes its channel on the first Done call,
+// and net/http hands every request one, so a warm invocation that never
+// waits must not pay for it.
+func (e *Engine) acquireSlot(ctx context.Context, fn *function) (slot uint32, node string, err error) {
 	for {
-		var slot podSlot
 		select {
 		case slot = <-fn.slots:
 		case <-e.stop:
-			return podSlot{}, ErrEngineClosed
+			return 0, "", ErrEngineClosed
 		default:
 			select {
 			case slot = <-fn.slots:
 			case <-ctx.Done():
-				return podSlot{}, ctx.Err()
+				return 0, "", ctx.Err()
 			case <-e.stop:
-				return podSlot{}, ErrEngineClosed
+				return 0, "", ErrEngineClosed
 			}
 		}
 		fn.mu.Lock()
-		_, alive := fn.livePods[slot.podID]
+		p, alive := fn.pods[slot]
 		fn.mu.Unlock()
 		if alive {
-			return slot, nil
+			return slot, p.node, nil
 		}
 	}
 }
 
 // releaseSlot returns a slot unless its pod has been evicted.
-func (e *Engine) releaseSlot(fn *function, slot podSlot) {
+func (e *Engine) releaseSlot(fn *function, slot uint32) {
 	fn.mu.Lock()
-	_, alive := fn.livePods[slot.podID]
+	_, alive := fn.pods[slot]
 	fn.mu.Unlock()
 	if !alive {
 		return
@@ -479,19 +478,19 @@ func (e *Engine) scaleTo(fn *function, n int, coldStart bool) error {
 	for _, p := range fn.deployment.Pods() {
 		actual[p.ID] = p.Node
 	}
-	// Evict slots of removed pods (lazily drained).
-	for id := range fn.livePods {
-		if _, ok := actual[id]; !ok {
-			delete(fn.livePods, id)
+	// Evict removed pods (their slots are discarded as they surface);
+	// what is left of actual is new.
+	for slot, p := range fn.pods {
+		if _, ok := actual[p.id]; !ok {
+			delete(fn.pods, slot)
 		}
+		delete(actual, p.id)
 	}
 	// Announce new pods.
 	for id, node := range actual {
-		if _, ok := fn.livePods[id]; ok {
-			continue
-		}
-		fn.livePods[id] = node
-		slot := podSlot{podID: id, node: node}
+		slot := fn.nextPod
+		fn.nextPod++
+		fn.pods[slot] = pod{id: id, node: node}
 		conc := fn.spec.Concurrency
 		if coldStart && e.cfg.ColdStart > 0 {
 			go e.warmup(fn, slot, conc)
@@ -505,14 +504,14 @@ func (e *Engine) scaleTo(fn *function, n int, coldStart bool) error {
 }
 
 // warmup publishes a new pod's slots after the cold-start delay.
-func (e *Engine) warmup(fn *function, slot podSlot, conc int) {
+func (e *Engine) warmup(fn *function, slot uint32, conc int) {
 	select {
 	case <-e.cfg.Clock.After(e.cfg.ColdStart):
 	case <-e.stop:
 		return
 	}
 	fn.mu.Lock()
-	_, alive := fn.livePods[slot.podID]
+	_, alive := fn.pods[slot]
 	fn.mu.Unlock()
 	if !alive {
 		return

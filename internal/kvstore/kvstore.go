@@ -18,6 +18,16 @@
 // per batch instead of once per key. The memtable's GetMany uses it to
 // consolidate read-through misses the same way the write-behind
 // flusher consolidates writes through BatchPut.
+//
+// Ownership: the store keeps the bytes it is handed. A value passed to
+// Put, CompareAndPut or BatchPut (or decoded by Load) becomes the stored
+// document without a copy, and Get and BatchGet return that same slice.
+// So nobody mutates a value after handing it over or after reading it;
+// a caller that reuses its buffers clones before the write. Every writer
+// in this module hands over a buffer it never touches again (memtable
+// clones on its own write paths and never changes a held value in place;
+// eventlog, core and cluster pass json.Marshal output), so a value is
+// resident once, not once per layer.
 package kvstore
 
 import (
@@ -437,15 +447,26 @@ func (s *Store) batchGet(ctx context.Context, keys []string) (map[string]Documen
 // Put stores value at key unconditionally and returns the stored
 // document (with its new version).
 func (s *Store) Put(ctx context.Context, key string, value json.RawMessage) (Document, error) {
+	return s.write(ctx, key, value, 0, false)
+}
+
+// CompareAndPut stores value only if the current version equals
+// expect. expect 0 requires the key to be absent.
+func (s *Store) CompareAndPut(ctx context.Context, key string, value json.RawMessage, expect int64) (Document, error) {
+	return s.write(ctx, key, value, expect, true)
+}
+
+// write is one single-document write, version-checked when cas is set.
+func (s *Store) write(ctx context.Context, key string, value json.RawMessage, expect int64, cas bool) (Document, error) {
 	if err := s.allowOp(); err != nil {
 		return Document{}, err
 	}
-	doc, err := s.put(ctx, key, value)
+	doc, err := s.writeAdmitted(ctx, key, value, expect, cas)
 	s.recordOp(err)
 	return doc, err
 }
 
-func (s *Store) put(ctx context.Context, key string, value json.RawMessage) (Document, error) {
+func (s *Store) writeAdmitted(ctx context.Context, key string, value json.RawMessage, expect int64, cas bool) (Document, error) {
 	if err := s.admitWrite(ctx, 1); err != nil {
 		return Document{}, err
 	}
@@ -453,6 +474,11 @@ func (s *Store) put(ctx context.Context, key string, value json.RawMessage) (Doc
 	defer s.mu.Unlock()
 	if s.closed {
 		return Document{}, ErrClosed
+	}
+	// An absent key is at version 0.
+	if cur := s.docs[key].version; cas && cur != expect {
+		return Document{}, fmt.Errorf("%w: key %q at version %d, expected %d",
+			ErrVersionMismatch, key, cur, expect)
 	}
 	rec := s.putLocked(key, value)
 	s.noteWrite(1)
@@ -467,44 +493,16 @@ func (s *Store) noteWrite(n int) {
 	s.statsMu.Unlock()
 }
 
-// putLocked inserts or updates a document. Caller holds mu.
+// putLocked inserts or updates a document, keeping value itself (see
+// the package doc's ownership rule). Caller holds mu.
 func (s *Store) putLocked(key string, value json.RawMessage) record {
 	rec := record{
-		value:   append(json.RawMessage(nil), value...),
+		value:   value,
 		version: s.docs[key].version + 1,
 		updated: s.cfg.Clock.Now().UnixNano(),
 	}
 	s.docs[key] = rec
 	return rec
-}
-
-// CompareAndPut stores value only if the current version equals
-// expect. expect 0 requires the key to be absent.
-func (s *Store) CompareAndPut(ctx context.Context, key string, value json.RawMessage, expect int64) (Document, error) {
-	if err := s.allowOp(); err != nil {
-		return Document{}, err
-	}
-	doc, err := s.compareAndPut(ctx, key, value, expect)
-	s.recordOp(err)
-	return doc, err
-}
-
-func (s *Store) compareAndPut(ctx context.Context, key string, value json.RawMessage, expect int64) (Document, error) {
-	if err := s.admitWrite(ctx, 1); err != nil {
-		return Document{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return Document{}, ErrClosed
-	}
-	if cur := s.docs[key].version; cur != expect { // an absent key is at version 0
-		return Document{}, fmt.Errorf("%w: key %q at version %d, expected %d",
-			ErrVersionMismatch, key, cur, expect)
-	}
-	rec := s.putLocked(key, value)
-	s.noteWrite(1)
-	return rec.doc(key), nil
 }
 
 // BatchPut stores all entries as one consolidated write operation.

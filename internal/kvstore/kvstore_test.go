@@ -62,18 +62,54 @@ func TestPutIncrementsVersion(t *testing.T) {
 	}
 }
 
-func TestPutCopiesValue(t *testing.T) {
-	s := openFast()
-	defer s.Close()
+// TestStoreKeepsTheValueItIsHanded states the package's ownership rule:
+// every write path stores the slice it was given, every read returns
+// that slice, and an overwrite replaces it without touching the bytes a
+// reader may still hold. A defensive copy on either side would make a
+// value resident twice (ROADMAP item 10).
+func TestStoreKeepsTheValueItIsHanded(t *testing.T) {
 	ctx := context.Background()
-	buf := []byte(`{"x":1}`)
-	if _, err := s.Put(ctx, "k", buf); err != nil {
-		t.Fatal(err)
+	writes := map[string]func(s *Store, v json.RawMessage) error{
+		"Put": func(s *Store, v json.RawMessage) error { _, err := s.Put(ctx, "k", v); return err },
+		"CompareAndPut": func(s *Store, v json.RawMessage) error {
+			cur, _ := s.Get(ctx, "k")
+			_, err := s.CompareAndPut(ctx, "k", v, cur.Version)
+			return err
+		},
+		"BatchPut": func(s *Store, v json.RawMessage) error {
+			return s.BatchPut(ctx, map[string]json.RawMessage{"k": v, "other": json.RawMessage(`0`)})
+		},
 	}
-	buf[2] = 'y' // mutate caller's buffer
-	got, _ := s.Get(ctx, "k")
-	if string(got.Value) != `{"x":1}` {
-		t.Fatalf("store aliased caller buffer: %s", got.Value)
+	for name, write := range writes {
+		t.Run(name, func(t *testing.T) {
+			s := openFast()
+			defer s.Close()
+			first := json.RawMessage(`{"x":1}`)
+			if err := write(s, first); err != nil {
+				t.Fatal(err)
+			}
+			held, err := s.Get(ctx, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := s.BatchGet(ctx, []string{"k"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &held.Value[0] != &first[0] || &batch["k"].Value[0] != &first[0] {
+				t.Fatal("the store copied a value it was handed, or a read copied a stored one")
+			}
+			second := json.RawMessage(`{"x":2}`)
+			if err := write(s, second); err != nil {
+				t.Fatal(err)
+			}
+			if string(held.Value) != `{"x":1}` || string(first) != `{"x":1}` {
+				t.Fatalf("an overwrite changed bytes a reader holds: %s / %s", held.Value, first)
+			}
+			if now, _ := s.Get(ctx, "k"); &now.Value[0] != &second[0] || now.Version != 2 {
+				t.Fatalf("after the overwrite Get = %s v%d, want the second slice at version 2", now.Value, now.Version)
+			}
+		})
 	}
 }
 
@@ -506,7 +542,9 @@ func TestPerDocumentResidentBudget(t *testing.T) {
 	per := heaptest.PerEntry(t, n, func() {
 		s = Open(Config{})
 		for _, k := range keys {
-			if _, err := s.Put(context.Background(), k, value); err != nil {
+			// The store keeps the slice it is handed, so each document
+			// brings its own value, as a flushed table entry does.
+			if _, err := s.Put(context.Background(), k, append(json.RawMessage(nil), value...)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -15,6 +15,14 @@
 // The invocation hot path loads and merges whole per-object state
 // bundles through these, so an invocation costs one simulated DB round
 // trip instead of one per state key.
+//
+// Ownership: the table never changes a held value in place. Each write
+// path (Put, PutMany, PutManyIfVersion) clones the caller's bytes once
+// and replaces the entry's slice; that one clone is what reads return,
+// what write-through and the flusher hand to the backing store, and —
+// since kvstore keeps the slice it is given — what the store holds, so a
+// flushed value is resident once. Values returned by reads (read-through
+// ones included) alias that shared memory and are read-only.
 package memtable
 
 import (

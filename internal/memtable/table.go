@@ -438,9 +438,7 @@ func (t *Table) GetMany(ctx context.Context, keys []string) (map[string]json.Raw
 // GetManyInto is GetMany writing into a caller-supplied map, so a hot
 // caller can reuse one map across reads instead of allocating per
 // call. Existing entries of out are left in place (callers reusing a
-// map clear it between reads). Values are read-only views aliasing
-// table memory: callers must not mutate them — the table clones on
-// every write path, never on reads.
+// map clear it between reads). Values are read-only (package doc).
 func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]json.RawMessage) error {
 	if t.isClosed() {
 		return ErrClosed
@@ -527,8 +525,7 @@ func (t *Table) GetManyVersioned(ctx context.Context, keys []string) (map[string
 // caller-supplied map, so a hot caller can reuse one map across reads
 // instead of allocating per call. Existing entries of out are left in
 // place (callers reusing a map clear it between reads). Values are
-// read-only views aliasing table memory: callers must not mutate
-// them — the table clones on every write path, never on reads.
+// read-only (package doc).
 func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map[string]VersionedValue) error {
 	if t.isClosed() {
 		return ErrClosed
@@ -746,12 +743,10 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 				ErrVersionMismatch, k, cur, op.Expect)
 		}
 	}
-	// Written values are cloned before they reach a shard (or the
-	// backing store): the ops map and its values belong to the caller —
-	// typically a pooled commit scratch — and must never be aliased by
-	// table memory. Write-through collects the clones into a batch map
-	// (the backing API needs one); write-behind clones straight into
-	// the per-shard commit below and skips the map.
+	// The ops map and its values belong to the caller — typically a
+	// pooled commit scratch — so written values are cloned (package doc).
+	// Write-through collects the clones into the batch map the backing
+	// API needs; write-behind clones straight into the commit below.
 	var puts map[string]json.RawMessage
 	if t.cfg.Mode == ModeWriteThrough {
 		for k, op := range ops {
@@ -867,10 +862,7 @@ func (t *Table) flushAll(ctx context.Context) {
 		}
 		sh.dirty = make(map[string]bool)
 		sh.mu.Unlock()
-		var err error
-		if len(batch) > 0 {
-			err = t.cfg.Backing.BatchPut(ctx, batch)
-		}
+		err := t.cfg.Backing.BatchPut(ctx, batch) // a no-op when only re-deletes are due
 		sh.mu.Lock()
 		for k := range batch {
 			if sh.flushing[k]--; sh.flushing[k] <= 0 {
@@ -892,17 +884,17 @@ func (t *Table) flushAll(ctx context.Context) {
 				}
 			}
 		}
-		sh.mu.Unlock()
 		if err != nil {
 			// The batch never landed, so it resurrected nothing; put
 			// the tombstones back for the retry pass alongside it.
-			sh.mu.Lock()
 			for _, k := range redelete {
 				if !sh.data[k].present {
 					sh.deleted[k] = true
 				}
 			}
-			sh.mu.Unlock()
+		}
+		sh.mu.Unlock()
+		if err != nil {
 			continue
 		}
 		for _, k := range redelete {

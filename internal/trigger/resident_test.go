@@ -1,0 +1,58 @@
+package trigger
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"github.com/hpcclab/oparaca-go/internal/eventlog"
+	"github.com/hpcclab/oparaca-go/internal/heaptest"
+)
+
+// TestPerConsumerResidentBudget pins what the bus keeps per
+// (subscription, object) pair whose consumer has caught up — the state
+// an object that was ever delivered for costs for the life of the
+// process: one delState slot, one consumerState (its key, a copy of the
+// subscription, an empty hand-off) and the delivery queue's spent
+// backing array. The cursors themselves are the log's and are stored
+// before the measurement; the consumers are created the way a restart
+// creates them, by cursor recovery on Subscribe.
+func TestPerConsumerResidentBudget(t *testing.T) {
+	const n = 50_000
+	ctx := context.Background()
+	log, err := eventlog.New(eventlog.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(log.Close)
+	objects := make([]string, n)
+	for i := range objects {
+		objects[i] = fmt.Sprintf("obj-%06d", i)
+		if err := log.SetCursor(ctx, "named/audit", objects[i], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := newBus(t, Config{Log: log})
+	per := heaptest.PerEntry(t, n, func() {
+		if err := b.Subscribe("audit", Subscription{Class: "Tally", Type: StateChanged, TargetFunction: "audit"}); err != nil {
+			t.Fatal(err)
+		}
+		b.Drain()
+	})
+	runtime.KeepAlive(objects)
+	b.delMu.Lock()
+	consumers := len(b.delState)
+	b.delMu.Unlock()
+	if consumers != n {
+		t.Fatalf("bus holds %d consumers, want %d", consumers, n)
+	}
+	t.Logf("%.1f B per caught-up (subscription, object) consumer", per)
+	// Measured 272–282 B run to run: a 208-byte consumerState (112 of
+	// them its copy of the Subscription), a 40-byte slot at the map's
+	// fill, and what the delivery queue grew to. The ceiling is the
+	// measurement plus 10 %.
+	if per > 308 {
+		t.Errorf("a caught-up consumer keeps %.1f B resident, budget 308", per)
+	}
+}

@@ -301,14 +301,16 @@
 // handler a plain in-process function — is engineered to run nearly
 // allocation-free. Per-invoke transients (versioned snapshot maps,
 // raw state load maps, CAS op sets) come from pools and the composed
-// state keys of an object are built once and cached, so the steady
-// per-op cost is the handler's own work plus the state map handed to
-// it. The pooling is invisible at the API boundary: everything a
-// Handler receives (Task.State) or returns (Result.State) is owned by
-// the handler and never recycled — retaining either past the call is
-// safe. State values loaded from the table are zero-copy views; they
-// are copied only at the commit boundary, where the table clones
-// every written value.
+// state keys of an object are built in the window's pooled scratch, one
+// allocation per window, so the steady per-op cost is the handler's own
+// work plus the state map handed to it. The pooling is invisible at the
+// API boundary: everything a Handler receives (Task.State) or returns
+// (Result.State) is owned by the handler and never recycled — retaining
+// either past the call is safe. State values loaded from the table are
+// zero-copy views; they are copied only at the commit boundary, where
+// the table clones every written value — once: that clone is what reads
+// return, what the flusher hands the backing store, and what the store
+// then keeps.
 //
 // The alloc budget is enforced, not aspirational: BENCH_invoke.json
 // records "#allocs"-suffixed keys (whole-process allocations per
@@ -359,15 +361,36 @@
 //	layer, per                    16 384 entries   100 000 entries  pinned by
 //	kvstore, per document         192.1 → 128.4    125.9 → 84.0     kvstore.TestPerDocumentResidentBudget
 //	memtable, per state key       118.4 → 102.2    131.0 → 112.2    memtable.TestPerKeyResidentBudget
-//	core directory, per object    133.8 → 80.1      89.3 → 52.5     core.TestPerObjectResidentBudget
+//	core directory, per object    133.8 → 53.3      89.3 → 35.0     core.TestPerObjectResidentBudget
 //	eventlog, per object          133.4 → 0        115.0 → 0        eventlog.TestIdleObjectHoldsNoLog
+//	table over store, per flushed
+//	  key beyond one 64 B value   309 → 245        268 → 207        memtable.TestFlushedValueIsHeldOnce
 //
 // An object is one directory entry, one memtable entry per state key it
 // has been read or written at, and one kvstore document per state key
-// plus one for the directory record; bench/'s two-key objects went from
-// ≈ 1.6 kB to ≈ 1.3 kB each, client included. What is left is mostly
-// the values themselves, which are held twice — the memtable's copy and
-// the clone the store makes of every document it is handed.
+// plus one for the directory record. A value is held once: the store
+// keeps the slice it is handed (internal/kvstore's ownership rule —
+// nobody mutates a value after handing it over, or after reading it),
+// the memtable never changes a held value in place, so a flushed state
+// value, a retained event-log entry and an invocation record are each
+// one allocation shared by the table, the log and the store; the last
+// row is the two slots and nothing for a second copy. bench/'s two-key
+// objects went from ≈ 1.6 kB to ≈ 1.3 kB each when the slots were
+// slimmed and to ≈ 1.0 kB with the second copy gone, client included.
+// The directory record no longer carries the creation time in memory
+// (the persisted objects/<id> document keeps it).
+//
+// What else stays resident while idle, pinned the same way: a deployed
+// function that is never invoked keeps its slot channel, made once at
+// (MaxScale+1)·Concurrency elements — 4 bytes each as an index into the
+// function's pod table, 58.6 kB at the default template's 64 × 201
+// (419 kB when an element was a {podID, node} pair;
+// faas.TestIdleFunctionResidentBudget); a finished asynchronous
+// invocation keeps its record — key, terminal document, one table slot,
+// ≈ 385 B — and nothing in the queue's own indexes
+// (asyncq.TestTerminalInvocationResidentBudget); a (subscription,
+// object) pair that was ever delivered for keeps a ≈ 280-byte consumer
+// for the life of the process (trigger.TestPerConsumerResidentBudget).
 //
 // The REST gateway's own share of a request is budgeted the same way
 // (internal/gateway: TestWarmInvokeAllocationBudget,
