@@ -25,12 +25,21 @@
 // executing in this process. A reader of the backing store, or a
 // successor process, sees a predecessor's in-flight work as pending —
 // and RecoverStranded re-runs it from the payload and args that record
-// carries. Each durable transition is encoded once, by appendRecord,
+// carries. Each durable transition is encoded once, by AppendRecord,
 // into a fresh buffer the record table and, through it, the backing
 // store keep as it is (nothing here reuses an encode buffer; Submit's
-// copy of the payload is the one defensive copy on the way in); records
-// it does not render (a string, args included, that needs escaping)
-// take json.Marshal.
+// copy of the payload is the one defensive copy on the way in).
+//
+// The record codec (encode.go) has two halves and one fallback each.
+// encodeRecord writes with AppendRecord and leaves the records it does
+// not render (a string, args included, that needs escaping) to
+// json.Marshal; decodeRecord reads with scanRecord, which takes exactly
+// the documents AppendRecord writes, and leaves every other to
+// json.Unmarshal. Get and RecoverStranded are the only decodes. A
+// scanned record's Payload and Result alias the stored document — the
+// table never writes into a value it holds — so what Get returns is
+// read-only for as long as anyone keeps it. The gateway serves
+// GET /api/invocations/{id} through AppendRecord too.
 //
 // Backpressure is explicit: Submit returns ErrQueueFull once the
 // target shard is at capacity. A panicking handler marks its record
@@ -586,7 +595,7 @@ type BatchResult struct {
 	Err error
 }
 
-// encodeRecord renders a record's stored document: appendRecord when
+// encodeRecord renders a record's stored document: AppendRecord when
 // it can, json.Marshal otherwise. A record json.Marshal rejects — a
 // Payload or Result that is not JSON, a timestamp RFC 3339 cannot
 // express — degrades to a terminal failure rather than leaving the
@@ -594,7 +603,7 @@ type BatchResult struct {
 // record holds only strings and in-range times, so the document is
 // never empty.
 func encodeRecord(rec Record) (Record, json.RawMessage) {
-	if raw, ok := appendRecord(nil, &rec); ok {
+	if raw, ok := AppendRecord(nil, &rec); ok {
 		return rec, raw
 	}
 	raw, err := json.Marshal(rec)
@@ -727,7 +736,10 @@ func (q *Queue) evictExpired() {
 
 // Get returns the record for an invocation ID. An invocation executing
 // in this process reads running, with the start of the pull that
-// dequeued it, though its stored document still says pending.
+// dequeued it, though its stored document still says pending. The
+// record's Payload and Result are shared with the record table: keep
+// them as long as you like — a later transition or an eviction replaces
+// the stored document, never its bytes — and do not write into them.
 func (q *Queue) Get(ctx context.Context, id string) (Record, error) {
 	raw, err := q.records.Get(ctx, recordKey(id))
 	if err != nil {
@@ -737,7 +749,7 @@ func (q *Queue) Get(ctx context.Context, id string) (Record, error) {
 		return Record{}, err
 	}
 	var rec Record
-	if err := json.Unmarshal(raw, &rec); err != nil {
+	if err := decodeRecord(raw, id, &rec); err != nil {
 		return Record{}, fmt.Errorf("asyncq: corrupt record %q: %w", id, err)
 	}
 	if rec.Status == StatusPending {
@@ -1033,7 +1045,7 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 			continue
 		}
 		var rec Record
-		if json.Unmarshal(raw, &rec) != nil || rec.ID == "" || rec.Status.Terminal() {
+		if decodeRecord(raw, id, &rec) != nil || rec.ID == "" || rec.Status.Terminal() {
 			continue
 		}
 		t := task{

@@ -877,3 +877,75 @@ func TestRecordDocumentsAreNeverRewrittenInPlace(t *testing.T) {
 		t.Fatalf("the terminal document reused the pending one's bytes: %s", pending)
 	}
 }
+
+// TestHeldRecordFieldsKeepTheirBytes: the Payload and Result Get returns
+// alias the stored document (scanRecord), so a reader that keeps them —
+// the gateway while it writes a response, a caller of
+// Platform.Invocation for as long as it likes — must find them unchanged
+// after the record's next transition has replaced the document and after
+// the GC has evicted it. A goroutine reads both throughout, so under
+// -race a table or store that wrote into a value it held is a reported
+// race. Appending to an aliased field must not reach the document
+// either: its capacity ends where it does.
+func TestHeldRecordFieldsKeepTheirBytes(t *testing.T) {
+	db := kvstore.Open(kvstore.Config{})
+	t.Cleanup(db.Close)
+	q, started, release := blockingQueue(t, Config{Backing: db, FlushInterval: time.Millisecond,
+		RecordTTL: 20 * time.Millisecond, GCInterval: 2 * time.Millisecond})
+	ctx := context.Background()
+	id, err := q.Submit(ctx, Target{}, "o", "m", json.RawMessage(`{"n":1}`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	running, err := q.Get(ctx, id)
+	if err != nil || running.Status != StatusRunning || string(running.Payload) != `{"n":1}` {
+		t.Fatalf("running record = %+v (%v)", running, err)
+	}
+	if cap(running.Payload) != len(running.Payload) {
+		t.Fatalf("the payload Get returned has %d bytes of the document behind it to append into", cap(running.Payload)-len(running.Payload))
+	}
+
+	held := make(chan json.RawMessage, 1) // the terminal record's result, once there is one
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		var result json.RawMessage
+		for {
+			select {
+			case result = <-held:
+			case <-stop:
+				return
+			default:
+			}
+			if string(running.Payload) != `{"n":1}` || (result != nil && string(result) != `"ok"`) {
+				t.Errorf("held fields changed under their reader: payload %s, result %s", running.Payload, result)
+				return
+			}
+		}
+	}()
+	close(release)
+	if _, err := q.Wait(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	done, err := q.Get(ctx, id) // read back from the table, not the waiter's copy
+	if err != nil || done.Status != StatusCompleted || string(done.Result) != `"ok"` || cap(done.Result) != len(done.Result) {
+		t.Fatalf("terminal record = %+v (%v)", done, err)
+	}
+	held <- done.Result
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := q.Get(ctx, id); errors.Is(err, ErrNotFound) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the terminal record was never evicted")
+		}
+	}
+	close(stop)
+	reader.Wait()
+	if string(running.Payload) != `{"n":1}` || string(done.Result) != `"ok"` {
+		t.Fatalf("after eviction: payload %s, result %s", running.Payload, done.Result)
+	}
+}

@@ -169,3 +169,36 @@ func TestTerminalInvocationResidentBudget(t *testing.T) {
 		t.Errorf("a finished invocation keeps %.1f B resident, budget 425", per)
 	}
 }
+
+// TestGetAllocationBudget pins what reading one finished invocation's
+// record costs: the table key and the one string its object and member
+// share. The reflective decode it replaced made the Record escape and
+// allocated every string and raw field besides (9).
+func TestGetAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	q, err := New(Config{Workers: 1, Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+		return json.RawMessage(`{"n":1}`), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(q.Close)
+	ctx := context.Background()
+	id, err := q.Submit(ctx, Target{}, "obj-1", "bump", json.RawMessage(`{"by":1}`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Wait(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(200, func() {
+		if rec, err := q.Get(ctx, id); err != nil || rec.Status != StatusCompleted || rec.Object != "obj-1" || rec.Member != "bump" {
+			t.Fatalf("Get = %+v, %v", rec, err)
+		}
+	})
+	if n > 2 {
+		t.Fatalf("Get of a finished invocation allocates %.1f, budget 2", n)
+	}
+}

@@ -1,6 +1,7 @@
 package asyncq
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -8,15 +9,15 @@ import (
 )
 
 // decodeBoth runs rec through both encoders and reads each document back
-// the way Get does. stored reports whether appendRecord took the record
+// the way Get does. stored reports whether AppendRecord took the record
 // (false: it deferred to json.Marshal).
 func decodeBoth(t testing.TB, rec Record) (viaAppend, viaMarshal Record, doc []byte, stored bool) {
 	t.Helper()
-	doc, stored = appendRecord(nil, &rec)
+	doc, stored = AppendRecord(nil, &rec)
 	want, err := json.Marshal(rec)
 	if err != nil {
 		if stored {
-			t.Fatalf("appendRecord rendered a record json.Marshal rejects (%v): %s", err, doc)
+			t.Fatalf("AppendRecord rendered a record json.Marshal rejects (%v): %s", err, doc)
 		}
 		t.Skipf("json.Marshal rejects the record: %v", err)
 	}
@@ -27,17 +28,94 @@ func decodeBoth(t testing.TB, rec Record) (viaAppend, viaMarshal Record, doc []b
 		return viaMarshal, viaMarshal, want, false
 	}
 	if !json.Valid(doc) {
-		t.Fatalf("appendRecord wrote invalid JSON: %s", doc)
+		t.Fatalf("AppendRecord wrote invalid JSON: %s", doc)
 	}
 	if err := json.Unmarshal(doc, &viaAppend); err != nil {
-		t.Fatalf("appendRecord output does not decode: %v\n%s", err, doc)
+		t.Fatalf("AppendRecord output does not decode: %v\n%s", err, doc)
 	}
+	// The codec's two halves meet: what AppendRecord writes for a status
+	// the package knows, scanRecord reads, without the fallback.
+	var scanned Record
+	if _, known := knownStatus([]byte(rec.Status)); known && !scanRecord(doc, rec.ID, &scanned) {
+		t.Fatalf("scanRecord refuses a document AppendRecord wrote: %s", doc)
+	}
+	checkDecode(t, doc, rec.ID)
+	for _, mutant := range mutants(doc, rec.ID) {
+		checkDecode(t, mutant, rec.ID)
+	}
+	checkDecode(t, doc, rec.ID+"x")
 	return viaAppend, viaMarshal, doc, true
+}
+
+// checkDecode holds decodeRecord to json.Unmarshal on one document
+// stored under id: the same error or none, the same record — and
+// scanRecord to accepting nothing json.Unmarshal rejects or reads
+// differently, raw fields byte for byte. An id that is not the
+// document's must send the document to the fallback.
+func checkDecode(t testing.TB, doc []byte, id string) {
+	t.Helper()
+	var want, scanned, got Record
+	wantErr := json.Unmarshal(doc, &want)
+	if scanRecord(doc, id, &scanned) {
+		if wantErr != nil {
+			t.Fatalf("scanRecord accepts a document json.Unmarshal rejects (%v): %s", wantErr, doc)
+		}
+		if scanned.ID != id || want.ID != id {
+			t.Fatalf("scanRecord read id %q from a document of %q stored under %q", scanned.ID, want.ID, id)
+		}
+		assertSameRecord(t, scanned, want)
+		if !bytes.Equal(scanned.Payload, want.Payload) || !bytes.Equal(scanned.Result, want.Result) {
+			t.Fatalf("scanRecord raw fields differ from json.Unmarshal's:\n got %q %q\nwant %q %q", scanned.Payload, scanned.Result, want.Payload, want.Result)
+		}
+	}
+	err := decodeRecord(doc, id, &got)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("decodeRecord error = %v, json.Unmarshal error = %v: %s", err, wantErr, doc)
+	}
+	if err == nil {
+		assertSameRecord(t, got, want)
+	}
+}
+
+// mutants derives from one AppendRecord document the near misses a
+// scanner could be fooled by: truncations, trailing bytes, a duplicated
+// and a reordered field, strings and keys spelled with escapes, another
+// case or whitespace — some still valid JSON that reads differently,
+// some not JSON at all.
+func mutants(doc []byte, id string) [][]byte {
+	d := string(doc)
+	out := []string{
+		d[:len(d)/2], d[:len(d)-1], d[:len(d)-2] + "}", d + " ", d + "\n", d + "x", d + d, d + ",", " " + d,
+		strings.Replace(d, `,"enqueued":`, `,"enqueued":"2020-01-02T03:04:05Z","enqueued":`, 1),
+		strings.Replace(d, `,"status":`, `,"status":"failed","status":`, 1),
+		strings.Replace(d, `,"member":"`, `,"member":"\u006d`, 1),
+		strings.Replace(d, `,"object":"`, `,"object":"\/`, 1),
+		strings.Replace(d, `"enqueued":"2`, `"enqueued":"\u0032`, 1),
+		strings.Replace(d, `"status":"`, `"status":"\u0070`, 1),
+		strings.Replace(d, `{"id":`, `{"ID":`, 1),
+		strings.Replace(d, `{"id":`, `{ "id" :`, 1),
+		strings.Replace(d, `,"enqueued":`, `,"result":1 2,"enqueued":`, 1),
+		strings.Replace(d, `,"enqueued":`, `,"result":{"a":"}"},"enqueued":`, 1),
+		strings.Replace(d, `,"enqueued":`, `,"error":"x","error":"y","enqueued":`, 1),
+		strings.Replace(d, `,"enqueued":`, `,"args":{},"enqueued":`, 1),
+		strings.Replace(d, `,"enqueued":`, `,"args":{"k":"v","k":"w"},"args":null,"enqueued":`, 1),
+		strings.Replace(d, `,"enqueued":`, `,"extra":true,"enqueued":`, 1),
+		strings.Replace(d, `,"enqueued":"`, `,"enqueued":"x`, 1),
+		strings.Replace(d, `"}`, `","finished":null}`, 1),
+	}
+	if rest, ok := strings.CutPrefix(d, `{"id":"`+id+`",`); ok {
+		out = append(out, `{`+strings.TrimSuffix(rest, `}`)+`,"id":"`+id+`"}`) // id moved last
+	}
+	docs := make([][]byte, len(out))
+	for i := range out {
+		docs[i] = []byte(out[i])
+	}
+	return docs
 }
 
 // assertSameRecord compares two decoded records field for field. The raw
 // JSON fields are compared as the gateway serves them — re-marshalled,
-// which compacts and HTML-escapes — since appendRecord stores payload
+// which compacts and HTML-escapes — since AppendRecord stores payload
 // and result bytes as submitted.
 func assertSameRecord(t testing.TB, got, want Record) {
 	t.Helper()
@@ -70,7 +148,7 @@ func assertSameRecord(t testing.TB, got, want Record) {
 	}
 }
 
-// TestAppendRecordGolden holds appendRecord to the document shape
+// TestAppendRecordGolden holds AppendRecord to the document shape
 // encoding/json reads back into the same Record, across every status and
 // the field values that make the encoders diverge.
 func TestAppendRecordGolden(t *testing.T) {
@@ -79,7 +157,7 @@ func TestAppendRecordGolden(t *testing.T) {
 	cases := []struct {
 		name   string
 		rec    Record
-		stored bool   // appendRecord renders it itself
+		stored bool   // AppendRecord renders it itself
 		doc    string // its exact document, when stored
 	}{
 		{name: "plain pending", stored: true,
@@ -124,7 +202,7 @@ func TestAppendRecordGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			got, want, doc, stored := decodeBoth(t, tc.rec)
 			if stored != tc.stored {
-				t.Fatalf("appendRecord rendered = %v, want %v", stored, tc.stored)
+				t.Fatalf("AppendRecord rendered = %v, want %v", stored, tc.stored)
 			}
 			if stored && string(doc) != tc.doc {
 				t.Fatalf("document drifted\n got: %s\nwant: %s", doc, tc.doc)
@@ -134,7 +212,7 @@ func TestAppendRecordGolden(t *testing.T) {
 			// decodes to the record it reports.
 			rec, raw := encodeRecord(tc.rec)
 			var back Record
-			if err := json.Unmarshal(raw, &back); err != nil {
+			if err := decodeRecord(raw, tc.rec.ID, &back); err != nil {
 				t.Fatalf("stored document does not decode: %v", err)
 			}
 			assertSameRecord(t, back, want)
@@ -148,7 +226,7 @@ func TestAppendRecordGolden(t *testing.T) {
 // TestEncodeRecordNeverStoresAnEmptyDocument feeds encodeRecord what
 // its json.Marshal fallback rejects — a timestamp RFC 3339 cannot
 // express, raw bytes that are not JSON on a record whose args need
-// escaping (Submit and runBatch keep those away from appendRecord, which
+// escaping (Submit and runBatch keep those away from AppendRecord, which
 // copies raw fields unchecked) — and expects a decodable terminal
 // failure each time, never zero bytes.
 func TestEncodeRecordNeverStoresAnEmptyDocument(t *testing.T) {
@@ -171,9 +249,30 @@ func TestEncodeRecordNeverStoresAnEmptyDocument(t *testing.T) {
 	}
 }
 
+// FuzzRecordDecoding holds decodeRecord to json.Unmarshal on arbitrary
+// bytes: scanRecord takes only what reads the same both ways.
+func FuzzRecordDecoding(f *testing.F) {
+	base := time.Date(2026, 9, 28, 10, 30, 0, 0, time.UTC)
+	for _, rec := range []Record{
+		{ID: "inv-1", Object: "obj-1", Member: "bump", Status: StatusPending, Payload: json.RawMessage(` {"n": [1, "]"]} `), Args: map[string]string{"w": "120", "": "x"}, Enqueued: base},
+		{ID: "inv-2", Object: "o", Member: "m", Status: StatusCompleted, Result: json.RawMessage(`"a\"b"`), Enqueued: base, Started: base, Finished: base.Add(time.Second)},
+		{ID: "inv-3", Object: "o", Member: "m", Status: StatusFailed, Error: "boom", Enqueued: base.In(time.FixedZone("", -3600))},
+	} {
+		doc, _ := AppendRecord(nil, &rec)
+		f.Add(doc, rec.ID)
+		marshalled, _ := json.Marshal(rec)
+		f.Add(marshalled, rec.ID)
+	}
+	f.Fuzz(func(t *testing.T, doc []byte, id string) {
+		checkDecode(t, doc, id)
+	})
+}
+
 // FuzzRecordEncoding checks the two encoders against each other for
-// arbitrary field values: whenever appendRecord renders a record its
-// output is valid JSON and decodes to what json.Marshal's would.
+// arbitrary field values: whenever AppendRecord renders a record its
+// output is valid JSON and decodes to what json.Marshal's would — by
+// json.Unmarshal and by decodeRecord alike, as do the near misses
+// derived from it (decodeBoth).
 func FuzzRecordEncoding(f *testing.F) {
 	f.Add("inv-0a1b", "obj-1", "bump", "completed", `{"n":1}`, `"ok"`, "", "", int64(1_790_000_000_123_456_789), int64(1500), int64(2500), 0)
 	f.Add("inv-1", `o"b\j<`, "m", "failed", ``, ``, "boom\n", "w=1", int64(0), int64(0), int64(0), 19800)

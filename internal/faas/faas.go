@@ -478,13 +478,33 @@ func (e *Engine) scaleTo(fn *function, n int, coldStart bool) error {
 	for _, p := range fn.deployment.Pods() {
 		actual[p.ID] = p.Node
 	}
-	// Evict removed pods (their slots are discarded as they surface);
-	// what is left of actual is new.
+	// Evict removed pods; what is left of actual is new.
+	evicted := false
 	for slot, p := range fn.pods {
 		if _, ok := actual[p.id]; !ok {
 			delete(fn.pods, slot)
+			evicted = true
 		}
 		delete(actual, p.id)
+	}
+	if evicted {
+		// Sweep the evicted pods' free slots out of the channel. Left for
+		// acquireSlot to discard as they surface, they pile up when
+		// nothing is invoked between scale-downs, and once they fill the
+		// channel an announcement below blocks for good, holding fn.mu.
+		// Putting a live slot back cannot block: live slots number at
+		// most MaxScale·Concurrency, a pod's worth under the capacity.
+	sweep:
+		for n := len(fn.slots); n > 0; n-- {
+			select {
+			case slot := <-fn.slots:
+				if _, alive := fn.pods[slot]; alive {
+					fn.slots <- slot
+				}
+			default:
+				break sweep // invocations took the rest first
+			}
+		}
 	}
 	// Announce new pods.
 	for id, node := range actual {

@@ -395,3 +395,63 @@ func TestModeString(t *testing.T) {
 		t.Fatal("unknown mode string wrong")
 	}
 }
+
+// TestScaleCyclesWithoutTrafficDoNotFillTheSlotChannel: every scale-down
+// used to leave the evicted pod's free slots in the channel for an
+// invocation to discard, so MaxScale+1 down/up cycles with none in
+// between filled it. A warm announcement (scaleTo without a cold start,
+// as Deploy makes) then blocked forever holding the function's lock; a
+// cold one (ScaleFunction, the autoscaler, an optimizer floor) parked
+// its warm-up goroutine until traffic had discarded a channel's worth
+// of dead slots one lock round trip at a time.
+func TestScaleCyclesWithoutTrafficDoNotFillTheSlotChannel(t *testing.T) {
+	rig := newRig(t, ModeDeployment, 1, func(c *Config) { c.ColdStart = time.Millisecond })
+	spec := echoSpec("f")
+	spec.MaxScale, spec.InitialScale = 2, 1
+	if err := rig.engine.Deploy(spec); err != nil {
+		t.Fatal(err)
+	}
+	fn, err := rig.engine.lookup("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cold := range []bool{false, true} {
+		done := make(chan error, 1)
+		go func() {
+			for cycle := 0; cycle < spec.MaxScale+2; cycle++ {
+				for _, n := range []int{0, 1} {
+					if err := rig.engine.scaleTo(fn, n, cold); err != nil {
+						done <- err
+						return
+					}
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("scaleTo is stuck announcing a pod into a slot channel full of evicted pods' slots")
+		}
+		// The last pod's slots, and nothing else: at once when announced
+		// warm, after the cold start otherwise.
+		for deadline := time.Now().Add(10 * time.Second); len(fn.slots) != spec.Concurrency; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("cold=%v: %d slots queued after the cycles, want the live pod's %d", cold, len(fn.slots), spec.Concurrency)
+			}
+		}
+		for range spec.Concurrency {
+			slot := <-fn.slots
+			fn.mu.Lock()
+			_, alive := fn.pods[slot]
+			fn.mu.Unlock()
+			if !alive {
+				t.Fatalf("cold=%v: an evicted pod's slot is still queued", cold)
+			}
+			fn.slots <- slot
+		}
+	}
+}

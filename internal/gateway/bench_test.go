@@ -38,6 +38,10 @@ func (f *fakeWriter) Write(b []byte) (int, error) {
 	return f.body.Write(b)
 }
 
+// Flush makes fakeWriter an http.Flusher, which the events route asks for
+// before it reads its query.
+func (f *fakeWriter) Flush() {}
+
 func (f *fakeWriter) reset() {
 	clear(f.header)
 	f.status = 0

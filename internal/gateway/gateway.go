@@ -25,7 +25,19 @@
 //     maxBodyBytes with 413 "payload_too_large".
 //   - writeRawEnvelope writes {"output":…} and {"value":…} byte for
 //     byte as encoding/json would (a golden table and FuzzRawEnvelope
-//     hold it to that) without its reflective encoder.
+//     hold it to that) without its reflective encoder; writeRecord does
+//     the same for an invocation record, through the encoder asyncq
+//     stores records with (TestInvocationBodyGolden,
+//     TestWriteRecordGolden).
+//   - A route that reads one query key asks queryValue, which scans
+//     RawQuery instead of parsing it into url.Values; a query with an
+//     escape or a semicolon in it still goes through url.ParseQuery, so
+//     the answer is r.URL.Query().Get's either way (TestQueryValue).
+//     The invoke routes keep the full parse: there every other key is
+//     an invocation arg.
+//   - GET /api/invocations/{id} reads the record before it arms a wait,
+//     so a poll of a finished invocation allocates no context, timer or
+//     waiter (TestLongPollAllocationBudget).
 package gateway
 
 import (
@@ -268,9 +280,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		_ = json.NewEncoder(buf).Encode(errorBody{Error: "encoding response: " + err.Error()})
 		status = http.StatusInternalServerError
 	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends one staged JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // writeRawEnvelope answers 200 with {"<key>":<raw>}, the bytes
@@ -289,24 +306,63 @@ func writeRawEnvelope(w http.ResponseWriter, key string, raw json.RawMessage) {
 	buf.WriteString(`{"`)
 	buf.WriteString(key)
 	buf.WriteString(`":`)
-	var err error
-	if needsHTMLEscape(raw) {
-		compact := getBuf()
-		if err = json.Compact(compact, raw); err == nil {
-			json.HTMLEscape(buf, compact.Bytes())
-		}
-		putBuf(compact)
-	} else {
-		err = json.Compact(buf, raw)
-	}
-	if err != nil {
+	if err := writeRaw(buf, raw); err != nil {
 		writeJSON(w, http.StatusOK, map[string]json.RawMessage{key: raw})
 		return
 	}
 	buf.WriteString("}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	writeBody(w, http.StatusOK, buf.Bytes())
+}
+
+// writeRaw writes raw to buf as encoding/json renders a RawMessage:
+// compacted, then HTML-escaped (skipped when a scan finds nothing to
+// escape). It fails, with buf in no defined state, when raw is not
+// JSON.
+func writeRaw(buf *bytes.Buffer, raw json.RawMessage) error {
+	if !needsHTMLEscape(raw) {
+		return json.Compact(buf, raw)
+	}
+	compact := getBuf()
+	defer putBuf(compact)
+	err := json.Compact(compact, raw)
+	if err == nil {
+		json.HTMLEscape(buf, compact.Bytes())
+	}
+	return err
+}
+
+// writeRecord answers 200 with an invocation record, byte for byte the
+// body writeJSON renders for it, through the append encoder asyncq
+// stores records with. That encoder copies Payload and Result as they
+// are, so they get what encoding/json gives a RawMessage first
+// (writeRaw, both into one scratch buffer). A record the encoder
+// refuses (a string that needs escaping, a time RFC 3339 cannot
+// express) or whose raw fields are not JSON takes writeJSON.
+func writeRecord(w http.ResponseWriter, rec *asyncq.Record) {
+	raws, buf := getBuf(), getBuf()
+	defer putBuf(raws)
+	defer putBuf(buf)
+	var err error
+	if len(rec.Payload) > 0 {
+		err = writeRaw(raws, rec.Payload)
+	}
+	split := raws.Len()
+	if len(rec.Result) > 0 && err == nil {
+		err = writeRaw(raws, rec.Result)
+	}
+	wire := *rec
+	wire.Payload, wire.Result = raws.Bytes()[:split], raws.Bytes()[split:]
+	// Room for the document in the pooled buffer, so the encoder appends
+	// in place; one that needs more (long names) grows a slice of its own.
+	buf.Grow(512 + raws.Len() + len(rec.Error))
+	doc, ok := asyncq.AppendRecord(buf.AvailableBuffer(), &wire)
+	if err != nil || !ok {
+		writeJSON(w, http.StatusOK, *rec)
+		return
+	}
+	buf.Write(doc)
+	buf.WriteByte('\n')
+	writeBody(w, http.StatusOK, buf.Bytes())
 }
 
 // needsHTMLEscape reports whether b holds a byte sequence that
@@ -574,7 +630,7 @@ func (g *Gateway) handleListTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := 0
-	if raw := r.URL.Query().Get("n"); raw != "" {
+	if raw := queryValue(r, "n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad n %q: want a non-negative integer", raw)})
@@ -716,7 +772,7 @@ func (g *Gateway) handleCreateObject(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleListObjects(w http.ResponseWriter, r *http.Request) {
-	class := r.URL.Query().Get("class")
+	class := queryValue(r, "class")
 	ids := g.platform.ListObjects(class)
 	if ids == nil {
 		ids = []string{}
@@ -789,6 +845,26 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	}
 	writeJSON(w, http.StatusBadRequest, errorBody{Error: "unreadable body"})
 	return nil, false
+}
+
+// queryValue is r.URL.Query().Get(key) for the routes that read one
+// key: a scan of the raw query for the first key=value pair, without
+// the parsed map and its slices. A query holding an escape or a
+// semicolon (%, +, ;) is left to url.ParseQuery, whose answer for those
+// it would otherwise have to copy.
+func queryValue(r *http.Request, key string) string {
+	query := r.URL.RawQuery
+	if strings.ContainsAny(query, "%+;") {
+		return r.URL.Query().Get(key)
+	}
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == key {
+			return v
+		}
+	}
+	return ""
 }
 
 // readInvokeRequest extracts the JSON payload, query-string args, and
@@ -956,11 +1032,16 @@ func (g *Gateway) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 		entries[i] = batchEntry{Invocation: res.ID}
 		accepted++
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"accepted": accepted,
-		"rejected": len(results) - accepted,
-		"results":  entries,
-	})
+	writeJSON(w, http.StatusAccepted, batchAccepted{Accepted: accepted, Rejected: len(results) - accepted, Results: entries})
+}
+
+// batchAccepted is the 202 body of POST invoke-batch: a struct for
+// asyncAccepted's reason, its fields in the order the map it replaced
+// was encoded in (sorted keys).
+type batchAccepted struct {
+	Accepted int          `json:"accepted"`
+	Rejected int          `json:"rejected"`
+	Results  []batchEntry `json:"results"`
 }
 
 // maxLongPollWait caps the server-side long-poll block so a client
@@ -972,9 +1053,16 @@ const maxLongPollWait = 30 * time.Second
 // terminal status or the (bounded) wait elapses, in which case the
 // current non-terminal record is returned — either way the client gets
 // a 200 with the freshest record instead of running a poll loop.
+//
+// The record is read before any wait is armed: most polls arrive after
+// their invocation finished, and those cost a table lookup and a
+// buffer write — no context, timer or waiter. Queue.Wait checks again
+// once its waiter is registered, so a completion between the read here
+// and the wait is not missed.
 func (g *Gateway) handleGetInvocation(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if rawWait := r.URL.Query().Get("waitMs"); rawWait != "" {
+	var wait time.Duration
+	if rawWait := queryValue(r, "waitMs"); rawWait != "" {
 		waitMs, err := strconv.Atoi(rawWait)
 		if err != nil || waitMs < 0 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad waitMs %q: want a non-negative integer", rawWait)})
@@ -983,30 +1071,24 @@ func (g *Gateway) handleGetInvocation(w http.ResponseWriter, r *http.Request) {
 		// Clamp before converting: a huge waitMs would overflow the
 		// Duration multiply into a negative wait and silently skip the
 		// long poll the client asked for.
-		waitMs = min(waitMs, int(maxLongPollWait/time.Millisecond))
-		if wait := time.Duration(waitMs) * time.Millisecond; wait > 0 {
-			wctx, cancel := context.WithTimeout(r.Context(), wait)
-			rec, err := g.platform.WaitInvocation(wctx, id)
-			cancel()
-			if err == nil {
-				writeJSON(w, http.StatusOK, rec)
-				return
-			}
-			if !errors.Is(err, context.DeadlineExceeded) || r.Context().Err() != nil {
-				// A real failure (unknown ID, client gone) — not the
-				// bounded wait elapsing.
-				writeError(w, err)
-				return
-			}
-			// Timed out: fall through and return the current record.
-		}
+		wait = time.Duration(min(waitMs, int(maxLongPollWait/time.Millisecond))) * time.Millisecond
 	}
 	rec, err := g.platform.Invocation(r.Context(), id)
+	if err == nil && wait > 0 && !rec.Status.Terminal() {
+		wctx, cancel := context.WithTimeout(r.Context(), wait)
+		rec, err = g.platform.WaitInvocation(wctx, id)
+		cancel()
+		if errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil {
+			// The bounded wait elapsed — not a real failure (unknown ID,
+			// client gone): answer with the record as it stands now.
+			rec, err = g.platform.Invocation(r.Context(), id)
+		}
+	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	writeRecord(w, &rec)
 }
 
 func (g *Gateway) handleGetState(w http.ResponseWriter, r *http.Request) {
@@ -1035,7 +1117,7 @@ func (g *Gateway) handlePutState(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handlePresign(w http.ResponseWriter, r *http.Request) {
-	method := strings.ToUpper(r.URL.Query().Get("method"))
+	method := strings.ToUpper(queryValue(r, "method"))
 	if method == "" {
 		method = http.MethodGet
 	}
@@ -1120,7 +1202,7 @@ func (g *Gateway) handleObjectEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	var from int64
-	if s := r.URL.Query().Get("fromOffset"); s != "" {
+	if s := queryValue(r, "fromOffset"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil || v < 0 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "fromOffset must be a non-negative integer"})

@@ -449,8 +449,12 @@ func (s *Stream) Close() {
 // delivery queue is therefore bounded by the number of distinct
 // (subscription, object) pairs, not by event volume.
 type consumerState struct {
-	key    consumerKey
-	sub    Subscription
+	key consumerKey
+	// sub points at the subscription as the bus last published it: the
+	// entry of subs or classSubs dispatch or recovery matched, which
+	// nothing writes after it is stored. Every consumer of a subscription
+	// shares it.
+	sub    *Subscription
 	queued bool
 	rerun  bool
 	// handoff holds, oldest first, the in-flight events dispatch matched
@@ -504,13 +508,15 @@ type Bus struct {
 	killed     atomic.Bool
 
 	// subs holds named subscriptions; classSubs the YAML-declared sets,
-	// replaced wholesale on class redeploy. Both guarded by subMu.
+	// replaced wholesale on class redeploy. Both guarded by subMu. A
+	// stored subscription is never written again — a change stores a new
+	// one — so dispatch and the consumers hold pointers to them.
 	// subscribed is the set of class names some subscription of either
 	// kind names: an immutable map rebuilt and swapped under subMu by
 	// every change to the two, so NeedsEvents reads it with one atomic
 	// load and no lock.
 	subMu      sync.RWMutex
-	subs       map[string]Subscription
+	subs       map[string]*Subscription
 	classSubs  map[string][]Subscription
 	subscribed atomic.Pointer[map[string]struct{}]
 
@@ -566,7 +572,7 @@ func New(cfg Config) (*Bus, error) {
 	b := &Bus{
 		cfg:       cfg,
 		shards:    make([]*busShard, cfg.Shards),
-		subs:      make(map[string]Subscription),
+		subs:      make(map[string]*Subscription),
 		classSubs: make(map[string][]Subscription),
 		streams:   make(map[string]map[*Stream]struct{}),
 		delState:  make(map[consumerKey]*consumerState),
@@ -650,10 +656,10 @@ func (b *Bus) Subscribe(name string, sub Subscription) error {
 		sub.ID = "named/" + name
 	}
 	b.subMu.Lock()
-	b.subs[name] = sub
+	b.subs[name] = &sub
 	b.publishSubscribed()
 	b.subMu.Unlock()
-	b.recoverSub(sub)
+	b.recoverSub(&sub)
 	return nil
 }
 
@@ -675,7 +681,7 @@ func (b *Bus) Subscriptions() (names []string, subs map[string]Subscription) {
 	b.subMu.RLock()
 	subs = make(map[string]Subscription, len(b.subs))
 	for name, sub := range b.subs {
-		subs[name] = sub
+		subs[name] = *sub
 		names = append(names, name)
 	}
 	b.subMu.RUnlock()
@@ -709,15 +715,15 @@ func (b *Bus) SetClassTriggers(class string, subs []Subscription) {
 	}
 	b.publishSubscribed()
 	b.subMu.Unlock()
-	for _, s := range kept {
-		b.recoverSub(s)
+	for i := range kept {
+		b.recoverSub(&kept[i])
 	}
 }
 
 // recoverSub schedules a consumer run for every stored cursor of one
 // subscription: after a restart (or a re-subscribe) any backlog the
 // crash interrupted is redelivered without waiting for fresh events.
-func (b *Bus) recoverSub(sub Subscription) {
+func (b *Bus) recoverSub(sub *Subscription) {
 	if b.cfg.Log == nil || sub.ID == "" {
 		return
 	}
@@ -737,12 +743,14 @@ func (b *Bus) ReplayCursors() {
 		return
 	}
 	b.subMu.RLock()
-	all := make([]Subscription, 0, len(b.subs))
+	all := make([]*Subscription, 0, len(b.subs))
 	for _, s := range b.subs {
 		all = append(all, s)
 	}
 	for _, subs := range b.classSubs {
-		all = append(all, subs...)
+		for i := range subs {
+			all = append(all, &subs[i])
+		}
 	}
 	b.subMu.RUnlock()
 	for _, s := range all {
@@ -922,7 +930,7 @@ func (b *Bus) dispatched() {
 // allocates nothing for the match pass.
 func (b *Bus) dispatchLoop(sh *busShard) {
 	defer b.wg.Done()
-	var matched []Subscription
+	var matched []*Subscription
 	for it := range sh.ch {
 		if !b.killed.Load() {
 			matched = b.dispatch(it, matched[:0])
@@ -990,7 +998,7 @@ func (b *Bus) NeedsEvents(class, object string) bool {
 // here — webhook POSTs and consumer runs execute on the delivery pool,
 // so a slow endpoint cannot stall this shard's queue (the head-of-line
 // defect the pool exists to fix).
-func (b *Bus) dispatch(it *inflight, matched []Subscription) []Subscription {
+func (b *Bus) dispatch(it *inflight, matched []*Subscription) []*Subscription {
 	ev := it.ev
 	dsp := b.cfg.Tracer.Attach(ev.Trace, "trigger.dispatch")
 	b.subMu.RLock()
@@ -1000,9 +1008,9 @@ func (b *Bus) dispatch(it *inflight, matched []Subscription) []Subscription {
 		}
 	}
 	for _, subs := range b.classSubs {
-		for _, sub := range subs {
-			if sub.matches(ev) {
-				matched = append(matched, sub)
+		for i := range subs {
+			if subs[i].matches(ev) {
+				matched = append(matched, &subs[i])
 			}
 		}
 	}
@@ -1016,10 +1024,10 @@ func (b *Bus) dispatch(it *inflight, matched []Subscription) []Subscription {
 			continue
 		}
 		if sub.Webhook != "" {
-			b.enqueueDirect(sub, it)
+			b.enqueueDirect(*sub, it)
 			continue
 		}
-		b.count(b.subCountersFor(sub.ID), b.deliverMethod(sub, ev, it.raw) == methodDelivered)
+		b.count(b.subCountersFor(sub.ID), b.deliverMethod(*sub, ev, it.raw) == methodDelivered)
 	}
 	b.deliverStreams(ev)
 	dsp.SetInt("matched", len(matched))
@@ -1034,7 +1042,7 @@ func (b *Bus) dispatch(it *inflight, matched []Subscription) []Subscription {
 // consumer starts at its first matching event, not at the log floor,
 // so subscribing does not replay history; a nil event means "resume
 // from the stored cursor" (recovery).
-func (b *Bus) notify(sub Subscription, object string, it *inflight) {
+func (b *Bus) notify(sub *Subscription, object string, it *inflight) {
 	if _, ok := b.cfg.Log.Cursor(sub.ID, object); !ok {
 		if it == nil {
 			return
@@ -1198,7 +1206,7 @@ func (b *Bus) take(st *consumerState, cursor int64) (Subscription, *inflight) {
 	n := copy(st.handoff[:], st.handoff[drop:st.nHandoff])
 	clear(st.handoff[n:st.nHandoff])
 	st.nHandoff = n
-	return st.sub, it
+	return *st.sub, it
 }
 
 // runConsumer advances one (subscription, object) cursor, delivering

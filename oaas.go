@@ -389,8 +389,10 @@
 // invocation keeps its record — key, terminal document, one table slot,
 // ≈ 385 B — and nothing in the queue's own indexes
 // (asyncq.TestTerminalInvocationResidentBudget); a (subscription,
-// object) pair that was ever delivered for keeps a ≈ 280-byte consumer
-// for the life of the process (trigger.TestPerConsumerResidentBudget).
+// object) pair that was ever delivered for keeps a ≈ 165-byte consumer
+// for the life of the process — its key, its hand-off and a pointer to
+// the subscription every consumer of it shares
+// (trigger.TestPerConsumerResidentBudget).
 //
 // The REST gateway's own share of a request is budgeted the same way
 // (internal/gateway: TestWarmInvokeAllocationBudget,
@@ -421,8 +423,32 @@
 // an in-memory mark the dequeuing worker sets and `GET
 // /api/invocations/{id}` overlays — a successor process sees such work
 // as pending and re-runs it, as it always did for any non-terminal
-// record. A long poll that finds its record terminal registers nothing;
-// one that blocks is handed the record by the transition that wakes it.
+// record. The record codec has a reading half too: a stored document
+// the append encoder wrote is scanned back into a Record whose Payload
+// and Result alias the stored bytes (read-only, and safe to keep: the
+// table never writes into a value it holds), and only a document it did
+// not write takes the reflective decoder.
+//
+// Polling is the second half of every asynchronous call, and most polls
+// arrive after their invocation finished. `GET
+// /api/invocations/{id}?waitMs=N` therefore reads the record before it
+// arms anything: a finished invocation costs one table lookup, one scan
+// and one buffer write — four allocations between ServeHTTP's entry and
+// return (the route match, the table key, one string for the record's
+// object and member, the Content-Type header), where parsing the query
+// into a map, arming a timeout, and decoding and re-encoding the record
+// reflectively made it 25; the body is rendered by the same append
+// encoder, byte for byte what encoding/json writes
+// (gateway.TestLongPollAllocationBudget, TestInvocationBodyGolden,
+// asyncq.TestGetAllocationBudget). Only a poll that finds its record
+// not yet terminal waits, and that one pays for what waiting takes — a
+// context with its timer, a waiter the completing worker hands the
+// record to, a second read once the waiter is registered so that no
+// completion can slip between the first read and the wait, and, if the
+// wait elapses, a third for the 200 it still answers: 13 allocations.
+// Handler failures name their image in quotes, so a failed record's
+// error needs JSON escaping and both halves of the codec leave it to
+// encoding/json — correct, and not the path a benchmark takes.
 // A kept trace is stored as two slices of span and attribute values —
 // a constant handful of allocations for 3 spans or 160 — and rendered
 // into the served JSON (hex ids, attribute maps) when `GET /api/traces…`
