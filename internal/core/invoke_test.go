@@ -563,7 +563,9 @@ func TestCoalescedDispatchAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	p := newPlatform(t, nil)
+	// The autoscaler's evaluation allocates on its own goroutine; at the
+	// helper's 10 ms period it lands in about half the measurements.
+	p := newPlatform(t, func(c *Config) { c.ScaleInterval = time.Hour })
 	delta := map[string]json.RawMessage{"n": json.RawMessage(`2`)}
 	p.Images().Register("img/bump", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
 		return invoker.Result{State: delta}, nil

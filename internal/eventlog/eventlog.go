@@ -25,7 +25,8 @@
 // document handed to the backing store (kvstore keeps the slice it is
 // given), so build returns a buffer nobody writes to again — the bus
 // passes json.Marshal output — and readers treat Payload as read-only.
-// The bounds documents are json.Marshal output too.
+// A bounds document is a fresh buffer too (metaDoc), byte for byte the
+// json.Marshal of objMeta.
 package eventlog
 
 import (
@@ -113,6 +114,18 @@ type objMeta struct {
 	First int64 `json:"first"`
 	// Next is the offset the next append receives.
 	Next int64 `json:"next"`
+}
+
+// metaDoc renders the bounds document for first and next, byte for byte
+// what encoding/json makes of objMeta{first, next}, in one allocation
+// and without the reflective pass: every append writes one.
+func metaDoc(first, next int64) json.RawMessage {
+	dst := make([]byte, 0, len(`{"first":,"next":}`)+2*len("-9223372036854775808"))
+	dst = append(dst, `{"first":`...)
+	dst = strconv.AppendInt(dst, first, 10)
+	dst = append(dst, `,"next":`...)
+	dst = strconv.AppendInt(dst, next, 10)
+	return append(dst, '}')
 }
 
 // objectLog is one object's in-memory log state. Entries are
@@ -319,8 +332,9 @@ func (l *Log) load(ctx context.Context, object string, ol *objectLog) error {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Offset < entries[j].Offset })
 	// Keep the longest contiguous suffix: a hole (an entry write lost
 	// to a backing fault) must not break the direct-index invariant,
-	// so everything below the hole is treated as compacted.
-	lo := len(entries) - 1
+	// so everything below the hole is treated as compacted. A log the
+	// sweep emptied has no entries at all.
+	lo := max(len(entries)-1, 0)
 	for lo > 0 && entries[lo-1].Offset == entries[lo].Offset-1 {
 		lo--
 	}
@@ -396,24 +410,27 @@ func (l *Log) AppendBatch(ctx context.Context, object string, n int, build func(
 	}
 	first := ol.next
 	now := l.cfg.Clock.Now()
-	fresh := make([]Entry, n)
 	var batch map[string]json.RawMessage
 	if l.cfg.Backing != nil {
 		batch = make(map[string]json.RawMessage, n+1)
 	}
+	// The new entries go straight onto the retained ones, past the end
+	// ol.entries shows: nothing reads there, ol.entries takes them in
+	// only once the backing write has landed, and a failure clears them.
+	grown := ol.entries
 	for i := 0; i < n; i++ {
 		off := first + int64(i)
 		payload, err := build(i, off)
 		if err != nil {
+			clear(grown[len(ol.entries):])
 			return 0, err
 		}
-		fresh[i] = Entry{Offset: off, Time: now, Payload: payload}
+		grown = append(grown, Entry{Offset: off, Time: now, Payload: payload})
 		if batch != nil {
 			batch[entryKey(object, off)] = payload
 		}
 	}
-	entries := append(ol.entries, fresh...)
-	var evicted []Entry
+	entries, evicted := grown, []Entry(nil)
 	if max := l.cfg.MaxPerObject; max > 0 && len(entries) > max {
 		evicted = entries[:len(entries)-max]
 		entries = entries[len(entries)-max:]
@@ -423,16 +440,13 @@ func (l *Log) AppendBatch(ctx context.Context, object string, n int, build func(
 		if len(entries) > 0 {
 			floor = entries[0].Offset
 		}
-		meta, err := json.Marshal(objMeta{First: floor, Next: first + int64(n)})
-		if err != nil {
-			return 0, err
-		}
-		batch[metaKey(object)] = meta
+		batch[metaKey(object)] = metaDoc(floor, first+int64(n))
 		// Durability before dispatch: the batch (entries plus bounds)
 		// lands before the in-memory log advances, so a failed write
 		// leaves no hole and an appended event can never be lost to a
 		// crash.
 		if err := l.cfg.Backing.BatchPut(ctx, batch); err != nil {
+			clear(grown[len(ol.entries):])
 			return 0, fmt.Errorf("eventlog: appending to %s: %w", object, err)
 		}
 		for _, e := range evicted {
@@ -685,7 +699,7 @@ func (l *Log) Compact(ctx context.Context) {
 		ol.garbage = nil
 		var meta json.RawMessage
 		if evicted > 0 && l.cfg.Backing != nil {
-			meta, _ = json.Marshal(objMeta{First: ol.floor(), Next: ol.next})
+			meta = metaDoc(ol.floor(), ol.next)
 		}
 		ol.mu.Unlock()
 		if meta != nil {

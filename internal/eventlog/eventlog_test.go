@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -516,5 +517,155 @@ func TestAppendedPayloadIsHeldOnce(t *testing.T) {
 	}
 	if floor, next, err := l.Bounds(ctx, "obj"); err != nil || floor != 6 || next != 10 {
 		t.Fatalf("bounds = [%d,%d), %v, want [6,10)", floor, next, err)
+	}
+}
+
+// TestBoundsDocumentGolden holds metaDoc to json.Marshal(objMeta) byte
+// for byte, at the edges of the offsets it can carry, and recovery to
+// reading every one of them back.
+func TestBoundsDocumentGolden(t *testing.T) {
+	values := []int64{0, 1, 1 << 53, math.MaxInt64 - 1, math.MaxInt64, -1, math.MinInt64}
+	for _, first := range values {
+		for _, next := range values {
+			want, err := json.Marshal(objMeta{First: first, Next: next})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := metaDoc(first, next); string(got) != string(want) {
+				t.Errorf("metaDoc(%d, %d) = %s, json.Marshal = %s", first, next, got, want)
+			}
+		}
+	}
+	// Recovery: New registers each object from its bounds document and
+	// the first read loads it, with its retained entry if it has one.
+	ctx := context.Background()
+	st := testStore(t)
+	cases := []struct {
+		object      string
+		first, next int64
+	}{
+		{"empty-0", 0, 0},
+		{"empty-1", 1, 1},
+		{"one", 1, 2},
+		{"past-2^53", 1 << 53, 1<<53 + 1},
+		{"at-max", math.MaxInt64 - 1, math.MaxInt64},
+		{"empty-max", math.MaxInt64, math.MaxInt64},
+	}
+	for _, c := range cases {
+		if _, err := st.Put(ctx, metaKey(c.object), metaDoc(c.first, c.next)); err != nil {
+			t.Fatal(err)
+		}
+		if c.next > c.first {
+			if _, err := st.Put(ctx, entryKey(c.object, c.first), json.RawMessage(`{"at":"`+c.object+`"}`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l := testLog(t, Config{Backing: st})
+	for _, c := range cases {
+		first, next, err := l.Bounds(ctx, c.object)
+		if err != nil || first != c.first || next != c.next {
+			t.Errorf("%s: recovered bounds [%d,%d), %v; want [%d,%d)", c.object, first, next, err, c.first, c.next)
+			continue
+		}
+		if c.next == c.first {
+			continue
+		}
+		entries, err := l.Read(ctx, c.object, c.first, 0)
+		if err != nil || len(entries) != 1 || entries[0].Offset != c.first || string(entries[0].Payload) != `{"at":"`+c.object+`"}` {
+			t.Errorf("%s: recovered entries %+v, %v", c.object, entries, err)
+		}
+	}
+}
+
+// TestAppendBatchFailureShowsNothing: a batch whose build fails part way,
+// or whose backing write fails, leaves the log as it was — no entry
+// visible, no bounds moved, nothing kept past the retained entries — and
+// the next append takes the offsets the failed one would have.
+func TestAppendBatchFailureShowsNothing(t *testing.T) {
+	st := testStore(t)
+	l := testLog(t, Config{Backing: st})
+	ctx := context.Background()
+	appendN(t, l, "obj", 2)
+	unchanged := func(what string) {
+		t.Helper()
+		if first, next, err := l.Bounds(ctx, "obj"); err != nil || first != 1 || next != 3 {
+			t.Fatalf("%s: bounds = [%d,%d), %v, want [1,3)", what, first, next, err)
+		}
+		if entries, err := l.Read(ctx, "obj", 1, 0); err != nil || len(entries) != 2 {
+			t.Fatalf("%s: read %d entries, %v, want 2", what, len(entries), err)
+		}
+		ol := l.peek("obj")
+		ol.mu.Lock()
+		defer ol.mu.Unlock()
+		for i, e := range ol.entries[len(ol.entries):cap(ol.entries)] {
+			if e.Payload != nil {
+				t.Fatalf("%s: spare slot %d still holds %s", what, i, e.Payload)
+			}
+		}
+	}
+	boom := errors.New("boom")
+	if _, err := l.AppendBatch(ctx, "obj", 4, func(i int, off int64) (json.RawMessage, error) {
+		if i == 2 {
+			return nil, boom
+		}
+		return json.RawMessage(fmt.Sprintf(`{"doomed":%d}`, off)), nil
+	}); !errors.Is(err, boom) {
+		t.Fatalf("AppendBatch with a failing build = %v", err)
+	}
+	unchanged("after a failed build")
+	st.SetFaultPlan(kvstore.FaultPlan{Seed: 1, WriteErrorRate: 1})
+	if _, err := l.AppendBatch(ctx, "obj", 3, func(_ int, off int64) (json.RawMessage, error) {
+		return json.RawMessage(fmt.Sprintf(`{"unwritten":%d}`, off)), nil
+	}); err == nil {
+		t.Fatal("AppendBatch succeeded with every store write failing")
+	}
+	st.SetFaultPlan(kvstore.FaultPlan{})
+	unchanged("after a failed store write")
+	if first, err := l.AppendBatch(ctx, "obj", 2, func(_ int, off int64) (json.RawMessage, error) {
+		return json.RawMessage(fmt.Sprintf(`{"offset":%d}`, off)), nil
+	}); err != nil || first != 3 {
+		t.Fatalf("AppendBatch after the failures = %d, %v, want 3", first, err)
+	}
+	entries, err := l.Read(ctx, "obj", 1, 0)
+	if err != nil || len(entries) != 4 {
+		t.Fatalf("read %d entries, %v", len(entries), err)
+	}
+	for i, e := range entries {
+		if want := fmt.Sprintf(`{"offset":%d}`, i+1); e.Offset != int64(i+1) || string(e.Payload) != want {
+			t.Fatalf("entry %d = %d %s, want %s", i, e.Offset, e.Payload, want)
+		}
+	}
+	if doc, err := st.Get(ctx, metaKey("obj")); err != nil || string(doc.Value) != `{"first":1,"next":5}` {
+		t.Fatalf("stored bounds = %s, %v", doc.Value, err)
+	}
+}
+
+// TestSweptLogSurvivesRestart: a log the retention sweep emptied still
+// has its bounds document, so a successor registers it — and loading it,
+// with no entry left to load, must read as [next,next) and keep the
+// numbering, not fail.
+func TestSweptLogSurvivesRestart(t *testing.T) {
+	clk := vclock.NewManual(time.Unix(1700000000, 0))
+	st := testStore(t)
+	ctx := context.Background()
+	l1 := testLog(t, Config{Backing: st, RetentionTTL: time.Minute, GCInterval: time.Hour, Clock: clk})
+	appendN(t, l1, "obj", 3)
+	clk.Advance(2 * time.Minute)
+	l1.Compact(ctx)
+	if keys, err := st.List(ctx, "evlog/obj/"); err != nil || len(keys) != 0 {
+		t.Fatalf("entry keys after the sweep = %v, %v", keys, err)
+	}
+	l1.Close()
+
+	l2 := testLog(t, Config{Backing: st})
+	if first, next, err := l2.Bounds(ctx, "obj"); err != nil || first != 4 || next != 4 {
+		t.Fatalf("bounds after restart = [%d,%d), %v, want [4,4)", first, next, err)
+	}
+	if _, err := l2.Read(ctx, "obj", 1, 0); !errors.Is(err, ErrOffsetCompacted) {
+		t.Fatalf("read below the floor = %v, want ErrOffsetCompacted", err)
+	}
+	if off, err := l2.Append(ctx, "obj", func(int64) (json.RawMessage, error) { return json.RawMessage(`{}`), nil }); err != nil || off != 4 {
+		t.Fatalf("append after restart = %d, %v, want 4", off, err)
 	}
 }

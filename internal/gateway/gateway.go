@@ -18,7 +18,8 @@
 //     async invocation ID to the log line; the trace span is the only
 //     context value, added (with the one request copy) when tracing.
 //   - Response staging buffers (bufPool) are pooled for one write; one
-//     grown past maxPooledBuf is dropped.
+//     grown past maxPooledBuf is dropped. Every JSON response's
+//     Content-Type value is one shared slice (jsonContentType).
 //   - Request bodies are NOT pooled: an invoke payload crosses into the
 //     handler (Task.Payload), which may retain it. readBody pre-sizes
 //     from Content-Length up to maxBodyPresize and refuses a body over
@@ -283,9 +284,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, buf.Bytes())
 }
 
+// jsonContentType is the Content-Type value of every JSON response,
+// shared so that setting it allocates nothing. len == cap == 1: an Add
+// to the header elsewhere copies it instead of writing into it.
+var jsonContentType = []string{"application/json"}
+
 // writeBody sends one staged JSON body.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }

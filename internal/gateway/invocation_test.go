@@ -222,12 +222,13 @@ func TestWriteRecordGolden(t *testing.T) {
 // TestLongPollAllocationBudget pins what one GET /api/invocations/{id}
 // ?waitMs= may allocate between Gateway.ServeHTTP's entry and return.
 // A poll of a finished invocation — nearly every poll — is a table
-// lookup, a scan of the stored document and a buffer write: the table
-// key, the record's object and member (one string), the response's
-// Content-Type slice. It was 27 when the route parsed the query into a
-// map, armed a timeout before looking, and decoded and re-encoded the
-// record reflectively. A poll that really waits pays for the context,
-// its timer and the waiter as well, and reads the record three times.
+// lookup, a scan of the stored document and a buffer write: the mux's
+// route match, the table key, the record's object and member (one
+// string); the response's Content-Type value is shared. It was 27 when
+// the route parsed the query into a map, armed a timeout before
+// looking, and decoded and re-encoded the record reflectively. A poll
+// that really waits pays for the context, its timer and the waiter as
+// well, and reads the record three times.
 func TestLongPollAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -242,8 +243,8 @@ func TestLongPollAllocationBudget(t *testing.T) {
 		name, path, want string
 		ceiling          float64
 	}{
-		{"finished", "/api/invocations/" + done + "?waitMs=2000", `"status":"completed"`, 4},
-		{"waits", "/api/invocations/" + queued + "?waitMs=1", `"status":"pending"`, 13},
+		{"finished", "/api/invocations/" + done + "?waitMs=2000", `"status":"completed"`, 3},
+		{"waits", "/api/invocations/" + queued + "?waitMs=1", `"status":"pending"`, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req := httptest.NewRequest(http.MethodGet, tc.path, nil)

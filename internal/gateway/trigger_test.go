@@ -62,6 +62,35 @@ func TestTriggerSubscriptionCRUD(t *testing.T) {
 	}
 }
 
+// TestInvalidWebhookURLIsRefused: a webhook that is not an absolute http
+// or https URL with a host is refused where it is declared — PUT
+// /api/triggers/{name} answers 400 naming the URL, a package declaring
+// one fails to deploy — instead of being stored and failing every
+// delivery behind a cursor that never moves.
+func TestInvalidWebhookURLIsRefused(t *testing.T) {
+	f := newFixture(t)
+	f.deploy()
+	for _, hook := range []string{"not a url", "ftp://x", "http://"} {
+		sub, _ := json.Marshal(map[string]string{"class": "Note", "type": "stateChanged", "webhook": hook})
+		status, body := f.do(http.MethodPut, "/api/triggers/bad-hook", "application/json", sub)
+		var msg string
+		_ = json.Unmarshal(body["error"], &msg)
+		if want := `trigger: webhook "` + hook + `" is not an absolute http or https URL with a host`; status != http.StatusBadRequest || msg != want {
+			t.Errorf("PUT webhook %q: status = %d, error = %q; want 400 %q", hook, status, msg, want)
+		}
+		pkg := "classes:\n  - name: Hooked\n    triggers:\n      - on: stateChanged\n        webhook: \"" + hook + "\"\n"
+		status, body = f.do(http.MethodPost, "/api/packages", "application/yaml", []byte(pkg))
+		msg = ""
+		_ = json.Unmarshal(body["error"], &msg)
+		if status != http.StatusBadRequest || !strings.Contains(msg, `webhook "`+hook+`" is not an absolute http or https URL with a host`) {
+			t.Errorf("deploy with webhook %q: status = %d, error = %q; want 400", hook, status, msg)
+		}
+	}
+	if status, body := f.do(http.MethodGet, "/api/triggers", "", nil); status != http.StatusOK || string(body["triggers"]) != "[]" {
+		t.Fatalf("triggers after refused PUTs: %d %s", status, body["triggers"])
+	}
+}
+
 // sseEvent is one parsed SSE frame.
 type sseEvent struct {
 	kind string

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -279,7 +280,8 @@ type TriggerDef struct {
 	// ID instead of the emitting object. Only valid with Function.
 	TargetObject string `json:"targetObject,omitempty"`
 	// Webhook delivers the event to a URL instead of invoking a
-	// method. Mutually exclusive with Function/TargetObject.
+	// method: an absolute http or https URL with a host. Mutually
+	// exclusive with Function/TargetObject.
 	Webhook string `json:"webhook,omitempty"`
 }
 
@@ -563,7 +565,24 @@ func (t TriggerDef) validate(class string) error {
 		return fmt.Errorf("%w: class %q trigger on %q: keyPrefix only applies to %s",
 			ErrValidation, class, t.On, EventStateChanged)
 	}
+	if hasHook {
+		if _, err := WebhookURL(t.Webhook); err != nil {
+			return fmt.Errorf("%w: class %q trigger on %q: %v", ErrValidation, class, t.On, err)
+		}
+	}
 	return nil
+}
+
+// WebhookURL parses a webhook sink URL, refusing anything that is not
+// an absolute http or https URL with a host: every delivery to such a
+// sink would fail and stall its consumer for good. It is the one rule
+// for package triggers and event-bus subscriptions alike.
+func WebhookURL(s string) (*url.URL, error) {
+	u, err := url.Parse(s)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Hostname() == "" {
+		return nil, fmt.Errorf("webhook %q is not an absolute http or https URL with a host", s)
+	}
+	return u, nil
 }
 
 func validateQoS(q QoS, class, fn string) error {

@@ -27,6 +27,7 @@ func TestEventTriggerValidation(t *testing.T) {
 		{"self method", "on: stateChanged\n        function: react", true},
 		{"cross object", "on: stateChanged\n        targetObject: agg-1\n        function: anything", true},
 		{"webhook", "on: invocationCompleted\n        webhook: http://example.test/hook", true},
+		{"https webhook with port", "on: stateChanged\n        webhook: https://127.0.0.1:8443/hooks/a?x=1", true},
 		{"prefix filter", "on: stateChanged\n        keyPrefix: cou\n        function: react", true},
 		{"unknown event", "on: somethingElse\n        function: react", false},
 		{"no sink", "on: stateChanged", false},
@@ -54,6 +55,31 @@ func TestEventTriggerValidation(t *testing.T) {
 			}
 			if !c.ok && !errors.Is(err, ErrValidation) {
 				t.Fatalf("err = %v, want ErrValidation", err)
+			}
+		})
+	}
+}
+
+// TestEventTriggerWebhookURL: a package whose webhook is not an absolute
+// http or https URL with a host fails to parse, naming the URL — every
+// delivery to it would fail and stall its cursor for good.
+func TestEventTriggerWebhookURL(t *testing.T) {
+	for name, hook := range map[string]string{
+		"not a url":         "not a url",
+		"relative":          "/hook",
+		"ftp":               "ftp://x",
+		"no host":           "http://",
+		"port without host": "http://:8080/hook",
+		"unparsable":        "http://[::1/hook",
+		"opaque mailto":     "mailto:ops@example.test",
+		"scheme-relative":   "//example.test/hook",
+		"scheme without //": "http:example.test/hook",
+	} {
+		t.Run(name, func(t *testing.T) {
+			yaml := "classes:\n  - name: A\n    triggers:\n      - on: stateChanged\n        webhook: \"" + hook + "\"\n"
+			_, err := ParseYAML([]byte(yaml))
+			if !errors.Is(err, ErrValidation) || !strings.Contains(err.Error(), `webhook "`+hook+`" is not an absolute http or https URL with a host`) {
+				t.Fatalf("err = %v, want the webhook refused", err)
 			}
 		})
 	}

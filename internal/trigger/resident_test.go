@@ -13,11 +13,12 @@ import (
 // TestPerConsumerResidentBudget pins what the bus keeps per
 // (subscription, object) pair whose consumer has caught up — the state
 // an object that was ever delivered for costs for the life of the
-// process: one delState slot, one consumerState (its key, a pointer to
-// the subscription all its consumers share, an empty hand-off) and the
-// delivery queue's spent backing array. The cursors themselves are the log's and are stored
-// before the measurement; the consumers are created the way a restart
-// creates them, by cursor recovery on Subscribe.
+// process: one delState slot and one consumerState (its key, a pointer
+// to the subscription all its consumers share, an empty hand-off). The
+// delivery queue the recovery burst grew is released once it drains.
+// The cursors themselves are the log's and are stored before the
+// measurement; the consumers are created the way a restart creates
+// them, by cursor recovery on Subscribe.
 func TestPerConsumerResidentBudget(t *testing.T) {
 	const n = 50_000
 	ctx := context.Background()
@@ -48,11 +49,12 @@ func TestPerConsumerResidentBudget(t *testing.T) {
 		t.Fatalf("bus holds %d consumers, want %d", consumers, n)
 	}
 	t.Logf("%.1f B per caught-up (subscription, object) consumer", per)
-	// Measured 159–169 B run to run: a 104-byte consumerState in a
-	// 112-byte size class (208 while it held the Subscription by value,
-	// 272–282 B in all), a 40-byte slot at the map's fill, and what the
-	// delivery queue grew to. The ceiling is the measurement plus 10 %.
-	if per > 185 {
-		t.Errorf("a caught-up consumer keeps %.1f B resident, budget 185", per)
+	// Measured 159 B: a 104-byte consumerState in a 112-byte size class
+	// (208 while it held the Subscription by value, 272–282 B in all)
+	// and a 40-byte slot at the map's fill. Up to 10 B more, run to run,
+	// was the spent queue array while the queue popped by reslicing. The
+	// ceiling is the measurement plus 10 %.
+	if per > 175 {
+		t.Errorf("a caught-up consumer keeps %.1f B resident, budget 175", per)
 	}
 }

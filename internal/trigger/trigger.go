@@ -60,10 +60,24 @@
 // jittered delay that starts at WebhookBackoff and is capped, so a
 // recovered endpoint catches up without a new event or a restart and a
 // dead one is probed at a bounded cadence (its backlog shows as
-// CursorLag). Unless Config.HTTPClient overrides it, webhooks go out
-// on a client that keeps one idle connection per delivery worker and
-// endpoint and drains response bodies, so steady-state deliveries do
-// not dial.
+// CursorLag).
+//
+// A webhook delivery is one HTTP round trip on the bus's own transport,
+// which keeps one idle connection per delivery worker and endpoint, so
+// steady-state deliveries do not dial. Each attempt POSTs the event's
+// log entry, byte for byte, with Content-Type: application/json and
+// X-Oprc-Event: <event type> (plus the transport's Host, User-Agent and
+// Content-Length), and a URL with user:password@ adds the Basic
+// Authorization header net/http's client derives from it. The body is
+// not compressed and no Accept-Encoding is asked for: the response is
+// drained up to a few kilobytes and thrown away. Redirects are not
+// followed — a 3xx is a failed attempt like any other non-2xx, so a
+// delivery never reaches a host the subscription does not name. The URL
+// must be an absolute http or https URL with a host (model.WebhookURL);
+// it is checked and parsed once, when the subscription is stored
+// (Subscribe, SetClassTriggers), and every attempt reuses the parsed
+// form and a request header shared by every event of its type (a copy
+// of it per subscription with credentials).
 //
 // Sink delivery runs on a bounded worker pool, never inline in the
 // shard dispatch loop, so one stalled webhook endpoint (backoff sleeps
@@ -89,12 +103,14 @@ package trigger
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -103,6 +119,7 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/eventlog"
 	"github.com/hpcclab/oparaca-go/internal/metrics"
+	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/trace"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
@@ -222,31 +239,54 @@ type Subscription struct {
 	TargetObject   string `json:"targetObject,omitempty"`
 	TargetFunction string `json:"targetFunction,omitempty"`
 	// Webhook is the webhook-sink URL, POSTed the event JSON with
-	// bounded doubling-backoff retry.
+	// bounded doubling-backoff retry. It must be an absolute http or
+	// https URL with a host.
 	Webhook string `json:"webhook,omitempty"`
+
+	// hook is Webhook as parsed when the bus stored the subscription and
+	// hookHeader the header every attempt sends (see Bus.store); both nil
+	// for a method sink. Read-only, like the subscription holding them.
+	hook       *url.URL
+	hookHeader http.Header
 }
 
-// Validate checks the subscription shape: a known type, a class, and
-// exactly one sink.
+// Validate checks the subscription shape: a known type, a class,
+// exactly one sink, and for a webhook sink an absolute http or https
+// URL with a host.
 func (s Subscription) Validate() error {
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate returning the parsed webhook URL (nil for a
+// method sink), so the bus parses a URL once, when it stores the
+// subscription.
+func (s Subscription) validate() (*url.URL, error) {
 	if s.Class == "" {
-		return errors.New("trigger: subscription needs a class")
+		return nil, errors.New("trigger: subscription needs a class")
 	}
 	if !s.Type.Valid() {
-		return fmt.Errorf("trigger: unknown event type %q (want %s, %s or %s)",
+		return nil, fmt.Errorf("trigger: unknown event type %q (want %s, %s or %s)",
 			s.Type, StateChanged, InvocationCompleted, InvocationFailed)
 	}
 	hasFn, hasHook := s.TargetFunction != "", s.Webhook != ""
 	if hasFn == hasHook {
-		return errors.New("trigger: subscription needs exactly one sink (targetFunction or webhook)")
+		return nil, errors.New("trigger: subscription needs exactly one sink (targetFunction or webhook)")
 	}
 	if s.TargetObject != "" && !hasFn {
-		return errors.New("trigger: targetObject requires targetFunction")
+		return nil, errors.New("trigger: targetObject requires targetFunction")
 	}
 	if s.KeyPrefix != "" && s.Type != StateChanged {
-		return fmt.Errorf("trigger: keyPrefix only applies to %s subscriptions", StateChanged)
+		return nil, fmt.Errorf("trigger: keyPrefix only applies to %s subscriptions", StateChanged)
 	}
-	return nil
+	if !hasHook {
+		return nil, nil
+	}
+	u, err := model.WebhookURL(s.Webhook)
+	if err != nil {
+		return nil, fmt.Errorf("trigger: %w", err)
+	}
+	return u, nil
 }
 
 // matches reports whether the subscription wants ev.
@@ -287,9 +327,11 @@ func (p OverflowPolicy) Valid() bool {
 
 // AsyncInvoker submits one chained invocation (the platform passes its
 // InvokeAsync path; the indirection keeps this package core-free).
-// payload is the event JSON and is shared with the event log: an
-// implementation must copy it before handing it to code that may write
-// to it (the platform's async queue copies on Submit).
+// payload is the event JSON and is shared with the event log, and args
+// is shared by every invocation the bus fires for that event type and
+// depth: an implementation must copy either before handing it to code
+// that may write to it (the platform's async queue copies both on
+// Submit).
 type AsyncInvoker func(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (string, error)
 
 // Config sizes a Bus.
@@ -312,15 +354,14 @@ type Config struct {
 	Overflow OverflowPolicy
 	// MaxChainDepth bounds object→object trigger chains: an event at
 	// this depth is not dispatched to method sinks (counted in
-	// CycleDropped and Dropped). Defaults to 8.
+	// CycleDropped and Dropped). Defaults to 8. The bus builds the args
+	// of chained invocations up front, one map per event type and depth
+	// below this bound, up to 64.
 	MaxChainDepth int
 	// DeliveryWorkers sizes the sink delivery pool (webhook POSTs and
-	// cursor-consumer runs). Defaults to 4.
+	// cursor-consumer runs) and the idle connections the bus's webhook
+	// transport keeps per endpoint. Defaults to 4.
 	DeliveryWorkers int
-	// HTTPClient delivers webhooks. When nil the bus owns a client
-	// whose transport keeps DeliveryWorkers idle connections per
-	// endpoint, so steady-state deliveries reuse connections.
-	HTTPClient *http.Client
 	// WebhookMaxRetries re-POSTs a failed webhook delivery up to this
 	// many additional times before dropping it. Defaults to 3;
 	// negative disables retries entirely.
@@ -488,6 +529,57 @@ type delItem struct {
 	run func()
 }
 
+// sendTable is what every delivery of one event type carries: the
+// webhook request header (the transport only reads a request's Header,
+// so every attempt shares it) and, indexed by the event's depth, the
+// args of the method-sink invocation it fires (the async queue clones
+// them on submit). Both are read only.
+type sendTable struct {
+	header http.Header
+	args   []map[string]string
+}
+
+// argsTableDepth caps sendTable.args: MaxChainDepth has no upper bound,
+// and chains deeper than this build their args per event.
+const argsTableDepth = 64
+
+// delRing is the delivery pool's FIFO: a ring that doubles when full,
+// so a pop gives up no capacity and the steady state pushes into slots
+// already paid for. Its size follows the deepest backlog, which the
+// consumer states bound (see consumerState); one grown past
+// delRingKeep slots by a burst (cursor recovery queues every consumer
+// at once) is released when it drains.
+type delRing struct {
+	buf     []delItem
+	head, n int
+}
+
+// delRingKeep is the largest ring kept once empty: 16 KB.
+const delRingKeep = 1024
+
+func (r *delRing) push(it delItem) {
+	if r.n == len(r.buf) {
+		grown := make([]delItem, max(2*len(r.buf), 8))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = it
+	r.n++
+}
+
+// pop removes the oldest item; the ring must not be empty.
+func (r *delRing) pop() delItem {
+	it := r.buf[r.head]
+	r.buf[r.head] = delItem{}
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	if r.n == 0 && len(r.buf) > delRingKeep {
+		*r = delRing{}
+	}
+	return it
+}
+
 // subCounters accumulates one subscription's delivery outcomes.
 type subCounters struct {
 	delivered atomic.Int64
@@ -535,14 +627,17 @@ type Bus struct {
 	delMu     sync.Mutex
 	delCond   *sync.Cond
 	quiet     *sync.Cond
-	delQueue  []delItem
+	delQueue  delRing
 	delState  map[consumerKey]*consumerState
 	delBusy   int
 	delClosed bool
 	delWg     sync.WaitGroup
 	stop      chan struct{}
-	// transport is set when the bus owns its webhook client.
+	// transport carries every webhook attempt (postWebhook).
 	transport *http.Transport
+	// sends holds, per event type, what every delivery of that type
+	// carries; built by New and never written again.
+	sends map[EventType]sendTable
 
 	subStatsMu sync.Mutex
 	subStats   map[string]*subCounters
@@ -581,14 +676,23 @@ func New(cfg Config) (*Bus, error) {
 		stop:      make(chan struct{}),
 	}
 	b.subscribed.Store(&map[string]struct{}{})
-	if cfg.HTTPClient == nil {
-		// DefaultTransport keeps two idle connections per host; with
-		// more workers than that, every other delivery would dial.
-		// Each attempt is bounded by its request context alone (see
-		// postWebhook), so the client carries no Timeout of its own.
-		b.transport = http.DefaultTransport.(*http.Transport).Clone()
-		b.transport.MaxIdleConnsPerHost = cfg.DeliveryWorkers
-		b.cfg.HTTPClient = &http.Client{Transport: b.transport}
+	// DefaultTransport keeps two idle connections per host; with more
+	// workers than that, every other delivery would dial. Each attempt
+	// is bounded by its request context (see postWebhook). The response
+	// body is thrown away, so a compressed one is not asked for.
+	b.transport = http.DefaultTransport.(*http.Transport).Clone()
+	b.transport.MaxIdleConnsPerHost = cfg.DeliveryWorkers
+	b.transport.DisableCompression = true
+	b.sends = make(map[EventType]sendTable, 3)
+	for _, typ := range []EventType{StateChanged, InvocationCompleted, InvocationFailed} {
+		st := sendTable{
+			header: http.Header{"Content-Type": {"application/json"}, "X-Oprc-Event": {string(typ)}},
+			args:   make([]map[string]string, min(cfg.MaxChainDepth, argsTableDepth)),
+		}
+		for d := range st.args {
+			st.args[d] = chainArgs(typ, d)
+		}
+		b.sends[typ] = st
 	}
 	b.killCtx, b.killCancel = context.WithCancel(context.Background())
 	b.delCond = sync.NewCond(&b.delMu)
@@ -641,6 +745,26 @@ func (b *Bus) subCountersFor(id string) *subCounters {
 	return c
 }
 
+// store validates a subscription about to be stored and, for a webhook
+// sink, fills in what its attempts reuse: the parsed URL and the header.
+// That is the event type's shared header, or, when the URL carries
+// user:password@, a copy of it with the Basic Authorization net/http's
+// client would derive from them — the transport itself sends neither
+// the userinfo nor a header for it.
+func (b *Bus) store(s *Subscription) error {
+	hook, err := s.validate()
+	if err != nil || hook == nil {
+		return err
+	}
+	s.hook, s.hookHeader = hook, b.sends[s.Type].header
+	if u := hook.User; u != nil {
+		pass, _ := u.Password()
+		s.hookHeader = s.hookHeader.Clone()
+		s.hookHeader.Set("Authorization", "Basic "+base64.StdEncoding.EncodeToString([]byte(u.Username()+":"+pass)))
+	}
+	return nil
+}
+
 // Subscribe registers (or replaces) a named subscription. Its durable
 // identity is "named/<name>" (unless the caller pre-stamped one), so
 // re-subscribing after a restart resumes the stored cursors — any
@@ -649,7 +773,7 @@ func (b *Bus) Subscribe(name string, sub Subscription) error {
 	if name == "" {
 		return errors.New("trigger: subscription needs a name")
 	}
-	if err := sub.Validate(); err != nil {
+	if err := b.store(&sub); err != nil {
 		return err
 	}
 	if sub.ID == "" {
@@ -699,7 +823,7 @@ func (b *Bus) Subscriptions() (names []string, subs map[string]Subscription) {
 func (b *Bus) SetClassTriggers(class string, subs []Subscription) {
 	kept := make([]Subscription, 0, len(subs))
 	for i, s := range subs {
-		if s.Validate() != nil {
+		if b.store(&s) != nil {
 			continue
 		}
 		if s.ID == "" {
@@ -1024,10 +1148,10 @@ func (b *Bus) dispatch(it *inflight, matched []*Subscription) []*Subscription {
 			continue
 		}
 		if sub.Webhook != "" {
-			b.enqueueDirect(*sub, it)
+			b.enqueueDirect(sub, it)
 			continue
 		}
-		b.count(b.subCountersFor(sub.ID), b.deliverMethod(*sub, ev, it.raw) == methodDelivered)
+		b.count(b.subCountersFor(sub.ID), b.deliverMethod(sub, ev, it.raw) == methodDelivered)
 	}
 	b.deliverStreams(ev)
 	dsp.SetInt("matched", len(matched))
@@ -1076,7 +1200,7 @@ func (b *Bus) notify(sub *Subscription, object string, it *inflight) {
 		return
 	}
 	st.queued = true
-	b.delQueue = append(b.delQueue, delItem{st: st})
+	b.delQueue.push(delItem{st: st})
 	b.delCond.Signal()
 }
 
@@ -1098,16 +1222,16 @@ func (b *Bus) count(c *subCounters, delivered bool) {
 // enqueueDirect schedules a one-shot webhook delivery (log-less mode
 // only). The pool is fed by the bounded shard queues, so the FIFO here
 // stays shallow.
-func (b *Bus) enqueueDirect(sub Subscription, it *inflight) {
+func (b *Bus) enqueueDirect(sub *Subscription, it *inflight) {
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
 	if b.delClosed {
 		b.cfg.Metrics.Counter("trigger.dropped").Inc()
 		return
 	}
-	b.delQueue = append(b.delQueue, delItem{run: func() {
+	b.delQueue.push(delItem{run: func() {
 		c := b.subCountersFor(sub.ID)
-		b.count(c, b.deliverWebhook(sub.Webhook, it.ev, it.raw, c))
+		b.count(c, b.deliverWebhook(sub, it.ev, it.raw, c))
 	}})
 	b.delCond.Signal()
 }
@@ -1118,15 +1242,14 @@ func (b *Bus) deliveryWorker() {
 	defer b.delWg.Done()
 	for {
 		b.delMu.Lock()
-		for len(b.delQueue) == 0 && !b.delClosed {
+		for b.delQueue.n == 0 && !b.delClosed {
 			b.delCond.Wait()
 		}
-		if len(b.delQueue) == 0 {
+		if b.delQueue.n == 0 {
 			b.delMu.Unlock()
 			return
 		}
-		item := b.delQueue[0]
-		b.delQueue = b.delQueue[1:]
+		item := b.delQueue.pop()
 		b.delBusy++
 		b.delMu.Unlock()
 		stalled := false
@@ -1156,7 +1279,7 @@ func (b *Bus) deliveryWorker() {
 				go b.rearm(st, b.jittered(st.stall))
 			case st.rerun:
 				st.rerun = false
-				b.delQueue = append(b.delQueue, delItem{st: st})
+				b.delQueue.push(delItem{st: st})
 				b.delCond.Signal()
 			default:
 				st.queued = false
@@ -1182,7 +1305,7 @@ func (b *Bus) rearm(st *consumerState, d time.Duration) {
 		return
 	}
 	st.rerun = false
-	b.delQueue = append(b.delQueue, delItem{st: st})
+	b.delQueue.push(delItem{st: st})
 	b.delCond.Signal()
 }
 
@@ -1191,7 +1314,7 @@ func (b *Bus) rearm(st *consumerState, d time.Duration) {
 // present, is the caught-up case and is returned for direct delivery.
 // It also returns the subscription as last refreshed, so a redeployed
 // sink applies to events queued before the redeploy.
-func (b *Bus) take(st *consumerState, cursor int64) (Subscription, *inflight) {
+func (b *Bus) take(st *consumerState, cursor int64) (*Subscription, *inflight) {
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
 	var it *inflight
@@ -1206,7 +1329,7 @@ func (b *Bus) take(st *consumerState, cursor int64) (Subscription, *inflight) {
 	n := copy(st.handoff[:], st.handoff[drop:st.nHandoff])
 	clear(st.handoff[n:st.nHandoff])
 	st.nHandoff = n
-	return *st.sub, it
+	return st.sub, it
 }
 
 // runConsumer advances one (subscription, object) cursor, delivering
@@ -1278,7 +1401,7 @@ func (b *Bus) runConsumer(st *consumerState) (stalled bool) {
 // subscription wants it, counts the outcome, and reports whether the
 // cursor may advance (false only for retriable failures). raw is the
 // event's log entry.
-func (b *Bus) deliverDurable(sub Subscription, ev Event, raw json.RawMessage, c *subCounters) (advance bool) {
+func (b *Bus) deliverDurable(sub *Subscription, ev Event, raw json.RawMessage, c *subCounters) (advance bool) {
 	if !sub.matches(ev) {
 		return true
 	}
@@ -1287,7 +1410,7 @@ func (b *Bus) deliverDurable(sub Subscription, ev Event, raw json.RawMessage, c 
 		// stays put and the re-arm (or a restart) retries. A permanently
 		// failing endpoint therefore stalls this consumer — visible as
 		// growing CursorLag in Stats.
-		if !b.deliverWebhook(sub.Webhook, ev, raw, c) {
+		if !b.deliverWebhook(sub, ev, raw, c) {
 			return false
 		}
 		b.count(c, true)
@@ -1316,7 +1439,7 @@ const (
 
 // deliverMethod routes an event to its object-method sink through the
 // async queue, enforcing the chain depth limit.
-func (b *Bus) deliverMethod(sub Subscription, ev Event, raw json.RawMessage) methodOutcome {
+func (b *Bus) deliverMethod(sub *Subscription, ev Event, raw json.RawMessage) methodOutcome {
 	m := b.cfg.Metrics
 	if ev.Depth >= b.cfg.MaxChainDepth {
 		// The chain has used its depth budget: terminate instead of
@@ -1336,9 +1459,13 @@ func (b *Bus) deliverMethod(sub Subscription, ev Event, raw json.RawMessage) met
 	if err != nil {
 		return methodDropped
 	}
-	args := map[string]string{
-		ArgSource: string(ev.Type),
-		ArgDepth:  strconv.Itoa(ev.Depth + 1),
+	// Producers never stamp a negative depth (DepthOf reads one as 0);
+	// max keeps a hand-built event inside the table.
+	var args map[string]string
+	if table, d := b.sends[ev.Type].args, max(ev.Depth, 0); d < len(table) {
+		args = table[d]
+	} else {
+		args = chainArgs(ev.Type, d)
 	}
 	if _, err := b.cfg.InvokeAsync(context.Background(), target, sub.TargetFunction, payload, args); err != nil {
 		// Full queue, quota, closed platform: retriable. Once
@@ -1349,23 +1476,30 @@ func (b *Bus) deliverMethod(sub Subscription, ev Event, raw json.RawMessage) met
 	return methodDelivered
 }
 
+// chainArgs is the args of the invocation an event of type typ at depth
+// d chains: its type and the next depth.
+func chainArgs(typ EventType, d int) map[string]string {
+	return map[string]string{ArgSource: string(typ), ArgDepth: strconv.Itoa(d + 1)}
+}
+
 // encoded returns the event JSON: the bytes already marshalled for the
 // log when there are any, a fresh encoding otherwise (log-less bus,
-// failed append).
+// failed append). ev goes to the encoder by value: &ev would move every
+// caller's event to the heap, the common path that has bytes included.
 func encoded(ev Event, raw json.RawMessage) (json.RawMessage, error) {
 	if raw != nil {
 		return raw, nil
 	}
-	return json.Marshal(&ev)
+	return json.Marshal(ev)
 }
 
 // deliverWebhook POSTs the event, retrying failures with doubling
 // backoff up to WebhookMaxRetries, and reports success. It runs on the
 // delivery pool, never a dispatch loop.
-func (b *Bus) deliverWebhook(url string, ev Event, raw json.RawMessage, c *subCounters) bool {
+func (b *Bus) deliverWebhook(sub *Subscription, ev Event, raw json.RawMessage, c *subCounters) bool {
 	m := b.cfg.Metrics
 	wsp := b.cfg.Tracer.Attach(ev.Trace, "webhook.delivery")
-	wsp.SetAttr("url", url)
+	wsp.SetAttr("url", sub.Webhook)
 	payload, err := encoded(ev, raw)
 	if err != nil {
 		wsp.Error(err)
@@ -1387,7 +1521,7 @@ func (b *Bus) deliverWebhook(url string, ev Event, raw json.RawMessage, c *subCo
 				c.retried.Add(1)
 			}
 		}
-		if b.postWebhook(url, ev.Type, payload) {
+		if b.postWebhook(sub.hook, sub.hookHeader, payload) {
 			wsp.SetInt("attempts", attempt+1)
 			wsp.End()
 			return true
@@ -1401,26 +1535,45 @@ func (b *Bus) deliverWebhook(url string, ev Event, raw json.RawMessage, c *subCo
 	}
 }
 
-// postWebhook performs one delivery attempt, bounded by WebhookTimeout
-// through the request context (which Kill also cancels).
-func (b *Bus) postWebhook(url string, typ EventType, payload []byte) bool {
+// postWebhook performs one delivery attempt: one round trip on the
+// bus's transport, bounded by WebhookTimeout through the request
+// context (which Kill also cancels). Only a 2xx answer succeeds; a
+// redirect is not followed.
+func (b *Bus) postWebhook(hook *url.URL, header http.Header, payload []byte) bool {
 	ctx, cancel := context.WithTimeout(b.killCtx, b.cfg.WebhookTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Oprc-Event", string(typ))
-	resp, err := b.cfg.HTTPClient.Do(req)
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           hook,
+		Header:        header,
+		Body:          webhookBody(payload),
+		ContentLength: int64(len(payload)),
+		// The transport re-sends on a fresh connection when a kept-alive
+		// one turns out closed before anything was written, with a body
+		// it gets from here.
+		GetBody: func() (io.ReadCloser, error) { return webhookBody(payload), nil },
+	}).WithContext(ctx)
+	resp, err := b.transport.RoundTrip(req)
 	if err != nil {
 		return false
 	}
 	// An undrained body costs the connection; an endless one must not
-	// cost the worker. A failed drain only forfeits the reuse.
-	_, _ = io.CopyN(io.Discard, resp.Body, webhookDrainLimit)
+	// cost the worker. A failed drain only forfeits the reuse, and a
+	// bodiless answer (204, Content-Length: 0) has nothing to drain.
+	if resp.Body != http.NoBody {
+		_, _ = io.CopyN(io.Discard, resp.Body, webhookDrainLimit)
+	}
 	resp.Body.Close()
 	return resp.StatusCode >= 200 && resp.StatusCode < 300
+}
+
+// webhookBody is a POST body over an event's bytes. It is the shape the
+// transport knows to be in memory, so the request line, headers and
+// body leave in one buffered write; any other reader makes it flush the
+// headers on their own and stream the body through the connection's
+// ReadFrom.
+func webhookBody(payload []byte) io.ReadCloser {
+	return io.NopCloser(bytes.NewReader(payload))
 }
 
 // deliverStreams copies the event to every live tail of its object.
@@ -1451,7 +1604,7 @@ func (b *Bus) Drain() {
 	// One predicate under one lock: an event is retired from pending
 	// only after dispatch queued its deliveries, so nothing is in
 	// between when all three read zero.
-	for (b.pending.Load() > 0 || len(b.delQueue) > 0 || b.delBusy > 0) && !b.killed.Load() {
+	for (b.pending.Load() > 0 || b.delQueue.n > 0 || b.delBusy > 0) && !b.killed.Load() {
 		b.quiet.Wait()
 	}
 }
@@ -1586,16 +1739,14 @@ func (b *Bus) shutdown(kill bool) {
 	b.delMu.Lock()
 	b.delClosed = true
 	if kill {
-		b.delQueue = nil
+		b.delQueue = delRing{}
 	}
 	close(b.stop)
 	b.delCond.Broadcast()
 	b.quiet.Broadcast()
 	b.delMu.Unlock()
 	b.delWg.Wait()
-	if b.transport != nil {
-		b.transport.CloseIdleConnections()
-	}
+	b.transport.CloseIdleConnections()
 	b.streamMu.Lock()
 	for _, set := range b.streams {
 		for s := range set {

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,6 +51,14 @@ func TestSubscriptionValidation(t *testing.T) {
 		{"two sinks", Subscription{Class: "A", Type: StateChanged, TargetFunction: "f", Webhook: "http://x"}, false},
 		{"object without function", Subscription{Class: "A", Type: StateChanged, TargetObject: "o", Webhook: "http://x"}, false},
 		{"prefix on terminal event", Subscription{Class: "A", Type: InvocationFailed, KeyPrefix: "k", TargetFunction: "f"}, false},
+		{"https webhook", Subscription{Class: "A", Type: StateChanged, Webhook: "https://127.0.0.1:8443/h?x=1"}, true},
+		{"webhook with userinfo", Subscription{Class: "A", Type: StateChanged, Webhook: "http://u:p@127.0.0.1:8080/h"}, true},
+		{"webhook not a url", Subscription{Class: "A", Type: StateChanged, Webhook: "not a url"}, false},
+		{"webhook relative", Subscription{Class: "A", Type: StateChanged, Webhook: "/hook"}, false},
+		{"webhook ftp", Subscription{Class: "A", Type: StateChanged, Webhook: "ftp://x"}, false},
+		{"webhook no host", Subscription{Class: "A", Type: StateChanged, Webhook: "http://"}, false},
+		{"webhook port without host", Subscription{Class: "A", Type: StateChanged, Webhook: "http://:80/h"}, false},
+		{"webhook unparsable", Subscription{Class: "A", Type: StateChanged, Webhook: "http://[::1/h"}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -103,6 +114,83 @@ func TestMethodSinkRoutesThroughAsyncInvoker(t *testing.T) {
 	}
 	if s := b.Stats(); s.Emitted != 4 || s.Delivered != 1 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestChainedInvocationArgs: a chained invocation carries the firing
+// event's type and its depth plus one, for every event type and every
+// depth the chain limit lets through, as when each invocation built its
+// own map; they now come from a table the bus builds once.
+func TestChainedInvocationArgs(t *testing.T) {
+	const maxDepth = 3
+	var mu sync.Mutex
+	got := map[string]map[string]string{}
+	b := newBus(t, Config{
+		MaxChainDepth: maxDepth,
+		InvokeAsync: func(_ context.Context, object, _ string, _ json.RawMessage, args map[string]string) (string, error) {
+			mu.Lock()
+			got[object] = maps.Clone(args)
+			mu.Unlock()
+			return "inv", nil
+		},
+	})
+	types := []EventType{StateChanged, InvocationCompleted, InvocationFailed}
+	for _, typ := range types {
+		if err := b.Subscribe(string(typ), Subscription{Class: "A", Type: typ, TargetFunction: "f"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, typ := range types {
+		for depth := range maxDepth + 1 {
+			b.Publish(Event{Type: typ, Class: "A", Object: fmt.Sprintf("%s-%d", typ, depth), Depth: depth})
+		}
+	}
+	b.Drain()
+	for _, typ := range types {
+		for depth := range maxDepth {
+			object := fmt.Sprintf("%s-%d", typ, depth)
+			want := map[string]string{ArgSource: string(typ), ArgDepth: strconv.Itoa(depth + 1)}
+			if !maps.Equal(got[object], want) {
+				t.Errorf("%s at depth %d chained with args %v, want %v", typ, depth, got[object], want)
+			}
+		}
+		if args, ok := got[fmt.Sprintf("%s-%d", typ, maxDepth)]; ok {
+			t.Errorf("%s at the depth limit chained anyway, with %v", typ, args)
+		}
+	}
+}
+
+// TestChainArgsBeyondTheTable: a MaxChainDepth meaning "effectively
+// unlimited" costs New a table of bounded size, and an event deeper than
+// the table still chains with its type and its depth plus one.
+func TestChainArgsBeyondTheTable(t *testing.T) {
+	var mu sync.Mutex
+	got := map[string]map[string]string{}
+	b := newBus(t, Config{
+		MaxChainDepth: math.MaxInt,
+		InvokeAsync: func(_ context.Context, object, _ string, _ json.RawMessage, args map[string]string) (string, error) {
+			mu.Lock()
+			got[object] = maps.Clone(args)
+			mu.Unlock()
+			return "inv", nil
+		},
+	})
+	if n := len(b.sends[StateChanged].args); n != argsTableDepth {
+		t.Fatalf("New built %d args maps per event type, want %d", n, argsTableDepth)
+	}
+	if err := b.Subscribe("deep", Subscription{Class: "A", Type: StateChanged, TargetFunction: "f"}); err != nil {
+		t.Fatal(err)
+	}
+	depths := []int{0, argsTableDepth - 1, argsTableDepth, 1 << 20}
+	for _, depth := range depths {
+		b.Publish(Event{Type: StateChanged, Class: "A", Object: fmt.Sprintf("a-%d", depth), Depth: depth})
+	}
+	b.Drain()
+	for _, depth := range depths {
+		want := map[string]string{ArgSource: string(StateChanged), ArgDepth: strconv.Itoa(depth + 1)}
+		if args := got[fmt.Sprintf("a-%d", depth)]; !maps.Equal(args, want) {
+			t.Errorf("depth %d chained with args %v, want %v", depth, args, want)
+		}
 	}
 }
 

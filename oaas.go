@@ -140,7 +140,17 @@
 //
 //   - another object's method, submitted through the async queue
 //     (data-triggered function chaining);
-//   - a webhook URL, POSTed with bounded doubling-backoff retry;
+//   - a webhook URL, POSTed with bounded doubling-backoff retry. The URL
+//     must be an absolute http or https URL with a host: anything else
+//     fails the package deploy or the `PUT /api/triggers/{name}` (400)
+//     that declares it, rather than every delivery after it. A POST
+//     carries the event JSON — byte for byte its event-log entry — with
+//     `Content-Type: application/json` and `X-Oprc-Event: <type>` (and,
+//     for a `user:password@` URL, the Basic `Authorization` header any
+//     Go HTTP client derives from it); it is not compressed and asks for
+//     no compressed answer. Any 2xx is
+//     success. Redirects are not followed: a 3xx is a failed attempt,
+//     so a delivery never reaches a host the subscription does not name;
 //   - a live per-object stream (`GET /api/objects/{id}/events`, SSE).
 //
 // Subscriptions are declared per class in YAML:
@@ -228,7 +238,9 @@
 // straight from dispatch; only one that is behind — recovery, a
 // failed delivery being retried, a backlog — reads and decodes the
 // log. Webhooks go out over kept-alive connections, one per delivery
-// worker and endpoint (Config.TriggerDeliveryWorkers).
+// worker and endpoint (Config.TriggerDeliveryWorkers), each attempt one
+// round trip on the bus's own transport with the URL parsed when the
+// subscription was stored.
 //
 // Retention is bounded per object (Config.EventLogMaxPerObject,
 // default 1024 entries) and by age (Config.EventLogRetention), swept
@@ -389,10 +401,11 @@
 // invocation keeps its record — key, terminal document, one table slot,
 // ≈ 385 B — and nothing in the queue's own indexes
 // (asyncq.TestTerminalInvocationResidentBudget); a (subscription,
-// object) pair that was ever delivered for keeps a ≈ 165-byte consumer
+// object) pair that was ever delivered for keeps a ≈ 160-byte consumer
 // for the life of the process — its key, its hand-off and a pointer to
 // the subscription every consumer of it shares
-// (trigger.TestPerConsumerResidentBudget).
+// (trigger.TestPerConsumerResidentBudget); the delivery queue a
+// recovery burst grew is let go once it drains.
 //
 // The REST gateway's own share of a request is budgeted the same way
 // (internal/gateway: TestWarmInvokeAllocationBudget,
@@ -433,11 +446,11 @@
 // arrive after their invocation finished. `GET
 // /api/invocations/{id}?waitMs=N` therefore reads the record before it
 // arms anything: a finished invocation costs one table lookup, one scan
-// and one buffer write — four allocations between ServeHTTP's entry and
+// and one buffer write — three allocations between ServeHTTP's entry and
 // return (the route match, the table key, one string for the record's
-// object and member, the Content-Type header), where parsing the query
-// into a map, arming a timeout, and decoding and re-encoding the record
-// reflectively made it 25; the body is rendered by the same append
+// object and member; every JSON response shares one Content-Type value),
+// where parsing the query into a map, arming a timeout, and decoding and
+// re-encoding the record reflectively made it 25; the body is rendered by the same append
 // encoder, byte for byte what encoding/json writes
 // (gateway.TestLongPollAllocationBudget, TestInvocationBodyGolden,
 // asyncq.TestGetAllocationBudget). Only a poll that finds its record
@@ -445,10 +458,24 @@
 // context with its timer, a waiter the completing worker hands the
 // record to, a second read once the waiter is registered so that no
 // completion can slip between the first read and the wait, and, if the
-// wait elapses, a third for the 200 it still answers: 13 allocations.
+// wait elapses, a third for the 200 it still answers: 12 allocations.
 // Handler failures name their image in quotes, so a failed record's
 // error needs JSON escaping and both halves of the codec leave it to
 // encoding/json — correct, and not the path a benchmark takes.
+// A delivered event costs one event-log write and, per webhook, one
+// HTTP round trip, and the event plane allocates little besides what it
+// keeps or sends: the log entry goes onto the capacity the object's log
+// already holds and its bounds document is rendered without reflection;
+// a webhook attempt is one round trip on the bus's transport with the
+// URL parsed when the subscription was stored and a header shared by
+// every event of its type; the delivery queue pops without giving up
+// capacity; a chained invocation's args come from a table built when
+// the bus starts. One event published, logged, handed to a caught-up
+// consumer and POSTed to a loopback endpoint is 73 allocations in all,
+// the endpoint's HTTP server's share included, where it was 91
+// (trigger.TestWebhookDeliveryAllocationBudget); one published to one
+// or sixteen live streams is 3 (trigger.TestFanoutAllocationBudget).
+//
 // A kept trace is stored as two slices of span and attribute values —
 // a constant handful of allocations for 3 spans or 160 — and rendered
 // into the served JSON (hex ids, attribute maps) when `GET /api/traces…`
