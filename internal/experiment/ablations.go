@@ -58,11 +58,11 @@ func RunBatchAblation(ctx context.Context, p Params) ([]BatchRow, error) {
 	return rows, nil
 }
 
-// SetupCustomPlatform builds a platform running the JSON-randomization
-// workload under one caller-supplied class-runtime template. Benches
-// use it to measure arbitrary template configurations; the caller must
+// setupCustomPlatform builds a platform running the JSON-randomization
+// workload under one caller-supplied class-runtime template, for the
+// ablations that compare template configurations; the caller must
 // Close the platform.
-func SetupCustomPlatform(ctx context.Context, tmpl runtime.Template, workers int, p Params) (*core.Platform, []string, error) {
+func setupCustomPlatform(ctx context.Context, tmpl runtime.Template, workers int, p Params) (*core.Platform, []string, error) {
 	noServe := false
 	plat, err := core.New(core.Config{
 		Workers:          workers,
@@ -96,7 +96,7 @@ func SetupCustomPlatform(ctx context.Context, tmpl runtime.Template, workers int
 
 // runAblationPoint measures one custom-template configuration.
 func runAblationPoint(ctx context.Context, p Params, workers int, tmpl runtime.Template, label string) (BatchRow, error) {
-	plat, ids, err := SetupCustomPlatform(ctx, tmpl, workers, p)
+	plat, ids, err := setupCustomPlatform(ctx, tmpl, workers, p)
 	if err != nil {
 		return BatchRow{}, err
 	}

@@ -63,8 +63,8 @@ func (s System) String() string {
 	}
 }
 
-// AllSystems returns the systems in legend order.
-func AllSystems() []System {
+// allSystems returns the systems in legend order.
+func allSystems() []System {
 	return []System{SystemKnative, SystemOprc, SystemOprcBypass, SystemOprcBypassNonpersist}
 }
 
@@ -214,10 +214,10 @@ func randomizeHandler() invoker.Handler {
 	})
 }
 
-// SetupPlatform builds a platform configured for one system at one
+// setupPlatform builds a platform configured for one system at one
 // worker count, with the JSON-randomization application deployed and
 // objects created. The caller must Close the platform.
-func SetupPlatform(ctx context.Context, system System, workers int, p Params) (*core.Platform, []string, error) {
+func setupPlatform(ctx context.Context, system System, workers int, p Params) (*core.Platform, []string, error) {
 	noServe := false
 	plat, err := core.New(core.Config{
 		Workers:          workers,
@@ -252,7 +252,7 @@ func SetupPlatform(ctx context.Context, system System, workers int, p Params) (*
 // MeasurePoint runs the workload against one configured platform and
 // returns the measured row.
 func MeasurePoint(ctx context.Context, system System, workers int, p Params) (Row, error) {
-	plat, ids, err := SetupPlatform(ctx, system, workers, p)
+	plat, ids, err := setupPlatform(ctx, system, workers, p)
 	if err != nil {
 		return Row{}, err
 	}
@@ -282,7 +282,7 @@ func MeasurePoint(ctx context.Context, system System, workers int, p Params) (Ro
 // paper's legend order, and returns one row per point.
 func RunFigure3(ctx context.Context, p Params) ([]Row, error) {
 	var rows []Row
-	for _, system := range AllSystems() {
+	for _, system := range allSystems() {
 		for _, workers := range p.Workers {
 			row, err := MeasurePoint(ctx, system, workers, p)
 			if err != nil {

@@ -29,8 +29,8 @@ func TestSystemStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), label)
 		}
 	}
-	if len(AllSystems()) != 4 {
-		t.Fatal("AllSystems wrong")
+	if len(allSystems()) != 4 {
+		t.Fatal("allSystems wrong")
 	}
 }
 

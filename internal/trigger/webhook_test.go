@@ -287,8 +287,8 @@ func TestWebhookDeliveryAllocationBudget(t *testing.T) {
 // the in-flight event, its JSON and the time inside it. A stream gets
 // the event by value over its channel, so the sixteenth costs what the
 // first does, and the log entry goes onto capacity the log already
-// holds. It is the package-level twin of the root benchmark's
-// triggerfanout rows, which add the invocation around it.
+// holds. The invocation that commits the event is pinned by
+// internal/runtime's and internal/core's invoke budgets.
 func TestFanoutAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -324,16 +324,16 @@
 // return, what the flusher hands the backing store, and what the store
 // then keeps.
 //
-// The alloc budget is enforced, not aspirational: BENCH_invoke.json
-// records "#allocs"-suffixed keys (whole-process allocations per
-// operation, measured by the BenchmarkInvokeHotPath,
-// AsyncDrainThroughput and TriggerFanout families) alongside the
-// ops/s keys, and CI's cmd/benchdiff guard fails a build whose
-// allocs/op grow more than 25% over the committed snapshot. Refresh
-// the snapshot with BENCH_SNAPSHOT=1 (see bench_test.go) whenever a
-// deliberate change moves the numbers. As reference points: a warm
-// spread-object no-op invoke runs at ~5 allocs/op and a contended
-// hot-object read-modify-write nobody observes at ~21.
+// The alloc budget is enforced, not aspirational: testing.AllocsPerRun
+// budgets beside each package on the path (internal/runtime, core,
+// asyncq, trigger, gateway) fail `go test ./...` when a call allocates
+// past its ceiling, and a deliberate change moves the ceiling in the
+// same commit. End to end, `bash bench/run.sh` reports allocs_per_op
+// per workload through the gateway (bench/README.md). As reference
+// points: a warm invoke round-robin over many objects is pinned at 4
+// allocations for a read and 5 for a write, and a warm write to one
+// object at 11 to 16 by concurrency mode (internal/runtime's
+// TestSpreadInvokeAllocationBudget and TestWriteInvokeAllocationBudget).
 //
 // Two tuning levers matter for write-hot objects. First,
 // `occValidate: keys` (ClassDef.OCCValidate / OCCValidateKeys)
@@ -616,7 +616,7 @@
 // default 256) served by GET /api/traces, GET /api/traces/{id}, and
 // GET /api/invocations/{id}/trace (`ocli traces`, `ocli trace`).
 // Spans are pooled and the disabled path costs zero allocations on
-// the warm invoke path (see BenchmarkInvokeTraced).
+// the warm invoke path (TestTracedInvokeAllocationBudget in core).
 //
 // GET /metrics serves the Prometheus text exposition: per-class
 // runtime series labeled {class="..."} (invocation counters, latency

@@ -243,3 +243,40 @@ func TestAsyncInvocationPublicAPI(t *testing.T) {
 		t.Fatalf("async stats = %+v", s.Async)
 	}
 }
+
+// BenchmarkMicroEndToEndInvoke measures a full platform invocation
+// (state load -> task bundle -> engine -> state merge) on a warm
+// nonpersist deployment.
+func BenchmarkMicroEndToEndInvoke(b *testing.B) {
+	noServe := false
+	tmpl := Template{
+		Name:       "micro",
+		EngineMode: EngineDeployment, TableMode: TableMemoryOnly,
+		DefaultConcurrency: 64, InitialScale: 2, MaxScale: 16,
+	}
+	plat, err := New(Config{Workers: 2, OpsPerMilliCPU: 1000, Templates: []Template{tmpl}, ServeObjectStore: &noServe})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer plat.Close()
+	plat.Images().Register("img/echo", HandlerFunc(func(_ context.Context, task Task) (Result, error) {
+		return Result{Output: task.Payload}, nil
+	}))
+	ctx := context.Background()
+	pkg := "classes:\n  - name: E\n    keySpecs:\n      - name: k\n        default: 0\n    functions:\n      - name: f\n        image: img/echo\n"
+	if _, err := plat.DeployYAML(ctx, []byte(pkg)); err != nil {
+		b.Fatal(err)
+	}
+	id, err := plat.CreateObject(ctx, "E", "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := json.RawMessage(`{"n":1}`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plat.Invoke(ctx, id, "f", payload, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
