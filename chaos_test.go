@@ -84,13 +84,12 @@ func chaosNodeKill(t *testing.T, seed int64) {
 	backing := kvstore.Open(kvstore.Config{})
 	defer backing.Close()
 	p, err := New(Config{
-		Workers:            3,
-		ColdStart:          time.Millisecond,
-		IdleTimeout:        time.Minute,
-		Backing:            backing,
-		OwnershipLeaseTTL:  300 * time.Millisecond,
-		OwnershipHeartbeat: 75 * time.Millisecond,
-		Chaos:              FaultPlan{Seed: seed}, // seeds lease/backoff jitter
+		Workers:           3,
+		ColdStart:         time.Millisecond,
+		IdleTimeout:       time.Minute,
+		Backing:           backing,
+		OwnershipLeaseTTL: 300 * time.Millisecond, // 100ms heartbeats
+		Chaos:             FaultPlan{Seed: seed},  // seeds lease/backoff jitter
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,14 +188,14 @@ func chaosNodeKill(t *testing.T, seed int64) {
 	for mem.Epoch() == epoch0 || !mem.Converge() {
 		if time.Now().After(deadline) {
 			t.Fatalf("rebalance never completed: epoch %d (was %d), live %d",
-				mem.Epoch(), epoch0, mem.LiveCount())
+				mem.Epoch(), epoch0, len(mem.Members()))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if took := time.Since(killedAt); took > 2*time.Second {
 		t.Fatalf("reassignment took %v, want bounded by a few lease TTLs", took)
 	}
-	if n := mem.LiveCount(); n != 2 {
+	if n := len(mem.Members()); n != 2 {
 		t.Fatalf("live members = %d after kill, want 2", n)
 	}
 	if owner, _ := mem.Owner(fenceObj); owner == victim {
@@ -293,13 +292,12 @@ func TestOwnershipCrashRecovery(t *testing.T) {
 	backing := kvstore.Open(kvstore.Config{})
 	defer backing.Close()
 	cfg := Config{
-		Workers:            2,
-		ColdStart:          time.Millisecond,
-		IdleTimeout:        time.Minute,
-		Backing:            backing,
-		OwnershipLeaseTTL:  2 * time.Second,
-		OwnershipHeartbeat: 100 * time.Millisecond,
-		AsyncWorkers:       1,
+		Workers:           2,
+		ColdStart:         time.Millisecond,
+		IdleTimeout:       time.Minute,
+		Backing:           backing,
+		OwnershipLeaseTTL: 2 * time.Second,
+		AsyncWorkers:      1,
 	}
 	a, err := New(cfg)
 	if err != nil {

@@ -111,6 +111,44 @@ func TestInvariants(t *testing.T) {
 		)},
 		{"one-webhook-url-rule", only("internal/model", "WebhookURL", "url.Parse(", 1)},
 		{"bounds-doc-not-reflective", calls("internal/eventlog", "json.Marshal(objMeta", 0)},
+
+		// A knob exists because something sets it, and a symbol because
+		// something calls it. A new Config leaf or a new exported function
+		// that only tests reach is a reviewed edit of one of these lists.
+		{"config-leaves-are-set", configLeavesAreSet(map[string]string{
+			"Config.AsyncClassQuotas":     "per-class async caps; the quota tests set them to see 429s",
+			"Config.AsyncDrainBatch":      "coalescing tests compare batched drains with per-task ones",
+			"Config.AsyncQueueCapacity":   "backpressure tests shrink the queue to fill it",
+			"Config.AsyncQueueShards":     "backpressure and long-poll tests pin one shard",
+			"Config.AsyncWorkers":         "contention and crash tests pin the worker count",
+			"Config.Backing":              "the restart path: crash and replay tests hand a successor the killed platform's store",
+			"Config.Breaker":              "the chaos soak shortens the breaker to see it open and close",
+			"Config.Chaos":                "the chaos soak's seeded fault schedule",
+			"Config.Clock":                "tests run the platform on a manual or hop-recording clock",
+			"Config.ConcurrencyMode":      "the contention test runs every mode",
+			"Config.EventLogMaxPerObject": "retention and replay tests lower the cap to see compaction",
+			"Config.ForwardLatency":       "the invoke conformance tests charge the ingress-to-owner hop",
+			"Config.TriggerMaxChainDepth": "the chain-cycle test lowers the depth bound",
+			"Config.TriggerOverflow":      "an observer test selects the block policy",
+			"Config.WebhookMaxRetries":    "delivery tests shorten the webhook policy to reach exhaustion",
+			"Config.WebhookRetryBackoff":  "delivery tests shorten the webhook policy to reach exhaustion",
+			"Config.WebhookTimeout":       "delivery tests shorten the webhook policy to reach timeouts",
+		})},
+		{"exported-has-a-caller", exportedHaveCallers(map[string]string{
+			"cluster.Cluster.RemoveNode":               "fault model: a worker VM lost mid-flight",
+			"core.Platform.DrainNode":                  "fault model: a worker leaves gracefully",
+			"core.Platform.KillNode":                   "fault model: a worker crashes and its lease lapses",
+			"core.Platform.RecoverStrandedInvocations": "crash model: a successor adopts a killed platform's queued work",
+			"kvstore.Store.InjectWriteFailures":        "fault model: the next writes fail",
+			"kvstore.Store.FaultsServed":               "fault model: how many injected faults the store served",
+			"vclock.NewManual":                         "virtual time tests drive",
+			"vclock.Manual.Advance":                    "virtual time tests drive",
+			"vclock.Manual.Pending":                    "virtual time tests drive",
+			"heaptest.PerEntry":                        "the measurement every resident-budget test compares against",
+			"cluster.Cluster.Deployments":              "deferred: deleting it deletes TestDeploymentsListed",
+			"vclock.TokenBucket.SetRate":               "deferred: deleting it deletes TestTokenBucketSetRate",
+			"vclock.TokenBucket.TryTake":               "deferred: deleting it deletes TestTokenBucketTryTake",
+		})},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if err := row.check(tr); err != nil {

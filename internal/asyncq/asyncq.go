@@ -232,14 +232,6 @@ type Config struct {
 	// GCInterval is the eviction sweep period. Defaults to RecordTTL/4
 	// (clamped to at least 1ms) and is ignored when RecordTTL is zero.
 	GCInterval time.Duration
-	// MaxRetries re-runs a failed invocation up to this many
-	// additional times before the record goes terminal-failed. A
-	// cancelled submission context is never retried. Zero disables
-	// retries.
-	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubled per
-	// attempt. Defaults to 10ms when MaxRetries is set.
-	RetryBackoff time.Duration
 	// ClassQuotas caps the queued (accepted but not yet dequeued)
 	// invocations per class name; over-quota submissions fail with
 	// ErrClassQuotaExceeded. Classes without an entry are unbounded
@@ -257,10 +249,10 @@ type Config struct {
 	Target func(objectID, member string) Target
 	// Requeue, when set, classifies execution errors that mean the
 	// invocation should go back to the queue with the same ID instead
-	// of retrying inline or failing terminally — the cluster ownership
-	// layer passes a predicate matching epoch-fence rejections, so work
-	// admitted on an ex-owner re-runs under the new ownership without
-	// ever acknowledging a failure. Requeued work is bounded by
+	// of failing terminally — the cluster ownership layer passes a
+	// predicate matching epoch-fence rejections, so work admitted on an
+	// ex-owner re-runs under the new ownership without ever
+	// acknowledging a failure. Requeued work is bounded by
 	// MaxRequeues and still respects the submission deadline.
 	Requeue func(error) bool
 	// MaxRequeues bounds how many times one invocation may be requeued
@@ -311,9 +303,6 @@ func (c Config) withDefaults() Config {
 		if c.GCInterval < time.Millisecond {
 			c.GCInterval = time.Millisecond
 		}
-	}
-	if c.MaxRetries > 0 && c.RetryBackoff <= 0 {
-		c.RetryBackoff = 10 * time.Millisecond
 	}
 	if c.Requeue != nil && c.MaxRequeues <= 0 {
 		c.MaxRequeues = 8
@@ -1111,12 +1100,12 @@ func (q *Queue) releaseQuota(batch []task) {
 // of two or more dispatch through the batch invoker in one group-commit
 // window when one is configured (counted in queue.coalesced); singleton
 // groups — and every group when no batch invoker is set — run through
-// the per-task path with its retry policy. Outcomes align with tasks.
+// the per-task path. Outcomes align with tasks.
 func (q *Queue) executeGroups(tasks []task) []outcome {
 	outcomes := make([]outcome, len(tasks))
 	if q.cfg.InvokeBatch == nil || len(tasks) == 1 {
 		for i, t := range tasks {
-			outcomes[i].out, outcomes[i].err = q.invokeWithRetries(t)
+			outcomes[i].out, outcomes[i].err = q.invoke(t)
 		}
 		return outcomes
 	}
@@ -1134,7 +1123,7 @@ func (q *Queue) executeGroups(tasks []task) []outcome {
 		idxs := groups[object]
 		if len(idxs) == 1 {
 			i := idxs[0]
-			outcomes[i].out, outcomes[i].err = q.invokeWithRetries(tasks[i])
+			outcomes[i].out, outcomes[i].err = q.invoke(tasks[i])
 			continue
 		}
 		q.cfg.Metrics.Counter("queue.coalesced").Add(int64(len(idxs)))
@@ -1163,15 +1152,7 @@ func (q *Queue) executeGroups(tasks []task) []outcome {
 			dspans[j].End()
 		}
 		for j, i := range idxs {
-			out, err := results[j].Output, results[j].Err
-			if err != nil && q.cfg.MaxRetries > 0 && !errors.Is(err, context.DeadlineExceeded) &&
-				!(q.cfg.Requeue != nil && q.cfg.Requeue(err)) {
-				// Failed group members re-run individually under the
-				// standard retry policy, keeping per-call retry
-				// semantics identical to the per-task path.
-				out, err = q.retry(tasks[i], out, err)
-			}
-			outcomes[i] = outcome{out: out, err: err}
+			outcomes[i] = outcome{out: results[j].Output, err: results[j].Err}
 		}
 	}
 	return outcomes
@@ -1201,54 +1182,6 @@ func failAll(calls []call.Call, err error) []call.Result {
 		out[i].Err = err
 	}
 	return out
-}
-
-// invokeWithRetries drives the retry policy: a failed invocation is
-// re-run up to MaxRetries additional times, waiting RetryBackoff
-// (doubled per attempt) between runs, before the failure becomes
-// terminal. Retries run inline on the worker — the invocation stays
-// "running" across attempts — and stop immediately once the
-// submitter's context is cancelled. Each re-run is counted in the
-// queue.retries metric (Stats().Retried).
-func (q *Queue) invokeWithRetries(t task) (json.RawMessage, error) {
-	out, err := q.invoke(t)
-	if err == nil || q.cfg.MaxRetries <= 0 || errors.Is(err, context.DeadlineExceeded) {
-		// A deadline expiry is never retried: the deadline is absolute,
-		// so every re-run would start already expired.
-		return out, err
-	}
-	if q.cfg.Requeue != nil && q.cfg.Requeue(err) {
-		// Requeue-classified errors (ownership fences) skip the inline
-		// retry: re-running immediately on this worker would race the
-		// rebalance it lost to. runBatch requeues it instead.
-		return out, err
-	}
-	return q.retry(t, out, err)
-}
-
-// retry re-runs an already-failed invocation under the backoff policy.
-func (q *Queue) retry(t task, out json.RawMessage, err error) (json.RawMessage, error) {
-	backoff := q.cfg.RetryBackoff
-	for attempt := 0; attempt < q.cfg.MaxRetries; attempt++ {
-		if t.ctx.Err() != nil {
-			return out, err
-		}
-		if !t.deadline.IsZero() && !q.cfg.Clock.Now().Before(t.deadline) {
-			return out, err
-		}
-		if serr := q.cfg.Clock.Sleep(t.ctx, backoff); serr != nil {
-			return out, err
-		}
-		backoff *= 2
-		q.cfg.Metrics.Counter("queue.retries").Inc()
-		if out, err = q.invoke(t); err == nil {
-			return out, nil
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			return out, err
-		}
-	}
-	return out, err
 }
 
 // invoke calls the handler with panic isolation, capping the execution
@@ -1294,9 +1227,6 @@ type Stats struct {
 	// (StatusExpired): stale queued work plus handlers that outlived
 	// their submission deadline.
 	Expired int64 `json:"expired"`
-	// Retried counts re-runs of failed invocations under the retry
-	// policy (Config.MaxRetries).
-	Retried int64 `json:"retried"`
 	// Requeued counts invocations sent back to the queue by the
 	// Requeue classifier (ownership moved mid-flight).
 	Requeued int64 `json:"requeued"`
@@ -1334,7 +1264,6 @@ func (q *Queue) Stats() Stats {
 		Completed:     m.Counter("queue.completed").Value(),
 		Failed:        m.Counter("queue.failed").Value(),
 		Expired:       m.Counter("queue.expired").Value(),
-		Retried:       m.Counter("queue.retries").Value(),
 		Requeued:      m.Counter("queue.requeued").Value(),
 		Recovered:     m.Counter("queue.recovered").Value(),
 		Evicted:       m.Counter("queue.evicted").Value(),

@@ -427,66 +427,8 @@ func (f *flakyInvoker) invoke(_ context.Context, _, _ string, _ json.RawMessage,
 	return json.RawMessage(`"recovered"`), nil
 }
 
-func TestRetryPolicyRecoversTransientFailure(t *testing.T) {
-	inv := &flakyInvoker{failures: 2}
-	q := newQueue(t, Config{
-		Invoke: inv.invoke, Workers: 1,
-		MaxRetries: 3, RetryBackoff: time.Millisecond,
-	})
-	ctx := context.Background()
-	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := q.Wait(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Status != StatusCompleted {
-		t.Fatalf("status = %s (%s), want completed after retries", rec.Status, rec.Error)
-	}
-	if string(rec.Result) != `"recovered"` {
-		t.Fatalf("result = %s", rec.Result)
-	}
-	if got := inv.calls.Load(); got != 3 {
-		t.Fatalf("handler ran %d times, want 3 (1 + 2 retries)", got)
-	}
-	st := q.Stats()
-	if st.Retried != 2 {
-		t.Fatalf("Stats().Retried = %d, want 2", st.Retried)
-	}
-	if st.Failed != 0 || st.Completed != 1 {
-		t.Fatalf("failed/completed = %d/%d, want 0/1", st.Failed, st.Completed)
-	}
-}
-
-func TestRetryPolicyExhaustionFails(t *testing.T) {
-	inv := &flakyInvoker{failures: 100}
-	q := newQueue(t, Config{
-		Invoke: inv.invoke, Workers: 1,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
-	})
-	ctx := context.Background()
-	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := q.Wait(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Status != StatusFailed || rec.Error == "" {
-		t.Fatalf("record = %+v, want failed with error after exhausted retries", rec)
-	}
-	if got := inv.calls.Load(); got != 3 {
-		t.Fatalf("handler ran %d times, want 3 (1 + 2 retries)", got)
-	}
-	st := q.Stats()
-	if st.Retried != 2 || st.Failed != 1 {
-		t.Fatalf("retried/failed = %d/%d, want 2/1", st.Retried, st.Failed)
-	}
-}
-
+// TestNoRetriesByDefault pins that a failed invocation runs once: the
+// queue re-runs work only when the Requeue classifier sends it back.
 func TestNoRetriesByDefault(t *testing.T) {
 	inv := &flakyInvoker{failures: 1}
 	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 1})
@@ -500,13 +442,10 @@ func TestNoRetriesByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.Status != StatusFailed {
-		t.Fatalf("status = %s, want failed (retries are opt-in)", rec.Status)
+		t.Fatalf("status = %s, want failed", rec.Status)
 	}
 	if got := inv.calls.Load(); got != 1 {
 		t.Fatalf("handler ran %d times, want 1", got)
-	}
-	if st := q.Stats(); st.Retried != 0 {
-		t.Fatalf("Stats().Retried = %d, want 0", st.Retried)
 	}
 }
 

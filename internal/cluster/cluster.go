@@ -74,23 +74,6 @@ func (n *Node) Name() string { return n.name }
 // Region returns the data center the node belongs to.
 func (n *Node) Region() string { return n.region }
 
-// Capacity returns the node's total resources.
-func (n *Node) Capacity() Resources { return n.cap }
-
-// Allocated returns currently allocated resources.
-func (n *Node) Allocated() Resources {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.alloc
-}
-
-// Free returns unallocated resources.
-func (n *Node) Free() Resources {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cap.sub(n.alloc)
-}
-
 // Compute returns the node's compute token bucket. Executors Take one
 // token per simulated unit of work; the refill rate embodies the VM's
 // processing capacity.
@@ -376,14 +359,9 @@ type Deployment struct {
 	pods map[string]*Pod
 }
 
-// CreateDeployment registers a deployment and scales it to replicas.
-func (c *Cluster) CreateDeployment(name string, req Resources, replicas int, strategy Strategy) (*Deployment, error) {
-	return c.CreateRegionDeployment(name, req, replicas, strategy, "")
-}
-
-// CreateRegionDeployment registers a deployment whose pods may only be
-// placed in the named region ("" = any). This realizes jurisdiction
-// constraints (paper §II-C / §VI future work).
+// CreateRegionDeployment registers a deployment, scaled to replicas,
+// whose pods may only be placed in the named region ("" = any). This
+// realizes jurisdiction constraints (paper §II-C / §VI future work).
 func (c *Cluster) CreateRegionDeployment(name string, req Resources, replicas int, strategy Strategy, region string) (*Deployment, error) {
 	if name == "" {
 		return nil, errors.New("cluster: empty deployment name")
@@ -409,17 +387,6 @@ func (c *Cluster) CreateRegionDeployment(name string, req Resources, replicas in
 	if err := d.Scale(replicas); err != nil {
 		_ = c.DeleteDeployment(name)
 		return nil, err
-	}
-	return d, nil
-}
-
-// Deployment returns the named deployment.
-func (c *Cluster) Deployment(name string) (*Deployment, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.deployments[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrDeploymentNotFound, name)
 	}
 	return d, nil
 }
@@ -455,9 +422,6 @@ func (c *Cluster) DeleteDeployment(name string) error {
 
 // Name returns the deployment name.
 func (d *Deployment) Name() string { return d.name }
-
-// Region returns the deployment's region constraint ("" = any).
-func (d *Deployment) Region() string { return d.region }
 
 // Replicas returns the current pod count.
 func (d *Deployment) Replicas() int {
@@ -527,14 +491,4 @@ func (d *Deployment) Scale(n int) error {
 		c.deletePodLocked(victim)
 		c.mu.Unlock()
 	}
-}
-
-// TotalComputeRate returns the sum of all node compute rates in
-// ops/second — the cluster's aggregate capacity.
-func (c *Cluster) TotalComputeRate() float64 {
-	var total float64
-	for _, n := range c.Nodes() {
-		total += n.compute.Rate()
-	}
-	return total
 }

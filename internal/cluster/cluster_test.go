@@ -9,6 +9,26 @@ import (
 
 func std() Resources { return Resources{MilliCPU: 1000, MemoryMB: 1024} }
 
+// deploy creates a deployment placeable in any region.
+func deploy(c *Cluster, name string, req Resources, replicas int, strategy Strategy) (*Deployment, error) {
+	return c.CreateRegionDeployment(name, req, replicas, strategy, "")
+}
+
+// registered reports whether c still tracks the named deployment.
+func registered(c *Cluster, name string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.deployments[name]
+	return ok
+}
+
+// allocated returns the mCPU a node has handed out to pods.
+func allocated(n *Node) int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.alloc.MilliCPU
+}
+
 func newCluster(t *testing.T, nodes int) *Cluster {
 	t.Helper()
 	c := New(Config{})
@@ -81,14 +101,18 @@ func TestTotalComputeRateScalesWithNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.TotalComputeRate(); got != 3000 {
-		t.Fatalf("TotalComputeRate = %v, want 3000", got)
+	var total float64
+	for _, n := range c.Nodes() {
+		total += n.Compute().Rate()
+	}
+	if total != 3000 {
+		t.Fatalf("aggregate compute rate = %v, want 3000", total)
 	}
 }
 
 func TestCreateDeploymentPlacesReplicas(t *testing.T) {
 	c := newCluster(t, 3)
-	d, err := c.CreateDeployment("fn", std(), 6, StrategySpread)
+	d, err := deploy(c, "fn", std(), 6, StrategySpread)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +130,7 @@ func TestCreateDeploymentPlacesReplicas(t *testing.T) {
 
 func TestSpreadBalances(t *testing.T) {
 	c := newCluster(t, 3)
-	if _, err := c.CreateDeployment("fn", std(), 6, StrategySpread); err != nil {
+	if _, err := deploy(c, "fn", std(), 6, StrategySpread); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range c.Nodes() {
@@ -118,7 +142,7 @@ func TestSpreadBalances(t *testing.T) {
 
 func TestBinPackFillsOneNodeFirst(t *testing.T) {
 	c := newCluster(t, 3)
-	if _, err := c.CreateDeployment("fn", std(), 4, StrategyBinPack); err != nil {
+	if _, err := deploy(c, "fn", std(), 4, StrategyBinPack); err != nil {
 		t.Fatal(err)
 	}
 	// 4000 mCPU nodes fit 4 pods of 1000 each: binpack puts all 4 on
@@ -140,7 +164,7 @@ func TestBinPackFillsOneNodeFirst(t *testing.T) {
 
 func TestScaleUpAndDown(t *testing.T) {
 	c := newCluster(t, 2)
-	d, err := c.CreateDeployment("fn", std(), 2, StrategySpread)
+	d, err := deploy(c, "fn", std(), 2, StrategySpread)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +183,7 @@ func TestScaleUpAndDown(t *testing.T) {
 	// Resources released.
 	var alloc int64
 	for _, n := range c.Nodes() {
-		alloc += n.Allocated().MilliCPU
+		alloc += allocated(n)
 	}
 	if alloc != 1000 {
 		t.Fatalf("allocated mCPU = %d, want 1000", alloc)
@@ -168,21 +192,21 @@ func TestScaleUpAndDown(t *testing.T) {
 
 func TestScaleToZero(t *testing.T) {
 	c := newCluster(t, 1)
-	d, _ := c.CreateDeployment("fn", std(), 2, StrategyBinPack)
+	d, _ := deploy(c, "fn", std(), 2, StrategyBinPack)
 	if err := d.Scale(0); err != nil {
 		t.Fatal(err)
 	}
 	if d.Replicas() != 0 {
 		t.Fatalf("Replicas = %d", d.Replicas())
 	}
-	if got := c.Nodes()[0].Allocated().MilliCPU; got != 0 {
+	if got := allocated(c.Nodes()[0]); got != 0 {
 		t.Fatalf("allocation leak: %d mCPU", got)
 	}
 }
 
 func TestScaleNegativeRejected(t *testing.T) {
 	c := newCluster(t, 1)
-	d, _ := c.CreateDeployment("fn", std(), 0, StrategyBinPack)
+	d, _ := deploy(c, "fn", std(), 0, StrategyBinPack)
 	if err := d.Scale(-1); err == nil {
 		t.Fatal("negative scale accepted")
 	}
@@ -190,7 +214,7 @@ func TestScaleNegativeRejected(t *testing.T) {
 
 func TestCapacityExhaustion(t *testing.T) {
 	c := newCluster(t, 1) // 4000 mCPU
-	d, err := c.CreateDeployment("fn", std(), 4, StrategyBinPack)
+	d, err := deploy(c, "fn", std(), 4, StrategyBinPack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,35 +229,35 @@ func TestCapacityExhaustion(t *testing.T) {
 
 func TestCreateDeploymentOverCapacityCleansUp(t *testing.T) {
 	c := newCluster(t, 1)
-	if _, err := c.CreateDeployment("huge", std(), 100, StrategyBinPack); !errors.Is(err, ErrNoCapacity) {
+	if _, err := deploy(c, "huge", std(), 100, StrategyBinPack); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v", err)
 	}
 	// The failed deployment must not linger.
-	if _, err := c.Deployment("huge"); !errors.Is(err, ErrDeploymentNotFound) {
-		t.Fatalf("failed deployment still registered: %v", err)
+	if registered(c, "huge") {
+		t.Fatal("failed deployment still registered")
 	}
 }
 
 func TestDuplicateDeployment(t *testing.T) {
 	c := newCluster(t, 1)
-	if _, err := c.CreateDeployment("fn", std(), 1, StrategyBinPack); err != nil {
+	if _, err := deploy(c, "fn", std(), 1, StrategyBinPack); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateDeployment("fn", std(), 1, StrategyBinPack); !errors.Is(err, ErrDeploymentExists) {
+	if _, err := deploy(c, "fn", std(), 1, StrategyBinPack); !errors.Is(err, ErrDeploymentExists) {
 		t.Fatalf("duplicate = %v", err)
 	}
 }
 
 func TestDeleteDeployment(t *testing.T) {
 	c := newCluster(t, 1)
-	c.CreateDeployment("fn", std(), 2, StrategyBinPack)
+	deploy(c, "fn", std(), 2, StrategyBinPack)
 	if err := c.DeleteDeployment("fn"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Deployment("fn"); !errors.Is(err, ErrDeploymentNotFound) {
-		t.Fatalf("lookup after delete = %v", err)
+	if registered(c, "fn") {
+		t.Fatal("deployment still registered after delete")
 	}
-	if got := c.Nodes()[0].Allocated().MilliCPU; got != 0 {
+	if got := allocated(c.Nodes()[0]); got != 0 {
 		t.Fatalf("allocation leak after delete: %d", got)
 	}
 	if err := c.DeleteDeployment("fn"); !errors.Is(err, ErrDeploymentNotFound) {
@@ -243,7 +267,7 @@ func TestDeleteDeployment(t *testing.T) {
 
 func TestRemoveNodeDropsItsPods(t *testing.T) {
 	c := newCluster(t, 2)
-	d, _ := c.CreateDeployment("fn", std(), 4, StrategySpread)
+	d, _ := deploy(c, "fn", std(), 4, StrategySpread)
 	if err := c.RemoveNode("vm-00"); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +298,7 @@ func TestRemoveAbsentNode(t *testing.T) {
 
 func TestPodsSnapshotSorted(t *testing.T) {
 	c := newCluster(t, 2)
-	d, _ := c.CreateDeployment("fn", std(), 3, StrategySpread)
+	d, _ := deploy(c, "fn", std(), 3, StrategySpread)
 	pods := d.Pods()
 	if len(pods) != 3 {
 		t.Fatalf("len = %d", len(pods))
@@ -306,7 +330,7 @@ func TestAllocationConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		d, err := c.CreateDeployment("fn", Resources{MilliCPU: 500, MemoryMB: 64}, 0, StrategySpread)
+		d, err := deploy(c, "fn", Resources{MilliCPU: 500, MemoryMB: 64}, 0, StrategySpread)
 		if err != nil {
 			return false
 		}
@@ -315,7 +339,7 @@ func TestAllocationConservationProperty(t *testing.T) {
 		}
 		var alloc int64
 		for _, n := range c.Nodes() {
-			alloc += n.Allocated().MilliCPU
+			alloc += allocated(n)
 		}
 		return alloc == int64(d.Replicas())*500
 	}
@@ -342,7 +366,7 @@ func TestPickNodeDeterministicTieBreak(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			d, err := c.CreateDeployment("tie", Resources{MilliCPU: 500, MemoryMB: 256}, 0, strategy)
+			d, err := deploy(c, "tie", Resources{MilliCPU: 500, MemoryMB: 256}, 0, strategy)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -658,10 +658,3 @@ func (m *Membership) Members() []MemberInfo {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// LiveCount returns the number of live members.
-func (m *Membership) LiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.live)
-}

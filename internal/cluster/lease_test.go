@@ -41,8 +41,8 @@ func TestMembershipJoinAndOwner(t *testing.T) {
 	if err := m.Join("vm-00"); !errors.Is(err, ErrNodeExists) {
 		t.Fatalf("duplicate join = %v", err)
 	}
-	if got := m.LiveCount(); got != 3 {
-		t.Fatalf("LiveCount = %d", got)
+	if got := len(m.Members()); got != 3 {
+		t.Fatalf("live members = %d", got)
 	}
 	owner, ok := m.Owner("obj-a")
 	if !ok || owner == "" {
@@ -164,8 +164,8 @@ func TestKillExpiresLeaseAndRebalances(t *testing.T) {
 	if newOwner, ok := m.Owner(hot); !ok || newOwner == owner {
 		t.Fatalf("object still owned by dead node %q (ok=%v)", newOwner, ok)
 	}
-	if m.LiveCount() != 2 {
-		t.Fatalf("LiveCount = %d after kill", m.LiveCount())
+	if len(m.Members()) != 2 {
+		t.Fatalf("live members = %d after kill", len(m.Members()))
 	}
 }
 
@@ -320,7 +320,7 @@ func TestLeaseRenewalPersists(t *testing.T) {
 	}
 	// Stays live well past the TTL because the heartbeat renews it.
 	time.Sleep(500 * time.Millisecond)
-	if m.LiveCount() != 1 {
-		t.Fatalf("heartbeated member expired: live=%d", m.LiveCount())
+	if len(m.Members()) != 1 {
+		t.Fatalf("heartbeated member expired: live=%d", len(m.Members()))
 	}
 }

@@ -51,8 +51,8 @@ func TestRegionDeploymentOnlyUsesMatchingNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Region() != "eu" {
-		t.Fatalf("deployment region = %q", d.Region())
+	if d.region != "eu" {
+		t.Fatalf("deployment region = %q", d.region)
 	}
 	for _, p := range d.Pods() {
 		if p.Node != "eu-0" {
@@ -89,8 +89,8 @@ func TestRegionDeploymentUnknownRegion(t *testing.T) {
 
 func TestDeploymentsListed(t *testing.T) {
 	c := newCluster(t, 2)
-	c.CreateDeployment("b-dep", std(), 1, StrategySpread)
-	c.CreateDeployment("a-dep", std(), 1, StrategySpread)
+	deploy(c, "b-dep", std(), 1, StrategySpread)
+	deploy(c, "a-dep", std(), 1, StrategySpread)
 	got := c.Deployments()
 	if strings.Join(got, ",") != "a-dep,b-dep" {
 		t.Fatalf("Deployments = %v", got)

@@ -105,16 +105,15 @@ func newConformancePlatform(t *testing.T) (*Platform, *hopClock) {
 	t.Helper()
 	clock := newHopClock(conformanceRegionRTT, conformanceForwardRTT)
 	p, err := New(Config{
-		Workers:                   3,
-		Regions:                   []RegionSpec{{Name: "eu", Workers: 1}},
-		InterRegionLatency:        conformanceRegionRTT / 2,
-		ForwardLatency:            conformanceForwardRTT / 2,
-		OwnershipLeaseTTL:         time.Hour,
-		OwnershipTransitionWindow: time.Hour,
-		AsyncClassQuotas:          map[string]int{"EuCounter": 1024},
-		ColdStart:                 time.Millisecond,
-		IdleTimeout:               time.Minute,
-		Clock:                     clock,
+		Workers:            3,
+		Regions:            []RegionSpec{{Name: "eu", Workers: 1}},
+		InterRegionLatency: conformanceRegionRTT / 2,
+		ForwardLatency:     conformanceForwardRTT / 2,
+		OwnershipLeaseTTL:  time.Hour,
+		AsyncClassQuotas:   map[string]int{"EuCounter": 1024},
+		ColdStart:          time.Millisecond,
+		IdleTimeout:        time.Minute,
+		Clock:              clock,
 	})
 	if err != nil {
 		t.Fatal(err)

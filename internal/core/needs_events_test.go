@@ -73,7 +73,7 @@ func bump(t *testing.T, p *Platform, id string) int64 {
 // nextOffset is the offset the object's next logged event will get.
 func nextOffset(t *testing.T, p *Platform, id string) int64 {
 	t.Helper()
-	_, next, err := p.EventBounds(context.Background(), id)
+	_, next, err := p.elog.Bounds(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +155,8 @@ func TestEventLogIsStickyPerObject(t *testing.T) {
 	observe(t, p1, "hook", "Tally", sink)
 	bump(t, p1, "a")
 	waitUntil(t, "delivery of a's first event", func() bool { return len(sink.offsets()) == 1 })
-	if !p1.UnsubscribeTrigger("hook") {
-		t.Fatal("subscription was not registered")
+	if ok, err := p1.UnsubscribeTrigger("hook"); err != nil || !ok {
+		t.Fatalf("unsubscribe = %v, %v; want a registered subscription removed", ok, err)
 	}
 	bump(t, p1, "a")
 	bump(t, p1, "b")
@@ -174,7 +174,9 @@ func TestEventLogIsStickyPerObject(t *testing.T) {
 	if got := sink.offsets(); got[0] != 1 || got[1] != 2 {
 		t.Fatalf("delivered offsets %v, want [1 2]", got)
 	}
-	p1.UnsubscribeTrigger("hook")
+	if _, err := p1.UnsubscribeTrigger("hook"); err != nil {
+		t.Fatal(err)
+	}
 	p1.Kill()
 
 	p2 := newEventPlatform(t, cfg)
@@ -224,7 +226,9 @@ func TestRecoveredUnobservedObjectCommitsWithoutStoreRead(t *testing.T) {
 			bump(t, p1, "seen")
 			bump(t, p1, "seen")
 			waitUntil(t, "delivery of seen's first two events", func() bool { return len(sink.offsets()) == 2 })
-			p1.UnsubscribeTrigger("hook")
+			if _, err := p1.UnsubscribeTrigger("hook"); err != nil {
+				t.Fatal(err)
+			}
 			bump(t, p1, "seen") // logged (a begun log never stops), not delivered
 			quiet := make([]string, 64)
 			for i := range quiet {

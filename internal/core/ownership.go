@@ -233,21 +233,17 @@ func (p *Platform) ClusterStats() ClusterStats {
 // joins every cluster node. Callers wire OnRebalance before any lease
 // can lapse because the monitor only starts inside NewMembership.
 func newOwnership(p *Platform, cfg Config) (*ownership, error) {
-	hb := cfg.OwnershipHeartbeat
-	if hb <= 0 {
-		hb = cfg.OwnershipLeaseTTL / 3
-	}
-	window := cfg.OwnershipTransitionWindow
-	if window <= 0 {
-		window = hb
-	}
-	o := &ownership{retryAfter: window}
+	// A lease renews every third of its TTL, and a rebalance's
+	// transition window lasts one heartbeat: also how long a routed
+	// invocation that races it is told to back off.
+	heartbeat := cfg.OwnershipLeaseTTL / 3
+	o := &ownership{retryAfter: heartbeat}
 	members, err := cluster.NewMembership(cluster.MembershipConfig{
 		Backing:          p.backing,
 		Clock:            cfg.Clock,
 		LeaseTTL:         cfg.OwnershipLeaseTTL,
-		Heartbeat:        cfg.OwnershipHeartbeat,
-		TransitionWindow: window,
+		Heartbeat:        heartbeat,
+		TransitionWindow: heartbeat,
 		JitterSeed:       cfg.Chaos.Seed,
 		OnRebalance:      p.onRebalance,
 	})

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/asyncq"
@@ -71,26 +70,19 @@ var (
 
 // Config sizes and tunes a Platform.
 type Config struct {
-	// Workers is the number of simulated worker VMs. Defaults to 3
-	// (the paper's smallest configuration).
+	// Workers is the number of simulated worker VMs (4 vCPU / 8 GiB
+	// each). Defaults to 3 (the paper's smallest configuration).
 	Workers int
-	// VMResources is each worker's capacity. Defaults to 4 vCPU /
-	// 8 GiB.
-	VMResources cluster.Resources
 	// OpsPerMilliCPU converts VM CPU into function executions/sec.
 	// Defaults to 1 (i.e. 4000 ops/s per 4-vCPU VM).
 	OpsPerMilliCPU float64
 	// DBWriteOpsPerSec caps the document store's write throughput —
 	// the bottleneck behind the paper's Figure 3. 0 = unlimited.
 	DBWriteOpsPerSec float64
-	// DBWriteLatency / DBReadLatency are per-operation service times.
-	DBWriteLatency time.Duration
-	DBReadLatency  time.Duration
-	// KnativeOverhead / BypassOverhead / ColdStart parameterize the
-	// FaaS engines (see internal/faas).
-	KnativeOverhead time.Duration
-	BypassOverhead  time.Duration
-	ColdStart       time.Duration
+	// DBReadLatency is the document store's per-read service time.
+	DBReadLatency time.Duration
+	// ColdStart parameterizes the FaaS engines (see internal/faas).
+	ColdStart time.Duration
 	// ScaleInterval / IdleTimeout drive Knative-mode autoscalers.
 	ScaleInterval time.Duration
 	IdleTimeout   time.Duration
@@ -136,15 +128,10 @@ type Config struct {
 	// expiry triggers rebalancing plus requeue of the dead node's
 	// durable async work (see internal/cluster.Membership). Zero — the
 	// default — disables the layer entirely: no heartbeats, no fence,
-	// no hot-path overhead.
+	// no hot-path overhead. Leases renew every TTL/3, and after a
+	// rebalance routed invocations fast-fail with a retryable
+	// "ownership moving" error for one such heartbeat.
 	OwnershipLeaseTTL time.Duration
-	// OwnershipHeartbeat overrides the lease renewal interval
-	// (defaults to OwnershipLeaseTTL/3).
-	OwnershipHeartbeat time.Duration
-	// OwnershipTransitionWindow is how long routed invocations
-	// fast-fail with a retryable "ownership moving" error after a
-	// rebalance (defaults to the heartbeat interval).
-	OwnershipTransitionWindow time.Duration
 	// ForwardLatency is the one-way latency charged per ingress→owner
 	// forwarding hop when a routed invocation lands on a node that
 	// does not own the object (round trip: 2×, as for
@@ -163,19 +150,9 @@ type Config struct {
 	AsyncQueueShards int
 	// AsyncRecordTTL evicts completed/failed invocation records this
 	// long after they finish, keeping the record table bounded on
-	// long-running platforms. Zero keeps records forever.
+	// long-running platforms, swept every quarter TTL. Zero keeps
+	// records forever.
 	AsyncRecordTTL time.Duration
-	// AsyncGCInterval overrides the record-eviction sweep period
-	// (defaults to AsyncRecordTTL/4).
-	AsyncGCInterval time.Duration
-	// AsyncMaxRetries re-runs a failed asynchronous invocation up to
-	// this many additional times (with AsyncRetryBackoff between
-	// attempts) before its record goes terminal-failed. Zero disables
-	// retries.
-	AsyncMaxRetries int
-	// AsyncRetryBackoff is the delay before the first async retry,
-	// doubled per attempt. Defaults to 10ms when retries are enabled.
-	AsyncRetryBackoff time.Duration
 	// AsyncDrainBatch is the maximum number of queued invocations one
 	// async worker pulls per drain; same-object pulls coalesce through
 	// the group-commit InvokeBatch path. Defaults to 16; 1 restores
@@ -202,12 +179,6 @@ type Config struct {
 	// Chaos installs a seeded probabilistic fault schedule on the
 	// backing store (the chaos harness). The zero plan injects nothing.
 	Chaos kvstore.FaultPlan
-	// TriggerShards / TriggerBuffer size the event bus: events spread
-	// across TriggerShards dispatch partitions (by object, preserving
-	// per-object order) of TriggerBuffer queued events each. Default
-	// 4 shards × 256 events.
-	TriggerShards int
-	TriggerBuffer int
 	// TriggerOverflow selects what happens when an event finds its bus
 	// shard full: trigger.OverflowDrop (default) counts and discards
 	// it, trigger.OverflowBlock backpressures the commit path.
@@ -217,23 +188,10 @@ type Config struct {
 	// dispatched to method sinks (counted in Stats().Triggers.Dropped
 	// and CycleDropped). Defaults to 8.
 	TriggerMaxChainDepth int
-	// TriggerDeliveryWorkers sizes the event bus's sink delivery pool
-	// (webhook POSTs and cursor-consumer runs; never the dispatch
-	// loops, so a stalled endpoint cannot block dispatch). Defaults
-	// to 4.
-	TriggerDeliveryWorkers int
-	// EventLogRetention evicts an object's log entries this long after
-	// their append (on the background sweep). Zero keeps entries until
-	// EventLogMaxPerObject evicts them.
-	EventLogRetention time.Duration
 	// EventLogMaxPerObject caps each object's retained log entries
 	// (oldest evicted first). Defaults to 1024; negative disables the
 	// cap.
 	EventLogMaxPerObject int
-	// EventLogGCInterval overrides the event-log retention sweep
-	// period; it piggybacks on the async GC cadence by default
-	// (AsyncGCInterval when set, else EventLogRetention/4).
-	EventLogGCInterval time.Duration
 	// WebhookMaxRetries / WebhookRetryBackoff / WebhookTimeout tune
 	// webhook sink delivery: a failed POST is retried up to
 	// WebhookMaxRetries additional times with WebhookRetryBackoff
@@ -243,15 +201,6 @@ type Config struct {
 	WebhookMaxRetries   int
 	WebhookRetryBackoff time.Duration
 	WebhookTimeout      time.Duration
-	// TombstoneTTL evicts a deleted state key's version tombstone this
-	// long after the deletion, keeping class state tables bounded under
-	// object churn (see memtable.Config.TombstoneTTL). Zero keeps
-	// tombstones forever.
-	TombstoneTTL time.Duration
-	// TombstoneGCInterval overrides the tombstone sweep period; the
-	// sweep piggybacks on the async GC cadence by default
-	// (AsyncGCInterval when set, else TombstoneTTL/4).
-	TombstoneGCInterval time.Duration
 	// ServeObjectStore starts a loopback HTTP server for the object
 	// store so presigned URLs are fetchable. Defaults to true; benches
 	// that never touch file keys can disable it.
@@ -263,8 +212,6 @@ type Config struct {
 	// ownership (Close/Kill leave the store open). Nil opens a private
 	// store sized by the DB* knobs.
 	Backing *kvstore.Store
-	// Secret signs presigned URLs. Defaults to a random value.
-	Secret string
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
 }
@@ -273,17 +220,11 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 3
 	}
-	if c.VMResources.MilliCPU <= 0 {
-		c.VMResources = cluster.Resources{MilliCPU: 4000, MemoryMB: 8192}
-	}
 	if c.OpsPerMilliCPU <= 0 {
 		c.OpsPerMilliCPU = 1
 	}
 	if len(c.Templates) == 0 {
 		c.Templates = runtime.DefaultTemplates()
-	}
-	if c.Secret == "" {
-		c.Secret = randomID()
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()
@@ -292,17 +233,11 @@ func (c Config) withDefaults() Config {
 		yes := true
 		c.ServeObjectStore = &yes
 	}
-	if c.TombstoneTTL > 0 && c.TombstoneGCInterval <= 0 && c.AsyncGCInterval > 0 {
-		// Piggyback the tombstone sweep on the async GC cadence so one
-		// configured interval paces both background reclaimers.
-		c.TombstoneGCInterval = c.AsyncGCInterval
-	}
-	if c.EventLogGCInterval <= 0 && c.AsyncGCInterval > 0 {
-		// Same piggyback for the event-log retention sweep.
-		c.EventLogGCInterval = c.AsyncGCInterval
-	}
 	return c
 }
+
+// vmResources is every worker VM's capacity: 4 vCPU / 8 GiB.
+var vmResources = cluster.Resources{MilliCPU: 4000, MemoryMB: 8192}
 
 // RegionSpec sizes one additional data center.
 type RegionSpec struct {
@@ -311,9 +246,6 @@ type RegionSpec struct {
 	Name string
 	// Workers is the VM count in this region.
 	Workers int
-	// VMResources overrides the per-VM capacity (defaults to the
-	// platform's VMResources).
-	VMResources cluster.Resources
 }
 
 // objectRecord is the directory entry for one object, resident whether
@@ -362,8 +294,6 @@ type Platform struct {
 	classNames []string
 	classIDs   map[string]uint32
 	closed     bool
-
-	triggersFired atomic.Int64
 }
 
 // New builds a platform: worker VMs, document store, object store
@@ -373,7 +303,7 @@ func New(cfg Config) (*Platform, error) {
 	cfg = cfg.withDefaults()
 	cl := cluster.New(cluster.Config{OpsPerMilliCPU: cfg.OpsPerMilliCPU, Clock: cfg.Clock})
 	for i := 0; i < cfg.Workers; i++ {
-		if _, err := cl.AddNode(fmt.Sprintf("vm-%02d", i), cfg.VMResources); err != nil {
+		if _, err := cl.AddNode(fmt.Sprintf("vm-%02d", i), vmResources); err != nil {
 			return nil, fmt.Errorf("core: adding worker: %w", err)
 		}
 	}
@@ -381,13 +311,9 @@ func New(cfg Config) (*Platform, error) {
 		if region.Name == "" || region.Workers <= 0 {
 			return nil, fmt.Errorf("core: region spec needs a name and positive workers: %+v", region)
 		}
-		res := region.VMResources
-		if res.MilliCPU <= 0 {
-			res = cfg.VMResources
-		}
 		for i := 0; i < region.Workers; i++ {
 			name := fmt.Sprintf("%s-vm-%02d", region.Name, i)
-			if _, err := cl.AddRegionNode(name, region.Name, res); err != nil {
+			if _, err := cl.AddRegionNode(name, region.Name, vmResources); err != nil {
 				return nil, fmt.Errorf("core: adding worker in %s: %w", region.Name, err)
 			}
 		}
@@ -401,10 +327,21 @@ func New(cfg Config) (*Platform, error) {
 	if ownsBacking {
 		backing = kvstore.Open(kvstore.Config{
 			WriteOpsPerSec: cfg.DBWriteOpsPerSec,
-			WriteLatency:   cfg.DBWriteLatency,
 			ReadLatency:    cfg.DBReadLatency,
 			Clock:          cfg.Clock,
 		})
+	}
+	// undo stops what New has started so far, newest first — the order
+	// Close tears a platform down in — when a later step fails.
+	var undo []func()
+	fail := func(err error) (*Platform, error) {
+		for i := len(undo) - 1; i >= 0; i-- {
+			undo[i]()
+		}
+		return nil, err
+	}
+	if ownsBacking {
+		undo = append(undo, backing.Close)
 	}
 	// One circuit breaker guards the backing store: the store consults
 	// it on every operation (Allow before, Record after), so kvstore
@@ -426,18 +363,13 @@ func New(cfg Config) (*Platform, error) {
 		backing:     backing,
 		breaker:     breaker,
 		ownsBacking: ownsBacking,
-		objects:     objectstore.New(cfg.Secret, cfg.Clock),
+		objects:     objectstore.New(randomID(), cfg.Clock),
 		images:      invoker.NewRegistry(),
 		templates:   templates,
 		classes:     make(map[string]*model.Class),
 		runtimes:    make(map[string]*runtime.ClassRuntime),
 		dir:         make(map[string]objectRecord),
 		classIDs:    make(map[string]uint32),
-	}
-	closeBacking := func() {
-		if p.ownsBacking {
-			p.backing.Close()
-		}
 	}
 	p.optim = optimizer.New(optimizer.Config{Interval: cfg.OptimizerInterval, Clock: cfg.Clock})
 	if cfg.EnableTracing {
@@ -455,19 +387,15 @@ func New(cfg Config) (*Platform, error) {
 	// decided per object by trigger.Bus.NeedsEvents.
 	p.elog, err = eventlog.New(eventlog.Config{
 		Backing:      p.backing,
-		RetentionTTL: cfg.EventLogRetention,
 		MaxPerObject: cfg.EventLogMaxPerObject,
-		GCInterval:   cfg.EventLogGCInterval,
 		Clock:        cfg.Clock,
 	})
 	if err != nil {
-		closeBacking()
-		return nil, fmt.Errorf("core: event log: %w", err)
+		return fail(fmt.Errorf("core: event log: %w", err))
 	}
+	undo = append(undo, p.elog.Close)
 	if err := p.elog.LoadCursors(context.Background()); err != nil {
-		p.elog.Close()
-		closeBacking()
-		return nil, fmt.Errorf("core: recovering event cursors: %w", err)
+		return fail(fmt.Errorf("core: recovering event cursors: %w", err))
 	}
 	// The event bus routes committed-state and terminal-invocation
 	// events to data-triggered methods (through the async queue),
@@ -475,11 +403,8 @@ func New(cfg Config) (*Platform, error) {
 	p.bus, err = trigger.New(trigger.Config{
 		InvokeAsync:       p.InvokeAsync,
 		Log:               p.elog,
-		Shards:            cfg.TriggerShards,
-		Buffer:            cfg.TriggerBuffer,
 		Overflow:          cfg.TriggerOverflow,
 		MaxChainDepth:     cfg.TriggerMaxChainDepth,
-		DeliveryWorkers:   cfg.TriggerDeliveryWorkers,
 		WebhookMaxRetries: cfg.WebhookMaxRetries,
 		WebhookBackoff:    cfg.WebhookRetryBackoff,
 		WebhookTimeout:    cfg.WebhookTimeout,
@@ -488,10 +413,9 @@ func New(cfg Config) (*Platform, error) {
 		Clock:             cfg.Clock,
 	})
 	if err != nil {
-		p.elog.Close()
-		closeBacking()
-		return nil, fmt.Errorf("core: event bus: %w", err)
+		return fail(fmt.Errorf("core: event bus: %w", err))
 	}
+	undo = append(undo, p.bus.Close)
 	// The async queue drains through the synchronous Invoke path and
 	// persists its invocation records in the shared document store.
 	// Terminal records publish InvocationCompleted/InvocationFailed
@@ -505,66 +429,46 @@ func New(cfg Config) (*Platform, error) {
 		requeue = requeueable
 	}
 	p.queue, err = asyncq.New(asyncq.Config{
-		Invoke:       p.Invoke,
-		InvokeBatch:  p.invokeGroup,
-		DrainBatch:   cfg.AsyncDrainBatch,
-		Workers:      cfg.AsyncWorkers,
-		Capacity:     cfg.AsyncQueueCapacity,
-		Shards:       cfg.AsyncQueueShards,
-		RecordTTL:    cfg.AsyncRecordTTL,
-		GCInterval:   cfg.AsyncGCInterval,
-		MaxRetries:   cfg.AsyncMaxRetries,
-		RetryBackoff: cfg.AsyncRetryBackoff,
-		ClassQuotas:  cfg.AsyncClassQuotas,
-		Target:       p.asyncTarget,
-		OnTerminal:   p.onAsyncTerminal,
-		Drain:        p.bus.Drain,
-		Backing:      p.backing,
-		Requeue:      requeue,
-		Clock:        cfg.Clock,
+		Invoke:      p.Invoke,
+		InvokeBatch: p.invokeGroup,
+		DrainBatch:  cfg.AsyncDrainBatch,
+		Workers:     cfg.AsyncWorkers,
+		Capacity:    cfg.AsyncQueueCapacity,
+		Shards:      cfg.AsyncQueueShards,
+		RecordTTL:   cfg.AsyncRecordTTL,
+		ClassQuotas: cfg.AsyncClassQuotas,
+		Target:      p.asyncTarget,
+		OnTerminal:  p.onAsyncTerminal,
+		Drain:       p.bus.Drain,
+		Backing:     p.backing,
+		Requeue:     requeue,
+		Clock:       cfg.Clock,
 	})
 	if err != nil {
-		p.bus.Close()
-		p.elog.Close()
-		closeBacking()
-		return nil, fmt.Errorf("core: async queue: %w", err)
+		return fail(fmt.Errorf("core: async queue: %w", err))
 	}
+	undo = append(undo, p.queue.Close)
 	// The ownership layer joins every worker VM once the queue and bus
 	// exist, because its rebalance hook requeues stranded async work
 	// through them.
 	if cfg.OwnershipLeaseTTL > 0 {
 		p.own, err = newOwnership(p, cfg)
 		if err != nil {
-			p.queue.Close()
-			p.elog.Close()
-			closeBacking()
-			return nil, err
+			return fail(err)
 		}
-	}
-	closeOwnership := func() {
-		if p.own != nil {
-			p.own.members.Close()
-		}
+		undo = append(undo, p.own.members.Close)
 	}
 	// Recover durable control-plane state from the backing store: the
 	// object directory and named trigger subscriptions. Re-registering
 	// a subscription schedules redelivery of any backlog its stored
 	// cursors point at, so deliveries a crash interrupted resume here.
 	if err := p.recover(context.Background()); err != nil {
-		closeOwnership()
-		p.queue.Close()
-		p.elog.Close()
-		closeBacking()
-		return nil, err
+		return fail(err)
 	}
 	if *cfg.ServeObjectStore {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			closeOwnership()
-			p.queue.Close()
-			p.elog.Close()
-			closeBacking()
-			return nil, fmt.Errorf("core: object store listener: %w", err)
+			return fail(fmt.Errorf("core: object store listener: %w", err))
 		}
 		p.objectsLn = ln
 		p.objectsSv = &http.Server{Handler: p.objects.Handler()}
@@ -672,14 +576,10 @@ func (p *Platform) handleUpload(ev objectstore.UploadEvent) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := p.Invoke(ctx, objectID, tr.Function, payload, map[string]string{"trigger": "onUpload"}); err == nil {
-		p.triggersFired.Add(1)
-	}
+	// The upload has landed whatever the function does; its failures
+	// show in the class runtime's own invoke metrics.
+	_, _ = p.Invoke(ctx, objectID, tr.Function, payload, map[string]string{"trigger": "onUpload"})
 }
-
-// TriggersFired reports how many upload triggers have successfully
-// invoked their function.
-func (p *Platform) TriggersFired() int64 { return p.triggersFired.Load() }
 
 // onAsyncTerminal publishes the terminal event of an asynchronous
 // invocation (wired as the queue's OnTerminal hook) when someone can
@@ -714,10 +614,15 @@ func (p *Platform) TriggerBus() *trigger.Bus { return p.bus }
 // SubscribeTrigger registers (or replaces) a named dynamic event
 // subscription and persists it, so a platform restart against the
 // same backing store restores the subscription — and resumes its
-// delivery cursors. YAML-declared class triggers are managed
+// delivery cursors. The subscription is live only once it is stored:
+// an invalid one (errors.Is trigger.ErrInvalidSubscription) or a failed
+// store write changes nothing. YAML-declared class triggers are managed
 // separately by DeployPackage and are not addressable here.
 func (p *Platform) SubscribeTrigger(name string, sub trigger.Subscription) error {
-	if err := p.bus.Subscribe(name, sub); err != nil {
+	if name == "" {
+		return fmt.Errorf("%w: needs a name", trigger.ErrInvalidSubscription)
+	}
+	if err := sub.Validate(); err != nil {
 		return err
 	}
 	raw, err := json.Marshal(sub)
@@ -727,20 +632,19 @@ func (p *Platform) SubscribeTrigger(name string, sub trigger.Subscription) error
 	if _, err := p.backing.Put(context.Background(), "triggersubs/"+name, raw); err != nil {
 		return fmt.Errorf("core: persisting trigger subscription: %w", err)
 	}
-	return nil
+	return p.bus.Subscribe(name, sub)
 }
 
 // UnsubscribeTrigger removes a named dynamic subscription, reporting
-// whether it existed. The stored delivery cursors are kept:
+// whether it existed. It deletes the stored subscription first, so a
+// failed delete leaves it live and returns the error rather than let a
+// restart resurrect it. The stored delivery cursors are kept:
 // re-subscribing under the same name resumes them.
-func (p *Platform) UnsubscribeTrigger(name string) bool {
-	ok := p.bus.Unsubscribe(name)
-	if err := p.backing.Delete(context.Background(), "triggersubs/"+name); err != nil && !errors.Is(err, kvstore.ErrNotFound) {
-		// The in-memory removal stands; a restart may resurrect the
-		// subscription until the delete lands on a retry path.
-		_ = err
+func (p *Platform) UnsubscribeTrigger(name string) (bool, error) {
+	if err := p.backing.Delete(context.Background(), "triggersubs/"+name); err != nil {
+		return false, fmt.Errorf("core: deleting trigger subscription: %w", err)
 	}
-	return ok
+	return p.bus.Unsubscribe(name), nil
 }
 
 // TriggerSubscriptions lists the named dynamic subscriptions (sorted
@@ -779,15 +683,6 @@ func (p *Platform) ReadEvents(ctx context.Context, objectID string, from int64, 
 	return p.elog.Read(ctx, objectID, from, max)
 }
 
-// EventBounds returns one object's retained event-log floor and
-// next-append offset (replayable entries are [first, next)).
-func (p *Platform) EventBounds(ctx context.Context, objectID string) (first, next int64, err error) {
-	if _, err := p.ObjectClass(objectID); err != nil {
-		return 0, 0, err
-	}
-	return p.elog.Bounds(ctx, objectID)
-}
-
 // randomID returns an 8-byte hex identifier.
 func randomID() string {
 	var b [8]byte
@@ -808,9 +703,6 @@ func (p *Platform) Cluster() *cluster.Cluster { return p.cluster }
 // Backing exposes the document store (benches inspect write stats).
 func (p *Platform) Backing() *kvstore.Store { return p.backing }
 
-// ObjectStore exposes the unstructured store.
-func (p *Platform) ObjectStore() *objectstore.Store { return p.objects }
-
 // ObjectStoreURL returns the loopback base URL of the served object
 // store ("" when serving is disabled).
 func (p *Platform) ObjectStoreURL() string {
@@ -823,9 +715,6 @@ func (p *Platform) ObjectStoreURL() string {
 // Optimizer exposes the QoS control loop.
 func (p *Platform) Optimizer() *optimizer.Optimizer { return p.optim }
 
-// Templates exposes the provider's template registry.
-func (p *Platform) Templates() *runtime.TemplateRegistry { return p.templates }
-
 // infra assembles the Infra view handed to class runtimes.
 func (p *Platform) infra() runtime.Infra {
 	inf := runtime.Infra{
@@ -834,8 +723,6 @@ func (p *Platform) infra() runtime.Infra {
 		Backing:              p.backing,
 		Objects:              p.objects,
 		ObjectsBaseURL:       p.ObjectStoreURL(),
-		KnativeOverhead:      p.cfg.KnativeOverhead,
-		BypassOverhead:       p.cfg.BypassOverhead,
 		ColdStart:            p.cfg.ColdStart,
 		ScaleInterval:        p.cfg.ScaleInterval,
 		IdleTimeout:          p.cfg.IdleTimeout,
@@ -844,8 +731,6 @@ func (p *Platform) infra() runtime.Infra {
 		Events:               p.bus.Publish,
 		EventsBatch:          p.bus.PublishBatch,
 		EventsNeeded:         p.bus.NeedsEvents,
-		TombstoneTTL:         p.cfg.TombstoneTTL,
-		TombstoneGCInterval:  p.cfg.TombstoneGCInterval,
 		Degraded:             p.Degraded,
 		PprofLabels:          p.cfg.PprofLabels,
 		Clock:                p.cfg.Clock,

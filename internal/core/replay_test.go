@@ -217,7 +217,7 @@ func TestCrashReplayRedeliversEvents(t *testing.T) {
 			t.Fatalf("entry %d has offset %d (gap): %+v", i, e.Offset, entries)
 		}
 	}
-	first, next, err := p2.EventBounds(ctx, doc)
+	first, next, err := p2.elog.Bounds(ctx, doc)
 	if err != nil || first != 1 || next != int64(writes+1) {
 		t.Fatalf("bounds = [%d, %d), %v; want [1, %d)", first, next, err, writes+1)
 	}
@@ -244,7 +244,7 @@ func TestEventLogRetentionTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first, next, err := p.EventBounds(ctx, doc)
+	first, next, err := p.elog.Bounds(ctx, doc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,10 +179,6 @@ func topoSort(steps []model.DataflowStep, deps map[string][]string) ([]string, e
 // Name returns the dataflow's name.
 func (p *Plan) Name() string { return p.def.Name }
 
-// Order returns the deterministic topological order (primarily for
-// inspection and tests).
-func (p *Plan) Order() []string { return append([]string(nil), p.order...) }
-
 // Execute runs the plan. Steps run as soon as their dependencies
 // complete; independent steps run concurrently. The first failure
 // cancels outstanding steps and is returned wrapped in ErrStepFailed.

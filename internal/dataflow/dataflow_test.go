@@ -87,7 +87,7 @@ func TestTopologicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(p.Order(), ","); got != "a,b,c" {
+	if got := strings.Join(p.order, ","); got != "a,b,c" {
 		t.Fatalf("order = %s", got)
 	}
 }
@@ -363,7 +363,7 @@ func TestTopoOrderRespectsDepsProperty(t *testing.T) {
 			return false
 		}
 		pos := map[string]int{}
-		for i, name := range p.Order() {
+		for i, name := range p.order {
 			pos[name] = i
 		}
 		for _, s := range steps {

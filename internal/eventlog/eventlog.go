@@ -16,8 +16,8 @@
 //
 // Retention is bounded two ways: MaxPerObject caps each object's
 // retained entries (the oldest are evicted as new ones append) and
-// RetentionTTL ages entries out on the background sweep, which rides
-// the platform's async GC cadence. Reading below the retained floor
+// RetentionTTL ages entries out on the background sweep. Reading below
+// the retained floor
 // fails with ErrOffsetCompacted (HTTP 410 at the gateway).
 //
 // Ownership: an appended payload is held once. The bytes build returns
@@ -79,8 +79,7 @@ type Config struct {
 	MaxPerObject int
 	// GCInterval paces the background sweep (TTL eviction plus backing
 	// cleanup of size-evicted entries). Defaults to RetentionTTL/4
-	// when a TTL is set, else 30s. The platform passes its async GC
-	// cadence so one interval paces every background reclaimer.
+	// when a TTL is set, else 30s.
 	GCInterval time.Duration
 	// CursorFlushInterval is the cursor table's write-behind flush
 	// period (see memtable.Config.FlushInterval).

@@ -152,10 +152,6 @@ type Config struct {
 	// ColdStart is the delay before a new pod serves traffic.
 	// Defaults to 100ms.
 	ColdStart time.Duration
-	// RequestOverhead is the per-request data-path cost. For
-	// ModeKnative this models the activator/queue-proxy hop; for
-	// ModeDeployment it should be smaller (kube-proxy only).
-	RequestOverhead time.Duration
 	// Namespace prefixes the engine's cluster deployment names so
 	// multiple engines (one per class runtime) share a cluster without
 	// collisions. Defaults to a random value.
@@ -249,9 +245,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// Mode returns the engine's mode.
-func (e *Engine) Mode() Mode { return e.cfg.Mode }
 
 // Deploy registers a function and scales it to its initial replica
 // count.
@@ -358,14 +351,6 @@ func (e *Engine) Invoke(ctx context.Context, name string, task invoker.Task) (in
 	fn.inflight.Add(1)
 	fn.lastActive.Store(e.cfg.Clock.Now().UnixNano())
 	defer fn.inflight.Add(-1)
-
-	// Data-path overhead (activator / queue-proxy hop in Knative
-	// mode; kube-proxy in deployment mode).
-	if e.cfg.RequestOverhead > 0 {
-		if err := e.cfg.Clock.Sleep(ctx, e.cfg.RequestOverhead); err != nil {
-			return invoker.Result{}, err
-		}
-	}
 
 	// Scale from zero: the activator kicks the autoscaler
 	// synchronously rather than waiting for the next tick.
@@ -602,20 +587,6 @@ func (e *Engine) evaluate(fn *function, now time.Time) {
 	if desired != cur {
 		_ = e.scaleTo(fn, desired, true)
 	}
-}
-
-// ScaleFunction manually sets a function's replica count. In Knative
-// mode the autoscaler may override the value on its next evaluation;
-// pair with SetMinScale to make a floor stick.
-func (e *Engine) ScaleFunction(name string, replicas int) error {
-	if replicas < 0 {
-		return fmt.Errorf("faas: negative replica count %d", replicas)
-	}
-	fn, err := e.lookup(name)
-	if err != nil {
-		return err
-	}
-	return e.scaleTo(fn, replicas, true)
 }
 
 // SetMinScale updates a function's autoscaler floor (and ceiling-clamps

@@ -285,13 +285,11 @@ func TestRemoveFunction(t *testing.T) {
 	if err := rig.engine.Remove("f"); !errors.Is(err, ErrFunctionNotFound) {
 		t.Fatalf("double remove = %v", err)
 	}
-	// Cluster resources released.
-	var alloc int64
+	// Cluster pods released.
 	for _, n := range rig.cluster.Nodes() {
-		alloc += n.Allocated().MilliCPU
-	}
-	if alloc != 0 {
-		t.Fatalf("allocation leak after remove: %d mCPU", alloc)
+		if got := n.PodCount(); got != 0 {
+			t.Fatalf("%d pods left on %s after remove", got, n.Name())
+		}
 	}
 }
 
@@ -401,7 +399,7 @@ func TestModeString(t *testing.T) {
 // invocation to discard, so MaxScale+1 down/up cycles with none in
 // between filled it. A warm announcement (scaleTo without a cold start,
 // as Deploy makes) then blocked forever holding the function's lock; a
-// cold one (ScaleFunction, the autoscaler, an optimizer floor) parked
+// cold one (the autoscaler, an optimizer floor) parked
 // its warm-up goroutine until traffic had discarded a channel's worth
 // of dead slots one lock round trip at a time.
 func TestScaleCyclesWithoutTrafficDoNotFillTheSlotChannel(t *testing.T) {

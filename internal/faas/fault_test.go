@@ -51,8 +51,8 @@ func TestNodeRemovalMidFlightRecovers(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Heal: re-scale onto the surviving node.
-	if err := rig.engine.ScaleFunction("f", 4); err != nil {
+	// Heal: raise the floor back onto the surviving node.
+	if err := rig.engine.SetMinScale("f", 4); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -72,27 +72,6 @@ func TestNodeRemovalMidFlightRecovers(t *testing.T) {
 	}
 	if n.PodCount() == 0 {
 		t.Fatal("surviving node hosts no pods after heal")
-	}
-}
-
-// TestScaleFunctionManual verifies the optimizer's manual scaling
-// entry points.
-func TestScaleFunctionManual(t *testing.T) {
-	rig := newRig(t, ModeDeployment, 2, nil)
-	if err := rig.engine.Deploy(echoSpec("f")); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.engine.ScaleFunction("f", 3); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := rig.engine.Replicas("f"); n != 3 {
-		t.Fatalf("replicas = %d, want 3", n)
-	}
-	if err := rig.engine.ScaleFunction("f", -1); err == nil {
-		t.Fatal("negative scale accepted")
-	}
-	if err := rig.engine.ScaleFunction("ghost", 1); err == nil {
-		t.Fatal("scaling unknown function succeeded")
 	}
 }
 

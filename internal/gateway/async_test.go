@@ -91,6 +91,60 @@ func TestInvokeAsyncOverREST(t *testing.T) {
 	}
 }
 
+// TestMetricsExportsEachQueueSeriesOnce scrapes /metrics after one
+// async submission: each queue series goes out once, as the
+// oparaca_queue_ family of the queue's registry, with no oparaca_async_
+// mirror beside it; capacity, which the registry does not hold, is the
+// one oparaca_async_ family.
+func TestMetricsExportsEachQueueSeriesOnce(t *testing.T) {
+	f := newFixture(t)
+	f.deploy()
+	f.createObject("note-a")
+	status, body := f.do(http.MethodPost, "/api/objects/note-a/invoke-async/set", "application/json", []byte(`"queued!"`))
+	if status != http.StatusAccepted {
+		t.Fatalf("invoke-async status = %d body=%v", status, body)
+	}
+	var id string
+	json.Unmarshal(body["invocation"], &id)
+	pollUntilTerminal(t, f, id, time.Now().Add(5*time.Second))
+	resp, err := f.client.Get(f.srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	samples := map[string][]string{} // sample name → values
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			samples[name] = append(samples[name], value)
+		}
+	}
+	st := f.p.Stats().Async
+	for series, want := range map[string]int64{
+		"depth":           st.Depth,
+		"inflight":        st.InFlight,
+		"enqueued_total":  1,
+		"rejected_total":  st.Rejected,
+		"completed_total": 1,
+		"failed_total":    st.Failed,
+		"expired_total":   st.Expired,
+		"requeued_total":  st.Requeued,
+		"coalesced_total": st.Coalesced,
+	} {
+		if got := samples["oparaca_queue_"+series]; len(got) != 1 || got[0] != fmt.Sprint(want) {
+			t.Errorf("oparaca_queue_%s samples = %v, want one of %d", series, got, want)
+		}
+	}
+	for name := range samples {
+		if strings.HasPrefix(name, "oparaca_async_") && name != "oparaca_async_capacity" {
+			t.Errorf("%s mirrors a queue series", name)
+		}
+	}
+	if got := samples["oparaca_async_capacity"]; len(got) != 1 || got[0] != fmt.Sprint(st.Capacity) {
+		t.Errorf("oparaca_async_capacity samples = %v, want one of %d", got, st.Capacity)
+	}
+}
+
 func TestInvokeAsyncFailureSurfacesInRecord(t *testing.T) {
 	p, err := core.New(core.Config{Workers: 1, ColdStart: time.Millisecond})
 	if err != nil {

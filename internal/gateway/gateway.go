@@ -407,7 +407,8 @@ func writeError(w http.ResponseWriter, err error) {
 		code = "queue_full"
 	case errors.Is(err, model.ErrValidation),
 		errors.Is(err, model.ErrInheritanceCycle),
-		errors.Is(err, model.ErrClassNotFound):
+		errors.Is(err, model.ErrClassNotFound),
+		errors.Is(err, trigger.ErrInvalidSubscription):
 		status = http.StatusBadRequest
 	case errors.Is(err, asyncq.ErrInvalidPayload):
 		// The HTTP routes validate bodies before submitting; this is the
@@ -562,18 +563,10 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	pw.Gauge("oparaca_degraded_reads", "", float64(st.Resilience.DegradedReads))
 	pw.Gauge("oparaca_leaked_handlers", "", float64(view.LeakedHandlers))
 
-	// Async queue pressure: depth/capacity are the readiness inputs.
-	pw.Gauge("oparaca_async_depth", "", float64(st.Async.Depth))
+	// Async queue pressure: depth (oparaca_queue_depth, from the queue's
+	// registry below) over capacity is a readiness input, and capacity is
+	// configuration the registry does not hold.
 	pw.Gauge("oparaca_async_capacity", "", float64(st.Async.Capacity))
-	pw.Gauge("oparaca_async_in_flight", "", float64(st.Async.InFlight))
-	pw.Counter("oparaca_async_enqueued_total", "", float64(st.Async.Enqueued))
-	pw.Counter("oparaca_async_rejected_total", "", float64(st.Async.Rejected))
-	pw.Counter("oparaca_async_completed_total", "", float64(st.Async.Completed))
-	pw.Counter("oparaca_async_failed_total", "", float64(st.Async.Failed))
-	pw.Counter("oparaca_async_expired_total", "", float64(st.Async.Expired))
-	pw.Counter("oparaca_async_retried_total", "", float64(st.Async.Retried))
-	pw.Counter("oparaca_async_requeued_total", "", float64(st.Async.Requeued))
-	pw.Counter("oparaca_async_coalesced_total", "", float64(st.Async.Coalesced))
 	pw.Gauge("oparaca_trigger_backlog", "", float64(view.TriggerBacklog))
 
 	// Ownership layer: transition window plus per-node series.
@@ -1170,14 +1163,19 @@ func (g *Gateway) handlePutTrigger(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	if err := g.platform.SubscribeTrigger(name, sub); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, triggerView{Name: name, Subscription: sub})
 }
 
 func (g *Gateway) handleDeleteTrigger(w http.ResponseWriter, r *http.Request) {
-	if !g.platform.UnsubscribeTrigger(r.PathValue("name")) {
+	ok, err := g.platform.UnsubscribeTrigger(r.PathValue("name"))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such trigger subscription"})
 		return
 	}

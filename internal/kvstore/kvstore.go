@@ -15,12 +15,12 @@
 //
 // Reads have a batched counterpart too: BatchGet serves any number of
 // keys in one round trip, charging the per-operation read latency once
-// per batch instead of once per key. The memtable's GetMany uses it to
+// per batch instead of once per key. The memtable's GetManyInto uses it to
 // consolidate read-through misses the same way the write-behind
 // flusher consolidates writes through BatchPut.
 //
 // Ownership: the store keeps the bytes it is handed. A value passed to
-// Put, CompareAndPut or BatchPut (or decoded by Load) becomes the stored
+// Put, CompareAndPut or BatchPut becomes the stored
 // document without a copy, and Get and BatchGet return that same slice.
 // So nobody mutates a value after handing it over or after reading it;
 // a caller that reuses its buffers clones before the write. Every writer
@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -201,9 +200,6 @@ func (s *Store) SetFaultPlan(plan FaultPlan) {
 // SetBreaker attaches a circuit breaker to the store. Pass nil to
 // detach.
 func (s *Store) SetBreaker(b *resilience.Breaker) { s.breaker.Store(b) }
-
-// Breaker returns the attached circuit breaker (nil when none).
-func (s *Store) Breaker() *resilience.Breaker { return s.breaker.Load() }
 
 // opKind distinguishes read from write faults in the chaos plan.
 type opKind int
@@ -635,64 +631,5 @@ func (s *Store) Stats() Stats {
 		ReadOps:     s.readOps,
 		DocsRead:    s.docsRead,
 		DeleteOps:   s.deleteOps,
-	}
-}
-
-// snapshotFile is the on-disk representation used by Save/Load.
-type snapshotFile struct {
-	SavedAt time.Time  `json:"saved_at"`
-	Docs    []Document `json:"docs"`
-}
-
-// Save writes a JSON snapshot of all documents to path. It provides
-// the durability component of the paper's "persistent: true"
-// constraint in a form that is testable offline.
-func (s *Store) Save(path string) error {
-	s.mu.RLock()
-	snap := snapshotFile{SavedAt: s.cfg.Clock.Now(), Docs: make([]Document, 0, len(s.docs))}
-	for k, rec := range s.docs {
-		snap.Docs = append(snap.Docs, rec.doc(k))
-	}
-	s.mu.RUnlock()
-	sort.Slice(snap.Docs, func(i, j int) bool { return snap.Docs[i].Key < snap.Docs[j].Key })
-	raw, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return fmt.Errorf("kvstore: encoding snapshot: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return fmt.Errorf("kvstore: writing snapshot: %w", err)
-	}
-	return os.Rename(tmp, path)
-}
-
-// Load replaces the store contents from a snapshot written by Save.
-func (s *Store) Load(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("kvstore: reading snapshot: %w", err)
-	}
-	var snap snapshotFile
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("kvstore: decoding snapshot: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.docs = make(map[string]record, len(snap.Docs))
-	for _, d := range snap.Docs {
-		s.docs[d.Key] = record{value: d.Value, version: d.Version, updated: d.Updated.UnixNano()}
-	}
-	return nil
-}
-
-// SetWriteRate retunes the write-capacity cap at runtime, which the
-// benchmark harness uses for capacity sweeps. It is a no-op for
-// unlimited stores.
-func (s *Store) SetWriteRate(opsPerSec float64) {
-	if s.writes != nil && opsPerSec > 0 {
-		s.writes.SetRate(opsPerSec)
 	}
 }

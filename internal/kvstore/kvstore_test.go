@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -447,44 +446,6 @@ func TestContextCancelDuringThrottle(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.json")
-	s := openFast()
-	ctx := context.Background()
-	s.Put(ctx, "a", json.RawMessage(`{"n":1}`))
-	s.Put(ctx, "b", json.RawMessage(`"two"`))
-	s.Put(ctx, "b", json.RawMessage(`"two-v2"`))
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	s2 := openFast()
-	defer s2.Close()
-	if err := s2.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.Get(ctx, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Value) != `"two-v2"` || got.Version != 2 {
-		t.Fatalf("restored doc = %+v", got)
-	}
-	if s2.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s2.Len())
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	s := openFast()
-	defer s.Close()
-	if err := s.Load(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Fatal("Load of absent file succeeded")
-	}
-}
-
 func TestStatsCounts(t *testing.T) {
 	s := openFast()
 	defer s.Close()
@@ -565,9 +526,9 @@ func TestPerDocumentResidentBudget(t *testing.T) {
 
 // TestDocumentSurvivesSlimStorage: the store keeps a record without the
 // key and with the update instant as nanoseconds; every way a Document
-// comes back out — Put's return, Get, BatchGet, a snapshot saved and
-// loaded — carries the key, the version and an Updated equal to the
-// clock's reading at the write, on the real clock and on a manual one.
+// comes back out — Put's return, Get, BatchGet — carries the key, the
+// version and an Updated equal to the clock's reading at the write, on
+// the real clock and on a manual one.
 func TestDocumentSurvivesSlimStorage(t *testing.T) {
 	manual := vclock.NewManual(time.Unix(1_700_000_000, 123_456_789))
 	for name, clock := range map[string]vclock.Clock{"real": vclock.NewReal(), "manual": manual} {
@@ -591,15 +552,6 @@ func TestDocumentSurvivesSlimStorage(t *testing.T) {
 			if clock == manual && !put.Updated.Equal(hi) {
 				t.Fatalf("Put's Updated = %v, want the manual clock's %v", put.Updated, hi)
 			}
-			path := filepath.Join(t.TempDir(), "snap.json")
-			if err := s.Save(path); err != nil {
-				t.Fatal(err)
-			}
-			s2 := Open(Config{Clock: clock})
-			defer s2.Close()
-			if err := s2.Load(path); err != nil {
-				t.Fatal(err)
-			}
 			got, err := s.Get(ctx, "k")
 			if err != nil {
 				t.Fatal(err)
@@ -608,11 +560,7 @@ func TestDocumentSurvivesSlimStorage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := s2.Get(ctx, "k")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for from, d := range map[string]Document{"Get": got, "BatchGet": batch["k"], "Load": loaded} {
+			for from, d := range map[string]Document{"Get": got, "BatchGet": batch["k"]} {
 				if d.Key != "k" || string(d.Value) != `2` || d.Version != 2 || !d.Updated.Equal(put.Updated) {
 					t.Errorf("%s returned %+v, want what Put returned: %+v", from, d, put)
 				}

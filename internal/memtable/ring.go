@@ -8,7 +8,7 @@
 // write-behind flusher that consolidates them into batch writes —
 // amortizing the database's write-capacity ceiling.
 //
-// Batch access is first-class: GetMany and PutMany group their keys by
+// Batch access is first-class: GetManyInto and PutMany group their keys by
 // owning shard, take each shard lock exactly once, and consolidate the
 // backing-store traffic — read-through misses into one
 // kvstore.BatchGet, write-through updates into one kvstore.BatchPut.

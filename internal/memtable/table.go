@@ -341,10 +341,6 @@ func (t *Table) forEachShardGroup(keys []string, fn func(sh *shard, i int)) {
 	}
 }
 
-// OwnerShard exposes the ring decision for locality-aware routing
-// (paper §II-A: distribute data close to the deployed method).
-func (t *Table) OwnerShard(key string) string { return t.ring.Owner(key) }
-
 // isClosed reports whether Close has been called.
 func (t *Table) isClosed() bool {
 	select {
@@ -415,30 +411,16 @@ func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
 	return doc.Value, nil
 }
 
-// GetMany returns the values for keys, taking each shard lock once and
-// consolidating backing-store misses into a single kvstore.BatchGet
-// round trip (one read-latency charge per batch instead of one per
-// key). Keys found in neither place are simply absent from the result
-// map — batch callers resolve defaults themselves, so absence is not
-// an error, unlike Get's ErrNotFound.
-func (t *Table) GetMany(ctx context.Context, keys []string) (map[string]json.RawMessage, error) {
-	if len(keys) == 0 {
-		if t.isClosed() {
-			return nil, ErrClosed
-		}
-		return nil, nil
-	}
-	out := make(map[string]json.RawMessage, len(keys))
-	if err := t.GetManyInto(ctx, keys, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GetManyInto is GetMany writing into a caller-supplied map, so a hot
-// caller can reuse one map across reads instead of allocating per
-// call. Existing entries of out are left in place (callers reusing a
-// map clear it between reads). Values are read-only (package doc).
+// GetManyInto writes the values for keys into out, taking each shard
+// lock once and consolidating backing-store misses into a single
+// kvstore.BatchGet round trip (one read-latency charge per batch
+// instead of one per key). Keys found in neither place are simply
+// absent from out — batch callers resolve defaults themselves, so
+// absence is not an error, unlike Get's ErrNotFound. The map is the
+// caller's, so a hot caller reuses one across reads instead of
+// allocating per call; existing entries are left in place (callers
+// reusing a map clear it between reads). Values are read-only (package
+// doc).
 func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]json.RawMessage) error {
 	if t.isClosed() {
 		return ErrClosed
@@ -501,31 +483,12 @@ type VersionedValue struct {
 	Version int64
 }
 
-// GetManyVersioned is GetMany for the optimistic-concurrency path:
-// every requested key appears in the result with its current version,
-// so a later PutManyIfVersion can validate the whole read set. Keys
-// whose deletion tombstone is still tracked report their tombstone
-// version with a nil value (reading through would let a stale commit
-// resurrect them); keys found nowhere report {nil, 0}.
-func (t *Table) GetManyVersioned(ctx context.Context, keys []string) (map[string]VersionedValue, error) {
-	if len(keys) == 0 {
-		if t.isClosed() {
-			return nil, ErrClosed
-		}
-		return nil, nil
-	}
-	out := make(map[string]VersionedValue, len(keys))
-	if err := t.GetManyVersionedInto(ctx, keys, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GetManyVersionedInto is GetManyVersioned writing into a
-// caller-supplied map, so a hot caller can reuse one map across reads
-// instead of allocating per call. Existing entries of out are left in
-// place (callers reusing a map clear it between reads). Values are
-// read-only (package doc).
+// GetManyVersionedInto is GetManyInto for the optimistic-concurrency
+// path: every requested key appears in out with its current version, so
+// a later PutManyIfVersion can validate the whole read set. Keys whose
+// deletion tombstone is still tracked report their tombstone version
+// with a nil value (reading through would let a stale commit resurrect
+// them); keys found nowhere report {nil, 0}.
 func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map[string]VersionedValue) error {
 	if t.isClosed() {
 		return ErrClosed
@@ -664,7 +627,7 @@ func (t *Table) Delete(ctx context.Context, key string) error {
 
 // CASOp is one key's part of a PutManyIfVersion commit.
 type CASOp struct {
-	// Expect is the version the caller observed via GetManyVersioned
+	// Expect is the version the caller observed via GetManyVersionedInto
 	// (0 for a key the table has never seen). AnyVersion skips
 	// validation for this key.
 	Expect int64
@@ -970,35 +933,12 @@ func (t *Table) CompactTombstones() {
 	}
 }
 
-// TombstoneCount returns the number of tracked deletion tombstones
-// (churn-test observability).
-func (t *Table) TombstoneCount() int {
-	var n int
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		n += len(sh.tombs)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // Flush synchronously persists all dirty entries (no-op outside
 // write-behind mode).
 func (t *Table) Flush(ctx context.Context) {
 	if t.cfg.Mode == ModeWriteBehind {
 		t.flushAll(ctx)
 	}
-}
-
-// DirtyCount returns the number of keys awaiting flush.
-func (t *Table) DirtyCount() int {
-	var n int
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		n += len(sh.dirty)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // Len returns the number of live in-memory entries (tombstones are not
@@ -1056,6 +996,3 @@ func (t *Table) Stats() Stats {
 	return Stats{Hits: t.hits, Misses: t.misses, Flushes: t.flushes, FlushDocs: t.flushDocs,
 		DegradedHits: t.degradedHits, TombstonesEvicted: t.tombEvicted}
 }
-
-// Mode returns the configured persistence mode.
-func (t *Table) Mode() Mode { return t.cfg.Mode }

@@ -379,7 +379,7 @@ func TestGetManyReadsThroughInOneBatch(t *testing.T) {
 		}
 	}
 	before := db.Stats()
-	got, err := tbl.GetMany(ctx, keys)
+	got, err := getMany(tbl, ctx, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestGetManyReadsThroughInOneBatch(t *testing.T) {
 		t.Fatalf("32-key miss batch cost %d read ops, want 1", after.ReadOps-before.ReadOps)
 	}
 	// Second call is all memory hits: no further backing reads.
-	if _, err := tbl.GetMany(ctx, keys); err != nil {
+	if _, err := getMany(tbl, ctx, keys); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().ReadOps != after.ReadOps {
@@ -412,7 +412,7 @@ func TestGetManyOmitsAbsentKeys(t *testing.T) {
 	if _, err := db.Put(ctx, "present", json.RawMessage(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tbl.GetMany(ctx, []string{"present", "absent"})
+	got, err := getMany(tbl, ctx, []string{"present", "absent"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestGetManyMemoryOnlySkipsBacking(t *testing.T) {
 	if err := tbl.Put(ctx, "a", json.RawMessage(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tbl.GetMany(ctx, []string{"a", "b"})
+	got, err := getMany(tbl, ctx, []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +454,7 @@ func TestGetManyDoesNotClobberRacingWrite(t *testing.T) {
 	if err := tbl.Put(ctx, "k", json.RawMessage(`"fresh"`)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tbl.GetMany(ctx, []string{"k"})
+	got, err := getMany(tbl, ctx, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestBatchOpsOnClosedTable(t *testing.T) {
 	tbl, _ := newBacked(t, ModeWriteBehind)
 	tbl.Close()
 	ctx := context.Background()
-	if _, err := tbl.GetMany(ctx, []string{"k"}); !errors.Is(err, ErrClosed) {
+	if _, err := getMany(tbl, ctx, []string{"k"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("GetMany after close = %v", err)
 	}
 	if err := tbl.PutMany(ctx, map[string]json.RawMessage{"k": nil}); !errors.Is(err, ErrClosed) {
@@ -555,7 +555,7 @@ func TestGetManyContextCancelledMidBatch(t *testing.T) {
 	})
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tbl.GetMany(cctx, []string{"a", "b"}); !errors.Is(err, context.Canceled) {
+	if _, err := getMany(tbl, cctx, []string{"a", "b"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -576,7 +576,7 @@ func TestBatchOpsWidePath(t *testing.T) {
 	if err := tbl.PutMany(ctx, entries); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tbl.GetMany(ctx, keys)
+	got, err := getMany(tbl, ctx, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,7 +600,7 @@ func TestBatchOpsWidePath(t *testing.T) {
 	}
 	defer tbl2.Close()
 	before := db.Stats()
-	got2, err := tbl2.GetMany(ctx, keys)
+	got2, err := getMany(tbl2, ctx, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +642,7 @@ func TestGetManyIntoReusesCallerMap(t *testing.T) {
 		t.Fatal("absent key materialized")
 	}
 	// GetMany delegates to GetManyInto: both see the same values.
-	got, err := tbl.GetMany(ctx, []string{"k1", "k2"})
+	got, err := getMany(tbl, ctx, []string{"k1", "k2"})
 	if err != nil {
 		t.Fatal(err)
 	}

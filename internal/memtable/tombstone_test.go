@@ -116,7 +116,7 @@ func TestTombstoneRecreationSurvivesSweep(t *testing.T) {
 	}
 	time.Sleep(3 * time.Millisecond)
 	tbl.CompactTombstones()
-	got, err := tbl.GetManyVersioned(ctx, []string{"k"})
+	got, err := getManyVersioned(tbl, ctx, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTombstoneStaleCASCannotResurrect(t *testing.T) {
 	if err := tbl.Put(ctx, "k", json.RawMessage(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	pre, err := tbl.GetManyVersioned(ctx, []string{"k"})
+	pre, err := getManyVersioned(tbl, ctx, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}

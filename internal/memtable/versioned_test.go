@@ -42,7 +42,7 @@ func TestGetManyVersionedSeedsBackingVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := tbl.GetManyVersioned(ctx, []string{"k", "absent"})
+	got, err := getManyVersioned(tbl, ctx, []string{"k", "absent"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestGetManyVersionedSeedsBackingVersion(t *testing.T) {
 	if err := tbl.Put(ctx, "k", json.RawMessage(`4`)); err != nil {
 		t.Fatal(err)
 	}
-	got, err = tbl.GetManyVersioned(ctx, []string{"k"})
+	got, err = getManyVersioned(tbl, ctx, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPutManyIfVersionCommitAndStale(t *testing.T) {
 				t.Fatalf("a = %s (%v), want 1 (stale commit must not land)", v, err)
 			}
 			// The current version commits.
-			got, err := tbl.GetManyVersioned(ctx, []string{"a"})
+			got, err := getManyVersioned(tbl, ctx, []string{"a"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestPutManyIfVersionReadSetValidation(t *testing.T) {
 	if err := tbl.Put(ctx, "read", json.RawMessage(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := tbl.GetManyVersioned(ctx, []string{"read"})
+	got, err := getManyVersioned(tbl, ctx, []string{"read"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPutManyIfVersionDeleteLeavesTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl.Flush(ctx)
-	got, err := tbl.GetManyVersioned(ctx, []string{"k"})
+	got, err := getManyVersioned(tbl, ctx, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPutManyIfVersionDeleteLeavesTombstone(t *testing.T) {
 		t.Fatalf("stale resurrection err = %v, want ErrVersionMismatch", err)
 	}
 	// ...and the versioned read reports it as authoritatively absent.
-	got, err = tbl.GetManyVersioned(ctx, []string{"k"})
+	got, err = getManyVersioned(tbl, ctx, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPutManyIfVersionConcurrentExactness(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < perEach; i++ {
 						for {
-							got, err := tbl.GetManyVersioned(ctx, []string{"n"})
+							got, err := getManyVersioned(tbl, ctx, []string{"n"})
 							if err != nil {
 								t.Error(err)
 								return
@@ -352,14 +352,14 @@ func TestReadThroughHonorsTombstones(t *testing.T) {
 	if _, err := tbl.Get(ctx, "k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after delete = %v, want ErrNotFound (no resurrection)", err)
 	}
-	got, err := tbl.GetMany(ctx, []string{"k"})
+	got, err := getMany(tbl, ctx, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := got["k"]; ok {
 		t.Fatal("GetMany resurrected a tombstoned key from backing")
 	}
-	vv, err := tbl.GetManyVersioned(ctx, []string{"k"})
+	vv, err := getManyVersioned(tbl, ctx, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,13 +379,13 @@ func TestCASDeleteOrderedWithRecreate(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := tbl.GetManyVersioned(ctx, []string{"k"})
+	got, _ := getManyVersioned(tbl, ctx, []string{"k"})
 	if err := tbl.PutManyIfVersion(ctx, map[string]CASOp{
 		"k": {Expect: got["k"].Version, Write: true}, // delete
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = tbl.GetManyVersioned(ctx, []string{"k"})
+	got, _ = getManyVersioned(tbl, ctx, []string{"k"})
 	if err := tbl.PutManyIfVersion(ctx, map[string]CASOp{
 		"k": {Expect: got["k"].Version, Value: json.RawMessage(`2`), Write: true}, // recreate
 	}); err != nil {
@@ -461,7 +461,7 @@ func TestEntryStatesStayDistinct(t *testing.T) {
 	if got := tbl.Len(); got != 2 {
 		t.Errorf("Len = %d, want 2 (tombstones are not entries)", got)
 	}
-	plain, err := tbl.GetMany(ctx, keys)
+	plain, err := getMany(tbl, ctx, keys)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adds delta (which may be negative).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 

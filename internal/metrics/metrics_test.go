@@ -47,7 +47,7 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("Value = %d, want 7", got)
@@ -243,7 +243,7 @@ func TestRegistryReturnsSameInstance(t *testing.T) {
 func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("reqs").Add(5)
-	r.Gauge("replicas").Set(3)
+	r.Gauge("replicas").Add(3)
 	r.Histogram("lat").Observe(time.Millisecond)
 	s := r.Snapshot()
 	if s.Counters["reqs"] != 5 {
@@ -372,7 +372,7 @@ func TestRegistryConcurrentCreationSnapshot(t *testing.T) {
 			for i := 0; i < names; i++ {
 				name := string(rune('a'+w)) + "-" + time.Duration(i).String()
 				r.Counter(name).Inc()
-				r.Gauge(name).Set(int64(i))
+				r.Gauge(name).Add(int64(i))
 				r.Histogram(name).Observe(time.Millisecond)
 			}
 		}(w)

@@ -138,11 +138,6 @@ type LabeledRegistry struct {
 	Reg    *Registry
 }
 
-// Registry renders every metric in reg, each series carrying labels.
-func (p *PromWriter) Registry(reg *Registry, labels string) {
-	p.Registries(LabeledRegistry{Labels: labels, Reg: reg})
-}
-
 // Registries renders several labeled registries merged by family: the
 // exposition format requires every sample of a family to form one
 // contiguous group, so per-class registries sharing metric names must

@@ -68,12 +68,12 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 func TestPromWriterRendersRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("invoke.total").Add(42)
-	r.Gauge("queue.depth").Set(7)
+	r.Gauge("queue.depth").Add(7)
 	r.Histogram("invoke.latency").Observe(15 * time.Microsecond)
 	r.Histogram("invoke.latency").Observe(40 * time.Second)
 
 	w := NewPromWriter()
-	w.Registry(r, "")
+	w.Registries(LabeledRegistry{Reg: r})
 	out := string(w.Bytes())
 	samples := parseExposition(t, out)
 

@@ -16,8 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
-	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -375,20 +373,6 @@ func ParseJSON(data []byte) (*Package, error) {
 		return nil, err
 	}
 	return &pkg, nil
-}
-
-// LoadFile loads a Package from a .yaml/.yml or .json file.
-func LoadFile(path string) (*Package, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("model: reading %s: %w", path, err)
-	}
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".json":
-		return ParseJSON(raw)
-	default:
-		return ParseYAML(raw)
-	}
 }
 
 // Validate checks structural validity of the raw definitions (before
@@ -886,17 +870,6 @@ func (c *Class) ValidateResolved() error {
 		}
 	}
 	return nil
-}
-
-// StructuredKeys returns the names of non-file keys, sorted.
-func (c *Class) StructuredKeys() []string {
-	var out []string
-	for _, k := range c.Keys {
-		if k.Kind != KindFile {
-			out = append(out, k.Name)
-		}
-	}
-	return out
 }
 
 // FileKeys returns the names of file (unstructured) keys, sorted.

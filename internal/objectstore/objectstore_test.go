@@ -78,8 +78,8 @@ func TestMissingBucket(t *testing.T) {
 	if _, err := s.Get("nope", "k"); !errors.Is(err, ErrNoSuchBucket) {
 		t.Fatalf("Get = %v", err)
 	}
-	if _, err := s.List("nope", ""); !errors.Is(err, ErrNoSuchBucket) {
-		t.Fatalf("List = %v", err)
+	if err := s.Delete("nope", "k"); !errors.Is(err, ErrNoSuchBucket) {
+		t.Fatalf("Delete = %v", err)
 	}
 }
 
@@ -92,21 +92,6 @@ func TestPutCopiesData(t *testing.T) {
 	obj, _ := s.Get("b", "k")
 	if string(obj.Data) != "abc" {
 		t.Fatalf("store aliased caller buffer: %s", obj.Data)
-	}
-}
-
-func TestListPrefix(t *testing.T) {
-	s := newStore()
-	s.CreateBucket("b")
-	for _, k := range []string{"v/1.mp4", "v/2.mp4", "img/x.png"} {
-		s.Put("b", k, nil, "")
-	}
-	keys, err := s.List("b", "v/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 || keys[0] != "v/1.mp4" {
-		t.Fatalf("List = %v", keys)
 	}
 }
 

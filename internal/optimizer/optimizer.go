@@ -260,14 +260,3 @@ func (o *Optimizer) Actions() []Action {
 	defer o.mu.Unlock()
 	return append([]Action(nil), o.actions...)
 }
-
-// Floor returns the optimizer's current replica floor for a class
-// (0 when unmanaged).
-func (o *Optimizer) Floor(className string) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if t, ok := o.targets[className]; ok {
-		return t.floor
-	}
-	return 0
-}

@@ -128,7 +128,7 @@ func TestRepeatedViolationsKeepRaisingFloor(t *testing.T) {
 		}
 		o.Tick()
 	}
-	if floor := o.Floor("Svc"); floor < 3 {
+	if floor := floorOf(o, "Svc"); floor < 3 {
 		t.Fatalf("floor = %d after 3 violating rounds", floor)
 	}
 }
@@ -143,7 +143,7 @@ func TestCooldownScalesBackDown(t *testing.T) {
 		rt.Invoke(ctx, "o", "work", nil, nil)
 	}
 	o.Tick()
-	floorAfterUp := o.Floor("Svc")
+	floorAfterUp := floorOf(o, "Svc")
 	if floorAfterUp < 1 {
 		t.Fatalf("floor = %d, want >= 1", floorAfterUp)
 	}
@@ -178,7 +178,7 @@ func TestThroughputCooldownPath(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		o.Tick()
 	}
-	if floor := o.Floor("Svc"); floor != rt.Template().MinScale {
+	if floor := floorOf(o, "Svc"); floor != rt.Template().MinScale {
 		t.Fatalf("floor = %d, want template min %d", floor, rt.Template().MinScale)
 	}
 }
@@ -194,7 +194,7 @@ func TestUnmanageStopsActions(t *testing.T) {
 	if len(o.Actions()) != 0 {
 		t.Fatal("unmanaged runtime still acted on")
 	}
-	if o.Floor("Svc") != 0 {
+	if floorOf(o, "Svc") != 0 {
 		t.Fatal("floor for unmanaged class non-zero")
 	}
 }
@@ -241,4 +241,15 @@ func TestActionKindString(t *testing.T) {
 	if ActionKind(9).String() != "ActionKind(9)" {
 		t.Fatal("unknown kind string wrong")
 	}
+}
+
+// floorOf returns o's current replica floor for a class (0 when
+// unmanaged).
+func floorOf(o *Optimizer, className string) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if t, ok := o.targets[className]; ok {
+		return t.floor
+	}
+	return 0
 }

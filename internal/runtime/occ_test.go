@@ -54,7 +54,7 @@ func newOCCRuntime(t *testing.T, mode model.ConcurrencyMode) *ClassRuntime {
 func TestConcurrencyModeResolution(t *testing.T) {
 	// Class declaration wins.
 	rt := newOCCRuntime(t, model.ConcurrencyLocked)
-	if got := rt.ConcurrencyMode(); got != model.ConcurrencyLocked {
+	if got := rt.concMode; got != model.ConcurrencyLocked {
 		t.Fatalf("mode = %q, want locked", got)
 	}
 	// Infra default applies when the class is silent.
@@ -65,12 +65,12 @@ func TestConcurrencyModeResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt2.Close)
-	if got := rt2.ConcurrencyMode(); got != model.ConcurrencyOCC {
+	if got := rt2.concMode; got != model.ConcurrencyOCC {
 		t.Fatalf("mode = %q, want occ (infra default)", got)
 	}
 	// Adaptive is the default of defaults.
 	rt3 := newRuntime(t, counterYAML, "Counter")
-	if got := rt3.ConcurrencyMode(); got != model.ConcurrencyAdaptive {
+	if got := rt3.concMode; got != model.ConcurrencyAdaptive {
 		t.Fatalf("mode = %q, want adaptive", got)
 	}
 	// A bogus platform-level default is rejected, not silently routed.

@@ -21,6 +21,7 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
+	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/model"
 )
 
@@ -602,8 +603,8 @@ func TestTableRetainedKeysSurviveScratchReuse(t *testing.T) {
 			t.Fatalf("%s after scratch reuse = %s, %v; want %s", objectID, v, err, want)
 		}
 	}
-	got, err := rt.table.GetManyVersioned(ctx, []string{rt.stateKey("fresh", "value"), rt.stateKey("cold", "value")})
-	if err != nil {
+	got := map[string]memtable.VersionedValue{}
+	if err := rt.table.GetManyVersionedInto(ctx, []string{rt.stateKey("fresh", "value"), rt.stateKey("cold", "value")}, got); err != nil {
 		t.Fatal(err)
 	}
 	for k, vv := range got {

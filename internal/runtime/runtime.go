@@ -63,10 +63,6 @@ type Infra struct {
 	ObjectsBaseURL string
 	// PresignTTL bounds presigned URL validity. Defaults to 15min.
 	PresignTTL time.Duration
-	// KnativeOverhead / BypassOverhead are the per-request data-path
-	// costs of the two engine modes (activator hop vs direct).
-	KnativeOverhead time.Duration
-	BypassOverhead  time.Duration
 	// ColdStart is the pod warmup delay.
 	ColdStart time.Duration
 	// ScaleInterval / IdleTimeout drive the Knative autoscaler.
@@ -103,13 +99,6 @@ type Infra struct {
 	// event log in one backing write, matching the group commit's own
 	// one-write cost. nil falls back to per-event Events calls.
 	EventsBatch func([]trigger.Event)
-	// TombstoneTTL evicts a deleted key's version tombstone this long
-	// after the deletion, bounding state-table growth under object
-	// churn (see memtable.Config.TombstoneTTL). Zero keeps tombstones
-	// forever.
-	TombstoneTTL time.Duration
-	// TombstoneGCInterval overrides the tombstone sweep period.
-	TombstoneGCInterval time.Duration
 	// Degraded reports whether the backing store is currently
 	// unavailable (the platform wires it to the store's circuit
 	// breaker); forwarded to the state table so cache hits served
@@ -315,33 +304,26 @@ func New(infra Infra, class *model.Class, tmpl Template) (*ClassRuntime, error) 
 	}
 
 	table, err := memtable.New(memtable.Config{
-		Mode:                tmpl.TableMode,
-		Backing:             infra.Backing,
-		Shards:              tmpl.Shards,
-		FlushInterval:       tmpl.FlushInterval,
-		FlushBatchSize:      tmpl.FlushBatchSize,
-		TombstoneTTL:        infra.TombstoneTTL,
-		TombstoneGCInterval: infra.TombstoneGCInterval,
-		Degraded:            infra.Degraded,
-		Clock:               infra.Clock,
+		Mode:           tmpl.TableMode,
+		Backing:        infra.Backing,
+		Shards:         tmpl.Shards,
+		FlushInterval:  tmpl.FlushInterval,
+		FlushBatchSize: tmpl.FlushBatchSize,
+		Degraded:       infra.Degraded,
+		Clock:          infra.Clock,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("runtime: creating state table: %w", err)
 	}
 
-	overhead := infra.KnativeOverhead
-	if tmpl.EngineMode == faas.ModeDeployment {
-		overhead = infra.BypassOverhead
-	}
 	engine, err := faas.NewEngine(faas.Config{
-		Mode:            tmpl.EngineMode,
-		Cluster:         infra.Cluster,
-		Transport:       infra.Transport,
-		ScaleInterval:   infra.ScaleInterval,
-		IdleTimeout:     infra.IdleTimeout,
-		ColdStart:       infra.ColdStart,
-		RequestOverhead: overhead,
-		Clock:           infra.Clock,
+		Mode:          tmpl.EngineMode,
+		Cluster:       infra.Cluster,
+		Transport:     infra.Transport,
+		ScaleInterval: infra.ScaleInterval,
+		IdleTimeout:   infra.IdleTimeout,
+		ColdStart:     infra.ColdStart,
+		Clock:         infra.Clock,
 	})
 	if err != nil {
 		table.Close()
@@ -447,9 +429,6 @@ func (rt *ClassRuntime) Table() *memtable.Table { return rt.table }
 
 // Metrics exposes the runtime's metric registry.
 func (rt *ClassRuntime) Metrics() *metrics.Registry { return rt.reg }
-
-// ConcurrencyMode returns the resolved invocation concurrency mode.
-func (rt *ClassRuntime) ConcurrencyMode() model.ConcurrencyMode { return rt.concMode }
 
 // ConcurrencyStats counts optimistic-concurrency outcomes for one
 // class runtime.
@@ -615,7 +594,7 @@ func (rt *ClassRuntime) PresignFile(objectID, key, method string) (string, error
 
 // loadState gathers an object's structured state for task bundling in
 // one batched table read: every key of the object travels in a single
-// GetMany, so a fully cold object costs one backing-store round trip
+// GetManyInto, so a fully cold object costs one backing-store round trip
 // instead of one per key.
 func (rt *ClassRuntime) loadState(ctx context.Context, objectID string) (_ map[string]json.RawMessage, err error) {
 	state := make(map[string]json.RawMessage, len(rt.stateSpecs))

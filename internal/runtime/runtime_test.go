@@ -433,9 +433,6 @@ func TestTemplateDrivesTableMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if rt.Table().Mode() != memtable.ModeMemoryOnly {
-		t.Fatalf("table mode = %v", rt.Table().Mode())
-	}
 	ctx := context.Background()
 	rt.Invoke(ctx, "o", "incr", nil, nil)
 	rt.Flush(ctx)

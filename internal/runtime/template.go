@@ -146,13 +146,6 @@ func (r *TemplateRegistry) Add(t Template) error {
 	return nil
 }
 
-// Templates returns the registered templates in selection order.
-func (r *TemplateRegistry) Templates() []Template {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]Template(nil), r.templates...)
-}
-
 // Select returns the highest-priority template matching the class.
 func (r *TemplateRegistry) Select(c *model.Class) (Template, error) {
 	r.mu.RLock()

@@ -162,9 +162,6 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// Enabled reports whether tracing is on (the nil tracer is off).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // rand is splitmix64 over an atomic counter: deterministic under a
 // fixed seed, allocation-free, and safe for concurrent use.
 func (t *Tracer) rand() uint64 {
@@ -431,20 +428,6 @@ func (s *Span) SetInvocation(id string) {
 	}
 	td.invocations = append(td.invocations, id)
 	td.mu.Unlock()
-}
-
-// TraceIDString returns the span's trace ID in hex ("" when disabled).
-func (s *Span) TraceIDString() string {
-	if s == nil {
-		return ""
-	}
-	if s.td != nil {
-		return s.td.id.String()
-	}
-	if s.kept != nil {
-		return s.kept.id.String()
-	}
-	return ""
 }
 
 // Traceparent renders the W3C header for propagating this span as a

@@ -250,12 +250,25 @@ type Subscription struct {
 	hookHeader http.Header
 }
 
+// ErrInvalidSubscription matches (errors.Is) every error Validate
+// returns; the error's own message names the rule the subscription
+// broke.
+var ErrInvalidSubscription = errors.New("trigger: invalid subscription")
+
+// invalid is a Validate error: its message unchanged, matching
+// ErrInvalidSubscription.
+type invalid struct{ error }
+
+func (invalid) Is(target error) bool { return target == ErrInvalidSubscription }
+
 // Validate checks the subscription shape: a known type, a class,
 // exactly one sink, and for a webhook sink an absolute http or https
 // URL with a host.
 func (s Subscription) Validate() error {
-	_, err := s.validate()
-	return err
+	if _, err := s.validate(); err != nil {
+		return invalid{err}
+	}
+	return nil
 }
 
 // validate is Validate returning the parsed webhook URL (nil for a
@@ -711,9 +724,6 @@ func New(cfg Config) (*Bus, error) {
 
 // Metrics exposes the bus's registry.
 func (b *Bus) Metrics() *metrics.Registry { return b.cfg.Metrics }
-
-// Log exposes the bus's durable event log (nil without one).
-func (b *Bus) Log() *eventlog.Log { return b.cfg.Log }
 
 // shardFor routes an object's events to a fixed shard, preserving
 // per-object dispatch order. The FNV-1a fold is inlined over the

@@ -43,7 +43,7 @@
 // backing store holds; running is reported, with its start time, by the
 // process executing the invocation:
 //
-//	id, err := obj.InvokeAsync(ctx, "greet", nil, nil)
+//	id, err := p.InvokeAsync(ctx, obj.ID, "greet", nil, nil)
 //	rec, err := p.WaitInvocation(ctx, id) // or poll p.Invocation(ctx, id)
 //	if rec.Status == oaas.InvocationCompleted {
 //	    fmt.Println(string(rec.Result))
@@ -62,8 +62,8 @@
 // # Invoking an object
 //
 // There is one invoke pipeline and four ways into it; they differ only
-// in where the call came from. Platform.Invoke and Platform.InvokeAsync
-// (what Object.Invoke and Object.InvokeAsync call) are the in-process
+// in where the call came from. Platform.Invoke (what Object.Invoke
+// calls) and Platform.InvokeAsync are the in-process
 // entries: the caller is inside the platform — a library user, the
 // async queue draining a task, a data trigger firing its target — so
 // the call pays for no distance and is never refused because ownership
@@ -238,14 +238,14 @@
 // straight from dispatch; only one that is behind — recovery, a
 // failed delivery being retried, a backlog — reads and decodes the
 // log. Webhooks go out over kept-alive connections, one per delivery
-// worker and endpoint (Config.TriggerDeliveryWorkers), each attempt one
-// round trip on the bus's own transport with the URL parsed when the
-// subscription was stored.
+// worker and endpoint (the bus runs four), each attempt one round trip
+// on the bus's own transport with the URL parsed when the subscription
+// was stored.
 //
 // Retention is bounded per object (Config.EventLogMaxPerObject,
-// default 1024 entries) and by age (Config.EventLogRetention), swept
-// on the async GC cadence; per-subscription delivered/retried/dropped
-// counters ride the same stats surfaces.
+// default 1024 entries), with evicted entries removed from the store
+// on a 30 s sweep; per-subscription delivered/retried/dropped counters
+// ride the same stats surfaces.
 //
 // # Concurrency modes
 //
@@ -753,12 +753,6 @@ const (
 // ParseYAML loads a Package from YAML.
 func ParseYAML(data []byte) (*Package, error) { return model.ParseYAML(data) }
 
-// ParseJSON loads a Package from JSON.
-func ParseJSON(data []byte) (*Package, error) { return model.ParseJSON(data) }
-
-// LoadPackageFile loads a Package from a .yaml/.yml/.json file.
-func LoadPackageFile(path string) (*Package, error) { return model.LoadFile(path) }
-
 // Function-code types: developers implement Handler for each container
 // image referenced by their class definitions.
 type (
@@ -971,20 +965,9 @@ func (o Object) Invoke(ctx context.Context, member string, payload json.RawMessa
 	return o.Platform.Invoke(ctx, o.ID, member, payload, args)
 }
 
-// InvokeAsync enqueues a method or dataflow invocation and returns an
-// invocation ID to poll via Platform.Invocation / WaitInvocation.
-func (o Object) InvokeAsync(ctx context.Context, member string, payload json.RawMessage, args map[string]string) (string, error) {
-	return o.Platform.InvokeAsync(ctx, o.ID, member, payload, args)
-}
-
 // State reads one structured state key.
 func (o Object) State(ctx context.Context, key string) (json.RawMessage, error) {
 	return o.Platform.GetState(ctx, o.ID, key)
-}
-
-// SetState writes one structured state key.
-func (o Object) SetState(ctx context.Context, key string, value json.RawMessage) error {
-	return o.Platform.PutState(ctx, o.ID, key, value)
 }
 
 // FileURL returns a presigned URL ("GET", "PUT" or "DELETE") for one
@@ -998,9 +981,4 @@ func (o Object) FileURL(key, method string) (string, error) {
 // default); callers must Close the stream.
 func (o Object) Events(buf int) (*EventStream, error) {
 	return o.Platform.StreamEvents(o.ID, buf)
-}
-
-// Delete removes the object and its state.
-func (o Object) Delete(ctx context.Context) error {
-	return o.Platform.DeleteObject(ctx, o.ID)
 }

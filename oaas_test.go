@@ -82,7 +82,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if string(v) != `"oaas"` {
 		t.Fatalf("state = %s", v)
 	}
-	if err := obj.SetState(ctx, "name", json.RawMessage(`"direct"`)); err != nil {
+	if err := p.PutState(ctx, obj.ID, "name", json.RawMessage(`"direct"`)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,7 +112,7 @@ func TestObjectDelete(t *testing.T) {
 	ctx := context.Background()
 	p.DeployYAML(ctx, []byte(greeterYAML))
 	obj, _ := NewObject(ctx, p, "Greeter", "")
-	if err := obj.Delete(ctx); err != nil {
+	if err := p.DeleteObject(ctx, obj.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := obj.Invoke(ctx, "greet", nil, nil); !errors.Is(err, ErrObjectNotFound) {
@@ -155,9 +155,8 @@ func TestParseHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := json.Marshal(pkg)
-	if _, err := ParseJSON(raw); err != nil {
-		t.Fatal(err)
+	if len(pkg.Classes) != 1 || pkg.Classes[0].Name != "Greeter" {
+		t.Fatalf("parsed %+v", pkg.Classes)
 	}
 }
 
@@ -205,7 +204,7 @@ func TestAsyncInvocationPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := obj.InvokeAsync(ctx, "greet", nil, nil)
+	id, err := p.InvokeAsync(ctx, obj.ID, "greet", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
