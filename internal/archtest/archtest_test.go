@@ -112,6 +112,25 @@ func TestInvariants(t *testing.T) {
 		{"one-webhook-url-rule", only("internal/model", "WebhookURL", "url.Parse(", 1)},
 		{"bounds-doc-not-reflective", calls("internal/eventlog", "json.Marshal(objMeta", 0)},
 
+		// A lone call is a group of one. The async queue hands every group
+		// it drains to one hook, from one place, after one kind of send to a
+		// shard; a commit hands its events to one hook, and the bus appends
+		// them to the log in one body. A handler panic is recovered where
+		// every handler runs, on whichever goroutine that is. A single-call
+		// copy beside a group body drifts from it, as the pairs these
+		// replaced had.
+		{"one-drain-hook", all(
+			noName("internal/asyncq", `^(Invoker|BatchInvoker|InvokeBatch)$`),
+			only("internal/asyncq", "Queue.dispatch", "cfg.Invoke(", 1),
+		)},
+		{"one-event-hook", noName("internal/runtime", `^EventsBatch$`)},
+		{"one-publish-body", all(
+			only("internal/trigger", "Bus.PublishBatch", "Log.AppendBatch(", 1),
+			calls("internal/trigger", "Log.Append(", 0),
+		)},
+		{"one-shard-send", only("internal/asyncq", "Queue.enqueue", "q.shardFor(", 1)},
+		{"handler-panic-recovered-once", only("internal/runtime", "ClassRuntime.engineInvoke", "recover(", 1)},
+
 		// A knob exists because something sets it, and a symbol because
 		// something calls it. A new Config leaf or a new exported function
 		// that only tests reach is a reviewed edit of one of these lists.

@@ -56,16 +56,16 @@
 // Workers drain in batches: each pull takes up to Config.DrainBatch
 // tasks from the shard (blocking for the first, non-blocking for the
 // rest), marks the pull's tasks running under one lock acquisition,
-// writes the terminal record transitions for the whole pull in one
-// batched memtable.PutMany, and groups the pull's tasks by target
-// object. When Config.InvokeBatch is set,
-// same-object groups of two or more dispatch through it in one call —
-// the runtime's group-commit path — so N coalesced invocations on a
-// hot object cost one concurrency window and one simulated DB round
-// trip instead of N. Per-call outcomes stay independent: a failing or
-// panicking member poisons only its own record. Stats().BatchedDrains
-// counts multi-task pulls and Stats().Coalesced counts invocations
-// that shared a group dispatch.
+// groups them by target object, hands each group to Config.Invoke in
+// one call — the runtime's group-commit path — and writes the terminal
+// record transitions for the whole pull in one batched memtable.PutMany.
+// A task drained alone is a group of one; a hot object's backlog
+// drains as one group, so N coalesced invocations cost one concurrency
+// window and one simulated DB round trip instead of N. Per-call
+// outcomes stay independent: a failing member poisons only its own
+// record, and a hook that panics fails its own group, not the worker.
+// Stats().BatchedDrains counts multi-task pulls and Stats().Coalesced
+// counts invocations that shared a group with at least one other.
 //
 // # Class quotas
 //
@@ -85,6 +85,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,18 +164,6 @@ type Record struct {
 	Finished time.Time `json:"finished,omitzero"`
 }
 
-// Invoker executes one dequeued invocation. The platform passes its
-// synchronous Invoke path here; the indirection keeps this package free
-// of a dependency on core.
-type Invoker func(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, error)
-
-// BatchInvoker executes a group of calls against one object in a
-// single concurrency window (the platform passes its group-commit
-// path). Each call's Ctx is its submitter's context. It must return
-// exactly one result per call; results are independent — one failing
-// call must not poison the rest.
-type BatchInvoker func(ctx context.Context, objectID string, calls []call.Call) []call.Result
-
 // Target is what a submitter has resolved about the object and member
 // an invocation names, before the queue accepts it.
 type Target struct {
@@ -200,12 +189,16 @@ type Request struct {
 
 // Config sizes a Queue.
 type Config struct {
-	// Invoke drains dequeued tasks; required.
-	Invoke Invoker
-	// InvokeBatch, when set, executes same-object groups of a drain
-	// pull in one call (group commit). Groups of one, and every group
-	// when InvokeBatch is nil, go through Invoke.
-	InvokeBatch BatchInvoker
+	// Invoke executes one group of a drain pull: the pull's calls on one
+	// object, in the order they were dequeued — one call for a task that
+	// drained alone. Each call's Ctx is its submitter's context, capped
+	// to its submission deadline. results[i] receives calls[i]'s
+	// outcome, and one failing call must not poison the rest. The queue
+	// owns both slices and hands results over zeroed; the hook keeps
+	// neither. The platform passes its group-commit path; the
+	// indirection keeps this package free of a dependency on core.
+	// Required.
+	Invoke func(ctx context.Context, objectID string, calls []call.Call, results []call.Result)
 	// DrainBatch is the maximum number of tasks one worker pulls from
 	// its shard per drain (the first blocking, the rest non-blocking).
 	// Defaults to 16; 1 restores strictly per-task draining.
@@ -531,51 +524,66 @@ func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, 
 		t.link = sp.Link()
 		t.span = sp.Child("queue.wait")
 	}
-	// The pending record and depth gauge must exist before the task is
-	// visible to a worker: a fast worker would otherwise write the
-	// terminal record first and have it clobbered by a late pending
-	// write (leaving pollers stuck at "pending" forever).
+	// The pending record must exist before the task is visible to a
+	// worker: a fast worker would otherwise write the terminal record
+	// first and have it clobbered by a late pending write (leaving
+	// pollers stuck at "pending" forever).
 	q.putPending(t)
-	m := q.cfg.Metrics
-	m.Gauge("queue.depth").Add(1)
-	// The closed check, quota reservation and shard send share the lock
-	// so Close cannot observe an accepted task it will not drain and a
-	// quota can never be oversubscribed by racing submitters.
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		m.Gauge("queue.depth").Add(-1)
+	err := q.enqueue(t, "queue.enqueued", func() error {
+		if quota, capped := q.cfg.ClassQuotas[t.class]; capped && t.class != "" && q.classPending[t.class] >= quota {
+			return fmt.Errorf("%w: class %s at quota %d", ErrClassQuotaExceeded, t.class, quota)
+		}
+		return nil
+	})
+	if err != nil {
+		switch {
+		case errors.Is(err, ErrClassQuotaExceeded):
+			q.cfg.Metrics.Counter("queue.quota_rejected").Inc()
+		case errors.Is(err, ErrQueueFull):
+			q.cfg.Metrics.Counter("queue.rejected").Inc()
+		}
 		_ = q.records.Delete(context.Background(), t.key)
-		t.dropTrace(ErrClosed)
-		return "", ErrClosed
-	}
-	if quota, capped := q.cfg.ClassQuotas[t.class]; capped && t.class != "" && q.classPending[t.class] >= quota {
-		q.mu.Unlock()
-		m.Gauge("queue.depth").Add(-1)
-		m.Counter("queue.quota_rejected").Inc()
-		_ = q.records.Delete(context.Background(), t.key)
-		err := fmt.Errorf("%w: class %s at quota %d", ErrClassQuotaExceeded, t.class, quota)
 		t.dropTrace(err)
 		return "", err
 	}
+	return t.id, nil
+}
+
+// enqueue is the one send to a shard: it makes t visible to a worker
+// and books it queued — one more in the depth gauge, in its class's
+// quota count and in counter, and a tracked entry that has not started.
+// The closed check, admit and the send share q.mu, so Close cannot
+// observe an accepted task it will not drain, racing submitters cannot
+// oversubscribe a quota and a record is not adopted twice; the depth is
+// booked before the send, so the worker that dequeues t cannot take the
+// gauge below zero. It fails with ErrClosed after Close, with admit's
+// error when admit (nil admits every task) refuses t, and with
+// ErrQueueFull when t's shard is full.
+func (q *Queue) enqueue(t task, counter string, admit func() error) error {
+	m := q.cfg.Metrics
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrClosed
+	}
+	if admit != nil {
+		if err := admit(); err != nil {
+			return err
+		}
+	}
+	m.Gauge("queue.depth").Add(1)
 	select {
 	case q.shardFor(t.id) <- t:
 	default:
-		q.mu.Unlock()
 		m.Gauge("queue.depth").Add(-1)
-		m.Counter("queue.rejected").Inc()
-		_ = q.records.Delete(context.Background(), t.key)
-		err := fmt.Errorf("%w: object %s", ErrQueueFull, objectID)
-		t.dropTrace(err)
-		return "", err
+		return fmt.Errorf("%w: object %s", ErrQueueFull, t.object)
 	}
 	if t.class != "" {
 		q.classPending[t.class]++
 	}
 	q.tracked[t.id] = time.Time{}
-	m.Counter("queue.enqueued").Inc()
-	q.mu.Unlock()
-	return t.id, nil
+	m.Counter(counter).Inc()
+	return nil
 }
 
 // BatchResult is one batch-submission outcome.
@@ -801,12 +809,53 @@ func (q *Queue) Wait(ctx context.Context, id string) (Record, error) {
 	}
 }
 
+// drain is one worker's scratch, reused from pull to pull: the pull,
+// its runnable tasks grouped by object and, aligned with them, the calls
+// the Invoke hook is handed, the results it fills and their drain spans;
+// the deadline cancels of the group in flight; and the pull's terminal
+// transitions. done clears it, so nothing a pull put there outlives the
+// pull, and a pull allocates none of it.
+type drain struct {
+	batch    []task
+	runnable []task
+	calls    []call.Call
+	results  []call.Result
+	spans    []*trace.Span
+	cancels  []context.CancelFunc
+	hooks    []terminalHook
+}
+
+func newDrain(n int) *drain {
+	return &drain{
+		batch:    make([]task, 0, n),
+		runnable: make([]task, 0, n),
+		calls:    make([]call.Call, n),
+		results:  make([]call.Result, n),
+		spans:    make([]*trace.Span, n),
+		cancels:  make([]context.CancelFunc, 0, n),
+		hooks:    make([]terminalHook, 0, n),
+	}
+}
+
+// done drops what the pull left in d: its tasks' contexts, payloads and
+// records stay reachable from nowhere once the pull is over.
+func (d *drain) done() {
+	n := len(d.runnable)
+	clear(d.calls[:n])
+	clear(d.results[:n])
+	clear(d.spans[:n])
+	clear(d.batch)
+	clear(d.runnable)
+	clear(d.hooks)
+	d.batch, d.runnable, d.hooks = d.batch[:0], d.runnable[:0], d.hooks[:0]
+}
+
 // worker drains one shard until it is closed, pulling up to DrainBatch
 // tasks per drain: the first receive blocks, the rest are non-blocking,
 // so a lone task still runs immediately while a backlog coalesces.
 func (q *Queue) worker(shard chan task) {
 	defer q.wg.Done()
-	batch := make([]task, 0, q.cfg.DrainBatch)
+	d := newDrain(q.cfg.DrainBatch)
 	for {
 		t, ok := <-shard
 		if !ok {
@@ -818,9 +867,9 @@ func (q *Queue) worker(shard chan task) {
 			// pending records stay in the backing store for recovery.
 			continue
 		}
-		batch = append(batch[:0], t)
+		d.batch = append(d.batch, t)
 	fill:
-		for len(batch) < q.cfg.DrainBatch {
+		for len(d.batch) < q.cfg.DrainBatch {
 			select {
 			case t, ok := <-shard:
 				if !ok {
@@ -829,47 +878,39 @@ func (q *Queue) worker(shard chan task) {
 					// its next blocking receive).
 					break fill
 				}
-				batch = append(batch, t)
+				d.batch = append(d.batch, t)
 			default:
 				break fill
 			}
 		}
-		q.runBatch(batch)
+		q.runBatch(d)
 	}
 }
 
 // errStaleQueued fails a task still queued past its submission deadline.
 var errStaleQueued = errors.New("asyncq: submission deadline elapsed while queued")
 
-// outcome is one drained task's execution result.
-type outcome struct {
-	out json.RawMessage
-	err error
-}
-
-// runBatch executes one drain pull: it publishes the terminal records
-// of tasks cancelled or expired while queued, marks the rest running
-// (in memory — see the package doc), groups them by target object for
-// coalesced dispatch, then writes every terminal record in one batched
-// table write. Handler panics are recovered into failed records so the
-// worker survives.
+// runBatch executes the pull in d.batch: it publishes the terminal
+// records of tasks cancelled or expired while queued, marks the rest
+// running (in memory — see the package doc), dispatches them grouped by
+// target object, then writes every terminal record in one batched table
+// write.
 //
 // Terminal publication is per pull, not per task: a task's record (and
 // its Wait waiters) becomes visible once the whole pull finishes, and
 // all records of the pull share the pull window's Started/Finished
 // timestamps — the throughput/latency trade the drain batching makes,
 // bounded by DrainBatch. DrainBatch=1 restores per-task publication.
-func (q *Queue) runBatch(batch []task) {
+func (q *Queue) runBatch(d *drain) {
+	defer d.done()
 	m := q.cfg.Metrics
-	m.Gauge("queue.depth").Add(-int64(len(batch)))
-	q.releaseQuota(batch)
-	if len(batch) > 1 {
+	m.Gauge("queue.depth").Add(-int64(len(d.batch)))
+	q.releaseQuota(d.batch)
+	if len(d.batch) > 1 {
 		m.Counter("queue.batched_drains").Inc()
 	}
 	started := q.cfg.Clock.Now()
-	runnable := make([]task, 0, len(batch))
-	var cancelled []terminalHook
-	for _, t := range batch {
+	for _, t := range d.batch {
 		m.Histogram("queue.wait").Observe(q.cfg.Clock.Since(t.queued))
 		err := t.ctx.Err()
 		if err == nil && !t.deadline.IsZero() && !started.Before(t.deadline) {
@@ -880,7 +921,7 @@ func (q *Queue) runBatch(batch []task) {
 		}
 		if err == nil {
 			t.span.End() // the wait is over; drain spans take it from here
-			runnable = append(runnable, t)
+			d.runnable = grouped(d.runnable, t)
 			continue
 		}
 		// A submission cancelled or expired while queued goes terminal
@@ -899,35 +940,40 @@ func (q *Queue) runBatch(batch []task) {
 			m.Counter("queue.failed").Inc()
 		}
 		m.Histogram("queue.exec").Observe(0)
-		cancelled = append(cancelled, terminalHook{key: t.key, rec: rec, args: t.args})
+		d.hooks = append(d.hooks, terminalHook{key: t.key, rec: rec, args: t.args})
 		t.dropTrace(err)
 	}
-	q.finish(cancelled)
+	q.finish(d.hooks)
+	clear(d.hooks)
+	d.hooks = d.hooks[:0]
+	runnable := d.runnable
 	if len(runnable) == 0 {
 		return
 	}
 	// Running from here on, as far as Get is concerned; the durable
 	// record stays pending (see the package doc).
 	q.mu.Lock()
-	for _, t := range runnable {
-		q.tracked[t.id] = started
+	for i := range runnable {
+		q.tracked[runnable[i].id] = started
 	}
 	q.mu.Unlock()
 	m.Gauge("queue.inflight").Add(int64(len(runnable)))
-	outcomes := q.executeGroups(runnable)
+	q.executeGroups(d)
 	m.Gauge("queue.inflight").Add(-int64(len(runnable)))
 	finished := q.cfg.Clock.Now()
-	hooks := make([]terminalHook, 0, len(runnable))
-	for i, t := range runnable {
-		out, err := outcomes[i].out, outcomes[i].err
+	for i := range runnable {
+		t := &runnable[i]
+		out, err := d.results[i].Output, d.results[i].Err
 		if err == nil && len(out) > 0 && !json.Valid(out) {
 			err = fmt.Errorf("asyncq: handler returned invalid JSON output")
 		}
 		// Ownership-fence (and other Requeue-classified) failures go
 		// back to the queue with the same ID instead of terminating:
 		// the work was never acknowledged, so the new owner simply
-		// re-runs it. The terminal path below is the fallback when the
-		// requeue bound is hit or the queue is closing.
+		// re-runs it, and it reads pending again; the stored record
+		// never stopped saying so. The terminal path below is the
+		// fallback when the requeue bound is hit, the queue is closing
+		// or the shard is full.
 		if err != nil && q.cfg.Requeue != nil && q.cfg.Requeue(err) &&
 			t.requeues < q.cfg.MaxRequeues && t.ctx.Err() == nil &&
 			(t.deadline.IsZero() || q.cfg.Clock.Now().Before(t.deadline)) {
@@ -935,7 +981,7 @@ func (q *Queue) runBatch(batch []task) {
 			// Back to the shard under the same trace: a fresh wait span
 			// opens so the re-run's queue time is visible too.
 			t.span = t.link.Start("queue.wait")
-			if q.requeue(t) {
+			if q.enqueue(*t, "queue.requeued", nil) == nil {
 				continue
 			}
 			t.span.End()
@@ -960,39 +1006,24 @@ func (q *Queue) runBatch(batch []task) {
 			rec.Status, rec.Result = StatusCompleted, out
 			m.Counter("queue.completed").Inc()
 		}
-		hooks = append(hooks, terminalHook{key: t.key, rec: rec, args: t.args})
+		d.hooks = append(d.hooks, terminalHook{key: t.key, rec: rec, args: t.args})
 		t.link.Release() // terminal: the trace's queue hop is over
 	}
-	q.finish(hooks)
+	q.finish(d.hooks)
 }
 
-// requeue sends a live task back to its shard and clears its running
-// mark, so it reads pending again; the stored record never stopped
-// saying so. It reports false when the queue is closing or the shard is
-// full — the caller then falls back to the terminal path. Safe against
-// Close: the closed check and the send share q.mu, and shutdown closes
-// the shards only after setting closed under the same lock.
-func (q *Queue) requeue(t task) bool {
-	m := q.cfg.Metrics
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
+// grouped adds t to a pull's runnable tasks right after the last one on
+// its object, so each object's tasks form one run, in the order they
+// were dequeued, and runs stand in the order their objects first drained
+// — the pull grouped by object without a map. runnable never outgrows
+// the pull, whose capacity it has.
+func grouped(runnable []task, t task) []task {
+	for i := len(runnable) - 1; i >= 0; i-- {
+		if runnable[i].object == t.object {
+			return slices.Insert(runnable, i+1, t)
+		}
 	}
-	select {
-	case q.shardFor(t.id) <- t:
-	default:
-		q.mu.Unlock()
-		return false
-	}
-	if t.class != "" {
-		q.classPending[t.class]++
-	}
-	q.tracked[t.id] = time.Time{}
-	m.Gauge("queue.depth").Add(1)
-	m.Counter("queue.requeued").Inc()
-	q.mu.Unlock()
-	return true
+	return append(runnable, t)
 }
 
 // RecoverStranded adopts non-terminal invocation records that no live
@@ -1038,46 +1069,37 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 			continue
 		}
 		t := task{
-			key:      key,
-			id:       rec.ID,
-			object:   rec.Object,
-			member:   rec.Member,
-			payload:  rec.Payload,
-			args:     rec.Args,
-			ctx:      context.Background(),
-			queued:   now,
-			requeues: 0,
+			key:     key,
+			id:      rec.ID,
+			object:  rec.Object,
+			member:  rec.Member,
+			payload: rec.Payload,
+			args:    rec.Args,
+			ctx:     context.Background(),
+			queued:  now,
 		}
 		if q.cfg.Target != nil {
 			q.aim(&t, q.cfg.Target(t.object, t.member))
 		}
-		m := q.cfg.Metrics
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			break
+		// A full shard skips the record; the next recovery pass retries.
+		switch err := q.enqueue(t, "queue.recovered", func() error {
+			if _, live := q.tracked[t.id]; live {
+				return errLive
+			}
+			return nil
+		}); {
+		case err == nil:
+			adopted++
+		case errors.Is(err, ErrClosed):
+			return adopted, nil
 		}
-		if _, live := q.tracked[rec.ID]; live {
-			q.mu.Unlock()
-			continue // still queued or executing in this process
-		}
-		select {
-		case q.shardFor(t.id) <- t:
-		default:
-			q.mu.Unlock()
-			continue // shard full; the next recovery pass retries
-		}
-		if t.class != "" {
-			q.classPending[t.class]++
-		}
-		q.tracked[t.id] = time.Time{}
-		m.Gauge("queue.depth").Add(1)
-		m.Counter("queue.recovered").Inc()
-		q.mu.Unlock()
-		adopted++
 	}
 	return adopted, nil
 }
+
+// errLive refuses to adopt a record whose invocation is queued or
+// executing in this process.
+var errLive = errors.New("asyncq: invocation is live in this process")
 
 // releaseQuota returns the pull's tasks to their classes' quotas.
 func (q *Queue) releaseQuota(batch []task) {
@@ -1096,116 +1118,66 @@ func (q *Queue) releaseQuota(batch []task) {
 	q.mu.Unlock()
 }
 
-// executeGroups runs the pull's tasks grouped by target object. Groups
-// of two or more dispatch through the batch invoker in one group-commit
-// window when one is configured (counted in queue.coalesced); singleton
-// groups — and every group when no batch invoker is set — run through
-// the per-task path. Outcomes align with tasks.
-func (q *Queue) executeGroups(tasks []task) []outcome {
-	outcomes := make([]outcome, len(tasks))
-	if q.cfg.InvokeBatch == nil || len(tasks) == 1 {
-		for i, t := range tasks {
-			outcomes[i].out, outcomes[i].err = q.invoke(t)
+// executeGroups hands the pull's runnable tasks to the Invoke hook, one
+// call per run of same-object tasks, filling d.results aligned with
+// d.runnable. Each call runs under its own queue.drain span of its
+// submission's trace, with its context capped to its submission
+// deadline. Groups of two or more are counted in queue.coalesced.
+func (q *Queue) executeGroups(d *drain) {
+	tasks := d.runnable
+	for lo := 0; lo < len(tasks); {
+		hi := lo + 1
+		for hi < len(tasks) && tasks[hi].object == tasks[lo].object {
+			hi++
 		}
-		return outcomes
-	}
-	// Group positions by object, preserving dequeue order within each
-	// group so same-object calls execute in the order they drained.
-	groups := make(map[string][]int, len(tasks))
-	order := make([]string, 0, len(tasks))
-	for i, t := range tasks {
-		if _, seen := groups[t.object]; !seen {
-			order = append(order, t.object)
+		n := hi - lo
+		if n > 1 {
+			q.cfg.Metrics.Counter("queue.coalesced").Add(int64(n))
 		}
-		groups[t.object] = append(groups[t.object], i)
-	}
-	for _, object := range order {
-		idxs := groups[object]
-		if len(idxs) == 1 {
-			i := idxs[0]
-			outcomes[i].out, outcomes[i].err = q.invoke(tasks[i])
-			continue
-		}
-		q.cfg.Metrics.Counter("queue.coalesced").Add(int64(len(idxs)))
-		calls := make([]call.Call, len(idxs))
-		dspans := make([]*trace.Span, len(idxs))
-		var cancels []context.CancelFunc
-		for j, i := range idxs {
-			t := tasks[i]
+		cancels := d.cancels[:0]
+		for i := lo; i < hi; i++ {
+			t := &tasks[i]
 			dsp := t.link.Start("queue.drain")
-			dsp.SetInt("coalesced", len(idxs))
-			dspans[j] = dsp
-			cctx := trace.ContextWith(t.ctx, dsp)
+			if n > 1 {
+				dsp.SetInt("coalesced", n)
+			}
+			d.spans[i] = dsp
+			ctx := trace.ContextWith(t.ctx, dsp)
 			if !t.deadline.IsZero() {
 				var cancel context.CancelFunc
-				cctx, cancel = context.WithDeadline(cctx, t.deadline)
+				ctx, cancel = context.WithDeadline(ctx, t.deadline)
 				cancels = append(cancels, cancel)
 			}
-			calls[j] = call.Call{Member: t.member, Payload: t.payload, Args: t.args, Ctx: cctx}
+			d.calls[i] = call.Call{Member: t.member, Payload: t.payload, Args: t.args, Ctx: ctx}
 		}
-		results := q.invokeBatch(object, calls)
+		q.dispatch(tasks[lo].object, d.calls[lo:hi], d.results[lo:hi])
 		for _, cancel := range cancels {
 			cancel()
 		}
-		for j := range dspans {
-			dspans[j].Error(results[j].Err)
-			dspans[j].End()
+		clear(cancels)
+		for i := lo; i < hi; i++ {
+			d.spans[i].Error(d.results[i].Err)
+			d.spans[i].End()
 		}
-		for j, i := range idxs {
-			outcomes[i] = outcome{out: results[j].Output, err: results[j].Err}
-		}
+		lo = hi
 	}
-	return outcomes
 }
 
-// invokeBatch calls the batch invoker with panic isolation and a
-// result-shape guard: a misbehaving batch executor fails the whole
-// group's calls without killing the worker.
-func (q *Queue) invokeBatch(object string, calls []call.Call) (results []call.Result) {
+// dispatch calls the Invoke hook on one group, with results zeroed. A
+// hook that panics fails every call of its group and leaves the worker
+// running.
+func (q *Queue) dispatch(object string, calls []call.Call, results []call.Result) {
+	clear(results)
 	defer func() {
 		if r := recover(); r != nil {
 			q.cfg.Metrics.Counter("queue.panics").Inc()
-			results = failAll(calls, fmt.Errorf("asyncq: batch handler panic: %v", r))
+			err := fmt.Errorf("asyncq: handler panic: %v", r)
+			for i := range results {
+				results[i] = call.Result{Err: err}
+			}
 		}
 	}()
-	results = q.cfg.InvokeBatch(context.Background(), object, calls)
-	if len(results) != len(calls) {
-		results = failAll(calls, fmt.Errorf("asyncq: batch invoker returned %d results for %d calls", len(results), len(calls)))
-	}
-	return results
-}
-
-// failAll builds a uniform-failure result set.
-func failAll(calls []call.Call, err error) []call.Result {
-	out := make([]call.Result, len(calls))
-	for i := range out {
-		out[i].Err = err
-	}
-	return out
-}
-
-// invoke calls the handler with panic isolation, capping the execution
-// context to the task's submission deadline. Each attempt runs under
-// its own queue.drain span of the submission's trace.
-func (q *Queue) invoke(t task) (out json.RawMessage, err error) {
-	dsp := t.link.Start("queue.drain")
-	defer func() {
-		dsp.Error(err)
-		dsp.End()
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			q.cfg.Metrics.Counter("queue.panics").Inc()
-			out, err = nil, fmt.Errorf("asyncq: handler panic: %v", r)
-		}
-	}()
-	ctx := trace.ContextWith(t.ctx, dsp)
-	if !t.deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, t.deadline)
-		defer cancel()
-	}
-	return q.cfg.Invoke(ctx, t.object, t.member, t.payload, t.args)
+	q.cfg.Invoke(context.Background(), object, calls, results)
 }
 
 // Stats is a point-in-time queue snapshot.

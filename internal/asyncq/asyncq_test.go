@@ -29,6 +29,16 @@ func (e *echoInvoker) invoke(_ context.Context, objectID, member string, payload
 	return out, nil
 }
 
+// each is the Invoke hook that runs a group's calls one by one through
+// a handler of one call.
+func each(handler func(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, error)) func(context.Context, string, []call.Call, []call.Result) {
+	return func(_ context.Context, objectID string, calls []call.Call, results []call.Result) {
+		for i, c := range calls {
+			results[i].Output, results[i].Err = handler(c.Ctx, objectID, c.Member, c.Payload, c.Args)
+		}
+	}
+}
+
 func newQueue(t *testing.T, cfg Config) *Queue {
 	t.Helper()
 	q, err := New(cfg)
@@ -41,7 +51,7 @@ func newQueue(t *testing.T, cfg Config) *Queue {
 
 func TestSubmitCompletesAndRecordsResult(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 2})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 2})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "obj-1", "greet", json.RawMessage(`"hi"`), nil)
 	if err != nil {
@@ -69,7 +79,7 @@ func TestSubmitCompletesAndRecordsResult(t *testing.T) {
 }
 
 func TestGetUnknownInvocation(t *testing.T) {
-	q := newQueue(t, Config{Invoke: (&echoInvoker{}).invoke})
+	q := newQueue(t, Config{Invoke: each((&echoInvoker{}).invoke)})
 	if _, err := q.Get(context.Background(), "inv-ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -77,9 +87,9 @@ func TestGetUnknownInvocation(t *testing.T) {
 
 func TestFailedInvocationRecordsError(t *testing.T) {
 	boom := errors.New("boom")
-	q := newQueue(t, Config{Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		return nil, boom
-	}})
+	})})
 	id, err := q.Submit(context.Background(), Target{}, "o", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +108,7 @@ func TestFailedInvocationRecordsError(t *testing.T) {
 
 func TestWaitRetiresWaiterEntries(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 2})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 2})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		id, err := q.Submit(ctx, Target{}, fmt.Sprintf("o%d", i), "m", nil, nil)
@@ -126,9 +136,9 @@ func TestWaitRetiresWaiterEntries(t *testing.T) {
 }
 
 func TestInvalidHandlerOutputFailsRecord(t *testing.T) {
-	q := newQueue(t, Config{Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		return json.RawMessage("not-json"), nil
-	}})
+	})})
 	id, err := q.Submit(context.Background(), Target{}, "o", "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +157,7 @@ func TestRecordsSurviveFlushCycles(t *testing.T) {
 	t.Cleanup(db.Close)
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{
-		Invoke:        inv.invoke,
+		Invoke:        each(inv.invoke),
 		Backing:       db,
 		FlushInterval: time.Millisecond,
 	})
@@ -171,7 +181,7 @@ func TestRecordsSurviveFlushCycles(t *testing.T) {
 
 func TestStatsCountersMatchSubmissions(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 4, Capacity: 64})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 4, Capacity: 64})
 	const n = 32
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -200,7 +210,7 @@ func TestStatsCountersMatchSubmissions(t *testing.T) {
 
 func TestConcurrentSubmitAndWait(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 8, Capacity: 1024})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 8, Capacity: 1024})
 	const n = 200
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -239,7 +249,7 @@ func TestNewRequiresInvoker(t *testing.T) {
 }
 
 func TestSubmitAfterCloseRejected(t *testing.T) {
-	q, err := New(Config{Invoke: (&echoInvoker{}).invoke})
+	q, err := New(Config{Invoke: each((&echoInvoker{}).invoke)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +276,7 @@ func TestStatusTerminal(t *testing.T) {
 func TestRecordGCEvictsTerminalRecords(t *testing.T) {
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{
-		Invoke:     inv.invoke,
+		Invoke:     each(inv.invoke),
 		Workers:    2,
 		RecordTTL:  30 * time.Millisecond,
 		GCInterval: 5 * time.Millisecond,
@@ -311,14 +321,14 @@ func TestRecordGCEvictsTerminalRecords(t *testing.T) {
 func TestRecordGCSparesNonTerminalRecords(t *testing.T) {
 	release := make(chan struct{})
 	q := newQueue(t, Config{
-		Invoke: func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+		Invoke: each(func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 			select {
 			case <-release:
 				return json.RawMessage(`"done"`), nil
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-		},
+		}),
 		Workers:    1,
 		RecordTTL:  10 * time.Millisecond,
 		GCInterval: 5 * time.Millisecond,
@@ -361,7 +371,7 @@ func TestRecordGCEvictsFromBackingStore(t *testing.T) {
 	defer db.Close()
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{
-		Invoke:        inv.invoke,
+		Invoke:        each(inv.invoke),
 		Workers:       1,
 		Backing:       db,
 		FlushInterval: 2 * time.Millisecond,
@@ -396,7 +406,7 @@ func TestRecordGCEvictsFromBackingStore(t *testing.T) {
 // forever (the pre-GC behaviour).
 func TestNoGCWithoutTTL(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 1})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 1})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
 	if err != nil {
@@ -431,7 +441,7 @@ func (f *flakyInvoker) invoke(_ context.Context, _, _ string, _ json.RawMessage,
 // queue re-runs work only when the Requeue classifier sends it back.
 func TestNoRetriesByDefault(t *testing.T) {
 	inv := &flakyInvoker{failures: 1}
-	q := newQueue(t, Config{Invoke: inv.invoke, Workers: 1})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 1})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
 	if err != nil {
@@ -451,8 +461,6 @@ func TestNoRetriesByDefault(t *testing.T) {
 
 // --- Batched drain and quota tests -----------------------------------
 
-// blockingQueue builds a single-worker, single-shard queue whose
-// handler parks on release; started signals the first execution.
 // awaitStored polls the backing store until the invocation's record is
 // there with the given status (the record table flushes write-behind)
 // and returns the stored document.
@@ -476,16 +484,26 @@ func awaitStored(t *testing.T, db *kvstore.Store, id string, status Status) json
 	}
 }
 
+// blockingQueue builds a single-worker, single-shard queue whose hook
+// parks on release, then runs cfg.Invoke when one is set and completes
+// every call with "ok" when not; started signals the first group.
 func blockingQueue(t *testing.T, cfg Config) (q *Queue, started, release chan struct{}) {
 	t.Helper()
 	started = make(chan struct{})
 	release = make(chan struct{})
 	var once sync.Once
 	cfg.Workers, cfg.Shards = 1, 1
-	cfg.Invoke = func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	hook := cfg.Invoke
+	cfg.Invoke = func(ctx context.Context, objectID string, calls []call.Call, results []call.Result) {
 		once.Do(func() { close(started) })
 		<-release
-		return json.RawMessage(`"ok"`), nil
+		if hook != nil {
+			hook(ctx, objectID, calls, results)
+			return
+		}
+		for i := range results {
+			results[i].Output = json.RawMessage(`"ok"`)
+		}
 	}
 	return newQueue(t, cfg), started, release
 }
@@ -546,7 +564,7 @@ func TestClassQuotaRejectsAndReleases(t *testing.T) {
 
 // TestBatchedDrainCoalescesSameObject parks the worker, builds a
 // same-object backlog, and verifies one multi-task pull dispatches the
-// group through the batch invoker, with BatchedDrains and Coalesced
+// group in one call of the hook, with BatchedDrains and Coalesced
 // reflecting it.
 func TestBatchedDrainCoalescesSameObject(t *testing.T) {
 	const backlog = 6
@@ -556,14 +574,12 @@ func TestBatchedDrainCoalescesSameObject(t *testing.T) {
 	cfg := Config{
 		Capacity:   32,
 		DrainBatch: 8,
-		InvokeBatch: func(ctx context.Context, objectID string, calls []call.Call) []call.Result {
-			groups.Add(1)
-			grouped.Add(int64(len(calls)))
-			out := make([]call.Result, len(calls))
-			for i, c := range calls {
-				out[i].Output, out[i].Err = inv.invoke(c.Ctx, objectID, c.Member, c.Payload, c.Args)
+		Invoke: func(ctx context.Context, objectID string, calls []call.Call, results []call.Result) {
+			if len(calls) > 1 {
+				groups.Add(1)
+				grouped.Add(int64(len(calls)))
 			}
-			return out
+			each(inv.invoke)(ctx, objectID, calls, results)
 		},
 	}
 	q, started, release := blockingQueue(t, cfg)
@@ -593,8 +609,8 @@ func TestBatchedDrainCoalescesSameObject(t *testing.T) {
 			t.Fatalf("result = %s", rec.Result)
 		}
 	}
-	if groups.Load() == 0 || grouped.Load() < 2 {
-		t.Fatalf("batch invoker saw %d groups / %d calls, want a coalesced group", groups.Load(), grouped.Load())
+	if groups.Load() == 0 {
+		t.Fatal("the hook saw no group of more than one call, want a coalesced group")
 	}
 	s := q.Stats()
 	if s.BatchedDrains == 0 {
@@ -608,15 +624,20 @@ func TestBatchedDrainCoalescesSameObject(t *testing.T) {
 	}
 }
 
-// TestBatchInvokerPanicFailsGroupOnly panics the batch invoker itself:
-// the group's records fail, the worker survives, and later singleton
+// TestBatchInvokerPanicFailsGroupOnly panics the hook itself on the hot
+// object's groups: those records fail, the worker survives, and later
 // work still completes.
 func TestBatchInvokerPanicFailsGroupOnly(t *testing.T) {
 	cfg := Config{
 		Capacity:   32,
 		DrainBatch: 8,
-		InvokeBatch: func(context.Context, string, []call.Call) []call.Result {
-			panic("broken batch executor")
+		Invoke: func(ctx context.Context, objectID string, calls []call.Call, results []call.Result) {
+			if objectID == "hot" {
+				panic("broken batch executor")
+			}
+			for i := range results {
+				results[i].Output = json.RawMessage(`"ok"`)
+			}
 		},
 	}
 	q, started, release := blockingQueue(t, cfg)
@@ -634,27 +655,17 @@ func TestBatchInvokerPanicFailsGroupOnly(t *testing.T) {
 		ids = append(ids, id)
 	}
 	close(release)
-	sawPanic := false
 	for _, id := range ids {
 		rec, err := q.Wait(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch rec.Status {
-		case StatusFailed:
-			sawPanic = true
-			if !strings.Contains(rec.Error, "batch handler panic") {
-				t.Fatalf("failed record error = %q", rec.Error)
-			}
-		case StatusCompleted:
-			// A task drained alone (singleton groups skip the batch
-			// invoker) — fine.
-		default:
-			t.Fatalf("record = %+v", rec)
+		if want := "asyncq: handler panic: broken batch executor"; rec.Status != StatusFailed || rec.Error != want {
+			t.Fatalf("record = %+v, want failed with %q", rec, want)
 		}
 	}
-	if !sawPanic {
-		t.Fatal("no group ever hit the panicking batch invoker")
+	if got := q.Metrics().Counter("queue.panics").Value(); got == 0 {
+		t.Fatal("queue.panics = 0 after the hook panicked")
 	}
 	// The worker survived: a fresh singleton completes.
 	id, err := q.Submit(ctx, Target{}, "later", "m", nil, nil)
@@ -663,46 +674,6 @@ func TestBatchInvokerPanicFailsGroupOnly(t *testing.T) {
 	}
 	if rec, err := q.Wait(ctx, id); err != nil || rec.Status != StatusCompleted {
 		t.Fatalf("post-panic record = %v %+v", err, rec)
-	}
-}
-
-// TestBatchInvokerShapeMismatchFailsGroup returns the wrong number of
-// results from the batch invoker and expects a uniform shape error.
-func TestBatchInvokerShapeMismatchFailsGroup(t *testing.T) {
-	cfg := Config{
-		Capacity:   32,
-		DrainBatch: 8,
-		InvokeBatch: func(context.Context, string, []call.Call) []call.Result {
-			return make([]call.Result, 1) // wrong shape for any group >= 2
-		},
-	}
-	q, started, release := blockingQueue(t, cfg)
-	ctx := context.Background()
-	if _, err := q.Submit(ctx, Target{}, "blocker", "m", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	ids := make([]string, 0, 4)
-	for i := 0; i < 4; i++ {
-		id, err := q.Submit(ctx, Target{}, "hot", "m", nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	close(release)
-	sawShape := false
-	for _, id := range ids {
-		rec, err := q.Wait(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Status == StatusFailed && strings.Contains(rec.Error, "results for") {
-			sawShape = true
-		}
-	}
-	if !sawShape {
-		t.Fatal("shape mismatch never surfaced in a failed record")
 	}
 }
 
@@ -750,7 +721,7 @@ func TestTerminalMetricsConsistentAcrossExitPaths(t *testing.T) {
 // so construction must fail.
 func TestNewRejectsQuotasWithoutClassOf(t *testing.T) {
 	_, err := New(Config{
-		Invoke:      (&echoInvoker{}).invoke,
+		Invoke:      each((&echoInvoker{}).invoke),
 		ClassQuotas: map[string]int{"C": 1},
 	})
 	if err == nil || !strings.Contains(err.Error(), "Config.Target") {

@@ -15,7 +15,7 @@ import (
 // pull sizes the caller controls: cycle parks the worker on a gate task,
 // queues n invocations of one object behind it, opens the gate and
 // returns once all of them are terminal — so they drain in pulls of
-// exactly min(n, DrainBatch), coalesced through a no-op batch invoker.
+// exactly min(n, DrainBatch), coalesced through a no-op hook.
 type drainRig struct {
 	tb        testing.TB
 	q         *Queue
@@ -29,15 +29,11 @@ func newDrainRig(tb testing.TB, drainBatch int) *drainRig {
 	r := &drainRig{tb: tb, parked: make(chan struct{}), open: make(chan struct{}), drained: make(chan struct{}, 1)}
 	q, err := New(Config{
 		Workers: 1, Shards: 1, DrainBatch: drainBatch, Capacity: 64,
-		Invoke: func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+		Invoke: func(_ context.Context, objectID string, _ []call.Call, _ []call.Result) {
 			if objectID == "gate" {
 				r.parked <- struct{}{}
 				<-r.open
 			}
-			return nil, nil
-		},
-		InvokeBatch: func(_ context.Context, _ string, calls []call.Call) []call.Result {
-			return make([]call.Result, len(calls))
 		},
 		OnTerminal: func(Record, map[string]string) {
 			if r.remaining.Add(-1) == 0 {
@@ -102,7 +98,9 @@ func BenchmarkSubmitDrain(b *testing.B) {
 // record, a per-write key string, a reflection-encoded document or a
 // per-timestamp string each push it past the budget. A trigger-chained
 // submission carries two args (trigger.ArgSource, trigger.ArgDepth):
-// they cost the copy of the map and nothing in the encoder.
+// they cost the copy of the map and nothing in the encoder. A task that
+// drains alone is a group of one, and costs what the per-task path it
+// replaced did.
 func TestSubmitDrainAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -110,12 +108,16 @@ func TestSubmitDrainAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		args   map[string]string
+		tasks  int
 		budget float64
 	}{
-		// measured 7.6; 23.4 with the running write and reflection-encoded records
-		{name: "no args", budget: 9},
-		// measured 9.5 (the copy of the map is 2); 16.5 when a record with args fell back to json.Marshal
-		{name: "trigger-chain args", args: map[string]string{"trigger": "stateChanged", "triggerDepth": "1"}, budget: 11},
+		// measured 6.6; 23.4 with the running write and reflection-encoded records
+		{name: "no args", tasks: 16, budget: 8},
+		// measured 8.6 (the copy of the map is 2); 16.5 when a record with
+		// args fell back to json.Marshal
+		{name: "trigger-chain args", args: map[string]string{"trigger": "stateChanged", "triggerDepth": "1"}, tasks: 16, budget: 10},
+		// measured 6; held at the 9 of the per-task path it replaced
+		{name: "one-task pull", tasks: 1, budget: 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newDrainRig(t, 16)
@@ -123,11 +125,11 @@ func TestSubmitDrainAllocationBudget(t *testing.T) {
 				r.cycleArgs(16, tc.args)
 			}
 			gate := testing.AllocsPerRun(50, func() { r.cycle(0) })
-			pull := testing.AllocsPerRun(50, func() { r.cycleArgs(16, tc.args) })
-			perInvocation := (pull - gate) / 16
-			t.Logf("gate-only cycle %v allocs, 16-task cycle %v allocs: %.2f per invocation", gate, pull, perInvocation)
+			pull := testing.AllocsPerRun(50, func() { r.cycleArgs(tc.tasks, tc.args) })
+			perInvocation := (pull - gate) / float64(tc.tasks)
+			t.Logf("gate-only cycle %v allocs, %d-task cycle %v allocs: %.2f per invocation", gate, tc.tasks, pull, perInvocation)
 			if perInvocation > tc.budget {
-				t.Fatalf("asyncq allocates %.2f objects per invocation on a 16-task pull, budget %v", perInvocation, tc.budget)
+				t.Fatalf("asyncq allocates %.2f objects per invocation on a %d-task pull, budget %v", perInvocation, tc.tasks, tc.budget)
 			}
 		})
 	}
@@ -178,9 +180,9 @@ func TestGetAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	q, err := New(Config{Workers: 1, Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q, err := New(Config{Workers: 1, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		return json.RawMessage(`{"n":1}`), nil
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}

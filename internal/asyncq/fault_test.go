@@ -19,12 +19,12 @@ import (
 // invocation and verifies the record turns failed while the worker
 // keeps draining later submissions.
 func TestHandlerPanicMarksFailedAndPoolSurvives(t *testing.T) {
-	q := newQueue(t, Config{Workers: 1, Invoke: func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		if objectID == "bomb" {
 			panic("kaboom")
 		}
 		return json.RawMessage(`"ok"`), nil
-	}})
+	})})
 	ctx := context.Background()
 	bombID, err := q.Submit(ctx, Target{}, "bomb", "m", nil, nil)
 	if err != nil {
@@ -55,10 +55,10 @@ func TestHandlerPanicMarksFailedAndPoolSurvives(t *testing.T) {
 // while the single worker is blocked and expects ErrQueueFull.
 func TestQueueOverflowReturnsBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	q := newQueue(t, Config{Workers: 1, Shards: 1, Capacity: 4, Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, Shards: 1, Capacity: 4, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		<-release
 		return nil, nil
-	}})
+	})})
 	defer close(release)
 	ctx := context.Background()
 	// One task occupies the worker; Capacity more fill the shard. The
@@ -95,7 +95,7 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 	// soon as the pull is recorded — possibly while an earlier task of
 	// the same pull is still executing — so the map needs a lock even
 	// with a single worker.
-	q := newQueue(t, Config{Workers: 1, Shards: 1, Capacity: 8, Invoke: func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, Shards: 1, Capacity: 8, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		ranMu.Lock()
 		ran[objectID] = true
 		ranMu.Unlock()
@@ -104,7 +104,7 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 		}
 		<-release
 		return nil, nil
-	}})
+	})})
 	ctx := context.Background()
 	if _, err := q.Submit(ctx, Target{}, "blocker", "m", nil, nil); err != nil {
 		t.Fatal(err)
@@ -136,11 +136,11 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 // handler sees its submitter's cancellation through the task context.
 func TestInFlightInvocationObservesCancellation(t *testing.T) {
 	started := make(chan struct{})
-	q := newQueue(t, Config{Workers: 1, Invoke: func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, Invoke: each(func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}})
+	})})
 	cctx, cancel := context.WithCancel(context.Background())
 	id, err := q.Submit(cctx, Target{}, "o", "m", nil, nil)
 	if err != nil {
@@ -161,10 +161,10 @@ func TestInFlightInvocationObservesCancellation(t *testing.T) {
 // the queue, and verifies every accepted invocation reached a terminal
 // record — none lost.
 func TestCloseDrainsAcceptedRecords(t *testing.T) {
-	q, err := New(Config{Workers: 2, Capacity: 64, Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q, err := New(Config{Workers: 2, Capacity: 64, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		time.Sleep(2 * time.Millisecond)
 		return json.RawMessage(`"done"`), nil
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +190,10 @@ func TestCloseDrainsAcceptedRecords(t *testing.T) {
 // timeout while the invocation is still parked.
 func TestWaitHonorsContextDeadline(t *testing.T) {
 	release := make(chan struct{})
-	q := newQueue(t, Config{Workers: 1, Invoke: func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		<-release
 		return nil, nil
-	}})
+	})})
 	defer close(release)
 	id, err := q.Submit(context.Background(), Target{}, "o", "m", nil, nil)
 	if err != nil {
@@ -211,7 +211,7 @@ func TestWaitHonorsContextDeadline(t *testing.T) {
 // them before anything is written, tracked or executed.
 func TestSubmitRejectsInvalidPayload(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: inv.invoke})
+	q := newQueue(t, Config{Invoke: each(inv.invoke)})
 	id, err := q.Submit(context.Background(), Target{}, "o", "m", json.RawMessage(`{bad`), nil)
 	if !errors.Is(err, ErrInvalidPayload) || id != "" {
 		t.Fatalf("Submit = %q, %v; want ErrInvalidPayload", id, err)
@@ -286,7 +286,7 @@ func TestRunningIsOverlaidNotStored(t *testing.T) {
 	<-killed
 
 	inv := &echoInvoker{}
-	succ := newQueue(t, Config{Invoke: inv.invoke, Backing: db, FlushInterval: time.Hour})
+	succ := newQueue(t, Config{Invoke: each(inv.invoke), Backing: db, FlushInterval: time.Hour})
 	// A Wait that arrives before recovery finds a non-terminal record
 	// nobody here owns; it must block until the adopted run finishes.
 	early := make(chan Record, 1)
@@ -335,7 +335,7 @@ func TestRequeueResetsRunningOverlay(t *testing.T) {
 	q := newQueue(t, Config{
 		Workers: 1, Shards: 1, DrainBatch: 1,
 		Requeue: func(err error) bool { return errors.Is(err, errFence) },
-		Invoke: func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+		Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 			mu.Lock()
 			g := gates[objectID][runs[objectID]]
 			runs[objectID]++
@@ -347,7 +347,7 @@ func TestRequeueResetsRunningOverlay(t *testing.T) {
 				return nil, errFence
 			}
 			return json.RawMessage(`"ok"`), nil
-		},
+		}),
 	})
 	ctx := context.Background()
 	status := func(id string) Record {
@@ -398,7 +398,7 @@ func TestWaitOnTerminalTakesNoWaiter(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	q := newQueue(t, Config{Invoke: (&echoInvoker{}).invoke})
+	q := newQueue(t, Config{Invoke: each((&echoInvoker{}).invoke)})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "o", "m", nil, nil)
 	if err != nil {

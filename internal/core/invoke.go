@@ -216,17 +216,23 @@ func (p *Platform) InvokeRoutedFrom(ctx context.Context, clientRegion, via, obje
 	return p.invoke(ctx, origin{region: clientRegion, via: via, routed: true}, objectID, call.Call{Member: member, Payload: payload, Args: args})
 }
 
-// invokeGroup is the async queue's coalesced dispatch: a drained group
-// of calls on one object. Its functions are resolved and stamped once
-// and share one runtime window: one state load, sequential handlers
-// against the evolving view, one merged commit. A group that is all
-// functions — what a hot object's backlog is — is handed to the runtime
-// as it came. Anything else is set aside and invoked as if it had
-// drained alone, failing or succeeding alone: a dataflow, which is a
-// multi-step composition with its own persistence points, and a member
-// or an object that no longer resolves.
-func (p *Platform) invokeGroup(ctx context.Context, objectID string, calls []call.Call) []call.Result {
-	t, _ := p.resolve(objectID, calls[0].Member)
+// invokeGroup is the async queue's one dispatch hook: a drained group of
+// calls on one object, results[i] receiving calls[i]'s outcome. The
+// functions of a group of two or more are resolved and stamped once and
+// share one runtime window: one state load, sequential handlers against
+// the evolving view, one merged commit. A group that is all functions —
+// what a hot object's backlog is — is handed to the runtime as it came.
+// Anything else is set aside and invoked as Invoke would, under the
+// call's own context, failing or succeeding alone: a call that drained
+// alone, whose single-call path is cheaper than a window built for a
+// group; a dataflow, which is a multi-step composition with its own
+// persistence points; and a member or an object that no longer
+// resolves.
+func (p *Platform) invokeGroup(ctx context.Context, objectID string, calls []call.Call, results []call.Result) {
+	var t target
+	if len(calls) > 1 {
+		t, _ = p.resolve(objectID, calls[0].Member)
+	}
 	aside := func(c call.Call) bool {
 		if t.rt == nil {
 			return true
@@ -234,9 +240,9 @@ func (p *Platform) invokeGroup(ctx context.Context, objectID string, calls []cal
 		_, fn := t.rt.Class().Function(c.Member)
 		return !fn
 	}
-	results, fns, at := []call.Result(nil), calls, []int(nil) // fns[j] stood at calls[at[j]]
+	fns, at := calls, []int(nil) // fns[j] stood at calls[at[j]]
 	if slices.ContainsFunc(calls, aside) {
-		results, fns = make([]call.Result, len(calls)), nil
+		fns = nil
 		for i, c := range calls {
 			if aside(c) {
 				results[i].Output, results[i].Err = p.Invoke(cmp.Or(c.Ctx, ctx), objectID, c.Member, c.Payload, c.Args)
@@ -246,17 +252,17 @@ func (p *Platform) invokeGroup(ctx context.Context, objectID string, calls []cal
 		}
 	}
 	if len(fns) == 0 {
-		return results
+		return
 	}
 	ctx, _, _ = p.enter(ctx, origin{}, t, objectID) // the zero origin is never refused
 	out := t.rt.InvokeBatch(ctx, objectID, fns)
-	if results == nil {
-		return out
+	if at == nil {
+		copy(results, out)
+		return
 	}
 	for j, i := range at {
 		results[i] = out[j]
 	}
-	return results
 }
 
 // submit is the asynchronous body: the resolved call is handed to the

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -217,9 +218,17 @@ func invokeEntries() []invokeEntry {
 			for i, m := range members {
 				calls[i] = call.Call{Member: m, Ctx: ctx}
 			}
-			return p.invokeGroup(ctx, object, calls)
+			return drainGroup(ctx, p, object, calls)
 		}},
 	}
+}
+
+// drainGroup runs calls as the async queue drains a group: through
+// invokeGroup, on a results slice the caller owns.
+func drainGroup(ctx context.Context, p *Platform, objectID string, calls []call.Call) []call.Result {
+	results := make([]call.Result, len(calls))
+	p.invokeGroup(ctx, objectID, calls, results)
+	return results
 }
 
 // TestInvokeEntryConformance holds every entry into the invoke
@@ -476,7 +485,7 @@ func TestMixedGroupCommitsItsFunctionsOnce(t *testing.T) {
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 	tr := trace.New(trace.Config{})
 	root := tr.Root("test", "00-"+traceID+"-00f067aa0ba902b7-01")
-	results := p.invokeGroup(trace.ContextWith(context.Background(), root), object, []call.Call{
+	results := drainGroup(trace.ContextWith(context.Background(), root), p, object, []call.Call{
 		{Member: "incr"}, {Member: "flow"}, {Member: "incr"}, {Member: "nosuch"}, {Member: "incr"},
 	})
 	root.End()
@@ -578,12 +587,14 @@ func TestCoalescedDispatchAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := make([]call.Call, 8)
+	calls, results := make([]call.Call, 8), make([]call.Result, 8)
 	for i := range calls {
 		calls[i] = call.Call{Member: "bump", Ctx: ctx}
 	}
 	n := testing.AllocsPerRun(500, func() {
-		for i, res := range p.invokeGroup(ctx, object, calls) {
+		clear(results)
+		p.invokeGroup(ctx, object, calls, results)
+		for i, res := range results {
 			if res.Err != nil {
 				t.Fatalf("call %d: %v", i, res.Err)
 			}
@@ -592,5 +603,108 @@ func TestCoalescedDispatchAllocationBudget(t *testing.T) {
 	const ceiling = 46 // 51 when the hook copied the group in and the results out
 	if n > ceiling {
 		t.Errorf("a coalesced group of 8 allocates %.0f, budget %d", n, ceiling)
+	}
+}
+
+// TestDrainedSingletonIsInvoke: a call that drains alone is a group of
+// one, and invokeGroup hands it to Invoke, so its record says what Invoke
+// returns for the same call — the result, the handler's error text (a
+// panic's included) and an elapsed deadline as expired. And a panicking
+// dataflow set aside from a group fails alone: the group's functions
+// commit.
+func TestDrainedSingletonIsInvoke(t *testing.T) {
+	p := newPlatform(t, nil)
+	reg := p.Images()
+	reg.Register("img/s-bump", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
+		var n int
+		_ = json.Unmarshal(task.State["n"], &n)
+		return invoker.Result{Output: json.RawMessage(`"ok"`), State: map[string]json.RawMessage{"n": json.RawMessage(strconv.Itoa(n + 1))}}, nil
+	}))
+	reg.Register("img/s-fail", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		return invoker.Result{}, errors.New("deliberate")
+	}))
+	reg.Register("img/s-boom", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		panic("boom")
+	}))
+	reg.Register("img/s-slow", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		time.Sleep(100 * time.Millisecond) // ignores its context
+		return invoker.Result{Output: json.RawMessage(`"late"`)}, nil
+	}))
+	ctx := context.Background()
+	pkg := `classes:
+  - name: Single
+    keySpecs:
+      - name: n
+        default: 0
+    functions:
+      - name: bump
+        image: img/s-bump
+      - name: fail
+        image: img/s-fail
+      - name: boom
+        image: img/s-boom
+      - name: slow
+        image: img/s-slow
+        timeoutMs: 10
+    dataflows:
+      - name: flow
+        steps:
+          - name: s0
+            function: boom
+`
+	if _, err := p.DeployYAML(ctx, []byte(pkg)); err != nil {
+		t.Fatal(err)
+	}
+	object, err := p.CreateObject(ctx, "Single", "one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for member, want := range map[string]asyncq.Status{
+		"bump": asyncq.StatusCompleted,
+		"fail": asyncq.StatusFailed,
+		"boom": asyncq.StatusFailed,
+		"flow": asyncq.StatusFailed,
+		"slow": asyncq.StatusExpired,
+	} {
+		out, err := p.Invoke(ctx, object, member, nil, nil)
+		id, serr := p.InvokeAsync(ctx, object, member, nil, nil)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		rec, werr := p.WaitInvocation(ctx, id)
+		if werr != nil {
+			t.Fatal(werr)
+		}
+		if rec.Status != want {
+			t.Errorf("%s: drained alone it is %s (%q), want %s", member, rec.Status, rec.Error, want)
+		}
+		if err != nil {
+			if rec.Error != err.Error() {
+				t.Errorf("%s: drained alone it fails with %q, Invoke with %q", member, rec.Error, err)
+			}
+		} else if string(rec.Result) != string(out) {
+			t.Errorf("%s: drained alone it returns %s, Invoke %s", member, rec.Result, out)
+		}
+	}
+	if _, err := p.Invoke(ctx, object, "boom", nil, nil); err == nil || !strings.Contains(err.Error(), "handler panic in Single.boom: boom") {
+		t.Errorf("a panicking handler: err = %v, want the runtime's handler panic", err)
+	}
+	before, err := p.GetState(ctx, object, "n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := drainGroup(ctx, p, object, []call.Call{{Member: "bump", Ctx: ctx}, {Member: "flow", Ctx: ctx}, {Member: "bump", Ctx: ctx}})
+	if err := results[1].Err; err == nil || !strings.Contains(err.Error(), "handler panic in Single.boom") {
+		t.Errorf("the panicking dataflow: err = %v, want its own handler panic", err)
+	}
+	for _, i := range []int{0, 2} {
+		if results[i].Err != nil {
+			t.Errorf("function %d of the group: %v", i, results[i].Err)
+		}
+	}
+	var n0, n1 int
+	after, err := p.GetState(ctx, object, "n")
+	if err != nil || json.Unmarshal(before, &n0) != nil || json.Unmarshal(after, &n1) != nil || n1 != n0+2 {
+		t.Errorf("n went %s → %s (%v), want the group's two bumps", before, after, err)
 	}
 }

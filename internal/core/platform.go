@@ -416,11 +416,11 @@ func New(cfg Config) (*Platform, error) {
 		return fail(fmt.Errorf("core: event bus: %w", err))
 	}
 	undo = append(undo, p.bus.Close)
-	// The async queue drains through the synchronous Invoke path and
-	// persists its invocation records in the shared document store.
-	// Terminal records publish InvocationCompleted/InvocationFailed
-	// events, and the queue's Close drains the bus so pending webhook
-	// deliveries flush before teardown.
+	// The async queue drains every group it pulls — a lone task is a
+	// group of one — through invokeGroup, and persists its invocation
+	// records in the shared document store. Terminal records publish
+	// InvocationCompleted/InvocationFailed events, and the queue's Close
+	// drains the bus so pending webhook deliveries flush before teardown.
 	// Ownership fence/transition errors mean "the work is fine, the
 	// owner moved": the queue requeues such tasks to be re-dispatched
 	// under the new ownership instead of failing them.
@@ -429,8 +429,7 @@ func New(cfg Config) (*Platform, error) {
 		requeue = requeueable
 	}
 	p.queue, err = asyncq.New(asyncq.Config{
-		Invoke:      p.Invoke,
-		InvokeBatch: p.invokeGroup,
+		Invoke:      p.invokeGroup,
 		DrainBatch:  cfg.AsyncDrainBatch,
 		Workers:     cfg.AsyncWorkers,
 		Capacity:    cfg.AsyncQueueCapacity,
@@ -728,8 +727,7 @@ func (p *Platform) infra() runtime.Infra {
 		IdleTimeout:          p.cfg.IdleTimeout,
 		ConcurrencyMode:      p.cfg.ConcurrencyMode,
 		DefaultInvokeTimeout: p.cfg.DefaultInvokeTimeout,
-		Events:               p.bus.Publish,
-		EventsBatch:          p.bus.PublishBatch,
+		Events:               p.bus.PublishBatch,
 		EventsNeeded:         p.bus.NeedsEvents,
 		Degraded:             p.Degraded,
 		PprofLabels:          p.cfg.PprofLabels,

@@ -633,7 +633,7 @@ func TestInvokeBatchMixedMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := p.invokeGroup(ctx, id, []call.Call{
+	results := drainGroup(ctx, p, id, []call.Call{
 		{Member: "resize", Args: map[string]string{"w": "64"}},
 		{Member: "flow"},
 		{Member: "nosuch"},
@@ -660,7 +660,7 @@ func TestInvokeBatchMixedMembers(t *testing.T) {
 		t.Fatalf("meta = %s, want width recorded", meta)
 	}
 	// An unknown object fails the whole batch.
-	if res := p.invokeGroup(ctx, "ghost", []call.Call{{Member: "resize"}}); !errors.Is(res[0].Err, ErrObjectNotFound) {
+	if res := drainGroup(ctx, p, "ghost", []call.Call{{Member: "resize"}}); !errors.Is(res[0].Err, ErrObjectNotFound) {
 		t.Fatalf("unknown object err = %v, want ErrObjectNotFound", res[0].Err)
 	}
 }

@@ -71,6 +71,41 @@ func TestInvokeTimeoutMsReturns408(t *testing.T) {
 	}
 }
 
+// TestHandlerPanicUnderTimeoutMs: with ?timeoutMs= the handler runs on
+// the runtime's watchdog goroutine, where no HTTP server recovers a
+// panic. The invoke must answer a 5xx naming the panic, and the server
+// must keep serving.
+func TestHandlerPanicUnderTimeoutMs(t *testing.T) {
+	p, srv := newResilienceFixture(t)
+	p.Images().Register("img/boom", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		panic("boom")
+	}))
+	pkg := "classes:\n  - name: B\n    functions:\n      - name: boom\n        image: img/boom\n"
+	if _, err := p.DeployYAML(context.Background(), []byte(pkg)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.CreateObject(context.Background(), "B", "b1"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/api/objects/b1/invoke/boom?timeoutMs=1000", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode < 500 || !bytes.Contains(raw, []byte("handler panic in B.boom: boom")) {
+		t.Fatalf("status = %d body=%s, want a 5xx naming the panic", resp.StatusCode, raw)
+	}
+	resp, err = http.Get(srv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after the panic = %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestInvokeTimeoutMsValidation rejects malformed deadline overrides.
 func TestInvokeTimeoutMsValidation(t *testing.T) {
 	_, srv := newResilienceFixture(t)

@@ -7,7 +7,6 @@ import (
 	"maps"
 
 	"github.com/hpcclab/oparaca-go/internal/call"
-	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/model"
 )
 
@@ -54,7 +53,7 @@ func (rt *ClassRuntime) InvokeBatch(ctx context.Context, objectID string, calls 
 		}
 		if fn.Readonly {
 			callCtx, cancel := rt.callTimeoutCtx(ctx, c, fn)
-			out, err := rt.invokeReadonlySafe(callCtx, objectID, fn, c.Payload, c.Args)
+			out, err := rt.invokeReadonly(callCtx, objectID, fn, c.Payload, c.Args)
 			cancel()
 			results[i] = call.Result{Output: out, Err: err}
 			continue
@@ -116,26 +115,6 @@ func (rt *ClassRuntime) callTimeoutCtx(batch context.Context, c call.Call, fn mo
 	return ctx, func() {}
 }
 
-// invokeReadonlySafe is invokeReadonly with panic isolation: a
-// panicking handler fails its own call instead of unwinding the group.
-func (rt *ClassRuntime) invokeReadonlySafe(ctx context.Context, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string) (out json.RawMessage, err error) {
-	defer rt.recoverCall(fn, &err)
-	return rt.invokeReadonly(ctx, objectID, fn, payload, args)
-}
-
-// runTaskSafe is runTask with panic isolation.
-func (rt *ClassRuntime) runTaskSafe(ctx context.Context, objectID string, fn model.FunctionDef, payload json.RawMessage, args map[string]string, state map[string]json.RawMessage) (res invoker.Result, err error) {
-	defer rt.recoverCall(fn, &err)
-	return rt.runTask(ctx, objectID, fn, payload, args, state)
-}
-
-// recoverCall converts a handler panic into that call's error.
-func (rt *ClassRuntime) recoverCall(fn model.FunctionDef, err *error) {
-	if r := recover(); r != nil {
-		*err = fmt.Errorf("runtime: handler panic in %s.%s: %v", rt.class.Name, fn.Name, r)
-	}
-}
-
 // applyGroup is a group window's body: it runs the group's handlers
 // sequentially against the evolving state view, fills the per-call
 // results and returns the merged delta (JSON null marks a delete) with
@@ -153,7 +132,7 @@ func (rt *ClassRuntime) applyGroup(ctx context.Context, w *writeWindow, state ma
 		// Handlers may mutate their Task.State; a shallow clone keeps
 		// the shared evolving view out of their reach.
 		callCtx, cancel := rt.callTimeoutCtx(ctx, c.call, c.fn)
-		res, err := rt.runTaskSafe(callCtx, w.objectID, c.fn, c.call.Payload, c.call.Args, maps.Clone(state))
+		res, err := rt.runTask(callCtx, w.objectID, c.fn, c.call.Payload, c.call.Args, maps.Clone(state))
 		if err == nil && callCtx.Err() != nil {
 			// The call's deadline expired after its handler returned:
 			// its delta must not ride the group commit, and only this

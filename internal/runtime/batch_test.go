@@ -20,8 +20,9 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/model"
 )
 
-// batchYAML declares a counter class with failing, panicking, rogue
-// and readonly members alongside the increment.
+// batchYAML declares a counter class with failing, panicking (a write
+// and a readonly one), rogue and readonly members alongside the
+// increment.
 const batchYAML = `classes:
   - name: BCounter
     concurrencyMode: %s
@@ -39,13 +40,24 @@ const batchYAML = `classes:
         image: img/fail
       - name: kaboom
         image: img/panic
+      - name: peekaboom
+        image: img/panic
+        readonly: true
       - name: rogue
         image: img/rogue
 `
 
 func newBatchRuntime(t *testing.T, mode model.ConcurrencyMode) *ClassRuntime {
 	t.Helper()
+	return newTimedBatchRuntime(t, mode, 0)
+}
+
+// newTimedBatchRuntime is newBatchRuntime with every call under a
+// platform default deadline (0: none).
+func newTimedBatchRuntime(t *testing.T, mode model.ConcurrencyMode, timeout time.Duration) *ClassRuntime {
+	t.Helper()
 	infra := testInfra(t)
+	infra.DefaultInvokeTimeout = timeout
 	// testInfra's registry lacks a panicking image; rebuild the
 	// transport with one added.
 	reg := invoker.NewRegistry()
@@ -161,6 +173,43 @@ func TestInvokeBatchFaultIsolation(t *testing.T) {
 				t.Fatal("rogue delta key persisted")
 			}
 		})
+	}
+}
+
+// TestHandlerPanicUnderDeadline: with a deadline armed, a handler runs on
+// the watchdog's goroutine, so its panic has to be recovered there. A lone
+// write, a lone readonly call and the panicking members of a group each
+// fail with the panic; the group's other members commit, no handler is
+// left counted as leaked, and the process lives to check.
+func TestHandlerPanicUnderDeadline(t *testing.T) {
+	rt := newTimedBatchRuntime(t, model.ConcurrencyAdaptive, time.Second)
+	ctx := context.Background()
+	if err := rt.InitObjectState(ctx, "o"); err != nil {
+		t.Fatal(err)
+	}
+	want := func(fn string, err error) {
+		t.Helper()
+		if text := "runtime: handler panic in BCounter." + fn + ": mid-batch kaboom"; err == nil || err.Error() != text {
+			t.Errorf("%s: err = %v, want %q", fn, err, text)
+		}
+	}
+	_, err := rt.Invoke(ctx, "o", "kaboom", nil, nil)
+	want("kaboom", err)
+	_, err = rt.Invoke(ctx, "o", "peekaboom", nil, nil)
+	want("peekaboom", err)
+	results := rt.InvokeBatch(ctx, "o", []call.Call{{Member: "incr"}, {Member: "kaboom"}, {Member: "peekaboom"}, {Member: "incr"}})
+	want("kaboom", results[1].Err)
+	want("peekaboom", results[2].Err)
+	for _, i := range []int{0, 3} {
+		if results[i].Err != nil {
+			t.Errorf("incr call %d: %v", i, results[i].Err)
+		}
+	}
+	if v, err := rt.GetState(ctx, "o", "value"); err != nil || string(v) != "2" {
+		t.Errorf("state = %s (%v), want the group's two increments", v, err)
+	}
+	if n := rt.LeakedHandlers(); n != 0 {
+		t.Errorf("%d handlers counted as leaked after panicking inside their deadline", n)
 	}
 }
 

@@ -38,15 +38,19 @@ func eventsYAML(mode model.ConcurrencyMode) string {
 `, mode)
 }
 
-// eventRecorder collects emitted events thread-safely.
+// eventRecorder collects emitted events thread-safely, and how many
+// publications carried them.
 type eventRecorder struct {
-	mu     sync.Mutex
-	events []trigger.Event
+	mu           sync.Mutex
+	events       []trigger.Event
+	publications int
 }
 
-func (r *eventRecorder) emit(ev trigger.Event) {
+// emit copies the batch: the runtime reuses the slice once Events returns.
+func (r *eventRecorder) emit(evs []trigger.Event) {
 	r.mu.Lock()
-	r.events = append(r.events, ev)
+	r.events = append(r.events, evs...)
+	r.publications++
 	r.mu.Unlock()
 }
 
@@ -156,8 +160,8 @@ func TestCommitEventBatchPath(t *testing.T) {
 				}
 			}
 			events := rec.snapshot()
-			if len(events) != 3 {
-				t.Fatalf("events = %d, want 3 (the committed incr calls)", len(events))
+			if len(events) != 3 || rec.publications != 1 {
+				t.Fatalf("events = %d in %d publications, want 3 (the committed incr calls) in one", len(events), rec.publications)
 			}
 			for _, ev := range events {
 				if ev.Function != "incr" || strings.Join(ev.Keys, ",") != "value" {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"github.com/hpcclab/oparaca-go/internal/memtable"
+	"github.com/hpcclab/oparaca-go/internal/trigger"
 )
 
 // This file holds the warm-path allocation machinery: per-window table
@@ -20,8 +21,9 @@ import (
 // attempt and the delta map stays owned by the handler (the table
 // clones delta values at commit, see memtable.PutManyIfVersion).
 // Only invocation-internal transients are pooled: the table-key
-// buffer and slice, the versioned read-set map, the raw load map, and
-// the CAS op map, none of which a handler can observe. runtime's
+// buffer and slice, the versioned read-set map, the raw load map, the
+// CAS op map and the commit's event batch, none of which a handler can
+// observe. runtime's
 // pool-aliasing race tests (pool_test.go) pin this boundary.
 
 // keysFor builds the table key of every structured key of one object
@@ -69,6 +71,9 @@ type invokeScratch struct {
 	// written values and retains neither the map nor its CASOp
 	// entries, so releasing after PutManyIfVersion returns is safe.
 	ops map[string]memtable.CASOp
+	// events is the commit's event batch (emit). Infra.Events copies
+	// what it keeps, so the slice is reused once it returns.
+	events []trigger.Event
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -92,6 +97,8 @@ func (sc *invokeScratch) release() {
 	clear(sc.got)
 	clear(sc.raw)
 	clear(sc.ops)
+	clear(sc.events)
+	sc.events = sc.events[:0]
 	scratchPool.Put(sc)
 }
 

@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"net/http"
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,8 +59,6 @@ type Infra struct {
 	// ObjectsBaseURL is the address the object store is served on,
 	// used to render presigned URLs.
 	ObjectsBaseURL string
-	// PresignTTL bounds presigned URL validity. Defaults to 15min.
-	PresignTTL time.Duration
 	// ColdStart is the pod warmup delay.
 	ColdStart time.Duration
 	// ScaleInterval / IdleTimeout drive the Knative autoscaler.
@@ -77,14 +73,18 @@ type Infra struct {
 	// without a platform-imposed deadline (request contexts still
 	// apply).
 	DefaultInvokeTimeout time.Duration
-	// Events receives one trigger.StateChanged event per committed
-	// write invocation with a non-empty state delta on a stateful class.
-	// The write window emits it after its commit landed, whatever the
-	// regime and whether the call ran alone or in a group — never on
-	// abort, for readonly calls, or for committed calls that wrote
-	// nothing (no state changed, so there is nothing to react to). nil
-	// disables emission.
-	Events func(trigger.Event)
+	// Events receives the trigger.StateChanged events of one commit, one
+	// per write invocation it carried whose state delta was non-empty, as
+	// a single publication (all of them share the object): one for a call
+	// that ran alone, up to one per call for a group, so the durable event
+	// log appends them in one backing write like the commit itself. The
+	// write window emits them after its commit landed, whatever the
+	// regime — never on abort, for readonly calls, or for committed calls
+	// that wrote nothing (no state changed, so there is nothing to react
+	// to). The slice is the runtime's own and is reused once Events
+	// returns: copy what you keep (trigger.Bus.PublishBatch keeps copies
+	// of the events, never the slice). nil disables emission.
+	Events func([]trigger.Event)
 	// EventsNeeded, when set, reports whether an event of class on the
 	// object could be read by anyone: a subscription on the class, a live
 	// stream on the object, or an event log the object has already begun
@@ -93,12 +93,6 @@ type Infra struct {
 	// can observe costs the warm path nothing. nil means events are
 	// always needed.
 	EventsNeeded func(class, objectID string) bool
-	// EventsBatch, when set, receives the StateChanged events of one
-	// group-committed invocation batch as a single publication (all
-	// events share the object): the bus appends them to the durable
-	// event log in one backing write, matching the group commit's own
-	// one-write cost. nil falls back to per-event Events calls.
-	EventsBatch func([]trigger.Event)
 	// Degraded reports whether the backing store is currently
 	// unavailable (the platform wires it to the store's circuit
 	// breaker); forwarded to the state table so cache hits served
@@ -128,9 +122,6 @@ type Infra struct {
 func (i Infra) withDefaults() Infra {
 	if i.Clock == nil {
 		i.Clock = vclock.NewReal()
-	}
-	if i.PresignTTL <= 0 {
-		i.PresignTTL = 15 * time.Minute
 	}
 	return i
 }
@@ -196,25 +187,13 @@ type ClassRuntime struct {
 	// value means abandoned handlers terminate rather than pile up.
 	leakedHandlers atomic.Int64
 
-	// refsCache memoizes presigned file refs per object; entries are
-	// regenerated once half the presign TTL has elapsed so handed-out
-	// URLs always carry at least TTL/2 of remaining validity.
-	refsMu    sync.Mutex
-	refsCache map[string]refsEntry
-
 	reg   *metrics.Registry
 	meter *metrics.Meter
 }
 
-// refsEntry is one cached presigned-ref bundle.
-type refsEntry struct {
-	refs    map[string]string
-	refresh time.Time // regenerate once this instant passes
-}
-
-// maxPresignCacheObjects bounds the presign cache. Hitting the bound
-// resets the whole cache; entries are cheap to regenerate.
-const maxPresignCacheObjects = 8192
+// presignTTL bounds the validity of the presigned file URLs a task is
+// handed and PresignFile renders.
+const presignTTL = 15 * time.Minute
 
 // guardStripes sizes the per-object guard table. 1024 stripes is 24KiB
 // per class runtime and keeps the per-pair collision probability at
@@ -340,7 +319,6 @@ func New(infra Infra, class *model.Class, tmpl Template) (*ClassRuntime, error) 
 		plans:      make(map[string]*dataflow.Plan, len(class.Dataflows)),
 		delGuard:   delGuard,
 		contention: make([]contentionTracker, delGuard.Len()),
-		refsCache:  make(map[string]refsEntry),
 		reg:        metrics.NewRegistry(),
 		meter:      metrics.NewMeter(10*time.Second, 10, infra.Clock.Now),
 	}
@@ -527,9 +505,6 @@ func (rt *ClassRuntime) DeleteObjectState(ctx context.Context, objectID string) 
 		guard.Lock()
 		defer guard.Unlock()
 	}
-	rt.refsMu.Lock()
-	delete(rt.refsCache, objectID)
-	rt.refsMu.Unlock()
 	for _, k := range rt.class.Keys {
 		if k.Kind == model.KindFile {
 			if rt.infra.Objects != nil {
@@ -589,7 +564,7 @@ func (rt *ClassRuntime) PresignFile(objectID, key, method string) (string, error
 		return "", errors.New("runtime: no object store configured")
 	}
 	return rt.infra.Objects.PresignURL(rt.infra.ObjectsBaseURL, method, rt.Bucket(),
-		rt.fileKey(objectID, key), rt.infra.PresignTTL), nil
+		rt.fileKey(objectID, key), presignTTL), nil
 }
 
 // loadState gathers an object's structured state for task bundling in
@@ -619,14 +594,9 @@ func (rt *ClassRuntime) loadState(ctx context.Context, objectID string) (_ map[s
 	return state, nil
 }
 
-// buildRefs assembles presigned URLs for the object's file keys: for
-// each file key K the task gets K (GET) and "K!put" (PUT). Refs are
-// deterministic until their expiry, so they are cached per object and
-// regenerated once half the presign TTL has elapsed — every URL handed
-// to a task keeps at least TTL/2 of validity. Each call returns a
-// fresh shallow copy so a handler mutating its Task.Refs cannot race
-// or poison other invocations; the HMAC signing is the part worth
-// caching, not the map.
+// buildRefs signs presigned URLs for the object's file keys, fresh for
+// each task: for each file key K the task gets K (GET) and "K!put"
+// (PUT), each valid for presignTTL. The map is the task's own.
 func (rt *ClassRuntime) buildRefs(objectID string) (map[string]string, error) {
 	files := rt.class.FileKeys()
 	if len(files) == 0 {
@@ -635,29 +605,14 @@ func (rt *ClassRuntime) buildRefs(objectID string) (map[string]string, error) {
 	if rt.infra.Objects == nil {
 		return nil, errors.New("runtime: class has file keys but no object store configured")
 	}
-	now := rt.infra.Clock.Now()
-	rt.refsMu.Lock()
-	if e, ok := rt.refsCache[objectID]; ok && now.Before(e.refresh) {
-		rt.refsMu.Unlock()
-		return maps.Clone(e.refs), nil
-	}
-	rt.refsMu.Unlock()
-	// Sign outside the lock: HMAC is the expensive part, and a raced
-	// duplicate generation is harmless (last writer wins).
 	refs := make(map[string]string, 2*len(files))
 	for _, k := range files {
 		refs[k] = rt.infra.Objects.PresignURL(rt.infra.ObjectsBaseURL, http.MethodGet,
-			rt.Bucket(), rt.fileKey(objectID, k), rt.infra.PresignTTL)
+			rt.Bucket(), rt.fileKey(objectID, k), presignTTL)
 		refs[k+"!put"] = rt.infra.Objects.PresignURL(rt.infra.ObjectsBaseURL, http.MethodPut,
-			rt.Bucket(), rt.fileKey(objectID, k), rt.infra.PresignTTL)
+			rt.Bucket(), rt.fileKey(objectID, k), presignTTL)
 	}
-	rt.refsMu.Lock()
-	if len(rt.refsCache) >= maxPresignCacheObjects {
-		rt.refsCache = make(map[string]refsEntry)
-	}
-	rt.refsCache[objectID] = refsEntry{refs: refs, refresh: now.Add(rt.infra.PresignTTL / 2)}
-	rt.refsMu.Unlock()
-	return maps.Clone(refs), nil
+	return refs, nil
 }
 
 // LeakedHandlers gauges handlers abandoned past their deadline that
@@ -753,7 +708,7 @@ func (rt *ClassRuntime) contentionFor(objectID string) *contentionTracker {
 // (Infra.EventsNeeded). Checked before any event or key-slice
 // allocation so an unobserved commit costs nothing.
 func (rt *ClassRuntime) eventsNeeded(objectID string) bool {
-	if (rt.infra.Events == nil && rt.infra.EventsBatch == nil) || len(rt.stateSpecs) == 0 {
+	if rt.infra.Events == nil || len(rt.stateSpecs) == 0 {
 		return false
 	}
 	return rt.infra.EventsNeeded == nil || rt.infra.EventsNeeded(rt.class.Name, objectID)
@@ -775,14 +730,21 @@ func deltaKeys(delta map[string]json.RawMessage) []string {
 
 // engineInvoke offloads one task to the FaaS engine, tagging the
 // handler's CPU samples with class/function pprof labels when
-// Infra.PprofLabels is on.
-func (rt *ClassRuntime) engineInvoke(ctx context.Context, fnk string, task invoker.Task) (invoker.Result, error) {
+// Infra.PprofLabels is on. Every handler runs through here, on whichever
+// goroutine — the caller's, or the watchdog's when a deadline is armed —
+// so this is where a handler panic is recovered, into that call's error:
+// a panicking handler fails its own call, alone or in a group, and
+// never the process.
+func (rt *ClassRuntime) engineInvoke(ctx context.Context, fnk string, task invoker.Task) (res invoker.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = invoker.Result{}, fmt.Errorf("runtime: handler panic in %s.%s: %v", rt.class.Name, task.Function, r)
+		}
+	}()
 	ls, ok := rt.pprofLabels[task.Function]
 	if !ok {
 		return rt.engine.Invoke(ctx, fnk, task)
 	}
-	var res invoker.Result
-	var err error
 	pprof.Do(ctx, ls, func(ctx context.Context) {
 		res, err = rt.engine.Invoke(ctx, fnk, task)
 	})

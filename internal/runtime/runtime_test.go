@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -18,7 +20,6 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/objectstore"
-	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
 // counterClass is a class with a numeric counter and an increment
@@ -629,10 +630,11 @@ func TestConcurrentInvocationsOnOneObjectAreExact(t *testing.T) {
 	}
 }
 
-// TestPresignedRefsCachedUntilHalfTTL verifies ref reuse within the
-// refresh window, regeneration after it, and invalidation on object
-// deletion.
-func TestPresignedRefsCachedUntilHalfTTL(t *testing.T) {
+// TestPresignedRefsAcceptedByObjectStore: the refs a task is handed are
+// signed for it, and the object store serving them accepts each for its
+// own method — the PUT ref uploads the file, the GET ref reads it back —
+// and refuses the GET ref as a PUT.
+func TestPresignedRefsAcceptedByObjectStore(t *testing.T) {
 	const fileYAML = `classes:
   - name: Doc
     keySpecs:
@@ -642,17 +644,14 @@ func TestPresignedRefsCachedUntilHalfTTL(t *testing.T) {
       - name: peek
         image: img/peek
 `
-	clock := vclock.NewManual(time.Unix(1000, 0))
 	infra := testInfra(t)
-	infra.Clock = clock
-	infra.PresignTTL = 10 * time.Minute
-	infra.Objects = objectstore.New("secret", clock)
-	infra.ObjectsBaseURL = "http://127.0.0.1:9"
-
-	var refs []map[string]string
+	store := newObjectStore(t)
+	infra.Objects = store.store
+	infra.ObjectsBaseURL = store.url
+	var refs map[string]string
 	reg := invoker.NewRegistry()
 	reg.Register("img/peek", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
-		refs = append(refs, task.Refs)
+		refs = task.Refs
 		return invoker.Result{}, nil
 	}))
 	infra.Transport = invoker.NewLocal(reg)
@@ -661,38 +660,31 @@ func TestPresignedRefsCachedUntilHalfTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	ctx := context.Background()
-	invoke := func() {
-		t.Helper()
-		if _, err := rt.Invoke(ctx, "o1", "peek", nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	invoke()
-	clock.Advance(time.Minute) // well inside TTL/2
-	invoke()
-	if refs[0]["blob"] != refs[1]["blob"] || refs[0]["blob!put"] != refs[1]["blob!put"] {
-		t.Fatal("refs regenerated inside the refresh window")
-	}
-	clock.Advance(5 * time.Minute) // past TTL/2 since generation
-	invoke()
-	if refs[1]["blob"] == refs[2]["blob"] {
-		t.Fatal("refs not refreshed after half the presign TTL")
-	}
-	// The refreshed URL must still verify against the object store.
-	if !strings.Contains(refs[2]["blob"], "X-Oprc-Signature=") {
-		t.Fatalf("refreshed ref unsigned: %s", refs[2]["blob"])
-	}
-	// Deletion invalidates the cache entry immediately. Advance the
-	// clock inside the refresh window first: a surviving cache entry
-	// would replay the old URL, while regeneration signs a new expiry.
-	if err := rt.DeleteObjectState(ctx, "o1"); err != nil {
+	if _, err := rt.Invoke(context.Background(), "o1", "peek", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(time.Minute)
-	invoke()
-	if refs[2]["blob"] == refs[3]["blob"] {
-		t.Fatal("refs survived object deletion")
+	do := func(method, url, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(got)
+	}
+	if code, body := do(http.MethodPut, refs["blob!put"], "hello"); code != http.StatusOK {
+		t.Fatalf("PUT through the task's ref: %d %s", code, body)
+	}
+	if code, body := do(http.MethodGet, refs["blob"], ""); code != http.StatusOK || body != "hello" {
+		t.Fatalf("GET through the task's ref: %d %q, want 200 \"hello\"", code, body)
+	}
+	if code, _ := do(http.MethodPut, refs["blob"], "forged"); code != http.StatusForbidden {
+		t.Fatalf("the GET ref used as a PUT: %d, want 403", code)
 	}
 }
 

@@ -226,7 +226,7 @@ func (rt *ClassRuntime) attempt(ctx context.Context, w *writeWindow, validated b
 	}
 	// The one success exit: aborted passes returned above, so each
 	// committed call's event is published exactly once.
-	rt.emit(ctx, w, delta)
+	rt.emit(ctx, w, delta, sc)
 	return calls, nil
 }
 
@@ -319,38 +319,28 @@ func (rt *ClassRuntime) windowAbort(ctx context.Context, w *writeWindow) error {
 
 // emit publishes one StateChanged event per committed call whose delta
 // was non-empty (no state changed, nothing to react to), after the
-// commit landed. A group's events go out as one EventsBatch publication
-// when the platform wires it, so the durable event log appends them in
+// commit landed: the commit's events, of one call or of a group, go out
+// as one Events publication, so the durable event log appends them in
 // one backing write like the commit itself; each carries its own call's
-// depth and traceparent.
-func (rt *ClassRuntime) emit(ctx context.Context, w *writeWindow, delta map[string]json.RawMessage) {
+// depth and traceparent. The batch is built in the attempt's scratch:
+// a slice handed through a func value would otherwise be allocated on
+// every commit.
+func (rt *ClassRuntime) emit(ctx context.Context, w *writeWindow, delta map[string]json.RawMessage, sc *invokeScratch) {
 	if len(delta) == 0 || !rt.eventsNeeded(w.objectID) {
 		return
 	}
+	evs := sc.events[:0]
 	if w.group == nil {
-		if rt.infra.Events != nil {
-			rt.infra.Events(rt.stateChanged(ctx, w.objectID, w.fn.Name, deltaKeys(delta), w.args))
-		}
-		return
-	}
-	var evs []trigger.Event
-	if rt.infra.EventsBatch != nil {
-		evs = make([]trigger.Event, 0, len(w.group))
+		evs = append(evs, rt.stateChanged(ctx, w.objectID, w.fn.Name, deltaKeys(delta), w.args))
 	}
 	for gi, c := range w.group {
 		if len(w.callKeys[gi]) == 0 {
 			continue // failed inside the group, or wrote nothing
 		}
-		ev := rt.stateChanged(callContext(ctx, c.call), w.objectID, c.fn.Name, w.callKeys[gi], c.call.Args)
-		if evs == nil {
-			rt.infra.Events(ev)
-			continue
-		}
-		evs = append(evs, ev)
+		evs = append(evs, rt.stateChanged(callContext(ctx, c.call), w.objectID, c.fn.Name, w.callKeys[gi], c.call.Args))
 	}
-	if len(evs) > 0 {
-		rt.infra.EventsBatch(evs)
-	}
+	sc.events = evs
+	rt.infra.Events(evs)
 }
 
 // stateChanged builds one committed call's event. Keys are the sorted

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -203,6 +204,34 @@ func TestEncodeOnceByteIdentity(t *testing.T) {
 		}
 		if !bytes.Equal(chained[i], e.Payload) {
 			t.Errorf("chain payload %d differs from the log entry:\n%s\n%s", i+1, chained[i], e.Payload)
+		}
+	}
+}
+
+// TestFailedBatchAppendCountsEveryEvent: a batch whose one backing write
+// fails is three events that missed the log, not one — LogFailed counts
+// events, as its doc says — and each of them is still dispatched, best
+// effort, without an offset.
+func TestFailedBatchAppendCountsEveryEvent(t *testing.T) {
+	store := kvstore.Open(kvstore.Config{})
+	t.Cleanup(store.Close)
+	b := newBus(t, Config{Log: newLog(t, eventlog.Config{Backing: store})})
+	st := b.Stream("a-1", 8)
+	defer st.Close()
+	store.InjectWriteFailures(1, errors.New("disk full"))
+	b.PublishBatch([]Event{stateChanged("a-1", "doc"), stateChanged("a-1", "n"), stateChanged("a-1", "k")})
+	b.Drain()
+	if s := b.Stats(); s.LogFailed != 3 || s.Emitted != 3 {
+		t.Fatalf("stats = %+v, want 3 emitted and 3 log failures", s)
+	}
+	for i := range 3 {
+		select {
+		case ev := <-st.Events():
+			if ev.Offset != 0 {
+				t.Errorf("event %d carries offset %d from a failed append", i, ev.Offset)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 3 events dispatched", i)
 		}
 	}
 }

@@ -924,41 +924,8 @@ func (b *Bus) Stream(object string, buf int) *Stream {
 	return s
 }
 
-// Publish routes one event. It assigns Seq and Time, appends to the
-// durable log (stamping Offset) when one is configured, counts the
-// emission, and enqueues onto the object's shard under the configured
-// overflow policy. Publishing on a closed bus discards the event.
-func (b *Bus) Publish(ev Event) {
-	m := b.cfg.Metrics
-	it := &inflight{ev: ev}
-	it.ev.Seq = b.seq.Add(1)
-	if it.ev.Time.IsZero() {
-		it.ev.Time = b.cfg.Clock.Now()
-	}
-	m.Counter("trigger.emitted").Inc()
-	b.pubMu.RLock()
-	defer b.pubMu.RUnlock()
-	if b.closed {
-		m.Counter("trigger.dropped").Inc()
-		return
-	}
-	if b.cfg.Log != nil {
-		// Durability before dispatch: the event is in the log before
-		// any consumer can observe it, so an acknowledged append can
-		// never be lost to a crash. A failed append degrades to the
-		// fire-and-forget path (Offset zero) rather than losing the
-		// dispatch too.
-		asp := b.cfg.Tracer.Attach(it.ev.Trace, "eventlog.append")
-		_, err := b.cfg.Log.Append(b.killCtx, it.ev.Object, it.encode)
-		if err != nil {
-			it.ev.Offset, it.raw = 0, nil
-			m.Counter("trigger.log_failed").Inc()
-			asp.Error(err)
-		}
-		asp.End()
-	}
-	b.enqueue(it)
-}
+// Publish routes one event: PublishBatch of one.
+func (b *Bus) Publish(ev Event) { b.PublishBatch([]Event{ev}) }
 
 // encode stamps the offset the log assigned and marshals the event —
 // the one encoding: the log stores these bytes and the sinks send them.
@@ -969,17 +936,16 @@ func (it *inflight) encode(off int64) (json.RawMessage, error) {
 	return raw, err
 }
 
-// PublishBatch routes a group of events emitted by one object's
-// group-committed invocation batch: all of them are appended to the
-// log in a single backing write (the commit itself was one write, its
-// events should not cost n), then enqueued individually. All events
-// must carry the same Object.
+// PublishBatch routes the events of one object — a commit's, one per
+// call it carried. It assigns each its Seq and Time, appends all of them
+// to the durable log (stamping Offsets) in a single backing write when
+// one is configured — the commit itself was one write, its events should
+// not cost n — counts the emissions, and enqueues each onto the object's
+// shard under the configured overflow policy. Publishing on a closed bus
+// discards the events. The bus copies the events and keeps nothing of
+// evs. All events must carry the same Object.
 func (b *Bus) PublishBatch(evs []Event) {
 	if len(evs) == 0 {
-		return
-	}
-	if len(evs) == 1 {
-		b.Publish(evs[0])
 		return
 	}
 	m := b.cfg.Metrics
@@ -999,6 +965,11 @@ func (b *Bus) PublishBatch(evs []Event) {
 		return
 	}
 	if b.cfg.Log != nil {
+		// Durability before dispatch: the events are in the log before
+		// any consumer can observe them, so an acknowledged append can
+		// never be lost to a crash. A failed append degrades to the
+		// fire-and-forget path (Offset zero) rather than losing the
+		// dispatch too.
 		asp := b.cfg.Tracer.Attach(batchTrace(evs), "eventlog.append")
 		asp.SetInt("events", len(evs))
 		_, err := b.cfg.Log.AppendBatch(b.killCtx, evs[0].Object, len(evs), func(i int, off int64) (json.RawMessage, error) {
@@ -1008,7 +979,7 @@ func (b *Bus) PublishBatch(evs []Event) {
 			for i := range its {
 				its[i].ev.Offset, its[i].raw = 0, nil
 			}
-			m.Counter("trigger.log_failed").Inc()
+			m.Counter("trigger.log_failed").Add(int64(len(evs)))
 			asp.Error(err)
 		}
 		asp.End()

@@ -91,16 +91,17 @@
 // The async workers drain in batches: each pull takes up to
 // Config.AsyncDrainBatch queued invocations (default 16; 1 restores
 // per-task draining), persists the pull's record transitions in
-// batched table writes, and groups the pull by target object. A group
-// of two or more same-object method calls executes through the
-// runtime's group-commit InvokeBatch window: one state load, the
-// handlers run sequentially against the evolving in-memory view (each
-// call observes its predecessors' deltas, exactly as if they had run
-// back-to-back), and the merged delta commits in one simulated DB
-// round trip — version-validated under occ/adaptive, under a single
-// exclusive stripe hold when locked — so N coalesced invocations on a
-// hot object cost one concurrency window instead of N. Semantics stay
-// per-call: a failing or panicking handler (or a delta touching
+// batched table writes, and groups the pull by target object. An
+// invocation that drained alone is a group of one and runs exactly as
+// Platform.Invoke would. A group of two or more same-object method
+// calls executes through the runtime's group-commit InvokeBatch window:
+// one state load, the handlers run sequentially against the evolving
+// in-memory view (each call observes its predecessors' deltas, exactly
+// as if they had run back-to-back), and the merged delta commits in one
+// simulated DB round trip — version-validated under occ/adaptive, under
+// a single exclusive stripe hold when locked — so N coalesced
+// invocations on a hot object cost one concurrency window instead of N.
+// Semantics stay per-call: a failing or panicking handler (or a delta touching
 // undeclared keys) fails only its own invocation record, its delta is
 // excluded from the merged commit, and `readonly` calls bypass the
 // window entirely on the lock-free fast path. Only functions share a
