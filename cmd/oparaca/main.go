@@ -141,6 +141,9 @@ func main() {
 		ReadHeaderTimeout: 5 * time.Second,
 		WriteTimeout:      60 * time.Second,
 	}
+	// Shutdown waits for active requests and an SSE stream stays active
+	// until its client leaves: end the streams when it begins.
+	srv.RegisterOnShutdown(gw.CloseStreams)
 	go func() {
 		logger.Info("gateway listening",
 			"addr", *addr, "workers", *workers, "object_store", p.ObjectStoreURL(),

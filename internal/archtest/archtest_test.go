@@ -131,6 +131,19 @@ func TestInvariants(t *testing.T) {
 		{"one-shard-send", only("internal/asyncq", "Queue.enqueue", "q.shardFor(", 1)},
 		{"handler-panic-recovered-once", only("internal/runtime", "ClassRuntime.engineInvoke", "recover(", 1)},
 
+		// The event log is the bus's only queue. PublishBatch dispatches
+		// what it appended before it returns, and the goroutines the bus
+		// starts are its delivery workers and the re-arm timers. A channel
+		// of in-flight events, a goroutine draining one, or an overflow
+		// policy would put a queue between the append and the consumers
+		// again, and an appended event could be shed there and stranded.
+		{"bus-dispatches-in-publish", all(
+			noChan("internal/trigger", "*inflight"),
+			onlyGo("internal/trigger", "b.deliveryWorker", "b.rearm"),
+			noName("internal/trigger", `^OverflowPolicy$`),
+			only("internal/trigger", "Bus.PublishBatch", "b.dispatch(", 1),
+		)},
+
 		// A knob exists because something sets it, and a symbol because
 		// something calls it. A new Config leaf or a new exported function
 		// that only tests reach is a reviewed edit of one of these lists.
@@ -148,7 +161,6 @@ func TestInvariants(t *testing.T) {
 			"Config.EventLogMaxPerObject": "retention and replay tests lower the cap to see compaction",
 			"Config.ForwardLatency":       "the invoke conformance tests charge the ingress-to-owner hop",
 			"Config.TriggerMaxChainDepth": "the chain-cycle test lowers the depth bound",
-			"Config.TriggerOverflow":      "an observer test selects the block policy",
 			"Config.WebhookMaxRetries":    "delivery tests shorten the webhook policy to reach exhaustion",
 			"Config.WebhookRetryBackoff":  "delivery tests shorten the webhook policy to reach exhaustion",
 			"Config.WebhookTimeout":       "delivery tests shorten the webhook policy to reach timeouts",
@@ -418,6 +430,44 @@ func noVar(scope, name, typ string) check {
 		}
 		if len(hits) > 0 {
 			return fmt.Errorf("%s %s is declared at %s", name, typ, tr.list(hits))
+		}
+		return nil
+	}
+}
+
+// noChan: no channel type at scope carries elem.
+func noChan(scope, elem string) check {
+	return func(tr *tree) error {
+		var hits []token.Pos
+		for _, d := range tr.decls(scope) {
+			ast.Inspect(d, func(n ast.Node) bool {
+				if c, ok := n.(*ast.ChanType); ok && tr.render(c.Value) == elem {
+					hits = append(hits, c.Pos())
+				}
+				return true
+			})
+		}
+		if len(hits) > 0 {
+			return fmt.Errorf("%s declares a channel of %s at %s", scope, elem, tr.list(hits))
+		}
+		return nil
+	}
+}
+
+// onlyGo: every go statement at scope starts one of callees.
+func onlyGo(scope string, callees ...string) check {
+	return func(tr *tree) error {
+		var hits []token.Pos
+		for _, d := range tr.decls(scope) {
+			ast.Inspect(d, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok && !slices.Contains(callees, tr.render(g.Call.Fun)) {
+					hits = append(hits, g.Pos())
+				}
+				return true
+			})
+		}
+		if len(hits) > 0 {
+			return fmt.Errorf("%s starts goroutines other than %v at %s", scope, callees, tr.list(hits))
 		}
 		return nil
 	}

@@ -398,10 +398,7 @@ func TestObserverNeverMissesALaterCommit(t *testing.T) {
 	}
 	for name, register := range cases {
 		t.Run(name, func(t *testing.T) {
-			// Backpressure, not the default drop: four writers can fill the
-			// object's bus shard while its dispatcher waits for a CPU, and
-			// an overflow drop is a loss this test is not about.
-			p := newEventPlatform(t, Config{WebhookRetryBackoff: time.Millisecond, TriggerOverflow: trigger.OverflowBlock})
+			p := newEventPlatform(t, Config{WebhookRetryBackoff: time.Millisecond})
 			newTallies(t, p, "t-1")
 			stop := make(chan struct{})
 			var writers sync.WaitGroup

@@ -179,10 +179,6 @@ type Config struct {
 	// Chaos installs a seeded probabilistic fault schedule on the
 	// backing store (the chaos harness). The zero plan injects nothing.
 	Chaos kvstore.FaultPlan
-	// TriggerOverflow selects what happens when an event finds its bus
-	// shard full: trigger.OverflowDrop (default) counts and discards
-	// it, trigger.OverflowBlock backpressures the commit path.
-	TriggerOverflow trigger.OverflowPolicy
 	// TriggerMaxChainDepth bounds data-triggered object→object chains:
 	// an event whose chain depth has reached the limit is not
 	// dispatched to method sinks (counted in Stats().Triggers.Dropped
@@ -403,7 +399,6 @@ func New(cfg Config) (*Platform, error) {
 	p.bus, err = trigger.New(trigger.Config{
 		InvokeAsync:       p.InvokeAsync,
 		Log:               p.elog,
-		Overflow:          cfg.TriggerOverflow,
 		MaxChainDepth:     cfg.TriggerMaxChainDepth,
 		WebhookMaxRetries: cfg.WebhookMaxRetries,
 		WebhookBackoff:    cfg.WebhookRetryBackoff,

@@ -70,13 +70,28 @@ type Gateway struct {
 	platform *core.Platform
 	mux      *http.ServeMux
 	logger   *slog.Logger
+	// streamsDone is closed by CloseStreams; every event stream selects
+	// on it.
+	streamsDone chan struct{}
+	streamsOnce sync.Once
 }
 
 // New builds a gateway for the platform.
 func New(p *core.Platform) *Gateway {
-	g := &Gateway{platform: p, mux: http.NewServeMux()}
+	g := &Gateway{platform: p, mux: http.NewServeMux(), streamsDone: make(chan struct{})}
 	g.routes()
 	return g
+}
+
+// CloseStreams ends every open event stream (GET
+// /api/objects/{id}/events), and any opened later at once. A stream ends
+// only when its client leaves or the platform closes, and
+// http.Server.Shutdown waits for active requests without cancelling
+// them, so a server that serves the gateway registers this with its
+// RegisterOnShutdown; otherwise one attached client holds Shutdown for
+// its whole context. Idempotent.
+func (g *Gateway) CloseStreams() {
+	g.streamsOnce.Do(func() { close(g.streamsDone) })
 }
 
 // SetLogger installs a structured request logger. When nil (the
@@ -1196,8 +1211,9 @@ func (g *Gateway) handleDeleteTrigger(w http.ResponseWriter, r *http.Request) {
 // stream included), so fromOffset=1 on an object nobody has observed
 // replays nothing and goes live. Without fromOffset the stream is
 // live-only and a consumer that falls behind its buffer loses events
-// (counted in Stats().Triggers.Dropped) rather than stalling bus
-// dispatch.
+// (counted in Stats().Triggers.Dropped) rather than stalling the
+// committing writer. The stream also ends when the server shuts down
+// (CloseStreams).
 func (g *Gateway) handleObjectEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -1280,10 +1296,10 @@ func (g *Gateway) handleObjectEvents(w http.ResponseWriter, r *http.Request) {
 				continue // already delivered during replay
 			}
 			if last > 0 && ev.Offset > last+1 {
-				// The live buffer skipped ahead (stream overflow or
-				// out-of-order shard delivery): heal the gap from the
-				// log. A compacted gap start can't 410 after the
-				// headers — jump over it instead.
+				// The live buffer skipped ahead (stream overflow, or two
+				// racing commits published out of offset order): heal the
+				// gap from the log. A compacted gap start can't 410 after
+				// the headers — jump over it instead.
 				gap, err := g.platform.ReadEvents(r.Context(), id, last+1, int(ev.Offset-last-1))
 				if err == nil {
 					for _, e := range gap {
@@ -1307,6 +1323,8 @@ func (g *Gateway) handleObjectEvents(w http.ResponseWriter, r *http.Request) {
 				last = ev.Offset
 			}
 		case <-r.Context().Done():
+			return
+		case <-g.streamsDone:
 			return
 		}
 	}

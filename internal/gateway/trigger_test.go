@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -183,6 +184,43 @@ func TestObjectEventsSSELifecycle(t *testing.T) {
 	// Unknown object: 404, not a stream.
 	if status, _ := f.do(http.MethodGet, "/api/objects/ghost/events", "", nil); status != http.StatusNotFound {
 		t.Fatalf("ghost stream status = %d", status)
+	}
+}
+
+// TestShutdownEndsEventStreams: http.Server.Shutdown waits for active
+// requests without cancelling them, and an SSE stream is active until
+// its client leaves. With CloseStreams registered to run on shutdown, a
+// server with a client attached stops at once and the client sees its
+// stream end.
+func TestShutdownEndsEventStreams(t *testing.T) {
+	p := newTestPlatform(t, core.Config{})
+	gw := New(p)
+	srv := httptest.NewUnstartedServer(gw)
+	srv.Config.RegisterOnShutdown(gw.CloseStreams)
+	srv.Start()
+	t.Cleanup(srv.Close)
+	f := &fixture{t: t, p: p, srv: srv, client: srv.Client()}
+	f.deploy()
+	id := f.createObject("sse-shutdown")
+	resp, err := f.client.Get(srv.URL + "/api/objects/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status = %d", resp.StatusCode)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with an SSE client attached: %v after %v", err, time.Since(start))
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Shutdown with an SSE client attached took %v", d)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatalf("the stream did not end cleanly: %v", err)
 	}
 }
 

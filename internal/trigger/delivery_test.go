@@ -56,6 +56,7 @@ type hook struct {
 	mu      sync.Mutex
 	bodies  [][]byte
 	offsets []int64
+	objects []string
 }
 
 func newHook(t *testing.T, gated bool) *hook {
@@ -80,6 +81,7 @@ func newHook(t *testing.T, gated bool) *hook {
 		h.mu.Lock()
 		h.bodies = append(h.bodies, body)
 		h.offsets = append(h.offsets, ev.Offset)
+		h.objects = append(h.objects, ev.Object)
 		h.mu.Unlock()
 		// A body the client has to drain to get its connection back.
 		_, _ = io.WriteString(w, "ok")
@@ -92,6 +94,17 @@ func (h *hook) got() []int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return slices.Clone(h.offsets)
+}
+
+// gotByObject is got split by object, each in arrival order.
+func (h *hook) gotByObject() map[string][]int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := map[string][]int64{}
+	for i, obj := range h.objects {
+		out[obj] = append(out[obj], h.offsets[i])
+	}
+	return out
 }
 
 func seq(from, to int64) []int64 {
@@ -236,6 +249,98 @@ func TestFailedBatchAppendCountsEveryEvent(t *testing.T) {
 	}
 }
 
+// TestFailedAppendDeliversOnceToEverySink: an event whose append failed
+// has no offset, so no cursor waits behind it. A webhook subscription and
+// a method subscription each still receive it once, from the delivery
+// pool — a method sink whose invoker blocks does not block the publisher
+// — and no consumer is created for it.
+func TestFailedAppendDeliversOnceToEverySink(t *testing.T) {
+	h := newHook(t, false)
+	release := make(chan struct{})
+	chained := make(chan int64, 4)
+	b := newBusFailingNextAppend(t, Config{InvokeAsync: func(_ context.Context, _, _ string, payload json.RawMessage, _ map[string]string) (string, error) {
+		<-release
+		var ev Event
+		if err := json.Unmarshal(payload, &ev); err != nil {
+			t.Errorf("chain payload %q: %v", payload, err)
+		}
+		chained <- ev.Offset
+		return "inv", nil
+	}})
+	unblock := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unblock) // before the bus's Close, which drains the pool
+	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: h.srv.URL}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Subscribe("chain", Subscription{Class: "A", Type: StateChanged, TargetFunction: "record"}); err != nil {
+		t.Fatal(err)
+	}
+	published := make(chan struct{})
+	go func() {
+		b.Publish(stateChanged("a-1", "k"))
+		close(published)
+	}()
+	select {
+	case <-published:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a blocked method sink blocked Publish")
+	}
+	unblock()
+	b.Drain()
+	if got := h.got(); !slices.Equal(got, []int64{0}) {
+		t.Fatalf("webhook received offsets %v, want one offset-less delivery", got)
+	}
+	if len(chained) != 1 || <-chained != 0 {
+		t.Fatal("the method sink did not receive the offset-less event exactly once")
+	}
+	s := b.Stats()
+	if s.LogFailed != 1 || s.Delivered != 2 || s.Dropped != 0 {
+		t.Fatalf("stats = %+v, want 1 log failure and 2 deliveries", s)
+	}
+	for _, id := range []string{"named/hook", "named/chain"} {
+		if s.Subscriptions[id].Delivered != 1 {
+			t.Errorf("%s: %+v", id, s.Subscriptions[id])
+		}
+		if _, ok := b.cfg.Log.Cursor(id, "a-1"); ok {
+			t.Errorf("%s got a cursor for an event the log does not hold", id)
+		}
+	}
+}
+
+// TestAppendedEventIsNeverStranded: a burst over many objects arrives
+// while the only delivery worker is stuck in a webhook, then the objects
+// go quiet. Every appended event is still delivered exactly once, at its
+// offset and in offset order, with no later event to wake its consumer:
+// dispatch is part of Publish, so nothing appended is skipped on its way
+// to the consumers.
+func TestAppendedEventIsNeverStranded(t *testing.T) {
+	const objects, perObject = 64, 3
+	h := newHook(t, true)
+	l := newLog(t, eventlog.Config{})
+	b := newBus(t, Config{Log: l, DeliveryWorkers: 1})
+	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: h.srv.URL}); err != nil {
+		t.Fatal(err)
+	}
+	object := func(i int) string { return fmt.Sprintf("o-%d", i%objects) }
+	b.Publish(stateChanged(object(0), "k"))
+	waitFor(t, "the first delivery to hold the worker", func() bool { return h.hits.Load() == 1 })
+	for i := 1; i < objects*perObject; i++ {
+		b.Publish(stateChanged(object(i), "k"))
+	}
+	close(h.gate)
+	b.Drain()
+	got := h.gotByObject()
+	for i := range objects {
+		if offs := got[object(i)]; !slices.Equal(offs, seq(1, perObject)) {
+			t.Errorf("%s: delivered offsets %v, want 1..%d in order", object(i), offs, perObject)
+		}
+	}
+	s := b.Stats()
+	if s.Dropped != 0 || s.Delivered != objects*perObject || s.Subscriptions["named/hook"].CursorLag != 0 {
+		t.Fatalf("stats = %+v, want %d delivered, nothing dropped, no lag", s, objects*perObject)
+	}
+}
+
 // TestBehindConsumerHandoffOverflow: events that pile up behind a
 // blocked endpoint beyond the hand-off are delivered from the log, in
 // order, exactly once.
@@ -362,9 +467,6 @@ func TestBehindConsumerCompactionOvertakesCursor(t *testing.T) {
 	for i := 1; i < n; i++ {
 		b.Publish(stateChanged("a-1", "k"))
 	}
-	// The hand-off fills at dispatch, not at Publish: released any
-	// earlier, the consumer would find it short and skip to the floor.
-	waitFor(t, "the queued events to be dispatched", func() bool { return b.pending.Load() == 0 })
 	close(h.gate)
 	b.Drain()
 	// Offset 1 was in flight at the endpoint, 2..1+handoffCap in the
@@ -390,7 +492,6 @@ func TestRedeploySwapsSinkMidQueue(t *testing.T) {
 	waitFor(t, "the first delivery to reach the old endpoint", func() bool { return old.hits.Load() == 1 })
 	b.Publish(stateChanged("a-1", "k"))
 	b.Publish(stateChanged("a-1", "k"))
-	waitFor(t, "the queued events to be dispatched", func() bool { return b.pending.Load() == 0 })
 	b.SetClassTriggers("A", []Subscription{{ID: "class/A/t", Class: "A", Type: StateChanged, Webhook: fresh.srv.URL}})
 	close(old.gate)
 	b.Drain()
@@ -529,7 +630,7 @@ func TestDeliveryQueueIsABoundedFIFO(t *testing.T) {
 // everything. Run under -race.
 func TestDrainWhilePublishing(t *testing.T) {
 	var calls atomic.Int64
-	b := newBus(t, Config{Overflow: OverflowBlock, Log: newLog(t, eventlog.Config{}),
+	b := newBus(t, Config{Log: newLog(t, eventlog.Config{}),
 		InvokeAsync: func(context.Context, string, string, json.RawMessage, map[string]string) (string, error) {
 			calls.Add(1)
 			return "inv", nil

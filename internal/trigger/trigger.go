@@ -1,7 +1,7 @@
 // Package trigger implements the platform's event and trigger
-// subsystem: a sharded, bounded event bus that turns committed state
-// mutations and terminal asynchronous invocations into durable routed
-// deliveries, making objects reactive instead of purely pull-based.
+// subsystem: an event bus that turns committed state mutations and
+// terminal asynchronous invocations into durable routed deliveries,
+// making objects reactive instead of purely pull-based.
 //
 // Producers publish Events (the runtime emits StateChanged once per
 // committed write invocation; the async queue emits
@@ -16,8 +16,8 @@
 //
 // # Durability
 //
-// With Config.Log set, Publish writes every event through the
-// per-object append-only event log BEFORE dispatch, stamping the
+// Publish writes every event through the per-object append-only event
+// log (Config.Log, which New requires) BEFORE dispatch, stamping the
 // assigned Offset into the event. What reaches Publish is decided by
 // NeedsEvents, which both producers ask first: an object's log begins
 // with the first event produced while someone could read it — a
@@ -47,8 +47,8 @@
 // An event is encoded once: the bytes Publish marshals for the log
 // entry are the bytes a webhook POSTs and a method sink submits, so
 // they are immutable from then on (see AsyncInvoker). The decoded
-// event rides along only while in flight — shard queue, then a small
-// per-consumer hand-off — and never lives in the log. A consumer whose
+// event rides along only while in flight — in a small per-consumer
+// hand-off — and never lives in the log. A consumer whose
 // cursor equals the offset of the event dispatch just handed it is
 // caught up and delivers that event as is; any other consumer
 // (recovery, a retried failure, a backlog deeper than the hand-off,
@@ -79,25 +79,30 @@
 // form and a request header shared by every event of its type (a copy
 // of it per subscription with credentials).
 //
-// Sink delivery runs on a bounded worker pool, never inline in the
-// shard dispatch loop, so one stalled webhook endpoint (backoff sleeps
-// of up to retries × timeout) cannot delay stream delivery or method
-// chains for other objects on the same shard, nor — under
-// OverflowBlock — backpressure the commit path of unrelated writes.
+// Dispatch is part of Publish: right after the append, on the
+// publisher's goroutine, each event is matched against the
+// subscriptions, handed to every matching cursor consumer and copied to
+// its object's live streams. None of that waits on a sink. Webhook POSTs
+// and method submissions run on a bounded delivery pool, so one stalled
+// endpoint (backoff sleeps of up to retries × timeout) delays neither a
+// commit nor a stream nor another object's chain. The log is the only
+// queue; nothing appended is shed. What else holds events is bounded by
+// the consumers, not by event volume: a consumer keeps at most
+// handoffCap of them and sits on the pool's queue at most once, and one
+// whose hand-off is full reads the log. The one event without an offset
+// is one whose append failed: no cursor can wait behind it, so it goes
+// to the pool once per matching subscription, best-effort, and is
+// counted in Stats().LogFailed. (Two racing OCC commits on one object
+// may publish in either order — emission happens after the validated
+// commit lands, outside the table's shard locks — so stream order
+// tracks publish order across concurrent lock-free committers; log
+// offsets and cursor-based consumers are ordered regardless.)
 //
-// The bus is sharded by object and bounded with an explicit overflow
-// policy: OverflowDrop counts and discards events that find their
-// shard full, OverflowBlock applies backpressure to the publisher.
-// (Two racing OCC commits on one object may publish in either order —
-// emission happens after the validated commit lands, outside the
-// table's shard locks — so stream order tracks publish order across
-// concurrent lock-free committers; log offsets and cursor-based
-// consumers are ordered regardless.) Object→object chains are
-// cycle-limited: an event whose trigger-chain depth has reached
-// Config.MaxChainDepth is not dispatched to method sinks, so a self-
-// or mutually-triggering class terminates instead of looping forever.
-// Close drains every accepted event before returning; Kill models
-// process death (nothing drains, nothing flushes).
+// Object→object chains are cycle-limited: an event whose trigger-chain
+// depth has reached Config.MaxChainDepth is not dispatched to method
+// sinks, so a self- or mutually-triggering class terminates instead of
+// looping forever. Close drains the delivery pool before returning;
+// Kill models process death (nothing drains, nothing flushes).
 package trigger
 
 import (
@@ -181,9 +186,8 @@ type Event struct {
 	// resets on restart; Offset is the durable coordinate).
 	Seq uint64 `json:"seq"`
 	// Offset is the event's position in its object's durable log,
-	// 1-based and monotone per object. Zero when the bus runs without
-	// a log (or the append failed and the event was dispatched
-	// best-effort).
+	// 1-based and monotone per object. Zero only when the append failed
+	// and the event was delivered best-effort.
 	Offset int64 `json:"offset,omitempty"`
 	// Type discriminates the event kind.
 	Type EventType `json:"type"`
@@ -318,26 +322,6 @@ func (s Subscription) matches(ev Event) bool {
 	return false
 }
 
-// OverflowPolicy selects what Publish does when a shard queue is full.
-type OverflowPolicy string
-
-// Overflow policies.
-const (
-	// OverflowDrop (the default) discards the event and counts it in
-	// Stats().Dropped — emission never blocks the commit path. With a
-	// log, "discards" only skips dispatch; the event is already
-	// appended and cursor-based consumers still deliver it.
-	OverflowDrop OverflowPolicy = "drop"
-	// OverflowBlock applies backpressure: Publish waits for shard
-	// space, so no event is lost at the cost of commit-path latency.
-	OverflowBlock OverflowPolicy = "block"
-)
-
-// Valid reports whether p is a known policy (including the default).
-func (p OverflowPolicy) Valid() bool {
-	return p == "" || p == OverflowDrop || p == OverflowBlock
-}
-
 // AsyncInvoker submits one chained invocation (the platform passes its
 // InvokeAsync path; the indirection keeps this package core-free).
 // payload is the event JSON and is shared with the event log, and args
@@ -352,19 +336,11 @@ type Config struct {
 	// InvokeAsync realizes the object-method sink; nil fails such
 	// deliveries (counted dropped).
 	InvokeAsync AsyncInvoker
-	// Log, when set, makes the bus durable: Publish appends every
-	// event to the log before dispatch and webhook/method sinks become
-	// cursor-based consumers with at-least-once redelivery. Nil keeps
-	// the PR 5 fire-and-forget behaviour.
+	// Log is the durable event log, and New fails without one: Publish
+	// appends every event to it before dispatch, and webhook and method
+	// sinks are cursor-based consumers of it with at-least-once
+	// redelivery.
 	Log *eventlog.Log
-	// Shards partitions the bus; events are spread by emitting object,
-	// so per-object order survives dispatch. Defaults to 4.
-	Shards int
-	// Buffer bounds each shard's queue. Defaults to 256.
-	Buffer int
-	// Overflow selects the full-shard behaviour. Defaults to
-	// OverflowDrop.
-	Overflow OverflowPolicy
 	// MaxChainDepth bounds object→object trigger chains: an event at
 	// this depth is not dispatched to method sinks (counted in
 	// CycleDropped and Dropped). Defaults to 8. The bus builds the args
@@ -403,15 +379,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.Buffer <= 0 {
-		c.Buffer = 256
-	}
-	if c.Overflow == "" {
-		c.Overflow = OverflowDrop
-	}
 	if c.MaxChainDepth <= 0 {
 		c.MaxChainDepth = 8
 	}
@@ -448,24 +415,19 @@ func (c Config) withDefaults() Config {
 }
 
 // inflight is one published event on its way to the sinks: the decoded
-// form plus the bytes Publish marshalled for its log entry (nil without
-// a log, or when the append failed). It lives on a shard queue and in
-// consumer hand-offs only — never in the log — and raw is shared with
-// the log entry, so no sink may write to it.
+// form plus the bytes Publish marshalled for its log entry (nil when the
+// append failed). It lives in consumer hand-offs and one-shot pool items
+// only — never in the log — and raw is shared with the log entry, so no
+// sink may write to it.
 type inflight struct {
 	ev  Event
 	raw json.RawMessage
 }
 
-// busShard is one dispatch partition.
-type busShard struct {
-	ch chan *inflight
-}
-
 // Stream is one live per-object event tail (the gateway's SSE feed).
 // Events arrive on Events() in commit order; a slow consumer whose
 // buffer fills loses events (counted in Stats().Dropped) rather than
-// stalling dispatch.
+// stalling the publisher.
 type Stream struct {
 	bus    *Bus
 	object string
@@ -535,8 +497,7 @@ const (
 )
 
 // delItem is one unit of delivery-pool work: a consumer run (st set)
-// or a one-shot direct job (legacy webhook delivery when the bus has
-// no log).
+// or the one-shot delivery of an event whose append failed (run set).
 type delItem struct {
 	st  *consumerState
 	run func()
@@ -602,9 +563,8 @@ type subCounters struct {
 
 // Bus is the event router. It is safe for concurrent use.
 type Bus struct {
-	cfg    Config
-	shards []*busShard
-	seq    atomic.Uint64
+	cfg Config
+	seq atomic.Uint64
 
 	// killCtx is cancelled by Kill so backoff sleeps and in-flight
 	// webhook requests abort instead of delaying the simulated crash.
@@ -627,16 +587,16 @@ type Bus struct {
 
 	// streamed mirrors len(streams) — the objects with a live stream —
 	// and is stored under streamMu, so NeedsEvents skips the lock while
-	// nobody tails.
+	// nobody tails. Close sets streams to nil: a stream opened after that
+	// starts closed.
 	streamMu sync.Mutex
 	streams  map[string]map[*Stream]struct{}
 	streamed atomic.Int64
 
 	// The delivery pool, guarded by delMu. delCond wakes one worker per
 	// enqueued item; quiet is broadcast whenever Drain's predicate may
-	// have turned true (a run completed, the last accepted event was
-	// dispatched). delWg counts the workers and the re-arm sleepers,
-	// which stop closes.
+	// have turned true (a pool item completed, the bus stopped). delWg
+	// counts the workers and the re-arm sleepers, which stop closes.
 	delMu     sync.Mutex
 	delCond   *sync.Cond
 	quiet     *sync.Cond
@@ -659,27 +619,22 @@ type Bus struct {
 	rndMu sync.Mutex
 	rnd   *rand.Rand
 
-	// pubMu fences intake against Close: Publish holds the read side
-	// across its closed-check, log append and shard send; Close flips
+	// pubMu fences intake against Close: PublishBatch holds the read side
+	// across its closed-check, log append and dispatch; Close flips
 	// closed under the write side, so once Close proceeds no publisher
-	// can be mid-send and closing the shard channels is race-free.
-	pubMu   sync.RWMutex
-	closed  bool
-	pending atomic.Int64   // accepted-but-undispatched events
-	wg      sync.WaitGroup // dispatcher goroutines
+	// is mid-dispatch and only consumer runs still queue pool work.
+	pubMu  sync.RWMutex
+	closed bool
 }
 
-// New builds a bus and starts one dispatcher per shard plus the
-// delivery pool.
+// New builds a bus and starts its delivery pool. cfg.Log is required.
 func New(cfg Config) (*Bus, error) {
-	cfg = cfg.withDefaults()
-	if !cfg.Overflow.Valid() {
-		return nil, fmt.Errorf("trigger: unknown overflow policy %q (want %s or %s)",
-			cfg.Overflow, OverflowDrop, OverflowBlock)
+	if cfg.Log == nil {
+		return nil, errors.New("trigger: Config.Log is required")
 	}
+	cfg = cfg.withDefaults()
 	b := &Bus{
 		cfg:       cfg,
-		shards:    make([]*busShard, cfg.Shards),
 		subs:      make(map[string]*Subscription),
 		classSubs: make(map[string][]Subscription),
 		streams:   make(map[string]map[*Stream]struct{}),
@@ -710,11 +665,6 @@ func New(cfg Config) (*Bus, error) {
 	b.killCtx, b.killCancel = context.WithCancel(context.Background())
 	b.delCond = sync.NewCond(&b.delMu)
 	b.quiet = sync.NewCond(&b.delMu)
-	for i := range b.shards {
-		b.shards[i] = &busShard{ch: make(chan *inflight, cfg.Buffer)}
-		b.wg.Add(1)
-		go b.dispatchLoop(b.shards[i])
-	}
 	for i := 0; i < cfg.DeliveryWorkers; i++ {
 		b.delWg.Add(1)
 		go b.deliveryWorker()
@@ -725,26 +675,9 @@ func New(cfg Config) (*Bus, error) {
 // Metrics exposes the bus's registry.
 func (b *Bus) Metrics() *metrics.Registry { return b.cfg.Metrics }
 
-// shardFor routes an object's events to a fixed shard, preserving
-// per-object dispatch order. The FNV-1a fold is inlined over the
-// string: Publish sits on every commit path, and hash/fnv's
-// hasher-plus-[]byte construction cost two heap allocations per
-// event (TestShardForNoAllocs pins this at zero).
-func (b *Bus) shardFor(object string) *busShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(object); i++ {
-		h ^= uint32(object[i])
-		h *= 16777619
-	}
-	return b.shards[h%uint32(len(b.shards))]
-}
-
 // subCountersFor returns (creating if needed) one subscription's
 // counters.
 func (b *Bus) subCountersFor(id string) *subCounters {
-	if id == "" {
-		return nil
-	}
 	b.subStatsMu.Lock()
 	defer b.subStatsMu.Unlock()
 	c, ok := b.subStats[id]
@@ -858,9 +791,6 @@ func (b *Bus) SetClassTriggers(class string, subs []Subscription) {
 // subscription: after a restart (or a re-subscribe) any backlog the
 // crash interrupted is redelivered without waiting for fresh events.
 func (b *Bus) recoverSub(sub *Subscription) {
-	if b.cfg.Log == nil || sub.ID == "" {
-		return
-	}
 	for object := range b.cfg.Log.CursorsFor(sub.ID) {
 		b.notify(sub, object, nil)
 	}
@@ -873,9 +803,6 @@ func (b *Bus) recoverSub(sub *Subscription) {
 // commits. At-least-once semantics make the occasional duplicate
 // delivery safe.
 func (b *Bus) ReplayCursors() {
-	if b.cfg.Log == nil {
-		return
-	}
 	b.subMu.RLock()
 	all := make([]*Subscription, 0, len(b.subs))
 	for _, s := range b.subs {
@@ -906,13 +833,19 @@ func (b *Bus) jittered(d time.Duration) time.Duration {
 }
 
 // Stream opens a live event tail for one object. buf bounds the
-// consumer lag; <=0 selects 64.
+// consumer lag; <=0 selects 64. On a closed bus the stream is closed
+// already.
 func (b *Bus) Stream(object string, buf int) *Stream {
 	if buf <= 0 {
 		buf = 64
 	}
 	s := &Stream{bus: b, object: object, ch: make(chan Event, buf)}
 	b.streamMu.Lock()
+	defer b.streamMu.Unlock()
+	if b.streams == nil {
+		s.once.Do(func() { close(s.ch) })
+		return s
+	}
 	set, ok := b.streams[object]
 	if !ok {
 		set = make(map[*Stream]struct{})
@@ -920,7 +853,6 @@ func (b *Bus) Stream(object string, buf int) *Stream {
 	}
 	set[s] = struct{}{}
 	b.streamed.Store(int64(len(b.streams)))
-	b.streamMu.Unlock()
 	return s
 }
 
@@ -938,12 +870,12 @@ func (it *inflight) encode(off int64) (json.RawMessage, error) {
 
 // PublishBatch routes the events of one object — a commit's, one per
 // call it carried. It assigns each its Seq and Time, appends all of them
-// to the durable log (stamping Offsets) in a single backing write when
-// one is configured — the commit itself was one write, its events should
-// not cost n — counts the emissions, and enqueues each onto the object's
-// shard under the configured overflow policy. Publishing on a closed bus
-// discards the events. The bus copies the events and keeps nothing of
-// evs. All events must carry the same Object.
+// to the durable log (stamping Offsets) in a single backing write — the
+// commit itself was one write, its events should not cost n — counts
+// the emissions, and dispatches each in turn before it returns (see the
+// package doc). Publishing on a closed bus discards the events. The bus
+// copies the events and keeps nothing of evs. All events must carry the
+// same Object.
 func (b *Bus) PublishBatch(evs []Event) {
 	if len(evs) == 0 {
 		return
@@ -964,28 +896,31 @@ func (b *Bus) PublishBatch(evs []Event) {
 		m.Counter("trigger.dropped").Add(int64(len(evs)))
 		return
 	}
-	if b.cfg.Log != nil {
-		// Durability before dispatch: the events are in the log before
-		// any consumer can observe them, so an acknowledged append can
-		// never be lost to a crash. A failed append degrades to the
-		// fire-and-forget path (Offset zero) rather than losing the
-		// dispatch too.
-		asp := b.cfg.Tracer.Attach(batchTrace(evs), "eventlog.append")
-		asp.SetInt("events", len(evs))
-		_, err := b.cfg.Log.AppendBatch(b.killCtx, evs[0].Object, len(evs), func(i int, off int64) (json.RawMessage, error) {
-			return its[i].encode(off)
-		})
-		if err != nil {
-			for i := range its {
-				its[i].ev.Offset, its[i].raw = 0, nil
-			}
-			m.Counter("trigger.log_failed").Add(int64(len(evs)))
-			asp.Error(err)
+	// Durability before dispatch: the events are in the log before any
+	// consumer can observe them, so an acknowledged append can never be
+	// lost to a crash. A failed append degrades to best-effort delivery
+	// (Offset zero) rather than losing the dispatch too.
+	asp := b.cfg.Tracer.Attach(batchTrace(evs), "eventlog.append")
+	asp.SetInt("events", len(evs))
+	_, err := b.cfg.Log.AppendBatch(b.killCtx, evs[0].Object, len(evs), func(i int, off int64) (json.RawMessage, error) {
+		return its[i].encode(off)
+	})
+	if err != nil {
+		for i := range its {
+			its[i].ev.Offset, its[i].raw = 0, nil
 		}
-		asp.End()
+		m.Counter("trigger.log_failed").Add(int64(len(evs)))
+		asp.Error(err)
 	}
+	asp.End()
+	// The match scratch lives on this stack: a commit's events rarely
+	// match more subscriptions than it holds.
+	var matched [8]*Subscription
 	for i := range its {
-		b.enqueue(&its[i])
+		if b.killed.Load() {
+			return
+		}
+		b.dispatch(&its[i], matched[:0])
 	}
 }
 
@@ -998,50 +933,6 @@ func batchTrace(evs []Event) string {
 		}
 	}
 	return ""
-}
-
-// enqueue sends one stamped event to its shard under the overflow
-// policy. Callers hold pubMu's read side with closed already checked.
-func (b *Bus) enqueue(it *inflight) {
-	sh := b.shardFor(it.ev.Object)
-	b.pending.Add(1)
-	if b.cfg.Overflow == OverflowBlock {
-		// Backpressure: wait for shard space. The dispatchers keep
-		// draining (Close cannot pass pubMu while we hold the read
-		// side), so the send always completes.
-		sh.ch <- it
-		return
-	}
-	select {
-	case sh.ch <- it:
-	default:
-		b.dispatched()
-		b.cfg.Metrics.Counter("trigger.dropped").Inc()
-	}
-}
-
-// dispatched retires one accepted event, waking Drain on the last.
-func (b *Bus) dispatched() {
-	if b.pending.Add(-1) == 0 {
-		b.delMu.Lock()
-		b.quiet.Broadcast()
-		b.delMu.Unlock()
-	}
-}
-
-// dispatchLoop drains one shard until Close closes its channel. The
-// matched-subscription scratch is owned by this goroutine (one loop
-// per shard) and reused across events, so steady-state fanout
-// allocates nothing for the match pass.
-func (b *Bus) dispatchLoop(sh *busShard) {
-	defer b.wg.Done()
-	var matched []*Subscription
-	for it := range sh.ch {
-		if !b.killed.Load() {
-			matched = b.dispatch(it, matched[:0])
-		}
-		b.dispatched()
-	}
 }
 
 // publishSubscribed rebuilds the subscribed-class set from subs and
@@ -1076,8 +967,8 @@ func (b *Bus) publishSubscribed() {
 // SetClassTriggers and Stream make it true before they return, so an
 // event produced after any of them returned is never skipped. A log
 // that cannot answer (breaker open, backing fault) counts as begun:
-// Publish then degrades to its fire-and-forget arm rather than this
-// predicate guessing false. It does not allocate.
+// Publish then delivers best-effort if its append fails too, rather
+// than this predicate guessing false. It does not allocate.
 func (b *Bus) NeedsEvents(class, object string) bool {
 	if _, ok := (*b.subscribed.Load())[class]; ok {
 		return true
@@ -1090,20 +981,16 @@ func (b *Bus) NeedsEvents(class, object string) bool {
 			return true
 		}
 	}
-	if b.cfg.Log == nil {
-		return false
-	}
 	begun, err := b.cfg.Log.Begun(b.killCtx, object)
 	return begun || err != nil
 }
 
 // dispatch fans one event out to every matching subscription and
-// stream, collecting matches into the caller's scratch slice (returned
-// so the caller can reuse its growth). Sink work is only scheduled
-// here — webhook POSTs and consumer runs execute on the delivery pool,
-// so a slow endpoint cannot stall this shard's queue (the head-of-line
-// defect the pool exists to fix).
-func (b *Bus) dispatch(it *inflight, matched []*Subscription) []*Subscription {
+// stream, collecting matches into the caller's scratch slice. It runs on
+// the publisher and only schedules sink work: webhook POSTs and method
+// submissions execute on the delivery pool, so a slow endpoint cannot
+// stall a commit (the head-of-line defect the pool exists to fix).
+func (b *Bus) dispatch(it *inflight, matched []*Subscription) {
 	ev := it.ev
 	dsp := b.cfg.Tracer.Attach(ev.Trace, "trigger.dispatch")
 	b.subMu.RLock()
@@ -1121,24 +1008,19 @@ func (b *Bus) dispatch(it *inflight, matched []*Subscription) []*Subscription {
 	}
 	b.subMu.RUnlock()
 	for _, sub := range matched {
-		if b.cfg.Log != nil && sub.ID != "" && ev.Offset > 0 {
-			// Durable path: the subscription's cursor consumer takes
-			// the event — from the hand-off when it is caught up, from
-			// the log when it is behind.
+		if ev.Offset > 0 {
+			// The subscription's cursor consumer takes the event — from
+			// the hand-off when it is caught up, from the log when it is
+			// behind.
 			b.notify(sub, ev.Object, it)
-			continue
+		} else {
+			b.enqueueOneShot(sub, it)
 		}
-		if sub.Webhook != "" {
-			b.enqueueDirect(sub, it)
-			continue
-		}
-		b.count(b.subCountersFor(sub.ID), b.deliverMethod(sub, ev, it.raw) == methodDelivered)
 	}
 	b.deliverStreams(ev)
 	dsp.SetInt("matched", len(matched))
 	dsp.SetAttr("type", string(ev.Type))
 	dsp.End()
-	return matched
 }
 
 // notify schedules (or re-arms) the cursor consumer of one
@@ -1189,30 +1071,28 @@ func (b *Bus) notify(sub *Subscription, object string, it *inflight) {
 func (b *Bus) count(c *subCounters, delivered bool) {
 	if delivered {
 		b.cfg.Metrics.Counter("trigger.delivered").Inc()
-		if c != nil {
-			c.delivered.Add(1)
-		}
+		c.delivered.Add(1)
 		return
 	}
 	b.cfg.Metrics.Counter("trigger.dropped").Inc()
-	if c != nil {
-		c.dropped.Add(1)
-	}
+	c.dropped.Add(1)
 }
 
-// enqueueDirect schedules a one-shot webhook delivery (log-less mode
-// only). The pool is fed by the bounded shard queues, so the FIFO here
-// stays shallow.
-func (b *Bus) enqueueDirect(sub *Subscription, it *inflight) {
+// enqueueOneShot schedules the one delivery an event whose append failed
+// gets: without an offset no cursor can wait behind it, so its outcome
+// is final and a failure counts dropped. Either sink kind runs on the
+// delivery pool, never on the publisher. Callers hold pubMu's read side
+// with closed checked, so the pool is still open.
+func (b *Bus) enqueueOneShot(sub *Subscription, it *inflight) {
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
-	if b.delClosed {
-		b.cfg.Metrics.Counter("trigger.dropped").Inc()
-		return
-	}
 	b.delQueue.push(delItem{run: func() {
 		c := b.subCountersFor(sub.ID)
-		b.count(c, b.deliverWebhook(sub, it.ev, it.raw, c))
+		if sub.Webhook != "" {
+			b.count(c, b.deliverWebhook(sub, it.ev, it.raw, c))
+		} else {
+			b.count(c, b.deliverMethod(sub, it.ev, it.raw) == methodDelivered)
+		}
 	}})
 	b.delCond.Signal()
 }
@@ -1349,9 +1229,7 @@ func (b *Bus) runConsumer(st *consumerState) (stalled bool) {
 				return false
 			}
 			b.cfg.Metrics.Counter("trigger.dropped").Add(floor - cursor)
-			if c != nil {
-				c.dropped.Add(floor - cursor)
-			}
+			c.dropped.Add(floor - cursor)
 			cursor = floor
 			if err := log.SetCursor(b.killCtx, id, object, cursor); err != nil {
 				return false
@@ -1464,8 +1342,8 @@ func chainArgs(typ EventType, d int) map[string]string {
 }
 
 // encoded returns the event JSON: the bytes already marshalled for the
-// log when there are any, a fresh encoding otherwise (log-less bus,
-// failed append). ev goes to the encoder by value: &ev would move every
+// log when there are any, a fresh encoding otherwise (a failed
+// append). ev goes to the encoder by value: &ev would move every
 // caller's event to the heap, the common path that has bytes included.
 func encoded(ev Event, raw json.RawMessage) (json.RawMessage, error) {
 	if raw != nil {
@@ -1476,7 +1354,7 @@ func encoded(ev Event, raw json.RawMessage) (json.RawMessage, error) {
 
 // deliverWebhook POSTs the event, retrying failures with doubling
 // backoff up to WebhookMaxRetries, and reports success. It runs on the
-// delivery pool, never a dispatch loop.
+// delivery pool, never on the publisher.
 func (b *Bus) deliverWebhook(sub *Subscription, ev Event, raw json.RawMessage, c *subCounters) bool {
 	m := b.cfg.Metrics
 	wsp := b.cfg.Tracer.Attach(ev.Trace, "webhook.delivery")
@@ -1498,9 +1376,7 @@ func (b *Bus) deliverWebhook(sub *Subscription, ev Event, raw json.RawMessage, c
 			}
 			backoff *= 2
 			m.Counter("trigger.retried").Inc()
-			if c != nil {
-				c.retried.Add(1)
-			}
+			c.retried.Add(1)
 		}
 		if b.postWebhook(sub.hook, sub.hookHeader, payload) {
 			wsp.SetInt("attempts", attempt+1)
@@ -1567,25 +1443,23 @@ func (b *Bus) deliverStreams(ev Event) {
 		case s.ch <- ev:
 			m.Counter("trigger.delivered").Inc()
 		default:
-			// Slow consumer: losing its event beats stalling dispatch
-			// for every other sink. With a log the loss is cosmetic —
-			// the gateway replays the gap from the stored entries.
+			// Slow consumer: losing its event beats stalling the
+			// publisher. The loss is cosmetic — the gateway replays the
+			// gap from the stored entries.
 			m.Counter("trigger.dropped").Inc()
 		}
 	}
 }
 
-// Drain blocks until every accepted event has been dispatched and the
-// delivery pool is quiet (webhook retries included). The async queue
+// Drain blocks until the delivery pool is quiet (webhook retries
+// included). Dispatch is part of Publish, so every event published
+// before the call has its deliveries queued by then. The async queue
 // calls this from its Close so terminal-record webhooks drain before
 // the platform tears down.
 func (b *Bus) Drain() {
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
-	// One predicate under one lock: an event is retired from pending
-	// only after dispatch queued its deliveries, so nothing is in
-	// between when all three read zero.
-	for (b.pending.Load() > 0 || b.delQueue.n > 0 || b.delBusy > 0) && !b.killed.Load() {
+	for (b.delQueue.n > 0 || b.delBusy > 0) && !b.killed.Load() {
 		b.quiet.Wait()
 	}
 }
@@ -1600,8 +1474,8 @@ type SubscriptionStats struct {
 	// consumers, retention-evicted undelivered events).
 	Dropped int64 `json:"dropped"`
 	// CursorLag sums the undelivered backlog across the
-	// subscription's cursors (durable mode only): log end minus
-	// cursor, over every object the consumer has touched. A growing
+	// subscription's cursors: log end minus cursor, over every object
+	// the consumer has touched. A growing
 	// lag with no deliveries is the signature of a stuck sink.
 	CursorLag int64 `json:"cursorLag"`
 }
@@ -1615,17 +1489,23 @@ type Stats struct {
 	// webhook 2xx responses, stream sends) — one event fanning to N
 	// sinks counts N.
 	Delivered int64 `json:"delivered"`
-	// Dropped counts lost deliveries and events: shard overflow, full
-	// streams, exhausted webhooks, failed method submissions, and
-	// chain-depth terminations.
+	// Dropped counts lost deliveries and events: full streams,
+	// chain-depth terminations and other terminal method failures,
+	// entries retention evicted before their consumer reached them,
+	// events published on a closed bus, and failed one-shot deliveries
+	// of events whose append failed. A webhook that exhausts its retries
+	// on a logged event is not dropped: its consumer stalls and retries
+	// (see CursorLag).
 	Dropped int64 `json:"dropped"`
 	// Retried counts webhook re-POSTs under the backoff policy.
 	Retried int64 `json:"retried"`
 	// CycleDropped counts method deliveries suppressed by the chain
 	// depth limit (also included in Dropped).
 	CycleDropped int64 `json:"cycle_dropped"`
-	// LogFailed counts events whose durable append failed (dispatched
-	// best-effort instead).
+	// LogFailed counts events whose durable append failed. Each was
+	// still delivered once, best-effort and without an offset: to its
+	// streams on the publisher, to each matching subscription by one
+	// delivery-pool attempt.
 	LogFailed int64 `json:"log_failed,omitempty"`
 	// Subscriptions holds per-subscription delivery counters, keyed by
 	// durable identity ("named/<name>", "class/<class>/<id>").
@@ -1655,11 +1535,9 @@ func (b *Bus) Stats() Stats {
 		}
 	}
 	b.subStatsMu.Unlock()
-	if b.cfg.Log != nil {
-		for id, s := range st.Subscriptions {
-			s.CursorLag = b.cfg.Log.CursorLag(id)
-			st.Subscriptions[id] = s
-		}
+	for id, s := range st.Subscriptions {
+		s.CursorLag = b.cfg.Log.CursorLag(id)
+		st.Subscriptions[id] = s
 	}
 	return st
 }
@@ -1675,21 +1553,19 @@ func (b *Bus) SubscriptionStatsFor(id string) SubscriptionStats {
 		s.Dropped = c.dropped.Load()
 	}
 	b.subStatsMu.Unlock()
-	if b.cfg.Log != nil {
-		s.CursorLag = b.cfg.Log.CursorLag(id)
-	}
+	s.CursorLag = b.cfg.Log.CursorLag(id)
 	return s
 }
 
-// Close stops intake, drains every accepted event through dispatch and
-// the delivery pool, stops the workers, and closes all live streams.
+// Close stops intake, drains the delivery pool, stops the workers, and
+// closes all live streams; a stream opened later starts closed.
 // Idempotent.
 func (b *Bus) Close() {
 	b.shutdown(false)
 }
 
-// Kill models process death: intake stops, queued events and pool work
-// are abandoned (not drained), in-flight webhook requests and backoff
+// Kill models process death: intake and dispatch stop, queued pool work
+// is abandoned (not drained), in-flight webhook requests and backoff
 // sleeps are cancelled. The durable log is untouched — everything
 // appended before the kill is recoverable, which is exactly what the
 // crash/replay tests assert.
@@ -1707,16 +1583,10 @@ func (b *Bus) shutdown(kill bool) {
 	}
 	b.closed = true
 	b.pubMu.Unlock()
-	// No publisher can be mid-send now (sends hold pubMu's read side),
-	// so closing the shard channels is race-free; the dispatchers drain
-	// what was accepted and exit (a kill skips their dispatch work).
-	for _, sh := range b.shards {
-		close(sh.ch)
-	}
-	b.wg.Wait()
-	// Dispatchers are gone — nothing enqueues pool work anymore. Let
-	// the workers finish the backlog (or abandon it on kill) and exit;
-	// stalled consumers waiting for a re-arm are left to the cursors.
+	// No publisher is mid-dispatch now (PublishBatch holds pubMu's read
+	// side), so only consumer runs still queue pool work. Let the workers
+	// finish the backlog (or abandon it on kill) and exit; stalled
+	// consumers waiting for a re-arm are left to the cursors.
 	b.delMu.Lock()
 	b.delClosed = true
 	if kill {
@@ -1734,7 +1604,7 @@ func (b *Bus) shutdown(kill bool) {
 			s.once.Do(func() { close(s.ch) })
 		}
 	}
-	b.streams = make(map[string]map[*Stream]struct{})
+	b.streams = nil
 	b.streamed.Store(0)
 	b.streamMu.Unlock()
 }

@@ -3,8 +3,8 @@ package trigger
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"math"
 	"net/http"
@@ -19,9 +19,13 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 )
 
-// newBus builds a bus with test-friendly webhook timing.
+// newBus builds a bus with test-friendly webhook timing, on a
+// memory-only log unless cfg names one.
 func newBus(t *testing.T, cfg Config) *Bus {
 	t.Helper()
+	if cfg.Log == nil {
+		cfg.Log = newLog(t, eventlog.Config{})
+	}
 	if cfg.WebhookBackoff == 0 {
 		cfg.WebhookBackoff = time.Millisecond
 	}
@@ -34,6 +38,28 @@ func newBus(t *testing.T, cfg Config) *Bus {
 	}
 	t.Cleanup(b.Close)
 	return b
+}
+
+// newBusFailingNextAppend builds a bus whose log's store fails its next
+// write, so the next Publish's append fails and its event takes the
+// one-shot, offset-less delivery path.
+func newBusFailingNextAppend(t *testing.T, cfg Config) *Bus {
+	t.Helper()
+	store := kvstore.Open(kvstore.Config{})
+	t.Cleanup(store.Close)
+	cfg.Log = newLog(t, eventlog.Config{Backing: store})
+	b := newBus(t, cfg)
+	store.InjectWriteFailures(1, errors.New("disk full"))
+	return b
+}
+
+// TestNewRequiresALog: the log is the bus's only queue, so there is no
+// bus without one.
+func TestNewRequiresALog(t *testing.T) {
+	if b, err := New(Config{}); err == nil {
+		b.Close()
+		t.Fatal("New built a bus without a log")
+	}
 }
 
 func TestSubscriptionValidation(t *testing.T) {
@@ -231,7 +257,7 @@ func TestChainDepthLimitTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Publish(Event{Type: StateChanged, Class: "Loop", Object: "l-1"})
-	// The chain re-publishes from inside dispatch; wait until it stops.
+	// The chain re-publishes from inside a delivery; wait until it stops.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		b.Drain()
@@ -253,6 +279,10 @@ func TestChainDepthLimitTerminates(t *testing.T) {
 	}
 }
 
+// TestWebhookRetryAndDrop: the one delivery an event whose append failed
+// gets retries a failing webhook with doubling backoff up to the budget,
+// then drops it. (A logged event is never dropped for an exhausted
+// webhook; its consumer stalls and retries, TestStalledConsumerRearms.)
 func TestWebhookRetryAndDrop(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -284,7 +314,7 @@ func TestWebhookRetryAndDrop(t *testing.T) {
 			// WebhookMaxRetries: 0 means "defaulted" (3); negative
 			// disables retries.
 			cfg := Config{WebhookMaxRetries: c.retries, WebhookBackoff: time.Millisecond}
-			b := newBus(t, cfg)
+			b := newBusFailingNextAppend(t, cfg)
 			if err := b.Subscribe("hook", Subscription{Class: "A", Type: InvocationCompleted, Webhook: srv.URL}); err != nil {
 				t.Fatal(err)
 			}
@@ -299,8 +329,10 @@ func TestWebhookRetryAndDrop(t *testing.T) {
 	}
 }
 
+// TestWebhookUnreachableDrops: an unreachable endpoint fails every
+// attempt of a one-shot delivery, which then counts dropped.
 func TestWebhookUnreachableDrops(t *testing.T) {
-	b := newBus(t, Config{WebhookMaxRetries: 1, WebhookBackoff: time.Millisecond, WebhookTimeout: 200 * time.Millisecond})
+	b := newBusFailingNextAppend(t, Config{WebhookMaxRetries: 1, WebhookBackoff: time.Millisecond, WebhookTimeout: 200 * time.Millisecond})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: InvocationFailed, Webhook: "http://127.0.0.1:1/nope"}); err != nil {
 		t.Fatal(err)
 	}
@@ -352,29 +384,37 @@ func TestStreamOverflowDropsNotBlocks(t *testing.T) {
 }
 
 func TestStreamClosedOnBusClose(t *testing.T) {
-	b, err := New(Config{})
+	b, err := New(Config{Log: newLog(t, eventlog.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := b.Stream("obj-1", 4)
 	b.Close()
-	select {
-	case _, open := <-st.Events():
-		if open {
-			t.Fatal("expected closed channel")
+	// A stream opened on the closed bus is closed from the start: nothing
+	// would ever close it otherwise.
+	late := b.Stream("obj-1", 4)
+	for _, s := range []*Stream{st, late} {
+		select {
+		case _, open := <-s.Events():
+			if open {
+				t.Fatal("expected closed channel")
+			}
+		case <-time.After(time.Second):
+			t.Fatal("stream not closed by bus Close")
 		}
-	case <-time.After(time.Second):
-		t.Fatal("stream not closed by bus Close")
+		// Closing the stream after the bus is a no-op, not a double close.
+		s.Close()
 	}
-	// Closing the stream after the bus is a no-op, not a double close.
-	st.Close()
+	if b.NeedsEvents("A", "obj-1") {
+		t.Fatal("a stream on a closed bus makes its object need events")
+	}
 }
 
 // TestStreamCloseRacesBusClose regression-tests the shutdown deadlock:
 // a stream closing concurrently with the bus closing (an SSE client
 // disconnecting during platform teardown) must not wedge either side.
 func TestStreamCloseRacesBusClose(t *testing.T) {
-	b, err := New(Config{})
+	b, err := New(Config{Log: newLog(t, eventlog.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,78 +443,8 @@ func TestStreamCloseRacesBusClose(t *testing.T) {
 	}
 }
 
-func TestOverflowDropCounts(t *testing.T) {
-	release := make(chan struct{})
-	var delivered atomic.Int64
-	b := newBus(t, Config{
-		Shards: 1, Buffer: 2, Overflow: OverflowDrop,
-		InvokeAsync: func(context.Context, string, string, json.RawMessage, map[string]string) (string, error) {
-			<-release
-			delivered.Add(1)
-			return "inv", nil
-		},
-	})
-	if err := b.Subscribe("slow", Subscription{Class: "A", Type: StateChanged, TargetFunction: "f"}); err != nil {
-		t.Fatal(err)
-	}
-	// One event occupies the dispatcher (blocked on release), two fill
-	// the buffer, the rest must drop.
-	for i := 0; i < 8; i++ {
-		b.Publish(Event{Type: StateChanged, Class: "A", Object: "o"})
-	}
-	// Wait until the dispatcher has picked up the first event so the
-	// drop accounting is deterministic... it may still be racing; only
-	// assert the invariant sum.
-	close(release)
-	b.Drain()
-	s := b.Stats()
-	if s.Emitted != 8 {
-		t.Fatalf("emitted = %d", s.Emitted)
-	}
-	if s.Dropped == 0 {
-		t.Fatalf("no drops under overflow: %+v", s)
-	}
-	if delivered.Load()+s.Dropped != 8 {
-		t.Fatalf("delivered %d + dropped %d != 8", delivered.Load(), s.Dropped)
-	}
-}
-
-func TestOverflowBlockLosesNothing(t *testing.T) {
-	var delivered atomic.Int64
-	b := newBus(t, Config{
-		Shards: 1, Buffer: 1, Overflow: OverflowBlock,
-		InvokeAsync: func(context.Context, string, string, json.RawMessage, map[string]string) (string, error) {
-			time.Sleep(100 * time.Microsecond)
-			delivered.Add(1)
-			return "inv", nil
-		},
-	})
-	if err := b.Subscribe("s", Subscription{Class: "A", Type: StateChanged, TargetFunction: "f"}); err != nil {
-		t.Fatal(err)
-	}
-	const n = 64
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n/4; i++ {
-				b.Publish(Event{Type: StateChanged, Class: "A", Object: "o"})
-			}
-		}()
-	}
-	wg.Wait()
-	b.Drain()
-	if got := delivered.Load(); got != n {
-		t.Fatalf("delivered = %d, want %d", got, n)
-	}
-	if s := b.Stats(); s.Dropped != 0 {
-		t.Fatalf("dropped = %d under block policy", s.Dropped)
-	}
-}
-
 func TestPublishAfterCloseIsDropped(t *testing.T) {
-	b, err := New(Config{})
+	b, err := New(Config{Log: newLog(t, eventlog.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +510,7 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 // TestStalledWebhookDoesNotBlockStreams is the head-of-line
 // regression test: webhook delivery runs on the delivery pool, so a
 // webhook hung mid-request on one object must not delay stream
-// delivery for a different object routed to the same shard.
+// delivery for a different object, which Publish does itself.
 func TestStalledWebhookDoesNotBlockStreams(t *testing.T) {
 	release := make(chan struct{})
 	var stalled atomic.Bool
@@ -552,8 +522,7 @@ func TestStalledWebhookDoesNotBlockStreams(t *testing.T) {
 	// Unblock the handler before srv.Close (which waits for in-flight
 	// requests) and before the bus cleanup drains the delivery pool.
 	defer close(release)
-	// One shard forces both objects through the same dispatch loop.
-	b := newBus(t, Config{Shards: 1, WebhookTimeout: 5 * time.Second})
+	b := newBus(t, Config{WebhookTimeout: 5 * time.Second})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: srv.URL}); err != nil {
 		t.Fatal(err)
 	}
@@ -574,40 +543,19 @@ func TestStalledWebhookDoesNotBlockStreams(t *testing.T) {
 			t.Fatalf("stream got event for %q", ev.Object)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("stream delivery stalled behind a hung webhook on the same shard")
-	}
-}
-
-// TestShardForNoAllocs pins the inlined FNV-1a fold at zero
-// allocations per publish-path hash and checks it agrees with the
-// stdlib hasher it replaced.
-func TestShardForNoAllocs(t *testing.T) {
-	b := newBus(t, Config{Shards: 8})
-	objects := []string{"", "a-1", "counter-with-a-much-longer-object-name"}
-	for _, obj := range objects {
-		if n := testing.AllocsPerRun(200, func() { b.shardFor(obj) }); n != 0 {
-			t.Errorf("shardFor(%q) allocates %.1f per call, want 0", obj, n)
-		}
-	}
-	for _, obj := range objects {
-		h := fnv.New32a()
-		_, _ = h.Write([]byte(obj))
-		want := b.shards[h.Sum32()%uint32(len(b.shards))]
-		if got := b.shardFor(obj); got != want {
-			t.Errorf("shardFor(%q) diverges from hash/fnv", obj)
-		}
+		t.Fatal("stream delivery stalled behind a hung webhook")
 	}
 }
 
 // TestNeedsEvents pins the gate both producers consult before
 // constructing an event (Infra.EventsNeeded, the terminal-record
-// hook), on a bus without a log: a subscription makes its class need
-// events, a live stream makes its object need them, and nothing else
-// does.
+// hook), on a bus whose log has recorded nothing: a subscription makes
+// its class need events, a live stream makes its object need them, and
+// nothing else does.
 func TestNeedsEvents(t *testing.T) {
 	b := newBus(t, Config{})
 	if b.NeedsEvents("Order", "o-1") {
-		t.Fatal("fresh bus with no log/subs/streams claims to need events")
+		t.Fatal("fresh bus with no entries/subs/streams claims to need events")
 	}
 	// A named subscription gates by class.
 	if err := b.Subscribe("s1", Subscription{

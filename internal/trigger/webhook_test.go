@@ -196,11 +196,13 @@ func TestKillAbortsInFlightWebhook(t *testing.T) {
 }
 
 // TestWebhookTimeoutBoundsAnAttempt: an endpoint that never answers
-// costs one WebhookTimeout per attempt, then the delivery fails.
+// costs one WebhookTimeout per attempt, then the delivery fails — here
+// the one-shot delivery of an event whose append failed, which then
+// counts dropped.
 func TestWebhookTimeoutBoundsAnAttempt(t *testing.T) {
 	srv, _, ended := blockingHook(t)
 	const timeout = 100 * time.Millisecond
-	b := newBus(t, Config{WebhookTimeout: timeout, WebhookMaxRetries: -1})
+	b := newBusFailingNextAppend(t, Config{WebhookTimeout: timeout, WebhookMaxRetries: -1})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: srv.URL}); err != nil {
 		t.Fatal(err)
 	}

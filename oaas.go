@@ -136,8 +136,8 @@
 // record on an object whose class has no subscription, which has no
 // live stream open and whose event log never began (see "Event
 // durability & replay") is not an event at all — nothing is built,
-// counted or stored for it. A sharded, bounded event bus routes the
-// rest to three kinds of sinks:
+// counted or stored for it. The event bus routes the rest to three
+// kinds of sinks:
 //
 //   - another object's method, submitted through the async queue
 //     (data-triggered function chaining);
@@ -177,15 +177,16 @@
 // receives the event JSON as its payload and args carrying the event
 // type and chain depth; object→object chains terminate at
 // Config.TriggerMaxChainDepth (default 8) instead of looping, so a
-// class whose trigger re-invokes its own writer converges. The bus is
-// sharded by object (per-object event order is preserved) and bounded:
-// Config.TriggerOverflow selects dropping (default, counted) or
-// blocking the commit path when a shard is full. Delivery counters —
-// emitted (events someone could read, not commits), delivered, dropped
-// (overflow, cycle terminations), retried — surface in
-// Stats().Triggers, and Close drains accepted
-// events (pending webhook deliveries included) before tearing the
-// platform down.
+// class whose trigger re-invokes its own writer converges. The bus has
+// no queue of its own: the commit that publishes an event appends it to
+// the object's log and hands it to its subscribers before it returns,
+// and a subscriber that is behind reads the log, so an appended event is
+// never shed and there is no overflow policy to choose. Sinks run on a
+// bounded delivery pool, never on the committing goroutine. Delivery
+// counters — emitted (events someone could read, not commits),
+// delivered, dropped (full live streams, cycle terminations), retried —
+// surface in Stats().Triggers, and Close drains pending webhook
+// deliveries before tearing the platform down.
 //
 // # Event durability & replay
 //
@@ -844,9 +845,6 @@ type (
 	// TriggerStats carries the bus's emitted/delivered/dropped/retried
 	// counters (Stats().Triggers).
 	TriggerStats = trigger.Stats
-	// TriggerOverflowPolicy selects drop vs. block when the bus is
-	// full (Config.TriggerOverflow).
-	TriggerOverflowPolicy = trigger.OverflowPolicy
 )
 
 // Event types.
@@ -857,12 +855,6 @@ const (
 	// asynchronous invocation record reaches its terminal status.
 	EventInvocationCompleted = trigger.InvocationCompleted
 	EventInvocationFailed    = trigger.InvocationFailed
-)
-
-// Event-bus overflow policies (Config.TriggerOverflow).
-const (
-	TriggerOverflowDrop  = trigger.OverflowDrop
-	TriggerOverflowBlock = trigger.OverflowBlock
 )
 
 // Re-exported sentinel errors for errors.Is checks.
