@@ -113,12 +113,11 @@ func TestInvariants(t *testing.T) {
 		{"bounds-doc-not-reflective", calls("internal/eventlog", "json.Marshal(objMeta", 0)},
 
 		// A lone call is a group of one. The async queue hands every group
-		// it drains to one hook, from one place, after one kind of send to a
-		// shard; a commit hands its events to one hook, and the bus appends
-		// them to the log in one body. A handler panic is recovered where
-		// every handler runs, on whichever goroutine that is. A single-call
-		// copy beside a group body drifts from it, as the pairs these
-		// replaced had.
+		// it drains to one hook, from one place; a commit hands its events
+		// to one hook, and the bus appends them to the log in one body. A
+		// handler panic is recovered where every handler runs, on whichever
+		// goroutine that is. A single-call copy beside a group body drifts
+		// from it, as the pairs these replaced had.
 		{"one-drain-hook", all(
 			noName("internal/asyncq", `^(Invoker|BatchInvoker|InvokeBatch)$`),
 			only("internal/asyncq", "Queue.dispatch", "cfg.Invoke(", 1),
@@ -128,8 +127,23 @@ func TestInvariants(t *testing.T) {
 			only("internal/trigger", "Bus.PublishBatch", "Log.AppendBatch(", 1),
 			calls("internal/trigger", "Log.Append(", 0),
 		)},
-		{"one-shard-send", only("internal/asyncq", "Queue.enqueue", "q.shardFor(", 1)},
 		{"handler-panic-recovered-once", only("internal/runtime", "ClassRuntime.engineInvoke", "recover(", 1)},
+
+		// The async queue is one channel that every worker receives from,
+		// so an idle worker takes the next task and Capacity is the number
+		// queued. enqueue is its one sender, where the closed check, admit
+		// and the depth booking guard it. A partition of the queue would
+		// bind a task to a worker that may be busy, and refuse a task while
+		// other partitions have room.
+		{"one-queue-send", all(
+			sends("internal/asyncq", "q.tasks", 1),
+			sends("internal/asyncq#Queue.enqueue", "q.tasks", 1),
+		)},
+		{"async-queue-is-one-channel", all(
+			noType("internal/asyncq", "[]chan task"),
+			noImport("internal/asyncq", "hash/fnv"),
+			noName("internal/asyncq", `(^|\.)(shardFor|Shards|MaxRequeues|GCInterval)$`),
+		)},
 
 		// The event log is the bus's only queue. PublishBatch dispatches
 		// what it appended before it returns, and the goroutines the bus
@@ -151,7 +165,6 @@ func TestInvariants(t *testing.T) {
 			"Config.AsyncClassQuotas":     "per-class async caps; the quota tests set them to see 429s",
 			"Config.AsyncDrainBatch":      "coalescing tests compare batched drains with per-task ones",
 			"Config.AsyncQueueCapacity":   "backpressure tests shrink the queue to fill it",
-			"Config.AsyncQueueShards":     "backpressure and long-poll tests pin one shard",
 			"Config.AsyncWorkers":         "contention and crash tests pin the worker count",
 			"Config.Backing":              "the restart path: crash and replay tests hand a successor the killed platform's store",
 			"Config.Breaker":              "the chaos soak shortens the breaker to see it open and close",
@@ -449,6 +462,73 @@ func noChan(scope, elem string) check {
 		}
 		if len(hits) > 0 {
 			return fmt.Errorf("%s declares a channel of %s at %s", scope, elem, tr.list(hits))
+		}
+		return nil
+	}
+}
+
+// noType: no array, channel or map type at scope is written typ.
+func noType(scope, typ string) check {
+	return func(tr *tree) error {
+		var hits []token.Pos
+		for _, d := range tr.decls(scope) {
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.ArrayType, *ast.ChanType, *ast.MapType:
+					if tr.render(n) == typ {
+						hits = append(hits, n.Pos())
+					}
+				}
+				return true
+			})
+		}
+		if len(hits) > 0 {
+			return fmt.Errorf("%s declares %s at %s", scope, typ, tr.list(hits))
+		}
+		return nil
+	}
+}
+
+// noImport: no file at scope imports pkg.
+func noImport(scope, pkg string) check {
+	return func(tr *tree) error {
+		var hits []token.Pos
+		for _, d := range tr.decls(scope) {
+			if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.IMPORT {
+				for _, s := range g.Specs {
+					if is := s.(*ast.ImportSpec); is.Path.Value == `"`+pkg+`"` {
+						hits = append(hits, is.Pos())
+					}
+				}
+			}
+		}
+		if len(hits) > 0 {
+			return fmt.Errorf("%s imports %s at %s", scope, pkg, tr.list(hits))
+		}
+		return nil
+	}
+}
+
+// sends: scope has exactly want send statements, all of them on ch.
+func sends(scope, ch string, want int) check {
+	return func(tr *tree) error {
+		var got, other []token.Pos
+		for _, d := range tr.decls(scope) {
+			ast.Inspect(d, func(n ast.Node) bool {
+				if s, ok := n.(*ast.SendStmt); ok {
+					got = append(got, s.Pos())
+					if tr.render(s.Chan) != ch {
+						other = append(other, s.Pos())
+					}
+				}
+				return true
+			})
+		}
+		if len(other) > 0 {
+			return fmt.Errorf("%s sends on a channel other than %s at %s", scope, ch, tr.list(other))
+		}
+		if len(got) != want {
+			return fmt.Errorf("%s has %d sends on %s, want %d: %s", scope, len(got), ch, want, tr.list(got))
 		}
 		return nil
 	}

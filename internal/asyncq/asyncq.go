@@ -1,5 +1,5 @@
 // Package asyncq implements the platform's asynchronous invocation
-// subsystem: a bounded, sharded queue drained by a configurable worker
+// subsystem: one bounded queue drained by every worker of a configurable
 // pool, with per-invocation records persisted in a memtable so results
 // survive flush cycles and stay poll-able after completion.
 //
@@ -41,10 +41,11 @@
 // read-only for as long as anyone keeps it. The gateway serves
 // GET /api/invocations/{id} through AppendRecord too.
 //
-// Backpressure is explicit: Submit returns ErrQueueFull once the
-// target shard is at capacity. A panicking handler marks its record
-// failed without killing the worker. Close stops intake, drains every
-// accepted task, then flushes the record table.
+// Backpressure is explicit: Submit returns ErrQueueFull once
+// Config.Capacity invocations are queued, and not before. A panicking
+// handler marks its record failed without killing the worker. Close
+// stops intake, drains every accepted task, then flushes the record
+// table.
 //
 // Terminal records do not accumulate forever: when Config.RecordTTL is
 // set, a background sweeper evicts completed/failed records once they
@@ -53,12 +54,15 @@
 //
 // # Batched drain
 //
-// Workers drain in batches: each pull takes up to Config.DrainBatch
-// tasks from the shard (blocking for the first, non-blocking for the
-// rest), marks the pull's tasks running under one lock acquisition,
-// groups them by target object, hands each group to Config.Invoke in
-// one call — the runtime's group-commit path — and writes the terminal
-// record transitions for the whole pull in one batched memtable.PutMany.
+// Workers drain in batches. Any idle worker takes the next task: each
+// blocks for one, then takes, without blocking, up to its share of what
+// is still queued — min(Config.DrainBatch, 1+queued/Config.Workers)
+// tasks in all — so a burst spreads over the pool rather than going to
+// the first two workers to wake. A pull marks its tasks running under
+// one lock acquisition, groups them by target object, hands each group
+// to Config.Invoke in one call — the runtime's group-commit path — and
+// writes the terminal record transitions for the whole pull in one
+// batched memtable.PutMany.
 // A task drained alone is a group of one; a hot object's backlog
 // drains as one group, so N coalesced invocations cost one concurrency
 // window and one simulated DB round trip instead of N. Per-call
@@ -83,7 +87,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"slices"
 	"sync"
@@ -101,7 +104,7 @@ import (
 // Sentinel errors.
 var (
 	// ErrQueueFull is the backpressure signal: the invocation was not
-	// accepted because the target shard is at capacity.
+	// accepted because Config.Capacity invocations are already queued.
 	ErrQueueFull = errors.New("asyncq: queue full")
 	// ErrNotFound is returned when no record exists for an invocation ID.
 	ErrNotFound = errors.New("asyncq: invocation not found")
@@ -199,32 +202,26 @@ type Config struct {
 	// indirection keeps this package free of a dependency on core.
 	// Required.
 	Invoke func(ctx context.Context, objectID string, calls []call.Call, results []call.Result)
-	// DrainBatch is the maximum number of tasks one worker pulls from
-	// its shard per drain (the first blocking, the rest non-blocking).
-	// Defaults to 16; 1 restores strictly per-task draining.
+	// DrainBatch is the most tasks one worker pulls from the queue per
+	// drain (the first blocking, the rest non-blocking); a pull takes
+	// fewer when its share of the backlog is smaller (see the package
+	// doc). Defaults to 16; 1 restores strictly per-task draining.
 	DrainBatch int
 	// Workers is the pool size. Defaults to 4.
 	Workers int
 	// Capacity bounds the number of queued (accepted but not yet
-	// dequeued) invocations across all shards. Defaults to 1024.
+	// dequeued) invocations: Submit refuses the one past it. Defaults to
+	// 1024.
 	Capacity int
-	// Shards partitions the queue; tasks are spread across shards by
-	// invocation ID so a burst against one hot object uses the whole
-	// queue. Defaults to min(Workers, 4) and is clamped to Workers so
-	// every shard has a dedicated drainer.
-	Shards int
 	// Backing persists invocation records through a write-behind
 	// memtable. nil keeps records in memory only.
 	Backing *kvstore.Store
 	// FlushInterval overrides the record table's flush period.
 	FlushInterval time.Duration
 	// RecordTTL evicts completed/failed records this long after they
-	// reach their terminal status. Zero keeps records forever (the
-	// pre-GC behaviour).
+	// reach their terminal status, swept every quarter TTL (at least
+	// every millisecond). Zero keeps records forever.
 	RecordTTL time.Duration
-	// GCInterval is the eviction sweep period. Defaults to RecordTTL/4
-	// (clamped to at least 1ms) and is ignored when RecordTTL is zero.
-	GCInterval time.Duration
 	// ClassQuotas caps the queued (accepted but not yet dequeued)
 	// invocations per class name; over-quota submissions fail with
 	// ErrClassQuotaExceeded. Classes without an entry are unbounded
@@ -245,13 +242,9 @@ type Config struct {
 	// of failing terminally — the cluster ownership layer passes a
 	// predicate matching epoch-fence rejections, so work admitted on an
 	// ex-owner re-runs under the new ownership without ever
-	// acknowledging a failure. Requeued work is bounded by
-	// MaxRequeues and still respects the submission deadline.
+	// acknowledging a failure. One invocation is requeued at most
+	// maxRequeues times, and never past its submission deadline.
 	Requeue func(error) bool
-	// MaxRequeues bounds how many times one invocation may be requeued
-	// by the Requeue classifier before its error goes terminal.
-	// Defaults to 8 when Requeue is set.
-	MaxRequeues int
 	// OnTerminal, when set, is called once per invocation record that
 	// reaches a terminal status (completed or failed), after the record
 	// is persisted, with the submission's args — the platform publishes
@@ -265,9 +258,6 @@ type Config struct {
 	// so pending trigger deliveries (terminal-record webhooks included)
 	// flush before teardown.
 	Drain func()
-	// Metrics receives queue gauges/counters/histograms. A private
-	// registry is created when nil.
-	Metrics *metrics.Registry
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
 }
@@ -282,29 +272,15 @@ func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = 1024
 	}
-	if c.Shards <= 0 {
-		c.Shards = min(c.Workers, 4)
-	}
-	if c.Shards > c.Workers {
-		c.Shards = c.Workers
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.NewRegistry()
-	}
-	if c.RecordTTL > 0 && c.GCInterval <= 0 {
-		c.GCInterval = c.RecordTTL / 4
-		if c.GCInterval < time.Millisecond {
-			c.GCInterval = time.Millisecond
-		}
-	}
-	if c.Requeue != nil && c.MaxRequeues <= 0 {
-		c.MaxRequeues = 8
-	}
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()
 	}
 	return c
 }
+
+// maxRequeues bounds how many times the Requeue classifier may send one
+// invocation back to the queue before its error goes terminal.
+const maxRequeues = 8
 
 // task is one queued invocation.
 type task struct {
@@ -323,7 +299,7 @@ type task struct {
 	// queued past it is dropped as expired.
 	deadline time.Time
 	// requeues counts how many times the Requeue classifier sent this
-	// task back to its shard (bounded by Config.MaxRequeues).
+	// task back to the queue (bounded by maxRequeues).
 	requeues int
 	// span is the open queue.wait span of the submission's trace (nil
 	// when the submitter carried none); link holds the trace open across
@@ -345,7 +321,10 @@ func (t *task) dropTrace(err error) {
 type Queue struct {
 	cfg     Config
 	records *memtable.Table
-	shards  []chan task
+	metrics *metrics.Registry
+	// tasks is the queue: every worker receives from it, and enqueue is
+	// its one sender. Its capacity is Config.Capacity.
+	tasks chan task
 
 	mu      sync.Mutex
 	waiters map[string]*waiter
@@ -424,18 +403,15 @@ func New(cfg Config) (*Queue, error) {
 	q := &Queue{
 		cfg:          cfg,
 		records:      records,
-		shards:       make([]chan task, cfg.Shards),
+		metrics:      metrics.NewRegistry(),
+		tasks:        make(chan task, cfg.Capacity),
 		waiters:      make(map[string]*waiter),
 		classPending: make(map[string]int),
 		tracked:      make(map[string]time.Time),
 	}
-	perShard := (cfg.Capacity + cfg.Shards - 1) / cfg.Shards
-	for i := range q.shards {
-		q.shards[i] = make(chan task, perShard)
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		q.wg.Add(1)
-		go q.worker(q.shards[i%cfg.Shards])
+		go q.worker()
 	}
 	if cfg.RecordTTL > 0 {
 		q.gcStop = make(chan struct{})
@@ -447,16 +423,7 @@ func New(cfg Config) (*Queue, error) {
 
 // Metrics exposes the queue's registry (depth/in-flight gauges, wait
 // and exec histograms, enqueued/rejected/completed/failed counters).
-func (q *Queue) Metrics() *metrics.Registry { return q.cfg.Metrics }
-
-// shardFor picks the shard channel for one invocation. Sharding by
-// invocation ID (not object) keeps hot-object bursts from saturating a
-// single shard's capacity.
-func (q *Queue) shardFor(invocationID string) chan task {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(invocationID))
-	return q.shards[h.Sum32()%uint32(len(q.shards))]
-}
+func (q *Queue) Metrics() *metrics.Registry { return q.metrics }
 
 // newRecordKey returns the record key of a fresh invocation and its ID
 // ("inv-" + 12 random bytes in hex) — one string: the ID is the key's
@@ -538,9 +505,9 @@ func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, 
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrClassQuotaExceeded):
-			q.cfg.Metrics.Counter("queue.quota_rejected").Inc()
+			q.metrics.Counter("queue.quota_rejected").Inc()
 		case errors.Is(err, ErrQueueFull):
-			q.cfg.Metrics.Counter("queue.rejected").Inc()
+			q.metrics.Counter("queue.rejected").Inc()
 		}
 		_ = q.records.Delete(context.Background(), t.key)
 		t.dropTrace(err)
@@ -549,18 +516,18 @@ func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, 
 	return t.id, nil
 }
 
-// enqueue is the one send to a shard: it makes t visible to a worker
-// and books it queued — one more in the depth gauge, in its class's
-// quota count and in counter, and a tracked entry that has not started.
-// The closed check, admit and the send share q.mu, so Close cannot
-// observe an accepted task it will not drain, racing submitters cannot
-// oversubscribe a quota and a record is not adopted twice; the depth is
-// booked before the send, so the worker that dequeues t cannot take the
-// gauge below zero. It fails with ErrClosed after Close, with admit's
-// error when admit (nil admits every task) refuses t, and with
-// ErrQueueFull when t's shard is full.
+// enqueue is the one send to the queue: it makes t visible to every
+// worker and books it queued — one more in the depth gauge, in its
+// class's quota count and in counter, and a tracked entry that has not
+// started. The closed check, admit and the send share q.mu, so Close
+// cannot observe an accepted task it will not drain, racing submitters
+// cannot oversubscribe a quota and a record is not adopted twice; the
+// depth is booked before the send, so the worker that dequeues t cannot
+// take the gauge below zero. It fails with ErrClosed after Close, with
+// admit's error when admit (nil admits every task) refuses t, and with
+// ErrQueueFull when Config.Capacity tasks are queued.
 func (q *Queue) enqueue(t task, counter string, admit func() error) error {
-	m := q.cfg.Metrics
+	m := q.metrics
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -573,7 +540,7 @@ func (q *Queue) enqueue(t task, counter string, admit func() error) error {
 	}
 	m.Gauge("queue.depth").Add(1)
 	select {
-	case q.shardFor(t.id) <- t:
+	case q.tasks <- t:
 	default:
 		m.Gauge("queue.depth").Add(-1)
 		return fmt.Errorf("%w: object %s", ErrQueueFull, t.object)
@@ -686,14 +653,15 @@ func (q *Queue) finish(hooks []terminalHook) {
 	}
 }
 
-// gcLoop periodically evicts records whose TTL has elapsed.
+// gcLoop evicts records whose TTL has elapsed, every quarter TTL.
 func (q *Queue) gcLoop() {
 	defer close(q.gcDone)
+	every := max(q.cfg.RecordTTL/4, time.Millisecond)
 	for {
 		select {
 		case <-q.gcStop:
 			return
-		case <-q.cfg.Clock.After(q.cfg.GCInterval):
+		case <-q.cfg.Clock.After(every):
 		}
 		q.evictExpired()
 	}
@@ -727,7 +695,7 @@ func (q *Queue) evictExpired() {
 			q.terminalMu.Unlock()
 			continue
 		}
-		q.cfg.Metrics.Counter("queue.evicted").Inc()
+		q.metrics.Counter("queue.evicted").Inc()
 	}
 }
 
@@ -850,30 +818,33 @@ func (d *drain) done() {
 	d.batch, d.runnable, d.hooks = d.batch[:0], d.runnable[:0], d.hooks[:0]
 }
 
-// worker drains one shard until it is closed, pulling up to DrainBatch
-// tasks per drain: the first receive blocks, the rest are non-blocking,
-// so a lone task still runs immediately while a backlog coalesces.
-func (q *Queue) worker(shard chan task) {
+// worker drains the queue until it is closed. The first receive of a
+// pull blocks, so a lone task still runs immediately; the rest are
+// non-blocking and stop at the worker's share of the backlog left
+// behind it, so a burst coalesces without one worker taking what the
+// idle others could run.
+func (q *Queue) worker() {
 	defer q.wg.Done()
 	d := newDrain(q.cfg.DrainBatch)
 	for {
-		t, ok := <-shard
+		t, ok := <-q.tasks
 		if !ok {
 			return
 		}
 		if q.killed.Load() {
-			// Simulated crash: drain the shard without running anything
+			// Simulated crash: drain the queue without running anything
 			// so Kill's wg.Wait returns promptly. The submissions'
 			// pending records stay in the backing store for recovery.
 			continue
 		}
 		d.batch = append(d.batch, t)
+		share := min(q.cfg.DrainBatch, 1+len(q.tasks)/q.cfg.Workers)
 	fill:
-		for len(d.batch) < q.cfg.DrainBatch {
+		for len(d.batch) < share {
 			select {
-			case t, ok := <-shard:
+			case t, ok := <-q.tasks:
 				if !ok {
-					// Shard closed mid-fill: run what was pulled, then
+					// Queue closed mid-fill: run what was pulled, then
 					// exit (the range-less loop observes the close on
 					// its next blocking receive).
 					break fill
@@ -903,7 +874,7 @@ var errStaleQueued = errors.New("asyncq: submission deadline elapsed while queue
 // bounded by DrainBatch. DrainBatch=1 restores per-task publication.
 func (q *Queue) runBatch(d *drain) {
 	defer d.done()
-	m := q.cfg.Metrics
+	m := q.metrics
 	m.Gauge("queue.depth").Add(-int64(len(d.batch)))
 	q.releaseQuota(d.batch)
 	if len(d.batch) > 1 {
@@ -972,13 +943,13 @@ func (q *Queue) runBatch(d *drain) {
 		// the work was never acknowledged, so the new owner simply
 		// re-runs it, and it reads pending again; the stored record
 		// never stopped saying so. The terminal path below is the
-		// fallback when the requeue bound is hit, the queue is closing
-		// or the shard is full.
+		// fallback when the requeue bound is hit or the queue is
+		// closing or full.
 		if err != nil && q.cfg.Requeue != nil && q.cfg.Requeue(err) &&
-			t.requeues < q.cfg.MaxRequeues && t.ctx.Err() == nil &&
+			t.requeues < maxRequeues && t.ctx.Err() == nil &&
 			(t.deadline.IsZero() || q.cfg.Clock.Now().Before(t.deadline)) {
 			t.requeues++
-			// Back to the shard under the same trace: a fresh wait span
+			// Back to the queue under the same trace: a fresh wait span
 			// opens so the re-run's queue time is visible too.
 			t.span = t.link.Start("queue.wait")
 			if q.enqueue(*t, "queue.requeued", nil) == nil {
@@ -1081,7 +1052,7 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 		if q.cfg.Target != nil {
 			q.aim(&t, q.cfg.Target(t.object, t.member))
 		}
-		// A full shard skips the record; the next recovery pass retries.
+		// A full queue skips the record; the next recovery pass retries.
 		switch err := q.enqueue(t, "queue.recovered", func() error {
 			if _, live := q.tracked[t.id]; live {
 				return errLive
@@ -1132,7 +1103,7 @@ func (q *Queue) executeGroups(d *drain) {
 		}
 		n := hi - lo
 		if n > 1 {
-			q.cfg.Metrics.Counter("queue.coalesced").Add(int64(n))
+			q.metrics.Counter("queue.coalesced").Add(int64(n))
 		}
 		cancels := d.cancels[:0]
 		for i := lo; i < hi; i++ {
@@ -1170,7 +1141,7 @@ func (q *Queue) dispatch(object string, calls []call.Call, results []call.Result
 	clear(results)
 	defer func() {
 		if r := recover(); r != nil {
-			q.cfg.Metrics.Counter("queue.panics").Inc()
+			q.metrics.Counter("queue.panics").Inc()
 			err := fmt.Errorf("asyncq: handler panic: %v", r)
 			for i := range results {
 				results[i] = call.Result{Err: err}
@@ -1182,9 +1153,8 @@ func (q *Queue) dispatch(object string, calls []call.Call, results []call.Result
 
 // Stats is a point-in-time queue snapshot.
 type Stats struct {
-	// Workers / Shards / Capacity echo the configuration.
+	// Workers / Capacity echo the configuration.
 	Workers  int `json:"workers"`
-	Shards   int `json:"shards"`
 	Capacity int `json:"capacity"`
 	// Depth is the number of accepted-but-not-dequeued invocations;
 	// InFlight the number currently executing.
@@ -1224,11 +1194,10 @@ type Stats struct {
 
 // Stats snapshots the queue counters.
 func (q *Queue) Stats() Stats {
-	m := q.cfg.Metrics
+	m := q.metrics
 	return Stats{
 		Workers:       q.cfg.Workers,
-		Shards:        q.cfg.Shards,
-		Capacity:      len(q.shards) * cap(q.shards[0]),
+		Capacity:      cap(q.tasks),
 		Depth:         m.Gauge("queue.depth").Value(),
 		InFlight:      m.Gauge("queue.inflight").Value(),
 		Enqueued:      m.Counter("queue.enqueued").Value(),
@@ -1269,10 +1238,8 @@ func (q *Queue) shutdown(kill bool) {
 		q.closed = true
 		q.mu.Unlock()
 		// No Submit can send after closed is set (sends happen under
-		// mu), so closing the shards is race-free.
-		for _, sh := range q.shards {
-			close(sh)
-		}
+		// mu), so closing the queue is race-free.
+		close(q.tasks)
 		q.wg.Wait()
 		// Every accepted invocation has finished and fired its terminal
 		// hook; drain downstream deliveries (terminal-record webhooks on

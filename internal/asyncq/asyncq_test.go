@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +15,7 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
 // echoInvoker returns the payload and counts executions.
@@ -276,10 +279,9 @@ func TestStatusTerminal(t *testing.T) {
 func TestRecordGCEvictsTerminalRecords(t *testing.T) {
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{
-		Invoke:     each(inv.invoke),
-		Workers:    2,
-		RecordTTL:  30 * time.Millisecond,
-		GCInterval: 5 * time.Millisecond,
+		Invoke:    each(inv.invoke),
+		Workers:   2,
+		RecordTTL: 30 * time.Millisecond,
 	})
 	ctx := context.Background()
 	ids := make([]string, 5)
@@ -329,9 +331,8 @@ func TestRecordGCSparesNonTerminalRecords(t *testing.T) {
 				return nil, ctx.Err()
 			}
 		}),
-		Workers:    1,
-		RecordTTL:  10 * time.Millisecond,
-		GCInterval: 5 * time.Millisecond,
+		Workers:   1,
+		RecordTTL: 10 * time.Millisecond,
 	})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "obj", "slow", nil, nil)
@@ -376,7 +377,6 @@ func TestRecordGCEvictsFromBackingStore(t *testing.T) {
 		Backing:       db,
 		FlushInterval: 2 * time.Millisecond,
 		RecordTTL:     20 * time.Millisecond,
-		GCInterval:    5 * time.Millisecond,
 	})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
@@ -484,7 +484,7 @@ func awaitStored(t *testing.T, db *kvstore.Store, id string, status Status) json
 	}
 }
 
-// blockingQueue builds a single-worker, single-shard queue whose hook
+// blockingQueue builds a single-worker queue whose hook
 // parks on release, then runs cfg.Invoke when one is set and completes
 // every call with "ok" when not; started signals the first group.
 func blockingQueue(t *testing.T, cfg Config) (q *Queue, started, release chan struct{}) {
@@ -492,7 +492,7 @@ func blockingQueue(t *testing.T, cfg Config) (q *Queue, started, release chan st
 	started = make(chan struct{})
 	release = make(chan struct{})
 	var once sync.Once
-	cfg.Workers, cfg.Shards = 1, 1
+	cfg.Workers = 1
 	hook := cfg.Invoke
 	cfg.Invoke = func(ctx context.Context, objectID string, calls []call.Call, results []call.Result) {
 		once.Do(func() { close(started) })
@@ -801,7 +801,7 @@ func TestHeldRecordFieldsKeepTheirBytes(t *testing.T) {
 	db := kvstore.Open(kvstore.Config{})
 	t.Cleanup(db.Close)
 	q, started, release := blockingQueue(t, Config{Backing: db, FlushInterval: time.Millisecond,
-		RecordTTL: 20 * time.Millisecond, GCInterval: 2 * time.Millisecond})
+		RecordTTL: 20 * time.Millisecond})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "o", "m", json.RawMessage(`{"n":1}`), nil)
 	if err != nil {
@@ -857,5 +857,160 @@ func TestHeldRecordFieldsKeepTheirBytes(t *testing.T) {
 	reader.Wait()
 	if string(running.Payload) != `{"n":1}` || string(done.Result) != `"ok"` {
 		t.Fatalf("after eviction: payload %s, result %s", running.Payload, done.Result)
+	}
+}
+
+// --- One queue ----------------------------------------------------------
+
+// TestIdleWorkerTakesTheNextTask parks one of two workers in a handler
+// and submits 20 more tasks: the other worker runs every one of them
+// while the first is still parked. A queue that binds a task to one
+// worker leaves that worker's share waiting behind the parked handler.
+func TestIdleWorkerTakesTheNextTask(t *testing.T) {
+	parked, open := make(chan struct{}), make(chan struct{})
+	q := newQueue(t, Config{Workers: 2, DrainBatch: 1, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+		if objectID == "gate" {
+			close(parked)
+			<-open
+		}
+		return json.RawMessage(`"ok"`), nil
+	})})
+	defer close(open) // before the queue's Close, which drains
+	ctx := context.Background()
+	if _, err := q.Submit(ctx, Target{}, "gate", "m", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	ids := make([]string, 20)
+	for i := range ids {
+		id, err := q.Submit(ctx, Target{}, fmt.Sprintf("o%d", i), "m", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	waited := 0
+	for _, id := range ids {
+		if rec, err := q.Wait(wctx, id); err != nil || rec.Status != StatusCompleted {
+			waited++
+		}
+	}
+	if waited > 0 {
+		t.Fatalf("%d of %d tasks waited behind the parked handler while a worker was idle", waited, len(ids))
+	}
+}
+
+// TestCapacityIsExact parks all four workers on one task each, then
+// fills the queue: it accepts exactly Capacity submissions, and when it
+// refuses the next one its depth is its capacity. A partitioned queue
+// refuses as soon as its first partition fills.
+func TestCapacityIsExact(t *testing.T) {
+	const workers, capacity = 4, 64
+	started, open := make(chan struct{}, workers), make(chan struct{})
+	q := newQueue(t, Config{Workers: workers, DrainBatch: 1, Capacity: capacity, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+		select {
+		case started <- struct{}{}:
+		default: // a queued task, run once the gates open
+		}
+		<-open
+		return json.RawMessage(`"ok"`), nil
+	})})
+	defer close(open)
+	ctx := context.Background()
+	for i := range workers {
+		if _, err := q.Submit(ctx, Target{}, fmt.Sprintf("gate-%d", i), "m", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-started:
+		case <-time.After(2 * time.Second):
+			t.Errorf("gate task %d did not start with %d of %d workers idle", i, workers-i, workers)
+		}
+	}
+	accepted := 0
+	for ; accepted <= capacity; accepted++ {
+		_, err := q.Submit(ctx, Target{}, fmt.Sprintf("o%d", accepted), "m", nil, nil)
+		if errors.Is(err, ErrQueueFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := q.Stats(); accepted != capacity || s.Capacity != capacity || s.Depth != capacity {
+		t.Fatalf("the queue refused after %d submissions at depth %d of capacity %d, want it to take %d", accepted, s.Depth, s.Capacity, capacity)
+	}
+}
+
+// tickClock is the real clock with a Now that never returns one instant
+// twice, so the records of one pull, which share the pull's start, are
+// told apart from every other pull's.
+type tickClock struct {
+	vclock.Real
+	mu   sync.Mutex
+	last time.Time
+}
+
+func (c *tickClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := time.Now()
+	if !now.After(c.last) {
+		now = c.last.Add(time.Nanosecond)
+	}
+	c.last = now
+	return now
+}
+
+// TestBurstSpreadsOverThePool parks all four workers, queues 32 tasks on
+// distinct objects and lets the workers go: no pull takes more than its
+// share of the backlog it leaves behind, 1+31/4 = 8 tasks, so the burst
+// runs in at least four pulls. Pulls of the full DrainBatch (16) would
+// let two workers take it all.
+func TestBurstSpreadsOverThePool(t *testing.T) {
+	const workers, burst = 4, 32
+	parked, open := make(chan struct{}, workers), make(chan struct{})
+	q := newQueue(t, Config{Workers: workers, Clock: &tickClock{}, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+		if strings.HasPrefix(objectID, "gate") {
+			parked <- struct{}{}
+			<-open
+		}
+		return json.RawMessage(`"ok"`), nil
+	})})
+	release := sync.OnceFunc(func() { close(open) })
+	defer release() // a failed gate must not leave Close waiting on the others
+	ctx := context.Background()
+	for i := range workers {
+		if _, err := q.Submit(ctx, Target{}, fmt.Sprintf("gate-%d", i), "m", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-parked:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("gate task %d did not start with %d of %d workers idle", i, workers-i, workers)
+		}
+	}
+	ids := make([]string, burst)
+	for i := range ids {
+		id, err := q.Submit(ctx, Target{}, fmt.Sprintf("o%d", i), "m", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	release()
+	pulls := map[int64]int{} // pull start -> tasks
+	for _, id := range ids {
+		rec, err := q.Wait(ctx, id)
+		if err != nil || rec.Status != StatusCompleted {
+			t.Fatalf("wait: %v %+v", err, rec)
+		}
+		pulls[rec.Started.UnixNano()]++
+	}
+	share := 1 + (burst-1)/workers
+	if sizes := slices.Sorted(maps.Values(pulls)); sizes[len(sizes)-1] > share || len(sizes) < workers {
+		t.Fatalf("%d tasks ran in pulls of %v, want pulls of at most %d (so at least %d)", burst, sizes, share, workers)
 	}
 }

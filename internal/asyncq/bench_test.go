@@ -28,7 +28,7 @@ type drainRig struct {
 func newDrainRig(tb testing.TB, drainBatch int) *drainRig {
 	r := &drainRig{tb: tb, parked: make(chan struct{}), open: make(chan struct{}), drained: make(chan struct{}, 1)}
 	q, err := New(Config{
-		Workers: 1, Shards: 1, DrainBatch: drainBatch, Capacity: 64,
+		Workers: 1, DrainBatch: drainBatch, Capacity: 64,
 		Invoke: func(_ context.Context, objectID string, _ []call.Call, _ []call.Result) {
 			if objectID == "gate" {
 				r.parked <- struct{}{}

@@ -55,13 +55,13 @@ func TestHandlerPanicMarksFailedAndPoolSurvives(t *testing.T) {
 // while the single worker is blocked and expects ErrQueueFull.
 func TestQueueOverflowReturnsBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	q := newQueue(t, Config{Workers: 1, Shards: 1, Capacity: 4, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, Capacity: 4, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		<-release
 		return nil, nil
 	})})
 	defer close(release)
 	ctx := context.Background()
-	// One task occupies the worker; Capacity more fill the shard. The
+	// One task occupies the worker; Capacity more fill the queue. The
 	// first submissions may race the dequeue, so keep submitting until
 	// the queue pushes back.
 	var sawFull bool
@@ -95,7 +95,7 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 	// soon as the pull is recorded — possibly while an earlier task of
 	// the same pull is still executing — so the map needs a lock even
 	// with a single worker.
-	q := newQueue(t, Config{Workers: 1, Shards: 1, Capacity: 8, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Workers: 1, Capacity: 8, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		ranMu.Lock()
 		ran[objectID] = true
 		ranMu.Unlock()
@@ -333,7 +333,7 @@ func TestRequeueResetsRunningOverlay(t *testing.T) {
 	var mu sync.Mutex
 	runs := map[string]int{}
 	q := newQueue(t, Config{
-		Workers: 1, Shards: 1, DrainBatch: 1,
+		Workers: 1, DrainBatch: 1,
 		Requeue: func(err error) bool { return errors.Is(err, errFence) },
 		Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 			mu.Lock()

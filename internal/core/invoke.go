@@ -291,8 +291,8 @@ func (p *Platform) InvokeAsync(ctx context.Context, objectID, member string, pay
 }
 
 // submitAll enqueues every request, returning one ID-or-error result
-// per entry in order: entries with unknown targets or a full shard are
-// rejected individually; the rest proceed. A batch is one message on
+// per entry in order: entries with unknown targets or that find the
+// queue full are rejected individually; the rest proceed. A batch is one message on
 // the wire, so it pays the inter-region round trip once, when the first
 // entry whose home is outside the origin's region is reached — not per
 // entry, and not at all when every entry is local.

@@ -43,7 +43,6 @@ type ownership struct {
 	forwarded  atomic.Int64
 	ownerLocal atomic.Int64
 	recovered  atomic.Int64
-	replays    atomic.Int64
 }
 
 // fence is the runtime.Infra hook consulted at the commit exit. A
@@ -79,7 +78,6 @@ func (p *Platform) onRebalance(dead []string, epoch uint64) {
 		p.own.recovered.Add(int64(n))
 	}
 	p.bus.ReplayCursors()
-	p.own.replays.Add(1)
 }
 
 // Membership exposes the lease-based membership layer (nil when

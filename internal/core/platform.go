@@ -140,14 +140,9 @@ type Config struct {
 	// AsyncWorkers sizes the asynchronous invocation worker pool.
 	// Defaults to 4.
 	AsyncWorkers int
-	// AsyncQueueCapacity bounds the number of queued async invocations
-	// before Submit returns ErrQueueFull. Defaults to 1024.
+	// AsyncQueueCapacity bounds the number of queued async invocations:
+	// the submission past it fails with ErrQueueFull. Defaults to 1024.
 	AsyncQueueCapacity int
-	// AsyncQueueShards partitions the async queue; tasks are spread
-	// across shards by invocation ID (not object), so bursts against
-	// one hot object use the whole capacity. Defaults to
-	// min(AsyncWorkers, 4).
-	AsyncQueueShards int
 	// AsyncRecordTTL evicts completed/failed invocation records this
 	// long after they finish, keeping the record table bounded on
 	// long-running platforms, swept every quarter TTL. Zero keeps
@@ -428,7 +423,6 @@ func New(cfg Config) (*Platform, error) {
 		DrainBatch:  cfg.AsyncDrainBatch,
 		Workers:     cfg.AsyncWorkers,
 		Capacity:    cfg.AsyncQueueCapacity,
-		Shards:      cfg.AsyncQueueShards,
 		RecordTTL:   cfg.AsyncRecordTTL,
 		ClassQuotas: cfg.AsyncClassQuotas,
 		Target:      p.asyncTarget,

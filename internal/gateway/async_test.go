@@ -305,7 +305,6 @@ func TestInvokeAsyncBackpressure429(t *testing.T) {
 		Workers:            1,
 		ColdStart:          time.Millisecond,
 		AsyncWorkers:       1,
-		AsyncQueueShards:   1,
 		AsyncQueueCapacity: 2,
 	})
 	if err != nil {

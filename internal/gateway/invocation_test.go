@@ -32,7 +32,7 @@ type pollRig struct {
 func newPollRig(t *testing.T) *pollRig {
 	t.Helper()
 	p, err := core.New(core.Config{Workers: 1, ColdStart: time.Millisecond,
-		AsyncWorkers: 1, AsyncQueueShards: 1, AsyncDrainBatch: 1, AsyncQueueCapacity: 4096})
+		AsyncWorkers: 1, AsyncDrainBatch: 1, AsyncQueueCapacity: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

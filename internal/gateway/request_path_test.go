@@ -242,7 +242,7 @@ func TestInvokeAsyncAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	p, err := core.New(core.Config{Workers: 2, AsyncWorkers: 1, AsyncQueueShards: 1, AsyncQueueCapacity: 4096})
+	p, err := core.New(core.Config{Workers: 2, AsyncWorkers: 1, AsyncQueueCapacity: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,9 +367,6 @@ type Config struct {
 	JitterSeed int64
 	// WebhookTimeout bounds each delivery attempt. Defaults to 5s.
 	WebhookTimeout time.Duration
-	// Metrics receives the bus counters. A private registry is created
-	// when nil.
-	Metrics *metrics.Registry
 	// Tracer, when set, re-joins event traces (Event.Trace) so log
 	// appends, dispatch and webhook deliveries span under the
 	// originating invocation's trace. Nil disables bus-side spans.
@@ -404,9 +401,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WebhookTimeout <= 0 {
 		c.WebhookTimeout = 5 * time.Second
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.NewRegistry()
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()
@@ -563,8 +557,9 @@ type subCounters struct {
 
 // Bus is the event router. It is safe for concurrent use.
 type Bus struct {
-	cfg Config
-	seq atomic.Uint64
+	cfg     Config
+	metrics *metrics.Registry
+	seq     atomic.Uint64
 
 	// killCtx is cancelled by Kill so backoff sleeps and in-flight
 	// webhook requests abort instead of delaying the simulated crash.
@@ -635,6 +630,7 @@ func New(cfg Config) (*Bus, error) {
 	cfg = cfg.withDefaults()
 	b := &Bus{
 		cfg:       cfg,
+		metrics:   metrics.NewRegistry(),
 		subs:      make(map[string]*Subscription),
 		classSubs: make(map[string][]Subscription),
 		streams:   make(map[string]map[*Stream]struct{}),
@@ -673,7 +669,7 @@ func New(cfg Config) (*Bus, error) {
 }
 
 // Metrics exposes the bus's registry.
-func (b *Bus) Metrics() *metrics.Registry { return b.cfg.Metrics }
+func (b *Bus) Metrics() *metrics.Registry { return b.metrics }
 
 // subCountersFor returns (creating if needed) one subscription's
 // counters.
@@ -880,7 +876,7 @@ func (b *Bus) PublishBatch(evs []Event) {
 	if len(evs) == 0 {
 		return
 	}
-	m := b.cfg.Metrics
+	m := b.metrics
 	its := make([]inflight, len(evs))
 	for i := range evs {
 		its[i].ev = evs[i]
@@ -1070,11 +1066,11 @@ func (b *Bus) notify(sub *Subscription, object string, it *inflight) {
 // count records one finished delivery: delivered, or terminally lost.
 func (b *Bus) count(c *subCounters, delivered bool) {
 	if delivered {
-		b.cfg.Metrics.Counter("trigger.delivered").Inc()
+		b.metrics.Counter("trigger.delivered").Inc()
 		c.delivered.Add(1)
 		return
 	}
-	b.cfg.Metrics.Counter("trigger.dropped").Inc()
+	b.metrics.Counter("trigger.dropped").Inc()
 	c.dropped.Add(1)
 }
 
@@ -1228,7 +1224,7 @@ func (b *Bus) runConsumer(st *consumerState) (stalled bool) {
 			if berr != nil || floor <= cursor {
 				return false
 			}
-			b.cfg.Metrics.Counter("trigger.dropped").Add(floor - cursor)
+			b.metrics.Counter("trigger.dropped").Add(floor - cursor)
 			c.dropped.Add(floor - cursor)
 			cursor = floor
 			if err := log.SetCursor(b.killCtx, id, object, cursor); err != nil {
@@ -1299,7 +1295,7 @@ const (
 // deliverMethod routes an event to its object-method sink through the
 // async queue, enforcing the chain depth limit.
 func (b *Bus) deliverMethod(sub *Subscription, ev Event, raw json.RawMessage) methodOutcome {
-	m := b.cfg.Metrics
+	m := b.metrics
 	if ev.Depth >= b.cfg.MaxChainDepth {
 		// The chain has used its depth budget: terminate instead of
 		// looping (a trigger targeting its own emitting class would
@@ -1356,7 +1352,7 @@ func encoded(ev Event, raw json.RawMessage) (json.RawMessage, error) {
 // backoff up to WebhookMaxRetries, and reports success. It runs on the
 // delivery pool, never on the publisher.
 func (b *Bus) deliverWebhook(sub *Subscription, ev Event, raw json.RawMessage, c *subCounters) bool {
-	m := b.cfg.Metrics
+	m := b.metrics
 	wsp := b.cfg.Tracer.Attach(ev.Trace, "webhook.delivery")
 	wsp.SetAttr("url", sub.Webhook)
 	payload, err := encoded(ev, raw)
@@ -1435,7 +1431,7 @@ func webhookBody(payload []byte) io.ReadCloser {
 
 // deliverStreams copies the event to every live tail of its object.
 func (b *Bus) deliverStreams(ev Event) {
-	m := b.cfg.Metrics
+	m := b.metrics
 	b.streamMu.Lock()
 	defer b.streamMu.Unlock()
 	for s := range b.streams[ev.Object] {
@@ -1514,7 +1510,7 @@ type Stats struct {
 
 // Stats snapshots the bus counters.
 func (b *Bus) Stats() Stats {
-	m := b.cfg.Metrics
+	m := b.metrics
 	st := Stats{
 		Emitted:      m.Counter("trigger.emitted").Value(),
 		Delivered:    m.Counter("trigger.delivered").Value(),

@@ -36,8 +36,8 @@
 //	out, err := obj.Invoke(ctx, "greet", nil, nil)
 //
 // Asynchronous invocation decouples submission from execution: the
-// platform queues the task on a bounded, sharded queue, a worker pool
-// drains it through the same invocation path, and a durable record
+// platform queues the task on one bounded queue, any idle worker of a
+// pool drains it through the same invocation path, and a durable record
 // (pending → running → completed/failed, with result, error, and
 // timings) is poll-able by ID — pending and terminal are what the
 // backing store holds; running is reported, with its start time, by the
@@ -49,10 +49,11 @@
 //	    fmt.Println(string(rec.Result))
 //	}
 //
-// Submission returns ErrQueueFull once the queue is at capacity
-// (backpressure) and refuses a payload that is not JSON (HTTP 400
-// "invalid_payload"; the REST routes validate bodies first), and Close
-// drains every accepted invocation before shutting down. The REST gateway exposes the same path via
+// Submission returns ErrQueueFull once Config.AsyncQueueCapacity
+// invocations are queued (backpressure) and refuses a payload that is
+// not JSON (HTTP 400 "invalid_payload"; the REST routes validate bodies
+// first), and Close drains every accepted invocation before shutting
+// down. The REST gateway exposes the same path via
 // POST .../invoke-async/{fn}, POST /api/invoke-batch, and
 // GET /api/invocations/{id}. Completed and failed invocation records
 // can be garbage-collected after a TTL (Config.AsyncRecordTTL) so the
@@ -88,10 +89,11 @@
 //
 // # Batched async execution
 //
-// The async workers drain in batches: each pull takes up to
-// Config.AsyncDrainBatch queued invocations (default 16; 1 restores
-// per-task draining), persists the pull's record transitions in
-// batched table writes, and groups the pull by target object. An
+// The async workers drain in batches: each pull takes its share of the
+// backlog, 1+queued/Config.AsyncWorkers invocations, up to
+// Config.AsyncDrainBatch (default 16; 1 restores per-task draining), so
+// a burst spreads over the pool. A pull persists its record transitions
+// in batched table writes and groups its invocations by target object. An
 // invocation that drained alone is a group of one and runs exactly as
 // Platform.Invoke would. A group of two or more same-object method
 // calls executes through the runtime's group-commit InvokeBatch window:
