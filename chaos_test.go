@@ -264,15 +264,16 @@ func chaosNodeKill(t *testing.T, seed int64) {
 		}
 	}
 
-	cs := p.Stats().Cluster
+	st := p.Stats()
+	cs := st.Cluster
 	if !cs.Enabled || cs.Epoch < 1 || cs.Rebalances < 1 {
 		t.Fatalf("cluster stats missed the failover: %+v", cs)
 	}
 	if cs.FenceRejections < 2 {
 		t.Fatalf("fence rejections = %d, want >= 2 (sync + async straddlers)", cs.FenceRejections)
 	}
-	if cs.Requeued < 1 {
-		t.Fatalf("requeued = %d, want >= 1 (the fenced async straddler)", cs.Requeued)
+	if st.Async.Requeued < 1 {
+		t.Fatalf("requeued = %d, want >= 1 (the fenced async straddler)", st.Async.Requeued)
 	}
 	if cs.OwnerLocal+cs.Forwarded < int64(5*nObjects) {
 		t.Fatalf("routed counters = local %d + forwarded %d, want >= %d",
@@ -361,8 +362,8 @@ func TestOwnershipCrashRecovery(t *testing.T) {
 			t.Fatalf("stranded invocation %s = %q (err %q), want completed", id, rec.Status, rec.Error)
 		}
 	}
-	if got := b.Stats().Cluster.Recovered; got < int64(n) {
-		t.Fatalf("Stats().Cluster.Recovered = %d, want >= %d", got, n)
+	if got := b.Stats().Async.Recovered; got < int64(n) {
+		t.Fatalf("Stats().Async.Recovered = %d, want >= %d", got, n)
 	}
 }
 
@@ -613,8 +614,5 @@ func TestAsyncDeadlineExpires(t *testing.T) {
 	}
 	if got := p.Stats().Async.Expired; got < 1 {
 		t.Fatalf("Stats().Async.Expired = %d, want >= 1", got)
-	}
-	if got := p.Stats().Resilience.Expired; got < 1 {
-		t.Fatalf("Stats().Resilience.Expired = %d, want >= 1", got)
 	}
 }

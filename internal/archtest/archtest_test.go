@@ -158,6 +158,33 @@ func TestInvariants(t *testing.T) {
 			only("internal/trigger", "Bus.PublishBatch", "b.dispatch(", 1),
 		)},
 
+		// Every counter lives once, in its component's registry, as a
+		// handle resolved when the component is built, and /metrics renders
+		// the registries: the gateway writes by hand only the five gauges
+		// readiness derives. A hand-written series, or a counter kept as a
+		// private field beside the registry, is a second copy for Stats(),
+		// /readyz and /metrics to disagree on.
+		{"metrics-are-registries", all(
+			calls("", "pw.Counter(", 0),
+			calls("", "pw.Gauge(", 5),
+			calls("internal/gateway#Gateway.handleMetrics", "pw.Gauge(", 5),
+			noVar("internal/trace", "started", "atomic.Int64"),
+			noVar("internal/trace", "kept", "atomic.Int64"),
+			noVar("internal/trace", "dropped", "atomic.Int64"),
+			noVar("internal/core", "forwarded", "atomic.Int64"),
+			noVar("internal/core", "ownerLocal", "atomic.Int64"),
+			noVar("internal/core", "recovered", "atomic.Int64"),
+			noVar("internal/cluster", "fenceRejections", "atomic.Int64"),
+			noVar("internal/cluster", "rebalances", "int64"),
+			noVar("internal/runtime", "leakedHandlers", "atomic.Int64"),
+			noVar("internal/resilience", "opened", "int64"),
+			noVar("internal/resilience", "halfOpens", "int64"),
+			noVar("internal/resilience", "closes", "int64"),
+			noVar("internal/resilience", "rejected", "int64"),
+			noVar("internal/resilience", "succ", "int64"),
+			noVar("internal/resilience", "fail", "int64"),
+		)},
+
 		// A knob exists because something sets it, and a symbol because
 		// something calls it. A new Config leaf or a new exported function
 		// that only tests reach is a reviewed edit of one of these lists.
@@ -179,19 +206,18 @@ func TestInvariants(t *testing.T) {
 			"Config.WebhookTimeout":       "delivery tests shorten the webhook policy to reach timeouts",
 		})},
 		{"exported-has-a-caller", exportedHaveCallers(map[string]string{
-			"cluster.Cluster.RemoveNode":               "fault model: a worker VM lost mid-flight",
-			"core.Platform.DrainNode":                  "fault model: a worker leaves gracefully",
-			"core.Platform.KillNode":                   "fault model: a worker crashes and its lease lapses",
-			"core.Platform.RecoverStrandedInvocations": "crash model: a successor adopts a killed platform's queued work",
-			"kvstore.Store.InjectWriteFailures":        "fault model: the next writes fail",
-			"kvstore.Store.FaultsServed":               "fault model: how many injected faults the store served",
-			"vclock.NewManual":                         "virtual time tests drive",
-			"vclock.Manual.Advance":                    "virtual time tests drive",
-			"vclock.Manual.Pending":                    "virtual time tests drive",
-			"heaptest.PerEntry":                        "the measurement every resident-budget test compares against",
-			"cluster.Cluster.Deployments":              "deferred: deleting it deletes TestDeploymentsListed",
-			"vclock.TokenBucket.SetRate":               "deferred: deleting it deletes TestTokenBucketSetRate",
-			"vclock.TokenBucket.TryTake":               "deferred: deleting it deletes TestTokenBucketTryTake",
+			"cluster.Cluster.RemoveNode":        "fault model: a worker VM lost mid-flight",
+			"core.Platform.DrainNode":           "fault model: a worker leaves gracefully",
+			"core.Platform.KillNode":            "fault model: a worker crashes and its lease lapses",
+			"kvstore.Store.InjectWriteFailures": "fault model: the next writes fail",
+			"kvstore.Store.FaultsServed":        "fault model: how many injected faults the store served",
+			"vclock.NewManual":                  "virtual time tests drive",
+			"vclock.Manual.Advance":             "virtual time tests drive",
+			"vclock.Manual.Pending":             "virtual time tests drive",
+			"heaptest.PerEntry":                 "the measurement every resident-budget test compares against",
+			"cluster.Cluster.Deployments":       "deferred: deleting it deletes TestDeploymentsListed",
+			"vclock.TokenBucket.SetRate":        "deferred: deleting it deletes TestTokenBucketSetRate",
+			"vclock.TokenBucket.TryTake":        "deferred: deleting it deletes TestTokenBucketTryTake",
 		})},
 	} {
 		t.Run(row.name, func(t *testing.T) {

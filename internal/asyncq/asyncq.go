@@ -409,6 +409,10 @@ func New(cfg Config) (*Queue, error) {
 		classPending: make(map[string]int),
 		tracked:      make(map[string]time.Time),
 	}
+	// Reading Stats creates every series it reads: /metrics shows each
+	// from the start. The capacity is configuration, not a count.
+	q.Stats()
+	q.metrics.GaugeFunc("async.capacity", func() float64 { return float64(cap(q.tasks)) })
 	for i := 0; i < cfg.Workers; i++ {
 		q.wg.Add(1)
 		go q.worker()

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/metrics"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
@@ -166,7 +167,6 @@ type Membership struct {
 	epoch       uint64
 	epochVer    int64 // kvstore version of the epoch doc, for CAS bumps
 	movingUntil time.Time
-	rebalances  int64
 	closed      bool
 
 	rndMu sync.Mutex
@@ -176,7 +176,10 @@ type Membership struct {
 	// movingUntil; rebuilt by publishLocked whenever those change.
 	view atomic.Pointer[admitView]
 
-	fenceRejections atomic.Int64
+	// reg holds the cluster.* series; the counters are resolved once, so
+	// Fence looks nothing up.
+	reg                         *metrics.Registry
+	rebalances, fenceRejections *metrics.Counter
 
 	killCtx    context.Context
 	killCancel context.CancelFunc
@@ -196,7 +199,17 @@ func NewMembership(cfg MembershipConfig) (*Membership, error) {
 		members: make(map[string]*member),
 		live:    make(map[string]time.Time),
 		rnd:     rand.New(rand.NewSource(cfg.JitterSeed)),
+		reg:     metrics.NewRegistry(),
 	}
+	m.rebalances = m.reg.Counter("cluster.rebalances")
+	m.fenceRejections = m.reg.Counter("cluster.fence_rejections")
+	m.reg.GaugeFunc("cluster.epoch", func() float64 { return float64(m.Epoch()) })
+	m.reg.GaugeFunc("cluster.moving", func() float64 {
+		if m.CheckMoving() != nil {
+			return 1
+		}
+		return 0
+	})
 	m.killCtx, m.killCancel = context.WithCancel(context.Background())
 	// Adopt a persisted epoch (a successor process must fence at least
 	// as high as its predecessor).
@@ -407,7 +420,7 @@ func (m *Membership) rebalance(dead []string) {
 		return
 	}
 	m.epoch++
-	m.rebalances++
+	m.rebalances.Inc()
 	m.movingUntil = m.cfg.Clock.Now().Add(m.cfg.TransitionWindow)
 	m.publishLocked()
 	epoch := m.epoch
@@ -586,7 +599,7 @@ func (m *Membership) Fence(objectID, owner string, epoch uint64) error {
 	if ok && nowOwner == owner {
 		return nil
 	}
-	m.fenceRejections.Add(1)
+	m.fenceRejections.Inc()
 	return fmt.Errorf("%w: object %q admitted on %q@%d, now %q@%d",
 		ErrOwnershipMoved, objectID, owner, epoch, nowOwner, v.epoch)
 }
@@ -618,18 +631,9 @@ func (m *Membership) LiveNames() []string {
 	return m.view.Load().names
 }
 
-// Rebalances returns how many rebalances have run.
-func (m *Membership) Rebalances() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rebalances
-}
-
-// FenceRejections returns how many commits the epoch fence rejected —
-// each one is a double-commit that did not happen.
-func (m *Membership) FenceRejections() int64 {
-	return m.fenceRejections.Load()
-}
+// Metrics exposes the membership's registry (cluster.*). The platform's
+// ownership layer registers its routing counters there too.
+func (m *Membership) Metrics() *metrics.Registry { return m.reg }
 
 // MemberInfo is one live member's view for stats.
 type MemberInfo struct {

@@ -144,7 +144,7 @@ func TestKillExpiresLeaseAndRebalances(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if m.Rebalances() > 0 {
+		if m.Metrics().Counter("cluster.rebalances").Value() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -190,7 +190,7 @@ func TestFenceRejectsMovedOwnership(t *testing.T) {
 	if err := m.Fence(hot, owner, epoch); !errors.Is(err, ErrOwnershipMoved) {
 		t.Fatalf("fence after move = %v, want ErrOwnershipMoved", err)
 	}
-	if m.FenceRejections() == 0 {
+	if m.Metrics().Counter("cluster.fence_rejections").Value() == 0 {
 		t.Fatal("fence rejection not counted")
 	}
 	// An object whose owner did NOT move commits fine across the epoch

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/cluster"
+	"github.com/hpcclab/oparaca-go/internal/metrics"
 )
 
 // ErrOwnershipDisabled is returned by ownership admin operations when
@@ -39,10 +40,11 @@ type ownership struct {
 	// invocation races a handoff.
 	retryAfter time.Duration
 
-	ingress    atomic.Uint64
-	forwarded  atomic.Int64
-	ownerLocal atomic.Int64
-	recovered  atomic.Int64
+	ingress atomic.Uint64
+	// forwarded / ownerLocal split routed invocations by whether the
+	// ingress node owned the object: cluster.forwarded and
+	// cluster.owner_local, in the membership's registry.
+	forwarded, ownerLocal *metrics.Counter
 }
 
 // fence is the runtime.Infra hook consulted at the commit exit. A
@@ -73,11 +75,9 @@ func requeueable(err error) bool {
 func (p *Platform) onRebalance(dead []string, epoch uint64) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	n, err := p.queue.RecoverStranded(ctx)
-	if err == nil {
-		p.own.recovered.Add(int64(n))
-	}
-	p.bus.ReplayCursors()
+	// A record that fails to adopt stays stranded in the store, where the
+	// next rebalance or a successor's recovery finds it again.
+	_, _ = p.RecoverStrandedInvocations(ctx)
 }
 
 // Membership exposes the lease-based membership layer (nil when
@@ -156,36 +156,33 @@ type ClusterStats struct {
 	// ingress node owned the object.
 	Forwarded  int64 `json:"forwarded"`
 	OwnerLocal int64 `json:"owner_local"`
-	// Requeued counts async invocations redelivered after a fence or
-	// transition rejection; Recovered counts stranded records adopted
-	// from dead nodes by rebalances.
-	Requeued  int64 `json:"requeued"`
-	Recovered int64 `json:"recovered"`
 }
 
-// clusterStatsLocked snapshots the ownership layer; p.mu must be held
-// (it walks the object directory to attribute objects to owners).
-func (p *Platform) clusterStatsLocked() ClusterStats {
+// ClusterStats snapshots just the ownership layer (the gateway's
+// GET /api/cluster and ocli cluster), cheaper than the full Stats walk.
+// It holds p.mu only to count the directory's objects per owner.
+func (p *Platform) ClusterStats() ClusterStats {
 	if p.own == nil {
 		return ClusterStats{}
 	}
-	m := p.own.members
+	m, reg := p.own.members, p.own.members.Metrics()
 	cs := ClusterStats{
 		Enabled:         true,
 		Epoch:           m.Epoch(),
 		Moving:          m.CheckMoving() != nil,
-		Rebalances:      m.Rebalances(),
-		FenceRejections: m.FenceRejections(),
-		Forwarded:       p.own.forwarded.Load(),
-		OwnerLocal:      p.own.ownerLocal.Load(),
-		Recovered:       p.own.recovered.Load(),
+		Rebalances:      reg.Counter("cluster.rebalances").Value(),
+		FenceRejections: reg.Counter("cluster.fence_rejections").Value(),
+		Forwarded:       p.own.forwarded.Value(),
+		OwnerLocal:      p.own.ownerLocal.Value(),
 	}
 	counts := make(map[string]int, 8)
+	p.mu.Lock()
 	for id := range p.dir {
 		if owner, ok := m.Owner(id); ok {
 			counts[owner]++
 		}
 	}
+	p.mu.Unlock()
 	for _, mi := range m.Members() {
 		cs.Members = append(cs.Members, MemberStats{
 			Name:           mi.Name,
@@ -198,6 +195,20 @@ func (p *Platform) clusterStatsLocked() ClusterStats {
 	return cs
 }
 
+// ownershipRegistries is the ownership layer's part of Registries: the
+// membership's cluster.* series, then one registry per live member,
+// labeled {node}, holding its object count and lease time left.
+func (p *Platform) ownershipRegistries() []metrics.LabeledRegistry {
+	regs := []metrics.LabeledRegistry{{Reg: p.own.members.Metrics()}}
+	for _, mb := range p.ClusterStats().Members {
+		r := metrics.NewRegistry()
+		r.GaugeFunc("cluster.member_objects", func() float64 { return float64(mb.Objects) })
+		r.GaugeFunc("cluster.member_lease_remaining_seconds", mb.LeaseRemaining.Seconds)
+		regs = append(regs, metrics.LabeledRegistry{Labels: metrics.Labels("node", mb.Name), Reg: r})
+	}
+	return regs
+}
+
 // RecoverStrandedInvocations adopts asynchronous invocation records a
 // dead predecessor process left non-terminal in the shared backing
 // store into this platform's queue, and replays trigger delivery
@@ -207,24 +218,8 @@ func (p *Platform) clusterStatsLocked() ClusterStats {
 // how many records were adopted.
 func (p *Platform) RecoverStrandedInvocations(ctx context.Context) (int, error) {
 	n, err := p.queue.RecoverStranded(ctx)
-	if err == nil && p.own != nil {
-		p.own.recovered.Add(int64(n))
-	}
 	p.bus.ReplayCursors()
 	return n, err
-}
-
-// ClusterStats snapshots just the ownership layer (the gateway's
-// GET /api/cluster and ocli cluster), cheaper than the full Stats
-// walk.
-func (p *Platform) ClusterStats() ClusterStats {
-	p.mu.Lock()
-	cs := p.clusterStatsLocked()
-	p.mu.Unlock()
-	if p.own != nil {
-		cs.Requeued = p.queue.Stats().Requeued
-	}
-	return cs
 }
 
 // newOwnership builds the membership layer over the backing store and
@@ -235,7 +230,6 @@ func newOwnership(p *Platform, cfg Config) (*ownership, error) {
 	// transition window lasts one heartbeat: also how long a routed
 	// invocation that races it is told to back off.
 	heartbeat := cfg.OwnershipLeaseTTL / 3
-	o := &ownership{retryAfter: heartbeat}
 	members, err := cluster.NewMembership(cluster.MembershipConfig{
 		Backing:          p.backing,
 		Clock:            cfg.Clock,
@@ -248,7 +242,12 @@ func newOwnership(p *Platform, cfg Config) (*ownership, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: membership: %w", err)
 	}
-	o.members = members
+	o := &ownership{
+		members:    members,
+		retryAfter: heartbeat,
+		forwarded:  members.Metrics().Counter("cluster.forwarded"),
+		ownerLocal: members.Metrics().Counter("cluster.owner_local"),
+	}
 	for _, n := range p.cluster.Nodes() {
 		if err := members.Join(n.Name()); err != nil {
 			members.Close()

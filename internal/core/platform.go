@@ -30,6 +30,7 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/eventlog"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/metrics"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/objectstore"
 	"github.com/hpcclab/oparaca-go/internal/optimizer"
@@ -841,14 +842,8 @@ func (p *Platform) Class(name string) (*model.Class, error) {
 
 // Classes returns deployed class names, sorted.
 func (p *Platform) Classes() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.classes))
-	for name := range p.classes {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	classes, _, _ := p.runtimeList()
+	return classes
 }
 
 // Runtime returns the class runtime for a deployed class.
@@ -1065,9 +1060,6 @@ type ResilienceStats struct {
 	// runtimes. A bounded value means stuck handlers terminate rather
 	// than accumulate.
 	LeakedHandlers int64 `json:"leaked_handlers"`
-	// Expired counts asynchronous invocations dropped or cut off by
-	// their deadline (mirrors Async.Expired).
-	Expired int64 `json:"expired"`
 }
 
 // Stats is a platform-wide snapshot.
@@ -1085,48 +1077,86 @@ type Stats struct {
 	Cluster     ClusterStats                        `json:"cluster"`
 }
 
-// Stats snapshots the platform.
+// Stats snapshots the platform. It holds p.mu only to copy lists and
+// count objects, never while reading a component.
 func (p *Platform) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	classes, rts, objects := p.runtimeList()
 	s := Stats{
 		Workers:     p.cluster.NodeCount(),
-		Objects:     len(p.dir),
+		Classes:     classes,
+		Objects:     objects,
 		DB:          p.backing.Stats(),
-		ByClass:     make(map[string]float64, len(p.runtimes)),
+		ByClass:     make(map[string]float64, len(rts)),
 		Async:       p.queue.Stats(),
-		Concurrency: make(map[string]runtime.ConcurrencyStats, len(p.runtimes)),
+		Concurrency: make(map[string]runtime.ConcurrencyStats, len(rts)),
 		Triggers:    p.bus.Stats(),
+		Resilience:  p.Resilience(),
+		Cluster:     p.ClusterStats(),
 	}
-	for name := range p.classes {
-		s.Classes = append(s.Classes, name)
-	}
-	sort.Strings(s.Classes)
-	s.Resilience = ResilienceStats{
-		Breaker:  p.breaker.Stats(),
-		Degraded: p.breaker.State() != resilience.StateClosed,
-		Expired:  s.Async.Expired,
-	}
-	s.Cluster = p.clusterStatsLocked()
-	s.Cluster.Requeued = s.Async.Requeued
-	for name, rt := range p.runtimes {
-		s.ByClass[name] = rt.ThroughputRPS()
+	for i, rt := range rts {
+		s.ByClass[classes[i]] = rt.ThroughputRPS()
 		s.Invocations += rt.Metrics().Counter("invoke.total").Value()
-		s.Concurrency[name] = rt.ConcurrencyStats()
-		s.Resilience.DegradedReads += rt.Table().Stats().DegradedHits
-		s.Resilience.LeakedHandlers += rt.LeakedHandlers()
+		s.Concurrency[classes[i]] = rt.ConcurrencyStats()
 	}
 	return s
 }
 
+// Resilience snapshots the failure-semantics view (the gateway's
+// readiness reads it), holding p.mu only to copy the class runtimes.
+func (p *Platform) Resilience() ResilienceStats {
+	_, rts, _ := p.runtimeList()
+	rs := ResilienceStats{Breaker: p.breaker.Stats()}
+	rs.Degraded = rs.Breaker.State != resilience.StateClosed.String()
+	for _, rt := range rts {
+		rs.DegradedReads += rt.Table().Stats().DegradedHits
+		rs.LeakedHandlers += rt.LeakedHandlers()
+	}
+	return rs
+}
+
+// Registries lists every component registry /metrics renders: each
+// class runtime's, labeled {class}, the queue's, the bus's, the
+// breaker's, and the tracer's and the ownership layer's when they are
+// on. Like Stats, it holds p.mu only to copy lists and count objects.
+func (p *Platform) Registries() []metrics.LabeledRegistry {
+	classes, rts, _ := p.runtimeList()
+	regs := make([]metrics.LabeledRegistry, 0, len(rts)+5)
+	for i, rt := range rts {
+		regs = append(regs, metrics.LabeledRegistry{Labels: metrics.Labels("class", classes[i]), Reg: rt.Metrics()})
+	}
+	regs = append(regs,
+		metrics.LabeledRegistry{Reg: p.queue.Metrics()},
+		metrics.LabeledRegistry{Reg: p.bus.Metrics()},
+		metrics.LabeledRegistry{Reg: p.breaker.Metrics()},
+		metrics.LabeledRegistry{Reg: p.tracer.Metrics()},
+	)
+	if p.own != nil {
+		regs = append(regs, p.ownershipRegistries()...)
+	}
+	return regs
+}
+
+// runtimeList copies, under p.mu, the deployed classes (sorted) with
+// their runtimes, and the directory's object count.
+func (p *Platform) runtimeList() (classes []string, rts []*runtime.ClassRuntime, objects int) {
+	p.mu.Lock()
+	classes = make([]string, 0, len(p.runtimes))
+	for name := range p.runtimes {
+		classes = append(classes, name)
+	}
+	sort.Strings(classes)
+	rts = make([]*runtime.ClassRuntime, len(classes))
+	for i, name := range classes {
+		rts[i] = p.runtimes[name]
+	}
+	objects = len(p.dir)
+	p.mu.Unlock()
+	return classes, rts, objects
+}
+
 // Flush forces all runtimes' pending state to the backing store.
 func (p *Platform) Flush(ctx context.Context) {
-	p.mu.Lock()
-	rts := make([]*runtime.ClassRuntime, 0, len(p.runtimes))
-	for _, rt := range p.runtimes {
-		rts = append(rts, rt)
-	}
-	p.mu.Unlock()
+	_, rts, _ := p.runtimeList()
 	for _, rt := range rts {
 		rt.Flush(ctx)
 	}
@@ -1154,11 +1184,9 @@ func (p *Platform) Close() {
 		return
 	}
 	p.closed = true
-	rts := make([]*runtime.ClassRuntime, 0, len(p.runtimes))
-	for _, rt := range p.runtimes {
-		rts = append(rts, rt)
-	}
 	p.mu.Unlock()
+	// Closed, the platform deploys nothing more: the list is final.
+	_, rts, _ := p.runtimeList()
 	p.optim.Stop()
 	for _, rt := range rts {
 		rt.Close()
@@ -1189,11 +1217,8 @@ func (p *Platform) Kill() {
 		return
 	}
 	p.closed = true
-	rts := make([]*runtime.ClassRuntime, 0, len(p.runtimes))
-	for _, rt := range p.runtimes {
-		rts = append(rts, rt)
-	}
 	p.mu.Unlock()
+	_, rts, _ := p.runtimeList()
 	if p.own != nil {
 		// Heartbeats stop but leases are left to expire, so a successor
 		// platform against the same backing store sees the death.

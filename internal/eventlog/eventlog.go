@@ -141,6 +141,9 @@ type objectLog struct {
 	garbage []string
 	// dropped marks a log that Drop emptied and unlinked from Log.objs.
 	dropped bool
+	// seeds are the cursors SeedCursor asked for during the append in
+	// progress, registered only if the append lands.
+	seeds []Cursor
 }
 
 // floor is the oldest retained offset (== next when empty). Callers
@@ -397,13 +400,15 @@ func (l *Log) Append(ctx context.Context, object string, build func(offset int64
 // backing write: the group-commit path publishes every event of a
 // coalesced invocation batch at the cost of roughly one write
 // operation instead of n. It returns the first assigned offset; the
-// i-th entry holds offset first+i. Nothing is appended on error.
+// i-th entry holds offset first+i. Nothing is appended on error, and
+// no cursor build seeded (SeedCursor) is registered.
 func (l *Log) AppendBatch(ctx context.Context, object string, n int, build func(i int, offset int64) (json.RawMessage, error)) (int64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
 	ol := l.lockForAppend(object)
 	defer ol.mu.Unlock()
+	defer func() { ol.seeds = nil }()
 	if err := l.load(ctx, object, ol); err != nil {
 		return 0, err
 	}
@@ -457,6 +462,10 @@ func (l *Log) AppendBatch(ctx context.Context, object string, n int, build func(
 	l.statsMu.Lock()
 	l.appended += int64(n)
 	l.statsMu.Unlock()
+	for _, c := range ol.seeds {
+		// A failed write leaves the cursor in memory, as SetCursor does.
+		_ = l.SetCursor(ctx, c.Subscription, object, c.Next)
+	}
 	return first, nil
 }
 
@@ -561,6 +570,25 @@ func (l *Log) SetCursor(ctx context.Context, sub, object string, next int64) err
 		l.curs.Flush(ctx)
 	}
 	return nil
+}
+
+// SeedCursor asks for a consumer of object to start at next, unless it
+// already has a cursor. Call it only from the build callback of an
+// AppendBatch on object: the append holds the object's order, so of two
+// appends the lower offsets seed first, and the cursor is registered —
+// with SetCursor, after the entries landed — only if the append lands,
+// so no cursor waits on an entry that was never written.
+func (l *Log) SeedCursor(sub, object string, next int64) {
+	if _, ok := l.Cursor(sub, object); ok {
+		return
+	}
+	ol := l.peek(object) // locked by the append that called build
+	for _, c := range ol.seeds {
+		if c.Subscription == sub {
+			return
+		}
+	}
+	ol.seeds = append(ol.seeds, Cursor{Subscription: sub, Object: object, Next: next})
 }
 
 // LoadCursors recovers every persisted cursor from the backing store

@@ -94,8 +94,8 @@ func TestInvokeAsyncOverREST(t *testing.T) {
 // TestMetricsExportsEachQueueSeriesOnce scrapes /metrics after one
 // async submission: each queue series goes out once, as the
 // oparaca_queue_ family of the queue's registry, with no oparaca_async_
-// mirror beside it; capacity, which the registry does not hold, is the
-// one oparaca_async_ family.
+// mirror beside it; capacity, a scrape-time gauge in the same registry,
+// is the one oparaca_async_ family.
 func TestMetricsExportsEachQueueSeriesOnce(t *testing.T) {
 	f := newFixture(t)
 	f.deploy()

@@ -503,29 +503,26 @@ type readyView struct {
 	Epoch            uint64 `json:"epoch,omitempty"`
 }
 
-// readiness derives the readiness view from one platform snapshot. It
-// is the single source for both /readyz and the degradation gauges on
-// /metrics, so a scrape and a probe can never disagree about whether
-// the node is taking durable work.
-func (g *Gateway) readiness(st core.Stats) readyView {
-	var backlog int64
-	for _, sub := range st.Triggers.Subscriptions {
-		backlog += sub.CursorLag
-	}
+// readiness derives the readiness view from what it needs alone, none
+// of it read under the platform lock. It is the single source for both
+// /readyz and the readiness gauges on /metrics, so a scrape and a probe
+// can never disagree about whether the node is taking durable work.
+func (g *Gateway) readiness() readyView {
+	res := g.platform.Resilience()
+	q := g.platform.AsyncQueue().Stats()
 	view := readyView{
-		Breaker:        st.Resilience.Breaker.State,
-		Degraded:       st.Resilience.Degraded,
-		AsyncDepth:     st.Async.Depth,
-		AsyncCapacity:  st.Async.Capacity,
-		TriggerBacklog: backlog,
-		LeakedHandlers: st.Resilience.LeakedHandlers,
+		Breaker:        res.Breaker.State,
+		Degraded:       res.Degraded,
+		AsyncDepth:     q.Depth,
+		AsyncCapacity:  q.Capacity,
+		LeakedHandlers: res.LeakedHandlers,
 	}
 	if mem := g.platform.Membership(); mem != nil {
 		view.ClusterEnabled = true
 		view.ClusterConverged = mem.Converge()
 		view.Epoch = mem.Epoch()
 	}
-	view.Ready = !view.Degraded && st.Async.Depth < int64(st.Async.Capacity) &&
+	view.Ready = !view.Degraded && q.Depth < int64(q.Capacity) &&
 		(!view.ClusterEnabled || view.ClusterConverged)
 	return view
 }
@@ -535,7 +532,10 @@ func (g *Gateway) readiness(st core.Stats) readyView {
 // async queue has headroom, 503 (with the same body) otherwise so
 // load balancers can steer traffic away during degraded mode.
 func (g *Gateway) handleReady(w http.ResponseWriter, _ *http.Request) {
-	view := g.readiness(g.platform.Stats())
+	view := g.readiness()
+	// The backlog informs and does not decide; a scrape reads it as the
+	// bus's trigger.backlog gauge, so only the probe body walks for it.
+	view.TriggerBacklog = g.platform.TriggerBus().Backlog()
 	status := http.StatusOK
 	if !view.Ready {
 		status = http.StatusServiceUnavailable
@@ -551,86 +551,27 @@ func b01(v bool) float64 {
 	return 0
 }
 
-// handleMetrics serves the Prometheus text exposition: platform-level
-// degradation and queue gauges, breaker and cluster counters, tracer
-// tail-sampling counters, per-node ownership series, and every
-// registry metric — per-class runtime registries labeled {class=...},
-// plus the async-queue and trigger-bus registries — merged by family
-// so each family stays contiguous as the format requires.
+// handleMetrics serves the Prometheus text exposition. It writes by
+// hand only what readiness derives — oparaca_ready, oparaca_degraded,
+// the one-hot oparaca_breaker_state{state}, oparaca_cluster_enabled and,
+// with ownership on, oparaca_cluster_converged — and renders everything
+// else from the components' own registries (Platform.Registries), merged
+// by family so each family stays contiguous as the format requires.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	st := g.platform.Stats()
-	view := g.readiness(st)
+	view := g.readiness()
 	pw := metrics.NewPromWriter()
-
-	// Degradation context (PR contract: /readyz and a scrape share one
-	// snapshot). Breaker state is a one-hot labeled gauge so dashboards
-	// can plot transitions without string parsing.
 	pw.Gauge("oparaca_ready", "", b01(view.Ready))
 	pw.Gauge("oparaca_degraded", "", b01(view.Degraded))
+	// A one-hot labeled gauge, so dashboards plot transitions without
+	// string parsing.
 	for _, state := range []string{"closed", "open", "half-open"} {
 		pw.Gauge("oparaca_breaker_state", metrics.Labels("state", state), b01(view.Breaker == state))
 	}
-	br := st.Resilience.Breaker
-	pw.Counter("oparaca_breaker_opened_total", "", float64(br.Opened))
-	pw.Counter("oparaca_breaker_half_opens_total", "", float64(br.HalfOpens))
-	pw.Counter("oparaca_breaker_closes_total", "", float64(br.Closes))
-	pw.Counter("oparaca_breaker_rejected_total", "", float64(br.Rejected))
-	pw.Gauge("oparaca_degraded_reads", "", float64(st.Resilience.DegradedReads))
-	pw.Gauge("oparaca_leaked_handlers", "", float64(view.LeakedHandlers))
-
-	// Async queue pressure: depth (oparaca_queue_depth, from the queue's
-	// registry below) over capacity is a readiness input, and capacity is
-	// configuration the registry does not hold.
-	pw.Gauge("oparaca_async_capacity", "", float64(st.Async.Capacity))
-	pw.Gauge("oparaca_trigger_backlog", "", float64(view.TriggerBacklog))
-
-	// Ownership layer: transition window plus per-node series.
-	cs := st.Cluster
-	pw.Gauge("oparaca_cluster_enabled", "", b01(cs.Enabled))
-	if cs.Enabled {
+	pw.Gauge("oparaca_cluster_enabled", "", b01(view.ClusterEnabled))
+	if view.ClusterEnabled {
 		pw.Gauge("oparaca_cluster_converged", "", b01(view.ClusterConverged))
-		pw.Gauge("oparaca_cluster_moving", "", b01(cs.Moving))
-		pw.Gauge("oparaca_cluster_epoch", "", float64(cs.Epoch))
-		pw.Counter("oparaca_cluster_rebalances_total", "", float64(cs.Rebalances))
-		pw.Counter("oparaca_cluster_fence_rejections_total", "", float64(cs.FenceRejections))
-		pw.Counter("oparaca_cluster_forwarded_total", "", float64(cs.Forwarded))
-		pw.Counter("oparaca_cluster_owner_local_total", "", float64(cs.OwnerLocal))
-		// One loop per family: samples of a family must stay contiguous.
-		for _, m := range cs.Members {
-			pw.Gauge("oparaca_cluster_member_objects", metrics.Labels("node", m.Name), float64(m.Objects))
-		}
-		for _, m := range cs.Members {
-			pw.Gauge("oparaca_cluster_member_lease_remaining_seconds", metrics.Labels("node", m.Name), m.LeaseRemaining.Seconds())
-		}
 	}
-
-	// Per-class throughput from the platform snapshot (the rest of the
-	// per-class series come from the runtime registries below).
-	for _, name := range st.Classes {
-		pw.Gauge("oparaca_class_throughput_rps", metrics.Labels("class", name), st.ByClass[name])
-	}
-
-	// Tracer tail-sampling counters, when tracing is on.
-	if tr := g.platform.Tracer(); tr != nil {
-		ts := tr.Stats()
-		pw.Counter("oparaca_traces_started_total", "", float64(ts.Started))
-		pw.Counter("oparaca_traces_kept_total", "", float64(ts.Kept))
-		pw.Counter("oparaca_traces_dropped_total", "", float64(ts.Dropped))
-		pw.Gauge("oparaca_traces_retained", "", float64(ts.Retained))
-	}
-
-	regs := make([]metrics.LabeledRegistry, 0, len(st.Classes)+2)
-	for _, name := range st.Classes {
-		if rt, err := g.platform.Runtime(name); err == nil {
-			regs = append(regs, metrics.LabeledRegistry{Labels: metrics.Labels("class", name), Reg: rt.Metrics()})
-		}
-	}
-	regs = append(regs,
-		metrics.LabeledRegistry{Reg: g.platform.AsyncQueue().Metrics()},
-		metrics.LabeledRegistry{Reg: g.platform.TriggerBus().Metrics()},
-	)
-	pw.Registries(regs...)
-
+	pw.Registries(g.platform.Registries()...)
 	w.Header().Set("Content-Type", metrics.ContentType)
 	_, _ = w.Write(pw.Bytes())
 }
@@ -1158,13 +1099,13 @@ type triggerView struct {
 
 func (g *Gateway) handleListTriggers(w http.ResponseWriter, _ *http.Request) {
 	names, subs := g.platform.TriggerSubscriptions()
-	bus := g.platform.TriggerBus()
+	stats := g.platform.TriggerBus().Stats().Subscriptions
 	views := make([]triggerView, 0, len(names))
 	for _, name := range names {
 		views = append(views, triggerView{
 			Name:         name,
 			Subscription: subs[name],
-			Stats:        bus.SubscriptionStatsFor("named/" + name),
+			Stats:        stats["named/"+name],
 		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"triggers": views})

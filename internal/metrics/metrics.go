@@ -4,9 +4,13 @@
 // in workload or performance").
 //
 // It provides counters, gauges, latency histograms with percentile
-// estimation, and sliding-window throughput meters, all grouped under a
-// Registry so the optimizer and the gateway can take consistent
-// snapshots.
+// estimation, and sliding-window throughput meters, grouped under a
+// Registry per component.
+//
+// Each counter lives once, in its component's registry, as a handle the
+// component resolves when it is built; Stats(), /readyz and /metrics all
+// read it. A value a component computes rather than counts (a rate, a
+// sum, its capacity) is a scrape-time gauge: Registry.GaugeFunc.
 package metrics
 
 import (
@@ -320,6 +324,7 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
+	gaugeFuncs map[string]func() float64
 	histograms map[string]*Histogram
 }
 
@@ -356,6 +361,18 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// GaugeFunc registers a gauge read at scrape time: fn computes its value
+// whenever a PromWriter renders the registry, from any goroutine. A
+// second registration under the name replaces the first.
+func (r *Registry) GaugeFunc(name string, fn func() float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.gaugeFuncs == nil {
+		r.gaugeFuncs = make(map[string]func() float64)
+	}
+	r.gaugeFuncs[name] = fn
+}
+
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
@@ -369,34 +386,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.histograms[name] = h
 	}
 	return h
-}
-
-// Snapshot is a point-in-time dump of every metric in a registry.
-type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// Snapshot captures all metrics at once.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
-	}
-	for k, c := range r.counters {
-		s.Counters[k] = c.Value()
-	}
-	for k, g := range r.gauges {
-		s.Gauges[k] = g.Value()
-	}
-	for k, h := range r.histograms {
-		s.Histograms[k] = h.Snapshot()
-	}
-	return s
 }
 
 // FormatRate renders an ops/sec value compactly, e.g. "8.2e4" style

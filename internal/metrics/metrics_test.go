@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -240,23 +242,6 @@ func TestRegistryReturnsSameInstance(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("reqs").Add(5)
-	r.Gauge("replicas").Add(3)
-	r.Histogram("lat").Observe(time.Millisecond)
-	s := r.Snapshot()
-	if s.Counters["reqs"] != 5 {
-		t.Fatalf("snapshot counter = %d", s.Counters["reqs"])
-	}
-	if s.Gauges["replicas"] != 3 {
-		t.Fatalf("snapshot gauge = %d", s.Gauges["replicas"])
-	}
-	if s.Histograms["lat"].Count != 1 {
-		t.Fatalf("snapshot histogram count = %d", s.Histograms["lat"].Count)
-	}
-}
-
 func TestRegistryZeroValueUsable(t *testing.T) {
 	var r Registry
 	r.Counter("a").Inc()
@@ -339,26 +324,37 @@ func TestHistogramQuantileDuringConcurrentObserve(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrentCreationSnapshot races metric creation against
-// snapshotting: snapshots must be internally consistent (never a nil
-// map entry, never a torn value) and the final snapshot complete.
-func TestRegistryConcurrentCreationSnapshot(t *testing.T) {
+// TestRegistryConcurrentCreationScrape races metric creation against
+// rendering: every scrape must be well-formed (never a nil map entry,
+// never a torn value) and the final one complete.
+func TestRegistryConcurrentCreationScrape(t *testing.T) {
 	r := NewRegistry()
 	const workers, names = 8, 50
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var snapErr sync.Map
+	scrape := func() map[string]float64 {
+		w := NewPromWriter()
+		w.Registries(LabeledRegistry{Reg: r})
+		samples := map[string]float64{}
+		for _, line := range strings.Split(strings.TrimSpace(string(w.Bytes())), "\n") {
+			if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+				v, _ := strconv.ParseFloat(value, 64)
+				samples[name] = v
+			}
+		}
+		return samples
+	}
 	go func() {
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				s := r.Snapshot()
-				for name, v := range s.Counters {
+				for name, v := range scrape() {
 					// Once visible, a counter is either still zero or
 					// already incremented to exactly 1.
-					if v != 0 && v != 1 {
+					if strings.HasSuffix(name, "_total") && v != 0 && v != 1 {
 						snapErr.Store(name, v)
 					}
 				}
@@ -380,13 +376,22 @@ func TestRegistryConcurrentCreationSnapshot(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	snapErr.Range(func(k, v any) bool {
-		t.Fatalf("snapshot saw torn counter %v = %v", k, v)
+		t.Fatalf("scrape saw torn counter %v = %v", k, v)
 		return false
 	})
-	s := r.Snapshot()
-	if len(s.Counters) != workers*names || len(s.Gauges) != workers*names || len(s.Histograms) != workers*names {
-		t.Fatalf("final snapshot incomplete: %d/%d/%d metrics, want %d each",
-			len(s.Counters), len(s.Gauges), len(s.Histograms), workers*names)
+	var counters, gauges, histograms int
+	for name := range scrape() {
+		switch {
+		case strings.HasSuffix(name, "_total"):
+			counters++
+		case strings.HasSuffix(name, "_seconds_count"):
+			histograms++
+		case !strings.Contains(name, "_seconds_"):
+			gauges++
+		}
+	}
+	if counters != workers*names || gauges != workers*names || histograms != workers*names {
+		t.Fatalf("final scrape incomplete: %d/%d/%d metrics, want %d each", counters, gauges, histograms, workers*names)
 	}
 }
 

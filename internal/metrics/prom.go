@@ -141,12 +141,13 @@ type LabeledRegistry struct {
 // Registries renders several labeled registries merged by family: the
 // exposition format requires every sample of a family to form one
 // contiguous group, so per-class registries sharing metric names must
-// be interleaved by name, not concatenated.
+// be interleaved by name, not concatenated. A scrape-time gauge
+// (Registry.GaugeFunc) is evaluated here, outside its registry's lock.
 func (p *PromWriter) Registries(regs ...LabeledRegistry) {
 	type snap struct {
 		labels     string
 		counters   map[string]*Counter
-		gauges     map[string]*Gauge
+		gauges     map[string]func() float64
 		histograms map[string]*Histogram
 	}
 	snaps := make([]snap, 0, len(regs))
@@ -158,19 +159,23 @@ func (p *PromWriter) Registries(regs ...LabeledRegistry) {
 			continue
 		}
 		r := lr.Reg
+		r.mu.Lock()
 		s := snap{
 			labels:     lr.Labels,
 			counters:   make(map[string]*Counter, len(r.counters)),
-			gauges:     make(map[string]*Gauge, len(r.gauges)),
+			gauges:     make(map[string]func() float64, len(r.gauges)+len(r.gaugeFuncs)),
 			histograms: make(map[string]*Histogram, len(r.histograms)),
 		}
-		r.mu.Lock()
 		for k, c := range r.counters {
 			s.counters[k] = c
 			counterNames[k] = true
 		}
 		for k, g := range r.gauges {
-			s.gauges[k] = g
+			s.gauges[k] = func() float64 { return float64(g.Value()) }
+			gaugeNames[k] = true
+		}
+		for k, fn := range r.gaugeFuncs {
+			s.gauges[k] = fn
 			gaugeNames[k] = true
 		}
 		for k, h := range r.histograms {
@@ -190,7 +195,7 @@ func (p *PromWriter) Registries(regs ...LabeledRegistry) {
 	for _, k := range sortedKeys(gaugeNames) {
 		for _, s := range snaps {
 			if g, ok := s.gauges[k]; ok {
-				p.Gauge(PromName(k), s.labels, float64(g.Value()))
+				p.Gauge(PromName(k), s.labels, g())
 			}
 		}
 	}

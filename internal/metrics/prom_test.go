@@ -122,6 +122,39 @@ func TestPromWriterMergesLabeledRegistries(t *testing.T) {
 	}
 }
 
+// TestGaugeFuncIsReadAtScrape: a scrape-time gauge is evaluated each
+// time a registry is rendered, outside the registry's lock (so it may
+// read the registry it lives in), merged by family with plain gauges
+// of other registries.
+func TestGaugeFuncIsReadAtScrape(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	var calls int
+	a.GaugeFunc("class.throughput_rps", func() float64 {
+		calls++
+		return 2.5 + float64(a.Counter("invoke.total").Value())
+	})
+	b.Gauge("class.throughput_rps").Add(3)
+	for want := 1; want <= 2; want++ {
+		a.Counter("invoke.total").Inc()
+		w := NewPromWriter()
+		w.Registries(
+			LabeledRegistry{Labels: Labels("class", "A"), Reg: a},
+			LabeledRegistry{Labels: Labels("class", "B"), Reg: b},
+		)
+		out := string(w.Bytes())
+		samples := parseExposition(t, out) // fails if families fragment
+		if got := samples[`oparaca_class_throughput_rps{class="A"}`]; got != 2.5+float64(want) {
+			t.Fatalf("scrape %d: gauge func = %v in:\n%s", want, got, out)
+		}
+		if samples[`oparaca_class_throughput_rps{class="B"}`] != 3 || !strings.Contains(out, "# TYPE oparaca_class_throughput_rps gauge\n") {
+			t.Fatalf("scrape %d: merged family wrong in:\n%s", want, out)
+		}
+		if calls != want {
+			t.Fatalf("gauge func evaluated %d times after %d scrapes", calls, want)
+		}
+	}
+}
+
 func TestPromLabelsEscaping(t *testing.T) {
 	got := Labels("k", "a\"b\\c\nd")
 	want := `{k="a\"b\\c\nd"}`

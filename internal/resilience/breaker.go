@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/metrics"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
@@ -143,20 +144,32 @@ type Breaker struct {
 	probes   int // half-open probes in flight
 	probeOK  int // consecutive half-open probe successes
 
-	// Lifetime transition/outcome counters (Stats).
-	opened    int64
-	halfOpens int64
-	closes    int64
-	rejected  int64
-	succ      int64
-	fail      int64
+	// reg holds the lifetime transition and outcome counters (breaker.*),
+	// resolved once here so Allow and Record look nothing up.
+	reg                                 *metrics.Registry
+	opened, halfOpens, closes, rejected *metrics.Counter
+	succeeded, failed                   *metrics.Counter
 }
 
 // New builds a breaker in the closed state.
 func New(cfg Config) *Breaker {
 	cfg = cfg.withDefaults()
-	return &Breaker{cfg: cfg, window: make([]bool, cfg.Window)}
+	reg := metrics.NewRegistry()
+	return &Breaker{
+		cfg:       cfg,
+		window:    make([]bool, cfg.Window),
+		reg:       reg,
+		opened:    reg.Counter("breaker.opened"),
+		halfOpens: reg.Counter("breaker.half_opens"),
+		closes:    reg.Counter("breaker.closes"),
+		rejected:  reg.Counter("breaker.rejected"),
+		succeeded: reg.Counter("breaker.successes"),
+		failed:    reg.Counter("breaker.failures"),
+	}
 }
+
+// Metrics exposes the breaker's registry (breaker.* counters).
+func (b *Breaker) Metrics() *metrics.Registry { return b.reg }
 
 // Allow admits or rejects one operation. It returns nil when the
 // operation may proceed (the caller must then call Record exactly once
@@ -171,19 +184,19 @@ func (b *Breaker) Allow() error {
 	case StateOpen:
 		remaining := b.cfg.OpenTimeout - b.cfg.Clock.Since(b.openedAt)
 		if remaining > 0 {
-			b.rejected++
+			b.rejected.Inc()
 			return &OpenError{RetryAfter: remaining}
 		}
 		// Open timeout elapsed: this caller becomes the first
 		// half-open probe.
 		b.state = StateHalfOpen
-		b.halfOpens++
+		b.halfOpens.Inc()
 		b.probes = 1
 		b.probeOK = 0
 		return nil
 	case StateHalfOpen:
 		if b.probes >= b.cfg.HalfOpenProbes {
-			b.rejected++
+			b.rejected.Inc()
 			return &OpenError{RetryAfter: b.cfg.OpenTimeout / 4}
 		}
 		b.probes++
@@ -198,13 +211,13 @@ func (b *Breaker) Allow() error {
 // success.
 func (b *Breaker) Record(err error) {
 	failed := err != nil
+	if failed {
+		b.failed.Inc()
+	} else {
+		b.succeeded.Inc()
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if failed {
-		b.fail++
-	} else {
-		b.succ++
-	}
 	switch b.state {
 	case StateClosed:
 		b.observe(failed)
@@ -223,7 +236,7 @@ func (b *Breaker) Record(err error) {
 		}
 		if b.probeOK++; b.probeOK >= b.cfg.HalfOpenProbes {
 			b.state = StateClosed
-			b.closes++
+			b.closes.Inc()
 			b.resetWindow()
 		}
 	case StateOpen:
@@ -251,7 +264,7 @@ func (b *Breaker) observe(failed bool) {
 // mu.
 func (b *Breaker) trip() {
 	b.state = StateOpen
-	b.opened++
+	b.opened.Inc()
 	b.openedAt = b.cfg.Clock.Now()
 	b.probes = 0
 	b.probeOK = 0
@@ -292,17 +305,15 @@ type Stats struct {
 	Failures  int64 `json:"failures"`
 }
 
-// Stats snapshots the breaker counters.
+// Stats snapshots the breaker: its state and the registry's counters.
 func (b *Breaker) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return Stats{
-		State:     b.state.String(),
-		Opened:    b.opened,
-		HalfOpens: b.halfOpens,
-		Closes:    b.closes,
-		Rejected:  b.rejected,
-		Successes: b.succ,
-		Failures:  b.fail,
+		State:     b.State().String(),
+		Opened:    b.opened.Value(),
+		HalfOpens: b.halfOpens.Value(),
+		Closes:    b.closes.Value(),
+		Rejected:  b.rejected.Value(),
+		Successes: b.succeeded.Value(),
+		Failures:  b.failed.Value(),
 	}
 }

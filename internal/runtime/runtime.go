@@ -185,7 +185,7 @@ type ClassRuntime struct {
 	// invocation and abandons the handler goroutine, and a reaper
 	// decrements the gauge when the handler finally returns. A bounded
 	// value means abandoned handlers terminate rather than pile up.
-	leakedHandlers atomic.Int64
+	leakedHandlers *metrics.Gauge
 
 	reg   *metrics.Registry
 	meter *metrics.Meter
@@ -322,6 +322,13 @@ func New(infra Infra, class *model.Class, tmpl Template) (*ClassRuntime, error) 
 		reg:        metrics.NewRegistry(),
 		meter:      metrics.NewMeter(10*time.Second, 10, infra.Clock.Now),
 	}
+	// Reading the stats creates every series they read: /metrics shows
+	// each from the start.
+	rt.reg.Counter("invoke.total")
+	rt.ConcurrencyStats()
+	rt.leakedHandlers = rt.reg.Gauge("leaked_handlers")
+	rt.reg.GaugeFunc("class.throughput_rps", rt.ThroughputRPS)
+	rt.reg.GaugeFunc("degraded_reads", func() float64 { return float64(table.Stats().DegradedHits) })
 	rt.statePrefix = "state/" + class.Name + "/"
 	rt.keyIndex = make(map[string]int, len(class.Keys))
 	for _, k := range class.Keys {
@@ -617,7 +624,7 @@ func (rt *ClassRuntime) buildRefs(objectID string) (map[string]string, error) {
 
 // LeakedHandlers gauges handlers abandoned past their deadline that
 // have not yet returned (see ClassRuntime.leakedHandlers).
-func (rt *ClassRuntime) LeakedHandlers() int64 { return rt.leakedHandlers.Load() }
+func (rt *ClassRuntime) LeakedHandlers() int64 { return rt.leakedHandlers.Value() }
 
 // EffectiveTimeout resolves one function's invocation deadline:
 // function TimeoutMs beats the class default beats the platform

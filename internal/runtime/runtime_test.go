@@ -448,12 +448,12 @@ func TestRuntimeMetricsRecorded(t *testing.T) {
 	rt := newRuntime(t, counterYAML, "Counter")
 	ctx := context.Background()
 	rt.Invoke(ctx, "o", "incr", nil, nil)
-	snap := rt.Metrics().Snapshot()
-	if snap.Counters["invoke.total"] != 1 {
-		t.Fatalf("invoke.total = %d", snap.Counters["invoke.total"])
+	reg := rt.Metrics()
+	if got := reg.Counter("invoke.total").Value(); got != 1 {
+		t.Fatalf("invoke.total = %d", got)
 	}
-	if snap.Histograms["invoke.latency"].Count != 1 {
-		t.Fatalf("latency samples = %d", snap.Histograms["invoke.latency"].Count)
+	if got := reg.Histogram("invoke.latency").Count(); got != 1 {
+		t.Fatalf("latency samples = %d", got)
 	}
 }
 

@@ -51,6 +51,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/hpcclab/oparaca-go/internal/metrics"
 )
 
 // TraceID is the 16-byte W3C trace identifier.
@@ -123,9 +125,10 @@ type Tracer struct {
 
 	slowNs atomic.Int64 // cached slow-keep threshold (0 = not yet learned)
 
-	started atomic.Int64
-	kept    atomic.Int64
-	dropped atomic.Int64
+	// reg holds the traces.* series; the counters are resolved once, so
+	// Root and finalize look nothing up.
+	reg                    *metrics.Registry
+	started, kept, dropped *metrics.Counter
 }
 
 const (
@@ -157,9 +160,22 @@ func New(cfg Config) *Tracer {
 		byID:       make(map[TraceID]*keptTrace),
 		byInv:      make(map[string]*keptTrace),
 		recent:     make([]time.Duration, 0, recentWindow),
+		reg:        metrics.NewRegistry(),
 	}
+	t.started = t.reg.Counter("traces.started")
+	t.kept = t.reg.Counter("traces.kept")
+	t.dropped = t.reg.Counter("traces.dropped")
+	t.reg.GaugeFunc("traces.retained", func() float64 { return float64(t.Stats().Retained) })
 	t.rng.Store(cfg.Seed)
 	return t
+}
+
+// Metrics exposes the tracer's registry (nil on a nil tracer).
+func (t *Tracer) Metrics() *metrics.Registry {
+	if t == nil {
+		return nil
+	}
+	return t.reg
 }
 
 // rand is splitmix64 over an atomic counter: deterministic under a
@@ -289,7 +305,7 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 	if t == nil {
 		return nil
 	}
-	t.started.Add(1)
+	t.started.Inc()
 	var (
 		tid    TraceID
 		parent SpanID
@@ -595,11 +611,11 @@ func (t *Tracer) finalize(td *traceData) {
 		reason = "sampled"
 	}
 	if reason == "" {
-		t.dropped.Add(1)
+		t.dropped.Inc()
 		t.release(td)
 		return
 	}
-	t.kept.Add(1)
+	t.kept.Inc()
 	kt := keep(td, reason)
 	t.mu.Lock()
 	if old := t.ring[t.next]; old != nil {
@@ -837,9 +853,9 @@ func (t *Tracer) Stats() Stats {
 	retained := len(t.byID)
 	t.mu.Unlock()
 	return Stats{
-		Started:  t.started.Load(),
-		Kept:     t.kept.Load(),
-		Dropped:  t.dropped.Load(),
+		Started:  t.started.Value(),
+		Kept:     t.kept.Value(),
+		Dropped:  t.dropped.Value(),
 		Retained: retained,
 	}
 }

@@ -341,6 +341,46 @@ func TestAppendedEventIsNeverStranded(t *testing.T) {
 	}
 }
 
+// TestFirstContactLosesNoEvent: two publishers write one object that a
+// subscription matches and no cursor covers yet. The publisher of
+// offset 1 is held between its append and its dispatch until the
+// publisher of offset 2 has dispatched, so offset 2 makes first contact.
+// Offset 1 is still delivered, before offset 2, and nothing is left
+// behind the cursor: the first-contact seed follows the order the
+// append imposes, not the order the publishers reach dispatch in.
+func TestFirstContactLosesNoEvent(t *testing.T) {
+	h := newHook(t, false)
+	l := newLog(t, eventlog.Config{})
+	b := newBus(t, Config{Log: l})
+	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: h.srv.URL}); err != nil {
+		t.Fatal(err)
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	b.afterAppend = func(first int64) {
+		if first == 1 {
+			close(held)
+			<-release
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.Publish(stateChanged("a-1", "k"))
+	}()
+	<-held
+	b.Publish(stateChanged("a-1", "k"))
+	close(release)
+	<-done
+	b.Drain()
+	if got := h.got(); !slices.Equal(got, seq(1, 2)) {
+		t.Errorf("delivered offsets %v, want [1 2]", got)
+	}
+	s := b.Stats()
+	if s.Delivered != 2 || s.Subscriptions["named/hook"].CursorLag != 0 {
+		t.Fatalf("stats = %+v, want 2 delivered and no lag", s)
+	}
+}
+
 // TestBehindConsumerHandoffOverflow: events that pile up behind a
 // blocked endpoint beyond the hand-off are delivered from the log, in
 // order, exactly once.
@@ -515,7 +555,7 @@ func TestStalledConsumerRearms(t *testing.T) {
 	b.Publish(stateChanged("a-1", "k"))
 	waitFor(t, "the delivery after five failures", func() bool { return len(h.got()) == 1 })
 	b.Drain()
-	s := b.SubscriptionStatsFor("named/hook")
+	s := b.Stats().Subscriptions["named/hook"]
 	if s.Delivered != 1 || s.Dropped != 0 || s.CursorLag != 0 || h.hits.Load() != 6 {
 		t.Fatalf("stats = %+v after %d attempts", s, h.hits.Load())
 	}
@@ -546,7 +586,7 @@ func TestDeadEndpointIsRetriedAtBoundedCadence(t *testing.T) {
 	if got := h.hits.Load(); got != 1 {
 		t.Fatalf("%d attempts before the re-arm delay elapsed, want 1", got)
 	}
-	if lag := b.SubscriptionStatsFor("named/hook").CursorLag; lag != 11 {
+	if lag := b.Stats().Subscriptions["named/hook"].CursorLag; lag != 11 {
 		t.Fatalf("cursor lag = %d, want 11", lag)
 	}
 	// 10ms, then 20ms: half the second delay must not fire it.

@@ -620,6 +620,11 @@ type Bus struct {
 	// is mid-dispatch and only consumer runs still queue pool work.
 	pubMu  sync.RWMutex
 	closed bool
+
+	// afterAppend, when set, runs in PublishBatch between the append and
+	// the dispatch, with the first offset appended (0 when the append
+	// failed). Only tests set it, to hold a publisher there.
+	afterAppend func(first int64)
 }
 
 // New builds a bus and starts its delivery pool. cfg.Log is required.
@@ -640,6 +645,8 @@ func New(cfg Config) (*Bus, error) {
 		stop:      make(chan struct{}),
 	}
 	b.subscribed.Store(&map[string]struct{}{})
+	b.Stats() // creates every series it reads: /metrics shows each from the start
+	b.metrics.GaugeFunc("trigger.backlog", func() float64 { return float64(b.Backlog()) })
 	// DefaultTransport keeps two idle connections per host; with more
 	// workers than that, every other delivery would dial. Each attempt
 	// is bounded by its request context (see postWebhook). The response
@@ -898,8 +905,12 @@ func (b *Bus) PublishBatch(evs []Event) {
 	// (Offset zero) rather than losing the dispatch too.
 	asp := b.cfg.Tracer.Attach(batchTrace(evs), "eventlog.append")
 	asp.SetInt("events", len(evs))
-	_, err := b.cfg.Log.AppendBatch(b.killCtx, evs[0].Object, len(evs), func(i int, off int64) (json.RawMessage, error) {
-		return its[i].encode(off)
+	first, err := b.cfg.Log.AppendBatch(b.killCtx, evs[0].Object, len(evs), func(i int, off int64) (json.RawMessage, error) {
+		raw, err := its[i].encode(off)
+		if err == nil {
+			b.seed(&its[i].ev)
+		}
+		return raw, err
 	})
 	if err != nil {
 		for i := range its {
@@ -909,6 +920,9 @@ func (b *Bus) PublishBatch(evs []Event) {
 		asp.Error(err)
 	}
 	asp.End()
+	if b.afterAppend != nil {
+		b.afterAppend(first)
+	}
 	// The match scratch lives on this stack: a commit's events rarely
 	// match more subscriptions than it holds.
 	var matched [8]*Subscription
@@ -989,20 +1003,7 @@ func (b *Bus) NeedsEvents(class, object string) bool {
 func (b *Bus) dispatch(it *inflight, matched []*Subscription) {
 	ev := it.ev
 	dsp := b.cfg.Tracer.Attach(ev.Trace, "trigger.dispatch")
-	b.subMu.RLock()
-	for _, sub := range b.subs {
-		if sub.matches(ev) {
-			matched = append(matched, sub)
-		}
-	}
-	for _, subs := range b.classSubs {
-		for i := range subs {
-			if subs[i].matches(ev) {
-				matched = append(matched, &subs[i])
-			}
-		}
-	}
-	b.subMu.RUnlock()
+	matched = b.match(&ev, matched)
 	for _, sub := range matched {
 		if ev.Offset > 0 {
 			// The subscription's cursor consumer takes the event — from
@@ -1019,12 +1020,46 @@ func (b *Bus) dispatch(it *inflight, matched []*Subscription) {
 	dsp.End()
 }
 
+// match appends to matched every subscription ev matches.
+func (b *Bus) match(ev *Event, matched []*Subscription) []*Subscription {
+	b.subMu.RLock()
+	defer b.subMu.RUnlock()
+	for _, sub := range b.subs {
+		if sub.matches(*ev) {
+			matched = append(matched, sub)
+		}
+	}
+	for _, subs := range b.classSubs {
+		for i := range subs {
+			if subs[i].matches(*ev) {
+				matched = append(matched, &subs[i])
+			}
+		}
+	}
+	return matched
+}
+
+// seed makes first contact for ev, whose offset the log is assigning:
+// every subscription ev matches that has no cursor on ev's object gets
+// one at ev's offset — a consumer starts at its first matching event,
+// not at the log floor, so subscribing does not replay history.
+// PublishBatch calls it inside the append, which holds the object's
+// order, so of two publishers racing to first contact the lower offset
+// seeds, and the higher one's dispatch finds the cursor below it and the
+// gap in the log (see eventlog.Log.SeedCursor).
+func (b *Bus) seed(ev *Event) {
+	var matched [8]*Subscription
+	for _, sub := range b.match(ev, matched[:0]) {
+		b.cfg.Log.SeedCursor(sub.ID, ev.Object, ev.Offset)
+	}
+}
+
 // notify schedules (or re-arms) the cursor consumer of one
 // (subscription, object) pair and hands it the in-flight event dispatch
-// just matched. The event's offset also seeds the initial cursor — a
-// consumer starts at its first matching event, not at the log floor,
-// so subscribing does not replay history; a nil event means "resume
-// from the stored cursor" (recovery).
+// just matched. A subscription that became active between the event's
+// append and its dispatch has no cursor yet (seed did not see it): the
+// event in hand seeds it. A nil event means "resume from the stored
+// cursor" (recovery).
 func (b *Bus) notify(sub *Subscription, object string, it *inflight) {
 	if _, ok := b.cfg.Log.Cursor(sub.ID, object); !ok {
 		if it == nil {
@@ -1538,19 +1573,15 @@ func (b *Bus) Stats() Stats {
 	return st
 }
 
-// SubscriptionStatsFor returns one subscription's counters by durable
-// identity.
-func (b *Bus) SubscriptionStatsFor(id string) SubscriptionStats {
-	var s SubscriptionStats
-	b.subStatsMu.Lock()
-	if c, ok := b.subStats[id]; ok {
-		s.Delivered = c.delivered.Load()
-		s.Retried = c.retried.Load()
-		s.Dropped = c.dropped.Load()
+// Backlog sums the CursorLag of every subscription Stats reports: the
+// logged events its consumers have not delivered yet. /readyz reports
+// it, and /metrics as the trigger.backlog gauge.
+func (b *Bus) Backlog() int64 {
+	var lag int64
+	for _, s := range b.Stats().Subscriptions {
+		lag += s.CursorLag
 	}
-	b.subStatsMu.Unlock()
-	s.CursorLag = b.cfg.Log.CursorLag(id)
-	return s
+	return lag
 }
 
 // Close stops intake, drains the delivery pool, stops the workers, and

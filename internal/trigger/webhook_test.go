@@ -138,7 +138,7 @@ func TestWebhookRedirectIsAFailedAttempt(t *testing.T) {
 	}
 	waitFor(t, "the re-arm after the budget", func() bool { return hits.Load() == 3 && clock.Pending() == 1 })
 	b.Drain()
-	s := b.SubscriptionStatsFor("named/hook")
+	s := b.Stats().Subscriptions["named/hook"]
 	if s.Delivered != 0 || s.Retried != 2 || s.Dropped != 0 || s.CursorLag != 1 {
 		t.Fatalf("stats = %+v, want 2 retries, nothing delivered or dropped, lag 1", s)
 	}
@@ -274,7 +274,7 @@ func TestWebhookDeliveryAllocationBudget(t *testing.T) {
 	if got := served.Load(); got != runs+2 {
 		t.Fatalf("the endpoint served %d deliveries, want %d", got, runs+2)
 	}
-	if s := b.SubscriptionStatsFor("named/hook"); s.Delivered != runs+2 || s.Retried != 0 || s.CursorLag != 0 {
+	if s := b.Stats().Subscriptions["named/hook"]; s.Delivered != runs+2 || s.Retried != 0 || s.CursorLag != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 	t.Logf("%.1f allocations per delivered event", n)

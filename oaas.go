@@ -567,12 +567,12 @@
 // Platform.KillNode) or a node drains explicitly (Platform.DrainNode),
 // the membership rebalances: the epoch is bumped, the dead node's
 // durable async invocation records — queued and in-flight work alike —
-// are re-adopted into the queue (Stats().Cluster.Recovered), and
+// are re-adopted into the queue (Stats().Async.Recovered), and
 // trigger delivery cursors are replayed, so work that was acknowledged
 // before the failure is redelivered under the new ownership rather
 // than lost. At-least-once semantics are preserved end to end: an
 // async task whose commit is fenced is requeued
-// (Stats().Cluster.Requeued) and re-dispatched, not failed.
+// (Stats().Async.Requeued) and re-dispatched, not failed.
 //
 // The gateway's synchronous invocations (Platform.InvokeRoutedFrom)
 // go through the ownership router, at the one gate every invocation
@@ -622,14 +622,14 @@
 // Spans are pooled and the disabled path costs zero allocations on
 // the warm invoke path (TestTracedInvokeAllocationBudget in core).
 //
-// GET /metrics serves the Prometheus text exposition: per-class
-// runtime series labeled {class="..."} (invocation counters, latency
-// histograms, OCC retry counters), async-queue and trigger-bus
-// registries, per-node ownership gauges labeled {node="..."}, tracer
-// tail-sampling counters, and the degradation context — breaker state
-// as a one-hot {state=...} gauge, queue depth/capacity, trigger
-// backlog, and the oparaca_ready gauge, all derived from the same
-// snapshot as /readyz so a scrape and a probe can never disagree.
+// GET /metrics serves the Prometheus text exposition of the components'
+// own registries, where every counter lives once: per-class runtime
+// series labeled {class="..."}, the async queue's and the trigger bus's,
+// the breaker's and tracer's counters, and per-node ownership gauges
+// labeled {node="..."}. The gateway adds only what readiness derives —
+// breaker state as a one-hot {state=...} gauge, cluster convergence,
+// and oparaca_ready — from the same reads as /readyz, so a scrape and a
+// probe can never disagree.
 //
 // The daemon logs through log/slog (one TextHandler on stderr,
 // -log-level selects the floor); each gateway request emits one

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -233,17 +234,108 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("metrics Content-Type = %q", ct)
 	}
 	checkPromExposition(t, string(mbody))
+	var families []string
+	for _, line := range strings.Split(string(mbody), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			families = append(families, line)
+		}
+	}
+	sort.Strings(families)
+	if got, want := strings.Join(families, "\n"), strings.Join(wantFamilies, "\n"); got != want {
+		t.Errorf("/metrics families:\n%s\nwant:\n%s", got, want)
+	}
 	for _, want := range []string{
-		"oparaca_ready 1",
 		`oparaca_breaker_state{state="closed"} 1`,
 		`oparaca_invoke_total{class="Obs"}`,
 		`oparaca_cluster_member_objects{node="` + owner + `"}`,
-		"oparaca_traces_kept_total",
 	} {
 		if !strings.Contains(string(mbody), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+
+	// --- /readyz and the oparaca_ready sample say the same thing.
+	rresp, err := http.Get(gw.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ready struct {
+		Ready bool `json:"ready"`
+	}
+	err = json.NewDecoder(rresp.Body).Decode(&ready)
+	rresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := "oparaca_ready 0\n"
+	if ready.Ready {
+		sample = "oparaca_ready 1\n"
+	}
+	if !ready.Ready || !strings.Contains(string(mbody), sample) {
+		t.Errorf("/readyz ready = %v, /metrics does not carry %q", ready.Ready, sample)
+	}
+}
+
+// wantFamilies is every family /metrics serves for the observability
+// scrape above (tracing, ownership, a webhook trigger, an async call), as
+// its sorted # TYPE lines.
+var wantFamilies = []string{
+	"# TYPE oparaca_async_capacity gauge",
+	"# TYPE oparaca_breaker_closes_total counter",
+	"# TYPE oparaca_breaker_failures_total counter",
+	"# TYPE oparaca_breaker_half_opens_total counter",
+	"# TYPE oparaca_breaker_opened_total counter",
+	"# TYPE oparaca_breaker_rejected_total counter",
+	"# TYPE oparaca_breaker_state gauge",
+	"# TYPE oparaca_breaker_successes_total counter",
+	"# TYPE oparaca_class_throughput_rps gauge",
+	"# TYPE oparaca_cluster_converged gauge",
+	"# TYPE oparaca_cluster_enabled gauge",
+	"# TYPE oparaca_cluster_epoch gauge",
+	"# TYPE oparaca_cluster_fence_rejections_total counter",
+	"# TYPE oparaca_cluster_forwarded_total counter",
+	"# TYPE oparaca_cluster_member_lease_remaining_seconds gauge",
+	"# TYPE oparaca_cluster_member_objects gauge",
+	"# TYPE oparaca_cluster_moving gauge",
+	"# TYPE oparaca_cluster_owner_local_total counter",
+	"# TYPE oparaca_cluster_rebalances_total counter",
+	"# TYPE oparaca_degraded gauge",
+	"# TYPE oparaca_degraded_reads gauge",
+	"# TYPE oparaca_invoke_latency_seconds histogram",
+	"# TYPE oparaca_invoke_readonly_total counter",
+	"# TYPE oparaca_invoke_total counter",
+	"# TYPE oparaca_leaked_handlers gauge",
+	"# TYPE oparaca_occ_aborts_total counter",
+	"# TYPE oparaca_occ_commits_total counter",
+	"# TYPE oparaca_occ_fallbacks_total counter",
+	"# TYPE oparaca_occ_retries_total counter",
+	"# TYPE oparaca_queue_batched_drains_total counter",
+	"# TYPE oparaca_queue_coalesced_total counter",
+	"# TYPE oparaca_queue_completed_total counter",
+	"# TYPE oparaca_queue_depth gauge",
+	"# TYPE oparaca_queue_enqueued_total counter",
+	"# TYPE oparaca_queue_evicted_total counter",
+	"# TYPE oparaca_queue_exec_seconds histogram",
+	"# TYPE oparaca_queue_expired_total counter",
+	"# TYPE oparaca_queue_failed_total counter",
+	"# TYPE oparaca_queue_inflight gauge",
+	"# TYPE oparaca_queue_quota_rejected_total counter",
+	"# TYPE oparaca_queue_recovered_total counter",
+	"# TYPE oparaca_queue_rejected_total counter",
+	"# TYPE oparaca_queue_requeued_total counter",
+	"# TYPE oparaca_queue_wait_seconds histogram",
+	"# TYPE oparaca_ready gauge",
+	"# TYPE oparaca_traces_dropped_total counter",
+	"# TYPE oparaca_traces_kept_total counter",
+	"# TYPE oparaca_traces_retained gauge",
+	"# TYPE oparaca_traces_started_total counter",
+	"# TYPE oparaca_trigger_backlog gauge",
+	"# TYPE oparaca_trigger_cycle_dropped_total counter",
+	"# TYPE oparaca_trigger_delivered_total counter",
+	"# TYPE oparaca_trigger_dropped_total counter",
+	"# TYPE oparaca_trigger_emitted_total counter",
+	"# TYPE oparaca_trigger_log_failed_total counter",
+	"# TYPE oparaca_trigger_retried_total counter",
 }
 
 // getTraceView fetches and decodes one trace view, failing the test on
