@@ -91,8 +91,8 @@ func TestInvariants(t *testing.T) {
 		{"one-reflective-decode", only("internal/asyncq", "decodeRecord", "json.Unmarshal(", 1)},
 		{"one-reflective-encode", only("internal/asyncq", "encodeRecord", "json.Marshal(", 2)},
 		{"poll-reads-before-arming", all(
-			calls("internal/gateway#Gateway.handleGetInvocation", "context.WithTimeout(", 1),
-			before("internal/gateway#Gateway.handleGetInvocation", "platform.Invocation(", "context.WithTimeout("),
+			calls("internal/gateway#Gateway.handleGetInvocation", "WithTimeout(", 1),
+			before("internal/gateway#Gateway.handleGetInvocation", "platform.Invocation(", "WithTimeout("),
 			calls("internal/gateway#Gateway.handleGetInvocation", "r.URL.Query()", 0),
 		)},
 
@@ -184,6 +184,16 @@ func TestInvariants(t *testing.T) {
 			noVar("internal/resilience", "succ", "int64"),
 			noVar("internal/resilience", "fail", "int64"),
 		)},
+
+		// Time belongs to the clock. A deadline armed on the wall clock
+		// expires in a different time from the one a vclock.Clock charged
+		// and computed it in, and no test can drive it without sleeping. The
+		// exceptions measure or bound real I/O.
+		{"time-is-the-clocks", timeIsTheClocks(map[string]string{
+			"internal/gateway/gateway.go#Gateway.ServeHTTP": "the request log's duration is the operator's record of real request time",
+			"internal/core/platform.go#Platform.Close":      "bounds the shutdown of a real http.Server",
+			"internal/experiment":                           "the experiments measure wall-clock latency of the running system",
+		})},
 
 		// A knob exists because something sets it, and a symbol because
 		// something calls it. A new Config leaf or a new exported function

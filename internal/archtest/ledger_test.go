@@ -256,6 +256,65 @@ func exportedHaveCallers(uncalled map[string]string) check {
 	}
 }
 
+// wallTime names the calls that read the wall clock or arm a wall-clock
+// timer or deadline.
+var wallTime = map[string]bool{
+	"time.Now": true, "time.Since": true, "time.Until": true, "time.Sleep": true,
+	"time.After": true, "time.Tick": true, "time.NewTimer": true, "time.NewTicker": true,
+	"time.AfterFunc": true, "context.WithTimeout": true, "context.WithDeadline": true,
+}
+
+// timeIsTheClocks: no non-test file under internal/ outside internal/vclock
+// names a wallTime function — called or passed as a value — except at a
+// scope of wall (a directory, a file, or "file#F"), which gives the reason
+// it stays on the wall clock. An entry of wall whose scope names none
+// fails the row too.
+func timeIsTheClocks(wall map[string]string) check {
+	return func(tr *tree) error {
+		sites := func(scope string) []token.Pos {
+			var out []token.Pos
+			for _, d := range tr.decls(scope) {
+				ast.Inspect(d, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if x, ok := sel.X.(*ast.Ident); ok && wallTime[x.Name+"."+sel.Sel.Name] {
+						out = append(out, sel.Pos())
+					}
+					return true
+				})
+			}
+			return out
+		}
+		excepted := map[token.Pos]bool{}
+		var errs []string
+		for _, scope := range sortedKeys(wall) {
+			got := sites(scope)
+			if len(got) == 0 {
+				errs = append(errs, scope+" is listed as on the wall clock but reads no wall time")
+			}
+			for _, p := range got {
+				excepted[p] = true
+			}
+		}
+		var hits []token.Pos
+		for _, p := range sites("") {
+			f := tr.fset.Position(p).Filename
+			if strings.HasPrefix(f, "internal/") && !strings.HasPrefix(f, "internal/vclock/") && !excepted[p] {
+				hits = append(hits, p)
+			}
+		}
+		if len(hits) > 0 {
+			errs = append(errs, "wall-clock time outside vclock.Clock at "+tr.list(hits))
+		}
+		if len(errs) > 0 {
+			return fmt.Errorf("%s", strings.Join(errs, "; "))
+		}
+		return nil
+	}
+}
+
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

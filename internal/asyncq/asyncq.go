@@ -1120,7 +1120,7 @@ func (q *Queue) executeGroups(d *drain) {
 			ctx := trace.ContextWith(t.ctx, dsp)
 			if !t.deadline.IsZero() {
 				var cancel context.CancelFunc
-				ctx, cancel = context.WithDeadline(ctx, t.deadline)
+				ctx, cancel = q.cfg.Clock.WithDeadline(ctx, t.deadline)
 				cancels = append(cancels, cancel)
 			}
 			d.calls[i] = call.Call{Member: t.member, Payload: t.payload, Args: t.args, Ctx: ctx}

@@ -81,6 +81,50 @@ func TestSubmitCompletesAndRecordsResult(t *testing.T) {
 	}
 }
 
+// TestDeadlineIsOnTheQueuesClock: a submission's deadline is computed on
+// the queue's clock and expires on it, not on the wall clock. On a Manual
+// clock an hour-long deadline neither fires at once nor waits on real
+// time: a task that finishes before the clock moves completes, and a
+// blocked one expires when Advance reaches its deadline.
+func TestDeadlineIsOnTheQueuesClock(t *testing.T) {
+	clock := vclock.NewManual(time.Unix(1_700_000_000, 0))
+	entered := make(chan struct{}, 1)
+	q := newQueue(t, Config{Workers: 1, Clock: clock, Invoke: each(func(ctx context.Context, _, member string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+		if member == "block" {
+			entered <- struct{}{}
+			<-ctx.Done()
+		}
+		return nil, ctx.Err()
+	})})
+	ctx := context.Background()
+	to := Target{Timeout: time.Hour}
+	for _, c := range []struct {
+		member string
+		want   Status
+		err    string
+	}{
+		{"quick", StatusCompleted, ""},
+		{"block", StatusExpired, context.DeadlineExceeded.Error()},
+	} {
+		id, err := q.Submit(ctx, to, "o", c.member, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.member == "block" {
+			<-entered
+			clock.Advance(time.Hour)
+		}
+		rec, err := q.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Status != c.want || rec.Error != c.err {
+			t.Fatalf("%s: status %s, error %q after %v of virtual time, want %s, %q",
+				c.member, rec.Status, rec.Error, clock.Since(rec.Enqueued), c.want, c.err)
+		}
+	}
+}
+
 func TestGetUnknownInvocation(t *testing.T) {
 	q := newQueue(t, Config{Invoke: each((&echoInvoker{}).invoke)})
 	if _, err := q.Get(context.Background(), "inv-ghost"); !errors.Is(err, ErrNotFound) {

@@ -611,9 +611,11 @@ func TestCoalescedDispatchAllocationBudget(t *testing.T) {
 // returns for the same call — the result, the handler's error text (a
 // panic's included) and an elapsed deadline as expired. And a panicking
 // dataflow set aside from a group fails alone: the group's functions
-// commit.
+// commit. The platform runs on a Manual clock, where the slow handler
+// takes its 100 ms by advancing it.
 func TestDrainedSingletonIsInvoke(t *testing.T) {
-	p := newPlatform(t, nil)
+	clock := vclock.NewManual(time.Unix(1_700_000_000, 0))
+	p := newPlatform(t, func(c *Config) { c.Clock = clock })
 	reg := p.Images()
 	reg.Register("img/s-bump", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
 		var n int
@@ -627,12 +629,14 @@ func TestDrainedSingletonIsInvoke(t *testing.T) {
 		panic("boom")
 	}))
 	reg.Register("img/s-slow", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
-		time.Sleep(100 * time.Millisecond) // ignores its context
+		clock.Advance(100 * time.Millisecond) // ignores its context
 		return invoker.Result{Output: json.RawMessage(`"late"`)}, nil
 	}))
 	ctx := context.Background()
 	pkg := `classes:
   - name: Single
+    constraint:
+      persistent: false
     keySpecs:
       - name: n
         default: 0
@@ -706,5 +710,82 @@ func TestDrainedSingletonIsInvoke(t *testing.T) {
 	after, err := p.GetState(ctx, object, "n")
 	if err != nil || json.Unmarshal(before, &n0) != nil || json.Unmarshal(after, &n1) != nil || n1 != n0+2 {
 		t.Errorf("n went %s → %s (%v), want the group's two bumps", before, after, err)
+	}
+}
+
+// TestDataflowDeadlineCoversTheWholeFlow: a dataflow runs under its
+// class's timeoutMs as a whole, called or queued, not only step by step.
+// Two steps that each fit the deadline but together exceed it expire the
+// flow when the platform's Manual clock passes it, and the second step
+// is abandoned.
+func TestDataflowDeadlineCoversTheWholeFlow(t *testing.T) {
+	clock := vclock.NewManual(time.Unix(1_700_000_000, 0))
+	p := newPlatform(t, func(c *Config) { c.Clock = clock })
+	// Unbuffered, so each release is taken by the step that entered last,
+	// abandoned or not, and none is left over for a later step.
+	entered, release := make(chan struct{}), make(chan struct{})
+	p.Images().Register("img/step", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		entered <- struct{}{}
+		<-release // ignores its context
+		return invoker.Result{Output: json.RawMessage(`"done"`)}, nil
+	}))
+	ctx := context.Background()
+	pkg := `classes:
+  - name: Flow
+    timeoutMs: 100
+    constraint:
+      persistent: false
+    functions:
+      - name: step
+        image: img/step
+    dataflows:
+      - name: flow
+        steps:
+          - name: a
+            function: step
+          - name: b
+            function: step
+            after: [a]
+`
+	if _, err := p.DeployYAML(ctx, []byte(pkg)); err != nil {
+		t.Fatal(err)
+	}
+	object, err := p.CreateObject(ctx, "Flow", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run starts the flow, lets each step take 60 ms of the clock and
+	// returns how the flow ended.
+	run := func(start func(done chan<- error)) error {
+		done := make(chan error, 1)
+		go start(done)
+		for range 2 {
+			select {
+			case <-entered:
+			case err := <-done:
+				return err
+			}
+			clock.Advance(60 * time.Millisecond)
+			release <- struct{}{}
+		}
+		return <-done
+	}
+	if err := run(func(done chan<- error) {
+		_, err := p.Invoke(ctx, object, "flow", nil, nil)
+		done <- err
+	}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("called: err = %v, want the flow's deadline", err)
+	}
+	if err := run(func(done chan<- error) {
+		id, err := p.InvokeAsync(ctx, object, "flow", nil, nil)
+		if err == nil {
+			var rec asyncq.Record
+			if rec, err = p.WaitInvocation(ctx, id); err == nil && rec.Status != asyncq.StatusExpired {
+				err = fmt.Errorf("queued: status %s (%q), want expired", rec.Status, rec.Error)
+			}
+		}
+		done <- err
+	}); err != nil {
+		t.Error(err)
 	}
 }

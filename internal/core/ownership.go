@@ -73,7 +73,7 @@ func requeueable(err error) bool {
 // work acknowledged before the failure is redelivered under the new
 // ownership.
 func (p *Platform) onRebalance(dead []string, epoch uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := p.cfg.Clock.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	// A record that fails to adopt stays stranded in the store, where the
 	// next rebalance or a successor's recovery finds it again.

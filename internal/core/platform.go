@@ -563,7 +563,7 @@ func (p *Platform) handleUpload(ev objectstore.UploadEvent) {
 	if err != nil {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := p.cfg.Clock.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	// The upload has landed whatever the function does; its failures
 	// show in the class runtime's own invoke metrics.
@@ -691,6 +691,10 @@ func (p *Platform) Cluster() *cluster.Cluster { return p.cluster }
 
 // Backing exposes the document store (benches inspect write stats).
 func (p *Platform) Backing() *kvstore.Store { return p.backing }
+
+// Clock is the platform's clock, on which the gateway arms the deadlines
+// a request asks for, so they expire in the time the platform keeps.
+func (p *Platform) Clock() vclock.Clock { return p.cfg.Clock }
 
 // ObjectStoreURL returns the loopback base URL of the served object
 // store ("" when serving is disabled).

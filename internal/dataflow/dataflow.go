@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/model"
 )
@@ -40,9 +39,6 @@ type StepResult struct {
 	Name string `json:"name"`
 	// Output is the step's function output.
 	Output json.RawMessage `json:"output,omitempty"`
-	// Started / Finished bound the step's execution.
-	Started  time.Time `json:"started"`
-	Finished time.Time `json:"finished"`
 	// Err holds a failure message ("" on success).
 	Err string `json:"error,omitempty"`
 }
@@ -189,6 +185,7 @@ func (p *Plan) Execute(ctx context.Context, input json.RawMessage, invoke Invoke
 	type doneMsg struct {
 		name string
 		res  StepResult
+		err  error // the step's failure, kept for errors.Is
 	}
 	doneCh := make(chan doneMsg)
 
@@ -211,17 +208,16 @@ func (p *Plan) Execute(ctx context.Context, input json.RawMessage, invoke Invoke
 	start := func(name string) {
 		step := stepsByName[name]
 		go func() {
-			sr := StepResult{Name: name, Started: time.Now()}
+			sr := StepResult{Name: name}
 			payload, err := p.resolveInput(step, input, &mu, results)
 			if err == nil {
 				sr.Output, err = invoke(ctx, step.Function, payload)
 			}
-			sr.Finished = time.Now()
 			if err != nil {
 				sr.Err = err.Error()
 			}
 			select {
-			case doneCh <- doneMsg{name: name, res: sr}:
+			case doneCh <- doneMsg{name: name, res: sr, err: err}:
 			case <-ctx.Done():
 			}
 		}()
@@ -246,7 +242,7 @@ func (p *Plan) Execute(ctx context.Context, input json.RawMessage, invoke Invoke
 			mu.Unlock()
 			if msg.res.Err != "" {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("%w: step %q: %s", ErrStepFailed, msg.name, msg.res.Err)
+					firstErr = fmt.Errorf("%w: step %q: %w", ErrStepFailed, msg.name, msg.err)
 					cancel() // stop in-flight steps; do not launch more
 				}
 				continue

@@ -898,7 +898,7 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = g.platform.Clock().WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 	// X-Oparaca-Node pins the ingress node (tests and node-affine
@@ -928,7 +928,7 @@ func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request) {
 	// one — the queue enforces the absolute deadline itself.
 	ctx := context.WithoutCancel(r.Context())
 	if timeout > 0 {
-		ctx = detachedDeadline{Context: ctx, dl: time.Now().Add(timeout)}
+		ctx = detachedDeadline{Context: ctx, dl: g.platform.Clock().Now().Add(timeout)}
 	}
 	// A single submission is a batch of one.
 	res := g.platform.InvokeAsyncBatchFrom(ctx, clientRegion(r), []asyncq.Request{{Object: id, Member: fn, Payload: payload, Args: args}})[0]
@@ -1030,7 +1030,7 @@ func (g *Gateway) handleGetInvocation(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, err := g.platform.Invocation(r.Context(), id)
 	if err == nil && wait > 0 && !rec.Status.Terminal() {
-		wctx, cancel := context.WithTimeout(r.Context(), wait)
+		wctx, cancel := g.platform.Clock().WithTimeout(r.Context(), wait)
 		rec, err = g.platform.WaitInvocation(wctx, id)
 		cancel()
 		if errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil {

@@ -12,53 +12,87 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	goruntime "runtime"
 	"testing"
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/core"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
+	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
-// newResilienceFixture serves a platform with a stalling handler that
-// ignores cancellation, returning the platform for breaker access.
-func newResilienceFixture(t *testing.T) (*core.Platform, *httptest.Server) {
+// resilienceFixture is a served platform on a Manual clock with a
+// stalling handler, img/stall, that ignores cancellation: it signals
+// entered and returns only once the test ends.
+type resilienceFixture struct {
+	p       *core.Platform
+	srv     *httptest.Server
+	clock   *vclock.Manual
+	entered chan struct{}
+}
+
+func newResilienceFixture(t *testing.T) resilienceFixture {
 	t.Helper()
-	p, err := core.New(core.Config{Workers: 2, ColdStart: time.Millisecond, IdleTimeout: time.Minute})
+	f := resilienceFixture{clock: vclock.NewManual(time.Unix(1_700_000_000, 0)), entered: make(chan struct{}, 1)}
+	var err error
+	f.p, err = core.New(core.Config{Workers: 2, IdleTimeout: time.Minute, Clock: f.clock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
-	p.Images().Register("img/stall", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
-		time.Sleep(400 * time.Millisecond) // deliberately ignores ctx
+	t.Cleanup(f.p.Close)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) }) // runs first: srv.Close waits for the handler
+	f.p.Images().Register("img/stall", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		f.entered <- struct{}{}
+		<-release // deliberately ignores ctx
 		return invoker.Result{Output: json.RawMessage(`"late"`)}, nil
 	}))
-	pkg := "classes:\n  - name: S\n    functions:\n      - name: stall\n        image: img/stall\n"
-	if _, err := p.DeployYAML(context.Background(), []byte(pkg)); err != nil {
+	f.deploy(t, "S", "stall", "s1")
+	f.srv = httptest.NewServer(New(f.p))
+	t.Cleanup(f.srv.Close)
+	return f
+}
+
+// deploy deploys a class with one function of the same-named image
+// (img/<fn>) and creates one object of it. The class is not persistent,
+// so its pods serve without a cold start the Manual clock would have to
+// be advanced through.
+func (f resilienceFixture) deploy(t *testing.T, class, fn, object string) {
+	t.Helper()
+	pkg := "classes:\n  - name: " + class + "\n    constraint:\n      persistent: false\n    functions:\n      - name: " + fn + "\n        image: img/" + fn + "\n"
+	if _, err := f.p.DeployYAML(context.Background(), []byte(pkg)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.CreateObject(context.Background(), "S", "s1"); err != nil {
+	if _, err := f.p.CreateObject(context.Background(), class, object); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(p))
-	t.Cleanup(srv.Close)
-	return p, srv
 }
 
 // TestInvokeTimeoutMsReturns408 asks for a 50ms deadline against a
-// handler that sleeps 400ms ignoring its context: the gateway must
-// answer 408/"deadline_exceeded" well before the handler finishes.
+// handler that never returns by itself: the gateway must answer
+// 408/"deadline_exceeded" when the platform's clock reaches the
+// deadline, without the handler finishing.
 func TestInvokeTimeoutMsReturns408(t *testing.T) {
-	_, srv := newResilienceFixture(t)
-	start := time.Now()
-	resp, err := http.Post(srv.URL+"/api/objects/s1/invoke/stall?timeoutMs=50", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	f := newResilienceFixture(t)
+	type answer struct {
+		resp *http.Response
+		err  error
 	}
-	elapsed := time.Since(start)
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestTimeout {
-		t.Fatalf("status = %d body=%s, want 408", resp.StatusCode, raw)
+	done := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(f.srv.URL+"/api/objects/s1/invoke/stall?timeoutMs=50", "application/json", nil)
+		done <- answer{resp, err}
+	}()
+	<-f.entered
+	f.clock.Advance(50 * time.Millisecond)
+	a := <-done
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	raw, _ := io.ReadAll(a.resp.Body)
+	a.resp.Body.Close()
+	if a.resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("status = %d body=%s, want 408", a.resp.StatusCode, raw)
 	}
 	var body struct {
 		Code string `json:"code"`
@@ -66,8 +100,66 @@ func TestInvokeTimeoutMsReturns408(t *testing.T) {
 	if json.Unmarshal(raw, &body); body.Code != "deadline_exceeded" {
 		t.Fatalf("code = %q body=%s, want deadline_exceeded", body.Code, raw)
 	}
-	if elapsed >= 400*time.Millisecond {
-		t.Fatalf("408 took %v — the gateway waited for the stuck handler", elapsed)
+}
+
+// TestAsyncWaitsAreOnThePlatformClock: an async ?timeoutMs= deadline and
+// a long poll's ?waitMs= bound both run on the platform's clock. On a
+// Manual clock the submission expires when Advance reaches its deadline,
+// and a long poll on a stalled invocation answers its running record
+// once Advance passes the wait.
+func TestAsyncWaitsAreOnThePlatformClock(t *testing.T) {
+	f := newResilienceFixture(t)
+	submit := func(query string) string {
+		t.Helper()
+		resp, err := http.Post(f.srv.URL+"/api/objects/s1/invoke-async/stall"+query, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct{ Invocation string }
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("invoke-async: status %d, %v", resp.StatusCode, err)
+		}
+		return body.Invocation
+	}
+	poll := func(id string) <-chan string {
+		status := make(chan string, 1)
+		go func() {
+			var rec struct{ Status string }
+			resp, err := http.Get(f.srv.URL + "/api/invocations/" + id + "?waitMs=30000")
+			if err == nil {
+				err = json.NewDecoder(resp.Body).Decode(&rec)
+				resp.Body.Close()
+			}
+			if err != nil {
+				rec.Status = err.Error()
+			}
+			status <- rec.Status
+		}()
+		return status
+	}
+	id := submit("?timeoutMs=50")
+	<-f.entered
+	f.clock.Advance(50 * time.Millisecond)
+	if got := <-poll(id); got != "expired" {
+		t.Fatalf("a submission past its ?timeoutMs= is %q, want expired", got)
+	}
+	id = submit("")
+	<-f.entered
+	status := poll(id)
+	for {
+		select {
+		case got := <-status:
+			if got != "running" {
+				t.Fatalf("the long poll answered %q, want the running record", got)
+			}
+			return
+		default:
+			// The poll arms its wait at some point after the request is
+			// sent; moving the clock past any wait armed so far ends it.
+			f.clock.Advance(time.Second)
+			goruntime.Gosched()
+		}
 	}
 }
 
@@ -76,17 +168,12 @@ func TestInvokeTimeoutMsReturns408(t *testing.T) {
 // panic. The invoke must answer a 5xx naming the panic, and the server
 // must keep serving.
 func TestHandlerPanicUnderTimeoutMs(t *testing.T) {
-	p, srv := newResilienceFixture(t)
-	p.Images().Register("img/boom", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+	f := newResilienceFixture(t)
+	f.p.Images().Register("img/boom", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
 		panic("boom")
 	}))
-	pkg := "classes:\n  - name: B\n    functions:\n      - name: boom\n        image: img/boom\n"
-	if _, err := p.DeployYAML(context.Background(), []byte(pkg)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.CreateObject(context.Background(), "B", "b1"); err != nil {
-		t.Fatal(err)
-	}
+	f.deploy(t, "B", "boom", "b1")
+	srv := f.srv
 	resp, err := http.Post(srv.URL+"/api/objects/b1/invoke/boom?timeoutMs=1000", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +195,7 @@ func TestHandlerPanicUnderTimeoutMs(t *testing.T) {
 
 // TestInvokeTimeoutMsValidation rejects malformed deadline overrides.
 func TestInvokeTimeoutMsValidation(t *testing.T) {
-	_, srv := newResilienceFixture(t)
+	srv := newResilienceFixture(t).srv
 	resp, err := http.Post(srv.URL+"/api/objects/s1/invoke/stall?timeoutMs=soon", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +211,8 @@ func TestInvokeTimeoutMsValidation(t *testing.T) {
 // "backing_unavailable" code, a Retry-After hint, and the degraded
 // header, and that /readyz flips to 503 until the breaker closes.
 func TestBreakerOpenWritesFailFast(t *testing.T) {
-	p, srv := newResilienceFixture(t)
+	f := newResilienceFixture(t)
+	p, srv := f.p, f.srv
 
 	// Ready while healthy.
 	resp, err := http.Get(srv.URL + "/readyz")

@@ -227,7 +227,7 @@ type ClientConfig struct {
 	Backoff time.Duration
 	// HTTPClient overrides the default client (tests).
 	HTTPClient *http.Client
-	// Clock supplies time for backoff sleeps.
+	// Clock supplies time for backoff sleeps and attempt timeouts.
 	Clock vclock.Clock
 }
 
@@ -287,7 +287,7 @@ func (c *Client) Offload(ctx context.Context, image string, task Task) (Result, 
 // attempt performs one HTTP round trip. done=true means the outcome is
 // terminal (success or a non-retryable failure).
 func (c *Client) attempt(ctx context.Context, payload []byte) (Result, bool, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	actx, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.cfg.BaseURL+"/invoke", bytes.NewReader(payload))
 	if err != nil {

@@ -188,10 +188,10 @@ type FunctionDef struct {
 	// default).
 	Concurrency int `json:"concurrency,omitempty"`
 	// TimeoutMs is the invocation deadline for this method in
-	// milliseconds: an invocation (handler run plus state commit) that
-	// exceeds it fails with the runtime's deadline error and never
-	// commits. 0 defers to the class TimeoutMs, then the platform
-	// default.
+	// milliseconds, measured on the platform's clock: an invocation
+	// (handler run plus state commit) that exceeds it fails with the
+	// runtime's deadline error and never commits. 0 defers to the class
+	// TimeoutMs, then the platform default.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 	// QoS optionally overrides the class QoS for this method (paper
 	// §II-C: requirements "for a whole object or even for a specific
@@ -333,9 +333,10 @@ type ClassDef struct {
 	// overridden.
 	OCCValidate OCCValidate `json:"occValidate,omitempty"`
 	// TimeoutMs is the class-level default invocation deadline in
-	// milliseconds, applied to every function without its own
-	// TimeoutMs. 0 defers to the platform default. Inherited from the
-	// parent unless overridden.
+	// milliseconds, measured on the platform's clock, applied to every
+	// function without its own TimeoutMs and to each dataflow as a
+	// whole. 0 defers to the platform default. Inherited from the parent
+	// unless overridden.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 	// QoS and Constraint are the class's non-functional requirements.
 	QoS        QoS         `json:"qos,omitempty"`

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -52,7 +53,7 @@ func (rt *ClassRuntime) InvokeBatch(ctx context.Context, objectID string, calls 
 			continue
 		}
 		if fn.Readonly {
-			callCtx, cancel := rt.callTimeoutCtx(ctx, c, fn)
+			callCtx, cancel := rt.withDeadline(cmp.Or(c.Ctx, ctx), fn)
 			out, err := rt.invokeReadonly(callCtx, objectID, fn, c.Payload, c.Args)
 			cancel()
 			results[i] = call.Result{Output: out, Err: err}
@@ -96,25 +97,6 @@ func (rt *ClassRuntime) InvokeBatch(ctx context.Context, objectID string, calls 
 	return results
 }
 
-// callContext resolves a call's effective handler context.
-func callContext(batch context.Context, c call.Call) context.Context {
-	if c.Ctx != nil {
-		return c.Ctx
-	}
-	return batch
-}
-
-// callTimeoutCtx resolves a call's handler context and applies the
-// function's effective deadline to it (min-combining with any deadline
-// the context already carries). The cancel func must always be called.
-func (rt *ClassRuntime) callTimeoutCtx(batch context.Context, c call.Call, fn model.FunctionDef) (context.Context, context.CancelFunc) {
-	ctx := callContext(batch, c)
-	if d := rt.EffectiveTimeout(fn); d > 0 {
-		return context.WithTimeout(ctx, d)
-	}
-	return ctx, func() {}
-}
-
 // applyGroup is a group window's body: it runs the group's handlers
 // sequentially against the evolving state view, fills the per-call
 // results and returns the merged delta (JSON null marks a delete) with
@@ -131,7 +113,7 @@ func (rt *ClassRuntime) applyGroup(ctx context.Context, w *writeWindow, state ma
 		w.callKeys[gi] = nil
 		// Handlers may mutate their Task.State; a shallow clone keeps
 		// the shared evolving view out of their reach.
-		callCtx, cancel := rt.callTimeoutCtx(ctx, c.call, c.fn)
+		callCtx, cancel := rt.withDeadline(cmp.Or(c.call.Ctx, ctx), c.fn)
 		res, err := rt.runTask(callCtx, w.objectID, c.fn, c.call.Payload, c.call.Args, maps.Clone(state))
 		if err == nil && callCtx.Err() != nil {
 			// The call's deadline expired after its handler returned:

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/model"
+	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
 // batchYAML declares a counter class with failing, panicking (a write
@@ -321,13 +323,15 @@ const deadlineYAML = `classes:
         timeoutMs: 150
 `
 
-// newDeadlineRuntime builds a TCounter runtime whose img/stuck handler
-// ignores its context entirely: it blocks until release is closed and
-// then tries to write value=99. The watchdog must abandon it at the
-// deadline and the commit guards must discard its late delta.
-func newDeadlineRuntime(t *testing.T, mode model.ConcurrencyMode, release <-chan struct{}) *ClassRuntime {
+// newDeadlineRuntime builds a TCounter runtime on a Manual clock whose
+// img/stuck handler ignores its context entirely: it signals entered,
+// blocks until release is closed and then tries to write value=99. The
+// watchdog must abandon it when the clock reaches the deadline and the
+// commit guards must discard its late delta.
+func newDeadlineRuntime(t *testing.T, mode model.ConcurrencyMode, clock *vclock.Manual, entered chan<- struct{}, release <-chan struct{}) *ClassRuntime {
 	t.Helper()
 	infra := testInfra(t)
+	infra.Clock = clock
 	reg := invoker.NewRegistry()
 	reg.Register("img/incr", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
 		var n float64
@@ -338,6 +342,7 @@ func newDeadlineRuntime(t *testing.T, mode model.ConcurrencyMode, release <-chan
 		return invoker.Result{Output: out, State: map[string]json.RawMessage{"value": out}}, nil
 	}))
 	reg.Register("img/stuck", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		entered <- struct{}{}
 		<-release
 		return invoker.Result{State: map[string]json.RawMessage{"value": json.RawMessage(`99`)}}, nil
 	}))
@@ -351,7 +356,8 @@ func newDeadlineRuntime(t *testing.T, mode model.ConcurrencyMode, release <-chan
 }
 
 // drainLeakedHandlers waits for abandoned handlers to return after
-// their release channel is closed.
+// their release channel is closed: each one's reaper decrements the
+// gauge once its handler is back.
 func drainLeakedHandlers(t *testing.T, rt *ClassRuntime) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -359,34 +365,43 @@ func drainLeakedHandlers(t *testing.T, rt *ClassRuntime) {
 		if time.Now().After(deadline) {
 			t.Fatalf("leaked handlers never drained: %d", rt.LeakedHandlers())
 		}
-		time.Sleep(5 * time.Millisecond)
+		goruntime.Gosched()
 	}
 }
 
 // TestInvokeDeadlineExpiredNeverCommits drives a handler that ignores
-// cancellation into its 150ms deadline under every concurrency mode:
-// the invocation must fail with ErrDeadlineExceeded within 2x the
-// deadline, other objects must keep committing while the stuck handler
-// is still running, and the handler's late delta must never land.
+// cancellation into its 150ms deadline under every concurrency mode, on
+// a Manual clock: the invocation must fail with ErrDeadlineExceeded when
+// the clock reaches the deadline and not before, other objects must keep
+// committing while the stuck handler is still running, and the handler's
+// late delta must never land.
 func TestInvokeDeadlineExpiredNeverCommits(t *testing.T) {
 	for _, mode := range batchModes {
 		t.Run(string(mode), func(t *testing.T) {
-			release := make(chan struct{})
-			rt := newDeadlineRuntime(t, mode, release)
+			clock := vclock.NewManual(time.Unix(1_700_000_000, 0))
+			entered, release := make(chan struct{}, 1), make(chan struct{})
+			rt := newDeadlineRuntime(t, mode, clock, entered, release)
 			ctx := context.Background()
 			for _, id := range []string{"o", "other"} {
 				if err := rt.InitObjectState(ctx, id); err != nil {
 					t.Fatal(err)
 				}
 			}
-			start := time.Now()
-			_, err := rt.Invoke(ctx, "o", "stuck", nil, nil)
-			elapsed := time.Since(start)
-			if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+			done := make(chan error, 1)
+			go func() {
+				_, err := rt.Invoke(ctx, "o", "stuck", nil, nil)
+				done <- err
+			}()
+			<-entered
+			clock.Advance(149 * time.Millisecond)
+			select {
+			case err := <-done:
+				t.Fatalf("the invocation ended before its deadline: %v", err)
+			default:
 			}
-			if elapsed > 300*time.Millisecond {
-				t.Fatalf("deadline failure took %v, want <= 2x the 150ms deadline", elapsed)
+			clock.Advance(time.Millisecond)
+			if err := <-done; !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 			}
 			if got := rt.LeakedHandlers(); got != 1 {
 				t.Fatalf("LeakedHandlers = %d, want 1 while the abandoned handler runs", got)
@@ -414,23 +429,31 @@ func TestInvokeDeadlineExpiredNeverCommits(t *testing.T) {
 }
 
 // TestInvokeBatchDeadlineFailsOnlyOwnEntry puts the stuck member
-// between two increments in one group-commit window: its expiry fails
-// only its own entry, the sibling increments commit exactly, and the
-// late delta stays out of the merged commit — in every mode.
+// between two increments in one group-commit window on a Manual clock:
+// its expiry on Advance fails only its own entry, the sibling
+// increments commit exactly, and the late delta stays out of the merged
+// commit — in every mode.
 func TestInvokeBatchDeadlineFailsOnlyOwnEntry(t *testing.T) {
 	for _, mode := range batchModes {
 		t.Run(string(mode), func(t *testing.T) {
-			release := make(chan struct{})
-			rt := newDeadlineRuntime(t, mode, release)
+			clock := vclock.NewManual(time.Unix(1_700_000_000, 0))
+			entered, release := make(chan struct{}, 1), make(chan struct{})
+			rt := newDeadlineRuntime(t, mode, clock, entered, release)
 			ctx := context.Background()
 			if err := rt.InitObjectState(ctx, "o"); err != nil {
 				t.Fatal(err)
 			}
-			results := rt.InvokeBatch(ctx, "o", []call.Call{
-				{Member: "incr"},
-				{Member: "stuck"},
-				{Member: "incr"},
-			})
+			done := make(chan []call.Result, 1)
+			go func() {
+				done <- rt.InvokeBatch(ctx, "o", []call.Call{
+					{Member: "incr"},
+					{Member: "stuck"},
+					{Member: "incr"},
+				})
+			}()
+			<-entered
+			clock.Advance(150 * time.Millisecond)
+			results := <-done
 			if err := results[1].Err; !errors.Is(err, ErrDeadlineExceeded) {
 				t.Fatalf("stuck entry err = %v, want ErrDeadlineExceeded", err)
 			}
@@ -438,6 +461,9 @@ func TestInvokeBatchDeadlineFailsOnlyOwnEntry(t *testing.T) {
 				if results[i].Err != nil {
 					t.Fatalf("incr call %d poisoned by expired sibling: %v", i, results[i].Err)
 				}
+			}
+			if got := rt.LeakedHandlers(); got != 1 {
+				t.Fatalf("LeakedHandlers = %d, want 1 while the abandoned handler runs", got)
 			}
 			close(release)
 			drainLeakedHandlers(t, rt)

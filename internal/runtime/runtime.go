@@ -641,6 +641,17 @@ func (rt *ClassRuntime) EffectiveTimeout(fn model.FunctionDef) time.Duration {
 	return rt.infra.DefaultInvokeTimeout
 }
 
+// withDeadline arms fn's effective deadline on ctx, on the platform's
+// clock, min-combining with any deadline ctx already carries; the zero
+// FunctionDef arms a dataflow's. It is the runtime's one arm site. The
+// cancel func must always be called.
+func (rt *ClassRuntime) withDeadline(ctx context.Context, fn model.FunctionDef) (context.Context, context.CancelFunc) {
+	if d := rt.EffectiveTimeout(fn); d > 0 {
+		return rt.infra.Clock.WithTimeout(ctx, d)
+	}
+	return ctx, func() {}
+}
+
 // deadlineError is the sentinel-wrapping error surfaced for one
 // function's expired invocation.
 func (rt *ClassRuntime) deadlineError(fn model.FunctionDef) error {
@@ -668,11 +679,8 @@ func (rt *ClassRuntime) Invoke(ctx context.Context, objectID, function string, p
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrFunctionUnknown, rt.class.Name, function)
 	}
-	if d := rt.EffectiveTimeout(fn); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
+	ctx, cancel := rt.withDeadline(ctx, fn)
+	defer cancel()
 	start := rt.infra.Clock.Now()
 	out, err := rt.invokeFn(ctx, objectID, fn, payload, args)
 	rt.reg.Histogram("invoke.latency").Observe(rt.infra.Clock.Since(start))
@@ -899,12 +907,16 @@ func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c =
 
 // InvokeDataflow runs a declared dataflow on an object. Each step
 // invokes a class method on the same object; state deltas persist
-// step-by-step per the pure-function contract.
+// step-by-step per the pure-function contract. The whole flow runs under
+// the class or platform default deadline, as a queued one does, and
+// each step under its own as well.
 func (rt *ClassRuntime) InvokeDataflow(ctx context.Context, objectID, flow string, payload json.RawMessage) (dataflow.Result, error) {
 	plan, ok := rt.plans[flow]
 	if !ok {
 		return dataflow.Result{}, fmt.Errorf("%w: %s.%s", ErrDataflowUnknown, rt.class.Name, flow)
 	}
+	ctx, cancel := rt.withDeadline(ctx, model.FunctionDef{})
+	defer cancel()
 	invoke := func(ctx context.Context, function string, payload json.RawMessage) (json.RawMessage, error) {
 		return rt.Invoke(ctx, objectID, function, payload, nil)
 	}

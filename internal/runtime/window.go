@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -337,7 +338,7 @@ func (rt *ClassRuntime) emit(ctx context.Context, w *writeWindow, delta map[stri
 		if len(w.callKeys[gi]) == 0 {
 			continue // failed inside the group, or wrote nothing
 		}
-		evs = append(evs, rt.stateChanged(callContext(ctx, c.call), w.objectID, c.fn.Name, w.callKeys[gi], c.call.Args))
+		evs = append(evs, rt.stateChanged(cmp.Or(c.call.Ctx, ctx), w.objectID, c.fn.Name, w.callKeys[gi], c.call.Args))
 	}
 	sc.events = evs
 	rt.infra.Events(evs)

@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/metrics"
+	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
 // TraceID is the 16-byte W3C trace identifier.
@@ -96,7 +97,7 @@ type Config struct {
 	// zero picks a fixed default.
 	Seed uint64
 	// Now supplies time (the platform passes its vclock). Defaults to
-	// time.Now.
+	// the real clock's.
 	Now func() time.Time
 }
 
@@ -146,7 +147,7 @@ func New(cfg Config) *Tracer {
 		cfg.SampleRate = 0.05
 	}
 	if cfg.Now == nil {
-		cfg.Now = time.Now
+		cfg.Now = vclock.NewReal().Now
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x6f70617261636131 // arbitrary fixed default

@@ -576,8 +576,11 @@ func TestDeadEndpointIsRetriedAtBoundedCadence(t *testing.T) {
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: h.srv.URL}); err != nil {
 		t.Fatal(err)
 	}
+	// Drained, the attempt has released its own timeout, so the one
+	// pending timer is the re-arm.
 	armed := func() bool { return clock.Pending() == 1 }
 	b.Publish(stateChanged("a-1", "k"))
+	b.Drain()
 	waitFor(t, "the first re-arm", armed)
 	for i := 0; i < 10; i++ {
 		b.Publish(stateChanged("a-1", "k"))
@@ -592,6 +595,7 @@ func TestDeadEndpointIsRetriedAtBoundedCadence(t *testing.T) {
 	// 10ms, then 20ms: half the second delay must not fire it.
 	clock.Advance(10 * time.Millisecond)
 	waitFor(t, "the second attempt", func() bool { return h.hits.Load() == 2 })
+	b.Drain()
 	waitFor(t, "the second re-arm", armed)
 	clock.Advance(10 * time.Millisecond)
 	b.Drain()

@@ -1428,7 +1428,7 @@ func (b *Bus) deliverWebhook(sub *Subscription, ev Event, raw json.RawMessage, c
 // context (which Kill also cancels). Only a 2xx answer succeeds; a
 // redirect is not followed.
 func (b *Bus) postWebhook(hook *url.URL, header http.Header, payload []byte) bool {
-	ctx, cancel := context.WithTimeout(b.killCtx, b.cfg.WebhookTimeout)
+	ctx, cancel := b.cfg.Clock.WithTimeout(b.killCtx, b.cfg.WebhookTimeout)
 	defer cancel()
 	req := (&http.Request{
 		Method:        http.MethodPost,

@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -109,6 +110,101 @@ func TestManualSleepContextCancel(t *testing.T) {
 	if err := <-done; err != context.Canceled {
 		t.Fatalf("Sleep = %v, want context.Canceled", err)
 	}
+}
+
+// TestManualDeadlineExpiresOnAdvance: a Manual clock's deadline context
+// is done exactly when Advance reaches its deadline, in virtual time,
+// with context.DeadlineExceeded, and its children see the same before
+// Advance returns.
+func TestManualDeadlineExpiresOnAdvance(t *testing.T) {
+	start := time.Unix(1_700_000_000, 0)
+	m := NewManual(start)
+	ctx, cancel := m.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	child, cancelChild := context.WithCancel(ctx)
+	defer cancelChild()
+	if dl, ok := ctx.Deadline(); !ok || !dl.Equal(start.Add(time.Hour)) {
+		t.Fatalf("Deadline() = %v, %v, want %v", dl, ok, start.Add(time.Hour))
+	}
+	m.Advance(time.Hour - time.Nanosecond)
+	if err := ctx.Err(); err != nil {
+		t.Fatalf("Err() = %v a nanosecond before the deadline", err)
+	}
+	m.Advance(time.Nanosecond)
+	// Expired by the time Advance returns, children included, as a timer
+	// context's children are cancelled before its timer moves on.
+	if ctx.Err() != context.DeadlineExceeded || child.Err() != context.DeadlineExceeded {
+		t.Fatalf("Err() = %v, child %v, want context.DeadlineExceeded", ctx.Err(), child.Err())
+	}
+	<-ctx.Done()
+	<-child.Done()
+	if n := m.Pending(); n != 0 {
+		t.Fatalf("Pending() = %d after the deadline fired", n)
+	}
+	past, cancelPast := m.WithDeadline(context.Background(), start)
+	defer cancelPast()
+	if past.Err() != context.DeadlineExceeded {
+		t.Fatalf("a deadline already passed: Err() = %v", past.Err())
+	}
+}
+
+// TestManualDeadlineFollowsItsParent: cancelling the parent cancels a
+// Manual deadline context with the parent's error, and an earlier
+// parent deadline stays the one that counts.
+func TestManualDeadlineFollowsItsParent(t *testing.T) {
+	m := NewManual(time.Unix(0, 0))
+	parent, cancelParent := context.WithCancel(context.Background())
+	ctx, cancel := m.WithTimeout(parent, time.Hour)
+	defer cancel()
+	cancelParent()
+	<-ctx.Done()
+	if ctx.Err() != context.Canceled {
+		t.Fatalf("Err() = %v after the parent's cancel, want context.Canceled", ctx.Err())
+	}
+	if n := m.Pending(); n != 0 {
+		t.Fatalf("Pending() = %d after the parent ended the deadline", n)
+	}
+	outer, cancelOuter := m.WithTimeout(context.Background(), time.Second)
+	defer cancelOuter()
+	inner, cancelInner := m.WithTimeout(outer, time.Hour)
+	defer cancelInner()
+	if dl, _ := inner.Deadline(); !dl.Equal(time.Unix(1, 0)) {
+		t.Fatalf("inner Deadline() = %v, want the parent's %v", dl, time.Unix(1, 0))
+	}
+	m.Advance(time.Second)
+	<-inner.Done()
+	if inner.Err() != context.DeadlineExceeded {
+		t.Fatalf("inner Err() = %v, want context.DeadlineExceeded", inner.Err())
+	}
+}
+
+// TestManualCancelLeavesNoTimer: a Sleep its context ends and a deadline
+// context cancelled before it fires each remove their timer, so Pending
+// counts only what still waits.
+func TestManualCancelLeavesNoTimer(t *testing.T) {
+	m := NewManual(time.Unix(0, 0))
+	keep := m.After(time.Minute) // an unrelated timer that stays armed
+	before := m.Pending()
+	ctx, cancelSleep := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- m.Sleep(ctx, time.Hour) }()
+	for m.Pending() == before {
+		runtime.Gosched()
+	}
+	cancelSleep()
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("Sleep = %v, want context.Canceled", err)
+	}
+	_, cancel := m.WithTimeout(context.Background(), time.Hour)
+	if n := m.Pending(); n != before+1 {
+		t.Fatalf("Pending() = %d with a deadline armed, want %d", n, before+1)
+	}
+	cancel()
+	if n := m.Pending(); n != before {
+		t.Fatalf("Pending() = %d after a cancelled Sleep and WithTimeout, want %d", n, before)
+	}
+	m.Advance(time.Minute)
+	<-keep
 }
 
 func TestManualSinceTracksAdvance(t *testing.T) {
