@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -787,5 +788,97 @@ func TestDataflowDeadlineCoversTheWholeFlow(t *testing.T) {
 		done <- err
 	}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFencedDataflowStepIsNotRetried: a dataflow whose second step is
+// fenced after its first committed has persisted part of its work, so
+// its error does not read as the fence's. Queued, it ends failed instead
+// of being requeued onto the new owner, where its first step would apply
+// twice; called, it does not answer "ownership moved, nothing persisted".
+func TestFencedDataflowStepIsNotRetried(t *testing.T) {
+	p := newPlatform(t, func(c *Config) { c.Workers = 3; c.OwnershipLeaseTTL = time.Hour })
+	var object string
+	var fence atomic.Bool
+	bump := func(task invoker.Task) invoker.Result {
+		n, _ := strconv.Atoi(string(task.State["n"]))
+		next := json.RawMessage(strconv.Itoa(n + 1))
+		return invoker.Result{Output: next, State: map[string]json.RawMessage{"n": next}}
+	}
+	p.Images().Register("img/f-bump", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
+		return bump(task), nil
+	}))
+	// img/f-moved drains the object's owner once armed, so the commit of
+	// its delta, admitted on that owner, is fenced.
+	p.Images().Register("img/f-moved", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
+		if fence.CompareAndSwap(true, false) {
+			owner, _ := p.Membership().Owner(object)
+			if err := p.DrainNode(owner); err != nil {
+				return invoker.Result{}, err
+			}
+		}
+		return bump(task), nil
+	}))
+	ctx := context.Background()
+	pkg := `classes:
+  - name: Fenced
+    keySpecs:
+      - name: n
+        default: 0
+    functions:
+      - name: bump
+        image: img/f-bump
+      - name: moved
+        image: img/f-moved
+    dataflows:
+      - name: flow
+        steps:
+          - name: a
+            function: bump
+          - name: b
+            function: moved
+            after: [a]
+`
+	if _, err := p.DeployYAML(ctx, []byte(pkg)); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if object, err = p.CreateObject(ctx, "Fenced", "f"); err != nil {
+		t.Fatal(err)
+	}
+	n := func() string {
+		raw, err := p.GetState(ctx, object, "n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+
+	fence.Store(true)
+	id, err := p.InvokeAsync(ctx, object, "flow", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := p.WaitInvocation(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Status != asyncq.StatusFailed {
+		t.Errorf("queued: status %s (%q), want failed", rec.Status, rec.Error)
+	}
+	if got := n(); got != "1" {
+		t.Errorf("queued: n = %s, want 1 (step a once)", got)
+	}
+
+	fence.Store(true)
+	_, err = p.Invoke(ctx, object, "flow", nil, nil)
+	if err == nil || !strings.Contains(err.Error(), cluster.ErrOwnershipMoved.Error()) {
+		t.Errorf("called: err = %v, want the fenced step's failure", err)
+	}
+	if errors.Is(err, cluster.ErrOwnershipMoved) {
+		t.Errorf("called: err = %v matches ErrOwnershipMoved", err)
+	}
+	if got := n(); got != "2" {
+		t.Errorf("called: n = %s, want 2 (step a's commit kept)", got)
 	}
 }

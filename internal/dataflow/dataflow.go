@@ -185,7 +185,6 @@ func (p *Plan) Execute(ctx context.Context, input json.RawMessage, invoke Invoke
 	type doneMsg struct {
 		name string
 		res  StepResult
-		err  error // the step's failure, kept for errors.Is
 	}
 	doneCh := make(chan doneMsg)
 
@@ -217,7 +216,7 @@ func (p *Plan) Execute(ctx context.Context, input json.RawMessage, invoke Invoke
 				sr.Err = err.Error()
 			}
 			select {
-			case doneCh <- doneMsg{name: name, res: sr, err: err}:
+			case doneCh <- doneMsg{name: name, res: sr}:
 			case <-ctx.Done():
 			}
 		}()
@@ -242,7 +241,7 @@ func (p *Plan) Execute(ctx context.Context, input json.RawMessage, invoke Invoke
 			mu.Unlock()
 			if msg.res.Err != "" {
 				if firstErr == nil {
-					firstErr = fmt.Errorf("%w: step %q: %w", ErrStepFailed, msg.name, msg.err)
+					firstErr = fmt.Errorf("%w: step %q: %s", ErrStepFailed, msg.name, msg.res.Err)
 					cancel() // stop in-flight steps; do not launch more
 				}
 				continue

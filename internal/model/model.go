@@ -333,10 +333,9 @@ type ClassDef struct {
 	// overridden.
 	OCCValidate OCCValidate `json:"occValidate,omitempty"`
 	// TimeoutMs is the class-level default invocation deadline in
-	// milliseconds, measured on the platform's clock, applied to every
-	// function without its own TimeoutMs and to each dataflow as a
-	// whole. 0 defers to the platform default. Inherited from the parent
-	// unless overridden.
+	// milliseconds on the platform's clock, for every function without
+	// its own TimeoutMs and for each dataflow as a whole. 0 defers to
+	// the platform default; inherited from the parent unless overridden.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 	// QoS and Constraint are the class's non-functional requirements.
 	QoS        QoS         `json:"qos,omitempty"`

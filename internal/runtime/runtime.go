@@ -641,10 +641,9 @@ func (rt *ClassRuntime) EffectiveTimeout(fn model.FunctionDef) time.Duration {
 	return rt.infra.DefaultInvokeTimeout
 }
 
-// withDeadline arms fn's effective deadline on ctx, on the platform's
-// clock, min-combining with any deadline ctx already carries; the zero
-// FunctionDef arms a dataflow's. It is the runtime's one arm site. The
-// cancel func must always be called.
+// withDeadline arms fn's effective deadline (the zero FunctionDef: a
+// dataflow's) on ctx on the platform's clock, min-combining with any ctx
+// carries. It is the runtime's one arm site; cancel must always be called.
 func (rt *ClassRuntime) withDeadline(ctx context.Context, fn model.FunctionDef) (context.Context, context.CancelFunc) {
 	if d := rt.EffectiveTimeout(fn); d > 0 {
 		return rt.infra.Clock.WithTimeout(ctx, d)
@@ -907,9 +906,10 @@ func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c =
 
 // InvokeDataflow runs a declared dataflow on an object. Each step
 // invokes a class method on the same object; state deltas persist
-// step-by-step per the pure-function contract. The whole flow runs under
-// the class or platform default deadline, as a queued one does, and
-// each step under its own as well.
+// step-by-step per the pure-function contract. The flow runs under the
+// class or platform default deadline as a whole, each step under its
+// own. Only the flow's deadline surfaces as ErrDeadlineExceeded: a step's
+// error stays text, as earlier steps may have committed.
 func (rt *ClassRuntime) InvokeDataflow(ctx context.Context, objectID, flow string, payload json.RawMessage) (dataflow.Result, error) {
 	plan, ok := rt.plans[flow]
 	if !ok {
@@ -917,10 +917,13 @@ func (rt *ClassRuntime) InvokeDataflow(ctx context.Context, objectID, flow strin
 	}
 	ctx, cancel := rt.withDeadline(ctx, model.FunctionDef{})
 	defer cancel()
-	invoke := func(ctx context.Context, function string, payload json.RawMessage) (json.RawMessage, error) {
+	res, err := plan.Execute(ctx, payload, func(ctx context.Context, function string, payload json.RawMessage) (json.RawMessage, error) {
 		return rt.Invoke(ctx, objectID, function, payload, nil)
+	})
+	if err != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		err = fmt.Errorf("%s.%s: %w (%s)", rt.class.Name, flow, ErrDeadlineExceeded, err)
 	}
-	return plan.Execute(ctx, payload, invoke)
+	return res, err
 }
 
 // Flush forces pending state to the backing store.

@@ -121,7 +121,7 @@ func TestWebhookRedirectIsAFailedAttempt(t *testing.T) {
 		http.Redirect(w, r, target.URL+"/elsewhere", http.StatusTemporaryRedirect)
 	}))
 	defer srv.Close()
-	clock := vclock.NewManual(time.Unix(1_700_000_000, 0))
+	clock := sleepClock{vclock.NewManual(time.Unix(1_700_000_000, 0)), make(chan time.Duration, 4)}
 	b := newBus(t, Config{
 		Log: newLog(t, eventlog.Config{}), Clock: clock,
 		WebhookMaxRetries: 2, WebhookBackoff: 10 * time.Millisecond, BackoffJitter: -1,
@@ -131,20 +131,21 @@ func TestWebhookRedirectIsAFailedAttempt(t *testing.T) {
 	}
 	b.Publish(stateChanged("a-1", "k"))
 	// Attempt, 10 ms backoff, attempt, 20 ms backoff, attempt, then the
-	// stalled consumer's re-arm. An attempt's own timeout is a pending
-	// timer on the clock too, so the lone timer is advanced until the
-	// next attempt arrives: moving an attempt's timeout on by a backoff
-	// fires nothing.
+	// stalled consumer's re-arm. A backoff begins once the failed attempt
+	// has released its own timeout, so its sleep is then the one pending
+	// timer, and advancing it by exactly its length brings the next
+	// attempt.
 	for i, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond} {
-		waitFor(t, "the attempt after a retry backoff", func() bool {
-			if hits.Load() == int64(i+2) {
-				return true
+		select {
+		case got := <-clock.slept:
+			if got != d || hits.Load() != int64(i+1) {
+				t.Fatalf("backoff %d: sleeps %v after %d attempts, want %v after %d", i, got, hits.Load(), d, i+1)
 			}
-			if clock.Pending() == 1 {
-				clock.Advance(d)
-			}
-			return false
-		})
+		case <-time.After(5 * time.Second):
+			t.Fatalf("backoff %d never began", i)
+		}
+		waitFor(t, "a retry backoff", func() bool { return clock.Pending() == 1 })
+		clock.Advance(d)
 	}
 	b.Drain()
 	waitFor(t, "the re-arm after the budget", func() bool { return clock.Pending() == 1 })
@@ -158,6 +159,18 @@ func TestWebhookRedirectIsAFailedAttempt(t *testing.T) {
 	if n := redirected.Load(); n != 0 {
 		t.Fatalf("the redirect target received %d requests", n)
 	}
+}
+
+// sleepClock is a Manual clock that reports each Sleep, a webhook retry
+// backoff, as it begins.
+type sleepClock struct {
+	*vclock.Manual
+	slept chan time.Duration
+}
+
+func (c sleepClock) Sleep(ctx context.Context, d time.Duration) error {
+	c.slept <- d
+	return c.Manual.Sleep(ctx, d)
 }
 
 // blockingHook is an endpoint that answers nothing until its request's
