@@ -84,12 +84,26 @@ func TestInvariants(t *testing.T) {
 			"internal/memtable/table.go": 4,
 		})},
 
-		// An invocation record is written by one encoder and read by one
-		// decoder (internal/asyncq/encode.go), each with its reflective
-		// fallback. The route that serves a record reads it before it arms
-		// a wait, because most polls find their invocation finished.
+		// An invocation record is written by one encoder, with no
+		// reflective fallback, and read by one decoder
+		// (internal/asyncq/encode.go), whose fallback is for documents a
+		// foreign writer stored. The route that serves a record reads it
+		// before it arms a wait, because most polls find their invocation
+		// finished.
 		{"one-reflective-decode", only("internal/asyncq", "decodeRecord", "json.Unmarshal(", 1)},
-		{"one-reflective-encode", only("internal/asyncq", "encodeRecord", "json.Marshal(", 2)},
+		{"one-reflective-encode", only("internal/asyncq", "encodeRecord", "json.Marshal(", 0)},
+		// What encoding/json's bytes look like is decided once, in
+		// internal/jsonw: its writers escape any string and render any
+		// RawMessage, and its scanner decodes any escape. A compaction or
+		// an escaper of a module's own, or the helpers that stood in for
+		// them, each knew part of the format, and a document one did not
+		// cover fell back to reflection.
+		{"json-bytes-are-jsonw", all(
+			calls("", "json.Compact(", 1),
+			calls("internal/jsonw", "json.Compact(", 1),
+			calls("", "json.HTMLEscape(", 0),
+			noDecl("", `^(plain|needsHTMLEscape|jsonSpace|isJSONSpace|recordScan)$`),
+		)},
 		{"poll-reads-before-arming", all(
 			calls("internal/gateway#Gateway.handleGetInvocation", "WithTimeout(", 1),
 			before("internal/gateway#Gateway.handleGetInvocation", "platform.Invocation(", "WithTimeout("),
@@ -450,6 +464,33 @@ func noName(scope, re string) check {
 		}
 		if len(hits) > 0 {
 			return fmt.Errorf("%q names %s at %s", scope, re, tr.list(hits))
+		}
+		return nil
+	}
+}
+
+// noDecl: no function, method or type declared at the top level of
+// scope has a name matching re.
+func noDecl(scope, re string) check {
+	rx := regexp.MustCompile(re)
+	return func(tr *tree) error {
+		var hits []token.Pos
+		for _, d := range tr.decls(scope) {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if rx.MatchString(d.Name.Name) {
+					hits = append(hits, d.Name.Pos())
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && rx.MatchString(ts.Name.Name) {
+						hits = append(hits, ts.Name.Pos())
+					}
+				}
+			}
+		}
+		if len(hits) > 0 {
+			return fmt.Errorf("%q declares %s at %s", scope, re, tr.list(hits))
 		}
 		return nil
 	}

@@ -30,15 +30,14 @@
 // store keep as it is (nothing here reuses an encode buffer; Submit's
 // copy of the payload is the one defensive copy on the way in).
 //
-// The record codec (encode.go) has two halves and one fallback each.
-// encodeRecord writes with AppendRecord and leaves the records it does
-// not render (a string, args included, that needs escaping) to
-// json.Marshal; decodeRecord reads with scanRecord, which takes exactly
-// the documents AppendRecord writes, and leaves every other to
-// json.Unmarshal. Get and RecoverStranded are the only decodes. A
-// scanned record's Payload and Result alias the stored document — the
-// table never writes into a value it holds — so what Get returns is
-// read-only for as long as anyone keeps it. The gateway serves
+// The record codec (encode.go) writes and reads through internal/jsonw.
+// encodeRecord writes every record with AppendRecord, which escapes any
+// string as encoding/json does; decodeRecord reads with scanRecord,
+// which takes exactly the documents AppendRecord writes, and leaves
+// only a foreign writer's to json.Unmarshal. Get and RecoverStranded
+// are the only decodes. A scanned record's Payload and Result alias the
+// stored document — the table never writes into a value it holds — so
+// what Get returns is read-only for as long as anyone keeps it. The gateway serves
 // GET /api/invocations/{id} through AppendRecord too.
 //
 // Backpressure is explicit: Submit returns ErrQueueFull once
@@ -94,6 +93,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/call"
+	"github.com/hpcclab/oparaca-go/internal/jsonw"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/metrics"
@@ -563,29 +563,36 @@ type BatchResult struct {
 	Err error
 }
 
-// encodeRecord renders a record's stored document: AppendRecord when
-// it can, json.Marshal otherwise. A record json.Marshal rejects — a
-// Payload or Result that is not JSON, a timestamp RFC 3339 cannot
+// encodeRecord renders a record's stored document with AppendRecord. A
+// record encoding/json would refuse — a Payload or Result that is not
+// JSON (AppendRecord copies them unchecked), a timestamp RFC 3339 cannot
 // express — degrades to a terminal failure rather than leaving the
-// invocation parked in a non-terminal state forever; the degraded
-// record holds only strings and in-range times, so the document is
-// never empty.
+// invocation parked in a non-terminal state forever: the bad fields are
+// cleared and the record is written again, so the document is never
+// empty.
 func encodeRecord(rec Record) (Record, json.RawMessage) {
-	if raw, ok := AppendRecord(nil, &rec); ok {
-		return rec, raw
+	var err error
+	if len(rec.Payload) > 0 {
+		err = jsonw.CheckRaw(rec.Payload)
 	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		rec.Payload, rec.Args, rec.Result = nil, nil, nil
-		rec.Status = StatusFailed
-		rec.Error = "asyncq: unencodable record: " + err.Error()
-		for _, ts := range []*time.Time{&rec.Enqueued, &rec.Started, &rec.Finished} {
-			if !jsonTime(*ts) {
-				*ts = time.Time{}
-			}
+	if len(rec.Result) > 0 && err == nil {
+		err = jsonw.CheckRaw(rec.Result)
+	}
+	if err == nil {
+		var raw []byte
+		if raw, err = AppendRecord(nil, &rec); err == nil {
+			return rec, raw
 		}
-		raw, _ = json.Marshal(rec)
 	}
+	rec.Payload, rec.Args, rec.Result = nil, nil, nil
+	rec.Status = StatusFailed
+	rec.Error = "asyncq: unencodable record: " + err.Error()
+	for _, ts := range []*time.Time{&rec.Enqueued, &rec.Started, &rec.Finished} {
+		if _, bad := jsonw.AppendTime(nil, *ts); bad != nil {
+			*ts = time.Time{}
+		}
+	}
+	raw, _ := AppendRecord(nil, &rec) // only strings and valid times are left
 	return rec, raw
 }
 

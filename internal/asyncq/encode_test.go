@@ -6,26 +6,45 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
+
+	"github.com/hpcclab/oparaca-go/internal/israce"
+	"github.com/hpcclab/oparaca-go/internal/jsonw"
 )
 
-// decodeBoth runs rec through both encoders and reads each document back
-// the way Get does. stored reports whether AppendRecord took the record
-// (false: it deferred to json.Marshal).
-func decodeBoth(t testing.TB, rec Record) (viaAppend, viaMarshal Record, doc []byte, stored bool) {
+// decodeBoth runs rec through AppendRecord and json.Marshal and reads
+// each document back the way Get does. AppendRecord's document must be
+// json.Marshal's byte for byte once Payload and Result are rendered as
+// encoding/json renders a RawMessage (what the gateway hands it), and
+// scanRecord must read it without the fallback.
+func decodeBoth(t testing.TB, rec Record) (viaAppend, viaMarshal Record, doc []byte) {
 	t.Helper()
-	doc, stored = AppendRecord(nil, &rec)
-	want, err := json.Marshal(rec)
-	if err != nil {
-		if stored {
-			t.Fatalf("AppendRecord rendered a record json.Marshal rejects (%v): %s", err, doc)
+	doc, err := AppendRecord(nil, &rec)
+	want, merr := json.Marshal(rec)
+	if merr != nil {
+		if err == nil {
+			t.Fatalf("AppendRecord rendered a record json.Marshal rejects (%v): %s", merr, doc)
 		}
-		t.Skipf("json.Marshal rejects the record: %v", err)
+		if err.Error() != merr.Error() {
+			t.Fatalf("AppendRecord error = %v, json.Marshal error = %v", err, merr)
+		}
+		t.Skipf("json.Marshal rejects the record: %v", merr)
+	}
+	if err != nil {
+		t.Fatalf("AppendRecord refused a record json.Marshal renders: %v", err)
 	}
 	if err := json.Unmarshal(want, &viaMarshal); err != nil {
 		t.Fatalf("json.Marshal output does not decode: %v", err)
 	}
-	if !stored {
-		return viaMarshal, viaMarshal, want, false
+	wire := rec
+	if len(rec.Payload) > 0 {
+		wire.Payload, _ = jsonw.AppendRaw(nil, rec.Payload)
+	}
+	if len(rec.Result) > 0 {
+		wire.Result, _ = jsonw.AppendRaw(nil, rec.Result)
+	}
+	if served, _ := AppendRecord(nil, &wire); !bytes.Equal(served, want) {
+		t.Fatalf("AppendRecord differs from json.Marshal\n got: %s\nwant: %s", served, want)
 	}
 	if !json.Valid(doc) {
 		t.Fatalf("AppendRecord wrote invalid JSON: %s", doc)
@@ -34,9 +53,10 @@ func decodeBoth(t testing.TB, rec Record) (viaAppend, viaMarshal Record, doc []b
 		t.Fatalf("AppendRecord output does not decode: %v\n%s", err, doc)
 	}
 	// The codec's two halves meet: what AppendRecord writes for a status
-	// the package knows, scanRecord reads, without the fallback.
+	// the package knows, scanRecord reads, without the fallback — unless
+	// the ID is not UTF-8, which reads back as another ID.
 	var scanned Record
-	if _, known := knownStatus([]byte(rec.Status)); known && !scanRecord(doc, rec.ID, &scanned) {
+	if _, known := knownStatus([]byte(rec.Status)); known && utf8.ValidString(rec.ID) && !scanRecord(doc, rec.ID, &scanned) {
 		t.Fatalf("scanRecord refuses a document AppendRecord wrote: %s", doc)
 	}
 	checkDecode(t, doc, rec.ID)
@@ -44,7 +64,7 @@ func decodeBoth(t testing.TB, rec Record) (viaAppend, viaMarshal Record, doc []b
 		checkDecode(t, mutant, rec.ID)
 	}
 	checkDecode(t, doc, rec.ID+"x")
-	return viaAppend, viaMarshal, doc, true
+	return viaAppend, viaMarshal, doc
 }
 
 // checkDecode holds decodeRecord to json.Unmarshal on one document
@@ -157,8 +177,8 @@ func TestAppendRecordGolden(t *testing.T) {
 	cases := []struct {
 		name   string
 		rec    Record
-		stored bool   // AppendRecord renders it itself
-		doc    string // its exact document, when stored
+		stored bool // doc is its exact document; every row's is json.Marshal's (decodeBoth)
+		doc    string
 	}{
 		{name: "plain pending", stored: true,
 			rec: Record{ID: "inv-01", Object: "obj-1", Member: "bump", Status: StatusPending, Payload: json.RawMessage(`{"n":1}`), Enqueued: base},
@@ -200,11 +220,8 @@ func TestAppendRecordGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, want, doc, stored := decodeBoth(t, tc.rec)
-			if stored != tc.stored {
-				t.Fatalf("AppendRecord rendered = %v, want %v", stored, tc.stored)
-			}
-			if stored && string(doc) != tc.doc {
+			got, want, doc := decodeBoth(t, tc.rec)
+			if tc.stored && string(doc) != tc.doc {
 				t.Fatalf("document drifted\n got: %s\nwant: %s", doc, tc.doc)
 			}
 			assertSameRecord(t, got, want)
@@ -224,18 +241,18 @@ func TestAppendRecordGolden(t *testing.T) {
 }
 
 // TestEncodeRecordNeverStoresAnEmptyDocument feeds encodeRecord what
-// its json.Marshal fallback rejects — a timestamp RFC 3339 cannot
-// express, raw bytes that are not JSON on a record whose args need
-// escaping (Submit and runBatch keep those away from AppendRecord, which
-// copies raw fields unchecked) — and expects a decodable terminal
-// failure each time, never zero bytes.
+// encoding/json rejects — a timestamp RFC 3339 cannot express, raw bytes
+// that are not JSON (Submit and runBatch keep those out; AppendRecord
+// copies raw fields unchecked), whether or not a string needs escaping —
+// and expects a decodable terminal failure each time, never zero bytes.
 func TestEncodeRecordNeverStoresAnEmptyDocument(t *testing.T) {
 	base := time.Date(2026, 9, 28, 10, 30, 0, 0, time.UTC)
 	for name, rec := range map[string]Record{
-		"bad payload":  {ID: "inv-1", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Args: map[string]string{"k": "v", "q": `"`}, Enqueued: base},
-		"bad result":   {ID: "inv-2", Object: `o"`, Member: "m", Status: StatusCompleted, Result: json.RawMessage(`nope`), Enqueued: base},
-		"year 10000":   {ID: "inv-3", Object: "o", Member: "m", Status: StatusCompleted, Enqueued: base, Finished: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
-		"both at once": {ID: "inv-4", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Enqueued: time.Date(-5, 1, 1, 0, 0, 0, 0, time.UTC)},
+		"bad payload":                {ID: "inv-1", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Args: map[string]string{"k": "v", "q": `"`}, Enqueued: base},
+		"bad result":                 {ID: "inv-2", Object: `o"`, Member: "m", Status: StatusCompleted, Result: json.RawMessage(`nope`), Enqueued: base},
+		"year 10000":                 {ID: "inv-3", Object: "o", Member: "m", Status: StatusCompleted, Enqueued: base, Finished: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
+		"both at once":               {ID: "inv-4", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Enqueued: time.Date(-5, 1, 1, 0, 0, 0, 0, time.UTC)},
+		"bad payload, plain strings": {ID: "inv-5", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Enqueued: base},
 	} {
 		got, raw := encodeRecord(rec)
 		var back Record
@@ -246,6 +263,40 @@ func TestEncodeRecordNeverStoresAnEmptyDocument(t *testing.T) {
 			!strings.Contains(back.Error, "unencodable") || back.Payload != nil || back.Result != nil {
 			t.Fatalf("%s: degraded record = %+v (stored %s)", name, got, raw)
 		}
+	}
+}
+
+// TestFailedRecordCostsWhatACompletedOneDoes: a handler failure's
+// error names its image in quotes, so every failed record has a string
+// that needs escaping. It must cost what a completed record costs to
+// encode (the document) and to decode (object, member and error in one
+// string), not send both halves to encoding/json's reflective paths.
+func TestFailedRecordCostsWhatACompletedOneDoes(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	base := time.Date(2026, 9, 28, 10, 30, 0, 123456789, time.UTC)
+	completed := Record{ID: "inv-0a1b2c", Object: "obj-1", Member: "bump", Status: StatusCompleted,
+		Result: json.RawMessage(`{"n":1}`), Enqueued: base, Started: base, Finished: base}
+	failed := completed
+	failed.Status, failed.Result = StatusFailed, nil
+	failed.Error = `runtime: invoking Counter.bump: faas: function failed: image "img/counter-incr": no such key`
+	cost := func(rec Record) (encode, decode float64) {
+		_, doc := encodeRecord(rec)
+		var back Record
+		if err := decodeRecord(doc, rec.ID, &back); err != nil || back.Error != rec.Error || back.Object != rec.Object {
+			t.Fatalf("%s record reads back as %+v, %v", rec.Status, back, err)
+		}
+		encode = testing.AllocsPerRun(100, func() { _, doc = encodeRecord(rec) })
+		decode = testing.AllocsPerRun(100, func() { _ = decodeRecord(doc, rec.ID, &back) })
+		return encode, decode
+	}
+	wantEnc, wantDec := cost(completed)
+	gotEnc, gotDec := cost(failed)
+	t.Logf("completed: %v to encode, %v to decode; failed: %v, %v", wantEnc, wantDec, gotEnc, gotDec)
+	if gotEnc != wantEnc || gotDec != wantDec {
+		t.Fatalf("a failed record costs %v allocations to encode and %v to decode, a completed one %v and %v",
+			gotEnc, gotDec, wantEnc, wantDec)
 	}
 }
 
@@ -308,7 +359,7 @@ func FuzzRecordEncoding(f *testing.F) {
 				}
 			}
 		}
-		got, want, _, _ := decodeBoth(t, rec)
+		got, want, _ := decodeBoth(t, rec)
 		assertSameRecord(t, got, want)
 	})
 }

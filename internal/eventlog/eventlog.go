@@ -25,8 +25,8 @@
 // document handed to the backing store (kvstore keeps the slice it is
 // given), so build returns a buffer nobody writes to again — the bus
 // passes json.Marshal output — and readers treat Payload as read-only.
-// A bounds document is a fresh buffer too (metaDoc), byte for byte the
-// json.Marshal of objMeta.
+// A bounds document is a fresh buffer too (metaDoc), written through
+// internal/jsonw, byte for byte the json.Marshal of objMeta.
 package eventlog
 
 import (
@@ -40,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/jsonw"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
@@ -116,14 +117,12 @@ type objMeta struct {
 }
 
 // metaDoc renders the bounds document for first and next, byte for byte
-// what encoding/json makes of objMeta{first, next}, in one allocation
-// and without the reflective pass: every append writes one.
+// what encoding/json makes of objMeta{first, next}, through jsonw in one
+// allocation: every append writes one.
 func metaDoc(first, next int64) json.RawMessage {
-	dst := make([]byte, 0, len(`{"first":,"next":}`)+2*len("-9223372036854775808"))
-	dst = append(dst, `{"first":`...)
-	dst = strconv.AppendInt(dst, first, 10)
-	dst = append(dst, `,"next":`...)
-	dst = strconv.AppendInt(dst, next, 10)
+	dst := append(make([]byte, 0, len(`{"first":,"next":}`)+2*len("-9223372036854775808")), '{')
+	dst = strconv.AppendInt(jsonw.AppendKey(dst, "first"), first, 10)
+	dst = strconv.AppendInt(jsonw.AppendKey(dst, "next"), next, 10)
 	return append(dst, '}')
 }
 

@@ -26,10 +26,12 @@
 //     maxBodyBytes with 413 "payload_too_large".
 //   - writeRawEnvelope writes {"output":…} and {"value":…} byte for
 //     byte as encoding/json would (a golden table and FuzzRawEnvelope
-//     hold it to that) without its reflective encoder; writeRecord does
-//     the same for an invocation record, through the encoder asyncq
-//     stores records with (TestInvocationBodyGolden,
-//     TestWriteRecordGolden).
+//     hold it to that) through internal/jsonw, without the reflective
+//     encoder; writeRecord does the same for any invocation record,
+//     through the encoder asyncq stores records with
+//     (TestInvocationBodyGolden, TestWriteRecordGolden). Each has one
+//     path: raw that is not JSON, or a time RFC 3339 cannot express,
+//     answers the 500 envelope with encoding/json's error text.
 //   - A route that reads one query key asks queryValue, which scans
 //     RawQuery instead of parsing it into url.Values; a query with an
 //     escape or a semicolon in it still goes through url.ParseQuery, so
@@ -58,6 +60,7 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/cluster"
 	"github.com/hpcclab/oparaca-go/internal/core"
+	"github.com/hpcclab/oparaca-go/internal/jsonw"
 	"github.com/hpcclab/oparaca-go/internal/metrics"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/resilience"
@@ -292,11 +295,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := getBuf()
 	defer putBuf(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		buf.Reset()
-		_ = json.NewEncoder(buf).Encode(errorBody{Error: "encoding response: " + err.Error()})
-		status = http.StatusInternalServerError
+		writeEncodingError(w, err)
+		return
 	}
 	writeBody(w, status, buf.Bytes())
+}
+
+// writeEncodingError answers the 500 envelope for a response its
+// encoder refused.
+func writeEncodingError(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusInternalServerError, errorBody{Error: "encoding response: " + err.Error()})
 }
 
 // jsonContentType is the Content-Type value of every JSON response,
@@ -312,94 +320,61 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 }
 
 // writeRawEnvelope answers 200 with {"<key>":<raw>}, the bytes
-// writeJSON produces for map[string]json.RawMessage{key: raw}, without
-// the map or the reflective encoder. raw gets what encoding/json
-// applies to a RawMessage: compaction, then HTML escaping (skipped when
-// a scan finds nothing to escape); empty raw is sent as null. key must
-// need no JSON escaping. Invalid raw takes the writeJSON path, whose
-// encoder rejects it and answers the 500 envelope.
+// writeJSON produces for map[string]json.RawMessage{key: raw}, through
+// jsonw instead of the map and the reflective encoder; empty raw is
+// sent as null. Raw that is not JSON answers writeJSON's 500 envelope,
+// with encoding/json's error text.
 func writeRawEnvelope(w http.ResponseWriter, key string, raw json.RawMessage) {
 	if len(raw) == 0 {
 		raw = json.RawMessage("null")
 	}
 	buf := getBuf()
 	defer putBuf(buf)
-	buf.WriteString(`{"`)
-	buf.WriteString(key)
-	buf.WriteString(`":`)
-	if err := writeRaw(buf, raw); err != nil {
-		writeJSON(w, http.StatusOK, map[string]json.RawMessage{key: raw})
+	buf.Grow(len(`{"":}`) + len(key) + len(raw) + 1)
+	doc, err := jsonw.AppendRaw(jsonw.AppendKey(append(buf.AvailableBuffer(), '{'), key), raw)
+	if err != nil {
+		writeEncodingError(w, err)
 		return
 	}
-	buf.WriteString("}\n")
-	writeBody(w, http.StatusOK, buf.Bytes())
-}
-
-// writeRaw writes raw to buf as encoding/json renders a RawMessage:
-// compacted, then HTML-escaped (skipped when a scan finds nothing to
-// escape). It fails, with buf in no defined state, when raw is not
-// JSON.
-func writeRaw(buf *bytes.Buffer, raw json.RawMessage) error {
-	if !needsHTMLEscape(raw) {
-		return json.Compact(buf, raw)
-	}
-	compact := getBuf()
-	defer putBuf(compact)
-	err := json.Compact(compact, raw)
-	if err == nil {
-		json.HTMLEscape(buf, compact.Bytes())
-	}
-	return err
+	writeBody(w, http.StatusOK, append(doc, '}', '\n'))
 }
 
 // writeRecord answers 200 with an invocation record, byte for byte the
 // body writeJSON renders for it, through the append encoder asyncq
 // stores records with. That encoder copies Payload and Result as they
 // are, so they get what encoding/json gives a RawMessage first
-// (writeRaw, both into one scratch buffer). A record the encoder
-// refuses (a string that needs escaping, a time RFC 3339 cannot
-// express) or whose raw fields are not JSON takes writeJSON.
+// (jsonw.AppendRaw, both into one scratch buffer). A record
+// encoding/json refuses (raw fields that are not JSON, a time RFC 3339
+// cannot express) answers writeJSON's 500 envelope, with encoding/json's
+// error text.
 func writeRecord(w http.ResponseWriter, rec *asyncq.Record) {
 	raws, buf := getBuf(), getBuf()
 	defer putBuf(raws)
 	defer putBuf(buf)
+	raws.Grow(len(rec.Payload) + len(rec.Result))
+	b := raws.AvailableBuffer()
 	var err error
 	if len(rec.Payload) > 0 {
-		err = writeRaw(raws, rec.Payload)
+		b, err = jsonw.AppendRaw(b, rec.Payload)
 	}
-	split := raws.Len()
+	split := len(b)
 	if len(rec.Result) > 0 && err == nil {
-		err = writeRaw(raws, rec.Result)
+		b, err = jsonw.AppendRaw(b, rec.Result)
 	}
-	wire := *rec
-	wire.Payload, wire.Result = raws.Bytes()[:split], raws.Bytes()[split:]
-	// Room for the document in the pooled buffer, so the encoder appends
-	// in place; one that needs more (long names) grows a slice of its own.
-	buf.Grow(512 + raws.Len() + len(rec.Error))
-	doc, ok := asyncq.AppendRecord(buf.AvailableBuffer(), &wire)
-	if err != nil || !ok {
-		writeJSON(w, http.StatusOK, *rec)
-		return
-	}
-	buf.Write(doc)
-	buf.WriteByte('\n')
-	writeBody(w, http.StatusOK, buf.Bytes())
-}
-
-// needsHTMLEscape reports whether b holds a byte sequence that
-// json.HTMLEscape rewrites: <, >, & or U+2028/U+2029.
-func needsHTMLEscape(b []byte) bool {
-	for i, c := range b {
-		switch c {
-		case '<', '>', '&':
-			return true
-		case 0xE2:
-			if i+2 < len(b) && b[i+1] == 0x80 && b[i+2]&^1 == 0xA8 {
-				return true
-			}
+	if err == nil {
+		wire := *rec
+		wire.Payload, wire.Result = b[:split], b[split:]
+		// Room for the document in the pooled buffer, so the encoder
+		// appends in place; one that needs more (long names) grows a
+		// slice of its own.
+		buf.Grow(512 + len(b) + len(rec.Error))
+		var doc []byte
+		if doc, err = asyncq.AppendRecord(buf.AvailableBuffer(), &wire); err == nil {
+			writeBody(w, http.StatusOK, append(doc, '\n'))
+			return
 		}
 	}
-	return false
+	writeEncodingError(w, err)
 }
 
 // writeError maps platform errors onto HTTP statuses.
@@ -851,9 +826,9 @@ func readInvokeRequest(w http.ResponseWriter, r *http.Request) (payload []byte, 
 		args[k] = vs[0]
 	}
 	if raw := query.Get("timeoutMs"); raw != "" {
-		ms, err := strconv.Atoi(raw)
-		if err != nil || ms < 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad timeoutMs %q: want a non-negative integer", raw)})
+		ms, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil || ms < 0 || ms > model.MaxTimeoutMs {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad timeoutMs %q: want an integer from 0 to %d", raw, model.MaxTimeoutMs)})
 			return nil, nil, 0, false
 		}
 		timeout = time.Duration(ms) * time.Millisecond

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +18,7 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/core"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/israce"
+	"github.com/hpcclab/oparaca-go/internal/model"
 )
 
 // pollRig is a gateway driven in-process over a platform with one async
@@ -22,14 +26,14 @@ import (
 // echo answers its payload, fail answers its payload (a JSON string) as
 // an error, park holds the worker until release is closed.
 type pollRig struct {
-	t       *testing.T
+	t       testing.TB
 	p       *core.Platform
 	gw      *Gateway
 	w       *fakeWriter
 	release chan struct{}
 }
 
-func newPollRig(t *testing.T) *pollRig {
+func newPollRig(t testing.TB) *pollRig {
 	t.Helper()
 	p, err := core.New(core.Config{Workers: 1, ColdStart: time.Millisecond,
 		AsyncWorkers: 1, AsyncDrainBatch: 1, AsyncQueueCapacity: 4096})
@@ -116,8 +120,8 @@ func reflected(t *testing.T, v any) string {
 }
 
 // TestInvocationBodyGolden holds every body of GET /api/invocations/{id}
-// to the bytes encoding/json renders for the record, whichever encoder
-// the route took and whether or not the poll waited.
+// to the bytes encoding/json renders for the record, whether or not the
+// poll waited.
 func TestInvocationBodyGolden(t *testing.T) {
 	rig := newPollRig(t)
 	cases := []struct {
@@ -130,7 +134,7 @@ func TestInvocationBodyGolden(t *testing.T) {
 		{"result with insignificant whitespace", "echo", " { \"a\" : [ 1 , 2 ] ,\n\t\"b\" : null } ", asyncq.StatusCompleted,
 			func(r asyncq.Record) bool { return bytes.ContainsAny(r.Result, " \n\t") }},
 		{"result with <, & and U+2028", "echo", "{\"t\":\"<a&b>\u2028\"}", asyncq.StatusCompleted,
-			func(r asyncq.Record) bool { return needsHTMLEscape(r.Result) }},
+			func(r asyncq.Record) bool { return bytes.ContainsAny(r.Result, "<&\u2028") }},
 		// A handler's failure names its image in quotes, so it is an "error
 		// string needing escapes" whatever the handler said.
 		{"failed", "fail", `"boom: no such key"`, asyncq.StatusFailed,
@@ -194,9 +198,9 @@ func TestInvocationBodyGolden(t *testing.T) {
 // TestWriteRecordGolden holds writeRecord to writeJSON's response for
 // the records the route above cannot be made to serve: a failure whose
 // text is plain, an expiry, times with a zone offset, empty and null raw
-// fields, and what neither encoder renders (a time RFC 3339 cannot
+// fields, and what encoding/json refuses (a time RFC 3339 cannot
 // express, raw bytes that are not JSON), which must stay the 500
-// envelope.
+// envelope with encoding/json's error text.
 func TestWriteRecordGolden(t *testing.T) {
 	base := time.Date(2026, 10, 3, 10, 30, 0, 123456789, time.FixedZone("", 5*3600+30*60))
 	for name, rec := range map[string]asyncq.Record{
@@ -313,6 +317,76 @@ func TestQueryValue(t *testing.T) {
 			t.Errorf("GET %s: status = %d, body = %s, want 400 %s", path, status, body, want)
 		}
 	}
+}
+
+// FuzzQueryIntegers sends one arbitrary value as ?timeoutMs= on a sync
+// invoke, ?waitMs= on a poll of a finished invocation and ?fromOffset=
+// on the event stream of an unknown object. No route may panic, and each
+// answers 400 for a value outside what it takes, or honours the value:
+// the invoked handler runs under a deadline no earlier than timeoutMs
+// after the request, the poll answers the record, the stream its 404.
+func FuzzQueryIntegers(f *testing.F) {
+	for _, q := range []string{"", "0", "1", "50", "-1", "+7", "007", "soon", "0x10", " 5", "1e3",
+		"9223372036854", "9223372036855", "18446744073710", "9300000000000", "99999999999999999999"} {
+		f.Add(q)
+	}
+	rig := newPollRig(f)
+	rig.p.Images().Register("img/deadline", invoker.HandlerFunc(func(ctx context.Context, _ invoker.Task) (invoker.Result, error) {
+		d, ok := ctx.Deadline()
+		if !ok {
+			return invoker.Result{Output: json.RawMessage(`null`)}, nil
+		}
+		out, err := json.Marshal(d)
+		return invoker.Result{Output: out}, err
+	}))
+	pkg := "classes:\n  - name: D\n    functions:\n      - name: dl\n        image: img/deadline\n"
+	if _, err := rig.p.DeployYAML(context.Background(), []byte(pkg)); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := rig.p.CreateObject(context.Background(), "D", "d1"); err != nil {
+		f.Fatal(err)
+	}
+	done := rig.submit("echo", `1`)
+	rig.await(done, asyncq.StatusCompleted)
+	serve := func(method, path string) (int, string) {
+		w := httptest.NewRecorder()
+		rig.gw.ServeHTTP(w, httptest.NewRequest(method, path, nil))
+		return w.Code, w.Body.String()
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		n, err := strconv.ParseInt(q, 10, 64)
+		valid := q == "" || err == nil && n >= 0
+		arg := url.QueryEscape(q)
+
+		before := time.Now()
+		status, body := serve(http.MethodPost, "/api/objects/d1/invoke/dl?timeoutMs="+arg)
+		switch {
+		case !valid || n > model.MaxTimeoutMs:
+			if status != http.StatusBadRequest || !strings.Contains(body, "bad timeoutMs") {
+				t.Fatalf("timeoutMs=%q: %d %s, want 400", q, status, body)
+			}
+		case status != http.StatusOK:
+			t.Fatalf("timeoutMs=%q: %d %s, want 200", q, status, body)
+		case n > 0:
+			var out struct{ Output *time.Time }
+			if err := json.Unmarshal([]byte(body), &out); err != nil || out.Output == nil {
+				t.Fatalf("timeoutMs=%q: the handler saw no deadline: %s", q, body)
+			}
+			if want := before.Add(time.Duration(n) * time.Millisecond); out.Output.Before(want) {
+				t.Fatalf("timeoutMs=%q: deadline %v, earlier than the %v asked for", q, out.Output, want)
+			}
+		}
+
+		status, body = serve(http.MethodGet, "/api/invocations/"+done+"?waitMs="+arg)
+		if want := map[bool]int{true: http.StatusOK, false: http.StatusBadRequest}[valid && n <= math.MaxInt]; status != want {
+			t.Fatalf("waitMs=%q: %d %s, want %d", q, status, body, want)
+		}
+
+		status, body = serve(http.MethodGet, "/api/objects/nope/events?fromOffset="+arg)
+		if want := map[bool]int{true: http.StatusNotFound, false: http.StatusBadRequest}[valid]; status != want {
+			t.Fatalf("fromOffset=%q: %d %s, want %d", q, status, body, want)
+		}
+	})
 }
 
 // TestInvokeBatchBodyGolden holds the 202 body of POST /api/invoke-batch

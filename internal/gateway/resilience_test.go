@@ -193,16 +193,34 @@ func TestHandlerPanicUnderTimeoutMs(t *testing.T) {
 	}
 }
 
-// TestInvokeTimeoutMsValidation rejects malformed deadline overrides.
+// TestInvokeTimeoutMsValidation rejects malformed deadline overrides,
+// and ones past model.MaxTimeoutMs, which would overflow the Duration
+// they are converted to: 18446744073710 into a 448.384us deadline,
+// 9300000000000 into a negative one, which means none. The query is
+// read before the object is looked up, so an unknown object answers the
+// same 400, and a value taken by mistake answers 404 instead of
+// invoking the stalled handler.
 func TestInvokeTimeoutMsValidation(t *testing.T) {
 	srv := newResilienceFixture(t).srv
-	resp, err := http.Post(srv.URL+"/api/objects/s1/invoke/stall?timeoutMs=soon", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	for _, path := range []string{
+		"/api/objects/s1/invoke/stall?timeoutMs=soon",
+		"/api/objects/nope/invoke/stall?timeoutMs=-1",
+		"/api/objects/nope/invoke/stall?timeoutMs=18446744073710",
+		"/api/objects/nope/invoke-async/stall?timeoutMs=18446744073710",
+		"/api/objects/nope/invoke/stall?timeoutMs=9300000000000",
+		"/api/objects/nope/invoke-async/stall?timeoutMs=9300000000000",
+		"/api/objects/nope/invoke-async/stall?timeoutMs=9223372036855",
+		"/api/objects/nope/invoke-async/stall?timeoutMs=99999999999999999999",
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("bad timeoutMs")) {
+			t.Errorf("POST %s: status = %d %s, want 400 bad timeoutMs", path, resp.StatusCode, body)
+		}
 	}
 }
 

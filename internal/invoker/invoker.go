@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/jsonw"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
@@ -331,15 +332,11 @@ func MergeState(base map[string]json.RawMessage, delta map[string]json.RawMessag
 		merged[k] = v
 	}
 	for k, v := range delta {
-		if isJSONNull(v) {
+		if jsonw.IsNull(v) {
 			delete(merged, k)
 			continue
 		}
 		merged[k] = v
 	}
 	return merged
-}
-
-func isJSONNull(v json.RawMessage) bool {
-	return len(bytes.TrimSpace(v)) == 0 || bytes.Equal(bytes.TrimSpace(v), []byte("null"))
 }

@@ -15,10 +15,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/url"
 	"regexp"
 	"sort"
 	"strings"
+	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/yamlx"
 )
@@ -32,6 +34,11 @@ var (
 	// ErrInheritanceCycle is returned when parent links form a cycle.
 	ErrInheritanceCycle = errors.New("model: inheritance cycle")
 )
+
+// MaxTimeoutMs is the largest timeoutMs a deadline can carry, in a
+// package or a request: one more millisecond overflows the nanoseconds
+// of a time.Duration.
+const MaxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
 
 // nameRE constrains identifiers (class, function, key names).
 var nameRE = regexp.MustCompile(`^[A-Za-z][A-Za-z0-9_-]*$`)
@@ -439,8 +446,8 @@ func (c *ClassDef) validate() error {
 			return fmt.Errorf("%w: class %q has duplicate function %q", ErrValidation, c.Name, f.Name)
 		}
 		fns[f.Name] = true
-		if f.TimeoutMs < 0 {
-			return fmt.Errorf("%w: class %q function %q has negative timeoutMs", ErrValidation, c.Name, f.Name)
+		if f.TimeoutMs < 0 || int64(f.TimeoutMs) > MaxTimeoutMs {
+			return fmt.Errorf("%w: class %q function %q has timeoutMs %d, want 0 to %d", ErrValidation, c.Name, f.Name, f.TimeoutMs, MaxTimeoutMs)
 		}
 		if err := validateQoS(f.QoS, c.Name, f.Name); err != nil {
 			return err
@@ -505,8 +512,8 @@ func (c *ClassDef) validate() error {
 		return fmt.Errorf("%w: class %q has unknown occValidate scope %q (want readset or keys)",
 			ErrValidation, c.Name, c.OCCValidate)
 	}
-	if c.TimeoutMs < 0 {
-		return fmt.Errorf("%w: class %q has negative timeoutMs", ErrValidation, c.Name)
+	if c.TimeoutMs < 0 || int64(c.TimeoutMs) > MaxTimeoutMs {
+		return fmt.Errorf("%w: class %q has timeoutMs %d, want 0 to %d", ErrValidation, c.Name, c.TimeoutMs, MaxTimeoutMs)
 	}
 	if err := validateQoS(c.QoS, c.Name, ""); err != nil {
 		return err

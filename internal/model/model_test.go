@@ -3,9 +3,11 @@ package model
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // listing1 is the paper's Listing 1 class definition, verbatim in
@@ -97,6 +99,13 @@ func TestValidationErrors(t *testing.T) {
 		{"dataflow no steps", "classes:\n  - name: A\n    dataflows:\n      - name: d\n"},
 		{"dataflow unknown dep", "classes:\n  - name: A\n    dataflows:\n      - name: d\n        steps:\n          - name: s\n            function: f\n            after: [ghost]\n"},
 		{"dataflow bad output", "classes:\n  - name: A\n    dataflows:\n      - name: d\n        output: ghost\n        steps:\n          - name: s\n            function: f\n"},
+		{"negative class timeoutMs", "classes:\n  - name: A\n    timeoutMs: -1\n"},
+		{"negative fn timeoutMs", "classes:\n  - name: A\n    functions:\n      - name: f\n        image: i\n        timeoutMs: -1\n"},
+		// Past MaxTimeoutMs the millisecond-to-Duration conversion wraps:
+		// to 448.384us and to a negative (no) deadline.
+		{"class timeoutMs overflows a Duration", "classes:\n  - name: A\n    timeoutMs: 18446744073710\n"},
+		{"fn timeoutMs overflows a Duration", "classes:\n  - name: A\n    functions:\n      - name: f\n        image: i\n        timeoutMs: 9300000000000\n"},
+		{"class timeoutMs one past the bound", "classes:\n  - name: A\n    timeoutMs: 9223372036855\n"},
 		{"dataflow collides with fn", "classes:\n  - name: A\n    functions:\n      - name: x\n        image: i\n    dataflows:\n      - name: x\n        steps:\n          - name: s\n            function: x\n"},
 	}
 	for _, c := range cases {
@@ -105,6 +114,18 @@ func TestValidationErrors(t *testing.T) {
 				t.Fatalf("err = %v, want ErrValidation", err)
 			}
 		})
+	}
+}
+
+// TestTimeoutMsAtTheBound: the largest timeoutMs a package may declare
+// is still a positive Duration.
+func TestTimeoutMsAtTheBound(t *testing.T) {
+	yaml := fmt.Sprintf("classes:\n  - name: A\n    timeoutMs: %d\n", MaxTimeoutMs)
+	if _, err := ParseYAML([]byte(yaml)); err != nil {
+		t.Fatalf("timeoutMs %d refused: %v", MaxTimeoutMs, err)
+	}
+	if d := time.Duration(MaxTimeoutMs) * time.Millisecond; d <= 0 {
+		t.Fatalf("MaxTimeoutMs is %v, not a deadline", d)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"maps"
 
 	"github.com/hpcclab/oparaca-go/internal/call"
+	"github.com/hpcclab/oparaca-go/internal/jsonw"
 	"github.com/hpcclab/oparaca-go/internal/model"
 )
 
@@ -138,7 +139,7 @@ func (rt *ClassRuntime) applyGroup(ctx context.Context, w *writeWindow, state ma
 				// semantics) but never appears in the structured view.
 				continue
 			}
-			if isNull(v) {
+			if jsonw.IsNull(v) {
 				// A deleted key resolves back to its class default for
 				// later calls, exactly as a fresh load would.
 				if len(spec.Default) > 0 {

@@ -885,25 +885,6 @@ func (rt *ClassRuntime) loadStateVersioned(ctx context.Context, objectID string,
 	return stateSnapshot{state: state, keys: keys, sc: sc}, nil
 }
 
-// isNull reports whether v is empty or the JSON literal null. It works
-// byte-wise on the raw message: JSON whitespace is only space, tab, CR
-// and LF, so no string conversion or unicode trimming is needed.
-func isNull(v json.RawMessage) bool {
-	i, j := 0, len(v)
-	for i < j && isJSONSpace(v[i]) {
-		i++
-	}
-	for j > i && isJSONSpace(v[j-1]) {
-		j--
-	}
-	if i == j {
-		return true
-	}
-	return j-i == 4 && v[i] == 'n' && v[i+1] == 'u' && v[i+2] == 'l' && v[i+3] == 'l'
-}
-
-func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-
 // InvokeDataflow runs a declared dataflow on an object. Each step
 // invokes a class method on the same object; state deltas persist
 // step-by-step per the pure-function contract. The flow runs under the

@@ -741,30 +741,6 @@ func TestTaskIDsUnique(t *testing.T) {
 	}
 }
 
-func TestIsNull(t *testing.T) {
-	cases := []struct {
-		in   string
-		want bool
-	}{
-		{"", true},
-		{"null", true},
-		{" null ", true},
-		{"\t\nnull\r ", true},
-		{"  ", true},
-		{"0", false},
-		{"false", false},
-		{`"null"`, false},
-		{"nul", false},
-		{"nulll", false},
-		{"[null]", false},
-	}
-	for _, c := range cases {
-		if got := isNull(json.RawMessage(c.in)); got != c.want {
-			t.Errorf("isNull(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 // TestDeleteObjectStateSerializesWithInvocations verifies an in-flight
 // invocation's delta merge cannot resurrect a concurrently deleted
 // object: DeleteObjectState waits on the object's stripe, so it runs

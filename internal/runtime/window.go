@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"github.com/hpcclab/oparaca-go/internal/call"
+	"github.com/hpcclab/oparaca-go/internal/jsonw"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/trace"
@@ -279,7 +280,7 @@ func (rt *ClassRuntime) commit(ctx context.Context, w *writeWindow, snap stateSn
 				op.Expect = snap.sc.got[key].Version
 			}
 		}
-		if !isNull(v) {
+		if !jsonw.IsNull(v) {
 			op.Value = v
 		}
 		ops[key] = op

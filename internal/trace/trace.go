@@ -48,6 +48,7 @@ import (
 	"encoding/hex"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -887,30 +888,30 @@ type parsed struct {
 }
 
 // parseTraceparent decodes a W3C traceparent header
-// ("00-<32 hex>-<16 hex>-<2 hex>"). Unknown versions are accepted per
-// spec (the known fields parse identically); all-zero trace or span
-// IDs are rejected.
+// ("00-<32 hex>-<16 hex>-<2 hex>", lowercase hex throughout). Version
+// 00 is exactly those 55 bytes; a later version is accepted per spec
+// (the known fields parse identically) and may carry more fields after
+// a '-'. Version ff and all-zero trace or span IDs are rejected.
 func parseTraceparent(s string) (parsed, bool) {
 	var p parsed
-	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
-		return p, false
+	var version, flags [1]byte
+	ok := len(s) >= 55 && s[2] == '-' && s[35] == '-' && s[52] == '-' &&
+		lowerHex(version[:], s[:2]) && lowerHex(p.traceID[:], s[3:35]) &&
+		lowerHex(p.spanID[:], s[36:52]) && lowerHex(flags[:], s[53:55]) &&
+		version[0] != 0xff && (len(s) == 55 || version[0] != 0 && s[55] == '-') &&
+		!p.traceID.IsZero() && p.spanID != (SpanID{})
+	p.flags = flags[0]
+	return p, ok
+}
+
+// lowerHex decodes s into dst, taking only HEXDIGLC digits (0-9, a-f).
+func lowerHex(dst []byte, s string) bool {
+	for i := range dst {
+		hi, lo := strings.IndexByte("0123456789abcdef", s[2*i]), strings.IndexByte("0123456789abcdef", s[2*i+1])
+		if hi < 0 || lo < 0 {
+			return false
+		}
+		dst[i] = byte(hi<<4 | lo)
 	}
-	if s[0] == 'f' && s[1] == 'f' {
-		return p, false // version 0xff is forbidden
-	}
-	if _, err := hex.Decode(p.traceID[:], []byte(s[3:35])); err != nil {
-		return p, false
-	}
-	if _, err := hex.Decode(p.spanID[:], []byte(s[36:52])); err != nil {
-		return p, false
-	}
-	var fl [1]byte
-	if _, err := hex.Decode(fl[:], []byte(s[53:55])); err != nil {
-		return p, false
-	}
-	p.flags = fl[0]
-	if p.traceID.IsZero() || p.spanID == (SpanID{}) {
-		return p, false
-	}
-	return p, true
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -323,12 +324,53 @@ func TestParseTraceparent(t *testing.T) {
 		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", false},
 		{"garbage", false},
 		{"", false},
+		// The W3C grammar: HEXDIGLC only, version 00 exactly 55 bytes, a
+		// later version's extra fields after a '-'.
+		{"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", false},
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01", false},
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A", false},
+		{"CC-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+		{"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false},
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", false},
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", false},
+		{"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x", false},
+		{"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", true},
 	}
 	for _, c := range cases {
 		if _, ok := parseTraceparent(c.in); ok != c.ok {
 			t.Errorf("parseTraceparent(%q) ok = %v, want %v", c.in, ok, c.ok)
 		}
 	}
+}
+
+var acceptedTraceparent = regexp.MustCompile(`^[0-9a-f]{2}-[0-9a-f]{32}-[0-9a-f]{16}-[0-9a-f]{2}(-|$)`)
+
+// FuzzTraceparent: a header parseTraceparent accepts is at least 55
+// bytes, its version, IDs and flags lowercase hex between dashes, and
+// its fields re-render to its first 55 bytes.
+func FuzzTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00-x",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, ok := parseTraceparent(s)
+		if !ok {
+			return
+		}
+		if !acceptedTraceparent.MatchString(s) {
+			t.Fatalf("accepted %q", s)
+		}
+		if got := fmt.Sprintf("%s-%s-%s-%02x", s[:2], p.traceID, p.spanID, p.flags); got != s[:55] {
+			t.Fatalf("parsed %q re-renders as %q", s, got)
+		}
+	})
 }
 
 func TestConcurrentSpansSingleTrace(t *testing.T) {
