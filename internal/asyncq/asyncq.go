@@ -10,6 +10,18 @@
 // client submits a task, receives an invocation ID immediately, and
 // later polls or waits for the terminal record.
 //
+// Records exist for submissions whose caller holds an ID — Submit, the
+// platform's invoke-async and invoke-batch — because polling that ID is
+// the only way the caller learns the outcome. SubmitGroup's tasks are
+// record-less: their submitter, the event bus's method sinks, keeps the
+// work durable in its own event log and learns the outcome from the
+// group's done hook, so the queue writes nothing for them, and their
+// IDs reach only their terminal events and traces (GET
+// /api/invocations/{id} answers 404 for one). Everything else — the
+// channel, the depth and in-flight gauges, class quotas, deadlines, the
+// fence requeue, drain grouping and coalescing, OnTerminal — is the same
+// for both.
+//
 // Lifecycle of one invocation:
 //
 //	Submit -> record {status: pending, payload, args}  (persisted, queued)
@@ -80,6 +92,7 @@
 package asyncq
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -245,12 +258,12 @@ type Config struct {
 	// acknowledging a failure. One invocation is requeued at most
 	// maxRequeues times, and never past its submission deadline.
 	Requeue func(error) bool
-	// OnTerminal, when set, is called once per invocation record that
-	// reaches a terminal status (completed or failed), after the record
-	// is persisted, with the submission's args — the platform publishes
-	// InvocationCompleted/InvocationFailed events (and webhook pushes)
-	// from it. Called from worker goroutines; must not block
-	// indefinitely.
+	// OnTerminal, when set, is called once per invocation that reaches a
+	// terminal status (completed, failed or expired), after its record is
+	// persisted (a record-less one has none), with the submission's args
+	// — the platform publishes InvocationCompleted/InvocationFailed
+	// events (and webhook pushes) from it. Called from worker goroutines;
+	// must not block indefinitely.
 	OnTerminal func(rec Record, args map[string]string)
 	// Drain, when set, is called by Close after every accepted
 	// invocation has finished and its terminal hook has run, before
@@ -284,7 +297,9 @@ const maxRequeues = 8
 
 // task is one queued invocation.
 type task struct {
-	key     string // record table key; id is its suffix
+	// key is the record table key, whose suffix is id; "" for a
+	// record-less task (SubmitGroup), which group then accounts for.
+	key     string
 	id      string
 	object  string
 	member  string
@@ -304,8 +319,18 @@ type task struct {
 	// span is the open queue.wait span of the submission's trace (nil
 	// when the submitter carried none); link holds the trace open across
 	// the queue hop so it finalizes only once the task goes terminal.
-	span *trace.Span
-	link trace.Link
+	span  *trace.Span
+	link  trace.Link
+	group *group
+}
+
+// group is what the record-less tasks of one SubmitGroup share: how many
+// of them are accepted and not yet terminal, how many of those that went
+// terminal completed — both guarded by Queue.mu — and the hook the last
+// one to go terminal calls.
+type group struct {
+	left, completed int
+	done            func(completed int)
 }
 
 // dropTrace closes the task's wait span (recording err) and releases
@@ -429,29 +454,74 @@ func New(cfg Config) (*Queue, error) {
 // and exec histograms, enqueued/rejected/completed/failed counters).
 func (q *Queue) Metrics() *metrics.Registry { return q.metrics }
 
-// newRecordKey returns the record key of a fresh invocation and its ID
-// ("inv-" + 12 random bytes in hex) — one string: the ID is the key's
-// suffix, so a task carries both for the price of one.
-func newRecordKey() (key, id string) {
+// idLen is the length of an invocation ID: "inv-" and 12 random bytes
+// in hex.
+const idLen = len("inv-") + 2*12
+
+// putID writes a fresh invocation ID into buf, which is idLen long.
+func putID(buf []byte) {
 	var b [12]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		panic("asyncq: crypto/rand unavailable: " + err.Error())
 	}
-	buf := make([]byte, 0, len(recordPrefix)+len("inv-")+2*len(b))
-	buf = append(buf, recordPrefix+"inv-"...)
-	key = string(hex.AppendEncode(buf, b[:]))
+	hex.Encode(buf[copy(buf, "inv-"):], b[:])
+}
+
+// newRecordKey returns the record key of a fresh invocation and its ID —
+// one string: the ID is the key's suffix, so a task carries both for
+// the price of one.
+func newRecordKey() (key, id string) {
+	var buf [len(recordPrefix) + idLen]byte
+	putID(buf[copy(buf[:], recordPrefix):])
+	key = string(buf[:])
 	return key, key[len(recordPrefix):]
 }
 
-// aim books a task to its target: the class its quota is counted
-// against — only when there are quotas, so a queue without them keeps
-// no per-class count — and the declared deadline, from when it queued.
+// newID returns the ID of a fresh record-less invocation.
+func newID() string {
+	var buf [idLen]byte
+	putID(buf[:])
+	return string(buf[:])
+}
+
+// aim books a task to its target and its submitter's context: the class
+// its quota is counted against — only when there are quotas, so a queue
+// without them keeps no per-class count — the deadline, the earlier of
+// the declared one, from when it queued, and the context's own, and,
+// when the context carries a trace, the link that holds the trace open
+// across the queue hop and the wait span that measures time-to-drain.
 func (q *Queue) aim(t *task, to Target) {
 	if len(q.cfg.ClassQuotas) > 0 {
 		t.class = to.Class
 	}
 	if to.Timeout > 0 {
 		t.deadline = t.queued.Add(to.Timeout)
+	}
+	if ctxDl, ok := t.ctx.Deadline(); ok && (t.deadline.IsZero() || ctxDl.Before(t.deadline)) {
+		t.deadline = ctxDl
+	}
+	if sp := trace.FromContext(t.ctx); sp != nil {
+		sp.SetInvocation(t.id)
+		t.link = sp.Link()
+		t.span = sp.Child("queue.wait")
+	}
+}
+
+// underQuota admits a task whose class is below its quota.
+func (q *Queue) underQuota(t task) error {
+	if quota, capped := q.cfg.ClassQuotas[t.class]; capped && t.class != "" && q.classPending[t.class] >= quota {
+		return fmt.Errorf("%w: class %s at quota %d", ErrClassQuotaExceeded, t.class, quota)
+	}
+	return nil
+}
+
+// refused counts n submissions enqueue turned away with err.
+func (q *Queue) refused(err error, n int) {
+	switch {
+	case errors.Is(err, ErrClassQuotaExceeded):
+		q.metrics.Counter("queue.quota_rejected").Add(int64(n))
+	case errors.Is(err, ErrQueueFull):
+		q.metrics.Counter("queue.rejected").Add(int64(n))
 	}
 }
 
@@ -484,35 +554,13 @@ func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, 
 		queued:  q.cfg.Clock.Now(),
 	}
 	q.aim(&t, to)
-	if ctxDl, ok := ctx.Deadline(); ok && (t.deadline.IsZero() || ctxDl.Before(t.deadline)) {
-		t.deadline = ctxDl
-	}
-	if sp := trace.FromContext(ctx); sp != nil {
-		// The queue hop outlives the submitter's request: a link keeps
-		// the trace open until the task goes terminal, and the wait span
-		// measures time-to-drain.
-		sp.SetInvocation(t.id)
-		t.link = sp.Link()
-		t.span = sp.Child("queue.wait")
-	}
 	// The pending record must exist before the task is visible to a
 	// worker: a fast worker would otherwise write the terminal record
 	// first and have it clobbered by a late pending write (leaving
 	// pollers stuck at "pending" forever).
 	q.putPending(t)
-	err := q.enqueue(t, "queue.enqueued", func() error {
-		if quota, capped := q.cfg.ClassQuotas[t.class]; capped && t.class != "" && q.classPending[t.class] >= quota {
-			return fmt.Errorf("%w: class %s at quota %d", ErrClassQuotaExceeded, t.class, quota)
-		}
-		return nil
-	})
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrClassQuotaExceeded):
-			q.metrics.Counter("queue.quota_rejected").Inc()
-		case errors.Is(err, ErrQueueFull):
-			q.metrics.Counter("queue.rejected").Inc()
-		}
+	if _, err := q.enqueue([]task{t}, "queue.enqueued", q.underQuota); err != nil {
+		q.refused(err, 1)
 		_ = q.records.Delete(context.Background(), t.key)
 		t.dropTrace(err)
 		return "", err
@@ -520,41 +568,102 @@ func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, 
 	return t.id, nil
 }
 
-// enqueue is the one send to the queue: it makes t visible to every
-// worker and books it queued — one more in the depth gauge, in its
-// class's quota count and in counter, and a tracked entry that has not
-// started. The closed check, admit and the send share q.mu, so Close
-// cannot observe an accepted task it will not drain, racing submitters
-// cannot oversubscribe a quota and a record is not adopted twice; the
-// depth is booked before the send, so the worker that dequeues t cannot
-// take the gauge below zero. It fails with ErrClosed after Close, with
-// admit's error when admit (nil admits every task) refuses t, and with
-// ErrQueueFull when Config.Capacity tasks are queued.
-func (q *Queue) enqueue(t task, counter string, admit func() error) error {
+// SubmitGroup enqueues calls on objectID as record-less tasks: the
+// chained calls of one event-bus consumer run, whose events the
+// submitter's event log already holds. A record-less task is an ordinary
+// task whose record key is empty: nothing is written when it is accepted
+// or when it goes terminal, Get and Wait do not know its ID, and
+// RecoverStranded never sees it — a crash loses it, and the submitter
+// redelivers it from its log. Nor are its payload and args copied or
+// checked: they must be JSON and stay unwritten (log entries, a shared
+// args table). Each call's Ctx (nil: none) is its submitter's context,
+// as Submit's is.
+//
+// SubmitGroup accepts the longest prefix of calls the queue and the
+// target's class quota have room for and returns its length, with the
+// error that refused the rest (ErrQueueFull, ErrClassQuotaExceeded,
+// ErrClosed); nil when it took them all. When it accepted any, done runs
+// once, on a worker, after every accepted call went terminal and its
+// OnTerminal hook ran, with how many of them completed; if the queue is
+// killed first, it never runs.
+func (q *Queue) SubmitGroup(to Target, objectID string, calls []call.Call, done func(completed int)) (int, error) {
+	g := &group{done: done}
+	ts := make([]task, len(calls))
+	now := q.cfg.Clock.Now()
+	for i, c := range calls {
+		t := &ts[i]
+		*t = task{
+			id: newID(), object: objectID, member: c.Member,
+			payload: c.Payload, args: c.Args,
+			ctx: cmp.Or(c.Ctx, context.Background()), queued: now, group: g,
+		}
+		q.aim(t, to)
+	}
+	// The group counts each task as it is admitted, under q.mu, so no
+	// accepted task can go terminal before the count holds all of them;
+	// with room checked first, every admitted task is sent.
+	n, err := q.enqueue(ts, "queue.enqueued", func(t task) error {
+		if err := q.underQuota(t); err != nil {
+			return err
+		}
+		if len(q.tasks) == cap(q.tasks) {
+			return fmt.Errorf("%w: object %s", ErrQueueFull, objectID)
+		}
+		g.left++
+		return nil
+	})
+	if n < len(ts) {
+		q.refused(err, len(ts)-n)
+		for i := n; i < len(ts); i++ {
+			ts[i].dropTrace(err)
+		}
+	}
+	return n, err
+}
+
+// enqueue is the one send to the queue: it makes the tasks of ts, in
+// order, visible to every worker and books each queued — one more in the
+// depth gauge, in its class's quota count and in counter, and, for a
+// task with a record, a tracked entry that has not started. The closed
+// check, admit and the sends share q.mu, so Close cannot observe an
+// accepted task it will not drain, racing submitters cannot
+// oversubscribe a quota and a record is not adopted twice; the depth is
+// booked before the send, so the worker that dequeues a task cannot take
+// the gauge below zero. It returns how many tasks it accepted: all of
+// them, or those before the first that admit (nil admits every task)
+// refused, with admit's error, or that found Config.Capacity tasks
+// queued, with ErrQueueFull. After Close it accepts none and fails with
+// ErrClosed.
+func (q *Queue) enqueue(ts []task, counter string, admit func(task) error) (int, error) {
 	m := q.metrics
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	if admit != nil {
-		if err := admit(); err != nil {
-			return err
+	for i := range ts {
+		t := &ts[i]
+		if admit != nil {
+			if err := admit(*t); err != nil {
+				return i, err
+			}
 		}
+		m.Gauge("queue.depth").Add(1)
+		select {
+		case q.tasks <- *t:
+		default:
+			m.Gauge("queue.depth").Add(-1)
+			return i, fmt.Errorf("%w: object %s", ErrQueueFull, t.object)
+		}
+		if t.class != "" {
+			q.classPending[t.class]++
+		}
+		if t.key != "" {
+			q.tracked[t.id] = time.Time{}
+		}
+		m.Counter(counter).Inc()
 	}
-	m.Gauge("queue.depth").Add(1)
-	select {
-	case q.tasks <- t:
-	default:
-		m.Gauge("queue.depth").Add(-1)
-		return fmt.Errorf("%w: object %s", ErrQueueFull, t.object)
-	}
-	if t.class != "" {
-		q.classPending[t.class]++
-	}
-	q.tracked[t.id] = time.Time{}
-	m.Counter(counter).Inc()
-	return nil
+	return len(ts), nil
 }
 
 // BatchResult is one batch-submission outcome.
@@ -609,37 +718,38 @@ func (q *Queue) putPending(t task) {
 }
 
 // terminalHook is one invocation's terminal transition: the record, its
-// table key, and the submission args for the OnTerminal callback.
+// table key ("" for a record-less task), the submission args for the
+// OnTerminal callback, and a record-less task's group, with whether it
+// was the group's last task to go terminal.
 type terminalHook struct {
-	key  string
-	rec  Record
-	args map[string]string
+	key   string
+	rec   Record
+	args  map[string]string
+	group *group
+	last  bool
 }
 
-// finish publishes a drain pull's terminal transitions: one batched
-// table write, then — under one q.mu acquisition — each blocked Wait
-// handed its record and each ID untracked, then the eviction index,
-// then the OnTerminal hook, which so observes the terminal state when
-// it polls. Record writes outlive the submitter's context.
+// terminal is t's terminal transition to rec.
+func (t *task) terminal(rec Record) terminalHook {
+	return terminalHook{key: t.key, rec: rec, args: t.args, group: t.group}
+}
+
+// finish publishes a drain pull's terminal transitions: the records in
+// one batched table write, then — under one q.mu acquisition — each
+// blocked Wait handed its record and each ID untracked, then the
+// eviction index, then the OnTerminal hook, which so observes the
+// terminal state when it polls, and last the record-less tasks counted
+// off their groups. Record writes outlive the submitter's context.
 func (q *Queue) finish(hooks []terminalHook) {
-	switch len(hooks) {
-	case 0:
+	if len(hooks) == 0 {
 		return
-	case 1:
-		h := &hooks[0]
-		var raw json.RawMessage
-		h.rec, raw = encodeRecord(h.rec)
-		_ = q.records.Put(context.Background(), h.key, raw)
-	default:
-		entries := make(map[string]json.RawMessage, len(hooks))
-		for i := range hooks {
-			h := &hooks[i]
-			h.rec, entries[h.key] = encodeRecord(h.rec)
-		}
-		_ = q.records.PutMany(context.Background(), entries)
 	}
+	q.store(hooks)
 	q.mu.Lock()
 	for i := range hooks {
+		if hooks[i].key == "" {
+			continue
+		}
 		id := hooks[i].rec.ID
 		if w, ok := q.waiters[id]; ok {
 			w.rec = hooks[i].rec
@@ -653,7 +763,9 @@ func (q *Queue) finish(hooks []terminalHook) {
 		expires := q.cfg.Clock.Now().Add(q.cfg.RecordTTL)
 		q.terminalMu.Lock()
 		for i := range hooks {
-			q.terminal = append(q.terminal, expiringRecord{id: hooks[i].rec.ID, expires: expires})
+			if hooks[i].key != "" {
+				q.terminal = append(q.terminal, expiringRecord{id: hooks[i].rec.ID, expires: expires})
+			}
 		}
 		q.terminalMu.Unlock()
 	}
@@ -662,6 +774,70 @@ func (q *Queue) finish(hooks []terminalHook) {
 			q.cfg.OnTerminal(hooks[i].rec, hooks[i].args)
 		}
 	}
+	q.countOff(hooks)
+}
+
+// countOff counts the pull's record-less tasks off their groups, each
+// after its OnTerminal hook ran, and runs the done hook of every group
+// whose last task it counted: so done runs after the OnTerminal hook of
+// every task of its group, whichever workers ran them.
+func (q *Queue) countOff(hooks []terminalHook) {
+	grouped := false
+	for i := range hooks {
+		grouped = grouped || hooks[i].group != nil
+	}
+	if !grouped {
+		return
+	}
+	q.mu.Lock()
+	for i := range hooks {
+		h := &hooks[i]
+		if g := h.group; g != nil {
+			if h.rec.Status == StatusCompleted {
+				g.completed++
+			}
+			g.left--
+			h.last = g.left == 0
+		}
+	}
+	q.mu.Unlock()
+	for i := range hooks {
+		if g := hooks[i].group; hooks[i].last && g.done != nil {
+			g.done(g.completed)
+		}
+	}
+}
+
+// store writes the terminal records of hooks: each encoded once, a
+// pull's in one batched table write. Record-less tasks have none.
+func (q *Queue) store(hooks []terminalHook) {
+	keyed := 0
+	for i := range hooks {
+		if hooks[i].key != "" {
+			keyed++
+		}
+	}
+	if keyed == 0 {
+		return
+	}
+	var entries map[string]json.RawMessage
+	if keyed > 1 {
+		entries = make(map[string]json.RawMessage, keyed)
+	}
+	for i := range hooks {
+		h := &hooks[i]
+		if h.key == "" {
+			continue
+		}
+		var raw json.RawMessage
+		h.rec, raw = encodeRecord(h.rec)
+		if entries == nil {
+			_ = q.records.Put(context.Background(), h.key, raw)
+			return
+		}
+		entries[h.key] = raw
+	}
+	_ = q.records.PutMany(context.Background(), entries)
 }
 
 // gcLoop evicts records whose TTL has elapsed, every quarter TTL.
@@ -922,7 +1098,7 @@ func (q *Queue) runBatch(d *drain) {
 			m.Counter("queue.failed").Inc()
 		}
 		m.Histogram("queue.exec").Observe(0)
-		d.hooks = append(d.hooks, terminalHook{key: t.key, rec: rec, args: t.args})
+		d.hooks = append(d.hooks, t.terminal(rec))
 		t.dropTrace(err)
 	}
 	q.finish(d.hooks)
@@ -933,10 +1109,13 @@ func (q *Queue) runBatch(d *drain) {
 		return
 	}
 	// Running from here on, as far as Get is concerned; the durable
-	// record stays pending (see the package doc).
+	// record stays pending (see the package doc). A record-less task is
+	// not Get's to know.
 	q.mu.Lock()
 	for i := range runnable {
-		q.tracked[runnable[i].id] = started
+		if runnable[i].key != "" {
+			q.tracked[runnable[i].id] = started
+		}
 	}
 	q.mu.Unlock()
 	m.Gauge("queue.inflight").Add(int64(len(runnable)))
@@ -963,7 +1142,7 @@ func (q *Queue) runBatch(d *drain) {
 			// Back to the queue under the same trace: a fresh wait span
 			// opens so the re-run's queue time is visible too.
 			t.span = t.link.Start("queue.wait")
-			if q.enqueue(*t, "queue.requeued", nil) == nil {
+			if _, err := q.enqueue([]task{*t}, "queue.requeued", nil); err == nil {
 				continue
 			}
 			t.span.End()
@@ -988,7 +1167,7 @@ func (q *Queue) runBatch(d *drain) {
 			rec.Status, rec.Result = StatusCompleted, out
 			m.Counter("queue.completed").Inc()
 		}
-		d.hooks = append(d.hooks, terminalHook{key: t.key, rec: rec, args: t.args})
+		d.hooks = append(d.hooks, t.terminal(rec))
 		t.link.Release() // terminal: the trace's queue hop is over
 	}
 	q.finish(d.hooks)
@@ -1064,7 +1243,7 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 			q.aim(&t, q.cfg.Target(t.object, t.member))
 		}
 		// A full queue skips the record; the next recovery pass retries.
-		switch err := q.enqueue(t, "queue.recovered", func() error {
+		switch _, err := q.enqueue([]task{t}, "queue.recovered", func(t task) error {
 			if _, live := q.tracked[t.id]; live {
 				return errLive
 			}

@@ -126,25 +126,17 @@ func TestDataTriggeredChainIsExact(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			// The chain is asynchronous (bus dispatch + async queue):
-			// wait for the count to arrive, then hold to catch
-			// over-delivery.
-			deadline := time.Now().Add(10 * time.Second)
-			for tallyCount(t, p, tally) < total {
-				if time.Now().After(deadline) {
-					t.Fatalf("tally = %v, want %d (stats %+v / %+v)",
-						tallyCount(t, p, tally), total, p.TriggerBus().Stats(), p.Stats().Async)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
+			// The chain is asynchronous (bus dispatch + async queue), and
+			// Drain returns once every chained call of the events
+			// published so far has committed: one read is exact.
 			p.TriggerBus().Drain()
-			time.Sleep(20 * time.Millisecond)
 			if got := tallyCount(t, p, tally); got != total {
-				t.Fatalf("tally = %v, want exactly %d", got, total)
+				t.Fatalf("tally = %v, want exactly %d (stats %+v / %+v)",
+					got, total, p.TriggerBus().Stats(), p.Stats().Async)
 			}
 			s := p.Stats().Triggers
-			if s.Emitted < total || s.Delivered < total {
-				t.Fatalf("trigger stats = %+v", s)
+			if s.Emitted != total || s.Delivered != total || s.Dropped != 0 {
+				t.Fatalf("trigger stats = %+v, want %d emitted and delivered", s, total)
 			}
 		})
 	}
@@ -180,15 +172,13 @@ func TestYAMLTriggerCycleDepthTerminates(t *testing.T) {
 	if _, err := p.Invoke(ctx, id, "bump", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for p.Stats().Triggers.CycleDropped == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("cycle never terminated: %+v", p.Stats().Triggers)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Each chained bump commits — and publishes the next hop's event —
+	// before its group settles, so Drain returns only once the chain has
+	// ended.
 	p.TriggerBus().Drain()
-	time.Sleep(20 * time.Millisecond)
+	if s := p.Stats().Triggers; s.CycleDropped != 1 {
+		t.Fatalf("cycle not terminated once: %+v", s)
+	}
 	// Client bump (depth 0) plus one chained bump per depth level.
 	if got := tallyCount(t, p, id); got != maxDepth+1 {
 		t.Fatalf("loop counter = %v, want %d", got, maxDepth+1)

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -288,6 +289,46 @@ func (p *Platform) InvokeAsync(ctx context.Context, objectID, member string, pay
 		return "", err
 	}
 	return p.submit(ctx, t, objectID, call.Call{Member: member, Payload: payload, Args: args})
+}
+
+// chain is the event bus's method-sink hook: one consumer run's chained
+// calls, all of one member of objectID, queued as a group of record-less
+// tasks (asyncq.Queue.SubmitGroup). The events they carry are in the
+// event log, behind a cursor that moves past them only once done has
+// reported them committed or failed, so the log is the chain's one
+// durable queue and the queue writes no record: a chained call's ID
+// appears only in its terminal event and its trace. A handler is handed
+// its payload to keep, so each call gets a copy of its event's log
+// entry — a handler that writes into it must not change the log — while
+// the args, which handlers only read, are the bus's shared table. Each
+// call opens its own root trace, as a submission from inside the process
+// does.
+func (p *Platform) chain(objectID string, calls []call.Call, done func(committed int)) (int, error) {
+	member := calls[0].Member
+	t, err := p.resolve(objectID, member)
+	if err != nil {
+		return 0, err
+	}
+	for i := range calls {
+		calls[i].Payload = bytes.Clone(calls[i].Payload)
+	}
+	var spans [8]*trace.Span
+	roots := spans[:0]
+	if p.tracer != nil {
+		for i := range calls {
+			var root *trace.Span
+			calls[i].Ctx, root = p.rootSpan(context.Background(), "invoke.async", objectID, member)
+			roots = append(roots, root)
+		}
+	}
+	n, err := p.queue.SubmitGroup(t.queued(member), objectID, calls, done)
+	for i, root := range roots {
+		if i >= n {
+			root.Error(err)
+		}
+		root.End()
+	}
+	return n, err
 }
 
 // submitAll enqueues every request, returning one ID-or-error result

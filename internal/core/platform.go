@@ -390,10 +390,10 @@ func New(cfg Config) (*Platform, error) {
 		return fail(fmt.Errorf("core: recovering event cursors: %w", err))
 	}
 	// The event bus routes committed-state and terminal-invocation
-	// events to data-triggered methods (through the async queue),
-	// webhooks, and live streams.
+	// events to data-triggered methods (record-less groups on the async
+	// queue, see chain), webhooks, and live streams.
 	p.bus, err = trigger.New(trigger.Config{
-		InvokeAsync:       p.InvokeAsync,
+		InvokeAsync:       p.chain,
 		Log:               p.elog,
 		MaxChainDepth:     cfg.TriggerMaxChainDepth,
 		WebhookMaxRetries: cfg.WebhookMaxRetries,

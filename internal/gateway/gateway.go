@@ -1122,14 +1122,16 @@ func (g *Gateway) handleDeleteTrigger(w http.ResponseWriter, r *http.Request) {
 // live deliveries are deduplicated by offset, and any gap between a
 // live event's offset and the last delivered one is healed by
 // re-reading the log, so a resuming client observes a gap-free,
-// per-object-ordered sequence. Offsets count logged events, and an
-// object's log begins with the first event someone could read (this
-// stream included), so fromOffset=1 on an object nobody has observed
-// replays nothing and goes live. Without fromOffset the stream is
-// live-only and a consumer that falls behind its buffer loses events
-// (counted in Stats().Triggers.Dropped) rather than stalling the
-// committing writer. The stream also ends when the server shuts down
-// (CloseStreams).
+// per-object-ordered sequence. A gap the log cannot fill — compacted,
+// or unreadable — is reported in a `: skipped <from>-<to>` comment line
+// instead. Offsets count logged events, and an object's log begins with
+// the first event someone could read (this stream included), so
+// fromOffset=1 on an object nobody has observed replays nothing and goes
+// live. Without fromOffset the stream starts live, and a consumer that
+// falls behind its buffer skips events (counted in
+// Stats().Triggers.StreamSkipped) rather than stalling the committing
+// writer; once it has seen an offset, those gaps heal the same way. The
+// stream also ends when the server shuts down (CloseStreams).
 func (g *Gateway) handleObjectEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -1176,31 +1178,14 @@ func (g *Gateway) handleObjectEvents(w http.ResponseWriter, r *http.Request) {
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	// last is the highest durable offset delivered so far; 0 until the
-	// first offset-stamped event is seen.
-	var last int64
-	emit := func(evType string, data []byte) bool {
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", evType, data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	emitEntry := func(e core.EventLogEntry) bool {
-		var ev trigger.Event
-		if err := json.Unmarshal(e.Payload, &ev); err != nil {
-			return true // malformed stored payload: skip, keep streaming
-		}
-		if !emit(string(ev.Type), e.Payload) {
-			return false
-		}
-		last = e.Offset
-		return true
-	}
+	tail := &eventTail{w: w, flusher: flusher}
 	for _, e := range backlog {
-		if !emitEntry(e) {
+		if !tail.emitEntry(e) {
 			return
 		}
+	}
+	read := func(from int64, n int) ([]core.EventLogEntry, error) {
+		return g.platform.ReadEvents(r.Context(), id, from, n)
 	}
 	for {
 		select {
@@ -1208,42 +1193,97 @@ func (g *Gateway) handleObjectEvents(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return // platform shutting down
 			}
-			if ev.Offset > 0 && ev.Offset <= last {
+			if ev.Offset > 0 && ev.Offset <= tail.last {
 				continue // already delivered during replay
 			}
-			if last > 0 && ev.Offset > last+1 {
-				// The live buffer skipped ahead (stream overflow, or two
-				// racing commits published out of offset order): heal the
-				// gap from the log. A compacted gap start can't 410 after
-				// the headers — jump over it instead.
-				gap, err := g.platform.ReadEvents(r.Context(), id, last+1, int(ev.Offset-last-1))
-				if err == nil {
-					for _, e := range gap {
-						if e.Offset >= ev.Offset {
-							break
-						}
-						if !emitEntry(e) {
-							return
-						}
-					}
-				}
+			// The live buffer skipped ahead (stream overflow, or two
+			// racing commits published out of offset order): heal the gap
+			// from the log.
+			if tail.last > 0 && ev.Offset > tail.last+1 && !tail.heal(read, ev.Offset) {
+				return
 			}
 			data, err := json.Marshal(ev)
 			if err != nil {
 				continue
 			}
-			if !emit(string(ev.Type), data) {
+			if !tail.emit(string(ev.Type), data) {
 				return
 			}
-			if ev.Offset > last {
-				last = ev.Offset
-			}
+			tail.last = max(tail.last, ev.Offset)
 		case <-r.Context().Done():
 			return
 		case <-g.streamsDone:
 			return
 		}
 	}
+}
+
+// eventTail writes one object's events to an SSE response. last is the
+// highest durable offset it has accounted for — delivered, or reported
+// skipped; 0 until the first offset-stamped event.
+type eventTail struct {
+	w       io.Writer
+	flusher http.Flusher
+	last    int64
+}
+
+// emit writes one event frame and reports whether the client is still
+// there.
+func (t *eventTail) emit(evType string, data []byte) bool {
+	if _, err := fmt.Fprintf(t.w, "event: %s\ndata: %s\n\n", evType, data); err != nil {
+		return false
+	}
+	t.flusher.Flush()
+	return true
+}
+
+// emitEntry writes one stored event. A malformed stored payload is
+// passed over, and the stream goes on.
+func (t *eventTail) emitEntry(e core.EventLogEntry) bool {
+	var ev trigger.Event
+	if err := json.Unmarshal(e.Payload, &ev); err != nil {
+		return true
+	}
+	if !t.emit(string(ev.Type), e.Payload) {
+		return false
+	}
+	t.last = e.Offset
+	return true
+}
+
+// heal writes the events a live stream skipped before offset next,
+// reading them back with read, and a `: skipped <from>-<to>` comment for
+// every run of offsets it cannot: compacted away, or the read failed. A
+// compacted gap start can't 410 after the headers, and jumping over it
+// silently would make a gap look like none.
+func (t *eventTail) heal(read func(from int64, n int) ([]core.EventLogEntry, error), next int64) bool {
+	gap, err := read(t.last+1, int(next-t.last-1))
+	if err != nil {
+		gap = nil
+	}
+	for _, e := range gap {
+		if e.Offset >= next {
+			break
+		}
+		if !t.skipTo(e.Offset) || !t.emitEntry(e) {
+			return false
+		}
+	}
+	return t.skipTo(next)
+}
+
+// skipTo reports the offsets from last+1 up to, not including, to as
+// skipped, if there are any.
+func (t *eventTail) skipTo(to int64) bool {
+	if to <= t.last+1 {
+		return true
+	}
+	if _, err := fmt.Fprintf(t.w, ": skipped %d-%d\n\n", t.last+1, to-1); err != nil {
+		return false
+	}
+	t.flusher.Flush()
+	t.last = to - 1
+	return true
 }
 
 func (g *Gateway) handleOptimizerActions(w http.ResponseWriter, _ *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -495,4 +496,58 @@ func TestChainHandlerCannotScribbleOnTheLog(t *testing.T) {
 		}
 	}
 	t.Fatalf("no replayed frame: %v", body.Err())
+}
+
+// TestEventTailReportsWhatItCannotHeal: when a live stream skips ahead,
+// the tail writes the skipped events it reads back from the log, and a
+// `: skipped <from>-<to>` comment line for each run of offsets the log
+// cannot give back — compacted away, or a failed read — and then goes
+// on past them, so a gap never passes silently.
+func TestEventTailReportsWhatItCannotHeal(t *testing.T) {
+	entry := func(off int64) core.EventLogEntry {
+		raw, _ := json.Marshal(trigger.Event{Offset: off, Type: trigger.StateChanged, Class: "Note", Object: "n-1"})
+		return core.EventLogEntry{Offset: off, Payload: raw}
+	}
+	frame := func(off int64) string {
+		e := entry(off)
+		return "event: stateChanged\ndata: " + string(e.Payload) + "\n\n"
+	}
+	cases := []struct {
+		name    string
+		entries []core.EventLogEntry
+		err     error
+		want    string
+	}{
+		{"healed", []core.EventLogEntry{entry(2), entry(3), entry(4)}, nil, frame(2) + frame(3) + frame(4)},
+		{"compacted", nil, core.ErrOffsetCompacted, ": skipped 2-4\n\n"},
+		{"read failed", nil, errors.New("store unavailable"), ": skipped 2-4\n\n"},
+		{"partly compacted", []core.EventLogEntry{entry(4)}, nil, ": skipped 2-3\n\n" + frame(4)},
+		{"malformed entry", []core.EventLogEntry{entry(2), {Offset: 3, Payload: json.RawMessage(`{`)}, entry(4)}, nil,
+			frame(2) + ": skipped 3-3\n\n" + frame(4)},
+		{"tail missing", []core.EventLogEntry{entry(2)}, nil, frame(2) + ": skipped 3-4\n\n"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			tail := &eventTail{w: rec, flusher: rec, last: 1}
+			var from int64
+			var n int
+			read := func(f int64, max int) ([]core.EventLogEntry, error) {
+				from, n = f, max
+				return c.entries, c.err
+			}
+			if !tail.heal(read, 5) {
+				t.Fatal("heal reported the client gone")
+			}
+			if from != 2 || n != 3 {
+				t.Fatalf("read(%d, %d), want read(2, 3)", from, n)
+			}
+			if got := rec.Body.String(); got != c.want {
+				t.Fatalf("wrote %q, want %q", got, c.want)
+			}
+			if tail.last != 4 {
+				t.Fatalf("last = %d after healing up to 5, want 4", tail.last)
+			}
+		})
+	}
 }

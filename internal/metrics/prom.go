@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // PromWriter renders metrics in the Prometheus text exposition format
@@ -52,13 +53,28 @@ func (p *PromWriter) typeLine(name, typ string) {
 	p.buf.WriteByte('\n')
 }
 
-// escapeLabel escapes a label value per the exposition format.
+// escapeLabel escapes a label value per the exposition format, whose
+// text is UTF-8: a byte that is not UTF-8 is written as U+FFFD, as
+// encoding/json and jsonw.AppendString write one.
 func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
+	if !strings.ContainsAny(v, "\\\"\n") && utf8.ValidString(v) {
 		return v
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	var b strings.Builder
+	b.Grow(len(v) + 2)
+	for _, r := range v { // an invalid byte decodes as utf8.RuneError
+		switch r {
+		case '\\':
+			b.WriteString(`\\`)
+		case '"':
+			b.WriteString(`\"`)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }
 
 // Labels renders a label set ("k1=v1", "k2=v2", ...) into the

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // parseExposition is a minimal strictness check for the text format:
@@ -164,4 +165,62 @@ func TestPromLabelsEscaping(t *testing.T) {
 	if Labels() != "" {
 		t.Fatal("empty Labels not empty")
 	}
+}
+
+// unescapeLabel reads back the value of a one-label set {k="…"}: it
+// undoes the exposition format's three escapes and refuses anything
+// else a backslash starts, as a Prometheus parser would.
+func unescapeLabel(set string) (string, bool) {
+	v, ok := strings.CutPrefix(set, `{k="`)
+	if !ok {
+		return "", false
+	}
+	if v, ok = strings.CutSuffix(v, `"}`); !ok {
+		return "", false
+	}
+	var b strings.Builder
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; {
+		case c == '"':
+			return "", false // an unescaped quote ends the value early
+		case c != '\\':
+			b.WriteByte(c)
+		case i+1 == len(v):
+			return "", false
+		default:
+			i++
+			switch v[i] {
+			case '\\', '"':
+				b.WriteByte(v[i])
+			case 'n':
+				b.WriteByte('\n')
+			default:
+				return "", false
+			}
+		}
+	}
+	return b.String(), true
+}
+
+// FuzzLabels: whatever a label value holds, Labels renders it as valid
+// UTF-8 with no raw newline, and reading the label back returns the
+// value — with each byte that is not UTF-8 read back as U+FFFD, the way
+// encoding/json and jsonw.AppendString write such bytes.
+func FuzzLabels(f *testing.F) {
+	for _, v := range []string{"", "plain", "a\"b\\c\nd", `\n`, "\\\"", "café", "\xff", "a\xe2\x82b", " \r\t", "�"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		set := Labels("k", v)
+		if !utf8.ValidString(set) {
+			t.Fatalf("Labels(%q) = %q is not valid UTF-8", v, set)
+		}
+		if strings.Contains(set, "\n") {
+			t.Fatalf("Labels(%q) = %q holds a raw newline", v, set)
+		}
+		got, ok := unescapeLabel(set)
+		if want := string([]rune(v)); !ok || got != want {
+			t.Fatalf("Labels(%q) = %q reads back as %q (ok=%v), want %q", v, set, got, ok, want)
+		}
+	})
 }

@@ -173,12 +173,12 @@ func TestEncodeOnceByteIdentity(t *testing.T) {
 	var chainMu sync.Mutex
 	var chained [][]byte
 	l := newLog(t, eventlog.Config{})
-	b := newBus(t, Config{Log: l, InvokeAsync: func(_ context.Context, _, _ string, payload json.RawMessage, _ map[string]string) (string, error) {
+	b := newBus(t, Config{Log: l, InvokeAsync: each(func(_, _ string, payload json.RawMessage, _ map[string]string) error {
 		chainMu.Lock()
 		chained = append(chained, bytes.Clone(payload))
 		chainMu.Unlock()
-		return "inv", nil
-	}})
+		return nil
+	})})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: h.srv.URL}); err != nil {
 		t.Fatal(err)
 	}
@@ -258,15 +258,15 @@ func TestFailedAppendDeliversOnceToEverySink(t *testing.T) {
 	h := newHook(t, false)
 	release := make(chan struct{})
 	chained := make(chan int64, 4)
-	b := newBusFailingNextAppend(t, Config{InvokeAsync: func(_ context.Context, _, _ string, payload json.RawMessage, _ map[string]string) (string, error) {
+	b := newBusFailingNextAppend(t, Config{InvokeAsync: each(func(_, _ string, payload json.RawMessage, _ map[string]string) error {
 		<-release
 		var ev Event
 		if err := json.Unmarshal(payload, &ev); err != nil {
 			t.Errorf("chain payload %q: %v", payload, err)
 		}
 		chained <- ev.Offset
-		return "inv", nil
-	}})
+		return nil
+	})})
 	unblock := sync.OnceFunc(func() { close(release) })
 	t.Cleanup(unblock) // before the bus's Close, which drains the pool
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: h.srv.URL}); err != nil {
@@ -675,10 +675,10 @@ func TestDeliveryQueueIsABoundedFIFO(t *testing.T) {
 func TestDrainWhilePublishing(t *testing.T) {
 	var calls atomic.Int64
 	b := newBus(t, Config{Log: newLog(t, eventlog.Config{}),
-		InvokeAsync: func(context.Context, string, string, json.RawMessage, map[string]string) (string, error) {
+		InvokeAsync: each(func(string, string, json.RawMessage, map[string]string) error {
 			calls.Add(1)
-			return "inv", nil
-		}})
+			return nil
+		})})
 	if err := b.Subscribe("chain", Subscription{Class: "A", Type: StateChanged, TargetObject: "t-1", TargetFunction: "f"}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@
 // Subscriptions — declared per class in YAML or managed dynamically —
 // route matching events to one of three sinks:
 //
-//   - an object method, submitted through the platform's asynchronous
-//     queue (data-triggered function chaining);
+//   - an object method, run through the platform's asynchronous queue
+//     (data-triggered function chaining);
 //   - a webhook URL, POSTed with bounded doubling-backoff retry;
 //   - a live per-object stream (the gateway's SSE tail).
 //
@@ -35,12 +35,18 @@
 //
 // Webhook and object-method sinks become cursor-based log consumers:
 // each (subscription, object) pair owns a durable cursor that only
-// advances past an event once its delivery succeeded (or terminally
-// failed, e.g. the chain-depth limit). A crash loses in-flight
-// deliveries but not the events — on restart, re-registering a
-// subscription resumes its consumers from the stored cursors, giving
-// at-least-once delivery. Live streams stay best-effort; the gateway
-// heals their gaps by replaying the log.
+// advances past an event once its delivery is done — the webhook
+// answered 2xx, or the chained call the event fired committed — or
+// failed terminally (the chained call failed, the chain-depth limit).
+// The log is a method sink's only queue: its calls ride the async queue
+// as record-less tasks, which nothing persists, and the cursor moves past
+// their events when they commit, not when they are submitted. A crash
+// loses in-flight deliveries and chained calls but not the events — on
+// restart, re-registering a subscription resumes its consumers from the
+// stored cursors, giving at-least-once delivery. Live streams stay
+// best-effort: an event a full stream buffer cannot take is skipped
+// (counted in Stats().StreamSkipped, not Dropped), and the gateway heals
+// the gap by replaying the log.
 //
 // # Delivery path
 //
@@ -56,11 +62,23 @@
 // decodes and matches log entries until the offsets meet again. The
 // choice is made by comparing offsets, never by a setting. A run that
 // ends on a retriable failure (webhook retry budget spent, async queue
-// full) leaves the cursor in place and is re-armed after a doubling,
-// jittered delay that starts at WebhookBackoff and is capped, so a
-// recovered endpoint catches up without a new event or a restart and a
-// dead one is probed at a bounded cadence (its backlog shows as
-// CursorLag).
+// too full to take any of a group) leaves the cursor in place and is
+// re-armed after a doubling, jittered delay that starts at
+// WebhookBackoff and is capped, so a recovered endpoint catches up
+// without a new event or a restart and a dead one is probed at a bounded
+// cadence (its backlog shows as CursorLag).
+//
+// A method sink delivers what one run holds — the hand-off's events, or
+// one log read's — as one group: the calls of every event it wants, in
+// offset order, up to the first at the chain-depth limit, submitted in
+// one AsyncInvoker call. At most one group is in flight per consumer.
+// While it is, the consumer stays queued and dispatch only fills its
+// hand-off; when the group's calls have committed or failed, its done
+// hook persists the cursor past it, counts the committed calls in
+// Delivered and the failed ones in Dropped, and puts the consumer back
+// on the pool if events wait behind it. Drain waits for groups in flight
+// too, so once it returns every chained call of an event published
+// before it has committed or failed.
 //
 // A webhook delivery is one HTTP round trip on the bus's own transport,
 // which keeps one idle connection per delivery worker and endpoint, so
@@ -88,10 +106,11 @@
 // commit nor a stream nor another object's chain. The log is the only
 // queue; nothing appended is shed. What else holds events is bounded by
 // the consumers, not by event volume: a consumer keeps at most
-// handoffCap of them and sits on the pool's queue at most once, and one
-// whose hand-off is full reads the log. The one event without an offset
-// is one whose append failed: no cursor can wait behind it, so it goes
-// to the pool once per matching subscription, best-effort, and is
+// handoffCap of them, sits on the pool's queue at most once and has at
+// most one group in flight, and one whose hand-off is full reads the
+// log. The one event without an offset is one whose append failed: no
+// cursor can wait behind it, so it goes to the pool once per matching
+// subscription, best-effort (a group of one for a method sink), and is
 // counted in Stats().LogFailed. (Two racing OCC commits on one object
 // may publish in either order — emission happens after the validated
 // commit lands, outside the table's shard locks — so stream order
@@ -107,6 +126,7 @@ package trigger
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -122,6 +142,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/eventlog"
 	"github.com/hpcclab/oparaca-go/internal/metrics"
 	"github.com/hpcclab/oparaca-go/internal/model"
@@ -322,19 +343,27 @@ func (s Subscription) matches(ev Event) bool {
 	return false
 }
 
-// AsyncInvoker submits one chained invocation (the platform passes its
-// InvokeAsync path; the indirection keeps this package core-free).
-// payload is the event JSON and is shared with the event log, and args
-// is shared by every invocation the bus fires for that event type and
-// depth: an implementation must copy either before handing it to code
-// that may write to it (the platform's async queue copies both on
-// Submit).
-type AsyncInvoker func(ctx context.Context, objectID, member string, payload json.RawMessage, args map[string]string) (string, error)
+// AsyncInvoker submits one group of chained calls on objectID: a method
+// sink's share of one consumer run, in offset order (the platform passes
+// its async queue's record-less group submission; the indirection keeps
+// this package core-free). A call's Payload is its event's log entry and
+// its Args are shared by every call the bus fires for that event type
+// and depth: an implementation must not write to either, nor hand the
+// payload to code that may (a handler gets a copy). It returns
+// how many calls it accepted — a prefix of them; none is a retriable
+// refusal. When it accepted any, it must run done once, after every
+// accepted call committed or failed terminally, with how many committed
+// — possibly before it returns — and never if the process dies first:
+// the events are still in the log, behind the cursor.
+type AsyncInvoker func(objectID string, calls []call.Call, done func(committed int)) (accepted int, err error)
 
 // Config sizes a Bus.
 type Config struct {
-	// InvokeAsync realizes the object-method sink; nil fails such
-	// deliveries (counted dropped).
+	// InvokeAsync realizes the object-method sink. A method sink's cursor
+	// advances past a group of events only once the calls they fired have
+	// committed or failed terminally, so the event log is the chain's only
+	// durable queue: a crash before the commit redelivers the events from
+	// the log. nil fails such deliveries (counted dropped).
 	InvokeAsync AsyncInvoker
 	// Log is the durable event log, and New fails without one: Publish
 	// appends every event to it before dispatch, and webhook and method
@@ -420,8 +449,8 @@ type inflight struct {
 
 // Stream is one live per-object event tail (the gateway's SSE feed).
 // Events arrive on Events() in commit order; a slow consumer whose
-// buffer fills loses events (counted in Stats().Dropped) rather than
-// stalling the publisher.
+// buffer fills skips events (counted in Stats().StreamSkipped) rather
+// than stalling the publisher.
 type Stream struct {
 	bus    *Bus
 	object string
@@ -457,7 +486,9 @@ func (s *Stream) Close() {
 // one run is in flight per state; a notify arriving mid-run sets rerun
 // so the worker loops again instead of enqueuing a duplicate — the
 // delivery queue is therefore bounded by the number of distinct
-// (subscription, object) pairs, not by event volume.
+// (subscription, object) pairs, not by event volume. A consumer whose
+// chained group is in flight stays queued: parked is set once the run
+// that submitted the group has returned, so the group's done resumes it.
 type consumerState struct {
 	key consumerKey
 	// sub points at the subscription as the bus last published it: the
@@ -467,6 +498,7 @@ type consumerState struct {
 	sub    *Subscription
 	queued bool
 	rerun  bool
+	parked bool
 	// handoff holds, oldest first, the in-flight events dispatch matched
 	// for this consumer and the consumer has not reached yet. A full
 	// hand-off, or a stalled consumer's, records nothing: the consumer
@@ -500,8 +532,8 @@ type delItem struct {
 // sendTable is what every delivery of one event type carries: the
 // webhook request header (the transport only reads a request's Header,
 // so every attempt shares it) and, indexed by the event's depth, the
-// args of the method-sink invocation it fires (the async queue clones
-// them on submit). Both are read only.
+// args of the method-sink call it fires (the async queue keeps them as
+// they are). Both are read only.
 type sendTable struct {
 	header http.Header
 	args   []map[string]string
@@ -590,14 +622,17 @@ type Bus struct {
 
 	// The delivery pool, guarded by delMu. delCond wakes one worker per
 	// enqueued item; quiet is broadcast whenever Drain's predicate may
-	// have turned true (a pool item completed, the bus stopped). delWg
-	// counts the workers and the re-arm sleepers, which stop closes.
+	// have turned true (a pool item completed, a chained group settled,
+	// the bus stopped). chains counts the chained groups submitted and
+	// not yet settled. delWg counts the workers and the re-arm sleepers,
+	// which stop closes.
 	delMu     sync.Mutex
 	delCond   *sync.Cond
 	quiet     *sync.Cond
 	delQueue  delRing
 	delState  map[consumerKey]*consumerState
 	delBusy   int
+	chains    int
 	delClosed bool
 	delWg     sync.WaitGroup
 	stop      chan struct{}
@@ -1069,7 +1104,7 @@ func (b *Bus) notify(sub *Subscription, object string, it *inflight) {
 		// after this point redelivers the event instead of forgetting
 		// the consumer ever existed.
 		if err := b.cfg.Log.SetCursor(b.killCtx, sub.ID, object, it.ev.Offset); err != nil {
-			b.count(b.subCountersFor(sub.ID), false)
+			b.count(b.subCountersFor(sub.ID), 0, 1)
 			return
 		}
 	}
@@ -1098,15 +1133,17 @@ func (b *Bus) notify(sub *Subscription, object string, it *inflight) {
 	b.delCond.Signal()
 }
 
-// count records one finished delivery: delivered, or terminally lost.
-func (b *Bus) count(c *subCounters, delivered bool) {
-	if delivered {
-		b.metrics.Counter("trigger.delivered").Inc()
-		c.delivered.Add(1)
-		return
+// count records finished deliveries: delivered ones, and terminally
+// lost ones.
+func (b *Bus) count(c *subCounters, delivered, dropped int) {
+	if delivered > 0 {
+		b.metrics.Counter("trigger.delivered").Add(int64(delivered))
+		c.delivered.Add(int64(delivered))
 	}
-	b.metrics.Counter("trigger.dropped").Inc()
-	c.dropped.Add(1)
+	if dropped > 0 {
+		b.metrics.Counter("trigger.dropped").Add(int64(dropped))
+		c.dropped.Add(int64(dropped))
+	}
 }
 
 // enqueueOneShot schedules the one delivery an event whose append failed
@@ -1119,19 +1156,23 @@ func (b *Bus) enqueueOneShot(sub *Subscription, it *inflight) {
 	defer b.delMu.Unlock()
 	b.delQueue.push(delItem{run: func() {
 		c := b.subCountersFor(sub.ID)
-		if sub.Webhook != "" {
-			b.count(c, b.deliverWebhook(sub, it.ev, it.raw, c))
+		if sub.Webhook == "" {
+			b.chainOnce(sub, it, c)
+		} else if b.deliverWebhook(sub, it.ev, it.raw, c) {
+			b.count(c, 1, 0)
 		} else {
-			b.count(c, b.deliverMethod(sub, it.ev, it.raw) == methodDelivered)
+			b.count(c, 0, 1)
 		}
 	}})
 	b.delCond.Signal()
 }
 
 // deliveryWorker executes pool items until Close (after the queue
-// drains) or Kill (immediately).
+// drains) or Kill (immediately). calls is its scratch for the chained
+// calls of one group: the invoker keeps none of them.
 func (b *Bus) deliveryWorker() {
 	defer b.delWg.Done()
+	calls := make([]call.Call, 0, readBatch)
 	for {
 		b.delMu.Lock()
 		for b.delQueue.n == 0 && !b.delClosed {
@@ -1144,15 +1185,18 @@ func (b *Bus) deliveryWorker() {
 		item := b.delQueue.pop()
 		b.delBusy++
 		b.delMu.Unlock()
-		stalled := false
+		out := runIdle
 		if item.st != nil {
-			stalled = b.runConsumer(item.st)
+			out = b.runConsumer(item.st, calls)
 		} else if !b.killed.Load() {
 			item.run()
 		}
 		b.delMu.Lock()
 		b.delBusy--
-		if st := item.st; st != nil {
+		// A parked consumer is its chained group's to resume, and may be
+		// running again already.
+		if st := item.st; st != nil && out != runChained {
+			stalled := out == runStalled
 			if !stalled {
 				st.stall = 0
 			}
@@ -1201,173 +1245,332 @@ func (b *Bus) rearm(st *consumerState, d time.Duration) {
 	b.delCond.Signal()
 }
 
-// take advances a consumer's hand-off to cursor: events below it were
-// already delivered from the log and are dropped; the event at it, if
-// present, is the caught-up case and is returned for direct delivery.
-// It also returns the subscription as last refreshed, so a redeployed
-// sink applies to events queued before the redeploy.
-func (b *Bus) take(st *consumerState, cursor int64) (*Subscription, *inflight) {
+// take advances a consumer's hand-off to cursor — events below it were
+// already delivered from the log and are dropped — and appends to dst
+// the run of hand-off events whose offsets count up from cursor: the
+// caught-up case, delivered without reading the log. It also returns the
+// subscription as last refreshed, so a redeployed sink applies to events
+// queued before the redeploy, and whether the hand-off was full: then
+// dispatch may have passed events over that only the log holds.
+func (b *Bus) take(st *consumerState, cursor int64, dst []inflight) (*Subscription, []inflight, bool) {
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
-	var it *inflight
+	full := st.nHandoff == handoffCap
 	drop := 0
 	for drop < st.nHandoff && st.handoff[drop].ev.Offset < cursor {
 		drop++
 	}
-	if drop < st.nHandoff && st.handoff[drop].ev.Offset == cursor {
-		it = st.handoff[drop]
-		drop++
+	for ; drop < st.nHandoff && st.handoff[drop].ev.Offset == cursor; drop++ {
+		dst = append(dst, *st.handoff[drop])
+		cursor++
 	}
 	n := copy(st.handoff[:], st.handoff[drop:st.nHandoff])
 	clear(st.handoff[n:st.nHandoff])
 	st.nHandoff = n
-	return st.sub, it
+	return st.sub, dst, full
 }
+
+// readBatch is the most log entries one consumer read takes.
+const readBatch = 64
+
+// runOutcome is how a consumer run ended.
+type runOutcome int
+
+const (
+	// runIdle: caught up or stopped; a notify schedules the next run.
+	runIdle runOutcome = iota
+	// runStalled: a retriable failure left the cursor in place; re-arm.
+	runStalled
+	// runChained: a chained group is in flight and the consumer parked;
+	// the group's done resumes it.
+	runChained
+	// runOn: a group settled while the run was still going; it goes on.
+	// runConsumer never returns it.
+	runOn
+)
 
 // runConsumer advances one (subscription, object) cursor, delivering
 // every matching event in offset order: from the hand-off while the
 // consumer is caught up, from the log while it is behind (see the
-// package doc). The cursor only moves past an event on success or a
-// terminal failure; a retriable failure leaves it in place and reports
-// the run stalled, so the delivery is re-attempted by the re-arm and —
-// because the cursor is durable — after a restart.
-func (b *Bus) runConsumer(st *consumerState) (stalled bool) {
+// package doc). The cursor only moves past an event once its delivery is
+// done or failed terminally; a retriable failure leaves it in place and
+// reports the run stalled, so the delivery is re-attempted by the re-arm
+// and — because the cursor is durable — after a restart. A method sink's
+// run ends when it has submitted a group (see chain), built in calls.
+func (b *Bus) runConsumer(st *consumerState, calls []call.Call) runOutcome {
 	log, id, object := b.cfg.Log, st.key.sub, st.key.object
 	c := b.subCountersFor(id)
 	cursor, ok := log.Cursor(id, object)
 	if !ok {
-		return false
+		return runIdle
 	}
+	var handed [handoffCap]inflight
 	for !b.killed.Load() {
-		sub, it := b.take(st, cursor)
-		if it != nil {
-			if !b.deliverDurable(sub, it.ev, it.raw, c) {
-				return true
+		sub, its, more := b.take(st, cursor, handed[:0])
+		if len(its) == 0 {
+			entries, err := log.Read(b.killCtx, object, cursor, readBatch)
+			if errors.Is(err, eventlog.ErrOffsetCompacted) {
+				// Retention overtook the consumer: the evicted entries are
+				// undeliverable. Count them dropped and resume at the
+				// floor.
+				floor, _, berr := log.Bounds(b.killCtx, object)
+				if berr != nil || floor <= cursor {
+					return runIdle
+				}
+				b.count(c, 0, int(floor-cursor))
+				cursor = floor
+				if err := log.SetCursor(b.killCtx, id, object, cursor); err != nil {
+					return runIdle
+				}
+				continue
 			}
-			cursor++
-			if err := log.SetCursor(b.killCtx, id, object, cursor); err != nil {
-				return false
+			if err != nil || len(entries) == 0 {
+				return runIdle
 			}
+			its, more = decodeEntries(entries), len(entries) == readBatch
+		}
+		if sub.Webhook == "" {
+			next, out := b.chain(st, sub, c, its, cursor, more, calls)
+			if out != runOn {
+				return out
+			}
+			cursor = next
 			continue
 		}
-		entries, err := log.Read(b.killCtx, object, cursor, 64)
-		if errors.Is(err, eventlog.ErrOffsetCompacted) {
-			// Retention overtook the consumer: the evicted entries are
-			// undeliverable. Count them dropped and resume at the
-			// floor.
-			floor, _, berr := log.Bounds(b.killCtx, object)
-			if berr != nil || floor <= cursor {
-				return false
-			}
-			b.metrics.Counter("trigger.dropped").Add(floor - cursor)
-			c.dropped.Add(floor - cursor)
-			cursor = floor
-			if err := log.SetCursor(b.killCtx, id, object, cursor); err != nil {
-				return false
-			}
-			continue
-		}
-		if err != nil || len(entries) == 0 {
-			return false
-		}
-		for _, e := range entries {
+		for i := range its {
 			if b.killed.Load() {
-				return false
+				return runIdle
 			}
-			var ev Event
-			if json.Unmarshal(e.Payload, &ev) == nil && !b.deliverDurable(sub, ev, e.Payload, c) {
-				return true
+			if it := &its[i]; sub.matches(it.ev) {
+				// With the retry budget spent the event is not lost: the
+				// cursor stays put and the re-arm (or a restart) retries. A
+				// permanently failing endpoint therefore stalls this
+				// consumer — visible as growing CursorLag in Stats.
+				if !b.deliverWebhook(sub, it.ev, it.raw, c) {
+					return runStalled
+				}
+				b.count(c, 1, 0)
 			}
-			cursor = e.Offset + 1
+			cursor = its[i].ev.Offset + 1
 			if err := log.SetCursor(b.killCtx, id, object, cursor); err != nil {
-				return false
+				return runIdle
 			}
 		}
 	}
-	return false
+	return runIdle
 }
 
-// deliverDurable delivers one event for a cursor consumer if the
-// subscription wants it, counts the outcome, and reports whether the
-// cursor may advance (false only for retriable failures). raw is the
-// event's log entry.
-func (b *Bus) deliverDurable(sub *Subscription, ev Event, raw json.RawMessage, c *subCounters) (advance bool) {
-	if !sub.matches(ev) {
-		return true
-	}
-	if sub.Webhook != "" {
-		// With the retry budget spent the event is not lost: the cursor
-		// stays put and the re-arm (or a restart) retries. A permanently
-		// failing endpoint therefore stalls this consumer — visible as
-		// growing CursorLag in Stats.
-		if !b.deliverWebhook(sub, ev, raw, c) {
-			return false
+// decodeEntries decodes log entries into in-flight events. An entry that
+// does not decode becomes an event of no type, which no subscription
+// matches: its consumers pass over it.
+func decodeEntries(entries []eventlog.Entry) []inflight {
+	its := make([]inflight, len(entries))
+	for i, e := range entries {
+		if json.Unmarshal(e.Payload, &its[i].ev) != nil {
+			its[i].ev = Event{}
 		}
-		b.count(c, true)
-		return true
+		its[i].ev.Offset, its[i].raw = e.Offset, e.Payload
 	}
-	outcome := b.deliverMethod(sub, ev, raw)
-	if outcome == methodRetry {
+	return its
+}
+
+// chainGroup is one method-sink group in flight: its consumer (nil for
+// the one-shot group of an event whose append failed), the cursor past
+// its events, whether events may wait behind it, how many calls the
+// queue accepted and — once done ran — how many committed. The fields
+// are written under the bus's delMu.
+type chainGroup struct {
+	bus                 *Bus
+	st                  *consumerState
+	c                   *subCounters
+	next                int64
+	more                bool
+	accepted, committed int
+	finished            bool
+}
+
+// chain delivers a method sink's share of one run — its, the events from
+// cursor on — as one group of chained calls: one for every event sub
+// wants, in offset order, up to the first at the chain-depth limit. That
+// event is terminal when no call precedes it and is dropped here;
+// otherwise it ends the group and the next run drops it. The consumer
+// parks while the group is in flight (runChained) and its done resumes
+// it. When the queue takes none of the group the cursor stays on the
+// group's first event and the run stalls. An empty group, or one whose
+// calls all settled before chain looked, leaves the run to go on from
+// the cursor returned (runOn). calls is the worker's scratch, cleared
+// before chain returns.
+func (b *Bus) chain(st *consumerState, sub *Subscription, c *subCounters, its []inflight, cursor int64, more bool, calls []call.Call) (int64, runOutcome) {
+	log, id, object := b.cfg.Log, st.key.sub, st.key.object
+	g := &chainGroup{bus: b, st: st, c: c, next: cursor, more: more}
+	for i := range its {
+		ev := &its[i].ev
+		if sub.matches(*ev) {
+			if ev.Depth >= b.cfg.MaxChainDepth && len(calls) > 0 {
+				g.more = true
+				break
+			}
+			if !b.tooDeep(ev, c) {
+				calls = append(calls, call.Call{Member: sub.TargetFunction, Payload: its[i].raw, Args: b.argsFor(ev)})
+			}
+		}
+		g.next = ev.Offset + 1
+	}
+	defer clear(calls)
+	if len(calls) > 0 && b.cfg.InvokeAsync == nil {
+		b.count(c, 0, len(calls))
+		calls = calls[:0]
+	}
+	if len(calls) == 0 {
+		if err := log.SetCursor(b.killCtx, id, object, g.next); err != nil {
+			return cursor, runIdle
+		}
+		return g.next, runOn
+	}
+	b.delMu.Lock()
+	b.chains++
+	b.delMu.Unlock()
+	k, _ := b.cfg.InvokeAsync(cmp.Or(sub.TargetObject, object), calls, g.done)
+	b.delMu.Lock()
+	g.accepted = k
+	if k < len(calls) {
+		g.more = true
+		g.next = b.callOffset(sub, its, k)
+	}
+	switch {
+	case k == 0:
+		b.chains--
+		b.quiet.Broadcast()
+		b.delMu.Unlock()
+		if g.next > cursor {
+			_ = log.SetCursor(b.killCtx, id, object, g.next)
+		}
+		return cursor, runStalled
+	case !g.finished:
+		st.parked, st.stall = true, 0
+		b.delMu.Unlock()
+		return cursor, runChained
+	}
+	b.delMu.Unlock()
+	if err := g.settle(false); err != nil {
+		return cursor, runIdle
+	}
+	return g.next, runOn
+}
+
+// callOffset returns the offset of the event chain built its k-th call
+// from: the k-th of its events that sub wants below the depth limit.
+func (b *Bus) callOffset(sub *Subscription, its []inflight, k int) int64 {
+	for i := range its {
+		if ev := &its[i].ev; sub.matches(*ev) && ev.Depth < b.cfg.MaxChainDepth {
+			if k == 0 {
+				return ev.Offset
+			}
+			k--
+		}
+	}
+	panic("trigger: no event for a chained call")
+}
+
+// done is the group's AsyncInvoker completion hook. It records the
+// outcome; if the run that submitted the group has parked, or the group
+// has no consumer, it settles the group (and resumes the consumer), and
+// otherwise that run, which has not looked yet, settles it itself.
+func (g *chainGroup) done(committed int) {
+	b, st := g.bus, g.st
+	b.delMu.Lock()
+	g.committed, g.finished = committed, true
+	parked := st == nil || st.parked
+	if st != nil {
+		st.parked = false
+	}
+	b.delMu.Unlock()
+	if parked {
+		_ = g.settle(true)
+	}
+}
+
+// settle books a finished group: its committed calls delivered, the
+// rest dropped, and the consumer's cursor persisted past its events.
+// Then the group leaves the in-flight count and, when the consumer is
+// parked, the consumer resumes — back on the pool if events may wait
+// behind the group or a notify came meanwhile — in one step under delMu,
+// so Drain never finds the bus quiet in between.
+func (g *chainGroup) settle(parked bool) error {
+	b, st := g.bus, g.st
+	b.count(g.c, g.committed, g.accepted-g.committed)
+	var err error
+	if st != nil {
+		err = b.cfg.Log.SetCursor(b.killCtx, st.key.sub, st.key.object, g.next)
+	}
+	b.delMu.Lock()
+	defer b.delMu.Unlock()
+	b.chains--
+	if parked && st != nil {
+		switch {
+		case b.killed.Load() || b.delClosed:
+			st.queued = false
+		case (g.more && err == nil) || st.rerun:
+			st.rerun = false
+			b.delQueue.push(delItem{st: st})
+			b.delCond.Signal()
+		default:
+			st.queued = false
+		}
+	}
+	b.quiet.Broadcast()
+	return err
+}
+
+// tooDeep reports whether ev has used its chain-depth budget, counting
+// the method delivery it so ends: terminating beats looping, since a
+// trigger targeting its own emitting class would otherwise self-sustain
+// forever.
+func (b *Bus) tooDeep(ev *Event, c *subCounters) bool {
+	if ev.Depth < b.cfg.MaxChainDepth {
 		return false
 	}
-	b.count(c, outcome == methodDelivered)
+	b.metrics.Counter("trigger.cycle_dropped").Inc()
+	b.count(c, 0, 1)
 	return true
 }
 
-// methodOutcome classifies one object-method delivery attempt.
-type methodOutcome int
-
-const (
-	methodDelivered methodOutcome = iota
-	// methodDropped is terminal: retrying cannot help (chain-depth
-	// limit, no invoker, unmarshalable payload).
-	methodDropped
-	// methodRetry is transient: the async queue refused the submission
-	// (full, quota, closed) and a later attempt may succeed.
-	methodRetry
-)
-
-// deliverMethod routes an event to its object-method sink through the
-// async queue, enforcing the chain depth limit.
-func (b *Bus) deliverMethod(sub *Subscription, ev Event, raw json.RawMessage) methodOutcome {
-	m := b.metrics
-	if ev.Depth >= b.cfg.MaxChainDepth {
-		// The chain has used its depth budget: terminate instead of
-		// looping (a trigger targeting its own emitting class would
-		// otherwise self-sustain forever).
-		m.Counter("trigger.cycle_dropped").Inc()
-		return methodDropped
+// chainOnce delivers the one chained call an event whose append failed
+// gets — a group of one, whose outcome is final: refused, or failed, it
+// counts dropped.
+func (b *Bus) chainOnce(sub *Subscription, it *inflight, c *subCounters) {
+	ev := &it.ev
+	if b.tooDeep(ev, c) {
+		return
 	}
-	if b.cfg.InvokeAsync == nil {
-		return methodDropped
+	payload, err := encoded(*ev, it.raw)
+	if err != nil || b.cfg.InvokeAsync == nil {
+		b.count(c, 0, 1)
+		return
 	}
-	target := sub.TargetObject
-	if target == "" {
-		target = ev.Object
+	g := &chainGroup{bus: b, c: c, accepted: 1}
+	b.delMu.Lock()
+	b.chains++
+	b.delMu.Unlock()
+	calls := []call.Call{{Member: sub.TargetFunction, Payload: payload, Args: b.argsFor(ev)}}
+	if k, _ := b.cfg.InvokeAsync(cmp.Or(sub.TargetObject, ev.Object), calls, g.done); k == 0 {
+		_ = g.settle(false) // refused: its one call counts dropped
 	}
-	payload, err := encoded(ev, raw)
-	if err != nil {
-		return methodDropped
-	}
-	// Producers never stamp a negative depth (DepthOf reads one as 0);
-	// max keeps a hand-built event inside the table.
-	var args map[string]string
-	if table, d := b.sends[ev.Type].args, max(ev.Depth, 0); d < len(table) {
-		args = table[d]
-	} else {
-		args = chainArgs(ev.Type, d)
-	}
-	if _, err := b.cfg.InvokeAsync(context.Background(), target, sub.TargetFunction, payload, args); err != nil {
-		// Full queue, quota, closed platform: retriable. Once
-		// accepted, the delivery rides the async queue's own
-		// durability.
-		return methodRetry
-	}
-	return methodDelivered
 }
 
-// chainArgs is the args of the invocation an event of type typ at depth
-// d chains: its type and the next depth.
+// argsFor returns the args of the call ev chains, from the table New
+// built. Producers never stamp a negative depth (DepthOf reads one as 0);
+// max keeps a hand-built event inside the table.
+func (b *Bus) argsFor(ev *Event) map[string]string {
+	table, d := b.sends[ev.Type].args, max(ev.Depth, 0)
+	if d < len(table) {
+		return table[d]
+	}
+	return chainArgs(ev.Type, d)
+}
+
+// chainArgs is the args of the call an event of type typ at depth d
+// chains: its type and the next depth.
 func chainArgs(typ EventType, d int) map[string]string {
 	return map[string]string{ArgSource: string(typ), ArgDepth: strconv.Itoa(d + 1)}
 }
@@ -1474,23 +1677,25 @@ func (b *Bus) deliverStreams(ev Event) {
 		case s.ch <- ev:
 			m.Counter("trigger.delivered").Inc()
 		default:
-			// Slow consumer: losing its event beats stalling the
-			// publisher. The loss is cosmetic — the gateway replays the
-			// gap from the stored entries.
-			m.Counter("trigger.dropped").Inc()
+			// Slow consumer: skipping its event beats stalling the
+			// publisher. Nothing is lost — the event is in the log, and
+			// the gateway replays the gap from there.
+			m.Counter("trigger.stream_skipped").Inc()
 		}
 	}
 }
 
 // Drain blocks until the delivery pool is quiet (webhook retries
-// included). Dispatch is part of Publish, so every event published
-// before the call has its deliveries queued by then. The async queue
-// calls this from its Close so terminal-record webhooks drain before
-// the platform tears down.
+// included) and every chained group submitted has committed or failed.
+// Dispatch is part of Publish, so every event published before the call
+// has its deliveries queued by then, and a chained call's own events are
+// published before its group settles. The async queue calls this from
+// its Close so terminal-record webhooks drain before the platform tears
+// down.
 func (b *Bus) Drain() {
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
-	for (b.delQueue.n > 0 || b.delBusy > 0) && !b.killed.Load() {
+	for (b.delQueue.n > 0 || b.delBusy > 0 || b.chains > 0) && !b.killed.Load() {
 		b.quiet.Wait()
 	}
 }
@@ -1516,18 +1721,22 @@ type Stats struct {
 	// Emitted counts published events (before any routing decision):
 	// events someone could read (see NeedsEvents), not commits.
 	Emitted int64 `json:"emitted"`
-	// Delivered counts successful sink deliveries (method submissions,
-	// webhook 2xx responses, stream sends) — one event fanning to N
-	// sinks counts N.
+	// Delivered counts successful sink deliveries (chained calls that
+	// committed, webhook 2xx responses, stream sends) — one event fanning
+	// to N sinks counts N. A chained call counts when it commits, not
+	// when it is submitted.
 	Delivered int64 `json:"delivered"`
-	// Dropped counts lost deliveries and events: full streams,
-	// chain-depth terminations and other terminal method failures,
-	// entries retention evicted before their consumer reached them,
-	// events published on a closed bus, and failed one-shot deliveries
-	// of events whose append failed. A webhook that exhausts its retries
-	// on a logged event is not dropped: its consumer stalls and retries
-	// (see CursorLag).
+	// Dropped counts lost deliveries and events: chain-depth
+	// terminations, chained calls that failed, entries retention evicted
+	// before their consumer reached them, events published on a closed
+	// bus, and failed one-shot deliveries of events whose append failed.
+	// A webhook that exhausts its retries on a logged event is not
+	// dropped: its consumer stalls and retries (see CursorLag).
 	Dropped int64 `json:"dropped"`
+	// StreamSkipped counts events a live stream's full buffer could not
+	// take. They are not lost — they are in the log, and the gateway's
+	// SSE handler heals the gap from there — so they are not Dropped.
+	StreamSkipped int64 `json:"stream_skipped"`
 	// Retried counts webhook re-POSTs under the backoff policy.
 	Retried int64 `json:"retried"`
 	// CycleDropped counts method deliveries suppressed by the chain
@@ -1547,12 +1756,13 @@ type Stats struct {
 func (b *Bus) Stats() Stats {
 	m := b.metrics
 	st := Stats{
-		Emitted:      m.Counter("trigger.emitted").Value(),
-		Delivered:    m.Counter("trigger.delivered").Value(),
-		Dropped:      m.Counter("trigger.dropped").Value(),
-		Retried:      m.Counter("trigger.retried").Value(),
-		CycleDropped: m.Counter("trigger.cycle_dropped").Value(),
-		LogFailed:    m.Counter("trigger.log_failed").Value(),
+		Emitted:       m.Counter("trigger.emitted").Value(),
+		Delivered:     m.Counter("trigger.delivered").Value(),
+		Dropped:       m.Counter("trigger.dropped").Value(),
+		StreamSkipped: m.Counter("trigger.stream_skipped").Value(),
+		Retried:       m.Counter("trigger.retried").Value(),
+		CycleDropped:  m.Counter("trigger.cycle_dropped").Value(),
+		LogFailed:     m.Counter("trigger.log_failed").Value(),
 	}
 	b.subStatsMu.Lock()
 	if len(b.subStats) > 0 {

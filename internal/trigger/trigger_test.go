@@ -1,7 +1,6 @@
 package trigger
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/eventlog"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 )
@@ -38,6 +38,25 @@ func newBus(t *testing.T, cfg Config) *Bus {
 	}
 	t.Cleanup(b.Close)
 	return b
+}
+
+// each adapts a function of one chained call to AsyncInvoker, as a
+// queue whose work is done at once: it runs fn on the group's calls in
+// turn, accepts those before the first that fails, and reports every
+// accepted one committed before it returns.
+func each(fn func(object, member string, payload json.RawMessage, args map[string]string) error) AsyncInvoker {
+	return func(object string, calls []call.Call, done func(committed int)) (int, error) {
+		for i, c := range calls {
+			if err := fn(object, c.Member, c.Payload, c.Args); err != nil {
+				if i > 0 {
+					done(i)
+				}
+				return i, err
+			}
+		}
+		done(len(calls))
+		return len(calls), nil
+	}
 }
 
 // newBusFailingNextAppend builds a bus whose log's store fails its next
@@ -103,14 +122,14 @@ func TestMethodSinkRoutesThroughAsyncInvoker(t *testing.T) {
 	}
 	calls := make(chan call, 16)
 	b := newBus(t, Config{
-		InvokeAsync: func(_ context.Context, object, member string, payload json.RawMessage, args map[string]string) (string, error) {
+		InvokeAsync: each(func(object, member string, payload json.RawMessage, args map[string]string) error {
 			var ev Event
 			if err := json.Unmarshal(payload, &ev); err != nil {
 				t.Errorf("payload not an event: %v", err)
 			}
 			calls <- call{object: object, member: member, depth: args[ArgDepth], payload: ev}
-			return "inv-1", nil
-		},
+			return nil
+		}),
 	})
 	if err := b.Subscribe("chain", Subscription{
 		Class: "A", Type: StateChanged, KeyPrefix: "cou", TargetObject: "b-1", TargetFunction: "bump",
@@ -153,12 +172,12 @@ func TestChainedInvocationArgs(t *testing.T) {
 	got := map[string]map[string]string{}
 	b := newBus(t, Config{
 		MaxChainDepth: maxDepth,
-		InvokeAsync: func(_ context.Context, object, _ string, _ json.RawMessage, args map[string]string) (string, error) {
+		InvokeAsync: each(func(object, _ string, _ json.RawMessage, args map[string]string) error {
 			mu.Lock()
 			got[object] = maps.Clone(args)
 			mu.Unlock()
-			return "inv", nil
-		},
+			return nil
+		}),
 	})
 	types := []EventType{StateChanged, InvocationCompleted, InvocationFailed}
 	for _, typ := range types {
@@ -194,12 +213,12 @@ func TestChainArgsBeyondTheTable(t *testing.T) {
 	got := map[string]map[string]string{}
 	b := newBus(t, Config{
 		MaxChainDepth: math.MaxInt,
-		InvokeAsync: func(_ context.Context, object, _ string, _ json.RawMessage, args map[string]string) (string, error) {
+		InvokeAsync: each(func(object, _ string, _ json.RawMessage, args map[string]string) error {
 			mu.Lock()
 			got[object] = maps.Clone(args)
 			mu.Unlock()
-			return "inv", nil
-		},
+			return nil
+		}),
 	})
 	if n := len(b.sends[StateChanged].args); n != argsTableDepth {
 		t.Fatalf("New built %d args maps per event type, want %d", n, argsTableDepth)
@@ -223,10 +242,10 @@ func TestChainArgsBeyondTheTable(t *testing.T) {
 func TestMethodSinkDefaultsToEmittingObject(t *testing.T) {
 	var target atomic.Value
 	b := newBus(t, Config{
-		InvokeAsync: func(_ context.Context, object, member string, _ json.RawMessage, _ map[string]string) (string, error) {
+		InvokeAsync: each(func(object, member string, _ json.RawMessage, _ map[string]string) error {
 			target.Store(object + "." + member)
-			return "inv", nil
-		},
+			return nil
+		}),
 	})
 	if err := b.Subscribe("self", Subscription{Class: "A", Type: StateChanged, TargetFunction: "react"}); err != nil {
 		t.Fatal(err)
@@ -247,11 +266,11 @@ func TestChainDepthLimitTerminates(t *testing.T) {
 	var invocations atomic.Int64
 	b = newBus(t, Config{
 		MaxChainDepth: maxDepth,
-		InvokeAsync: func(_ context.Context, object, _ string, _ json.RawMessage, args map[string]string) (string, error) {
+		InvokeAsync: each(func(object, _ string, _ json.RawMessage, args map[string]string) error {
 			invocations.Add(1)
 			b.Publish(Event{Type: StateChanged, Class: "Loop", Object: object, Depth: DepthOf(args)})
-			return "inv", nil
-		},
+			return nil
+		}),
 	})
 	if err := b.Subscribe("loop", Subscription{Class: "Loop", Type: StateChanged, TargetFunction: "again"}); err != nil {
 		t.Fatal(err)
@@ -370,6 +389,11 @@ func TestStreamReceivesObjectEventsInOrder(t *testing.T) {
 	}
 }
 
+// TestStreamOverflowDropsNotBlocks: a full stream buffer costs the
+// stream the events it cannot take, never the publisher a wait. Those
+// events are skipped, not dropped: they are in the log, where the
+// gateway heals the stream's gap from, so they count in StreamSkipped
+// and leave Dropped — lost deliveries — at zero.
 func TestStreamOverflowDropsNotBlocks(t *testing.T) {
 	b := newBus(t, Config{})
 	st := b.Stream("obj-1", 2)
@@ -378,8 +402,11 @@ func TestStreamOverflowDropsNotBlocks(t *testing.T) {
 		b.Publish(Event{Type: StateChanged, Class: "A", Object: "obj-1"})
 	}
 	b.Drain()
-	if s := b.Stats(); s.Dropped != 8 || s.Delivered != 2 {
-		t.Fatalf("stats = %+v", s)
+	if s := b.Stats(); s.StreamSkipped != 8 || s.Dropped != 0 || s.Delivered != 2 {
+		t.Fatalf("stats = %+v, want 8 skipped, 0 dropped, 2 delivered", s)
+	}
+	if got := b.Metrics().Counter("trigger.stream_skipped").Value(); got != 8 {
+		t.Fatalf("trigger.stream_skipped = %d, want 8", got)
 	}
 }
 
@@ -459,10 +486,10 @@ func TestPublishAfterCloseIsDropped(t *testing.T) {
 func TestSetClassTriggersReplacesSet(t *testing.T) {
 	var calls atomic.Int64
 	b := newBus(t, Config{
-		InvokeAsync: func(context.Context, string, string, json.RawMessage, map[string]string) (string, error) {
+		InvokeAsync: each(func(string, string, json.RawMessage, map[string]string) error {
 			calls.Add(1)
-			return "inv", nil
-		},
+			return nil
+		}),
 	})
 	b.SetClassTriggers("A", []Subscription{{Class: "A", Type: StateChanged, TargetFunction: "f"}})
 	b.Publish(Event{Type: StateChanged, Class: "A", Object: "o"})
@@ -482,10 +509,10 @@ func TestSetClassTriggersReplacesSet(t *testing.T) {
 func TestUnsubscribeStopsDelivery(t *testing.T) {
 	var calls atomic.Int64
 	b := newBus(t, Config{
-		InvokeAsync: func(context.Context, string, string, json.RawMessage, map[string]string) (string, error) {
+		InvokeAsync: each(func(string, string, json.RawMessage, map[string]string) error {
 			calls.Add(1)
-			return "inv", nil
-		},
+			return nil
+		}),
 	})
 	if err := b.Subscribe("s", Subscription{Class: "A", Type: StateChanged, TargetFunction: "f"}); err != nil {
 		t.Fatal(err)

@@ -336,6 +336,7 @@ var wantFamilies = []string{
 	"# TYPE oparaca_trigger_emitted_total counter",
 	"# TYPE oparaca_trigger_log_failed_total counter",
 	"# TYPE oparaca_trigger_retried_total counter",
+	"# TYPE oparaca_trigger_stream_skipped_total counter",
 }
 
 // getTraceView fetches and decodes one trace view, failing the test on
