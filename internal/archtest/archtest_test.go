@@ -210,24 +210,35 @@ func TestInvariants(t *testing.T) {
 		})},
 
 		// A knob exists because something sets it, and a symbol because
-		// something calls it. A new Config leaf or a new exported function
-		// that only tests reach is a reviewed edit of one of these lists.
+		// something calls it. A new leaf of any Config under internal/, or
+		// a new exported function, that only tests reach is a reviewed
+		// edit of one of these lists.
 		{"config-leaves-are-set", configLeavesAreSet(map[string]string{
-			"Config.AsyncClassQuotas":     "per-class async caps; the quota tests set them to see 429s",
-			"Config.AsyncDrainBatch":      "coalescing tests compare batched drains with per-task ones",
-			"Config.AsyncQueueCapacity":   "backpressure tests shrink the queue to fill it",
-			"Config.AsyncWorkers":         "contention and crash tests pin the worker count",
-			"Config.Backing":              "the restart path: crash and replay tests hand a successor the killed platform's store",
-			"Config.Breaker":              "the chaos soak shortens the breaker to see it open and close",
-			"Config.Chaos":                "the chaos soak's seeded fault schedule",
-			"Config.Clock":                "tests run the platform on a manual or hop-recording clock",
-			"Config.ConcurrencyMode":      "the contention test runs every mode",
-			"Config.EventLogMaxPerObject": "retention and replay tests lower the cap to see compaction",
-			"Config.ForwardLatency":       "the invoke conformance tests charge the ingress-to-owner hop",
-			"Config.TriggerMaxChainDepth": "the chain-cycle test lowers the depth bound",
-			"Config.WebhookMaxRetries":    "delivery tests shorten the webhook policy to reach exhaustion",
-			"Config.WebhookRetryBackoff":  "delivery tests shorten the webhook policy to reach exhaustion",
-			"Config.WebhookTimeout":       "delivery tests shorten the webhook policy to reach timeouts",
+			"core.Config.AsyncClassQuotas":     "per-class async caps; the quota tests set them to see 429s",
+			"core.Config.AsyncDrainBatch":      "coalescing tests compare batched drains with per-task ones",
+			"core.Config.AsyncQueueCapacity":   "backpressure tests shrink the queue to fill it",
+			"core.Config.AsyncWorkers":         "contention and crash tests pin the worker count",
+			"core.Config.Backing":              "the restart path: crash and replay tests hand a successor the killed platform's store",
+			"core.Config.Breaker":              "the chaos soak shortens the breaker to see it open and close",
+			"core.Config.Chaos":                "the chaos soak's seeded fault schedule",
+			"core.Config.Clock":                "tests run the platform on a manual or hop-recording clock",
+			"core.Config.ConcurrencyMode":      "the contention test runs every mode",
+			"core.Config.EventLogMaxPerObject": "retention and replay tests lower the cap to see compaction",
+			"core.Config.ForwardLatency":       "the invoke conformance tests charge the ingress-to-owner hop",
+			"core.Config.TriggerMaxChainDepth": "the chain-cycle test lowers the depth bound",
+			"core.Config.WebhookMaxRetries":    "delivery tests shorten the webhook policy to reach exhaustion",
+			"core.Config.WebhookRetryBackoff":  "delivery tests shorten the webhook policy to reach exhaustion",
+			"core.Config.WebhookTimeout":       "delivery tests shorten the webhook policy to reach timeouts",
+
+			"asyncq.Config.FlushInterval":        "record tests shorten the flush to read records from the store, or lengthen it to hold them write-behind across a crash",
+			"kvstore.Config.WriteLatency":        "the memtable delete/flush race tests need a backing write held in flight",
+			"resilience.Config.FailureThreshold": "the chaos soak sets it through core.Config.Breaker to see the breaker open and close",
+			"resilience.Config.HalfOpenProbes":   "the chaos soak sets it through core.Config.Breaker to see the breaker open and close",
+			"resilience.Config.MinSamples":       "the chaos soak sets it through core.Config.Breaker to see the breaker open and close",
+			"resilience.Config.OpenTimeout":      "the chaos soak sets it through core.Config.Breaker to see the breaker open and close",
+			"resilience.Config.Window":           "the chaos soak sets it through core.Config.Breaker to see the breaker open and close",
+			"trigger.Config.BackoffJitter":       "retry tests switch jitter off to assert exact backoffs",
+			"trigger.Config.DeliveryWorkers":     "TestAppendedEventIsNeverStranded needs one worker to force the order",
 		})},
 		{"exported-has-a-caller", exportedHaveCallers(map[string]string{
 			"cluster.Cluster.RemoveNode":        "fault model: a worker VM lost mid-flight",
@@ -239,9 +250,6 @@ func TestInvariants(t *testing.T) {
 			"vclock.Manual.Advance":             "virtual time tests drive",
 			"vclock.Manual.Pending":             "virtual time tests drive",
 			"heaptest.PerEntry":                 "the measurement every resident-budget test compares against",
-			"cluster.Cluster.Deployments":       "deferred: deleting it deletes TestDeploymentsListed",
-			"vclock.TokenBucket.SetRate":        "deferred: deleting it deletes TestTokenBucketSetRate",
-			"vclock.TokenBucket.TryTake":        "deferred: deleting it deletes TestTokenBucketTryTake",
 		})},
 	} {
 		t.Run(row.name, func(t *testing.T) {

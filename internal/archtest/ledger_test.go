@@ -10,49 +10,30 @@ import (
 	"strings"
 )
 
-// configLeavesAreSet: every field of core.Config and core.RegionSpec is
-// set by some non-test file outside internal/core — a key of a literal of
+// configLeavesAreSet: every field of a struct declared under internal/
+// whose name ends in Config, and of core.RegionSpec, is set by some
+// non-test file outside its declaring package — a key of a literal of
 // its type, or the target of an assignment or of & through a variable of
-// that type — or unset names it ("Config.Clock") with the reason it
-// stays. An entry of unset that is set after all, or is no field, fails
-// the row too, so the list stays the true list of leaves only tests set.
+// that type or a field path to one — or unset names it
+// ("core.Config.Clock") with the reason it stays. An entry of unset that
+// is set after all, or is no field, fails the row too, so the list stays
+// the true list of leaves only tests set.
 func configLeavesAreSet(unset map[string]string) check {
 	return func(tr *tree) error {
-		fields := map[string]bool{}
-		for _, d := range tr.decls("internal/core/platform.go") {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts := spec.(*ast.TypeSpec)
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok || (ts.Name.Name != "Config" && ts.Name.Name != "RegionSpec") {
-					continue
-				}
-				for _, f := range st.Fields.List {
-					for _, n := range f.Names {
-						fields[ts.Name.Name+"."+n.Name] = true
-					}
-				}
-			}
-		}
-		if len(fields) == 0 {
-			return fmt.Errorf("no Config or RegionSpec struct in internal/core/platform.go")
+		cs := configStructs(tr)
+		if len(cs.dir) == 0 {
+			return fmt.Errorf("no Config struct under internal/")
 		}
 		set := map[string]string{} // leaf → first setting site
 		for p, f := range tr.files {
-			if path.Dir(p) == "internal/core" {
-				continue // the declaring package's own writes are its defaults
-			}
-			for leaf, pos := range configSets(f, path.Dir(p) == ".") {
+			for leaf, pos := range cs.sets(f, path.Dir(p)) {
 				if _, seen := set[leaf]; !seen {
 					set[leaf] = tr.fset.Position(pos).String()
 				}
 			}
 		}
 		var errs []string
-		for _, leaf := range sortedKeys(fields) {
+		for _, leaf := range sortedKeys(cs.field) {
 			_, isSet := set[leaf]
 			_, listed := unset[leaf]
 			switch {
@@ -63,7 +44,7 @@ func configLeavesAreSet(unset map[string]string) check {
 			}
 		}
 		for _, leaf := range sortedKeys(unset) {
-			if !fields[leaf] {
+			if _, ok := cs.field[leaf]; !ok {
 				errs = append(errs, leaf+" is listed as unset but is no field")
 			}
 		}
@@ -74,47 +55,138 @@ func configLeavesAreSet(unset map[string]string) check {
 	}
 }
 
-// configSets returns the Config and RegionSpec leaves f sets, with a
-// site each. root is true for a file of the module's root package, where
-// the aliases oaas.Config and oaas.RegionSpec are spelled bare.
-func configSets(f *ast.File, root bool) map[string]token.Pos {
-	quals := map[string]bool{}
-	for _, imp := range f.Imports {
-		p, _ := strconv.Unquote(imp.Path.Value)
-		name := path.Base(p)
-		if p == "github.com/hpcclab/oparaca-go" {
-			name = "oaas"
-		} else if p != "github.com/hpcclab/oparaca-go/internal/core" {
+// module is the import path of the repository's root package.
+const module = "github.com/hpcclab/oparaca-go"
+
+// configs is what configLeavesAreSet knows of the tree's Config structs.
+// A type is named "pkg.Type" after its package's directory.
+type configs struct {
+	dir   map[string]string // type → declaring directory
+	field map[string]string // "pkg.Type.Field" → the field's type if it is a Config struct, else ""
+	alias map[string]string // root-package alias (oaas.BreakerConfig) → type
+}
+
+// typeSpecs calls each for every type declared at f's top level.
+func typeSpecs(f *ast.File, each func(*ast.TypeSpec)) {
+	for _, d := range f.Decls {
+		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+			for _, spec := range gd.Specs {
+				each(spec.(*ast.TypeSpec))
+			}
+		}
+	}
+}
+
+// configStructs collects the Config structs declared under internal/,
+// their fields, and the root package's aliases of them.
+func configStructs(tr *tree) configs {
+	cs := configs{dir: map[string]string{}, field: map[string]string{}, alias: map[string]string{}}
+	type decl struct {
+		file *ast.File
+		st   *ast.StructType
+	}
+	structs := map[string]decl{}
+	for p, f := range tr.files {
+		dir := path.Dir(p)
+		if !strings.HasPrefix(dir, "internal/") {
 			continue
 		}
+		typeSpecs(f, func(ts *ast.TypeSpec) {
+			name := ts.Name.Name
+			st, ok := ts.Type.(*ast.StructType)
+			if ok && (strings.HasSuffix(name, "Config") || dir == "internal/core" && name == "RegionSpec") {
+				typ := path.Base(dir) + "." + name
+				cs.dir[typ] = dir
+				structs[typ] = decl{f, st}
+			}
+		})
+	}
+	for typ, d := range structs {
+		for _, fl := range d.st.Fields.List {
+			ft := cs.typeOf(imports(d.file), path.Base(cs.dir[typ]), fl.Type)
+			for _, n := range fl.Names {
+				cs.field[typ+"."+n.Name] = ft
+			}
+		}
+	}
+	for p, f := range tr.files {
+		if path.Dir(p) == "." {
+			typeSpecs(f, func(ts *ast.TypeSpec) {
+				if typ := cs.typeOf(imports(f), "", ts.Type); ts.Assign.IsValid() && typ != "" {
+					cs.alias[ts.Name.Name] = typ
+				}
+			})
+		}
+	}
+	return cs
+}
+
+// imports maps the local names f gives the module's packages to their
+// directory names; the root package is "oaas".
+func imports(f *ast.File) map[string]string {
+	out := map[string]string{}
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		var pkg string
+		switch {
+		case p == module:
+			pkg = "oaas"
+		case strings.HasPrefix(p, module+"/internal/"):
+			pkg = path.Base(p)
+		default:
+			continue
+		}
+		name := pkg
 		if imp.Name != nil {
 			name = imp.Name.Name
 		}
-		quals[name] = true
+		out[name] = pkg
 	}
-	typeOf := func(e ast.Expr) string {
-		var name string
-		switch e := e.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := e.X.(*ast.Ident); ok && quals[x.Name] {
-				name = e.Sel.Name
-			}
-		case *ast.Ident:
-			if root {
-				name = e.Name
-			}
-		}
-		if name == "Config" || name == "RegionSpec" {
-			return name
-		}
-		return ""
+	return out
+}
+
+// typeOf names the Config struct e spells, through one pointer, or "".
+// quals are the file's imports; a bare name is one of package bare's
+// types, or a root-package alias when bare is "oaas".
+func (cs configs) typeOf(quals map[string]string, bare string, e ast.Expr) string {
+	if st, ok := e.(*ast.StarExpr); ok {
+		e = st.X
 	}
+	var pkg, name string
+	switch e := e.(type) {
+	case *ast.SelectorExpr:
+		if x, ok := e.X.(*ast.Ident); ok {
+			pkg, name = quals[x.Name], e.Sel.Name
+		}
+	case *ast.Ident:
+		pkg, name = bare, e.Name
+	}
+	if pkg == "oaas" {
+		return cs.alias[name]
+	}
+	if _, ok := cs.dir[pkg+"."+name]; ok {
+		return pkg + "." + name
+	}
+	return ""
+}
+
+// sets returns the Config leaves a non-test file in dir sets, with a
+// site each, leaving out its own package's: those are its defaults.
+func (cs configs) sets(f *ast.File, dir string) map[string]token.Pos {
+	quals := imports(f)
+	bare := path.Base(dir)
+	if dir == "." {
+		bare = "oaas"
+	}
+	typeOf := func(e ast.Expr) string { return cs.typeOf(quals, bare, e) }
 	out := map[string]token.Pos{}
 	note := func(typ string, key ast.Expr) {
-		if id, ok := key.(*ast.Ident); ok {
-			if _, seen := out[typ+"."+id.Name]; !seen {
-				out[typ+"."+id.Name] = id.Pos()
-			}
+		id, ok := key.(*ast.Ident)
+		if !ok || cs.dir[typ] == dir {
+			return
+		}
+		if _, seen := out[typ+"."+id.Name]; !seen {
+			out[typ+"."+id.Name] = id.Pos()
 		}
 	}
 	keys := func(typ string, lit *ast.CompositeLit) {
@@ -124,9 +196,23 @@ func configSets(f *ast.File, root bool) map[string]token.Pos {
 			}
 		}
 	}
-	// vars are the identifiers f declares with a Config or RegionSpec
-	// type, or binds to a literal of one.
+	// vars are the identifiers f declares with a Config type, or binds
+	// to a literal of one or to a field path of that type (cfg.Breaker).
 	vars := map[string]string{}
+	var typeAt func(ast.Expr) string
+	typeAt = func(e ast.Expr) string {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return vars[e.Name]
+		case *ast.SelectorExpr:
+			if typ := typeAt(e.X); typ != "" {
+				return cs.field[typ+"."+e.Sel.Name]
+			}
+		case *ast.CompositeLit:
+			return typeOf(e.Type)
+		}
+		return ""
+	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.ValueSpec:
@@ -143,12 +229,11 @@ func configSets(f *ast.File, root bool) map[string]token.Pos {
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
-				lit, ok := rhs.(*ast.CompositeLit)
-				if !ok || i >= len(n.Lhs) {
+				if i >= len(n.Lhs) {
 					continue
 				}
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && typeOf(lit.Type) != "" {
-					vars[id.Name] = typeOf(lit.Type)
+				if id, ok := n.Lhs[i].(*ast.Ident); ok && typeAt(rhs) != "" {
+					vars[id.Name] = typeAt(rhs)
 				}
 			}
 		}
@@ -156,8 +241,8 @@ func configSets(f *ast.File, root bool) map[string]token.Pos {
 	})
 	field := func(e ast.Expr) {
 		if sel, ok := e.(*ast.SelectorExpr); ok {
-			if x, ok := sel.X.(*ast.Ident); ok && vars[x.Name] != "" {
-				note(vars[x.Name], sel.Sel)
+			if typ := typeAt(sel.X); typ != "" {
+				note(typ, sel.Sel)
 			}
 		}
 	}

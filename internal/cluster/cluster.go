@@ -391,18 +391,6 @@ func (c *Cluster) CreateRegionDeployment(name string, req Resources, replicas in
 	return d, nil
 }
 
-// Deployments returns all deployment names, sorted.
-func (c *Cluster) Deployments() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.deployments))
-	for name := range c.deployments {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // DeleteDeployment scales a deployment to zero and removes it.
 func (c *Cluster) DeleteDeployment(name string) error {
 	c.mu.Lock()

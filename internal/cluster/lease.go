@@ -91,13 +91,8 @@ type MembershipConfig struct {
 	LeaseTTL time.Duration
 	// Heartbeat is the base renewal interval. Defaults to LeaseTTL/3.
 	Heartbeat time.Duration
-	// HeartbeatJitter spreads each renewal interval uniformly over
-	// [Heartbeat*(1-j), Heartbeat*(1+j)] so simultaneous expiry storms
-	// don't thundering-herd the backing store. Defaults to 0.2;
-	// negative disables.
-	HeartbeatJitter float64
-	// JitterSeed seeds the jitter source (the chaos RNG plumbing);
-	// zero seeds from 1.
+	// JitterSeed seeds the heartbeat jitter source (the chaos RNG
+	// plumbing); zero seeds from 1.
 	JitterSeed int64
 	// TransitionWindow is how long after a rebalance the membership
 	// reports ErrOwnershipMoving so routers fast-fail instead of
@@ -119,12 +114,6 @@ func (c MembershipConfig) withDefaults() MembershipConfig {
 	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = c.LeaseTTL / 3
-	}
-	if c.HeartbeatJitter == 0 {
-		c.HeartbeatJitter = 0.2
-	}
-	if c.HeartbeatJitter < 0 {
-		c.HeartbeatJitter = 0
 	}
 	if c.TransitionWindow <= 0 {
 		c.TransitionWindow = c.Heartbeat
@@ -249,14 +238,15 @@ func (m *Membership) publishLocked() {
 	m.view.Store(&admitView{names: names, epoch: m.epoch, movingUntil: m.movingUntil})
 }
 
+// heartbeatJitter spreads each renewal interval uniformly over
+// [Heartbeat*(1-j), Heartbeat*(1+j)] so simultaneous expiry storms don't
+// thundering-herd the backing store.
+const heartbeatJitter = 0.2
+
 // jitteredInterval returns the next heartbeat delay.
 func (m *Membership) jitteredInterval() time.Duration {
-	j := m.cfg.HeartbeatJitter
-	if j <= 0 {
-		return m.cfg.Heartbeat
-	}
 	m.rndMu.Lock()
-	f := 1 - j + 2*j*m.rnd.Float64()
+	f := 1 - heartbeatJitter + 2*heartbeatJitter*m.rnd.Float64()
 	m.rndMu.Unlock()
 	return time.Duration(float64(m.cfg.Heartbeat) * f)
 }

@@ -297,8 +297,8 @@ func TestHeartbeatJitterSpreadsRenewals(t *testing.T) {
 		t.Fatalf("jittered intervals barely vary: %d distinct of 32", len(intervals))
 	}
 	base := m.cfg.Heartbeat
-	lo := time.Duration(float64(base) * (1 - m.cfg.HeartbeatJitter))
-	hi := time.Duration(float64(base) * (1 + m.cfg.HeartbeatJitter))
+	lo := time.Duration(float64(base) * (1 - heartbeatJitter))
+	hi := time.Duration(float64(base) * (1 + heartbeatJitter))
 	for d := range intervals {
 		if d < lo || d > hi {
 			t.Fatalf("interval %s outside [%s, %s]", d, lo, hi)

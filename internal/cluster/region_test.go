@@ -86,13 +86,3 @@ func TestRegionDeploymentUnknownRegion(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-func TestDeploymentsListed(t *testing.T) {
-	c := newCluster(t, 2)
-	deploy(c, "b-dep", std(), 1, StrategySpread)
-	deploy(c, "a-dep", std(), 1, StrategySpread)
-	got := c.Deployments()
-	if strings.Join(got, ",") != "a-dep,b-dep" {
-		t.Fatalf("Deployments = %v", got)
-	}
-}

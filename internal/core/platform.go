@@ -712,7 +712,7 @@ func (p *Platform) Optimizer() *optimizer.Optimizer { return p.optim }
 func (p *Platform) infra() runtime.Infra {
 	inf := runtime.Infra{
 		Cluster:              p.cluster,
-		Transport:            newRoutingTransport(p.images),
+		Transport:            newRoutingTransport(p.images, p.cfg.Clock),
 		Backing:              p.backing,
 		Objects:              p.objects,
 		ObjectsBaseURL:       p.ObjectStoreURL(),

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/hpcclab/oparaca-go/internal/invoker"
+	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
 // routingTransport dispatches invocation tasks by image name: plain
@@ -17,6 +18,9 @@ import (
 // the URL".
 type routingTransport struct {
 	local *invoker.Local
+	// clock is the platform's: a remote attempt's timeout and its retry
+	// backoff run on it.
+	clock vclock.Clock
 
 	mu      sync.Mutex
 	clients map[string]*invoker.Client // base URL -> client
@@ -25,9 +29,10 @@ type routingTransport struct {
 var _ invoker.Transport = (*routingTransport)(nil)
 
 // newRoutingTransport wraps the image registry with URL dispatch.
-func newRoutingTransport(registry *invoker.Registry) *routingTransport {
+func newRoutingTransport(registry *invoker.Registry, clock vclock.Clock) *routingTransport {
 	return &routingTransport{
 		local:   invoker.NewLocal(registry),
+		clock:   clock,
 		clients: make(map[string]*invoker.Client),
 	}
 }
@@ -55,7 +60,7 @@ func (t *routingTransport) Offload(ctx context.Context, image string, task invok
 	t.mu.Lock()
 	client, ok := t.clients[baseURL]
 	if !ok {
-		client = invoker.NewClient(invoker.ClientConfig{BaseURL: baseURL, Retries: 2})
+		client = invoker.NewClient(invoker.ClientConfig{BaseURL: baseURL, Retries: 2, Clock: t.clock})
 		t.clients[baseURL] = client
 	}
 	t.mu.Unlock()

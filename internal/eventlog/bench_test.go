@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 )
@@ -13,13 +12,13 @@ import (
 // bus appends per committed write).
 var benchEventPayload = json.RawMessage(`{"seq":1,"offset":1,"type":"stateChanged","class":"Feed","object":"feed-0","function":"bump","keys":["n"]}`)
 
-// newBenchEventLog builds a backed event log with the background
-// sweep running at a bench-friendly cadence, so size-cap eviction and
-// garbage reclamation cost is included in steady-state numbers.
+// newBenchEventLog builds a backed event log. The appending benchmarks
+// run its sweep every sweepEvery iterations, so the cost of size-cap
+// eviction and garbage reclamation is in the steady-state numbers.
 func newBenchEventLog(b *testing.B) *Log {
 	b.Helper()
 	st := kvstore.Open(kvstore.Config{})
-	l, err := New(Config{Backing: st, GCInterval: 20 * time.Millisecond})
+	l, err := New(Config{Backing: st})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,6 +28,9 @@ func newBenchEventLog(b *testing.B) *Log {
 	})
 	return l
 }
+
+// sweepEvery is how many appending iterations pass between sweeps.
+const sweepEvery = 1024
 
 // BenchmarkEventLogAppend measures the durable append path the
 // trigger bus takes on every committed write: write-through to the
@@ -46,6 +48,9 @@ func BenchmarkEventLogAppend(b *testing.B) {
 			if _, err := l.Append(ctx, "feed-0", build); err != nil {
 				b.Fatal(err)
 			}
+			if i%sweepEvery == sweepEvery-1 {
+				l.Compact(ctx)
+			}
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 	})
@@ -59,6 +64,9 @@ func BenchmarkEventLogAppend(b *testing.B) {
 				return benchEventPayload, nil
 			}); err != nil {
 				b.Fatal(err)
+			}
+			if i%sweepEvery == sweepEvery-1 {
+				l.Compact(ctx)
 			}
 		}
 		// ops/s counts appended events, not batches, so single vs

@@ -14,11 +14,10 @@
 // write: registration is flushed through immediately, so a consumer
 // that ever activated cannot be orphaned by a crash.
 //
-// Retention is bounded two ways: MaxPerObject caps each object's
-// retained entries (the oldest are evicted as new ones append) and
-// RetentionTTL ages entries out on the background sweep. Reading below
-// the retained floor
-// fails with ErrOffsetCompacted (HTTP 410 at the gateway).
+// Retention is bounded one way: MaxPerObject caps each object's retained
+// entries, and the oldest are evicted as new ones append. The background
+// sweep deletes evicted entries' backing keys. Reading below the retained
+// floor fails with ErrOffsetCompacted (HTTP 410 at the gateway).
 //
 // Ownership: an appended payload is held once. The bytes build returns
 // become the retained Entry's Payload and, unchanged and uncopied, the
@@ -50,7 +49,7 @@ import (
 var (
 	// ErrOffsetCompacted is returned by Read when the requested offset
 	// lies below the object's retained floor: the entries existed but
-	// retention (size cap or TTL) has evicted them.
+	// the size cap has evicted them.
 	ErrOffsetCompacted = errors.New("eventlog: offset compacted")
 )
 
@@ -58,7 +57,7 @@ var (
 type Entry struct {
 	// Offset is the entry's per-object position, 1-based and monotone.
 	Offset int64 `json:"offset"`
-	// Time is the append instant (retention ages against it).
+	// Time is the append instant.
 	Time time.Time `json:"time"`
 	// Payload is the event JSON exactly as appended.
 	Payload json.RawMessage `json:"payload"`
@@ -70,21 +69,10 @@ type Config struct {
 	// keeps the log in memory only: offsets and replay work within the
 	// process, nothing survives a restart.
 	Backing *kvstore.Store
-	// RetentionTTL evicts entries this long after their append on the
-	// background sweep. Zero keeps entries until the size cap evicts
-	// them.
-	RetentionTTL time.Duration
 	// MaxPerObject caps each object's retained entries; the oldest are
 	// evicted as new ones append. Defaults to 1024; negative disables
 	// the cap.
 	MaxPerObject int
-	// GCInterval paces the background sweep (TTL eviction plus backing
-	// cleanup of size-evicted entries). Defaults to RetentionTTL/4
-	// when a TTL is set, else 30s.
-	GCInterval time.Duration
-	// CursorFlushInterval is the cursor table's write-behind flush
-	// period (see memtable.Config.FlushInterval).
-	CursorFlushInterval time.Duration
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
 }
@@ -93,18 +81,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxPerObject == 0 {
 		c.MaxPerObject = 1024
 	}
-	if c.GCInterval <= 0 {
-		if c.RetentionTTL > 0 {
-			c.GCInterval = c.RetentionTTL / 4
-		} else {
-			c.GCInterval = 30 * time.Second
-		}
-	}
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()
 	}
 	return c
 }
+
+// gcInterval paces the background sweep that deletes the backing keys of
+// size-evicted entries.
+const gcInterval = 30 * time.Second
 
 // objMeta is the persisted per-object bounds document: reloading it
 // (rather than scanning entry keys alone) lets recovery distinguish an
@@ -182,20 +167,18 @@ type Log struct {
 	gcDone    chan struct{}
 	closeOnce sync.Once
 
-	statsMu   sync.Mutex
-	appended  int64
-	replayed  int64
-	compacted int64
+	statsMu  sync.Mutex
+	appended int64
+	replayed int64
 }
 
 // New builds a log and starts its background sweep.
 func New(cfg Config) (*Log, error) {
 	cfg = cfg.withDefaults()
 	tblCfg := memtable.Config{
-		Mode:          memtable.ModeWriteBehind,
-		Backing:       cfg.Backing,
-		FlushInterval: cfg.CursorFlushInterval,
-		Clock:         cfg.Clock,
+		Mode:    memtable.ModeWriteBehind,
+		Backing: cfg.Backing,
+		Clock:   cfg.Clock,
 	}
 	if cfg.Backing == nil {
 		tblCfg.Mode = memtable.ModeMemoryOnly
@@ -333,8 +316,8 @@ func (l *Log) load(ctx context.Context, object string, ol *objectLog) error {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Offset < entries[j].Offset })
 	// Keep the longest contiguous suffix: a hole (an entry write lost
 	// to a backing fault) must not break the direct-index invariant,
-	// so everything below the hole is treated as compacted. A log the
-	// sweep emptied has no entries at all.
+	// so everything below the hole is treated as compacted. A log whose
+	// entry writes were all lost has no entries at all.
 	lo := max(len(entries)-1, 0)
 	for lo > 0 && entries[lo-1].Offset == entries[lo].Offset-1 {
 		lo--
@@ -523,8 +506,7 @@ func (l *Log) Bounds(ctx context.Context, object string) (first, next int64, err
 
 // Begun reports whether an object's log has ever recorded an entry
 // (next > 1). The answer is durable — it comes from the persisted
-// bounds document, so it survives restart, retention emptying the log
-// and Kill — and it never turns false again short of Drop. It never
+// bounds document, so it survives restart, eviction and Kill — and it never turns false again short of Drop. It never
 // reads the store: a log that never began is absent, and one New
 // registered from its bounds document has begun whether or not its
 // entries are loaded yet, since only an append persists bounds.
@@ -671,23 +653,22 @@ func (l *Log) CursorLag(sub string) int64 {
 	return lag
 }
 
-// gcLoop runs the retention sweep until Close.
+// gcLoop runs the sweep until Close.
 func (l *Log) gcLoop() {
 	defer close(l.gcDone)
 	for {
 		select {
 		case <-l.gcStop:
 			return
-		case <-l.cfg.Clock.After(l.cfg.GCInterval):
+		case <-l.cfg.Clock.After(gcInterval):
 		}
 		l.Compact(context.Background())
 	}
 }
 
-// Compact runs one retention sweep: entries older than RetentionTTL
-// are evicted from every in-memory log, per-object bounds are
-// re-persisted, and the backing keys of evicted entries (including
-// size-cap evictions queued by Append) are deleted.
+// Compact runs one sweep: the backing keys of entries the size cap
+// evicted are deleted. A key whose delete fails is kept for the next
+// sweep.
 func (l *Log) Compact(ctx context.Context) {
 	l.mu.Lock()
 	objects := make([]string, 0, len(l.objs))
@@ -695,58 +676,21 @@ func (l *Log) Compact(ctx context.Context) {
 		objects = append(objects, object)
 	}
 	l.mu.Unlock()
-	now := l.cfg.Clock.Now()
 	for _, object := range objects {
 		ol := l.peek(object)
 		if ol == nil {
 			continue
 		}
 		ol.mu.Lock()
-		if !ol.loaded {
-			ol.mu.Unlock()
-			continue
-		}
-		var evicted int
-		if ttl := l.cfg.RetentionTTL; ttl > 0 {
-			cutoff := now.Add(-ttl)
-			for evicted < len(ol.entries) && ol.entries[evicted].Time.Before(cutoff) {
-				evicted++
-			}
-		}
-		if evicted > 0 {
-			if l.cfg.Backing != nil {
-				for _, e := range ol.entries[:evicted] {
-					ol.garbage = append(ol.garbage, entryKey(object, e.Offset))
-				}
-			}
-			ol.entries = ol.entries[evicted:]
-		}
 		garbage := ol.garbage
 		ol.garbage = nil
-		var meta json.RawMessage
-		if evicted > 0 && l.cfg.Backing != nil {
-			meta = metaDoc(ol.floor(), ol.next)
-		}
 		ol.mu.Unlock()
-		if meta != nil {
-			if _, err := l.cfg.Backing.Put(ctx, metaKey(object), meta); err != nil {
-				// The floor advanced in memory only; the next sweep or
-				// append re-persists it. Evicted keys still get deleted.
-				_ = err
-			}
-		}
 		for _, k := range garbage {
 			if err := l.cfg.Backing.Delete(ctx, k); err != nil && !errors.Is(err, kvstore.ErrNotFound) {
-				// Put the key back so the next sweep retries.
 				ol.mu.Lock()
 				ol.garbage = append(ol.garbage, k)
 				ol.mu.Unlock()
 			}
-		}
-		if evicted > 0 {
-			l.statsMu.Lock()
-			l.compacted += int64(evicted)
-			l.statsMu.Unlock()
 		}
 	}
 }
@@ -757,8 +701,6 @@ type Stats struct {
 	Appended int64 `json:"appended"`
 	// Replayed counts entries returned by Read.
 	Replayed int64 `json:"replayed"`
-	// Compacted counts entries evicted by the TTL sweep.
-	Compacted int64 `json:"compacted"`
 	// Objects counts objects whose log has begun, loaded or not.
 	Objects int `json:"objects"`
 }
@@ -770,7 +712,7 @@ func (l *Log) Stats() Stats {
 	l.mu.Unlock()
 	l.statsMu.Lock()
 	defer l.statsMu.Unlock()
-	return Stats{Appended: l.appended, Replayed: l.replayed, Compacted: l.compacted, Objects: objects}
+	return Stats{Appended: l.appended, Replayed: l.replayed, Objects: objects}
 }
 
 // Close stops the sweep and flushes pending cursor writes through to

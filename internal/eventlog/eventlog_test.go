@@ -123,23 +123,6 @@ func TestSizeCapEvictsOldestAndCompactsReads(t *testing.T) {
 	}
 }
 
-func TestTTLSweepEvicts(t *testing.T) {
-	clk := vclock.NewManual(time.Unix(1700000000, 0))
-	st := testStore(t)
-	l := testLog(t, Config{Backing: st, RetentionTTL: time.Minute, GCInterval: time.Hour, Clock: clk})
-	appendN(t, l, "obj", 3)
-	clk.Advance(2 * time.Minute)
-	appendN(t, l, "obj", 2)
-	l.Compact(context.Background())
-	first, next, err := l.Bounds(context.Background(), "obj")
-	if err != nil || first != 4 || next != 6 {
-		t.Fatalf("bounds after sweep = %d, %d, %v", first, next, err)
-	}
-	if got := l.Stats().Compacted; got != 3 {
-		t.Fatalf("compacted = %d, want 3", got)
-	}
-}
-
 func TestAppendBatchIsOneBackingWrite(t *testing.T) {
 	st := testStore(t)
 	l := testLog(t, Config{Backing: st})
@@ -197,13 +180,12 @@ func TestLogSurvivesRestart(t *testing.T) {
 
 // TestReloadedEntriesKeepTheirAppendTime: a reloaded entry's Time is the
 // store document's Updated, which the store keeps as nanoseconds; it
-// must still equal the append instant, so retention ages a recovered
-// entry exactly as it would have aged the original.
+// must still equal the append instant.
 func TestReloadedEntriesKeepTheirAppendTime(t *testing.T) {
 	clk := vclock.NewManual(time.Unix(1_700_000_000, 987_654_321))
 	st := kvstore.Open(kvstore.Config{Clock: clk})
 	t.Cleanup(st.Close)
-	cfg := Config{Backing: st, RetentionTTL: time.Minute, GCInterval: time.Hour, Clock: clk}
+	cfg := Config{Backing: st, Clock: clk}
 	ctx := context.Background()
 	l1 := testLog(t, cfg)
 	appendN(t, l1, "obj", 1)
@@ -225,16 +207,14 @@ func TestReloadedEntriesKeepTheirAppendTime(t *testing.T) {
 			t.Errorf("entry %d reloaded with time %v, appended at %v", i+1, got[i].Time, want[i].Time)
 		}
 	}
-	clk.Advance(30 * time.Second) // the first entry is 70 s old, the second 30 s
-	l2.Compact(ctx)
-	if first, next, err := l2.Bounds(ctx, "obj"); err != nil || first != 2 || next != 3 {
-		t.Fatalf("bounds after the sweep = [%d,%d), %v, want [2,3)", first, next, err)
-	}
 }
 
 func TestKillLosesOnlyWriteBehindCursorAdvances(t *testing.T) {
 	st := testStore(t)
-	l1 := testLog(t, Config{Backing: st, CursorFlushInterval: time.Hour})
+	// The cursor table's flush timer never fires on a clock that does
+	// not move.
+	clk := vclock.NewManual(time.Unix(1700000000, 0))
+	l1 := testLog(t, Config{Backing: st, Clock: clk})
 	ctx := context.Background()
 	appendN(t, l1, "obj", 5)
 	// First write per cursor is write-through, later advances are not.
@@ -641,22 +621,25 @@ func TestAppendBatchFailureShowsNothing(t *testing.T) {
 	}
 }
 
-// TestSweptLogSurvivesRestart: a log the retention sweep emptied still
-// has its bounds document, so a successor registers it — and loading it,
-// with no entry left to load, must read as [next,next) and keep the
-// numbering, not fail.
+// TestSweptLogSurvivesRestart: a log with no entry left in the store
+// still has its bounds document, so a successor registers it — and
+// loading it, with nothing to load, must read as [next,next) and keep
+// the numbering, not fail.
 func TestSweptLogSurvivesRestart(t *testing.T) {
-	clk := vclock.NewManual(time.Unix(1700000000, 0))
 	st := testStore(t)
 	ctx := context.Background()
-	l1 := testLog(t, Config{Backing: st, RetentionTTL: time.Minute, GCInterval: time.Hour, Clock: clk})
+	l1 := testLog(t, Config{Backing: st})
 	appendN(t, l1, "obj", 3)
-	clk.Advance(2 * time.Minute)
-	l1.Compact(ctx)
-	if keys, err := st.List(ctx, "evlog/obj/"); err != nil || len(keys) != 0 {
-		t.Fatalf("entry keys after the sweep = %v, %v", keys, err)
-	}
 	l1.Close()
+	keys, err := st.List(ctx, "evlog/obj/")
+	if err != nil || len(keys) != 3 {
+		t.Fatalf("entry keys = %v, %v", keys, err)
+	}
+	for _, k := range keys {
+		if err := st.Delete(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	l2 := testLog(t, Config{Backing: st})
 	if first, next, err := l2.Bounds(ctx, "obj"); err != nil || first != 4 || next != 4 {

@@ -139,10 +139,6 @@ type Config struct {
 	Cluster *cluster.Cluster
 	// Transport executes tasks against function code; required.
 	Transport invoker.Transport
-	// TargetConcurrency is the autoscaler's per-pod in-flight target
-	// (Knative's target utilization). Defaults to 0.7*Concurrency of
-	// each function.
-	TargetUtilization float64
 	// ScaleInterval is the autoscaler evaluation period. Defaults to
 	// 100ms.
 	ScaleInterval time.Duration
@@ -152,18 +148,11 @@ type Config struct {
 	// ColdStart is the delay before a new pod serves traffic.
 	// Defaults to 100ms.
 	ColdStart time.Duration
-	// Namespace prefixes the engine's cluster deployment names so
-	// multiple engines (one per class runtime) share a cluster without
-	// collisions. Defaults to a random value.
-	Namespace string
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
 }
 
 func (c Config) withDefaults() Config {
-	if c.TargetUtilization <= 0 || c.TargetUtilization > 1 {
-		c.TargetUtilization = 0.7
-	}
 	if c.ScaleInterval <= 0 {
 		c.ScaleInterval = 100 * time.Millisecond
 	}
@@ -176,14 +165,12 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()
 	}
-	if c.Namespace == "" {
-		var b [4]byte
-		if _, err := rand.Read(b[:]); err == nil {
-			c.Namespace = hex.EncodeToString(b[:])
-		}
-	}
 	return c
 }
+
+// targetUtilization is the autoscaler's per-pod in-flight target as a
+// share of each function's Concurrency (Knative's target utilization).
+const targetUtilization = 0.7
 
 // pod is one live replica and the node its compute is charged to.
 type pod struct{ id, node string }
@@ -211,6 +198,10 @@ type function struct {
 // use.
 type Engine struct {
 	cfg Config
+	// namespace prefixes the engine's cluster deployment names, so that
+	// the engines of several class runtimes share a cluster without
+	// collisions.
+	namespace string
 
 	mu        sync.Mutex
 	functions map[string]*function
@@ -232,8 +223,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("faas: Config.Transport is required")
 	}
+	var ns [4]byte
+	_, _ = rand.Read(ns[:]) // never fails: it fills ns or crashes the program
 	e := &Engine{
 		cfg:       cfg.withDefaults(),
+		namespace: hex.EncodeToString(ns[:]),
 		functions: make(map[string]*function),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -265,7 +259,7 @@ func (e *Engine) Deploy(spec FunctionSpec) error {
 		e.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrFunctionExists, spec.Name)
 	}
-	dep, err := e.cfg.Cluster.CreateRegionDeployment("fn-"+e.cfg.Namespace+"-"+spec.Name, spec.Resources, 0, cluster.StrategySpread, spec.Region)
+	dep, err := e.cfg.Cluster.CreateRegionDeployment("fn-"+e.namespace+"-"+spec.Name, spec.Resources, 0, cluster.StrategySpread, spec.Region)
 	if err != nil {
 		e.mu.Unlock()
 		return fmt.Errorf("faas: creating deployment: %w", err)
@@ -561,7 +555,7 @@ func (e *Engine) evaluate(fn *function, now time.Time) {
 	fn.mu.Unlock()
 	inflight := fn.inflight.Load()
 	cur := fn.deployment.Replicas()
-	target := float64(spec.Concurrency) * e.cfg.TargetUtilization
+	target := float64(spec.Concurrency) * targetUtilization
 	desired := int(math.Ceil(float64(inflight) / target))
 	if inflight > 0 && desired < 1 {
 		desired = 1

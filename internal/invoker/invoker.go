@@ -217,47 +217,35 @@ type ClientConfig struct {
 	// BaseURL is the execution runtime's address, e.g.
 	// "http://127.0.0.1:8081".
 	BaseURL string
-	// Timeout bounds one attempt. Defaults to 30s.
-	Timeout time.Duration
 	// Retries is the number of additional attempts on transport
 	// errors (function errors are not retried: the contract does not
 	// assume idempotent functions beyond state-merge semantics).
 	Retries int
-	// Backoff is the initial retry delay, doubled per attempt.
-	// Defaults to 10ms.
-	Backoff time.Duration
-	// HTTPClient overrides the default client (tests).
-	HTTPClient *http.Client
 	// Clock supplies time for backoff sleeps and attempt timeouts.
 	Clock vclock.Clock
 }
 
-func (c ClientConfig) withDefaults() ClientConfig {
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 10 * time.Millisecond
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
-	}
-	if c.Clock == nil {
-		c.Clock = vclock.NewReal()
-	}
-	return c
-}
+const (
+	// attemptTimeout bounds one attempt.
+	attemptTimeout = 30 * time.Second
+	// firstBackoff is the first retry delay, doubled per attempt.
+	firstBackoff = 10 * time.Millisecond
+)
 
 // Client is the HTTP Transport.
 type Client struct {
-	cfg ClientConfig
+	cfg    ClientConfig
+	client http.Client
 }
 
 var _ Transport = (*Client)(nil)
 
 // NewClient returns an HTTP transport targeting cfg.BaseURL.
 func NewClient(cfg ClientConfig) *Client {
-	return &Client{cfg: cfg.withDefaults()}
+	if cfg.Clock == nil {
+		cfg.Clock = vclock.NewReal()
+	}
+	return &Client{cfg: cfg}
 }
 
 // Offload implements Transport. Transport-level failures are retried
@@ -267,7 +255,7 @@ func (c *Client) Offload(ctx context.Context, image string, task Task) (Result, 
 	if err != nil {
 		return Result{}, fmt.Errorf("invoker: encoding task: %w", err)
 	}
-	backoff := c.cfg.Backoff
+	backoff := firstBackoff
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
@@ -288,14 +276,14 @@ func (c *Client) Offload(ctx context.Context, image string, task Task) (Result, 
 // attempt performs one HTTP round trip. done=true means the outcome is
 // terminal (success or a non-retryable failure).
 func (c *Client) attempt(ctx context.Context, payload []byte) (Result, bool, error) {
-	actx, cancel := c.cfg.Clock.WithTimeout(ctx, c.cfg.Timeout)
+	actx, cancel := c.cfg.Clock.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.cfg.BaseURL+"/invoke", bytes.NewReader(payload))
 	if err != nil {
 		return Result{}, true, fmt.Errorf("invoker: building request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
 			return Result{}, true, ctx.Err()

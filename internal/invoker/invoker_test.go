@@ -11,7 +11,43 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
+
+// sleepClock is a Manual clock that reports each sleep once it is armed,
+// so a test advances exactly past a retry backoff.
+type sleepClock struct {
+	*vclock.Manual
+	armed chan time.Duration
+}
+
+func newSleepClock() sleepClock {
+	return sleepClock{vclock.NewManual(time.Unix(1_700_000_000, 0)), make(chan time.Duration)}
+}
+
+func (c sleepClock) Sleep(ctx context.Context, d time.Duration) error {
+	wake := c.After(d)
+	c.armed <- d
+	select {
+	case <-wake:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// backOff advances c past each of the backoffs want, in order, as the
+// client arms them.
+func (c sleepClock) backOff(t *testing.T, want ...time.Duration) {
+	t.Helper()
+	for _, w := range want {
+		if d := <-c.armed; d != w {
+			t.Fatalf("backoff = %v, want %v", d, w)
+		}
+		c.Advance(w)
+	}
+}
 
 // echoHandler returns its payload as output and bumps a state counter.
 func echoHandler() Handler {
@@ -105,7 +141,7 @@ func newHTTPPair(t *testing.T, r *Registry) *Client {
 	t.Helper()
 	srv := httptest.NewServer(Server(r))
 	t.Cleanup(srv.Close)
-	return NewClient(ClientConfig{BaseURL: srv.URL, Timeout: 5 * time.Second})
+	return NewClient(ClientConfig{BaseURL: srv.URL})
 }
 
 func TestHTTPOffloadRoundTrip(t *testing.T) {
@@ -214,8 +250,20 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(wireResponse{Result: Result{Output: json.RawMessage(`"ok"`)}})
 	}))
 	defer srv.Close()
-	c := NewClient(ClientConfig{BaseURL: srv.URL, Retries: 3, Backoff: time.Millisecond})
-	res, err := c.Offload(context.Background(), "img/x", Task{})
+	clock := newSleepClock()
+	c := NewClient(ClientConfig{BaseURL: srv.URL, Retries: 3, Clock: clock})
+	type offload struct {
+		res Result
+		err error
+	}
+	done := make(chan offload, 1)
+	go func() {
+		res, err := c.Offload(context.Background(), "img/x", Task{})
+		done <- offload{res, err}
+	}()
+	clock.backOff(t, firstBackoff, 2*firstBackoff)
+	o := <-done
+	res, err := o.res, o.err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +284,7 @@ func TestClientDoesNotRetryFunctionErrors(t *testing.T) {
 		_ = json.NewEncoder(w).Encode(wireResponse{Error: "app bug"})
 	}))
 	defer srv.Close()
-	c := NewClient(ClientConfig{BaseURL: srv.URL, Retries: 5, Backoff: time.Millisecond})
+	c := NewClient(ClientConfig{BaseURL: srv.URL, Retries: 5})
 	_, err := c.Offload(context.Background(), "img/x", Task{})
 	if !errors.Is(err, ErrFunctionFailed) {
 		t.Fatalf("err = %v", err)
@@ -251,8 +299,15 @@ func TestClientExhaustsRetries(t *testing.T) {
 		http.Error(w, "always down", http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
-	c := NewClient(ClientConfig{BaseURL: srv.URL, Retries: 2, Backoff: time.Millisecond})
-	if _, err := c.Offload(context.Background(), "img/x", Task{}); err == nil {
+	clock := newSleepClock()
+	c := NewClient(ClientConfig{BaseURL: srv.URL, Retries: 2, Clock: clock})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Offload(context.Background(), "img/x", Task{})
+		done <- err
+	}()
+	clock.backOff(t, firstBackoff, 2*firstBackoff)
+	if err := <-done; err == nil {
 		t.Fatal("offload to dead server succeeded")
 	}
 }
@@ -264,7 +319,7 @@ func TestClientContextCancellation(t *testing.T) {
 	}))
 	defer srv.Close()
 	defer close(block)
-	c := NewClient(ClientConfig{BaseURL: srv.URL, Timeout: time.Minute})
+	c := NewClient(ClientConfig{BaseURL: srv.URL})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_, err := c.Offload(ctx, "img/x", Task{})

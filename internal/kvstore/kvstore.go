@@ -87,22 +87,15 @@ func (r record) doc(key string) Document {
 // Config tunes the store's simulated performance characteristics.
 type Config struct {
 	// WriteOpsPerSec caps admitted write operations per second
-	// (a batch counts as one operation plus BatchDocCost per extra
-	// document). Zero means unlimited.
+	// (a batch counts as one operation plus batchDocCost per extra
+	// document), with a burst of a tenth of a second's worth, at least
+	// one. Zero means unlimited.
 	WriteOpsPerSec float64
-	// WriteBurst is the token-bucket burst for writes. Defaults to
-	// max(1, WriteOpsPerSec/10) when zero.
-	WriteBurst float64
 	// WriteLatency is the service time charged to each write
 	// operation after admission.
 	WriteLatency time.Duration
 	// ReadLatency is the service time charged to each read.
 	ReadLatency time.Duration
-	// BatchDocCost is the fractional write-capacity cost of each
-	// document in a batch beyond the first. The paper's design
-	// consolidates writes so a batch is far cheaper than N singles;
-	// 0.02 means a 100-doc batch costs ~3 ops. Defaults to 0.02.
-	BatchDocCost float64
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
 }
@@ -111,17 +104,13 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()
 	}
-	if c.WriteBurst <= 0 {
-		c.WriteBurst = c.WriteOpsPerSec / 10
-		if c.WriteBurst < 1 {
-			c.WriteBurst = 1
-		}
-	}
-	if c.BatchDocCost <= 0 {
-		c.BatchDocCost = 0.02
-	}
 	return c
 }
+
+// batchDocCost is the fractional write-capacity cost of each document in
+// a batch beyond the first. The paper's design consolidates writes so a
+// batch is far cheaper than N singles: a 100-doc batch costs ~3 ops.
+const batchDocCost = 0.02
 
 // Store is an in-memory versioned document store with simulated write
 // capacity. It is safe for concurrent use.
@@ -284,7 +273,7 @@ func Open(cfg Config) *Store {
 	cfg = cfg.withDefaults()
 	s := &Store{cfg: cfg, docs: make(map[string]record)}
 	if cfg.WriteOpsPerSec > 0 {
-		s.writes = vclock.NewTokenBucket(cfg.Clock, cfg.WriteOpsPerSec, cfg.WriteBurst)
+		s.writes = vclock.NewTokenBucket(cfg.Clock, cfg.WriteOpsPerSec, max(1, cfg.WriteOpsPerSec/10))
 	}
 	return s
 }
@@ -503,7 +492,7 @@ func (s *Store) putLocked(key string, value json.RawMessage) record {
 
 // BatchPut stores all entries as one consolidated write operation.
 // This is the primitive Oparaca's memtable flusher uses: a batch of N
-// documents costs 1 + (N-1)*BatchDocCost capacity tokens instead of N.
+// documents costs 1 + (N-1)*batchDocCost capacity tokens instead of N.
 func (s *Store) BatchPut(ctx context.Context, entries map[string]json.RawMessage) error {
 	if len(entries) == 0 {
 		return nil
@@ -517,7 +506,7 @@ func (s *Store) BatchPut(ctx context.Context, entries map[string]json.RawMessage
 }
 
 func (s *Store) batchPut(ctx context.Context, entries map[string]json.RawMessage) error {
-	cost := 1 + float64(len(entries)-1)*s.cfg.BatchDocCost
+	cost := 1 + float64(len(entries)-1)*batchDocCost
 	if err := s.admitWrite(ctx, cost); err != nil {
 		return err
 	}

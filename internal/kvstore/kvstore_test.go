@@ -348,7 +348,7 @@ func TestBatchGetClosed(t *testing.T) {
 
 func TestWriteCapacityThrottles(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(0, 0))
-	s := Open(Config{WriteOpsPerSec: 10, WriteBurst: 2, Clock: clock})
+	s := Open(Config{WriteOpsPerSec: 20, Clock: clock}) // a burst of 2
 	defer s.Close()
 	ctx := context.Background()
 	// Burst of 2 admits immediately.
@@ -385,7 +385,7 @@ func TestWriteCapacityThrottles(t *testing.T) {
 func TestBatchCheaperThanSingles(t *testing.T) {
 	// With a real clock and a tight write cap, 64 docs via batch must
 	// complete far faster than 64 single puts would be admitted.
-	s := Open(Config{WriteOpsPerSec: 50, WriteBurst: 2, BatchDocCost: 0.02})
+	s := Open(Config{WriteOpsPerSec: 20}) // a burst of 2
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -398,8 +398,8 @@ func TestBatchCheaperThanSingles(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	// Cost = 1 + 63*0.02 ≈ 2.26 tokens; burst 2 → waits ~5ms.
-	// 64 singles would need ~1.24s. Assert well under that.
+	// Cost = 1 + 63*0.02 ≈ 2.26 tokens; burst 2 → waits ~13ms.
+	// 64 singles would need ~3.1s. Assert well under that.
 	if elapsed > 500*time.Millisecond {
 		t.Fatalf("batch took %v; batching not amortizing capacity", elapsed)
 	}
@@ -425,7 +425,7 @@ func TestClosedStoreErrors(t *testing.T) {
 
 func TestContextCancelDuringThrottle(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(0, 0))
-	s := Open(Config{WriteOpsPerSec: 0.001, WriteBurst: 1, Clock: clock})
+	s := Open(Config{WriteOpsPerSec: 0.001, Clock: clock})
 	defer s.Close()
 	ctx := context.Background()
 	if _, err := s.Put(ctx, "k", nil); err != nil {

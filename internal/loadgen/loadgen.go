@@ -1,6 +1,6 @@
-// Package loadgen provides closed-loop and open-loop workload
-// generators plus latency/throughput reporting for the benchmark
-// harness that regenerates the paper's evaluation (§V).
+// Package loadgen provides a closed-loop workload generator plus
+// latency/throughput reporting for the benchmark harness that
+// regenerates the paper's evaluation (§V).
 package loadgen
 
 import (
@@ -25,11 +25,6 @@ type Config struct {
 	Duration time.Duration
 	// Warmup runs the workload unmeasured first. Default 0.
 	Warmup time.Duration
-	// TargetRPS, when > 0, makes the run open-loop: operations are
-	// admitted at this rate regardless of completion.
-	TargetRPS float64
-	// Clock supplies time; defaults to the real clock.
-	Clock vclock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -38,9 +33,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Duration <= 0 {
 		c.Duration = time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = vclock.NewReal()
 	}
 	return c
 }
@@ -76,12 +68,8 @@ func Run(ctx context.Context, cfg Config, op Op) Report {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var admit *vclock.TokenBucket
-	if cfg.TargetRPS > 0 {
-		admit = vclock.NewTokenBucket(cfg.Clock, cfg.TargetRPS, cfg.TargetRPS/10+1)
-	}
-
-	start := cfg.Clock.Now()
+	clock := vclock.NewReal()
+	start := clock.Now()
 	deadline := start.Add(cfg.Duration)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Concurrency; w++ {
@@ -89,15 +77,10 @@ func Run(ctx context.Context, cfg Config, op Op) Report {
 		go func(worker int) {
 			defer wg.Done()
 			for {
-				if cfg.Clock.Now().After(deadline) || runCtx.Err() != nil {
+				if clock.Now().After(deadline) || runCtx.Err() != nil {
 					return
 				}
-				if admit != nil {
-					if err := admit.Take(runCtx, 1); err != nil {
-						return
-					}
-				}
-				opStart := cfg.Clock.Now()
+				opStart := clock.Now()
 				err := op(runCtx, worker)
 				if runCtx.Err() != nil {
 					return // do not count operations cut off at the end
@@ -106,7 +89,7 @@ func Run(ctx context.Context, cfg Config, op Op) Report {
 					errOps.Add(1)
 					continue
 				}
-				hist.Observe(cfg.Clock.Since(opStart))
+				hist.Observe(clock.Since(opStart))
 				okOps.Add(1)
 			}
 		}(w)
@@ -114,11 +97,11 @@ func Run(ctx context.Context, cfg Config, op Op) Report {
 
 	// End the run exactly at the deadline even if ops block.
 	go func() {
-		_ = cfg.Clock.Sleep(runCtx, cfg.Duration)
+		_ = clock.Sleep(runCtx, cfg.Duration)
 		cancel()
 	}()
 	wg.Wait()
-	elapsed := cfg.Clock.Since(start)
+	elapsed := clock.Since(start)
 	if elapsed <= 0 {
 		elapsed = time.Nanosecond
 	}

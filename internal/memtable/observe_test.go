@@ -34,12 +34,16 @@ func (t *Table) DirtyCount() int {
 	return n
 }
 
-// TombstoneCount returns the number of tracked deletion tombstones.
+// TombstoneCount returns the number of deletion tombstones held.
 func (t *Table) TombstoneCount() int {
 	var n int
 	for _, sh := range t.shards {
 		sh.mu.Lock()
-		n += len(sh.tombs)
+		for _, e := range sh.data {
+			if !e.present {
+				n++
+			}
+		}
 		sh.mu.Unlock()
 	}
 	return n

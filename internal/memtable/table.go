@@ -77,21 +77,6 @@ type Config struct {
 	// FlushBatchSize triggers an early flush of a shard once that many
 	// keys are dirty. Defaults to 256.
 	FlushBatchSize int
-	// TombstoneTTL evicts a deleted key's version tombstone this long
-	// after the deletion. Tombstones keep stale optimistic commits from
-	// resurrecting deleted keys, but every deleted key otherwise parks
-	// one map entry per shard forever — object-churning workloads grow
-	// without bound. Once a tombstone has outlived every plausible
-	// in-flight commit (its version check would fail anyway only within
-	// an invocation window, not hours later) it is safe to forget: the
-	// backing delete has long landed, so a read-through finds nothing
-	// and a creating CAS starts from version 0. Zero keeps tombstones
-	// forever (the pre-compaction behaviour).
-	TombstoneTTL time.Duration
-	// TombstoneGCInterval is the compaction sweep period. Defaults to
-	// TombstoneTTL/4 (clamped to at least 1ms); ignored when
-	// TombstoneTTL is zero.
-	TombstoneGCInterval time.Duration
 	// Degraded reports whether the backing store is currently
 	// unavailable (the platform wires it to the store's circuit
 	// breaker). While it returns true, cache hits are additionally
@@ -121,12 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.FlushBatchSize <= 0 {
 		c.FlushBatchSize = 256
 	}
-	if c.TombstoneTTL > 0 && c.TombstoneGCInterval <= 0 {
-		c.TombstoneGCInterval = c.TombstoneTTL / 4
-		if c.TombstoneGCInterval < time.Millisecond {
-			c.TombstoneGCInterval = time.Millisecond
-		}
-	}
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()
 	}
@@ -138,8 +117,9 @@ func (c Config) withDefaults() Config {
 // write (deletes too) bumps it, a read-through seeds it from the backing
 // document's — and is what PutManyIfVersion validates against. present
 // false is a deletion tombstone: reads treat the key as authoritatively
-// deleted, so a stale CAS cannot resurrect it. (An explicit flag: a live
-// key can hold a nil val, the clone of an empty value.)
+// deleted, so a stale CAS cannot resurrect it. A tombstone is never
+// evicted. (An explicit flag: a live key can hold a nil val, the clone
+// of an empty value.)
 type entry struct {
 	val     json.RawMessage
 	ver     int64
@@ -161,12 +141,6 @@ type shard struct {
 	// store by an in-flight BatchPut, resurrecting the key.
 	flushing map[string]int
 	deleted  map[string]bool
-	// tombs records when each deletion tombstone was created, so the
-	// compactor can evict tombstones older than Config.TombstoneTTL.
-	// Only populated when a TTL is configured (entries then exist
-	// exactly for the tombstones in data, modulo a recreation racing a
-	// sweep, which the sweep reconciles).
-	tombs map[string]time.Time
 }
 
 // commit stores a live value for k, bumping its version and superseding
@@ -175,7 +149,6 @@ type shard struct {
 func (t *Table) commit(sh *shard, k string, v json.RawMessage) (wake bool) {
 	sh.data[k] = entry{val: v, ver: sh.data[k].ver + 1, present: true}
 	delete(sh.deleted, k)
-	delete(sh.tombs, k)
 	if t.cfg.Mode != ModeWriteBehind {
 		return false
 	}
@@ -189,9 +162,6 @@ func (t *Table) commit(sh *shard, k string, v json.RawMessage) (wake bool) {
 func (t *Table) remove(sh *shard, k string) {
 	sh.data[k] = entry{ver: sh.data[k].ver + 1}
 	delete(sh.dirty, k)
-	if t.cfg.TombstoneTTL > 0 {
-		sh.tombs[k] = t.cfg.Clock.Now()
-	}
 	if sh.flushing[k] > 0 {
 		// In a flush batch already snapshotted: the in-flight BatchPut
 		// would re-create the key after the caller's backing delete, so
@@ -228,9 +198,6 @@ type Table struct {
 	degradedHits int64
 	flushes      int64
 	flushDocs    int64
-	tombEvicted  int64
-
-	compactDone chan struct{} // tombstone compactor exited
 }
 
 // New creates a table. It returns an error when a persistent mode has
@@ -241,13 +208,12 @@ func New(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("memtable: mode %v requires a backing store", cfg.Mode)
 	}
 	t := &Table{
-		cfg:         cfg,
-		shards:      make([]*shard, cfg.Shards),
-		ring:        NewRing(64),
-		closed:      make(chan struct{}),
-		flushWake:   make(chan struct{}, 1),
-		done:        make(chan struct{}),
-		compactDone: make(chan struct{}),
+		cfg:       cfg,
+		shards:    make([]*shard, cfg.Shards),
+		ring:      NewRing(64),
+		closed:    make(chan struct{}),
+		flushWake: make(chan struct{}, 1),
+		done:      make(chan struct{}),
 	}
 	t.shardIdx = make(map[string]int, cfg.Shards)
 	for i := range t.shards {
@@ -256,7 +222,6 @@ func New(cfg Config) (*Table, error) {
 			dirty:    make(map[string]bool),
 			flushing: make(map[string]int),
 			deleted:  make(map[string]bool),
-			tombs:    make(map[string]time.Time),
 		}
 		name := shardName(i)
 		t.ring.Add(name)
@@ -266,11 +231,6 @@ func New(cfg Config) (*Table, error) {
 		go t.flushLoop()
 	} else {
 		close(t.done)
-	}
-	if cfg.TombstoneTTL > 0 {
-		go t.compactLoop()
-	} else {
-		close(t.compactDone)
 	}
 	return t, nil
 }
@@ -485,9 +445,8 @@ type VersionedValue struct {
 
 // GetManyVersionedInto is GetManyInto for the optimistic-concurrency
 // path: every requested key appears in out with its current version, so
-// a later PutManyIfVersion can validate the whole read set. Keys whose
-// deletion tombstone is still tracked report their tombstone version
-// with a nil value (reading through would let a stale commit resurrect
+// a later PutManyIfVersion can validate the whole read set. Deleted keys
+// report their tombstone version with a nil value (reading through would let a stale commit resurrect
 // them); keys found nowhere report {nil, 0}.
 func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map[string]VersionedValue) error {
 	if t.isClosed() {
@@ -880,59 +839,6 @@ func (t *Table) flushAll(ctx context.Context) {
 	}
 }
 
-// compactLoop periodically evicts expired deletion tombstones.
-func (t *Table) compactLoop() {
-	defer close(t.compactDone)
-	for {
-		select {
-		case <-t.closed:
-			return
-		case <-t.cfg.Clock.After(t.cfg.TombstoneGCInterval):
-		}
-		t.CompactTombstones()
-	}
-}
-
-// CompactTombstones evicts every deletion tombstone older than
-// Config.TombstoneTTL: the key's entry (and its timestamp) is
-// forgotten, returning the shard to its pre-key footprint. Tombstones
-// whose backing delete is still outstanding (mid-flush, or awaiting a
-// re-delete retry) are kept — evicting them would let a read-through
-// resurrect the key from the stale backing copy. Evictions are counted
-// in Stats().TombstonesEvicted. Called by the background compactor
-// when a TTL is configured; exported so churn tests (and operators)
-// can force a sweep.
-func (t *Table) CompactTombstones() {
-	if t.cfg.TombstoneTTL <= 0 {
-		return
-	}
-	cutoff := t.cfg.Clock.Now().Add(-t.cfg.TombstoneTTL)
-	var evicted int64
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for k, at := range sh.tombs {
-			if sh.data[k].present {
-				// Recreated since the deletion: the timestamp is stale
-				// bookkeeping, the entry stays (it is the live value).
-				delete(sh.tombs, k)
-				continue
-			}
-			if at.After(cutoff) || sh.flushing[k] > 0 || sh.deleted[k] {
-				continue
-			}
-			delete(sh.data, k)
-			delete(sh.tombs, k)
-			evicted++
-		}
-		sh.mu.Unlock()
-	}
-	if evicted > 0 {
-		t.statsMu.Lock()
-		t.tombEvicted += evicted
-		t.statsMu.Unlock()
-	}
-}
-
 // Flush synchronously persists all dirty entries (no-op outside
 // write-behind mode).
 func (t *Table) Flush(ctx context.Context) {
@@ -957,12 +863,11 @@ func (t *Table) Len() int {
 	return n
 }
 
-// Close stops the flusher (after a final flush) and the tombstone
-// compactor, and marks the table closed. It blocks until both exit.
+// Close stops the flusher after a final flush and marks the table
+// closed. It blocks until the flusher exits.
 func (t *Table) Close() {
 	t.closeOnce.Do(func() { close(t.closed) })
 	<-t.done
-	<-t.compactDone
 }
 
 // Kill stops the table WITHOUT the final flush, modeling process
@@ -984,9 +889,6 @@ type Stats struct {
 	// reported the backing store unavailable — the reads degraded mode
 	// kept answering from memory.
 	DegradedHits int64 `json:"degraded_hits"`
-	// TombstonesEvicted counts deletion tombstones compacted after
-	// Config.TombstoneTTL elapsed.
-	TombstonesEvicted int64 `json:"tombstones_evicted"`
 }
 
 // Stats returns counters since New.
@@ -994,5 +896,5 @@ func (t *Table) Stats() Stats {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
 	return Stats{Hits: t.hits, Misses: t.misses, Flushes: t.flushes, FlushDocs: t.flushDocs,
-		DegradedHits: t.degradedHits, TombstonesEvicted: t.tombEvicted}
+		DegradedHits: t.degradedHits}
 }

@@ -402,15 +402,14 @@ func TestCASDeleteOrderedWithRecreate(t *testing.T) {
 
 // TestEntryStatesStayDistinct: one map slot now says whether a key is
 // live, deleted or unknown, and a live key can hold a nil value (the
-// clone of an empty one) — the three must read, validate and sweep
+// clone of an empty one) — the three must read and validate
 // differently.
 func TestEntryStatesStayDistinct(t *testing.T) {
 	ctx := context.Background()
 	db := kvstore.Open(kvstore.Config{})
 	t.Cleanup(db.Close)
 	clock := vclock.NewManual(time.Unix(0, 0))
-	tbl, err := New(Config{Mode: ModeWriteBehind, Backing: db, FlushInterval: time.Hour,
-		TombstoneTTL: time.Minute, TombstoneGCInterval: time.Hour, Clock: clock})
+	tbl, err := New(Config{Mode: ModeWriteBehind, Backing: db, FlushInterval: time.Hour, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,19 +489,5 @@ func TestEntryStatesStayDistinct(t *testing.T) {
 		} else if !errors.Is(err, ErrVersionMismatch) {
 			t.Errorf("creating CAS on %s: err = %v, want ErrVersionMismatch", k, err)
 		}
-	}
-	// The sweep forgets expired tombstones and nothing else: the
-	// deleted keys become unknown (and read through to the store again),
-	// the live nil values stay at their versions.
-	clock.Advance(2 * time.Minute)
-	tbl.CompactTombstones()
-	if got := tbl.Stats().TombstonesEvicted; got != 2 {
-		t.Errorf("sweep evicted %d tombstones, want 2", got)
-	}
-	want["never"] = VersionedValue{Value: json.RawMessage(`2`), Version: 1}
-	want["gone"] = VersionedValue{Value: json.RawMessage(`"stale"`), Version: 1}
-	want["cas-gone"] = want["gone"]
-	if got := states(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("versioned read after the sweep = %+v, want %+v", got, want)
 	}
 }

@@ -55,11 +55,6 @@ type Action struct {
 type Config struct {
 	// Interval is the evaluation period. Defaults to 500ms.
 	Interval time.Duration
-	// CooldownTicks is how many violation-free evaluations must pass
-	// before scaling back down. Defaults to 10.
-	CooldownTicks int
-	// MaxActions bounds the retained action log. Defaults to 256.
-	MaxActions int
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
 }
@@ -68,17 +63,19 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 500 * time.Millisecond
 	}
-	if c.CooldownTicks <= 0 {
-		c.CooldownTicks = 10
-	}
-	if c.MaxActions <= 0 {
-		c.MaxActions = 256
-	}
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()
 	}
 	return c
 }
+
+const (
+	// cooldownTicks is how many violation-free evaluations must pass
+	// before scaling back down.
+	cooldownTicks = 10
+	// maxActions bounds the retained action log.
+	maxActions = 256
+)
 
 // target is one managed runtime plus its control state.
 type target struct {
@@ -216,7 +213,7 @@ func (o *Optimizer) evaluate(t *target) {
 	}
 	t.calmTicks++
 	min := t.rt.Template().MinScale
-	if t.calmTicks >= o.cfg.CooldownTicks && t.floor > min {
+	if t.calmTicks >= cooldownTicks && t.floor > min {
 		t.calmTicks = 0
 		t.floor--
 		o.applyFloor(t, ActionScaleDown, "sustained QoS compliance")
@@ -249,8 +246,8 @@ func (o *Optimizer) record(a Action) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.actions = append(o.actions, a)
-	if len(o.actions) > o.cfg.MaxActions {
-		o.actions = o.actions[len(o.actions)-o.cfg.MaxActions:]
+	if len(o.actions) > maxActions {
+		o.actions = o.actions[len(o.actions)-maxActions:]
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,8 +17,23 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/runtime"
 )
 
-// newTestRuntime builds a Counter-class runtime with the given QoS.
-func newTestRuntime(t *testing.T, qos model.QoS, serviceDelay time.Duration) *runtime.ClassRuntime {
+// sleeper is a handler that takes d to serve.
+func sleeper(d time.Duration) invoker.Handler {
+	return invoker.HandlerFunc(func(ctx context.Context, task invoker.Task) (invoker.Result, error) {
+		if d > 0 {
+			select {
+			case <-time.After(d):
+			case <-ctx.Done():
+				return invoker.Result{}, ctx.Err()
+			}
+		}
+		return invoker.Result{Output: json.RawMessage(`"done"`)}, nil
+	})
+}
+
+// newTestRuntime builds a Counter-class runtime with the given QoS whose
+// one function is work.
+func newTestRuntime(t *testing.T, qos model.QoS, work invoker.Handler) *runtime.ClassRuntime {
 	t.Helper()
 	yaml := `classes:
   - name: Svc
@@ -47,16 +63,7 @@ func newTestRuntime(t *testing.T, qos model.QoS, serviceDelay time.Duration) *ru
 		}
 	}
 	reg := invoker.NewRegistry()
-	reg.Register("img/work", invoker.HandlerFunc(func(ctx context.Context, task invoker.Task) (invoker.Result, error) {
-		if serviceDelay > 0 {
-			select {
-			case <-time.After(serviceDelay):
-			case <-ctx.Done():
-				return invoker.Result{}, ctx.Err()
-			}
-		}
-		return invoker.Result{Output: json.RawMessage(`"done"`)}, nil
-	}))
+	reg.Register("img/work", work)
 	db := kvstore.Open(kvstore.Config{})
 	t.Cleanup(db.Close)
 	infra := runtime.Infra{
@@ -80,7 +87,7 @@ func newTestRuntime(t *testing.T, qos model.QoS, serviceDelay time.Duration) *ru
 }
 
 func TestNoQoSNoActions(t *testing.T) {
-	rt := newTestRuntime(t, model.QoS{}, 0)
+	rt := newTestRuntime(t, model.QoS{}, sleeper(0))
 	o := New(Config{})
 	o.Manage(rt)
 	for i := 0; i < 5; i++ {
@@ -93,7 +100,7 @@ func TestNoQoSNoActions(t *testing.T) {
 
 func TestLatencyViolationScalesUp(t *testing.T) {
 	// Target 1ms p95 but the handler takes ~20ms: guaranteed violation.
-	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, 20*time.Millisecond)
+	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, sleeper(20*time.Millisecond))
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		if _, err := rt.Invoke(ctx, "o", "work", nil, nil); err != nil {
@@ -118,7 +125,7 @@ func TestLatencyViolationScalesUp(t *testing.T) {
 }
 
 func TestRepeatedViolationsKeepRaisingFloor(t *testing.T) {
-	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, 15*time.Millisecond)
+	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, sleeper(15*time.Millisecond))
 	ctx := context.Background()
 	o := New(Config{})
 	o.Manage(rt)
@@ -133,32 +140,56 @@ func TestRepeatedViolationsKeepRaisingFloor(t *testing.T) {
 	}
 }
 
+// TestCooldownScalesBackDown: a floor raised by a violation steps back
+// down after cooldownTicks violation-free evaluations, and not before.
 func TestCooldownScalesBackDown(t *testing.T) {
-	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, 15*time.Millisecond)
-	ctx := context.Background()
-	o := New(Config{CooldownTicks: 2})
+	started, release := make(chan struct{}), make(chan struct{})
+	rt := newTestRuntime(t, model.QoS{ThroughputRPS: 1e6}, invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		started <- struct{}{}
+		<-release
+		return invoker.Result{}, nil
+	}))
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(free) // before rt.Close, should the test stop early
+	o := New(Config{})
 	o.Manage(rt)
-	// Provoke one violation.
-	for i := 0; i < 3; i++ {
-		rt.Invoke(ctx, "o", "work", nil, nil)
+	floor := floorOf(o, "Svc")
+	// One invocation in flight and far short of the required rate.
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.Invoke(context.Background(), "o", "work", nil, nil)
+		done <- err
+	}()
+	<-started
+	o.Tick()
+	if got := floorOf(o, "Svc"); got != floor+1 {
+		t.Fatalf("floor = %d after a violation, want %d", got, floor+1)
+	}
+	free()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// Idle: no demand, so no violation.
+	for i := 1; i < cooldownTicks; i++ {
+		o.Tick()
+	}
+	if got := floorOf(o, "Svc"); got != floor+1 {
+		t.Fatalf("floor = %d after %d calm ticks, want %d", got, cooldownTicks-1, floor+1)
 	}
 	o.Tick()
-	floorAfterUp := floorOf(o, "Svc")
-	if floorAfterUp < 1 {
-		t.Fatalf("floor = %d, want >= 1", floorAfterUp)
+	if got := floorOf(o, "Svc"); got != floor {
+		t.Fatalf("floor = %d after %d calm ticks, want %d", got, cooldownTicks, floor)
 	}
-	// The latency histogram is cumulative, so replace the runtime's
-	// recent history by just staying idle: p95 remains high, but no
-	// new invocations arrive... the histogram still reports the old
-	// p95, so instead verify cooldown using a throughput-style QoS
-	// where idleness clears the violation (inflight == 0).
-	_ = floorAfterUp
+	if acts := o.Actions(); len(acts) != 2 || acts[1].Kind != ActionScaleDown {
+		t.Fatalf("actions = %+v, want a scale-up then a scale-down", acts)
+	}
 }
 
 func TestThroughputViolationRequiresDemand(t *testing.T) {
 	// Throughput QoS unmet but zero in-flight demand: no action
 	// (nothing to scale for).
-	rt := newTestRuntime(t, model.QoS{ThroughputRPS: 1e6}, 0)
+	rt := newTestRuntime(t, model.QoS{ThroughputRPS: 1e6}, sleeper(0))
 	o := New(Config{})
 	o.Manage(rt)
 	o.Tick()
@@ -170,12 +201,12 @@ func TestThroughputViolationRequiresDemand(t *testing.T) {
 func TestThroughputCooldownPath(t *testing.T) {
 	// With a trivially satisfiable requirement and no violations, the
 	// floor never rises and never drops below the template minimum.
-	rt := newTestRuntime(t, model.QoS{ThroughputRPS: 0.001}, 0)
+	rt := newTestRuntime(t, model.QoS{ThroughputRPS: 0.001}, sleeper(0))
 	ctx := context.Background()
 	rt.Invoke(ctx, "o", "work", nil, nil)
-	o := New(Config{CooldownTicks: 1})
+	o := New(Config{})
 	o.Manage(rt)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 2*cooldownTicks; i++ {
 		o.Tick()
 	}
 	if floor := floorOf(o, "Svc"); floor != rt.Template().MinScale {
@@ -184,7 +215,7 @@ func TestThroughputCooldownPath(t *testing.T) {
 }
 
 func TestUnmanageStopsActions(t *testing.T) {
-	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, 15*time.Millisecond)
+	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, sleeper(15*time.Millisecond))
 	ctx := context.Background()
 	rt.Invoke(ctx, "o", "work", nil, nil)
 	o := New(Config{})
@@ -200,7 +231,7 @@ func TestUnmanageStopsActions(t *testing.T) {
 }
 
 func TestStartStopLifecycle(t *testing.T) {
-	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, 10*time.Millisecond)
+	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, sleeper(10*time.Millisecond))
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		rt.Invoke(ctx, "o", "work", nil, nil)
@@ -221,16 +252,13 @@ func TestStartStopLifecycle(t *testing.T) {
 }
 
 func TestActionLogBounded(t *testing.T) {
-	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, 10*time.Millisecond)
-	ctx := context.Background()
-	o := New(Config{MaxActions: 3})
-	o.Manage(rt)
-	for round := 0; round < 6; round++ {
-		rt.Invoke(ctx, "o", "work", nil, nil)
-		o.Tick()
+	o := New(Config{})
+	for i := 0; i < maxActions+3; i++ {
+		o.record(Action{Replicas: i})
 	}
-	if got := len(o.Actions()); got > 3 {
-		t.Fatalf("action log grew to %d, cap 3", got)
+	acts := o.Actions()
+	if len(acts) != maxActions || acts[0].Replicas != 3 {
+		t.Fatalf("action log holds %d, oldest %d; want the newest %d", len(acts), acts[0].Replicas, maxActions)
 	}
 }
 

@@ -319,9 +319,10 @@ var ErrBucketClosed = errors.New("vclock: token bucket closed")
 type TokenBucket struct {
 	clock Clock
 
+	rate  float64 // tokens per second
+	burst float64
+
 	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
 	tokens float64
 	last   time.Time
 	closed bool
@@ -354,22 +355,6 @@ func (b *TokenBucket) refillLocked(now time.Time) {
 		b.tokens = b.burst
 	}
 	b.last = now
-}
-
-// TryTake removes n tokens if available without blocking, reporting
-// whether it succeeded.
-func (b *TokenBucket) TryTake(n float64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return false
-	}
-	b.refillLocked(b.clock.Now())
-	if b.tokens >= n {
-		b.tokens -= n
-		return true
-	}
-	return false
 }
 
 // Take blocks until n tokens are available (or ctx is done), then
@@ -407,24 +392,8 @@ func (b *TokenBucket) Take(ctx context.Context, n float64) error {
 	}
 }
 
-// SetRate changes the refill rate. Pending Take calls observe the new
-// rate on their next wakeup.
-func (b *TokenBucket) SetRate(rate float64) {
-	if rate <= 0 {
-		panic("vclock: SetRate requires positive rate")
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(b.clock.Now())
-	b.rate = rate
-}
-
-// Rate returns the current refill rate in tokens per second.
-func (b *TokenBucket) Rate() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rate
-}
+// Rate returns the refill rate in tokens per second.
+func (b *TokenBucket) Rate() float64 { return b.rate }
 
 // Close marks the bucket closed; subsequent Take calls fail fast.
 func (b *TokenBucket) Close() {

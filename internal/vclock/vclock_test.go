@@ -235,24 +235,11 @@ func TestManualConcurrentAdvance(t *testing.T) {
 	}
 }
 
-func TestTokenBucketTryTake(t *testing.T) {
-	m := NewManual(time.Unix(0, 0))
-	b := NewTokenBucket(m, 10, 5) // 10/s, burst 5, starts full
-	for i := 0; i < 5; i++ {
-		if !b.TryTake(1) {
-			t.Fatalf("TryTake #%d failed with full bucket", i)
-		}
-	}
-	if b.TryTake(1) {
-		t.Fatal("TryTake succeeded on empty bucket")
-	}
-	m.Advance(100 * time.Millisecond) // refills 1 token
-	if !b.TryTake(1) {
-		t.Fatal("TryTake failed after refill")
-	}
-	if b.TryTake(1) {
-		t.Fatal("TryTake succeeded beyond refill")
-	}
+// tryTake takes n tokens from b if it holds them now, without waiting.
+func tryTake(b *TokenBucket, n float64) bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return b.Take(ctx, n) == nil
 }
 
 func TestTokenBucketBurstCap(t *testing.T) {
@@ -260,11 +247,11 @@ func TestTokenBucketBurstCap(t *testing.T) {
 	b := NewTokenBucket(m, 1000, 3)
 	m.Advance(time.Hour) // would refill millions; capped at burst
 	for i := 0; i < 3; i++ {
-		if !b.TryTake(1) {
-			t.Fatalf("TryTake #%d failed", i)
+		if !tryTake(b, 1) {
+			t.Fatalf("tryTake #%d failed", i)
 		}
 	}
-	if b.TryTake(1) {
+	if tryTake(b, 1) {
 		t.Fatal("bucket exceeded burst capacity")
 	}
 }
@@ -299,8 +286,8 @@ func TestTokenBucketTakeOversized(t *testing.T) {
 func TestTokenBucketTakeContext(t *testing.T) {
 	m := NewManual(time.Unix(0, 0))
 	b := NewTokenBucket(m, 0.001, 1)
-	if !b.TryTake(1) {
-		t.Fatal("initial TryTake failed")
+	if !tryTake(b, 1) {
+		t.Fatal("initial tryTake failed")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -320,29 +307,6 @@ func TestTokenBucketClose(t *testing.T) {
 	b.Close()
 	if err := b.Take(context.Background(), 1); err != ErrBucketClosed {
 		t.Fatalf("Take after Close = %v, want ErrBucketClosed", err)
-	}
-	if b.TryTake(1) {
-		t.Fatal("TryTake succeeded after Close")
-	}
-}
-
-func TestTokenBucketSetRate(t *testing.T) {
-	m := NewManual(time.Unix(0, 0))
-	b := NewTokenBucket(m, 1, 10)
-	for i := 0; i < 10; i++ {
-		if !b.TryTake(1) {
-			t.Fatalf("drain #%d failed", i)
-		}
-	}
-	b.SetRate(100)
-	if got := b.Rate(); got != 100 {
-		t.Fatalf("Rate = %v, want 100", got)
-	}
-	m.Advance(100 * time.Millisecond) // 10 tokens at new rate
-	for i := 0; i < 10; i++ {
-		if !b.TryTake(1) {
-			t.Fatalf("TryTake #%d after SetRate failed", i)
-		}
 	}
 }
 
@@ -365,7 +329,7 @@ func TestTokenBucketConservationProperty(t *testing.T) {
 		granted := 0.0
 		elapsed := time.Duration(0)
 		for i := 0; i < int(steps%50)+1; i++ {
-			if b.TryTake(1) {
+			if tryTake(b, 1) {
 				granted++
 			}
 			m.Advance(10 * time.Millisecond)
