@@ -14,18 +14,26 @@
 // write: registration is flushed through immediately, so a consumer
 // that ever activated cannot be orphaned by a crash.
 //
+// The log keeps an object's bounds in memory, never its entries: they
+// are in the backing store, and Read fetches them from there. A consumer
+// that has caught up reads nothing and touches nothing; only a behind
+// consumer or a replaying stream pays a store read. So what the log holds
+// grows with the objects whose log has begun, not with their history.
+//
 // Retention is bounded one way: MaxPerObject caps each object's retained
-// entries, and the oldest are evicted as new ones append. The background
-// sweep deletes evicted entries' backing keys. Reading below the retained
-// floor fails with ErrOffsetCompacted (HTTP 410 at the gateway).
+// entries, and the oldest are evicted as new ones append — the floor
+// rises. The background sweep deletes evicted entries' backing keys.
+// Reading below the retained floor fails with ErrOffsetCompacted (HTTP
+// 410 at the gateway).
 //
 // Ownership: an appended payload is held once. The bytes build returns
-// become the retained Entry's Payload and, unchanged and uncopied, the
-// document handed to the backing store (kvstore keeps the slice it is
-// given), so build returns a buffer nobody writes to again — the bus
-// passes json.Marshal output — and readers treat Payload as read-only.
-// A bounds document is a fresh buffer too (metaDoc), written through
-// internal/jsonw, byte for byte the json.Marshal of objMeta.
+// are, unchanged and uncopied, the document handed to the backing store
+// (kvstore keeps the slice it is given), and a Read's Entry.Payload is
+// that stored slice again, so build returns a buffer nobody writes to
+// again — the bus passes json.Marshal output — and readers treat Payload
+// as read-only. A bounds document is a fresh buffer too (metaDoc),
+// written through internal/jsonw, byte for byte the json.Marshal of
+// objMeta.
 package eventlog
 
 import (
@@ -33,7 +41,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,7 +64,7 @@ var (
 type Entry struct {
 	// Offset is the entry's per-object position, 1-based and monotone.
 	Offset int64 `json:"offset"`
-	// Time is the append instant.
+	// Time is the instant the backing store wrote the entry.
 	Time time.Time `json:"time"`
 	// Payload is the event JSON exactly as appended.
 	Payload json.RawMessage `json:"payload"`
@@ -65,9 +72,8 @@ type Entry struct {
 
 // Config sizes a Log.
 type Config struct {
-	// Backing is the document store appends write through to. Nil
-	// keeps the log in memory only: offsets and replay work within the
-	// process, nothing survives a restart.
+	// Backing is the document store appends write through to and reads
+	// come from. Required.
 	Backing *kvstore.Store
 	// MaxPerObject caps each object's retained entries; the oldest are
 	// evicted as new ones append. Defaults to 1024; negative disables
@@ -111,14 +117,14 @@ func metaDoc(first, next int64) json.RawMessage {
 	return append(dst, '}')
 }
 
-// objectLog is one object's in-memory log state. Entries are
-// contiguous by offset — retention only ever trims the prefix — so
-// reads index directly instead of searching.
+// objectLog is one object's log state: its bounds, never its entries.
+// Every offset in [first, next) has its entry in the backing store.
 type objectLog struct {
-	mu      sync.Mutex
-	loaded  bool
-	next    int64
-	entries []Entry
+	mu     sync.Mutex
+	loaded bool
+	// first is the oldest retained offset (== next when empty); next is
+	// the offset the next append receives.
+	first, next int64
 	// garbage holds backing keys of evicted entries awaiting deletion
 	// by the background sweep (eviction itself must not pay a
 	// per-entry delete on the append path).
@@ -128,15 +134,11 @@ type objectLog struct {
 	// seeds are the cursors SeedCursor asked for during the append in
 	// progress, registered only if the append lands.
 	seeds []Cursor
-}
-
-// floor is the oldest retained offset (== next when empty). Callers
-// hold ol.mu.
-func (ol *objectLog) floor() int64 {
-	if len(ol.entries) > 0 {
-		return ol.entries[0].Offset
-	}
-	return ol.next
+	// sweep is held by Compact across its deletes of this log's garbage
+	// and by Drop, which takes it before mu: a sweep's delete never lands
+	// after Drop has unlinked the log, when a successor may be writing
+	// the same keys.
+	sweep sync.Mutex
 }
 
 // Cursor names one durable consumer position.
@@ -156,9 +158,9 @@ type Log struct {
 	mu   sync.Mutex
 	objs map[string]*objectLog
 
-	// curs persists consumer cursors write-behind (memory-only when
-	// the log has no backing); cursors mirrors it in plain maps so
-	// reads, lag computation and recovery scans never pay table I/O.
+	// curs persists consumer cursors write-behind; cursors mirrors it in
+	// plain maps so reads, lag computation and recovery scans never pay
+	// table I/O.
 	curs    *memtable.Table
 	cursMu  sync.Mutex
 	cursors map[string]map[string]int64 // subscription -> object -> next
@@ -175,15 +177,14 @@ type Log struct {
 // New builds a log and starts its background sweep.
 func New(cfg Config) (*Log, error) {
 	cfg = cfg.withDefaults()
-	tblCfg := memtable.Config{
+	if cfg.Backing == nil {
+		return nil, errors.New("eventlog: a backing store is required")
+	}
+	curs, err := memtable.New(memtable.Config{
 		Mode:    memtable.ModeWriteBehind,
 		Backing: cfg.Backing,
 		Clock:   cfg.Clock,
-	}
-	if cfg.Backing == nil {
-		tblCfg.Mode = memtable.ModeMemoryOnly
-	}
-	curs, err := memtable.New(tblCfg)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: cursor table: %w", err)
 	}
@@ -197,15 +198,13 @@ func New(cfg Config) (*Log, error) {
 	}
 	// Every begun log has a persisted bounds document; registering them
 	// (unloaded) here lets absence from objs mean "never begun".
-	if cfg.Backing != nil {
-		keys, err := cfg.Backing.List(context.Background(), "evmeta/")
-		if err != nil {
-			curs.Close()
-			return nil, fmt.Errorf("eventlog: listing begun logs: %w", err)
-		}
-		for _, k := range keys {
-			l.objs[strings.TrimPrefix(k, "evmeta/")] = &objectLog{next: 1}
-		}
+	keys, err := cfg.Backing.List(context.Background(), "evmeta/")
+	if err != nil {
+		curs.Close()
+		return nil, fmt.Errorf("eventlog: listing begun logs: %w", err)
+	}
+	for _, k := range keys {
+		l.objs[strings.TrimPrefix(k, "evmeta/")] = &objectLog{first: 1, next: 1}
 	}
 	go l.gcLoop()
 	return l, nil
@@ -245,7 +244,7 @@ func (l *Log) lockForAppend(object string) *objectLog {
 		l.mu.Lock()
 		ol, ok := l.objs[object]
 		if !ok {
-			ol = &objectLog{next: 1, loaded: true}
+			ol = &objectLog{first: 1, next: 1, loaded: true}
 			l.objs[object] = ol
 		}
 		l.mu.Unlock()
@@ -265,8 +264,14 @@ func (l *Log) peek(object string) *objectLog {
 	return l.objs[object]
 }
 
-// load lazily recovers an object's retained entries and bounds from
-// the backing store. Callers hold ol.mu.
+// load lazily recovers an object's bounds from its bounds document.
+// The entries stay in the store; listing their keys finds only what the
+// sweep must delete: keys below the persisted floor (evicted, not yet
+// deleted when the process died), and every key below a hole — an entry
+// write lost to a backing fault — since the retained range is the
+// contiguous run of entries that ends at next. Keys at or past next are
+// a torn batch's leftovers, which the append that takes their offset
+// overwrites. Callers hold ol.mu.
 func (l *Log) load(ctx context.Context, object string, ol *objectLog) error {
 	if ol.loaded {
 		return nil
@@ -288,45 +293,20 @@ func (l *Log) load(ctx context.Context, object string, ol *objectLog) error {
 	if err != nil {
 		return fmt.Errorf("eventlog: listing %s entries: %w", object, err)
 	}
-	var live []string
-	offsets := make([]int64, 0, len(keys))
-	for _, k := range keys {
-		off, perr := strconv.ParseInt(k[len(prefix):], 16, 64)
-		if perr != nil || off < meta.First || off >= meta.Next {
-			// Below the persisted floor: evicted but not yet deleted
-			// when the process died. Re-queue for the sweep.
-			ol.garbage = append(ol.garbage, k)
-			continue
+	// List sorts, and fixed-width hex sorts by offset: walking down from
+	// the end, the floor follows the keys while they are contiguous.
+	ol.first, ol.next = meta.Next, meta.Next
+	for i := len(keys) - 1; i >= 0; i-- {
+		off, perr := strconv.ParseInt(keys[i][len(prefix):], 16, 64)
+		switch {
+		case perr == nil && off >= meta.Next:
+			// A torn batch's leftover, not the sweep's.
+		case perr == nil && off >= meta.First && off == ol.first-1:
+			ol.first = off
+		default:
+			ol.garbage = append(ol.garbage, keys[i])
 		}
-		live = append(live, k)
-		offsets = append(offsets, off)
 	}
-	docs, err := l.cfg.Backing.BatchGet(ctx, live)
-	if err != nil {
-		return fmt.Errorf("eventlog: loading %s entries: %w", object, err)
-	}
-	entries := make([]Entry, 0, len(live))
-	for i, k := range live {
-		d, ok := docs[k]
-		if !ok {
-			continue
-		}
-		entries = append(entries, Entry{Offset: offsets[i], Time: d.Updated, Payload: d.Value})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Offset < entries[j].Offset })
-	// Keep the longest contiguous suffix: a hole (an entry write lost
-	// to a backing fault) must not break the direct-index invariant,
-	// so everything below the hole is treated as compacted. A log whose
-	// entry writes were all lost has no entries at all.
-	lo := max(len(entries)-1, 0)
-	for lo > 0 && entries[lo-1].Offset == entries[lo].Offset-1 {
-		lo--
-	}
-	for _, e := range entries[:lo] {
-		ol.garbage = append(ol.garbage, entryKey(object, e.Offset))
-	}
-	ol.entries = entries[lo:]
-	ol.next = meta.Next
 	ol.loaded = true
 	return nil
 }
@@ -344,23 +324,25 @@ func (l *Log) Drop(ctx context.Context, object string) error {
 	if ol == nil {
 		return nil
 	}
-	// Under the object's lock, so a racing append lands wholly before
-	// the drop (and is deleted) or after it, in a fresh log. The entry
-	// leaves objs only once its bounds are gone: a failed drop retries.
+	// After a sweep of this log, so none of its deletes lands in a
+	// successor's entries, and under the object's lock, so a racing
+	// append lands wholly before the drop (and is deleted) or after it,
+	// in a fresh log. The entry leaves objs only once its bounds are
+	// gone: a failed drop retries.
+	ol.sweep.Lock()
+	defer ol.sweep.Unlock()
 	ol.mu.Lock()
 	defer ol.mu.Unlock()
-	if l.cfg.Backing != nil {
-		keys, err := l.cfg.Backing.List(ctx, "evlog/"+object+"/")
-		if err != nil {
-			return fmt.Errorf("eventlog: listing %s entries: %w", object, err)
-		}
-		for _, k := range append(keys, metaKey(object)) {
-			if err := l.cfg.Backing.Delete(ctx, k); err != nil && !errors.Is(err, kvstore.ErrNotFound) {
-				return fmt.Errorf("eventlog: dropping %s: %w", object, err)
-			}
+	keys, err := l.cfg.Backing.List(ctx, "evlog/"+object+"/")
+	if err != nil {
+		return fmt.Errorf("eventlog: listing %s entries: %w", object, err)
+	}
+	for _, k := range append(keys, metaKey(object)) {
+		if err := l.cfg.Backing.Delete(ctx, k); err != nil && !errors.Is(err, kvstore.ErrNotFound) {
+			return fmt.Errorf("eventlog: dropping %s: %w", object, err)
 		}
 	}
-	ol.entries, ol.garbage, ol.next, ol.loaded, ol.dropped = nil, nil, 1, true, true
+	ol.garbage, ol.first, ol.next, ol.loaded, ol.dropped = nil, 1, 1, true, true
 	l.mu.Lock()
 	delete(l.objs, object)
 	l.mu.Unlock()
@@ -394,53 +376,30 @@ func (l *Log) AppendBatch(ctx context.Context, object string, n int, build func(
 	if err := l.load(ctx, object, ol); err != nil {
 		return 0, err
 	}
-	first := ol.next
-	now := l.cfg.Clock.Now()
-	var batch map[string]json.RawMessage
-	if l.cfg.Backing != nil {
-		batch = make(map[string]json.RawMessage, n+1)
+	start, first, next := ol.next, ol.first, ol.next+int64(n)
+	if max := int64(l.cfg.MaxPerObject); max > 0 && next-first > max {
+		first = next - max
 	}
-	// The new entries go straight onto the retained ones, past the end
-	// ol.entries shows: nothing reads there, ol.entries takes them in
-	// only once the backing write has landed, and a failure clears them.
-	grown := ol.entries
+	batch := make(map[string]json.RawMessage, n+1)
 	for i := 0; i < n; i++ {
-		off := first + int64(i)
-		payload, err := build(i, off)
+		payload, err := build(i, start+int64(i))
 		if err != nil {
-			clear(grown[len(ol.entries):])
 			return 0, err
 		}
-		grown = append(grown, Entry{Offset: off, Time: now, Payload: payload})
-		if batch != nil {
-			batch[entryKey(object, off)] = payload
-		}
+		batch[entryKey(object, start+int64(i))] = payload
 	}
-	entries, evicted := grown, []Entry(nil)
-	if max := l.cfg.MaxPerObject; max > 0 && len(entries) > max {
-		evicted = entries[:len(entries)-max]
-		entries = entries[len(entries)-max:]
+	batch[metaKey(object)] = metaDoc(first, next)
+	// Durability before dispatch: the batch (entries plus bounds) lands
+	// before the bounds in memory move, so a failed write leaves no hole
+	// and an appended event can never be lost to a crash.
+	if err := l.cfg.Backing.BatchPut(ctx, batch); err != nil {
+		return 0, fmt.Errorf("eventlog: appending to %s: %w", object, err)
 	}
-	if batch != nil {
-		floor := ol.next + int64(n)
-		if len(entries) > 0 {
-			floor = entries[0].Offset
-		}
-		batch[metaKey(object)] = metaDoc(floor, first+int64(n))
-		// Durability before dispatch: the batch (entries plus bounds)
-		// lands before the in-memory log advances, so a failed write
-		// leaves no hole and an appended event can never be lost to a
-		// crash.
-		if err := l.cfg.Backing.BatchPut(ctx, batch); err != nil {
-			clear(grown[len(ol.entries):])
-			return 0, fmt.Errorf("eventlog: appending to %s: %w", object, err)
-		}
-		for _, e := range evicted {
-			ol.garbage = append(ol.garbage, entryKey(object, e.Offset))
-		}
+	// Eviction is the floor rising; the sweep deletes what it passed.
+	for off := ol.first; off < first; off++ {
+		ol.garbage = append(ol.garbage, entryKey(object, off))
 	}
-	ol.entries = entries
-	ol.next = first + int64(n)
+	ol.first, ol.next = first, next
 	l.statsMu.Lock()
 	l.appended += int64(n)
 	l.statsMu.Unlock()
@@ -448,14 +407,14 @@ func (l *Log) AppendBatch(ctx context.Context, object string, n int, build func(
 		// A failed write leaves the cursor in memory, as SetCursor does.
 		_ = l.SetCursor(ctx, c.Subscription, object, c.Next)
 	}
-	return first, nil
+	return start, nil
 }
 
 // Read returns up to max retained entries of one object starting at
 // offset from (1-based; <=0 reads from the start, max<=0 is
-// unlimited). Reading below the retained floor fails with
-// ErrOffsetCompacted; reading at or past the end returns an empty
-// slice.
+// unlimited), in one read of the backing store. Reading below the
+// retained floor fails with ErrOffsetCompacted; reading at or past the
+// end returns an empty slice without touching the store.
 func (l *Log) Read(ctx context.Context, object string, from int64, max int) ([]Entry, error) {
 	if from <= 0 {
 		from = 1
@@ -464,29 +423,52 @@ func (l *Log) Read(ctx context.Context, object string, from int64, max int) ([]E
 	if ol == nil {
 		return nil, nil
 	}
+	end, err := l.readable(ctx, object, ol, from)
+	if err != nil || end <= from {
+		return nil, err
+	}
+	if max > 0 && end-from > int64(max) {
+		end = from + int64(max)
+	}
+	keys := make([]string, end-from)
+	for i := range keys {
+		keys[i] = entryKey(object, from+int64(i))
+	}
+	docs, err := l.cfg.Backing.BatchGet(ctx, keys)
+	if err != nil {
+		return nil, fmt.Errorf("eventlog: reading %s: %w", object, err)
+	}
+	// The store was read without the object's lock: an append may have
+	// evicted what it asked for, and the sweep deleted it, or a Drop's
+	// successor may have written the same keys. The answer stands only if
+	// from is still retained.
+	if now, err := l.readable(ctx, object, ol, from); err != nil || now <= from {
+		return nil, err
+	}
+	out := make([]Entry, 0, len(keys))
+	for i, k := range keys {
+		if d, ok := docs[k]; ok {
+			out = append(out, Entry{Offset: from + int64(i), Time: d.Updated, Payload: d.Value})
+		}
+	}
+	l.statsMu.Lock()
+	l.replayed += int64(len(out))
+	l.statsMu.Unlock()
+	return out, nil
+}
+
+// readable loads an object's bounds and returns where its log ends, or
+// ErrOffsetCompacted for a from below its floor.
+func (l *Log) readable(ctx context.Context, object string, ol *objectLog, from int64) (next int64, err error) {
 	ol.mu.Lock()
 	defer ol.mu.Unlock()
 	if err := l.load(ctx, object, ol); err != nil {
-		return nil, err
+		return 0, err
 	}
-	floor := ol.floor()
-	if from < floor {
-		return nil, fmt.Errorf("%w: %s offset %d is below the retained floor %d", ErrOffsetCompacted, object, from, floor)
+	if from < ol.first {
+		return 0, fmt.Errorf("%w: %s offset %d is below the retained floor %d", ErrOffsetCompacted, object, from, ol.first)
 	}
-	if from >= ol.next {
-		return nil, nil
-	}
-	idx := int(from - floor)
-	out := ol.entries[idx:]
-	if max > 0 && len(out) > max {
-		out = out[:max]
-	}
-	res := make([]Entry, len(out))
-	copy(res, out)
-	l.statsMu.Lock()
-	l.replayed += int64(len(res))
-	l.statsMu.Unlock()
-	return res, nil
+	return ol.next, nil
 }
 
 // Bounds returns an object's retained floor and next-append offset
@@ -501,15 +483,16 @@ func (l *Log) Bounds(ctx context.Context, object string) (first, next int64, err
 	if err := l.load(ctx, object, ol); err != nil {
 		return 0, 0, err
 	}
-	return ol.floor(), ol.next, nil
+	return ol.first, ol.next, nil
 }
 
 // Begun reports whether an object's log has ever recorded an entry
-// (next > 1). The answer is durable — it comes from the persisted
-// bounds document, so it survives restart, eviction and Kill — and it never turns false again short of Drop. It never
-// reads the store: a log that never began is absent, and one New
-// registered from its bounds document has begun whether or not its
-// entries are loaded yet, since only an append persists bounds.
+// (next > 1). The answer is durable: it comes from the persisted bounds
+// document, so it survives restart, eviction and Kill. It never turns
+// false again short of Drop, and it never reads the store: a log that
+// never began is absent, and one New registered from its bounds document
+// has begun whether or not its bounds are loaded yet, since only an
+// append persists bounds.
 func (l *Log) Begun(_ context.Context, object string) (bool, error) {
 	ol := l.peek(object)
 	if ol == nil {
@@ -576,9 +559,6 @@ func (l *Log) SeedCursor(sub, object string, next int64) {
 // into the in-memory mirror. The platform calls it once at startup,
 // before any subscription registers.
 func (l *Log) LoadCursors(ctx context.Context) error {
-	if l.cfg.Backing == nil {
-		return nil
-	}
 	keys, err := l.cfg.Backing.List(ctx, "evcursor/")
 	if err != nil {
 		return fmt.Errorf("eventlog: listing cursors: %w", err)
@@ -668,7 +648,8 @@ func (l *Log) gcLoop() {
 
 // Compact runs one sweep: the backing keys of entries the size cap
 // evicted are deleted. A key whose delete fails is kept for the next
-// sweep.
+// sweep. The object's lock is not held across a delete; its sweep lock
+// is, so a Drop waits for the deletes to land (see objectLog.sweep).
 func (l *Log) Compact(ctx context.Context) {
 	l.mu.Lock()
 	objects := make([]string, 0, len(l.objs))
@@ -681,6 +662,7 @@ func (l *Log) Compact(ctx context.Context) {
 		if ol == nil {
 			continue
 		}
+		ol.sweep.Lock()
 		ol.mu.Lock()
 		garbage := ol.garbage
 		ol.garbage = nil
@@ -692,6 +674,7 @@ func (l *Log) Compact(ctx context.Context) {
 				ol.mu.Unlock()
 			}
 		}
+		ol.sweep.Unlock()
 	}
 }
 

@@ -47,7 +47,7 @@ func appendN(t *testing.T, l *Log, object string, n int) {
 }
 
 func TestAppendAssignsMonotoneOffsets(t *testing.T) {
-	l := testLog(t, Config{})
+	l := testLog(t, Config{Backing: testStore(t)})
 	ctx := context.Background()
 	for want := int64(1); want <= 5; want++ {
 		var stamped int64
@@ -77,7 +77,7 @@ func TestAppendAssignsMonotoneOffsets(t *testing.T) {
 }
 
 func TestReadFromOffsetAndBounds(t *testing.T) {
-	l := testLog(t, Config{})
+	l := testLog(t, Config{Backing: testStore(t)})
 	ctx := context.Background()
 	appendN(t, l, "obj", 10)
 	entries, err := l.Read(ctx, "obj", 7, 2)
@@ -240,7 +240,7 @@ func TestKillLosesOnlyWriteBehindCursorAdvances(t *testing.T) {
 }
 
 func TestCursorLag(t *testing.T) {
-	l := testLog(t, Config{})
+	l := testLog(t, Config{Backing: testStore(t)})
 	ctx := context.Background()
 	appendN(t, l, "a", 6)
 	appendN(t, l, "b", 3)
@@ -430,11 +430,11 @@ func TestDropRemovesLogFromBacking(t *testing.T) {
 	}
 }
 
-// TestAppendedPayloadIsHeldOnce: the bytes build returns are the
-// retained entry's payload and the stored document, one slice (the store
-// keeps what it is handed), and nothing — later appends, the size cap
-// evicting around them, a retention sweep — ever writes into them again.
-// A goroutine reads the first batch's payloads from all three places
+// TestAppendedPayloadIsHeldOnce: the bytes build returns are the stored
+// document and what Read returns as the entry's payload, one slice (the
+// store keeps what it is handed), and nothing — later appends, the size
+// cap evicting around them, a retention sweep — ever writes into them
+// again. A goroutine reads the first batch's payloads from both places
 // throughout, so under -race a reused buffer is a reported race.
 func TestAppendedPayloadIsHeldOnce(t *testing.T) {
 	st := testStore(t)
@@ -560,8 +560,8 @@ func TestBoundsDocumentGolden(t *testing.T) {
 
 // TestAppendBatchFailureShowsNothing: a batch whose build fails part way,
 // or whose backing write fails, leaves the log as it was — no entry
-// visible, no bounds moved, nothing kept past the retained entries — and
-// the next append takes the offsets the failed one would have.
+// visible, no bounds moved, nothing stored past the retained entries —
+// and the next append takes the offsets the failed one would have.
 func TestAppendBatchFailureShowsNothing(t *testing.T) {
 	st := testStore(t)
 	l := testLog(t, Config{Backing: st})
@@ -575,13 +575,8 @@ func TestAppendBatchFailureShowsNothing(t *testing.T) {
 		if entries, err := l.Read(ctx, "obj", 1, 0); err != nil || len(entries) != 2 {
 			t.Fatalf("%s: read %d entries, %v, want 2", what, len(entries), err)
 		}
-		ol := l.peek("obj")
-		ol.mu.Lock()
-		defer ol.mu.Unlock()
-		for i, e := range ol.entries[len(ol.entries):cap(ol.entries)] {
-			if e.Payload != nil {
-				t.Fatalf("%s: spare slot %d still holds %s", what, i, e.Payload)
-			}
+		if keys, err := st.List(ctx, "evlog/obj/"); err != nil || len(keys) != 2 {
+			t.Fatalf("%s: stored entries %v, %v, want offsets 1 and 2", what, keys, err)
 		}
 	}
 	boom := errors.New("boom")
@@ -650,5 +645,206 @@ func TestSweptLogSurvivesRestart(t *testing.T) {
 	}
 	if off, err := l2.Append(ctx, "obj", func(int64) (json.RawMessage, error) { return json.RawMessage(`{}`), nil }); err != nil || off != 4 {
 		t.Fatalf("append after restart = %d, %v, want 4", off, err)
+	}
+}
+
+// TestNewRequiresABacking: the store is where entries are read from, so
+// there is no log without one.
+func TestNewRequiresABacking(t *testing.T) {
+	if l, err := New(Config{}); err == nil {
+		l.Close()
+		t.Fatal("New built a log without a backing store")
+	}
+}
+
+// TestLogHoldsNoEntry: the log keeps bounds, never entries. 200 entries
+// for each of 1 000 objects are first written straight to a store, which
+// measures what the documents cost there; appending the same entries
+// through a log on that store then only rewrites documents the store
+// already holds, so what the appends leave resident is the log's own
+// share: its per-object bounds, under a byte per retained entry. The
+// store's share is subtracted this way, not by filling a second store,
+// because two maps of the same 201 000 keys can differ by a whole hash
+// table, a third of a byte per entry.
+func TestLogHoldsNoEntry(t *testing.T) {
+	const objects, perObject = 1000, 200
+	const n = objects * perObject
+	ctx := context.Background()
+	ids := make([]string, objects)
+	payloads := make([]json.RawMessage, perObject)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("obj-%04d", i)
+	}
+	for j := range payloads {
+		payloads[j] = json.RawMessage(fmt.Sprintf(`{"offset":%d}`, j+1))
+	}
+	st := testStore(t)
+	// Opened on the empty store, the log knows none of the objects.
+	l := testLog(t, Config{Backing: st})
+	perStore := heaptest.PerEntry(t, n, func() {
+		for _, id := range ids {
+			for j := range payloads {
+				if err := st.BatchPut(ctx, map[string]json.RawMessage{
+					entryKey(id, int64(j+1)): payloads[j],
+					metaKey(id):              metaDoc(1, int64(j+2)),
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	owned := heaptest.PerEntry(t, n, func() {
+		for _, id := range ids {
+			for j := range payloads {
+				if _, err := l.Append(ctx, id, func(int64) (json.RawMessage, error) { return payloads[j], nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	runtime.KeepAlive(ids)
+	runtime.KeepAlive(payloads)
+	if entries, err := l.Read(ctx, ids[objects-1], 1, 0); err != nil || len(entries) != perObject {
+		t.Fatalf("read back %d entries, %v, want %d", len(entries), err, perObject)
+	}
+	t.Logf("%.1f B per entry in the store, %.2f B the log's own", perStore, owned)
+	// Measured 0.7 B: a bounds struct and its map slot per object,
+	// spread over 200 entries. A copy of each entry in memory was 56 B
+	// for the Entry plus its slice's growth.
+	if owned > 1 {
+		t.Errorf("the log holds %.2f B per retained entry beyond the store, budget 1", owned)
+	}
+}
+
+// TestSweepRacingDropSparesTheSuccessor: a sweep that took its garbage
+// list before a Drop deletes nothing after it. Every store write takes a
+// tick of a manual clock, so the test lets the sweep, the drop and the
+// successor log's first append advance one write at a time: the sweep's
+// deletes of the dropped log's evicted keys must not land in the entries
+// the successor writes under the same keys.
+func TestSweepRacingDropSparesTheSuccessor(t *testing.T) {
+	const tick = time.Millisecond
+	const retained, evicted = 4, 8
+	clk := vclock.NewManual(time.Unix(1_700_000_000, 0))
+	st := kvstore.Open(kvstore.Config{WriteLatency: tick, Clock: clk})
+	t.Cleanup(st.Close)
+	l := testLog(t, Config{Backing: st, MaxPerObject: retained, Clock: clk})
+	ctx := context.Background()
+	// While nothing writes, the clock's waiters are the sweep's timer
+	// and the cursor table's flush timer, once their goroutines arm them.
+	const idle = 2
+	for clk.Pending() < idle {
+		time.Sleep(50 * time.Microsecond)
+	}
+	// running starts fn; settle advances the clock a tick at a time until
+	// every started fn has returned. Between ticks it waits for each
+	// running fn to be asleep on the clock, so they move one write per
+	// tick together — or, for one blocked on a lock instead, a moment.
+	var running []chan struct{}
+	start := func(fn func()) {
+		done := make(chan struct{})
+		running = append(running, done)
+		go func() {
+			defer close(done)
+			fn()
+		}()
+	}
+	settle := func() {
+		for {
+			left := 0
+			for _, done := range running {
+				select {
+				case <-done:
+				default:
+					left++
+				}
+			}
+			if left == 0 {
+				running = nil
+				return
+			}
+			for wait := time.Now().Add(20 * time.Millisecond); clk.Pending() < idle+left && time.Now().Before(wait); {
+				time.Sleep(50 * time.Microsecond)
+			}
+			if clk.Pending() > idle {
+				clk.Advance(tick)
+			}
+		}
+	}
+	// One write of evicted+retained entries; the cap keeps the last
+	// retained, so the first evicted are the sweep's garbage. Deleting
+	// every entry from the store first leaves the drop only the bounds
+	// to delete, while the sweep still pays a write per key.
+	start(func() {
+		if _, err := l.AppendBatch(ctx, "obj", evicted+retained, func(_ int, off int64) (json.RawMessage, error) {
+			return json.RawMessage(fmt.Sprintf(`{"old":%d}`, off)), nil
+		}); err != nil {
+			t.Error(err)
+		}
+		for off := int64(1); off <= evicted+retained; off++ {
+			if err := st.Delete(ctx, entryKey("obj", off)); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	settle()
+	// The sweep takes its list and sleeps in its first delete; then the
+	// object is deleted and made again, and the new log appends retained
+	// entries in one write, under keys the sweep has yet to delete.
+	start(func() { l.Compact(ctx) })
+	for clk.Pending() == idle {
+		time.Sleep(50 * time.Microsecond)
+	}
+	start(func() {
+		if err := l.Drop(ctx, "obj"); err != nil {
+			t.Error(err)
+			return
+		}
+		if first, err := l.AppendBatch(ctx, "obj", retained, func(_ int, off int64) (json.RawMessage, error) {
+			return json.RawMessage(fmt.Sprintf(`{"new":%d}`, off)), nil
+		}); err != nil || first != 1 {
+			t.Errorf("successor's append = %d, %v, want offset 1", first, err)
+		}
+	})
+	settle()
+
+	reopened := testLog(t, Config{Backing: st, Clock: clk})
+	for name, log := range map[string]*Log{"live": l, "reopened": reopened} {
+		entries, err := log.Read(ctx, "obj", 1, 0)
+		if err != nil || len(entries) != retained {
+			t.Fatalf("%s log reads %d of the successor's %d entries, %v", name, len(entries), retained, err)
+		}
+		for i, e := range entries {
+			if want := fmt.Sprintf(`{"new":%d}`, i+1); e.Offset != int64(i+1) || string(e.Payload) != want {
+				t.Fatalf("%s log entry %d = %d %s, want %s", name, i, e.Offset, e.Payload, want)
+			}
+		}
+	}
+}
+
+// TestTornBatchLeftoverIsNotSwept: a batch torn after some of its entries
+// landed leaves keys at or past the persisted next. The append that takes
+// their offsets overwrites them, so a recovered log must not hand them to
+// the sweep, which would delete the live entries and open a hole.
+func TestTornBatchLeftoverIsNotSwept(t *testing.T) {
+	st := testStore(t)
+	ctx := context.Background()
+	l1 := testLog(t, Config{Backing: st})
+	appendN(t, l1, "obj", 2)
+	l1.Kill()
+	if _, err := st.Put(ctx, entryKey("obj", 3), json.RawMessage(`{"torn":3}`)); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := testLog(t, Config{Backing: st})
+	appendN(t, l2, "obj", 1)
+	l2.Compact(ctx)
+	l2.Kill()
+	l3 := testLog(t, Config{Backing: st})
+	for name, l := range map[string]*Log{"recovered": l2, "reopened": l3} {
+		entries, err := l.Read(ctx, "obj", 1, 0)
+		if err != nil || len(entries) != 3 || string(entries[2].Payload) != `{"offset":3}` {
+			t.Fatalf("%s log reads %+v, %v; want offsets 1..3, the third appended after recovery", name, entries, err)
+		}
 	}
 }

@@ -164,6 +164,53 @@ func TestBodyLimitAndReadErrors(t *testing.T) {
 	}
 }
 
+// FuzzReadBody holds readBody's framing to its contract for any bytes and
+// any declared Content-Length (-1 is chunked): it returns the declared
+// prefix — all of it, for a chunked body — exactly when that arrived
+// complete and within maxBodyBytes, answers 413 for a body over the limit
+// and 400 for one that ended early, and writes nothing when it succeeds.
+// The body arrives in one piece or a byte per Read, the last one with EOF.
+func FuzzReadBody(f *testing.F) {
+	for _, seed := range []struct {
+		data     string
+		declared int64
+	}{
+		{"", 0}, {"", -1}, {"{}", 2}, {"{}", -1}, {"{}", 1}, {"{}", 3}, {`"abc"`, 5}, {`"abc"`, 64},
+		{"x", maxBodyBytes}, {"x", maxBodyBytes + 1}, {"", 1 << 62}, {"x", -2},
+	} {
+		f.Add([]byte(seed.data), seed.declared, false)
+		f.Add([]byte(seed.data), seed.declared, true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, declared int64, byteAtATime bool) {
+		var body io.Reader = bytes.NewReader(data)
+		if byteAtATime {
+			body = iotest.DataErrReader(iotest.OneByteReader(body))
+		}
+		req := httptest.NewRequest(http.MethodPost, "/", body)
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		got, ok := readBody(rec, req)
+		want, status := data, 0
+		switch {
+		case declared > maxBodyBytes || declared < 0 && len(data) > maxBodyBytes:
+			status = http.StatusRequestEntityTooLarge
+		case declared >= 0 && int64(len(data)) < declared:
+			status = http.StatusBadRequest
+		case declared >= 0:
+			want = data[:declared]
+		}
+		if status != 0 {
+			if ok || rec.Code != status {
+				t.Fatalf("%d bytes declared %d: ok = %v, status %d; want %d", len(data), declared, ok, rec.Code, status)
+			}
+			return
+		}
+		if !ok || !bytes.Equal(got, want) || rec.Body.Len() != 0 {
+			t.Fatalf("%d bytes declared %d: ok = %v, body %q, response %q; want %q", len(data), declared, ok, got, rec.Body, want)
+		}
+	})
+}
+
 // TestBodySizesRoundTrip sends payloads around the pre-size cap through
 // the real server: the buffer sized from Content-Length (and grown past
 // maxBodyPresize as bytes arrive) must hand the handler every byte.

@@ -760,8 +760,11 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 			m, err = r.Body.Read(body[len(body):min(int64(cap(body)), n)])
 			body = body[:len(body)+m]
 		}
-		if err == io.EOF {
-			err = nil // a short body surfaces as unexpected EOF, not EOF
+		switch {
+		case err == io.EOF && int64(len(body)) == n:
+			err = nil // the last Read may report EOF with the final bytes
+		case err == io.EOF:
+			err = io.ErrUnexpectedEOF // the body ended short of its length
 		}
 	}
 	if err == nil {

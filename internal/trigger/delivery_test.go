@@ -21,9 +21,14 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
-// newLog builds an event log that the test's cleanup closes.
+// newLog builds an event log that the test's cleanup closes, on a store
+// of its own unless cfg names one.
 func newLog(t *testing.T, cfg eventlog.Config) *eventlog.Log {
 	t.Helper()
+	if cfg.Backing == nil {
+		cfg.Backing = kvstore.Open(kvstore.Config{})
+		t.Cleanup(cfg.Backing.Close)
+	}
 	l, err := eventlog.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -454,6 +459,48 @@ func TestBehindConsumerAfterKill(t *testing.T) {
 	b2.Drain()
 	if got := h.got(); !slices.Equal(got, seq(1, 5)) {
 		t.Fatalf("successor delivered %v, want 1..5 in order", got)
+	}
+}
+
+// TestBehindConsumerRetriesAFailedRead: a behind consumer reads its
+// backlog from the store, and a read the store refuses stalls it like a
+// failed delivery — re-armed after a backoff — instead of leaving the
+// backlog until the object's next event.
+func TestBehindConsumerRetriesAFailedRead(t *testing.T) {
+	store := kvstore.Open(kvstore.Config{})
+	t.Cleanup(store.Close)
+	h := newHook(t, false)
+	sub := Subscription{Class: "A", Type: StateChanged, Webhook: h.srv.URL}
+	l1 := newLog(t, eventlog.Config{Backing: store})
+	if err := l1.SetCursor(context.Background(), "named/hook", "a-1", 1); err != nil {
+		t.Fatal(err)
+	}
+	b1 := newBus(t, Config{Log: l1})
+	for i := 0; i < 5; i++ {
+		b1.Publish(stateChanged("a-1", "k"))
+	}
+	b1.Kill()
+	l1.Kill()
+
+	l2 := newLog(t, eventlog.Config{Backing: store})
+	if err := l2.LoadCursors(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	b2 := newBus(t, Config{Log: l2})
+	store.SetFaultPlan(kvstore.FaultPlan{Seed: 1, ReadErrorRate: 1})
+	if err := b2.Subscribe("hook", sub); err != nil {
+		t.Fatal(err)
+	}
+	b2.ReplayCursors()
+	b2.Drain()
+	waitFor(t, "the consumer to try a read", func() bool { return store.FaultsServed() > 0 })
+	if got := h.got(); len(got) != 0 {
+		t.Fatalf("delivered %v with every store read failing", got)
+	}
+	store.SetFaultPlan(kvstore.FaultPlan{})
+	waitFor(t, "the backlog to be delivered without a new event", func() bool { return len(h.got()) == 5 })
+	if got := h.got(); !slices.Equal(got, seq(1, 5)) {
+		t.Fatalf("delivered %v, want 1..5 in order", got)
 	}
 }
 

@@ -22,11 +22,7 @@ import (
 func TestPerConsumerResidentBudget(t *testing.T) {
 	const n = 50_000
 	ctx := context.Background()
-	log, err := eventlog.New(eventlog.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(log.Close)
+	log := newLog(t, eventlog.Config{})
 	objects := make([]string, n)
 	for i := range objects {
 		objects[i] = fmt.Sprintf("obj-%06d", i)

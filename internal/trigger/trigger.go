@@ -58,15 +58,16 @@
 // cursor equals the offset of the event dispatch just handed it is
 // caught up and delivers that event as is; any other consumer
 // (recovery, a retried failure, a backlog deeper than the hand-off,
-// non-matching entries in between, compaction) is behind and reads,
-// decodes and matches log entries until the offsets meet again. The
-// choice is made by comparing offsets, never by a setting. A run that
-// ends on a retriable failure (webhook retry budget spent, async queue
-// too full to take any of a group) leaves the cursor in place and is
-// re-armed after a doubling, jittered delay that starts at
-// WebhookBackoff and is capped, so a recovered endpoint catches up
-// without a new event or a restart and a dead one is probed at a bounded
-// cadence (its backlog shows as CursorLag).
+// non-matching entries in between, compaction) is behind and reads log
+// entries — from the store, since the log keeps none in memory — then
+// decodes and matches them until the offsets meet again. The choice is
+// made by comparing offsets, never by a setting. A run that ends on a
+// retriable failure (webhook retry budget spent, async queue too full
+// to take any of a group, a log read the store refused) leaves the
+// cursor in place and is re-armed after a doubling, jittered delay that
+// starts at WebhookBackoff and is capped, so a recovered endpoint or
+// store catches up without a new event or a restart and a dead one is
+// probed at a bounded cadence (its backlog shows as CursorLag).
 //
 // A method sink delivers what one run holds — the hand-off's events, or
 // one log read's — as one group: the calls of every event it wants, in
@@ -1324,7 +1325,12 @@ func (b *Bus) runConsumer(st *consumerState, calls []call.Call) runOutcome {
 				}
 				continue
 			}
-			if err != nil || len(entries) == 0 {
+			if err != nil {
+				// The store refused the read: retry it like a failed
+				// delivery, or the backlog waits for the next event.
+				return runStalled
+			}
+			if len(entries) == 0 {
 				return runIdle
 			}
 			its, more = decodeEntries(entries), len(entries) == readBatch

@@ -19,8 +19,8 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 )
 
-// newBus builds a bus with test-friendly webhook timing, on a
-// memory-only log unless cfg names one.
+// newBus builds a bus with test-friendly webhook timing, on a log of
+// its own unless cfg names one.
 func newBus(t *testing.T, cfg Config) *Bus {
 	t.Helper()
 	if cfg.Log == nil {
