@@ -85,8 +85,7 @@ func chaosNodeKill(t *testing.T, seed int64) {
 	defer backing.Close()
 	p, err := New(Config{
 		Workers:           3,
-		ColdStart:         time.Millisecond,
-		IdleTimeout:       time.Minute,
+		FaaS:              FaaSSettings{ColdStart: time.Millisecond, IdleTimeout: time.Minute},
 		Backing:           backing,
 		OwnershipLeaseTTL: 300 * time.Millisecond, // 100ms heartbeats
 		Chaos:             FaultPlan{Seed: seed},  // seeds lease/backoff jitter
@@ -294,11 +293,10 @@ func TestOwnershipCrashRecovery(t *testing.T) {
 	defer backing.Close()
 	cfg := Config{
 		Workers:           2,
-		ColdStart:         time.Millisecond,
-		IdleTimeout:       time.Minute,
+		FaaS:              FaaSSettings{ColdStart: time.Millisecond, IdleTimeout: time.Minute},
 		Backing:           backing,
 		OwnershipLeaseTTL: 2 * time.Second,
-		AsyncWorkers:      1,
+		Async:             AsyncSettings{Workers: 1},
 	}
 	a, err := New(cfg)
 	if err != nil {
@@ -375,10 +373,9 @@ func chaosSoak(t *testing.T, seed int64) {
 	// mid-run (soak faults -> total blackout -> recovery).
 	backing := kvstore.Open(kvstore.Config{})
 	p, err := New(Config{
-		Workers:     2,
-		ColdStart:   time.Millisecond,
-		IdleTimeout: time.Minute,
-		Backing:     backing,
+		Workers: 2,
+		FaaS:    FaaSSettings{ColdStart: time.Millisecond, IdleTimeout: time.Minute},
+		Backing: backing,
 		Chaos: FaultPlan{
 			Seed:             seed,
 			ReadErrorRate:    0.05,
@@ -586,7 +583,7 @@ func chaosSoak(t *testing.T, seed int64) {
 // outlives its submission deadline terminates as "expired", not
 // "failed", and surfaces in the expired counters.
 func TestAsyncDeadlineExpires(t *testing.T) {
-	p, err := New(Config{Workers: 2, ColdStart: time.Millisecond, IdleTimeout: time.Minute})
+	p, err := New(Config{Workers: 2, FaaS: FaaSSettings{ColdStart: time.Millisecond, IdleTimeout: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/core"
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/gateway"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 )
@@ -19,7 +20,7 @@ import (
 // pointed at it.
 func newServer(t *testing.T) *client {
 	t.Helper()
-	p, err := core.New(core.Config{Workers: 2, ColdStart: time.Millisecond, IdleTimeout: time.Minute})
+	p, err := core.New(core.Config{Workers: 2, FaaS: faas.Settings{ColdStart: time.Millisecond, IdleTimeout: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,13 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/core"
 	"github.com/hpcclab/oparaca-go/internal/gateway"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
+	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/runtime"
+	"github.com/hpcclab/oparaca-go/internal/trace"
 )
 
 func main() {
@@ -96,18 +100,19 @@ func main() {
 	}
 
 	p, err := core.New(core.Config{
-		Workers:              *workers,
-		DBWriteOpsPerSec:     *dbCap,
-		EnableOptimizer:      *optimize,
-		AsyncRecordTTL:       *recordTTL,
-		DefaultInvokeTimeout: *invokeTimeout,
-		OwnershipLeaseTTL:    *leaseTTL,
-		EnableTracing:        *traceOn,
-		TraceSampleRate:      *traceSample,
-		TraceCapacity:        *traceCap,
-		// Handler goroutines carry class/function pprof labels only
-		// when a profiler is actually attached.
-		PprofLabels: *pprofAddr != "",
+		Workers:           *workers,
+		DB:                kvstore.Settings{WriteOpsPerSec: *dbCap},
+		EnableOptimizer:   *optimize,
+		Async:             asyncq.Settings{RecordTTL: *recordTTL},
+		OwnershipLeaseTTL: *leaseTTL,
+		EnableTracing:     *traceOn,
+		Trace:             trace.Settings{SampleRate: *traceSample, Capacity: *traceCap},
+		Runtime: runtime.Settings{
+			DefaultInvokeTimeout: *invokeTimeout,
+			// Handler goroutines carry class/function pprof labels only
+			// when a profiler is actually attached.
+			PprofLabels: *pprofAddr != "",
+		},
 	})
 	if err != nil {
 		fatal("platform init", "err", err)

@@ -42,8 +42,8 @@ func newCounterPlatform(t *testing.T, mode memtable.Mode, conc ConcurrencyMode) 
 		Workers: 2, OpsPerMilliCPU: 1000,
 		Templates:        []Template{tmpl},
 		ServeObjectStore: &noServe,
-		AsyncWorkers:     8,
-		ConcurrencyMode:  conc,
+		Async:            AsyncSettings{Workers: 8},
+		Runtime:          RuntimeSettings{ConcurrencyMode: conc},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,12 +217,10 @@ func TestBatchedDrainCounterIsExact(t *testing.T) {
 			}
 			plat, err := New(Config{
 				Workers: 2, OpsPerMilliCPU: 1000,
-				Templates:          []Template{tmpl},
-				ServeObjectStore:   &noServe,
-				AsyncWorkers:       8,
-				AsyncDrainBatch:    16,
-				AsyncQueueCapacity: 4096,
-				ConcurrencyMode:    conc,
+				Templates:        []Template{tmpl},
+				ServeObjectStore: &noServe,
+				Async:            AsyncSettings{Workers: 8, DrainBatch: 16, Capacity: 4096},
+				Runtime:          RuntimeSettings{ConcurrencyMode: conc},
 			})
 			if err != nil {
 				t.Fatal(err)

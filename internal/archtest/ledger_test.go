@@ -11,10 +11,12 @@ import (
 )
 
 // configLeavesAreSet: every field of a struct declared under internal/
-// whose name ends in Config, and of core.RegionSpec, is set by some
-// non-test file outside its declaring package — a key of a literal of
-// its type, or the target of an assignment or of & through a variable of
-// that type or a field path to one — or unset names it
+// whose name ends in Config or is Settings (the user-facing part a
+// package's Config embeds and core.Config nests), and of
+// core.RegionSpec, is set by some non-test file outside its declaring
+// package — a key of a literal of its type, or the target of an
+// assignment or of & through a variable of that type or a field path to
+// one (which sets every field along the path) — or unset names it
 // ("core.Config.Clock") with the reason it stays. An entry of unset that
 // is set after all, or is no field, fails the row too, so the list stays
 // the true list of leaves only tests set.
@@ -58,7 +60,8 @@ func configLeavesAreSet(unset map[string]string) check {
 // module is the import path of the repository's root package.
 const module = "github.com/hpcclab/oparaca-go"
 
-// configs is what configLeavesAreSet knows of the tree's Config structs.
+// configs is what configLeavesAreSet knows of the tree's Config and
+// Settings structs.
 // A type is named "pkg.Type" after its package's directory.
 type configs struct {
 	dir   map[string]string // type → declaring directory
@@ -77,8 +80,9 @@ func typeSpecs(f *ast.File, each func(*ast.TypeSpec)) {
 	}
 }
 
-// configStructs collects the Config structs declared under internal/,
-// their fields, and the root package's aliases of them.
+// configStructs collects the Config and Settings structs declared under
+// internal/, their fields (an embedded one under its type's name), and
+// the root package's aliases of them.
 func configStructs(tr *tree) configs {
 	cs := configs{dir: map[string]string{}, field: map[string]string{}, alias: map[string]string{}}
 	type decl struct {
@@ -94,7 +98,7 @@ func configStructs(tr *tree) configs {
 		typeSpecs(f, func(ts *ast.TypeSpec) {
 			name := ts.Name.Name
 			st, ok := ts.Type.(*ast.StructType)
-			if ok && (strings.HasSuffix(name, "Config") || dir == "internal/core" && name == "RegionSpec") {
+			if ok && (strings.HasSuffix(name, "Config") || name == "Settings" || dir == "internal/core" && name == "RegionSpec") {
 				typ := path.Base(dir) + "." + name
 				cs.dir[typ] = dir
 				structs[typ] = decl{f, st}
@@ -106,6 +110,9 @@ func configStructs(tr *tree) configs {
 			ft := cs.typeOf(imports(d.file), path.Base(cs.dir[typ]), fl.Type)
 			for _, n := range fl.Names {
 				cs.field[typ+"."+n.Name] = ft
+			}
+			if len(fl.Names) == 0 && ft != "" {
+				cs.field[typ+"."+ft[strings.Index(ft, ".")+1:]] = ft
 			}
 		}
 	}
@@ -240,7 +247,7 @@ func (cs configs) sets(f *ast.File, dir string) map[string]token.Pos {
 		return true
 	})
 	field := func(e ast.Expr) {
-		if sel, ok := e.(*ast.SelectorExpr); ok {
+		for sel, ok := e.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
 			if typ := typeAt(sel.X); typ != "" {
 				note(typ, sel.Sel)
 			}

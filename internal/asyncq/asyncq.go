@@ -203,6 +203,34 @@ type Request struct {
 	Args    map[string]string `json:"args,omitempty"`
 }
 
+// Settings size the queue; a platform operator tunes them
+// (core.Config.Async).
+type Settings struct {
+	// Workers is the pool size. Defaults to 4.
+	Workers int
+	// Capacity bounds the number of queued (accepted but not yet
+	// dequeued) invocations: Submit refuses the one past it. Defaults to
+	// 1024.
+	Capacity int
+	// DrainBatch is the most tasks one worker pulls from the queue per
+	// drain (the first blocking, the rest non-blocking); a pull takes
+	// fewer when its share of the backlog is smaller (see the package
+	// doc). Defaults to 16; 1 restores strictly per-task draining.
+	DrainBatch int
+	// RecordTTL evicts completed/failed records this long after they
+	// reach their terminal status, swept every quarter TTL (at least
+	// every millisecond). Zero keeps records forever.
+	RecordTTL time.Duration
+	// ClassQuotas caps the queued (accepted but not yet dequeued)
+	// invocations per class name; over-quota submissions fail with
+	// ErrClassQuotaExceeded. Classes without an entry are unbounded
+	// (up to Capacity), and so is a submission whose Target names no
+	// class. A quota covers submissions through the Target each Submit
+	// is passed; covering adopted records too is what requires
+	// Config.Target.
+	ClassQuotas map[string]int
+}
+
 // Config sizes a Queue.
 type Config struct {
 	// Invoke executes one group of a drain pull: the pull's calls on one
@@ -215,34 +243,12 @@ type Config struct {
 	// indirection keeps this package free of a dependency on core.
 	// Required.
 	Invoke func(ctx context.Context, objectID string, calls []call.Call, results []call.Result)
-	// DrainBatch is the most tasks one worker pulls from the queue per
-	// drain (the first blocking, the rest non-blocking); a pull takes
-	// fewer when its share of the backlog is smaller (see the package
-	// doc). Defaults to 16; 1 restores strictly per-task draining.
-	DrainBatch int
-	// Workers is the pool size. Defaults to 4.
-	Workers int
-	// Capacity bounds the number of queued (accepted but not yet
-	// dequeued) invocations: Submit refuses the one past it. Defaults to
-	// 1024.
-	Capacity int
+	Settings
 	// Backing persists invocation records through a write-behind
-	// memtable. nil keeps records in memory only.
+	// memtable; New fails without one.
 	Backing *kvstore.Store
 	// FlushInterval overrides the record table's flush period.
 	FlushInterval time.Duration
-	// RecordTTL evicts completed/failed records this long after they
-	// reach their terminal status, swept every quarter TTL (at least
-	// every millisecond). Zero keeps records forever.
-	RecordTTL time.Duration
-	// ClassQuotas caps the queued (accepted but not yet dequeued)
-	// invocations per class name; over-quota submissions fail with
-	// ErrClassQuotaExceeded. Classes without an entry are unbounded
-	// (up to Capacity), and so is a submission whose Target names no
-	// class. A quota covers submissions through the Target each Submit
-	// is passed; covering adopted records too is what requires the
-	// Target hook below.
-	ClassQuotas map[string]int
 	// Target resolves the target of a record RecoverStranded adopts: a
 	// stored record names only an object and a member, and whoever
 	// resolved them at submission is gone. Submit is told its target by
@@ -406,6 +412,9 @@ func New(cfg Config) (*Queue, error) {
 	if cfg.Invoke == nil {
 		return nil, errors.New("asyncq: Config.Invoke is required")
 	}
+	if cfg.Backing == nil {
+		return nil, errors.New("asyncq: Config.Backing is required")
+	}
 	if len(cfg.ClassQuotas) > 0 && cfg.Target == nil {
 		// Submissions name their own class; an adopted record has nobody
 		// to name its. Without the hook its class is "" and its quota
@@ -417,9 +426,6 @@ func New(cfg Config) (*Queue, error) {
 		Backing:       cfg.Backing,
 		FlushInterval: cfg.FlushInterval,
 		Clock:         cfg.Clock,
-	}
-	if cfg.Backing == nil {
-		tblCfg.Mode = memtable.ModeMemoryOnly
 	}
 	records, err := memtable.New(tblCfg)
 	if err != nil {
@@ -1195,9 +1201,6 @@ func grouped(runnable []task, t task) []task {
 // observe the eventual terminal record. Returns how many invocations
 // were adopted.
 func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
-	if q.cfg.Backing == nil {
-		return 0, nil
-	}
 	keys, err := q.cfg.Backing.List(ctx, recordPrefix)
 	if err != nil {
 		return 0, err

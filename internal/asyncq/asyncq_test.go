@@ -42,8 +42,14 @@ func each(handler func(ctx context.Context, objectID, member string, payload jso
 	}
 }
 
+// newQueue builds a queue on cfg, on a store of its own when cfg names
+// none, and closes it when the test ends.
 func newQueue(t *testing.T, cfg Config) *Queue {
 	t.Helper()
+	if cfg.Backing == nil {
+		cfg.Backing = kvstore.Open(kvstore.Config{})
+		t.Cleanup(cfg.Backing.Close)
+	}
 	q, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +60,7 @@ func newQueue(t *testing.T, cfg Config) *Queue {
 
 func TestSubmitCompletesAndRecordsResult(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 2})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Settings: Settings{Workers: 2}})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "obj-1", "greet", json.RawMessage(`"hi"`), nil)
 	if err != nil {
@@ -89,7 +95,7 @@ func TestSubmitCompletesAndRecordsResult(t *testing.T) {
 func TestDeadlineIsOnTheQueuesClock(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(1_700_000_000, 0))
 	entered := make(chan struct{}, 1)
-	q := newQueue(t, Config{Workers: 1, Clock: clock, Invoke: each(func(ctx context.Context, _, member string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Settings: Settings{Workers: 1}, Clock: clock, Invoke: each(func(ctx context.Context, _, member string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		if member == "block" {
 			entered <- struct{}{}
 			<-ctx.Done()
@@ -155,7 +161,7 @@ func TestFailedInvocationRecordsError(t *testing.T) {
 
 func TestWaitRetiresWaiterEntries(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 2})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Settings: Settings{Workers: 2}})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		id, err := q.Submit(ctx, Target{}, fmt.Sprintf("o%d", i), "m", nil, nil)
@@ -228,7 +234,7 @@ func TestRecordsSurviveFlushCycles(t *testing.T) {
 
 func TestStatsCountersMatchSubmissions(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 4, Capacity: 64})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Settings: Settings{Workers: 4, Capacity: 64}})
 	const n = 32
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -257,7 +263,7 @@ func TestStatsCountersMatchSubmissions(t *testing.T) {
 
 func TestConcurrentSubmitAndWait(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 8, Capacity: 1024})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Settings: Settings{Workers: 8, Capacity: 1024}})
 	const n = 200
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -290,13 +296,19 @@ func TestConcurrentSubmitAndWait(t *testing.T) {
 }
 
 func TestNewRequiresInvoker(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(Config{Backing: kvstore.Open(kvstore.Config{})}); err == nil {
 		t.Fatal("New accepted a nil Invoker")
 	}
 }
 
+func TestNewRequiresABacking(t *testing.T) {
+	if _, err := New(Config{Invoke: each((&echoInvoker{}).invoke)}); err == nil || !strings.Contains(err.Error(), "Config.Backing") {
+		t.Fatalf("New without a backing store: err = %v", err)
+	}
+}
+
 func TestSubmitAfterCloseRejected(t *testing.T) {
-	q, err := New(Config{Invoke: each((&echoInvoker{}).invoke)})
+	q, err := New(Config{Invoke: each((&echoInvoker{}).invoke), Backing: kvstore.Open(kvstore.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +335,8 @@ func TestStatusTerminal(t *testing.T) {
 func TestRecordGCEvictsTerminalRecords(t *testing.T) {
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{
-		Invoke:    each(inv.invoke),
-		Workers:   2,
-		RecordTTL: 30 * time.Millisecond,
+		Invoke:   each(inv.invoke),
+		Settings: Settings{Workers: 2, RecordTTL: 30 * time.Millisecond},
 	})
 	ctx := context.Background()
 	ids := make([]string, 5)
@@ -375,8 +386,7 @@ func TestRecordGCSparesNonTerminalRecords(t *testing.T) {
 				return nil, ctx.Err()
 			}
 		}),
-		Workers:   1,
-		RecordTTL: 10 * time.Millisecond,
+		Settings: Settings{Workers: 1, RecordTTL: 10 * time.Millisecond},
 	})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "obj", "slow", nil, nil)
@@ -417,10 +427,9 @@ func TestRecordGCEvictsFromBackingStore(t *testing.T) {
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{
 		Invoke:        each(inv.invoke),
-		Workers:       1,
+		Settings:      Settings{Workers: 1, RecordTTL: 20 * time.Millisecond},
 		Backing:       db,
 		FlushInterval: 2 * time.Millisecond,
-		RecordTTL:     20 * time.Millisecond,
 	})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
@@ -450,7 +459,7 @@ func TestRecordGCEvictsFromBackingStore(t *testing.T) {
 // forever (the pre-GC behaviour).
 func TestNoGCWithoutTTL(t *testing.T) {
 	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 1})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Settings: Settings{Workers: 1}})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
 	if err != nil {
@@ -485,7 +494,7 @@ func (f *flakyInvoker) invoke(_ context.Context, _, _ string, _ json.RawMessage,
 // queue re-runs work only when the Requeue classifier sends it back.
 func TestNoRetriesByDefault(t *testing.T) {
 	inv := &flakyInvoker{failures: 1}
-	q := newQueue(t, Config{Invoke: each(inv.invoke), Workers: 1})
+	q := newQueue(t, Config{Invoke: each(inv.invoke), Settings: Settings{Workers: 1}})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
 	if err != nil {
@@ -563,10 +572,9 @@ func TestClassQuotaRejectsAndReleases(t *testing.T) {
 		return Target{Class: "Capped"}
 	}
 	q, started, release := blockingQueue(t, Config{
-		Capacity:    16,
-		DrainBatch:  1, // quota releases at dequeue; per-task keeps it deterministic
-		ClassQuotas: map[string]int{"Capped": 2},
-		Target:      targetOf,
+		// Quota releases at dequeue; per-task draining keeps it deterministic.
+		Settings: Settings{Capacity: 16, DrainBatch: 1, ClassQuotas: map[string]int{"Capped": 2}},
+		Target:   targetOf,
 	})
 	ctx := context.Background()
 	// Occupy the single worker with an unquoted class so the capped
@@ -616,8 +624,7 @@ func TestBatchedDrainCoalescesSameObject(t *testing.T) {
 	var grouped atomic.Int64
 	inv := &echoInvoker{}
 	cfg := Config{
-		Capacity:   32,
-		DrainBatch: 8,
+		Settings: Settings{Capacity: 32, DrainBatch: 8},
 		Invoke: func(ctx context.Context, objectID string, calls []call.Call, results []call.Result) {
 			if len(calls) > 1 {
 				groups.Add(1)
@@ -673,8 +680,7 @@ func TestBatchedDrainCoalescesSameObject(t *testing.T) {
 // work still completes.
 func TestBatchInvokerPanicFailsGroupOnly(t *testing.T) {
 	cfg := Config{
-		Capacity:   32,
-		DrainBatch: 8,
+		Settings: Settings{Capacity: 32, DrainBatch: 8},
 		Invoke: func(ctx context.Context, objectID string, calls []call.Call, results []call.Result) {
 			if objectID == "hot" {
 				panic("broken batch executor")
@@ -726,7 +732,7 @@ func TestBatchInvokerPanicFailsGroupOnly(t *testing.T) {
 // exactly one queue.exec sample, so the histogram count always equals
 // completed+failed (the cancelled path used to skip it).
 func TestTerminalMetricsConsistentAcrossExitPaths(t *testing.T) {
-	q, started, release := blockingQueue(t, Config{Capacity: 16, DrainBatch: 1})
+	q, started, release := blockingQueue(t, Config{Settings: Settings{Capacity: 16, DrainBatch: 1}})
 	ctx := context.Background()
 	if _, err := q.Submit(ctx, Target{}, "blocker", "m", nil, nil); err != nil {
 		t.Fatal(err)
@@ -765,8 +771,9 @@ func TestTerminalMetricsConsistentAcrossExitPaths(t *testing.T) {
 // so construction must fail.
 func TestNewRejectsQuotasWithoutClassOf(t *testing.T) {
 	_, err := New(Config{
-		Invoke:      each((&echoInvoker{}).invoke),
-		ClassQuotas: map[string]int{"C": 1},
+		Invoke:   each((&echoInvoker{}).invoke),
+		Settings: Settings{ClassQuotas: map[string]int{"C": 1}},
+		Backing:  kvstore.Open(kvstore.Config{}),
 	})
 	if err == nil || !strings.Contains(err.Error(), "Config.Target") {
 		t.Fatalf("err = %v, want Config.Target requirement error", err)
@@ -845,7 +852,7 @@ func TestHeldRecordFieldsKeepTheirBytes(t *testing.T) {
 	db := kvstore.Open(kvstore.Config{})
 	t.Cleanup(db.Close)
 	q, started, release := blockingQueue(t, Config{Backing: db, FlushInterval: time.Millisecond,
-		RecordTTL: 20 * time.Millisecond})
+		Settings: Settings{RecordTTL: 20 * time.Millisecond}})
 	ctx := context.Background()
 	id, err := q.Submit(ctx, Target{}, "o", "m", json.RawMessage(`{"n":1}`), nil)
 	if err != nil {
@@ -912,7 +919,7 @@ func TestHeldRecordFieldsKeepTheirBytes(t *testing.T) {
 // worker leaves that worker's share waiting behind the parked handler.
 func TestIdleWorkerTakesTheNextTask(t *testing.T) {
 	parked, open := make(chan struct{}), make(chan struct{})
-	q := newQueue(t, Config{Workers: 2, DrainBatch: 1, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Settings: Settings{Workers: 2, DrainBatch: 1}, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		if objectID == "gate" {
 			close(parked)
 			<-open
@@ -953,7 +960,7 @@ func TestIdleWorkerTakesTheNextTask(t *testing.T) {
 func TestCapacityIsExact(t *testing.T) {
 	const workers, capacity = 4, 64
 	started, open := make(chan struct{}, workers), make(chan struct{})
-	q := newQueue(t, Config{Workers: workers, DrainBatch: 1, Capacity: capacity, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Settings: Settings{Workers: workers, DrainBatch: 1, Capacity: capacity}, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		select {
 		case started <- struct{}{}:
 		default: // a queued task, run once the gates open
@@ -1016,7 +1023,7 @@ func (c *tickClock) Now() time.Time {
 func TestBurstSpreadsOverThePool(t *testing.T) {
 	const workers, burst = 4, 32
 	parked, open := make(chan struct{}, workers), make(chan struct{})
-	q := newQueue(t, Config{Workers: workers, Clock: &tickClock{}, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Settings: Settings{Workers: workers}, Clock: &tickClock{}, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		if strings.HasPrefix(objectID, "gate") {
 			parked <- struct{}{}
 			<-open

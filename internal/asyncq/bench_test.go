@@ -3,15 +3,17 @@ package asyncq
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/heaptest"
 	"github.com/hpcclab/oparaca-go/internal/israce"
+	"github.com/hpcclab/oparaca-go/internal/kvstore"
 )
 
-// drainRig is a one-worker queue on a memory-only record table whose
+// drainRig is a one-worker queue on a store-backed record table whose
 // pull sizes the caller controls: cycle parks the worker on a gate task,
 // queues n invocations of one object behind it, opens the gate and
 // returns once all of them are terminal — so they drain in pulls of
@@ -28,7 +30,8 @@ type drainRig struct {
 func newDrainRig(tb testing.TB, drainBatch int) *drainRig {
 	r := &drainRig{tb: tb, parked: make(chan struct{}), open: make(chan struct{}), drained: make(chan struct{}, 1)}
 	q, err := New(Config{
-		Workers: 1, DrainBatch: drainBatch, Capacity: 64,
+		Settings: Settings{Workers: 1, DrainBatch: drainBatch, Capacity: 64},
+		Backing:  kvstore.Open(kvstore.Config{}),
 		Invoke: func(_ context.Context, objectID string, _ []call.Call, _ []call.Result) {
 			if objectID == "gate" {
 				r.parked <- struct{}{}
@@ -139,17 +142,47 @@ func TestSubmitDrainAllocationBudget(t *testing.T) {
 // rest, per invocation that has finished: its record in the record
 // table (key, terminal document, one map slot) and nothing in the
 // queue's own indexes — tracked and waiters are empty again, and without
-// a RecordTTL there is no eviction index.
+// a RecordTTL there is no eviction index. The backing store's slot for
+// each flushed record is the store's memory, not the queue's: it is
+// measured by writing the same documents to a second store, and
+// subtracted (the document bytes are shared, so the store's share is
+// its map slots).
 func TestTerminalInvocationResidentBudget(t *testing.T) {
 	const cycles, perCycle = 1250, 16
 	const n = cycles * (perCycle + 1) // each cycle's gate task too
+	ctx := context.Background()
 	r := newDrainRig(t, perCycle)
 	r.cycle(perCycle) // warm the metrics registry and the index maps
-	per := heaptest.PerEntry(t, n, func() {
+	r.q.records.Flush(ctx)
+	withStore := heaptest.PerEntry(t, n, func() {
 		for i := 0; i < cycles; i++ {
 			r.cycle(perCycle)
 		}
+		r.q.records.Flush(ctx)
 	})
+	keys, err := r.q.cfg.Backing.List(ctx, recordPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := r.q.cfg.Backing.BatchGet(ctx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make(map[string]json.RawMessage, len(docs))
+	for k, d := range docs {
+		batch[k] = d.Value
+	}
+	docs = nil
+	second := kvstore.Open(kvstore.Config{})
+	defer second.Close()
+	store := heaptest.PerEntry(t, n, func() {
+		if err := second.BatchPut(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.KeepAlive(batch)
+	per := withStore - store
+	t.Logf("%.1f B per finished invocation with its store slot, %.1f B the store's", withStore, store)
 	r.q.mu.Lock()
 	tracked, waiters := len(r.q.tracked), len(r.q.waiters)
 	r.q.mu.Unlock()
@@ -180,7 +213,7 @@ func TestGetAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	q, err := New(Config{Workers: 1, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q, err := New(Config{Settings: Settings{Workers: 1}, Backing: kvstore.Open(kvstore.Config{}), Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		return json.RawMessage(`{"n":1}`), nil
 	})})
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 // invocation and verifies the record turns failed while the worker
 // keeps draining later submissions.
 func TestHandlerPanicMarksFailedAndPoolSurvives(t *testing.T) {
-	q := newQueue(t, Config{Workers: 1, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Settings: Settings{Workers: 1}, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		if objectID == "bomb" {
 			panic("kaboom")
 		}
@@ -55,7 +55,7 @@ func TestHandlerPanicMarksFailedAndPoolSurvives(t *testing.T) {
 // while the single worker is blocked and expects ErrQueueFull.
 func TestQueueOverflowReturnsBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	q := newQueue(t, Config{Workers: 1, Capacity: 4, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Settings: Settings{Workers: 1, Capacity: 4}, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		<-release
 		return nil, nil
 	})})
@@ -95,7 +95,7 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 	// soon as the pull is recorded — possibly while an earlier task of
 	// the same pull is still executing — so the map needs a lock even
 	// with a single worker.
-	q := newQueue(t, Config{Workers: 1, Capacity: 8, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Settings: Settings{Workers: 1, Capacity: 8}, Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		ranMu.Lock()
 		ran[objectID] = true
 		ranMu.Unlock()
@@ -136,7 +136,7 @@ func TestQueuedInvocationObservesCancellation(t *testing.T) {
 // handler sees its submitter's cancellation through the task context.
 func TestInFlightInvocationObservesCancellation(t *testing.T) {
 	started := make(chan struct{})
-	q := newQueue(t, Config{Workers: 1, Invoke: each(func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Settings: Settings{Workers: 1}, Invoke: each(func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -161,7 +161,7 @@ func TestInFlightInvocationObservesCancellation(t *testing.T) {
 // the queue, and verifies every accepted invocation reached a terminal
 // record — none lost.
 func TestCloseDrainsAcceptedRecords(t *testing.T) {
-	q, err := New(Config{Workers: 2, Capacity: 64, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q, err := New(Config{Settings: Settings{Workers: 2, Capacity: 64}, Backing: kvstore.Open(kvstore.Config{}), Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		time.Sleep(2 * time.Millisecond)
 		return json.RawMessage(`"done"`), nil
 	})})
@@ -190,7 +190,7 @@ func TestCloseDrainsAcceptedRecords(t *testing.T) {
 // timeout while the invocation is still parked.
 func TestWaitHonorsContextDeadline(t *testing.T) {
 	release := make(chan struct{})
-	q := newQueue(t, Config{Workers: 1, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	q := newQueue(t, Config{Settings: Settings{Workers: 1}, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		<-release
 		return nil, nil
 	})})
@@ -333,8 +333,8 @@ func TestRequeueResetsRunningOverlay(t *testing.T) {
 	var mu sync.Mutex
 	runs := map[string]int{}
 	q := newQueue(t, Config{
-		Workers: 1, DrainBatch: 1,
-		Requeue: func(err error) bool { return errors.Is(err, errFence) },
+		Settings: Settings{Workers: 1, DrainBatch: 1},
+		Requeue:  func(err error) bool { return errors.Is(err, errFence) },
 		Invoke: each(func(_ context.Context, objectID, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 			mu.Lock()
 			g := gates[objectID][runs[objectID]]

@@ -129,7 +129,7 @@ func TestGroupLeavesNoRecord(t *testing.T) {
 func TestGroupAcceptsAPrefix(t *testing.T) {
 	fail := errors.New("handler failed")
 	q, started, release := blockingQueue(t, Config{
-		Capacity: 4,
+		Settings: Settings{Capacity: 4},
 		Invoke: each(func(_ context.Context, _, _ string, payload json.RawMessage, _ map[string]string) (json.RawMessage, error) {
 			if string(payload) == `{"offset":2}` {
 				return nil, fail
@@ -166,8 +166,8 @@ func TestGroupAcceptsAPrefix(t *testing.T) {
 func TestGroupQuotaAcceptsAPrefix(t *testing.T) {
 	to := Target{Class: "Audit"}
 	q, started, release := blockingQueue(t, Config{
-		ClassQuotas: map[string]int{"Audit": 3},
-		Target:      func(string, string) Target { return to },
+		Settings: Settings{ClassQuotas: map[string]int{"Audit": 3}},
+		Target:   func(string, string) Target { return to },
 	})
 	if _, err := q.Submit(context.Background(), Target{}, "gate", "m", nil, nil); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func newSpreadPlatform(t *testing.T, mutate func(*Config)) *Platform {
 	t.Helper()
 	p := newPlatform(t, func(c *Config) {
 		c.OpsPerMilliCPU = 1000
-		c.ScaleInterval = time.Hour
+		c.FaaS.ScaleInterval = time.Hour
 		c.Templates = []runtime.Template{{
 			Name:       "spread",
 			EngineMode: faas.ModeDeployment, TableMode: memtable.ModeWriteBehind,
@@ -89,7 +89,7 @@ func TestTracedInvokeAllocationBudget(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newSpreadPlatform(t, func(c *Config) {
 				c.EnableTracing = true
-				c.TraceSampleRate = tc.rate
+				c.Trace.SampleRate = tc.rate
 			})
 			ctx := context.Background()
 			ids := createSpread(t, p, objects)
@@ -168,7 +168,7 @@ func TestArmedDeadlineAllocationBudget(t *testing.T) {
 	}
 	p := newPlatform(t, func(c *Config) {
 		c.OpsPerMilliCPU = 1000
-		c.ScaleInterval = time.Hour
+		c.FaaS.ScaleInterval = time.Hour
 	})
 	delta := map[string]json.RawMessage{"n": json.RawMessage(`2`)}
 	p.Images().Register("img/dlbump", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {

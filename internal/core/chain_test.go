@@ -28,7 +28,7 @@ const gatedChainYAML = replayYAML + `  - name: Gate
 // until gate closes.
 func gatedChainPlatform(t *testing.T, backing *kvstore.Store, started chan<- struct{}, gate <-chan struct{}) *Platform {
 	t.Helper()
-	p := newEventPlatform(t, Config{Backing: backing, AsyncWorkers: 1})
+	p := newEventPlatform(t, Config{Backing: backing, Async: asyncq.Settings{Workers: 1}})
 	p.Images().Register("img/gate", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
 		started <- struct{}{}
 		<-gate

@@ -46,8 +46,8 @@ func newEventPlatform(t *testing.T, cfg Config) *Platform {
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
 	}
-	cfg.ColdStart = time.Millisecond
-	cfg.IdleTimeout = time.Minute
+	cfg.FaaS.ColdStart = time.Millisecond
+	cfg.FaaS.IdleTimeout = time.Minute
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,10 +144,10 @@ func TestDataTriggeredChainIsExact(t *testing.T) {
 
 // TestYAMLTriggerCycleDepthTerminates deploys a class whose
 // stateChanged trigger re-invokes its own writer: the chain must stop
-// after TriggerMaxChainDepth hops with the cycle counted.
+// after Triggers.MaxChainDepth hops with the cycle counted.
 func TestYAMLTriggerCycleDepthTerminates(t *testing.T) {
 	const maxDepth = 3
-	p := newEventPlatform(t, Config{TriggerMaxChainDepth: maxDepth})
+	p := newEventPlatform(t, Config{Triggers: trigger.Settings{MaxChainDepth: maxDepth}})
 	ctx := context.Background()
 	loopYAML := `classes:
   - name: Loop
@@ -203,7 +203,7 @@ func TestWebhookPushOnTerminalRecords(t *testing.T) {
 			w.WriteHeader(http.StatusOK)
 		}))
 		defer srv.Close()
-		p := newEventPlatform(t, Config{WebhookMaxRetries: 4, WebhookRetryBackoff: time.Millisecond})
+		p := newEventPlatform(t, Config{Triggers: trigger.Settings{WebhookMaxRetries: 4, WebhookBackoff: time.Millisecond}})
 		ctx := context.Background()
 		if _, err := p.DeployYAML(ctx, []byte(chainYAML("adaptive"))); err != nil {
 			t.Fatal(err)
@@ -244,7 +244,7 @@ func TestWebhookPushOnTerminalRecords(t *testing.T) {
 			w.WriteHeader(http.StatusInternalServerError)
 		}))
 		defer srv.Close()
-		p := newEventPlatform(t, Config{WebhookMaxRetries: 2, WebhookRetryBackoff: time.Millisecond})
+		p := newEventPlatform(t, Config{Triggers: trigger.Settings{WebhookMaxRetries: 2, WebhookBackoff: time.Millisecond}})
 		ctx := context.Background()
 		if _, err := p.DeployYAML(ctx, []byte(chainYAML("adaptive"))); err != nil {
 			t.Fatal(err)

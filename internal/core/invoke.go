@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/call"
@@ -80,14 +79,13 @@ func (t target) queued(member string) asyncq.Target {
 	return asyncq.Target{Class: t.class, Timeout: t.rt.EffectiveTimeout(fn)}
 }
 
-// hop charges one network round trip — request in, response out — at
-// one-way latency d, for both distances the platform models: between
-// regions and from an ingress node to the owner.
-func (p *Platform) hop(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
+// hop charges one inter-region round trip — request in, response out —
+// at the one-way Config.InterRegionLatency.
+func (p *Platform) hop(ctx context.Context) error {
+	if d := p.cfg.InterRegionLatency; d > 0 {
+		return p.cfg.Clock.Sleep(ctx, 2*d)
 	}
-	return p.cfg.Clock.Sleep(ctx, 2*d)
+	return nil
 }
 
 // enter is the gate: the invocation pays the inter-region round trip if
@@ -96,12 +94,12 @@ func (p *Platform) hop(ctx context.Context, d time.Duration) error {
 // the node that serves it. A routed origin goes through the router: it
 // fast-fails with a retryable TransitionError while a post-rebalance
 // window is open, lands on an ingress node and, when that node does not
-// own the object, is forwarded one hop. The platform's own dispatch is
+// own the object, is forwarded to the owner. The platform's own dispatch is
 // stamped where it stands. With ownership off or no live member the
 // gate is open and nothing is stamped.
 func (p *Platform) enter(ctx context.Context, from origin, t target, objectID string) (context.Context, string, error) {
 	if from.crosses(t) {
-		if err := p.hop(ctx, p.cfg.InterRegionLatency); err != nil {
+		if err := p.hop(ctx); err != nil {
 			return ctx, "", err
 		}
 	}
@@ -136,21 +134,7 @@ func (p *Platform) enter(ctx context.Context, from origin, t target, objectID st
 		sp := trace.FromContext(ctx).Child("forward")
 		sp.SetAttr("via", ingress)
 		sp.SetAttr("owner", owner)
-		err := p.hop(ctx, p.cfg.ForwardLatency)
-		if err == nil {
-			// Re-admit at the owner: a single-hop guard. If ownership moved
-			// while the request was in flight, fail fast retryably rather
-			// than hop again and race the rebalance around the ring.
-			var now string
-			if now, epoch, ok = o.members.Admit(objectID); !ok || now != owner {
-				err = &cluster.TransitionError{RetryAfter: o.retryAfter}
-			}
-		}
-		sp.Error(err)
 		sp.End()
-		if err != nil {
-			return ctx, "", err
-		}
 		o.forwarded.Add(1)
 	}
 	return context.WithValue(ctx, ownerStampKey{}, ownerStamp{owner: owner, epoch: epoch}), owner, nil
@@ -205,14 +189,14 @@ func (p *Platform) Invoke(ctx context.Context, objectID, member string, payload 
 // load balancer). A client outside the object's home region pays
 // 2×InterRegionLatency (paper §VI: multi-datacenter deployments unlock
 // latency-aware placement); under the ownership layer a request whose
-// ingress does not own the object pays 2×ForwardLatency for the hop to
-// the owner. The node that served the invocation is returned for
-// response attribution ("" with ownership off).
+// ingress does not own the object is forwarded to the owner (a
+// "forward" span, counted in cluster.forwarded). The node that served
+// the invocation is returned for response attribution ("" with
+// ownership off).
 //
-// During a post-rebalance transition window, or when ownership moves
-// again while the forwarded request is in flight, the call fast-fails
-// with a retryable TransitionError (HTTP 503 + Retry-After at the
-// gateway) instead of chasing the handoff.
+// During a post-rebalance transition window the call fast-fails with a
+// retryable TransitionError (HTTP 503 + Retry-After at the gateway)
+// instead of chasing the handoff.
 func (p *Platform) InvokeRoutedFrom(ctx context.Context, clientRegion, via, objectID, member string, payload json.RawMessage, args map[string]string) (json.RawMessage, string, error) {
 	return p.invoke(ctx, origin{region: clientRegion, via: via, routed: true}, objectID, call.Call{Member: member, Payload: payload, Args: args})
 }
@@ -343,7 +327,7 @@ func (p *Platform) submitAll(ctx context.Context, from origin, reqs []asyncq.Req
 	for i, r := range reqs {
 		t, err := p.resolve(r.Object, r.Member)
 		if err == nil && !paid && from.crosses(t) {
-			paid, err = true, p.hop(ctx, p.cfg.InterRegionLatency)
+			paid, err = true, p.hop(ctx)
 		}
 		if err == nil {
 			out[i].ID, err = p.submit(ctx, t, r.Object, call.Call{Member: r.Member, Payload: r.Payload, Args: r.Args})

@@ -18,6 +18,7 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/cluster"
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/israce"
 	"github.com/hpcclab/oparaca-go/internal/trace"
@@ -73,10 +74,7 @@ func (c *hopClock) setOnHop(f func(time.Duration)) {
 	c.mu.Unlock()
 }
 
-const (
-	conformanceRegionRTT  = 2 * 25 * time.Millisecond
-	conformanceForwardRTT = 2 * 7 * time.Millisecond
-)
+const conformanceRegionRTT = 2 * 25 * time.Millisecond
 
 // conformancePackage is an eu-pinned counter: incr bumps count, flow is
 // a one-step dataflow over incr.
@@ -98,23 +96,23 @@ const conformancePackage = `classes:
             function: incr
 `
 
-// newConformancePlatform boots ownership, two regions, both hop
-// latencies and a class quota — every concern the gate carries — on a
-// hopClock. The lease and the transition window outlast the test, so
-// the only rebalances are the ones a test asks for and a window it
-// opens stays open.
+// newConformancePlatform boots ownership, two regions, the inter-region
+// latency, a class quota and tracing that keeps every trace — every
+// concern the gate carries — on a hopClock. The lease and the
+// transition window outlast the test, so the only rebalances are the
+// ones a test asks for and a window it opens stays open.
 func newConformancePlatform(t *testing.T) (*Platform, *hopClock) {
 	t.Helper()
-	clock := newHopClock(conformanceRegionRTT, conformanceForwardRTT)
+	clock := newHopClock(conformanceRegionRTT)
 	p, err := New(Config{
 		Workers:            3,
 		Regions:            []RegionSpec{{Name: "eu", Workers: 1}},
 		InterRegionLatency: conformanceRegionRTT / 2,
-		ForwardLatency:     conformanceForwardRTT / 2,
 		OwnershipLeaseTTL:  time.Hour,
-		AsyncClassQuotas:   map[string]int{"EuCounter": 1024},
-		ColdStart:          time.Millisecond,
-		IdleTimeout:        time.Minute,
+		EnableTracing:      true,
+		Trace:              trace.Settings{SampleRate: 1},
+		Async:              asyncq.Settings{ClassQuotas: map[string]int{"EuCounter": 1024}},
+		FaaS:               faas.Settings{ColdStart: time.Millisecond, IdleTimeout: time.Minute},
 		Clock:              clock,
 	})
 	if err != nil {
@@ -238,7 +236,8 @@ func drainGroup(ctx context.Context, p *Platform, objectID string, calls []call.
 // the queue's drain hands it over — to the same contract: how an
 // unknown object, an unknown member and a closed platform are refused,
 // that a dataflow member runs, who pays the inter-region round trip and
-// the forwarding hop and how often, who is turned away by an ownership
+// how often, which call is forwarded to the owner (its "forward" span),
+// who is turned away by an ownership
 // transition window (only a synchronous routed call: the platform's own
 // dispatch proceeds and commits, because the fence is what keeps it
 // correct), what the router's counters record, and that nothing looks
@@ -327,7 +326,21 @@ func TestInvokeEntryConformance(t *testing.T) {
 	})
 
 	forEntry(t, "hops and router counters", func(t *testing.T, p *Platform, clock *hopClock, e invokeEntry, object string) {
-		region0, forward0, stats0 := clock.charged(conformanceRegionRTT), clock.charged(conformanceForwardRTT), p.ClusterStats()
+		// forwardSpans counts the "forward" spans of the kept traces: the
+		// platform keeps every trace, and a synchronous call's trace is
+		// kept before the call returns.
+		forwardSpans := func() int {
+			n := 0
+			for _, v := range p.Tracer().Traces(0) {
+				for _, sp := range v.Spans {
+					if sp.Name == "forward" {
+						n++
+					}
+				}
+			}
+			return n
+		}
+		region0, forward0, stats0 := clock.charged(conformanceRegionRTT), forwardSpans(), p.ClusterStats()
 		// A default-region client, an eu object: one call for a
 		// single-call entry, one request of three for a batch or a group.
 		members := []string{"incr", "incr", "incr"}
@@ -354,7 +367,7 @@ func TestInvokeEntryConformance(t *testing.T) {
 		stats := p.ClusterStats()
 		got := tally{
 			region:     clock.charged(conformanceRegionRTT) - region0,
-			forward:    clock.charged(conformanceForwardRTT) - forward0,
+			forward:    forwardSpans() - forward0,
 			forwarded:  int(stats.Forwarded - stats0.Forwarded),
 			ownerLocal: int(stats.OwnerLocal - stats0.OwnerLocal),
 		}
@@ -408,33 +421,6 @@ func TestInvokeEntryConformance(t *testing.T) {
 			if n := count(t, p, objects[i]); n != 3 {
 				t.Errorf("%s committed %d of 3 increments inside the window", e.name, n)
 			}
-		}
-	})
-
-	t.Run("ownership moves during the forward hop", func(t *testing.T) {
-		p, clock := newConformancePlatform(t)
-		object := create(t, p, "obj")
-		owner, _ := p.Membership().Owner(object)
-		clock.setOnHop(func(d time.Duration) {
-			if d == conformanceForwardRTT {
-				if err := p.DrainNode(owner); err != nil {
-					t.Error(err)
-				}
-			}
-		})
-		stats0 := p.ClusterStats()
-		forwarded := invokeEntries()[2]
-		res := forwarded.run(p, "eu", object, "incr")
-		clock.setOnHop(nil)
-		var terr *cluster.TransitionError
-		if !errors.As(res[0].Err, &terr) {
-			t.Fatalf("err = %v, want TransitionError", res[0].Err)
-		}
-		if stats := p.ClusterStats(); stats.Forwarded != stats0.Forwarded {
-			t.Errorf("a refused forward was counted as forwarded")
-		}
-		if n := count(t, p, object); n != 0 {
-			t.Errorf("a refused forward committed %d increments", n)
 		}
 	})
 
@@ -574,7 +560,7 @@ func TestCoalescedDispatchAllocationBudget(t *testing.T) {
 	}
 	// The autoscaler's evaluation allocates on its own goroutine; at the
 	// helper's 10 ms period it lands in about half the measurements.
-	p := newPlatform(t, func(c *Config) { c.ScaleInterval = time.Hour })
+	p := newPlatform(t, func(c *Config) { c.FaaS.ScaleInterval = time.Hour })
 	delta := map[string]json.RawMessage{"n": json.RawMessage(`2`)}
 	p.Images().Register("img/bump", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
 		return invoker.Result{State: delta}, nil

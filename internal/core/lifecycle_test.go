@@ -123,9 +123,6 @@ func TestOwnershipTimingFollowsLeaseTTL(t *testing.T) {
 	if err := p.Membership().CheckMoving(); !errors.As(err, &moving) || moving.RetryAfter != ttl/3 {
 		t.Fatalf("after a drain CheckMoving = %v, want a transition window of %v", err, ttl/3)
 	}
-	if p.own.retryAfter != ttl/3 {
-		t.Fatalf("routed back-off = %v, want %v", p.own.retryAfter, ttl/3)
-	}
 }
 
 // TestTriggerSubscriptionsAgreeWithTheStore refuses a subscribe and an

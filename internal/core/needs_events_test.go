@@ -148,7 +148,7 @@ func TestEventLogIsStickyPerObject(t *testing.T) {
 	shared := kvstore.Open(kvstore.Config{})
 	defer shared.Close()
 	sink := newOffsetSink(t)
-	cfg := Config{Backing: shared, WebhookRetryBackoff: time.Millisecond}
+	cfg := Config{Backing: shared, Triggers: trigger.Settings{WebhookBackoff: time.Millisecond}}
 	p1 := newEventPlatform(t, cfg)
 	newTallies(t, p1, "a", "b")
 
@@ -219,7 +219,7 @@ func TestRecoveredUnobservedObjectCommitsWithoutStoreRead(t *testing.T) {
 			shared := kvstore.Open(kvstore.Config{})
 			defer shared.Close()
 			sink := newOffsetSink(t)
-			cfg := Config{Backing: shared, WebhookRetryBackoff: time.Millisecond}
+			cfg := Config{Backing: shared, Triggers: trigger.Settings{WebhookBackoff: time.Millisecond}}
 			p1 := newEventPlatform(t, cfg)
 			newTallies(t, p1, "seen")
 			observe(t, p1, "hook", "Tally", sink)
@@ -398,7 +398,7 @@ func TestObserverNeverMissesALaterCommit(t *testing.T) {
 	}
 	for name, register := range cases {
 		t.Run(name, func(t *testing.T) {
-			p := newEventPlatform(t, Config{WebhookRetryBackoff: time.Millisecond})
+			p := newEventPlatform(t, Config{Triggers: trigger.Settings{WebhookBackoff: time.Millisecond}})
 			newTallies(t, p, "t-1")
 			stop := make(chan struct{})
 			var writers sync.WaitGroup

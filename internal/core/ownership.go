@@ -36,9 +36,6 @@ type ownerStamp struct {
 // ownership is the platform-side view of the membership layer.
 type ownership struct {
 	members *cluster.Membership
-	// retryAfter hints clients how long to back off when a routed
-	// invocation races a handoff.
-	retryAfter time.Duration
 
 	ingress atomic.Uint64
 	// forwarded / ownerLocal split routed invocations by whether the
@@ -244,7 +241,6 @@ func newOwnership(p *Platform, cfg Config) (*ownership, error) {
 	}
 	o := &ownership{
 		members:    members,
-		retryAfter: heartbeat,
 		forwarded:  members.Metrics().Counter("cluster.forwarded"),
 		ownerLocal: members.Metrics().Counter("cluster.owner_local"),
 	}

@@ -28,6 +28,7 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/cluster"
 	"github.com/hpcclab/oparaca-go/internal/eventlog"
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 	"github.com/hpcclab/oparaca-go/internal/metrics"
@@ -61,7 +62,7 @@ var (
 	// asynchronous invocation ID.
 	ErrInvocationNotFound = asyncq.ErrNotFound
 	// ErrClassQuotaExceeded is returned for async submissions that
-	// would push a class past its Config.AsyncClassQuotas cap.
+	// would push a class past its Config.Async.ClassQuotas cap.
 	ErrClassQuotaExceeded = asyncq.ErrClassQuotaExceeded
 	// ErrOffsetCompacted is returned when reading an object's event log
 	// below its retained floor (re-exported for errors.Is at the API
@@ -69,7 +70,10 @@ var (
 	ErrOffsetCompacted = eventlog.ErrOffsetCompacted
 )
 
-// Config sizes and tunes a Platform.
+// Config sizes and tunes a Platform. The subsystem settings (DB, FaaS,
+// Runtime, Async, Triggers, Trace) are declared, and their defaults
+// documented, by the package that applies them; the platform passes
+// each through whole.
 type Config struct {
 	// Workers is the number of simulated worker VMs (4 vCPU / 8 GiB
 	// each). Defaults to 3 (the paper's smallest configuration).
@@ -77,16 +81,19 @@ type Config struct {
 	// OpsPerMilliCPU converts VM CPU into function executions/sec.
 	// Defaults to 1 (i.e. 4000 ops/s per 4-vCPU VM).
 	OpsPerMilliCPU float64
-	// DBWriteOpsPerSec caps the document store's write throughput —
-	// the bottleneck behind the paper's Figure 3. 0 = unlimited.
-	DBWriteOpsPerSec float64
-	// DBReadLatency is the document store's per-read service time.
-	DBReadLatency time.Duration
-	// ColdStart parameterizes the FaaS engines (see internal/faas).
-	ColdStart time.Duration
-	// ScaleInterval / IdleTimeout drive Knative-mode autoscalers.
-	ScaleInterval time.Duration
-	IdleTimeout   time.Duration
+	// DB tunes the private document store New opens when Backing is
+	// nil — the write ceiling behind the paper's Figure 3.
+	DB kvstore.Settings
+	// FaaS tunes every class runtime's function engine.
+	FaaS faas.Settings
+	// Runtime holds the invocation defaults of every class runtime.
+	Runtime runtime.Settings
+	// Async sizes the asynchronous invocation queue.
+	Async asyncq.Settings
+	// Triggers bounds trigger chains and tunes webhook delivery.
+	Triggers trigger.Settings
+	// Trace tunes the kept-trace ring when EnableTracing is on.
+	Trace trace.Settings
 	// Templates is the provider's template set; defaults to
 	// runtime.DefaultTemplates().
 	Templates []runtime.Template
@@ -100,17 +107,6 @@ type Config struct {
 	// (like EnableOptimizer); the daemon turns it on. Off, the warm
 	// invoke path pays zero allocations for the plumbing.
 	EnableTracing bool
-	// TraceCapacity bounds the kept-trace ring (default 256).
-	TraceCapacity int
-	// TraceSampleRate is the probabilistic keep rate for traces that
-	// are neither errored, forced, nor tail-latency outliers. 0 selects
-	// the 0.05 default; negative disables probabilistic keeps.
-	TraceSampleRate float64
-	// PprofLabels wraps handler execution in runtime/pprof.Do with
-	// class/function labels so CPU profiles attribute samples per
-	// method. Off by default: the goroutine label swap is measurable on
-	// the warm path.
-	PprofLabels bool
 	// OptimizerInterval overrides the control-loop period.
 	OptimizerInterval time.Duration
 	// Regions adds extra data centers beyond the default region's
@@ -133,40 +129,6 @@ type Config struct {
 	// rebalance routed invocations fast-fail with a retryable
 	// "ownership moving" error for one such heartbeat.
 	OwnershipLeaseTTL time.Duration
-	// ForwardLatency is the one-way latency charged per ingress→owner
-	// forwarding hop when a routed invocation lands on a node that
-	// does not own the object (round trip: 2×, as for
-	// InterRegionLatency). Zero charges nothing.
-	ForwardLatency time.Duration
-	// AsyncWorkers sizes the asynchronous invocation worker pool.
-	// Defaults to 4.
-	AsyncWorkers int
-	// AsyncQueueCapacity bounds the number of queued async invocations:
-	// the submission past it fails with ErrQueueFull. Defaults to 1024.
-	AsyncQueueCapacity int
-	// AsyncRecordTTL evicts completed/failed invocation records this
-	// long after they finish, keeping the record table bounded on
-	// long-running platforms, swept every quarter TTL. Zero keeps
-	// records forever.
-	AsyncRecordTTL time.Duration
-	// AsyncDrainBatch is the maximum number of queued invocations one
-	// async worker pulls per drain; same-object pulls coalesce through
-	// the group-commit InvokeBatch path. Defaults to 16; 1 restores
-	// strictly per-task draining.
-	AsyncDrainBatch int
-	// AsyncClassQuotas caps the queued async invocations per class
-	// name; over-quota submissions fail with ErrClassQuotaExceeded
-	// (HTTP 429 at the gateway) while other classes keep their share
-	// of the queue. Classes without an entry are unbounded.
-	AsyncClassQuotas map[string]int
-	// ConcurrencyMode is the default invocation concurrency mode for
-	// classes that do not declare their own (occ, locked or adaptive;
-	// see model.ConcurrencyMode). Defaults to adaptive.
-	ConcurrencyMode model.ConcurrencyMode
-	// DefaultInvokeTimeout bounds invocations whose function and class
-	// declare no timeoutMs of their own (see model.FunctionDef). Zero
-	// leaves such invocations without a platform-imposed deadline.
-	DefaultInvokeTimeout time.Duration
 	// Breaker tunes the backing-store circuit breaker (zero fields take
 	// the resilience package's defaults). While the breaker is open,
 	// reads are served from the memtable cache where populated
@@ -175,24 +137,10 @@ type Config struct {
 	// Chaos installs a seeded probabilistic fault schedule on the
 	// backing store (the chaos harness). The zero plan injects nothing.
 	Chaos kvstore.FaultPlan
-	// TriggerMaxChainDepth bounds data-triggered object→object chains:
-	// an event whose chain depth has reached the limit is not
-	// dispatched to method sinks (counted in Stats().Triggers.Dropped
-	// and CycleDropped). Defaults to 8.
-	TriggerMaxChainDepth int
 	// EventLogMaxPerObject caps each object's retained log entries
 	// (oldest evicted first). Defaults to 1024; negative disables the
 	// cap.
 	EventLogMaxPerObject int
-	// WebhookMaxRetries / WebhookRetryBackoff / WebhookTimeout tune
-	// webhook sink delivery: a failed POST is retried up to
-	// WebhookMaxRetries additional times with WebhookRetryBackoff
-	// doubling between attempts, each attempt bounded by
-	// WebhookTimeout. Defaults: 3 retries (negative disables retries),
-	// 10ms, 5s.
-	WebhookMaxRetries   int
-	WebhookRetryBackoff time.Duration
-	WebhookTimeout      time.Duration
 	// ServeObjectStore starts a loopback HTTP server for the object
 	// store so presigned URLs are fetchable. Defaults to true; benches
 	// that never touch file keys can disable it.
@@ -202,7 +150,7 @@ type Config struct {
 	// killed one wrote recovers its object directory, named trigger
 	// subscriptions, event log and delivery cursors. The caller keeps
 	// ownership (Close/Kill leave the store open). Nil opens a private
-	// store sized by the DB* knobs.
+	// store tuned by DB.
 	Backing *kvstore.Store
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
@@ -317,11 +265,7 @@ func New(cfg Config) (*Platform, error) {
 	backing := cfg.Backing
 	ownsBacking := backing == nil
 	if ownsBacking {
-		backing = kvstore.Open(kvstore.Config{
-			WriteOpsPerSec: cfg.DBWriteOpsPerSec,
-			ReadLatency:    cfg.DBReadLatency,
-			Clock:          cfg.Clock,
-		})
+		backing = kvstore.Open(kvstore.Config{Settings: cfg.DB, Clock: cfg.Clock})
 	}
 	// undo stops what New has started so far, newest first — the order
 	// Close tears a platform down in — when a later step fails.
@@ -366,10 +310,9 @@ func New(cfg Config) (*Platform, error) {
 	p.optim = optimizer.New(optimizer.Config{Interval: cfg.OptimizerInterval, Clock: cfg.Clock})
 	if cfg.EnableTracing {
 		p.tracer = trace.New(trace.Config{
-			Capacity:   cfg.TraceCapacity,
-			SampleRate: cfg.TraceSampleRate,
-			Seed:       uint64(cfg.Chaos.Seed),
-			Now:        cfg.Clock.Now,
+			Settings: cfg.Trace,
+			Seed:     uint64(cfg.Chaos.Seed),
+			Now:      cfg.Clock.Now,
 		})
 	}
 	// The durable event log: every published event is appended (one
@@ -393,15 +336,12 @@ func New(cfg Config) (*Platform, error) {
 	// events to data-triggered methods (record-less groups on the async
 	// queue, see chain), webhooks, and live streams.
 	p.bus, err = trigger.New(trigger.Config{
-		InvokeAsync:       p.chain,
-		Log:               p.elog,
-		MaxChainDepth:     cfg.TriggerMaxChainDepth,
-		WebhookMaxRetries: cfg.WebhookMaxRetries,
-		WebhookBackoff:    cfg.WebhookRetryBackoff,
-		WebhookTimeout:    cfg.WebhookTimeout,
-		JitterSeed:        cfg.Chaos.Seed,
-		Tracer:            p.tracer,
-		Clock:             cfg.Clock,
+		InvokeAsync: p.chain,
+		Log:         p.elog,
+		Settings:    cfg.Triggers,
+		JitterSeed:  cfg.Chaos.Seed,
+		Tracer:      p.tracer,
+		Clock:       cfg.Clock,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("core: event bus: %w", err))
@@ -420,18 +360,14 @@ func New(cfg Config) (*Platform, error) {
 		requeue = requeueable
 	}
 	p.queue, err = asyncq.New(asyncq.Config{
-		Invoke:      p.invokeGroup,
-		DrainBatch:  cfg.AsyncDrainBatch,
-		Workers:     cfg.AsyncWorkers,
-		Capacity:    cfg.AsyncQueueCapacity,
-		RecordTTL:   cfg.AsyncRecordTTL,
-		ClassQuotas: cfg.AsyncClassQuotas,
-		Target:      p.asyncTarget,
-		OnTerminal:  p.onAsyncTerminal,
-		Drain:       p.bus.Drain,
-		Backing:     p.backing,
-		Requeue:     requeue,
-		Clock:       cfg.Clock,
+		Invoke:     p.invokeGroup,
+		Settings:   cfg.Async,
+		Target:     p.asyncTarget,
+		OnTerminal: p.onAsyncTerminal,
+		Drain:      p.bus.Drain,
+		Backing:    p.backing,
+		Requeue:    requeue,
+		Clock:      cfg.Clock,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("core: async queue: %w", err))
@@ -711,21 +647,17 @@ func (p *Platform) Optimizer() *optimizer.Optimizer { return p.optim }
 // infra assembles the Infra view handed to class runtimes.
 func (p *Platform) infra() runtime.Infra {
 	inf := runtime.Infra{
-		Cluster:              p.cluster,
-		Transport:            newRoutingTransport(p.images, p.cfg.Clock),
-		Backing:              p.backing,
-		Objects:              p.objects,
-		ObjectsBaseURL:       p.ObjectStoreURL(),
-		ColdStart:            p.cfg.ColdStart,
-		ScaleInterval:        p.cfg.ScaleInterval,
-		IdleTimeout:          p.cfg.IdleTimeout,
-		ConcurrencyMode:      p.cfg.ConcurrencyMode,
-		DefaultInvokeTimeout: p.cfg.DefaultInvokeTimeout,
-		Events:               p.bus.PublishBatch,
-		EventsNeeded:         p.bus.NeedsEvents,
-		Degraded:             p.Degraded,
-		PprofLabels:          p.cfg.PprofLabels,
-		Clock:                p.cfg.Clock,
+		Cluster:        p.cluster,
+		Transport:      newRoutingTransport(p.images, p.cfg.Clock),
+		Backing:        p.backing,
+		Objects:        p.objects,
+		ObjectsBaseURL: p.ObjectStoreURL(),
+		Settings:       p.cfg.Runtime,
+		FaaS:           p.cfg.FaaS,
+		Events:         p.bus.PublishBatch,
+		EventsNeeded:   p.bus.NeedsEvents,
+		Degraded:       p.Degraded,
+		Clock:          p.cfg.Clock,
 	}
 	if p.own != nil {
 		// Only installed when the ownership layer exists, so a platform

@@ -48,10 +48,8 @@ const testPackage = `classes:
 func newPlatform(t *testing.T, mutate func(*Config)) *Platform {
 	t.Helper()
 	cfg := Config{
-		Workers:       2,
-		ScaleInterval: 10 * time.Millisecond,
-		IdleTimeout:   time.Minute,
-		ColdStart:     time.Millisecond,
+		Workers: 2,
+		FaaS:    faas.Settings{ScaleInterval: 10 * time.Millisecond, IdleTimeout: time.Minute, ColdStart: time.Millisecond},
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -10,6 +10,7 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/cluster"
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
@@ -42,8 +43,7 @@ func newRegionPlatform(t *testing.T, interRegion time.Duration, clock vclock.Clo
 		Workers:            2, // default region
 		Regions:            []RegionSpec{{Name: "eu", Workers: 2}},
 		InterRegionLatency: interRegion,
-		ColdStart:          time.Millisecond,
-		IdleTimeout:        time.Minute,
+		FaaS:               faas.Settings{ColdStart: time.Millisecond, IdleTimeout: time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestJurisdictionPinsPodsToRegion(t *testing.T) {
 }
 
 func TestJurisdictionWithoutRegionFails(t *testing.T) {
-	p, err := New(Config{Workers: 1, ColdStart: time.Millisecond})
+	p, err := New(Config{Workers: 1, FaaS: faas.Settings{ColdStart: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/trigger"
@@ -105,10 +106,9 @@ func TestCrashReplayRedeliversEvents(t *testing.T) {
 	// wedged behind a zero async quota on Tally — every event ends up
 	// appended and cursor-pending, nothing acknowledged.
 	p1 := newEventPlatform(t, Config{
-		Backing:             shared,
-		WebhookMaxRetries:   1,
-		WebhookRetryBackoff: time.Millisecond,
-		AsyncClassQuotas:    map[string]int{"Tally": 0},
+		Backing:  shared,
+		Triggers: trigger.Settings{WebhookMaxRetries: 1, WebhookBackoff: time.Millisecond},
+		Async:    asyncq.Settings{ClassQuotas: map[string]int{"Tally": 0}},
 	})
 	if _, err := p1.DeployYAML(ctx, []byte(replayYAML)); err != nil {
 		t.Fatal(err)
@@ -155,9 +155,8 @@ func TestCrashReplayRedeliversEvents(t *testing.T) {
 	accepting.Store(true)
 	preRestart := hits.Load()
 	p2 := newEventPlatform(t, Config{
-		Backing:             shared,
-		WebhookMaxRetries:   4,
-		WebhookRetryBackoff: time.Millisecond,
+		Backing:  shared,
+		Triggers: trigger.Settings{WebhookMaxRetries: 4, WebhookBackoff: time.Millisecond},
 	})
 	if _, err := p2.DeployYAML(ctx, []byte(replayYAML)); err != nil {
 		t.Fatal(err)

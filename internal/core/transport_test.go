@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
@@ -45,7 +46,7 @@ func TestRemoteImageOffloadedOverHTTP(t *testing.T) {
 	remote := httptest.NewServer(invoker.Server(remoteReg))
 	defer remote.Close()
 
-	p, err := New(Config{Workers: 1, ColdStart: time.Millisecond})
+	p, err := New(Config{Workers: 1, FaaS: faas.Settings{ColdStart: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/model"
 )
@@ -37,7 +38,7 @@ const triggerPackage = `classes:
 // newTriggerPlatform builds a platform recording thumbnail calls.
 func newTriggerPlatform(t *testing.T) (*Platform, *sync.Map) {
 	t.Helper()
-	p, err := New(Config{Workers: 2, ColdStart: time.Millisecond, IdleTimeout: time.Minute})
+	p, err := New(Config{Workers: 2, FaaS: faas.Settings{ColdStart: time.Millisecond, IdleTimeout: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}

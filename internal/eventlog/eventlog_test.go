@@ -358,7 +358,7 @@ func TestDropOfIdleObjectTouchesNothing(t *testing.T) {
 // store's read latency keeps Drop inside its listing, holding the
 // object's lock, long enough for the append to queue up behind it.
 func TestAppendRacingDropLandsInOneLog(t *testing.T) {
-	st := kvstore.Open(kvstore.Config{ReadLatency: 200 * time.Microsecond})
+	st := kvstore.Open(kvstore.Config{Settings: kvstore.Settings{ReadLatency: 200 * time.Microsecond}})
 	t.Cleanup(st.Close)
 	l := testLog(t, Config{Backing: st})
 	ctx := context.Background()

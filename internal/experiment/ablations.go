@@ -9,6 +9,7 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/core"
 	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
+	"github.com/hpcclab/oparaca-go/internal/kvstore"
 	"github.com/hpcclab/oparaca-go/internal/loadgen"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/metrics"
@@ -67,10 +68,8 @@ func setupCustomPlatform(ctx context.Context, tmpl runtime.Template, workers int
 	plat, err := core.New(core.Config{
 		Workers:          workers,
 		OpsPerMilliCPU:   p.OpsPerMilliCPU,
-		DBWriteOpsPerSec: p.DBWriteOpsPerSec,
-		ScaleInterval:    25 * time.Millisecond,
-		IdleTimeout:      time.Minute,
-		ColdStart:        10 * time.Millisecond,
+		DB:               kvstore.Settings{WriteOpsPerSec: p.DBWriteOpsPerSec},
+		FaaS:             faas.Settings{ScaleInterval: 25 * time.Millisecond, IdleTimeout: time.Minute, ColdStart: 10 * time.Millisecond},
 		Templates:        []runtime.Template{tmpl},
 		ServeObjectStore: &noServe,
 	})
@@ -145,9 +144,7 @@ func RunColdStartAblation(ctx context.Context, rounds int, coldStart time.Durati
 	}
 	plat, err := core.New(core.Config{
 		Workers:          2,
-		ScaleInterval:    5 * time.Millisecond,
-		IdleTimeout:      30 * time.Millisecond,
-		ColdStart:        coldStart,
+		FaaS:             faas.Settings{ScaleInterval: 5 * time.Millisecond, IdleTimeout: 30 * time.Millisecond, ColdStart: coldStart},
 		Templates:        []runtime.Template{tmpl},
 		ServeObjectStore: &noServe,
 	})
@@ -349,7 +346,7 @@ func RunLocalityAblation(ctx context.Context, objects int, dbReadLatency time.Du
 	}
 	plat, err := core.New(core.Config{
 		Workers:          2,
-		DBReadLatency:    dbReadLatency,
+		DB:               kvstore.Settings{ReadLatency: dbReadLatency},
 		Templates:        []runtime.Template{tmpl},
 		ServeObjectStore: &noServe,
 	})
@@ -474,10 +471,8 @@ func RunTemplateAblation(ctx context.Context, duration time.Duration, concurrenc
 	plat, err := core.New(core.Config{
 		Workers:           4,
 		OpsPerMilliCPU:    0.5,
-		DBWriteOpsPerSec:  3000,
-		ScaleInterval:     20 * time.Millisecond,
-		IdleTimeout:       time.Minute,
-		ColdStart:         10 * time.Millisecond,
+		DB:                kvstore.Settings{WriteOpsPerSec: 3000},
+		FaaS:              faas.Settings{ScaleInterval: 20 * time.Millisecond, IdleTimeout: time.Minute, ColdStart: 10 * time.Millisecond},
 		EnableOptimizer:   true,
 		OptimizerInterval: 50 * time.Millisecond,
 		ServeObjectStore:  &noServe,

@@ -31,6 +31,7 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/core"
 	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
+	"github.com/hpcclab/oparaca-go/internal/kvstore"
 	"github.com/hpcclab/oparaca-go/internal/loadgen"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/runtime"
@@ -222,10 +223,8 @@ func setupPlatform(ctx context.Context, system System, workers int, p Params) (*
 	plat, err := core.New(core.Config{
 		Workers:          workers,
 		OpsPerMilliCPU:   p.OpsPerMilliCPU,
-		DBWriteOpsPerSec: p.DBWriteOpsPerSec,
-		ScaleInterval:    25 * time.Millisecond,
-		IdleTimeout:      time.Minute,
-		ColdStart:        10 * time.Millisecond,
+		DB:               kvstore.Settings{WriteOpsPerSec: p.DBWriteOpsPerSec},
+		FaaS:             faas.Settings{ScaleInterval: 25 * time.Millisecond, IdleTimeout: time.Minute, ColdStart: 10 * time.Millisecond},
 		Templates:        []runtime.Template{p.template(system, workers)},
 		ServeObjectStore: &noServe,
 	})

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/core"
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/metrics"
 )
 
@@ -50,8 +51,7 @@ func RunMultiRegionAblation(ctx context.Context, interRegion time.Duration, samp
 		Workers:            2, // default region ("us" stand-in)
 		Regions:            []core.RegionSpec{{Name: "eu", Workers: 2}},
 		InterRegionLatency: interRegion,
-		ColdStart:          time.Millisecond,
-		IdleTimeout:        time.Minute,
+		FaaS:               faas.Settings{ColdStart: time.Millisecond, IdleTimeout: time.Minute},
 		ServeObjectStore:   &noServe,
 	})
 	if err != nil {

@@ -67,7 +67,10 @@ func TestIdleFunctionResidentBudget(t *testing.T) {
 			}
 		}
 	})
-	if got := len(rig.engine.Functions()); got != n {
+	rig.engine.mu.Lock()
+	got := len(rig.engine.functions)
+	rig.engine.mu.Unlock()
+	if got != n {
 		t.Fatalf("engine holds %d functions, want %d", got, n)
 	}
 	t.Logf("%.0f B per deployed, idle function", per)

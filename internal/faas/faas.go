@@ -139,17 +139,23 @@ type Config struct {
 	Cluster *cluster.Cluster
 	// Transport executes tasks against function code; required.
 	Transport invoker.Transport
+	Settings
+	// Clock supplies time; defaults to the real clock.
+	Clock vclock.Clock
+}
+
+// Settings are the pod lifecycle timings a platform operator tunes
+// (core.Config.FaaS, passed through runtime.Infra.FaaS).
+type Settings struct {
+	// ColdStart is the delay before a new pod serves traffic.
+	// Defaults to 100ms.
+	ColdStart time.Duration
 	// ScaleInterval is the autoscaler evaluation period. Defaults to
 	// 100ms.
 	ScaleInterval time.Duration
 	// IdleTimeout is how long a function must be idle before
 	// scale-to-zero. Defaults to 30s.
 	IdleTimeout time.Duration
-	// ColdStart is the delay before a new pod serves traffic.
-	// Defaults to 100ms.
-	ColdStart time.Duration
-	// Clock supplies time; defaults to the real clock.
-	Clock vclock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -321,18 +327,6 @@ func (e *Engine) Replicas(name string) (int, error) {
 		return 0, err
 	}
 	return fn.deployment.Replicas(), nil
-}
-
-// Functions returns deployed function names, sorted.
-func (e *Engine) Functions() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.functions))
-	for name := range e.functions {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Invoke executes one task on the named function, blocking until a

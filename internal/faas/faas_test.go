@@ -33,12 +33,14 @@ func newRig(t *testing.T, mode Mode, nodes int, opts func(*Config)) *testRig {
 		return invoker.Result{Output: task.Payload}, nil
 	}))
 	cfg := Config{
-		Mode:          mode,
-		Cluster:       c,
-		Transport:     invoker.NewLocal(reg),
-		ScaleInterval: 10 * time.Millisecond,
-		IdleTimeout:   50 * time.Millisecond,
-		ColdStart:     20 * time.Millisecond,
+		Mode:      mode,
+		Cluster:   c,
+		Transport: invoker.NewLocal(reg),
+		Settings: Settings{
+			ScaleInterval: 10 * time.Millisecond,
+			IdleTimeout:   50 * time.Millisecond,
+			ColdStart:     20 * time.Millisecond,
+		},
 	}
 	if opts != nil {
 		opts(&cfg)
@@ -290,16 +292,6 @@ func TestRemoveFunction(t *testing.T) {
 		if got := n.PodCount(); got != 0 {
 			t.Fatalf("%d pods left on %s after remove", got, n.Name())
 		}
-	}
-}
-
-func TestFunctionsList(t *testing.T) {
-	rig := newRig(t, ModeDeployment, 1, nil)
-	rig.engine.Deploy(echoSpec("zeta"))
-	rig.engine.Deploy(echoSpec("alpha"))
-	fns := rig.engine.Functions()
-	if len(fns) != 2 || fns[0] != "alpha" || fns[1] != "zeta" {
-		t.Fatalf("Functions = %v", fns)
 	}
 }
 

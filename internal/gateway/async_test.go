@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/core"
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 )
 
@@ -146,7 +148,7 @@ func TestMetricsExportsEachQueueSeriesOnce(t *testing.T) {
 }
 
 func TestInvokeAsyncFailureSurfacesInRecord(t *testing.T) {
-	p, err := core.New(core.Config{Workers: 1, ColdStart: time.Millisecond})
+	p, err := core.New(core.Config{Workers: 1, FaaS: faas.Settings{ColdStart: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +186,9 @@ func TestInvokeAsyncFailureSurfacesInRecord(t *testing.T) {
 func TestBatchEndToEnd(t *testing.T) {
 	var executions atomic.Int64
 	p, err := core.New(core.Config{
-		Workers:            2,
-		ColdStart:          time.Millisecond,
-		AsyncWorkers:       8,
-		AsyncQueueCapacity: 256,
+		Workers: 2,
+		FaaS:    faas.Settings{ColdStart: time.Millisecond},
+		Async:   asyncq.Settings{Workers: 8, Capacity: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -302,10 +303,9 @@ func TestBatchValidationOverREST(t *testing.T) {
 func TestInvokeAsyncBackpressure429(t *testing.T) {
 	release := make(chan struct{})
 	p, err := core.New(core.Config{
-		Workers:            1,
-		ColdStart:          time.Millisecond,
-		AsyncWorkers:       1,
-		AsyncQueueCapacity: 2,
+		Workers: 1,
+		FaaS:    faas.Settings{ColdStart: time.Millisecond},
+		Async:   asyncq.Settings{Workers: 1, Capacity: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func newLongPollFixture(t *testing.T, cfg core.Config) (*fixture, chan struct{})
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
-	cfg.ColdStart = time.Millisecond
+	cfg.FaaS.ColdStart = time.Millisecond
 	p, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func submitAsync(t *testing.T, f *fixture) string {
 // returns the current non-terminal record, bad parameters are 400, and
 // unknown IDs stay 404 even with a wait.
 func TestLongPollTable(t *testing.T) {
-	f, release := newLongPollFixture(t, core.Config{AsyncWorkers: 1})
+	f, release := newLongPollFixture(t, core.Config{Async: asyncq.Settings{Workers: 1}})
 	id := submitAsync(t, f)
 	close(release)
 	deadline := time.Now().Add(5 * time.Second)
@@ -455,7 +455,7 @@ func TestLongPollTable(t *testing.T) {
 // wait bound: the long poll must return 200 with the in-flight record
 // instead of an error, after ~waitMs.
 func TestLongPollTimeoutReturnsCurrentRecord(t *testing.T) {
-	f, release := newLongPollFixture(t, core.Config{AsyncWorkers: 1})
+	f, release := newLongPollFixture(t, core.Config{Async: asyncq.Settings{Workers: 1}})
 	defer close(release)
 	id := submitAsync(t, f)
 	start := time.Now()
@@ -488,7 +488,7 @@ func TestLongPollTimeoutReturnsCurrentRecord(t *testing.T) {
 // invocation and releases the handler mid-wait: the response must
 // carry the terminal record well before the wait bound.
 func TestLongPollUnblocksOnCompletion(t *testing.T) {
-	f, release := newLongPollFixture(t, core.Config{AsyncWorkers: 1})
+	f, release := newLongPollFixture(t, core.Config{Async: asyncq.Settings{Workers: 1}})
 	id := submitAsync(t, f)
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -524,9 +524,7 @@ func TestLongPollUnblocksOnCompletion(t *testing.T) {
 // queue-full 429.
 func TestClassQuota429(t *testing.T) {
 	f, release := newLongPollFixture(t, core.Config{
-		AsyncWorkers:     1,
-		AsyncDrainBatch:  1,
-		AsyncClassQuotas: map[string]int{"P": 1},
+		Async: asyncq.Settings{Workers: 1, DrainBatch: 1, ClassQuotas: map[string]int{"P": 1}},
 	})
 	defer close(release)
 	// First submission occupies the worker, second occupies the quota.

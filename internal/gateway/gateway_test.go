@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/core"
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
@@ -78,14 +79,14 @@ func newTestPlatform(t *testing.T, cfg core.Config) *core.Platform {
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
 	}
-	if cfg.ScaleInterval == 0 {
-		cfg.ScaleInterval = 10 * time.Millisecond
+	if cfg.FaaS.ScaleInterval == 0 {
+		cfg.FaaS.ScaleInterval = 10 * time.Millisecond
 	}
-	if cfg.IdleTimeout == 0 {
-		cfg.IdleTimeout = time.Minute
+	if cfg.FaaS.IdleTimeout == 0 {
+		cfg.FaaS.IdleTimeout = time.Minute
 	}
-	if cfg.ColdStart == 0 {
-		cfg.ColdStart = time.Millisecond
+	if cfg.FaaS.ColdStart == 0 {
+		cfg.FaaS.ColdStart = time.Millisecond
 	}
 	p, err := core.New(cfg)
 	if err != nil {
@@ -290,7 +291,7 @@ func TestInvokeDataflowOverREST(t *testing.T) {
 
 func TestInvokeWithQueryArgs(t *testing.T) {
 	f := newFixture(t)
-	p, _ := core.New(core.Config{Workers: 1, ColdStart: time.Millisecond})
+	p, _ := core.New(core.Config{Workers: 1, FaaS: faas.Settings{ColdStart: time.Millisecond}})
 	t.Cleanup(p.Close)
 	p.Images().Register("img/echoargs", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
 		out, _ := json.Marshal(task.Args)
@@ -466,7 +467,7 @@ func TestInvokeRegionHeaderChargesLatency(t *testing.T) {
 		Workers:            1,
 		Regions:            []core.RegionSpec{{Name: "eu", Workers: 1}},
 		InterRegionLatency: 30 * time.Millisecond,
-		ColdStart:          time.Millisecond,
+		FaaS:               faas.Settings{ColdStart: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -541,7 +542,7 @@ func TestInvokeBatchRegionHeaderChargesOnce(t *testing.T) {
 		Workers:            1,
 		Regions:            []core.RegionSpec{{Name: "eu", Workers: 1}},
 		InterRegionLatency: oneWay,
-		ColdStart:          time.Millisecond,
+		FaaS:               faas.Settings{ColdStart: time.Millisecond},
 		Clock:              clock,
 	})
 	if err != nil {

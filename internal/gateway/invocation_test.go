@@ -16,6 +16,7 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/core"
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/israce"
 	"github.com/hpcclab/oparaca-go/internal/model"
@@ -35,8 +36,8 @@ type pollRig struct {
 
 func newPollRig(t testing.TB) *pollRig {
 	t.Helper()
-	p, err := core.New(core.Config{Workers: 1, ColdStart: time.Millisecond,
-		AsyncWorkers: 1, AsyncDrainBatch: 1, AsyncQueueCapacity: 4096})
+	p, err := core.New(core.Config{Workers: 1, FaaS: faas.Settings{ColdStart: time.Millisecond},
+		Async: asyncq.Settings{Workers: 1, DrainBatch: 1, Capacity: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/asyncq"
 	"github.com/hpcclab/oparaca-go/internal/core"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/israce"
@@ -242,7 +243,7 @@ func TestInvokeAsyncAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	p, err := core.New(core.Config{Workers: 2, AsyncWorkers: 1, AsyncQueueCapacity: 4096})
+	p, err := core.New(core.Config{Workers: 2, Async: asyncq.Settings{Workers: 1, Capacity: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}

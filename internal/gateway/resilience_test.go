@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/core"
+	"github.com/hpcclab/oparaca-go/internal/faas"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
@@ -35,7 +36,7 @@ func newResilienceFixture(t *testing.T) resilienceFixture {
 	t.Helper()
 	f := resilienceFixture{clock: vclock.NewManual(time.Unix(1_700_000_000, 0)), entered: make(chan struct{}, 1)}
 	var err error
-	f.p, err = core.New(core.Config{Workers: 2, IdleTimeout: time.Minute, Clock: f.clock})
+	f.p, err = core.New(core.Config{Workers: 2, FaaS: faas.Settings{IdleTimeout: time.Minute}, Clock: f.clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -112,18 +111,6 @@ func (r *Registry) Lookup(image string) (Handler, error) {
 		return nil, fmt.Errorf("%w: %q", ErrImageNotFound, image)
 	}
 	return h, nil
-}
-
-// Images returns registered image names, sorted.
-func (r *Registry) Images() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.images))
-	for k := range r.images {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Transport delivers a task to the execution runtime of one image and

@@ -75,16 +75,6 @@ func TestRegistryLookup(t *testing.T) {
 	}
 }
 
-func TestRegistryImagesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Register("img/z", echoHandler())
-	r.Register("img/a", echoHandler())
-	imgs := r.Images()
-	if len(imgs) != 2 || imgs[0] != "img/a" || imgs[1] != "img/z" {
-		t.Fatalf("Images = %v", imgs)
-	}
-}
-
 func TestRegistryReplace(t *testing.T) {
 	r := NewRegistry()
 	r.Register("img/x", HandlerFunc(func(context.Context, Task) (Result, error) {

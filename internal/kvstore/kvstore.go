@@ -84,18 +84,24 @@ func (r record) doc(key string) Document {
 	return Document{Key: key, Value: r.value, Version: r.version, Updated: time.Unix(0, r.updated)}
 }
 
-// Config tunes the store's simulated performance characteristics.
-type Config struct {
+// Settings are the store's simulated performance characteristics a
+// platform operator tunes (core.Config.DB).
+type Settings struct {
 	// WriteOpsPerSec caps admitted write operations per second
 	// (a batch counts as one operation plus batchDocCost per extra
 	// document), with a burst of a tenth of a second's worth, at least
 	// one. Zero means unlimited.
 	WriteOpsPerSec float64
+	// ReadLatency is the service time charged to each read.
+	ReadLatency time.Duration
+}
+
+// Config tunes a Store.
+type Config struct {
+	Settings
 	// WriteLatency is the service time charged to each write
 	// operation after admission.
 	WriteLatency time.Duration
-	// ReadLatency is the service time charged to each read.
-	ReadLatency time.Duration
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
 }

@@ -296,7 +296,7 @@ func TestBatchGetEmptyIsNoop(t *testing.T) {
 
 func TestBatchGetChargesLatencyOncePerBatch(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(0, 0))
-	s := Open(Config{ReadLatency: 10 * time.Millisecond, Clock: clock})
+	s := Open(Config{Settings: Settings{ReadLatency: 10 * time.Millisecond}, Clock: clock})
 	defer s.Close()
 	ctx := context.Background()
 	done := make(chan error, 1)
@@ -321,7 +321,7 @@ func TestBatchGetChargesLatencyOncePerBatch(t *testing.T) {
 
 func TestBatchGetContextCancelledMidBatch(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(0, 0))
-	s := Open(Config{ReadLatency: time.Hour, Clock: clock})
+	s := Open(Config{Settings: Settings{ReadLatency: time.Hour}, Clock: clock})
 	defer s.Close()
 	cctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -348,7 +348,7 @@ func TestBatchGetClosed(t *testing.T) {
 
 func TestWriteCapacityThrottles(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(0, 0))
-	s := Open(Config{WriteOpsPerSec: 20, Clock: clock}) // a burst of 2
+	s := Open(Config{Settings: Settings{WriteOpsPerSec: 20}, Clock: clock}) // a burst of 2
 	defer s.Close()
 	ctx := context.Background()
 	// Burst of 2 admits immediately.
@@ -385,7 +385,7 @@ func TestWriteCapacityThrottles(t *testing.T) {
 func TestBatchCheaperThanSingles(t *testing.T) {
 	// With a real clock and a tight write cap, 64 docs via batch must
 	// complete far faster than 64 single puts would be admitted.
-	s := Open(Config{WriteOpsPerSec: 20}) // a burst of 2
+	s := Open(Config{Settings: Settings{WriteOpsPerSec: 20}}) // a burst of 2
 	defer s.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -425,7 +425,7 @@ func TestClosedStoreErrors(t *testing.T) {
 
 func TestContextCancelDuringThrottle(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(0, 0))
-	s := Open(Config{WriteOpsPerSec: 0.001, Clock: clock})
+	s := Open(Config{Settings: Settings{WriteOpsPerSec: 0.001}, Clock: clock})
 	defer s.Close()
 	ctx := context.Background()
 	if _, err := s.Put(ctx, "k", nil); err != nil {

@@ -12,10 +12,11 @@ import (
 
 // BenchmarkMicroRingOwner measures consistent-hash lookup.
 func BenchmarkMicroRingOwner(b *testing.B) {
-	ring := NewRing(64)
-	for i := 0; i < 12; i++ {
-		ring.Add(fmt.Sprintf("vm-%02d", i))
+	nodes := make([]string, 12)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("vm-%02d", i)
 	}
+	ring := NewRing(64, nodes...)
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("state/Class/obj-%04d/key", i)

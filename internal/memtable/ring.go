@@ -29,31 +29,45 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 )
 
 // Ring is a consistent-hash ring mapping keys to named nodes. Each
-// node is inserted with a number of virtual points for balance. It is
-// safe for concurrent use.
+// node is inserted with a number of virtual points for balance. A ring
+// never changes after NewRing, so it is safe for concurrent use.
 type Ring struct {
-	mu       sync.RWMutex
-	replicas int
-	points   []uint32          // sorted hash points
-	owners   map[uint32]string // point -> node
-	nodes    map[string]bool
+	points []uint32          // sorted hash points
+	owners map[uint32]string // point -> node
+	nodes  int
 }
 
-// NewRing returns a ring with the given number of virtual points per
-// node. replicas must be positive; 64 is a reasonable default.
-func NewRing(replicas int) *Ring {
+// NewRing returns a ring of nodes (a repeated name counts once), each
+// with replicas virtual points. replicas must be positive; 64 is a
+// reasonable default.
+func NewRing(replicas int, nodes ...string) *Ring {
 	if replicas <= 0 {
 		panic("memtable: NewRing requires positive replicas")
 	}
-	return &Ring{
-		replicas: replicas,
-		owners:   make(map[uint32]string),
-		nodes:    make(map[string]bool),
+	r := &Ring{owners: make(map[uint32]string)}
+	seen := make(map[string]bool, len(nodes))
+	for _, node := range nodes {
+		if seen[node] {
+			continue
+		}
+		seen[node] = true
+		r.nodes++
+		for i := 0; i < replicas; i++ {
+			p := hashKey(fmt.Sprintf("%s#%d", node, i))
+			// On the (unlikely) point collision the earlier node keeps
+			// the point; balance is preserved by the other points.
+			if _, taken := r.owners[p]; taken {
+				continue
+			}
+			r.owners[p] = node
+			r.points = append(r.points, p)
+		}
 	}
+	sort.Slice(r.points, func(i, j int) bool { return r.points[i] < r.points[j] })
+	return r
 }
 
 func hashKey(s string) uint32 {
@@ -62,51 +76,8 @@ func hashKey(s string) uint32 {
 	return h.Sum32()
 }
 
-// Add inserts a node. Adding an existing node is a no-op.
-func (r *Ring) Add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.nodes[node] {
-		return
-	}
-	r.nodes[node] = true
-	for i := 0; i < r.replicas; i++ {
-		p := hashKey(fmt.Sprintf("%s#%d", node, i))
-		// On the (unlikely) point collision the earlier node keeps
-		// the point; balance is preserved by the other points.
-		if _, taken := r.owners[p]; taken {
-			continue
-		}
-		r.owners[p] = node
-		r.points = append(r.points, p)
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i] < r.points[j] })
-}
-
-// Remove deletes a node and its points. Removing an absent node is a
-// no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if r.owners[p] == node {
-			delete(r.owners, p)
-			continue
-		}
-		kept = append(kept, p)
-	}
-	r.points = kept
-}
-
 // Owner returns the node owning key, or "" when the ring is empty.
 func (r *Ring) Owner(key string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return ""
 	}
@@ -118,21 +89,5 @@ func (r *Ring) Owner(key string) string {
 	return r.owners[r.points[i]]
 }
 
-// Nodes returns the current node names, sorted.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the number of nodes.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
+func (r *Ring) Len() int { return r.nodes }

@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// names returns n node names with the given prefix.
+func names(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%s%d", prefix, i)
+	}
+	return out
+}
+
 func TestRingEmptyOwner(t *testing.T) {
 	r := NewRing(16)
 	if got := r.Owner("k"); got != "" {
@@ -14,8 +23,7 @@ func TestRingEmptyOwner(t *testing.T) {
 }
 
 func TestRingSingleNodeOwnsAll(t *testing.T) {
-	r := NewRing(16)
-	r.Add("n1")
+	r := NewRing(16, "n1")
 	for i := 0; i < 100; i++ {
 		if got := r.Owner(fmt.Sprintf("key-%d", i)); got != "n1" {
 			t.Fatalf("Owner = %q, want n1", got)
@@ -24,35 +32,17 @@ func TestRingSingleNodeOwnsAll(t *testing.T) {
 }
 
 func TestRingAddIdempotent(t *testing.T) {
-	r := NewRing(16)
-	r.Add("n1")
-	r.Add("n1")
+	r := NewRing(16, "n1", "n1")
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d after duplicate add", r.Len())
 	}
-}
-
-func TestRingRemove(t *testing.T) {
-	r := NewRing(16)
-	r.Add("n1")
-	r.Add("n2")
-	r.Remove("n1")
-	for i := 0; i < 50; i++ {
-		if got := r.Owner(fmt.Sprintf("key-%d", i)); got != "n2" {
-			t.Fatalf("Owner = %q after removing n1", got)
-		}
-	}
-	r.Remove("absent") // no-op
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d", r.Len())
+	if len(r.points) != 16 {
+		t.Fatalf("%d points for one node of 16 replicas", len(r.points))
 	}
 }
 
 func TestRingDeterministic(t *testing.T) {
-	r := NewRing(32)
-	for i := 0; i < 4; i++ {
-		r.Add(fmt.Sprintf("n%d", i))
-	}
+	r := NewRing(32, names("n", 4)...)
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("key-%d", i)
 		a, b := r.Owner(k), r.Owner(k)
@@ -63,11 +53,8 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing(128)
 	const nodes = 8
-	for i := 0; i < nodes; i++ {
-		r.Add(fmt.Sprintf("n%d", i))
-	}
+	r := NewRing(128, names("n", nodes)...)
 	counts := make(map[string]int)
 	const keys = 8000
 	for i := 0; i < keys; i++ {
@@ -84,47 +71,6 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingMinimalDisruption checks the consistent-hashing property:
-// removing one node must not remap keys owned by the others.
-func TestRingMinimalDisruption(t *testing.T) {
-	r := NewRing(64)
-	for i := 0; i < 6; i++ {
-		r.Add(fmt.Sprintf("n%d", i))
-	}
-	before := make(map[string]string)
-	for i := 0; i < 2000; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		before[k] = r.Owner(k)
-	}
-	r.Remove("n3")
-	moved := 0
-	for k, prev := range before {
-		now := r.Owner(k)
-		if prev == "n3" {
-			if now == "n3" {
-				t.Fatalf("key %q still owned by removed node", k)
-			}
-			continue
-		}
-		if now != prev {
-			moved++
-		}
-	}
-	if moved != 0 {
-		t.Fatalf("%d keys not owned by the removed node were remapped", moved)
-	}
-}
-
-func TestRingNodesSorted(t *testing.T) {
-	r := NewRing(8)
-	r.Add("zeta")
-	r.Add("alpha")
-	nodes := r.Nodes()
-	if len(nodes) != 2 || nodes[0] != "alpha" || nodes[1] != "zeta" {
-		t.Fatalf("Nodes = %v", nodes)
-	}
-}
-
 func TestRingPanicsOnBadReplicas(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -136,11 +82,8 @@ func TestRingPanicsOnBadReplicas(t *testing.T) {
 
 // Property: every key has an owner in the node set.
 func TestRingOwnerMembershipProperty(t *testing.T) {
-	r := NewRing(32)
 	nodes := map[string]bool{"a": true, "b": true, "c": true}
-	for n := range nodes {
-		r.Add(n)
-	}
+	r := NewRing(32, "a", "b", "c")
 	prop := func(key string) bool {
 		return nodes[r.Owner(key)]
 	}

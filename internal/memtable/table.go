@@ -210,12 +210,12 @@ func New(cfg Config) (*Table, error) {
 	t := &Table{
 		cfg:       cfg,
 		shards:    make([]*shard, cfg.Shards),
-		ring:      NewRing(64),
 		closed:    make(chan struct{}),
 		flushWake: make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
 	t.shardIdx = make(map[string]int, cfg.Shards)
+	names := make([]string, cfg.Shards)
 	for i := range t.shards {
 		t.shards[i] = &shard{
 			data:     make(map[string]entry),
@@ -223,10 +223,10 @@ func New(cfg Config) (*Table, error) {
 			flushing: make(map[string]int),
 			deleted:  make(map[string]bool),
 		}
-		name := shardName(i)
-		t.ring.Add(name)
-		t.shardIdx[name] = i
+		names[i] = shardName(i)
+		t.shardIdx[names[i]] = i
 	}
+	t.ring = NewRing(64, names...)
 	if cfg.Mode == ModeWriteBehind {
 		go t.flushLoop()
 	} else {

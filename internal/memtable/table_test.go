@@ -544,7 +544,7 @@ func TestBatchOpsOnClosedTable(t *testing.T) {
 }
 
 func TestGetManyContextCancelledMidBatch(t *testing.T) {
-	db := kvstore.Open(kvstore.Config{ReadLatency: time.Hour})
+	db := kvstore.Open(kvstore.Config{Settings: kvstore.Settings{ReadLatency: time.Hour}})
 	tbl, err := New(Config{Mode: ModeWriteBehind, Backing: db, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)

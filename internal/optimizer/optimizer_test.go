@@ -67,12 +67,10 @@ func newTestRuntime(t *testing.T, qos model.QoS, work invoker.Handler) *runtime.
 	db := kvstore.Open(kvstore.Config{})
 	t.Cleanup(db.Close)
 	infra := runtime.Infra{
-		Cluster:       c,
-		Transport:     invoker.NewLocal(reg),
-		Backing:       db,
-		ScaleInterval: 10 * time.Millisecond,
-		IdleTimeout:   time.Minute,
-		ColdStart:     time.Millisecond,
+		Cluster:   c,
+		Transport: invoker.NewLocal(reg),
+		Backing:   db,
+		FaaS:      faas.Settings{ScaleInterval: 10 * time.Millisecond, IdleTimeout: time.Minute, ColdStart: time.Millisecond},
 	}
 	tmpl := runtime.Template{
 		Name: "test", EngineMode: faas.ModeDeployment, TableMode: memtable.ModeWriteBehind,

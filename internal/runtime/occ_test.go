@@ -350,7 +350,7 @@ func TestVersionMismatchAbortTrace(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
 			// Unforced and unsampled, only an errored span keeps a trace.
-			tr := trace.New(trace.Config{SampleRate: -1})
+			tr := trace.New(trace.Config{Settings: trace.Settings{SampleRate: -1}})
 			root := tr.Root("test", "")
 			race.Store(true)
 			run(trace.ContextWith(ctx, root), name+"-unforced")

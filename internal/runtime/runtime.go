@@ -59,20 +59,9 @@ type Infra struct {
 	// ObjectsBaseURL is the address the object store is served on,
 	// used to render presigned URLs.
 	ObjectsBaseURL string
-	// ColdStart is the pod warmup delay.
-	ColdStart time.Duration
-	// ScaleInterval / IdleTimeout drive the Knative autoscaler.
-	ScaleInterval time.Duration
-	IdleTimeout   time.Duration
-	// ConcurrencyMode is the platform default for classes that do not
-	// declare their own (model.ClassDef.Concurrency). Empty means
-	// model.ConcurrencyAdaptive.
-	ConcurrencyMode model.ConcurrencyMode
-	// DefaultInvokeTimeout bounds invocations whose function and class
-	// declare no TimeoutMs of their own. Zero leaves such invocations
-	// without a platform-imposed deadline (request contexts still
-	// apply).
-	DefaultInvokeTimeout time.Duration
+	Settings
+	// FaaS tunes the class's function engine.
+	FaaS faas.Settings
 	// Events receives the trigger.StateChanged events of one commit, one
 	// per write invocation it carried whose state delta was non-empty, as
 	// a single publication (all of them share the object): one for a call
@@ -110,13 +99,27 @@ type Infra struct {
 	// nothing. Read-only invocations and empty deltas never fence: they
 	// commit nothing, so there is nothing to protect.
 	Fence func(ctx context.Context, objectID string) error
+	// Clock supplies time; defaults to the real clock.
+	Clock vclock.Clock
+}
+
+// Settings are the invocation defaults a platform operator tunes
+// (core.Config.Runtime).
+type Settings struct {
+	// ConcurrencyMode is the platform default for classes that do not
+	// declare their own (model.ClassDef.Concurrency). Empty means
+	// model.ConcurrencyAdaptive.
+	ConcurrencyMode model.ConcurrencyMode
+	// DefaultInvokeTimeout bounds invocations whose function and class
+	// declare no TimeoutMs of their own. Zero leaves such invocations
+	// without a platform-imposed deadline (request contexts still
+	// apply).
+	DefaultInvokeTimeout time.Duration
 	// PprofLabels wraps handler execution in runtime/pprof.Do with
 	// class/function labels so CPU profiles attribute samples to
 	// handlers. Off by default: a goroutine-label swap per invocation
 	// is measurable on the warm path.
 	PprofLabels bool
-	// Clock supplies time; defaults to the real clock.
-	Clock vclock.Clock
 }
 
 func (i Infra) withDefaults() Infra {
@@ -296,13 +299,11 @@ func New(infra Infra, class *model.Class, tmpl Template) (*ClassRuntime, error) 
 	}
 
 	engine, err := faas.NewEngine(faas.Config{
-		Mode:          tmpl.EngineMode,
-		Cluster:       infra.Cluster,
-		Transport:     infra.Transport,
-		ScaleInterval: infra.ScaleInterval,
-		IdleTimeout:   infra.IdleTimeout,
-		ColdStart:     infra.ColdStart,
-		Clock:         infra.Clock,
+		Mode:      tmpl.EngineMode,
+		Cluster:   infra.Cluster,
+		Transport: infra.Transport,
+		Settings:  infra.FaaS,
+		Clock:     infra.Clock,
 	})
 	if err != nil {
 		table.Close()

@@ -92,12 +92,10 @@ func testInfra(t *testing.T) Infra {
 	db := kvstore.Open(kvstore.Config{})
 	t.Cleanup(db.Close)
 	return Infra{
-		Cluster:       c,
-		Transport:     invoker.NewLocal(reg),
-		Backing:       db,
-		ScaleInterval: 10 * time.Millisecond,
-		IdleTimeout:   time.Minute,
-		ColdStart:     5 * time.Millisecond,
+		Cluster:   c,
+		Transport: invoker.NewLocal(reg),
+		Backing:   db,
+		FaaS:      faas.Settings{ScaleInterval: 10 * time.Millisecond, IdleTimeout: time.Minute, ColdStart: 5 * time.Millisecond},
 	}
 }
 

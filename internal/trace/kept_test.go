@@ -77,7 +77,7 @@ func TestFinalizeKeptAllocationBudget(t *testing.T) {
 // captured from the eager-view implementation this one replaced.
 func TestTraceByIDGoldenJSON(t *testing.T) {
 	clk := newTestClock()
-	tr := New(Config{SampleRate: -1, Seed: 7, Now: clk.Now, Capacity: 8})
+	tr := New(Config{Settings: Settings{SampleRate: -1, Capacity: 8}, Seed: 7, Now: clk.Now})
 	const hdr = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	root := tr.Root("gateway", hdr)
 	root.SetAttr("method", "POST")

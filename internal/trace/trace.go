@@ -85,8 +85,9 @@ type Attr struct {
 	IsInt bool
 }
 
-// Config tunes a Tracer.
-type Config struct {
+// Settings are the keep policy a platform operator tunes
+// (core.Config.Trace).
+type Settings struct {
 	// Capacity bounds the kept-trace ring. Defaults to 256.
 	Capacity int
 	// SampleRate is the probabilistic keep rate for traces that are
@@ -94,6 +95,11 @@ type Config struct {
 	// negative disables probabilistic keeps entirely (forced / error /
 	// slow traces are still kept).
 	SampleRate float64
+}
+
+// Config tunes a Tracer.
+type Config struct {
+	Settings
 	// Seed seeds the tracer's deterministic ID/sampling generator;
 	// zero picks a fixed default.
 	Seed uint64
@@ -112,7 +118,13 @@ type Tracer struct {
 
 	rng atomic.Uint64 // splitmix64 state
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// settled is signalled under mu whenever finalize takes a trace out
+	// of active; an Attach that found its trace finalizing waits on it.
+	settled sync.Cond
+	// active holds every trace until finalize has stored its kept view
+	// in byID (or dropped it), so a trace is always in one or the other
+	// while anything can still attach to it.
 	active map[TraceID]*traceData
 	ring   []*keptTrace // circular, capacity entries
 	next   int
@@ -164,6 +176,7 @@ func New(cfg Config) *Tracer {
 		recent:     make([]time.Duration, 0, recentWindow),
 		reg:        metrics.NewRegistry(),
 	}
+	t.settled.L = &t.mu
 	t.started = t.reg.Counter("traces.started")
 	t.kept = t.reg.Counter("traces.kept")
 	t.dropped = t.reg.Counter("traces.dropped")
@@ -319,16 +332,19 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 		tid = t.newTraceID()
 	}
 	t.mu.Lock()
-	if td := t.active[tid]; td != nil {
+	for {
+		td := t.active[tid]
+		if td == nil {
+			break
+		}
 		// The trace is already live here: a second ingress of the same
-		// trace (forwarded hop) joins it rather than forking it.
-		t.mu.Unlock()
+		// trace (forwarded hop) joins it rather than forking it. One that
+		// is finalizing is waited out, and the trace starts afresh.
 		if td.join(tid) {
+			t.mu.Unlock()
 			return t.getSpan(td, parent, name)
 		}
-		// Lost the race against finalize; fall through to a fresh trace.
-		tid = t.newTraceID()
-		t.mu.Lock()
+		t.settled.Wait()
 	}
 	td := dataPool.Get().(*traceData)
 	// Reset under td.mu: a late Attach that looked this accumulator up
@@ -359,7 +375,8 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 // publish/delivery planes have no context). An active trace gets a
 // normal child span; a finalized-and-kept trace gets a late span
 // appended to its stored spans on End; anything else (unknown, or
-// sampled out) returns nil.
+// sampled out) returns nil. A trace caught finalizing is waited for, so
+// a kept one is never missed.
 func (t *Tracer) Attach(traceparent, name string) *Span {
 	if t == nil || traceparent == "" {
 		return nil
@@ -369,12 +386,19 @@ func (t *Tracer) Attach(traceparent, name string) *Span {
 		return nil
 	}
 	t.mu.Lock()
-	td := t.active[p.traceID]
+	for {
+		td := t.active[p.traceID]
+		if td == nil {
+			break
+		}
+		if td.join(p.traceID) {
+			t.mu.Unlock()
+			return t.getSpan(td, p.spanID, name)
+		}
+		t.settled.Wait()
+	}
 	kept := t.byID[p.traceID]
 	t.mu.Unlock()
-	if td != nil && td.join(p.traceID) {
-		return t.getSpan(td, p.spanID, name)
-	}
 	if kept == nil {
 		return nil
 	}
@@ -577,7 +601,6 @@ func (t *Tracer) finalize(td *traceData) {
 	td.mu.Unlock()
 
 	t.mu.Lock()
-	delete(t.active, td.id)
 	// Learn the slowest-percentile threshold from recent roots.
 	if len(t.recent) < recentWindow {
 		t.recent = append(t.recent, td.rootDur)
@@ -599,8 +622,6 @@ func (t *Tracer) finalize(td *traceData) {
 			t.slowNs.Store(int64(thr))
 		}
 	}
-	t.mu.Unlock()
-
 	reason := ""
 	switch {
 	case td.forced:
@@ -613,13 +634,20 @@ func (t *Tracer) finalize(td *traceData) {
 		reason = "sampled"
 	}
 	if reason == "" {
+		delete(t.active, td.id)
+		t.mu.Unlock()
+		t.settled.Broadcast()
 		t.dropped.Inc()
 		t.release(td)
 		return
 	}
+	t.mu.Unlock()
 	t.kept.Inc()
+	// The trace stays in active while its spans are copied out, outside
+	// the lock; it leaves active in the section that stores its view.
 	kt := keep(td, reason)
 	t.mu.Lock()
+	delete(t.active, td.id)
 	if old := t.ring[t.next]; old != nil {
 		delete(t.byID, old.id)
 		for _, inv := range old.invocations {
@@ -635,6 +663,7 @@ func (t *Tracer) finalize(td *traceData) {
 		t.byInv[inv] = kt
 	}
 	t.mu.Unlock()
+	t.settled.Broadcast()
 	t.release(td)
 }
 

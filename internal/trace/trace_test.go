@@ -35,7 +35,7 @@ func (c *testClock) Advance(d time.Duration) {
 
 func newTestTracer(rate float64) (*Tracer, *testClock) {
 	clk := newTestClock()
-	return New(Config{SampleRate: rate, Now: clk.Now, Capacity: 8}), clk
+	return New(Config{Settings: Settings{SampleRate: rate, Capacity: 8}, Now: clk.Now}), clk
 }
 
 func TestNilTracerAndSpanAreInert(t *testing.T) {
@@ -478,4 +478,58 @@ func TestLateAttachVsPooledReuse(t *testing.T) {
 	if st := tr.Stats(); st.Started != int64(rounds) {
 		t.Fatalf("started %d traces, want %d", st.Started, rounds)
 	}
+}
+
+// TestAttachDuringFinalizeLandsOnTheKeptTrace: a span attached to a
+// kept trace while that trace finalizes on another goroutine joins it —
+// as a child before finalize begins, as a late span once the kept view
+// is stored — and is never dropped: Attach must not return nil between
+// finalize marking the trace done and the kept view appearing, nor
+// between its own lookup and its join. One goroutine ends the root
+// while this one attaches and ends spans until one lands late. Run
+// under -race.
+func TestAttachDuringFinalizeLandsOnTheKeptTrace(t *testing.T) {
+	const rounds = 1000
+	tr := New(Config{Settings: Settings{SampleRate: -1, Capacity: rounds}})
+	for i := 0; i < rounds; i++ {
+		root := tr.Root("invoke", fmt.Sprintf("00-%032x-%016x-01", i+1, i+1))
+		for j := 0; j < 32; j++ {
+			root.Child("stage").End() // a long keep copy widens the window
+		}
+		tp := root.Traceparent()
+		ended := make(chan struct{})
+		go func() {
+			root.End()
+			close(ended)
+		}()
+		attached := 0
+		for late := false; !late; {
+			sp := tr.Attach(tp, "webhook.delivery")
+			if sp == nil {
+				t.Fatalf("round %d: Attach to a forced trace returned nil after %d spans", i, attached)
+			}
+			attached++
+			late = sp.td == nil
+			sp.End()
+		}
+		<-ended
+		v, ok := tr.TraceByID(tp[3:35])
+		if !ok {
+			t.Fatalf("round %d: forced trace not kept", i)
+		}
+		if got := v.spanCount("webhook.delivery"); got != attached {
+			t.Fatalf("round %d: kept trace holds %d attached spans, want %d", i, got, attached)
+		}
+	}
+}
+
+// spanCount counts the view's spans named name.
+func (v TraceView) spanCount(name string) int {
+	n := 0
+	for _, s := range v.Spans {
+		if s.Name == name {
+			n++
+		}
+	}
+	return n
 }

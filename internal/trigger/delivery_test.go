@@ -429,7 +429,7 @@ func TestBehindConsumerAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := New(Config{Log: l1, WebhookMaxRetries: -1, WebhookBackoff: time.Millisecond})
+	b1, err := New(Config{Log: l1, Settings: Settings{WebhookMaxRetries: -1, WebhookBackoff: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +595,7 @@ func TestRedeploySwapsSinkMidQueue(t *testing.T) {
 func TestStalledConsumerRearms(t *testing.T) {
 	h := newHook(t, false)
 	h.fail.Store(5)
-	b := newBus(t, Config{Log: newLog(t, eventlog.Config{}), WebhookMaxRetries: 3})
+	b := newBus(t, Config{Log: newLog(t, eventlog.Config{}), Settings: Settings{WebhookMaxRetries: 3}})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: h.srv.URL}); err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +618,8 @@ func TestDeadEndpointIsRetriedAtBoundedCadence(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(1_700_000_000, 0))
 	b := newBus(t, Config{
 		Log: newLog(t, eventlog.Config{}), Clock: clock,
-		WebhookMaxRetries: -1, WebhookBackoff: 10 * time.Millisecond, BackoffJitter: -1,
+		Settings:      Settings{WebhookMaxRetries: -1, WebhookBackoff: 10 * time.Millisecond},
+		BackoffJitter: -1,
 	})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: h.srv.URL}); err != nil {
 		t.Fatal(err)

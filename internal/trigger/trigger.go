@@ -358,6 +358,26 @@ func (s Subscription) matches(ev Event) bool {
 // the events are still in the log, behind the cursor.
 type AsyncInvoker func(objectID string, calls []call.Call, done func(committed int)) (accepted int, err error)
 
+// Settings are the chain bound and webhook policy a platform operator
+// tunes (core.Config.Triggers).
+type Settings struct {
+	// MaxChainDepth bounds object→object trigger chains: an event at
+	// this depth is not dispatched to method sinks (counted in
+	// CycleDropped and Dropped). Defaults to 8. The bus builds the args
+	// of chained invocations up front, one map per event type and depth
+	// below this bound, up to 64.
+	MaxChainDepth int
+	// WebhookMaxRetries re-POSTs a failed webhook delivery up to this
+	// many additional times before dropping it. Defaults to 3;
+	// negative disables retries entirely.
+	WebhookMaxRetries int
+	// WebhookBackoff is the delay before the first webhook retry,
+	// doubled per attempt. Defaults to 10ms.
+	WebhookBackoff time.Duration
+	// WebhookTimeout bounds each delivery attempt. Defaults to 5s.
+	WebhookTimeout time.Duration
+}
+
 // Config sizes a Bus.
 type Config struct {
 	// InvokeAsync realizes the object-method sink. A method sink's cursor
@@ -371,23 +391,11 @@ type Config struct {
 	// sinks are cursor-based consumers of it with at-least-once
 	// redelivery.
 	Log *eventlog.Log
-	// MaxChainDepth bounds object→object trigger chains: an event at
-	// this depth is not dispatched to method sinks (counted in
-	// CycleDropped and Dropped). Defaults to 8. The bus builds the args
-	// of chained invocations up front, one map per event type and depth
-	// below this bound, up to 64.
-	MaxChainDepth int
+	Settings
 	// DeliveryWorkers sizes the sink delivery pool (webhook POSTs and
 	// cursor-consumer runs) and the idle connections the bus's webhook
 	// transport keeps per endpoint. Defaults to 4.
 	DeliveryWorkers int
-	// WebhookMaxRetries re-POSTs a failed webhook delivery up to this
-	// many additional times before dropping it. Defaults to 3;
-	// negative disables retries entirely.
-	WebhookMaxRetries int
-	// WebhookBackoff is the delay before the first webhook retry,
-	// doubled per attempt. Defaults to 10ms.
-	WebhookBackoff time.Duration
 	// BackoffJitter spreads each webhook retry delay uniformly over
 	// [d*(1-j), d*(1+j)] so many endpoints failing at once don't
 	// re-POST in lockstep. Defaults to 0.2; negative disables.
@@ -395,8 +403,6 @@ type Config struct {
 	// JitterSeed seeds the backoff jitter source (wired to the chaos
 	// RNG seed so runs replay). Zero seeds from 1.
 	JitterSeed int64
-	// WebhookTimeout bounds each delivery attempt. Defaults to 5s.
-	WebhookTimeout time.Duration
 	// Tracer, when set, re-joins event traces (Event.Trace) so log
 	// appends, dispatch and webhook deliveries span under the
 	// originating invocation's trace. Nil disables bus-side spans.

@@ -171,7 +171,7 @@ func TestChainedInvocationArgs(t *testing.T) {
 	var mu sync.Mutex
 	got := map[string]map[string]string{}
 	b := newBus(t, Config{
-		MaxChainDepth: maxDepth,
+		Settings: Settings{MaxChainDepth: maxDepth},
 		InvokeAsync: each(func(object, _ string, _ json.RawMessage, args map[string]string) error {
 			mu.Lock()
 			got[object] = maps.Clone(args)
@@ -212,7 +212,7 @@ func TestChainArgsBeyondTheTable(t *testing.T) {
 	var mu sync.Mutex
 	got := map[string]map[string]string{}
 	b := newBus(t, Config{
-		MaxChainDepth: math.MaxInt,
+		Settings: Settings{MaxChainDepth: math.MaxInt},
 		InvokeAsync: each(func(object, _ string, _ json.RawMessage, args map[string]string) error {
 			mu.Lock()
 			got[object] = maps.Clone(args)
@@ -265,7 +265,7 @@ func TestChainDepthLimitTerminates(t *testing.T) {
 	var b *Bus
 	var invocations atomic.Int64
 	b = newBus(t, Config{
-		MaxChainDepth: maxDepth,
+		Settings: Settings{MaxChainDepth: maxDepth},
 		InvokeAsync: each(func(object, _ string, _ json.RawMessage, args map[string]string) error {
 			invocations.Add(1)
 			b.Publish(Event{Type: StateChanged, Class: "Loop", Object: object, Depth: DepthOf(args)})
@@ -332,7 +332,7 @@ func TestWebhookRetryAndDrop(t *testing.T) {
 			defer srv.Close()
 			// WebhookMaxRetries: 0 means "defaulted" (3); negative
 			// disables retries.
-			cfg := Config{WebhookMaxRetries: c.retries, WebhookBackoff: time.Millisecond}
+			cfg := Config{Settings: Settings{WebhookMaxRetries: c.retries, WebhookBackoff: time.Millisecond}}
 			b := newBusFailingNextAppend(t, cfg)
 			if err := b.Subscribe("hook", Subscription{Class: "A", Type: InvocationCompleted, Webhook: srv.URL}); err != nil {
 				t.Fatal(err)
@@ -351,7 +351,7 @@ func TestWebhookRetryAndDrop(t *testing.T) {
 // TestWebhookUnreachableDrops: an unreachable endpoint fails every
 // attempt of a one-shot delivery, which then counts dropped.
 func TestWebhookUnreachableDrops(t *testing.T) {
-	b := newBusFailingNextAppend(t, Config{WebhookMaxRetries: 1, WebhookBackoff: time.Millisecond, WebhookTimeout: 200 * time.Millisecond})
+	b := newBusFailingNextAppend(t, Config{Settings: Settings{WebhookMaxRetries: 1, WebhookBackoff: time.Millisecond, WebhookTimeout: 200 * time.Millisecond}})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: InvocationFailed, Webhook: "http://127.0.0.1:1/nope"}); err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestStalledWebhookDoesNotBlockStreams(t *testing.T) {
 	// Unblock the handler before srv.Close (which waits for in-flight
 	// requests) and before the bus cleanup drains the delivery pool.
 	defer close(release)
-	b := newBus(t, Config{WebhookTimeout: 5 * time.Second})
+	b := newBus(t, Config{Settings: Settings{WebhookTimeout: 5 * time.Second}})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: srv.URL}); err != nil {
 		t.Fatal(err)
 	}

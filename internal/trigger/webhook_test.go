@@ -124,7 +124,8 @@ func TestWebhookRedirectIsAFailedAttempt(t *testing.T) {
 	clock := sleepClock{vclock.NewManual(time.Unix(1_700_000_000, 0)), make(chan time.Duration, 4)}
 	b := newBus(t, Config{
 		Log: newLog(t, eventlog.Config{}), Clock: clock,
-		WebhookMaxRetries: 2, WebhookBackoff: 10 * time.Millisecond, BackoffJitter: -1,
+		Settings:      Settings{WebhookMaxRetries: 2, WebhookBackoff: 10 * time.Millisecond},
+		BackoffJitter: -1,
 	})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: srv.URL}); err != nil {
 		t.Fatal(err)
@@ -199,7 +200,7 @@ func blockingHook(t *testing.T) (srv *httptest.Server, arrived chan struct{}, en
 // sitting on, however long WebhookTimeout would have let it run.
 func TestKillAbortsInFlightWebhook(t *testing.T) {
 	srv, arrived, ended := blockingHook(t)
-	b := newBus(t, Config{Log: newLog(t, eventlog.Config{}), WebhookTimeout: time.Minute})
+	b := newBus(t, Config{Log: newLog(t, eventlog.Config{}), Settings: Settings{WebhookTimeout: time.Minute}})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: srv.URL}); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestKillAbortsInFlightWebhook(t *testing.T) {
 func TestWebhookTimeoutBoundsAnAttempt(t *testing.T) {
 	srv, _, ended := blockingHook(t)
 	const timeout = 100 * time.Millisecond
-	b := newBusFailingNextAppend(t, Config{WebhookTimeout: timeout, WebhookMaxRetries: -1})
+	b := newBusFailingNextAppend(t, Config{Settings: Settings{WebhookTimeout: timeout, WebhookMaxRetries: -1}})
 	if err := b.Subscribe("hook", Subscription{Class: "A", Type: StateChanged, Webhook: srv.URL}); err != nil {
 		t.Fatal(err)
 	}

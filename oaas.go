@@ -49,16 +49,27 @@
 //	    fmt.Println(string(rec.Result))
 //	}
 //
-// Submission returns ErrQueueFull once Config.AsyncQueueCapacity
+// Submission returns ErrQueueFull once Config.Async.Capacity
 // invocations are queued (backpressure) and refuses a payload that is
 // not JSON (HTTP 400 "invalid_payload"; the REST routes validate bodies
 // first), and Close drains every accepted invocation before shutting
 // down. The REST gateway exposes the same path via
 // POST .../invoke-async/{fn}, POST /api/invoke-batch, and
 // GET /api/invocations/{id}. Completed and failed invocation records
-// can be garbage-collected after a TTL (Config.AsyncRecordTTL) so the
+// can be garbage-collected after a TTL (Config.Async.RecordTTL) so the
 // record table stays bounded; evictions show up in
 // Stats().Async.Evicted.
+//
+// Each subsystem's settings are one field of Config, declared — with
+// their defaults — by the package that applies them (AsyncSettings,
+// TriggerSettings, DBSettings, FaaSSettings, RuntimeSettings,
+// TraceSettings):
+//
+//	p, err := oaas.New(oaas.Config{
+//	    Workers: 3,
+//	    Async:   oaas.AsyncSettings{Workers: 8, RecordTTL: time.Minute},
+//	    Runtime: oaas.RuntimeSettings{DefaultInvokeTimeout: 5 * time.Second},
+//	})
 //
 // # Invoking an object
 //
@@ -90,8 +101,8 @@
 // # Batched async execution
 //
 // The async workers drain in batches: each pull takes its share of the
-// backlog, 1+queued/Config.AsyncWorkers invocations, up to
-// Config.AsyncDrainBatch (default 16; 1 restores per-task draining), so
+// backlog, 1+queued/Config.Async.Workers invocations, up to
+// Config.Async.DrainBatch (1 restores per-task draining), so
 // a burst spreads over the pool. A pull persists its record transitions
 // in batched table writes and groups its invocations by target object. An
 // invocation that drained alone is a group of one and runs exactly as
@@ -114,7 +125,7 @@
 // Stats().Async.Coalesced counts invocations that shared a group
 // window.
 //
-// Two queue-shaping controls ride along. Config.AsyncClassQuotas caps
+// Two queue-shaping controls ride along. Config.Async.ClassQuotas caps
 // the queued invocations per class — an over-quota submission fails
 // with ErrClassQuotaExceeded (HTTP 429 with code
 // "class_quota_exceeded" at the gateway) while other classes keep
@@ -178,7 +189,7 @@
 // subscribe/unsubscribe/triggers/tail`). The chained invocation
 // receives the event JSON as its payload and args carrying the event
 // type and chain depth; object→object chains terminate at
-// Config.TriggerMaxChainDepth (default 8) instead of looping, so a
+// Config.Triggers.MaxChainDepth instead of looping, so a
 // class whose trigger re-invokes its own writer converges. A chained
 // call is not an invocation anyone polls: the event log already holds
 // its event, so the async queue writes no record for it — its ID
@@ -230,7 +241,7 @@
 //     the cursor stays put (visible as a growing cursorLag in
 //     `GET /api/triggers` / `ocli triggers`) and the consumer is
 //     re-armed after a doubling, jittered, capped delay starting at
-//     Config.WebhookRetryBackoff — a recovered endpoint catches up
+//     Config.Triggers.WebhookBackoff — a recovered endpoint catches up
 //     with no new event and no restart, a dead one is probed at that
 //     bounded cadence. A restarted platform given
 //     the same Config.Backing recovers named subscriptions and — once
@@ -270,7 +281,7 @@
 //
 // How concurrent invocations on one object are handled is selectable
 // per class (`concurrencyMode:` in YAML) or platform-wide
-// (Config.ConcurrencyMode). Every mode runs the same window — load,
+// (Config.Runtime.ConcurrencyMode). Every mode runs the same window — load,
 // run, commit through one exit that enforces the deadline and the
 // ownership fence — whether the window carries one call or a coalesced
 // group; a mode only chooses how the window is guarded and whether its
@@ -516,7 +527,7 @@
 // Invocations carry deadlines. A function declares one in YAML
 // (`timeoutMs:` on the function, or class-wide as a default for every
 // member), the platform supplies a fallback for classes that declare
-// none (Config.DefaultInvokeTimeout), and a single request can
+// none (Config.Runtime.DefaultInvokeTimeout), and a single request can
 // tighten — never loosen the platform's enforcement of — its own
 // budget with `?timeoutMs=` on the gateway's invoke routes (`ocli
 // invoke -t`). Resolution order is function over class over platform
@@ -596,11 +607,9 @@
 // The gateway's synchronous invocations (Platform.InvokeRoutedFrom)
 // go through the ownership router, at the one gate every invocation
 // passes: a request landing on a non-owner ingress node is forwarded
-// one hop to the owner (charging 2×Config.ForwardLatency — the same
-// round-trip model, and the same code, as the inter-region charge; the
-// serving node is reported in the X-Oparaca-Node response header), and
-// if ownership moves again while it is in flight it is refused rather
-// than forwarded a second time. During the brief post-rebalance
+// to the owner (a "forward" span in its trace, counted in
+// Stats().Cluster.Forwarded; the serving node is reported in the
+// X-Oparaca-Node response header). During the brief post-rebalance
 // transition window routing fast-fails with HTTP 503, code
 // "ownership_moving", and a Retry-After header instead of racing the
 // handoff — synchronous front-door calls only: asynchronous
@@ -634,9 +643,9 @@
 // forced by the caller (traceparent sampled flag), contains an error
 // (including fence rejections and deadline expiries), is slower than
 // the recent p95 of root durations, or wins a probabilistic keep at
-// Config.TraceSampleRate (default 5%; negative disables probabilistic
-// keeps). Kept traces park in a bounded ring (Config.TraceCapacity,
-// default 256) served by GET /api/traces, GET /api/traces/{id}, and
+// Config.Trace.SampleRate (negative disables probabilistic keeps). Kept
+// traces park in a bounded ring (Config.Trace.Capacity) served by
+// GET /api/traces, GET /api/traces/{id}, and
 // GET /api/invocations/{id}/trace (`ocli traces`, `ocli trace`).
 // Spans are pooled and the disabled path costs zero allocations on
 // the warm invoke path (TestTracedInvokeAllocationBudget in core).
@@ -654,7 +663,7 @@
 // -log-level selects the floor); each gateway request emits one
 // structured record carrying method, path, status, duration, the
 // trace ID when tracing is on, and the invocation ID for accepted
-// async submissions. With Config.PprofLabels (or cmd/oparaca -pprof)
+// async submissions. With Config.Runtime.PprofLabels (or cmd/oparaca -pprof)
 // handler goroutines carry class/function pprof labels so CPU
 // profiles attribute samples per method.
 //
@@ -679,6 +688,7 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/resilience"
 	"github.com/hpcclab/oparaca-go/internal/runtime"
+	"github.com/hpcclab/oparaca-go/internal/trace"
 	"github.com/hpcclab/oparaca-go/internal/trigger"
 )
 
@@ -739,7 +749,7 @@ const (
 
 // ConcurrencyMode selects how concurrent invocations on one object are
 // handled (per class via ClassDef.Concurrency / `concurrencyMode:` in
-// YAML, or platform-wide via Config.ConcurrencyMode).
+// YAML, or platform-wide via Config.Runtime.ConcurrencyMode).
 type ConcurrencyMode = model.ConcurrencyMode
 
 // Concurrency modes.
@@ -889,7 +899,7 @@ var (
 	ErrInvocationNotFound = core.ErrInvocationNotFound
 	ErrOffsetCompacted    = core.ErrOffsetCompacted
 	// ErrDeadlineExceeded marks an invocation that exceeded its
-	// deadline (function/class timeoutMs, Config.DefaultInvokeTimeout,
+	// deadline (function/class timeoutMs, Config.Runtime.DefaultInvokeTimeout,
 	// or the request context). Nothing was committed. Also matches
 	// errors.Is(err, context.DeadlineExceeded).
 	ErrDeadlineExceeded = runtime.ErrDeadlineExceeded
@@ -923,6 +933,23 @@ type (
 	// FaultPlan is a seeded probabilistic backing-store fault schedule
 	// (Config.Chaos) for fault-injection testing.
 	FaultPlan = kvstore.FaultPlan
+)
+
+// The subsystem settings Config nests, each declared — with its
+// defaults — by the package that applies it.
+type (
+	// DBSettings tunes the simulated document store (Config.DB).
+	DBSettings = kvstore.Settings
+	// FaaSSettings tunes pod cold start and autoscaling (Config.FaaS).
+	FaaSSettings = faas.Settings
+	// RuntimeSettings holds the invocation defaults (Config.Runtime).
+	RuntimeSettings = runtime.Settings
+	// AsyncSettings sizes the async invocation queue (Config.Async).
+	AsyncSettings = asyncq.Settings
+	// TriggerSettings bounds chains and tunes webhooks (Config.Triggers).
+	TriggerSettings = trigger.Settings
+	// TraceSettings tunes the kept-trace ring (Config.Trace).
+	TraceSettings = trace.Settings
 )
 
 // Cluster-ownership types (see the "Cluster ownership & failover"

@@ -14,7 +14,7 @@ import (
 // newTestPlatform builds a platform with a greeter handler.
 func newTestPlatform(t *testing.T) *Platform {
 	t.Helper()
-	p, err := New(Config{Workers: 2, ColdStart: time.Millisecond, IdleTimeout: time.Minute})
+	p, err := New(Config{Workers: 2, FaaS: FaaSSettings{ColdStart: time.Millisecond, IdleTimeout: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}

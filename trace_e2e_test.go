@@ -63,7 +63,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		Workers:           2,
 		OwnershipLeaseTTL: 2 * time.Second,
 		EnableTracing:     true,
-		TraceSampleRate:   1, // keep every trace: assertions stay deterministic
+		Trace:             TraceSettings{SampleRate: 1}, // keep every trace: assertions stay deterministic
 		ServeObjectStore:  &noServe,
 	})
 	if err != nil {
@@ -204,7 +204,17 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if len(ftp) < 35 {
 		t.Fatalf("forwarded invoke returned no traceparent (%q)", ftp)
 	}
-	fview := getTraceView(t, gw.URL+"/api/traces/"+ftp[3:35])
+	// The forwarded call's commit is an event the webhook receives, so
+	// its trace stays open until that delivery ends: poll for it, as
+	// for the async trace above.
+	var fview obsTraceView
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		fview = getTraceView(t, gw.URL+"/api/traces/"+ftp[3:35])
+		if fview.ID != "" || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 	if fview.spanNames()["forward"] == 0 {
 		t.Errorf("forwarded trace missing \"forward\" span (have %v)", fview.spanNames())
 	}
