@@ -380,6 +380,37 @@ func TestInvokeEntryConformance(t *testing.T) {
 		}
 	})
 
+	// A forwarded call is stamped at the gate, so an owner that moves
+	// while the call runs is caught by the commit fence: the call fails
+	// retryably and commits nothing, though the forward itself happened.
+	t.Run("ownership moves during the forwarded call", func(t *testing.T) {
+		p, _ := newConformancePlatform(t)
+		object := create(t, p, "obj")
+		owner, _ := p.Membership().Owner(object)
+		p.Images().Register("img/incr", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+			if err := p.DrainNode(owner); err != nil {
+				t.Error(err)
+			}
+			return invoker.Result{State: map[string]json.RawMessage{"count": json.RawMessage(`1`)}}, nil
+		}))
+		stats0 := p.ClusterStats()
+		forwarded := invokeEntries()[2]
+		res := forwarded.run(p, "eu", object, "incr")
+		if !errors.Is(res[0].Err, cluster.ErrOwnershipMoved) {
+			t.Fatalf("err = %v, want ErrOwnershipMoved", res[0].Err)
+		}
+		stats := p.ClusterStats()
+		if stats.Forwarded != stats0.Forwarded+1 {
+			t.Errorf("forwarded %d calls, want 1", stats.Forwarded-stats0.Forwarded)
+		}
+		if stats.FenceRejections != stats0.FenceRejections+1 {
+			t.Errorf("the fence refused %d commits, want 1", stats.FenceRejections-stats0.FenceRejections)
+		}
+		if n := count(t, p, object); n != 0 {
+			t.Errorf("a fenced call committed %d increments", n)
+		}
+	})
+
 	t.Run("open transition window", func(t *testing.T) {
 		p, _ := newConformancePlatform(t)
 		// Drain first, create after: the window is open and the owners the

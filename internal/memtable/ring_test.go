@@ -71,6 +71,31 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
+// TestRingMinimalDisruption checks the consistent-hashing property: a
+// ring built without one node must not remap keys owned by the others.
+func TestRingMinimalDisruption(t *testing.T) {
+	all := names("n", 6)
+	r := NewRing(64, all...)
+	without := NewRing(64, append(all[:3:3], all[4:]...)...)
+	moved := 0
+	for i := 0; i < 2000; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		prev, now := r.Owner(k), without.Owner(k)
+		if prev == "n3" {
+			if now == "n3" {
+				t.Fatalf("key %q still owned by removed node", k)
+			}
+			continue
+		}
+		if now != prev {
+			moved++
+		}
+	}
+	if moved != 0 {
+		t.Fatalf("%d keys not owned by the removed node were remapped", moved)
+	}
+}
+
 func TestRingPanicsOnBadReplicas(t *testing.T) {
 	defer func() {
 		if recover() == nil {
