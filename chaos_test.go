@@ -459,9 +459,17 @@ func chaosSoak(t *testing.T, seed int64) {
 	}
 	// Every accepted async submission reaches a terminal record — an
 	// acknowledged invocation is never lost, whatever chaos did to it.
+	// A flushed record is read from the store, so one poll can meet an
+	// injected read fault, or the breaker such faults opened; the record
+	// is lost only if no poll before the deadline finds it.
 	for _, id := range asyncIDs {
 		wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		rec, err := p.WaitInvocation(wctx, id)
+		for err != nil && wctx.Err() == nil && (errors.Is(err, kvstore.ErrInjectedTransient) ||
+			errors.Is(err, kvstore.ErrInjectedPermanent) || errors.Is(err, ErrBackingUnavailable)) {
+			time.Sleep(time.Millisecond)
+			rec, err = p.WaitInvocation(wctx, id)
+		}
 		cancel()
 		if err != nil {
 			t.Fatalf("acknowledged async invocation %s lost: %v", id, err)

@@ -48,7 +48,7 @@ func main() {
 		optimize  = flag.Bool("optimize", true, "enable the QoS optimizer control loop")
 		apply     = flag.String("apply", "", "optional package YAML to deploy at startup")
 		recordTTL = flag.Duration("async-record-ttl", 0,
-			"evict completed/failed async invocation records this long after they finish (0 = keep forever)")
+			"delete completed/failed async invocation records from the store this long after they finish (0 = keep them stored forever; memory holds a record only until it is flushed)")
 		invokeTimeout = flag.Duration("invoke-timeout", 0,
 			"default per-invocation deadline for classes that declare none (0 = unlimited)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second,

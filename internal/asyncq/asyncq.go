@@ -1,7 +1,7 @@
 // Package asyncq implements the platform's asynchronous invocation
 // subsystem: one bounded queue drained by every worker of a configurable
-// pool, with per-invocation records persisted in a memtable so results
-// survive flush cycles and stay poll-able after completion.
+// pool, with per-invocation records written through a memtable buffer to
+// the backing store, where they stay poll-able after completion.
 //
 // Synchronous invocation forces the client to hold a connection for the
 // full method latency; the queue decouples submission from execution
@@ -38,9 +38,10 @@
 // successor process, sees a predecessor's in-flight work as pending —
 // and RecoverStranded re-runs it from the payload and args that record
 // carries. Each durable transition is encoded once, by AppendRecord,
-// into a fresh buffer the record table and, through it, the backing
-// store keep as it is (nothing here reuses an encode buffer; Submit's
-// copy of the payload is the one defensive copy on the way in).
+// into a fresh buffer the record table holds until its flush lands and
+// the backing store keeps as it is (nothing here reuses an encode
+// buffer; Submit's copy of the payload is the one defensive copy on the
+// way in).
 //
 // The record codec (encode.go) writes and reads through internal/jsonw.
 // encodeRecord writes every record with AppendRecord, which escapes any
@@ -58,10 +59,29 @@
 // stops intake, drains every accepted task, then flushes the record
 // table.
 //
+// # The record table
+//
+// The record table is a memtable buffer (see package memtable): it
+// consolidates record writes into batches and holds a record only until
+// its flush has landed. Get reads the table first, for a transition that
+// has not flushed yet, and the backing store after, so a poll that
+// arrives after the flush pays one store read. The table's memory
+// follows the writes in flight, not the invocations ever submitted.
+//
+// This makes a poll depend on the store once its record has flushed,
+// deliberately: while the store is unavailable (its breaker open), a
+// poll for a finished invocation whose record has flushed fails as any
+// uncached read does — HTTP 503 backing_unavailable at the gateway —
+// while one whose record has not flushed still answers. Answering every
+// poll through an outage would take keeping every record in memory, a
+// cost that grows with every invocation ever submitted.
+//
 // Terminal records do not accumulate forever: when Config.RecordTTL is
-// set, a background sweeper evicts completed/failed records once they
-// have been terminal for the TTL, so long-running platforms keep a
-// bounded record table. Evictions are counted in Stats().Evicted.
+// set, a background sweeper deletes completed/failed records once they
+// have been terminal for the TTL, and the buffer drops each tombstone
+// once its delete has landed, so a long-running platform keeps a bounded
+// record table and a bounded set of stored records. Evictions are
+// counted in Stats().Evicted.
 //
 // # Batched drain
 //
@@ -244,8 +264,8 @@ type Config struct {
 	// Required.
 	Invoke func(ctx context.Context, objectID string, calls []call.Call, results []call.Result)
 	Settings
-	// Backing persists invocation records through a write-behind
-	// memtable; New fails without one.
+	// Backing persists invocation records through a memtable buffer;
+	// New fails without one.
 	Backing *kvstore.Store
 	// FlushInterval overrides the record table's flush period.
 	FlushInterval time.Duration
@@ -421,13 +441,13 @@ func New(cfg Config) (*Queue, error) {
 		// silently never applies; fail loudly instead.
 		return nil, errors.New("asyncq: Config.ClassQuotas requires Config.Target, to class the records RecoverStranded adopts")
 	}
-	tblCfg := memtable.Config{
+	records, err := memtable.New(memtable.Config{
 		Mode:          memtable.ModeWriteBehind,
+		Buffer:        true,
 		Backing:       cfg.Backing,
 		FlushInterval: cfg.FlushInterval,
 		Clock:         cfg.Clock,
-	}
-	records, err := memtable.New(tblCfg)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("asyncq: record table: %w", err)
 	}
@@ -894,10 +914,12 @@ func (q *Queue) evictExpired() {
 
 // Get returns the record for an invocation ID. An invocation executing
 // in this process reads running, with the start of the pull that
-// dequeued it, though its stored document still says pending. The
-// record's Payload and Result are shared with the record table: keep
-// them as long as you like — a later transition or an eviction replaces
-// the stored document, never its bytes — and do not write into them.
+// dequeued it, though its stored document still says pending. A record
+// whose last transition has flushed is read from the backing store. The
+// record's Payload and Result are shared with the record table or the
+// store: keep them as long as you like — a later transition or an
+// eviction replaces the stored document, never its bytes — and do not
+// write into them.
 func (q *Queue) Get(ctx context.Context, id string) (Record, error) {
 	raw, err := q.records.Get(ctx, recordKey(id))
 	if err != nil {

@@ -3,9 +3,9 @@ package asyncq
 import (
 	"context"
 	"encoding/json"
-	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/heaptest"
@@ -13,8 +13,9 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 )
 
-// drainRig is a one-worker queue on a store-backed record table whose
-// pull sizes the caller controls: cycle parks the worker on a gate task,
+// drainRig is a one-worker queue on a store-backed record table, with
+// records evicted recordTTL after they finish (0: never), whose pull
+// sizes the caller controls: cycle parks the worker on a gate task,
 // queues n invocations of one object behind it, opens the gate and
 // returns once all of them are terminal — so they drain in pulls of
 // exactly min(n, DrainBatch), coalesced through a no-op hook.
@@ -27,10 +28,10 @@ type drainRig struct {
 	remaining atomic.Int64
 }
 
-func newDrainRig(tb testing.TB, drainBatch int) *drainRig {
+func newDrainRig(tb testing.TB, drainBatch int, recordTTL time.Duration) *drainRig {
 	r := &drainRig{tb: tb, parked: make(chan struct{}), open: make(chan struct{}), drained: make(chan struct{}, 1)}
 	q, err := New(Config{
-		Settings: Settings{Workers: 1, DrainBatch: drainBatch, Capacity: 64},
+		Settings: Settings{Workers: 1, DrainBatch: drainBatch, Capacity: 64, RecordTTL: recordTTL},
 		Backing:  kvstore.Open(kvstore.Config{}),
 		Invoke: func(_ context.Context, objectID string, _ []call.Call, _ []call.Result) {
 			if objectID == "gate" {
@@ -83,7 +84,7 @@ func BenchmarkSubmitDrain(b *testing.B) {
 		drainBatch int
 	}{{"batch1", 1}, {"batch16", 16}} {
 		b.Run(bc.name, func(b *testing.B) {
-			r := newDrainRig(b, bc.drainBatch)
+			r := newDrainRig(b, bc.drainBatch, 0)
 			r.cycle(16) // warm the metrics registry and the record table
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -123,7 +124,7 @@ func TestSubmitDrainAllocationBudget(t *testing.T) {
 		{name: "one-task pull", tasks: 1, budget: 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newDrainRig(t, 16)
+			r := newDrainRig(t, 16, 0)
 			for i := 0; i < 4; i++ {
 				r.cycleArgs(16, tc.args)
 			}
@@ -138,51 +139,26 @@ func TestSubmitDrainAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestTerminalInvocationResidentBudget pins what the queue keeps, at
-// rest, per invocation that has finished: its record in the record
-// table (key, terminal document, one map slot) and nothing in the
-// queue's own indexes — tracked and waiters are empty again, and without
-// a RecordTTL there is no eviction index. The backing store's slot for
-// each flushed record is the store's memory, not the queue's: it is
-// measured by writing the same documents to a second store, and
-// subtracted (the document bytes are shared, so the store's share is
-// its map slots).
+// TestTerminalInvocationResidentBudget pins what a finished invocation
+// keeps resident once its record has flushed: the terminal document, its
+// key and its slot in the backing store, and nothing of the queue's. The
+// record table is a write buffer and holds no entry once flushed;
+// tracked and waiters are empty again, and without a RecordTTL there is
+// no eviction index.
 func TestTerminalInvocationResidentBudget(t *testing.T) {
 	const cycles, perCycle = 1250, 16
 	const n = cycles * (perCycle + 1) // each cycle's gate task too
 	ctx := context.Background()
-	r := newDrainRig(t, perCycle)
+	r := newDrainRig(t, perCycle, 0)
 	r.cycle(perCycle) // warm the metrics registry and the index maps
 	r.q.records.Flush(ctx)
-	withStore := heaptest.PerEntry(t, n, func() {
+	per := heaptest.PerEntry(t, n, func() {
 		for i := 0; i < cycles; i++ {
 			r.cycle(perCycle)
 		}
 		r.q.records.Flush(ctx)
 	})
-	keys, err := r.q.cfg.Backing.List(ctx, recordPrefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs, err := r.q.cfg.Backing.BatchGet(ctx, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make(map[string]json.RawMessage, len(docs))
-	for k, d := range docs {
-		batch[k] = d.Value
-	}
-	docs = nil
-	second := kvstore.Open(kvstore.Config{})
-	defer second.Close()
-	store := heaptest.PerEntry(t, n, func() {
-		if err := second.BatchPut(ctx, batch); err != nil {
-			t.Fatal(err)
-		}
-	})
-	runtime.KeepAlive(batch)
-	per := withStore - store
-	t.Logf("%.1f B per finished invocation with its store slot, %.1f B the store's", withStore, store)
+	t.Logf("%.1f B per finished invocation, its store slot included", per)
 	r.q.mu.Lock()
 	tracked, waiters := len(r.q.tracked), len(r.q.waiters)
 	r.q.mu.Unlock()
@@ -192,16 +168,58 @@ func TestTerminalInvocationResidentBudget(t *testing.T) {
 	if tracked != 0 || waiters != 0 || index != 0 {
 		t.Errorf("at rest the queue tracks %d invocations, holds %d waiters and %d eviction entries, want none", tracked, waiters, index)
 	}
-	if got := r.q.records.Len(); got != n+perCycle+1 {
-		t.Fatalf("record table holds %d records, want %d", got, n+perCycle+1)
+	if got := r.q.records.Len(); got != 0 {
+		t.Fatalf("record table holds %d records once flushed, want none", got)
 	}
-	t.Logf("%.1f B per finished invocation, record included", per)
-	// Measured 382–394 B: the 40-byte key and the ~210-byte terminal
-	// document in their size classes (48 and 224) and the table's slot
-	// (memtable.TestPerKeyResidentBudget, 112). The ceiling is the
-	// measurement plus 10 %.
-	if per > 425 {
-		t.Errorf("a finished invocation keeps %.1f B resident, budget 425", per)
+	// Measured 389–397 B: the 40-byte key and the ~210-byte terminal
+	// document in their size classes (48 and 224) and the store's slot;
+	// 485–494 B while the record table kept a copy of every record's
+	// slot. The ceiling is the higher measurement plus 10 %.
+	if per > 436 {
+		t.Errorf("a finished invocation keeps %.1f B resident, budget 436", per)
+	}
+}
+
+// TestEvictedInvocationsLeaveNothingResident: with a RecordTTL, an
+// invocation whose record was evicted leaves nothing behind — no record
+// in the store, no tombstone in the record table, no entry in the
+// queue's indexes. What a sweep leaves is map capacity that Go never
+// returns, shared by every invocation.
+func TestEvictedInvocationsLeaveNothingResident(t *testing.T) {
+	const cycles, perCycle = 1250, 16
+	const n = cycles * (perCycle + 1) // each cycle's gate task too
+	ctx := context.Background()
+	r := newDrainRig(t, perCycle, time.Millisecond)
+	evicted := func(want int64) {
+		deadline := time.Now().Add(10 * time.Second)
+		for r.q.Stats().Evicted < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d records evicted, want %d", r.q.Stats().Evicted, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		r.q.records.Flush(ctx)
+	}
+	r.cycle(perCycle) // warm the metrics registry and the index maps
+	evicted(perCycle + 1)
+	per := heaptest.PerEntry(t, n, func() {
+		for i := 0; i < cycles; i++ {
+			r.cycle(perCycle)
+		}
+		evicted(n + perCycle + 1)
+	})
+	t.Logf("%.1f B per evicted invocation", per)
+	keys, err := r.q.cfg.Backing.List(ctx, recordPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 0 {
+		t.Errorf("the store holds %d evicted records", len(keys))
+	}
+	// Measured 11–24 B; 163–177 B while each eviction left its
+	// tombstone in the record table.
+	if per > 40 {
+		t.Errorf("an evicted invocation keeps %.1f B resident, budget 40", per)
 	}
 }
 

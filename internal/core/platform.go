@@ -935,16 +935,17 @@ func homeRegion(rt *runtime.ClassRuntime) string {
 // Invocation returns the record of an asynchronous invocation: the
 // durable document, read as running while the invocation executes in
 // this process. The record's Payload and Result are shared with the
-// record table — keep them as long as you like, a later transition or
-// an eviction never touches their bytes — and must not be written into.
+// record table or the backing store — keep them as long as you like, a
+// later transition or an eviction never touches their bytes — and must
+// not be written into.
 func (p *Platform) Invocation(ctx context.Context, id string) (asyncq.Record, error) {
 	return p.queue.Get(ctx, id)
 }
 
 // WaitInvocation blocks until the invocation reaches a terminal status
 // (completed, failed or expired) or ctx is done. Like Invocation's, the
-// record's Result is shared — here with the record table or with the
-// worker that woke the wait — and must not be written into.
+// record's Result is shared — here with the record table, the backing
+// store or the worker that woke the wait — and must not be written into.
 func (p *Platform) WaitInvocation(ctx context.Context, id string) (asyncq.Record, error) {
 	return p.queue.Wait(ctx, id)
 }

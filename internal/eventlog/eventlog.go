@@ -158,8 +158,10 @@ type Log struct {
 	mu   sync.Mutex
 	objs map[string]*objectLog
 
-	// curs persists consumer cursors write-behind; cursors mirrors it in
-	// plain maps so reads, lag computation and recovery scans never pay
+	// curs is a write-behind buffer of cursor advances on their way to
+	// the store: nothing reads it, and it holds a cursor only until its
+	// flush lands. cursors is where the log reads positions from, in
+	// plain maps, so reads, lag computation and recovery scans never pay
 	// table I/O.
 	curs    *memtable.Table
 	cursMu  sync.Mutex
@@ -182,6 +184,7 @@ func New(cfg Config) (*Log, error) {
 	}
 	curs, err := memtable.New(memtable.Config{
 		Mode:    memtable.ModeWriteBehind,
+		Buffer:  true,
 		Backing: cfg.Backing,
 		Clock:   cfg.Clock,
 	})

@@ -298,3 +298,81 @@ func TestBreakerOpenWritesFailFast(t *testing.T) {
 		t.Fatalf("readyz body = %s, want ready=false breaker=open", raw)
 	}
 }
+
+// TestLatePollDuringAnOutage pins what a poll answers while the store's
+// breaker is open. The record table is a write buffer: a finished
+// invocation's record stays in memory only until its flush lands. So a
+// poll for a record not flushed yet answers 200 from memory, and a poll
+// for one already flushed must read the store and answers 503
+// "backing_unavailable", as any uncached read does.
+func TestLatePollDuringAnOutage(t *testing.T) {
+	f := newResilienceFixture(t)
+	f.p.Images().Register("img/quick", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		return invoker.Result{Output: json.RawMessage(`"done"`)}, nil
+	}))
+	f.deploy(t, "Q", "quick", "q1")
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(f.srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, raw
+	}
+	// finished submits one invocation and returns its ID once a long
+	// poll has seen it completed.
+	finished := func() string {
+		t.Helper()
+		resp, err := http.Post(f.srv.URL+"/api/objects/q1/invoke-async/quick", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Invocation string }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("invoke-async: status %d, %v", resp.StatusCode, err)
+		}
+		if status, raw := get("/api/invocations/" + body.Invocation + "?waitMs=30000"); status != http.StatusOK || !bytes.Contains(raw, []byte(`"status":"completed"`)) {
+			t.Fatalf("long poll: status %d, body %s", status, raw)
+		}
+		return body.Invocation
+	}
+	flushed := finished()
+	// One flush interval on the platform's clock flushes the record.
+	f.clock.Advance(50 * time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if doc, err := f.p.Backing().Get(context.Background(), "invocations/"+flushed); err == nil && bytes.Contains(doc.Value, []byte(`"completed"`)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the finished record never flushed")
+		}
+	}
+	unflushed := finished()
+	for i := 0; i < 16; i++ {
+		f.p.Breaker().Record(errors.New("store down"))
+	}
+	if status, raw := get("/api/invocations/" + unflushed); status != http.StatusOK || !bytes.Contains(raw, []byte(`"status":"completed"`)) {
+		t.Fatalf("poll for an unflushed record during the outage: status %d, body %s, want 200 completed", status, raw)
+	}
+	// The flush pass drops the record from memory right after its batch
+	// lands, so a poll may still find it there for a moment.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		status, raw := get("/api/invocations/" + flushed)
+		if status == http.StatusServiceUnavailable {
+			var body struct {
+				Code string `json:"code"`
+			}
+			if json.Unmarshal(raw, &body); body.Code != "backing_unavailable" {
+				t.Fatalf("code = %q body=%s, want backing_unavailable", body.Code, raw)
+			}
+			break
+		}
+		if status != http.StatusOK || time.Now().After(deadline) {
+			t.Fatalf("poll for a flushed record during the outage: status %d, body %s, want 503", status, raw)
+		}
+	}
+}

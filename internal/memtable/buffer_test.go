@@ -1,0 +1,242 @@
+package memtable
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"testing"
+	"time"
+
+	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/vclock"
+)
+
+// newBuffer returns a buffer-mode table over a fresh store whose writes
+// take writeLatency on clock, with no background flush the test does
+// not ask for.
+func newBuffer(t *testing.T, clock vclock.Clock, writeLatency time.Duration) (*Table, *kvstore.Store) {
+	t.Helper()
+	db := kvstore.Open(kvstore.Config{WriteLatency: writeLatency, Clock: clock})
+	t.Cleanup(db.Close)
+	tbl, err := New(Config{Mode: ModeWriteBehind, Buffer: true, Backing: db, FlushInterval: time.Hour, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tbl.Close)
+	return tbl, db
+}
+
+// TestBufferNeedsWriteBehind: the other modes have nothing to buffer.
+func TestBufferNeedsWriteBehind(t *testing.T) {
+	db := kvstore.Open(kvstore.Config{})
+	t.Cleanup(db.Close)
+	for _, mode := range []Mode{ModeWriteThrough, ModeMemoryOnly} {
+		if _, err := New(Config{Mode: mode, Buffer: true, Backing: db}); err == nil {
+			t.Errorf("New accepted a %v buffer", mode)
+		}
+	}
+}
+
+// TestBufferDropsWhatItFlushed: once its flush lands an entry leaves
+// memory, and a read answers it from the store without caching it.
+func TestBufferDropsWhatItFlushed(t *testing.T) {
+	tbl, db := newBuffer(t, nil, 0)
+	ctx := context.Background()
+	if err := tbl.PutMany(ctx, map[string]json.RawMessage{"a": json.RawMessage(`1`), "b": json.RawMessage(`2`)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := tbl.Get(ctx, "a"); err != nil || string(got) != "1" {
+		t.Fatalf("unflushed Get = %s, %v", got, err)
+	}
+	tbl.Flush(ctx)
+	if n := tbl.Len(); n != 0 {
+		t.Fatalf("buffer holds %d entries after its flush, want 0", n)
+	}
+	reads := db.Stats().ReadOps
+	if got, err := tbl.Get(ctx, "a"); err != nil || string(got) != "1" {
+		t.Fatalf("flushed Get = %s, %v", got, err)
+	}
+	out, err := getMany(tbl, ctx, []string{"a", "b", "c"})
+	if err != nil || len(out) != 2 || string(out["b"]) != "2" {
+		t.Fatalf("flushed GetManyInto = %v, %v", out, err)
+	}
+	if n := tbl.Len(); n != 0 {
+		t.Fatalf("reads cached %d entries in a buffer", n)
+	}
+	if got := db.Stats().ReadOps - reads; got != 2 {
+		t.Fatalf("flushed reads cost %d store reads, want 2", got)
+	}
+	if _, err := tbl.Get(ctx, "c"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of a key found nowhere = %v, want ErrNotFound", err)
+	}
+}
+
+// TestBufferKeepsAWriteNewerThanItsFlush: a write landing while its key's
+// batch is in flight stays in memory, dirty, when the batch lands, and
+// is what reads answer until its own flush lands.
+func TestBufferKeepsAWriteNewerThanItsFlush(t *testing.T) {
+	clock := vclock.NewManual(time.Unix(0, 0))
+	tbl, db := newBuffer(t, clock, 50*time.Millisecond)
+	ctx := context.Background()
+	if err := tbl.Put(ctx, "k", json.RawMessage(`1`)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { tbl.Flush(ctx); close(done) }()
+	for clock.Pending() < 2 { // flusher timer + the batch's write latency
+		time.Sleep(time.Millisecond)
+	}
+	if err := tbl.Put(ctx, "k", json.RawMessage(`2`)); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(50 * time.Millisecond)
+	<-done
+	if got, err := tbl.Get(ctx, "k"); err != nil || string(got) != "2" {
+		t.Fatalf("Get after the older batch landed = %s, %v, want 2", got, err)
+	}
+	if n := tbl.DirtyCount(); n != 1 {
+		t.Fatalf("dirty = %d after the older batch landed, want 1", n)
+	}
+	done = make(chan struct{})
+	go func() { tbl.Flush(ctx); close(done) }()
+	for clock.Pending() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	clock.Advance(50 * time.Millisecond)
+	<-done
+	if doc, err := db.Get(ctx, "k"); err != nil || string(doc.Value) != "2" {
+		t.Fatalf("store holds %s, %v, want 2", doc.Value, err)
+	}
+	if n := tbl.Len(); n != 0 {
+		t.Fatalf("buffer holds %d entries after the newer flush, want 0", n)
+	}
+}
+
+// TestBufferDeleteLeavesNothing: a deleted key's tombstone goes once the
+// backing delete lands, flushed or not; a delete the store refused keeps
+// it, so the key reads deleted until a retry lands.
+func TestBufferDeleteLeavesNothing(t *testing.T) {
+	tbl, db := newBuffer(t, nil, 0)
+	ctx := context.Background()
+	for _, k := range []string{"flushed", "unflushed"} {
+		if err := tbl.Put(ctx, k, json.RawMessage(`1`)); err != nil {
+			t.Fatal(err)
+		}
+		if k == "flushed" {
+			tbl.Flush(ctx)
+		}
+	}
+	for _, k := range []string{"flushed", "unflushed", "never-written"} {
+		if err := tbl.Delete(ctx, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, dead := tbl.Len(), tbl.TombstoneCount(); n != 0 || dead != 0 {
+		t.Fatalf("after the deletes the buffer holds %d entries and %d tombstones, want none", n, dead)
+	}
+	tbl.Flush(ctx)
+	for _, k := range []string{"flushed", "unflushed"} {
+		if _, err := db.Get(ctx, k); !errors.Is(err, kvstore.ErrNotFound) {
+			t.Fatalf("store Get %s = %v, want ErrNotFound", k, err)
+		}
+	}
+
+	if err := tbl.Put(ctx, "k", json.RawMessage(`1`)); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Flush(ctx)
+	sentinel := errors.New("delete dropped")
+	db.InjectWriteFailures(1, sentinel)
+	if err := tbl.Delete(ctx, "k"); !errors.Is(err, sentinel) {
+		t.Fatalf("Delete = %v, want the injected failure", err)
+	}
+	if _, err := tbl.Get(ctx, "k"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after a refused delete = %v, want ErrNotFound", err)
+	}
+	if err := tbl.Delete(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	if dead := tbl.TombstoneCount(); dead != 0 {
+		t.Fatalf("%d tombstones after the retried delete, want 0", dead)
+	}
+	if _, err := tbl.Get(ctx, "k"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after the retried delete = %v, want ErrNotFound", err)
+	}
+}
+
+// TestBufferDeleteWaitsForTheFlushInFlight: a Delete of a key whose
+// batch is in flight waits for the batch to land, so the batch cannot
+// land the key after the delete and the tombstone can go with the
+// delete.
+func TestBufferDeleteWaitsForTheFlushInFlight(t *testing.T) {
+	clock := vclock.NewManual(time.Unix(0, 0))
+	tbl, db := newBuffer(t, clock, 50*time.Millisecond)
+	ctx := context.Background()
+	if err := tbl.Put(ctx, "k", json.RawMessage(`1`)); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan struct{})
+	go func() { tbl.Flush(ctx); close(flushed) }()
+	for clock.Pending() < 2 { // flusher timer + the batch's write latency
+		time.Sleep(time.Millisecond)
+	}
+	deleted := make(chan error, 1)
+	go func() { deleted <- tbl.Delete(ctx, "k") }()
+	select {
+	case err := <-deleted:
+		t.Fatalf("Delete returned %v while the batch was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	clock.Advance(50 * time.Millisecond) // the batch lands
+	<-flushed
+	for clock.Pending() < 2 { // flusher timer + the delete's write latency
+		time.Sleep(time.Millisecond)
+	}
+	clock.Advance(50 * time.Millisecond)
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Get(ctx, "k"); !errors.Is(err, kvstore.ErrNotFound) {
+		t.Fatalf("store Get = %v, want ErrNotFound", err)
+	}
+	if n, dead := tbl.Len(), tbl.TombstoneCount(); n != 0 || dead != 0 {
+		t.Fatalf("the buffer holds %d entries and %d tombstones, want none", n, dead)
+	}
+}
+
+// TestBufferFlushWaitHonoursCtx: a Flush waiting for the pass in flight
+// gives up when its context ends.
+func TestBufferFlushWaitHonoursCtx(t *testing.T) {
+	clock := vclock.NewManual(time.Unix(0, 0))
+	tbl, _ := newBuffer(t, clock, 50*time.Millisecond)
+	if err := tbl.Put(context.Background(), "k", json.RawMessage(`1`)); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan struct{})
+	go func() { tbl.Flush(context.Background()); close(flushed) }()
+	for clock.Pending() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tbl.Flush(ctx) // returns although the pass in flight has not landed
+	if err := tbl.Delete(ctx, "k"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Delete behind the pass in flight = %v, want context.Canceled", err)
+	}
+	clock.Advance(50 * time.Millisecond)
+	<-flushed
+}
+
+// TestBufferRefusesVersionedOperations: a buffer forgets an entry's
+// version with the entry, so it cannot validate one.
+func TestBufferRefusesVersionedOperations(t *testing.T) {
+	tbl, _ := newBuffer(t, nil, 0)
+	ctx := context.Background()
+	if _, err := getManyVersioned(tbl, ctx, []string{"k"}); !errors.Is(err, errBuffer) {
+		t.Errorf("GetManyVersionedInto = %v, want errBuffer", err)
+	}
+	err := tbl.PutManyIfVersion(ctx, map[string]CASOp{"k": {Expect: AnyVersion, Value: json.RawMessage(`1`), Write: true}})
+	if !errors.Is(err, errBuffer) {
+		t.Errorf("PutManyIfVersion = %v, want errBuffer", err)
+	}
+}

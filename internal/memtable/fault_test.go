@@ -230,10 +230,10 @@ func TestDeleteDuringInFlightFlushDoesNotResurrect(t *testing.T) {
 	}
 }
 
-// TestOverlappingFlushesDoNotLoseDeleteTombstone pins the refcount
-// semantics of shard.flushing: batch A lands and must not clear the
-// in-flight marker still owned by overlapping batch B, so a delete
-// arriving between the two completions is re-applied after B lands.
+// TestOverlappingFlushesDoNotLoseDeleteTombstone: a Flush called while
+// a pass is in flight waits for it, so a delete arriving while batch A
+// is in flight is re-applied once A lands, and the waiting Flush B
+// writes nothing stale after it.
 func TestOverlappingFlushesDoNotLoseDeleteTombstone(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(0, 0))
 	db := kvstore.Open(kvstore.Config{WriteLatency: 50 * time.Millisecond, Clock: clock})
@@ -252,39 +252,90 @@ func TestOverlappingFlushesDoNotLoseDeleteTombstone(t *testing.T) {
 	for clock.Pending() < 2 { // flusher timer + batch A's write latency
 		time.Sleep(time.Millisecond)
 	}
-	clock.Advance(10 * time.Millisecond) // A still in flight (lands at t=50ms)
 	if err := tbl.Put(ctx, "k", json.RawMessage(`2`)); err != nil {
 		t.Fatal(err)
 	}
 	bDone := make(chan struct{})
 	go func() { tbl.Flush(ctx); close(bDone) }()
-	for clock.Pending() < 3 { // + batch B's write latency (lands at t=60ms)
-		time.Sleep(time.Millisecond)
-	}
-	clock.Advance(40 * time.Millisecond) // t=50ms: A lands, B still in flight
-	<-aDone
-	// Delete between the two completions; the direct backing delete is
-	// dropped by an outage, so only B's post-batch re-delete remains.
+	// Delete while A is in flight; the direct backing delete is dropped
+	// by an outage, so only A's post-batch re-delete remains.
 	sentinel := errors.New("delete dropped")
 	db.InjectWriteFailures(1, sentinel)
 	if err := tbl.Delete(ctx, "k"); !errors.Is(err, sentinel) {
 		t.Fatalf("Delete err = %v, want injected sentinel", err)
 	}
-	clock.Advance(10 * time.Millisecond) // t=60ms: B lands, resurrecting k
-	for clock.Pending() < 2 {            // flusher timer + B's re-delete latency
+	select {
+	case <-bDone:
+		t.Fatal("flush B returned while batch A was still in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	clock.Advance(50 * time.Millisecond) // A lands, resurrecting k
+	for clock.Pending() < 2 {            // flusher timer + A's re-delete latency
 		select {
-		case <-bDone:
-			t.Fatal("flush B finished without issuing the re-delete")
+		case <-aDone:
+			t.Fatal("flush A finished without issuing the re-delete")
 		default:
 			time.Sleep(time.Millisecond)
 		}
 	}
 	clock.Advance(50 * time.Millisecond)
+	<-aDone
 	<-bDone
 	if _, err := tbl.Get(ctx, "k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("table resurrected deleted key: %v", err)
 	}
 	if _, err := db.Get(ctx, "k"); !errors.Is(err, kvstore.ErrNotFound) {
 		t.Fatalf("backing store resurrected deleted key: %v", err)
+	}
+}
+
+// TestOverlappingFlushesLandInOrder: a Flush called while an earlier
+// pass is in flight runs after it, so the store ends with the newer
+// value. Overlapping passes could land out of order: the earlier batch,
+// held up by a latency spike, overwrote the later one's value in the
+// store while memory held the later value clean, never to be flushed
+// again — an acknowledged write lost on restart.
+func TestOverlappingFlushesLandInOrder(t *testing.T) {
+	clock := vclock.NewManual(time.Unix(0, 0))
+	db := kvstore.Open(kvstore.Config{Clock: clock})
+	defer db.Close()
+	// Seed 6 spikes the first write (batch A) and not the second (B).
+	db.SetFaultPlan(kvstore.FaultPlan{Seed: 6, LatencySpikeRate: 0.5, LatencySpike: time.Second})
+	tbl, err := New(Config{Mode: ModeWriteBehind, Backing: db, FlushInterval: time.Hour, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	ctx := context.Background()
+	if err := tbl.Put(ctx, "k", json.RawMessage(`1`)); err != nil {
+		t.Fatal(err)
+	}
+	aDone := make(chan struct{})
+	go func() { tbl.Flush(ctx); close(aDone) }()
+	for clock.Pending() < 2 { // flusher timer + batch A's spike
+		time.Sleep(time.Millisecond)
+	}
+	if err := tbl.Put(ctx, "k", json.RawMessage(`2`)); err != nil {
+		t.Fatal(err)
+	}
+	bDone := make(chan struct{})
+	go func() { tbl.Flush(ctx); close(bDone) }()
+	select { // B lands at once if it overlaps A; otherwise it waits for A
+	case <-bDone:
+	case <-time.After(20 * time.Millisecond):
+	}
+	clock.Advance(time.Second)
+	<-aDone
+	<-bDone
+	doc, err := db.Get(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tbl.Get(ctx, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(doc.Value) != "2" || string(got) != "2" {
+		t.Fatalf("store holds %s and memory %s after both flushes, want 2 and 2", doc.Value, got)
 	}
 }

@@ -3,10 +3,34 @@
 // table to consolidate data for batch write operations").
 //
 // The table shards object state across the worker VMs with a
-// consistent-hash ring, serves reads through a read-through cache over
-// the backing document store, and persists dirty entries with a
-// write-behind flusher that consolidates them into batch writes —
-// amortizing the database's write-capacity ceiling.
+// consistent-hash ring and persists dirty entries with a write-behind
+// flusher that consolidates them into batch writes — amortizing the
+// database's write-capacity ceiling. A write-behind table is one of two
+// kinds:
+//
+//   - A cache, the default, serves reads too: it keeps every entry it
+//     has seen, flushed or not, and a read that misses memory reads
+//     through to the backing document store and caches what it found.
+//     Object state lives in caches. Versioned reads
+//     (GetManyVersionedInto) and optimistic commits (PutManyIfVersion)
+//     are cache operations: they validate versions only a table that
+//     remembers its keys can hold.
+//   - A buffer (Config.Buffer) is the write half alone. An entry leaves
+//     memory once its flush has landed and no newer write is dirty; a
+//     tombstone, once its backing delete has landed and no batch holding
+//     its key is in flight; and a read that misses memory is answered
+//     from the backing store without caching. Its memory follows the
+//     writes in flight, not every key ever written. The async queue's
+//     invocation records and the event log's cursors, written far more
+//     than they are read, live in buffers.
+//
+// A table runs one flush pass at a time. A Flush that finds a pass in
+// flight waits for it, for as long as its context allows, then runs its
+// own, so batches land in the order they were taken. Overlapping passes
+// could land an older batch after a newer one and leave the store behind
+// a memory that holds the key clean, never to flush it again: a cache
+// would lose the write on restart, a buffer would read the older value
+// back at once.
 //
 // Batch access is first-class: GetManyInto and PutMany group their keys by
 // owning shard, take each shard lock exactly once, and consolidate the

@@ -25,6 +25,8 @@ var (
 	// kvstore.ErrVersionMismatch so errors.Is sees one sentinel across
 	// both layers of the optimistic-concurrency stack.
 	ErrVersionMismatch = kvstore.ErrVersionMismatch
+	// errBuffer refuses a versioned operation on a buffer-mode table.
+	errBuffer = errors.New("memtable: versioned operations need a cache-mode table")
 )
 
 // AnyVersion, used as CASOp.Expect, skips version validation for that
@@ -83,6 +85,13 @@ type Config struct {
 	// counted as Stats.DegradedHits — reads the table kept serving
 	// from memory while the store was down. nil means never degraded.
 	Degraded func() bool
+	// Buffer makes a write-behind table a write buffer rather than a
+	// cache (package doc): an entry stays in memory only until its flush
+	// lands, and a read that misses memory is answered from the backing
+	// store without caching. It suits a table whose readers are few and
+	// whose writes are what the table is for; New refuses it outside
+	// ModeWriteBehind.
+	Buffer bool
 	// Clock supplies time; defaults to the real clock.
 	Clock vclock.Clock
 }
@@ -118,8 +127,9 @@ func (c Config) withDefaults() Config {
 // document's — and is what PutManyIfVersion validates against. present
 // false is a deletion tombstone: reads treat the key as authoritatively
 // deleted, so a stale CAS cannot resurrect it. A tombstone is never
-// evicted. (An explicit flag: a live key can hold a nil val, the clone
-// of an empty value.)
+// evicted from a cache-mode table; a buffer-mode one drops it once the
+// backing delete has landed. (An explicit flag: a live key can hold a
+// nil val, the clone of an empty value.)
 type entry struct {
 	val     json.RawMessage
 	ver     int64
@@ -131,15 +141,13 @@ type shard struct {
 	mu    sync.Mutex
 	data  map[string]entry
 	dirty map[string]bool
-	// flushing counts, per key, how many in-flight flush batches
-	// contain it (the public Flush can overlap the background flusher,
-	// so a bool would let one pass clear another's marker). deleted
-	// holds keys removed while a containing batch was in flight, or
-	// whose post-batch re-delete failed and awaits retry. The flusher
-	// snapshots its batch outside the lock, so without this bookkeeping
-	// a Delete landing mid-flush would be overwritten in the backing
-	// store by an in-flight BatchPut, resurrecting the key.
-	flushing map[string]int
+	// flushing is the shard's batch of the flush pass in flight (nil
+	// when none is). deleted holds keys removed while their batch was in
+	// flight, or whose post-batch re-delete failed and awaits retry. The
+	// flusher writes its batch outside the lock, so without this
+	// bookkeeping a Delete landing mid-flush would be overwritten in the
+	// backing store by the in-flight BatchPut, resurrecting the key.
+	flushing map[string]json.RawMessage
 	deleted  map[string]bool
 }
 
@@ -162,10 +170,10 @@ func (t *Table) commit(sh *shard, k string, v json.RawMessage) (wake bool) {
 func (t *Table) remove(sh *shard, k string) {
 	sh.data[k] = entry{ver: sh.data[k].ver + 1}
 	delete(sh.dirty, k)
-	if sh.flushing[k] > 0 {
-		// In a flush batch already snapshotted: the in-flight BatchPut
-		// would re-create the key after the caller's backing delete, so
-		// the flusher re-deletes once the last containing batch lands.
+	if _, ok := sh.flushing[k]; ok {
+		// In the flush batch in flight: its BatchPut would re-create the
+		// key after the caller's backing delete, so the flusher re-deletes
+		// once the batch lands.
 		sh.deleted[k] = true
 	}
 }
@@ -190,7 +198,11 @@ type Table struct {
 	closed    chan struct{}
 	killed    atomic.Bool // suppresses the final flush (simulated crash)
 	flushWake chan struct{}
-	done      chan struct{} // flusher exited
+	// pass holds a token while a flush pass runs (and, in buffer mode,
+	// while a Delete's backing delete is in flight): one at a time, so
+	// batches land in the order they were taken.
+	pass chan struct{}
+	done chan struct{} // flusher exited
 
 	statsMu      sync.Mutex
 	hits         int64
@@ -207,21 +219,24 @@ func New(cfg Config) (*Table, error) {
 	if cfg.Mode != ModeMemoryOnly && cfg.Backing == nil {
 		return nil, fmt.Errorf("memtable: mode %v requires a backing store", cfg.Mode)
 	}
+	if cfg.Buffer && cfg.Mode != ModeWriteBehind {
+		return nil, fmt.Errorf("memtable: a buffer needs mode %v, not %v", ModeWriteBehind, cfg.Mode)
+	}
 	t := &Table{
 		cfg:       cfg,
 		shards:    make([]*shard, cfg.Shards),
 		closed:    make(chan struct{}),
 		flushWake: make(chan struct{}, 1),
+		pass:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
 	t.shardIdx = make(map[string]int, cfg.Shards)
 	names := make([]string, cfg.Shards)
 	for i := range t.shards {
 		t.shards[i] = &shard{
-			data:     make(map[string]entry),
-			dirty:    make(map[string]bool),
-			flushing: make(map[string]int),
-			deleted:  make(map[string]bool),
+			data:    make(map[string]entry),
+			dirty:   make(map[string]bool),
+			deleted: make(map[string]bool),
 		}
 		names[i] = shardName(i)
 		t.shardIdx[names[i]] = i
@@ -326,7 +341,7 @@ func (t *Table) noteReads(hits, misses int64) {
 }
 
 // Get returns the value for key, reading through to the backing store
-// on a miss (and caching the result).
+// on a miss (and caching the result, unless the table is a buffer).
 func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
 	if t.isClosed() {
 		return nil, ErrClosed
@@ -356,6 +371,9 @@ func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
 			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
 		return nil, fmt.Errorf("memtable: read-through: %w", err)
+	}
+	if t.cfg.Buffer {
+		return doc.Value, nil
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -411,6 +429,12 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 	if err != nil {
 		return fmt.Errorf("memtable: batch read-through: %w", err)
 	}
+	if t.cfg.Buffer {
+		for k, d := range docs {
+			out[k] = d.Value
+		}
+		return nil
+	}
 	if len(docs) == 0 {
 		return nil
 	}
@@ -447,10 +471,14 @@ type VersionedValue struct {
 // path: every requested key appears in out with its current version, so
 // a later PutManyIfVersion can validate the whole read set. Deleted keys
 // report their tombstone version with a nil value (reading through would let a stale commit resurrect
-// them); keys found nowhere report {nil, 0}.
+// them); keys found nowhere report {nil, 0}. A buffer forgets versions
+// with its entries, so it refuses (errBuffer).
 func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map[string]VersionedValue) error {
 	if t.isClosed() {
 		return ErrClosed
+	}
+	if t.cfg.Buffer {
+		return errBuffer
 	}
 	if len(keys) == 0 {
 		return nil
@@ -566,10 +594,18 @@ func (t *Table) Put(ctx context.Context, key string, value json.RawMessage) erro
 }
 
 // Delete removes key from memory and, in persistent modes, from the
-// backing store.
+// backing store. A buffer's Delete first waits for the flush pass in
+// flight and holds off the next until its backing delete has landed, so
+// no batch lands the key after it; the tombstone then goes.
 func (t *Table) Delete(ctx context.Context, key string) error {
 	if t.isClosed() {
 		return ErrClosed
+	}
+	if t.cfg.Buffer {
+		if err := t.takePass(ctx); err != nil {
+			return fmt.Errorf("memtable: delete: %w", err)
+		}
+		defer t.releasePass()
 	}
 	sh := t.shardFor(key)
 	sh.mu.Lock()
@@ -580,6 +616,13 @@ func (t *Table) Delete(ctx context.Context, key string) error {
 	}
 	if err := t.cfg.Backing.Delete(ctx, key); err != nil {
 		return fmt.Errorf("memtable: delete: %w", err)
+	}
+	if t.cfg.Buffer {
+		sh.mu.Lock()
+		if e, ok := sh.data[key]; ok && !e.present { // not re-created meanwhile
+			delete(sh.data, key)
+		}
+		sh.mu.Unlock()
 	}
 	return nil
 }
@@ -644,10 +687,13 @@ func (t *Table) unlockMask(mask uint64) {
 // ErrVersionMismatch nothing is committed. Deletes of write ops (nil
 // Value) leave a version tombstone so stale optimistic commits cannot
 // resurrect the key, and are propagated to the backing store like
-// Delete.
+// Delete. A buffer refuses it (errBuffer), as GetManyVersionedInto.
 func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) error {
 	if t.isClosed() {
 		return ErrClosed
+	}
+	if t.cfg.Buffer {
+		return errBuffer
 	}
 	if len(ops) == 0 {
 		return nil
@@ -749,13 +795,33 @@ func (t *Table) flushLoop() {
 	}
 }
 
-// flushAll writes every dirty key, one consolidated batch per shard,
-// then re-deletes keys whose Delete raced an in-flight batch (the
-// BatchPut would otherwise have resurrected them in the backing
-// store). Failed re-deletes stay in the shard's deleted set and are
-// retried on the next pass, so a transient backing failure cannot
-// permanently resurrect a deleted key.
+// takePass waits for the flush pass in flight, if any, and takes the
+// table's one pass; releasePass gives it back. It fails only when ctx
+// ends first.
+func (t *Table) takePass(ctx context.Context) error {
+	select {
+	case t.pass <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (t *Table) releasePass() { <-t.pass }
+
+// flushAll runs one flush pass, after the one in flight if there is one:
+// every dirty key, one consolidated batch per shard, then the re-delete
+// of keys whose Delete raced the batch (the BatchPut would otherwise
+// have resurrected them in the backing store). Failed re-deletes stay in
+// the shard's deleted set and are retried on the next pass, so a
+// transient backing failure cannot permanently resurrect a deleted key.
+// A buffer drops each entry its batch landed that no newer write has
+// dirtied. A pass that ctx ends before it starts does nothing.
 func (t *Table) flushAll(ctx context.Context) {
+	if t.takePass(ctx) != nil {
+		return
+	}
+	defer t.releasePass()
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 		// Collect tombstones awaiting retry (their batch has already
@@ -764,12 +830,8 @@ func (t *Table) flushAll(ctx context.Context) {
 		// value supersedes the delete.
 		var redelete []string
 		for k := range sh.deleted {
-			if sh.data[k].present {
-				delete(sh.deleted, k)
-				continue
-			}
-			if sh.flushing[k] == 0 {
-				delete(sh.deleted, k)
+			delete(sh.deleted, k)
+			if !sh.data[k].present {
 				redelete = append(redelete, k)
 			}
 		}
@@ -780,30 +842,28 @@ func (t *Table) flushAll(ctx context.Context) {
 		batch := make(map[string]json.RawMessage, len(sh.dirty))
 		for k := range sh.dirty {
 			batch[k] = sh.data[k].val
-			sh.flushing[k]++
 		}
+		sh.flushing = batch
 		sh.dirty = make(map[string]bool)
 		sh.mu.Unlock()
 		err := t.cfg.Backing.BatchPut(ctx, batch) // a no-op when only re-deletes are due
 		sh.mu.Lock()
+		sh.flushing = nil
 		for k := range batch {
-			if sh.flushing[k]--; sh.flushing[k] <= 0 {
-				delete(sh.flushing, k)
-			}
-			// Consume the tombstone only once the LAST containing batch
-			// has landed: an earlier-completing overlapping batch must
-			// leave it for the one still in flight.
-			if sh.deleted[k] && sh.flushing[k] == 0 {
+			if sh.deleted[k] {
 				delete(sh.deleted, k)
 				redelete = append(redelete, k)
 			}
-			if err != nil && !sh.dirty[k] {
+			switch {
+			case sh.dirty[k] || !sh.data[k].present:
+				// A newer write awaits the next pass; a delete, the
+				// re-delete below.
+			case err != nil:
 				// Mark the key dirty again so no update is lost; it
-				// will be retried on the next flush tick. Keys deleted
-				// while the failed batch was in flight stay deleted.
-				if sh.data[k].present {
-					sh.dirty[k] = true
-				}
+				// will be retried on the next flush tick.
+				sh.dirty[k] = true
+			case t.cfg.Buffer:
+				delete(sh.data, k) // landed: the store answers for it now
 			}
 		}
 		if err != nil {
@@ -840,7 +900,9 @@ func (t *Table) flushAll(ctx context.Context) {
 }
 
 // Flush synchronously persists all dirty entries (no-op outside
-// write-behind mode).
+// write-behind mode). It first waits for a pass in flight — the
+// background flusher's or another Flush's — so it returns only after a
+// pass that began after the call, unless ctx ends first.
 func (t *Table) Flush(ctx context.Context) {
 	if t.cfg.Mode == ModeWriteBehind {
 		t.flushAll(ctx)

@@ -57,7 +57,7 @@
 // POST .../invoke-async/{fn}, POST /api/invoke-batch, and
 // GET /api/invocations/{id}. Completed and failed invocation records
 // can be garbage-collected after a TTL (Config.Async.RecordTTL) so the
-// record table stays bounded; evictions show up in
+// stored records stay bounded; evictions show up in
 // Stats().Async.Evicted.
 //
 // Each subsystem's settings are one field of Config, declared — with
@@ -493,6 +493,12 @@
 // record to, a second read once the waiter is registered so that no
 // completion can slip between the first read and the wait, and, if the
 // wait elapses, a third for the 200 it still answers: 12 allocations.
+// The record is in memory only until its last transition has flushed
+// (the record table is a write buffer, internal/memtable); a poll after
+// that reads the backing store, once. So, by design, while the store's
+// breaker is open a poll for a finished invocation whose record has
+// flushed answers 503 "backing_unavailable", as any uncached read does,
+// and one whose record has not flushed yet still answers 200.
 // Handler failures name their image in quotes, so a failed record's
 // error needs JSON escaping and both halves of the codec leave it to
 // encoding/json — correct, and not the path a benchmark takes.
