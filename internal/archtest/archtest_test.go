@@ -1,9 +1,9 @@
 // Package archtest holds the repository's structural invariants: where a
 // cross-cutting concern is enforced, which call sites a hot path may
 // have, and what must not come back. Each is one row of TestInvariants,
-// checked against the syntax trees of the repository's non-test Go files,
-// so comments and string literals never match and the rows run with
-// every `go test ./...`.
+// checked against the syntax trees of the repository's non-test Go files
+// (the test files, for the rows that say so), so comments and string
+// literals never match and the rows run with every `go test ./...`.
 package archtest
 
 import (
@@ -251,6 +251,12 @@ func TestInvariants(t *testing.T) {
 			"vclock.Manual.Pending":             "virtual time tests drive",
 			"heaptest.PerEntry":                 "the measurement every resident-budget test compares against",
 		})},
+
+		// A test waits for what it waits for — Bus.Drain, a Manual clock,
+		// a channel — not for a sleep that guesses how long it takes. The
+		// count of sleeps in the tests only goes down: a change that
+		// removes some lowers the number, and none raises it.
+		{"test-sleeps-ratchet", testCalls("time.Sleep(", 87)},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if err := row.check(tr); err != nil {
@@ -261,21 +267,24 @@ func TestInvariants(t *testing.T) {
 }
 
 // tree is every non-test Go file of the repository, parsed, keyed by its
-// slash-separated path relative to the repository root.
+// slash-separated path relative to the repository root; tests holds the
+// _test.go files the same way, except bench/'s, which is a module of its
+// own.
 type tree struct {
 	fset  *token.FileSet
 	files map[string]*ast.File
+	tests map[string]*ast.File
 }
 
-// load parses every non-test .go file under the repository root,
-// skipping hidden directories (.git, build output) and testdata.
+// load parses every .go file under the repository root, skipping hidden
+// directories (.git, build output) and testdata.
 func load(t *testing.T) *tree {
 	t.Helper()
 	root := filepath.Join("..", "..")
 	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
 		t.Fatalf("repository root not found: %v", err)
 	}
-	tr := &tree{fset: token.NewFileSet(), files: map[string]*ast.File{}}
+	tr := &tree{fset: token.NewFileSet(), files: map[string]*ast.File{}, tests: map[string]*ast.File{}}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -286,19 +295,26 @@ func load(t *testing.T) *tree {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
 		rel, err := filepath.Rel(root, p)
 		if err != nil {
 			return err
 		}
+		rel = filepath.ToSlash(rel)
+		into := tr.files
+		if strings.HasSuffix(p, "_test.go") {
+			if strings.HasPrefix(rel, "bench/") {
+				return nil
+			}
+			into = tr.tests
+		}
 		src, err := os.ReadFile(p)
 		if err != nil {
 			return err
 		}
-		rel = filepath.ToSlash(rel)
-		tr.files[rel], err = parser.ParseFile(tr.fset, rel, src, parser.SkipObjectResolution)
+		into[rel], err = parser.ParseFile(tr.fset, rel, src, parser.SkipObjectResolution)
 		return err
 	})
 	if err != nil {
@@ -402,6 +418,18 @@ func calls(scope, pattern string, want int) check {
 	return func(tr *tree) error {
 		if got := tr.sites(scope, pattern); len(got) != want {
 			return fmt.Errorf("%s has %d calls of %s, want %d: %s", scope, len(got), pattern, want, tr.list(got))
+		}
+		return nil
+	}
+}
+
+// testCalls: the test files have at most ceiling calls written like
+// pattern.
+func testCalls(pattern string, ceiling int) check {
+	return func(tr *tree) error {
+		tests := &tree{fset: tr.fset, files: tr.tests}
+		if got := tests.sites("", pattern); len(got) > ceiling {
+			return fmt.Errorf("the tests have %d calls of %s, at most %d allowed: %s", len(got), pattern, ceiling, tr.list(got))
 		}
 		return nil
 	}

@@ -20,7 +20,9 @@
 //     tombstone, once its backing delete has landed and no batch holding
 //     its key is in flight; and a read that misses memory is answered
 //     from the backing store without caching. Its memory follows the
-//     writes in flight, not every key ever written. The async queue's
+//     writes in flight, not every key ever written, nor the largest
+//     burst of them: a shard map a flush drains to a quarter of the most
+//     it held is copied into one its size. The async queue's
 //     invocation records and the event log's cursors, written far more
 //     than they are read, live in buffers.
 //

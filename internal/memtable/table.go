@@ -149,6 +149,28 @@ type shard struct {
 	// backing store by the in-flight BatchPut, resurrecting the key.
 	flushing map[string]json.RawMessage
 	deleted  map[string]bool
+	// high is the most entries a buffer's data has held, as seen by the
+	// flush passes since data was made (see shrink).
+	high int
+}
+
+// shrinkKeep is the high-water mark below which a buffer's shard map is
+// never rebuilt: a map that size costs a few kilobytes.
+const shrinkKeep = 64
+
+// shrink copies a buffer shard's data into a map its size once a flush
+// has drained it to a quarter of its high-water mark, since a Go map
+// keeps the capacity of the largest burst it held. Callers hold sh.mu.
+func (sh *shard) shrink() {
+	n := len(sh.data)
+	if sh.high <= shrinkKeep || n > sh.high/4 {
+		return
+	}
+	kept := make(map[string]entry, n)
+	for k, e := range sh.data {
+		kept[k] = e
+	}
+	sh.data, sh.high = kept, n
 }
 
 // commit stores a live value for k, bumping its version and superseding
@@ -849,6 +871,7 @@ func (t *Table) flushAll(ctx context.Context) {
 		err := t.cfg.Backing.BatchPut(ctx, batch) // a no-op when only re-deletes are due
 		sh.mu.Lock()
 		sh.flushing = nil
+		sh.high = max(sh.high, len(sh.data))
 		for k := range batch {
 			if sh.deleted[k] {
 				delete(sh.deleted, k)
@@ -865,6 +888,9 @@ func (t *Table) flushAll(ctx context.Context) {
 			case t.cfg.Buffer:
 				delete(sh.data, k) // landed: the store answers for it now
 			}
+		}
+		if t.cfg.Buffer {
+			sh.shrink()
 		}
 		if err != nil {
 			// The batch never landed, so it resurrected nothing; put

@@ -118,6 +118,23 @@
 // tracks publish order across concurrent lock-free committers; log
 // offsets and cursor-based consumers are ordered regardless.)
 //
+// # Consumer lifecycle
+//
+// A (subscription, object) pair's durable state is its cursor, which the
+// log keeps; the bus holds the pair's consumer only while it has work.
+// Dispatch (or recovery, on Subscribe and ReplayCursors) makes the
+// consumer when the pair has none, from a pool of spent ones, and queues
+// it. The consumer then runs, and each run ends one of four ways: caught
+// up, stalled (it waits for its re-arm, still queued), parked (its
+// chained group is in flight, and the group's done resumes it), or with
+// more to do (it goes back on the queue). A consumer that ends a run
+// caught up, with nothing handed off to it, leaves the bus for the pool:
+// nothing else refers to it then, since a queued, stalled or parked
+// consumer is never released. The next event for the pair makes a fresh
+// one at the cursor. So an idle pair costs its cursor and nothing here,
+// and the consumer map, which a Go map would otherwise keep at the size
+// of its largest burst, is copied into a smaller one as it empties.
+//
 // Object→object chains are cycle-limited: an event whose trigger-chain
 // depth has reached Config.MaxChainDepth is not dispatched to method
 // sinks, so a self- or mutually-triggering class terminates instead of
@@ -493,9 +510,11 @@ func (s *Stream) Close() {
 // one run is in flight per state; a notify arriving mid-run sets rerun
 // so the worker loops again instead of enqueuing a duplicate — the
 // delivery queue is therefore bounded by the number of distinct
-// (subscription, object) pairs, not by event volume. A consumer whose
-// chained group is in flight stays queued: parked is set once the run
-// that submitted the group has returned, so the group's done resumes it.
+// (subscription, object) pairs with work, not by event volume. A
+// consumer whose chained group is in flight stays queued: parked is set
+// once the run that submitted the group has returned, so the group's
+// done resumes it. A consumer lives in Bus.delState only while it has
+// work (see Bus.release).
 type consumerState struct {
 	key consumerKey
 	// sub points at the subscription as the bus last published it: the
@@ -518,6 +537,15 @@ type consumerState struct {
 
 // consumerKey identifies a consumer: subscription identity and object.
 type consumerKey struct{ sub, object string }
+
+// idleConsumers holds zeroed consumer states for notify to reuse, so an
+// object that goes idle between events re-creates its consumer without
+// allocating. A state is put here only by Bus.release, and only once
+// nothing holds it: it is not queued — so it is on no delivery queue,
+// no run has it, and no re-arm sleeper holds it, since a stalled
+// consumer stays queued until its re-arm runs — and not parked, so no
+// chained group in flight will resume it.
+var idleConsumers = sync.Pool{New: func() any { return new(consumerState) }}
 
 const (
 	// handoffCap bounds the decoded events one consumer keeps alive.
@@ -563,6 +591,11 @@ type delRing struct {
 
 // delRingKeep is the largest ring kept once empty: 16 KB.
 const delRingKeep = 1024
+
+// delStateKeep is the high-water mark below which Bus.delState is never
+// rebuilt: a map that size costs a few kilobytes, and rebuilding it as
+// it empties would allocate on every quiet spell.
+const delStateKeep = 64
 
 func (r *delRing) push(it delItem) {
 	if r.n == len(r.buf) {
@@ -638,6 +671,7 @@ type Bus struct {
 	quiet     *sync.Cond
 	delQueue  delRing
 	delState  map[consumerKey]*consumerState
+	delHigh   int // the most entries delState has held since it was made
 	delBusy   int
 	chains    int
 	delClosed bool
@@ -1123,8 +1157,10 @@ func (b *Bus) notify(sub *Subscription, object string, it *inflight) {
 	}
 	st, ok := b.delState[key]
 	if !ok {
-		st = &consumerState{key: key}
+		st = idleConsumers.Get().(*consumerState)
+		st.key = key
 		b.delState[key] = st
+		b.delHigh = max(b.delHigh, len(b.delState))
 	}
 	st.sub = sub // refresh: a redeploy may have changed the sink
 	if it != nil && st.stall == 0 && st.nHandoff < handoffCap {
@@ -1225,11 +1261,35 @@ func (b *Bus) deliveryWorker() {
 				b.delQueue.push(delItem{st: st})
 				b.delCond.Signal()
 			default:
-				st.queued = false
+				b.release(st)
 			}
 		}
 		b.quiet.Broadcast()
 		b.delMu.Unlock()
+	}
+}
+
+// release ends a consumer's run with nothing left to do: it is no longer
+// queued, and when nothing else keeps it — no group in flight to resume
+// it, no re-arm due, no hand-off — it leaves delState for idleConsumers.
+// Its cursor stays in the log, and the next notify for the pair makes a
+// fresh consumer from it. Once delState has emptied to a quarter of its
+// high-water mark it is copied into a map its size, since a Go map never
+// gives back what a burst grew. Callers hold delMu.
+func (b *Bus) release(st *consumerState) {
+	st.queued = false
+	if st.parked || st.stall != 0 || st.nHandoff > 0 {
+		return
+	}
+	delete(b.delState, st.key)
+	*st = consumerState{}
+	idleConsumers.Put(st)
+	if n := len(b.delState); b.delHigh > delStateKeep && n <= b.delHigh/4 {
+		kept := make(map[consumerKey]*consumerState, n)
+		for k, v := range b.delState {
+			kept[k] = v
+		}
+		b.delState, b.delHigh = kept, n
 	}
 }
 
@@ -1527,7 +1587,7 @@ func (g *chainGroup) settle(parked bool) error {
 			b.delQueue.push(delItem{st: st})
 			b.delCond.Signal()
 		default:
-			st.queued = false
+			b.release(st)
 		}
 	}
 	b.quiet.Broadcast()

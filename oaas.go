@@ -430,12 +430,15 @@
 // faas.TestIdleFunctionResidentBudget); a finished asynchronous
 // invocation keeps its record — key, terminal document, one table slot,
 // ≈ 385 B — and nothing in the queue's own indexes
-// (asyncq.TestTerminalInvocationResidentBudget); a (subscription,
-// object) pair that was ever delivered for keeps a ≈ 160-byte consumer
-// for the life of the process — its key, its hand-off and a pointer to
-// the subscription every consumer of it shares
-// (trigger.TestPerConsumerResidentBudget); the delivery queue a
-// recovery burst grew is let go once it drains.
+// (asyncq.TestTerminalInvocationResidentBudget); an idle (subscription,
+// object) pair costs only its cursor, in the event log's map and in the
+// store: the bus keeps a pair's consumer only while it has work, and
+// lets it go when a run ends caught up (≈ 0.1 B per pair once a burst
+// over 100 000 pairs has passed, ≈ 159 B while every pair kept one;
+// trigger.TestPerConsumerResidentBudget). The delivery queue a recovery
+// burst grew is let go once it drains, and so are the consumer map and a
+// write buffer's shard maps, which Go would keep at the size of their
+// largest burst (memtable.TestBufferGivesBackABurst).
 //
 // The REST gateway's own share of a request is budgeted the same way
 // (internal/gateway: TestWarmInvokeAllocationBudget,
