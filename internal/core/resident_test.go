@@ -87,3 +87,47 @@ func TestDirectoryRecordFormatIsUnchanged(t *testing.T) {
 		t.Errorf("objects/new-1 = %s, want {class, created}", doc.Value)
 	}
 }
+
+// TestIdleObjectHoldsNoStateEntry: an object created and never invoked
+// holds no state-table entry once its defaults have flushed — the store
+// answers for them — and its first invoke reads them back through once;
+// the second is a hit, and the invoked object's entry stays.
+func TestIdleObjectHoldsNoStateEntry(t *testing.T) {
+	ctx := context.Background()
+	p := newEventPlatform(t, Config{})
+	ids := make([]string, 64)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("idle-%02d", i)
+	}
+	newTallies(t, p, ids...)
+	p.Flush(ctx)
+	rt, err := p.Runtime("Tally")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := rt.Table()
+	if n := tbl.Len(); n != 0 {
+		t.Fatalf("%d idle objects hold %d state entries after Flush, want 0", len(ids), n)
+	}
+	before := tbl.Stats()
+	if n := bump(t, p, ids[0]); n != 1 {
+		t.Fatalf("first bump = %d, want 1 (the flushed default read back)", n)
+	}
+	first := tbl.Stats()
+	if first.Misses-before.Misses != 1 || first.Hits != before.Hits {
+		t.Errorf("first invoke: %d misses and %d hits, want one read-through",
+			first.Misses-before.Misses, first.Hits-before.Hits)
+	}
+	if n := bump(t, p, ids[0]); n != 2 {
+		t.Fatalf("second bump = %d, want 2", n)
+	}
+	p.Flush(ctx)
+	second := tbl.Stats()
+	if second.Misses != first.Misses || second.Hits-first.Hits != 1 {
+		t.Errorf("second invoke: %d misses and %d hits, want one hit",
+			second.Misses-first.Misses, second.Hits-first.Hits)
+	}
+	if n := tbl.Len(); n != 1 {
+		t.Errorf("%d state entries after invoking one object, want its 1", n)
+	}
+}

@@ -310,6 +310,12 @@ func TestOverlappingFlushesLandInOrder(t *testing.T) {
 	if err := tbl.Put(ctx, "k", json.RawMessage(`1`)); err != nil {
 		t.Fatal(err)
 	}
+	// A read admits the key, so the table keeps it after its flushes and
+	// the last Get below is answered from memory, not read through the
+	// store on the Manual clock.
+	if _, err := tbl.Get(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
 	aDone := make(chan struct{})
 	go func() { tbl.Flush(ctx); close(aDone) }()
 	for clock.Pending() < 2 { // flusher timer + batch A's spike

@@ -158,6 +158,10 @@ func TestFlushedValueIsHeldOnce(t *testing.T) {
 			if err := tbl.Put(ctx, k, value); err != nil {
 				t.Fatal(err)
 			}
+			// A read admits the key, so the table keeps it after its flush.
+			if _, err := tbl.Get(ctx, k); err != nil {
+				t.Fatal(err)
+			}
 		}
 		tbl.Flush(ctx)
 	}) - float64(len(value))

@@ -8,13 +8,20 @@
 // database's write-capacity ceiling. A write-behind table is one of two
 // kinds:
 //
-//   - A cache, the default, serves reads too: it keeps every entry it
-//     has seen, flushed or not, and a read that misses memory reads
-//     through to the backing document store and caches what it found.
-//     Object state lives in caches. Versioned reads
-//     (GetManyVersionedInto) and optimistic commits (PutManyIfVersion)
-//     are cache operations: they validate versions only a table that
-//     remembers its keys can hold.
+//   - A cache, the default, serves reads too, and admits on read. It
+//     keeps every entry some read has asked for, flushed or not, and
+//     every tombstone; a read that misses memory reads through to the
+//     backing document store and caches what it found (a versioned read
+//     that finds a key nowhere, a version-0 tombstone). A write nobody
+//     has read leaves memory once its flush lands, as in a buffer, and
+//     so does the shard-map capacity it took, by the buffer's rule
+//     below. Object state lives in caches, so an object created and
+//     never invoked costs its store documents and nothing here.
+//     Versioned reads (GetManyVersionedInto) and optimistic commits
+//     (PutManyIfVersion) are cache operations: they validate versions
+//     only a table that remembers its keys can hold. A key that left
+//     memory counts its versions from 0 again, which is why a read,
+//     which may have handed a version out, keeps its key for good.
 //   - A buffer (Config.Buffer) is the write half alone. An entry leaves
 //     memory once its flush has landed and no newer write is dirty; a
 //     tombstone, once its backing delete has landed and no batch holding

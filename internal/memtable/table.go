@@ -83,7 +83,9 @@ type Config struct {
 	// unavailable (the platform wires it to the store's circuit
 	// breaker). While it returns true, cache hits are additionally
 	// counted as Stats.DegradedHits — reads the table kept serving
-	// from memory while the store was down. nil means never degraded.
+	// from memory while the store was down. Only a key some read has
+	// admitted (package doc) is in memory to serve; any other goes to
+	// the store and fails with it. nil means never degraded.
 	Degraded func() bool
 	// Buffer makes a write-behind table a write buffer rather than a
 	// cache (package doc): an entry stays in memory only until its flush
@@ -122,18 +124,26 @@ func (c Config) withDefaults() Config {
 }
 
 // entry is all the table keeps per key, in one map slot, so a read or
-// a validation hashes the key once. ver only grows — every committed
-// write (deletes too) bumps it, a read-through seeds it from the backing
-// document's — and is what PutManyIfVersion validates against. present
-// false is a deletion tombstone: reads treat the key as authoritatively
-// deleted, so a stale CAS cannot resurrect it. A tombstone is never
-// evicted from a cache-mode table; a buffer-mode one drops it once the
-// backing delete has landed. (An explicit flag: a live key can hold a
-// nil val, the clone of an empty value.)
+// a validation hashes the key once. ver is what PutManyIfVersion
+// validates against: every committed write (deletes too) bumps it, and a
+// read-through seeds it from the backing document's. present false is a
+// deletion tombstone: reads treat the key as authoritatively deleted, so
+// a stale CAS cannot resurrect it. A tombstone is never evicted from a
+// cache-mode table; a buffer-mode one drops it once the backing delete
+// has landed. (An explicit flag: a live key can hold a nil val, the
+// clone of an empty value.)
+//
+// used is set by the first read that finds the entry or puts it there,
+// and no write clears it. A cache keeps a used entry and drops an unused
+// one once its flush has landed (package doc). A dropped key's next
+// write counts its version from 0 again, so a versioned read, which
+// hands a version out, leaves its key used for good: no CAS can then
+// validate a version the key held before.
 type entry struct {
 	val     json.RawMessage
 	ver     int64
 	present bool
+	used    bool
 }
 
 // shard is one partition of the table.
@@ -149,18 +159,18 @@ type shard struct {
 	// backing store by the in-flight BatchPut, resurrecting the key.
 	flushing map[string]json.RawMessage
 	deleted  map[string]bool
-	// high is the most entries a buffer's data has held, as seen by the
-	// flush passes since data was made (see shrink).
+	// high is the most entries data has held, as seen by the flush
+	// passes since data was made (see shrink).
 	high int
 }
 
-// shrinkKeep is the high-water mark below which a buffer's shard map is
-// never rebuilt: a map that size costs a few kilobytes.
+// shrinkKeep is the high-water mark below which a shard map is never
+// rebuilt: a map that size costs a few kilobytes.
 const shrinkKeep = 64
 
-// shrink copies a buffer shard's data into a map its size once a flush
-// has drained it to a quarter of its high-water mark, since a Go map
-// keeps the capacity of the largest burst it held. Callers hold sh.mu.
+// shrink copies a shard's data into a map its size once a flush has
+// drained it to a quarter of its high-water mark, since a Go map keeps
+// the capacity of the largest burst it held. Callers hold sh.mu.
 func (sh *shard) shrink() {
 	n := len(sh.data)
 	if sh.high <= shrinkKeep || n > sh.high/4 {
@@ -177,7 +187,8 @@ func (sh *shard) shrink() {
 // any pending tombstone, and marks it dirty for write-behind; it reports
 // whether the shard now holds an early flush's worth. Callers hold sh.mu.
 func (t *Table) commit(sh *shard, k string, v json.RawMessage) (wake bool) {
-	sh.data[k] = entry{val: v, ver: sh.data[k].ver + 1, present: true}
+	old := sh.data[k]
+	sh.data[k] = entry{val: v, ver: old.ver + 1, present: true, used: old.used}
 	delete(sh.deleted, k)
 	if t.cfg.Mode != ModeWriteBehind {
 		return false
@@ -190,7 +201,8 @@ func (t *Table) commit(sh *shard, k string, v json.RawMessage) (wake bool) {
 // advances) so a CAS holding a pre-delete version can never resurrect
 // the key. Callers hold sh.mu.
 func (t *Table) remove(sh *shard, k string) {
-	sh.data[k] = entry{ver: sh.data[k].ver + 1}
+	old := sh.data[k]
+	sh.data[k] = entry{ver: old.ver + 1, used: old.used}
 	delete(sh.dirty, k)
 	if _, ok := sh.flushing[k]; ok {
 		// In the flush batch in flight: its BatchPut would re-create the
@@ -198,6 +210,37 @@ func (t *Table) remove(sh *shard, k string) {
 		// once the batch lands.
 		sh.deleted[k] = true
 	}
+}
+
+// use returns k's entry after marking it read, if it is in memory; the
+// slot is written only on the entry's first read. Callers hold sh.mu.
+func (sh *shard) use(k string) (entry, bool) {
+	e, ok := sh.data[k]
+	if ok && !e.used {
+		e.used = true
+		sh.data[k] = e
+	}
+	return e, ok
+}
+
+// admit caches what a read-through found for k, marked read — doc, or a
+// version-0 tombstone when the store had no k (found false; see
+// GetManyVersionedInto) — and returns what the reader sees: an entry a
+// writer or deleter left meanwhile wins over the document, and is marked
+// read instead. ok is false when a flush pass has dropped an entry since
+// gen was taken and k is not in memory: the document may predate the
+// dropped write, so nothing is cached and the caller reads k again.
+// Callers hold sh.mu.
+func (t *Table) admit(sh *shard, k string, doc kvstore.Document, found bool, gen uint64) (e entry, ok bool) {
+	if e, ok := sh.use(k); ok {
+		return e, true
+	}
+	if t.drops.Load() != gen {
+		return entry{}, false
+	}
+	e = entry{val: doc.Value, ver: doc.Version, present: found, used: true}
+	sh.data[k] = e
+	return e, true
 }
 
 // wakeFlusher asks for a flush ahead of the interval.
@@ -225,6 +268,14 @@ type Table struct {
 	// batches land in the order they were taken.
 	pass chan struct{}
 	done chan struct{} // flusher exited
+	// drops counts the flush passes that dropped an entry from a shard.
+	// A read-through that misses memory, reads the store and then finds
+	// the count moved may have read a value older than one a write left
+	// and the pass dropped meanwhile, so it reads again (see admit).
+	drops atomic.Uint64
+	// readHook, when set, runs between a read-through's backing read and
+	// the caching that follows it; tests hold a read there.
+	readHook func()
 
 	statsMu      sync.Mutex
 	hits         int64
@@ -369,8 +420,9 @@ func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
 		return nil, ErrClosed
 	}
 	sh := t.shardFor(key)
+	gen := t.drops.Load()
 	sh.mu.Lock()
-	e, ok := sh.data[key]
+	e, ok := sh.use(key)
 	sh.mu.Unlock()
 	if ok {
 		t.noteReads(1, 0)
@@ -397,18 +449,21 @@ func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
 	if t.cfg.Buffer {
 		return doc.Value, nil
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	if t.readHook != nil {
+		t.readHook()
+	}
 	// Another writer may have raced us; do not clobber a dirty entry,
 	// and honor a tombstone a racing Delete left behind.
-	if e, ok := sh.data[key]; ok {
-		if !e.present {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-		}
-		return e.val, nil
+	sh.mu.Lock()
+	e, ok = t.admit(sh, key, doc, true, gen)
+	sh.mu.Unlock()
+	if !ok {
+		return t.Get(ctx, key) // raced a drop: read again
 	}
-	sh.data[key] = entry{val: doc.Value, ver: doc.Version, present: true}
-	return doc.Value, nil
+	if !e.present {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	}
+	return e.val, nil
 }
 
 // GetManyInto writes the values for keys into out, taking each shard
@@ -428,11 +483,12 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 	if len(keys) == 0 {
 		return nil
 	}
+	gen := t.drops.Load()
 	var missing []string
 	var hits, misses int64
 	t.forEachShardGroup(keys, func(sh *shard, i int) {
 		k := keys[i]
-		if e, ok := sh.data[k]; ok {
+		if e, ok := sh.use(k); ok {
 			// A tombstone is authoritatively absent: no read-through.
 			if e.present {
 				out[k] = e.val
@@ -447,9 +503,9 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 	if len(missing) == 0 || t.cfg.Mode == ModeMemoryOnly {
 		return nil
 	}
-	docs, err := t.cfg.Backing.BatchGet(ctx, missing)
+	docs, err := t.readThrough(ctx, missing)
 	if err != nil {
-		return fmt.Errorf("memtable: batch read-through: %w", err)
+		return err
 	}
 	if t.cfg.Buffer {
 		for k, d := range docs {
@@ -466,19 +522,35 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 	}
 	// Cache the read-through results, again one lock per shard. A
 	// writer may have raced the batch read: its (newer) entry wins,
-	// and a racing Delete's tombstone keeps the key absent.
+	// and a racing Delete's tombstone keeps the key absent. A key whose
+	// read raced a drop is read again.
+	var raced []string
 	t.forEachShardGroup(found, func(sh *shard, i int) {
 		k := found[i]
-		e, ok := sh.data[k]
-		if !ok {
-			e = entry{val: docs[k].Value, ver: docs[k].Version, present: true}
-			sh.data[k] = e
-		}
-		if e.present {
+		switch e, ok := t.admit(sh, k, docs[k], true, gen); {
+		case !ok:
+			raced = append(raced, k)
+		case e.present:
 			out[k] = e.val
 		}
 	})
+	if len(raced) > 0 {
+		return t.GetManyInto(ctx, raced, out)
+	}
 	return nil
+}
+
+// readThrough reads the keys a batch read missed from the backing store
+// in one round trip.
+func (t *Table) readThrough(ctx context.Context, keys []string) (map[string]kvstore.Document, error) {
+	docs, err := t.cfg.Backing.BatchGet(ctx, keys)
+	if err != nil {
+		return nil, fmt.Errorf("memtable: batch read-through: %w", err)
+	}
+	if t.readHook != nil {
+		t.readHook()
+	}
+	return docs, nil
 }
 
 // VersionedValue couples a state value with the table version it was
@@ -493,8 +565,12 @@ type VersionedValue struct {
 // path: every requested key appears in out with its current version, so
 // a later PutManyIfVersion can validate the whole read set. Deleted keys
 // report their tombstone version with a nil value (reading through would let a stale commit resurrect
-// them); keys found nowhere report {nil, 0}. A buffer forgets versions
-// with its entries, so it refuses (errBuffer).
+// them); keys found nowhere report {nil, 0}. Every key it finds stays
+// in memory, pinned (see entry), and outside a memory-only table a key
+// found nowhere leaves a version-0 tombstone, so a blind write that
+// lands and would leave memory before the caller's creating CAS still
+// fails it. A buffer forgets versions with its entries, so it refuses
+// (errBuffer).
 func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map[string]VersionedValue) error {
 	if t.isClosed() {
 		return ErrClosed
@@ -505,11 +581,12 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 	if len(keys) == 0 {
 		return nil
 	}
+	gen := t.drops.Load()
 	var missing []string
 	var hits, misses int64
 	t.forEachShardGroup(keys, func(sh *shard, i int) {
 		k := keys[i]
-		if e, ok := sh.data[k]; ok {
+		if e, ok := sh.use(k); ok {
 			// A tombstone (nil val) is authoritatively absent.
 			out[k] = VersionedValue{Value: e.val, Version: e.ver}
 			hits++
@@ -528,33 +605,28 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 		}
 		return nil
 	}
-	docs, err := t.cfg.Backing.BatchGet(ctx, missing)
+	docs, err := t.readThrough(ctx, missing)
 	if err != nil {
-		return fmt.Errorf("memtable: batch read-through: %w", err)
+		return err
 	}
-	found := make([]string, 0, len(docs))
-	for _, k := range missing {
-		if _, ok := docs[k]; ok {
-			found = append(found, k)
-		} else {
-			out[k] = VersionedValue{}
-		}
-	}
-	if len(found) == 0 {
-		return nil
-	}
-	// Cache the read-through results with their backing versions. A
-	// writer (or deleter) may have raced the batch read; its newer
-	// table state wins over the fetched document.
-	t.forEachShardGroup(found, func(sh *shard, i int) {
-		k := found[i]
-		e, ok := sh.data[k]
+	// Cache the read-through results with their backing versions, and
+	// pin a key found nowhere. A writer (or deleter) may have raced the
+	// batch read; its newer table state wins over the fetched document.
+	// A key whose read raced a drop is read again.
+	var raced []string
+	t.forEachShardGroup(missing, func(sh *shard, i int) {
+		k := missing[i]
+		doc, found := docs[k]
+		e, ok := t.admit(sh, k, doc, found, gen)
 		if !ok {
-			e = entry{val: docs[k].Value, ver: docs[k].Version, present: true}
-			sh.data[k] = e
+			raced = append(raced, k)
+			return
 		}
 		out[k] = VersionedValue{Value: e.val, Version: e.ver}
 	})
+	if len(raced) > 0 {
+		return t.GetManyVersionedInto(ctx, raced, out)
+	}
 	return nil
 }
 
@@ -837,8 +909,9 @@ func (t *Table) releasePass() { <-t.pass }
 // have resurrected them in the backing store). Failed re-deletes stay in
 // the shard's deleted set and are retried on the next pass, so a
 // transient backing failure cannot permanently resurrect a deleted key.
-// A buffer drops each entry its batch landed that no newer write has
-// dirtied. A pass that ctx ends before it starts does nothing.
+// It drops each entry its batch landed that no newer write has dirtied
+// and, in a cache, that no read has asked for. A pass that ctx ends
+// before it starts does nothing.
 func (t *Table) flushAll(ctx context.Context) {
 	if t.takePass(ctx) != nil {
 		return
@@ -872,6 +945,7 @@ func (t *Table) flushAll(ctx context.Context) {
 		sh.mu.Lock()
 		sh.flushing = nil
 		sh.high = max(sh.high, len(sh.data))
+		dropped := false
 		for k := range batch {
 			if sh.deleted[k] {
 				delete(sh.deleted, k)
@@ -885,11 +959,13 @@ func (t *Table) flushAll(ctx context.Context) {
 				// Mark the key dirty again so no update is lost; it
 				// will be retried on the next flush tick.
 				sh.dirty[k] = true
-			case t.cfg.Buffer:
-				delete(sh.data, k) // landed: the store answers for it now
+			case t.cfg.Buffer || !sh.data[k].used:
+				delete(sh.data, k) // landed and unread: the store answers for it now
+				dropped = true
 			}
 		}
-		if t.cfg.Buffer {
+		if dropped {
+			t.drops.Add(1)
 			sh.shrink()
 		}
 		if err != nil {

@@ -5,9 +5,11 @@ package runtime
 // the adaptive fallback.
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -443,5 +445,83 @@ func TestOCCSameClassSyncComposition(t *testing.T) {
 		if v, err := rt.GetState(ctx, id, "value"); err != nil || string(v) != "1" {
 			t.Fatalf("state[%s] = %s (%v), want 1", id, v, err)
 		}
+	}
+}
+
+// TestUnreadStateConformance: a state key written with PutState and
+// flushed before anything reads it leaves the state table, so the
+// object's first windows read it back through the store, racing each
+// other. In every regime the counter must still be exact: the versions
+// those reads hand out pin the key again, so no commit validates against
+// a version the key held before it left.
+func TestUnreadStateConformance(t *testing.T) {
+	const clients, perEach, start = 4, 10, 10
+	regimes := []struct {
+		name  string
+		mode  model.ConcurrencyMode
+		force bool // degrade the object to the adaptive barrier first
+		group int  // calls per window: 1 is a single invoke
+	}{
+		{"locked", model.ConcurrencyLocked, false, 1},
+		{"occ", model.ConcurrencyOCC, false, 1},
+		{"adaptive", model.ConcurrencyAdaptive, false, 1},
+		{"barrier", model.ConcurrencyAdaptive, true, 1},
+		{"group", model.ConcurrencyAdaptive, false, 3},
+	}
+	for _, rg := range regimes {
+		t.Run(rg.name, func(t *testing.T) {
+			rt := newOCCRuntime(t, rg.mode)
+			ctx := context.Background()
+			if err := rt.PutState(ctx, "o", "value", json.RawMessage(fmt.Sprint(start))); err != nil {
+				t.Fatal(err)
+			}
+			rt.Table().Flush(ctx)
+			if n := rt.Table().Len(); n != 0 {
+				t.Fatalf("%d state entries resident after the unread write's flush, want 0", n)
+			}
+			if rg.force {
+				tr := rt.contentionFor("o")
+				tr.ewma.Store(math.Float64bits(1))
+				tr.locked.Store(true)
+			}
+			calls := make([]call.Call, rg.group)
+			for i := range calls {
+				calls[i] = call.Call{Member: "incr", Ctx: ctx}
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, clients)
+			for g := 0; g < clients; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perEach; i++ {
+						var err error
+						if rg.group == 1 {
+							_, err = rt.Invoke(ctx, "o", "incr", nil, nil)
+						} else {
+							for _, res := range rt.InvokeBatch(ctx, "o", calls) {
+								err = cmp.Or(err, res.Err)
+							}
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			want := start + clients*perEach*rg.group
+			if v, err := rt.GetState(ctx, "o", "value"); err != nil || string(v) != fmt.Sprint(want) {
+				t.Fatalf("counter = %s (%v), want %d", v, err, want)
+			}
+			if cs := rt.ConcurrencyStats(); rg.force && cs.Fallbacks == 0 {
+				t.Errorf("barrier regime: %+v, want commits behind fallbacks", cs)
+			}
+		})
 	}
 }

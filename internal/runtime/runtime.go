@@ -549,7 +549,10 @@ func (rt *ClassRuntime) GetState(ctx context.Context, objectID, key string) (jso
 }
 
 // PutState writes one structured state key of an object directly
-// (outside a method invocation — used by the gateway's state API).
+// (outside a method invocation — used by the gateway's state API). It
+// is a blind write: unless some read asks for the key first, the value
+// leaves the state table once its flush lands (memtable package doc),
+// and the next read of it reads through the store.
 func (rt *ClassRuntime) PutState(ctx context.Context, objectID, key string, value json.RawMessage) error {
 	spec, ok := rt.class.Key(key)
 	if !ok {

@@ -407,20 +407,25 @@
 //	eventlog, per object          133.4 → 0        115.0 → 0        eventlog.TestIdleObjectHoldsNoLog
 //	table over store, per flushed
 //	  key beyond one 64 B value   309 → 245        268 → 207        memtable.TestFlushedValueIsHeldOnce
+//	table over store, per flushed
+//	  key nobody has read         —                196.1 → 84.6     memtable.TestUnreadWriteLeavesTheTable
 //
-// An object is one directory entry, one memtable entry per state key it
-// has been read or written at, and one kvstore document per state key
-// plus one for the directory record. A value is held once: the store
-// keeps the slice it is handed (internal/kvstore's ownership rule —
-// nobody mutates a value after handing it over, or after reading it),
-// the memtable never changes a held value in place, so a flushed state
-// value, a retained event-log entry and an invocation record are each
-// one allocation shared by the table, the log and the store; the last
-// row is the two slots and nothing for a second copy. bench/'s two-key
-// objects went from ≈ 1.6 kB to ≈ 1.3 kB each when the slots were
-// slimmed and to ≈ 1.0 kB with the second copy gone, client included.
-// The directory record no longer carries the creation time in memory
-// (the persisted objects/<id> document keeps it).
+// An object is one directory entry, one memtable entry per state key
+// some read has asked for (a write nobody has read leaves the table
+// once its flush lands, so an object created and never invoked has
+// none: core.TestIdleObjectHoldsNoStateEntry), and one kvstore document
+// per state key plus one for the directory record. A value is held
+// once: the store keeps the slice it is handed (internal/kvstore's
+// ownership rule — nobody mutates a value after handing it over, or
+// after reading it), the memtable never changes a held value in place,
+// so a flushed state value, a retained event-log entry and an
+// invocation record are each one allocation shared by the table, the
+// log and the store; the TestFlushedValueIsHeldOnce row is the two
+// slots and nothing for a second copy. bench/'s two-key objects went
+// from ≈ 1.6 kB to ≈ 1.3 kB each when the slots were slimmed and to
+// ≈ 1.0 kB with the second copy gone, client included. The directory
+// record no longer carries the creation time in memory (the persisted
+// objects/<id> document keeps it).
 //
 // What else stays resident while idle, pinned the same way: a deployed
 // function that is never invoked keeps its slot channel, made once at
@@ -563,8 +568,11 @@
 // stacking up on a dead store, while reads of cached state are served
 // from the in-memory table — counted in
 // Stats().Resilience.DegradedReads, flagged by the
-// X-Oparaca-Degraded response header. Durable event delivery parks:
-// cursors simply stop advancing (growing cursorLag) and redeliver
+// X-Oparaca-Degraded response header. Cached state is a key some read
+// has asked for: a key written and flushed that nobody has read is
+// answered by the store, so it gets a 503 while the breaker is open, as
+// a flushed async record does. Durable event delivery parks: cursors
+// simply stop advancing (growing cursorLag) and redeliver
 // once the store recovers, preserving at-least-once semantics. After
 // Config.Breaker.OpenTimeout the breaker admits a half-open probe
 // budget; enough successes close it again. GET /readyz (and `ocli
