@@ -250,6 +250,9 @@ func TestInvariants(t *testing.T) {
 			"vclock.Manual.Advance":             "virtual time tests drive",
 			"vclock.Manual.Pending":             "virtual time tests drive",
 			"heaptest.PerEntry":                 "the measurement every resident-budget test compares against",
+			"kvstore.Store.Len":                 "tests count the store's documents",
+			"memtable.Table.Len":                "tests count a table's live entries",
+			"memtable.Ring.Len":                 "ring tests count its nodes",
 		})},
 
 		// A test waits for what it waits for — Bus.Drain, a Manual clock,

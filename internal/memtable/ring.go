@@ -49,9 +49,19 @@
 // bundles through these, so an invocation costs one simulated DB round
 // trip instead of one per state key.
 //
+// No shard mutex is held across backing I/O. A write that must reach
+// the store before it returns — every write of a write-through table,
+// which all go through the one versioned commit, a delete, a Delete —
+// marks its keys in flight under the shard lock, does its I/O
+// unlocked, then lands in memory (or, when the store failed a commit,
+// lands nothing) and clears the marks. A writer or reader of a marked
+// key waits for the mark, for as long as its context allows; every
+// other key of the shard stays readable and writable meanwhile. The
+// write-behind commit, which does no I/O, sets no mark.
+//
 // Ownership: the table never changes a held value in place. Each write
-// path (Put, PutMany, PutManyIfVersion) clones the caller's bytes once
-// and replaces the entry's slice; that one clone is what reads return,
+// path (Put, PutMany, PutManyIfVersion) keeps one clone of the caller's
+// bytes and replaces the entry's slice; that clone is what reads return,
 // what write-through and the flusher hand to the backing store, and —
 // since kvstore keeps the slice it is given — what the store holds, so a
 // flushed value is resident once. Values returned by reads (read-through

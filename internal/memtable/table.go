@@ -159,6 +159,12 @@ type shard struct {
 	// backing store by the in-flight BatchPut, resurrecting the key.
 	flushing map[string]json.RawMessage
 	deleted  map[string]bool
+	// inflight marks the keys whose write is in flight to the backing
+	// store: a commit or Delete set the mark under mu and does its
+	// backing I/O without mu; the channel closes when the write has
+	// landed in memory (or, for a failed commit, been dropped) and the
+	// mark is cleared. Writers and readers of a marked key wait on it.
+	inflight map[string]chan struct{}
 	// high is the most entries data has held, as seen by the flush
 	// passes since data was made (see shrink).
 	high int
@@ -181,6 +187,42 @@ func (sh *shard) shrink() {
 		kept[k] = e
 	}
 	sh.data, sh.high = kept, n
+}
+
+// markOf returns k's in-flight mark, or nil; a shard with no mark
+// answers without a map lookup. Callers hold sh.mu.
+func (sh *shard) markOf(k string) chan struct{} {
+	if len(sh.inflight) == 0 {
+		return nil
+	}
+	return sh.inflight[k]
+}
+
+// lockUnmarked locks sh once k carries no in-flight mark, waiting out
+// each mark it finds with ctx. It returns holding sh.mu, or ctx's error
+// holding nothing.
+func (sh *shard) lockUnmarked(ctx context.Context, k string) error {
+	for {
+		sh.mu.Lock()
+		mark := sh.markOf(k)
+		if mark == nil {
+			return nil
+		}
+		sh.mu.Unlock()
+		if err := awaitMark(ctx, mark); err != nil {
+			return err
+		}
+	}
+}
+
+// awaitMark waits for an in-flight mark to clear, or for ctx to end.
+func awaitMark(ctx context.Context, mark chan struct{}) error {
+	select {
+	case <-mark:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("memtable: waiting for a write in flight: %w", ctx.Err())
+	}
 }
 
 // commit stores a live value for k, bumping its version and superseding
@@ -276,6 +318,12 @@ type Table struct {
 	// readHook, when set, runs between a read-through's backing read and
 	// the caching that follows it; tests hold a read there.
 	readHook func()
+	// flightHook, when set, runs while a write is half done: its keys
+	// are marked in flight, and one of memory and the store has it and
+	// the other not yet — after a commit's backing I/O and before it
+	// lands in memory, after a Delete's tombstone and before its backing
+	// delete. Tests hold a write there.
+	flightHook func()
 
 	statsMu      sync.Mutex
 	hits         int64
@@ -307,9 +355,10 @@ func New(cfg Config) (*Table, error) {
 	names := make([]string, cfg.Shards)
 	for i := range t.shards {
 		t.shards[i] = &shard{
-			data:    make(map[string]entry),
-			dirty:   make(map[string]bool),
-			deleted: make(map[string]bool),
+			data:     make(map[string]entry),
+			dirty:    make(map[string]bool),
+			deleted:  make(map[string]bool),
+			inflight: make(map[string]chan struct{}),
 		}
 		names[i] = shardName(i)
 		t.shardIdx[names[i]] = i
@@ -421,7 +470,9 @@ func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
 	}
 	sh := t.shardFor(key)
 	gen := t.drops.Load()
-	sh.mu.Lock()
+	if err := sh.lockUnmarked(ctx, key); err != nil {
+		return nil, err
+	}
 	e, ok := sh.use(key)
 	sh.mu.Unlock()
 	if ok {
@@ -484,10 +535,15 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 		return nil
 	}
 	gen := t.drops.Load()
-	var missing []string
+	var missing, marked []string
+	var mark chan struct{}
 	var hits, misses int64
 	t.forEachShardGroup(keys, func(sh *shard, i int) {
 		k := keys[i]
+		if m := sh.markOf(k); m != nil {
+			mark, marked = m, append(marked, k)
+			return
+		}
 		if e, ok := sh.use(k); ok {
 			// A tombstone is authoritatively absent: no read-through.
 			if e.present {
@@ -500,6 +556,15 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 		misses++
 	})
 	t.noteReads(hits, misses)
+	if mark != nil {
+		// Keys in flight are read again once one of their writes lands.
+		if err := awaitMark(ctx, mark); err != nil {
+			return err
+		}
+		if err := t.GetManyInto(ctx, marked, out); err != nil {
+			return err
+		}
+	}
 	if len(missing) == 0 || t.cfg.Mode == ModeMemoryOnly {
 		return nil
 	}
@@ -582,10 +647,15 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 		return nil
 	}
 	gen := t.drops.Load()
-	var missing []string
+	var missing, marked []string
+	var mark chan struct{}
 	var hits, misses int64
 	t.forEachShardGroup(keys, func(sh *shard, i int) {
 		k := keys[i]
+		if m := sh.markOf(k); m != nil {
+			mark, marked = m, append(marked, k)
+			return
+		}
 		if e, ok := sh.use(k); ok {
 			// A tombstone (nil val) is authoritatively absent.
 			out[k] = VersionedValue{Value: e.val, Version: e.ver}
@@ -596,6 +666,14 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 		misses++
 	})
 	t.noteReads(hits, misses)
+	if mark != nil {
+		if err := awaitMark(ctx, mark); err != nil {
+			return err
+		}
+		if err := t.GetManyVersionedInto(ctx, marked, out); err != nil {
+			return err
+		}
+	}
 	if len(missing) == 0 {
 		return nil
 	}
@@ -630,10 +708,11 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 	return nil
 }
 
-// PutMany stores every entry, taking each shard lock once. In
-// write-through mode the backing write is one consolidated BatchPut
-// (charged as a single write operation); in write-behind mode all keys
-// are marked dirty for the flusher in one pass.
+// PutMany stores every entry. In write-through mode it is one
+// unconditional versioned commit (commitOps), so the backing write is
+// one consolidated BatchPut (charged as a single write operation); in
+// write-behind mode all keys are marked dirty for the flusher, taking
+// each shard lock once.
 func (t *Table) PutMany(ctx context.Context, entries map[string]json.RawMessage) error {
 	if t.isClosed() {
 		return ErrClosed
@@ -641,6 +720,8 @@ func (t *Table) PutMany(ctx context.Context, entries map[string]json.RawMessage)
 	if len(entries) == 0 {
 		return nil
 	}
+	// Cloned first on both paths, so the caller's bytes never escape
+	// (an op's value does).
 	copied := make(map[string]json.RawMessage, len(entries))
 	keys := make([]string, 0, len(entries))
 	for k, v := range entries {
@@ -648,12 +729,20 @@ func (t *Table) PutMany(ctx context.Context, entries map[string]json.RawMessage)
 		keys = append(keys, k)
 	}
 	if t.cfg.Mode == ModeWriteThrough {
-		if err := t.cfg.Backing.BatchPut(ctx, copied); err != nil {
-			return fmt.Errorf("memtable: batch write-through: %w", err)
+		ops := make(map[string]CASOp, len(copied))
+		for k, v := range copied {
+			ops[k] = blindWrite(v)
 		}
+		return t.commitOps(ctx, ops)
 	}
+	var marked []string
+	var mark chan struct{}
 	wake := false
 	t.forEachShardGroup(keys, func(sh *shard, i int) {
+		if m := sh.markOf(keys[i]); m != nil {
+			mark, marked = m, append(marked, keys[i])
+			return
+		}
 		if t.commit(sh, keys[i], copied[keys[i]]) {
 			wake = true
 		}
@@ -661,24 +750,46 @@ func (t *Table) PutMany(ctx context.Context, entries map[string]json.RawMessage)
 	if wake {
 		t.wakeFlusher()
 	}
-	return nil
+	if mark == nil {
+		return nil
+	}
+	// Keys in flight are written once one of their writes lands.
+	if err := awaitMark(ctx, mark); err != nil {
+		return err
+	}
+	rest := make(map[string]json.RawMessage, len(marked))
+	for _, k := range marked {
+		rest[k] = copied[k]
+	}
+	return t.PutMany(ctx, rest)
 }
 
-// Put stores value at key. In write-through mode the backing write is
-// synchronous; in write-behind mode the key is marked dirty for the
-// flusher.
+// blindWrite is the unversioned op that writes v, empty or not (a nil
+// CASOp.Value would delete).
+func blindWrite(v json.RawMessage) CASOp {
+	if v == nil {
+		v = json.RawMessage{}
+	}
+	return CASOp{Expect: AnyVersion, Value: v, Write: true}
+}
+
+// Put stores value at key. In write-through mode it is one unconditional
+// versioned commit (commitOps), whose backing write is synchronous; in
+// write-behind mode the key is marked dirty for the flusher.
 func (t *Table) Put(ctx context.Context, key string, value json.RawMessage) error {
 	if t.isClosed() {
 		return ErrClosed
 	}
+	// Cloned first on both paths, so the caller's bytes never escape
+	// (an op's value does).
 	val := append(json.RawMessage(nil), value...)
 	if t.cfg.Mode == ModeWriteThrough {
-		if _, err := t.cfg.Backing.Put(ctx, key, val); err != nil {
-			return fmt.Errorf("memtable: write-through: %w", err)
-		}
+		return t.commitOps(ctx, map[string]CASOp{key: blindWrite(val)})
 	}
 	sh := t.shardFor(key)
-	sh.mu.Lock()
+	if err := sh.lockUnmarked(ctx, key); err != nil {
+		return err
+	}
 	wake := t.commit(sh, key, val)
 	sh.mu.Unlock()
 	if wake {
@@ -688,9 +799,13 @@ func (t *Table) Put(ctx context.Context, key string, value json.RawMessage) erro
 }
 
 // Delete removes key from memory and, in persistent modes, from the
-// backing store. A buffer's Delete first waits for the flush pass in
-// flight and holds off the next until its backing delete has landed, so
-// no batch lands the key after it; the tombstone then goes.
+// backing store. The tombstone goes in first, and stays even when the
+// backing delete fails, so the key reads deleted; the key is marked in
+// flight until the backing delete has returned, so a write of it waits
+// and cannot land in the store before the delete. A buffer's Delete
+// first waits for the flush pass in flight and holds off the next until
+// its backing delete has landed, so no batch taken before the delete
+// lands the key after it; the tombstone then goes.
 func (t *Table) Delete(ctx context.Context, key string) error {
 	if t.isClosed() {
 		return ErrClosed
@@ -702,21 +817,30 @@ func (t *Table) Delete(ctx context.Context, key string) error {
 		defer t.releasePass()
 	}
 	sh := t.shardFor(key)
-	sh.mu.Lock()
-	t.remove(sh, key)
-	sh.mu.Unlock()
-	if t.cfg.Mode == ModeMemoryOnly {
-		return nil
-	}
-	if err := t.cfg.Backing.Delete(ctx, key); err != nil {
+	if err := sh.lockUnmarked(ctx, key); err != nil {
 		return fmt.Errorf("memtable: delete: %w", err)
 	}
-	if t.cfg.Buffer {
-		sh.mu.Lock()
-		if e, ok := sh.data[key]; ok && !e.present { // not re-created meanwhile
-			delete(sh.data, key)
-		}
+	t.remove(sh, key)
+	if t.cfg.Mode == ModeMemoryOnly {
 		sh.mu.Unlock()
+		return nil
+	}
+	mark := make(chan struct{})
+	sh.inflight[key] = mark
+	sh.mu.Unlock()
+	if t.flightHook != nil {
+		t.flightHook()
+	}
+	err := t.cfg.Backing.Delete(ctx, key)
+	sh.mu.Lock()
+	delete(sh.inflight, key)
+	if err == nil && t.cfg.Buffer {
+		delete(sh.data, key)
+	}
+	sh.mu.Unlock()
+	close(mark)
+	if err != nil {
+		return fmt.Errorf("memtable: delete: %w", err)
 	}
 	return nil
 }
@@ -773,12 +897,10 @@ func (t *Table) unlockMask(mask uint64) {
 // (same ErrVersionMismatch sentinel) but runs at the cache — the
 // serialization point every write already flows through — while
 // persistence keeps the consolidated batch economics: write-through
-// commits land as a single kvstore.BatchPut under the shard locks, and
-// write-behind commits are picked up by the flusher's BatchPut.
+// commits land as a single kvstore.BatchPut, and write-behind commits
+// are picked up by the flusher's BatchPut.
 //
-// All involved shards are locked for the duration (ascending-index
-// order, so concurrent multi-key commits cannot deadlock); on
-// ErrVersionMismatch nothing is committed. Deletes of write ops (nil
+// On ErrVersionMismatch nothing is committed. Deletes of write ops (nil
 // Value) leave a version tombstone so stale optimistic commits cannot
 // resurrect the key, and are propagated to the backing store like
 // Delete. A buffer refuses it (errBuffer), as GetManyVersionedInto.
@@ -789,62 +911,159 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 	if t.cfg.Buffer {
 		return errBuffer
 	}
+	return t.commitOps(ctx, ops)
+}
+
+// commitOps is the body of PutManyIfVersion and the table's one
+// write-through exit: Put and PutMany of a write-through table come here
+// with AnyVersion ops. It locks every involved shard (ascending-index
+// order, so concurrent multi-key commits cannot deadlock), waits out any
+// op key marked in flight, and validates. A commit with no backing I/O —
+// a write-behind one without deletes, or a memory-only one — then
+// applies under those locks, paying nothing for marks.
+//
+// A commit with backing I/O marks its written keys in flight and
+// unlocks: no shard mutex is held across backing I/O. Deletes go first
+// (idempotent if a following put batch fails), then the write-through
+// BatchPut. It then relocks, clears the marks and applies, or on failure
+// applies nothing, versions unchanged, so the caller simply retries.
+// While the marks stand, a same-key writer or reader waits on them, so
+// no later commit of a key lands between this commit's memory state and
+// its backing state — a delayed delete could otherwise erase a key a
+// later commit had recreated and persisted.
+//
+// A write-behind delete of a key that is dirty or in the flush batch in
+// flight may be overtaken in the store by that key's older value (a
+// batch taken before the delete lands after it), so it is handed to the
+// flusher's re-delete as well (shard.deleted).
+func (t *Table) commitOps(ctx context.Context, ops map[string]CASOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	mask := t.opShardMask(ops)
-	t.lockMask(mask)
-	unlock := func() { t.unlockMask(mask) }
+	for {
+		t.lockMask(mask)
+		mark := t.markedOp(ops, mask)
+		if mark == nil {
+			break
+		}
+		t.unlockMask(mask)
+		if err := awaitMark(ctx, mark); err != nil {
+			return err
+		}
+	}
+	persists := t.cfg.Mode != ModeMemoryOnly
+	io := false
 	for k, op := range ops {
+		if op.Write && persists && (op.Value == nil || t.cfg.Mode == ModeWriteThrough) {
+			io = true
+		}
 		if op.Expect == AnyVersion {
 			continue
 		}
 		if cur := t.shardFor(k).data[k].ver; cur != op.Expect {
-			unlock()
+			t.unlockMask(mask)
 			return fmt.Errorf("%w: key %q at version %d, expected %d",
 				ErrVersionMismatch, k, cur, op.Expect)
 		}
 	}
-	// The ops map and its values belong to the caller — typically a
-	// pooled commit scratch — so written values are cloned (package doc).
-	// Write-through collects the clones into the batch map the backing
-	// API needs; write-behind clones straight into the commit below.
-	var puts map[string]json.RawMessage
-	if t.cfg.Mode == ModeWriteThrough {
-		for k, op := range ops {
-			if op.Write && op.Value != nil {
-				if puts == nil {
-					puts = make(map[string]json.RawMessage, len(ops))
-				}
-				puts[k] = append(json.RawMessage(nil), op.Value...)
-			}
+	if !io {
+		wake := t.apply(ops, nil)
+		t.unlockMask(mask)
+		if wake {
+			t.wakeFlusher()
+		}
+		return nil
+	}
+	mark := make(chan struct{})
+	var redelete []string
+	for k, op := range ops {
+		if !op.Write {
+			continue
+		}
+		sh := t.shardFor(k)
+		sh.inflight[k] = mark
+		if _, flushing := sh.flushing[k]; op.Value == nil && (flushing || sh.dirty[k]) {
+			redelete = append(redelete, k)
 		}
 	}
-	// Backing I/O happens before the in-memory commit, still under the
-	// shard locks, so the validation window covers it: a backing
-	// failure commits nothing (versions unchanged, the caller simply
-	// retries), and no later commit can interleave between this
-	// commit's memory state and its backing state — a delayed
-	// post-unlock Backing.Delete could otherwise erase a key a
-	// subsequent commit had already recreated and persisted. Deletes
-	// go first; they are idempotent if a following put batch fails.
-	if t.cfg.Mode != ModeMemoryOnly {
-		for k, op := range ops {
-			if op.Write && op.Value == nil {
-				if err := t.cfg.Backing.Delete(ctx, k); err != nil {
-					unlock()
-					return fmt.Errorf("memtable: delete: %w", err)
-				}
-			}
-		}
+	t.unlockMask(mask)
+	puts, err := t.writeBacking(ctx, ops)
+	if t.flightHook != nil {
+		t.flightHook()
 	}
-	if t.cfg.Mode == ModeWriteThrough && len(puts) > 0 {
-		if err := t.cfg.Backing.BatchPut(ctx, puts); err != nil {
-			unlock()
-			return fmt.Errorf("memtable: batch write-through: %w", err)
-		}
-	}
+	t.lockMask(mask)
 	wake := false
+	if err == nil {
+		wake = t.apply(ops, puts)
+		for _, k := range redelete {
+			t.shardFor(k).deleted[k] = true
+		}
+	}
+	for k, op := range ops {
+		if op.Write {
+			delete(t.shardFor(k).inflight, k)
+		}
+	}
+	t.unlockMask(mask)
+	close(mark)
+	if wake {
+		t.wakeFlusher()
+	}
+	return err
+}
+
+// markedOp returns the in-flight mark of some op key, or nil when none
+// is marked; shards with no mark cost no lookup. Callers hold the
+// mask's shard locks.
+func (t *Table) markedOp(ops map[string]CASOp, mask uint64) chan struct{} {
+	for i, sh := range t.shards {
+		if mask&(1<<uint(i)) == 0 || len(sh.inflight) == 0 {
+			continue
+		}
+		for k := range ops {
+			if mark := t.shardFor(k).markOf(k); mark != nil {
+				return mark
+			}
+		}
+		return nil
+	}
+	return nil
+}
+
+// writeBacking is a commit's backing I/O, run without shard locks:
+// deletes first, then the write-through puts in one BatchPut. The ops
+// map and its values belong to the caller — typically a pooled commit
+// scratch — so written values are cloned (package doc); it returns the
+// clones for apply.
+func (t *Table) writeBacking(ctx context.Context, ops map[string]CASOp) (map[string]json.RawMessage, error) {
+	var puts map[string]json.RawMessage
+	for k, op := range ops {
+		switch {
+		case !op.Write:
+		case op.Value == nil:
+			if err := t.cfg.Backing.Delete(ctx, k); err != nil {
+				return nil, fmt.Errorf("memtable: delete: %w", err)
+			}
+		case t.cfg.Mode == ModeWriteThrough:
+			if puts == nil {
+				puts = make(map[string]json.RawMessage, len(ops))
+			}
+			puts[k] = append(json.RawMessage(nil), op.Value...)
+		}
+	}
+	if len(puts) > 0 {
+		if err := t.cfg.Backing.BatchPut(ctx, puts); err != nil {
+			return nil, fmt.Errorf("memtable: batch write-through: %w", err)
+		}
+	}
+	return puts, nil
+}
+
+// apply commits a validated commit's write ops in memory, reusing the
+// clones writeBacking made; it reports whether a shard now holds an
+// early flush's worth. Callers hold the ops' shard locks.
+func (t *Table) apply(ops map[string]CASOp, puts map[string]json.RawMessage) (wake bool) {
 	for k, op := range ops {
 		if !op.Write {
 			continue
@@ -862,11 +1081,7 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 			wake = true
 		}
 	}
-	unlock()
-	if wake {
-		t.wakeFlusher()
-	}
-	return nil
+	return wake
 }
 
 // flushLoop periodically consolidates dirty keys into batch writes.

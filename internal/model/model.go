@@ -126,10 +126,10 @@ const (
 	// conflict: hot-object invocations interleave instead of queueing.
 	ConcurrencyOCC ConcurrencyMode = "occ"
 	// ConcurrencyLocked serializes the whole load→invoke→merge window
-	// under a per-object striped lock (the pessimistic baseline).
+	// under the object's exclusive guard (the pessimistic baseline).
 	ConcurrencyLocked ConcurrencyMode = "locked"
 	// ConcurrencyAdaptive starts optimistic and falls back to the
-	// striped lock per object while CAS aborts run hot, returning to
+	// exclusive guard per object while CAS aborts run hot, returning to
 	// OCC when contention subsides.
 	ConcurrencyAdaptive ConcurrencyMode = "adaptive"
 )

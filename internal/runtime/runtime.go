@@ -22,7 +22,6 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/metrics"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/objectstore"
-	"github.com/hpcclab/oparaca-go/internal/striped"
 	"github.com/hpcclab/oparaca-go/internal/trace"
 	"github.com/hpcclab/oparaca-go/internal/trigger"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
@@ -166,20 +165,10 @@ type ClassRuntime struct {
 	// touching disjoint keys of one wide object stop aborting each
 	// other, at the cost of admitting write skew on unwritten reads.
 	occKeysOnly bool
-	// delGuard is the per-object window guard, striped by object ID: two
-	// distinct objects contend only on a stripe collision
-	// (1/guardStripes per pair), trading a bounded chance of transient
-	// false sharing for constant memory. A write window holds its
-	// object's stripe from load to commit on the side its regime names
-	// (see window.go): shared windows interleave with each other,
-	// exclusive ones queue. DeleteObjectState/InitObjectState take it
-	// exclusive, so a delete waits out every in-flight window and no
-	// commit retry can resurrect a deleted object.
-	delGuard *striped.RWMutexes
-	// contention tracks CAS abort pressure per object (striped like
-	// delGuard; a collision merely shares an EWMA, which only skews
-	// the adaptive heuristic, never correctness).
-	contention []contentionTracker
+	// guards is the per-object window guard (guard.go), with each
+	// stripe's contention tracker: a collision merely shares an EWMA,
+	// which only skews the adaptive heuristic, never correctness.
+	guards *[guardStripes]objectGuard
 	// taskSeq generates invocation task IDs; seeded from the clock at
 	// construction so IDs stay unique across runtime generations.
 	taskSeq atomic.Uint64
@@ -197,12 +186,6 @@ type ClassRuntime struct {
 // presignTTL bounds the validity of the presigned file URLs a task is
 // handed and PresignFile renders.
 const presignTTL = 15 * time.Minute
-
-// guardStripes sizes the per-object guard table. 1024 stripes is 24KiB
-// per class runtime and keeps the per-pair collision probability at
-// ~0.1%, so false serialization between distinct hot objects is rare
-// and transient.
-const guardStripes = 1024
 
 // Optimistic-concurrency tuning.
 const (
@@ -310,18 +293,16 @@ func New(infra Infra, class *model.Class, tmpl Template) (*ClassRuntime, error) 
 		return nil, fmt.Errorf("runtime: creating engine: %w", err)
 	}
 
-	delGuard := striped.NewRW(guardStripes)
 	rt := &ClassRuntime{
-		class:      class,
-		tmpl:       tmpl,
-		infra:      infra,
-		engine:     engine,
-		table:      table,
-		plans:      make(map[string]*dataflow.Plan, len(class.Dataflows)),
-		delGuard:   delGuard,
-		contention: make([]contentionTracker, delGuard.Len()),
-		reg:        metrics.NewRegistry(),
-		meter:      metrics.NewMeter(10*time.Second, 10, infra.Clock.Now),
+		class:  class,
+		tmpl:   tmpl,
+		infra:  infra,
+		engine: engine,
+		table:  table,
+		plans:  make(map[string]*dataflow.Plan, len(class.Dataflows)),
+		guards: new([guardStripes]objectGuard),
+		reg:    metrics.NewRegistry(),
+		meter:  metrics.NewMeter(10*time.Second, 10, infra.Clock.Now),
 	}
 	// Reading the stats creates every series they read: /metrics shows
 	// each from the start.
@@ -484,12 +465,15 @@ func (rt *ClassRuntime) fileKey(objectID, key string) string {
 }
 
 // InitObjectState writes the class's default values for a new object.
-// It holds the object's delete guard exclusive so no write window
-// can interleave with initialization.
+// It holds the object's guard exclusive so no write window can
+// interleave with initialization; a wait for it that ctx ends fails
+// with ctx's error.
 func (rt *ClassRuntime) InitObjectState(ctx context.Context, objectID string) error {
 	if len(rt.stateSpecs) > 0 {
-		guard := rt.delGuard.For(objectID)
-		guard.Lock()
+		guard := rt.guardFor(objectID)
+		if err := guard.Lock(ctx); err != nil {
+			return fmt.Errorf("runtime: initializing %s: %w", objectID, err)
+		}
 		defer guard.Unlock()
 	}
 	for _, k := range rt.class.Keys {
@@ -504,13 +488,15 @@ func (rt *ClassRuntime) InitObjectState(ctx context.Context, objectID string) er
 }
 
 // DeleteObjectState removes all of an object's state. It holds the
-// object's delete guard exclusive, so it waits out every in-flight
-// write window and no commit retry can resurrect state for a deleted
-// object.
+// object's guard exclusive, so it waits out every in-flight write
+// window and no commit retry can resurrect state for a deleted object;
+// a wait for it that ctx ends fails with ctx's error.
 func (rt *ClassRuntime) DeleteObjectState(ctx context.Context, objectID string) error {
 	if len(rt.stateSpecs) > 0 {
-		guard := rt.delGuard.For(objectID)
-		guard.Lock()
+		guard := rt.guardFor(objectID)
+		if err := guard.Lock(ctx); err != nil {
+			return fmt.Errorf("runtime: deleting %s: %w", objectID, err)
+		}
 		defer guard.Unlock()
 	}
 	for _, k := range rt.class.Keys {
@@ -711,12 +697,6 @@ func (rt *ClassRuntime) invokeFn(ctx context.Context, objectID string, fn model.
 		return nil, err
 	}
 	return w.out, nil
-}
-
-// contentionFor returns the contention tracker of an object's stripe
-// (aligned with its delete-guard stripe).
-func (rt *ClassRuntime) contentionFor(objectID string) *contentionTracker {
-	return &rt.contention[rt.delGuard.Index(objectID)]
 }
 
 // eventsNeeded reports whether a committed delta on one of this class's

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/jsonw"
@@ -25,7 +24,7 @@ import (
 // that cuts across invocations (deadline, ownership fence, span, event)
 // is enforced here once.
 
-// guardSide is how a window holds its object's delete-guard stripe.
+// guardSide is how a window holds its object's guard stripe (guard.go).
 type guardSide uint8
 
 const (
@@ -35,7 +34,7 @@ const (
 )
 
 // regime is how one window is protected against concurrent windows on
-// the same object: which side of the delete guard it holds from load to
+// the same object: which side of the object guard it holds from load to
 // commit, whether the commit validates the versions the load observed,
 // and how many load→run→commit attempts it may make.
 //
@@ -104,28 +103,26 @@ type writeWindow struct {
 // handler may synchronously invoke another stateful object of the same
 // class: a nested window on a colliding stripe shares the read side. It
 // can still deadlock if an exclusive acquisition (object delete/init, a
-// barrier, any locked-mode window) wedges between the two read holds of
-// one goroutine, so dataflows/async remain the guaranteed-safe
+// barrier, any locked-mode window) queues between the two read holds of
+// one goroutine — the nested wait then ends at the caller's deadline,
+// and never without one — so dataflows/async remain the guaranteed-safe
 // composition, and under locked mode same-class nesting is unsupported.
 func (rt *ClassRuntime) runWindow(ctx context.Context, w *writeWindow) error {
 	if len(rt.stateSpecs) == 0 {
-		return rt.runRegime(ctx, w, regimeStateless, nil, nil)
+		return rt.runRegime(ctx, w, regimeStateless, nil)
 	}
-	// One hash resolves the object's stripe for both the delete guard
-	// and its contention tracker, keeping the two aligned.
-	stripe := rt.delGuard.Index(w.objectID)
-	guard, tr := rt.delGuard.At(stripe), &rt.contention[stripe]
+	guard := rt.guardFor(w.objectID)
 	if rt.concMode == model.ConcurrencyLocked {
-		return rt.runRegime(ctx, w, regimeLocked, guard, tr)
+		return rt.runRegime(ctx, w, regimeLocked, guard)
 	}
-	if rt.concMode != model.ConcurrencyAdaptive || !tr.useLocked() {
-		err := rt.runRegime(ctx, w, regimeOCC, guard, tr)
+	if rt.concMode != model.ConcurrencyAdaptive || !guard.contention.useLocked() {
+		err := rt.runRegime(ctx, w, regimeOCC, guard)
 		if !errors.Is(err, memtable.ErrVersionMismatch) {
 			return err
 		}
 	}
 	rt.reg.Counter("occ.fallbacks").Inc()
-	err := rt.runRegime(ctx, w, regimeBarrier, guard, tr)
+	err := rt.runRegime(ctx, w, regimeBarrier, guard)
 	if !errors.Is(err, memtable.ErrVersionMismatch) {
 		return err
 	}
@@ -142,15 +139,20 @@ func (rt *ClassRuntime) runWindow(ctx context.Context, w *writeWindow) error {
 // attempts, re-running the whole window against a fresh snapshot after
 // each version mismatch. An exclusive holder (object delete/init, a
 // barrier or locked window) waits out every in-flight window, so no
-// retry can resurrect a deleted object. Exhaustion returns the last
+// retry can resurrect a deleted object. A wait for the guard that ctx
+// ends fails the window as an expired one. Exhaustion returns the last
 // mismatch.
-func (rt *ClassRuntime) runRegime(ctx context.Context, w *writeWindow, reg regime, guard *sync.RWMutex, tr *contentionTracker) error {
+func (rt *ClassRuntime) runRegime(ctx context.Context, w *writeWindow, reg regime, guard *objectGuard) error {
 	switch reg.guard {
 	case guardShared:
-		guard.RLock()
+		if guard.RLock(ctx) != nil {
+			return rt.windowAbort(ctx, w)
+		}
 		defer guard.RUnlock()
 	case guardExclusive:
-		guard.Lock()
+		if guard.Lock(ctx) != nil {
+			return rt.windowAbort(ctx, w)
+		}
 		defer guard.Unlock()
 	}
 	var lastErr error
@@ -164,14 +166,14 @@ func (rt *ClassRuntime) runRegime(ctx context.Context, w *writeWindow, reg regim
 		calls, err := rt.attempt(ctx, w, reg.validated, attempt)
 		if !errors.Is(err, memtable.ErrVersionMismatch) {
 			if err == nil && reg.validated {
-				tr.record(false)
+				guard.contention.record(false)
 				// One commit per call the window carried, so the counter
 				// tracks invocations, not CAS operations.
 				rt.reg.Counter("occ.commits").Add(int64(calls))
 			}
 			return err
 		}
-		tr.record(true)
+		guard.contention.record(true)
 		rt.reg.Counter("occ.aborts").Inc()
 		lastErr = err
 	}

@@ -259,22 +259,24 @@ func (c *deadlineCtx) AfterFunc(f func()) (stop func() bool) {
 }
 
 // end closes Done with err, once, cancels what registered through
-// AfterFunc, and releases the timer and the parent's registration.
+// AfterFunc, and releases the timer and the parent's registration. The
+// timer goes before Done closes, so a waiter woken by Done never counts
+// it in Pending; Err turns non-nil with the close, under the same lock.
 func (c *deadlineCtx) end(err error) {
 	c.mu.Lock()
 	if c.err != nil {
 		c.mu.Unlock()
 		return
 	}
+	c.m.disarm(c.w)
 	c.err = err
 	close(c.done)
-	w, stop, after := c.w, c.stop, c.after
+	stop, after := c.stop, c.after
 	c.after = nil
 	c.mu.Unlock()
 	for f := range after {
 		(*f)()
 	}
-	c.m.disarm(w)
 	if stop != nil {
 		stop()
 	}

@@ -288,15 +288,15 @@
 // commit is version-validated:
 //
 //   - "locked" serializes each object's whole
-//     load-state → execute → merge-delta window under a striped
-//     per-object lock: read-modify-write methods (counters, account
+//     load-state → execute → merge-delta window under the object's
+//     exclusive guard: read-modify-write methods (counters, account
 //     balances) never lose updates, but every write invocation on a
 //     hot object runs exclusively. The delta merges unconditionally
 //     (no version check, no retry) and all-or-nothing: a delta that
 //     writes some keys and deletes others lands whole or, if the
-//     backing store fails, not at all. On a write-through table the
-//     commit holds the table's shard locks across the backing write,
-//     as every "occ"/"adaptive" class does.
+//     backing store fails, not at all. An invocation queued for the
+//     guard waits at most until its own deadline, then fails with
+//     ErrDeadlineExceeded, having committed nothing.
 //   - "occ" (optimistic concurrency control) runs handlers lock-free
 //     on version-stamped state snapshots and commits each delta
 //     through a validated compare-and-swap: a concurrent commit makes
@@ -320,20 +320,21 @@
 // Commit/abort/retry/fallback counts are surfaced per class in
 // Stats().Concurrency.
 //
-// Composition: because optimistic invocations hold no exclusive lock
+// Composition: because optimistic invocations hold no exclusive guard
 // across the handler, a method may synchronously invoke another
-// stateful object of the same class under "occ" — where the striped
-// per-object lock previously made any same-class stripe collision a
-// guaranteed deadlock, nested optimistic invocations only share a
-// read-side stripe and proceed. The relaxation is not absolute: if
-// the two objects collide on a stripe (~0.1% per pair) AND an
-// exclusive holder wedges between them — an object delete/create on
-// that stripe, or a contention fallback to the serializing barrier —
-// the nested call can still deadlock. Same-class composition through
-// dataflows or the async queue remains the guaranteed-safe pattern;
-// synchronous nesting is reasonable under "occ" when object churn is
-// low and write contention modest. Under "locked" the original
-// constraint stands. If a single object must absorb more write
+// stateful object of the same class under "occ": nested optimistic
+// invocations only share the read side of the guard and proceed. The
+// relaxation is not absolute: if the two objects share a guard stripe
+// (~0.1% per pair) AND an exclusive holder queues between them — an
+// object delete/create on that stripe, or a contention fallback to the
+// serializing barrier — the nested call deadlocks, and under "locked"
+// any same-class nesting on one stripe does. Such a deadlock ends at
+// the caller's deadline (ErrDeadlineExceeded), not never, because a
+// wait for the guard honours the caller's context; without a deadline
+// it does not end. Same-class composition through dataflows or the
+// async queue remains the guaranteed-safe pattern; synchronous nesting
+// is reasonable under "occ" when object churn is low and write
+// contention modest. If a single object must absorb more write
 // throughput than validated commits allow, shard the state across
 // several objects and aggregate on read.
 //
@@ -775,11 +776,11 @@ const (
 	// handlers run lock-free on version-stamped snapshots and deltas
 	// commit through a validated compare-and-swap with bounded retry.
 	ConcurrencyOCC = model.ConcurrencyOCC
-	// ConcurrencyLocked serializes each object's invocations under a
-	// striped per-object lock (the pessimistic baseline).
+	// ConcurrencyLocked serializes each object's invocations under its
+	// exclusive guard (the pessimistic baseline).
 	ConcurrencyLocked = model.ConcurrencyLocked
 	// ConcurrencyAdaptive (the default) starts optimistic and degrades
-	// per object to the lock while CAS aborts run hot.
+	// per object to the exclusive guard while CAS aborts run hot.
 	ConcurrencyAdaptive = model.ConcurrencyAdaptive
 )
 
