@@ -48,23 +48,58 @@ func awaitParked(t *testing.T, c *parkedCtx) {
 	}
 }
 
-// TestGuardStripeIsStableAndSpreads: an object always resolves to the
-// same stripe, and distinct objects spread over the table.
-func TestGuardStripeIsStableAndSpreads(t *testing.T) {
+// TestGuardForIsStableAndInRange: an object always resolves to the same
+// stripe, and that stripe is one of the table's.
+func TestGuardForIsStableAndInRange(t *testing.T) {
 	rt := &ClassRuntime{guards: new([guardStripes]objectGuard)}
-	seen := make(map[*objectGuard]bool)
 	for i := 0; i < 4*guardStripes; i++ {
 		id := fmt.Sprintf("obj-%05d", i)
 		g := rt.guardFor(id)
 		if g != rt.guardFor(id) {
 			t.Fatalf("guardFor(%q) not stable", id)
 		}
-		seen[g] = true
+		if !inTable(rt, g) {
+			t.Fatalf("guardFor(%q) is not a stripe of the table", id)
+		}
+	}
+}
+
+// inTable reports whether g is one of rt's guard stripes.
+func inTable(rt *ClassRuntime, g *objectGuard) bool {
+	for i := range rt.guards {
+		if g == &rt.guards[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGuardDistinctObjectsSpreadAcrossStripes: distinct objects spread
+// over the table.
+func TestGuardDistinctObjectsSpreadAcrossStripes(t *testing.T) {
+	rt := &ClassRuntime{guards: new([guardStripes]objectGuard)}
+	seen := make(map[*objectGuard]bool)
+	for i := 0; i < 4*guardStripes; i++ {
+		seen[rt.guardFor(fmt.Sprintf("obj-%05d", i))] = true
 	}
 	// 4096 objects over 1024 stripes leave ~2% of them empty; demand
 	// half to keep the bound robust.
 	if len(seen) < guardStripes/2 {
 		t.Fatalf("%d objects landed on only %d/%d stripes", 4*guardStripes, len(seen), guardStripes)
+	}
+}
+
+// TestGuardSameObjectSameStripe: one object ID, however its string was
+// built, resolves to one stripe, and its contention tracker is that
+// stripe's.
+func TestGuardSameObjectSameStripe(t *testing.T) {
+	rt := &ClassRuntime{guards: new([guardStripes]objectGuard)}
+	a, b := "key-a", string([]byte{'k', 'e', 'y', '-', 'a'})
+	if rt.guardFor(a) != rt.guardFor(b) {
+		t.Fatal("same object resolved to different stripes")
+	}
+	if rt.contentionFor(b) != &rt.guardFor(a).contention {
+		t.Fatal("the object's contention tracker is not its stripe's")
 	}
 }
 
