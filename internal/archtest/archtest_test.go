@@ -76,12 +76,14 @@ func TestInvariants(t *testing.T) {
 
 		// internal/kvstore keeps the slice it is handed, so a flushed value,
 		// a retained log entry and an invocation record are each resident
-		// once. The copies that make that safe are the five on the way in:
-		// the memtable's four write-path clones and asyncq.Submit's copy of
-		// the payload. Another one is a second resident copy of something.
+		// once. The copies that make that safe are the four on the way in:
+		// the memtable's three write-path clones (Put's, PutMany's and
+		// keep's for a commit of the caller's ops) and asyncq.Submit's copy
+		// of the payload. Another one is a second resident copy of
+		// something.
 		{"value-copy-sites", perFile("append(json.RawMessage(nil)", map[string]int{
 			"internal/asyncq/asyncq.go":  1,
-			"internal/memtable/table.go": 4,
+			"internal/memtable/table.go": 3,
 		})},
 
 		// An invocation record is written by one encoder, with no

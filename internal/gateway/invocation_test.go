@@ -325,8 +325,7 @@ func TestQueryValue(t *testing.T) {
 // on the event stream of an unknown object. No route may panic, and each
 // answers 400 for a value outside what it takes, or honours the value:
 // the invoked handler runs under a deadline no earlier than timeoutMs
-// after the request (or the call answers 408 once that deadline has
-// passed), the poll answers the record, the stream its 404.
+// after the request, the poll answers the record, the stream its 404.
 func FuzzQueryIntegers(f *testing.F) {
 	for _, q := range []string{"", "0", "1", "50", "-1", "+7", "007", "soon", "0x10", " 5", "1e3",
 		"9223372036854", "9223372036855", "18446744073710", "9300000000000", "99999999999999999999"} {
@@ -355,6 +354,11 @@ func FuzzQueryIntegers(f *testing.F) {
 		rig.gw.ServeHTTP(w, httptest.NewRequest(method, path, nil))
 		return w.Code, w.Body.String()
 	}
+	// Warm dl with a call that has no deadline, so a 1 ms timeoutMs is
+	// never the call that pays the function's cold start.
+	if status, body := serve(http.MethodPost, "/api/objects/d1/invoke/dl"); status != http.StatusOK {
+		f.Fatalf("warming dl: %d %s", status, body)
+	}
 	f.Fuzz(func(t *testing.T, q string) {
 		n, err := strconv.ParseInt(q, 10, 64)
 		valid := q == "" || err == nil && n >= 0
@@ -366,16 +370,6 @@ func FuzzQueryIntegers(f *testing.F) {
 		case !valid || n > model.MaxTimeoutMs:
 			if status != http.StatusBadRequest || !strings.Contains(body, "bad timeoutMs") {
 				t.Fatalf("timeoutMs=%q: %d %s, want 400", q, status, body)
-			}
-		case n > 0 && status == http.StatusRequestTimeout:
-			// The deadline ran out before the handler answered (1 ms is
-			// shorter than a loaded machine may take): honoured, unless
-			// it ran out early.
-			if !strings.Contains(body, `"code":"deadline_exceeded"`) {
-				t.Fatalf("timeoutMs=%q: %d %s, want a deadline_exceeded 408", q, status, body)
-			}
-			if elapsed := time.Since(before); elapsed < time.Duration(n)*time.Millisecond {
-				t.Fatalf("timeoutMs=%q: 408 after %v, before the deadline asked for", q, elapsed)
 			}
 		case status != http.StatusOK:
 			t.Fatalf("timeoutMs=%q: %d %s, want 200", q, status, body)

@@ -11,8 +11,8 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/israce"
 )
 
-// TestResidentBatchReadAllocationBudget pins what forEachShardGroup's
-// comment promises: a batch read of resident keys into a caller's map —
+// TestResidentBatchReadAllocationBudget pins what eachKey's comment
+// promises: a batch read of resident keys into a caller's map —
 // the load every invocation opens with — allocates nothing, for one
 // object's worth of keys and at the small-batch limit.
 func TestResidentBatchReadAllocationBudget(t *testing.T) {

@@ -281,3 +281,91 @@ func TestCASDeleteOvertakenByAFlushIsRedeleted(t *testing.T) {
 		t.Fatalf("Get(k) = %v after the delete, want ErrNotFound", err)
 	}
 }
+
+// TestPutManyCommitsAllOrNothing: a PutMany one of whose keys is in
+// flight waits for it before committing any key, so when its context
+// ends during that wait it returns the context's error having committed
+// none of the batch.
+func TestPutManyCommitsAllOrNothing(t *testing.T) {
+	tbl, _ := newBacked(t, ModeWriteBehind)
+	ctx := context.Background()
+	held, release := holdFlight(tbl)
+	deleted := make(chan error, 1)
+	go func() { deleted <- tbl.Delete(ctx, "b") }()
+	<-held
+	cctx, cancel := context.WithCancel(ctx)
+	c := newParkedCtx(cctx)
+	put := make(chan error, 1)
+	go func() {
+		put <- tbl.PutMany(c, map[string]json.RawMessage{"a": json.RawMessage(`1`), "b": json.RawMessage(`2`)})
+	}()
+	<-c.parked
+	cancel()
+	if err := <-put; !errors.Is(err, context.Canceled) {
+		t.Fatalf("PutMany = %v, want context.Canceled", err)
+	}
+	close(release)
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b"} {
+		if v, err := tbl.Get(ctx, k); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Get(%s) = %s (%v) after a PutMany that failed, want ErrNotFound", k, v, err)
+		}
+	}
+}
+
+// TestBatchReadWaitsForAWriteInFlight: a batch read of a key whose
+// write-through commit is in flight waits for the commit to land, and
+// then reads it, in both batch reads.
+func TestBatchReadWaitsForAWriteInFlight(t *testing.T) {
+	for name, read := range map[string]func(ctx context.Context, tbl *Table, keys []string) (json.RawMessage, error){
+		"GetManyInto": func(ctx context.Context, tbl *Table, keys []string) (json.RawMessage, error) {
+			out := map[string]json.RawMessage{}
+			err := tbl.GetManyInto(ctx, keys, out)
+			return out["k"], err
+		},
+		"GetManyVersionedInto": func(ctx context.Context, tbl *Table, keys []string) (json.RawMessage, error) {
+			out := map[string]VersionedValue{}
+			err := tbl.GetManyVersionedInto(ctx, keys, out)
+			return out["k"].Value, err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tbl, _ := newBacked(t, ModeWriteThrough)
+			ctx := context.Background()
+			for k, v := range map[string]string{"k": `1`, "other": `"o"`} {
+				if err := tbl.Put(ctx, k, json.RawMessage(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			held, release := holdFlight(tbl)
+			put := make(chan error, 1)
+			go func() { put <- tbl.Put(ctx, "k", json.RawMessage(`2`)) }()
+			<-held // in the store, not yet in memory
+			c := newParkedCtx(ctx)
+			got := make(chan json.RawMessage, 1)
+			done := make(chan error, 1)
+			go func() {
+				v, err := read(c, tbl, []string{"other", "k"})
+				got <- v
+				done <- err
+			}()
+			if waitOrPark(t, done, c) {
+				close(release)
+				<-put
+				t.Fatalf("the read returned k = %s while its write was in flight, want it to wait", <-got)
+			}
+			close(release)
+			if err := <-put; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if v := <-got; string(v) != "2" {
+				t.Fatalf("k = %s after the write landed, want 2", v)
+			}
+		})
+	}
+}

@@ -41,10 +41,11 @@
 // would lose the write on restart, a buffer would read the older value
 // back at once.
 //
-// Batch access is first-class: GetManyInto and PutMany group their keys by
-// owning shard, take each shard lock exactly once, and consolidate the
-// backing-store traffic — read-through misses into one
-// kvstore.BatchGet, write-through updates into one kvstore.BatchPut.
+// Batch access is first-class: GetManyInto and PutMany take the locks
+// of their keys' shards once each, in ascending shard order, holding the
+// set for the batch, and consolidate the backing-store traffic —
+// read-through misses into one kvstore.BatchGet, write-through updates
+// into one kvstore.BatchPut.
 // The invocation hot path loads and merges whole per-object state
 // bundles through these, so an invocation costs one simulated DB round
 // trip instead of one per state key.
@@ -55,9 +56,11 @@
 // marks its keys in flight under the shard lock, does its I/O
 // unlocked, then lands in memory (or, when the store failed a commit,
 // lands nothing) and clears the marks. A writer or reader of a marked
-// key waits for the mark, for as long as its context allows; every
-// other key of the shard stays readable and writable meanwhile. The
-// write-behind commit, which does no I/O, sets no mark.
+// key waits for the mark, for as long as its context allows, before it
+// touches any of its keys (lockUnmarked: a write that fails the wait
+// has written nothing); every other key of the shard stays readable
+// and writable meanwhile. The write-behind commit, which does no I/O,
+// sets no mark.
 //
 // Ownership: the table never changes a held value in place. Each write
 // path (Put, PutMany, PutManyIfVersion) keeps one clone of the caller's

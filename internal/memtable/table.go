@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,42 +190,6 @@ func (sh *shard) shrink() {
 	sh.data, sh.high = kept, n
 }
 
-// markOf returns k's in-flight mark, or nil; a shard with no mark
-// answers without a map lookup. Callers hold sh.mu.
-func (sh *shard) markOf(k string) chan struct{} {
-	if len(sh.inflight) == 0 {
-		return nil
-	}
-	return sh.inflight[k]
-}
-
-// lockUnmarked locks sh once k carries no in-flight mark, waiting out
-// each mark it finds with ctx. It returns holding sh.mu, or ctx's error
-// holding nothing.
-func (sh *shard) lockUnmarked(ctx context.Context, k string) error {
-	for {
-		sh.mu.Lock()
-		mark := sh.markOf(k)
-		if mark == nil {
-			return nil
-		}
-		sh.mu.Unlock()
-		if err := awaitMark(ctx, mark); err != nil {
-			return err
-		}
-	}
-}
-
-// awaitMark waits for an in-flight mark to clear, or for ctx to end.
-func awaitMark(ctx context.Context, mark chan struct{}) error {
-	select {
-	case <-mark:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("memtable: waiting for a write in flight: %w", ctx.Err())
-	}
-}
-
 // commit stores a live value for k, bumping its version and superseding
 // any pending tombstone, and marks it dirty for write-behind; it reports
 // whether the shard now holds an early flush's worth. Callers hold sh.mu.
@@ -388,54 +353,116 @@ func (t *Table) shardIndexFor(key string) int {
 	return idx
 }
 
-// smallBatch is the widest batch served by the allocation-free
-// grouping path: shard indices live in a stack array and visited keys
-// in a bit set. Object state bundles (the invocation hot path) are
-// almost always this small.
+// opShardMask returns the set of shards owning an op key as a bitmask
+// (valid because New caps Shards at 64), so the commit path can lock
+// and unlock its shard set without allocating tracking slices.
+func (t *Table) opShardMask(ops map[string]CASOp) uint64 {
+	var mask uint64
+	for k := range ops {
+		mask |= 1 << uint(t.shardIndexFor(k))
+	}
+	return mask
+}
+
+// lockMask locks every shard in mask in ascending index order (the
+// fixed global order keeps concurrent multi-shard batches
+// deadlock-free); unlockMask releases them.
+func (t *Table) lockMask(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		t.shards[bits.TrailingZeros64(m)].mu.Lock()
+	}
+}
+
+func (t *Table) unlockMask(mask uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		t.shards[bits.TrailingZeros64(m)].mu.Unlock()
+	}
+}
+
+// lockUnmarked locks the shards in mask once none of the caller's keys,
+// which they own, carries an in-flight mark, waiting out each mark it
+// finds with ctx. Every reader and writer of the table orders itself
+// after a write in flight this way. markOf finds the mark of one of the
+// keys, or nil; it runs under the locks, and only while one of mask's
+// shards holds a mark. lockUnmarked returns holding the locks, or ctx's
+// error holding nothing.
+func (t *Table) lockUnmarked(ctx context.Context, mask uint64, markOf func() chan struct{}) error {
+	for {
+		t.lockMask(mask)
+		var mark chan struct{}
+		for m := mask; m != 0 && mark == nil; m &= m - 1 {
+			if len(t.shards[bits.TrailingZeros64(m)].inflight) > 0 {
+				mark = markOf()
+			}
+		}
+		if mark == nil {
+			return nil
+		}
+		t.unlockMask(mask)
+		if err := awaitMark(ctx, mark); err != nil {
+			return err
+		}
+	}
+}
+
+// awaitMark waits for an in-flight mark to clear, or for ctx to end.
+func awaitMark(ctx context.Context, mark chan struct{}) error {
+	select {
+	case <-mark:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("memtable: waiting for a write in flight: %w", ctx.Err())
+	}
+}
+
+// lockKey is lockUnmarked for one key: it returns key's shard, locked.
+func (t *Table) lockKey(ctx context.Context, key string) (*shard, error) {
+	i := t.shardIndexFor(key)
+	sh := t.shards[i]
+	if err := t.lockUnmarked(ctx, 1<<uint(i), func() chan struct{} { return sh.inflight[key] }); err != nil {
+		return nil, err
+	}
+	return sh, nil
+}
+
+// smallBatch is the widest batch eachKey serves with no allocation: its
+// keys' shard indices live in a stack array. Object state bundles (the
+// invocation hot path) are almost always this small.
 const smallBatch = 32
 
-// forEachShardGroup visits every position (index into keys) grouped by
-// owning shard: each distinct shard's lock is taken once and held while
-// fn runs for the positions that shard owns. fn gets one position at a
-// time, not a slice of them, so small batches group with no heap
-// allocation (a slice handed to fn would escape); wider ones fall back
-// to a position map.
-func (t *Table) forEachShardGroup(keys []string, fn func(sh *shard, i int)) {
-	if len(keys) <= smallBatch {
-		var idx [smallBatch]int
-		for i, k := range keys {
-			idx[i] = t.shardIndexFor(k)
-		}
-		var done uint64
-		for i := range keys {
-			if done&(1<<i) != 0 {
-				continue
+// eachKey is lockUnmarked for a batch of keys: once none of keys
+// carries an in-flight mark, it runs fn for each key under the lock of
+// its shard, looked up once per key, all of the batch's shards held
+// together. If a wait for a mark ends first it returns ctx's error,
+// having run fn for no key.
+func (t *Table) eachKey(ctx context.Context, keys []string, fn func(sh *shard, k string)) error {
+	var small [smallBatch]uint8
+	idx := small[:0]
+	if len(keys) > smallBatch {
+		idx = make([]uint8, 0, len(keys))
+	}
+	var mask uint64
+	for _, k := range keys {
+		i := t.shardIndexFor(k)
+		idx = append(idx, uint8(i))
+		mask |= 1 << uint(i)
+	}
+	err := t.lockUnmarked(ctx, mask, func() chan struct{} {
+		for j, k := range keys {
+			if mark := t.shards[idx[j]].inflight[k]; mark != nil {
+				return mark
 			}
-			sh := t.shards[idx[i]]
-			sh.mu.Lock()
-			for j := i; j < len(keys); j++ {
-				if done&(1<<j) == 0 && idx[j] == idx[i] {
-					done |= 1 << j
-					fn(sh, j)
-				}
-			}
-			sh.mu.Unlock()
 		}
-		return
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	groups := make(map[int][]int)
-	for i, k := range keys {
-		shardIdx := t.shardIndexFor(k)
-		groups[shardIdx] = append(groups[shardIdx], i)
+	for j, k := range keys {
+		fn(t.shards[idx[j]], k)
 	}
-	for shardIdx, positions := range groups {
-		sh := t.shards[shardIdx]
-		sh.mu.Lock()
-		for _, i := range positions {
-			fn(sh, i)
-		}
-		sh.mu.Unlock()
-	}
+	t.unlockMask(mask)
+	return nil
 }
 
 // isClosed reports whether Close has been called.
@@ -468,9 +495,9 @@ func (t *Table) Get(ctx context.Context, key string) (json.RawMessage, error) {
 	if t.isClosed() {
 		return nil, ErrClosed
 	}
-	sh := t.shardFor(key)
 	gen := t.drops.Load()
-	if err := sh.lockUnmarked(ctx, key); err != nil {
+	sh, err := t.lockKey(ctx, key)
+	if err != nil {
 		return nil, err
 	}
 	e, ok := sh.use(key)
@@ -535,36 +562,21 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 		return nil
 	}
 	gen := t.drops.Load()
-	var missing, marked []string
-	var mark chan struct{}
-	var hits, misses int64
-	t.forEachShardGroup(keys, func(sh *shard, i int) {
-		k := keys[i]
-		if m := sh.markOf(k); m != nil {
-			mark, marked = m, append(marked, k)
-			return
-		}
+	var missing []string
+	err := t.eachKey(ctx, keys, func(sh *shard, k string) {
 		if e, ok := sh.use(k); ok {
 			// A tombstone is authoritatively absent: no read-through.
 			if e.present {
 				out[k] = e.val
 			}
-			hits++
 			return
 		}
 		missing = append(missing, k)
-		misses++
 	})
-	t.noteReads(hits, misses)
-	if mark != nil {
-		// Keys in flight are read again once one of their writes lands.
-		if err := awaitMark(ctx, mark); err != nil {
-			return err
-		}
-		if err := t.GetManyInto(ctx, marked, out); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
+	t.noteReads(int64(len(keys)-len(missing)), int64(len(missing)))
 	if len(missing) == 0 || t.cfg.Mode == ModeMemoryOnly {
 		return nil
 	}
@@ -581,24 +593,26 @@ func (t *Table) GetManyInto(ctx context.Context, keys []string, out map[string]j
 	if len(docs) == 0 {
 		return nil
 	}
-	found := make([]string, 0, len(docs))
-	for k := range docs {
-		found = append(found, k)
-	}
 	// Cache the read-through results, again one lock per shard. A
 	// writer may have raced the batch read: its (newer) entry wins,
 	// and a racing Delete's tombstone keeps the key absent. A key whose
 	// read raced a drop is read again.
 	var raced []string
-	t.forEachShardGroup(found, func(sh *shard, i int) {
-		k := found[i]
-		switch e, ok := t.admit(sh, k, docs[k], true, gen); {
+	err = t.eachKey(ctx, missing, func(sh *shard, k string) {
+		doc, found := docs[k]
+		if !found {
+			return
+		}
+		switch e, ok := t.admit(sh, k, doc, true, gen); {
 		case !ok:
 			raced = append(raced, k)
 		case e.present:
 			out[k] = e.val
 		}
 	})
+	if err != nil {
+		return err
+	}
 	if len(raced) > 0 {
 		return t.GetManyInto(ctx, raced, out)
 	}
@@ -647,33 +661,19 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 		return nil
 	}
 	gen := t.drops.Load()
-	var missing, marked []string
-	var mark chan struct{}
-	var hits, misses int64
-	t.forEachShardGroup(keys, func(sh *shard, i int) {
-		k := keys[i]
-		if m := sh.markOf(k); m != nil {
-			mark, marked = m, append(marked, k)
-			return
-		}
+	var missing []string
+	err := t.eachKey(ctx, keys, func(sh *shard, k string) {
 		if e, ok := sh.use(k); ok {
 			// A tombstone (nil val) is authoritatively absent.
 			out[k] = VersionedValue{Value: e.val, Version: e.ver}
-			hits++
 			return
 		}
 		missing = append(missing, k)
-		misses++
 	})
-	t.noteReads(hits, misses)
-	if mark != nil {
-		if err := awaitMark(ctx, mark); err != nil {
-			return err
-		}
-		if err := t.GetManyVersionedInto(ctx, marked, out); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
+	t.noteReads(int64(len(keys)-len(missing)), int64(len(missing)))
 	if len(missing) == 0 {
 		return nil
 	}
@@ -692,8 +692,7 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 	// batch read; its newer table state wins over the fetched document.
 	// A key whose read raced a drop is read again.
 	var raced []string
-	t.forEachShardGroup(missing, func(sh *shard, i int) {
-		k := missing[i]
+	err = t.eachKey(ctx, missing, func(sh *shard, k string) {
 		doc, found := docs[k]
 		e, ok := t.admit(sh, k, doc, found, gen)
 		if !ok {
@@ -702,66 +701,30 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 		}
 		out[k] = VersionedValue{Value: e.val, Version: e.ver}
 	})
+	if err != nil {
+		return err
+	}
 	if len(raced) > 0 {
 		return t.GetManyVersionedInto(ctx, raced, out)
 	}
 	return nil
 }
 
-// PutMany stores every entry. In write-through mode it is one
-// unconditional versioned commit (commitOps), so the backing write is
-// one consolidated BatchPut (charged as a single write operation); in
-// write-behind mode all keys are marked dirty for the flusher, taking
-// each shard lock once.
+// PutMany stores every entry as one unconditional commit (commitOps):
+// it waits out every entry's write in flight before committing any, and
+// either commits them all or returns an error having committed none. In
+// write-through mode the backing write is one consolidated BatchPut
+// (charged as a single write operation); in write-behind mode the keys
+// are marked dirty for the flusher.
 func (t *Table) PutMany(ctx context.Context, entries map[string]json.RawMessage) error {
 	if t.isClosed() {
 		return ErrClosed
 	}
-	if len(entries) == 0 {
-		return nil
-	}
-	// Cloned first on both paths, so the caller's bytes never escape
-	// (an op's value does).
-	copied := make(map[string]json.RawMessage, len(entries))
-	keys := make([]string, 0, len(entries))
+	ops := make(map[string]CASOp, len(entries))
 	for k, v := range entries {
-		copied[k] = append(json.RawMessage(nil), v...)
-		keys = append(keys, k)
+		ops[k] = blindWrite(append(json.RawMessage(nil), v...))
 	}
-	if t.cfg.Mode == ModeWriteThrough {
-		ops := make(map[string]CASOp, len(copied))
-		for k, v := range copied {
-			ops[k] = blindWrite(v)
-		}
-		return t.commitOps(ctx, ops)
-	}
-	var marked []string
-	var mark chan struct{}
-	wake := false
-	t.forEachShardGroup(keys, func(sh *shard, i int) {
-		if m := sh.markOf(keys[i]); m != nil {
-			mark, marked = m, append(marked, keys[i])
-			return
-		}
-		if t.commit(sh, keys[i], copied[keys[i]]) {
-			wake = true
-		}
-	})
-	if wake {
-		t.wakeFlusher()
-	}
-	if mark == nil {
-		return nil
-	}
-	// Keys in flight are written once one of their writes lands.
-	if err := awaitMark(ctx, mark); err != nil {
-		return err
-	}
-	rest := make(map[string]json.RawMessage, len(marked))
-	for _, k := range marked {
-		rest[k] = copied[k]
-	}
-	return t.PutMany(ctx, rest)
+	return t.commitOps(ctx, ops, true)
 }
 
 // blindWrite is the unversioned op that writes v, empty or not (a nil
@@ -781,13 +744,13 @@ func (t *Table) Put(ctx context.Context, key string, value json.RawMessage) erro
 		return ErrClosed
 	}
 	// Cloned first on both paths, so the caller's bytes never escape
-	// (an op's value does).
+	// (an op's value does); the commit keeps this clone.
 	val := append(json.RawMessage(nil), value...)
 	if t.cfg.Mode == ModeWriteThrough {
-		return t.commitOps(ctx, map[string]CASOp{key: blindWrite(val)})
+		return t.commitOps(ctx, map[string]CASOp{key: blindWrite(val)}, true)
 	}
-	sh := t.shardFor(key)
-	if err := sh.lockUnmarked(ctx, key); err != nil {
+	sh, err := t.lockKey(ctx, key)
+	if err != nil {
 		return err
 	}
 	wake := t.commit(sh, key, val)
@@ -816,8 +779,8 @@ func (t *Table) Delete(ctx context.Context, key string) error {
 		}
 		defer t.releasePass()
 	}
-	sh := t.shardFor(key)
-	if err := sh.lockUnmarked(ctx, key); err != nil {
+	sh, err := t.lockKey(ctx, key)
+	if err != nil {
 		return fmt.Errorf("memtable: delete: %w", err)
 	}
 	t.remove(sh, key)
@@ -831,7 +794,7 @@ func (t *Table) Delete(ctx context.Context, key string) error {
 	if t.flightHook != nil {
 		t.flightHook()
 	}
-	err := t.cfg.Backing.Delete(ctx, key)
+	err = t.cfg.Backing.Delete(ctx, key)
 	sh.mu.Lock()
 	delete(sh.inflight, key)
 	if err == nil && t.cfg.Buffer {
@@ -860,36 +823,6 @@ type CASOp struct {
 	Write bool
 }
 
-// opShardMask returns the set of shards owning an op key as a bitmask
-// (valid because New caps Shards at 64), so the commit path can lock
-// and unlock its shard set without allocating tracking slices.
-func (t *Table) opShardMask(ops map[string]CASOp) uint64 {
-	var mask uint64
-	for k := range ops {
-		mask |= 1 << uint(t.shardIndexFor(k))
-	}
-	return mask
-}
-
-// lockMask locks every shard in mask in ascending index order (the
-// fixed global order keeps concurrent multi-shard commits
-// deadlock-free); unlockMask releases them.
-func (t *Table) lockMask(mask uint64) {
-	for i := range t.shards {
-		if mask&(1<<uint(i)) != 0 {
-			t.shards[i].mu.Lock()
-		}
-	}
-}
-
-func (t *Table) unlockMask(mask uint64) {
-	for i := range t.shards {
-		if mask&(1<<uint(i)) != 0 {
-			t.shards[i].mu.Unlock()
-		}
-	}
-}
-
 // PutManyIfVersion atomically validates every op's expected version
 // and, only if all match, commits the write ops (bumping each written
 // key's version). It is the table-level realization of optimistic
@@ -911,16 +844,18 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 	if t.cfg.Buffer {
 		return errBuffer
 	}
-	return t.commitOps(ctx, ops)
+	return t.commitOps(ctx, ops, false)
 }
 
 // commitOps is the body of PutManyIfVersion and the table's one
 // write-through exit: Put and PutMany of a write-through table come here
-// with AnyVersion ops. It locks every involved shard (ascending-index
-// order, so concurrent multi-key commits cannot deadlock), waits out any
-// op key marked in flight, and validates. A commit with no backing I/O —
-// a write-behind one without deletes, or a memory-only one — then
-// applies under those locks, paying nothing for marks.
+// with AnyVersion ops whose values they cloned, so owned is true and the
+// commit keeps those values; PutManyIfVersion's ops are the caller's, so
+// their values are cloned (package doc). It locks every involved shard
+// once no op key is marked in flight (lockUnmarked), and validates. A
+// commit with no backing I/O — a write-behind one without deletes, or a
+// memory-only one — then applies under those locks, paying nothing for
+// marks.
 //
 // A commit with backing I/O marks its written keys in flight and
 // unlocks: no shard mutex is held across backing I/O. Deletes go first
@@ -936,21 +871,21 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 // flight may be overtaken in the store by that key's older value (a
 // batch taken before the delete lands after it), so it is handed to the
 // flusher's re-delete as well (shard.deleted).
-func (t *Table) commitOps(ctx context.Context, ops map[string]CASOp) error {
+func (t *Table) commitOps(ctx context.Context, ops map[string]CASOp, owned bool) error {
 	if len(ops) == 0 {
 		return nil
 	}
 	mask := t.opShardMask(ops)
-	for {
-		t.lockMask(mask)
-		mark := t.markedOp(ops, mask)
-		if mark == nil {
-			break
+	err := t.lockUnmarked(ctx, mask, func() chan struct{} {
+		for k := range ops {
+			if mark := t.shardFor(k).inflight[k]; mark != nil {
+				return mark
+			}
 		}
-		t.unlockMask(mask)
-		if err := awaitMark(ctx, mark); err != nil {
-			return err
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	persists := t.cfg.Mode != ModeMemoryOnly
 	io := false
@@ -968,7 +903,7 @@ func (t *Table) commitOps(ctx context.Context, ops map[string]CASOp) error {
 		}
 	}
 	if !io {
-		wake := t.apply(ops, nil)
+		wake := t.apply(ops, nil, owned)
 		t.unlockMask(mask)
 		if wake {
 			t.wakeFlusher()
@@ -988,14 +923,14 @@ func (t *Table) commitOps(ctx context.Context, ops map[string]CASOp) error {
 		}
 	}
 	t.unlockMask(mask)
-	puts, err := t.writeBacking(ctx, ops)
+	puts, err := t.writeBacking(ctx, ops, owned)
 	if t.flightHook != nil {
 		t.flightHook()
 	}
 	t.lockMask(mask)
 	wake := false
 	if err == nil {
-		wake = t.apply(ops, puts)
+		wake = t.apply(ops, puts, owned)
 		for _, k := range redelete {
 			t.shardFor(k).deleted[k] = true
 		}
@@ -1013,30 +948,10 @@ func (t *Table) commitOps(ctx context.Context, ops map[string]CASOp) error {
 	return err
 }
 
-// markedOp returns the in-flight mark of some op key, or nil when none
-// is marked; shards with no mark cost no lookup. Callers hold the
-// mask's shard locks.
-func (t *Table) markedOp(ops map[string]CASOp, mask uint64) chan struct{} {
-	for i, sh := range t.shards {
-		if mask&(1<<uint(i)) == 0 || len(sh.inflight) == 0 {
-			continue
-		}
-		for k := range ops {
-			if mark := t.shardFor(k).markOf(k); mark != nil {
-				return mark
-			}
-		}
-		return nil
-	}
-	return nil
-}
-
 // writeBacking is a commit's backing I/O, run without shard locks:
-// deletes first, then the write-through puts in one BatchPut. The ops
-// map and its values belong to the caller — typically a pooled commit
-// scratch — so written values are cloned (package doc); it returns the
-// clones for apply.
-func (t *Table) writeBacking(ctx context.Context, ops map[string]CASOp) (map[string]json.RawMessage, error) {
+// deletes first, then the write-through puts in one BatchPut. It returns
+// the values it wrote (see keep) for apply.
+func (t *Table) writeBacking(ctx context.Context, ops map[string]CASOp, owned bool) (map[string]json.RawMessage, error) {
 	var puts map[string]json.RawMessage
 	for k, op := range ops {
 		switch {
@@ -1049,7 +964,7 @@ func (t *Table) writeBacking(ctx context.Context, ops map[string]CASOp) (map[str
 			if puts == nil {
 				puts = make(map[string]json.RawMessage, len(ops))
 			}
-			puts[k] = append(json.RawMessage(nil), op.Value...)
+			puts[k] = keep(op.Value, owned)
 		}
 	}
 	if len(puts) > 0 {
@@ -1061,9 +976,9 @@ func (t *Table) writeBacking(ctx context.Context, ops map[string]CASOp) (map[str
 }
 
 // apply commits a validated commit's write ops in memory, reusing the
-// clones writeBacking made; it reports whether a shard now holds an
+// values writeBacking wrote; it reports whether a shard now holds an
 // early flush's worth. Callers hold the ops' shard locks.
-func (t *Table) apply(ops map[string]CASOp, puts map[string]json.RawMessage) (wake bool) {
+func (t *Table) apply(ops map[string]CASOp, puts map[string]json.RawMessage, owned bool) (wake bool) {
 	for k, op := range ops {
 		if !op.Write {
 			continue
@@ -1073,15 +988,26 @@ func (t *Table) apply(ops map[string]CASOp, puts map[string]json.RawMessage) (wa
 			t.remove(sh, k)
 			continue
 		}
-		v, cloned := puts[k]
-		if !cloned {
-			v = append(json.RawMessage(nil), op.Value...)
+		v, written := puts[k]
+		if !written {
+			v = keep(op.Value, owned)
 		}
 		if t.commit(sh, k, v) {
 			wake = true
 		}
 	}
 	return wake
+}
+
+// keep returns the bytes a commit stores for an op's value: the value
+// itself when the commit owns it, else a clone, since the caller's ops
+// and values may be reused (package doc). An empty value is stored as
+// nil either way.
+func keep(v json.RawMessage, owned bool) json.RawMessage {
+	if owned && len(v) > 0 {
+		return v
+	}
+	return append(json.RawMessage(nil), v...)
 }
 
 // flushLoop periodically consolidates dirty keys into batch writes.

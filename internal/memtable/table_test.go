@@ -560,8 +560,8 @@ func TestGetManyContextCancelledMidBatch(t *testing.T) {
 	}
 }
 
-// TestBatchOpsWidePath exercises the map-grouping fallback used for
-// batches wider than the small-batch fast path.
+// TestBatchOpsWidePath exercises batches wider than eachKey's
+// allocation-free path.
 func TestBatchOpsWidePath(t *testing.T) {
 	tbl, db := newBacked(t, ModeWriteBehind)
 	ctx := context.Background()
