@@ -209,6 +209,7 @@ func TestInvariants(t *testing.T) {
 			"internal/gateway/gateway.go#Gateway.ServeHTTP": "the request log's duration is the operator's record of real request time",
 			"internal/core/platform.go#Platform.Close":      "bounds the shutdown of a real http.Server",
 			"internal/experiment":                           "the experiments measure wall-clock latency of the running system",
+			"internal/simtest/simtest.go#Bubbles":           "bounds a child go test by its parent test binary's real deadline",
 		})},
 
 		// A knob exists because something sets it, and a symbol because
@@ -252,16 +253,29 @@ func TestInvariants(t *testing.T) {
 			"vclock.Manual.Advance":             "virtual time tests drive",
 			"vclock.Manual.Pending":             "virtual time tests drive",
 			"heaptest.PerEntry":                 "the measurement every resident-budget test compares against",
+			"simtest.Bubbles":                   "each package's entry test runs its bubble tests through it",
 			"kvstore.Store.Len":                 "tests count the store's documents",
 			"memtable.Table.Len":                "tests count a table's live entries",
 			"memtable.Ring.Len":                 "ring tests count its nodes",
 		})},
 
 		// A test waits for what it waits for — Bus.Drain, a Manual clock,
-		// a channel — not for a sleep that guesses how long it takes. The
+		// a channel, simtest.Wait in a bubble — not for a sleep that guesses
+		// how long it takes. A sleep in a bubble test still counts. The
 		// count of sleeps in the tests only goes down: a change that
 		// removes some lowers the number, and none raises it.
-		{"test-sleeps-ratchet", testCalls("time.Sleep(", 87)},
+		{"test-sleeps-ratchet", testCalls("time.Sleep(", 45)},
+
+		// A test enters a synctest bubble through internal/simtest alone, so
+		// the Go 1.25 switch from synctest.Run to synctest.Test, and how a
+		// plain go test reaches the bubble tests, are each one function.
+		{"one-bubble-entry", importedOnlyIn("testing/synctest", "internal/simtest")},
+		// A plain go test leaves a file tagged goexperiment.synctest out, so
+		// its package's bubble tests run in tier-1 only through an entry
+		// test that calls simtest.Bubbles.
+		{"bubble-tests-have-an-entry", bubbleEntries(map[string]string{
+			"internal/experiment": "the Figure 3 points take about 26 s; CI runs them in a step of their own",
+		})},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if err := row.check(tr); err != nil {
@@ -308,18 +322,19 @@ func load(t *testing.T) *tree {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		into := tr.files
+		into, mode := tr.files, parser.SkipObjectResolution
 		if strings.HasSuffix(p, "_test.go") {
 			if strings.HasPrefix(rel, "bench/") {
 				return nil
 			}
-			into = tr.tests
+			// A test file's build constraint decides where it runs.
+			into, mode = tr.tests, mode|parser.ParseComments
 		}
 		src, err := os.ReadFile(p)
 		if err != nil {
 			return err
 		}
-		into[rel], err = parser.ParseFile(tr.fset, rel, src, parser.SkipObjectResolution)
+		into[rel], err = parser.ParseFile(tr.fset, rel, src, mode)
 		return err
 	})
 	if err != nil {
@@ -602,6 +617,68 @@ func noType(scope, typ string) check {
 		}
 		if len(hits) > 0 {
 			return fmt.Errorf("%s declares %s at %s", scope, typ, tr.list(hits))
+		}
+		return nil
+	}
+}
+
+// importedOnlyIn: no file, test files included, imports pkg unless it is
+// in dir or below it.
+func importedOnlyIn(pkg, dir string) check {
+	return func(tr *tree) error {
+		var hits []token.Pos
+		for _, files := range []map[string]*ast.File{tr.files, tr.tests} {
+			for p, f := range files {
+				if strings.HasPrefix(p, dir+"/") {
+					continue
+				}
+				for _, is := range f.Imports {
+					if is.Path.Value == `"`+pkg+`"` {
+						hits = append(hits, is.Pos())
+					}
+				}
+			}
+		}
+		if len(hits) > 0 {
+			slices.Sort(hits)
+			return fmt.Errorf("%s is imported outside %s at %s", pkg, dir, tr.list(hits))
+		}
+		return nil
+	}
+}
+
+// bubbleEntries: every directory with a test file tagged
+// goexperiment.synctest has a test file that calls simtest.Bubbles,
+// unless skip names the directory with the reason it has none. An entry
+// of skip that has an entry, or no bubble tests, fails the row too.
+func bubbleEntries(skip map[string]string) check {
+	return func(tr *tree) error {
+		tests := &tree{fset: tr.fset, files: tr.tests}
+		var errs []string
+		dirs := map[string]bool{}
+		for p, f := range tr.tests {
+			if len(f.Comments) > 0 && f.Comments[0].Pos() < f.Package && slices.ContainsFunc(f.Comments[0].List, func(c *ast.Comment) bool {
+				return c.Text == "//go:build goexperiment.synctest"
+			}) {
+				dirs[path.Dir(p)] = true
+			}
+		}
+		for _, dir := range sortedKeys(dirs) {
+			_, skipped := skip[dir]
+			switch entry := len(tests.sites(dir, "simtest.Bubbles(")) > 0; {
+			case !entry && !skipped:
+				errs = append(errs, dir+" has bubble tests and no test calls simtest.Bubbles")
+			case entry && skipped:
+				errs = append(errs, dir+" is listed as having no entry test but has one")
+			}
+		}
+		for _, dir := range sortedKeys(skip) {
+			if !dirs[dir] {
+				errs = append(errs, dir+" is listed as having no entry test but has no bubble tests")
+			}
+		}
+		if len(errs) > 0 {
+			return errors.New(strings.Join(errs, "; "))
 		}
 		return nil
 	}

@@ -15,8 +15,12 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 // echoInvoker returns the payload and counts executions.
 type echoInvoker struct {
@@ -330,153 +334,6 @@ func TestStatusTerminal(t *testing.T) {
 	}
 }
 
-// TestRecordGCEvictsTerminalRecords verifies completed records are
-// evicted once RecordTTL elapses and that the eviction is counted.
-func TestRecordGCEvictsTerminalRecords(t *testing.T) {
-	inv := &echoInvoker{}
-	q := newQueue(t, Config{
-		Invoke:   each(inv.invoke),
-		Settings: Settings{Workers: 2, RecordTTL: 30 * time.Millisecond},
-	})
-	ctx := context.Background()
-	ids := make([]string, 5)
-	for i := range ids {
-		id, err := q.Submit(ctx, Target{}, fmt.Sprintf("obj-%d", i), "m", nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	for _, id := range ids {
-		if _, err := q.Wait(ctx, id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		evicted := 0
-		for _, id := range ids {
-			if _, err := q.Get(ctx, id); errors.Is(err, ErrNotFound) {
-				evicted++
-			}
-		}
-		if evicted == len(ids) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("records not evicted after TTL: %d/%d gone", evicted, len(ids))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := q.Stats().Evicted; got != int64(len(ids)) {
-		t.Fatalf("Stats().Evicted = %d, want %d", got, len(ids))
-	}
-}
-
-// TestRecordGCSparesNonTerminalRecords verifies in-flight records
-// survive sweeps even when older than the TTL.
-func TestRecordGCSparesNonTerminalRecords(t *testing.T) {
-	release := make(chan struct{})
-	q := newQueue(t, Config{
-		Invoke: each(func(ctx context.Context, _, _ string, _ json.RawMessage, _ map[string]string) (json.RawMessage, error) {
-			select {
-			case <-release:
-				return json.RawMessage(`"done"`), nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}),
-		Settings: Settings{Workers: 1, RecordTTL: 10 * time.Millisecond},
-	})
-	ctx := context.Background()
-	id, err := q.Submit(ctx, Target{}, "obj", "slow", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Let several TTLs and sweeps pass while the handler is running.
-	time.Sleep(50 * time.Millisecond)
-	rec, err := q.Get(ctx, id)
-	if err != nil {
-		t.Fatalf("running record evicted: %v", err)
-	}
-	if rec.Status.Terminal() {
-		t.Fatalf("status = %s, want non-terminal", rec.Status)
-	}
-	close(release)
-	if _, err := q.Wait(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-	// Now it is terminal and must eventually be evicted.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := q.Get(ctx, id); errors.Is(err, ErrNotFound) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("terminal record never evicted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestRecordGCEvictsFromBackingStore verifies eviction removes durable
-// records from the backing document store, not just from memory.
-func TestRecordGCEvictsFromBackingStore(t *testing.T) {
-	db := kvstore.Open(kvstore.Config{})
-	defer db.Close()
-	inv := &echoInvoker{}
-	q := newQueue(t, Config{
-		Invoke:        each(inv.invoke),
-		Settings:      Settings{Workers: 1, RecordTTL: 20 * time.Millisecond},
-		Backing:       db,
-		FlushInterval: 2 * time.Millisecond,
-	})
-	ctx := context.Background()
-	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Wait(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		keys, err := db.List(ctx, recordKey(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(keys) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backing store still holds %v after TTL", keys)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestNoGCWithoutTTL verifies the zero-value config keeps records
-// forever (the pre-GC behaviour).
-func TestNoGCWithoutTTL(t *testing.T) {
-	inv := &echoInvoker{}
-	q := newQueue(t, Config{Invoke: each(inv.invoke), Settings: Settings{Workers: 1}})
-	ctx := context.Background()
-	id, err := q.Submit(ctx, Target{}, "obj", "m", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Wait(ctx, id); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(30 * time.Millisecond)
-	if _, err := q.Get(ctx, id); err != nil {
-		t.Fatalf("record evicted without a TTL: %v", err)
-	}
-	if q.Stats().Evicted != 0 {
-		t.Fatalf("Evicted = %d, want 0", q.Stats().Evicted)
-	}
-}
-
 // flakyInvoker fails the first failures calls, then succeeds.
 type flakyInvoker struct {
 	calls    atomic.Int64
@@ -559,59 +416,6 @@ func blockingQueue(t *testing.T, cfg Config) (q *Queue, started, release chan st
 		}
 	}
 	return newQueue(t, cfg), started, release
-}
-
-// TestClassQuotaRejectsAndReleases caps a class at 2 queued
-// invocations: the third submission fails with ErrClassQuotaExceeded,
-// and draining the backlog returns the quota.
-func TestClassQuotaRejectsAndReleases(t *testing.T) {
-	targetOf := func(objectID, _ string) Target {
-		if objectID == "free" {
-			return Target{Class: "Boundless"}
-		}
-		return Target{Class: "Capped"}
-	}
-	q, started, release := blockingQueue(t, Config{
-		// Quota releases at dequeue; per-task draining keeps it deterministic.
-		Settings: Settings{Capacity: 16, DrainBatch: 1, ClassQuotas: map[string]int{"Capped": 2}},
-		Target:   targetOf,
-	})
-	ctx := context.Background()
-	// Occupy the single worker with an unquoted class so the capped
-	// submissions stay queued.
-	if _, err := q.Submit(ctx, targetOf("free", "m"), "free", "m", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	for i := 0; i < 2; i++ {
-		if _, err := q.Submit(ctx, targetOf("capped", "m"), "capped", "m", nil, nil); err != nil {
-			t.Fatalf("submission %d within quota: %v", i, err)
-		}
-	}
-	if _, err := q.Submit(ctx, targetOf("capped", "m"), "capped", "m", nil, nil); !errors.Is(err, ErrClassQuotaExceeded) {
-		t.Fatalf("over-quota err = %v, want ErrClassQuotaExceeded", err)
-	}
-	// Unquoted classes are unaffected by the capped class's limit.
-	if _, err := q.Submit(ctx, targetOf("free", "m"), "free", "m", nil, nil); err != nil {
-		t.Fatalf("unquoted class rejected: %v", err)
-	}
-	if s := q.Stats(); s.QuotaRejected != 1 {
-		t.Fatalf("QuotaRejected = %d, want 1", s.QuotaRejected)
-	}
-	close(release)
-	// Draining returns the quota: wait for the backlog, then resubmit.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := q.Submit(ctx, targetOf("capped", "m"), "capped", "m", nil, nil); err == nil {
-			break
-		} else if !errors.Is(err, ErrClassQuotaExceeded) {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("quota never released after drain")
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // TestBatchedDrainCoalescesSameObject parks the worker, builds a

@@ -1,16 +1,18 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 func newMembership(t *testing.T, clock vclock.Clock, onReb func([]string, uint64)) (*Membership, *kvstore.Store) {
 	t.Helper()
@@ -121,54 +123,6 @@ func TestRendezvousMinimalReshuffle(t *testing.T) {
 	}
 }
 
-func TestKillExpiresLeaseAndRebalances(t *testing.T) {
-	var mu sync.Mutex
-	var gotDead []string
-	var gotEpoch uint64
-	m, _ := newMembership(t, vclock.NewReal(), func(dead []string, epoch uint64) {
-		mu.Lock()
-		gotDead = append(gotDead, dead...)
-		gotEpoch = epoch
-		mu.Unlock()
-	})
-	for i := 0; i < 3; i++ {
-		if err := m.Join(fmt.Sprintf("vm-%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hot := "obj-hot"
-	owner, _ := m.Owner(hot)
-	epochBefore := m.Epoch()
-	if err := m.Kill(owner); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if m.Metrics().Counter("cluster.rebalances").Value() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("rebalance never ran after kill")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	mu.Lock()
-	dead, epoch := append([]string(nil), gotDead...), gotEpoch
-	mu.Unlock()
-	if len(dead) != 1 || dead[0] != owner {
-		t.Fatalf("OnRebalance dead = %v, want [%s]", dead, owner)
-	}
-	if epoch != epochBefore+1 {
-		t.Fatalf("epoch = %d, want %d", epoch, epochBefore+1)
-	}
-	if newOwner, ok := m.Owner(hot); !ok || newOwner == owner {
-		t.Fatalf("object still owned by dead node %q (ok=%v)", newOwner, ok)
-	}
-	if len(m.Members()) != 2 {
-		t.Fatalf("live members = %d after kill", len(m.Members()))
-	}
-}
-
 func TestFenceRejectsMovedOwnership(t *testing.T) {
 	m, _ := newMembership(t, vclock.NewReal(), nil)
 	for i := 0; i < 3; i++ {
@@ -206,36 +160,6 @@ func TestFenceRejectsMovedOwnership(t *testing.T) {
 	sOwner, _ := m.Owner(stable)
 	if err := m.Fence(stable, sOwner, epoch); err != nil {
 		t.Fatalf("fence on unmoved object = %v", err)
-	}
-}
-
-func TestTransitionWindowReportsMoving(t *testing.T) {
-	m, _ := newMembership(t, vclock.NewReal(), nil)
-	for i := 0; i < 2; i++ {
-		if err := m.Join(fmt.Sprintf("vm-%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.CheckMoving(); err != nil {
-		t.Fatalf("CheckMoving before any rebalance = %v", err)
-	}
-	if err := m.Leave("vm-01"); err != nil {
-		t.Fatal(err)
-	}
-	err := m.CheckMoving()
-	if !errors.Is(err, ErrOwnershipMoving) {
-		t.Fatalf("CheckMoving in window = %v, want ErrOwnershipMoving", err)
-	}
-	var te *TransitionError
-	if !errors.As(err, &te) || te.RetryAfter <= 0 {
-		t.Fatalf("TransitionError retry-after missing: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for m.CheckMoving() != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("transition window never closed")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -303,24 +227,5 @@ func TestHeartbeatJitterSpreadsRenewals(t *testing.T) {
 		if d < lo || d > hi {
 			t.Fatalf("interval %s outside [%s, %s]", d, lo, hi)
 		}
-	}
-}
-
-func TestLeaseRenewalPersists(t *testing.T) {
-	m, store := newMembership(t, vclock.NewReal(), nil)
-	if err := m.Join("vm-00"); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := store.Get(context.Background(), leasePrefix+"vm-00")
-	if err != nil {
-		t.Fatalf("lease not persisted: %v", err)
-	}
-	if len(doc.Value) == 0 {
-		t.Fatal("empty lease doc")
-	}
-	// Stays live well past the TTL because the heartbeat renews it.
-	time.Sleep(500 * time.Millisecond)
-	if len(m.Members()) != 1 {
-		t.Fatalf("heartbeated member expired: live=%d", len(m.Members()))
 	}
 }

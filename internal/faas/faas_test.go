@@ -11,7 +11,11 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/cluster"
 	"github.com/hpcclab/oparaca-go/internal/invoker"
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 )
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 // testRig bundles a cluster, registry and engine for tests.
 type testRig struct {
@@ -144,77 +148,6 @@ func TestKnativeScaleFromZero(t *testing.T) {
 	}
 }
 
-func TestKnativeScaleToZeroAfterIdle(t *testing.T) {
-	rig := newRig(t, ModeKnative, 1, nil)
-	if err := rig.engine.Deploy(echoSpec("f")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rig.engine.Invoke(context.Background(), "f", invoker.Task{}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		n, err := rig.engine.Replicas("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("function never scaled to zero (replicas=%d)", n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestKnativeRespectsMinScale(t *testing.T) {
-	rig := newRig(t, ModeKnative, 1, nil)
-	spec := echoSpec("f")
-	spec.MinScale = 2
-	spec.InitialScale = 2
-	if err := rig.engine.Deploy(spec); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(150 * time.Millisecond) // several idle windows
-	if n, _ := rig.engine.Replicas("f"); n < 2 {
-		t.Fatalf("replicas fell below MinScale: %d", n)
-	}
-}
-
-func TestKnativeScalesUpUnderLoad(t *testing.T) {
-	rig := newRig(t, ModeKnative, 2, func(c *Config) {
-		c.IdleTimeout = time.Minute
-	})
-	spec := FunctionSpec{
-		Name: "f", Image: "img/echo",
-		Concurrency: 2, MaxScale: 8,
-		ServiceTime: 30 * time.Millisecond,
-	}
-	if err := rig.engine.Deploy(spec); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 5; j++ {
-				if _, err := rig.engine.Invoke(ctx, "f", invoker.Task{}); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	stats := rig.engine.Stats()
-	if stats[0].Replicas < 2 {
-		t.Fatalf("autoscaler never scaled up: %+v", stats[0])
-	}
-}
-
 func TestMaxScaleRespected(t *testing.T) {
 	rig := newRig(t, ModeKnative, 2, func(c *Config) {
 		c.IdleTimeout = time.Minute
@@ -295,31 +228,6 @@ func TestRemoveFunction(t *testing.T) {
 	}
 }
 
-func TestEngineCloseFailsPending(t *testing.T) {
-	rig := newRig(t, ModeKnative, 1, func(c *Config) {
-		c.ColdStart = time.Hour // pods never become ready
-	})
-	spec := echoSpec("f")
-	if err := rig.engine.Deploy(spec); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := rig.engine.Invoke(context.Background(), "f", invoker.Task{})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	rig.engine.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrEngineClosed) && !errors.Is(err, context.Canceled) {
-			t.Fatalf("pending invoke err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("pending invoke never failed after Close")
-	}
-}
-
 func TestCloseIdempotent(t *testing.T) {
 	rig := newRig(t, ModeKnative, 1, nil)
 	rig.engine.Close()
@@ -383,65 +291,5 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(42).String() != "Mode(42)" {
 		t.Fatal("unknown mode string wrong")
-	}
-}
-
-// TestScaleCyclesWithoutTrafficDoNotFillTheSlotChannel: every scale-down
-// used to leave the evicted pod's free slots in the channel for an
-// invocation to discard, so MaxScale+1 down/up cycles with none in
-// between filled it. A warm announcement (scaleTo without a cold start,
-// as Deploy makes) then blocked forever holding the function's lock; a
-// cold one (the autoscaler, an optimizer floor) parked
-// its warm-up goroutine until traffic had discarded a channel's worth
-// of dead slots one lock round trip at a time.
-func TestScaleCyclesWithoutTrafficDoNotFillTheSlotChannel(t *testing.T) {
-	rig := newRig(t, ModeDeployment, 1, func(c *Config) { c.ColdStart = time.Millisecond })
-	spec := echoSpec("f")
-	spec.MaxScale, spec.InitialScale = 2, 1
-	if err := rig.engine.Deploy(spec); err != nil {
-		t.Fatal(err)
-	}
-	fn, err := rig.engine.lookup("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cold := range []bool{false, true} {
-		done := make(chan error, 1)
-		go func() {
-			for cycle := 0; cycle < spec.MaxScale+2; cycle++ {
-				for _, n := range []int{0, 1} {
-					if err := rig.engine.scaleTo(fn, n, cold); err != nil {
-						done <- err
-						return
-					}
-				}
-			}
-			done <- nil
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("scaleTo is stuck announcing a pod into a slot channel full of evicted pods' slots")
-		}
-		// The last pod's slots, and nothing else: at once when announced
-		// warm, after the cold start otherwise.
-		for deadline := time.Now().Add(10 * time.Second); len(fn.slots) != spec.Concurrency; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("cold=%v: %d slots queued after the cycles, want the live pod's %d", cold, len(fn.slots), spec.Concurrency)
-			}
-		}
-		for range spec.Concurrency {
-			slot := <-fn.slots
-			fn.mu.Lock()
-			_, alive := fn.pods[slot]
-			fn.mu.Unlock()
-			if !alive {
-				t.Fatalf("cold=%v: an evicted pod's slot is still queued", cold)
-			}
-			fn.slots <- slot
-		}
 	}
 }

@@ -20,29 +20,36 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/israce"
 	"github.com/hpcclab/oparaca-go/internal/model"
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 )
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 // pollRig is a gateway driven in-process over a platform with one async
 // worker draining one task at a time, and three functions on object g1:
 // echo answers its payload, fail answers its payload (a JSON string) as
-// an error, park holds the worker until release is closed.
+// an error, park holds the worker until release is closed and says on
+// parked that it has begun.
 type pollRig struct {
 	t       testing.TB
 	p       *core.Platform
 	gw      *Gateway
 	w       *fakeWriter
 	release chan struct{}
+	parked  chan struct{}
 }
 
 func newPollRig(t testing.TB) *pollRig {
 	t.Helper()
+	no := false // in-process: the object store opens no socket
 	p, err := core.New(core.Config{Workers: 1, FaaS: faas.Settings{ColdStart: time.Millisecond},
-		Async: asyncq.Settings{Workers: 1, DrainBatch: 1, Capacity: 4096}})
+		Async: asyncq.Settings{Workers: 1, DrainBatch: 1, Capacity: 4096}, ServeObjectStore: &no})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	rig := &pollRig{t: t, p: p, gw: New(p), w: &fakeWriter{header: make(http.Header)}, release: make(chan struct{})}
+	rig := &pollRig{t: t, p: p, gw: New(p), w: &fakeWriter{header: make(http.Header)}, release: make(chan struct{}), parked: make(chan struct{}, 1)}
 	p.Images().Register("img/echo", invoker.HandlerFunc(func(_ context.Context, task invoker.Task) (invoker.Result, error) {
 		return invoker.Result{Output: task.Payload}, nil
 	}))
@@ -52,6 +59,10 @@ func newPollRig(t testing.TB) *pollRig {
 		return invoker.Result{}, errors.New(msg)
 	}))
 	p.Images().Register("img/park", invoker.HandlerFunc(func(ctx context.Context, _ invoker.Task) (invoker.Result, error) {
+		select {
+		case rig.parked <- struct{}{}:
+		default:
+		}
 		select {
 		case <-rig.release:
 		case <-ctx.Done():
@@ -91,21 +102,14 @@ func (rig *pollRig) submit(member, payload string) string {
 	return accepted.Invocation
 }
 
-// await polls id until its record's status is want.
-func (rig *pollRig) await(id string, want asyncq.Status) asyncq.Record {
+// await returns id's record once its run has ended.
+func (rig *pollRig) await(id string) asyncq.Record {
 	rig.t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		rec, err := rig.p.Invocation(context.Background(), id)
-		if err != nil {
-			rig.t.Fatal(err)
-		}
-		if rec.Status == want {
-			return rec
-		}
-		if time.Now().After(deadline) {
-			rig.t.Fatalf("invocation %s is %s, want %s", id, rec.Status, want)
-		}
+	rec, err := rig.p.WaitInvocation(context.Background(), id)
+	if err != nil {
+		rig.t.Fatal(err)
 	}
+	return rec
 }
 
 // reflected is the body writeJSON's reflective encoder renders for v —
@@ -118,82 +122,6 @@ func reflected(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return buf.String()
-}
-
-// TestInvocationBodyGolden holds every body of GET /api/invocations/{id}
-// to the bytes encoding/json renders for the record, whether or not the
-// poll waited.
-func TestInvocationBodyGolden(t *testing.T) {
-	rig := newPollRig(t)
-	cases := []struct {
-		name, member, payload string
-		status                asyncq.Status
-		check                 func(asyncq.Record) bool // the record is the case its name says
-	}{
-		{"completed", "echo", `{"n":1}`, asyncq.StatusCompleted,
-			func(r asyncq.Record) bool { return string(r.Result) == `{"n":1}` && !r.Finished.IsZero() }},
-		{"result with insignificant whitespace", "echo", " { \"a\" : [ 1 , 2 ] ,\n\t\"b\" : null } ", asyncq.StatusCompleted,
-			func(r asyncq.Record) bool { return bytes.ContainsAny(r.Result, " \n\t") }},
-		{"result with <, & and U+2028", "echo", "{\"t\":\"<a&b>\u2028\"}", asyncq.StatusCompleted,
-			func(r asyncq.Record) bool { return bytes.ContainsAny(r.Result, "<&\u2028") }},
-		// A handler's failure names its image in quotes, so it is an "error
-		// string needing escapes" whatever the handler said.
-		{"failed", "fail", `"boom: no such key"`, asyncq.StatusFailed,
-			func(r asyncq.Record) bool { return strings.HasSuffix(r.Error, `image "img/fail": boom: no such key`) }},
-		{"error with control bytes and non-ASCII", "fail", `"said \"no\"\n<br> caf\u00e9"`, asyncq.StatusFailed,
-			func(r asyncq.Record) bool { return strings.HasSuffix(r.Error, "\"no\"\n<br> café") }},
-		// The parked call holds the only worker, so the one after it waits.
-		{"running", "park", ``, asyncq.StatusRunning,
-			func(r asyncq.Record) bool { return !r.Started.IsZero() && r.Finished.IsZero() }},
-		{"pending with payload and args", "echo?w=120&trigger=stateChanged", `{"queued":true}`, asyncq.StatusPending,
-			func(r asyncq.Record) bool { return len(r.Payload) > 0 && len(r.Args) == 2 && r.Started.IsZero() }},
-	}
-	ids := make([]string, len(cases))
-	for i, tc := range cases {
-		ids[i] = rig.submit(tc.member, tc.payload)
-		rig.await(ids[i], tc.status)
-	}
-	for i, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rec, err := rig.p.Invocation(context.Background(), ids[i])
-			if err != nil || !tc.check(rec) {
-				t.Fatalf("record = %+v, err = %v", rec, err)
-			}
-			want := reflected(t, rec)
-			// waitMs=1 on a record that is not terminal arms the wait,
-			// lets it elapse and reads again.
-			for _, query := range []string{"", "?waitMs=0", "?waitMs=1", "?waitMs=%31"} {
-				status, body := rig.serve(http.MethodGet, "/api/invocations/"+ids[i]+query, "")
-				if status != http.StatusOK || body != want || rig.w.header.Get("Content-Type") != "application/json" {
-					t.Fatalf("GET %q: status = %d (%s)\n got: %s\nwant: %s", query, status, rig.w.header.Get("Content-Type"), body, want)
-				}
-			}
-			if tc.status.Terminal() {
-				start := time.Now()
-				if _, body := rig.serve(http.MethodGet, "/api/invocations/"+ids[i]+"?waitMs=30000", ""); body != want || time.Since(start) > 10*time.Second {
-					t.Fatalf("long poll of a terminal record took %v\n got: %s\nwant: %s", time.Since(start), body, want)
-				}
-			}
-		})
-	}
-	// A poll woken by the completion answers with the record the worker
-	// hands its waiter, not one read back from the table: same bytes.
-	woken := make(chan string, 1)
-	go func() {
-		w := &fakeWriter{header: make(http.Header)}
-		rig.gw.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/invocations/"+ids[5]+"?waitMs=30000", nil))
-		woken <- w.body.String()
-	}()
-	time.Sleep(5 * time.Millisecond) // let the poll reach its wait; without it the case above is re-run
-	close(rig.release)
-	body := <-woken
-	rec := rig.await(ids[5], asyncq.StatusCompleted)
-	if want := reflected(t, rec); body != want || string(rec.Result) != `"released"` {
-		t.Fatalf("woken poll\n got: %s\nwant: %s", body, want)
-	}
-	if status, _ := rig.serve(http.MethodGet, "/api/invocations/inv-nope?waitMs=50", ""); status != http.StatusNotFound {
-		t.Fatalf("unknown ID with a wait: status = %d, want 404", status)
-	}
 }
 
 // TestWriteRecordGolden holds writeRecord to writeJSON's response for
@@ -241,8 +169,9 @@ func TestLongPollAllocationBudget(t *testing.T) {
 	rig := newPollRig(t)
 	t.Cleanup(func() { close(rig.release) }) // runs before p.Close, which drains
 	done := rig.submit("echo", `{"n":1}`)
-	rig.await(done, asyncq.StatusCompleted)
-	rig.await(rig.submit("park", ``), asyncq.StatusRunning)
+	rig.await(done)
+	rig.submit("park", ``)
+	<-rig.parked // the only worker is held, so the next call stays queued
 	queued := rig.submit("echo", `{"n":2}`)
 	for _, tc := range []struct {
 		name, path, want string
@@ -348,7 +277,7 @@ func FuzzQueryIntegers(f *testing.F) {
 		f.Fatal(err)
 	}
 	done := rig.submit("echo", `1`)
-	rig.await(done, asyncq.StatusCompleted)
+	rig.await(done)
 	serve := func(method, path string) (int, string) {
 		w := httptest.NewRecorder()
 		rig.gw.ServeHTTP(w, httptest.NewRequest(method, path, nil))

@@ -12,10 +12,14 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/heaptest"
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
 func openFast() *Store { return Open(Config{}) }
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := openFast()
@@ -294,91 +298,11 @@ func TestBatchGetEmptyIsNoop(t *testing.T) {
 	}
 }
 
-func TestBatchGetChargesLatencyOncePerBatch(t *testing.T) {
-	clock := vclock.NewManual(time.Unix(0, 0))
-	s := Open(Config{Settings: Settings{ReadLatency: 10 * time.Millisecond}, Clock: clock})
-	defer s.Close()
-	ctx := context.Background()
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.BatchGet(ctx, []string{"a", "b", "c", "d"})
-		done <- err
-	}()
-	// Exactly one sleep is charged regardless of batch width.
-	for clock.Pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	clock.Advance(10 * time.Millisecond)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("batch read still blocked after one latency charge")
-	}
-}
-
-func TestBatchGetContextCancelledMidBatch(t *testing.T) {
-	clock := vclock.NewManual(time.Unix(0, 0))
-	s := Open(Config{Settings: Settings{ReadLatency: time.Hour}, Clock: clock})
-	defer s.Close()
-	cctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.BatchGet(cctx, []string{"a", "b"})
-		done <- err
-	}()
-	for clock.Pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestBatchGetClosed(t *testing.T) {
 	s := openFast()
 	s.Close()
 	if _, err := s.BatchGet(context.Background(), []string{"k"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("BatchGet after close = %v", err)
-	}
-}
-
-func TestWriteCapacityThrottles(t *testing.T) {
-	clock := vclock.NewManual(time.Unix(0, 0))
-	s := Open(Config{Settings: Settings{WriteOpsPerSec: 20}, Clock: clock}) // a burst of 2
-	defer s.Close()
-	ctx := context.Background()
-	// Burst of 2 admits immediately.
-	for i := 0; i < 2; i++ {
-		if _, err := s.Put(ctx, "k", json.RawMessage(`1`)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Third write must block until the clock advances.
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Put(ctx, "k", json.RawMessage(`1`))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("third write admitted without capacity: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	for clock.Pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	clock.Advance(time.Second)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("write never admitted after refill")
 	}
 }
 
@@ -420,29 +344,6 @@ func TestClosedStoreErrors(t *testing.T) {
 	}
 	if _, err := s.List(ctx, ""); !errors.Is(err, ErrClosed) {
 		t.Fatalf("List after close = %v", err)
-	}
-}
-
-func TestContextCancelDuringThrottle(t *testing.T) {
-	clock := vclock.NewManual(time.Unix(0, 0))
-	s := Open(Config{Settings: Settings{WriteOpsPerSec: 0.001}, Clock: clock})
-	defer s.Close()
-	ctx := context.Background()
-	if _, err := s.Put(ctx, "k", nil); err != nil {
-		t.Fatal(err)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Put(cctx, "k", nil)
-		done <- err
-	}()
-	for clock.Pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -74,47 +74,6 @@ func TestBufferDropsWhatItFlushed(t *testing.T) {
 	}
 }
 
-// TestBufferKeepsAWriteNewerThanItsFlush: a write landing while its key's
-// batch is in flight stays in memory, dirty, when the batch lands, and
-// is what reads answer until its own flush lands.
-func TestBufferKeepsAWriteNewerThanItsFlush(t *testing.T) {
-	clock := vclock.NewManual(time.Unix(0, 0))
-	tbl, db := newBuffer(t, clock, 50*time.Millisecond)
-	ctx := context.Background()
-	if err := tbl.Put(ctx, "k", json.RawMessage(`1`)); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { tbl.Flush(ctx); close(done) }()
-	for clock.Pending() < 2 { // flusher timer + the batch's write latency
-		time.Sleep(time.Millisecond)
-	}
-	if err := tbl.Put(ctx, "k", json.RawMessage(`2`)); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(50 * time.Millisecond)
-	<-done
-	if got, err := tbl.Get(ctx, "k"); err != nil || string(got) != "2" {
-		t.Fatalf("Get after the older batch landed = %s, %v, want 2", got, err)
-	}
-	if n := tbl.DirtyCount(); n != 1 {
-		t.Fatalf("dirty = %d after the older batch landed, want 1", n)
-	}
-	done = make(chan struct{})
-	go func() { tbl.Flush(ctx); close(done) }()
-	for clock.Pending() < 2 {
-		time.Sleep(time.Millisecond)
-	}
-	clock.Advance(50 * time.Millisecond)
-	<-done
-	if doc, err := db.Get(ctx, "k"); err != nil || string(doc.Value) != "2" {
-		t.Fatalf("store holds %s, %v, want 2", doc.Value, err)
-	}
-	if n := tbl.Len(); n != 0 {
-		t.Fatalf("buffer holds %d entries after the newer flush, want 0", n)
-	}
-}
-
 // TestBufferDeleteLeavesNothing: a deleted key's tombstone goes once the
 // backing delete lands, flushed or not; a delete the store refused keeps
 // it, so the key reads deleted until a retry lands.
@@ -165,69 +124,6 @@ func TestBufferDeleteLeavesNothing(t *testing.T) {
 	if _, err := tbl.Get(ctx, "k"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after the retried delete = %v, want ErrNotFound", err)
 	}
-}
-
-// TestBufferDeleteWaitsForTheFlushInFlight: a Delete of a key whose
-// batch is in flight waits for the batch to land, so the batch cannot
-// land the key after the delete and the tombstone can go with the
-// delete.
-func TestBufferDeleteWaitsForTheFlushInFlight(t *testing.T) {
-	clock := vclock.NewManual(time.Unix(0, 0))
-	tbl, db := newBuffer(t, clock, 50*time.Millisecond)
-	ctx := context.Background()
-	if err := tbl.Put(ctx, "k", json.RawMessage(`1`)); err != nil {
-		t.Fatal(err)
-	}
-	flushed := make(chan struct{})
-	go func() { tbl.Flush(ctx); close(flushed) }()
-	for clock.Pending() < 2 { // flusher timer + the batch's write latency
-		time.Sleep(time.Millisecond)
-	}
-	deleted := make(chan error, 1)
-	go func() { deleted <- tbl.Delete(ctx, "k") }()
-	select {
-	case err := <-deleted:
-		t.Fatalf("Delete returned %v while the batch was in flight", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	clock.Advance(50 * time.Millisecond) // the batch lands
-	<-flushed
-	for clock.Pending() < 2 { // flusher timer + the delete's write latency
-		time.Sleep(time.Millisecond)
-	}
-	clock.Advance(50 * time.Millisecond)
-	if err := <-deleted; err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Get(ctx, "k"); !errors.Is(err, kvstore.ErrNotFound) {
-		t.Fatalf("store Get = %v, want ErrNotFound", err)
-	}
-	if n, dead := tbl.Len(), tbl.TombstoneCount(); n != 0 || dead != 0 {
-		t.Fatalf("the buffer holds %d entries and %d tombstones, want none", n, dead)
-	}
-}
-
-// TestBufferFlushWaitHonoursCtx: a Flush waiting for the pass in flight
-// gives up when its context ends.
-func TestBufferFlushWaitHonoursCtx(t *testing.T) {
-	clock := vclock.NewManual(time.Unix(0, 0))
-	tbl, _ := newBuffer(t, clock, 50*time.Millisecond)
-	if err := tbl.Put(context.Background(), "k", json.RawMessage(`1`)); err != nil {
-		t.Fatal(err)
-	}
-	flushed := make(chan struct{})
-	go func() { tbl.Flush(context.Background()); close(flushed) }()
-	for clock.Pending() < 2 {
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tbl.Flush(ctx) // returns although the pass in flight has not landed
-	if err := tbl.Delete(ctx, "k"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Delete behind the pass in flight = %v, want context.Canceled", err)
-	}
-	clock.Advance(50 * time.Millisecond)
-	<-flushed
 }
 
 // TestBufferRefusesVersionedOperations: a buffer forgets an entry's

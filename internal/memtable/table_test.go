@@ -10,7 +10,11 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 )
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 func newBacked(t *testing.T, mode Mode) (*Table, *kvstore.Store) {
 	t.Helper()
@@ -74,24 +78,6 @@ func TestWriteThroughPersistsImmediately(t *testing.T) {
 	}
 	if string(doc.Value) != `1` {
 		t.Fatalf("backing value = %s", doc.Value)
-	}
-}
-
-func TestWriteBehindFlushesEventually(t *testing.T) {
-	tbl, db := newBacked(t, ModeWriteBehind)
-	ctx := context.Background()
-	if err := tbl.Put(ctx, "k", json.RawMessage(`7`)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if _, err := db.Get(ctx, "k"); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("write-behind entry never flushed")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -269,30 +255,6 @@ func TestModeString(t *testing.T) {
 		if got := m.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(m), got, want)
 		}
-	}
-}
-
-func TestEarlyFlushOnBatchThreshold(t *testing.T) {
-	db := kvstore.Open(kvstore.Config{})
-	defer db.Close()
-	tbl, err := New(Config{
-		Mode: ModeWriteBehind, Backing: db,
-		FlushInterval: time.Hour, FlushBatchSize: 8, Shards: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tbl.Close()
-	ctx := context.Background()
-	for i := 0; i < 8; i++ {
-		tbl.Put(ctx, fmt.Sprintf("k%d", i), json.RawMessage(`1`))
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for tbl.DirtyCount() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("threshold flush never happened")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

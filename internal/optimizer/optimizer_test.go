@@ -15,7 +15,11 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/runtime"
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 )
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 // sleeper is a handler that takes d to serve.
 func sleeper(d time.Duration) invoker.Handler {
@@ -226,27 +230,6 @@ func TestUnmanageStopsActions(t *testing.T) {
 	if floorOf(o, "Svc") != 0 {
 		t.Fatal("floor for unmanaged class non-zero")
 	}
-}
-
-func TestStartStopLifecycle(t *testing.T) {
-	rt := newTestRuntime(t, model.QoS{LatencyMs: 1}, sleeper(10*time.Millisecond))
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		rt.Invoke(ctx, "o", "work", nil, nil)
-	}
-	o := New(Config{Interval: 5 * time.Millisecond})
-	o.Manage(rt)
-	o.Start()
-	o.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for len(o.Actions()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background loop never acted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	o.Stop()
-	o.Stop() // idempotent
 }
 
 func TestActionLogBounded(t *testing.T) {

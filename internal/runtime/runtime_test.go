@@ -20,7 +20,11 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/objectstore"
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 )
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 // counterClass is a class with a numeric counter and an increment
 // function.
@@ -736,54 +740,5 @@ func TestTaskIDsUnique(t *testing.T) {
 	}
 	if len(seen) != 800 {
 		t.Fatalf("unique IDs = %d, want 800", len(seen))
-	}
-}
-
-// TestDeleteObjectStateSerializesWithInvocations verifies an in-flight
-// invocation's delta merge cannot resurrect a concurrently deleted
-// object: DeleteObjectState waits on the object's stripe, so it runs
-// strictly after the merge and the final state is gone.
-func TestDeleteObjectStateSerializesWithInvocations(t *testing.T) {
-	infra := testInfra(t)
-	reg := invoker.NewRegistry()
-	reg.Register("img/incr", invoker.HandlerFunc(func(ctx context.Context, task invoker.Task) (invoker.Result, error) {
-		select {
-		case <-time.After(30 * time.Millisecond):
-		case <-ctx.Done():
-			return invoker.Result{}, ctx.Err()
-		}
-		return invoker.Result{Output: json.RawMessage(`1`),
-			State: map[string]json.RawMessage{"value": json.RawMessage(`1`)}}, nil
-	}))
-	infra.Transport = invoker.NewLocal(reg)
-	rt, err := New(infra, resolvedClass(t, counterYAML, "Counter"), stdTemplate())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	ctx := context.Background()
-	if err := rt.InitObjectState(ctx, "o"); err != nil {
-		t.Fatal(err)
-	}
-	invoked := make(chan error, 1)
-	go func() {
-		_, err := rt.Invoke(ctx, "o", "incr", nil, nil)
-		invoked <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // handler is mid-execution
-	if err := rt.DeleteObjectState(ctx, "o"); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-invoked; err != nil {
-		t.Fatal(err)
-	}
-	// The delete must have run after the merge: only the class default
-	// remains, not the merged value.
-	v, err := rt.GetState(ctx, "o", "value")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(v) != "0" {
-		t.Fatalf("state after delete = %s, want default 0 (merge resurrected deleted object)", v)
 	}
 }

@@ -17,7 +17,11 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/eventlog"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 )
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 // newBus builds a bus with test-friendly webhook timing, on a log of
 // its own unless cfg names one.
@@ -254,47 +258,6 @@ func TestMethodSinkDefaultsToEmittingObject(t *testing.T) {
 	b.Drain()
 	if got := target.Load(); got != "a-7.react" {
 		t.Fatalf("target = %v", got)
-	}
-}
-
-func TestChainDepthLimitTerminates(t *testing.T) {
-	// The invoker feeds every chained invocation straight back as a new
-	// commit event at the stamped depth — a perfect self-loop. The
-	// depth limit must cut it after MaxChainDepth hops.
-	const maxDepth = 5
-	var b *Bus
-	var invocations atomic.Int64
-	b = newBus(t, Config{
-		Settings: Settings{MaxChainDepth: maxDepth},
-		InvokeAsync: each(func(object, _ string, _ json.RawMessage, args map[string]string) error {
-			invocations.Add(1)
-			b.Publish(Event{Type: StateChanged, Class: "Loop", Object: object, Depth: DepthOf(args)})
-			return nil
-		}),
-	})
-	if err := b.Subscribe("loop", Subscription{Class: "Loop", Type: StateChanged, TargetFunction: "again"}); err != nil {
-		t.Fatal(err)
-	}
-	b.Publish(Event{Type: StateChanged, Class: "Loop", Object: "l-1"})
-	// The chain re-publishes from inside a delivery; wait until it stops.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.Drain()
-		s := b.Stats()
-		if s.CycleDropped > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("chain never terminated: %+v", s)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	b.Drain()
-	if got := invocations.Load(); got != maxDepth {
-		t.Fatalf("chained invocations = %d, want %d", got, maxDepth)
-	}
-	if s := b.Stats(); s.CycleDropped != 1 || s.Dropped != 1 {
-		t.Fatalf("stats = %+v", s)
 	}
 }
 

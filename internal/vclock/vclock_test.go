@@ -7,7 +7,12 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 )
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 func TestRealNowAdvances(t *testing.T) {
 	c := NewReal()
@@ -74,41 +79,6 @@ func TestManualAfterNonPositive(t *testing.T) {
 	case <-m.After(0):
 	case <-time.After(time.Second):
 		t.Fatal("After(0) did not fire immediately")
-	}
-}
-
-func TestManualSleepWakesSleeper(t *testing.T) {
-	m := NewManual(time.Unix(0, 0))
-	done := make(chan error, 1)
-	go func() {
-		done <- m.Sleep(context.Background(), time.Minute)
-	}()
-	// Wait for the sleeper to register.
-	for m.Pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	m.Advance(time.Minute)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Sleep = %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("sleeper never woke")
-	}
-}
-
-func TestManualSleepContextCancel(t *testing.T) {
-	m := NewManual(time.Unix(0, 0))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- m.Sleep(ctx, time.Hour) }()
-	for m.Pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("Sleep = %v, want context.Canceled", err)
 	}
 }
 
@@ -280,24 +250,6 @@ func TestTokenBucketTakeOversized(t *testing.T) {
 	defer cancel()
 	if err := b.Take(ctx, 10); err != nil {
 		t.Fatalf("oversized Take = %v", err)
-	}
-}
-
-func TestTokenBucketTakeContext(t *testing.T) {
-	m := NewManual(time.Unix(0, 0))
-	b := NewTokenBucket(m, 0.001, 1)
-	if !tryTake(b, 1) {
-		t.Fatal("initial tryTake failed")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- b.Take(ctx, 1) }()
-	for m.Pending() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("Take = %v, want context.Canceled", err)
 	}
 }
 
