@@ -134,11 +134,14 @@ type objectLog struct {
 	// seeds are the cursors SeedCursor asked for during the append in
 	// progress, registered only if the append lands.
 	seeds []Cursor
-	// sweep is held by Compact across its deletes of this log's garbage
-	// and by Drop, which takes it before mu: a sweep's delete never lands
-	// after Drop has unlinked the log, when a successor may be writing
-	// the same keys.
-	sweep sync.Mutex
+	// sweeps counts the Compacts deleting this log's garbage, and Drop
+	// waits for it to reach zero, so a sweep's delete never lands after
+	// Drop has unlinked the log, when a successor may be writing the
+	// same keys. A waiting Drop parks on swept, which the last sweep to
+	// finish closes. Both are guarded by mu, which neither side holds
+	// across a delete.
+	sweeps int
+	swept  chan struct{}
 }
 
 // Cursor names one durable consumer position.
@@ -327,14 +330,25 @@ func (l *Log) Drop(ctx context.Context, object string) error {
 	if ol == nil {
 		return nil
 	}
-	// After a sweep of this log, so none of its deletes lands in a
+	// After the sweeps of this log, so none of their deletes lands in a
 	// successor's entries, and under the object's lock, so a racing
 	// append lands wholly before the drop (and is deleted) or after it,
 	// in a fresh log. The entry leaves objs only once its bounds are
 	// gone: a failed drop retries.
-	ol.sweep.Lock()
-	defer ol.sweep.Unlock()
 	ol.mu.Lock()
+	for ol.sweeps > 0 {
+		if ol.swept == nil {
+			ol.swept = make(chan struct{})
+		}
+		swept := ol.swept
+		ol.mu.Unlock()
+		select {
+		case <-swept:
+		case <-ctx.Done():
+			return fmt.Errorf("eventlog: dropping %s: %w", object, ctx.Err())
+		}
+		ol.mu.Lock()
+	}
 	defer ol.mu.Unlock()
 	keys, err := l.cfg.Backing.List(ctx, "evlog/"+object+"/")
 	if err != nil {
@@ -651,8 +665,8 @@ func (l *Log) gcLoop() {
 
 // Compact runs one sweep: the backing keys of entries the size cap
 // evicted are deleted. A key whose delete fails is kept for the next
-// sweep. The object's lock is not held across a delete; its sweep lock
-// is, so a Drop waits for the deletes to land (see objectLog.sweep).
+// sweep. The sweep holds no lock across a delete; a Drop of the object
+// waits for the deletes to land (see objectLog.sweeps).
 func (l *Log) Compact(ctx context.Context) {
 	l.mu.Lock()
 	objects := make([]string, 0, len(l.objs))
@@ -665,19 +679,29 @@ func (l *Log) Compact(ctx context.Context) {
 		if ol == nil {
 			continue
 		}
-		ol.sweep.Lock()
 		ol.mu.Lock()
 		garbage := ol.garbage
 		ol.garbage = nil
+		if len(garbage) > 0 {
+			ol.sweeps++
+		}
 		ol.mu.Unlock()
+		if len(garbage) == 0 {
+			continue
+		}
+		var failed []string
 		for _, k := range garbage {
 			if err := l.cfg.Backing.Delete(ctx, k); err != nil && !errors.Is(err, kvstore.ErrNotFound) {
-				ol.mu.Lock()
-				ol.garbage = append(ol.garbage, k)
-				ol.mu.Unlock()
+				failed = append(failed, k)
 			}
 		}
-		ol.sweep.Unlock()
+		ol.mu.Lock()
+		ol.garbage = append(ol.garbage, failed...)
+		if ol.sweeps--; ol.sweeps == 0 && ol.swept != nil {
+			close(ol.swept)
+			ol.swept = nil
+		}
+		ol.mu.Unlock()
 	}
 }
 

@@ -13,8 +13,12 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/heaptest"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
+	"github.com/hpcclab/oparaca-go/internal/simtest"
 	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
+
+// TestBubbles runs this package's bubble tests; see internal/simtest.
+func TestBubbles(t *testing.T) { simtest.Bubbles(t) }
 
 func testStore(t *testing.T) *kvstore.Store {
 	t.Helper()
@@ -713,112 +717,6 @@ func TestLogHoldsNoEntry(t *testing.T) {
 	// for the Entry plus its slice's growth.
 	if owned > 1 {
 		t.Errorf("the log holds %.2f B per retained entry beyond the store, budget 1", owned)
-	}
-}
-
-// TestSweepRacingDropSparesTheSuccessor: a sweep that took its garbage
-// list before a Drop deletes nothing after it. Every store write takes a
-// tick of a manual clock, so the test lets the sweep, the drop and the
-// successor log's first append advance one write at a time: the sweep's
-// deletes of the dropped log's evicted keys must not land in the entries
-// the successor writes under the same keys.
-func TestSweepRacingDropSparesTheSuccessor(t *testing.T) {
-	const tick = time.Millisecond
-	const retained, evicted = 4, 8
-	clk := vclock.NewManual(time.Unix(1_700_000_000, 0))
-	st := kvstore.Open(kvstore.Config{WriteLatency: tick, Clock: clk})
-	t.Cleanup(st.Close)
-	l := testLog(t, Config{Backing: st, MaxPerObject: retained, Clock: clk})
-	ctx := context.Background()
-	// While nothing writes, the clock's waiters are the sweep's timer
-	// and the cursor table's flush timer, once their goroutines arm them.
-	const idle = 2
-	for clk.Pending() < idle {
-		time.Sleep(50 * time.Microsecond)
-	}
-	// running starts fn; settle advances the clock a tick at a time until
-	// every started fn has returned. Between ticks it waits for each
-	// running fn to be asleep on the clock, so they move one write per
-	// tick together — or, for one blocked on a lock instead, a moment.
-	var running []chan struct{}
-	start := func(fn func()) {
-		done := make(chan struct{})
-		running = append(running, done)
-		go func() {
-			defer close(done)
-			fn()
-		}()
-	}
-	settle := func() {
-		for {
-			left := 0
-			for _, done := range running {
-				select {
-				case <-done:
-				default:
-					left++
-				}
-			}
-			if left == 0 {
-				running = nil
-				return
-			}
-			for wait := time.Now().Add(20 * time.Millisecond); clk.Pending() < idle+left && time.Now().Before(wait); {
-				time.Sleep(50 * time.Microsecond)
-			}
-			if clk.Pending() > idle {
-				clk.Advance(tick)
-			}
-		}
-	}
-	// One write of evicted+retained entries; the cap keeps the last
-	// retained, so the first evicted are the sweep's garbage. Deleting
-	// every entry from the store first leaves the drop only the bounds
-	// to delete, while the sweep still pays a write per key.
-	start(func() {
-		if _, err := l.AppendBatch(ctx, "obj", evicted+retained, func(_ int, off int64) (json.RawMessage, error) {
-			return json.RawMessage(fmt.Sprintf(`{"old":%d}`, off)), nil
-		}); err != nil {
-			t.Error(err)
-		}
-		for off := int64(1); off <= evicted+retained; off++ {
-			if err := st.Delete(ctx, entryKey("obj", off)); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	settle()
-	// The sweep takes its list and sleeps in its first delete; then the
-	// object is deleted and made again, and the new log appends retained
-	// entries in one write, under keys the sweep has yet to delete.
-	start(func() { l.Compact(ctx) })
-	for clk.Pending() == idle {
-		time.Sleep(50 * time.Microsecond)
-	}
-	start(func() {
-		if err := l.Drop(ctx, "obj"); err != nil {
-			t.Error(err)
-			return
-		}
-		if first, err := l.AppendBatch(ctx, "obj", retained, func(_ int, off int64) (json.RawMessage, error) {
-			return json.RawMessage(fmt.Sprintf(`{"new":%d}`, off)), nil
-		}); err != nil || first != 1 {
-			t.Errorf("successor's append = %d, %v, want offset 1", first, err)
-		}
-	})
-	settle()
-
-	reopened := testLog(t, Config{Backing: st, Clock: clk})
-	for name, log := range map[string]*Log{"live": l, "reopened": reopened} {
-		entries, err := log.Read(ctx, "obj", 1, 0)
-		if err != nil || len(entries) != retained {
-			t.Fatalf("%s log reads %d of the successor's %d entries, %v", name, len(entries), retained, err)
-		}
-		for i, e := range entries {
-			if want := fmt.Sprintf(`{"new":%d}`, i+1); e.Offset != int64(i+1) || string(e.Payload) != want {
-				t.Fatalf("%s log entry %d = %d %s, want %s", name, i, e.Offset, e.Payload, want)
-			}
-		}
 	}
 }
 

@@ -81,22 +81,31 @@
 // too, so once it returns every chained call of an event published
 // before it has committed or failed.
 //
-// A webhook delivery is one HTTP round trip on the bus's own transport,
-// which keeps one idle connection per delivery worker and endpoint, so
-// steady-state deliveries do not dial. Each attempt POSTs the event's
-// log entry, byte for byte, with Content-Type: application/json and
-// X-Oprc-Event: <event type> (plus the transport's Host, User-Agent and
-// Content-Length), and a URL with user:password@ adds the Basic
-// Authorization header net/http's client derives from it. The body is
-// not compressed and no Accept-Encoding is asked for: the response is
-// drained up to a few kilobytes and thrown away. Redirects are not
-// followed — a 3xx is a failed attempt like any other non-2xx, so a
-// delivery never reaches a host the subscription does not name. The URL
-// must be an absolute http or https URL with a host (model.WebhookURL);
-// it is checked and parsed once, when the subscription is stored
-// (Subscribe, SetClassTriggers), and every attempt reuses the parsed
-// form and a request header shared by every event of its type (a copy
-// of it per subscription with credentials).
+// A webhook delivery attempt is one HTTP/1.1 exchange that the delivery
+// worker drives itself on a connection it takes from the bus's pool,
+// which keeps up to one idle connection per delivery worker and
+// endpoint, so steady-state deliveries do not dial. The worker writes
+// the request in one write and reads the answer on its own goroutine;
+// no other goroutine touches the connection. Each attempt POSTs the
+// event's log entry, byte for byte, with Content-Type: application/json
+// and X-Oprc-Event: <event type>, plus the Host, User-Agent
+// (Go-http-client/1.1) and Content-Length net/http would send, and a
+// URL with user:password@ adds the Basic Authorization header net/http's
+// client derives from it. The body is not compressed and no
+// Accept-Encoding is asked for: the response is drained up to a few
+// kilobytes and thrown away, and its connection goes back to the pool
+// only when the body ended within that and the answer did not say
+// Connection: close. Redirects are not followed — a 3xx is a failed
+// attempt like any other non-2xx, so a delivery never reaches a host
+// the subscription does not name. The bus dials the endpoint directly:
+// HTTP_PROXY, HTTPS_PROXY and NO_PROXY are not consulted, and https
+// offers HTTP/1.1 alone in its TLS handshake. The URL must be an
+// absolute http or https URL with a host (model.WebhookURL); it is
+// checked and parsed once, when the subscription is stored (Subscribe,
+// SetClassTriggers), and the request every attempt sends, but for its
+// Content-Length and body, is rendered then from the parsed form and
+// the header shared by every event of its type (a copy of it per
+// subscription with credentials).
 //
 // Dispatch is part of Publish: right after the append, on the
 // publisher's goroutine, each event is matched against the
@@ -143,14 +152,13 @@
 package trigger
 
 import (
-	"bytes"
 	"cmp"
 	"context"
+	"crypto/tls"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -286,11 +294,10 @@ type Subscription struct {
 	// https URL with a host.
 	Webhook string `json:"webhook,omitempty"`
 
-	// hook is Webhook as parsed when the bus stored the subscription and
-	// hookHeader the header every attempt sends (see Bus.store); both nil
-	// for a method sink. Read-only, like the subscription holding them.
-	hook       *url.URL
-	hookHeader http.Header
+	// hook is Webhook as its attempts use it, rendered when the bus
+	// stored the subscription (see Bus.store); nil for a method sink.
+	// Read-only, like the subscription holding it.
+	hook *endpoint
 }
 
 // ErrInvalidSubscription matches (errors.Is) every error Validate
@@ -410,8 +417,8 @@ type Config struct {
 	Log *eventlog.Log
 	Settings
 	// DeliveryWorkers sizes the sink delivery pool (webhook POSTs and
-	// cursor-consumer runs) and the idle connections the bus's webhook
-	// transport keeps per endpoint. Defaults to 4.
+	// cursor-consumer runs) and the idle webhook connections the bus
+	// keeps per endpoint. Defaults to 4.
 	DeliveryWorkers int
 	// BackoffJitter spreads each webhook retry delay uniformly over
 	// [d*(1-j), d*(1+j)] so many endpoints failing at once don't
@@ -552,9 +559,6 @@ const (
 	handoffCap = 4
 	// rearmCapFactor caps the re-arm delay, in WebhookBackoffs.
 	rearmCapFactor = 1 << 10
-	// webhookDrainLimit bounds how much of a response body is read to
-	// get the connection back into the pool.
-	webhookDrainLimit = 4 << 10
 )
 
 // delItem is one unit of delivery-pool work: a consumer run (st set)
@@ -565,10 +569,10 @@ type delItem struct {
 }
 
 // sendTable is what every delivery of one event type carries: the
-// webhook request header (the transport only reads a request's Header,
-// so every attempt shares it) and, indexed by the event's depth, the
-// args of the method-sink call it fires (the async queue keeps them as
-// they are). Both are read only.
+// webhook request header, which each webhook subscription's request is
+// rendered from when it is stored (Bus.store), and, indexed by the
+// event's depth, the args of the method-sink call it fires (the async
+// queue keeps them as they are). Both are read only.
 type sendTable struct {
 	header http.Header
 	args   []map[string]string
@@ -677,8 +681,11 @@ type Bus struct {
 	delClosed bool
 	delWg     sync.WaitGroup
 	stop      chan struct{}
-	// transport carries every webhook attempt (postWebhook).
-	transport *http.Transport
+	// hooks keeps the idle webhook connections (postWebhook).
+	// tlsConfig, when set, is what an https endpoint's handshake starts
+	// from; only tests set it, to trust their own server's certificate.
+	hooks     hookPool
+	tlsConfig *tls.Config
 	// sends holds, per event type, what every delivery of that type
 	// carries; built by New and never written again.
 	sends map[EventType]sendTable
@@ -723,13 +730,9 @@ func New(cfg Config) (*Bus, error) {
 	b.subscribed.Store(&map[string]struct{}{})
 	b.Stats() // creates every series it reads: /metrics shows each from the start
 	b.metrics.GaugeFunc("trigger.backlog", func() float64 { return float64(b.Backlog()) })
-	// DefaultTransport keeps two idle connections per host; with more
-	// workers than that, every other delivery would dial. Each attempt
-	// is bounded by its request context (see postWebhook). The response
-	// body is thrown away, so a compressed one is not asked for.
-	b.transport = http.DefaultTransport.(*http.Transport).Clone()
-	b.transport.MaxIdleConnsPerHost = cfg.DeliveryWorkers
-	b.transport.DisableCompression = true
+	// One idle connection per worker and endpoint: with fewer, every
+	// other delivery would dial.
+	b.hooks.perHost = cfg.DeliveryWorkers
 	b.sends = make(map[EventType]sendTable, 3)
 	for _, typ := range []EventType{StateChanged, InvocationCompleted, InvocationFailed} {
 		st := sendTable{
@@ -768,22 +771,23 @@ func (b *Bus) subCountersFor(id string) *subCounters {
 }
 
 // store validates a subscription about to be stored and, for a webhook
-// sink, fills in what its attempts reuse: the parsed URL and the header.
-// That is the event type's shared header, or, when the URL carries
-// user:password@, a copy of it with the Basic Authorization net/http's
-// client would derive from them — the transport itself sends neither
-// the userinfo nor a header for it.
+// sink, renders the requests its attempts send (newEndpoint) from the
+// parsed URL and the header. That is the event type's shared header, or,
+// when the URL carries user:password@, a copy of it with the Basic
+// Authorization net/http's client would derive from them; the userinfo
+// itself is never sent.
 func (b *Bus) store(s *Subscription) error {
 	hook, err := s.validate()
 	if err != nil || hook == nil {
 		return err
 	}
-	s.hook, s.hookHeader = hook, b.sends[s.Type].header
+	header := b.sends[s.Type].header
 	if u := hook.User; u != nil {
 		pass, _ := u.Password()
-		s.hookHeader = s.hookHeader.Clone()
-		s.hookHeader.Set("Authorization", "Basic "+base64.StdEncoding.EncodeToString([]byte(u.Username()+":"+pass)))
+		header = header.Clone()
+		header.Set("Authorization", "Basic "+base64.StdEncoding.EncodeToString([]byte(u.Username()+":"+pass)))
 	}
+	s.hook = newEndpoint(hook, header)
 	return nil
 }
 
@@ -1684,7 +1688,7 @@ func (b *Bus) deliverWebhook(sub *Subscription, ev Event, raw json.RawMessage, c
 			m.Counter("trigger.retried").Inc()
 			c.retried.Add(1)
 		}
-		if b.postWebhook(sub.hook, sub.hookHeader, payload) {
+		if b.postWebhook(sub.hook, payload) {
 			wsp.SetInt("attempts", attempt+1)
 			wsp.End()
 			return true
@@ -1696,47 +1700,6 @@ func (b *Bus) deliverWebhook(sub *Subscription, ev Event, raw json.RawMessage, c
 			return false
 		}
 	}
-}
-
-// postWebhook performs one delivery attempt: one round trip on the
-// bus's transport, bounded by WebhookTimeout through the request
-// context (which Kill also cancels). Only a 2xx answer succeeds; a
-// redirect is not followed.
-func (b *Bus) postWebhook(hook *url.URL, header http.Header, payload []byte) bool {
-	ctx, cancel := b.cfg.Clock.WithTimeout(b.killCtx, b.cfg.WebhookTimeout)
-	defer cancel()
-	req := (&http.Request{
-		Method:        http.MethodPost,
-		URL:           hook,
-		Header:        header,
-		Body:          webhookBody(payload),
-		ContentLength: int64(len(payload)),
-		// The transport re-sends on a fresh connection when a kept-alive
-		// one turns out closed before anything was written, with a body
-		// it gets from here.
-		GetBody: func() (io.ReadCloser, error) { return webhookBody(payload), nil },
-	}).WithContext(ctx)
-	resp, err := b.transport.RoundTrip(req)
-	if err != nil {
-		return false
-	}
-	// An undrained body costs the connection; an endless one must not
-	// cost the worker. A failed drain only forfeits the reuse, and a
-	// bodiless answer (204, Content-Length: 0) has nothing to drain.
-	if resp.Body != http.NoBody {
-		_, _ = io.CopyN(io.Discard, resp.Body, webhookDrainLimit)
-	}
-	resp.Body.Close()
-	return resp.StatusCode >= 200 && resp.StatusCode < 300
-}
-
-// webhookBody is a POST body over an event's bytes. It is the shape the
-// transport knows to be in memory, so the request line, headers and
-// body leave in one buffered write; any other reader makes it flush the
-// headers on their own and stream the body through the connection's
-// ReadFrom.
-func webhookBody(payload []byte) io.ReadCloser {
-	return io.NopCloser(bytes.NewReader(payload))
 }
 
 // deliverStreams copies the event to every live tail of its object.
@@ -1906,7 +1869,7 @@ func (b *Bus) shutdown(kill bool) {
 	b.quiet.Broadcast()
 	b.delMu.Unlock()
 	b.delWg.Wait()
-	b.transport.CloseIdleConnections()
+	b.hooks.closeAll()
 	b.streamMu.Lock()
 	for _, set := range b.streams {
 		for s := range set {

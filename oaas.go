@@ -267,10 +267,14 @@
 // replay returns), and a consumer that is caught up takes the event
 // straight from dispatch; only one that is behind — recovery, a
 // failed delivery being retried, a backlog — reads and decodes the
-// log. Webhooks go out over kept-alive connections, one per delivery
-// worker and endpoint (the bus runs four), each attempt one round trip
-// on the bus's own transport with the URL parsed when the subscription
-// was stored.
+// log. Webhooks go out over kept-alive connections, at most one per
+// delivery worker and endpoint (the bus runs four), which the bus dials
+// itself: straight to the URL's host, since the HTTP_PROXY, HTTPS_PROXY
+// and NO_PROXY variables are not consulted, and for https over TLS
+// offering HTTP/1.1 alone, never HTTP/2. Each attempt writes one request,
+// rendered when the subscription was stored, and reads one answer. An
+// internationalized host name must be given in its ASCII (punycode)
+// form.
 //
 // Retention is bounded per object (Config.EventLogMaxPerObject,
 // default 1024 entries), with evicted entries removed from the store
@@ -515,15 +519,16 @@
 // HTTP round trip, and the event plane allocates little besides what it
 // keeps or sends: the log entry goes onto the capacity the object's log
 // already holds and its bounds document is rendered without reflection;
-// a webhook attempt is one round trip on the bus's transport with the
-// URL parsed when the subscription was stored and a header shared by
-// every event of its type; the delivery queue pops without giving up
-// capacity; a chained invocation's args come from a table built when
-// the bus starts. One event published, logged, handed to a caught-up
-// consumer and POSTed to a loopback endpoint is 73 allocations in all,
-// the endpoint's HTTP server's share included, where it was 91
+// a webhook attempt is one write of a request rendered when the
+// subscription was stored and one read of the answer, on a connection
+// the delivery worker drives itself; the delivery queue pops without
+// giving up capacity; a chained invocation's args come from a table
+// built when the bus starts. One event published, logged, handed to a
+// caught-up consumer and POSTed to a loopback endpoint is 47
+// allocations in all, the endpoint's HTTP server's share included,
+// where it was 76 on net/http's transport and 91 through its client
 // (trigger.TestWebhookDeliveryAllocationBudget); one published to one
-// or sixteen live streams is 3 (trigger.TestFanoutAllocationBudget).
+// or sixteen live streams is 6 (trigger.TestFanoutAllocationBudget).
 //
 // A kept trace is stored as two slices of span and attribute values —
 // a constant handful of allocations for 3 spans or 160 — and rendered
