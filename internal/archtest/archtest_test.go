@@ -112,16 +112,17 @@ func TestInvariants(t *testing.T) {
 			calls("internal/gateway#Gateway.handleGetInvocation", "r.URL.Query()", 0),
 		)},
 
-		// A webhook attempt is one write of the whole request and one read
-		// of its answer on a connection the delivery worker drives itself,
-		// with the request rendered once, when the subscription is stored,
-		// from the URL the one webhook URL rule parsed then. net/http's
+		// A webhook attempt is one round trip: one write of the whole
+		// request and one read of its answer on a connection the delivery
+		// worker drives itself, with the request rendered once, when the
+		// subscription is stored, from the URL the one webhook URL rule
+		// parsed then. net/http's
 		// client parses the URL and builds the header per attempt and
 		// follows redirects to hosts the subscription never named; its
 		// transport hands each request to one goroutine of the connection
 		// and the answer back from another. An event log's bounds document
 		// is rendered by metaDoc, not by the reflective encoder.
-		{"one-write-one-read", all(
+		{"one-round-trip", all(
 			only("internal/trigger", "hookConn.exchange", "c.Write(", 1),
 			only("internal/trigger", "hookConn.exchange", "http.ReadResponse(", 1),
 		)},
