@@ -1,4 +1,8 @@
-// Command oprc-bench regenerates the paper's evaluation.
+// Command oprc-bench regenerates the paper's evaluation in real time:
+// every modelled cost is paid on the wall clock, so the numbers also
+// depend on how busy the host is. internal/experiment's tests run the
+// same experiments in virtual time and gate Figure 3's shape and each
+// ablation's effect exactly.
 //
 // Experiments:
 //

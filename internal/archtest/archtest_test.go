@@ -216,7 +216,6 @@ func TestInvariants(t *testing.T) {
 		{"time-is-the-clocks", timeIsTheClocks(map[string]string{
 			"internal/gateway/gateway.go#Gateway.ServeHTTP": "the request log's duration is the operator's record of real request time",
 			"internal/core/platform.go#Platform.Close":      "bounds the shutdown of a real http.Server",
-			"internal/experiment":                           "the experiments measure wall-clock latency of the running system",
 			"internal/simtest/simtest.go#Bubbles":           "bounds a child go test by its parent test binary's real deadline",
 		})},
 
@@ -272,7 +271,7 @@ func TestInvariants(t *testing.T) {
 		// how long it takes. A sleep in a bubble test still counts. The
 		// count of sleeps in the tests only goes down: a change that
 		// removes some lowers the number, and none raises it.
-		{"test-sleeps-ratchet", testCalls("time.Sleep(", 42)},
+		{"test-sleeps-ratchet", testCalls("time.Sleep(", 41)},
 
 		// A test enters a synctest bubble through internal/simtest alone, so
 		// the Go 1.25 switch from synctest.Run to synctest.Test, and how a
@@ -281,9 +280,7 @@ func TestInvariants(t *testing.T) {
 		// A plain go test leaves a file tagged goexperiment.synctest out, so
 		// its package's bubble tests run in tier-1 only through an entry
 		// test that calls simtest.Bubbles.
-		{"bubble-tests-have-an-entry", bubbleEntries(map[string]string{
-			"internal/experiment": "the Figure 3 points take about 26 s; CI runs them in a step of their own",
-		})},
+		{"bubble-tests-have-an-entry", bubbleEntries},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if err := row.check(tr); err != nil {
@@ -656,40 +653,27 @@ func importedOnlyIn(pkg, dir string) check {
 }
 
 // bubbleEntries: every directory with a test file tagged
-// goexperiment.synctest has a test file that calls simtest.Bubbles,
-// unless skip names the directory with the reason it has none. An entry
-// of skip that has an entry, or no bubble tests, fails the row too.
-func bubbleEntries(skip map[string]string) check {
-	return func(tr *tree) error {
-		tests := &tree{fset: tr.fset, files: tr.tests}
-		var errs []string
-		dirs := map[string]bool{}
-		for p, f := range tr.tests {
-			if len(f.Comments) > 0 && f.Comments[0].Pos() < f.Package && slices.ContainsFunc(f.Comments[0].List, func(c *ast.Comment) bool {
-				return c.Text == "//go:build goexperiment.synctest"
-			}) {
-				dirs[path.Dir(p)] = true
-			}
+// goexperiment.synctest has a test file that calls simtest.Bubbles.
+func bubbleEntries(tr *tree) error {
+	tests := &tree{fset: tr.fset, files: tr.tests}
+	dirs := map[string]bool{}
+	for p, f := range tr.tests {
+		if len(f.Comments) > 0 && f.Comments[0].Pos() < f.Package && slices.ContainsFunc(f.Comments[0].List, func(c *ast.Comment) bool {
+			return c.Text == "//go:build goexperiment.synctest"
+		}) {
+			dirs[path.Dir(p)] = true
 		}
-		for _, dir := range sortedKeys(dirs) {
-			_, skipped := skip[dir]
-			switch entry := len(tests.sites(dir, "simtest.Bubbles(")) > 0; {
-			case !entry && !skipped:
-				errs = append(errs, dir+" has bubble tests and no test calls simtest.Bubbles")
-			case entry && skipped:
-				errs = append(errs, dir+" is listed as having no entry test but has one")
-			}
-		}
-		for _, dir := range sortedKeys(skip) {
-			if !dirs[dir] {
-				errs = append(errs, dir+" is listed as having no entry test but has no bubble tests")
-			}
-		}
-		if len(errs) > 0 {
-			return errors.New(strings.Join(errs, "; "))
-		}
-		return nil
 	}
+	var errs []string
+	for _, dir := range sortedKeys(dirs) {
+		if len(tests.sites(dir, "simtest.Bubbles(")) == 0 {
+			errs = append(errs, dir+" has bubble tests and no test calls simtest.Bubbles")
+		}
+	}
+	if len(errs) > 0 {
+		return errors.New(strings.Join(errs, "; "))
+	}
+	return nil
 }
 
 // noImport: no file at scope imports pkg.

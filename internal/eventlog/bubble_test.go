@@ -142,6 +142,67 @@ func TestDropHonoursItsContextWhileASweepRuns(t *testing.T) {
 	})
 }
 
+// TestAppendRacingADropWaitsOnTheLog: an append to an object whose Drop
+// is asleep in a store delete waits for the drop without holding a mutex,
+// so the bubble's clock still moves. Its wait ends at its context, having
+// written nothing, or once the drop is done, in a fresh log that the drop
+// does not delete.
+func TestAppendRacingADropWaitsOnTheLog(t *testing.T) {
+	simtest.Run(t, func(t *testing.T) {
+		clk := vclock.NewManual(time.Unix(1_700_000_000, 0))
+		st := kvstore.Open(kvstore.Config{WriteLatency: tick, Clock: clk})
+		t.Cleanup(st.Close)
+		l := testLog(t, Config{Backing: st, Clock: clk})
+		ctx := context.Background()
+		simtest.Wait()
+		idle := clk.Pending()
+		settle(t, clk, idle, goDone(func() { appendN(t, l, "obj", 2) }))
+		payload := func(off int64) (json.RawMessage, error) { return json.RawMessage(fmt.Sprintf(`{"new":%d}`, off)), nil }
+
+		dropped := goDone(func() {
+			if err := l.Drop(ctx, "obj"); err != nil {
+				t.Error(err)
+			}
+		})
+		simtest.Wait()
+		if n := clk.Pending(); n != idle+1 {
+			t.Fatalf("%d clock waiters with the Drop started, want %d: it sleeps in its first delete", n, idle+1)
+		}
+		actx, cancel := context.WithCancel(ctx)
+		appended := make(chan error, 1)
+		go func() {
+			_, err := l.Append(actx, "obj", payload)
+			appended <- err
+		}()
+		simtest.Wait() // a waiter on a mutex is not durably blocked: this would hang
+		select {
+		case err := <-appended:
+			t.Fatalf("Append returned %v while the Drop was deleting", err)
+		default:
+		}
+		if n := clk.Pending(); n != idle+1 {
+			t.Fatalf("%d clock waiters with the Append started, want %d: it must not write while the Drop runs", n, idle+1)
+		}
+		cancel()
+		if err := <-appended; !errors.Is(err, context.Canceled) {
+			t.Fatalf("Append with its context cancelled = %v", err)
+		}
+
+		var off int64
+		var err error
+		settle(t, clk, idle, dropped, goDone(func() { off, err = l.Append(ctx, "obj", payload) }))
+		if err != nil || off != 1 {
+			t.Fatalf("the Append racing the Drop = %d, %v, want offset 1 of a fresh log", off, err)
+		}
+		reopened := testLog(t, Config{Backing: st, Clock: clk})
+		for name, log := range map[string]*Log{"live": l, "reopened": reopened} {
+			if entries, err := log.Read(ctx, "obj", 1, 0); err != nil || len(entries) != 1 || string(entries[0].Payload) != `{"new":1}` {
+				t.Fatalf("%s log reads %+v, %v, want the one entry appended after the Drop", name, entries, err)
+			}
+		}
+	})
+}
+
 // goDone runs fn on a goroutine of its own and returns a channel closed
 // when fn returns.
 func goDone(fn func()) chan struct{} {

@@ -119,8 +119,27 @@ func metaDoc(first, next int64) json.RawMessage {
 
 // objectLog is one object's log state: its bounds, never its entries.
 // Every offset in [first, next) has its entry in the backing store.
+//
+// The state below busy belongs to whoever holds the log (lock), which
+// an append, a drop and a lazy load do across their backing I/O. A
+// caller that waits for the log parks on a channel and leaves when its
+// context ends, so a same-object append queued behind a drop's deletes
+// is durably blocked and keeps its deadline.
 type objectLog struct {
-	mu     sync.Mutex
+	// mu guards busy, sweeps and wake, and is held only to update them,
+	// never across a wait or a backing call.
+	mu sync.Mutex
+	// busy marks the log held.
+	busy bool
+	// sweeps counts the Compacts deleting this log's garbage, and Drop
+	// waits for it to reach zero, so a sweep's delete never lands after
+	// Drop has unlinked the log, when a successor may be writing the
+	// same keys. No sweep holds the log across a delete.
+	sweeps int
+	// wake is closed by each release of the log or end of a sweep; the
+	// first waiter makes it.
+	wake chan struct{}
+
 	loaded bool
 	// first is the oldest retained offset (== next when empty); next is
 	// the offset the next append receives.
@@ -134,14 +153,46 @@ type objectLog struct {
 	// seeds are the cursors SeedCursor asked for during the append in
 	// progress, registered only if the append lands.
 	seeds []Cursor
-	// sweeps counts the Compacts deleting this log's garbage, and Drop
-	// waits for it to reach zero, so a sweep's delete never lands after
-	// Drop has unlinked the log, when a successor may be writing the
-	// same keys. A waiting Drop parks on swept, which the last sweep to
-	// finish closes. Both are guarded by mu, which neither side holds
-	// across a delete.
-	sweeps int
-	swept  chan struct{}
+}
+
+// lock holds the log once no one else does and, for a drop, once no
+// sweep of it is in flight. It returns ctx's error, holding nothing, if
+// ctx ends first.
+func (ol *objectLog) lock(ctx context.Context, drop bool) error {
+	ol.mu.Lock()
+	for ol.busy || drop && ol.sweeps > 0 {
+		if ol.wake == nil {
+			ol.wake = make(chan struct{})
+		}
+		wake := ol.wake
+		ol.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		ol.mu.Lock()
+	}
+	ol.busy = true
+	ol.mu.Unlock()
+	return nil
+}
+
+// unlock releases the log.
+func (ol *objectLog) unlock() { ol.release(0) }
+
+// release releases the log, adding sweeps to the sweeps in flight: 1
+// for a sweep that took the log's garbage, -1 for one whose deletes are
+// done.
+func (ol *objectLog) release(sweeps int) {
+	ol.mu.Lock()
+	ol.busy = false
+	ol.sweeps += sweeps
+	if ol.wake != nil {
+		close(ol.wake)
+		ol.wake = nil
+	}
+	ol.mu.Unlock()
 }
 
 // Cursor names one durable consumer position.
@@ -242,10 +293,10 @@ func entryKey(object string, off int64) string {
 func metaKey(object string) string        { return "evmeta/" + object }
 func cursorKey(sub, object string) string { return "evcursor/" + sub + "/" + object }
 
-// lockForAppend returns one object's log with its lock held, creating
-// it loaded and empty: New registered every object with persisted
-// bounds and Drop deletes them, so there is nothing to recover.
-func (l *Log) lockForAppend(object string) *objectLog {
+// lockForAppend returns one object's log held, creating it loaded and
+// empty: New registered every object with persisted bounds and Drop
+// deletes them, so there is nothing to recover.
+func (l *Log) lockForAppend(ctx context.Context, object string) (*objectLog, error) {
 	for {
 		l.mu.Lock()
 		ol, ok := l.objs[object]
@@ -254,11 +305,13 @@ func (l *Log) lockForAppend(object string) *objectLog {
 			l.objs[object] = ol
 		}
 		l.mu.Unlock()
-		ol.mu.Lock()
-		if !ol.dropped {
-			return ol
+		if err := ol.lock(ctx, false); err != nil {
+			return nil, err
 		}
-		ol.mu.Unlock() // unlinked by Drop while we waited; take its successor
+		if !ol.dropped {
+			return ol, nil
+		}
+		ol.unlock() // unlinked by Drop while we waited; take its successor
 	}
 }
 
@@ -277,7 +330,7 @@ func (l *Log) peek(object string) *objectLog {
 // write lost to a backing fault — since the retained range is the
 // contiguous run of entries that ends at next. Keys at or past next are
 // a torn batch's leftovers, which the append that takes their offset
-// overwrites. Callers hold ol.mu.
+// overwrites. Callers hold ol.
 func (l *Log) load(ctx context.Context, object string, ol *objectLog) error {
 	if ol.loaded {
 		return nil
@@ -331,25 +384,14 @@ func (l *Log) Drop(ctx context.Context, object string) error {
 		return nil
 	}
 	// After the sweeps of this log, so none of their deletes lands in a
-	// successor's entries, and under the object's lock, so a racing
-	// append lands wholly before the drop (and is deleted) or after it,
-	// in a fresh log. The entry leaves objs only once its bounds are
-	// gone: a failed drop retries.
-	ol.mu.Lock()
-	for ol.sweeps > 0 {
-		if ol.swept == nil {
-			ol.swept = make(chan struct{})
-		}
-		swept := ol.swept
-		ol.mu.Unlock()
-		select {
-		case <-swept:
-		case <-ctx.Done():
-			return fmt.Errorf("eventlog: dropping %s: %w", object, ctx.Err())
-		}
-		ol.mu.Lock()
+	// successor's entries, and holding the log, so a racing append lands
+	// wholly before the drop (and is deleted) or after it, in a fresh
+	// log. The entry leaves objs only once its bounds are gone: a failed
+	// drop retries.
+	if err := ol.lock(ctx, true); err != nil {
+		return fmt.Errorf("eventlog: dropping %s: %w", object, err)
 	}
-	defer ol.mu.Unlock()
+	defer ol.unlock()
 	keys, err := l.cfg.Backing.List(ctx, "evlog/"+object+"/")
 	if err != nil {
 		return fmt.Errorf("eventlog: listing %s entries: %w", object, err)
@@ -387,8 +429,11 @@ func (l *Log) AppendBatch(ctx context.Context, object string, n int, build func(
 	if n <= 0 {
 		return 0, nil
 	}
-	ol := l.lockForAppend(object)
-	defer ol.mu.Unlock()
+	ol, err := l.lockForAppend(ctx, object)
+	if err != nil {
+		return 0, fmt.Errorf("eventlog: appending to %s: %w", object, err)
+	}
+	defer ol.unlock()
 	defer func() { ol.seeds = nil }()
 	if err := l.load(ctx, object, ol); err != nil {
 		return 0, err
@@ -477,8 +522,10 @@ func (l *Log) Read(ctx context.Context, object string, from int64, max int) ([]E
 // readable loads an object's bounds and returns where its log ends, or
 // ErrOffsetCompacted for a from below its floor.
 func (l *Log) readable(ctx context.Context, object string, ol *objectLog, from int64) (next int64, err error) {
-	ol.mu.Lock()
-	defer ol.mu.Unlock()
+	if err := ol.lock(ctx, false); err != nil {
+		return 0, err
+	}
+	defer ol.unlock()
 	if err := l.load(ctx, object, ol); err != nil {
 		return 0, err
 	}
@@ -495,8 +542,10 @@ func (l *Log) Bounds(ctx context.Context, object string) (first, next int64, err
 	if ol == nil {
 		return 1, 1, nil
 	}
-	ol.mu.Lock()
-	defer ol.mu.Unlock()
+	if err := ol.lock(ctx, false); err != nil {
+		return 0, 0, err
+	}
+	defer ol.unlock()
 	if err := l.load(ctx, object, ol); err != nil {
 		return 0, 0, err
 	}
@@ -510,13 +559,15 @@ func (l *Log) Bounds(ctx context.Context, object string) (first, next int64, err
 // never began is absent, and one New registered from its bounds document
 // has begun whether or not its bounds are loaded yet, since only an
 // append persists bounds.
-func (l *Log) Begun(_ context.Context, object string) (bool, error) {
+func (l *Log) Begun(ctx context.Context, object string) (bool, error) {
 	ol := l.peek(object)
 	if ol == nil {
 		return false, nil
 	}
-	ol.mu.Lock()
-	defer ol.mu.Unlock()
+	if err := ol.lock(ctx, false); err != nil {
+		return false, err
+	}
+	defer ol.unlock()
 	return !ol.loaded || ol.next > 1, nil
 }
 
@@ -641,11 +692,11 @@ func (l *Log) CursorLag(sub string) int64 {
 		if ol == nil {
 			continue
 		}
-		ol.mu.Lock()
+		_ = ol.lock(context.TODO(), false) // a context that never ends: no error
 		if ol.loaded && ol.next > next {
 			lag += ol.next - next
 		}
-		ol.mu.Unlock()
+		ol.unlock()
 	}
 	return lag
 }
@@ -665,8 +716,9 @@ func (l *Log) gcLoop() {
 
 // Compact runs one sweep: the backing keys of entries the size cap
 // evicted are deleted. A key whose delete fails is kept for the next
-// sweep. The sweep holds no lock across a delete; a Drop of the object
-// waits for the deletes to land (see objectLog.sweeps).
+// sweep. The sweep does not hold a log across its deletes; a Drop of
+// the object waits for them to land (see objectLog.sweeps). A sweep
+// whose ctx ends while it waits for a log stops there.
 func (l *Log) Compact(ctx context.Context) {
 	l.mu.Lock()
 	objects := make([]string, 0, len(l.objs))
@@ -679,29 +731,27 @@ func (l *Log) Compact(ctx context.Context) {
 		if ol == nil {
 			continue
 		}
-		ol.mu.Lock()
+		if ol.lock(ctx, false) != nil {
+			return
+		}
 		garbage := ol.garbage
 		ol.garbage = nil
-		if len(garbage) > 0 {
-			ol.sweeps++
-		}
-		ol.mu.Unlock()
 		if len(garbage) == 0 {
+			ol.unlock()
 			continue
 		}
+		ol.release(1)
 		var failed []string
 		for _, k := range garbage {
 			if err := l.cfg.Backing.Delete(ctx, k); err != nil && !errors.Is(err, kvstore.ErrNotFound) {
 				failed = append(failed, k)
 			}
 		}
-		ol.mu.Lock()
+		// Not ctx: the sweep must hand back what it failed to delete and
+		// end its count, or a Drop waits forever. No error, then.
+		_ = ol.lock(context.Background(), false)
 		ol.garbage = append(ol.garbage, failed...)
-		if ol.sweeps--; ol.sweeps == 0 && ol.swept != nil {
-			close(ol.swept)
-			ol.swept = nil
-		}
-		ol.mu.Unlock()
+		ol.release(-1)
 	}
 }
 

@@ -50,72 +50,17 @@ func RunBatchAblation(ctx context.Context, p Params) ([]BatchRow, error) {
 		if c.flush > 0 {
 			tmpl.FlushInterval = c.flush
 		}
-		row, err := runAblationPoint(ctx, p, 9, tmpl, c.name)
+		rep, writes, err := measure(ctx, tmpl, 9, p)
 		if err != nil {
 			return rows, err
 		}
-		rows = append(rows, row)
+		per1k := 0.0
+		if rep.Ops > 0 {
+			per1k = float64(writes) / float64(rep.Ops) * 1000
+		}
+		rows = append(rows, BatchRow{Config: c.name, ThroughputOPS: rep.ThroughputOPS, DBWritesPer1kOp: per1k})
 	}
 	return rows, nil
-}
-
-// setupCustomPlatform builds a platform running the JSON-randomization
-// workload under one caller-supplied class-runtime template, for the
-// ablations that compare template configurations; the caller must
-// Close the platform.
-func setupCustomPlatform(ctx context.Context, tmpl runtime.Template, workers int, p Params) (*core.Platform, []string, error) {
-	noServe := false
-	plat, err := core.New(core.Config{
-		Workers:          workers,
-		OpsPerMilliCPU:   p.OpsPerMilliCPU,
-		DB:               kvstore.Settings{WriteOpsPerSec: p.DBWriteOpsPerSec},
-		FaaS:             faas.Settings{ScaleInterval: 25 * time.Millisecond, IdleTimeout: time.Minute, ColdStart: 10 * time.Millisecond},
-		Templates:        []runtime.Template{tmpl},
-		ServeObjectStore: &noServe,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	plat.Images().Register("img/json-random", randomizeHandler())
-	if _, err := plat.DeployYAML(ctx, []byte(jsonRandomPackage)); err != nil {
-		plat.Close()
-		return nil, nil, err
-	}
-	ids := make([]string, p.Objects)
-	for i := range ids {
-		id, err := plat.CreateObject(ctx, "JsonStore", fmt.Sprintf("js-%04d", i))
-		if err != nil {
-			plat.Close()
-			return nil, nil, err
-		}
-		ids[i] = id
-	}
-	return plat, ids, nil
-}
-
-// runAblationPoint measures one custom-template configuration.
-func runAblationPoint(ctx context.Context, p Params, workers int, tmpl runtime.Template, label string) (BatchRow, error) {
-	plat, ids, err := setupCustomPlatform(ctx, tmpl, workers, p)
-	if err != nil {
-		return BatchRow{}, err
-	}
-	defer plat.Close()
-	before := plat.Backing().Stats()
-	rep := loadgen.Run(ctx, loadgen.Config{
-		Concurrency: p.Concurrency,
-		Duration:    p.Duration,
-		Warmup:      p.Warmup,
-	}, func(ctx context.Context, worker int) error {
-		_, err := plat.Invoke(ctx, ids[worker%len(ids)], "randomize", nil, nil)
-		return err
-	})
-	after := plat.Backing().Stats()
-	writes := float64(after.WriteOps - before.WriteOps)
-	per1k := 0.0
-	if rep.Ops > 0 {
-		per1k = writes / float64(rep.Ops) * 1000
-	}
-	return BatchRow{Config: label, ThroughputOPS: rep.ThroughputOPS, DBWritesPer1kOp: per1k}, nil
 }
 
 // --- Ablation A2: cold start / scale-to-zero -------------------------
@@ -160,14 +105,15 @@ func RunColdStartAblation(ctx context.Context, rounds int, coldStart time.Durati
 	if err != nil {
 		return ColdStartRow{}, err
 	}
+	rt, err := plat.Runtime("JsonStore")
+	if err != nil {
+		return ColdStartRow{}, err
+	}
+	clock := plat.Clock()
 	var cold, warm metrics.Histogram
 	for r := 0; r < rounds; r++ {
 		// Wait for scale-to-zero.
-		rt, err := plat.Runtime("JsonStore")
-		if err != nil {
-			return ColdStartRow{}, err
-		}
-		deadline := time.Now().Add(5 * time.Second)
+		deadline := clock.Now().Add(5 * time.Second)
 		for {
 			n, err := rt.Engine().Replicas("JsonStore.randomize")
 			if err != nil {
@@ -176,27 +122,28 @@ func RunColdStartAblation(ctx context.Context, rounds int, coldStart time.Durati
 			if n == 0 {
 				break
 			}
-			if time.Now().After(deadline) {
+			if clock.Now().After(deadline) {
 				return ColdStartRow{}, fmt.Errorf("experiment: function never scaled to zero")
 			}
-			time.Sleep(2 * time.Millisecond)
+			if err := clock.Sleep(ctx, 2*time.Millisecond); err != nil {
+				return ColdStartRow{}, err
+			}
 		}
-		start := time.Now()
+		start := clock.Now()
 		if _, err := plat.Invoke(ctx, id, "randomize", nil, nil); err != nil {
 			return ColdStartRow{}, err
 		}
-		cold.Observe(time.Since(start))
+		cold.Observe(clock.Since(start))
 		// Warm invocations immediately after.
 		for i := 0; i < 10; i++ {
-			start = time.Now()
+			start = clock.Now()
 			if _, err := plat.Invoke(ctx, id, "randomize", nil, nil); err != nil {
 				return ColdStartRow{}, err
 			}
-			warm.Observe(time.Since(start))
+			warm.Observe(clock.Since(start))
 		}
 	}
 	var coldStarts int64
-	rt, _ := plat.Runtime("JsonStore")
 	for _, s := range rt.Engine().Stats() {
 		coldStarts += s.ColdStarts
 	}
@@ -277,11 +224,10 @@ func RunDataflowAblation(ctx context.Context, width int, stepTime time.Duration,
 		return nil, err
 	}
 	defer plat.Close()
+	clock := plat.Clock()
 	plat.Images().Register("img/slow", invoker.HandlerFunc(func(ctx context.Context, _ invoker.Task) (invoker.Result, error) {
-		select {
-		case <-time.After(stepTime):
-		case <-ctx.Done():
-			return invoker.Result{}, ctx.Err()
+		if err := clock.Sleep(ctx, stepTime); err != nil {
+			return invoker.Result{}, err
 		}
 		return invoker.Result{Output: json.RawMessage(`"ok"`)}, nil
 	}))
@@ -295,11 +241,11 @@ func RunDataflowAblation(ctx context.Context, width int, stepTime time.Duration,
 	measure := func(flow string) (time.Duration, error) {
 		var total time.Duration
 		for i := 0; i < repeats; i++ {
-			start := time.Now()
+			start := clock.Now()
 			if _, err := plat.Invoke(ctx, id, flow, nil, nil); err != nil {
 				return 0, err
 			}
-			total += time.Since(start)
+			total += clock.Since(start)
 		}
 		return total / time.Duration(repeats), nil
 	}
@@ -385,20 +331,21 @@ func RunLocalityAblation(ctx context.Context, objects int, dbReadLatency time.Du
 			return LocalityRow{}, err
 		}
 	}
+	clock := plat.Clock()
 	var cold, warm metrics.Histogram
 	for _, id := range ids {
-		start := time.Now()
+		start := clock.Now()
 		if _, err := plat.Invoke(ctx, id, "randomize", nil, nil); err != nil {
 			return LocalityRow{}, err
 		}
-		cold.Observe(time.Since(start))
+		cold.Observe(clock.Since(start))
 	}
 	for _, id := range ids {
-		start := time.Now()
+		start := clock.Now()
 		if _, err := plat.Invoke(ctx, id, "randomize", nil, nil); err != nil {
 			return LocalityRow{}, err
 		}
-		warm.Observe(time.Since(start))
+		warm.Observe(clock.Since(start))
 	}
 	rt, err := plat.Runtime("JsonStore")
 	if err != nil {
@@ -459,7 +406,17 @@ const templateAblationPackage = `classes:
 `
 
 // RunTemplateAblation deploys the three classes under the stock
-// template set and measures each under the same closed-loop load.
+// template set and measures each under the same closed-loop load, after
+// a warm-up as long as the measurement.
+//
+// Whether HighThroughput meets its 5 000 ops/s requirement (MeetsQoS:
+// 95 % of it) depends on how long the optimizer has had. In virtual
+// time it reached 3 763–4 920 ops/s at 300 ms with 32 clients, meeting
+// it in 1 of 5 runs, 4 201–4 627 at 700 ms with 128 (0 of 3), and
+// 4 860–4 972 only at 2 s (3 of 3). In real time, on a 2-vCPU host, it
+// met it at 700 ms with 128 clients (4 798 and 4 827) and in 1 of 2
+// runs at 300 ms with 32 (4 319 and 5 035). The tests gate only the
+// template selection.
 func RunTemplateAblation(ctx context.Context, duration time.Duration, concurrency int) ([]TemplateRow, error) {
 	if duration <= 0 {
 		duration = 500 * time.Millisecond
@@ -491,16 +448,15 @@ func RunTemplateAblation(ctx context.Context, duration time.Duration, concurrenc
 		if err != nil {
 			return rows, err
 		}
-		rep := loadgen.Run(ctx, loadgen.Config{
-			Concurrency: concurrency,
-			Duration:    duration,
-			// A full-duration warmup lets the requirement-driven
-			// optimizer converge before the measurement.
-			Warmup: duration,
-		}, func(ctx context.Context, _ int) error {
+		cfg := loadgen.Config{Concurrency: concurrency, Duration: duration}
+		op := func(ctx context.Context, _ int) error {
 			_, err := plat.Invoke(ctx, id, "randomize", nil, nil)
 			return err
-		})
+		}
+		// A full-duration warm-up lets the requirement-driven optimizer
+		// converge before the measurement.
+		loadgen.Run(ctx, cfg, op)
+		rep := loadgen.Run(ctx, cfg, op)
 		rt, err := plat.Runtime(class)
 		if err != nil {
 			return rows, err

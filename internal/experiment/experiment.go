@@ -19,6 +19,12 @@
 // the *shape* — Knative plateauing at the DB write ceiling around 6
 // VMs while the Oparaca variants keep scaling, ordered
 // oprc < oprc-bypass < oprc-bypass-nonpersist — reproduces Figure 3.
+//
+// Every modelled cost is a wait on the platform's clock. The package's
+// tests run Figure 3 and each ablation in synctest bubbles, where that
+// clock is virtual, and gate the figure's shape and each ablation's
+// effect exactly; cmd/oprc-bench runs the same code in real time, so
+// its numbers also depend on how busy the host is.
 package experiment
 
 import (
@@ -215,17 +221,17 @@ func randomizeHandler() invoker.Handler {
 	})
 }
 
-// setupPlatform builds a platform configured for one system at one
-// worker count, with the JSON-randomization application deployed and
-// objects created. The caller must Close the platform.
-func setupPlatform(ctx context.Context, system System, workers int, p Params) (*core.Platform, []string, error) {
+// setupPlatform builds a platform running tmpl on the given number of
+// worker VMs, with the JSON-randomization application deployed and
+// p.Objects objects created. The caller must Close the platform.
+func setupPlatform(ctx context.Context, tmpl runtime.Template, workers int, p Params) (*core.Platform, []string, error) {
 	noServe := false
 	plat, err := core.New(core.Config{
 		Workers:          workers,
 		OpsPerMilliCPU:   p.OpsPerMilliCPU,
 		DB:               kvstore.Settings{WriteOpsPerSec: p.DBWriteOpsPerSec},
 		FaaS:             faas.Settings{ScaleInterval: 25 * time.Millisecond, IdleTimeout: time.Minute, ColdStart: 10 * time.Millisecond},
-		Templates:        []runtime.Template{p.template(system, workers)},
+		Templates:        []runtime.Template{tmpl},
 		ServeObjectStore: &noServe,
 	})
 	if err != nil {
@@ -248,32 +254,45 @@ func setupPlatform(ctx context.Context, system System, workers int, p Params) (*
 	return plat, ids, nil
 }
 
-// MeasurePoint runs the workload against one configured platform and
-// returns the measured row.
+// measure runs the workload for p.Warmup, unmeasured, on a platform
+// running tmpl, then for p.Duration. It returns the second run's report
+// and the DB writes made from its start until its last op returned,
+// including those of ops the window's end cut off, which the report
+// does not count.
+func measure(ctx context.Context, tmpl runtime.Template, workers int, p Params) (loadgen.Report, int64, error) {
+	plat, ids, err := setupPlatform(ctx, tmpl, workers, p)
+	if err != nil {
+		return loadgen.Report{}, 0, err
+	}
+	defer plat.Close()
+	run := func(d time.Duration) loadgen.Report {
+		return loadgen.Run(ctx, loadgen.Config{Concurrency: p.Concurrency, Duration: d},
+			func(ctx context.Context, worker int) error {
+				_, err := plat.Invoke(ctx, ids[worker%len(ids)], "randomize", nil, nil)
+				return err
+			})
+	}
+	if p.Warmup > 0 {
+		run(p.Warmup)
+	}
+	before := plat.Backing().Stats().WriteOps
+	rep := run(p.Duration)
+	return rep, plat.Backing().Stats().WriteOps - before, nil
+}
+
+// MeasurePoint measures one system at one worker count.
 func MeasurePoint(ctx context.Context, system System, workers int, p Params) (Row, error) {
-	plat, ids, err := setupPlatform(ctx, system, workers, p)
+	rep, writes, err := measure(ctx, p.template(system, workers), workers, p)
 	if err != nil {
 		return Row{}, err
 	}
-	defer plat.Close()
-	dbBefore := plat.Backing().Stats()
-	rep := loadgen.Run(ctx, loadgen.Config{
-		Concurrency: p.Concurrency,
-		Duration:    p.Duration,
-		Warmup:      p.Warmup,
-	}, func(ctx context.Context, worker int) error {
-		id := ids[worker%len(ids)]
-		_, err := plat.Invoke(ctx, id, "randomize", nil, nil)
-		return err
-	})
-	dbAfter := plat.Backing().Stats()
 	return Row{
 		System:        system.String(),
 		Workers:       workers,
 		ThroughputOPS: rep.ThroughputOPS,
 		P95:           rep.Latency.P95,
 		Errors:        rep.Errors,
-		DBWriteOps:    dbAfter.WriteOps - dbBefore.WriteOps,
+		DBWriteOps:    writes,
 	}, nil
 }
 

@@ -78,18 +78,19 @@ func RunMultiRegionAblation(ctx context.Context, interRegion time.Duration, samp
 	if _, _, err := plat.InvokeRoutedFrom(ctx, "eu", "", id, "randomize", nil, nil); err != nil {
 		return MultiRegionRow{}, err
 	}
+	clock := plat.Clock()
 	var local, remote metrics.Histogram
 	for i := 0; i < samples; i++ {
-		start := time.Now()
+		start := clock.Now()
 		if _, _, err := plat.InvokeRoutedFrom(ctx, "eu", "", id, "randomize", nil, nil); err != nil {
 			return MultiRegionRow{}, fmt.Errorf("local invoke: %w", err)
 		}
-		local.Observe(time.Since(start))
-		start = time.Now()
+		local.Observe(clock.Since(start))
+		start = clock.Now()
 		if _, _, err := plat.InvokeRoutedFrom(ctx, "default", "", id, "randomize", nil, nil); err != nil {
 			return MultiRegionRow{}, fmt.Errorf("remote invoke: %w", err)
 		}
-		remote.Observe(time.Since(start))
+		remote.Observe(clock.Since(start))
 	}
 	home, err := plat.HomeRegion(id)
 	if err != nil {

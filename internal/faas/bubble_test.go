@@ -16,6 +16,7 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/invoker"
 	"github.com/hpcclab/oparaca-go/internal/simtest"
+	"github.com/hpcclab/oparaca-go/internal/vclock"
 )
 
 func TestKnativeScaleToZeroAfterIdle(t *testing.T) {
@@ -35,6 +36,48 @@ func TestKnativeScaleToZeroAfterIdle(t *testing.T) {
 		simtest.Wait()
 		if n, _ := rig.engine.Replicas("f"); n != 0 {
 			t.Fatalf("function not scaled to zero after an idle timeout (replicas=%d)", n)
+		}
+	})
+}
+
+// TestIdleCountsFromTheLastCallsEnd: a call that lasts longer than the
+// idle timeout leaves its function warm for a whole idle timeout after
+// it returns; counted from the call's start, the next scale tick would
+// take the function to zero, and the next call would start cold. The
+// engine runs on a Manual clock that moves a scale tick at a time.
+func TestIdleCountsFromTheLastCallsEnd(t *testing.T) {
+	simtest.Run(t, func(t *testing.T) {
+		const tick = 10 * time.Millisecond // newRig's scale interval
+		clk := vclock.NewManual(time.Unix(1_700_000_000, 0))
+		rig := newRig(t, ModeKnative, 1, func(c *Config) { c.Clock = clk })
+		spec := echoSpec("f")
+		spec.ServiceTime = 80 * time.Millisecond // newRig's idle timeout is 50 ms
+		if err := rig.engine.Deploy(spec); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := rig.engine.Invoke(context.Background(), "f", invoker.Task{})
+			done <- err
+		}()
+		for returned := false; !returned; {
+			simtest.Wait()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				returned = true
+			default:
+				clk.Advance(tick)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			clk.Advance(tick)
+			simtest.Wait()
+		}
+		if n, _ := rig.engine.Replicas("f"); n == 0 {
+			t.Fatalf("scaled to zero %v after a call longer than the idle timeout returned", 2*tick)
 		}
 	})
 }

@@ -337,8 +337,12 @@ func (e *Engine) Invoke(ctx context.Context, name string, task invoker.Task) (in
 		return invoker.Result{}, err
 	}
 	fn.inflight.Add(1)
-	fn.lastActive.Store(e.cfg.Clock.Now().UnixNano())
-	defer fn.inflight.Add(-1)
+	defer func() {
+		// Idle time runs from the last call's end, so a call longer
+		// than IdleTimeout (a cold start) leaves its pods warm too.
+		fn.lastActive.Store(e.cfg.Clock.Now().UnixNano())
+		fn.inflight.Add(-1)
+	}()
 
 	// Scale from zero: the activator kicks the autoscaler
 	// synchronously rather than waiting for the next tick.

@@ -23,8 +23,6 @@ type Config struct {
 	Concurrency int
 	// Duration is the measured run length. Defaults to 1s.
 	Duration time.Duration
-	// Warmup runs the workload unmeasured first. Default 0.
-	Warmup time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -50,16 +48,10 @@ type Report struct {
 	Latency metrics.HistogramSnapshot `json:"latency"`
 }
 
-// Run drives op under cfg and reports the measured throughput.
+// Run drives op under cfg and reports the measured throughput. A
+// warm-up is a Run of its own whose report the caller drops.
 func Run(ctx context.Context, cfg Config, op Op) Report {
 	cfg = cfg.withDefaults()
-	if cfg.Warmup > 0 {
-		warmCfg := cfg
-		warmCfg.Warmup = 0
-		warmCfg.Duration = cfg.Warmup
-		_ = Run(ctx, warmCfg, op)
-	}
-
 	var (
 		okOps  atomic.Int64
 		errOps atomic.Int64

@@ -28,9 +28,9 @@ const guardStripes = 1024
 // own deadline, and a same-class nested call that would deadlock ends
 // there too. Its mutex is held only to update the stripe's state, never
 // across a wait. That rule is checked dynamically, not by a lint: the
-// Figure 3 smoke test (internal/experiment's bubble_test.go) runs in a
-// synctest bubble, whose clock stands still while any goroutine is
-// blocked on a mutex, so it hangs if a lock is held across a clock wait.
+// Figure 3 gate (internal/experiment's bubble_test.go) runs in synctest
+// bubbles, whose clock stands still while any goroutine is blocked on a
+// mutex, so it hangs if a lock is held across a clock wait.
 //
 // The uncontended path allocates nothing. A contended wait takes a
 // waiter from the stripe's free list, allocating only when more callers
