@@ -54,10 +54,10 @@
 // GET /api/invocations/{id} through AppendRecord too.
 //
 // Backpressure is explicit: Submit returns ErrQueueFull once
-// Config.Capacity invocations are queued, and not before. A panicking
-// handler marks its record failed without killing the worker. Close
-// stops intake, drains every accepted task, then flushes the record
-// table.
+// Config.Capacity invocations are queued, handed ones included (see
+// Batched drain), and not before. A panicking handler marks its record
+// failed without killing the worker. Close stops intake, drains every
+// accepted task, then flushes the record table.
 //
 // # The record table
 //
@@ -99,13 +99,34 @@
 // window and one simulated DB round trip instead of N. Per-call
 // outcomes stay independent: a failing member poisons only its own
 // record, and a hook that panics fails its own group, not the worker.
-// Stats().BatchedDrains counts multi-task pulls and Stats().Coalesced
-// counts invocations that shared a group with at least one other.
+//
+// A busy object runs on one worker. A worker that pulls a task on an
+// object another worker is running hands the task to that worker and
+// runs only the rest of its pull; the running worker, once its pull is
+// done, takes the object's handed backlog, up to DrainBatch tasks, as
+// its next group, and only pulls again once nothing is left handed to
+// it. So no two workers run one object at once — its calls never abort
+// each other's optimistic commits — and a hot object's backlog gathers
+// into groups rather than spreading over the pool one call each. The
+// one rule this adds: a handler must not wait for an async call on the
+// object it is running, because that call runs after it, on its worker.
+// A handed task is still queued: it counts against Capacity, Depth and
+// its class quota until its worker takes it.
+//
+// A batch submission (SubmitBatch, the platform's invoke-batch) is one
+// submission: its pending records go to the table in one write, and its
+// accepted calls enter the queue in one enqueue, grouped by object, so
+// a pull takes a run of one object's calls. The queue still admits the
+// calls in their order, each as a lone Submit would be at that point.
+//
+// Stats().BatchedDrains counts groups of more than one task taken to
+// run — pulls and hand-offs alike — and Stats().Coalesced counts
+// invocations that shared a group with at least one other.
 //
 // # Class quotas
 //
-// Config.ClassQuotas caps the number of queued (accepted but not yet
-// dequeued) invocations per class: an over-quota Submit is rejected
+// Config.ClassQuotas caps the number of queued (accepted and not yet
+// taken to run) invocations per class: an over-quota Submit is rejected
 // with ErrClassQuotaExceeded while other classes keep their share of
 // the queue. The class is part of the Target a submission names; a
 // submission that names none is counted against no quota.
@@ -228,9 +249,9 @@ type Request struct {
 type Settings struct {
 	// Workers is the pool size. Defaults to 4.
 	Workers int
-	// Capacity bounds the number of queued (accepted but not yet
-	// dequeued) invocations: Submit refuses the one past it. Defaults to
-	// 1024.
+	// Capacity bounds the number of queued invocations — accepted and
+	// not yet taken to run, those handed to the worker running their
+	// object included: Submit refuses the one past it. Defaults to 1024.
 	Capacity int
 	// DrainBatch is the most tasks one worker pulls from the queue per
 	// drain (the first blocking, the rest non-blocking); a pull takes
@@ -241,7 +262,7 @@ type Settings struct {
 	// reach their terminal status, swept every quarter TTL (at least
 	// every millisecond). Zero keeps records forever.
 	RecordTTL time.Duration
-	// ClassQuotas caps the queued (accepted but not yet dequeued)
+	// ClassQuotas caps the queued (accepted and not yet taken to run)
 	// invocations per class name; over-quota submissions fail with
 	// ErrClassQuotaExceeded. Classes without an entry are unbounded
 	// (up to Capacity), and so is a submission whose Target names no
@@ -253,15 +274,17 @@ type Settings struct {
 
 // Config sizes a Queue.
 type Config struct {
-	// Invoke executes one group of a drain pull: the pull's calls on one
-	// object, in the order they were dequeued — one call for a task that
-	// drained alone. Each call's Ctx is its submitter's context, capped
-	// to its submission deadline. results[i] receives calls[i]'s
-	// outcome, and one failing call must not poison the rest. The queue
-	// owns both slices and hands results over zeroed; the hook keeps
-	// neither. The platform passes its group-commit path; the
-	// indirection keeps this package free of a dependency on core.
-	// Required.
+	// Invoke executes one group of a drain: the calls on one object that
+	// a worker took to run together, in the order it took them — one
+	// call for a task that drained alone. Each call's Ctx is its
+	// submitter's context, capped to its submission deadline. results[i]
+	// receives calls[i]'s outcome, and one failing call must not poison
+	// the rest. The queue owns both slices and hands results over
+	// zeroed; the hook keeps neither. No two calls of Invoke on one
+	// object overlap, so a call must not wait for an async invocation on
+	// its own object: that one runs after it returns. The platform
+	// passes its group-commit path; the indirection keeps this package
+	// free of a dependency on core. Required.
 	Invoke func(ctx context.Context, objectID string, calls []call.Call, results []call.Result)
 	Settings
 	// Backing persists invocation records through a memtable buffer;
@@ -380,9 +403,22 @@ type Queue struct {
 	mu      sync.Mutex
 	waiters map[string]*waiter
 	closed  bool
-	// classPending counts queued (accepted, not yet dequeued) tasks per
-	// class, the ClassQuotas accounting. Guarded by mu.
+	// queued counts the accepted tasks not yet taken to run: in tasks,
+	// received by a worker that has not yet kept or handed them, or
+	// handed to the worker running their object. It is the room rule:
+	// enqueue refuses a task once it reaches Config.Capacity, and since
+	// it never counts fewer tasks than tasks holds, a send never blocks.
+	// Guarded by mu.
+	queued int
+	// classPending counts queued tasks per class, the ClassQuotas
+	// accounting. Guarded by mu.
 	classPending map[string]int
+	// turns maps each object a worker is running to its turn. Guarded by
+	// mu.
+	turns map[string]*turn
+	// admitted is enqueue's scratch: which tasks of the enqueue in
+	// progress are accepted and not yet sent. Guarded by mu.
+	admitted []bool
 	// tracked holds the IDs of every invocation currently queued or
 	// executing in this process, mapped to the start time of the pull
 	// that dequeued it (zero while queued) — the whole of the "running"
@@ -458,6 +494,7 @@ func New(cfg Config) (*Queue, error) {
 		tasks:        make(chan task, cfg.Capacity),
 		waiters:      make(map[string]*waiter),
 		classPending: make(map[string]int),
+		turns:        make(map[string]*turn),
 		tracked:      make(map[string]time.Time),
 	}
 	// Reading Stats creates every series it reads: /metrics shows each
@@ -560,13 +597,32 @@ func (q *Queue) refused(err error, n int) {
 // when the target's class is, ErrClosed after Close, and
 // ErrInvalidPayload for a non-empty payload that is not JSON.
 func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, payload json.RawMessage, args map[string]string) (string, error) {
-	if err := ctx.Err(); err != nil {
+	t, err := q.newTask(ctx, to, objectID, member, payload, args, q.cfg.Clock.Now())
+	if err != nil {
 		return "", err
+	}
+	// The pending record must exist before the task is visible to a
+	// worker: a fast worker would otherwise write the terminal record
+	// first and have it clobbered by a late pending write (leaving
+	// pollers stuck at "pending" forever).
+	_ = q.records.Put(context.Background(), t.key, pendingRecord(t))
+	if _, err := q.enqueue([]task{t}, "queue.enqueued", q.underQuota, nil); err != nil {
+		q.drop(t, err)
+		return "", err
+	}
+	return t.id, nil
+}
+
+// newTask checks one submission and builds its task, with a fresh record
+// key, queued at now and aimed at to.
+func (q *Queue) newTask(ctx context.Context, to Target, objectID, member string, payload json.RawMessage, args map[string]string, now time.Time) (task, error) {
+	if err := ctx.Err(); err != nil {
+		return task{}, err
 	}
 	// The payload is stored inside the pending record and re-run from it
 	// after a crash; bytes that are not a JSON value can do neither.
 	if len(payload) > 0 && !json.Valid(payload) {
-		return "", fmt.Errorf("%w: object %s member %s", ErrInvalidPayload, objectID, member)
+		return task{}, fmt.Errorf("%w: object %s member %s", ErrInvalidPayload, objectID, member)
 	}
 	key, id := newRecordKey()
 	t := task{
@@ -577,21 +633,64 @@ func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, 
 		payload: append(json.RawMessage(nil), payload...),
 		args:    maps.Clone(args),
 		ctx:     ctx,
-		queued:  q.cfg.Clock.Now(),
+		queued:  now,
 	}
 	q.aim(&t, to)
-	// The pending record must exist before the task is visible to a
-	// worker: a fast worker would otherwise write the terminal record
-	// first and have it clobbered by a late pending write (leaving
-	// pollers stuck at "pending" forever).
-	q.putPending(t)
-	if _, err := q.enqueue([]task{t}, "queue.enqueued", q.underQuota); err != nil {
-		q.refused(err, 1)
-		_ = q.records.Delete(context.Background(), t.key)
-		t.dropTrace(err)
-		return "", err
+	return t, nil
+}
+
+// drop undoes the submission of a task enqueue refused with err: it is
+// counted rejected, its pending record is deleted and its trace let go.
+func (q *Queue) drop(t task, err error) {
+	q.refused(err, 1)
+	_ = q.records.Delete(context.Background(), t.key)
+	t.dropTrace(err)
+}
+
+// Submission is one call of a SubmitBatch, on Object, of the target its
+// submitter resolved. Its Ctx (nil: none) is its submitter's context, as
+// Submit's is.
+type Submission struct {
+	Object string
+	To     Target
+	call.Call
+}
+
+// SubmitBatch submits each of subs as Submit would, in one submission:
+// their pending records go to the table in one write, then the queue
+// takes them in one enqueue. It admits them in order, each as a lone
+// Submit would be at that point — once the queue is full it takes none
+// of the rest, and a class at its quota refuses the rest of that class —
+// and queues the ones it accepts grouped by object: each object's calls
+// in their order in subs, the objects in the order they first appear
+// there, so a pull takes a run of one object's calls. out[i] receives
+// subs[i]'s ID, or the error that refused it.
+func (q *Queue) SubmitBatch(subs []Submission, out []BatchResult) {
+	ts := make([]task, 0, len(subs))
+	at := make([]int, 0, len(subs)) // ts[j] is subs[at[j]]
+	pending := make(map[string]json.RawMessage, len(subs))
+	now := q.cfg.Clock.Now()
+	for i, s := range subs {
+		t, err := q.newTask(cmp.Or(s.Ctx, context.Background()), s.To, s.Object, s.Member, s.Payload, s.Args, now)
+		if err != nil {
+			out[i] = BatchResult{Err: err}
+			continue
+		}
+		pending[t.key] = pendingRecord(t)
+		out[i] = BatchResult{ID: t.id}
+		ts, at = append(ts, t), append(at, i)
 	}
-	return t.id, nil
+	// Every pending record lands before any task is visible (see Submit).
+	_ = q.records.PutMany(context.Background(), pending)
+	n, _ := q.enqueue(ts, "queue.enqueued", q.underQuota, func(j int, err error) { out[at[j]] = BatchResult{Err: err} })
+	if n == len(ts) {
+		return
+	}
+	for j, i := range at {
+		if err := out[i].Err; err != nil {
+			q.drop(ts[j], err)
+		}
+	}
 }
 
 // SubmitGroup enqueues calls on objectID as record-less tasks: the
@@ -626,18 +725,15 @@ func (q *Queue) SubmitGroup(to Target, objectID string, calls []call.Call, done 
 		q.aim(t, to)
 	}
 	// The group counts each task as it is admitted, under q.mu, so no
-	// accepted task can go terminal before the count holds all of them;
-	// with room checked first, every admitted task is sent.
+	// accepted task can go terminal before the count holds all of them.
+	// One object and one class: what enqueue refuses is a suffix.
 	n, err := q.enqueue(ts, "queue.enqueued", func(t task) error {
 		if err := q.underQuota(t); err != nil {
 			return err
 		}
-		if len(q.tasks) == cap(q.tasks) {
-			return fmt.Errorf("%w: object %s", ErrQueueFull, objectID)
-		}
 		g.left++
 		return nil
-	})
+	}, nil)
 	if n < len(ts) {
 		q.refused(err, len(ts)-n)
 		for i := n; i < len(ts); i++ {
@@ -647,49 +743,78 @@ func (q *Queue) SubmitGroup(to Target, objectID string, calls []call.Call, done 
 	return n, err
 }
 
-// enqueue is the one send to the queue: it makes the tasks of ts, in
-// order, visible to every worker and books each queued — one more in the
-// depth gauge, in its class's quota count and in counter, and, for a
-// task with a record, a tracked entry that has not started. The closed
-// check, admit and the sends share q.mu, so Close cannot observe an
-// accepted task it will not drain, racing submitters cannot
-// oversubscribe a quota and a record is not adopted twice; the depth is
-// booked before the send, so the worker that dequeues a task cannot take
-// the gauge below zero. It returns how many tasks it accepted: all of
-// them, or those before the first that admit (nil admits every task)
-// refused, with admit's error, or that found Config.Capacity tasks
-// queued, with ErrQueueFull. After Close it accepts none and fails with
-// ErrClosed.
-func (q *Queue) enqueue(ts []task, counter string, admit func(task) error) (int, error) {
+// enqueue is the one send to the queue. It admits the tasks of ts in
+// their order, refusing one with ErrClosed after Close, with
+// ErrQueueFull once Config.Capacity tasks are queued — handed ones
+// included (see queued) — or with admit's error (nil admits every task);
+// refuse, when not nil, is told each refused task's index and error.
+// Then it sends the accepted tasks grouped by object — each object's
+// tasks in their order in ts, the objects in the order they first
+// appear there — and books each queued: one more in the depth gauge, in
+// its class's quota count and in counter, and, for a task with a record,
+// a tracked entry that has not started. The closed check, admit and the
+// sends share q.mu, so Close cannot observe an accepted task it will not
+// drain, racing submitters cannot oversubscribe a quota and a record is
+// not adopted twice; the depth is booked before the send, so the worker
+// that takes a task cannot take the gauge below zero. It returns how
+// many tasks it accepted and the first refusal's error.
+func (q *Queue) enqueue(ts []task, counter string, admit func(task) error, refuse func(i int, err error)) (int, error) {
 	m := q.metrics
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	ok := q.admitted[:0]
+	accepted, first := 0, error(nil)
 	if q.closed {
-		return 0, ErrClosed
+		first = ErrClosed // even with no task to refuse
 	}
 	for i := range ts {
 		t := &ts[i]
-		if admit != nil {
-			if err := admit(*t); err != nil {
-				return i, err
+		var err error
+		switch {
+		case q.closed:
+			err = ErrClosed
+		case q.queued == cap(q.tasks):
+			err = fmt.Errorf("%w: object %s", ErrQueueFull, t.object)
+		case admit != nil:
+			err = admit(*t)
+		}
+		ok = append(ok, err == nil)
+		if err != nil {
+			first = cmp.Or(first, err)
+			if refuse != nil {
+				refuse(i, err)
 			}
+			continue
 		}
-		m.Gauge("queue.depth").Add(1)
-		select {
-		case q.tasks <- *t:
-		default:
-			m.Gauge("queue.depth").Add(-1)
-			return i, fmt.Errorf("%w: object %s", ErrQueueFull, t.object)
-		}
+		accepted++
+		q.queued++
 		if t.class != "" {
 			q.classPending[t.class]++
 		}
 		if t.key != "" {
 			q.tracked[t.id] = time.Time{}
 		}
-		m.Counter(counter).Inc()
 	}
-	return len(ts), nil
+	q.admitted = ok
+	m.Gauge("queue.depth").Add(int64(accepted))
+	m.Counter(counter).Add(int64(accepted))
+	for i := range ts {
+		if !ok[i] {
+			continue
+		}
+		for j := i; j < len(ts); j++ {
+			if !ok[j] || ts[j].object != ts[i].object {
+				continue
+			}
+			select {
+			case q.tasks <- ts[j]:
+				ok[j] = false
+			default: // queued counts every task the channel holds
+				panic("asyncq: the queue holds more tasks than it counts")
+			}
+		}
+	}
+	return accepted, first
 }
 
 // BatchResult is one batch-submission outcome.
@@ -731,16 +856,15 @@ func encodeRecord(rec Record) (Record, json.RawMessage) {
 	return rec, raw
 }
 
-// putPending persists a task's pending record — the document a
-// successor re-runs the task from.
-func (q *Queue) putPending(t task) {
+// pendingRecord is a task's pending record — the document a successor
+// re-runs the task from.
+func pendingRecord(t task) json.RawMessage {
 	_, raw := encodeRecord(Record{
 		ID: t.id, Object: t.object, Member: t.member,
 		Status: StatusPending, Enqueued: t.queued,
 		Payload: t.payload, Args: t.args,
 	})
-	// Record writes must outlive the submitter's context.
-	_ = q.records.Put(context.Background(), t.key, raw)
+	return raw
 }
 
 // terminalHook is one invocation's terminal transition: the record, its
@@ -997,7 +1121,9 @@ func (q *Queue) Wait(ctx context.Context, id string) (Record, error) {
 // the Invoke hook is handed, the results it fills and their drain spans;
 // the deadline cancels of the group in flight; and the pull's terminal
 // transitions. done clears it, so nothing a pull put there outlives the
-// pull, and a pull allocates none of it.
+// pull, and a pull allocates none of it. held are the turns of the
+// objects the worker runs, in the order it took them, and spare the
+// turns it released, kept for the next; no other worker touches either.
 type drain struct {
 	batch    []task
 	runnable []task
@@ -1006,6 +1132,31 @@ type drain struct {
 	spans    []*trace.Span
 	cancels  []context.CancelFunc
 	hooks    []terminalHook
+	held     []*turn
+	spare    []*turn
+}
+
+// turn is an object's place on the worker running it: the tasks on it
+// other workers pulled meanwhile and handed over, to run once the worker
+// is done with what it holds, in the order they were handed. Guarded by
+// Queue.mu.
+type turn struct {
+	object string
+	owner  *drain
+	handed []task
+}
+
+// hold gives d the turn of object.
+func (d *drain) hold(object string) *turn {
+	var tn *turn
+	if n := len(d.spare); n > 0 {
+		tn, d.spare = d.spare[n-1], d.spare[:n-1]
+	} else {
+		tn = &turn{owner: d}
+	}
+	tn.object = object
+	d.held = append(d.held, tn)
+	return tn
 }
 
 func newDrain(n int) *drain {
@@ -1037,7 +1188,9 @@ func (d *drain) done() {
 // pull blocks, so a lone task still runs immediately; the rest are
 // non-blocking and stop at the worker's share of the backlog left
 // behind it, so a burst coalesces without one worker taking what the
-// idle others could run.
+// idle others could run. The worker hands away the tasks of its pull
+// whose objects another worker runs, runs the rest, then the groups
+// handed to it, and pulls again once none is left.
 func (q *Queue) worker() {
 	defer q.wg.Done()
 	d := newDrain(q.cfg.DrainBatch)
@@ -1069,18 +1222,82 @@ func (q *Queue) worker() {
 				break fill
 			}
 		}
-		q.runBatch(d)
+		q.claim(d)
+		for len(d.batch) > 0 {
+			q.runBatch(d)
+			q.next(d)
+		}
 	}
+}
+
+// claim settles the pull in d.batch: a task on an object another worker
+// runs is handed to that worker, and d keeps the rest and takes the turn
+// of each of their objects, so no two workers run one object at once.
+// The tasks d keeps leave the queue.
+func (q *Queue) claim(d *drain) {
+	kept := d.batch[:0]
+	q.mu.Lock()
+	for _, t := range d.batch {
+		tn := q.turns[t.object]
+		if tn == nil {
+			tn = d.hold(t.object)
+			q.turns[t.object] = tn
+		}
+		if tn.owner != d {
+			tn.handed = append(tn.handed, t)
+			continue
+		}
+		q.take(&t)
+		kept = append(kept, t)
+	}
+	q.mu.Unlock()
+	q.metrics.Gauge("queue.depth").Add(-int64(len(kept)))
+	clear(d.batch[len(kept):])
+	d.batch = kept
+}
+
+// next takes d's next group from the hand-off: the tasks handed to the
+// objects d runs, in the order it took their turns, up to DrainBatch in
+// all. The turn of an object with nothing handed is released, so the
+// next task on it goes to whichever worker pulls it. After Kill, handed
+// tasks are dropped unrun, as queued ones are.
+func (q *Queue) next(d *drain) {
+	killed := q.killed.Load()
+	held := d.held[:0]
+	q.mu.Lock()
+	for _, tn := range d.held {
+		if len(tn.handed) == 0 || killed {
+			delete(q.turns, tn.object)
+			clear(tn.handed)
+			tn.handed = tn.handed[:0]
+			d.spare = append(d.spare, tn)
+			continue
+		}
+		n := min(len(tn.handed), q.cfg.DrainBatch-len(d.batch))
+		for i := range n {
+			q.take(&tn.handed[i])
+		}
+		d.batch = append(d.batch, tn.handed[:n]...)
+		left := copy(tn.handed, tn.handed[n:])
+		clear(tn.handed[left:])
+		tn.handed = tn.handed[:left]
+		held = append(held, tn)
+	}
+	q.mu.Unlock()
+	clear(d.held[len(held):])
+	d.held = held
+	q.metrics.Gauge("queue.depth").Add(-int64(len(d.batch)))
 }
 
 // errStaleQueued fails a task still queued past its submission deadline.
 var errStaleQueued = errors.New("asyncq: submission deadline elapsed while queued")
 
-// runBatch executes the pull in d.batch: it publishes the terminal
-// records of tasks cancelled or expired while queued, marks the rest
-// running (in memory — see the package doc), dispatches them grouped by
-// target object, then writes every terminal record in one batched table
-// write.
+// runBatch executes the pull in d.batch — what the worker kept of one
+// (claim), or what it took from its hand-off (next): it publishes the
+// terminal records of tasks cancelled or expired while queued, marks the
+// rest running (in memory — see the package doc), dispatches them
+// grouped by target object, then writes every terminal record in one
+// batched table write.
 //
 // Terminal publication is per pull, not per task: a task's record (and
 // its Wait waiters) becomes visible once the whole pull finishes, and
@@ -1090,8 +1307,6 @@ var errStaleQueued = errors.New("asyncq: submission deadline elapsed while queue
 func (q *Queue) runBatch(d *drain) {
 	defer d.done()
 	m := q.metrics
-	m.Gauge("queue.depth").Add(-int64(len(d.batch)))
-	q.releaseQuota(d.batch)
 	if len(d.batch) > 1 {
 		m.Counter("queue.batched_drains").Inc()
 	}
@@ -1170,7 +1385,7 @@ func (q *Queue) runBatch(d *drain) {
 			// Back to the queue under the same trace: a fresh wait span
 			// opens so the re-run's queue time is visible too.
 			t.span = t.link.Start("queue.wait")
-			if _, err := q.enqueue([]task{*t}, "queue.requeued", nil); err == nil {
+			if _, err := q.enqueue([]task{*t}, "queue.requeued", nil, nil); err == nil {
 				continue
 			}
 			t.span.End()
@@ -1273,7 +1488,7 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 				return errLive
 			}
 			return nil
-		}); {
+		}, nil); {
 		case err == nil:
 			adopted++
 		case errors.Is(err, ErrClosed):
@@ -1287,21 +1502,16 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 // executing in this process.
 var errLive = errors.New("asyncq: invocation is live in this process")
 
-// releaseQuota returns the pull's tasks to their classes' quotas.
-func (q *Queue) releaseQuota(batch []task) {
-	if len(q.cfg.ClassQuotas) == 0 {
+// take books t out of the queue as a worker takes it to run: the room
+// and the quota it held are free again. q.mu is held.
+func (q *Queue) take(t *task) {
+	q.queued--
+	if t.class == "" {
 		return
 	}
-	q.mu.Lock()
-	for _, t := range batch {
-		if t.class == "" {
-			continue
-		}
-		if q.classPending[t.class]--; q.classPending[t.class] <= 0 {
-			delete(q.classPending, t.class)
-		}
+	if q.classPending[t.class]--; q.classPending[t.class] <= 0 {
+		delete(q.classPending, t.class)
 	}
-	q.mu.Unlock()
 }
 
 // executeGroups hands the pull's runnable tasks to the Invoke hook, one
@@ -1371,8 +1581,9 @@ type Stats struct {
 	// Workers / Capacity echo the configuration.
 	Workers  int `json:"workers"`
 	Capacity int `json:"capacity"`
-	// Depth is the number of accepted-but-not-dequeued invocations;
-	// InFlight the number currently executing.
+	// Depth is the number of queued invocations — accepted and not yet
+	// taken to run, those handed to the worker running their object
+	// included; InFlight the number currently executing.
 	Depth    int64 `json:"depth"`
 	InFlight int64 `json:"in_flight"`
 	// Enqueued / Rejected / Completed / Failed are lifetime counters.
@@ -1393,8 +1604,9 @@ type Stats struct {
 	// Evicted counts terminal records garbage-collected after
 	// Config.RecordTTL elapsed.
 	Evicted int64 `json:"evicted"`
-	// BatchedDrains counts worker pulls that dequeued more than one
-	// task in a single drain (Config.DrainBatch > 1 doing its job).
+	// BatchedDrains counts the groups of more than one task a worker
+	// took to run at once: from a pull of the queue, or from the tasks
+	// handed to it on the objects it runs.
 	BatchedDrains int64 `json:"batched_drains"`
 	// Coalesced counts invocations that shared a same-object
 	// group-commit dispatch with at least one other invocation; the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -796,6 +797,107 @@ func TestCapacityIsExact(t *testing.T) {
 	}
 	if s := q.Stats(); accepted != capacity || s.Capacity != capacity || s.Depth != capacity {
 		t.Fatalf("the queue refused after %d submissions at depth %d of capacity %d, want it to take %d", accepted, s.Depth, s.Capacity, capacity)
+	}
+}
+
+// TestCapacityIsExactOnOneHotObject parks a worker on object hot and
+// fills the queue with calls on hot: the three idle workers pull them
+// and hand them to the parked one, and a handed task is still queued,
+// so the queue accepts exactly Capacity submissions and refuses the
+// next at a depth of its capacity. Not counting handed tasks would let
+// the idle workers drain the channel into the hand-off without bound.
+func TestCapacityIsExactOnOneHotObject(t *testing.T) {
+	const workers, capacity = 4, 64
+	started, open := make(chan struct{}, 1), make(chan struct{})
+	q := newQueue(t, Config{Settings: Settings{Workers: workers, DrainBatch: 1, Capacity: capacity}, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+		select {
+		case started <- struct{}{}:
+		default: // a queued task, run once the gate opens
+		}
+		<-open
+		return json.RawMessage(`"ok"`), nil
+	})})
+	defer close(open)
+	ctx := context.Background()
+	if _, err := q.Submit(ctx, Target{}, "hot", "m", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	accepted := 0
+	for ; accepted <= capacity; accepted++ {
+		_, err := q.Submit(ctx, Target{}, "hot", "m", nil, nil)
+		if errors.Is(err, ErrQueueFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := q.Stats(); accepted != capacity || s.Depth != capacity {
+		t.Fatalf("the queue refused after %d submissions on one hot object at depth %d, want it to take %d", accepted, s.Depth, capacity)
+	}
+}
+
+// TestBatchAcceptsWhatFitsInRequestOrder submits one batch to a queue
+// whose worker is parked, with room for six calls and a quota of two on
+// class A: the queue admits the calls in request order — the third A
+// call finds its class at quota while B's calls still go in, and the
+// calls past the sixth find the queue full — and enqueues the six it
+// accepted grouped by object, so the worker, pulling one task at a time,
+// runs a's calls and then b's, each in request order. A refused call
+// leaves no record.
+func TestBatchAcceptsWhatFitsInRequestOrder(t *testing.T) {
+	classes := map[string]Target{"a": {Class: "A"}, "b": {Class: "B"}}
+	var mu sync.Mutex
+	var ran []string
+	q, started, release := blockingQueue(t, Config{
+		Settings:      Settings{Capacity: 6, DrainBatch: 1, ClassQuotas: map[string]int{"A": 2}},
+		FlushInterval: time.Hour, // the table keeps every record it was given
+		Target:        func(objectID, _ string) Target { return classes[objectID] },
+		Invoke: each(func(_ context.Context, objectID, _ string, payload json.RawMessage, _ map[string]string) (json.RawMessage, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if objectID != "gate" {
+				ran = append(ran, objectID+string(payload))
+			}
+			return json.RawMessage(`"ok"`), nil
+		}),
+	})
+	ctx := context.Background()
+	if _, err := q.Submit(ctx, Target{}, "gate", "m", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	order := []string{"a", "b", "a", "a", "b", "b", "b", "b", "a"}
+	subs := make([]Submission, len(order))
+	for i, obj := range order {
+		subs[i] = Submission{Object: obj, To: classes[obj], Call: call.Call{Member: "m", Payload: json.RawMessage(strconv.Itoa(i)), Ctx: ctx}}
+	}
+	out := make([]BatchResult, len(subs))
+	q.SubmitBatch(subs, out)
+	for i, want := range []error{nil, nil, nil, ErrClassQuotaExceeded, nil, nil, nil, ErrQueueFull, ErrQueueFull} {
+		if got := out[i]; want == nil && (got.Err != nil || got.ID == "") || want != nil && (!errors.Is(got.Err, want) || got.ID != "") {
+			t.Fatalf("call %d (%s) = %+v, want error %v", i, order[i], got, want)
+		}
+	}
+	if s := q.Stats(); s.Depth != 6 || s.Rejected != 2 || s.QuotaRejected != 1 {
+		t.Fatalf("stats = %+v, want depth 6, 2 rejected for room and 1 for quota", s)
+	}
+	if n := q.records.Len(); n != 1+6 {
+		t.Fatalf("the record table holds %d records, want the gate's and the 6 accepted calls'", n)
+	}
+	close(release)
+	for _, res := range out {
+		if res.Err == nil {
+			if rec, err := q.Wait(ctx, res.ID); err != nil || rec.Status != StatusCompleted {
+				t.Fatalf("wait %s: %v %+v", res.ID, err, rec)
+			}
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"a0", "a2", "b1", "b4", "b5", "b6"}; !slices.Equal(ran, want) {
+		t.Fatalf("the worker ran %v, want %v", ran, want)
 	}
 }
 

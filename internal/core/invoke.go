@@ -316,23 +316,57 @@ func (p *Platform) chain(objectID string, calls []call.Call, done func(committed
 }
 
 // submitAll enqueues every request, returning one ID-or-error result
-// per entry in order: entries with unknown targets or that find the
-// queue full are rejected individually; the rest proceed. A batch is one message on
-// the wire, so it pays the inter-region round trip once, when the first
-// entry whose home is outside the origin's region is reached — not per
-// entry, and not at all when every entry is local.
+// per entry in order: entries with unknown targets or that the queue
+// refuses are rejected individually; the rest proceed. A batch is one
+// message on the wire, so it pays the inter-region round trip once, when
+// the first entry whose home is outside the origin's region is reached —
+// not per entry, and not at all when every entry is local. A batch of
+// one is a lone submission; a larger one is one submission to the queue
+// (asyncq.Queue.SubmitBatch), which queues its calls grouped by object.
 func (p *Platform) submitAll(ctx context.Context, from origin, reqs []asyncq.Request) []asyncq.BatchResult {
 	out := make([]asyncq.BatchResult, len(reqs))
+	var subs []asyncq.Submission
+	var at []int // subs[j] is reqs[at[j]]
 	paid := false
 	for i, r := range reqs {
 		t, err := p.resolve(r.Object, r.Member)
 		if err == nil && !paid && from.crosses(t) {
 			paid, err = true, p.hop(ctx)
 		}
-		if err == nil {
-			out[i].ID, err = p.submit(ctx, t, r.Object, call.Call{Member: r.Member, Payload: r.Payload, Args: r.Args})
+		c := call.Call{Member: r.Member, Payload: r.Payload, Args: r.Args}
+		switch {
+		case err != nil:
+			out[i].Err = err
+		case len(reqs) == 1:
+			out[i].ID, out[i].Err = p.submit(ctx, t, r.Object, c)
+		default:
+			if subs == nil {
+				subs, at = make([]asyncq.Submission, 0, len(reqs)), make([]int, 0, len(reqs))
+			}
+			subs = append(subs, asyncq.Submission{Object: r.Object, To: t.queued(r.Member), Call: c})
+			at = append(at, i)
 		}
-		out[i].Err = err
+	}
+	if len(subs) == 0 {
+		return out
+	}
+	// Each entry opens its own root trace, as a lone submission does, and
+	// the root ends at acceptance.
+	var roots []*trace.Span // none when the batch came with a trace
+	for j := range subs {
+		var root *trace.Span
+		if subs[j].Ctx, root = p.rootSpan(ctx, "invoke.async", subs[j].Object, subs[j].Member); root != nil {
+			roots = append(roots, root)
+		}
+	}
+	res := make([]asyncq.BatchResult, len(subs))
+	p.queue.SubmitBatch(subs, res)
+	for j, root := range roots {
+		root.Error(res[j].Err)
+		root.End()
+	}
+	for j, i := range at {
+		out[i] = res[j]
 	}
 	return out
 }

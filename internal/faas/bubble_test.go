@@ -281,10 +281,19 @@ func TestSetMinScaleRaisesReplicas(t *testing.T) {
 	})
 }
 
+// TestKnativeScalesUpUnderLoad: 16 callers keep a function of
+// concurrency 2 busy, and the autoscaler adds replicas while their calls
+// are in flight. The count is read under the load: once it has drained,
+// a tick that sees only the last call in flight scales back down. The
+// engine runs on a Manual clock that moves a scale tick at a time.
 func TestKnativeScalesUpUnderLoad(t *testing.T) {
 	simtest.Run(t, func(t *testing.T) {
+		const tick = 10 * time.Millisecond // newRig's scale interval
+		const callers, calls = 16, 5
+		clk := vclock.NewManual(time.Unix(1_700_000_000, 0))
 		rig := newRig(t, ModeKnative, 2, func(c *Config) {
 			c.IdleTimeout = time.Minute
+			c.Clock = clk
 		})
 		spec := FunctionSpec{
 			Name: "f", Image: "img/echo",
@@ -294,24 +303,40 @@ func TestKnativeScalesUpUnderLoad(t *testing.T) {
 		if err := rig.engine.Deploy(spec); err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		for i := 0; i < 16; i++ {
-			wg.Add(1)
+		done := make(chan error, callers)
+		for range callers {
 			go func() {
-				defer wg.Done()
-				for j := 0; j < 5; j++ {
-					if _, err := rig.engine.Invoke(ctx, "f", invoker.Task{}); err != nil {
-						return
-					}
+				var err error
+				for j := 0; j < calls && err == nil; j++ {
+					_, err = rig.engine.Invoke(context.Background(), "f", invoker.Task{})
 				}
+				done <- err
 			}()
 		}
-		wg.Wait()
-		stats := rig.engine.Stats()
-		if stats[0].Replicas < 2 {
-			t.Fatalf("autoscaler never scaled up: %+v", stats[0])
+		// Past newRig's 20 ms cold start and a scale tick after it, with
+		// every caller's first call still in flight.
+		for range 3 {
+			simtest.Wait()
+			clk.Advance(tick)
+		}
+		simtest.Wait()
+		if n, err := rig.engine.Replicas("f"); err != nil || n < 2 {
+			t.Fatalf("autoscaler never scaled up: %d replicas (%v) under %d callers", n, err, callers)
+		}
+		for finished := 0; finished < callers; {
+			simtest.Wait()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				finished++
+			default:
+				clk.Advance(tick)
+			}
+		}
+		if got := rig.engine.Stats()[0].Invocations; got != callers*calls {
+			t.Fatalf("%d invocations ran, want %d", got, callers*calls)
 		}
 	})
 }

@@ -290,3 +290,71 @@ func TestInvokeAsyncAllocationBudget(t *testing.T) {
 		t.Fatalf("invoke-async allocates %.1f per request, budget %d", n, ceiling)
 	}
 }
+
+// TestInvokeBatchAllocationBudget pins what one POST /api/invoke-batch
+// of 32 calls over 4 objects allocates, its JSON decode and 202 body
+// included, with the queue's one worker parked so that only submission
+// is measured. The batch is one submission: its pending records go to
+// the record table in one write and its calls to the queue in one
+// enqueue.
+func TestInvokeBatchAllocationBudget(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const batch, objects, runs = 32, 4, 100
+	p, err := core.New(core.Config{Workers: 2, Async: asyncq.Settings{Workers: 1, Capacity: batch * (runs + 2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	t.Cleanup(func() { close(release) }) // runs before p.Close, which drains
+	p.Images().Register("img/peek", invoker.HandlerFunc(func(context.Context, invoker.Task) (invoker.Result, error) {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		<-release
+		return invoker.Result{}, nil
+	}))
+	gw := New(p)
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	if rec := post("/api/packages", peekPackage); rec.Code != http.StatusCreated {
+		t.Fatalf("deploy: status = %d (%s)", rec.Code, rec.Body)
+	}
+	entries := make([]string, batch)
+	for i := range objects {
+		if rec := post("/api/objects", fmt.Sprintf(`{"class":"Doc","id":"d%d"}`, i)); rec.Code != http.StatusCreated {
+			t.Fatalf("create d%d: status = %d (%s)", i, rec.Code, rec.Body)
+		}
+	}
+	for i := range entries {
+		entries[i] = fmt.Sprintf(`{"object":"d%d","member":"peek","payload":"%s"}`, i%objects, strings.Repeat("p", 62))
+	}
+	w := &fakeWriter{header: make(http.Header)}
+	body := &replayBody{data: []byte(`{"invocations":[` + strings.Join(entries, ",") + `]}`)}
+	req := httptest.NewRequest(http.MethodPost, "/api/invoke-batch", nil)
+	req.Body, req.ContentLength = body, int64(len(body.data))
+	submit := func() {
+		w.reset()
+		body.off = 0
+		gw.ServeHTTP(w, req)
+		if w.status != http.StatusAccepted || !strings.Contains(w.body.String(), `"accepted":32,`) {
+			t.Fatalf("invoke-batch: status = %d, body = %q", w.status, w.body.String())
+		}
+	}
+	submit()
+	<-held
+	// 291 measured, about nine a call: the JSON decode, the ID, the
+	// payload copy, the pending record and its table entry. Submitted
+	// one call at a time the batch cost 280: the table write of all its
+	// pending records builds two maps a one-record write does not.
+	const ceiling = 295
+	if n := testing.AllocsPerRun(runs, submit); n > ceiling {
+		t.Fatalf("invoke-batch of %d calls over %d objects allocates %.1f per request, budget %d", batch, objects, n, ceiling)
+	}
+}

@@ -104,7 +104,20 @@
 // backlog, 1+queued/Config.Async.Workers invocations, up to
 // Config.Async.DrainBatch (1 restores per-task draining), so
 // a burst spreads over the pool. A pull persists its record transitions
-// in batched table writes and groups its invocations by target object. An
+// in batched table writes and groups its invocations by target object.
+// A busy object runs on one worker: a pulled invocation on an object
+// another worker is running is handed to that worker, which runs the
+// object's handed backlog, up to DrainBatch, as its next group before
+// it pulls again. So queue workers never run one object at once, and
+// their commits on it never abort each other. The one rule this adds: a
+// handler must not wait for an async invocation on the object it is
+// running — that invocation runs after it, on the same worker. A handed
+// invocation is still queued, and counts against
+// Config.Async.Capacity and its class quota until it runs. An
+// invoke-batch is one submission: its pending records are written in
+// one table write and its accepted invocations queued together,
+// grouped by object, while the queue still admits them in request
+// order, so a batch it cannot take in full accepts the calls that fit. An
 // invocation that drained alone is a group of one and runs exactly as
 // Platform.Invoke would. A group of two or more same-object method
 // calls executes through the runtime's group-commit InvokeBatch window:
@@ -121,7 +134,8 @@
 // window: a dataflow among a pull's calls on an object is set aside and
 // runs as if it had drained alone, while the functions around it still
 // commit together.
-// Stats().Async.BatchedDrains counts multi-task pulls and
+// Stats().Async.BatchedDrains counts the groups of more than one
+// invocation a worker took to run, pulled or handed, and
 // Stats().Async.Coalesced counts invocations that shared a group
 // window.
 //
