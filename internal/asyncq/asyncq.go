@@ -100,24 +100,32 @@
 // outcomes stay independent: a failing member poisons only its own
 // record, and a hook that panics fails its own group, not the worker.
 //
-// A busy object runs on one worker. A worker that pulls a task on an
-// object another worker is running hands the task to that worker and
-// runs only the rest of its pull; the running worker, once its pull is
-// done, takes the object's handed backlog, up to DrainBatch tasks, as
-// its next group, and only pulls again once nothing is left handed to
-// it. So no two workers run one object at once — its calls never abort
-// each other's optimistic commits — and a hot object's backlog gathers
-// into groups rather than spreading over the pool one call each. The
-// one rule this adds: a handler must not wait for an async call on the
-// object it is running, because that call runs after it, on its worker.
-// A handed task is still queued: it counts against Capacity, Depth and
-// its class quota until its worker takes it.
+// A busy object's writes run on one worker. A task whose Target says it
+// Writes — it commits its object's state through the Invoke hook's
+// window — takes its object's turn: a worker that pulls one on an
+// object whose turn another worker holds hands the task to that worker
+// and runs only the rest of its pull; the holder, once its pull is
+// done, takes the tasks handed to it, up to DrainBatch, as its next
+// group, serving the objects it holds round robin, and only pulls again
+// once nothing is left handed to it. So no two workers run one object's
+// writes at once — they never abort each other's optimistic commits —
+// and a hot object's backlog gathers into groups rather than spreading
+// over the pool one call each. Other calls (on the platform, readonly
+// functions and dataflows, which run outside the window) take no turn
+// and run on the worker that pulls them, beside whatever runs on their
+// object, as every call did before turns. The one rule this adds: a
+// handler must not wait for an async write on the object it is
+// running, because that call runs after it, on its worker. A handed
+// task is still queued: it counts against Capacity, Depth and its class
+// quota until its worker takes it.
 //
 // A batch submission (SubmitBatch, the platform's invoke-batch) is one
 // submission: its pending records go to the table in one write, and its
 // accepted calls enter the queue in one enqueue, grouped by object, so
 // a pull takes a run of one object's calls. The queue still admits the
-// calls in their order, each as a lone Submit would be at that point.
+// calls in their order, each as a lone Submit would be at that point;
+// the grouping is worked out before the queue's lock is taken, in time
+// linear in the batch.
 //
 // Stats().BatchedDrains counts groups of more than one task taken to
 // run — pulls and hand-offs alike — and Stats().Coalesced counts
@@ -234,6 +242,12 @@ type Target struct {
 	// elapses. Zero declares none; a deadline on the submitter's
 	// context still applies (the earlier of the two wins).
 	Timeout time.Duration
+	// Writes marks a call that commits its object's state through the
+	// Invoke hook's group window — on the platform, a function not
+	// declared readonly. The queue runs one object's Writes calls on one
+	// worker at a time (see Batched drain); any other call runs on the
+	// worker that pulls it, beside whatever else runs on its object.
+	Writes bool
 }
 
 // Request is one batch-submission entry.
@@ -280,11 +294,12 @@ type Config struct {
 	// submitter's context, capped to its submission deadline. results[i]
 	// receives calls[i]'s outcome, and one failing call must not poison
 	// the rest. The queue owns both slices and hands results over
-	// zeroed; the hook keeps neither. No two calls of Invoke on one
-	// object overlap, so a call must not wait for an async invocation on
-	// its own object: that one runs after it returns. The platform
-	// passes its group-commit path; the indirection keeps this package
-	// free of a dependency on core. Required.
+	// zeroed; the hook keeps neither. No two calls of Invoke that hold
+	// Writes calls on one object overlap, so such a call must not wait
+	// for an async Writes invocation on its own object: that one runs
+	// after it returns. The platform passes its group-commit path; the
+	// indirection keeps this package free of a dependency on core.
+	// Required.
 	Invoke func(ctx context.Context, objectID string, calls []call.Call, results []call.Result)
 	Settings
 	// Backing persists invocation records through a memtable buffer;
@@ -353,6 +368,7 @@ type task struct {
 	object  string
 	member  string
 	class   string // the target's class, for quota accounting ("" = none)
+	writes  bool   // Target.Writes: the task takes its object's turn
 	payload json.RawMessage
 	args    map[string]string
 	ctx     context.Context // submitter's context; cancellation is observed
@@ -413,8 +429,8 @@ type Queue struct {
 	// classPending counts queued tasks per class, the ClassQuotas
 	// accounting. Guarded by mu.
 	classPending map[string]int
-	// turns maps each object a worker is running to its turn. Guarded by
-	// mu.
+	// turns maps each object whose Writes calls a worker is running to
+	// its turn. Guarded by mu.
 	turns map[string]*turn
 	// admitted is enqueue's scratch: which tasks of the enqueue in
 	// progress are accepted and not yet sent. Guarded by mu.
@@ -557,6 +573,7 @@ func (q *Queue) aim(t *task, to Target) {
 	if len(q.cfg.ClassQuotas) > 0 {
 		t.class = to.Class
 	}
+	t.writes = to.Writes
 	if to.Timeout > 0 {
 		t.deadline = t.queued.Add(to.Timeout)
 	}
@@ -606,7 +623,7 @@ func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, 
 	// first and have it clobbered by a late pending write (leaving
 	// pollers stuck at "pending" forever).
 	_ = q.records.Put(context.Background(), t.key, pendingRecord(t))
-	if _, err := q.enqueue([]task{t}, "queue.enqueued", q.underQuota, nil); err != nil {
+	if _, err := q.enqueue([]task{t}, nil, "queue.enqueued", q.underQuota, nil); err != nil {
 		q.drop(t, err)
 		return "", err
 	}
@@ -664,8 +681,14 @@ type Submission struct {
 // and queues the ones it accepts grouped by object: each object's calls
 // in their order in subs, the objects in the order they first appear
 // there, so a pull takes a run of one object's calls. out[i] receives
-// subs[i]'s ID, or the error that refused it.
+// subs[i]'s ID, or the error that refused it. A batch of one is a lone
+// Submit.
 func (q *Queue) SubmitBatch(subs []Submission, out []BatchResult) {
+	if len(subs) == 1 {
+		s := subs[0]
+		out[0].ID, out[0].Err = q.Submit(cmp.Or(s.Ctx, context.Background()), s.To, s.Object, s.Member, s.Payload, s.Args)
+		return
+	}
 	ts := make([]task, 0, len(subs))
 	at := make([]int, 0, len(subs)) // ts[j] is subs[at[j]]
 	pending := make(map[string]json.RawMessage, len(subs))
@@ -682,7 +705,7 @@ func (q *Queue) SubmitBatch(subs []Submission, out []BatchResult) {
 	}
 	// Every pending record lands before any task is visible (see Submit).
 	_ = q.records.PutMany(context.Background(), pending)
-	n, _ := q.enqueue(ts, "queue.enqueued", q.underQuota, func(j int, err error) { out[at[j]] = BatchResult{Err: err} })
+	n, _ := q.enqueue(ts, byObject(ts), "queue.enqueued", q.underQuota, func(j int, err error) { out[at[j]] = BatchResult{Err: err} })
 	if n == len(ts) {
 		return
 	}
@@ -691,6 +714,40 @@ func (q *Queue) SubmitBatch(subs []Submission, out []BatchResult) {
 			q.drop(ts[j], err)
 		}
 	}
+}
+
+// byObject is the order that groups ts by object: each object's tasks in
+// their order in ts, the objects in the order they first appear there.
+// It is nil when ts holds fewer than two objects, whose order is ts's.
+func byObject(ts []task) []int {
+	if len(ts) < 2 {
+		return nil
+	}
+	group := make(map[string]int) // object → its place among the objects
+	order := make([]int, len(ts), 2*len(ts))
+	start := order[len(ts):] // per object: its count, then where its run starts
+	for _, t := range ts {
+		g, seen := group[t.object]
+		if !seen {
+			g = len(start)
+			group[t.object] = g
+			start = append(start, 0)
+		}
+		start[g]++
+	}
+	if len(start) < 2 {
+		return nil
+	}
+	at := 0
+	for g, n := range start {
+		start[g], at = at, at+n
+	}
+	for i, t := range ts {
+		g := group[t.object]
+		order[start[g]] = i
+		start[g]++
+	}
+	return order
 }
 
 // SubmitGroup enqueues calls on objectID as record-less tasks: the
@@ -727,7 +784,7 @@ func (q *Queue) SubmitGroup(to Target, objectID string, calls []call.Call, done 
 	// The group counts each task as it is admitted, under q.mu, so no
 	// accepted task can go terminal before the count holds all of them.
 	// One object and one class: what enqueue refuses is a suffix.
-	n, err := q.enqueue(ts, "queue.enqueued", func(t task) error {
+	n, err := q.enqueue(ts, nil, "queue.enqueued", func(t task) error {
 		if err := q.underQuota(t); err != nil {
 			return err
 		}
@@ -748,17 +805,17 @@ func (q *Queue) SubmitGroup(to Target, objectID string, calls []call.Call, done 
 // ErrQueueFull once Config.Capacity tasks are queued — handed ones
 // included (see queued) — or with admit's error (nil admits every task);
 // refuse, when not nil, is told each refused task's index and error.
-// Then it sends the accepted tasks grouped by object — each object's
-// tasks in their order in ts, the objects in the order they first
-// appear there — and books each queued: one more in the depth gauge, in
-// its class's quota count and in counter, and, for a task with a record,
-// a tracked entry that has not started. The closed check, admit and the
-// sends share q.mu, so Close cannot observe an accepted task it will not
-// drain, racing submitters cannot oversubscribe a quota and a record is
-// not adopted twice; the depth is booked before the send, so the worker
-// that takes a task cannot take the gauge below zero. It returns how
-// many tasks it accepted and the first refusal's error.
-func (q *Queue) enqueue(ts []task, counter string, admit func(task) error, refuse func(i int, err error)) (int, error) {
+// Then it sends the accepted tasks in the order send gives, as indexes
+// into ts (nil: ts's order), and books each queued: one more in the
+// depth gauge, in its class's quota count and in counter, and, for a
+// task with a record, a tracked entry that has not started. The closed
+// check, admit and the sends share q.mu, so Close cannot observe an
+// accepted task it will not drain, racing submitters cannot
+// oversubscribe a quota and a record is not adopted twice; the depth is
+// booked before the send, so the worker that takes a task cannot take
+// the gauge below zero. It returns how many tasks it accepted and the
+// first refusal's error.
+func (q *Queue) enqueue(ts []task, send []int, counter string, admit func(task) error, refuse func(i int, err error)) (int, error) {
 	m := q.metrics
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -798,20 +855,18 @@ func (q *Queue) enqueue(ts []task, counter string, admit func(task) error, refus
 	q.admitted = ok
 	m.Gauge("queue.depth").Add(int64(accepted))
 	m.Counter(counter).Add(int64(accepted))
-	for i := range ts {
+	for k := range ts {
+		i := k
+		if send != nil {
+			i = send[k]
+		}
 		if !ok[i] {
 			continue
 		}
-		for j := i; j < len(ts); j++ {
-			if !ok[j] || ts[j].object != ts[i].object {
-				continue
-			}
-			select {
-			case q.tasks <- ts[j]:
-				ok[j] = false
-			default: // queued counts every task the channel holds
-				panic("asyncq: the queue holds more tasks than it counts")
-			}
+		select {
+		case q.tasks <- ts[i]:
+		default: // queued counts every task the channel holds
+			panic("asyncq: the queue holds more tasks than it counts")
 		}
 	}
 	return accepted, first
@@ -1122,8 +1177,9 @@ func (q *Queue) Wait(ctx context.Context, id string) (Record, error) {
 // the deadline cancels of the group in flight; and the pull's terminal
 // transitions. done clears it, so nothing a pull put there outlives the
 // pull, and a pull allocates none of it. held are the turns of the
-// objects the worker runs, in the order it took them, and spare the
-// turns it released, kept for the next; no other worker touches either.
+// objects the worker runs, in the order next serves them, served next's
+// scratch, and spare the turns it released, kept for the next; no other
+// worker touches them.
 type drain struct {
 	batch    []task
 	runnable []task
@@ -1133,6 +1189,7 @@ type drain struct {
 	cancels  []context.CancelFunc
 	hooks    []terminalHook
 	held     []*turn
+	served   []*turn
 	spare    []*turn
 }
 
@@ -1230,22 +1287,25 @@ func (q *Queue) worker() {
 	}
 }
 
-// claim settles the pull in d.batch: a task on an object another worker
-// runs is handed to that worker, and d keeps the rest and takes the turn
-// of each of their objects, so no two workers run one object at once.
-// The tasks d keeps leave the queue.
+// claim settles the pull in d.batch: a Writes task on an object another
+// worker runs is handed to that worker, and d keeps the rest and takes
+// the turn of each object a Writes task it keeps is on, so no two
+// workers run one object's Writes calls at once. The tasks d keeps leave
+// the queue.
 func (q *Queue) claim(d *drain) {
 	kept := d.batch[:0]
 	q.mu.Lock()
 	for _, t := range d.batch {
-		tn := q.turns[t.object]
-		if tn == nil {
-			tn = d.hold(t.object)
-			q.turns[t.object] = tn
-		}
-		if tn.owner != d {
-			tn.handed = append(tn.handed, t)
-			continue
+		if t.writes {
+			tn := q.turns[t.object]
+			if tn == nil {
+				tn = d.hold(t.object)
+				q.turns[t.object] = tn
+			}
+			if tn.owner != d {
+				tn.handed = append(tn.handed, t)
+				continue
+			}
 		}
 		q.take(&t)
 		kept = append(kept, t)
@@ -1257,35 +1317,45 @@ func (q *Queue) claim(d *drain) {
 }
 
 // next takes d's next group from the hand-off: the tasks handed to the
-// objects d runs, in the order it took their turns, up to DrainBatch in
-// all. The turn of an object with nothing handed is released, so the
-// next task on it goes to whichever worker pulls it. After Kill, handed
-// tasks are dropped unrun, as queued ones are.
+// objects d runs, up to DrainBatch in all, served round robin — the
+// turns that got nothing last time first, and a turn that gets tasks
+// goes to the back — so one object with a backlog of DrainBatch or more
+// cannot keep another d runs waiting past one group. The turn of an
+// object with nothing handed is released, so the next task on it goes
+// to whichever worker pulls it. After Kill, handed tasks are dropped
+// unrun, as queued ones are.
 func (q *Queue) next(d *drain) {
 	killed := q.killed.Load()
-	held := d.held[:0]
+	waiting, served := d.held[:0], d.served[:0]
 	q.mu.Lock()
 	for _, tn := range d.held {
-		if len(tn.handed) == 0 || killed {
+		switch {
+		case len(tn.handed) == 0 || killed:
 			delete(q.turns, tn.object)
 			clear(tn.handed)
 			tn.handed = tn.handed[:0]
 			d.spare = append(d.spare, tn)
-			continue
+		case len(d.batch) == q.cfg.DrainBatch:
+			waiting = append(waiting, tn)
+		default:
+			n := min(len(tn.handed), q.cfg.DrainBatch-len(d.batch))
+			for i := range n {
+				q.take(&tn.handed[i])
+			}
+			d.batch = append(d.batch, tn.handed[:n]...)
+			left := copy(tn.handed, tn.handed[n:])
+			clear(tn.handed[left:])
+			tn.handed = tn.handed[:left]
+			served = append(served, tn)
 		}
-		n := min(len(tn.handed), q.cfg.DrainBatch-len(d.batch))
-		for i := range n {
-			q.take(&tn.handed[i])
-		}
-		d.batch = append(d.batch, tn.handed[:n]...)
-		left := copy(tn.handed, tn.handed[n:])
-		clear(tn.handed[left:])
-		tn.handed = tn.handed[:left]
-		held = append(held, tn)
 	}
 	q.mu.Unlock()
-	clear(d.held[len(held):])
-	d.held = held
+	// waiting and served fit where d.held stood, which is read through.
+	was := len(d.held)
+	d.held = append(waiting, served...)
+	clear(d.held[len(d.held):was])
+	clear(served)
+	d.served = served[:0]
 	q.metrics.Gauge("queue.depth").Add(-int64(len(d.batch)))
 }
 
@@ -1385,7 +1455,7 @@ func (q *Queue) runBatch(d *drain) {
 			// Back to the queue under the same trace: a fresh wait span
 			// opens so the re-run's queue time is visible too.
 			t.span = t.link.Start("queue.wait")
-			if _, err := q.enqueue([]task{*t}, "queue.requeued", nil, nil); err == nil {
+			if _, err := q.enqueue([]task{*t}, nil, "queue.requeued", nil, nil); err == nil {
 				continue
 			}
 			t.span.End()
@@ -1483,7 +1553,7 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 			q.aim(&t, q.cfg.Target(t.object, t.member))
 		}
 		// A full queue skips the record; the next recovery pass retries.
-		switch _, err := q.enqueue([]task{t}, "queue.recovered", func(t task) error {
+		switch _, err := q.enqueue([]task{t}, nil, "queue.recovered", func(t task) error {
 			if _, live := q.tracked[t.id]; live {
 				return errLive
 			}

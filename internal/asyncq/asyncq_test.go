@@ -801,7 +801,7 @@ func TestCapacityIsExact(t *testing.T) {
 }
 
 // TestCapacityIsExactOnOneHotObject parks a worker on object hot and
-// fills the queue with calls on hot: the three idle workers pull them
+// fills the queue with writes on hot: the three idle workers pull them
 // and hand them to the parked one, and a handed task is still queued,
 // so the queue accepts exactly Capacity submissions and refuses the
 // next at a depth of its capacity. Not counting handed tasks would let
@@ -819,13 +819,14 @@ func TestCapacityIsExactOnOneHotObject(t *testing.T) {
 	})})
 	defer close(open)
 	ctx := context.Background()
-	if _, err := q.Submit(ctx, Target{}, "hot", "m", nil, nil); err != nil {
+	writes := Target{Writes: true}
+	if _, err := q.Submit(ctx, writes, "hot", "m", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	accepted := 0
 	for ; accepted <= capacity; accepted++ {
-		_, err := q.Submit(ctx, Target{}, "hot", "m", nil, nil)
+		_, err := q.Submit(ctx, writes, "hot", "m", nil, nil)
 		if errors.Is(err, ErrQueueFull) {
 			break
 		}

@@ -2,11 +2,11 @@
 
 package asyncq
 
-// A busy object runs on one worker, in bubbles: a test waits until
-// every worker is blocked, so the tasks it submitted have been pulled
-// and either run or handed over, and a hook that holds its object until
-// then makes two workers running one object overlap for certain rather
-// than by luck.
+// A busy object's writes run on one worker, in bubbles: a test waits
+// until every worker is blocked, so the tasks it submitted have been
+// pulled and either run or handed over, and a hook that holds its object
+// until then makes two workers running one object overlap for certain
+// rather than by luck.
 
 import (
 	"context"
@@ -21,6 +21,9 @@ import (
 	"github.com/hpcclab/oparaca-go/internal/simtest"
 )
 
+// writes is the target of a call that commits its object's state.
+var writes = Target{Writes: true}
+
 // completeAll completes every call of a group with "ok".
 func completeAll(results []call.Result) {
 	for i := range results {
@@ -29,7 +32,7 @@ func completeAll(results []call.Result) {
 }
 
 // TestBusyObjectIsHandedToItsWorker parks a handler on object hot and
-// submits six more calls on hot to a pool of four: the idle workers pull
+// submits six more writes on hot to a pool of four: the idle workers pull
 // them and hand them to the parked worker, so the hook is not entered
 // for hot again while the first call is parked, and the six run as one
 // group once it returns. Until then they are still queued.
@@ -55,7 +58,7 @@ func TestBusyObjectIsHandedToItsWorker(t *testing.T) {
 		ctx := context.Background()
 		ids := make([]string, 1+more)
 		for i := range ids {
-			id, err := q.Submit(ctx, Target{}, "hot", "m", nil, nil)
+			id, err := q.Submit(ctx, writes, "hot", "m", nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +139,7 @@ func TestBatchRunsEachObjectOnOneWorker(t *testing.T) {
 		}
 		subs := make([]Submission, calls)
 		for i := range subs {
-			subs[i] = Submission{Object: fmt.Sprintf("o%d", i%objects), Call: call.Call{Member: "m", Ctx: ctx}}
+			subs[i] = Submission{Object: fmt.Sprintf("o%d", i%objects), To: writes, Call: call.Call{Member: "m", Ctx: ctx}}
 		}
 		out := make([]BatchResult, calls)
 		q.SubmitBatch(subs, out)
@@ -172,6 +175,137 @@ func TestBatchRunsEachObjectOnOneWorker(t *testing.T) {
 		defer mu.Unlock()
 		if overlaps > 0 {
 			t.Fatalf("an object's calls ran on two workers at once %d times", overlaps)
+		}
+	})
+}
+
+// TestOtherCallsOnABusyObjectRunBeside parks a write on object hot and
+// submits three calls on hot that do not write: they take no turn, so
+// the idle workers run them beside the parked write, as readonly calls
+// ran before turns, instead of queueing them behind it.
+func TestOtherCallsOnABusyObjectRunBeside(t *testing.T) {
+	simtest.Run(t, func(t *testing.T) {
+		const reads = 3
+		parked, open := make(chan struct{}), make(chan struct{})
+		q := newQueue(t, Config{Settings: Settings{Workers: 4}, Invoke: func(_ context.Context, _ string, calls []call.Call, results []call.Result) {
+			if calls[0].Member == "write" {
+				close(parked)
+				<-open
+			}
+			completeAll(results)
+		}})
+		release := sync.OnceFunc(func() { close(open) })
+		defer release() // a failed check must not leave Close waiting on the parked call
+		ctx := context.Background()
+		write, err := q.Submit(ctx, writes, "hot", "write", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-parked
+		ids := make([]string, reads)
+		for i := range ids {
+			if ids[i], err = q.Submit(ctx, Target{}, "hot", "read", nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		simtest.Wait() // every other worker is idle again
+		for _, id := range ids {
+			if rec, err := q.Get(ctx, id); err != nil || rec.Status != StatusCompleted {
+				t.Fatalf("a read on hot while its write is parked: %v %+v, want it completed", err, rec)
+			}
+		}
+		release()
+		if rec, err := q.Wait(ctx, write); err != nil || rec.Status != StatusCompleted {
+			t.Fatalf("wait %s: %v %+v", write, err, rec)
+		}
+	})
+}
+
+// TestHandedObjectsTakeTurns has one worker of two hold objects a and b
+// — it pulled a write on each in one pull, and parks on a's — while the
+// other hands it six more writes on a and one on b. With DrainBatch 2,
+// a's backlog alone would fill every group until it ran out; served
+// round robin, b's handed write runs in the second group, beside a's.
+func TestHandedObjectsTakeTurns(t *testing.T) {
+	simtest.Run(t, func(t *testing.T) {
+		gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
+		parked := make(chan struct{}, len(gates))
+		aParked, aOpen := make(chan struct{}), make(chan struct{})
+		var mu sync.Mutex
+		var groups []string // each group the hook was handed: its object and size
+		q := newQueue(t, Config{Settings: Settings{Workers: 2, DrainBatch: 2}, Invoke: func(_ context.Context, objectID string, calls []call.Call, results []call.Result) {
+			if gate, ok := strings.CutPrefix(objectID, "gate-"); ok {
+				parked <- struct{}{}
+				<-gates[gate[0]-'0']
+				completeAll(results)
+				return
+			}
+			mu.Lock()
+			groups = append(groups, fmt.Sprint(objectID, len(calls)))
+			first := objectID == "a" && !slices.Contains(groups[:len(groups)-1], "a1")
+			mu.Unlock()
+			if first {
+				close(aParked)
+				<-aOpen
+			}
+			completeAll(results)
+		}})
+		var once [3]sync.Once
+		openGate := func(i int, c chan struct{}) { once[i].Do(func() { close(c) }) }
+		defer openGate(0, gates[0]) // a failed check must not leave Close waiting
+		defer openGate(1, gates[1])
+		defer openGate(2, aOpen)
+		ctx := context.Background()
+		for i := range gates {
+			if _, err := q.Submit(ctx, Target{}, fmt.Sprintf("gate-%d", i), "m", nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			<-parked
+		}
+		// Queued as a, b, c, c: the first worker let go pulls its share,
+		// a and b, and the other the two on c.
+		var ids []string
+		submit := func(objects ...string) {
+			subs := make([]Submission, len(objects))
+			for i, obj := range objects {
+				subs[i] = Submission{Object: obj, To: writes, Call: call.Call{Member: "m", Ctx: ctx}}
+			}
+			out := make([]BatchResult, len(subs))
+			q.SubmitBatch(subs, out)
+			for _, res := range out {
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				ids = append(ids, res.ID)
+			}
+		}
+		submit("a", "b", "c", "c")
+		openGate(0, gates[0])
+		<-aParked
+		openGate(1, gates[1])
+		simtest.Wait() // c's calls ran; the second worker is idle
+		for range 6 {
+			submit("a")
+		}
+		submit("b")
+		simtest.Wait() // the second worker handed all seven to the first
+		mu.Lock()
+		before := len(groups)
+		mu.Unlock()
+		if s := q.Stats(); s.Depth != 7 {
+			t.Fatalf("depth = %d with a's first write parked, want the 7 handed writes", s.Depth)
+		}
+		openGate(2, aOpen)
+		for _, id := range ids {
+			if rec, err := q.Wait(ctx, id); err != nil || rec.Status != StatusCompleted {
+				t.Fatalf("wait %s: %v %+v", id, err, rec)
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		// b1 first: the rest of the pull a's parked write was part of.
+		if got, want := groups[before:], []string{"b1", "a2", "b1", "a1", "a2", "a1"}; !slices.Equal(got, want) {
+			t.Fatalf("after a's first write the worker ran groups %v, want %v", got, want)
 		}
 	})
 }

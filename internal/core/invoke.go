@@ -67,16 +67,18 @@ func (p *Platform) resolve(objectID, member string) (target, error) {
 }
 
 // queued is what the async queue is told of a call on t: the class its
-// quota counts against and member's declared deadline (the class's, for
-// a dataflow). Only a queued call has a use for the deadline — the
-// runtime enforces its own on a synchronous one — so it is worked out
-// here and not in resolve.
+// quota counts against, member's declared deadline (the class's, for a
+// dataflow) and whether it commits through the object's group window —
+// a function not declared readonly does; a readonly one and a dataflow,
+// which invokeGroup runs outside the window, do not. Only a queued call
+// has a use for these — the runtime enforces its own deadline on a
+// synchronous one — so they are worked out here and not in resolve.
 func (t target) queued(member string) asyncq.Target {
 	if t.rt == nil {
 		return asyncq.Target{}
 	}
-	fn, _ := t.rt.Class().Function(member)
-	return asyncq.Target{Class: t.class, Timeout: t.rt.EffectiveTimeout(fn)}
+	fn, isFn := t.rt.Class().Function(member)
+	return asyncq.Target{Class: t.class, Timeout: t.rt.EffectiveTimeout(fn), Writes: isFn && !fn.Readonly}
 }
 
 // hop charges one inter-region round trip — request in, response out —
@@ -320,50 +322,60 @@ func (p *Platform) chain(objectID string, calls []call.Call, done func(committed
 // refuses are rejected individually; the rest proceed. A batch is one
 // message on the wire, so it pays the inter-region round trip once, when
 // the first entry whose home is outside the origin's region is reached —
-// not per entry, and not at all when every entry is local. A batch of
-// one is a lone submission; a larger one is one submission to the queue
-// (asyncq.Queue.SubmitBatch), which queues its calls grouped by object.
+// not per entry, and not at all when every entry is local. The entries
+// that resolve are one submission to the queue (asyncq.Queue.SubmitBatch),
+// which queues them grouped by object.
 func (p *Platform) submitAll(ctx context.Context, from origin, reqs []asyncq.Request) []asyncq.BatchResult {
 	out := make([]asyncq.BatchResult, len(reqs))
-	var subs []asyncq.Submission
-	var at []int // subs[j] is reqs[at[j]]
+	var one [1]asyncq.Submission // a lone invocation's, kept off the heap
+	subs := one[:0]
+	if len(reqs) > 1 {
+		subs = make([]asyncq.Submission, 0, len(reqs))
+	}
+	var at []int // subs[j] is reqs[at[j]]; nil while every entry resolved
 	paid := false
 	for i, r := range reqs {
 		t, err := p.resolve(r.Object, r.Member)
 		if err == nil && !paid && from.crosses(t) {
 			paid, err = true, p.hop(ctx)
 		}
-		c := call.Call{Member: r.Member, Payload: r.Payload, Args: r.Args}
-		switch {
-		case err != nil:
+		if err != nil {
 			out[i].Err = err
-		case len(reqs) == 1:
-			out[i].ID, out[i].Err = p.submit(ctx, t, r.Object, c)
-		default:
-			if subs == nil {
-				subs, at = make([]asyncq.Submission, 0, len(reqs)), make([]int, 0, len(reqs))
+			if at == nil {
+				at = make([]int, len(subs), len(reqs))
+				for j := range at {
+					at[j] = j
+				}
 			}
-			subs = append(subs, asyncq.Submission{Object: r.Object, To: t.queued(r.Member), Call: c})
+			continue
+		}
+		subs = append(subs, asyncq.Submission{Object: r.Object, To: t.queued(r.Member), Call: call.Call{Member: r.Member, Payload: r.Payload, Args: r.Args}})
+		if at != nil {
 			at = append(at, i)
 		}
 	}
-	if len(subs) == 0 {
-		return out
-	}
 	// Each entry opens its own root trace, as a lone submission does, and
 	// the root ends at acceptance.
-	var roots []*trace.Span // none when the batch came with a trace
+	var roots []*trace.Span // roots[j] is subs[j]'s; nil when none opened
 	for j := range subs {
 		var root *trace.Span
 		if subs[j].Ctx, root = p.rootSpan(ctx, "invoke.async", subs[j].Object, subs[j].Member); root != nil {
-			roots = append(roots, root)
+			if roots == nil {
+				roots = make([]*trace.Span, len(subs))
+			}
+			roots[j] = root
 		}
 	}
-	res := make([]asyncq.BatchResult, len(subs))
+	res := out
+	if at != nil {
+		res = make([]asyncq.BatchResult, len(subs))
+	}
 	p.queue.SubmitBatch(subs, res)
 	for j, root := range roots {
-		root.Error(res[j].Err)
-		root.End()
+		if root != nil {
+			root.Error(res[j].Err)
+			root.End()
+		}
 	}
 	for j, i := range at {
 		out[i] = res[j]

@@ -899,3 +899,29 @@ func TestFencedDataflowStepIsNotRetried(t *testing.T) {
 		t.Errorf("called: n = %s, want 2 (step a's commit kept)", got)
 	}
 }
+
+// TestOnlyWritesTakeTheirObjectsTurn: the queue is told that a call
+// writes — and so runs on the one worker holding its object's turn —
+// only for a function not declared readonly. A readonly function and a
+// dataflow run outside the group window, beside the object's writes.
+func TestOnlyWritesTakeTheirObjectsTurn(t *testing.T) {
+	p, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	const pkg = "classes:\n  - name: Doc\n    functions:\n      - name: edit\n        image: img/echo\n      - name: peek\n        image: img/echo\n        readonly: true\n    dataflows:\n      - name: flow\n        steps:\n          - name: s0\n            function: edit\n"
+	ctx := context.Background()
+	if _, err := p.DeployYAML(ctx, []byte(pkg)); err != nil {
+		t.Fatal(err)
+	}
+	object, err := p.CreateObject(ctx, "Doc", "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for member, want := range map[string]bool{"edit": true, "peek": false, "flow": false} {
+		if got := p.asyncTarget(object, member).Writes; got != want {
+			t.Errorf("%s: Writes = %v, want %v", member, got, want)
+		}
+	}
+}

@@ -105,14 +105,18 @@
 // Config.Async.DrainBatch (1 restores per-task draining), so
 // a burst spreads over the pool. A pull persists its record transitions
 // in batched table writes and groups its invocations by target object.
-// A busy object runs on one worker: a pulled invocation on an object
-// another worker is running is handed to that worker, which runs the
-// object's handed backlog, up to DrainBatch, as its next group before
-// it pulls again. So queue workers never run one object at once, and
-// their commits on it never abort each other. The one rule this adds: a
-// handler must not wait for an async invocation on the object it is
-// running — that invocation runs after it, on the same worker. A handed
-// invocation is still queued, and counts against
+// A busy object's writes run on one worker: a pulled invocation of a
+// function not declared readonly, on an object another worker is
+// running such invocations on, is handed to that worker, which runs
+// the handed backlog, up to DrainBatch and round robin over the objects
+// it holds, as its next group before it pulls again. So queue workers
+// never run one object's writes at once, and their commits on it never
+// abort each other; readonly functions and dataflows, which commit
+// nothing through the window, run on whichever worker pulls them. The
+// one rule this adds: a handler must not wait for an async invocation
+// of a writing function on the object it is running — that invocation
+// runs after it, on the same worker. A handed invocation is still
+// queued, and counts against
 // Config.Async.Capacity and its class quota until it runs. An
 // invoke-batch is one submission: its pending records are written in
 // one table write and its accepted invocations queued together,
