@@ -187,6 +187,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	if sp != nil {
+		// The mux set the pattern it matched on req: a fixed string,
+		// so each route keeps its own tail window ("" when nothing
+		// matched leaves the span name as the key).
+		sp.SetRoute(req.Pattern)
 		sp.SetInt("status", status)
 		if status >= http.StatusInternalServerError {
 			sp.Error(fmt.Errorf("HTTP %d", status))
@@ -839,19 +843,24 @@ func readInvokeRequest(w http.ResponseWriter, r *http.Request) (payload []byte, 
 	return payload, args, timeout, true
 }
 
-// detachedDeadline carries a deadline without cancellation machinery.
+// detached is a request context's values without its cancellation.
 // Async submissions must outlive the HTTP request (the handler runs
-// after the 202), so the request context is detached — but a
-// ?timeoutMs= override still needs to surface through Deadline() for
-// the queue to min-combine into the task's submission deadline. The
-// queue enforces the absolute deadline with its own timers; this
-// context never fires Done.
-type detachedDeadline struct {
-	context.Context
-	dl time.Time
+// after the 202), so they never see Done or Err — but a ?timeoutMs=
+// override still needs to surface through Deadline() for the queue to
+// min-combine into the task's submission deadline, and the queue
+// enforces that absolute deadline with its own timers. Unlike
+// context.WithoutCancel, whose value receiver boxes itself on every
+// Value call, a lookup (trace.FromContext on each submitted call)
+// allocates nothing.
+type detached struct {
+	parent context.Context
+	dl     time.Time // zero: no deadline
 }
 
-func (c detachedDeadline) Deadline() (time.Time, bool) { return c.dl, true }
+func (c *detached) Deadline() (time.Time, bool) { return c.dl, !c.dl.IsZero() }
+func (c *detached) Done() <-chan struct{}       { return nil }
+func (c *detached) Err() error                  { return nil }
+func (c *detached) Value(key any) any           { return c.parent.Value(key) }
 
 // clientRegion resolves the requester's declared region: the
 // X-Client-Region header, with X-Oprc-Region kept as the historical
@@ -904,9 +913,9 @@ func (g *Gateway) handleInvokeAsync(w http.ResponseWriter, r *http.Request) {
 	// still has to reach the queue's submission-deadline min-combine,
 	// so it rides a deadline-only context rather than a cancellable
 	// one — the queue enforces the absolute deadline itself.
-	ctx := context.WithoutCancel(r.Context())
+	ctx := &detached{parent: r.Context()}
 	if timeout > 0 {
-		ctx = detachedDeadline{Context: ctx, dl: g.platform.Clock().Now().Add(timeout)}
+		ctx.dl = g.platform.Clock().Now().Add(timeout)
 	}
 	// A single submission is a batch of one.
 	res := g.platform.InvokeAsyncBatchFrom(ctx, clientRegion(r), []asyncq.Request{{Object: id, Member: fn, Payload: payload, Args: args}})[0]
@@ -954,7 +963,7 @@ func (g *Gateway) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invocations is required"})
 		return
 	}
-	results := g.platform.InvokeAsyncBatchFrom(context.WithoutCancel(r.Context()), clientRegion(r), req.Invocations)
+	results := g.platform.InvokeAsyncBatchFrom(&detached{parent: r.Context()}, clientRegion(r), req.Invocations)
 	entries := make([]batchEntry, len(results))
 	accepted := 0
 	for i, res := range results {

@@ -26,8 +26,12 @@
 //   - any span recorded an error (failures, fence rejections and
 //     deadline expiries all surface as span errors);
 //   - its root duration reaches the slowest-percentile threshold
-//     learned from recent roots (the "where did this one slow
-//     invocation go" case);
+//     learned from its route's recent roots (the "where did this one
+//     slow invocation go" case). A route is the gateway's matched
+//     pattern (Span.SetRoute) or else the root's span name, so an
+//     invoke-batch is judged against other batches, not against the
+//     long-polls around it. A route makes no slow keeps until it has
+//     finished recomputeEvery roots;
 //   - a seeded probabilistic sample (Config.SampleRate) selects it.
 //
 // Kept traces land in a bounded ring (Config.Capacity), indexed by
@@ -47,7 +51,6 @@ import (
 	"context"
 	"encoding/hex"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,14 +133,12 @@ type Tracer struct {
 	next   int
 	byID   map[TraceID]*keptTrace
 	byInv  map[string]*keptTrace
-	// recent holds the latest root durations; every recomputeEvery
-	// finalizations the slowest-percentile keep threshold is refreshed
-	// from it.
-	recent    []time.Duration
-	nRecent   int
-	finalizes int
-
-	slowNs atomic.Int64 // cached slow-keep threshold (0 = not yet learned)
+	// tails holds one recent-duration window per route. Routes are
+	// strings fixed in the code (span names, mux patterns), so the map
+	// stays small.
+	tails map[string]*tail
+	// sorted is where a threshold recompute sorts a window's copy.
+	sorted [recentWindow]time.Duration
 
 	// reg holds the traces.* series; the counters are resolved once, so
 	// Root and finalize look nothing up.
@@ -150,6 +151,30 @@ const (
 	recomputeEvery = 64
 	slowQuantile   = 0.95
 )
+
+// tail is one route's latest root durations and the slow-keep threshold
+// learned from them, refreshed every recomputeEvery of its roots.
+type tail struct {
+	recent [recentWindow]time.Duration // ring, filled from index 0
+	roots  int                         // roots finalized on the route
+	slow   time.Duration               // 0 until learned
+}
+
+// observe records one root duration, refreshing the threshold on every
+// recomputeEvery-th root; scratch is where the window is sorted.
+func (tl *tail) observe(d time.Duration, scratch *[recentWindow]time.Duration) {
+	tl.recent[tl.roots%recentWindow] = d
+	tl.roots++
+	if tl.roots%recomputeEvery == 0 {
+		sorted := scratch[:min(tl.roots, recentWindow)]
+		copy(sorted, tl.recent[:])
+		slices.Sort(sorted)
+		idx := min(int(float64(len(sorted))*slowQuantile), len(sorted)-1)
+		if thr := sorted[idx]; thr > 0 {
+			tl.slow = thr
+		}
+	}
+}
 
 // New builds a tracer.
 func New(cfg Config) *Tracer {
@@ -173,7 +198,7 @@ func New(cfg Config) *Tracer {
 		ring:       make([]*keptTrace, cfg.Capacity),
 		byID:       make(map[TraceID]*keptTrace),
 		byInv:      make(map[string]*keptTrace),
-		recent:     make([]time.Duration, 0, recentWindow),
+		tails:      make(map[string]*tail),
 		reg:        metrics.NewRegistry(),
 	}
 	t.settled.L = &t.mu
@@ -244,6 +269,7 @@ type traceData struct {
 	errored     bool
 	spans       []*Span // ended spans, parked until finalize
 	rootName    string
+	route       string // the root's tail window key
 	rootDur     time.Duration
 	invocations []string
 }
@@ -279,6 +305,7 @@ type Span struct {
 	start  time.Time
 	dur    time.Duration
 	errMsg string
+	route  string
 	root   bool
 	attrs  [maxAttrs]Attr
 	nattrs int
@@ -295,6 +322,7 @@ func (t *Tracer) getSpan(td *traceData, parent SpanID, name string) *Span {
 	s.start = t.now()
 	s.dur = 0
 	s.errMsg = ""
+	s.route = ""
 	s.root = false
 	s.nattrs = 0
 	return s
@@ -306,6 +334,7 @@ func releaseSpan(s *Span) {
 	s.tr = nil
 	s.name = ""
 	s.errMsg = ""
+	s.route = ""
 	s.attrs = [maxAttrs]Attr{}
 	s.nattrs = 0
 	spanPool.Put(s)
@@ -360,6 +389,7 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 	td.errored = false
 	td.spans = td.spans[:0]
 	td.rootName = ""
+	td.route = ""
 	td.rootDur = 0
 	td.invocations = td.invocations[:0]
 	td.mu.Unlock()
@@ -367,6 +397,7 @@ func (t *Tracer) Root(name, traceparent string) *Span {
 	t.mu.Unlock()
 	sp := t.getSpan(td, parent, name)
 	sp.root = true
+	sp.route = name // until SetRoute names it
 	sp.start = td.start
 	return sp
 }
@@ -445,6 +476,20 @@ func (s *Span) SetInt(key string, v int) {
 	s.nattrs++
 }
 
+// SetRoute names the route a root span serves and records it as the
+// "route" attribute. The tail sampler judges a root's duration against
+// the recent roots of its route (its span name when none is set), and
+// keeps one window per route, so route must come from a fixed set —
+// a mux pattern, never a path, an object ID or a header. Only a root
+// span's route is a window key.
+func (s *Span) SetRoute(route string) {
+	if s == nil || route == "" {
+		return
+	}
+	s.route = route
+	s.SetAttr("route", route)
+}
+
 // Error records a failure on the span (and, at End, marks the whole
 // trace errored — errored traces are always kept). Nil err is a no-op.
 func (s *Span) Error(err error) {
@@ -515,7 +560,7 @@ func (s *Span) End() {
 		td.errored = true
 	}
 	if s.root {
-		td.rootName, td.rootDur = s.name, s.dur
+		td.rootName, td.route, td.rootDur = s.name, s.route, s.dur
 	}
 	td.spans = append(td.spans, s)
 	td.open--
@@ -601,34 +646,21 @@ func (t *Tracer) finalize(td *traceData) {
 	td.mu.Unlock()
 
 	t.mu.Lock()
-	// Learn the slowest-percentile threshold from recent roots.
-	if len(t.recent) < recentWindow {
-		t.recent = append(t.recent, td.rootDur)
-	} else {
-		t.recent[t.nRecent%recentWindow] = td.rootDur
+	// Learn the slowest-percentile threshold from the route's recent
+	// roots.
+	tl := t.tails[td.route]
+	if tl == nil {
+		tl = new(tail)
+		t.tails[td.route] = tl
 	}
-	t.nRecent++
-	t.finalizes++
-	if t.finalizes%recomputeEvery == 0 {
-		sorted := make([]time.Duration, len(t.recent))
-		copy(sorted, t.recent)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		idx := int(float64(len(sorted)) * slowQuantile)
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		thr := sorted[idx]
-		if thr > 0 {
-			t.slowNs.Store(int64(thr))
-		}
-	}
+	tl.observe(td.rootDur, &t.sorted)
 	reason := ""
 	switch {
 	case td.forced:
 		reason = "forced"
 	case td.errored:
 		reason = "error"
-	case t.slowNs.Load() > 0 && td.rootDur > time.Duration(t.slowNs.Load()):
+	case tl.slow > 0 && td.rootDur > tl.slow:
 		reason = "slow"
 	case t.sampleRate > 0 && float64(t.rand()>>11)/(1<<53) < t.sampleRate:
 		reason = "sampled"

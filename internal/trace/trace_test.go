@@ -181,7 +181,7 @@ func TestSlowTraceKeptAfterThresholdLearned(t *testing.T) {
 	for i := 0; i < recomputeEvery; i++ {
 		tr.Root("invoke", "").End() // ~µs roots
 	}
-	if tr.slowNs.Load() == 0 {
+	if tr.slowThreshold("invoke") == 0 {
 		t.Fatal("slow threshold not learned")
 	}
 	sp := tr.Root("invoke", "")

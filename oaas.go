@@ -115,7 +115,9 @@
 // nothing through the window, run on whichever worker pulls them. The
 // one rule this adds: a handler must not wait for an async invocation
 // of a writing function on the object it is running — that invocation
-// runs after it, on the same worker. A handed invocation is still
+// runs after it, on the same worker. A function that writes no state
+// should be declared readonly, or a hot object's async calls of it run
+// one at a time. A handed invocation is still
 // queued, and counts against
 // Config.Async.Capacity and its class quota until it runs. An
 // invoke-batch is one submission: its pending records are written in
@@ -683,10 +685,14 @@
 // Sampling is tail-based: when a trace finishes, it is kept if it was
 // forced by the caller (traceparent sampled flag), contains an error
 // (including fence rejections and deadline expiries), is slower than
-// the recent p95 of root durations, or wins a probabilistic keep at
-// Config.Trace.SampleRate (negative disables probabilistic keeps). Kept
-// traces park in a bounded ring (Config.Trace.Capacity) served by
-// GET /api/traces, GET /api/traces/{id}, and
+// the recent p95 of its route's root durations, or wins a probabilistic
+// keep at Config.Trace.SampleRate (negative disables probabilistic
+// keeps). A gateway request's route is the pattern it matched (POST
+// /api/invoke-batch, GET /api/invocations/{id}, ...), recorded as the
+// root span's "route" attribute, and any other root's is its span name,
+// so a batch is slow against other batches, not against the polls
+// around it. Kept traces park in a bounded ring (Config.Trace.Capacity)
+// served by GET /api/traces, GET /api/traces/{id}, and
 // GET /api/invocations/{id}/trace (`ocli traces`, `ocli trace`).
 // Spans are pooled and the disabled path costs zero allocations on
 // the warm invoke path (TestTracedInvokeAllocationBudget in core).
