@@ -153,18 +153,24 @@ func TestInvariants(t *testing.T) {
 		)},
 		{"handler-panic-recovered-once", only("internal/runtime", "ClassRuntime.engineInvoke", "recover(", 1)},
 
-		// The async queue is one channel that every worker receives from,
-		// so an idle worker takes the next task and Capacity is the number
-		// queued. enqueue is its one sender, where the closed check, admit
-		// and the depth booking guard it. A partition of the queue would
-		// bind a task to a worker that may be busy, and refuse a task while
-		// other partitions have room.
-		{"one-queue-send", all(
-			sends("internal/asyncq", "q.tasks", 1),
-			sends("internal/asyncq#Queue.enqueue", "q.tasks", 1),
+		// The async queue is one FIFO of ready work that every worker
+		// takes from, in pull, so an idle worker takes the next unit and
+		// Capacity is the number queued. Work enters it where enqueue
+		// admits it, under the closed check, admit and the depth booking,
+		// and where a worker puts back a box it ran; nothing else pushes.
+		// A partition of the queue would bind a task to a worker that may
+		// be busy, and refuse a task while other partitions have room; a
+		// channel beside the FIFO would be a second way in.
+		{"one-ready-fifo", all(
+			calls("internal/asyncq", "q.ready.Push(", 3),
+			calls("internal/asyncq#Queue.enqueue", "q.ready.Push(", 2),
+			calls("internal/asyncq#Queue.putBack", "q.ready.Push(", 1),
+			only("internal/asyncq", "Queue.pull", "q.ready.Pop(", 1),
 		)},
-		{"async-queue-is-one-channel", all(
+		{"async-queue-is-one-fifo", all(
+			noChan("internal/asyncq", "task"),
 			noType("internal/asyncq", "[]chan task"),
+			noType("internal/asyncq", "[]fifo.Ring[unit]"),
 			noImport("internal/asyncq", "hash/fnv"),
 			noName("internal/asyncq", `(^|\.)(shardFor|Shards|MaxRequeues|GCInterval)$`),
 		)},
@@ -691,31 +697,6 @@ func noImport(scope, pkg string) check {
 		}
 		if len(hits) > 0 {
 			return fmt.Errorf("%s imports %s at %s", scope, pkg, tr.list(hits))
-		}
-		return nil
-	}
-}
-
-// sends: scope has exactly want send statements, all of them on ch.
-func sends(scope, ch string, want int) check {
-	return func(tr *tree) error {
-		var got, other []token.Pos
-		for _, d := range tr.decls(scope) {
-			ast.Inspect(d, func(n ast.Node) bool {
-				if s, ok := n.(*ast.SendStmt); ok {
-					got = append(got, s.Pos())
-					if tr.render(s.Chan) != ch {
-						other = append(other, s.Pos())
-					}
-				}
-				return true
-			})
-		}
-		if len(other) > 0 {
-			return fmt.Errorf("%s sends on a channel other than %s at %s", scope, ch, tr.list(other))
-		}
-		if len(got) != want {
-			return fmt.Errorf("%s has %d sends on %s, want %d: %s", scope, len(got), ch, want, tr.list(got))
 		}
 		return nil
 	}

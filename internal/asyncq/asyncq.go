@@ -18,7 +18,7 @@
 // group's done hook, so the queue writes nothing for them, and their
 // IDs reach only their terminal events and traces (GET
 // /api/invocations/{id} answers 404 for one). Everything else — the
-// channel, the depth and in-flight gauges, class quotas, deadlines, the
+// FIFO, the depth and in-flight gauges, class quotas, deadlines, the
 // fence requeue, drain grouping and coalescing, OnTerminal — is the same
 // for both.
 //
@@ -38,10 +38,10 @@
 // successor process, sees a predecessor's in-flight work as pending —
 // and RecoverStranded re-runs it from the payload and args that record
 // carries. Each durable transition is encoded once, by AppendRecord,
-// into a fresh buffer the record table holds until its flush lands and
-// the backing store keeps as it is (nothing here reuses an encode
-// buffer; Submit's copy of the payload is the one defensive copy on the
-// way in).
+// into a fresh buffer that nothing here reuses; the record table's Put
+// and PutMany keep a copy of it until the flush lands, and the backing
+// store keeps that copy as it is. Submit's copy of the payload is the
+// one defensive copy this package makes on the way in.
 //
 // The record codec (encode.go) writes and reads through internal/jsonw.
 // encodeRecord writes every record with AppendRecord, which escapes any
@@ -54,10 +54,11 @@
 // GET /api/invocations/{id} through AppendRecord too.
 //
 // Backpressure is explicit: Submit returns ErrQueueFull once
-// Config.Capacity invocations are queued, handed ones included (see
-// Batched drain), and not before. A panicking handler marks its record
-// failed without killing the worker. Close stops intake, drains every
-// accepted task, then flushes the record table.
+// Config.Capacity invocations are queued, those waiting in a busy
+// object's box included (see Batched drain), and not before. A panicking
+// handler marks its record failed without killing the worker. Close
+// stops intake, drains every accepted task, then flushes the record
+// table.
 //
 // # The record table
 //
@@ -85,51 +86,52 @@
 //
 // # Batched drain
 //
-// Workers drain in batches. Any idle worker takes the next task: each
-// blocks for one, then takes, without blocking, up to its share of what
-// is still queued — min(Config.DrainBatch, 1+queued/Config.Workers)
-// tasks in all — so a burst spreads over the pool rather than going to
-// the first two workers to wake. A pull marks its tasks running under
-// one lock acquisition, groups them by target object, hands each group
-// to Config.Invoke in one call — the runtime's group-commit path — and
-// writes the terminal record transitions for the whole pull in one
-// batched memtable.PutMany.
-// A task drained alone is a group of one; a hot object's backlog
-// drains as one group, so N coalesced invocations cost one concurrency
-// window and one simulated DB round trip instead of N. Per-call
-// outcomes stay independent: a failing member poisons only its own
-// record, and a hook that panics fails its own group, not the worker.
+// Workers drain in batches, from one FIFO of ready work that every
+// worker takes from. A call that does not write is a unit of its own. A
+// call whose Target says it Writes — it commits its object's state
+// through the Invoke hook's window — joins its object's box, the writes
+// on that object waiting to run in the order they were accepted; a box
+// is in the FIFO at most once, and only while it holds writes and no
+// worker is running it. Any idle worker takes the next unit: it pops
+// units until its pull holds its share of what is queued —
+// min(Config.DrainBatch, 1+(queued-1)/Config.Workers) tasks — so a
+// burst spreads over the pool rather than going to the first two
+// workers to wake, except that a box hands over all its writes, up to
+// DrainBatch in the pull, since no other worker may run them. A pull
+// marks its tasks running under one lock acquisition, groups them by
+// target object, hands each group to Config.Invoke in one call — the
+// runtime's group-commit path — and writes the terminal record
+// transitions for the whole pull in one batched memtable.PutMany. Then
+// the worker puts each box it took back at the FIFO's tail if writes
+// arrived on it meanwhile, or drops it. A task drained alone is a group
+// of one; a hot object's backlog drains as one group, so N coalesced
+// invocations cost one concurrency window and one simulated DB round
+// trip instead of N. Per-call outcomes stay independent: a failing
+// member poisons only its own record, and a hook that panics fails its
+// own group, not the worker.
 //
-// A busy object's writes run on one worker. A task whose Target says it
-// Writes — it commits its object's state through the Invoke hook's
-// window — takes its object's turn: a worker that pulls one on an
-// object whose turn another worker holds hands the task to that worker
-// and runs only the rest of its pull; the holder, once its pull is
-// done, takes the tasks handed to it, up to DrainBatch, as its next
-// group, serving the objects it holds round robin, and only pulls again
-// once nothing is left handed to it. So no two workers run one object's
-// writes at once — they never abort each other's optimistic commits —
-// and a hot object's backlog gathers into groups rather than spreading
-// over the pool one call each. Other calls (on the platform, readonly
-// functions and dataflows, which run outside the window) take no turn
-// and run on the worker that pulls them, beside whatever runs on their
-// object, as every call did before turns. The one rule this adds: a
-// handler must not wait for an async write on the object it is
-// running, because that call runs after it, on its worker. A handed
-// task is still queued: it counts against Capacity, Depth and its class
-// quota until its worker takes it.
+// So a busy object's writes run on one worker at a time — two workers
+// never abort each other's optimistic commits on it — and its backlog
+// gathers into groups rather than spreading over the pool one call
+// each, while the boxes put back behind what is ready share the workers
+// round robin. Other calls (on the platform, readonly functions and
+// dataflows, which run outside the window) take no box and run on the
+// worker that pulls them, beside whatever runs on their object. The
+// one rule this adds: a handler must not wait for an async write on the
+// object it is running, because that call runs after it. A write
+// waiting in a box is still queued: it counts against Capacity, Depth
+// and its class quota until a worker takes it.
 //
 // A batch submission (SubmitBatch, the platform's invoke-batch) is one
 // submission: its pending records go to the table in one write, and its
-// accepted calls enter the queue in one enqueue, grouped by object, so
-// a pull takes a run of one object's calls. The queue still admits the
-// calls in their order, each as a lone Submit would be at that point;
-// the grouping is worked out before the queue's lock is taken, in time
-// linear in the batch.
+// accepted calls enter the queue in one enqueue, admitted in their
+// order, each as a lone Submit would be at that point: the calls that
+// do not write join the FIFO in request order, and each object's writes
+// join its box in theirs, so a pull takes a run of one object's calls.
 //
-// Stats().BatchedDrains counts groups of more than one task taken to
-// run — pulls and hand-offs alike — and Stats().Coalesced counts
-// invocations that shared a group with at least one other.
+// Stats().BatchedDrains counts pulls of more than one task, and
+// Stats().Coalesced counts invocations that shared a group with at
+// least one other.
 //
 // # Class quotas
 //
@@ -155,6 +157,7 @@ import (
 	"time"
 
 	"github.com/hpcclab/oparaca-go/internal/call"
+	"github.com/hpcclab/oparaca-go/internal/fifo"
 	"github.com/hpcclab/oparaca-go/internal/jsonw"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
@@ -245,8 +248,9 @@ type Target struct {
 	// Writes marks a call that commits its object's state through the
 	// Invoke hook's group window — on the platform, a function not
 	// declared readonly. The queue runs one object's Writes calls on one
-	// worker at a time (see Batched drain); any other call runs on the
-	// worker that pulls it, beside whatever else runs on its object.
+	// worker at a time, from the object's box (see Batched drain); any
+	// other call runs on the worker that pulls it, beside whatever else
+	// runs on its object.
 	Writes bool
 }
 
@@ -264,13 +268,13 @@ type Settings struct {
 	// Workers is the pool size. Defaults to 4.
 	Workers int
 	// Capacity bounds the number of queued invocations — accepted and
-	// not yet taken to run, those handed to the worker running their
-	// object included: Submit refuses the one past it. Defaults to 1024.
+	// not yet taken to run, those waiting in a busy object's box
+	// included: Submit refuses the one past it. Defaults to 1024.
 	Capacity int
 	// DrainBatch is the most tasks one worker pulls from the queue per
-	// drain (the first blocking, the rest non-blocking); a pull takes
-	// fewer when its share of the backlog is smaller (see the package
-	// doc). Defaults to 16; 1 restores strictly per-task draining.
+	// drain; a pull takes fewer when its share of the backlog is smaller
+	// (see the package doc). Defaults to 16; 1 restores strictly
+	// per-task draining.
 	DrainBatch int
 	// RecordTTL evicts completed/failed records this long after they
 	// reach their terminal status, swept every quarter TTL (at least
@@ -368,7 +372,7 @@ type task struct {
 	object  string
 	member  string
 	class   string // the target's class, for quota accounting ("" = none)
-	writes  bool   // Target.Writes: the task takes its object's turn
+	writes  bool   // Target.Writes: the task waits in its object's box
 	payload json.RawMessage
 	args    map[string]string
 	ctx     context.Context // submitter's context; cancellation is observed
@@ -412,29 +416,25 @@ type Queue struct {
 	cfg     Config
 	records *memtable.Table
 	metrics *metrics.Registry
-	// tasks is the queue: every worker receives from it, and enqueue is
-	// its one sender. Its capacity is Config.Capacity.
-	tasks chan task
 
 	mu      sync.Mutex
 	waiters map[string]*waiter
 	closed  bool
-	// queued counts the accepted tasks not yet taken to run: in tasks,
-	// received by a worker that has not yet kept or handed them, or
-	// handed to the worker running their object. It is the room rule:
-	// enqueue refuses a task once it reaches Config.Capacity, and since
-	// it never counts fewer tasks than tasks holds, a send never blocks.
+	// ready is the FIFO every worker takes from (see Batched drain), and
+	// wake, on mu, wakes one idle worker per unit that enters it.
 	// Guarded by mu.
+	ready fifo.Ring[unit]
+	wake  sync.Cond
+	// boxes maps each object with writes waiting, or with a worker
+	// running its box, to its box. Guarded by mu.
+	boxes map[string]*box
+	// queued counts the accepted tasks not yet taken to run, in the FIFO
+	// or in a box. It is the room rule: enqueue refuses a task once it
+	// reaches Config.Capacity. Guarded by mu.
 	queued int
 	// classPending counts queued tasks per class, the ClassQuotas
 	// accounting. Guarded by mu.
 	classPending map[string]int
-	// turns maps each object whose Writes calls a worker is running to
-	// its turn. Guarded by mu.
-	turns map[string]*turn
-	// admitted is enqueue's scratch: which tasks of the enqueue in
-	// progress are accepted and not yet sent. Guarded by mu.
-	admitted []bool
 	// tracked holds the IDs of every invocation currently queued or
 	// executing in this process, mapped to the start time of the pull
 	// that dequeued it (zero while queued) — the whole of the "running"
@@ -507,16 +507,16 @@ func New(cfg Config) (*Queue, error) {
 		cfg:          cfg,
 		records:      records,
 		metrics:      metrics.NewRegistry(),
-		tasks:        make(chan task, cfg.Capacity),
 		waiters:      make(map[string]*waiter),
+		boxes:        make(map[string]*box),
 		classPending: make(map[string]int),
-		turns:        make(map[string]*turn),
 		tracked:      make(map[string]time.Time),
 	}
+	q.wake.L = &q.mu
 	// Reading Stats creates every series it reads: /metrics shows each
 	// from the start. The capacity is configuration, not a count.
 	q.Stats()
-	q.metrics.GaugeFunc("async.capacity", func() float64 { return float64(cap(q.tasks)) })
+	q.metrics.GaugeFunc("async.capacity", func() float64 { return float64(cfg.Capacity) })
 	for i := 0; i < cfg.Workers; i++ {
 		q.wg.Add(1)
 		go q.worker()
@@ -623,7 +623,7 @@ func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, 
 	// first and have it clobbered by a late pending write (leaving
 	// pollers stuck at "pending" forever).
 	_ = q.records.Put(context.Background(), t.key, pendingRecord(t))
-	if _, err := q.enqueue([]task{t}, nil, "queue.enqueued", q.underQuota, nil); err != nil {
+	if _, err := q.enqueue([]task{t}, "queue.enqueued", q.underQuota, nil); err != nil {
 		q.drop(t, err)
 		return "", err
 	}
@@ -678,11 +678,9 @@ type Submission struct {
 // takes them in one enqueue. It admits them in order, each as a lone
 // Submit would be at that point — once the queue is full it takes none
 // of the rest, and a class at its quota refuses the rest of that class —
-// and queues the ones it accepts grouped by object: each object's calls
-// in their order in subs, the objects in the order they first appear
-// there, so a pull takes a run of one object's calls. out[i] receives
-// subs[i]'s ID, or the error that refused it. A batch of one is a lone
-// Submit.
+// and queues each as a lone Submit would (see Batched drain). out[i]
+// receives subs[i]'s ID, or the error that refused it. A batch of one is
+// a lone Submit.
 func (q *Queue) SubmitBatch(subs []Submission, out []BatchResult) {
 	if len(subs) == 1 {
 		s := subs[0]
@@ -705,7 +703,7 @@ func (q *Queue) SubmitBatch(subs []Submission, out []BatchResult) {
 	}
 	// Every pending record lands before any task is visible (see Submit).
 	_ = q.records.PutMany(context.Background(), pending)
-	n, _ := q.enqueue(ts, byObject(ts), "queue.enqueued", q.underQuota, func(j int, err error) { out[at[j]] = BatchResult{Err: err} })
+	n, _ := q.enqueue(ts, "queue.enqueued", q.underQuota, func(j int, err error) { out[at[j]] = BatchResult{Err: err} })
 	if n == len(ts) {
 		return
 	}
@@ -714,40 +712,6 @@ func (q *Queue) SubmitBatch(subs []Submission, out []BatchResult) {
 			q.drop(ts[j], err)
 		}
 	}
-}
-
-// byObject is the order that groups ts by object: each object's tasks in
-// their order in ts, the objects in the order they first appear there.
-// It is nil when ts holds fewer than two objects, whose order is ts's.
-func byObject(ts []task) []int {
-	if len(ts) < 2 {
-		return nil
-	}
-	group := make(map[string]int) // object → its place among the objects
-	order := make([]int, len(ts), 2*len(ts))
-	start := order[len(ts):] // per object: its count, then where its run starts
-	for _, t := range ts {
-		g, seen := group[t.object]
-		if !seen {
-			g = len(start)
-			group[t.object] = g
-			start = append(start, 0)
-		}
-		start[g]++
-	}
-	if len(start) < 2 {
-		return nil
-	}
-	at := 0
-	for g, n := range start {
-		start[g], at = at, at+n
-	}
-	for i, t := range ts {
-		g := group[t.object]
-		order[start[g]] = i
-		start[g]++
-	}
-	return order
 }
 
 // SubmitGroup enqueues calls on objectID as record-less tasks: the
@@ -784,7 +748,7 @@ func (q *Queue) SubmitGroup(to Target, objectID string, calls []call.Call, done 
 	// The group counts each task as it is admitted, under q.mu, so no
 	// accepted task can go terminal before the count holds all of them.
 	// One object and one class: what enqueue refuses is a suffix.
-	n, err := q.enqueue(ts, nil, "queue.enqueued", func(t task) error {
+	n, err := q.enqueue(ts, "queue.enqueued", func(t task) error {
 		if err := q.underQuota(t); err != nil {
 			return err
 		}
@@ -800,26 +764,27 @@ func (q *Queue) SubmitGroup(to Target, objectID string, calls []call.Call, done 
 	return n, err
 }
 
-// enqueue is the one send to the queue. It admits the tasks of ts in
+// enqueue is the one way into the queue. It admits the tasks of ts in
 // their order, refusing one with ErrClosed after Close, with
-// ErrQueueFull once Config.Capacity tasks are queued — handed ones
+// ErrQueueFull once Config.Capacity tasks are queued — those in boxes
 // included (see queued) — or with admit's error (nil admits every task);
-// refuse, when not nil, is told each refused task's index and error.
-// Then it sends the accepted tasks in the order send gives, as indexes
-// into ts (nil: ts's order), and books each queued: one more in the
-// depth gauge, in its class's quota count and in counter, and, for a
-// task with a record, a tracked entry that has not started. The closed
-// check, admit and the sends share q.mu, so Close cannot observe an
-// accepted task it will not drain, racing submitters cannot
-// oversubscribe a quota and a record is not adopted twice; the depth is
-// booked before the send, so the worker that takes a task cannot take
-// the gauge below zero. It returns how many tasks it accepted and the
-// first refusal's error.
-func (q *Queue) enqueue(ts []task, send []int, counter string, admit func(task) error, refuse func(i int, err error)) (int, error) {
+// refuse, when not nil, is told each refused task's index and error. It
+// books each accepted task queued — one more in the depth gauge, in its
+// class's quota count and in counter, and, for a task with a record, a
+// tracked entry that has not started — and makes it ready: a task that
+// does not write enters the FIFO, and a write joins its object's box,
+// which enters the FIFO with its first write unless a worker is running
+// it. Each unit that enters wakes one idle worker. The closed check,
+// admit and the pushes share q.mu, so Close cannot observe an accepted
+// task it will not drain, racing submitters cannot oversubscribe a quota
+// and a record is not adopted twice; the depth is booked before q.mu is
+// let go, so the worker that takes a task cannot take the gauge below
+// zero. It returns how many tasks it accepted and the first refusal's
+// error.
+func (q *Queue) enqueue(ts []task, counter string, admit func(task) error, refuse func(i int, err error)) (int, error) {
 	m := q.metrics
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	ok := q.admitted[:0]
 	accepted, first := 0, error(nil)
 	if q.closed {
 		first = ErrClosed // even with no task to refuse
@@ -830,12 +795,11 @@ func (q *Queue) enqueue(ts []task, send []int, counter string, admit func(task) 
 		switch {
 		case q.closed:
 			err = ErrClosed
-		case q.queued == cap(q.tasks):
+		case q.queued == q.cfg.Capacity:
 			err = fmt.Errorf("%w: object %s", ErrQueueFull, t.object)
 		case admit != nil:
 			err = admit(*t)
 		}
-		ok = append(ok, err == nil)
 		if err != nil {
 			first = cmp.Or(first, err)
 			if refuse != nil {
@@ -851,24 +815,24 @@ func (q *Queue) enqueue(ts []task, send []int, counter string, admit func(task) 
 		if t.key != "" {
 			q.tracked[t.id] = time.Time{}
 		}
-	}
-	q.admitted = ok
-	m.Gauge("queue.depth").Add(int64(accepted))
-	m.Counter(counter).Add(int64(accepted))
-	for k := range ts {
-		i := k
-		if send != nil {
-			i = send[k]
-		}
-		if !ok[i] {
+		if !t.writes {
+			q.ready.Push(unit{t: *t})
+			q.wake.Signal()
 			continue
 		}
-		select {
-		case q.tasks <- ts[i]:
-		default: // queued counts every task the channel holds
-			panic("asyncq: the queue holds more tasks than it counts")
+		b := q.boxes[t.object]
+		if b == nil {
+			b = idleBoxes.Get().(*box)
+			b.object = t.object
+			q.boxes[t.object] = b
+		}
+		if b.writes.Push(*t); b.writes.Size() == 1 && !b.running {
+			q.ready.Push(unit{b: b})
+			q.wake.Signal()
 		}
 	}
+	m.Gauge("queue.depth").Add(int64(accepted))
+	m.Counter(counter).Add(int64(accepted))
 	return accepted, first
 }
 
@@ -1171,49 +1135,43 @@ func (q *Queue) Wait(ctx context.Context, id string) (Record, error) {
 	}
 }
 
-// drain is one worker's scratch, reused from pull to pull: the pull,
-// its runnable tasks grouped by object and, aligned with them, the calls
-// the Invoke hook is handed, the results it fills and their drain spans;
-// the deadline cancels of the group in flight; and the pull's terminal
-// transitions. done clears it, so nothing a pull put there outlives the
-// pull, and a pull allocates none of it. held are the turns of the
-// objects the worker runs, in the order next serves them, served next's
-// scratch, and spare the turns it released, kept for the next; no other
-// worker touches them.
+// unit is one entry of the ready FIFO: a call that does not write (t),
+// or the box of an object whose writes wait to run (b).
+type unit struct {
+	t task
+	b *box
+}
+
+// box is an object's writes waiting to run, in the order they were
+// accepted. It is in the ready FIFO at most once, and only while it
+// holds writes and no worker runs it (running); it is in Queue.boxes
+// while it holds writes or a worker runs it. Guarded by Queue.mu.
+type box struct {
+	object  string
+	writes  fifo.Ring[task]
+	running bool
+}
+
+// idleBoxes keeps dropped boxes, their rings with them, for the next
+// object to get a write.
+var idleBoxes = sync.Pool{New: func() any { return new(box) }}
+
+// drain is one worker's scratch, reused from pull to pull: the pull, the
+// boxes it took, its runnable tasks grouped by object and, aligned with
+// them, the calls the Invoke hook is handed, the results it fills and
+// their drain spans; the deadline cancels of the group in flight; and
+// the pull's terminal transitions. done clears the pull's tasks, so
+// nothing a pull put there outlives the pull, and a pull allocates none
+// of it.
 type drain struct {
 	batch    []task
+	boxes    []*box
 	runnable []task
 	calls    []call.Call
 	results  []call.Result
 	spans    []*trace.Span
 	cancels  []context.CancelFunc
 	hooks    []terminalHook
-	held     []*turn
-	served   []*turn
-	spare    []*turn
-}
-
-// turn is an object's place on the worker running it: the tasks on it
-// other workers pulled meanwhile and handed over, to run once the worker
-// is done with what it holds, in the order they were handed. Guarded by
-// Queue.mu.
-type turn struct {
-	object string
-	owner  *drain
-	handed []task
-}
-
-// hold gives d the turn of object.
-func (d *drain) hold(object string) *turn {
-	var tn *turn
-	if n := len(d.spare); n > 0 {
-		tn, d.spare = d.spare[n-1], d.spare[:n-1]
-	} else {
-		tn = &turn{owner: d}
-	}
-	tn.object = object
-	d.held = append(d.held, tn)
-	return tn
 }
 
 func newDrain(n int) *drain {
@@ -1241,129 +1199,90 @@ func (d *drain) done() {
 	d.batch, d.runnable, d.hooks = d.batch[:0], d.runnable[:0], d.hooks[:0]
 }
 
-// worker drains the queue until it is closed. The first receive of a
-// pull blocks, so a lone task still runs immediately; the rest are
-// non-blocking and stop at the worker's share of the backlog left
-// behind it, so a burst coalesces without one worker taking what the
-// idle others could run. The worker hands away the tasks of its pull
-// whose objects another worker runs, runs the rest, then the groups
-// handed to it, and pulls again once none is left.
+// worker drains the queue until it is closed and nothing is left ready:
+// it waits for a unit, pulls its share, runs the pull, puts back the
+// boxes it took and pulls again.
 func (q *Queue) worker() {
 	defer q.wg.Done()
 	d := newDrain(q.cfg.DrainBatch)
+	q.mu.Lock()
 	for {
-		t, ok := <-q.tasks
-		if !ok {
-			return
+		for q.ready.Size() == 0 && !q.closed {
+			q.wake.Wait()
 		}
+		if q.ready.Size() == 0 {
+			break
+		}
+		q.pull(d)
+		q.mu.Unlock()
+		q.metrics.Gauge("queue.depth").Add(-int64(len(d.batch)))
 		if q.killed.Load() {
 			// Simulated crash: drain the queue without running anything
 			// so Kill's wg.Wait returns promptly. The submissions'
 			// pending records stay in the backing store for recovery.
+			d.done()
+		} else {
+			q.runBatch(d)
+		}
+		q.mu.Lock()
+		q.putBack(d)
+	}
+	q.mu.Unlock()
+}
+
+// pull takes d's share of the ready work from the FIFO's head, q.mu
+// held: units until the pull holds min(DrainBatch, 1+(queued-1)/Workers)
+// tasks, where a box hands over all its writes, up to DrainBatch in the
+// pull. The worker runs each box it took until it puts it back. The
+// tasks taken leave the queue.
+func (q *Queue) pull(d *drain) {
+	share := min(q.cfg.DrainBatch, 1+(q.queued-1)/q.cfg.Workers)
+	for len(d.batch) < share && q.ready.Size() > 0 {
+		u := q.ready.Pop()
+		if u.b == nil {
+			q.take(&u.t)
+			d.batch = append(d.batch, u.t)
 			continue
 		}
-		d.batch = append(d.batch, t)
-		share := min(q.cfg.DrainBatch, 1+len(q.tasks)/q.cfg.Workers)
-	fill:
-		for len(d.batch) < share {
-			select {
-			case t, ok := <-q.tasks:
-				if !ok {
-					// Queue closed mid-fill: run what was pulled, then
-					// exit (the range-less loop observes the close on
-					// its next blocking receive).
-					break fill
-				}
-				d.batch = append(d.batch, t)
-			default:
-				break fill
-			}
-		}
-		q.claim(d)
-		for len(d.batch) > 0 {
-			q.runBatch(d)
-			q.next(d)
+		b := u.b
+		b.running = true
+		d.boxes = append(d.boxes, b)
+		for range min(b.writes.Size(), q.cfg.DrainBatch-len(d.batch)) {
+			t := b.writes.Pop()
+			q.take(&t)
+			d.batch = append(d.batch, t)
 		}
 	}
 }
 
-// claim settles the pull in d.batch: a Writes task on an object another
-// worker runs is handed to that worker, and d keeps the rest and takes
-// the turn of each object a Writes task it keeps is on, so no two
-// workers run one object's Writes calls at once. The tasks d keeps leave
-// the queue.
-func (q *Queue) claim(d *drain) {
-	kept := d.batch[:0]
-	q.mu.Lock()
-	for _, t := range d.batch {
-		if t.writes {
-			tn := q.turns[t.object]
-			if tn == nil {
-				tn = d.hold(t.object)
-				q.turns[t.object] = tn
-			}
-			if tn.owner != d {
-				tn.handed = append(tn.handed, t)
-				continue
-			}
+// putBack ends d's run of the boxes it took, q.mu held: a box that got
+// writes meanwhile goes back at the FIFO's tail, behind what is ready,
+// and one left empty is dropped. The worker pulls next, so the first box
+// it puts back wakes nobody; each further one wakes an idle worker,
+// which runs it beside the first.
+func (q *Queue) putBack(d *drain) {
+	back := 0
+	for _, b := range d.boxes {
+		b.running = false
+		if b.writes.Size() == 0 {
+			delete(q.boxes, b.object)
+			b.object = ""
+			idleBoxes.Put(b)
+			continue
 		}
-		q.take(&t)
-		kept = append(kept, t)
-	}
-	q.mu.Unlock()
-	q.metrics.Gauge("queue.depth").Add(-int64(len(kept)))
-	clear(d.batch[len(kept):])
-	d.batch = kept
-}
-
-// next takes d's next group from the hand-off: the tasks handed to the
-// objects d runs, up to DrainBatch in all, served round robin — the
-// turns that got nothing last time first, and a turn that gets tasks
-// goes to the back — so one object with a backlog of DrainBatch or more
-// cannot keep another d runs waiting past one group. The turn of an
-// object with nothing handed is released, so the next task on it goes
-// to whichever worker pulls it. After Kill, handed tasks are dropped
-// unrun, as queued ones are.
-func (q *Queue) next(d *drain) {
-	killed := q.killed.Load()
-	waiting, served := d.held[:0], d.served[:0]
-	q.mu.Lock()
-	for _, tn := range d.held {
-		switch {
-		case len(tn.handed) == 0 || killed:
-			delete(q.turns, tn.object)
-			clear(tn.handed)
-			tn.handed = tn.handed[:0]
-			d.spare = append(d.spare, tn)
-		case len(d.batch) == q.cfg.DrainBatch:
-			waiting = append(waiting, tn)
-		default:
-			n := min(len(tn.handed), q.cfg.DrainBatch-len(d.batch))
-			for i := range n {
-				q.take(&tn.handed[i])
-			}
-			d.batch = append(d.batch, tn.handed[:n]...)
-			left := copy(tn.handed, tn.handed[n:])
-			clear(tn.handed[left:])
-			tn.handed = tn.handed[:left]
-			served = append(served, tn)
+		q.ready.Push(unit{b: b})
+		if back++; back > 1 {
+			q.wake.Signal()
 		}
 	}
-	q.mu.Unlock()
-	// waiting and served fit where d.held stood, which is read through.
-	was := len(d.held)
-	d.held = append(waiting, served...)
-	clear(d.held[len(d.held):was])
-	clear(served)
-	d.served = served[:0]
-	q.metrics.Gauge("queue.depth").Add(-int64(len(d.batch)))
+	clear(d.boxes)
+	d.boxes = d.boxes[:0]
 }
 
 // errStaleQueued fails a task still queued past its submission deadline.
 var errStaleQueued = errors.New("asyncq: submission deadline elapsed while queued")
 
-// runBatch executes the pull in d.batch — what the worker kept of one
-// (claim), or what it took from its hand-off (next): it publishes the
+// runBatch executes the pull in d.batch: it publishes the
 // terminal records of tasks cancelled or expired while queued, marks the
 // rest running (in memory — see the package doc), dispatches them
 // grouped by target object, then writes every terminal record in one
@@ -1455,7 +1374,7 @@ func (q *Queue) runBatch(d *drain) {
 			// Back to the queue under the same trace: a fresh wait span
 			// opens so the re-run's queue time is visible too.
 			t.span = t.link.Start("queue.wait")
-			if _, err := q.enqueue([]task{*t}, nil, "queue.requeued", nil, nil); err == nil {
+			if _, err := q.enqueue([]task{*t}, "queue.requeued", nil, nil); err == nil {
 				continue
 			}
 			t.span.End()
@@ -1553,7 +1472,7 @@ func (q *Queue) RecoverStranded(ctx context.Context) (int, error) {
 			q.aim(&t, q.cfg.Target(t.object, t.member))
 		}
 		// A full queue skips the record; the next recovery pass retries.
-		switch _, err := q.enqueue([]task{t}, nil, "queue.recovered", func(t task) error {
+		switch _, err := q.enqueue([]task{t}, "queue.recovered", func(t task) error {
 			if _, live := q.tracked[t.id]; live {
 				return errLive
 			}
@@ -1652,8 +1571,8 @@ type Stats struct {
 	Workers  int `json:"workers"`
 	Capacity int `json:"capacity"`
 	// Depth is the number of queued invocations — accepted and not yet
-	// taken to run, those handed to the worker running their object
-	// included; InFlight the number currently executing.
+	// taken to run, those waiting in a busy object's box included;
+	// InFlight the number currently executing.
 	Depth    int64 `json:"depth"`
 	InFlight int64 `json:"in_flight"`
 	// Enqueued / Rejected / Completed / Failed are lifetime counters.
@@ -1674,9 +1593,8 @@ type Stats struct {
 	// Evicted counts terminal records garbage-collected after
 	// Config.RecordTTL elapsed.
 	Evicted int64 `json:"evicted"`
-	// BatchedDrains counts the groups of more than one task a worker
-	// took to run at once: from a pull of the queue, or from the tasks
-	// handed to it on the objects it runs.
+	// BatchedDrains counts the pulls of more than one task a worker took
+	// to run at once.
 	BatchedDrains int64 `json:"batched_drains"`
 	// Coalesced counts invocations that shared a same-object
 	// group-commit dispatch with at least one other invocation; the
@@ -1694,7 +1612,7 @@ func (q *Queue) Stats() Stats {
 	m := q.metrics
 	return Stats{
 		Workers:       q.cfg.Workers,
-		Capacity:      cap(q.tasks),
+		Capacity:      q.cfg.Capacity,
 		Depth:         m.Gauge("queue.depth").Value(),
 		InFlight:      m.Gauge("queue.inflight").Value(),
 		Enqueued:      m.Counter("queue.enqueued").Value(),
@@ -1731,12 +1649,12 @@ func (q *Queue) Kill() {
 
 func (q *Queue) shutdown(kill bool) {
 	q.closeOnce.Do(func() {
+		// No Submit can enqueue after closed is set (enqueue holds mu),
+		// so the workers, woken, drain what is ready and exit.
 		q.mu.Lock()
 		q.closed = true
+		q.wake.Broadcast()
 		q.mu.Unlock()
-		// No Submit can send after closed is set (sends happen under
-		// mu), so closing the queue is race-free.
-		close(q.tasks)
 		q.wg.Wait()
 		// Every accepted invocation has finished and fired its terminal
 		// hook; drain downstream deliveries (terminal-record webhooks on

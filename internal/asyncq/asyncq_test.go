@@ -801,11 +801,11 @@ func TestCapacityIsExact(t *testing.T) {
 }
 
 // TestCapacityIsExactOnOneHotObject parks a worker on object hot and
-// fills the queue with writes on hot: the three idle workers pull them
-// and hand them to the parked one, and a handed task is still queued,
-// so the queue accepts exactly Capacity submissions and refuses the
-// next at a depth of its capacity. Not counting handed tasks would let
-// the idle workers drain the channel into the hand-off without bound.
+// fills the queue with writes on hot: they wait in hot's box, which the
+// parked worker holds, and a write waiting in a box is still queued, so
+// the queue accepts exactly Capacity submissions and refuses the next at
+// a depth of its capacity. Not counting boxed writes would let the box
+// grow without bound.
 func TestCapacityIsExactOnOneHotObject(t *testing.T) {
 	const workers, capacity = 4, 64
 	started, open := make(chan struct{}, 1), make(chan struct{})
@@ -843,10 +843,10 @@ func TestCapacityIsExactOnOneHotObject(t *testing.T) {
 // whose worker is parked, with room for six calls and a quota of two on
 // class A: the queue admits the calls in request order — the third A
 // call finds its class at quota while B's calls still go in, and the
-// calls past the sixth find the queue full — and enqueues the six it
-// accepted grouped by object, so the worker, pulling one task at a time,
-// runs a's calls and then b's, each in request order. A refused call
-// leaves no record.
+// calls past the sixth find the queue full. None of the calls writes,
+// so each is a unit of its own in the FIFO, and the worker, pulling one
+// task at a time, runs the six it accepted in request order. A refused
+// call leaves no record.
 func TestBatchAcceptsWhatFitsInRequestOrder(t *testing.T) {
 	classes := map[string]Target{"a": {Class: "A"}, "b": {Class: "B"}}
 	var mu sync.Mutex
@@ -897,7 +897,7 @@ func TestBatchAcceptsWhatFitsInRequestOrder(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if want := []string{"a0", "a2", "b1", "b4", "b5", "b6"}; !slices.Equal(ran, want) {
+	if want := []string{"a0", "b1", "a2", "b4", "b5", "b6"}; !slices.Equal(ran, want) {
 		t.Fatalf("the worker ran %v, want %v", ran, want)
 	}
 }

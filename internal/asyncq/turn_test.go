@@ -4,9 +4,9 @@ package asyncq
 
 // A busy object's writes run on one worker, in bubbles: a test waits
 // until every worker is blocked, so the tasks it submitted have been
-// pulled and either run or handed over, and a hook that holds its object
-// until then makes two workers running one object overlap for certain
-// rather than by luck.
+// pulled and run, or wait in the box of an object a worker is running,
+// and a hook that holds its object until then makes two workers running
+// one object overlap for certain rather than by luck.
 
 import (
 	"context"
@@ -32,10 +32,11 @@ func completeAll(results []call.Result) {
 }
 
 // TestBusyObjectIsHandedToItsWorker parks a handler on object hot and
-// submits six more writes on hot to a pool of four: the idle workers pull
-// them and hand them to the parked worker, so the hook is not entered
-// for hot again while the first call is parked, and the six run as one
-// group once it returns. Until then they are still queued.
+// submits six more writes on hot to a pool of four: they wait in hot's
+// box, which the parked worker holds, so the idle workers find nothing
+// ready, the hook is not entered for hot again while the first call is
+// parked, and the six run as one group once it returns. Until then they
+// are still queued.
 func TestBusyObjectIsHandedToItsWorker(t *testing.T) {
 	simtest.Run(t, func(t *testing.T) {
 		const more = 6
@@ -67,13 +68,13 @@ func TestBusyObjectIsHandedToItsWorker(t *testing.T) {
 				<-parked
 			}
 		}
-		simtest.Wait() // every other worker is idle again: the six were pulled
+		simtest.Wait() // every other worker is idle: nothing is ready
 		mu.Lock()
 		entered := len(groups)
 		mu.Unlock()
-		if s := q.Stats(); entered != 1 || len(q.tasks) != 0 || s.Depth != more {
-			t.Fatalf("while hot's first call is parked: the hook was entered %d times, %d tasks are in the channel and the depth is %d; want 1, 0 and %d",
-				entered, len(q.tasks), s.Depth, more)
+		if s, ready := q.Stats(), readyUnits(q); entered != 1 || ready != 0 || s.Depth != more {
+			t.Fatalf("while hot's first call is parked: the hook was entered %d times, %d units are ready and the depth is %d; want 1, 0 and %d",
+				entered, ready, s.Depth, more)
 		}
 		release()
 		for _, id := range ids {
@@ -98,8 +99,8 @@ func TestBusyObjectIsHandedToItsWorker(t *testing.T) {
 // workers at once. The groups run in lockstep: each waits in the hook
 // until every worker is blocked, so a worker that could enter a group
 // on an object another one holds has done so before either returns.
-// Pulled in the order they were sent, each worker's share would hold two
-// calls of every object.
+// Pulled one call at a time in request order, each worker's share would
+// hold two calls of every object.
 func TestBatchRunsEachObjectOnOneWorker(t *testing.T) {
 	simtest.Run(t, func(t *testing.T) {
 		const workers, objects, calls = 4, 4, 32
@@ -180,9 +181,9 @@ func TestBatchRunsEachObjectOnOneWorker(t *testing.T) {
 }
 
 // TestOtherCallsOnABusyObjectRunBeside parks a write on object hot and
-// submits three calls on hot that do not write: they take no turn, so
-// the idle workers run them beside the parked write, as readonly calls
-// ran before turns, instead of queueing them behind it.
+// submits three calls on hot that do not write: they join no box, so
+// the idle workers run them beside the parked write instead of queueing
+// them behind it.
 func TestOtherCallsOnABusyObjectRunBeside(t *testing.T) {
 	simtest.Run(t, func(t *testing.T) {
 		const reads = 3
@@ -221,14 +222,16 @@ func TestOtherCallsOnABusyObjectRunBeside(t *testing.T) {
 	})
 }
 
-// TestHandedObjectsTakeTurns has one worker of two hold objects a and b
-// — it pulled a write on each in one pull, and parks on a's — while the
-// other hands it six more writes on a and one on b. With DrainBatch 2,
-// a's backlog alone would fill every group until it ran out; served
-// round robin, b's handed write runs in the second group, beside a's.
+// TestHandedObjectsTakeTurns has one worker of two hold the boxes of
+// objects a and b — it pulled a write on each in one pull, and parks on
+// a's — while six more writes on a and one on b wait in them, and the
+// other worker is parked, so the first serves both boxes alone. With
+// DrainBatch 2, a's backlog alone would fill every group until it ran
+// out; put back behind what is ready, b's box runs its write in the
+// pull after a's next group, beside a's.
 func TestHandedObjectsTakeTurns(t *testing.T) {
 	simtest.Run(t, func(t *testing.T) {
-		gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
+		gates := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{})}
 		parked := make(chan struct{}, len(gates))
 		aParked, aOpen := make(chan struct{}), make(chan struct{})
 		var mu sync.Mutex
@@ -250,18 +253,21 @@ func TestHandedObjectsTakeTurns(t *testing.T) {
 			}
 			completeAll(results)
 		}})
-		var once [3]sync.Once
+		var once [4]sync.Once
 		openGate := func(i int, c chan struct{}) { once[i].Do(func() { close(c) }) }
 		defer openGate(0, gates[0]) // a failed check must not leave Close waiting
 		defer openGate(1, gates[1])
-		defer openGate(2, aOpen)
+		defer openGate(2, gates[2])
+		defer openGate(3, aOpen)
 		ctx := context.Background()
-		for i := range gates {
+		gate := func(i int) {
 			if _, err := q.Submit(ctx, Target{}, fmt.Sprintf("gate-%d", i), "m", nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			<-parked
 		}
+		gate(0)
+		gate(1)
 		// Queued as a, b, c, c: the first worker let go pulls its share,
 		// a and b, and the other the two on c.
 		var ids []string
@@ -288,14 +294,15 @@ func TestHandedObjectsTakeTurns(t *testing.T) {
 			submit("a")
 		}
 		submit("b")
-		simtest.Wait() // the second worker handed all seven to the first
+		gate(2) // the second worker parks again
+		simtest.Wait()
 		mu.Lock()
 		before := len(groups)
 		mu.Unlock()
 		if s := q.Stats(); s.Depth != 7 {
-			t.Fatalf("depth = %d with a's first write parked, want the 7 handed writes", s.Depth)
+			t.Fatalf("depth = %d with a's first write parked, want the 7 boxed writes", s.Depth)
 		}
-		openGate(2, aOpen)
+		openGate(3, aOpen)
 		for _, id := range ids {
 			if rec, err := q.Wait(ctx, id); err != nil || rec.Status != StatusCompleted {
 				t.Fatalf("wait %s: %v %+v", id, err, rec)
@@ -308,4 +315,100 @@ func TestHandedObjectsTakeTurns(t *testing.T) {
 			t.Fatalf("after a's first write the worker ran groups %v, want %v", got, want)
 		}
 	})
+}
+
+// TestPutBackWakesAnIdleWorker has one worker of two hold the boxes of
+// objects x and y from one pull and park on x's write, while three more
+// writes on x and one on y wait in them. Let go, the worker runs y's
+// write, puts both boxes back and pulls x's box, whose group parks
+// again: the idle second worker, woken by the second box put back, runs
+// y's waiting write meanwhile instead of sleeping beside it.
+func TestPutBackWakesAnIdleWorker(t *testing.T) {
+	simtest.Run(t, func(t *testing.T) {
+		gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
+		parked := make(chan struct{}, len(gates))
+		xParked, xOpen := make(chan struct{}), []chan struct{}{make(chan struct{}), make(chan struct{})}
+		var mu sync.Mutex
+		var groups []string // each group the hook was handed: its object and size
+		q := newQueue(t, Config{Settings: Settings{Workers: 2, DrainBatch: 4}, Invoke: func(_ context.Context, objectID string, calls []call.Call, results []call.Result) {
+			if gate, ok := strings.CutPrefix(objectID, "gate-"); ok {
+				parked <- struct{}{}
+				<-gates[gate[0]-'0']
+				completeAll(results)
+				return
+			}
+			mu.Lock()
+			groups = append(groups, fmt.Sprint(objectID, len(calls)))
+			xGroup := -1
+			for _, g := range groups {
+				if g[0] == 'x' {
+					xGroup++
+				}
+			}
+			mu.Unlock()
+			if objectID == "x" && xGroup < len(xOpen) {
+				xParked <- struct{}{}
+				<-xOpen[xGroup]
+			}
+			completeAll(results)
+		}})
+		var once [4]sync.Once
+		openGate := func(i int, c chan struct{}) { once[i].Do(func() { close(c) }) }
+		defer openGate(0, gates[0]) // a failed check must not leave Close waiting
+		defer openGate(1, gates[1])
+		defer openGate(2, xOpen[0])
+		defer openGate(3, xOpen[1])
+		ctx := context.Background()
+		for i := range gates {
+			if _, err := q.Submit(ctx, Target{}, fmt.Sprintf("gate-%d", i), "m", nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			<-parked
+		}
+		submit := func(objects ...string) []string {
+			subs := make([]Submission, len(objects))
+			for i, obj := range objects {
+				subs[i] = Submission{Object: obj, To: writes, Call: call.Call{Member: "m", Ctx: ctx}}
+			}
+			out := make([]BatchResult, len(subs))
+			q.SubmitBatch(subs, out)
+			ids := make([]string, len(out))
+			for i, res := range out {
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				ids[i] = res.ID
+			}
+			return ids
+		}
+		// Queued as x, y, z, z: the first worker let go pulls its share,
+		// x and y, and the other the two on z.
+		first := submit("x", "y", "z", "z")
+		openGate(0, gates[0])
+		<-xParked
+		openGate(1, gates[1])
+		simtest.Wait() // z's calls ran; the second worker is idle
+		later := submit("x", "x", "x", "y")
+		openGate(2, xOpen[0])
+		<-xParked // the first worker runs x's box again
+		simtest.Wait()
+		if rec, err := q.Get(ctx, later[3]); err != nil || rec.Status != StatusCompleted {
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("y's write while x's box is parked on the first worker: %v %+v, want it completed by the second (groups %v)", err, rec, groups)
+		}
+		openGate(3, xOpen[1])
+		for _, id := range append(first, later...) {
+			if rec, err := q.Wait(ctx, id); err != nil || rec.Status != StatusCompleted {
+				t.Fatalf("wait %s: %v %+v", id, err, rec)
+			}
+		}
+	})
+}
+
+// readyUnits is the length of q's ready FIFO.
+func readyUnits(q *Queue) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.ready.Size()
 }

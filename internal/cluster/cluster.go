@@ -4,7 +4,7 @@
 // top of it").
 //
 // It models worker VMs (nodes) with CPU/memory capacity, pods placed
-// on nodes by a scheduler (bin-pack or spread), and deployments with a
+// on nodes by a scheduler that spreads them, and deployments with a
 // desired replica count. Each node exposes a compute token bucket
 // whose rate is proportional to its CPU allocation; executor pods draw
 // from it, which is how the scalability experiment (paper Figure 3)
@@ -92,30 +92,6 @@ type Pod struct {
 	Deployment string    `json:"deployment"`
 	Node       string    `json:"node"`
 	Req        Resources `json:"req"`
-}
-
-// Strategy selects how the scheduler picks a node.
-type Strategy int
-
-const (
-	// StrategyBinPack packs pods onto the most-allocated node that
-	// still fits, minimizing fragmentation.
-	StrategyBinPack Strategy = iota + 1
-	// StrategySpread places pods on the least-loaded node, maximizing
-	// per-pod burst capacity.
-	StrategySpread
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyBinPack:
-		return "binpack"
-	case StrategySpread:
-		return "spread"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
 }
 
 // Config configures a Cluster.
@@ -266,7 +242,7 @@ func (c *Cluster) NodeCount() int {
 
 // placePod schedules one pod for deployment d. Caller holds c.mu.
 func (c *Cluster) placePodLocked(d *Deployment) (*Pod, error) {
-	node := c.pickNodeLocked(d.req, d.strategy, d.region)
+	node := c.pickNodeLocked(d.req, d.region)
 	if node == nil {
 		if d.region != "" {
 			return nil, fmt.Errorf("%w in region %q (deployment %q, request %+v)",
@@ -289,11 +265,12 @@ func (c *Cluster) placePodLocked(d *Deployment) (*Pod, error) {
 	return pod, nil
 }
 
-// pickNodeLocked selects a node for req per strategy, restricted to
-// region when non-empty. Equal-fit ties break by node name so repeated
-// placements are deterministic regardless of iteration order. Caller
-// holds c.mu.
-func (c *Cluster) pickNodeLocked(req Resources, strategy Strategy, region string) *Node {
+// pickNodeLocked selects a node for req, restricted to region when
+// non-empty: the one with the most free milliCPU that fits it, so pods
+// spread and each keeps the most burst capacity. Equal-fit ties break by
+// node name so repeated placements are deterministic regardless of
+// iteration order. Caller holds c.mu.
+func (c *Cluster) pickNodeLocked(req Resources, region string) *Node {
 	var best *Node
 	var bestFree int64
 	for _, n := range sortedNodesLocked(c.nodes) {
@@ -306,17 +283,9 @@ func (c *Cluster) pickNodeLocked(req Resources, strategy Strategy, region string
 		if !req.fits(free) {
 			continue
 		}
-		switch strategy {
-		case StrategySpread:
-			if best == nil || free.MilliCPU > bestFree ||
-				(free.MilliCPU == bestFree && n.name < best.name) {
-				best, bestFree = n, free.MilliCPU
-			}
-		default: // StrategyBinPack
-			if best == nil || free.MilliCPU < bestFree ||
-				(free.MilliCPU == bestFree && n.name < best.name) {
-				best, bestFree = n, free.MilliCPU
-			}
+		if best == nil || free.MilliCPU > bestFree ||
+			(free.MilliCPU == bestFree && n.name < best.name) {
+			best, bestFree = n, free.MilliCPU
 		}
 	}
 	return best
@@ -349,11 +318,10 @@ func (c *Cluster) deletePodLocked(id string) {
 // Deployment is a replicated pod set, analogous to a Kubernetes
 // Deployment.
 type Deployment struct {
-	name     string
-	req      Resources
-	strategy Strategy
-	region   string // "" = any region
-	cluster  *Cluster
+	name    string
+	req     Resources
+	region  string // "" = any region
+	cluster *Cluster
 
 	mu   sync.Mutex
 	pods map[string]*Pod
@@ -362,12 +330,9 @@ type Deployment struct {
 // CreateRegionDeployment registers a deployment, scaled to replicas,
 // whose pods may only be placed in the named region ("" = any). This
 // realizes jurisdiction constraints (paper §II-C / §VI future work).
-func (c *Cluster) CreateRegionDeployment(name string, req Resources, replicas int, strategy Strategy, region string) (*Deployment, error) {
+func (c *Cluster) CreateRegionDeployment(name string, req Resources, replicas int, region string) (*Deployment, error) {
 	if name == "" {
 		return nil, errors.New("cluster: empty deployment name")
-	}
-	if strategy == 0 {
-		strategy = StrategyBinPack
 	}
 	c.mu.Lock()
 	if _, ok := c.deployments[name]; ok {
@@ -375,12 +340,11 @@ func (c *Cluster) CreateRegionDeployment(name string, req Resources, replicas in
 		return nil, fmt.Errorf("%w: %q", ErrDeploymentExists, name)
 	}
 	d := &Deployment{
-		name:     name,
-		req:      req,
-		strategy: strategy,
-		region:   region,
-		cluster:  c,
-		pods:     make(map[string]*Pod),
+		name:    name,
+		req:     req,
+		region:  region,
+		cluster: c,
+		pods:    make(map[string]*Pod),
 	}
 	c.deployments[name] = d
 	c.mu.Unlock()

@@ -10,8 +10,8 @@ import (
 func std() Resources { return Resources{MilliCPU: 1000, MemoryMB: 1024} }
 
 // deploy creates a deployment placeable in any region.
-func deploy(c *Cluster, name string, req Resources, replicas int, strategy Strategy) (*Deployment, error) {
-	return c.CreateRegionDeployment(name, req, replicas, strategy, "")
+func deploy(c *Cluster, name string, req Resources, replicas int) (*Deployment, error) {
+	return c.CreateRegionDeployment(name, req, replicas, "")
 }
 
 // registered reports whether c still tracks the named deployment.
@@ -112,7 +112,7 @@ func TestTotalComputeRateScalesWithNodes(t *testing.T) {
 
 func TestCreateDeploymentPlacesReplicas(t *testing.T) {
 	c := newCluster(t, 3)
-	d, err := deploy(c, "fn", std(), 6, StrategySpread)
+	d, err := deploy(c, "fn", std(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCreateDeploymentPlacesReplicas(t *testing.T) {
 
 func TestSpreadBalances(t *testing.T) {
 	c := newCluster(t, 3)
-	if _, err := deploy(c, "fn", std(), 6, StrategySpread); err != nil {
+	if _, err := deploy(c, "fn", std(), 6); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range c.Nodes() {
@@ -140,31 +140,9 @@ func TestSpreadBalances(t *testing.T) {
 	}
 }
 
-func TestBinPackFillsOneNodeFirst(t *testing.T) {
-	c := newCluster(t, 3)
-	if _, err := deploy(c, "fn", std(), 4, StrategyBinPack); err != nil {
-		t.Fatal(err)
-	}
-	// 4000 mCPU nodes fit 4 pods of 1000 each: binpack puts all 4 on
-	// one node.
-	var full int
-	for _, n := range c.Nodes() {
-		switch n.PodCount() {
-		case 4:
-			full++
-		case 0:
-		default:
-			t.Fatalf("node %s has %d pods; binpack should fill one node", n.Name(), n.PodCount())
-		}
-	}
-	if full != 1 {
-		t.Fatalf("%d full nodes, want exactly 1", full)
-	}
-}
-
 func TestScaleUpAndDown(t *testing.T) {
 	c := newCluster(t, 2)
-	d, err := deploy(c, "fn", std(), 2, StrategySpread)
+	d, err := deploy(c, "fn", std(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +170,7 @@ func TestScaleUpAndDown(t *testing.T) {
 
 func TestScaleToZero(t *testing.T) {
 	c := newCluster(t, 1)
-	d, _ := deploy(c, "fn", std(), 2, StrategyBinPack)
+	d, _ := deploy(c, "fn", std(), 2)
 	if err := d.Scale(0); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +184,7 @@ func TestScaleToZero(t *testing.T) {
 
 func TestScaleNegativeRejected(t *testing.T) {
 	c := newCluster(t, 1)
-	d, _ := deploy(c, "fn", std(), 0, StrategyBinPack)
+	d, _ := deploy(c, "fn", std(), 0)
 	if err := d.Scale(-1); err == nil {
 		t.Fatal("negative scale accepted")
 	}
@@ -214,7 +192,7 @@ func TestScaleNegativeRejected(t *testing.T) {
 
 func TestCapacityExhaustion(t *testing.T) {
 	c := newCluster(t, 1) // 4000 mCPU
-	d, err := deploy(c, "fn", std(), 4, StrategyBinPack)
+	d, err := deploy(c, "fn", std(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +207,7 @@ func TestCapacityExhaustion(t *testing.T) {
 
 func TestCreateDeploymentOverCapacityCleansUp(t *testing.T) {
 	c := newCluster(t, 1)
-	if _, err := deploy(c, "huge", std(), 100, StrategyBinPack); !errors.Is(err, ErrNoCapacity) {
+	if _, err := deploy(c, "huge", std(), 100); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v", err)
 	}
 	// The failed deployment must not linger.
@@ -240,17 +218,17 @@ func TestCreateDeploymentOverCapacityCleansUp(t *testing.T) {
 
 func TestDuplicateDeployment(t *testing.T) {
 	c := newCluster(t, 1)
-	if _, err := deploy(c, "fn", std(), 1, StrategyBinPack); err != nil {
+	if _, err := deploy(c, "fn", std(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := deploy(c, "fn", std(), 1, StrategyBinPack); !errors.Is(err, ErrDeploymentExists) {
+	if _, err := deploy(c, "fn", std(), 1); !errors.Is(err, ErrDeploymentExists) {
 		t.Fatalf("duplicate = %v", err)
 	}
 }
 
 func TestDeleteDeployment(t *testing.T) {
 	c := newCluster(t, 1)
-	deploy(c, "fn", std(), 2, StrategyBinPack)
+	deploy(c, "fn", std(), 2)
 	if err := c.DeleteDeployment("fn"); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +245,7 @@ func TestDeleteDeployment(t *testing.T) {
 
 func TestRemoveNodeDropsItsPods(t *testing.T) {
 	c := newCluster(t, 2)
-	d, _ := deploy(c, "fn", std(), 4, StrategySpread)
+	d, _ := deploy(c, "fn", std(), 4)
 	if err := c.RemoveNode("vm-00"); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +276,7 @@ func TestRemoveAbsentNode(t *testing.T) {
 
 func TestPodsSnapshotSorted(t *testing.T) {
 	c := newCluster(t, 2)
-	d, _ := deploy(c, "fn", std(), 3, StrategySpread)
+	d, _ := deploy(c, "fn", std(), 3)
 	pods := d.Pods()
 	if len(pods) != 3 {
 		t.Fatalf("len = %d", len(pods))
@@ -307,15 +285,6 @@ func TestPodsSnapshotSorted(t *testing.T) {
 		if pods[i-1].ID > pods[i].ID {
 			t.Fatal("pods not sorted")
 		}
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if StrategyBinPack.String() != "binpack" || StrategySpread.String() != "spread" {
-		t.Fatal("strategy strings wrong")
-	}
-	if Strategy(9).String() != "Strategy(9)" {
-		t.Fatal("unknown strategy string wrong")
 	}
 }
 
@@ -330,7 +299,7 @@ func TestAllocationConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		d, err := deploy(c, "fn", Resources{MilliCPU: 500, MemoryMB: 64}, 0, StrategySpread)
+		d, err := deploy(c, "fn", Resources{MilliCPU: 500, MemoryMB: 64}, 0)
 		if err != nil {
 			return false
 		}
@@ -350,47 +319,45 @@ func TestAllocationConservationProperty(t *testing.T) {
 
 // TestPickNodeDeterministicTieBreak places pods repeatedly on
 // equal-fit nodes and asserts the choice is stable (lowest name wins),
-// under both strategies and regardless of node insertion order.
+// regardless of node insertion order.
 func TestPickNodeDeterministicTieBreak(t *testing.T) {
 	orders := [][]string{
 		{"vm-00", "vm-01", "vm-02", "vm-03"},
 		{"vm-03", "vm-01", "vm-00", "vm-02"},
 		{"vm-02", "vm-03", "vm-01", "vm-00"},
 	}
-	for _, strategy := range []Strategy{StrategySpread, StrategyBinPack} {
-		var want []string
-		for trial, order := range orders {
-			c := New(Config{})
-			for _, name := range order {
-				if _, err := c.AddNode(name, Resources{MilliCPU: 4000, MemoryMB: 8192}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			d, err := deploy(c, "tie", Resources{MilliCPU: 500, MemoryMB: 256}, 0, strategy)
-			if err != nil {
+	var want []string
+	for trial, order := range orders {
+		c := New(Config{})
+		for _, name := range order {
+			if _, err := c.AddNode(name, Resources{MilliCPU: 4000, MemoryMB: 8192}); err != nil {
 				t.Fatal(err)
 			}
-			var got []string
-			for i := 1; i <= 8; i++ {
-				if err := d.Scale(i); err != nil {
-					t.Fatal(err)
-				}
-				pods := d.Pods()
-				got = append(got, pods[len(pods)-1].Node)
+		}
+		d, err := deploy(c, "tie", Resources{MilliCPU: 500, MemoryMB: 256}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for i := 1; i <= 8; i++ {
+			if err := d.Scale(i); err != nil {
+				t.Fatal(err)
 			}
-			if trial == 0 {
-				want = got
-				// All nodes start equal, so the very first tie must
-				// resolve to the lexicographically smallest name.
-				if got[0] != "vm-00" {
-					t.Fatalf("%v: first placement on %q, want vm-00", strategy, got[0])
-				}
-				continue
+			pods := d.Pods()
+			got = append(got, pods[len(pods)-1].Node)
+		}
+		if trial == 0 {
+			want = got
+			// All nodes start equal, so the very first tie must resolve
+			// to the lexicographically smallest name.
+			if got[0] != "vm-00" {
+				t.Fatalf("first placement on %q, want vm-00", got[0])
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v: placement sequence differs across insertion orders:\n  %v\n  %v", strategy, want, got)
-				}
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("placement sequence differs across insertion orders:\n  %v\n  %v", want, got)
 			}
 		}
 	}

@@ -47,7 +47,7 @@ func TestRegionDeploymentOnlyUsesMatchingNodes(t *testing.T) {
 	c := New(Config{})
 	c.AddRegionNode("eu-0", "eu", Resources{MilliCPU: 4000, MemoryMB: 8192})
 	c.AddRegionNode("us-0", "us", Resources{MilliCPU: 4000, MemoryMB: 8192})
-	d, err := c.CreateRegionDeployment("fn", std(), 3, StrategySpread, "eu")
+	d, err := c.CreateRegionDeployment("fn", std(), 3, "eu")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRegionDeploymentCapacityBoundedByRegion(t *testing.T) {
 	c.AddRegionNode("eu-0", "eu", Resources{MilliCPU: 2000, MemoryMB: 8192})
 	c.AddRegionNode("us-0", "us", Resources{MilliCPU: 8000, MemoryMB: 8192})
 	// 3 pods of 1000 mCPU don't fit in eu even though us has room.
-	_, err := c.CreateRegionDeployment("fn", std(), 3, StrategySpread, "eu")
+	_, err := c.CreateRegionDeployment("fn", std(), 3, "eu")
 	if !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v, want ErrNoCapacity", err)
 	}
@@ -82,7 +82,7 @@ func TestRegionDeploymentCapacityBoundedByRegion(t *testing.T) {
 func TestRegionDeploymentUnknownRegion(t *testing.T) {
 	c := New(Config{})
 	c.AddNode("d-0", Resources{MilliCPU: 8000, MemoryMB: 8192})
-	if _, err := c.CreateRegionDeployment("fn", std(), 1, StrategySpread, "mars"); !errors.Is(err, ErrNoCapacity) {
+	if _, err := c.CreateRegionDeployment("fn", std(), 1, "mars"); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -324,7 +324,7 @@ func (p *Platform) chain(objectID string, calls []call.Call, done func(committed
 // the first entry whose home is outside the origin's region is reached —
 // not per entry, and not at all when every entry is local. The entries
 // that resolve are one submission to the queue (asyncq.Queue.SubmitBatch),
-// which queues them grouped by object.
+// which admits them in request order.
 func (p *Platform) submitAll(ctx context.Context, from origin, reqs []asyncq.Request) []asyncq.BatchResult {
 	out := make([]asyncq.BatchResult, len(reqs))
 	var one [1]asyncq.Submission // a lone invocation's, kept off the heap

@@ -901,8 +901,8 @@ func TestFencedDataflowStepIsNotRetried(t *testing.T) {
 }
 
 // TestOnlyWritesTakeTheirObjectsTurn: the queue is told that a call
-// writes — and so runs on the one worker holding its object's turn —
-// only for a function not declared readonly. A readonly function and a
+// writes — and so waits in its object's box, run by one worker at a
+// time — only for a function not declared readonly. A readonly function and a
 // dataflow run outside the group window, beside the object's writes.
 func TestOnlyWritesTakeTheirObjectsTurn(t *testing.T) {
 	p, err := New(Config{})

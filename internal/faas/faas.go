@@ -265,7 +265,7 @@ func (e *Engine) Deploy(spec FunctionSpec) error {
 		e.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrFunctionExists, spec.Name)
 	}
-	dep, err := e.cfg.Cluster.CreateRegionDeployment("fn-"+e.namespace+"-"+spec.Name, spec.Resources, 0, cluster.StrategySpread, spec.Region)
+	dep, err := e.cfg.Cluster.CreateRegionDeployment("fn-"+e.namespace+"-"+spec.Name, spec.Resources, 0, spec.Region)
 	if err != nil {
 		e.mu.Unlock()
 		return fmt.Errorf("faas: creating deployment: %w", err)

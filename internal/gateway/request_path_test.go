@@ -299,12 +299,24 @@ func TestInvokeAsyncAllocationBudget(t *testing.T) {
 // is measured. The batch is one submission: its pending records go to
 // the record table in one write and its calls to the queue in one
 // enqueue.
+//
+// The count is the fewest allocations any one of runs requests made,
+// each measured alone. Over many requests the mean varies from process
+// to process: the record table's flush passes, started by a timer or by
+// a full shard, drain its shard maps, which are then shrunk and regrow
+// as the next pending records arrive, by amounts that depend on how the
+// random invocation IDs fall over the shards and on when the flush
+// goroutine runs; and a garbage collection empties the sync.Pools the
+// JSON codec and the gateway draw from. A request that none of these
+// lands in costs what the request path itself allocates, every time.
 func TestInvokeBatchAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const batch, objects, runs = 32, 4, 100
-	p, err := core.New(core.Config{Workers: 2, Async: asyncq.Settings{Workers: 1, Capacity: batch * (runs + 2)}})
+	// Each measured request runs twice, AllocsPerRun's warm-up and its
+	// one run, after the first submission.
+	p, err := core.New(core.Config{Workers: 2, Async: asyncq.Settings{Workers: 1, Capacity: batch * (2*runs + 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,13 +363,17 @@ func TestInvokeBatchAllocationBudget(t *testing.T) {
 	}
 	submit()
 	<-held
-	// 257 to 261 measured (mostly 258), about eight a call: the JSON
+	// 253 in every one of 40 test runs, about eight a call: the JSON
 	// decode, the ID, the payload copy, the pending record and its table
-	// entry. A request context detached with context.WithoutCancel cost
-	// one more a call (290): its Value boxes its receiver on each call's
-	// trace lookup.
-	const ceiling = 261
-	if n := testing.AllocsPerRun(runs, submit); n > ceiling {
-		t.Fatalf("invoke-batch of %d calls over %d objects allocates %.1f per request, budget %d", batch, objects, n, ceiling)
+	// entry. The mean over 100 requests read 257 to 261. A request
+	// context detached with context.WithoutCancel cost one more a call:
+	// its Value boxes its receiver on each call's trace lookup.
+	const ceiling = 253
+	least := testing.AllocsPerRun(1, submit)
+	for range runs - 1 {
+		least = min(least, testing.AllocsPerRun(1, submit))
+	}
+	if least > ceiling {
+		t.Fatalf("invoke-batch of %d calls over %d objects allocates %.0f per request, budget %d", batch, objects, least, ceiling)
 	}
 }

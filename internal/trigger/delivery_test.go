@@ -654,69 +654,6 @@ func TestDeadEndpointIsRetriedAtBoundedCadence(t *testing.T) {
 	waitFor(t, "the third attempt", func() bool { return h.hits.Load() == 3 })
 }
 
-// TestDeliveryQueueIsABoundedFIFO: the delivery queue hands items out in
-// the order they came, across wrap-arounds and growth, and a steady
-// stream of enqueue/dequeue cycles runs in the slots it already has — a
-// pop gives up no capacity, so the next push does not reallocate. A
-// burst past delRingKeep is released once it drains.
-func TestDeliveryQueueIsABoundedFIFO(t *testing.T) {
-	var r delRing
-	// Item i is &states[i % len(states)]; FIFO means the k-th pop
-	// returns item k.
-	states := make([]consumerState, 3*delRingKeep)
-	pushed, popped := 0, 0
-	push := func() {
-		r.push(delItem{st: &states[pushed%len(states)]})
-		pushed++
-	}
-	pop := func() {
-		if r.pop().st != &states[popped%len(states)] {
-			t.Fatalf("pop %d did not return item %d", popped, popped)
-		}
-		popped++
-	}
-	// Mixed depths: grow from empty, drain part way, wrap, grow again.
-	for _, step := range []struct{ push, pop int }{{5, 3}, {9, 4}, {20, 17}, {3, 10}, {40, 1}, {0, 42}} {
-		for range step.push {
-			push()
-		}
-		for range step.pop {
-			pop()
-		}
-		if r.n != pushed-popped {
-			t.Fatalf("ring holds %d, want %d", r.n, pushed-popped)
-		}
-	}
-	// Steady state three deep: 10 000 cycles in the slots it has.
-	for range 3 {
-		push()
-	}
-	size := len(r.buf)
-	allocs := testing.AllocsPerRun(10_000, func() {
-		push()
-		pop()
-	})
-	if len(r.buf) != size || r.n != 3 {
-		t.Fatalf("after 10 000 cycles the ring has %d slots holding %d, want %d holding 3", len(r.buf), r.n, size)
-	}
-	if allocs != 0 {
-		t.Fatalf("a steady enqueue/dequeue cycle allocates %.2f", allocs)
-	}
-	for r.n > 0 {
-		pop()
-	}
-	// A recovery-sized burst grows the ring; drained, it lets go.
-	for range 2 * delRingKeep {
-		push()
-	}
-	for r.n > 0 {
-		pop()
-	}
-	if r.buf != nil {
-		t.Fatalf("a drained ring keeps %d slots after a burst", len(r.buf))
-	}
-}
-
 // TestDrainWhilePublishing: Drain on a live bus, concurrently with
 // publishers, is race-free and returns; a final Drain covers
 // everything. Run under -race.

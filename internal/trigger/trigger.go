@@ -170,6 +170,7 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/eventlog"
+	"github.com/hpcclab/oparaca-go/internal/fifo"
 	"github.com/hpcclab/oparaca-go/internal/metrics"
 	"github.com/hpcclab/oparaca-go/internal/model"
 	"github.com/hpcclab/oparaca-go/internal/trace"
@@ -582,47 +583,10 @@ type sendTable struct {
 // and chains deeper than this build their args per event.
 const argsTableDepth = 64
 
-// delRing is the delivery pool's FIFO: a ring that doubles when full,
-// so a pop gives up no capacity and the steady state pushes into slots
-// already paid for. Its size follows the deepest backlog, which the
-// consumer states bound (see consumerState); one grown past
-// delRingKeep slots by a burst (cursor recovery queues every consumer
-// at once) is released when it drains.
-type delRing struct {
-	buf     []delItem
-	head, n int
-}
-
-// delRingKeep is the largest ring kept once empty: 16 KB.
-const delRingKeep = 1024
-
 // delStateKeep is the high-water mark below which Bus.delState is never
 // rebuilt: a map that size costs a few kilobytes, and rebuilding it as
 // it empties would allocate on every quiet spell.
 const delStateKeep = 64
-
-func (r *delRing) push(it delItem) {
-	if r.n == len(r.buf) {
-		grown := make([]delItem, max(2*len(r.buf), 8))
-		k := copy(grown, r.buf[r.head:])
-		copy(grown[k:], r.buf[:r.head])
-		r.buf, r.head = grown, 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = it
-	r.n++
-}
-
-// pop removes the oldest item; the ring must not be empty.
-func (r *delRing) pop() delItem {
-	it := r.buf[r.head]
-	r.buf[r.head] = delItem{}
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	if r.n == 0 && len(r.buf) > delRingKeep {
-		*r = delRing{}
-	}
-	return it
-}
 
 // subCounters accumulates one subscription's delivery outcomes.
 type subCounters struct {
@@ -664,8 +628,11 @@ type Bus struct {
 	streams  map[string]map[*Stream]struct{}
 	streamed atomic.Int64
 
-	// The delivery pool, guarded by delMu. delCond wakes one worker per
-	// enqueued item; quiet is broadcast whenever Drain's predicate may
+	// The delivery pool, guarded by delMu. delQueue is its FIFO, as deep
+	// as the consumer states bound it (see consumerState); recovery,
+	// which queues every consumer at once, is the burst its ring lets go
+	// of once drained. delCond wakes one worker per enqueued item; quiet
+	// is broadcast whenever Drain's predicate may
 	// have turned true (a pool item completed, a chained group settled,
 	// the bus stopped). chains counts the chained groups submitted and
 	// not yet settled. delWg counts the workers and the re-arm sleepers,
@@ -673,7 +640,7 @@ type Bus struct {
 	delMu     sync.Mutex
 	delCond   *sync.Cond
 	quiet     *sync.Cond
-	delQueue  delRing
+	delQueue  fifo.Ring[delItem]
 	delState  map[consumerKey]*consumerState
 	delHigh   int // the most entries delState has held since it was made
 	delBusy   int
@@ -1176,7 +1143,7 @@ func (b *Bus) notify(sub *Subscription, object string, it *inflight) {
 		return
 	}
 	st.queued = true
-	b.delQueue.push(delItem{st: st})
+	b.delQueue.Push(delItem{st: st})
 	b.delCond.Signal()
 }
 
@@ -1201,7 +1168,7 @@ func (b *Bus) count(c *subCounters, delivered, dropped int) {
 func (b *Bus) enqueueOneShot(sub *Subscription, it *inflight) {
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
-	b.delQueue.push(delItem{run: func() {
+	b.delQueue.Push(delItem{run: func() {
 		c := b.subCountersFor(sub.ID)
 		if sub.Webhook == "" {
 			b.chainOnce(sub, it, c)
@@ -1222,14 +1189,14 @@ func (b *Bus) deliveryWorker() {
 	calls := make([]call.Call, 0, readBatch)
 	for {
 		b.delMu.Lock()
-		for b.delQueue.n == 0 && !b.delClosed {
+		for b.delQueue.Size() == 0 && !b.delClosed {
 			b.delCond.Wait()
 		}
-		if b.delQueue.n == 0 {
+		if b.delQueue.Size() == 0 {
 			b.delMu.Unlock()
 			return
 		}
-		item := b.delQueue.pop()
+		item := b.delQueue.Pop()
 		b.delBusy++
 		b.delMu.Unlock()
 		out := runIdle
@@ -1262,7 +1229,7 @@ func (b *Bus) deliveryWorker() {
 				go b.rearm(st, b.jittered(st.stall))
 			case st.rerun:
 				st.rerun = false
-				b.delQueue.push(delItem{st: st})
+				b.delQueue.Push(delItem{st: st})
 				b.delCond.Signal()
 			default:
 				b.release(st)
@@ -1312,7 +1279,7 @@ func (b *Bus) rearm(st *consumerState, d time.Duration) {
 		return
 	}
 	st.rerun = false
-	b.delQueue.push(delItem{st: st})
+	b.delQueue.Push(delItem{st: st})
 	b.delCond.Signal()
 }
 
@@ -1588,7 +1555,7 @@ func (g *chainGroup) settle(parked bool) error {
 			st.queued = false
 		case (g.more && err == nil) || st.rerun:
 			st.rerun = false
-			b.delQueue.push(delItem{st: st})
+			b.delQueue.Push(delItem{st: st})
 			b.delCond.Signal()
 		default:
 			b.release(st)
@@ -1730,7 +1697,7 @@ func (b *Bus) deliverStreams(ev Event) {
 func (b *Bus) Drain() {
 	b.delMu.Lock()
 	defer b.delMu.Unlock()
-	for (b.delQueue.n > 0 || b.delBusy > 0 || b.chains > 0) && !b.killed.Load() {
+	for (b.delQueue.Size() > 0 || b.delBusy > 0 || b.chains > 0) && !b.killed.Load() {
 		b.quiet.Wait()
 	}
 }
@@ -1862,7 +1829,7 @@ func (b *Bus) shutdown(kill bool) {
 	b.delMu.Lock()
 	b.delClosed = true
 	if kill {
-		b.delQueue = delRing{}
+		b.delQueue = fifo.Ring[delItem]{}
 	}
 	close(b.stop)
 	b.delCond.Broadcast()

@@ -105,25 +105,26 @@
 // Config.Async.DrainBatch (1 restores per-task draining), so
 // a burst spreads over the pool. A pull persists its record transitions
 // in batched table writes and groups its invocations by target object.
-// A busy object's writes run on one worker: a pulled invocation of a
-// function not declared readonly, on an object another worker is
-// running such invocations on, is handed to that worker, which runs
-// the handed backlog, up to DrainBatch and round robin over the objects
-// it holds, as its next group before it pulls again. So queue workers
-// never run one object's writes at once, and their commits on it never
-// abort each other; readonly functions and dataflows, which commit
-// nothing through the window, run on whichever worker pulls them. The
-// one rule this adds: a handler must not wait for an async invocation
-// of a writing function on the object it is running — that invocation
-// runs after it, on the same worker. A function that writes no state
-// should be declared readonly, or a hot object's async calls of it run
-// one at a time. A handed invocation is still
-// queued, and counts against
+// A busy object's writes run on one worker: the workers take from one
+// FIFO, where an invocation of a function not declared readonly waits
+// in its object's box, which is in the FIFO at most once and never
+// while a worker runs it. A worker that takes a box takes its writes,
+// up to DrainBatch, and puts it back at the FIFO's tail if more arrived
+// while it ran them, so the busy objects share the workers round robin.
+// So queue workers never run one object's writes at once, and their
+// commits on it never abort each other; readonly functions and
+// dataflows, which commit nothing through the window, are units of
+// their own and run on whichever worker pulls them. The one rule this
+// adds: a handler must not wait for an async invocation of a writing
+// function on the object it is running — that invocation runs after
+// it. A function that writes no state should be declared readonly, or
+// a hot object's async calls of it run one at a time. An invocation
+// waiting in a box is still queued, and counts against
 // Config.Async.Capacity and its class quota until it runs. An
 // invoke-batch is one submission: its pending records are written in
-// one table write and its accepted invocations queued together,
-// grouped by object, while the queue still admits them in request
-// order, so a batch it cannot take in full accepts the calls that fit. An
+// one table write and its accepted invocations queued together, each
+// admitted in request order as a lone invocation would be, so a batch
+// the queue cannot take in full accepts the calls that fit. An
 // invocation that drained alone is a group of one and runs exactly as
 // Platform.Invoke would. A group of two or more same-object method
 // calls executes through the runtime's group-commit InvokeBatch window:
