@@ -76,14 +76,15 @@ func TestInvariants(t *testing.T) {
 
 		// internal/kvstore keeps the slice it is handed, so a flushed value,
 		// a retained log entry and an invocation record are each resident
-		// once. The copies that make that safe are the four on the way in:
-		// the memtable's three write-path clones (Put's, PutMany's and
-		// keep's for a commit of the caller's ops) and asyncq.Submit's copy
-		// of the payload. Another one is a second resident copy of
-		// something.
+		// once. The copies that make that safe are the three on the way in:
+		// the memtable's two write-path clones (Put's, and keep's for a
+		// commit of the caller's ops; PutMany keeps what it is handed) and
+		// the async queue's exact-size copy of each record it encodes, which
+		// is also the pending record's copy of the payload. Another one is a
+		// second resident copy of something.
 		{"value-copy-sites", perFile("append(json.RawMessage(nil)", map[string]int{
-			"internal/asyncq/asyncq.go":  1,
-			"internal/memtable/table.go": 3,
+			"internal/asyncq/encode.go":  1,
+			"internal/memtable/table.go": 2,
 		})},
 
 		// An invocation record is written by one encoder, with no

@@ -38,10 +38,13 @@
 // successor process, sees a predecessor's in-flight work as pending —
 // and RecoverStranded re-runs it from the payload and args that record
 // carries. Each durable transition is encoded once, by AppendRecord,
-// into a fresh buffer that nothing here reuses; the record table's Put
-// and PutMany keep a copy of it until the flush lands, and the backing
-// store keeps that copy as it is. Submit's copy of the payload is the
-// one defensive copy this package makes on the way in.
+// into a scratch buffer shared by the records of one table write, and
+// copied out at its size: the record table's PutMany keeps that copy
+// until the flush lands, and the backing store keeps it as it is. A
+// pending record's copy of the payload is the one copy this package makes
+// on the way in; the task runs from those bytes of the document. A
+// payload is checked once, when it is admitted, and a result once, when
+// its handler returns, so the encoder copies both unchecked.
 //
 // The record codec (encode.go) writes and reads through internal/jsonw.
 // encodeRecord writes every record with AppendRecord, which escapes any
@@ -158,7 +161,6 @@ import (
 
 	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/fifo"
-	"github.com/hpcclab/oparaca-go/internal/jsonw"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 	"github.com/hpcclab/oparaca-go/internal/memtable"
 	"github.com/hpcclab/oparaca-go/internal/metrics"
@@ -622,7 +624,10 @@ func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, 
 	// worker: a fast worker would otherwise write the terminal record
 	// first and have it clobbered by a late pending write (leaving
 	// pollers stuck at "pending" forever).
-	_ = q.records.Put(context.Background(), t.key, pendingRecord(t))
+	w := writers.Get().(*recordWriter)
+	w.pending(&t)
+	w.write(q.records)
+	putWriter(w)
 	if _, err := q.enqueue([]task{t}, "queue.enqueued", q.underQuota, nil); err != nil {
 		q.drop(t, err)
 		return "", err
@@ -631,7 +636,8 @@ func (q *Queue) Submit(ctx context.Context, to Target, objectID, member string, 
 }
 
 // newTask checks one submission and builds its task, with a fresh record
-// key, queued at now and aimed at to.
+// key, queued at now and aimed at to. The task holds the caller's payload
+// until its pending record is encoded (recordWriter.pending).
 func (q *Queue) newTask(ctx context.Context, to Target, objectID, member string, payload json.RawMessage, args map[string]string, now time.Time) (task, error) {
 	if err := ctx.Err(); err != nil {
 		return task{}, err
@@ -647,7 +653,7 @@ func (q *Queue) newTask(ctx context.Context, to Target, objectID, member string,
 		id:      id,
 		object:  objectID,
 		member:  member,
-		payload: append(json.RawMessage(nil), payload...),
+		payload: payload,
 		args:    maps.Clone(args),
 		ctx:     ctx,
 		queued:  now,
@@ -689,7 +695,8 @@ func (q *Queue) SubmitBatch(subs []Submission, out []BatchResult) {
 	}
 	ts := make([]task, 0, len(subs))
 	at := make([]int, 0, len(subs)) // ts[j] is subs[at[j]]
-	pending := make(map[string]json.RawMessage, len(subs))
+	w := writers.Get().(*recordWriter)
+	defer putWriter(w)
 	now := q.cfg.Clock.Now()
 	for i, s := range subs {
 		t, err := q.newTask(cmp.Or(s.Ctx, context.Background()), s.To, s.Object, s.Member, s.Payload, s.Args, now)
@@ -697,12 +704,12 @@ func (q *Queue) SubmitBatch(subs []Submission, out []BatchResult) {
 			out[i] = BatchResult{Err: err}
 			continue
 		}
-		pending[t.key] = pendingRecord(t)
+		w.pending(&t)
 		out[i] = BatchResult{ID: t.id}
 		ts, at = append(ts, t), append(at, i)
 	}
 	// Every pending record lands before any task is visible (see Submit).
-	_ = q.records.PutMany(context.Background(), pending)
+	w.write(q.records)
 	n, _ := q.enqueue(ts, "queue.enqueued", q.underQuota, func(j int, err error) { out[at[j]] = BatchResult{Err: err} })
 	if n == len(ts) {
 		return
@@ -842,48 +849,21 @@ type BatchResult struct {
 	Err error
 }
 
-// encodeRecord renders a record's stored document with AppendRecord. A
-// record encoding/json would refuse — a Payload or Result that is not
-// JSON (AppendRecord copies them unchecked), a timestamp RFC 3339 cannot
-// express — degrades to a terminal failure rather than leaving the
-// invocation parked in a non-terminal state forever: the bad fields are
-// cleared and the record is written again, so the document is never
-// empty.
-func encodeRecord(rec Record) (Record, json.RawMessage) {
-	var err error
-	if len(rec.Payload) > 0 {
-		err = jsonw.CheckRaw(rec.Payload)
-	}
-	if len(rec.Result) > 0 && err == nil {
-		err = jsonw.CheckRaw(rec.Result)
-	}
-	if err == nil {
-		var raw []byte
-		if raw, err = AppendRecord(nil, &rec); err == nil {
-			return rec, raw
-		}
-	}
-	rec.Payload, rec.Args, rec.Result = nil, nil, nil
-	rec.Status = StatusFailed
-	rec.Error = "asyncq: unencodable record: " + err.Error()
-	for _, ts := range []*time.Time{&rec.Enqueued, &rec.Started, &rec.Finished} {
-		if _, bad := jsonw.AppendTime(nil, *ts); bad != nil {
-			*ts = time.Time{}
-		}
-	}
-	raw, _ := AppendRecord(nil, &rec) // only strings and valid times are left
-	return rec, raw
-}
-
-// pendingRecord is a task's pending record — the document a successor
-// re-runs the task from.
-func pendingRecord(t task) json.RawMessage {
-	_, raw := encodeRecord(Record{
+// pending adds t's pending record — the document a successor re-runs
+// the task from — to w, and points t's payload at the document's copy of
+// it.
+func (w *recordWriter) pending(t *task) {
+	rec := w.add(t.key, Record{
 		ID: t.id, Object: t.object, Member: t.member,
 		Status: StatusPending, Enqueued: t.queued,
 		Payload: t.payload, Args: t.args,
 	})
-	return raw
+	switch {
+	case rec.Payload != nil:
+		t.payload = rec.Payload
+	case len(t.payload) > 0: // the record degraded (see encodeRecord) and holds none
+		t.payload = slices.Clone(t.payload)
+	}
 }
 
 // terminalHook is one invocation's terminal transition: the record, its
@@ -909,11 +889,11 @@ func (t *task) terminal(rec Record) terminalHook {
 // eviction index, then the OnTerminal hook, which so observes the
 // terminal state when it polls, and last the record-less tasks counted
 // off their groups. Record writes outlive the submitter's context.
-func (q *Queue) finish(hooks []terminalHook) {
+func (q *Queue) finish(w *recordWriter, hooks []terminalHook) {
 	if len(hooks) == 0 {
 		return
 	}
-	q.store(hooks)
+	q.store(w, hooks)
 	q.mu.Lock()
 	for i := range hooks {
 		if hooks[i].key == "" {
@@ -977,36 +957,17 @@ func (q *Queue) countOff(hooks []terminalHook) {
 	}
 }
 
-// store writes the terminal records of hooks: each encoded once, a
-// pull's in one batched table write. Record-less tasks have none.
-func (q *Queue) store(hooks []terminalHook) {
-	keyed := 0
+// store writes the terminal records of hooks through w: each encoded
+// once, a pull's in one batched table write. Record-less tasks have none.
+func (q *Queue) store(w *recordWriter, hooks []terminalHook) {
 	for i := range hooks {
-		if hooks[i].key != "" {
-			keyed++
+		if h := &hooks[i]; h.key != "" {
+			h.rec = w.add(h.key, h.rec)
 		}
 	}
-	if keyed == 0 {
-		return
+	if len(w.kvs) > 0 {
+		w.write(q.records)
 	}
-	var entries map[string]json.RawMessage
-	if keyed > 1 {
-		entries = make(map[string]json.RawMessage, keyed)
-	}
-	for i := range hooks {
-		h := &hooks[i]
-		if h.key == "" {
-			continue
-		}
-		var raw json.RawMessage
-		h.rec, raw = encodeRecord(h.rec)
-		if entries == nil {
-			_ = q.records.Put(context.Background(), h.key, raw)
-			return
-		}
-		entries[h.key] = raw
-	}
-	_ = q.records.PutMany(context.Background(), entries)
 }
 
 // gcLoop evicts records whose TTL has elapsed, every quarter TTL.
@@ -1160,9 +1121,9 @@ var idleBoxes = sync.Pool{New: func() any { return new(box) }}
 // boxes it took, its runnable tasks grouped by object and, aligned with
 // them, the calls the Invoke hook is handed, the results it fills and
 // their drain spans; the deadline cancels of the group in flight; and
-// the pull's terminal transitions. done clears the pull's tasks, so
-// nothing a pull put there outlives the pull, and a pull allocates none
-// of it.
+// the pull's terminal transitions and the writer of their records. done
+// clears the pull's tasks, so nothing a pull put there outlives the pull,
+// and a pull allocates none of it.
 type drain struct {
 	batch    []task
 	boxes    []*box
@@ -1172,6 +1133,7 @@ type drain struct {
 	spans    []*trace.Span
 	cancels  []context.CancelFunc
 	hooks    []terminalHook
+	records  recordWriter
 }
 
 func newDrain(n int) *drain {
@@ -1333,7 +1295,7 @@ func (q *Queue) runBatch(d *drain) {
 		d.hooks = append(d.hooks, t.terminal(rec))
 		t.dropTrace(err)
 	}
-	q.finish(d.hooks)
+	q.finish(&d.records, d.hooks)
 	clear(d.hooks)
 	d.hooks = d.hooks[:0]
 	runnable := d.runnable
@@ -1402,7 +1364,7 @@ func (q *Queue) runBatch(d *drain) {
 		d.hooks = append(d.hooks, t.terminal(rec))
 		t.link.Release() // terminal: the trace's queue hop is over
 	}
-	q.finish(d.hooks)
+	q.finish(&d.records, d.hooks)
 }
 
 // grouped adds t to a pull's runnable tasks right after the last one on

@@ -193,8 +193,14 @@ func TestWaitRetiresWaiterEntries(t *testing.T) {
 	}
 }
 
+// TestInvalidHandlerOutputFailsRecord: a handler's result is checked
+// once, when it returns — the record encoder copies it as it is — so a
+// result that is not JSON fails its invocation there, and never reaches a
+// stored document.
 func TestInvalidHandlerOutputFailsRecord(t *testing.T) {
-	q := newQueue(t, Config{Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
+	db := kvstore.Open(kvstore.Config{})
+	t.Cleanup(db.Close)
+	q := newQueue(t, Config{Backing: db, Invoke: each(func(context.Context, string, string, json.RawMessage, map[string]string) (json.RawMessage, error) {
 		return json.RawMessage("not-json"), nil
 	})})
 	id, err := q.Submit(context.Background(), Target{}, "o", "m", nil, nil)
@@ -205,8 +211,14 @@ func TestInvalidHandlerOutputFailsRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Status != StatusFailed || rec.Error == "" {
-		t.Fatalf("record = %+v", rec)
+	const want = "asyncq: handler returned invalid JSON output"
+	if rec.Status != StatusFailed || rec.Error != want || rec.Result != nil {
+		t.Fatalf("record = %+v, want failed with %q", rec, want)
+	}
+	q.records.Flush(context.Background())
+	doc, err := db.Get(context.Background(), recordKey(id))
+	if err != nil || !json.Valid(doc.Value) || !strings.Contains(string(doc.Value), `"status":"failed"`) {
+		t.Fatalf("stored record = %s, %v; want a failed record that is JSON", doc.Value, err)
 	}
 }
 

@@ -97,14 +97,17 @@ func BenchmarkSubmitDrain(b *testing.B) {
 
 // TestSubmitDrainAllocationBudget pins the queue's allocations per
 // invocation on a 16-task same-object pull: the task's key/ID string and
-// payload copy, one pending and one terminal document, and the pull's
-// shared slices and PutMany maps amortized over its tasks. A running
-// record, a per-write key string, a reflection-encoded document or a
-// per-timestamp string each push it past the budget. A trigger-chained
-// submission carries two args (trigger.ArgSource, trigger.ArgDepth):
-// they cost the copy of the map and nothing in the encoder. A task that
-// drains alone is a group of one, and costs what the per-task path it
-// replaced did.
+// its two documents, pending and terminal, each encoded in a scratch
+// buffer and copied out once at its size, the one copy the table and the
+// store keep; the pending one is also the task's payload. The pull's
+// slices and the writer of its records are reused from pull to pull, and
+// the record table takes a slice of pairs, so no map is built per write.
+// A running record, a per-write key string, a payload copy beside the
+// document's, a table clone of each document, a reflection-encoded
+// document or a per-timestamp string each push it past the budget. A
+// trigger-chained submission carries two args (trigger.ArgSource,
+// trigger.ArgDepth): they cost the copy of the map and nothing in the
+// encoder. A task that drains alone is a group of one.
 func TestSubmitDrainAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -115,13 +118,16 @@ func TestSubmitDrainAllocationBudget(t *testing.T) {
 		tasks  int
 		budget float64
 	}{
-		// measured 6.6; 23.4 with the running write and reflection-encoded records
-		{name: "no args", tasks: 16, budget: 8},
-		// measured 8.6 (the copy of the map is 2); 16.5 when a record with
-		// args fell back to json.Marshal
-		{name: "trigger-chain args", args: map[string]string{"trigger": "stateChanged", "triggerDepth": "1"}, tasks: 16, budget: 10},
-		// measured 6; held at the 9 of the per-task path it replaced
-		{name: "one-task pull", tasks: 1, budget: 9},
+		// measured 3.12–3.25 over 30 runs; 6.6 with the payload copy, the
+		// table's clones and its per-write maps, 23.4 with the running
+		// write and reflection-encoded records
+		{name: "no args", tasks: 16, budget: 4},
+		// measured 5.12–5.25 (the copy of the map is 2); 8.6 with the
+		// copies and maps above, 16.5 when a record with args fell back
+		// to json.Marshal
+		{name: "trigger-chain args", args: map[string]string{"trigger": "stateChanged", "triggerDepth": "1"}, tasks: 16, budget: 6},
+		// measured 2–4 over 30 runs, 4 in most; 7 with the copies above
+		{name: "one-task pull", tasks: 1, budget: 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newDrainRig(t, 16, 0)

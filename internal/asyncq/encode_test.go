@@ -227,7 +227,7 @@ func TestAppendRecordGolden(t *testing.T) {
 			assertSameRecord(t, got, want)
 			// Whatever path encodeRecord takes, it stores a document that
 			// decodes to the record it reports.
-			rec, raw := encodeRecord(tc.rec)
+			rec, raw := new(recordWriter).encodeRecord(tc.rec)
 			var back Record
 			if err := decodeRecord(raw, tc.rec.ID, &back); err != nil {
 				t.Fatalf("stored document does not decode: %v", err)
@@ -241,26 +241,24 @@ func TestAppendRecordGolden(t *testing.T) {
 }
 
 // TestEncodeRecordNeverStoresAnEmptyDocument feeds encodeRecord what
-// encoding/json rejects — a timestamp RFC 3339 cannot express, raw bytes
-// that are not JSON (Submit and runBatch keep those out; AppendRecord
-// copies raw fields unchecked), whether or not a string needs escaping —
-// and expects a decodable terminal failure each time, never zero bytes.
+// encoding/json rejects of a record whose raw fields were checked on
+// their way in — a timestamp RFC 3339 cannot express, whether or not a
+// string needs escaping — and expects a decodable terminal failure each
+// time, without payload, args or result, never zero bytes.
 func TestEncodeRecordNeverStoresAnEmptyDocument(t *testing.T) {
 	base := time.Date(2026, 9, 28, 10, 30, 0, 0, time.UTC)
 	for name, rec := range map[string]Record{
-		"bad payload":                {ID: "inv-1", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Args: map[string]string{"k": "v", "q": `"`}, Enqueued: base},
-		"bad result":                 {ID: "inv-2", Object: `o"`, Member: "m", Status: StatusCompleted, Result: json.RawMessage(`nope`), Enqueued: base},
-		"year 10000":                 {ID: "inv-3", Object: "o", Member: "m", Status: StatusCompleted, Enqueued: base, Finished: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
-		"both at once":               {ID: "inv-4", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Enqueued: time.Date(-5, 1, 1, 0, 0, 0, 0, time.UTC)},
-		"bad payload, plain strings": {ID: "inv-5", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`{bad`), Enqueued: base},
+		"year 10000":           {ID: "inv-3", Object: "o", Member: "m", Status: StatusCompleted, Result: json.RawMessage(`1`), Enqueued: base, Finished: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)},
+		"year -5, pending":     {ID: "inv-4", Object: `o"`, Member: "m", Status: StatusPending, Payload: json.RawMessage(`{"a":1}`), Args: map[string]string{"k": "v", "q": `"`}, Enqueued: time.Date(-5, 1, 1, 0, 0, 0, 0, time.UTC)},
+		"a zone offset of 24h": {ID: "inv-5", Object: "o", Member: "m", Status: StatusPending, Payload: json.RawMessage(`2`), Enqueued: base.In(time.FixedZone("", 24*3600))},
 	} {
-		got, raw := encodeRecord(rec)
+		got, raw := new(recordWriter).encodeRecord(rec)
 		var back Record
 		if len(raw) == 0 || json.Unmarshal(raw, &back) != nil {
 			t.Fatalf("%s: stored document %q is empty or undecodable", name, raw)
 		}
-		if got.Status != StatusFailed || back.Status != StatusFailed || back.ID != rec.ID ||
-			!strings.Contains(back.Error, "unencodable") || back.Payload != nil || back.Result != nil {
+		if got.Status != StatusFailed || back.Status != StatusFailed || back.ID != rec.ID || got.Payload != nil ||
+			!strings.Contains(back.Error, "unencodable") || back.Payload != nil || back.Args != nil || back.Result != nil {
 			t.Fatalf("%s: degraded record = %+v (stored %s)", name, got, raw)
 		}
 	}
@@ -281,13 +279,14 @@ func TestFailedRecordCostsWhatACompletedOneDoes(t *testing.T) {
 	failed := completed
 	failed.Status, failed.Result = StatusFailed, nil
 	failed.Error = `runtime: invoking Counter.bump: faas: function failed: image "img/counter-incr": no such key`
+	w := new(recordWriter)
 	cost := func(rec Record) (encode, decode float64) {
-		_, doc := encodeRecord(rec)
+		_, doc := w.encodeRecord(rec)
 		var back Record
 		if err := decodeRecord(doc, rec.ID, &back); err != nil || back.Error != rec.Error || back.Object != rec.Object {
 			t.Fatalf("%s record reads back as %+v, %v", rec.Status, back, err)
 		}
-		encode = testing.AllocsPerRun(100, func() { _, doc = encodeRecord(rec) })
+		encode = testing.AllocsPerRun(100, func() { _, doc = w.encodeRecord(rec) })
 		decode = testing.AllocsPerRun(100, func() { _ = decodeRecord(doc, rec.ID, &back) })
 		return encode, decode
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hpcclab/oparaca-go/internal/call"
 	"github.com/hpcclab/oparaca-go/internal/israce"
 	"github.com/hpcclab/oparaca-go/internal/kvstore"
 )
@@ -207,8 +208,10 @@ func TestWaitHonorsContextDeadline(t *testing.T) {
 }
 
 // TestSubmitRejectsInvalidPayload: bytes that are not JSON can neither
-// be stored in the pending record nor re-run from it, so Submit refuses
-// them before anything is written, tracked or executed.
+// be stored in the pending record nor re-run from it, so Submit and
+// SubmitBatch refuse them before anything is written, tracked or
+// executed. Admission is the one place a payload is checked: the record
+// encoder copies it as it is.
 func TestSubmitRejectsInvalidPayload(t *testing.T) {
 	inv := &echoInvoker{}
 	q := newQueue(t, Config{Invoke: each(inv.invoke)})
@@ -216,14 +219,24 @@ func TestSubmitRejectsInvalidPayload(t *testing.T) {
 	if !errors.Is(err, ErrInvalidPayload) || id != "" {
 		t.Fatalf("Submit = %q, %v; want ErrInvalidPayload", id, err)
 	}
+	out := make([]BatchResult, 2)
+	q.SubmitBatch([]Submission{
+		{Object: "o", Call: call.Call{Member: "m", Payload: json.RawMessage(`{"a":tru}`)}},
+		{Object: "o", Call: call.Call{Member: "m", Payload: json.RawMessage(`1 2`)}},
+	}, out)
+	for i, res := range out {
+		if !errors.Is(res.Err, ErrInvalidPayload) || res.ID != "" {
+			t.Fatalf("SubmitBatch call %d = %+v; want ErrInvalidPayload", i, res)
+		}
+	}
 	if n := q.records.Len(); n != 0 {
-		t.Fatalf("%d records stored for a rejected submission", n)
+		t.Fatalf("%d records stored for rejected submissions", n)
 	}
 	q.mu.Lock()
 	tracked := len(q.tracked)
 	q.mu.Unlock()
 	if s := q.Stats(); tracked != 0 || s.Enqueued != 0 || s.Depth != 0 || inv.calls.Load() != 0 {
-		t.Fatalf("rejected submission left a trace: tracked=%d calls=%d stats=%+v", tracked, inv.calls.Load(), s)
+		t.Fatalf("rejected submissions left a trace: tracked=%d calls=%d stats=%+v", tracked, inv.calls.Load(), s)
 	}
 	// An empty payload still means "no payload".
 	if _, err := q.Submit(context.Background(), Target{}, "o", "m", json.RawMessage{}, nil); err != nil {

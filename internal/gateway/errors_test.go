@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"unsafe"
 
 	"github.com/hpcclab/oparaca-go/internal/asyncq"
 )
@@ -31,6 +33,9 @@ func TestMalformedBodies(t *testing.T) {
 		{"batch-broken-json", http.MethodPost, "/api/invoke-batch", `{broken`},
 		{"batch-wrong-shape", http.MethodPost, "/api/invoke-batch", `{"invocations":"not-a-list"}`},
 		{"batch-empty", http.MethodPost, "/api/invoke-batch", `{}`},
+		// Balanced, so a scan by nesting depth alone would end the payload
+		// where it ends, but not JSON: the whole body is refused.
+		{"batch-invalid-payload", http.MethodPost, "/api/invoke-batch", `{"invocations":[{"object":"m1","member":"set","payload":{"a":tru}}]}`},
 		{"deploy-broken-yaml", http.MethodPost, "/api/packages", "classes: ["},
 		{"put-state-empty", http.MethodPut, "/api/objects/m1/state/text", ""},
 		{"put-state-broken-json", http.MethodPut, "/api/objects/m1/state/text", `{broken`},
@@ -245,4 +250,73 @@ func TestInvalidPayloadMapsTo400(t *testing.T) {
 	if rec.Code != http.StatusBadRequest || body.Code != "invalid_payload" {
 		t.Fatalf("status %d code %q, want 400 invalid_payload", rec.Code, body.Code)
 	}
+}
+
+// batchBodies are invoke-batch bodies that the batch decoder must read as
+// json.Unmarshal does: TestMalformedBodies's, and the near misses of the
+// shape scanBatch takes.
+var batchBodies = []string{
+	`{broken`, `{"invocations":"not-a-list"}`, `{}`,
+	`{"invocations":[{"object":"m1","member":"set","payload":{"a":tru}}]}`,
+	`{"invocations":[{"object":"a\"b\u00e9\ud83d\ude00\ud800","member":"m\\n\/","payload":"x\u2028<&>"}]}`,
+	"{\"invocations\":[{\"object\":\"\xff\xe2\x80\",\"member\":\"m\"}]}",
+	`{ "invocations" : [ { "object" : "a" , "member" : "m" , "payload" : 1 } ] }`,
+	`{"invocations":[{"object":"a","member":"m","payload": [ 1 , {"b" : null} ] }]}`,
+	`{"invocations":[{"object":"a","member":"m"}]}`,
+	`{"invocations":[{"object":"a","member":"m","payload":null}]}`,
+	`{"invocations":[{"object":"a","member":"m","args":null}]}`,
+	`{"invocations":[{"Object":"a","member":"m"}]}`,
+	`{"invocations":[{"object":"a","object":"b","member":"m","args":{"k":"1","k":"2"}}]}`,
+	`{"invocations":[{"object":"a","member":"m","x":1}],"y":2}`,
+	`{"invocations":[{"object":"a","member":"m","payload":{"n":[1,"]}"]},"args":{"k":"v","":""}},{"object":"a","member":"m","args":{}}]}`,
+	`{"invocations":[{"object":"a","member":"m","args":{"k":1}}]}`,
+	`{"invocations":[{"object":"a","member":"m","payload":1,}]}`,
+	`{"invocations":[]}`, `{"invocations":null}`, `{"invocations":[null]}`, `{"invocations":[]}x`, `{"invocations":[]} `,
+}
+
+// TestScanBatchTakesTheShapeClientsWrite: the bodies clients write — the
+// calls' fields in order, lowercase, no whitespace between tokens — are
+// read in one scan, not by json.Unmarshal, and read as it reads them.
+func TestScanBatchTakesTheShapeClientsWrite(t *testing.T) {
+	for _, body := range []string{
+		`{"invocations":[]}`,
+		`{"invocations":[{"object":"d1","member":"bump","payload":{"n":1}},{"object":"d2","member":"bump","payload":"p"},{"object":"d1","member":"bump","payload":2}]}`,
+		`{"invocations":[{"object":"a","member":"m"},{"object":"a","member":"m","payload":null,"args":{}},{"object":"b","member":"m","args":{"k":"v","w":"x"}}]}`,
+		`{"invocations":[{"object":"a\"b\u00e9","member":"m","payload": [ 1 , 2 ] }]}`,
+	} {
+		got, ok := scanBatch([]byte(body))
+		if !ok {
+			t.Fatalf("scanBatch refused %s", body)
+		}
+		var want batchRequest
+		if err := json.Unmarshal([]byte(body), &want); err != nil || !reflect.DeepEqual(got, want.Invocations) {
+			t.Fatalf("scanBatch read %s as %+v, json.Unmarshal as %+v (%v)", body, got, want.Invocations, err)
+		}
+	}
+	// A batch names a few objects many times: their strings are shared.
+	got, _ := scanBatch([]byte(`{"invocations":[{"object":"d1","member":"bump"},{"object":"d1","member":"bump"}]}`))
+	if unsafe.StringData(got[0].Object) != unsafe.StringData(got[1].Object) || unsafe.StringData(got[0].Member) != unsafe.StringData(got[1].Member) {
+		t.Fatal("two calls on one object and member hold two copies of their names")
+	}
+}
+
+// FuzzInvokeBatchBody holds the batch decoder to json.Unmarshal into
+// batchRequest on any bytes: it accepts exactly the bodies json.Unmarshal
+// accepts, with its error for the others, and reads the same calls —
+// payload bytes, args, nil against empty included.
+func FuzzInvokeBatchBody(f *testing.F) {
+	for _, body := range batchBodies {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want batchRequest
+		werr := json.Unmarshal(body, &want)
+		got, err := decodeBatch(body)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("decodeBatch(%q) error = %v, json.Unmarshal's %v", body, err, werr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want.Invocations) {
+			t.Fatalf("decodeBatch(%q) = %#v, json.Unmarshal reads %#v", body, got, want.Invocations)
+		}
+	})
 }

@@ -38,6 +38,11 @@
 //     the answer is r.URL.Query().Get's either way (TestQueryValue).
 //     The invoke routes keep the full parse: there every other key is
 //     an invocation arg.
+//   - POST /api/invoke-batch reads a body in the shape clients write in
+//     one pass (scanBatch), each payload an alias of the body, and
+//     leaves any other to json.Unmarshal, which reads it the same
+//     (FuzzInvokeBatchBody); its 202 body is written through jsonw, as
+//     encoding/json would write it (TestInvokeBatchBodyGolden).
 //   - GET /api/invocations/{id} reads the record before it arms a wait,
 //     so a poll of a finished invocation allocates no context, timer or
 //     waiter (TestLongPollAllocationBudget).
@@ -938,52 +943,145 @@ type asyncAccepted struct {
 	Status     asyncq.Status `json:"status"`
 }
 
-// batchRequest is the POST /api/invoke-batch body.
+// batchRequest is the POST /api/invoke-batch body, as json.Unmarshal
+// reads it.
 type batchRequest struct {
 	Invocations []asyncq.Request `json:"invocations"`
 }
 
-// batchEntry is one per-invocation outcome in the batch response.
-type batchEntry struct {
-	Invocation string `json:"invocation,omitempty"`
-	Error      string `json:"error,omitempty"`
+// decodeBatch reads a POST /api/invoke-batch body: scanBatch the bodies
+// in the shape clients write, json.Unmarshal any other. Either way it
+// returns the calls json.Unmarshal reads into batchRequest, or
+// json.Unmarshal's error (FuzzInvokeBatchBody).
+func decodeBatch(body []byte) ([]asyncq.Request, error) {
+	if reqs, ok := scanBatch(body); ok {
+		return reqs, nil
+	}
+	var req batchRequest
+	err := json.Unmarshal(body, &req)
+	return req.Invocations, err
 }
+
+// scanBatch reads body in one pass if it is, byte for byte, a list of
+// calls {"invocations":[…]} each written {"object":…,"member":…} with
+// "payload" and "args" after them when present, in that order, keys in
+// lowercase and no whitespace between tokens (a payload may hold some).
+// It reports false — for json.Unmarshal to read the body — for anything
+// else, so it accepts no body json.Unmarshal rejects and reads none
+// differently. A payload aliases body, which the request owns (readBody)
+// and nothing writes into. A batch names a few objects and one or two
+// members many times, so a call whose object or member one of the calls
+// just before it names shares that one's string.
+func scanBatch(body []byte) ([]asyncq.Request, bool) {
+	s := jsonw.NewScanner(body)
+	if !s.Lit(`{"invocations":[`) {
+		return nil, false
+	}
+	reqs := make([]asyncq.Request, 0, bytes.Count(body, []byte(`{"object":`)))
+	for more := !s.Lit(`]`); more; {
+		if !s.Lit(`{"object":`) {
+			return nil, false
+		}
+		var r asyncq.Request
+		r.Object = recent(s.Str(nil), reqs, func(r *asyncq.Request) string { return r.Object })
+		if !s.Lit(`,"member":`) {
+			return nil, false
+		}
+		r.Member = recent(s.Str(nil), reqs, func(r *asyncq.Request) string { return r.Member })
+		if s.Lit(`,"payload":`) {
+			r.Payload = s.Value()
+		}
+		if s.Lit(`,"args":{`) {
+			r.Args = make(map[string]string)
+			for more := !s.Lit(`}`); more; {
+				k := s.Str(nil)
+				if !s.Lit(`:`) {
+					return nil, false
+				}
+				r.Args[string(k)] = string(s.Str(nil))
+				if more = s.Lit(`,`); !more && !s.Lit(`}`) {
+					return nil, false
+				}
+			}
+		}
+		if !s.Lit(`}`) {
+			return nil, false
+		}
+		reqs = append(reqs, r)
+		if more = s.Lit(`,`); !more && !s.Lit(`]`) {
+			return nil, false
+		}
+	}
+	if !s.Lit(`}`) || !s.Done() {
+		return nil, false
+	}
+	return reqs, true
+}
+
+// recent returns b as a string: the string field holds in one of the
+// last recentCalls calls of reqs, if one holds b, else a copy.
+func recent(b []byte, reqs []asyncq.Request, field func(*asyncq.Request) string) string {
+	for i := len(reqs) - 1; i >= max(0, len(reqs)-recentCalls); i-- {
+		if f := field(&reqs[i]); string(b) == f {
+			return f
+		}
+	}
+	return string(b)
+}
+
+// recentCalls is how many calls back recent looks for a string to share.
+const recentCalls = 8
 
 func (g *Gateway) handleInvokeBatch(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	reqs, err := decodeBatch(body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad JSON: " + err.Error()})
 		return
 	}
-	if len(req.Invocations) == 0 {
+	if len(reqs) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invocations is required"})
 		return
 	}
-	results := g.platform.InvokeAsyncBatchFrom(&detached{parent: r.Context()}, clientRegion(r), req.Invocations)
-	entries := make([]batchEntry, len(results))
-	accepted := 0
-	for i, res := range results {
-		if res.Err != nil {
-			entries[i] = batchEntry{Error: res.Err.Error()}
-			continue
-		}
-		entries[i] = batchEntry{Invocation: res.ID}
-		accepted++
-	}
-	writeJSON(w, http.StatusAccepted, batchAccepted{Accepted: accepted, Rejected: len(results) - accepted, Results: entries})
+	writeBatchAccepted(w, g.platform.InvokeAsyncBatchFrom(&detached{parent: r.Context()}, clientRegion(r), reqs))
 }
 
-// batchAccepted is the 202 body of POST invoke-batch: a struct for
-// asyncAccepted's reason, its fields in the order the map it replaced
-// was encoded in (sorted keys).
-type batchAccepted struct {
-	Accepted int          `json:"accepted"`
-	Rejected int          `json:"rejected"`
-	Results  []batchEntry `json:"results"`
+// writeBatchAccepted answers 202 with each call's outcome, byte for byte
+// the body writeJSON renders for batchAccepted (TestInvokeBatchBodyGolden),
+// through jsonw: {"accepted":…,"rejected":…,"results":[…]}, one result
+// per call, {"invocation":…} or {"error":…}.
+func writeBatchAccepted(w http.ResponseWriter, results []asyncq.BatchResult) {
+	accepted := 0
+	for _, res := range results {
+		if res.Err == nil {
+			accepted++
+		}
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.Grow(len(`{"accepted":,"rejected":,"results":[]}`) + 40 + len(results)*len(`{"invocation":"inv-0123456789abcdef01234567"},`))
+	b := strconv.AppendInt(append(buf.AvailableBuffer(), `{"accepted":`...), int64(accepted), 10)
+	b = strconv.AppendInt(append(b, `,"rejected":`...), int64(len(results)-accepted), 10)
+	b = append(b, `,"results":[`...)
+	for i, res := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '{')
+		switch {
+		case res.Err != nil:
+			if msg := res.Err.Error(); msg != "" {
+				b = jsonw.AppendString(jsonw.AppendKey(b, "error"), msg)
+			}
+		case res.ID != "":
+			b = jsonw.AppendString(jsonw.AppendKey(b, "invocation"), res.ID)
+		}
+		b = append(b, '}')
+	}
+	writeBody(w, http.StatusAccepted, append(b, "]}\n"...))
 }
 
 // maxLongPollWait caps the server-side long-poll block so a client

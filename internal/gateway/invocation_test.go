@@ -324,6 +324,21 @@ func FuzzQueryIntegers(f *testing.F) {
 	})
 }
 
+// batchAccepted is the 202 body of POST invoke-batch as encoding/json
+// renders it: a struct whose fields are in the order the map it replaced
+// was encoded in (sorted keys).
+type batchAccepted struct {
+	Accepted int          `json:"accepted"`
+	Rejected int          `json:"rejected"`
+	Results  []batchEntry `json:"results"`
+}
+
+// batchEntry is one call's outcome in batchAccepted.
+type batchEntry struct {
+	Invocation string `json:"invocation,omitempty"`
+	Error      string `json:"error,omitempty"`
+}
+
 // TestInvokeBatchBodyGolden holds the 202 body of POST /api/invoke-batch
 // to the bytes the map it used to be built from encodes to.
 func TestInvokeBatchBodyGolden(t *testing.T) {

@@ -302,13 +302,14 @@ func TestInvokeAsyncAllocationBudget(t *testing.T) {
 //
 // The count is the fewest allocations any one of runs requests made,
 // each measured alone. Over many requests the mean varies from process
-// to process: the record table's flush passes, started by a timer or by
-// a full shard, drain its shard maps, which are then shrunk and regrow
-// as the next pending records arrive, by amounts that depend on how the
-// random invocation IDs fall over the shards and on when the flush
-// goroutine runs; and a garbage collection empties the sync.Pools the
-// JSON codec and the gateway draw from. A request that none of these
-// lands in costs what the request path itself allocates, every time.
+// to process: the record table's shard maps grow when a shard gets more
+// pending records between two flush passes than it has held, and are
+// rebuilt when a pass finds a burst (memtable's burst), by amounts that
+// depend on how the random invocation IDs fall over the shards and on
+// when the flush goroutine runs; and a garbage collection empties the
+// sync.Pools the gateway and the queue draw from. A request that none of
+// these lands in costs what the request path itself allocates, every
+// time.
 func TestInvokeBatchAllocationBudget(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -363,12 +364,19 @@ func TestInvokeBatchAllocationBudget(t *testing.T) {
 	}
 	submit()
 	<-held
-	// 253 in every one of 40 test runs, about eight a call: the JSON
-	// decode, the ID, the payload copy, the pending record and its table
-	// entry. The mean over 100 requests read 257 to 261. A request
-	// context detached with context.WithoutCancel cost one more a call:
-	// its Value boxes its receiver on each call's trace lookup.
-	const ceiling = 253
+	// 77 in every one of 40 test runs, about two a call: the ID and the
+	// pending record, encoded in a pooled scratch buffer and copied out
+	// at its size, which is also the call's payload. The rest is the
+	// request's own: the body, the calls the one-pass decoder reads it
+	// into (their object and member strings shared across the batch, each
+	// payload an alias of the body), the results and the 202 body, written
+	// through jsonw into a pooled buffer. 253 when json.Unmarshal decoded
+	// the body and encoding/json wrote the 202 body, the queue copied each
+	// payload, and the record table cloned each record into a map built
+	// per write; a request context detached with context.WithoutCancel
+	// cost one more a call, since its Value boxes its receiver on each
+	// call's trace lookup.
+	const ceiling = 77
 	least := testing.AllocsPerRun(1, submit)
 	for range runs - 1 {
 		least = min(least, testing.AllocsPerRun(1, submit))

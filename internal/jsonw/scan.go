@@ -8,11 +8,12 @@ import (
 	"unicode/utf8"
 )
 
-// Scanner reads, token by token, a flat JSON object whose members the
+// Scanner reads, token by token, a JSON document whose members the
 // caller expects in a fixed order, such as one this package's writers
-// made. A string or value that is not JSON marks the scan bad and the
-// scan goes on; Done reports it once, at the end. What a scan that ends
-// Done read, json.Unmarshal reads from the same document.
+// made or a request body in the shape clients write. A string or value
+// that is not JSON marks the scan bad and the scan goes on; Done reports
+// it once, at the end. What a scan that ends Done read, json.Unmarshal
+// reads from the same document.
 type Scanner struct {
 	b   []byte
 	i   int

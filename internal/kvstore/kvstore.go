@@ -25,9 +25,11 @@
 // So nobody mutates a value after handing it over or after reading it;
 // a caller that reuses its buffers clones before the write. Every writer
 // in this module hands over a buffer it never touches again (memtable
-// clones on its own write paths and never changes a held value in place;
-// eventlog, core and cluster pass json.Marshal output), so a value is
-// resident once, not once per layer.
+// passes on what it holds and never changes a held value in place: Put
+// and PutManyIfVersion clone the caller's bytes, PutMany keeps the values
+// it is handed, which asyncq encodes afresh for each record; eventlog,
+// core and cluster pass json.Marshal output), so a value is resident
+// once, not once per layer.
 package kvstore
 
 import (

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -45,7 +48,7 @@ func TestBufferNeedsWriteBehind(t *testing.T) {
 func TestBufferDropsWhatItFlushed(t *testing.T) {
 	tbl, db := newBuffer(t, nil, 0)
 	ctx := context.Background()
-	if err := tbl.PutMany(ctx, map[string]json.RawMessage{"a": json.RawMessage(`1`), "b": json.RawMessage(`2`)}); err != nil {
+	if err := tbl.PutMany(ctx, []KV{{"a", json.RawMessage(`1`)}, {"b", json.RawMessage(`2`)}}); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := tbl.Get(ctx, "a"); err != nil || string(got) != "1" {
@@ -179,5 +182,74 @@ func TestBufferGivesBackABurst(t *testing.T) {
 	// maps kept the burst's capacity after it drained.
 	if per > 110 {
 		t.Errorf("a burst leaves %.1f B per key, budget 110", per)
+	}
+}
+
+// TestBufferKeepsItsMapsUnderASteadyLoad is TestBufferGivesBackABurst's
+// other half: a buffer whose flush passes each drain about as many writes
+// as the one before refills the same shard maps pass after pass, none
+// rebuilt, and one whose load falls gives their capacity back by its
+// second lighter pass.
+func TestBufferKeepsItsMapsUnderASteadyLoad(t *testing.T) {
+	db := kvstore.Open(kvstore.Config{})
+	t.Cleanup(db.Close)
+	tbl, err := New(Config{Mode: ModeWriteBehind, Buffer: true, Backing: db, FlushInterval: time.Hour, FlushBatchSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tbl.Close)
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(1, 2)) // invocation IDs are random: every shard sees its share
+	pass := func(perShard int) {
+		kvs := make([]KV, len(tbl.shards)*perShard)
+		for i := range kvs {
+			kvs[i] = KV{fmt.Sprintf("invocations/inv-%024x", rng.Uint64()), json.RawMessage(`1`)}
+		}
+		if err := tbl.PutMany(ctx, kvs); err != nil {
+			t.Fatal(err)
+		}
+		tbl.Flush(ctx)
+	}
+	// maps lists each shard's data and dirty maps.
+	maps := func() (ptrs []uintptr) {
+		for _, sh := range tbl.shards {
+			sh.mu.Lock()
+			ptrs = append(ptrs, reflect.ValueOf(sh.data).Pointer(), reflect.ValueOf(sh.dirty).Pointer())
+			sh.mu.Unlock()
+		}
+		return ptrs
+	}
+	// rebuilt counts the shards whose data map is not the one in was.
+	rebuilt := func(was []uintptr) (n int) {
+		for i, p := range maps() {
+			if i%2 == 0 && p != was[i] {
+				n++
+			}
+		}
+		return n
+	}
+	for range 3 {
+		pass(100)
+	}
+	steady := maps()
+	for range 50 {
+		pass(100)
+	}
+	if !slices.Equal(maps(), steady) {
+		t.Fatalf("a steady load rebuilt shard maps (the data maps of %d shards)", rebuilt(steady))
+	}
+	busy := 0
+	for _, sh := range tbl.shards {
+		if sh.dataSize.high > shrinkKeep {
+			busy++
+		}
+	}
+	pass(2)
+	if got := maps(); !slices.Equal(got, steady) {
+		t.Fatal("one lighter pass rebuilt shard maps")
+	}
+	pass(2)
+	if n := rebuilt(steady); busy == 0 || n != busy {
+		t.Fatalf("the second lighter pass rebuilt %d shards' maps, want the %d that held over %d entries", n, busy, shrinkKeep)
 	}
 }

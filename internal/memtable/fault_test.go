@@ -73,7 +73,7 @@ func TestPutManyWriteThroughSurfacesBackingErrors(t *testing.T) {
 		"a": json.RawMessage(`1`),
 		"b": json.RawMessage(`2`),
 	}
-	if err := tbl.PutMany(ctx, entries); !errors.Is(err, sentinel) {
+	if err := tbl.PutMany(ctx, kvs(entries)); !errors.Is(err, sentinel) {
 		t.Fatalf("PutMany err = %v, want sentinel", err)
 	}
 	// The failed batch must not be visible in memory: the write-through
@@ -102,7 +102,7 @@ func TestPutManyWriteBehindSurvivesOutage(t *testing.T) {
 		"x": json.RawMessage(`1`),
 		"y": json.RawMessage(`2`),
 	}
-	if err := tbl.PutMany(ctx, entries); err != nil {
+	if err := tbl.PutMany(ctx, kvs(entries)); err != nil {
 		t.Fatal(err)
 	}
 	tbl.Flush(ctx) // hits the injected failure; keys stay dirty

@@ -297,7 +297,7 @@ func TestPutManyCommitsAllOrNothing(t *testing.T) {
 	c := newParkedCtx(cctx)
 	put := make(chan error, 1)
 	go func() {
-		put <- tbl.PutMany(c, map[string]json.RawMessage{"a": json.RawMessage(`1`), "b": json.RawMessage(`2`)})
+		put <- tbl.PutMany(c, []KV{{"a", json.RawMessage(`1`)}, {"b", json.RawMessage(`2`)}})
 	}()
 	<-c.parked
 	cancel()

@@ -14,6 +14,15 @@ func getMany(t *Table, ctx context.Context, keys []string) (map[string]json.RawM
 	return out, nil
 }
 
+// kvs lists m's pairs for PutMany.
+func kvs(m map[string]json.RawMessage) []KV {
+	out := make([]KV, 0, len(m))
+	for k, v := range m {
+		out = append(out, KV{k, v})
+	}
+	return out
+}
+
 // getManyVersioned reads keys and their versions into a fresh map.
 func getManyVersioned(t *Table, ctx context.Context, keys []string) (map[string]VersionedValue, error) {
 	out := make(map[string]VersionedValue, len(keys))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,8 +21,10 @@ var writePaths = map[string]func(ctx context.Context, t *Table, k string, v json
 	"Put": func(ctx context.Context, t *Table, k string, v json.RawMessage) error {
 		return t.Put(ctx, k, v)
 	},
+	// PutMany keeps what it is handed, so a caller that goes on to reuse
+	// its buffer hands over a copy.
 	"PutMany": func(ctx context.Context, t *Table, k string, v json.RawMessage) error {
-		return t.PutMany(ctx, map[string]json.RawMessage{k: v})
+		return t.PutMany(ctx, []KV{{k, slices.Clone(v)}})
 	},
 	"PutManyIfVersion": func(ctx context.Context, t *Table, k string, v json.RawMessage) error {
 		return t.PutManyIfVersion(ctx, map[string]CASOp{k: {Expect: AnyVersion, Value: v, Write: true}})

@@ -28,8 +28,10 @@
 //     its key is in flight; and a read that misses memory is answered
 //     from the backing store without caching. Its memory follows the
 //     writes in flight, not every key ever written, nor the largest
-//     burst of them: a shard map a flush drains to a quarter of the most
-//     it held is copied into one its size. The async queue's
+//     burst of them: a shard map a flush pass leaves holding under a
+//     quarter of the most it has held, when the pass before saw under a
+//     quarter too, is copied into one its size, while one a steady load
+//     refills pass after pass is kept. The async queue's
 //     invocation records and the event log's cursors, written far more
 //     than they are read, live in buffers.
 //
@@ -62,13 +64,14 @@
 // and writable meanwhile. The write-behind commit, which does no I/O,
 // sets no mark.
 //
-// Ownership: the table never changes a held value in place. Each write
-// path (Put, PutMany, PutManyIfVersion) keeps one clone of the caller's
-// bytes and replaces the entry's slice; that clone is what reads return,
-// what write-through and the flusher hand to the backing store, and —
-// since kvstore keeps the slice it is given — what the store holds, so a
-// flushed value is resident once. Values returned by reads (read-through
-// ones included) alias that shared memory and are read-only.
+// Ownership: the table never changes a held value in place. Put and
+// PutManyIfVersion keep one clone of the caller's bytes, and PutMany
+// keeps the values it is handed, which the caller gives up; each replaces
+// the entry's slice. That value is what reads return, what write-through
+// and the flusher hand to the backing store, and — since kvstore keeps
+// the slice it is given — what the store holds, so a flushed value is
+// resident once. Values returned by reads (read-through ones included)
+// alias that shared memory and are read-only.
 package memtable
 
 import (

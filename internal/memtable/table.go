@@ -153,11 +153,12 @@ type shard struct {
 	data  map[string]entry
 	dirty map[string]bool
 	// flushing is the shard's batch of the flush pass in flight (nil
-	// when none is). deleted holds keys removed while their batch was in
-	// flight, or whose post-batch re-delete failed and awaits retry. The
-	// flusher writes its batch outside the lock, so without this
-	// bookkeeping a Delete landing mid-flush would be overwritten in the
-	// backing store by the in-flight BatchPut, resurrecting the key.
+	// when none is), made at its size by each pass. deleted holds keys
+	// removed while their batch was in flight, or whose post-batch
+	// re-delete failed and awaits retry. The flusher writes its batch
+	// outside the lock, so without this bookkeeping a Delete landing
+	// mid-flush would be overwritten in the backing store by the
+	// in-flight BatchPut, resurrecting the key.
 	flushing map[string]json.RawMessage
 	deleted  map[string]bool
 	// inflight marks the keys whose write is in flight to the backing
@@ -166,28 +167,61 @@ type shard struct {
 	// landed in memory (or, for a failed commit, been dropped) and the
 	// mark is cleared. Writers and readers of a marked key wait on it.
 	inflight map[string]chan struct{}
-	// high is the most entries data has held, as seen by the flush
-	// passes since data was made (see shrink).
-	high int
+	// dataSize and batchSize follow, pass by pass, the entries data held
+	// and the keys the pass flushed (see burst).
+	dataSize, batchSize burst
 }
 
-// shrinkKeep is the high-water mark below which a shard map is never
-// rebuilt: a map that size costs a few kilobytes.
+// shrinkKeep is the size below which a shard map is never rebuilt: a map
+// that size costs a few kilobytes.
 const shrinkKeep = 64
 
-// shrink copies a shard's data into a map its size once a flush has
-// drained it to a quarter of its high-water mark, since a Go map keeps
-// the capacity of the largest burst it held. Callers hold sh.mu.
-func (sh *shard) shrink() {
-	n := len(sh.data)
-	if sh.high <= shrinkKeep || n > sh.high/4 {
-		return
+// burst tells a burst from a steady load for one of a shard's maps, from
+// the sizes the flush passes see: a Go map keeps the capacity of the most
+// it held, so a map a burst grew is copied into one its size. data is
+// measured at each pass before the pass drops entries, and dirty, which
+// each pass clears rather than replaces, by the keys the pass flushed. A
+// map whose passes each see about as much as the one before keeps its
+// capacity, so a buffer in steady state grows no map; a burst is given
+// back by the pass that drains it, and a load that falls, by the second
+// lighter pass. Callers hold the shard's mu.
+type burst struct {
+	high int // the most a pass has seen since the map was made
+	last int // what the previous pass saw
+}
+
+// over books a pass that saw peak and leaves n, and reports whether the
+// map is to be rebuilt: when the most it held is past shrinkKeep and over
+// four times both n and what the previous pass saw.
+func (b *burst) over(peak, n int) bool {
+	prev := b.last
+	b.high, b.last = max(b.high, peak), peak
+	if b.high <= shrinkKeep || b.high <= 4*max(n, prev) {
+		return false
 	}
-	kept := make(map[string]entry, n)
-	for k, e := range sh.data {
-		kept[k] = e
+	b.high = n
+	return true
+}
+
+// shrink ends a flush pass of the shard, which saw peak entries in data
+// before it dropped any and flushed landed keys, by giving back what a
+// burst grew in data and dirty (see burst). Callers hold sh.mu.
+func (sh *shard) shrink(peak, landed int) {
+	if sh.dataSize.over(peak, len(sh.data)) {
+		sh.data = copyMap(sh.data)
 	}
-	sh.data, sh.high = kept, n
+	if sh.batchSize.over(landed, len(sh.dirty)) {
+		sh.dirty = copyMap(sh.dirty)
+	}
+}
+
+// copyMap copies m into a map its size.
+func copyMap[V any](m map[string]V) map[string]V {
+	c := make(map[string]V, len(m))
+	for k, v := range m {
+		c[k] = v
+	}
+	return c
 }
 
 // commit stores a live value for k, bumping its version and superseding
@@ -425,31 +459,36 @@ func (t *Table) lockKey(ctx context.Context, key string) (*shard, error) {
 	return sh, nil
 }
 
-// smallBatch is the widest batch eachKey serves with no allocation: its
+// smallBatch is the widest batch eachOf serves with no allocation: its
 // keys' shard indices live in a stack array. Object state bundles (the
 // invocation hot path) are almost always this small.
 const smallBatch = 32
 
-// eachKey is lockUnmarked for a batch of keys: once none of keys
-// carries an in-flight mark, it runs fn for each key under the lock of
-// its shard, looked up once per key, all of the batch's shards held
-// together. If a wait for a mark ends first it returns ctx's error,
-// having run fn for no key.
+// eachKey is eachOf for a batch of keys.
 func (t *Table) eachKey(ctx context.Context, keys []string, fn func(sh *shard, k string)) error {
+	return eachOf(t, ctx, keys, func(k string) string { return k }, fn)
+}
+
+// eachOf is lockUnmarked for a batch of items, each with its key: once
+// none of the keys carries an in-flight mark, it runs fn for each item
+// under the lock of its key's shard, looked up once per key, all of the
+// batch's shards held together. If a wait for a mark ends first it
+// returns ctx's error, having run fn for no item.
+func eachOf[T any](t *Table, ctx context.Context, items []T, key func(T) string, fn func(sh *shard, item T)) error {
 	var small [smallBatch]uint8
 	idx := small[:0]
-	if len(keys) > smallBatch {
-		idx = make([]uint8, 0, len(keys))
+	if len(items) > smallBatch {
+		idx = make([]uint8, 0, len(items))
 	}
 	var mask uint64
-	for _, k := range keys {
-		i := t.shardIndexFor(k)
+	for _, it := range items {
+		i := t.shardIndexFor(key(it))
 		idx = append(idx, uint8(i))
 		mask |= 1 << uint(i)
 	}
 	err := t.lockUnmarked(ctx, mask, func() chan struct{} {
-		for j, k := range keys {
-			if mark := t.shards[idx[j]].inflight[k]; mark != nil {
+		for j, it := range items {
+			if mark := t.shards[idx[j]].inflight[key(it)]; mark != nil {
 				return mark
 			}
 		}
@@ -458,8 +497,8 @@ func (t *Table) eachKey(ctx context.Context, keys []string, fn func(sh *shard, k
 	if err != nil {
 		return err
 	}
-	for j, k := range keys {
-		fn(t.shards[idx[j]], k)
+	for j, it := range items {
+		fn(t.shards[idx[j]], it)
 	}
 	t.unlockMask(mask)
 	return nil
@@ -710,21 +749,44 @@ func (t *Table) GetManyVersionedInto(ctx context.Context, keys []string, out map
 	return nil
 }
 
-// PutMany stores every entry as one unconditional commit (commitOps):
-// it waits out every entry's write in flight before committing any, and
-// either commits them all or returns an error having committed none. In
-// write-through mode the backing write is one consolidated BatchPut
-// (charged as a single write operation); in write-behind mode the keys
-// are marked dirty for the flusher.
-func (t *Table) PutMany(ctx context.Context, entries map[string]json.RawMessage) error {
+// KV is one key and value of a PutMany.
+type KV struct {
+	Key   string
+	Value json.RawMessage
+}
+
+// PutMany stores every pair as one unconditional commit, routing each key
+// to its shard once: it waits out every key's write in flight before
+// committing any, and either commits them all or returns an error having
+// committed none. A key given twice is written twice, the later value
+// winning. In write-through mode the backing write is one consolidated
+// BatchPut (charged as a single write operation, through commitOps); in
+// write-behind mode the keys are marked dirty for the flusher.
+//
+// PutMany owns the values it is handed: the table keeps each as it is,
+// without a copy, hands it to the backing store and returns it to
+// readers, so the caller must not write into a value after the call. An
+// exact-size value is what the caller should hand over, since the table
+// keeps its spare capacity too. kvs itself stays the caller's.
+func (t *Table) PutMany(ctx context.Context, kvs []KV) error {
 	if t.isClosed() {
 		return ErrClosed
 	}
-	ops := make(map[string]CASOp, len(entries))
-	for k, v := range entries {
-		ops[k] = blindWrite(append(json.RawMessage(nil), v...))
+	if t.cfg.Mode == ModeWriteThrough {
+		ops := make(map[string]CASOp, len(kvs))
+		for _, kv := range kvs {
+			ops[kv.Key] = blindWrite(kv.Value)
+		}
+		return t.commitOps(ctx, ops, true)
 	}
-	return t.commitOps(ctx, ops, true)
+	wake := false
+	err := eachOf(t, ctx, kvs, func(kv KV) string { return kv.Key }, func(sh *shard, kv KV) {
+		wake = t.commit(sh, kv.Key, keep(kv.Value, true)) || wake
+	})
+	if wake {
+		t.wakeFlusher()
+	}
+	return err
 }
 
 // blindWrite is the unversioned op that writes v, empty or not (a nil
@@ -849,13 +911,13 @@ func (t *Table) PutManyIfVersion(ctx context.Context, ops map[string]CASOp) erro
 
 // commitOps is the body of PutManyIfVersion and the table's one
 // write-through exit: Put and PutMany of a write-through table come here
-// with AnyVersion ops whose values they cloned, so owned is true and the
-// commit keeps those values; PutManyIfVersion's ops are the caller's, so
-// their values are cloned (package doc). It locks every involved shard
-// once no op key is marked in flight (lockUnmarked), and validates. A
-// commit with no backing I/O — a write-behind one without deletes, or a
-// memory-only one — then applies under those locks, paying nothing for
-// marks.
+// with AnyVersion ops whose values the table owns (Put's clone, PutMany's
+// own), so owned is true and the commit keeps those values;
+// PutManyIfVersion's ops are the caller's, so their values are cloned
+// (package doc). It locks every involved shard once no op key is marked
+// in flight (lockUnmarked), and validates. A commit with no backing I/O —
+// a write-behind one without deletes, or a memory-only one — then applies
+// under those locks, paying nothing for marks.
 //
 // A commit with backing I/O marks its written keys in flight and
 // unlocks: no shard mutex is held across backing I/O. Deletes go first
@@ -1072,6 +1134,7 @@ func (t *Table) flushAll(ctx context.Context) {
 			}
 		}
 		if len(sh.dirty) == 0 && len(redelete) == 0 {
+			sh.shrink(len(sh.data), 0)
 			sh.mu.Unlock()
 			continue
 		}
@@ -1080,13 +1143,12 @@ func (t *Table) flushAll(ctx context.Context) {
 			batch[k] = sh.data[k].val
 		}
 		sh.flushing = batch
-		sh.dirty = make(map[string]bool)
+		clear(sh.dirty)
 		sh.mu.Unlock()
 		err := t.cfg.Backing.BatchPut(ctx, batch) // a no-op when only re-deletes are due
 		sh.mu.Lock()
 		sh.flushing = nil
-		sh.high = max(sh.high, len(sh.data))
-		dropped := false
+		peak, dropped := len(sh.data), false
 		for k := range batch {
 			if sh.deleted[k] {
 				delete(sh.deleted, k)
@@ -1107,8 +1169,8 @@ func (t *Table) flushAll(ctx context.Context) {
 		}
 		if dropped {
 			t.drops.Add(1)
-			sh.shrink()
 		}
+		sh.shrink(peak, len(batch))
 		if err != nil {
 			// The batch never landed, so it resurrected nothing; put
 			// the tombstones back for the retry pass alongside it.

@@ -433,7 +433,7 @@ func TestPutManyWriteThroughOneBatchWrite(t *testing.T) {
 		entries[fmt.Sprintf("wt-%02d", i)] = json.RawMessage(`1`)
 	}
 	before := db.Stats()
-	if err := tbl.PutMany(ctx, entries); err != nil {
+	if err := tbl.PutMany(ctx, kvs(entries)); err != nil {
 		t.Fatal(err)
 	}
 	after := db.Stats()
@@ -458,7 +458,7 @@ func TestPutManyWriteBehindFlushes(t *testing.T) {
 		"b": json.RawMessage(`2`),
 		"c": json.RawMessage(`3`),
 	}
-	if err := tbl.PutMany(ctx, entries); err != nil {
+	if err := tbl.PutMany(ctx, kvs(entries)); err != nil {
 		t.Fatal(err)
 	}
 	if n := tbl.DirtyCount(); n != 3 {
@@ -472,24 +472,36 @@ func TestPutManyWriteBehindFlushes(t *testing.T) {
 	}
 }
 
-func TestPutManyCopiesValues(t *testing.T) {
-	tbl, err := New(Config{Mode: ModeMemoryOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tbl.Close()
-	ctx := context.Background()
-	val := json.RawMessage(`"before"`)
-	if err := tbl.PutMany(ctx, map[string]json.RawMessage{"k": val}); err != nil {
-		t.Fatal(err)
-	}
-	copy(val, `"MUTATE"`)
-	got, err := tbl.Get(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != `"before"` {
-		t.Fatalf("stored value aliased caller's buffer: %s", got)
+// TestPutManyKeepsTheValuesItIsHanded: PutMany owns what it is handed,
+// so the table reads back, flushes and stores the caller's slice itself,
+// with no copy on the way.
+func TestPutManyKeepsTheValuesItIsHanded(t *testing.T) {
+	for _, mode := range []Mode{ModeWriteBehind, ModeWriteThrough, ModeMemoryOnly} {
+		t.Run(mode.String(), func(t *testing.T) {
+			ctx := context.Background()
+			db := kvstore.Open(kvstore.Config{})
+			defer db.Close()
+			tbl, err := New(Config{Mode: mode, Backing: db, FlushInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tbl.Close()
+			val := json.RawMessage(`"handed over"`)
+			if err := tbl.PutMany(ctx, []KV{{"k", val}}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := tbl.Get(ctx, "k")
+			if err != nil || &got[0] != &val[0] {
+				t.Fatalf("Get = %s, %v; the caller's slice: %v", got, err, err == nil && &got[0] == &val[0])
+			}
+			if mode == ModeMemoryOnly {
+				return
+			}
+			tbl.Flush(ctx)
+			if doc, err := db.Get(ctx, "k"); err != nil || &doc.Value[0] != &val[0] {
+				t.Fatalf("the store holds %s, %v, want the caller's slice", doc.Value, err)
+			}
+		})
 	}
 }
 
@@ -500,7 +512,7 @@ func TestBatchOpsOnClosedTable(t *testing.T) {
 	if _, err := getMany(tbl, ctx, []string{"k"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("GetMany after close = %v", err)
 	}
-	if err := tbl.PutMany(ctx, map[string]json.RawMessage{"k": nil}); !errors.Is(err, ErrClosed) {
+	if err := tbl.PutMany(ctx, []KV{{Key: "k"}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("PutMany after close = %v", err)
 	}
 }
@@ -535,7 +547,7 @@ func TestBatchOpsWidePath(t *testing.T) {
 		entries[k] = json.RawMessage(fmt.Sprintf("%d", i))
 		keys = append(keys, k)
 	}
-	if err := tbl.PutMany(ctx, entries); err != nil {
+	if err := tbl.PutMany(ctx, kvs(entries)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := getMany(tbl, ctx, keys)
