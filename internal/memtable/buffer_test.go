@@ -240,9 +240,11 @@ func TestBufferKeepsItsMapsUnderASteadyLoad(t *testing.T) {
 	}
 	busy := 0
 	for _, sh := range tbl.shards {
+		sh.mu.Lock()
 		if sh.dataSize.high > shrinkKeep {
 			busy++
 		}
+		sh.mu.Unlock()
 	}
 	pass(2)
 	if got := maps(); !slices.Equal(got, steady) {
